@@ -17,6 +17,7 @@ import (
 	"gridrm/internal/agents/netlogger"
 	"gridrm/internal/agents/sim"
 	"gridrm/internal/agents/snmp"
+	"gridrm/internal/breaker"
 	"gridrm/internal/core"
 	"gridrm/internal/driver"
 	"gridrm/internal/drivers/memdrv"
@@ -293,8 +294,11 @@ func BenchmarkE7GlobalLayer(b *testing.B) {
 		_ = gw.RegisterDriver(d, d.Schema())
 		_ = gw.AddSource(core.SourceConfig{URL: "gridrm:mem://" + name + ":1"})
 		srv := httptest.NewServer(web.NewServer(gw, nil, nil))
-		_ = dir.Register(gma.Registration{Name: name, Endpoint: srv.URL})
-		gw.SetGlobalRouter(gma.NewContextRouter(dir, web.RemoteQueryContext, name))
+		_ = dir.RegisterContext(context.Background(), gma.Registration{Name: name, Endpoint: srv.URL})
+		// Bare router (no lookup cache, no breaker): every remote query
+		// pays the directory lookup, which is what E7 measures.
+		gw.SetGlobalRouter(gma.NewRouter(dir, web.RemoteQueryContext, name,
+			gma.Config{LookupTTL: -1, Breaker: breaker.Options{Threshold: -1}}))
 		return gw, srv
 	}
 	gwA, srvA := mk("siteA")
@@ -323,7 +327,7 @@ func BenchmarkE7GlobalLayer(b *testing.B) {
 	})
 	b.Run("directory-lookup", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, ok, _ := dir.Lookup("siteB"); !ok {
+			if _, ok, _ := dir.LookupContext(context.Background(), "siteB"); !ok {
 				b.Fatal("lost site")
 			}
 		}

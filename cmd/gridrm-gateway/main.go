@@ -21,6 +21,7 @@ import (
 	"syscall"
 	"time"
 
+	"gridrm/internal/breaker"
 	"gridrm/internal/core"
 	"gridrm/internal/drivers/faultdrv"
 	"gridrm/internal/event"
@@ -76,7 +77,6 @@ func main() {
 		breakerCool    = flag.Duration("breaker-cooldown", 0, "how long an open breaker waits before a half-open probe (0 = default)")
 		dirTimeout     = flag.Duration("directory-timeout", 0, "GMA directory HTTP timeout (0 = default)")
 		maxHarvests    = flag.Int("max-concurrent-harvests", 0, "bound on concurrent driver harvests (0 = unbounded)")
-		noCoalesce     = flag.Bool("no-coalesce", false, "disable single-flight harvest coalescing")
 		staleGrace     = flag.Duration("stale-grace", 0, "how long expired cache entries remain servable as degraded results (0 = default 2m, negative = off)")
 		probeInterval  = flag.Duration("probe-interval", 15*time.Second, "background source health probe period (0 = off)")
 		drainTimeout   = flag.Duration("drain-timeout", 10*time.Second, "how long shutdown waits for in-flight queries on SIGTERM")
@@ -106,14 +106,9 @@ func main() {
 	)
 	flag.Parse()
 
-	fed := sitekit.FederationOptions{
-		Role:            *role,
-		RefreshInterval: *repubRefresh,
-		ScrapeInterval:  *repubScrape,
-		VNodes:          *ringVNodes,
-	}
+	dir, localDir := assembleDirectory(*hostDir, *refresh, *dirTimeout, directories)
 	if *role == "republisher" {
-		runRepublisher(*name, *listen, *hostDir, *refresh, *dirTimeout, directories, fed)
+		runRepublisher(*name, *listen, dir, localDir, *repubRefresh, *repubScrape, *ringVNodes)
 		return
 	}
 	if *role != "site" {
@@ -164,11 +159,9 @@ func main() {
 			Queue: *subQueue,
 			Stall: *subStall,
 		},
-		Federation:            fed,
 		Retry:                 core.RetryOptions{Attempts: *retries, Backoff: *retryBackoff},
-		Breaker:               core.BreakerOptions{Threshold: *breakerTrips, Cooldown: *breakerCool},
+		Breaker:               breaker.Options{Threshold: *breakerTrips, Cooldown: *breakerCool},
 		MaxConcurrentHarvests: *maxHarvests,
-		DisableCoalescing:     *noCoalesce,
 		StaleGrace:            *staleGrace,
 		ProbeInterval:         *probeInterval,
 		Faults:                faults,
@@ -200,9 +193,7 @@ func main() {
 	}
 
 	var dirHandler http.Handler
-	var localDir *gma.Directory
-	if *hostDir {
-		localDir = gma.NewDirectory(3**refresh, nil)
+	if localDir != nil {
 		dirHandler = localDir.Handler()
 	}
 	server := web.NewServer(gw, nil, dirHandler)
@@ -214,28 +205,9 @@ func main() {
 
 	endpoint := "http://" + *listen
 
-	// Assemble the directory: the locally hosted one plus every -directory
-	// replica, federated behind a MultiDirectory when there is more than one
-	// so registration fans out and lookups fail over.
-	var replicas []gma.DirectoryService
-	if localDir != nil {
-		replicas = append(replicas, localDir)
-	}
-	for _, base := range directories {
-		replicas = append(replicas, &gma.DirectoryClient{BaseURL: base, Timeout: *dirTimeout})
-	}
-	var dir gma.DirectoryService
-	switch len(replicas) {
-	case 0:
-	case 1:
-		dir = replicas[0]
-	default:
-		dir = gma.NewMultiDirectory(replicas...)
-	}
-
 	var reg *gma.Registrar
 	if dir != nil {
-		fedRouter := gma.NewResilientRouter(dir, web.RemoteQueryContext, m.Site, gma.Config{
+		fedRouter := gma.NewRouter(dir, web.RemoteQueryContext, m.Site, gma.Config{
 			LookupTTL:     *lookupTTL,
 			RetryAttempts: *remoteRetries,
 			HedgeAfter:    *hedgeAfter,
@@ -313,18 +285,12 @@ func main() {
 	}
 }
 
-// runRepublisher runs the gateway in republisher mode: no local agents or
-// drivers — just the shard-maintenance loops over the directory and the
-// region-query servlet.
-//
-//	gridrm-gateway -role=republisher -name repub-a -listen 127.0.0.1:8090 \
-//	    -directory http://127.0.0.1:8080
-func runRepublisher(name, listen string, hostDir bool, refresh, dirTimeout time.Duration,
-	directories []string, fed sitekit.FederationOptions) {
-	if name == "" {
-		log.Fatal("gridrm-gateway: republisher mode requires -name")
-	}
-	var localDir *gma.Directory
+// assembleDirectory builds the gateway's directory: the locally hosted one
+// (localDir, nil without -host-directory) plus every -directory replica,
+// federated behind a MultiDirectory when there is more than one so
+// registration fans out and lookups fail over. dir is nil when there is
+// neither.
+func assembleDirectory(hostDir bool, refresh, dirTimeout time.Duration, directories []string) (dir gma.DirectoryService, localDir *gma.Directory) {
 	var replicas []gma.DirectoryService
 	if hostDir {
 		localDir = gma.NewDirectory(3*refresh, nil)
@@ -333,14 +299,29 @@ func runRepublisher(name, listen string, hostDir bool, refresh, dirTimeout time.
 	for _, base := range directories {
 		replicas = append(replicas, &gma.DirectoryClient{BaseURL: base, Timeout: dirTimeout})
 	}
-	var dir gma.DirectoryService
 	switch len(replicas) {
 	case 0:
-		log.Fatal("gridrm-gateway: republisher mode requires -directory (or -host-directory)")
 	case 1:
 		dir = replicas[0]
 	default:
 		dir = gma.NewMultiDirectory(replicas...)
+	}
+	return dir, localDir
+}
+
+// runRepublisher runs the gateway in republisher mode: no local agents or
+// drivers — just the shard-maintenance loops over the directory and the
+// region-query servlet.
+//
+//	gridrm-gateway -role=republisher -name repub-a -listen 127.0.0.1:8090 \
+//	    -directory http://127.0.0.1:8080
+func runRepublisher(name, listen string, dir gma.DirectoryService, localDir *gma.Directory,
+	refresh, scrape time.Duration, vnodes int) {
+	if name == "" {
+		log.Fatal("gridrm-gateway: republisher mode requires -name")
+	}
+	if dir == nil {
+		log.Fatal("gridrm-gateway: republisher mode requires -directory (or -host-directory)")
 	}
 
 	endpoint := "http://" + listen
@@ -348,9 +329,9 @@ func runRepublisher(name, listen string, hostDir bool, refresh, dirTimeout time.
 		Name:            name,
 		Endpoint:        endpoint,
 		Directory:       dir,
-		RefreshInterval: fed.RefreshInterval,
-		ScrapeInterval:  fed.ScrapeInterval,
-		VNodes:          fed.VNodes,
+		RefreshInterval: refresh,
+		ScrapeInterval:  scrape,
+		VNodes:          vnodes,
 	})
 	if err != nil {
 		log.Fatalf("gridrm-gateway: %v", err)

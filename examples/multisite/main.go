@@ -61,9 +61,9 @@ func deploySite(name string, hosts int, seed int64, dir gma.DirectoryService,
 	}
 	go func() { _ = d.server.Serve(ln) }()
 
-	// The resilient router caches lookups (stale-served during a directory
+	// The router caches lookups (stale-served during a directory
 	// outage), breaks per remote endpoint, and hedges stragglers.
-	router := gma.NewResilientRouter(dir, web.RemoteQueryContext, name, gma.Config{
+	router := gma.NewRouter(dir, web.RemoteQueryContext, name, gma.Config{
 		RetryAttempts: 1,
 		HedgeAfter:    500 * time.Millisecond,
 	})
@@ -114,8 +114,12 @@ func main() {
 	}
 	defer siteC.close()
 
-	for _, p := range directory.Producers() {
-		fmt.Printf("GMA producer: %-8s at %s\n", p.Site, p.Endpoint)
+	regs, err := directory.ListContext(context.Background())
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, r := range regs {
+		fmt.Printf("GMA producer: %-8s at %s\n", r.Name, r.Endpoint)
 	}
 
 	// A client connects to ANY gateway — here site A — and queries each

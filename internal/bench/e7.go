@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"time"
 
+	"gridrm/internal/breaker"
 	"gridrm/internal/core"
 	"gridrm/internal/drivers/memdrv"
 	"gridrm/internal/gma"
@@ -44,10 +45,13 @@ func buildFederation(n int) (*gma.Directory, []*fedSite, error) {
 			return nil, nil, err
 		}
 		srv := httptest.NewServer(web.NewServer(gw, nil, nil))
-		if err := dir.Register(gma.Registration{Name: name, Endpoint: srv.URL}); err != nil {
+		if err := dir.RegisterContext(context.Background(), gma.Registration{Name: name, Endpoint: srv.URL}); err != nil {
 			return nil, nil, err
 		}
-		gw.SetGlobalRouter(gma.NewContextRouter(dir, web.RemoteQueryContext, name))
+		// A bare router — no lookup cache, no breaker — so the experiment
+		// times the directory round trip on every remote query.
+		gw.SetGlobalRouter(gma.NewRouter(dir, web.RemoteQueryContext, name,
+			gma.Config{LookupTTL: -1, Breaker: breaker.Options{Threshold: -1}}))
 		sites = append(sites, &fedSite{gw: gw, srv: srv})
 	}
 	return dir, sites, nil
@@ -118,7 +122,7 @@ func runE7(w io.Writer, quick bool) error {
 			return err
 		}
 		lookup, err := timeIt(iters*10, func() error {
-			_, ok, err := dir.Lookup(remoteSite)
+			_, ok, err := dir.LookupContext(context.Background(), remoteSite)
 			if !ok {
 				return fmt.Errorf("site lost")
 			}
@@ -140,10 +144,10 @@ func runE7(w io.Writer, quick bool) error {
 		return err
 	}
 	time.Sleep(120 * time.Millisecond)
-	_, stillThere, _ := dir.Lookup("x")
+	_, stillThere, _ := dir.LookupContext(context.Background(), "x")
 	reg.Stop()
 	time.Sleep(80 * time.Millisecond)
-	_, afterStop, _ := dir.Lookup("x")
+	_, afterStop, _ := dir.LookupContext(context.Background(), "x")
 	fmt.Fprintf(w, "\nproducer freshness: alive under refresh=%v, gone after deregistration=%v\n",
 		stillThere, !afterStop)
 	return nil

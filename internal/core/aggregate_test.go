@@ -17,8 +17,8 @@ type captureRouter struct {
 	respRows []int
 }
 
-func (r *captureRouter) RemoteQuery(site string, req QueryOptions) (*Response, error) {
-	resp, err := r.multiRouter.RemoteQuery(site, req)
+func (r *captureRouter) RemoteQueryContext(ctx context.Context, site string, req QueryOptions) (*Response, error) {
+	resp, err := r.multiRouter.RemoteQueryContext(ctx, site, req)
 	r.mu.Lock()
 	r.sqls = append(r.sqls, req.SQL)
 	if resp != nil {

@@ -9,12 +9,12 @@ import (
 	"gridrm/internal/security"
 )
 
-// multiRouter serves RemoteQuery from a map of in-process gateways.
+// multiRouter serves RemoteQueryContext from a map of in-process gateways.
 type multiRouter struct {
 	gateways map[string]*Gateway
 }
 
-func (r *multiRouter) RemoteQuery(site string, req QueryOptions) (*Response, error) {
+func (r *multiRouter) RemoteQueryContext(_ context.Context, site string, req QueryOptions) (*Response, error) {
 	gw, ok := r.gateways[site]
 	if !ok {
 		return nil, fmt.Errorf("no such site %q", site)

@@ -234,30 +234,6 @@ func TestCoalescedWaiterHonoursOwnDeadline(t *testing.T) {
 	}
 }
 
-func TestDisableCoalescingHarvestsPerClient(t *testing.T) {
-	d := &gateDriver{name: "gate", proto: "gate", hosts: []string{"h"}, gate: make(chan struct{})}
-	g := newGateFixture(t, d, Config{DisableCoalescing: true}, 1)
-
-	const clients = 3
-	var wg sync.WaitGroup
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := g.QueryContext(context.Background(), QueryOptions{Principal: coalescePrincipal, SQL: "SELECT * FROM Processor", Mode: ModeRealTime}); err != nil {
-				t.Error(err)
-			}
-		}()
-	}
-	waitFor(t, "all harvests in flight", func() bool { return d.calls.Load() == clients })
-	close(d.gate)
-	wg.Wait()
-	st := g.Stats()
-	if st.Harvests != clients || st.Coalesced != 0 {
-		t.Errorf("Harvests = %d Coalesced = %d, want %d and 0", st.Harvests, st.Coalesced, clients)
-	}
-}
-
 // TestMaxConcurrentHarvests: the semaphore bounds the fan-out of a single
 // query across many sources.
 func TestMaxConcurrentHarvests(t *testing.T) {
@@ -279,11 +255,12 @@ func TestMaxConcurrentHarvests(t *testing.T) {
 	}
 }
 
-func benchFanout(b *testing.B, disable bool) {
+// BenchmarkHarvestFanoutCoalesced measures single-flight harvest sharing
+// when concurrent cache-missing clients hammer one source.
+func BenchmarkHarvestFanoutCoalesced(b *testing.B) {
 	d := &gateDriver{name: "gate", proto: "gate", hosts: []string{"h1", "h2", "h3", "h4"},
 		delay: 200 * time.Microsecond}
 	g := newGateFixture(b, d, Config{
-		DisableCoalescing: disable,
 		// A one-nanosecond TTL keeps every query a cache miss, so the
 		// benchmark measures harvest fan-out, not cache hits.
 		Cache: qcache.Options{TTL: time.Nanosecond},
@@ -299,9 +276,3 @@ func benchFanout(b *testing.B, disable bool) {
 		}
 	})
 }
-
-// BenchmarkHarvestFanoutCoalesced vs BenchmarkHarvestFanoutUncoalesced
-// quantify what single-flight saves when concurrent cache-missing clients
-// hammer one source.
-func BenchmarkHarvestFanoutCoalesced(b *testing.B)   { benchFanout(b, false) }
-func BenchmarkHarvestFanoutUncoalesced(b *testing.B) { benchFanout(b, true) }

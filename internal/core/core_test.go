@@ -549,7 +549,7 @@ type fakeRouter struct {
 	resp     *Response
 }
 
-func (r *fakeRouter) RemoteQuery(site string, req QueryOptions) (*Response, error) {
+func (r *fakeRouter) RemoteQueryContext(_ context.Context, site string, req QueryOptions) (*Response, error) {
 	r.lastSite = site
 	return r.resp, nil
 }

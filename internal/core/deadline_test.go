@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"gridrm/internal/breaker"
 	"gridrm/internal/drivers/faultdrv"
 	"gridrm/internal/security"
 )
@@ -148,7 +149,7 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 	now := time.Unix(90000, 0)
 	g := New(Config{Name: "breaksite",
 		Clock:   func() time.Time { return now },
-		Breaker: BreakerOptions{Threshold: 2, Cooldown: 30 * time.Second}})
+		Breaker: breaker.Options{Threshold: 2, Cooldown: 30 * time.Second}})
 	defer g.Close()
 	drv := &memDriver{name: "jdbc-mem", proto: "mem", hosts: []string{"h1"}, load: 1}
 	if err := g.RegisterDriver(drv, drv.schema()); err != nil {
@@ -248,7 +249,7 @@ func TestCancellationReleasesResources(t *testing.T) {
 	// Breaker off: five consecutive timeouts would otherwise open it and
 	// the post-release query would be skipped rather than served.
 	fx := newFaultFixture(t, Config{HarvestTimeout: 60 * time.Millisecond,
-		Breaker: BreakerOptions{Threshold: -1}})
+		Breaker: breaker.Options{Threshold: -1}})
 	req := QueryOptions{Principal: fx.admin, SQL: "SELECT * FROM Processor", Mode: ModeRealTime}
 
 	// Warm the pool with one clean pass.
@@ -368,12 +369,13 @@ func TestRetryRecoversTransientFailure(t *testing.T) {
 }
 
 // hangingRouter is a Global layer whose remote queries block until released,
-// modelling an unreachable peer gateway behind a context-free router.
+// modelling an unreachable peer gateway behind a router that ignores its
+// context.
 type hangingRouter struct {
 	release chan struct{}
 }
 
-func (r *hangingRouter) RemoteQuery(site string, req QueryOptions) (*Response, error) {
+func (r *hangingRouter) RemoteQueryContext(_ context.Context, site string, req QueryOptions) (*Response, error) {
 	<-r.release
 	return nil, errors.New("released late")
 }

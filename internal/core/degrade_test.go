@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"gridrm/internal/breaker"
 	"gridrm/internal/event"
 	"gridrm/internal/health"
 	"gridrm/internal/qcache"
@@ -142,7 +143,7 @@ func TestRealTimeModeFailsHonestly(t *testing.T) {
 func TestBreakerSkipServesDegraded(t *testing.T) {
 	fx := newDegradeFixture(t, Config{
 		StaleGrace: 10 * time.Minute,
-		Breaker:    BreakerOptions{Threshold: 1, Cooldown: time.Minute},
+		Breaker:    breaker.Options{Threshold: 1, Cooldown: time.Minute},
 	})
 	fx.query(t, ModeCached)
 	*fx.now = fx.now.Add(30 * time.Second)
@@ -327,7 +328,7 @@ func TestShutdownHonoursDeadline(t *testing.T) {
 // respects the cooldown while the breaker is open.
 func TestProberRecoversOpenBreaker(t *testing.T) {
 	fx := newDegradeFixture(t, Config{
-		Breaker: BreakerOptions{Threshold: 1, Cooldown: 30 * time.Second},
+		Breaker: breaker.Options{Threshold: 1, Cooldown: 30 * time.Second},
 	})
 	fx.drv.fail.Store(true)
 	fx.query(t, ModeRealTime) // failure opens the breaker
@@ -389,7 +390,7 @@ func TestProberRecoversOpenBreaker(t *testing.T) {
 // source, with Alert events on each transition.
 func TestProberMarksDownSource(t *testing.T) {
 	fx := newDegradeFixture(t, Config{
-		Breaker: BreakerOptions{Threshold: -1}, // keep probing the dead agent
+		Breaker: breaker.Options{Threshold: -1}, // keep probing the dead agent
 		Probe:   health.Options{DownAfter: 2},
 	})
 	fx.query(t, ModeRealTime) // a clean pass: healthy

@@ -20,6 +20,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"gridrm/internal/breaker"
 	"gridrm/internal/driver"
 	"gridrm/internal/event"
 	"gridrm/internal/health"
@@ -75,17 +76,16 @@ type Config struct {
 	QueryTimeout time.Duration
 	// Retry configures per-source harvest retries with backoff.
 	Retry RetryOptions
-	// Breaker configures the per-source circuit breaker.
-	Breaker BreakerOptions
+	// Breaker configures the per-source circuit breaker that sits in front
+	// of harvests (internal/breaker, shared with the gma Router's
+	// per-endpoint breakers): an open source is skipped cheaply with
+	// status "circuit open" until a half-open probe succeeds.
+	Breaker breaker.Options
 	// MaxConcurrentHarvests bounds how many driver harvests may run at
 	// once across all requests — queryLive and all-sites fan-out legs
 	// alike (default 0: unbounded, today's behaviour). Queries waiting
 	// for a slot still honour their own deadline.
 	MaxConcurrentHarvests int
-	// DisableCoalescing turns off single-flight harvest coalescing, so
-	// every cache-missing query dials the driver itself. For benchmarks
-	// and ablations; coalescing is on by default.
-	DisableCoalescing bool
 	// StaleGrace is how long past its TTL an expired query-cache entry
 	// remains servable as a degraded result when a harvest fails, times
 	// out or is breaker-skipped (default 2m; negative disables the
@@ -118,12 +118,14 @@ type RetryOptions struct {
 	// Attempts is how many additional harvest attempts a failed source
 	// gets (default 0: fail fast, matching the seed behaviour).
 	Attempts int
-	// Backoff is the wait before the first retry, doubled per attempt
-	// (default 50ms).
+	// Backoff is the wait before the first retry (default 50ms); it
+	// follows the internal/retry schedule capped at MaxRetryBackoff.
 	Backoff time.Duration
-	// MaxBackoff caps the doubling (default 2s).
-	MaxBackoff time.Duration
 }
+
+// MaxRetryBackoff caps the backoff between harvest retries and between the
+// gma Router's remote-query retries.
+const MaxRetryBackoff = 2 * time.Second
 
 func (o RetryOptions) fill() RetryOptions {
 	if o.Attempts < 0 {
@@ -131,9 +133,6 @@ func (o RetryOptions) fill() RetryOptions {
 	}
 	if o.Backoff <= 0 {
 		o.Backoff = 50 * time.Millisecond
-	}
-	if o.MaxBackoff <= 0 {
-		o.MaxBackoff = 2 * time.Second
 	}
 	return o
 }
@@ -268,21 +267,12 @@ type Stats struct {
 // GlobalRouter forwards queries for remote sites; internal/gma provides the
 // GMA-based implementation.
 type GlobalRouter interface {
-	// RemoteQuery executes req at the gateway owning site and returns
-	// its response.
-	RemoteQuery(site string, req QueryOptions) (*Response, error)
+	// RemoteQueryContext executes req at the gateway owning site and
+	// returns its response, bounded by ctx so an all-sites fan-out can
+	// abandon a hung site at the request deadline.
+	RemoteQueryContext(ctx context.Context, site string, req QueryOptions) (*Response, error)
 	// Sites lists the remote sites the router can reach.
 	Sites() []string
-}
-
-// ContextRouter is optionally implemented by GlobalRouters that honour
-// context deadlines and cancellation; the gateway prefers it over
-// RemoteQuery when present, so all-sites fan-outs can abandon a hung site
-// at the request deadline.
-type ContextRouter interface {
-	// RemoteQueryContext behaves like GlobalRouter.RemoteQuery bounded by
-	// ctx.
-	RemoteQueryContext(ctx context.Context, site string, req QueryOptions) (*Response, error)
 }
 
 // Gateway is a GridRM gateway's local layer.
@@ -303,9 +293,8 @@ type Gateway struct {
 	harvestTimeout time.Duration
 	queryTimeout   time.Duration
 	retry          RetryOptions
-	breakerOpts    BreakerOptions
+	breakerOpts    breaker.Options
 
-	coalesce   bool
 	flights    *flightGroup
 	harvestSem chan struct{} // nil = unbounded
 
@@ -321,7 +310,7 @@ type Gateway struct {
 
 	mu       sync.RWMutex
 	sources  map[string]*SourceInfo
-	breakers map[string]*breaker
+	breakers map[string]*breaker.Breaker
 	watches  map[string][]metricWatch
 	router   GlobalRouter
 	closed   bool
@@ -411,14 +400,13 @@ func New(cfg Config) *Gateway {
 		queryTimeout:   cfg.QueryTimeout,
 		retry:          cfg.Retry.fill(),
 		breakerOpts:    cfg.Breaker.Fill(),
-		coalesce:       !cfg.DisableCoalescing,
 		flights:        newFlightGroup(),
 		tracer:         trace.New(cfg.Trace),
 		plans:          sqlparse.NewPlanCache(cfg.PlanCacheSize),
 		push:           router.New(cfg.Push),
 		registry:       reg,
 		sources:        make(map[string]*SourceInfo),
-		breakers:       make(map[string]*breaker),
+		breakers:       make(map[string]*breaker.Breaker),
 	}
 	if cfg.MaxConcurrentHarvests > 0 {
 		g.harvestSem = make(chan struct{}, cfg.MaxConcurrentHarvests)
@@ -819,7 +807,7 @@ func (g *Gateway) AddSource(cfg SourceConfig) error {
 		return fmt.Errorf("core: source %s already registered", cfg.URL)
 	}
 	g.sources[cfg.URL] = &SourceInfo{SourceConfig: cfg}
-	g.breakers[cfg.URL] = newBreaker(g.breakerOpts)
+	g.breakers[cfg.URL] = breaker.New(g.breakerOpts)
 	g.drivers.SetPreferences(cfg.URL, cfg.Drivers)
 	return nil
 }
@@ -886,7 +874,7 @@ func (g *Gateway) Source(url string) (SourceInfo, bool) {
 
 // breaker returns the source's circuit breaker, if the source is
 // registered.
-func (g *Gateway) breaker(url string) *breaker {
+func (g *Gateway) breaker(url string) *breaker.Breaker {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	return g.breakers[url]

@@ -10,6 +10,7 @@ import (
 	"gridrm/internal/driver"
 	"gridrm/internal/glue"
 	"gridrm/internal/resultset"
+	"gridrm/internal/retry"
 	"gridrm/internal/security"
 	"gridrm/internal/sqlparse"
 	"gridrm/internal/trace"
@@ -304,10 +305,7 @@ func (g *Gateway) query(ctx context.Context, req QueryOptions, start time.Time) 
 			return nil, fmt.Errorf("core: no global layer configured for remote site %q", req.Site)
 		}
 		g.routed.Add(1)
-		if cr, ok := router.(ContextRouter); ok {
-			return cr.RemoteQueryContext(ctx, req.Site, req)
-		}
-		return router.RemoteQuery(req.Site, req)
+		return router.RemoteQueryContext(ctx, req.Site, req)
 	}
 
 	op := security.OpQueryRealTime
@@ -634,14 +632,11 @@ func (g *Gateway) degradedResult(mode Mode, url, hsql string, group *glue.Group,
 	return nil
 }
 
-// sharedHarvest obtains one source's full-group rows by harvest. Unless
-// coalescing is disabled, concurrent harvests for the same (source URL,
-// canonical harvest SQL) share one driver call through the single-flight
-// group; followers get a clone of the leader's rows and report shared=true.
+// sharedHarvest obtains one source's full-group rows by harvest.
+// Concurrent harvests for the same (source URL, canonical harvest SQL)
+// share one driver call through the single-flight group; followers get a
+// clone of the leader's rows and report shared=true.
 func (g *Gateway) sharedHarvest(ctx context.Context, url string, group *glue.Group, hsql string) (flightResult, bool) {
-	if !g.coalesce {
-		return g.harvestLeader(ctx, url, group, hsql), false
-	}
 	return g.flights.do(ctx, url+"\x00"+hsql, func() flightResult {
 		return g.harvestLeader(ctx, url, group, hsql)
 	})
@@ -696,7 +691,7 @@ func (g *Gateway) harvestLeader(ctx context.Context, url string, group *glue.Gro
 // Each attempt gets a fresh HarvestTimeout budget; backoff waits and
 // further attempts stop as soon as the request context expires.
 func (g *Gateway) harvestWithRetry(ctx context.Context, url, hsql string) (*resultset.ResultSet, string, error) {
-	backoff := g.retry.Backoff
+	backoff := retry.Backoff{Base: g.retry.Backoff, Max: MaxRetryBackoff}
 	var rs *resultset.ResultSet
 	var driverName string
 	var err error
@@ -706,13 +701,8 @@ func (g *Gateway) harvestWithRetry(ctx context.Context, url, hsql string) (*resu
 			return rs, driverName, err
 		}
 		g.retries.Add(1)
-		select {
-		case <-ctx.Done():
-			return nil, driverName, ctx.Err()
-		case <-time.After(backoff):
-		}
-		if backoff *= 2; backoff > g.retry.MaxBackoff {
-			backoff = g.retry.MaxBackoff
+		if err := retry.Sleep(ctx, backoff.Delay(attempt)); err != nil {
+			return nil, driverName, err
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package gma
 
 import (
+	"context"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -16,17 +17,17 @@ func TestDirectoryClientEscaping(t *testing.T) {
 	c := &DirectoryClient{BaseURL: srv.URL}
 
 	for _, site := range []string{"site A", "a&b=c", "x/y?z", "ü-site"} {
-		if err := c.Register(Registration{Name: site, Endpoint: "http://e"}); err != nil {
+		if err := c.RegisterContext(context.Background(), Registration{Name: site, Endpoint: "http://e"}); err != nil {
 			t.Fatalf("register %q: %v", site, err)
 		}
-		p, ok, err := c.Lookup(site)
+		p, ok, err := c.LookupContext(context.Background(), site)
 		if err != nil || !ok || p.Name != site {
 			t.Errorf("lookup %q = %+v, %v, %v", site, p, ok, err)
 		}
-		if err := c.Deregister(site); err != nil {
+		if err := c.DeregisterContext(context.Background(), site); err != nil {
 			t.Errorf("deregister %q: %v", site, err)
 		}
-		if _, ok, _ := c.Lookup(site); ok {
+		if _, ok, _ := c.LookupContext(context.Background(), site); ok {
 			t.Errorf("%q still registered after deregister", site)
 		}
 	}
@@ -42,25 +43,25 @@ func TestDirectoryHTTPTTLExpiry(t *testing.T) {
 	defer srv.Close()
 	c := &DirectoryClient{BaseURL: srv.URL}
 
-	if err := c.Register(Registration{Name: "A", Endpoint: "http://a"}); err != nil {
+	if err := c.RegisterContext(context.Background(), Registration{Name: "A", Endpoint: "http://a"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := c.Lookup("A"); err != nil || !ok {
+	if _, ok, err := c.LookupContext(context.Background(), "A"); err != nil || !ok {
 		t.Fatalf("fresh lookup = %v, %v", ok, err)
 	}
 	now = now.Add(11 * time.Second)
-	if _, ok, err := c.Lookup("A"); err != nil || ok {
+	if _, ok, err := c.LookupContext(context.Background(), "A"); err != nil || ok {
 		t.Errorf("expired lookup = %v, %v, want not-found without error", ok, err)
 	}
-	sites, err := c.Sites()
+	sites, err := c.SitesContext(context.Background())
 	if err != nil || len(sites) != 0 {
 		t.Errorf("expired Sites = %v, %v", sites, err)
 	}
 	// Refreshing the registration revives it over HTTP too.
-	if err := c.Register(Registration{Name: "A", Endpoint: "http://a"}); err != nil {
+	if err := c.RegisterContext(context.Background(), Registration{Name: "A", Endpoint: "http://a"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, _ := c.Lookup("A"); !ok {
+	if _, ok, _ := c.LookupContext(context.Background(), "A"); !ok {
 		t.Error("refreshed record missing")
 	}
 }
@@ -70,18 +71,18 @@ func TestDirectoryHTTPTTLExpiry(t *testing.T) {
 func TestDirectoryPrune(t *testing.T) {
 	now := time.Unix(1000, 0)
 	d := NewDirectory(10*time.Second, func() time.Time { return now })
-	_ = d.Register(Registration{Name: "old", Endpoint: "http://old"})
+	_ = d.RegisterContext(context.Background(), Registration{Name: "old", Endpoint: "http://old"})
 	now = now.Add(8 * time.Second)
-	_ = d.Register(Registration{Name: "new", Endpoint: "http://new"})
+	_ = d.RegisterContext(context.Background(), Registration{Name: "new", Endpoint: "http://new"})
 	now = now.Add(4 * time.Second) // "old" is 12s old, "new" 4s
 
 	if n := d.Prune(); n != 1 {
 		t.Errorf("Prune = %d, want 1", n)
 	}
-	if _, ok, _ := d.Lookup("old"); ok {
+	if _, ok, _ := d.LookupContext(context.Background(), "old"); ok {
 		t.Error("pruned record still found")
 	}
-	if _, ok, _ := d.Lookup("new"); !ok {
+	if _, ok, _ := d.LookupContext(context.Background(), "new"); !ok {
 		t.Error("live record pruned")
 	}
 	if n := d.Prune(); n != 0 {
@@ -89,7 +90,7 @@ func TestDirectoryPrune(t *testing.T) {
 	}
 	// A TTL of zero means no expiry: nothing is ever pruned.
 	forever := NewDirectory(0, nil)
-	_ = forever.Register(Registration{Name: "A", Endpoint: "http://a"})
+	_ = forever.RegisterContext(context.Background(), Registration{Name: "A", Endpoint: "http://a"})
 	if n := forever.Prune(); n != 0 {
 		t.Errorf("Prune with no TTL = %d, want 0", n)
 	}

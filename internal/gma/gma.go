@@ -104,7 +104,7 @@ func (r Registration) MarshalJSON() ([]byte, error) {
 	})
 }
 
-// UnmarshalJSON accepts both v1 records and v0 ProducerInfo records: the
+// UnmarshalJSON accepts both v1 records and v0 (site/endpoint) records: the
 // name comes from "name" when present and "site" otherwise, and a missing
 // role normalises to RoleSite.
 func (r *Registration) UnmarshalJSON(b []byte) error {
@@ -131,43 +131,21 @@ func (r *Registration) normalize() {
 	}
 }
 
-// ProducerInfo is the v0 registration record, kept one release as a
-// deprecated shim for callers that predate roles.
-//
-// Deprecated: use Registration. A ProducerInfo converts with
-// [ProducerInfo.Registration]; the directory wire format still accepts
-// the v0 JSON shape directly.
-type ProducerInfo struct {
-	// Site is the producer's site name (unique key).
-	Site string `json:"site"`
-	// Endpoint is the gateway's servlet base URL ("http://host:port").
-	Endpoint string `json:"endpoint"`
-	// Groups lists the GLUE groups the site can answer for.
-	Groups []string `json:"groups,omitempty"`
-	// RegisteredAt is when the record was last refreshed.
-	RegisteredAt time.Time `json:"registeredAt"`
-}
-
-// Registration converts the v0 record to its v1 form (Role "site").
-func (p ProducerInfo) Registration() Registration {
-	return Registration{Name: p.Site, Endpoint: p.Endpoint, Role: RoleSite,
-		Groups: p.Groups, RegisteredAt: p.RegisteredAt}
-}
-
 // DirectoryService is the GMA directory contract shared by the in-process
-// directory and the HTTP client.
+// directory, the HTTP client and the replicated MultiDirectory. Every call
+// is bounded by its context.
 type DirectoryService interface {
-	// Register adds or refreshes a member record.
-	Register(r Registration) error
-	// Deregister removes a member by name.
-	Deregister(name string) error
-	// Lookup finds a member by name, whatever its role.
-	Lookup(name string) (Registration, bool, error)
-	// Sites lists registered members with Role "site", sorted — the
+	// RegisterContext adds or refreshes a member record.
+	RegisterContext(ctx context.Context, r Registration) error
+	// DeregisterContext removes a member by name.
+	DeregisterContext(ctx context.Context, name string) error
+	// LookupContext finds a member by name, whatever its role.
+	LookupContext(ctx context.Context, name string) (Registration, bool, error)
+	// SitesContext lists registered members with Role "site", sorted — the
 	// fan-out universe. Republishers and entries never appear here.
-	Sites() ([]string, error)
-	// List returns every fresh record, sorted by name.
-	List() ([]Registration, error)
+	SitesContext(ctx context.Context) ([]string, error)
+	// ListContext returns every fresh record, sorted by name.
+	ListContext(ctx context.Context) ([]Registration, error)
 }
 
 // Directory is the in-process GMA directory with TTL-based expiry of
@@ -190,12 +168,15 @@ func NewDirectory(ttl time.Duration, clock func() time.Time) *Directory {
 	return &Directory{ttl: ttl, clock: clock, members: make(map[string]Registration)}
 }
 
-// Register implements DirectoryService. The stored Generation is
+// RegisterContext implements DirectoryService. The stored Generation is
 // monotonic: a re-registration that changes the endpoint or role bumps it
 // even when the caller left Generation zero, and a caller-supplied larger
 // Generation always wins — so routers can detect a re-registered member
 // without comparing endpoints themselves.
-func (d *Directory) Register(r Registration) error {
+func (d *Directory) RegisterContext(ctx context.Context, r Registration) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	r.normalize()
 	if r.Name == "" || r.Endpoint == "" {
 		return fmt.Errorf("gma: registration needs name and endpoint")
@@ -222,8 +203,11 @@ func (d *Directory) Register(r Registration) error {
 	return nil
 }
 
-// Deregister implements DirectoryService.
-func (d *Directory) Deregister(name string) error {
+// DeregisterContext implements DirectoryService.
+func (d *Directory) DeregisterContext(ctx context.Context, name string) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if _, ok := d.members[name]; !ok {
@@ -237,8 +221,11 @@ func (d *Directory) fresh(r Registration) bool {
 	return d.ttl <= 0 || d.clock().Sub(r.RegisteredAt) <= d.ttl
 }
 
-// Lookup implements DirectoryService.
-func (d *Directory) Lookup(name string) (Registration, bool, error) {
+// LookupContext implements DirectoryService.
+func (d *Directory) LookupContext(ctx context.Context, name string) (Registration, bool, error) {
+	if err := ctx.Err(); err != nil {
+		return Registration{}, false, err
+	}
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	r, ok := d.members[name]
@@ -248,8 +235,11 @@ func (d *Directory) Lookup(name string) (Registration, bool, error) {
 	return r, true, nil
 }
 
-// Sites implements DirectoryService.
-func (d *Directory) Sites() ([]string, error) {
+// SitesContext implements DirectoryService.
+func (d *Directory) SitesContext(ctx context.Context) ([]string, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	out := make([]string, 0, len(d.members))
@@ -262,8 +252,11 @@ func (d *Directory) Sites() ([]string, error) {
 	return out, nil
 }
 
-// List implements DirectoryService.
-func (d *Directory) List() ([]Registration, error) {
+// ListContext implements DirectoryService.
+func (d *Directory) ListContext(ctx context.Context) ([]Registration, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	out := make([]Registration, 0, len(d.members))
@@ -274,23 +267,6 @@ func (d *Directory) List() ([]Registration, error) {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out, nil
-}
-
-// Producers returns all fresh site records in v0 form, sorted by site.
-//
-// Deprecated: use List, which includes republishers and entries and
-// carries roles and generations.
-func (d *Directory) Producers() []ProducerInfo {
-	regs, _ := d.List()
-	out := make([]ProducerInfo, 0, len(regs))
-	for _, r := range regs {
-		if r.Role != RoleSite {
-			continue
-		}
-		out = append(out, ProducerInfo{Site: r.Name, Endpoint: r.Endpoint,
-			Groups: r.Groups, RegisteredAt: r.RegisteredAt})
-	}
-	return out
 }
 
 // Prune drops expired records and reports how many were removed.
@@ -309,7 +285,7 @@ func (d *Directory) Prune() int {
 
 // Handler returns the directory's HTTP interface:
 //
-//	POST   /gma/register       body: Registration (v0 ProducerInfo accepted)
+//	POST   /gma/register       body: Registration (v0 site/endpoint shape accepted)
 //	DELETE /gma/register?site=
 //	GET    /gma/lookup?site=
 //	GET    /gma/sites
@@ -327,13 +303,13 @@ func (d *Directory) Handler() http.Handler {
 				http.Error(w, err.Error(), http.StatusBadRequest)
 				return
 			}
-			if err := d.Register(reg); err != nil {
+			if err := d.RegisterContext(r.Context(), reg); err != nil {
 				http.Error(w, err.Error(), http.StatusBadRequest)
 				return
 			}
 			w.WriteHeader(http.StatusNoContent)
 		case http.MethodDelete:
-			if err := d.Deregister(r.URL.Query().Get("site")); err != nil {
+			if err := d.DeregisterContext(r.Context(), r.URL.Query().Get("site")); err != nil {
 				http.Error(w, err.Error(), http.StatusNotFound)
 				return
 			}
@@ -343,7 +319,7 @@ func (d *Directory) Handler() http.Handler {
 		}
 	})
 	mux.HandleFunc("/gma/lookup", func(w http.ResponseWriter, r *http.Request) {
-		reg, ok, err := d.Lookup(r.URL.Query().Get("site"))
+		reg, ok, err := d.LookupContext(r.Context(), r.URL.Query().Get("site"))
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
@@ -355,7 +331,7 @@ func (d *Directory) Handler() http.Handler {
 		writeJSON(w, reg)
 	})
 	mux.HandleFunc("/gma/sites", func(w http.ResponseWriter, r *http.Request) {
-		sites, err := d.Sites()
+		sites, err := d.SitesContext(r.Context())
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
@@ -363,7 +339,7 @@ func (d *Directory) Handler() http.Handler {
 		writeJSON(w, sites)
 	})
 	mux.HandleFunc("/gma/registrations", func(w http.ResponseWriter, r *http.Request) {
-		regs, err := d.List()
+		regs, err := d.ListContext(r.Context())
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
@@ -426,12 +402,7 @@ func (c *DirectoryClient) roundTrip(ctx context.Context, method, path string, bo
 	return resp, nil
 }
 
-// Register implements DirectoryService.
-func (c *DirectoryClient) Register(r Registration) error {
-	return c.RegisterContext(context.Background(), r)
-}
-
-// RegisterContext is Register bounded by ctx.
+// RegisterContext implements DirectoryService.
 func (c *DirectoryClient) RegisterContext(ctx context.Context, r Registration) error {
 	body, err := json.Marshal(r)
 	if err != nil {
@@ -453,12 +424,7 @@ func (c *DirectoryClient) RegisterContext(ctx context.Context, r Registration) e
 // cannot make a gateway buffer an unbounded body.
 const maxDirectoryBody = 1 << 20
 
-// Deregister implements DirectoryService.
-func (c *DirectoryClient) Deregister(name string) error {
-	return c.DeregisterContext(context.Background(), name)
-}
-
-// DeregisterContext is Deregister bounded by ctx. The member name is
+// DeregisterContext implements DirectoryService. The member name is
 // query-escaped: names with spaces or '&' deregister their own key, not a
 // truncated one.
 func (c *DirectoryClient) DeregisterContext(ctx context.Context, name string) error {
@@ -473,13 +439,7 @@ func (c *DirectoryClient) DeregisterContext(ctx context.Context, name string) er
 	return nil
 }
 
-// Lookup implements DirectoryService.
-func (c *DirectoryClient) Lookup(name string) (Registration, bool, error) {
-	return c.LookupContext(context.Background(), name)
-}
-
-// LookupContext implements ContextDirectory: the lookup request is
-// cancelled when ctx expires.
+// LookupContext implements DirectoryService.
 func (c *DirectoryClient) LookupContext(ctx context.Context, name string) (Registration, bool, error) {
 	resp, err := c.roundTrip(ctx, http.MethodGet, "/gma/lookup?site="+url.QueryEscape(name), nil)
 	if err != nil {
@@ -499,12 +459,7 @@ func (c *DirectoryClient) LookupContext(ctx context.Context, name string) (Regis
 	return r, true, nil
 }
 
-// Sites implements DirectoryService.
-func (c *DirectoryClient) Sites() ([]string, error) {
-	return c.SitesContext(context.Background())
-}
-
-// SitesContext is Sites bounded by ctx.
+// SitesContext implements DirectoryService.
 func (c *DirectoryClient) SitesContext(ctx context.Context) ([]string, error) {
 	resp, err := c.roundTrip(ctx, http.MethodGet, "/gma/sites", nil)
 	if err != nil {
@@ -521,12 +476,7 @@ func (c *DirectoryClient) SitesContext(ctx context.Context) ([]string, error) {
 	return out, nil
 }
 
-// List implements DirectoryService.
-func (c *DirectoryClient) List() ([]Registration, error) {
-	return c.ListContext(context.Background())
-}
-
-// ListContext is List bounded by ctx. Against a v0 directory (no
+// ListContext implements DirectoryService. Against a v0 directory (no
 // /gma/registrations route) it degrades to Sites + Lookups so a v1 router
 // can still plan against an un-upgraded directory.
 func (c *DirectoryClient) ListContext(ctx context.Context) ([]Registration, error) {
@@ -567,35 +517,5 @@ func (c *DirectoryClient) listViaLookups(ctx context.Context) ([]Registration, e
 	return out, nil
 }
 
-// ContextDirectory is implemented by directories whose lookups can be
-// cancelled; DirectoryClient and MultiDirectory implement it.
-type ContextDirectory interface {
-	LookupContext(ctx context.Context, name string) (Registration, bool, error)
-}
-
-// ContextLister is implemented by directories whose registration listings
-// can be cancelled; the Router uses it when refreshing its fan-out plan.
-type ContextLister interface {
-	ListContext(ctx context.Context) ([]Registration, error)
-}
-
-// ContextRegistrar is implemented by directories whose registrations can
-// be bounded by a context; republishers use it so a refresh cycle cannot
-// hang on a slow directory.
-type ContextRegistrar interface {
-	RegisterContext(ctx context.Context, r Registration) error
-}
-
-// ContextDeregisterer is implemented by directories whose deregistrations
-// can be bounded by a context; the Registrar uses it so shutdown-time
-// deregistration cannot hang the gateway.
-type ContextDeregisterer interface {
-	DeregisterContext(ctx context.Context, name string) error
-}
-
 var _ DirectoryService = (*Directory)(nil)
 var _ DirectoryService = (*DirectoryClient)(nil)
-var _ ContextDirectory = (*DirectoryClient)(nil)
-var _ ContextLister = (*DirectoryClient)(nil)
-var _ ContextDeregisterer = (*DirectoryClient)(nil)
-var _ ContextRegistrar = (*DirectoryClient)(nil)

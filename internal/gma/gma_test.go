@@ -1,8 +1,12 @@
 package gma
 
 import (
+	"context"
+	"encoding/json"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -11,30 +15,30 @@ import (
 
 func TestDirectoryRegisterLookup(t *testing.T) {
 	d := NewDirectory(0, nil)
-	if err := d.Register(Registration{Name: "A", Endpoint: "http://a"}); err != nil {
+	if err := d.RegisterContext(context.Background(), Registration{Name: "A", Endpoint: "http://a"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Register(Registration{}); err == nil {
+	if err := d.RegisterContext(context.Background(), Registration{}); err == nil {
 		t.Error("empty producer accepted")
 	}
-	p, ok, err := d.Lookup("A")
+	p, ok, err := d.LookupContext(context.Background(), "A")
 	if err != nil || !ok || p.Endpoint != "http://a" {
 		t.Errorf("Lookup = %+v, %v, %v", p, ok, err)
 	}
 	if p.RegisteredAt.IsZero() {
 		t.Error("RegisteredAt not stamped")
 	}
-	if _, ok, _ := d.Lookup("B"); ok {
+	if _, ok, _ := d.LookupContext(context.Background(), "B"); ok {
 		t.Error("unknown site found")
 	}
-	sites, _ := d.Sites()
+	sites, _ := d.SitesContext(context.Background())
 	if len(sites) != 1 || sites[0] != "A" {
 		t.Errorf("Sites = %v", sites)
 	}
-	if err := d.Deregister("A"); err != nil {
+	if err := d.DeregisterContext(context.Background(), "A"); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Deregister("A"); err == nil {
+	if err := d.DeregisterContext(context.Background(), "A"); err == nil {
 		t.Error("double deregister accepted")
 	}
 }
@@ -42,35 +46,35 @@ func TestDirectoryRegisterLookup(t *testing.T) {
 func TestDirectoryTTL(t *testing.T) {
 	now := time.Unix(1000, 0)
 	d := NewDirectory(10*time.Second, func() time.Time { return now })
-	_ = d.Register(Registration{Name: "A", Endpoint: "http://a"})
+	_ = d.RegisterContext(context.Background(), Registration{Name: "A", Endpoint: "http://a"})
 	now = now.Add(5 * time.Second)
-	if _, ok, _ := d.Lookup("A"); !ok {
+	if _, ok, _ := d.LookupContext(context.Background(), "A"); !ok {
 		t.Error("fresh record expired")
 	}
 	now = now.Add(6 * time.Second)
-	if _, ok, _ := d.Lookup("A"); ok {
+	if _, ok, _ := d.LookupContext(context.Background(), "A"); ok {
 		t.Error("stale record returned")
 	}
-	if sites, _ := d.Sites(); len(sites) != 0 {
+	if sites, _ := d.SitesContext(context.Background()); len(sites) != 0 {
 		t.Errorf("stale sites = %v", sites)
 	}
 	if n := d.Prune(); n != 1 {
 		t.Errorf("pruned %d", n)
 	}
 	// Re-registration refreshes.
-	_ = d.Register(Registration{Name: "A", Endpoint: "http://a"})
-	if _, ok, _ := d.Lookup("A"); !ok {
+	_ = d.RegisterContext(context.Background(), Registration{Name: "A", Endpoint: "http://a"})
+	if _, ok, _ := d.LookupContext(context.Background(), "A"); !ok {
 		t.Error("re-registered record missing")
 	}
 }
 
-func TestDirectoryProducersSorted(t *testing.T) {
+func TestDirectoryListSorted(t *testing.T) {
 	d := NewDirectory(0, nil)
-	_ = d.Register(Registration{Name: "B", Endpoint: "http://b"})
-	_ = d.Register(Registration{Name: "A", Endpoint: "http://a"})
-	ps := d.Producers()
-	if len(ps) != 2 || ps[0].Site != "A" || ps[1].Site != "B" {
-		t.Errorf("producers = %v", ps)
+	_ = d.RegisterContext(context.Background(), Registration{Name: "B", Endpoint: "http://b"})
+	_ = d.RegisterContext(context.Background(), Registration{Name: "A", Endpoint: "http://a"})
+	regs, err := d.ListContext(context.Background())
+	if err != nil || len(regs) != 2 || regs[0].Name != "A" || regs[1].Name != "B" {
+		t.Errorf("registrations = %v, %v", regs, err)
 	}
 }
 
@@ -79,40 +83,69 @@ func TestDirectoryHTTP(t *testing.T) {
 	srv := httptest.NewServer(d.Handler())
 	defer srv.Close()
 	c := &DirectoryClient{BaseURL: srv.URL}
-	if err := c.Register(Registration{Name: "A", Endpoint: "http://a", Groups: []string{"Processor"}}); err != nil {
+	if err := c.RegisterContext(context.Background(), Registration{Name: "A", Endpoint: "http://a", Groups: []string{"Processor"}}); err != nil {
 		t.Fatal(err)
 	}
-	p, ok, err := c.Lookup("A")
+	p, ok, err := c.LookupContext(context.Background(), "A")
 	if err != nil || !ok || p.Endpoint != "http://a" || len(p.Groups) != 1 {
 		t.Errorf("Lookup = %+v, %v, %v", p, ok, err)
 	}
-	if _, ok, err := c.Lookup("nope"); err != nil || ok {
+	if _, ok, err := c.LookupContext(context.Background(), "nope"); err != nil || ok {
 		t.Errorf("missing lookup = %v, %v", ok, err)
 	}
-	sites, err := c.Sites()
+	sites, err := c.SitesContext(context.Background())
 	if err != nil || len(sites) != 1 {
 		t.Errorf("Sites = %v, %v", sites, err)
 	}
-	if err := c.Deregister("A"); err != nil {
+	if err := c.DeregisterContext(context.Background(), "A"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Deregister("A"); err == nil {
+	if err := c.DeregisterContext(context.Background(), "A"); err == nil {
 		t.Error("double deregister over HTTP accepted")
 	}
-	if err := c.Register(Registration{}); err == nil {
+	if err := c.RegisterContext(context.Background(), Registration{}); err == nil {
 		t.Error("bad register over HTTP accepted")
+	}
+
+	// Wire compatibility, in raw JSON: a v0 body carrying only "site" (no
+	// "name", no "role") registers as a site-role member, and a v1 record
+	// marshals both keys so v0 readers still find "site".
+	resp, err := http.Post(srv.URL+"/gma/register", "application/json",
+		strings.NewReader(`{"site":"V0","endpoint":"http://v0"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("v0 register status = %s", resp.Status)
+	}
+	p, ok, err = c.LookupContext(context.Background(), "V0")
+	if err != nil || !ok || p.Name != "V0" || p.Role != RoleSite || p.Endpoint != "http://v0" {
+		t.Errorf("v0 record decoded as %+v, %v, %v", p, ok, err)
+	}
+	resp, err = http.Get(srv.URL + "/gma/lookup?site=V0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var raw map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&raw); err != nil {
+		t.Fatal(err)
+	}
+	if raw["name"] != "V0" || raw["site"] != "V0" || raw["role"] != "site" {
+		t.Errorf("v1 wire form = %v, want name, site and role", raw)
 	}
 }
 
 func TestDirectoryClientConnectionErrors(t *testing.T) {
 	c := &DirectoryClient{BaseURL: "http://127.0.0.1:1"}
-	if err := c.Register(Registration{Name: "A", Endpoint: "x"}); err == nil {
+	if err := c.RegisterContext(context.Background(), Registration{Name: "A", Endpoint: "x"}); err == nil {
 		t.Error("register to dead directory succeeded")
 	}
-	if _, _, err := c.Lookup("A"); err == nil {
+	if _, _, err := c.LookupContext(context.Background(), "A"); err == nil {
 		t.Error("lookup to dead directory succeeded")
 	}
-	if _, err := c.Sites(); err == nil {
+	if _, err := c.SitesContext(context.Background()); err == nil {
 		t.Error("sites to dead directory succeeded")
 	}
 }
@@ -123,14 +156,14 @@ func TestRegistrarLifecycle(t *testing.T) {
 	if err := r.Start(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, _ := d.Lookup("A"); !ok {
+	if _, ok, _ := d.LookupContext(context.Background(), "A"); !ok {
 		t.Fatal("not registered after Start")
 	}
-	first, _, _ := d.Lookup("A")
+	first, _, _ := d.LookupContext(context.Background(), "A")
 	deadline := time.Now().Add(2 * time.Second)
 	refreshed := false
 	for time.Now().Before(deadline) {
-		p, _, _ := d.Lookup("A")
+		p, _, _ := d.LookupContext(context.Background(), "A")
 		if p.RegisteredAt.After(first.RegisteredAt) {
 			refreshed = true
 			break
@@ -141,7 +174,7 @@ func TestRegistrarLifecycle(t *testing.T) {
 		t.Error("record never refreshed")
 	}
 	r.Stop()
-	if _, ok, _ := d.Lookup("A"); ok {
+	if _, ok, _ := d.LookupContext(context.Background(), "A"); ok {
 		t.Error("still registered after Stop")
 	}
 	r.Stop() // idempotent
@@ -157,23 +190,23 @@ func TestRegistrarStartFailure(t *testing.T) {
 
 func TestRouter(t *testing.T) {
 	d := NewDirectory(0, nil)
-	_ = d.Register(Registration{Name: "A", Endpoint: "http://a"})
-	_ = d.Register(Registration{Name: "B", Endpoint: "http://b"})
+	_ = d.RegisterContext(context.Background(), Registration{Name: "A", Endpoint: "http://a"})
+	_ = d.RegisterContext(context.Background(), Registration{Name: "B", Endpoint: "http://b"})
 
 	var gotEndpoint string
-	exec := func(endpoint string, req core.QueryOptions) (*core.Response, error) {
+	exec := func(_ context.Context, endpoint string, req core.QueryOptions) (*core.Response, error) {
 		gotEndpoint = endpoint
 		return &core.Response{Site: req.Site}, nil
 	}
-	r := NewRouter(d, exec, "A")
-	resp, err := r.RemoteQuery("B", core.QueryOptions{Site: "B", SQL: "SELECT * FROM Processor"})
+	r := NewRouter(d, exec, "A", Config{})
+	resp, err := r.RemoteQueryContext(context.Background(), "B", core.QueryOptions{Site: "B", SQL: "SELECT * FROM Processor"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resp.Site != "B" || gotEndpoint != "http://b" {
 		t.Errorf("routed to %q, resp %+v", gotEndpoint, resp)
 	}
-	if _, err := r.RemoteQuery("C", core.QueryOptions{}); err == nil {
+	if _, err := r.RemoteQueryContext(context.Background(), "C", core.QueryOptions{}); err == nil {
 		t.Error("unknown site routed")
 	}
 	sites := r.Sites()
@@ -184,12 +217,12 @@ func TestRouter(t *testing.T) {
 
 func TestRouterExecError(t *testing.T) {
 	d := NewDirectory(0, nil)
-	_ = d.Register(Registration{Name: "B", Endpoint: "http://b"})
-	exec := func(string, core.QueryOptions) (*core.Response, error) {
+	_ = d.RegisterContext(context.Background(), Registration{Name: "B", Endpoint: "http://b"})
+	exec := func(context.Context, string, core.QueryOptions) (*core.Response, error) {
 		return nil, fmt.Errorf("boom")
 	}
-	r := NewRouter(d, exec, "A")
-	if _, err := r.RemoteQuery("B", core.QueryOptions{}); err == nil {
+	r := NewRouter(d, exec, "A", Config{})
+	if _, err := r.RemoteQueryContext(context.Background(), "B", core.QueryOptions{}); err == nil {
 		t.Error("exec error swallowed")
 	}
 }

@@ -31,9 +31,9 @@ func stragglerExec(fast, slow time.Duration, tailEvery int64) ExecContext {
 
 func benchRouterTail(b *testing.B, hedgeAfter time.Duration) {
 	dir := NewDirectory(0, nil)
-	_ = dir.Register(Registration{Name: "B", Endpoint: "http://b"})
+	_ = dir.RegisterContext(context.Background(), Registration{Name: "B", Endpoint: "http://b"})
 	exec := stragglerExec(time.Millisecond, 30*time.Millisecond, 10)
-	r := NewResilientRouter(dir, exec, "A", Config{
+	r := NewRouter(dir, exec, "A", Config{
 		LookupTTL:  time.Hour,
 		HedgeAfter: hedgeAfter,
 	})
@@ -43,7 +43,7 @@ func benchRouterTail(b *testing.B, hedgeAfter time.Duration) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		start := time.Now()
-		if _, err := r.RemoteQuery("B", req); err != nil {
+		if _, err := r.RemoteQueryContext(context.Background(), "B", req); err != nil {
 			b.Fatal(err)
 		}
 		lat = append(lat, time.Since(start))

@@ -110,14 +110,9 @@ func (m *MultiDirectory) ranked() []*replica {
 	return out
 }
 
-// Register implements DirectoryService: the record fans out to every
-// replica concurrently and succeeds if at least one replica accepted it.
-func (m *MultiDirectory) Register(p Registration) error {
-	return m.RegisterContext(context.Background(), p)
-}
-
-// RegisterContext implements ContextRegistrar: fan-out like Register,
-// bounded by ctx on replicas that support it.
+// RegisterContext implements DirectoryService: the record fans out to
+// every replica concurrently and succeeds if at least one replica accepted
+// it.
 func (m *MultiDirectory) RegisterContext(ctx context.Context, p Registration) error {
 	errs := make([]error, len(m.replicas))
 	var wg sync.WaitGroup
@@ -125,12 +120,7 @@ func (m *MultiDirectory) RegisterContext(ctx context.Context, p Registration) er
 		wg.Add(1)
 		go func(i int, r *replica) {
 			defer wg.Done()
-			var err error
-			if cr, ok := r.svc.(ContextRegistrar); ok {
-				err = cr.RegisterContext(ctx, p)
-			} else {
-				err = r.svc.Register(p)
-			}
+			err := r.svc.RegisterContext(ctx, p)
 			errs[i] = err
 			if err != nil {
 				r.noteErr(err, time.Now())
@@ -148,13 +138,8 @@ func (m *MultiDirectory) RegisterContext(ctx context.Context, p Registration) er
 	return fmt.Errorf("gma: register failed on every replica: %w", errors.Join(errs...))
 }
 
-// Deregister implements DirectoryService, fanning out like Register.
-func (m *MultiDirectory) Deregister(name string) error {
-	return m.DeregisterContext(context.Background(), name)
-}
-
-// DeregisterContext implements ContextDeregisterer: best-effort fan-out,
-// bounded by ctx on replicas that support it.
+// DeregisterContext implements DirectoryService: best-effort fan-out like
+// RegisterContext.
 func (m *MultiDirectory) DeregisterContext(ctx context.Context, name string) error {
 	errs := make([]error, len(m.replicas))
 	var wg sync.WaitGroup
@@ -162,11 +147,7 @@ func (m *MultiDirectory) DeregisterContext(ctx context.Context, name string) err
 		wg.Add(1)
 		go func(i int, r *replica) {
 			defer wg.Done()
-			if cd, ok := r.svc.(ContextDeregisterer); ok {
-				errs[i] = cd.DeregisterContext(ctx, name)
-			} else {
-				errs[i] = r.svc.Deregister(name)
-			}
+			errs[i] = r.svc.DeregisterContext(ctx, name)
 		}(i, r)
 	}
 	wg.Wait()
@@ -178,15 +159,10 @@ func (m *MultiDirectory) DeregisterContext(ctx context.Context, name string) err
 	return fmt.Errorf("gma: deregister failed on every replica: %w", errors.Join(errs...))
 }
 
-// Lookup implements DirectoryService: replicas are tried in health-ranked
-// order and the first positive answer wins. A replica that answers
-// "not found" does not end the search — during a partial outage another
-// replica may hold a registration this one missed.
-func (m *MultiDirectory) Lookup(name string) (Registration, bool, error) {
-	return m.LookupContext(context.Background(), name)
-}
-
-// LookupContext implements ContextDirectory.
+// LookupContext implements DirectoryService: replicas are tried in
+// health-ranked order and the first positive answer wins. A replica that
+// answers "not found" does not end the search — during a partial outage
+// another replica may hold a registration this one missed.
 func (m *MultiDirectory) LookupContext(ctx context.Context, name string) (Registration, bool, error) {
 	var errs []error
 	notFound := false
@@ -195,16 +171,7 @@ func (m *MultiDirectory) LookupContext(ctx context.Context, name string) (Regist
 			errs = append(errs, err)
 			break
 		}
-		var (
-			p   Registration
-			ok  bool
-			err error
-		)
-		if cd, isCtx := r.svc.(ContextDirectory); isCtx {
-			p, ok, err = cd.LookupContext(ctx, name)
-		} else {
-			p, ok, err = r.svc.Lookup(name)
-		}
+		p, ok, err := r.svc.LookupContext(ctx, name)
 		if err != nil {
 			r.noteErr(err, time.Now())
 			errs = append(errs, err)
@@ -222,59 +189,38 @@ func (m *MultiDirectory) LookupContext(ctx context.Context, name string) (Regist
 	return Registration{}, false, fmt.Errorf("gma: lookup failed on every replica: %w", errors.Join(errs...))
 }
 
-// Sites implements DirectoryService: the first replica (health-ranked) that
-// answers wins.
-func (m *MultiDirectory) Sites() ([]string, error) {
-	var errs []error
-	for _, r := range m.ranked() {
-		sites, err := r.svc.Sites()
-		if err != nil {
-			r.noteErr(err, time.Now())
-			errs = append(errs, err)
-			continue
-		}
-		r.noteOK(time.Now())
-		return sites, nil
-	}
-	return nil, fmt.Errorf("gma: sites failed on every replica: %w", errors.Join(errs...))
-}
-
-// List implements DirectoryService: the first replica (health-ranked)
-// that answers wins.
-func (m *MultiDirectory) List() ([]Registration, error) {
-	return m.ListContext(context.Background())
-}
-
-// ListContext implements ContextLister.
-func (m *MultiDirectory) ListContext(ctx context.Context) ([]Registration, error) {
+// firstAnswer asks the replicas in health-ranked order and returns the
+// first answer; what names the operation in the all-failed error.
+func firstAnswer[T any](ctx context.Context, m *MultiDirectory, what string, ask func(DirectoryService) (T, error)) (T, error) {
 	var errs []error
 	for _, r := range m.ranked() {
 		if err := ctx.Err(); err != nil {
 			errs = append(errs, err)
 			break
 		}
-		var (
-			regs []Registration
-			err  error
-		)
-		if cl, isCtx := r.svc.(ContextLister); isCtx {
-			regs, err = cl.ListContext(ctx)
-		} else {
-			regs, err = r.svc.List()
-		}
+		v, err := ask(r.svc)
 		if err != nil {
 			r.noteErr(err, time.Now())
 			errs = append(errs, err)
 			continue
 		}
 		r.noteOK(time.Now())
-		return regs, nil
+		return v, nil
 	}
-	return nil, fmt.Errorf("gma: registrations failed on every replica: %w", errors.Join(errs...))
+	var zero T
+	return zero, fmt.Errorf("gma: %s failed on every replica: %w", what, errors.Join(errs...))
+}
+
+// SitesContext implements DirectoryService: the first replica
+// (health-ranked) that answers wins.
+func (m *MultiDirectory) SitesContext(ctx context.Context) ([]string, error) {
+	return firstAnswer(ctx, m, "sites", func(d DirectoryService) ([]string, error) { return d.SitesContext(ctx) })
+}
+
+// ListContext implements DirectoryService: the first replica
+// (health-ranked) that answers wins.
+func (m *MultiDirectory) ListContext(ctx context.Context) ([]Registration, error) {
+	return firstAnswer(ctx, m, "registrations", func(d DirectoryService) ([]Registration, error) { return d.ListContext(ctx) })
 }
 
 var _ DirectoryService = (*MultiDirectory)(nil)
-var _ ContextDirectory = (*MultiDirectory)(nil)
-var _ ContextLister = (*MultiDirectory)(nil)
-var _ ContextDeregisterer = (*MultiDirectory)(nil)
-var _ ContextRegistrar = (*MultiDirectory)(nil)

@@ -3,10 +3,11 @@ package gma
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"gridrm/internal/retry"
 )
 
 // deregisterTimeout bounds the best-effort deregistration performed by
@@ -38,7 +39,7 @@ type Registrar struct {
 
 	mu      sync.Mutex
 	started bool
-	stop    chan struct{}
+	cancel  context.CancelFunc
 	done    chan struct{}
 
 	// notifyMu serialises state-listener callbacks and guards the edge
@@ -84,8 +85,12 @@ func (r *Registrar) Stats() RegistrarStats {
 
 // register performs one Register call and reports reachability flips (and
 // the very first outcome) to the state listener.
-func (r *Registrar) register() error {
-	err := r.dir.Register(r.info)
+func (r *Registrar) register(ctx context.Context) error {
+	err := r.dir.RegisterContext(ctx, r.info)
+	if ctx.Err() != nil {
+		// Stopped mid-call: not an observation of the directory.
+		return err
+	}
 	ok := err == nil
 	if ok {
 		r.registrations.Add(1)
@@ -105,22 +110,6 @@ func (r *Registrar) register() error {
 	return err
 }
 
-// backoff returns the jittered exponential retry delay for one failed
-// attempt: base doubling per attempt, capped at the refresh interval, with
-// ±50% jitter so a directory restart is not met by a thundering herd.
-func (r *Registrar) backoff(attempt int) time.Duration {
-	base := r.interval / 8
-	if base < 10*time.Millisecond {
-		base = 10 * time.Millisecond
-	}
-	d := base << uint(attempt)
-	if d > r.interval || d <= 0 {
-		d = r.interval
-	}
-	half := d / 2
-	return half + time.Duration(rand.Int63n(int64(half)+1))
-}
-
 // Start begins keeping the record fresh until Stop. It returns an error
 // only for invalid configuration (missing site or endpoint) — a directory
 // that is down does not fail Start; registration is retried in the
@@ -135,36 +124,36 @@ func (r *Registrar) Start() error {
 		return nil
 	}
 	r.started = true
-	// Fresh channels per Start: a restarted registrar must not observe the
-	// previous run's closed stop channel.
-	stop := make(chan struct{})
+	// Fresh context per Start: a restarted registrar must not observe the
+	// previous run's cancellation.
+	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
-	r.stop, r.done = stop, done
+	r.cancel, r.done = cancel, done
 	r.mu.Unlock()
 
 	// First attempt runs synchronously so a healthy directory sees the
 	// record the moment Start returns; a failure only schedules retries.
-	initialErr := r.register()
+	initialErr := r.register(ctx)
 
+	// Retries start at an eighth of the refresh interval and are capped at
+	// it, jittered so a directory restart is not met by a thundering herd.
+	backoff := retry.Backoff{Base: max(r.interval/8, 10*time.Millisecond), Max: r.interval}
 	go func() {
 		defer close(done)
 		retrying := initialErr != nil
 		attempt := 0
 		for {
-			var wait time.Duration
+			wait := r.interval
 			if retrying {
-				wait = r.backoff(attempt)
+				wait = backoff.Delay(attempt)
 				attempt++
 			} else {
-				wait = r.interval
 				attempt = 0
 			}
-			select {
-			case <-time.After(wait):
-			case <-stop:
+			if retry.Sleep(ctx, wait) != nil {
 				return
 			}
-			retrying = r.register() != nil
+			retrying = r.register(ctx) != nil
 		}
 	}()
 	return nil
@@ -177,19 +166,15 @@ func (r *Registrar) Stop() {
 	r.mu.Lock()
 	started := r.started
 	r.started = false
-	stop, done := r.stop, r.done
+	stop, done := r.cancel, r.done
 	r.mu.Unlock()
 	if !started {
 		return
 	}
-	close(stop)
+	stop()
 	<-done
 	r.registered.Store(false)
 	ctx, cancel := context.WithTimeout(context.Background(), deregisterTimeout)
 	defer cancel()
-	if cd, ok := r.dir.(ContextDeregisterer); ok {
-		_ = cd.DeregisterContext(ctx, r.info.Name)
-	} else {
-		_ = r.dir.Deregister(r.info.Name)
-	}
+	_ = r.dir.DeregisterContext(ctx, r.info.Name)
 }

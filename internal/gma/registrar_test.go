@@ -1,6 +1,7 @@
 package gma
 
 import (
+	"context"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -18,7 +19,7 @@ func TestRegistrarRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.Stop()
-	if _, ok, _ := d.Lookup("A"); ok {
+	if _, ok, _ := d.LookupContext(context.Background(), "A"); ok {
 		t.Fatal("still registered after Stop")
 	}
 
@@ -26,13 +27,13 @@ func TestRegistrarRestart(t *testing.T) {
 		t.Fatalf("restart: %v", err)
 	}
 	defer r.Stop()
-	first, ok, _ := d.Lookup("A")
+	first, ok, _ := d.LookupContext(context.Background(), "A")
 	if !ok {
 		t.Fatal("not registered after restart")
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
-		if p, _, _ := d.Lookup("A"); p.RegisteredAt.After(first.RegisteredAt) {
+		if p, _, _ := d.LookupContext(context.Background(), "A"); p.RegisteredAt.After(first.RegisteredAt) {
 			return
 		}
 		time.Sleep(5 * time.Millisecond)
@@ -81,7 +82,7 @@ func TestRegistrarSurvivesDirectoryOutage(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if _, ok, _ := dir.Directory.Lookup("A"); !ok {
+	if _, ok, _ := dir.Directory.LookupContext(context.Background(), "A"); !ok {
 		t.Error("directory has no record despite Registered()")
 	}
 	mu.Lock()

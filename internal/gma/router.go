@@ -12,26 +12,24 @@ import (
 	"gridrm/internal/breaker"
 	"gridrm/internal/core"
 	"gridrm/internal/metrics"
+	"gridrm/internal/retry"
 	"gridrm/internal/trace"
 )
-
-// Exec forwards a query to a remote gateway endpoint.
-type Exec func(endpoint string, req core.QueryOptions) (*core.Response, error)
 
 // ExecContext forwards a query to a remote gateway endpoint, bounded by ctx;
 // internal/web's RemoteQueryContext is the HTTP implementation.
 type ExecContext func(ctx context.Context, endpoint string, req core.QueryOptions) (*core.Response, error)
 
-// Config configures the Router's resilience features. The zero value (used
-// by NewRouter and NewContextRouter) keeps the seed behaviour: no lookup
-// cache, no per-endpoint breaker, no retries, no hedging.
+// Config configures the Router's resilience features. The zero value is
+// the production default: a 15s lookup cache, per-endpoint breakers at the
+// shared defaults, no retries, no hedging.
 type Config struct {
 	// LookupTTL is how long a directory lookup (and the registration
 	// list) is served from the router's cache without consulting the
 	// directory. Expired entries are still kept and served stale when
 	// every directory replica is unreachable — the Global-layer analogue
-	// of the local stale-cache degradation tier (0 disables caching
-	// entirely).
+	// of the local stale-cache degradation tier (default 15s; negative
+	// disables caching entirely).
 	LookupTTL time.Duration
 	// Breaker configures the per-remote-endpoint circuit breaker
 	// (Threshold 0 = breaker defaults; negative disables).
@@ -39,12 +37,12 @@ type Config struct {
 	// RetryAttempts is how many additional attempts a failed remote query
 	// gets, with exponential backoff, while the caller's ctx allows.
 	RetryAttempts int
-	// RetryBackoff is the wait before the first retry, doubled per attempt
-	// (default 50ms).
+	// RetryBackoff is the wait before the first retry (default 50ms); it
+	// follows the internal/retry schedule capped at core.MaxRetryBackoff.
 	RetryBackoff time.Duration
 	// HedgeAfter launches a second identical remote query when the first
 	// has not answered after this long; the first response wins and the
-	// loser is cancelled (0 disables hedging). Requires an ExecContext.
+	// loser is cancelled (0 disables hedging).
 	HedgeAfter time.Duration
 	// RingVNodes is the virtual-node count per republisher on the
 	// ownership ring (0 uses DefaultVNodes).
@@ -97,16 +95,15 @@ type cachedLookup struct {
 }
 
 // Router routes remote-site queries via the GMA directory; it implements
-// core.GlobalRouter, core.ContextRouter and core.FanoutPlanner. Built with
-// NewResilientRouter it adds a TTL'd lookup cache with stale-on-error
-// semantics, a circuit breaker per remote endpoint, retries with backoff,
-// optional hedging of straggling remote queries, and — when republishers
-// are registered — consistent-hash routing of site queries through the
-// owning republisher with fall-through to the site itself.
+// core.GlobalRouter and core.FanoutPlanner. It keeps a TTL'd lookup cache
+// with stale-on-error semantics and a circuit breaker per remote endpoint,
+// retries with backoff, optionally hedges straggling remote queries, and —
+// when republishers are registered — routes site queries through the
+// owning republisher (consistent hash) with fall-through to the site
+// itself.
 type Router struct {
-	dir     DirectoryService
-	exec    Exec
-	execCtx ExecContext
+	dir  DirectoryService
+	exec ExecContext
 	// local is the local site name, excluded from Sites().
 	local string
 	cfg   Config
@@ -136,46 +133,23 @@ type Router struct {
 	genEvictions                                 atomic.Int64
 }
 
-// NewRouter creates a plain Router for the gateway named local; remote
-// queries run context-free and without resilience features.
-func NewRouter(dir DirectoryService, exec Exec, local string) *Router {
-	return newRouter(dir, exec, nil, local, Config{})
-}
-
-// NewContextRouter creates a Router whose remote queries honour contexts
-// end-to-end: the directory lookup (when dir implements ContextDirectory)
-// and the forwarded query are both cancelled at the caller's deadline.
-func NewContextRouter(dir DirectoryService, exec ExecContext, local string) *Router {
-	return newRouter(dir, nil, exec, local, Config{})
-}
-
-// NewResilientRouter creates a context-threading Router with the federation
-// resilience layer enabled: cfg.LookupTTL defaults to 15s, cfg.Breaker to
-// the shared breaker defaults (5 failures / 30s cooldown).
-func NewResilientRouter(dir DirectoryService, exec ExecContext, local string, cfg Config) *Router {
+// NewRouter creates the Router for the gateway named local; exec forwards
+// one query to a remote endpoint. cfg's zero fields take the defaults
+// documented on Config.
+func NewRouter(dir DirectoryService, exec ExecContext, local string, cfg Config) *Router {
 	if cfg.LookupTTL == 0 {
 		cfg.LookupTTL = 15 * time.Second
 	}
-	if cfg.LookupTTL < 0 {
-		cfg.LookupTTL = 0
-	}
 	cfg.Breaker = cfg.Breaker.Fill()
-	if cfg.RetryAttempts < 0 {
-		cfg.RetryAttempts = 0
-	}
 	if cfg.RetryBackoff <= 0 {
 		cfg.RetryBackoff = 50 * time.Millisecond
 	}
-	return newRouter(dir, nil, exec, local, cfg)
-}
-
-func newRouter(dir DirectoryService, exec Exec, execCtx ExecContext, local string, cfg Config) *Router {
 	clock := cfg.Clock
 	if clock == nil {
 		clock = time.Now
 	}
 	return &Router{
-		dir: dir, exec: exec, execCtx: execCtx, local: local, cfg: cfg, clock: clock,
+		dir: dir, exec: exec, local: local, cfg: cfg, clock: clock,
 		dirKey:   directoryKey(dir),
 		lookups:  make(map[string]cachedLookup),
 		gens:     make(map[string]uint64),
@@ -256,11 +230,9 @@ func (r *Router) RegisterMetrics(reg *metrics.Registry) {
 }
 
 // endpointBreaker returns the breaker guarding one remote endpoint,
-// creating it on first use (nil when breakers are not configured).
+// creating it on first use. With a negative Breaker.Threshold the breaker
+// is disabled and admits everything.
 func (r *Router) endpointBreaker(endpoint string) *breaker.Breaker {
-	if r.cfg.Breaker.Threshold == 0 { // zero Config: breakers off
-		return nil
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	br, ok := r.breakers[endpoint]
@@ -272,13 +244,9 @@ func (r *Router) endpointBreaker(endpoint string) *breaker.Breaker {
 }
 
 // EndpointBreakerState reports one endpoint's breaker state ("closed" when
-// breakers are not configured), for tests and the management view.
+// breakers are disabled), for tests and the management view.
 func (r *Router) EndpointBreakerState(endpoint string) string {
-	br := r.endpointBreaker(endpoint)
-	if br == nil {
-		return string(breaker.Closed)
-	}
-	return string(br.State(r.clock()))
+	return string(r.endpointBreaker(endpoint).State(r.clock()))
 }
 
 // lookup resolves a member name to its registration: fresh cache entry
@@ -297,16 +265,7 @@ func (r *Router) lookup(ctx context.Context, name string) (Registration, error) 
 			return c.r, nil
 		}
 	}
-	var (
-		reg Registration
-		ok  bool
-		err error
-	)
-	if cd, isCtx := r.dir.(ContextDirectory); isCtx {
-		reg, ok, err = cd.LookupContext(ctx, name)
-	} else {
-		reg, ok, err = r.dir.Lookup(name)
-	}
+	reg, ok, err := r.dir.LookupContext(ctx, name)
 	if err != nil {
 		if caching {
 			// Stale-on-error: a warm entry outlives a full directory
@@ -371,15 +330,7 @@ func (r *Router) registrations(ctx context.Context) ([]Registration, error) {
 			return regs, nil
 		}
 	}
-	var (
-		regs []Registration
-		err  error
-	)
-	if cl, isCtx := r.dir.(ContextLister); isCtx {
-		regs, err = cl.ListContext(ctx)
-	} else {
-		regs, err = r.dir.List()
-	}
+	regs, err := r.dir.ListContext(ctx)
 	if err != nil {
 		if caching {
 			r.mu.Lock()
@@ -439,11 +390,6 @@ func (r *Router) owner(site string) string {
 	return ring.Owner(site)
 }
 
-// RemoteQuery implements core.GlobalRouter.
-func (r *Router) RemoteQuery(site string, req core.QueryOptions) (*core.Response, error) {
-	return r.RemoteQueryContext(context.Background(), site, req)
-}
-
 // routeViaRepublisher reports whether a query for target may be served by
 // its owning republisher: cached-mode reads of a site's data. Real-time
 // and historical queries always go to the site itself — a republisher
@@ -452,7 +398,7 @@ func routeViaRepublisher(target Registration, req core.QueryOptions) bool {
 	return target.Role == RoleSite && req.Mode == core.ModeCached
 }
 
-// RemoteQueryContext implements core.ContextRouter: directory lookup (with
+// RemoteQueryContext implements core.GlobalRouter: directory lookup (with
 // cache), republisher-first routing for cached site reads, per-endpoint
 // breaker admission, the remote call with optional hedging, and retries
 // with backoff — all bounded by ctx. When the request is being traced the
@@ -488,7 +434,7 @@ func (r *Router) RemoteQueryContext(ctx context.Context, site string, req core.Q
 		}
 	}
 
-	backoff := r.cfg.RetryBackoff
+	backoff := retry.Backoff{Base: r.cfg.RetryBackoff, Max: core.MaxRetryBackoff}
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
@@ -502,7 +448,7 @@ func (r *Router) RemoteQueryContext(ctx context.Context, site string, req core.Q
 			}
 		}
 		br := r.endpointBreaker(p.Endpoint)
-		if br != nil && !br.Allow(r.clock()) {
+		if !br.Allow(r.clock()) {
 			r.breakerSkipped.Add(1)
 			if lastErr != nil {
 				// The breaker opened mid-retry: surface the real failure.
@@ -515,28 +461,22 @@ func (r *Router) RemoteQueryContext(ctx context.Context, site string, req core.Q
 		}
 		resp, err := r.execHedged(ctx, p.Endpoint, req)
 		if err == nil {
-			if br != nil {
-				br.OnSuccess()
-			}
+			br.OnSuccess()
 			return resp, nil
 		}
 		lastErr = err
-		if br != nil && br.OnFailure(r.clock()) {
+		if br.OnFailure(r.clock()) {
 			r.breakerOpens.Add(1)
 		}
 		r.invalidateLookup(site)
 		if attempt >= r.cfg.RetryAttempts || ctx.Err() != nil {
 			break
 		}
-		select {
-		case <-ctx.Done():
-			lastErr = ctx.Err()
-		case <-time.After(backoff):
-			r.remoteRetries.Add(1)
-			backoff *= 2
-			continue
+		if err := retry.Sleep(ctx, backoff.Delay(attempt)); err != nil {
+			lastErr = err
+			break
 		}
-		break
+		r.remoteRetries.Add(1)
 	}
 	r.remoteFailures.Add(1)
 	err = fmt.Errorf("gma: remote query to %s (%s): %w", site, p.Endpoint, lastErr)
@@ -555,7 +495,7 @@ func (r *Router) tryRepublisher(ctx context.Context, owner, site string, req cor
 		return nil, false
 	}
 	br := r.endpointBreaker(reg.Endpoint)
-	if br != nil && !br.Allow(r.clock()) {
+	if !br.Allow(r.clock()) {
 		r.breakerSkipped.Add(1)
 		r.repubFallthroughs.Add(1)
 		return nil, false
@@ -564,12 +504,10 @@ func (r *Router) tryRepublisher(ctx context.Context, owner, site string, req cor
 	sp.SetAttr("republisher", owner)
 	resp, err := r.execHedged(ctx, reg.Endpoint, req)
 	if err == nil {
-		if br != nil {
-			br.OnSuccess()
-		}
+		br.OnSuccess()
 		return resp, true
 	}
-	if br != nil && br.OnFailure(r.clock()) {
+	if br.OnFailure(r.clock()) {
 		r.breakerOpens.Add(1)
 	}
 	r.invalidateLookup(owner)
@@ -577,21 +515,13 @@ func (r *Router) tryRepublisher(ctx context.Context, owner, site string, req cor
 	return nil, false
 }
 
-// execute performs one remote call, preferring the context-threading exec.
-func (r *Router) execute(ctx context.Context, endpoint string, req core.QueryOptions) (*core.Response, error) {
-	if r.execCtx != nil {
-		return r.execCtx(ctx, endpoint, req)
-	}
-	return r.exec(endpoint, req)
-}
-
 // execHedged performs one remote call; when HedgeAfter is configured and
 // the call has not answered in time, a second identical call is launched
 // and the first response wins — the Dean/Barroso hedged-request pattern for
 // tail tolerance. The loser is cancelled through the shared context.
 func (r *Router) execHedged(ctx context.Context, endpoint string, req core.QueryOptions) (*core.Response, error) {
-	if r.cfg.HedgeAfter <= 0 || r.execCtx == nil {
-		return r.execute(ctx, endpoint, req)
+	if r.cfg.HedgeAfter <= 0 {
+		return r.exec(ctx, endpoint, req)
 	}
 	hctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -603,7 +533,7 @@ func (r *Router) execHedged(ctx context.Context, endpoint string, req core.Query
 	ch := make(chan result, 2)
 	launch := func(hedged bool) {
 		go func() {
-			resp, err := r.execCtx(hctx, endpoint, req)
+			resp, err := r.exec(hctx, endpoint, req)
 			ch <- result{resp: resp, err: err, hedged: hedged}
 		}()
 	}
@@ -717,5 +647,4 @@ func (r *Router) FanoutPlan(ctx context.Context) ([]core.FanoutLeg, error) {
 }
 
 var _ core.GlobalRouter = (*Router)(nil)
-var _ core.ContextRouter = (*Router)(nil)
 var _ core.FanoutPlanner = (*Router)(nil)

@@ -22,14 +22,14 @@ type countingDir struct {
 
 func newCountingDir() *countingDir { return &countingDir{flakyDir: newFlakyDir()} }
 
-func (c *countingDir) Lookup(site string) (Registration, bool, error) {
+func (c *countingDir) LookupContext(ctx context.Context, site string) (Registration, bool, error) {
 	c.lookups.Add(1)
-	return c.flakyDir.Lookup(site)
+	return c.flakyDir.LookupContext(ctx, site)
 }
 
-func (c *countingDir) Sites() ([]string, error) {
+func (c *countingDir) SitesContext(ctx context.Context) ([]string, error) {
 	c.sites.Add(1)
-	return c.flakyDir.Sites()
+	return c.flakyDir.SitesContext(ctx)
 }
 
 func okExec(endpoint string, req core.QueryOptions) (*core.Response, error) {
@@ -38,14 +38,14 @@ func okExec(endpoint string, req core.QueryOptions) (*core.Response, error) {
 
 func TestRouterLookupCache(t *testing.T) {
 	dir := newCountingDir()
-	_ = dir.Directory.Register(Registration{Name: "B", Endpoint: "http://b"})
+	_ = dir.Directory.RegisterContext(context.Background(), Registration{Name: "B", Endpoint: "http://b"})
 	now := time.Unix(1000, 0)
-	r := NewResilientRouter(dir, func(_ context.Context, e string, q core.QueryOptions) (*core.Response, error) {
+	r := NewRouter(dir, func(_ context.Context, e string, q core.QueryOptions) (*core.Response, error) {
 		return okExec(e, q)
 	}, "A", Config{LookupTTL: 10 * time.Second, Clock: func() time.Time { return now }})
 
 	for i := 0; i < 3; i++ {
-		if _, err := r.RemoteQuery("B", core.QueryOptions{Site: "B"}); err != nil {
+		if _, err := r.RemoteQueryContext(context.Background(), "B", core.QueryOptions{Site: "B"}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -57,7 +57,7 @@ func TestRouterLookupCache(t *testing.T) {
 	}
 	// Past the TTL the directory is consulted again.
 	now = now.Add(11 * time.Second)
-	if _, err := r.RemoteQuery("B", core.QueryOptions{Site: "B"}); err != nil {
+	if _, err := r.RemoteQueryContext(context.Background(), "B", core.QueryOptions{Site: "B"}); err != nil {
 		t.Fatal(err)
 	}
 	if n := dir.lookups.Load(); n != 2 {
@@ -67,15 +67,15 @@ func TestRouterLookupCache(t *testing.T) {
 
 func TestRouterStaleLookupSurvivesDirectoryOutage(t *testing.T) {
 	dir := newCountingDir()
-	_ = dir.Directory.Register(Registration{Name: "B", Endpoint: "http://b"})
-	_ = dir.Directory.Register(Registration{Name: "A", Endpoint: "http://a"})
+	_ = dir.Directory.RegisterContext(context.Background(), Registration{Name: "B", Endpoint: "http://b"})
+	_ = dir.Directory.RegisterContext(context.Background(), Registration{Name: "A", Endpoint: "http://a"})
 	now := time.Unix(1000, 0)
-	r := NewResilientRouter(dir, func(_ context.Context, e string, q core.QueryOptions) (*core.Response, error) {
+	r := NewRouter(dir, func(_ context.Context, e string, q core.QueryOptions) (*core.Response, error) {
 		return okExec(e, q)
 	}, "A", Config{LookupTTL: 10 * time.Second, Clock: func() time.Time { return now }})
 
 	// Warm the lookup and sites caches.
-	if _, err := r.RemoteQuery("B", core.QueryOptions{Site: "B"}); err != nil {
+	if _, err := r.RemoteQueryContext(context.Background(), "B", core.QueryOptions{Site: "B"}); err != nil {
 		t.Fatal(err)
 	}
 	if sites := r.Sites(); len(sites) != 1 || sites[0] != "B" {
@@ -85,7 +85,7 @@ func TestRouterStaleLookupSurvivesDirectoryOutage(t *testing.T) {
 	// Full outage after the TTL: stale entries keep the Global layer alive.
 	dir.setDown(true)
 	now = now.Add(time.Minute)
-	if _, err := r.RemoteQuery("B", core.QueryOptions{Site: "B"}); err != nil {
+	if _, err := r.RemoteQueryContext(context.Background(), "B", core.QueryOptions{Site: "B"}); err != nil {
 		t.Fatalf("query during directory outage: %v", err)
 	}
 	if sites := r.Sites(); len(sites) != 1 || sites[0] != "B" {
@@ -95,42 +95,42 @@ func TestRouterStaleLookupSurvivesDirectoryOutage(t *testing.T) {
 		t.Errorf("StaleLookups = %d, want 2 (lookup + sites)", st.StaleLookups)
 	}
 	// A site never seen before still fails — there is nothing to serve.
-	if _, err := r.RemoteQuery("C", core.QueryOptions{Site: "C"}); err == nil {
+	if _, err := r.RemoteQueryContext(context.Background(), "C", core.QueryOptions{Site: "C"}); err == nil {
 		t.Error("cold lookup succeeded during outage")
 	}
 }
 
 func TestRouterAuthoritativeNotFoundDropsCache(t *testing.T) {
 	dir := newCountingDir()
-	_ = dir.Directory.Register(Registration{Name: "B", Endpoint: "http://b"})
+	_ = dir.Directory.RegisterContext(context.Background(), Registration{Name: "B", Endpoint: "http://b"})
 	now := time.Unix(1000, 0)
-	r := NewResilientRouter(dir, func(_ context.Context, e string, q core.QueryOptions) (*core.Response, error) {
+	r := NewRouter(dir, func(_ context.Context, e string, q core.QueryOptions) (*core.Response, error) {
 		return okExec(e, q)
 	}, "A", Config{LookupTTL: 10 * time.Second, Clock: func() time.Time { return now }})
-	if _, err := r.RemoteQuery("B", core.QueryOptions{Site: "B"}); err != nil {
+	if _, err := r.RemoteQueryContext(context.Background(), "B", core.QueryOptions{Site: "B"}); err != nil {
 		t.Fatal(err)
 	}
 	// The site deregisters; a healthy directory's not-found is authoritative
 	// and must evict the cached record, not serve it stale.
-	_ = dir.Directory.Deregister("B")
+	_ = dir.Directory.DeregisterContext(context.Background(), "B")
 	now = now.Add(time.Minute)
-	if _, err := r.RemoteQuery("B", core.QueryOptions{Site: "B"}); err == nil {
+	if _, err := r.RemoteQueryContext(context.Background(), "B", core.QueryOptions{Site: "B"}); err == nil {
 		t.Fatal("deregistered site still routed")
 	}
 	// Even during a later outage the dropped entry stays gone.
 	dir.setDown(true)
-	if _, err := r.RemoteQuery("B", core.QueryOptions{Site: "B"}); err == nil {
+	if _, err := r.RemoteQueryContext(context.Background(), "B", core.QueryOptions{Site: "B"}); err == nil {
 		t.Error("evicted entry served stale")
 	}
 }
 
 func TestRouterEndpointBreaker(t *testing.T) {
 	dir := newCountingDir()
-	_ = dir.Directory.Register(Registration{Name: "B", Endpoint: "http://b"})
-	_ = dir.Directory.Register(Registration{Name: "C", Endpoint: "http://c"})
+	_ = dir.Directory.RegisterContext(context.Background(), Registration{Name: "B", Endpoint: "http://b"})
+	_ = dir.Directory.RegisterContext(context.Background(), Registration{Name: "C", Endpoint: "http://c"})
 	now := time.Unix(1000, 0)
 	var calls atomic.Int64
-	r := NewResilientRouter(dir, func(_ context.Context, e string, q core.QueryOptions) (*core.Response, error) {
+	r := NewRouter(dir, func(_ context.Context, e string, q core.QueryOptions) (*core.Response, error) {
 		calls.Add(1)
 		if e == "http://b" {
 			return nil, fmt.Errorf("connection refused")
@@ -143,7 +143,7 @@ func TestRouterEndpointBreaker(t *testing.T) {
 	})
 
 	for i := 0; i < 2; i++ {
-		if _, err := r.RemoteQuery("B", core.QueryOptions{Site: "B"}); err == nil {
+		if _, err := r.RemoteQueryContext(context.Background(), "B", core.QueryOptions{Site: "B"}); err == nil {
 			t.Fatal("query to dead endpoint succeeded")
 		}
 	}
@@ -157,7 +157,7 @@ func TestRouterEndpointBreaker(t *testing.T) {
 
 	// Open breaker: the next query fast-fails without touching the endpoint.
 	before := calls.Load()
-	_, err := r.RemoteQuery("B", core.QueryOptions{Site: "B"})
+	_, err := r.RemoteQueryContext(context.Background(), "B", core.QueryOptions{Site: "B"})
 	if err == nil || !strings.Contains(err.Error(), "circuit open") {
 		t.Errorf("open-breaker error = %v", err)
 	}
@@ -169,7 +169,7 @@ func TestRouterEndpointBreaker(t *testing.T) {
 	}
 
 	// Breakers are per endpoint: site C is unaffected.
-	if _, err := r.RemoteQuery("C", core.QueryOptions{Site: "C"}); err != nil {
+	if _, err := r.RemoteQueryContext(context.Background(), "C", core.QueryOptions{Site: "C"}); err != nil {
 		t.Errorf("healthy endpoint tripped by its neighbour: %v", err)
 	}
 
@@ -182,27 +182,45 @@ func TestRouterEndpointBreaker(t *testing.T) {
 
 func TestRouterRetries(t *testing.T) {
 	dir := newCountingDir()
-	_ = dir.Directory.Register(Registration{Name: "B", Endpoint: "http://b"})
+	_ = dir.Directory.RegisterContext(context.Background(), Registration{Name: "B", Endpoint: "http://b"})
 	var calls atomic.Int64
-	r := NewResilientRouter(dir, func(_ context.Context, e string, q core.QueryOptions) (*core.Response, error) {
+	r := NewRouter(dir, func(_ context.Context, e string, q core.QueryOptions) (*core.Response, error) {
 		if calls.Add(1) == 1 {
 			return nil, fmt.Errorf("transient")
 		}
 		return okExec(e, q)
 	}, "A", Config{RetryAttempts: 2, RetryBackoff: time.Millisecond})
-	if _, err := r.RemoteQuery("B", core.QueryOptions{Site: "B"}); err != nil {
+	if _, err := r.RemoteQueryContext(context.Background(), "B", core.QueryOptions{Site: "B"}); err != nil {
 		t.Fatalf("retry did not rescue the query: %v", err)
 	}
 	st := r.Stats()
 	if st.RemoteRetries != 1 || st.RemoteFailures != 0 {
 		t.Errorf("stats = %+v, want 1 retry and 0 failures", st)
 	}
+
+	// The wait is capped at core.MaxRetryBackoff however large the base
+	// (the pre-internal/retry loop doubled without bound): one retry with
+	// an hour-long base returns within the cap, jittered to [cap/2, cap].
+	calls.Store(0)
+	r = NewRouter(dir, func(_ context.Context, e string, q core.QueryOptions) (*core.Response, error) {
+		if calls.Add(1) == 1 {
+			return nil, fmt.Errorf("transient")
+		}
+		return okExec(e, q)
+	}, "A", Config{RetryAttempts: 1, RetryBackoff: time.Hour})
+	start := time.Now()
+	if _, err := r.RemoteQueryContext(context.Background(), "B", core.QueryOptions{Site: "B"}); err != nil {
+		t.Fatalf("capped retry did not rescue the query: %v", err)
+	}
+	if took := time.Since(start); took < core.MaxRetryBackoff/2 || took > core.MaxRetryBackoff+time.Second {
+		t.Errorf("retry waited %v, want within [%v, %v]", took, core.MaxRetryBackoff/2, core.MaxRetryBackoff)
+	}
 }
 
 func TestRouterRetriesHonourContext(t *testing.T) {
 	dir := newCountingDir()
-	_ = dir.Directory.Register(Registration{Name: "B", Endpoint: "http://b"})
-	r := NewResilientRouter(dir, func(context.Context, string, core.QueryOptions) (*core.Response, error) {
+	_ = dir.Directory.RegisterContext(context.Background(), Registration{Name: "B", Endpoint: "http://b"})
+	r := NewRouter(dir, func(context.Context, string, core.QueryOptions) (*core.Response, error) {
 		return nil, fmt.Errorf("always failing")
 	}, "A", Config{RetryAttempts: 50, RetryBackoff: 50 * time.Millisecond})
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Millisecond)
@@ -221,7 +239,7 @@ func TestRouterRetriesHonourContext(t *testing.T) {
 
 func TestRouterHedging(t *testing.T) {
 	dir := newCountingDir()
-	_ = dir.Directory.Register(Registration{Name: "B", Endpoint: "http://b"})
+	_ = dir.Directory.RegisterContext(context.Background(), Registration{Name: "B", Endpoint: "http://b"})
 	var calls atomic.Int64
 	exec := func(ctx context.Context, e string, q core.QueryOptions) (*core.Response, error) {
 		if calls.Add(1) == 1 {
@@ -235,9 +253,9 @@ func TestRouterHedging(t *testing.T) {
 		}
 		return okExec(e, q)
 	}
-	r := NewResilientRouter(dir, exec, "A", Config{HedgeAfter: 20 * time.Millisecond})
+	r := NewRouter(dir, exec, "A", Config{HedgeAfter: 20 * time.Millisecond})
 	start := time.Now()
-	if _, err := r.RemoteQuery("B", core.QueryOptions{Site: "B"}); err != nil {
+	if _, err := r.RemoteQueryContext(context.Background(), "B", core.QueryOptions{Site: "B"}); err != nil {
 		t.Fatalf("hedged query failed: %v", err)
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
@@ -253,7 +271,7 @@ func TestRouterHedgeLoses(t *testing.T) {
 	// A hedge that fires after the original already answered is still
 	// counted, but the original's response wins and HedgeWins stays 0.
 	dir := newCountingDir()
-	_ = dir.Directory.Register(Registration{Name: "B", Endpoint: "http://b"})
+	_ = dir.Directory.RegisterContext(context.Background(), Registration{Name: "B", Endpoint: "http://b"})
 	var calls atomic.Int64
 	exec := func(ctx context.Context, e string, q core.QueryOptions) (*core.Response, error) {
 		if calls.Add(1) > 1 {
@@ -267,8 +285,8 @@ func TestRouterHedgeLoses(t *testing.T) {
 		time.Sleep(30 * time.Millisecond)
 		return okExec(e, q)
 	}
-	r := NewResilientRouter(dir, exec, "A", Config{HedgeAfter: 5 * time.Millisecond})
-	if _, err := r.RemoteQuery("B", core.QueryOptions{Site: "B"}); err != nil {
+	r := NewRouter(dir, exec, "A", Config{HedgeAfter: 5 * time.Millisecond})
+	if _, err := r.RemoteQueryContext(context.Background(), "B", core.QueryOptions{Site: "B"}); err != nil {
 		t.Fatal(err)
 	}
 	st := r.Stats()
@@ -279,11 +297,11 @@ func TestRouterHedgeLoses(t *testing.T) {
 
 func TestRouterHedgeBothFail(t *testing.T) {
 	dir := newCountingDir()
-	_ = dir.Directory.Register(Registration{Name: "B", Endpoint: "http://b"})
-	r := NewResilientRouter(dir, func(context.Context, string, core.QueryOptions) (*core.Response, error) {
+	_ = dir.Directory.RegisterContext(context.Background(), Registration{Name: "B", Endpoint: "http://b"})
+	r := NewRouter(dir, func(context.Context, string, core.QueryOptions) (*core.Response, error) {
 		return nil, fmt.Errorf("refused")
 	}, "A", Config{HedgeAfter: time.Nanosecond})
-	if _, err := r.RemoteQuery("B", core.QueryOptions{Site: "B"}); err == nil ||
+	if _, err := r.RemoteQueryContext(context.Background(), "B", core.QueryOptions{Site: "B"}); err == nil ||
 		!strings.Contains(err.Error(), "refused") {
 		t.Errorf("double-failure error = %v", err)
 	}
@@ -291,10 +309,10 @@ func TestRouterHedgeBothFail(t *testing.T) {
 
 func TestRouterGenerationChangeEvictsCachedLookup(t *testing.T) {
 	dir := newCountingDir()
-	_ = dir.Directory.Register(Registration{Name: "B", Endpoint: "http://b1"})
+	_ = dir.Directory.RegisterContext(context.Background(), Registration{Name: "B", Endpoint: "http://b1"})
 	now := time.Unix(1000, 0)
 	var endpoints []string
-	r := NewResilientRouter(dir, func(_ context.Context, e string, q core.QueryOptions) (*core.Response, error) {
+	r := NewRouter(dir, func(_ context.Context, e string, q core.QueryOptions) (*core.Response, error) {
 		endpoints = append(endpoints, e)
 		return okExec(e, q)
 	}, "A", Config{LookupTTL: 15 * time.Second, Clock: func() time.Time { return now }})
@@ -304,12 +322,12 @@ func TestRouterGenerationChangeEvictsCachedLookup(t *testing.T) {
 		t.Fatalf("Sites = %v", sites)
 	}
 	// t=10: B's lookup is cached, fresh until t=25.
-	if _, err := r.RemoteQuery("B", core.QueryOptions{Site: "B"}); err != nil {
+	if _, err := r.RemoteQueryContext(context.Background(), "B", core.QueryOptions{Site: "B"}); err != nil {
 		t.Fatal(err)
 	}
 	// B re-registers at a new endpoint: the directory bumps its
 	// Generation.
-	_ = dir.Directory.Register(Registration{Name: "B", Endpoint: "http://b2"})
+	_ = dir.Directory.RegisterContext(context.Background(), Registration{Name: "B", Endpoint: "http://b2"})
 	// t=16: the registration list expires and is refetched; the changed
 	// generation must evict B's still-fresh cached lookup.
 	now = now.Add(16 * time.Second)
@@ -317,7 +335,7 @@ func TestRouterGenerationChangeEvictsCachedLookup(t *testing.T) {
 	if n := r.Stats().GenerationEvictions; n != 1 {
 		t.Fatalf("GenerationEvictions = %d, want 1", n)
 	}
-	if _, err := r.RemoteQuery("B", core.QueryOptions{Site: "B"}); err != nil {
+	if _, err := r.RemoteQueryContext(context.Background(), "B", core.QueryOptions{Site: "B"}); err != nil {
 		t.Fatal(err)
 	}
 	want := []string{"http://b1", "http://b2"}
@@ -331,20 +349,20 @@ func TestRouterGenerationChangeEvictsCachedLookup(t *testing.T) {
 
 func TestRouterFailedAttemptReResolvesBeforeRetry(t *testing.T) {
 	dir := newCountingDir()
-	_ = dir.Directory.Register(Registration{Name: "B", Endpoint: "http://dead"})
+	_ = dir.Directory.RegisterContext(context.Background(), Registration{Name: "B", Endpoint: "http://dead"})
 	var calls atomic.Int64
-	r := NewResilientRouter(dir, func(_ context.Context, e string, q core.QueryOptions) (*core.Response, error) {
+	r := NewRouter(dir, func(_ context.Context, e string, q core.QueryOptions) (*core.Response, error) {
 		calls.Add(1)
 		if e == "http://dead" {
 			// The site moves while the first attempt is failing: the
 			// retry must consult the directory again, not the cache.
-			_ = dir.Directory.Register(Registration{Name: "B", Endpoint: "http://alive"})
+			_ = dir.Directory.RegisterContext(context.Background(), Registration{Name: "B", Endpoint: "http://alive"})
 			return nil, fmt.Errorf("connection refused")
 		}
 		return okExec(e, q)
 	}, "A", Config{LookupTTL: time.Minute, RetryAttempts: 1, RetryBackoff: time.Millisecond})
 
-	resp, err := r.RemoteQuery("B", core.QueryOptions{Site: "B"})
+	resp, err := r.RemoteQueryContext(context.Background(), "B", core.QueryOptions{Site: "B"})
 	if err != nil || resp == nil {
 		t.Fatalf("query after re-registration = %v, %v", resp, err)
 	}
@@ -361,10 +379,10 @@ func TestRouterFailedAttemptReResolvesBeforeRetry(t *testing.T) {
 
 func TestRouterRepublisherFirstWithFallthrough(t *testing.T) {
 	dir := newCountingDir()
-	_ = dir.Directory.Register(Registration{Name: "B", Endpoint: "http://site-b"})
-	_ = dir.Directory.Register(Registration{Name: "R", Endpoint: "http://repub-r", Role: RoleRepublisher})
+	_ = dir.Directory.RegisterContext(context.Background(), Registration{Name: "B", Endpoint: "http://site-b"})
+	_ = dir.Directory.RegisterContext(context.Background(), Registration{Name: "R", Endpoint: "http://repub-r", Role: RoleRepublisher})
 	var repubDown atomic.Bool
-	r := NewResilientRouter(dir, func(_ context.Context, e string, q core.QueryOptions) (*core.Response, error) {
+	r := NewRouter(dir, func(_ context.Context, e string, q core.QueryOptions) (*core.Response, error) {
 		if e == "http://repub-r" {
 			if repubDown.Load() {
 				return nil, fmt.Errorf("republisher down")
@@ -376,19 +394,19 @@ func TestRouterRepublisherFirstWithFallthrough(t *testing.T) {
 	_ = r.Sites() // fetches the registration list, which builds the ring
 
 	// Cached site reads route to the owning republisher.
-	resp, err := r.RemoteQuery("B", core.QueryOptions{Site: "B"})
+	resp, err := r.RemoteQueryContext(context.Background(), "B", core.QueryOptions{Site: "B"})
 	if err != nil || resp.Site != "R" {
 		t.Fatalf("cached read = %v, %v, want republisher answer", resp, err)
 	}
 	// Real-time reads always go to the site itself.
-	resp, err = r.RemoteQuery("B", core.QueryOptions{Site: "B", Mode: core.ModeRealTime})
+	resp, err = r.RemoteQueryContext(context.Background(), "B", core.QueryOptions{Site: "B", Mode: core.ModeRealTime})
 	if err != nil || resp.Site != "B" {
 		t.Fatalf("real-time read = %v, %v, want direct answer", resp, err)
 	}
 	// A dead republisher falls through to the site with zero caller-visible
 	// errors.
 	repubDown.Store(true)
-	resp, err = r.RemoteQuery("B", core.QueryOptions{Site: "B"})
+	resp, err = r.RemoteQueryContext(context.Background(), "B", core.QueryOptions{Site: "B"})
 	if err != nil || resp.Site != "B" {
 		t.Fatalf("fall-through read = %v, %v", resp, err)
 	}
@@ -400,13 +418,13 @@ func TestRouterRepublisherFirstWithFallthrough(t *testing.T) {
 
 func TestRouterDisableRepublishers(t *testing.T) {
 	dir := newCountingDir()
-	_ = dir.Directory.Register(Registration{Name: "B", Endpoint: "http://site-b"})
-	_ = dir.Directory.Register(Registration{Name: "R", Endpoint: "http://repub-r", Role: RoleRepublisher})
-	r := NewResilientRouter(dir, func(_ context.Context, e string, q core.QueryOptions) (*core.Response, error) {
+	_ = dir.Directory.RegisterContext(context.Background(), Registration{Name: "B", Endpoint: "http://site-b"})
+	_ = dir.Directory.RegisterContext(context.Background(), Registration{Name: "R", Endpoint: "http://repub-r", Role: RoleRepublisher})
+	r := NewRouter(dir, func(_ context.Context, e string, q core.QueryOptions) (*core.Response, error) {
 		return &core.Response{Site: q.Site + "@" + e}, nil
 	}, "A", Config{LookupTTL: time.Minute, DisableRepublishers: true})
 	_ = r.Sites()
-	resp, err := r.RemoteQuery("B", core.QueryOptions{Site: "B"})
+	resp, err := r.RemoteQueryContext(context.Background(), "B", core.QueryOptions{Site: "B"})
 	if err != nil || resp.Site != "B@http://site-b" {
 		t.Fatalf("disabled routing = %v, %v, want direct", resp, err)
 	}

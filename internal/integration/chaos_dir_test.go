@@ -186,7 +186,7 @@ func TestChaosDirectoryOutage(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if _, ok, err := h.Replicas[0].Dir.Lookup("dirA"); err != nil || !ok {
+	if _, ok, err := h.Replicas[0].Dir.LookupContext(context.Background(), "dirA"); err != nil || !ok {
 		t.Errorf("restarted replica lookup = %v, %v", ok, err)
 	}
 

@@ -394,7 +394,7 @@ func TestFullFederationOverHTTP(t *testing.T) {
 	}
 	defer regB.Stop()
 
-	siteA.gw.SetGlobalRouter(gma.NewContextRouter(dir, web.RemoteQueryContext, "siteA"))
+	siteA.gw.SetGlobalRouter(gma.NewRouter(dir, web.RemoteQueryContext, "siteA", gma.Config{}))
 
 	client := &web.Client{BaseURL: srvA.URL, Principal: siteA.admin}
 	resp, err := client.Query(context.Background(), core.QueryOptions{

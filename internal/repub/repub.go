@@ -12,6 +12,7 @@ import (
 	"gridrm/internal/glue"
 	"gridrm/internal/gma"
 	"gridrm/internal/resultset"
+	"gridrm/internal/retry"
 	"gridrm/internal/router"
 	"gridrm/internal/sqlparse"
 	"gridrm/internal/web"
@@ -216,11 +217,7 @@ func (g *Gateway) Stop(ctx context.Context) {
 		<-w.done
 	}
 	g.wg.Wait()
-	if cd, ok := g.opts.Directory.(gma.ContextDeregisterer); ok {
-		_ = cd.DeregisterContext(ctx, g.opts.Name)
-	} else {
-		_ = g.opts.Directory.Deregister(g.opts.Name)
-	}
+	_ = g.opts.Directory.DeregisterContext(ctx, g.opts.Name)
 }
 
 // Halt stops the loops and workers WITHOUT deregistering — the crash
@@ -267,13 +264,7 @@ func (g *Gateway) refreshLoop() {
 // current Owns. Exported so tests and the simulator can force a
 // deterministic rebalance.
 func (g *Gateway) Refresh(ctx context.Context) error {
-	var regs []gma.Registration
-	var err error
-	if cl, ok := g.opts.Directory.(gma.ContextLister); ok {
-		regs, err = cl.ListContext(ctx)
-	} else {
-		regs, err = g.opts.Directory.List()
-	}
+	regs, err := g.opts.Directory.ListContext(ctx)
 	if err != nil {
 		return err
 	}
@@ -348,43 +339,41 @@ func (g *Gateway) register(ctx context.Context, owns []string) error {
 	if g.opts.Endpoint == "" {
 		return nil
 	}
-	reg := gma.Registration{
+	return g.opts.Directory.RegisterContext(ctx, gma.Registration{
 		Name:     g.opts.Name,
 		Endpoint: g.opts.Endpoint,
 		Role:     gma.RoleRepublisher,
 		Groups:   g.opts.Groups,
 		Owns:     owns,
-	}
-	if cr, ok := g.opts.Directory.(gma.ContextRegistrar); ok {
-		return cr.RegisterContext(ctx, reg)
-	}
-	return g.opts.Directory.Register(reg)
+	})
 }
 
 // runSite mirrors one owned site until ctx ends: scrape a full snapshot,
 // then hold a subscription session (when wired) or re-scrape on a timer.
+// The session is entered only on top of a complete snapshot: live rows
+// update what the view holds, they never supply rows a partial scrape
+// missed, so an incomplete scrape is repeated after ScrapeInterval instead.
 func (g *Gateway) runSite(ctx context.Context, site string, done chan struct{}) {
 	defer close(done)
-	for {
-		if ctx.Err() != nil {
-			return
-		}
-		g.scrapeSite(ctx, site)
-		if g.opts.Subscribe != nil && g.consumeSubscriptions(ctx, site) {
+	for ctx.Err() == nil {
+		complete := g.scrapeSite(ctx, site)
+		if complete && g.opts.Subscribe != nil && g.consumeSubscriptions(ctx, site) {
 			// The session ended (site restart, eviction): loop around to
 			// re-scrape and re-subscribe.
 			continue
 		}
-		select {
-		case <-ctx.Done():
+		if retry.Sleep(ctx, g.opts.ScrapeInterval) != nil {
 			return
-		case <-time.After(g.opts.ScrapeInterval):
 		}
 	}
 }
 
-// scrapeSite pulls a full snapshot of every mirrored group from the site.
-func (g *Gateway) scrapeSite(ctx context.Context, site string) {
+// scrapeSite pulls a full snapshot of every mirrored group from the site
+// and reports whether it is complete: every group answered and no source
+// behind an answer failed without contributing rows. Partial answers are
+// installed all the same — a short view beats an empty one.
+func (g *Gateway) scrapeSite(ctx context.Context, site string) bool {
+	complete := true
 	for _, group := range g.opts.Groups {
 		sctx, cancel := context.WithTimeout(ctx, g.opts.ScrapeInterval)
 		resp, err := g.opts.Query(sctx, site, core.QueryOptions{
@@ -395,10 +384,17 @@ func (g *Gateway) scrapeSite(ctx context.Context, site string) {
 		g.scrapes.Add(1)
 		if err != nil {
 			g.scrapeErrors.Add(1)
+			complete = false
 			continue
+		}
+		for _, st := range resp.Sources {
+			if st.Err != "" && st.Rows == 0 {
+				complete = false
+			}
 		}
 		g.store.SetSnapshot(site, group, resp.ResultSet, g.opts.Clock())
 	}
+	return complete
 }
 
 // consumeSubscriptions opens one continuous query per mirrored group and
@@ -452,16 +448,7 @@ func (g *Gateway) consumeSubscriptions(ctx context.Context, site string) bool {
 // directoryQuery is the default QueryFunc: resolve the site's endpoint in
 // the directory and query its servlet interface.
 func (g *Gateway) directoryQuery(ctx context.Context, site string, req core.QueryOptions) (*core.Response, error) {
-	var (
-		reg gma.Registration
-		ok  bool
-		err error
-	)
-	if cd, isCtx := g.opts.Directory.(gma.ContextDirectory); isCtx {
-		reg, ok, err = cd.LookupContext(ctx, site)
-	} else {
-		reg, ok, err = g.opts.Directory.Lookup(site)
-	}
+	reg, ok, err := g.opts.Directory.LookupContext(ctx, site)
 	if err != nil {
 		return nil, err
 	}

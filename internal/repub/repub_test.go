@@ -95,7 +95,7 @@ func fakeSites(t *testing.T, dir *gma.Directory, n int) (sites []string, query Q
 	for i := 0; i < n; i++ {
 		name := fmt.Sprintf("site-%d", i)
 		sites = append(sites, name)
-		if err := dir.Register(gma.Registration{Name: name, Endpoint: "http://" + name}); err != nil {
+		if err := dir.RegisterContext(context.Background(), gma.Registration{Name: name, Endpoint: "http://" + name}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -128,7 +128,7 @@ func TestGatewayScrapesAndAnswersRegionQueries(t *testing.T) {
 		t.Fatalf("sole republisher owns %v, want all of %v", owns, sites)
 	}
 	// Self-registration carries the role and the shard.
-	reg, ok, _ := dir.Lookup("repub-0")
+	reg, ok, _ := dir.LookupContext(context.Background(), "repub-0")
 	if !ok || reg.Role != gma.RoleRepublisher || len(reg.Owns) != 3 {
 		t.Fatalf("self-registration = %+v, %v", reg, ok)
 	}
@@ -201,7 +201,7 @@ func TestGatewayRebalanceOnMembershipChange(t *testing.T) {
 	}
 	// A second republisher joins: this one must shed the sites the ring
 	// now places elsewhere, and drop their views.
-	if err := dir.Register(gma.Registration{
+	if err := dir.RegisterContext(context.Background(), gma.Registration{
 		Name: "repub-1", Endpoint: "http://repub-1", Role: gma.RoleRepublisher,
 	}); err != nil {
 		t.Fatal(err)
@@ -276,6 +276,56 @@ func TestGatewaySubscriptionFeedsView(t *testing.T) {
 		})
 		return err == nil && resp.ResultSet.Len() == 1
 	})
+}
+
+// TestPartialScrapeIsRepeatedBeforeSubscribing: a scrape that came back
+// short (one source timed out with no rows) is installed but must not
+// become the base of the subscription hold — live rows only update what the
+// view already has, so with a quiet feed the missing row would never
+// arrive. The worker re-scrapes until the answer is complete, then
+// subscribes.
+func TestPartialScrapeIsRepeatedBeforeSubscribing(t *testing.T) {
+	dir := gma.NewDirectory(0, nil)
+	if err := dir.RegisterContext(context.Background(), gma.Registration{Name: "site-0", Endpoint: "http://site-0"}); err != nil {
+		t.Fatal(err)
+	}
+	var scrapes atomic.Int64
+	query := func(ctx context.Context, site string, req core.QueryOptions) (*core.Response, error) {
+		if scrapes.Add(1) == 1 {
+			return &core.Response{
+				ResultSet: procRows(t, [2]any{"h1", 1.0}),
+				Sources: []core.SourceStatus{
+					{Source: "src1", Rows: 1},
+					{Source: "src2", Err: core.ErrTimedOut},
+				},
+			}, nil
+		}
+		return &core.Response{
+			ResultSet: procRows(t, [2]any{"h1", 1.0}, [2]any{"h2", 2.0}),
+			Sources:   []core.SourceStatus{{Source: "src1", Rows: 1}, {Source: "src2", Rows: 1}},
+		}, nil
+	}
+	push := router.New(router.Options{}) // a feed that never publishes
+	g, err := New(Options{
+		Name: "repub-0", Endpoint: "http://repub-0", Directory: dir,
+		Groups: []string{glue.GroupProcessor}, Query: query,
+		Subscribe: func(ctx context.Context, site, sql string) (*router.Subscription, error) {
+			return push.Subscribe(router.SubscribeOptions{Name: site})
+		},
+		RefreshInterval: time.Hour, ScrapeInterval: 10 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	defer g.Stop(context.Background())
+	waitFor(t, "complete view", func() bool { return g.store.Rows() == 2 })
+	waitFor(t, "subscription after the complete scrape", func() bool { return g.Stats().Subscriptions == 1 })
+	if n := scrapes.Load(); n != 2 {
+		t.Errorf("scrapes = %d, want 2 (partial, then complete, then hold)", n)
+	}
 }
 
 func TestHandlerSpeaksServletWireProtocol(t *testing.T) {

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"gridrm/internal/breaker"
+	"gridrm/internal/retry"
 )
 
 // Sink receives routed metrics in batches. Deliver is called from the
@@ -36,8 +37,8 @@ type SinkOptions struct {
 	// Retries is how many additional Deliver attempts a failed batch
 	// gets (default 2).
 	Retries int
-	// Backoff is the wait before the first retry, doubled per attempt
-	// and capped at 10x (default 50ms).
+	// Backoff is the wait before the first retry (default 50ms); it
+	// follows the internal/retry schedule capped at 10x.
 	Backoff time.Duration
 	// Breaker configures the per-sink circuit breaker; while open,
 	// batches are dropped (and counted) instead of attempted. The zero
@@ -202,7 +203,7 @@ func (sr *sinkRunner) deliverBatch(batch []Metric) {
 		sr.r.sinkDropped.Add(int64(len(batch)))
 		return
 	}
-	backoff := sr.opts.Backoff
+	backoff := retry.Backoff{Base: sr.opts.Backoff, Max: 10 * sr.opts.Backoff}
 	for attempt := 0; ; attempt++ {
 		err := sr.sink.Deliver(sr.ctx, batch)
 		if err == nil {
@@ -224,13 +225,9 @@ func (sr *sinkRunner) deliverBatch(batch []Metric) {
 		}
 		sr.retries.Add(1)
 		sr.r.sinkRetries.Add(1)
-		select {
-		case <-time.After(backoff):
-		case <-sr.ctx.Done():
-		}
-		if backoff < 10*sr.opts.Backoff {
-			backoff *= 2
-		}
+		// A cancelled wait falls through: the next attempt sees the dead
+		// context and takes the drop-and-count exit above.
+		_ = retry.Sleep(sr.ctx, backoff.Delay(attempt))
 	}
 }
 

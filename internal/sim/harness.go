@@ -317,9 +317,8 @@ func (h *Harness) buildGateway(site string, tpl SiteTemplate, historyDir string,
 		Cache:                 qcache.Options{TTL: tpl.CacheTTL},
 		HarvestTimeout:        tpl.HarvestTimeout,
 		QueryTimeout:          tpl.QueryTimeout,
-		Breaker:               core.BreakerOptions{Threshold: tpl.BreakerThreshold, Cooldown: tpl.BreakerCooldown},
+		Breaker:               breaker.Options{Threshold: tpl.BreakerThreshold, Cooldown: tpl.BreakerCooldown},
 		MaxConcurrentHarvests: tpl.MaxConcurrentHarvests,
-		DisableCoalescing:     tpl.DisableCoalescing,
 		DisableHistory:        tpl.DisableHistory,
 		StaleGrace:            tpl.StaleGrace,
 		Probe:                 health.Options{Interval: tpl.ProbeInterval},
@@ -391,11 +390,13 @@ func (h *Harness) RestartSite(site string) error {
 	if !ok {
 		return fmt.Errorf("sim: restart_gateway: unknown site %q", site)
 	}
+	// The kill: the durable store lets go of its directory with nothing
+	// synced. The old gateway keeps answering (memory-only) while the
+	// replacement restores, so clients never meet a closed gateway.
 	old := rt.Gateway
 	if d := old.DurableHistory(); d != nil {
 		d.CrashClose()
 	}
-	old.Close()
 	gw, err := h.buildGateway(site, rt.Template, rt.HistoryDir, rt.Faults)
 	if err != nil {
 		return err
@@ -414,6 +415,10 @@ func (h *Harness) RestartSite(site string) error {
 		}
 		rt.Server.SetHandler(ws)
 	}
+	// Requests already inside the old instance get a moment to finish.
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	_ = old.Shutdown(ctx)
 	return nil
 }
 
@@ -466,7 +471,7 @@ func (h *Harness) federate() error {
 			return err
 		}
 	}
-	h.Router = gma.NewResilientRouter(h.MultiDir, web.RemoteQueryContext, h.Entry.Name, gma.Config{
+	h.Router = gma.NewRouter(h.MultiDir, web.RemoteQueryContext, h.Entry.Name, gma.Config{
 		LookupTTL:     fed.LookupTTL,
 		RetryAttempts: fed.RetryAttempts,
 		HedgeAfter:    fed.HedgeAfter,

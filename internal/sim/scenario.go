@@ -52,7 +52,6 @@ type SiteTemplate struct {
 	MaxConcurrentHarvests int
 	ProbeInterval         time.Duration
 	DisableHistory        bool
-	DisableCoalescing     bool
 	// DurableHistory gives every instance of this template a crash-safe
 	// history dir (WAL + checkpoints) under the harness's temp root, so
 	// restart_gateway events restore pre-crash history.
@@ -285,7 +284,6 @@ func ParseScenario(data []byte) (*Scenario, error) {
 				MaxConcurrentHarvests: d.intVal(im, "max_concurrent_harvests", 0),
 				ProbeInterval:         d.dur(im, "probe_interval", 0),
 				DisableHistory:        d.boolVal(im, "disable_history", false),
-				DisableCoalescing:     d.boolVal(im, "disable_coalescing", false),
 				DurableHistory:        d.boolVal(im, "durable_history", false),
 				HistoryFsync:          d.str(im, "history_fsync", ""),
 				SubscribeQueue:        d.intVal(im, "subscribe_queue", 0),

@@ -18,6 +18,7 @@ import (
 	"gridrm/internal/agents/scms"
 	"gridrm/internal/agents/sim"
 	"gridrm/internal/agents/snmp"
+	"gridrm/internal/breaker"
 	"gridrm/internal/core"
 	"gridrm/internal/driver"
 	"gridrm/internal/drivers/faultdrv"
@@ -73,29 +74,8 @@ type PushOptions struct {
 	Stall time.Duration
 }
 
-// FederationOptions groups the Global-layer knobs: the gateway's
-// directory role and, for republishers, the cadences of the shard
-// maintenance loops. The cmd binaries map their -role/-refresh/-scrape
-// flags here.
-type FederationOptions struct {
-	// Role is the directory role to register under: "site" (default) or
-	// "republisher".
-	Role string
-	// RefreshInterval is a republisher's directory poll / rebalance
-	// cadence (0 = repub default).
-	RefreshInterval time.Duration
-	// ScrapeInterval is a republisher's re-scrape cadence for sites
-	// without a live subscription (0 = repub default).
-	ScrapeInterval time.Duration
-	// VNodes is the consistent-hash ring's virtual-node count per
-	// republisher (0 = ring default). Every member must agree on it.
-	VNodes int
-}
-
-// Options configures a simulated site. Knobs are grouped into the
-// Timeouts, History, Push and Federation sub-structs; the flat fields
-// below them are deprecated aliases kept for one release — when both are
-// set, the sub-struct wins.
+// Options configures a simulated site. Related knobs are grouped into the
+// Timeouts, History and Push sub-structs.
 type Options struct {
 	// Name is the site name (default "site").
 	Name string
@@ -111,8 +91,6 @@ type Options struct {
 	History HistoryOptions
 	// Push groups the continuous-query knobs.
 	Push PushOptions
-	// Federation groups the directory-role and republisher knobs.
-	Federation FederationOptions
 	// CoarseCacheTTL is passed to the Ganglia and NWS sources as
 	// "cache_ttl" (default 1s); set negative for "0s" (off).
 	CoarseCacheTTL time.Duration
@@ -120,13 +98,10 @@ type Options struct {
 	Retry core.RetryOptions
 	// Breaker configures the per-source circuit breaker (zero value = core
 	// defaults; Threshold < 0 disables).
-	Breaker core.BreakerOptions
+	Breaker breaker.Options
 	// MaxConcurrentHarvests bounds concurrent driver harvests in the
 	// gateway built by NewGateway (0 = unbounded).
 	MaxConcurrentHarvests int
-	// DisableCoalescing turns off single-flight harvest coalescing (for
-	// ablations and benchmarks).
-	DisableCoalescing bool
 	// StaleGrace is how long past its TTL an expired cache entry remains
 	// servable as a degraded result (0 = core default, negative = off).
 	StaleGrace time.Duration
@@ -143,93 +118,12 @@ type Options struct {
 	// store capacity, slow-query threshold). The zero value keeps the
 	// core defaults.
 	Trace trace.Options
-
-	// AgentTimeout is a deprecated alias for Timeouts.Agent.
-	//
-	// Deprecated: set Timeouts.Agent.
-	AgentTimeout time.Duration
-	// HarvestTimeout is a deprecated alias for Timeouts.Harvest.
-	//
-	// Deprecated: set Timeouts.Harvest.
-	HarvestTimeout time.Duration
-	// QueryTimeout is a deprecated alias for Timeouts.Query.
-	//
-	// Deprecated: set Timeouts.Query.
-	QueryTimeout time.Duration
-	// HistoryDir is a deprecated alias for History.Dir.
-	//
-	// Deprecated: set History.Dir.
-	HistoryDir string
-	// HistoryFsync is a deprecated alias for History.Fsync.
-	//
-	// Deprecated: set History.Fsync.
-	HistoryFsync string
-	// HistoryCheckpointInterval is a deprecated alias for
-	// History.CheckpointInterval.
-	//
-	// Deprecated: set History.CheckpointInterval.
-	HistoryCheckpointInterval time.Duration
-	// HistoryMaxDiskBytes is a deprecated alias for History.MaxDiskBytes.
-	//
-	// Deprecated: set History.MaxDiskBytes.
-	HistoryMaxDiskBytes int64
-	// SubscribeQueue is a deprecated alias for Push.Queue.
-	//
-	// Deprecated: set Push.Queue.
-	SubscribeQueue int
-	// SubscribeStall is a deprecated alias for Push.Stall.
-	//
-	// Deprecated: set Push.Stall.
-	SubscribeStall time.Duration
-}
-
-// reconcile merges the deprecated flat aliases into the sub-structs
-// (sub-struct wins when both are set) and mirrors the result back onto
-// the aliases so readers of either spelling agree.
-func (o *Options) reconcile() {
-	if o.Timeouts.Agent == 0 {
-		o.Timeouts.Agent = o.AgentTimeout
-	}
-	if o.Timeouts.Harvest == 0 {
-		o.Timeouts.Harvest = o.HarvestTimeout
-	}
-	if o.Timeouts.Query == 0 {
-		o.Timeouts.Query = o.QueryTimeout
-	}
-	if o.History.Dir == "" {
-		o.History.Dir = o.HistoryDir
-	}
-	if o.History.Fsync == "" {
-		o.History.Fsync = o.HistoryFsync
-	}
-	if o.History.CheckpointInterval == 0 {
-		o.History.CheckpointInterval = o.HistoryCheckpointInterval
-	}
-	if o.History.MaxDiskBytes == 0 {
-		o.History.MaxDiskBytes = o.HistoryMaxDiskBytes
-	}
-	if o.Push.Queue == 0 {
-		o.Push.Queue = o.SubscribeQueue
-	}
-	if o.Push.Stall == 0 {
-		o.Push.Stall = o.SubscribeStall
-	}
-	o.AgentTimeout = o.Timeouts.Agent
-	o.HarvestTimeout = o.Timeouts.Harvest
-	o.QueryTimeout = o.Timeouts.Query
-	o.HistoryDir = o.History.Dir
-	o.HistoryFsync = o.History.Fsync
-	o.HistoryCheckpointInterval = o.History.CheckpointInterval
-	o.HistoryMaxDiskBytes = o.History.MaxDiskBytes
-	o.SubscribeQueue = o.Push.Queue
-	o.SubscribeStall = o.Push.Stall
 }
 
 // CoreConfig maps the gateway-relevant options onto a core.Config for the
 // given site name. NewGateway and the cmd binaries use this so every knob
 // flows through one translation instead of ad-hoc field copying.
 func (o Options) CoreConfig(name string) core.Config {
-	o.reconcile()
 	return core.Config{
 		Name:                  name,
 		HarvestTimeout:        o.Timeouts.Harvest,
@@ -237,7 +131,6 @@ func (o Options) CoreConfig(name string) core.Config {
 		Retry:                 o.Retry,
 		Breaker:               o.Breaker,
 		MaxConcurrentHarvests: o.MaxConcurrentHarvests,
-		DisableCoalescing:     o.DisableCoalescing,
 		StaleGrace:            o.StaleGrace,
 		Probe:                 health.Options{Interval: o.ProbeInterval},
 		Trace:                 o.Trace,
@@ -252,7 +145,6 @@ func (o Options) CoreConfig(name string) core.Config {
 }
 
 func (o *Options) fill() {
-	o.reconcile()
 	if o.Name == "" {
 		o.Name = "site"
 	}
@@ -265,12 +157,8 @@ func (o *Options) fill() {
 	if o.Timeouts.Agent <= 0 {
 		o.Timeouts.Agent = 2 * time.Second
 	}
-	o.AgentTimeout = o.Timeouts.Agent
 	if o.CoarseCacheTTL == 0 {
 		o.CoarseCacheTTL = time.Second
-	}
-	if o.Federation.Role == "" {
-		o.Federation.Role = "site"
 	}
 }
 
@@ -445,7 +333,7 @@ func ParseManifest(data []byte) (Manifest, error) {
 // location instead.
 func SourceConfigs(m Manifest, opts Options, dynamic bool) []core.SourceConfig {
 	opts.fill()
-	timeout := opts.AgentTimeout.String()
+	timeout := opts.Timeouts.Agent.String()
 	coarseTTL := opts.CoarseCacheTTL.String()
 	if opts.CoarseCacheTTL < 0 {
 		coarseTTL = "0s"

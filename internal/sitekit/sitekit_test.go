@@ -122,52 +122,22 @@ func TestHostPortParts(t *testing.T) {
 	}
 }
 
-func TestOptionsNestedAndFlatAliases(t *testing.T) {
-	// Flat (deprecated) spellings flow into the nested groups.
-	flat := Options{
-		AgentTimeout:              3 * time.Second,
-		HarvestTimeout:            4 * time.Second,
-		QueryTimeout:              5 * time.Second,
-		HistoryDir:                "/tmp/h",
-		HistoryFsync:              "always",
-		HistoryCheckpointInterval: time.Minute,
-		HistoryMaxDiskBytes:       1024,
-		SubscribeQueue:            7,
-		SubscribeStall:            8 * time.Second,
+func TestOptionsCoreConfig(t *testing.T) {
+	o := Options{
+		Timeouts: TimeoutOptions{Harvest: 4 * time.Second, Query: 5 * time.Second},
+		History: HistoryOptions{Dir: "/tmp/h", Fsync: "always",
+			CheckpointInterval: time.Minute, MaxDiskBytes: 1024},
+		Push: PushOptions{Queue: 7, Stall: 8 * time.Second},
 	}
-	cfg := flat.CoreConfig("s")
-	if cfg.HarvestTimeout != 4*time.Second || cfg.QueryTimeout != 5*time.Second {
-		t.Errorf("flat timeouts not honoured: %+v", cfg)
+	cfg := o.CoreConfig("s")
+	if cfg.Name != "s" || cfg.HarvestTimeout != 4*time.Second || cfg.QueryTimeout != 5*time.Second {
+		t.Errorf("timeouts not mapped: %+v", cfg)
 	}
 	if cfg.Durable.Dir != "/tmp/h" || cfg.Durable.Fsync != "always" ||
 		cfg.Durable.CheckpointInterval != time.Minute || cfg.Durable.MaxDiskBytes != 1024 {
-		t.Errorf("flat history not honoured: %+v", cfg.Durable)
+		t.Errorf("history not mapped: %+v", cfg.Durable)
 	}
 	if cfg.Push.QueueSize != 7 || cfg.Push.Stall != 8*time.Second {
-		t.Errorf("flat push not honoured: %+v", cfg.Push)
-	}
-	flat.fill()
-	if flat.Timeouts.Agent != 3*time.Second {
-		t.Errorf("AgentTimeout alias not merged: %+v", flat.Timeouts)
-	}
-
-	// When both spellings are set, the nested group wins, and fill()
-	// mirrors it back onto the alias so old readers agree.
-	both := Options{
-		Timeouts:       TimeoutOptions{Harvest: time.Second},
-		HarvestTimeout: 9 * time.Second,
-		History:        HistoryOptions{Dir: "/tmp/new"},
-		HistoryDir:     "/tmp/old",
-	}
-	cfg = both.CoreConfig("s")
-	if cfg.HarvestTimeout != time.Second || cfg.Durable.Dir != "/tmp/new" {
-		t.Errorf("nested fields must win: %+v, %+v", cfg.HarvestTimeout, cfg.Durable.Dir)
-	}
-	both.fill()
-	if both.HarvestTimeout != time.Second || both.HistoryDir != "/tmp/new" {
-		t.Errorf("aliases not mirrored back: %+v", both)
-	}
-	if both.Federation.Role != "site" {
-		t.Errorf("default federation role = %q, want site", both.Federation.Role)
+		t.Errorf("push not mapped: %+v", cfg.Push)
 	}
 }

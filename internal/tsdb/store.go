@@ -1,8 +1,8 @@
 package tsdb
 
 import (
+	"context"
 	"fmt"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"sync"
@@ -10,6 +10,7 @@ import (
 
 	"gridrm/internal/history"
 	"gridrm/internal/resultset"
+	"gridrm/internal/retry"
 )
 
 // Options configures a durable Store.
@@ -112,8 +113,9 @@ type Store struct {
 	segmentsDropped  int64
 	lastCheckpoint   time.Time
 
-	ckptMu    sync.Mutex // serializes checkpoint writes
-	stopCh    chan struct{}
+	ckptMu    sync.Mutex      // serializes checkpoint writes
+	stopCtx   context.Context // cancelled by Close/CrashClose to end the background loops
+	stop      context.CancelFunc
 	wg        sync.WaitGroup
 	closeOnce sync.Once
 }
@@ -142,7 +144,8 @@ type Stats struct {
 // newest valid checkpoint plus the WAL tail before Open returns, so the
 // degradation ladder's history tier serves pre-restart samples immediately.
 func Open(opts Options, mem *history.Store) *Store {
-	s := &Store{mem: mem, opts: opts.withDefaults(), stopCh: make(chan struct{})}
+	s := &Store{mem: mem, opts: opts.withDefaults()}
+	s.stopCtx, s.stop = context.WithCancel(context.Background())
 	s.mu.Lock()
 	if err := s.attachLocked(); err != nil {
 		s.alert(fmt.Sprintf("history dir unusable, running memory-only: %v", err))
@@ -355,16 +358,10 @@ func (s *Store) startReattachLocked() {
 // memory-only become durable.
 func (s *Store) reattachLoop() {
 	defer s.wg.Done()
-	backoff := s.opts.ReattachBackoff
-	const maxBackoff = time.Minute
-	for {
-		delay := backoff + time.Duration(rand.Int63n(int64(backoff)))
-		timer := time.NewTimer(delay)
-		select {
-		case <-s.stopCh:
-			timer.Stop()
+	backoff := retry.Backoff{Base: s.opts.ReattachBackoff, Max: time.Minute}
+	for attempt := 0; ; attempt++ {
+		if retry.Sleep(s.stopCtx, backoff.Delay(attempt)) != nil {
 			return
-		case <-timer.C:
 		}
 		s.mu.Lock()
 		if s.closed {
@@ -381,9 +378,6 @@ func (s *Store) reattachLoop() {
 			return
 		}
 		s.mu.Unlock()
-		if backoff *= 2; backoff > maxBackoff {
-			backoff = maxBackoff
-		}
 	}
 }
 
@@ -461,7 +455,7 @@ func (s *Store) checkpointLoop() {
 	defer ticker.Stop()
 	for {
 		select {
-		case <-s.stopCh:
+		case <-s.stopCtx.Done():
 			return
 		case <-ticker.C:
 			_ = s.Checkpoint()
@@ -548,7 +542,7 @@ func (s *Store) setFailWrites(err error) {
 func (s *Store) Close() error {
 	var err error
 	s.closeOnce.Do(func() {
-		close(s.stopCh)
+		s.stop()
 		err = s.Checkpoint()
 		s.mu.Lock()
 		s.closed = true
@@ -570,7 +564,7 @@ func (s *Store) Close() error {
 // whatever did not models a torn tail for recovery to deal with.
 func (s *Store) CrashClose() {
 	s.closeOnce.Do(func() {
-		close(s.stopCh)
+		s.stop()
 		s.mu.Lock()
 		s.closed = true
 		if s.w != nil {

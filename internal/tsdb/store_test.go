@@ -291,17 +291,16 @@ func TestDiskFaultDegradesThenReattaches(t *testing.T) {
 	s.setFailWrites(nil)
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if st := s.Stats(); st.State == "durable" && st.Reattaches == 1 {
+		// The re-attach checkpoint (which captures the memory-only window)
+		// runs after the state flips, so "re-attached, checkpoint still in
+		// flight" is a legitimate intermediate Stats view: wait for both.
+		if st := s.Stats(); st.State == "durable" && st.Reattaches == 1 && st.Checkpoints > 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("never re-attached: %+v", s.Stats())
+			t.Fatalf("never re-attached and checkpointed: %+v", s.Stats())
 		}
 		time.Sleep(2 * time.Millisecond)
-	}
-	// The re-attach checkpoint captured the memory-only window.
-	if st := s.Stats(); st.Checkpoints == 0 {
-		t.Fatalf("no checkpoint after re-attach: %+v", st)
 	}
 }
 

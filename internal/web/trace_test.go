@@ -52,10 +52,10 @@ func TestCrossGatewayTracePropagation(t *testing.T) {
 	gwA, srvA := traceSite(t, "siteA", []string{"a1", "a2"}, core.Config{})
 	gwB, srvB := traceSite(t, "siteB", []string{"b1"}, core.Config{})
 	_ = gwB
-	if err := dir.Register(gma.Registration{Name: "siteB", Endpoint: srvB.URL}); err != nil {
+	if err := dir.RegisterContext(context.Background(), gma.Registration{Name: "siteB", Endpoint: srvB.URL}); err != nil {
 		t.Fatal(err)
 	}
-	gwA.SetGlobalRouter(gma.NewContextRouter(dir, RemoteQueryContext, "siteA"))
+	gwA.SetGlobalRouter(gma.NewRouter(dir, RemoteQueryContext, "siteA", gma.Config{}))
 
 	client := &Client{BaseURL: srvA.URL,
 		Principal: security.Principal{Name: "admin", Roles: []string{"operator"}}}

@@ -355,10 +355,10 @@ func TestSitesAndGMAMounted(t *testing.T) {
 	}
 	// The mounted directory answers under /gma/.
 	dc := &gma.DirectoryClient{BaseURL: f.srv.URL}
-	if err := dc.Register(gma.Registration{Name: "X", Endpoint: "http://x"}); err != nil {
+	if err := dc.RegisterContext(context.Background(), gma.Registration{Name: "X", Endpoint: "http://x"}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := dc.Sites()
+	got, err := dc.SitesContext(context.Background())
 	if err != nil || len(got) != 1 {
 		t.Errorf("gma sites %v, %v", got, err)
 	}
@@ -383,8 +383,8 @@ func TestTwoGatewayFederation(t *testing.T) {
 
 	// Gateway A routes via the directory.
 	f := newFixture(t, nil)
-	_ = dir.Register(gma.Registration{Name: "siteB", Endpoint: srvB.URL})
-	router := gma.NewContextRouter(dir, RemoteQueryContext, "siteA")
+	_ = dir.RegisterContext(context.Background(), gma.Registration{Name: "siteB", Endpoint: srvB.URL})
+	router := gma.NewRouter(dir, RemoteQueryContext, "siteA", gma.Config{})
 	f.gw.SetGlobalRouter(router)
 
 	resp, err := f.client.Query(context.Background(), core.QueryOptions{
