@@ -252,14 +252,21 @@ collect:
 	g.observeStage(StageFanout, fanoutStart)
 
 	var merged *resultset.ResultSet
-	var statuses []SourceStatus
-	answered := 0
+	rows, sources, answered := 0, 0, 0
+	for _, lr := range results {
+		sources += len(lr.statuses)
+		for _, rs := range lr.results {
+			rows += rs.Len()
+		}
+	}
+	statuses := make([]SourceStatus, 0, sources)
 	for _, lr := range results {
 		answered += lr.answered
 		statuses = append(statuses, lr.statuses...)
 		for _, rs := range lr.results {
 			if merged == nil {
 				merged = resultset.New(rs.Metadata())
+				merged.Grow(rows)
 			}
 			if err := merged.Merge(rs); err != nil {
 				statuses = append(statuses, SourceStatus{

@@ -420,6 +420,13 @@ collect:
 		return nil, err
 	}
 	merged := resultset.New(meta)
+	total := 0
+	for _, rs := range results {
+		if rs != nil {
+			total += rs.Len()
+		}
+	}
+	merged.Grow(total)
 	for i, rs := range results {
 		if rs == nil {
 			continue

@@ -88,8 +88,8 @@ func (g *Group) FieldNames() []string {
 // Field returns the field with the given name (case-insensitive) and
 // whether it exists.
 func (g *Group) Field(name string) (Field, bool) {
-	i, ok := g.index[strings.ToLower(name)]
-	if !ok {
+	i := g.FieldIndex(name)
+	if i < 0 {
 		return Field{}, false
 	}
 	return g.Fields[i], true
@@ -97,12 +97,16 @@ func (g *Group) Field(name string) (Field, bool) {
 
 // FieldIndex returns the position of the named field (case-insensitive)
 // in the group's canonical order, or -1 if the group has no such field.
+// The index holds canonical and lower-case spellings, so only a name in
+// some third spelling pays for folding.
 func (g *Group) FieldIndex(name string) int {
-	i, ok := g.index[strings.ToLower(name)]
-	if !ok {
-		return -1
+	if i, ok := g.index[name]; ok {
+		return i
 	}
-	return i
+	if i, ok := g.index[strings.ToLower(name)]; ok {
+		return i
+	}
+	return -1
 }
 
 // KeyFields returns the names of the group's key fields in canonical order.
@@ -133,26 +137,32 @@ var groups = map[string]*Group{}
 var groupNames []string
 
 func register(g *Group) *Group {
-	g.index = make(map[string]int, len(g.Fields))
+	g.index = make(map[string]int, 2*len(g.Fields))
 	for i, f := range g.Fields {
 		key := strings.ToLower(f.Name)
 		if _, dup := g.index[key]; dup {
 			panic("glue: duplicate field " + f.Name + " in group " + g.Name)
 		}
 		g.index[key] = i
+		g.index[f.Name] = i
 	}
 	lower := strings.ToLower(g.Name)
 	if _, dup := groups[lower]; dup {
 		panic("glue: duplicate group " + g.Name)
 	}
 	groups[lower] = g
+	groups[g.Name] = g
 	groupNames = append(groupNames, g.Name)
 	sort.Strings(groupNames)
 	return g
 }
 
-// Lookup returns the group with the given name (case-insensitive).
+// Lookup returns the group with the given name (case-insensitive). Like
+// FieldIndex, it folds only a name that is neither canonical nor lower-case.
 func Lookup(name string) (*Group, bool) {
+	if g, ok := groups[name]; ok {
+		return g, true
+	}
 	g, ok := groups[strings.ToLower(name)]
 	return g, ok
 }

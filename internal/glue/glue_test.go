@@ -206,3 +206,32 @@ func TestEveryGroupHasKeyAndHostContext(t *testing.T) {
 		}
 	}
 }
+
+// Lookups by a canonical (or lower-case) name are on every query's path and
+// must not fold, which allocates; any other spelling still resolves.
+func TestCanonicalLookupsDoNotAllocate(t *testing.T) {
+	p := MustLookup(GroupProcessor)
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, ok := Lookup("Processor"); !ok {
+			t.Fatal("Processor missing")
+		}
+		if _, ok := Lookup("processor"); !ok {
+			t.Fatal("processor missing")
+		}
+		if p.FieldIndex("LoadLast1Min") != 6 || p.FieldIndex("loadlast1min") != 6 {
+			t.Fatal("LoadLast1Min misplaced")
+		}
+		if f, ok := p.Field("HostName"); !ok || !f.Key {
+			t.Fatal("HostName missing")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("canonical lookups allocate %.0f times", allocs)
+	}
+	if p.FieldIndex("LOADLAST1MIN") != 6 || p.FieldIndex("loadLast1min") != 6 {
+		t.Error("folded field lookup lost")
+	}
+	if _, ok := p.Field("hOSTnAME"); !ok {
+		t.Error("folded Field lost")
+	}
+}

@@ -169,13 +169,17 @@ func (s *Store) Query(group, source string, since, until time.Time) (*resultset.
 		}
 		return hits[i].source < hits[j].source
 	})
-	b := resultset.NewBuilder(meta)
+	total := 0
 	for _, h := range hits {
+		total += len(h.rows)
+	}
+	b := resultset.NewBuilder(meta).Grow(total)
+	for _, h := range hits {
+		source, at := any(h.source), any(h.at) // boxed once per sample, not per row
 		for _, row := range h.rows {
 			full := make([]any, 0, len(row)+2)
 			full = append(full, row...)
-			full = append(full, h.source, h.at)
-			b.Append(full...)
+			b.AppendOwned(append(full, source, at))
 		}
 	}
 	return b.Build()

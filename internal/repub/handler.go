@@ -1,16 +1,12 @@
 package repub
 
 import (
-	"encoding/json"
 	"net/http"
 	"strings"
 
 	"gridrm/internal/security"
 	"gridrm/internal/web"
 )
-
-// maxQueryBody bounds POST /query bodies, mirroring the site servlet.
-const maxQueryBody = 1 << 20
 
 // Handler exposes the republisher over the same wire protocol as a site
 // gateway's servlet interface: POST /query speaks web.WireRequest /
@@ -30,8 +26,7 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var wr web.WireRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxQueryBody)).Decode(&wr); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if !web.ReadJSON(w, r, &wr) {
 		return
 	}
 	req, err := wr.ToCoreRequest()
@@ -45,8 +40,7 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(web.EncodeResponse(resp))
+	web.WriteJSON(w, web.EncodeResponse(resp))
 }
 
 func (g *Gateway) handleStatus(w http.ResponseWriter, r *http.Request) {
@@ -54,8 +48,7 @@ func (g *Gateway) handleStatus(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(struct {
+	web.WriteJSON(w, struct {
 		Name  string   `json:"name"`
 		Owns  []string `json:"owns"`
 		Stats Stats    `json:"stats"`

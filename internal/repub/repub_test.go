@@ -3,6 +3,8 @@ package repub
 import (
 	"context"
 	"fmt"
+	"math"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync/atomic"
@@ -84,6 +86,52 @@ func TestStoreSnapshotThenLiveTransition(t *testing.T) {
 	s.RemoveSite("A")
 	if _, _, ok := s.Merged(glue.GroupProcessor, []string{"A"}); ok {
 		t.Fatal("removed site still answers")
+	}
+}
+
+// A region answer shares the stored rows instead of copying them, so it
+// must be a snapshot all the same: upserts that land while the answer is
+// being read (run under -race) replace stored rows and never write into
+// the ones the answer holds.
+func TestMergedAnswerSurvivesLaterUpserts(t *testing.T) {
+	s := NewStore()
+	now := time.Now()
+	cols := []string{"HostName", "LoadLast1Min"}
+	s.SetSnapshot("A", glue.GroupProcessor, procRows(t, [2]any{"a1", 1.0}), now)
+	for i := 0; i < 8; i++ {
+		s.Upsert("B", glue.GroupProcessor, fmt.Sprint("src", i), cols, []any{fmt.Sprint("b", i), float64(i)}, now)
+	}
+	rs, _, ok := s.Merged(glue.GroupProcessor, []string{"A", "B"})
+	if !ok || rs.Len() != 9 {
+		t.Fatalf("merged view: ok=%v len=%d", ok, rs.Len())
+	}
+	before := rs.String()
+
+	snaps := []*resultset.ResultSet{
+		procRows(t, [2]any{"a1", 9.0}, [2]any{"a2", 0.5}),
+		procRows(t, [2]any{"a1", 8.0}, [2]any{"a2", 0.25}),
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for round := 1; round <= 50; round++ {
+			for i := 0; i < 8; i++ {
+				s.Upsert("B", glue.GroupProcessor, fmt.Sprint("src", i), cols, []any{fmt.Sprint("b", i), float64(100 * round)}, now)
+			}
+			s.SetSnapshot("A", glue.GroupProcessor, snaps[round%2], now)
+		}
+	}()
+	for i := 0; i < 50; i++ {
+		if got := rs.String(); got != before {
+			t.Fatalf("answer changed under a later upsert:\n%s\nwas\n%s", got, before)
+		}
+	}
+	<-done
+	if got := rs.String(); got != before {
+		t.Fatalf("answer changed after later upserts:\n%s\nwas\n%s", got, before)
+	}
+	if again, _, _ := s.Merged(glue.GroupProcessor, []string{"A", "B"}); again.Len() != 10 {
+		t.Fatalf("fresh answer has %d rows, want 10", again.Len())
 	}
 }
 
@@ -358,6 +406,23 @@ func TestHandlerSpeaksServletWireProtocol(t *testing.T) {
 		SQL: "SELECT HostName FROM Processor", Site: "not-owned",
 	}); err == nil {
 		t.Fatal("unowned wire query did not error")
+	}
+	// A non-finite load in a view is a NULL cell, not an empty 200.
+	g.store.SetSnapshot("site-0", glue.GroupProcessor, procRows(t, [2]any{"h0", math.NaN()}), time.Now())
+	resp, err = web.RemoteQueryContext(context.Background(), srv.URL, core.QueryOptions{
+		SQL: "SELECT HostName, LoadLast1Min FROM Processor", Site: "site-0",
+	})
+	if err != nil || resp.ResultSet.Len() != 1 || resp.ResultSet.RowAt(0)[0] != "h0" || resp.ResultSet.RowAt(0)[1] != nil {
+		t.Fatalf("NaN view over the wire = %v, %v", resp, err)
+	}
+	// An oversized request is refused by the same rule as on a site servlet.
+	big, err := http.Post(srv.URL+"/query", "application/json", strings.NewReader(`{"sql":"`+strings.Repeat("x", web.MaxRequestBody)+`"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	big.Body.Close()
+	if big.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized request -> %d, want 413", big.StatusCode)
 	}
 }
 

@@ -137,10 +137,18 @@ type SiteFreshness struct {
 // for the group, plus per-site freshness. Sites with no view yet simply
 // contribute nothing (freshness reports zero rows). ok is false when no
 // site has metadata for the group — the caller falls back to the GLUE
-// schema for an empty answer.
+// schema for an empty answer. The answer shares the stored rows: Upsert and
+// SetSnapshot replace a stored row and never write into one, so an answer
+// does not change under later updates.
 func (s *Store) Merged(group string, sites []string) (*resultset.ResultSet, []SiteFreshness, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	total := 0
+	for _, site := range sites {
+		if gv, ok := s.sites[site][group]; ok {
+			total += len(gv.rows)
+		}
+	}
 	var out *resultset.ResultSet
 	fresh := make([]SiteFreshness, 0, len(sites))
 	for _, site := range sites {
@@ -148,10 +156,11 @@ func (s *Store) Merged(group string, sites []string) (*resultset.ResultSet, []Si
 		if gv, ok := s.sites[site][group]; ok && gv.meta != nil {
 			if out == nil {
 				out = resultset.New(gv.meta)
+				out.Grow(total)
 			}
-			b := resultset.NewBuilder(gv.meta)
+			b := resultset.NewBuilder(gv.meta).Grow(len(gv.rows))
 			for _, sr := range gv.rows {
-				b.Append(sr.row...)
+				b.AppendOwned(sr.row)
 			}
 			if rs, err := b.Build(); err == nil {
 				if err := out.Merge(rs); err == nil {

@@ -46,28 +46,62 @@ type Metadata struct {
 }
 
 // NewMetadata builds Metadata from a column list. Column names must be
-// non-empty and unique (case-insensitively).
+// non-empty and unique (case-insensitively). The index is keyed by the
+// names as given, so building it folds nothing; the uniqueness check
+// compares each name with the ones before it, which is quadratic in the
+// column count — callers that take columns from outside the program bound
+// that count first.
 func NewMetadata(cols []Column) (*Metadata, error) {
 	m := &Metadata{cols: append([]Column(nil), cols...), index: make(map[string]int, len(cols))}
-	for i, c := range cols {
+	for i, c := range m.cols {
 		if c.Name == "" {
 			return nil, fmt.Errorf("resultset: column %d has empty name", i)
 		}
-		key := strings.ToLower(c.Name)
-		if _, dup := m.index[key]; dup {
+		if _, dup := m.index[c.Name]; dup || foldIndex(m.cols[:i], c.Name) >= 0 {
 			return nil, fmt.Errorf("resultset: duplicate column %q", c.Name)
 		}
-		m.index[key] = i
+		m.index[c.Name] = i
 	}
 	return m, nil
 }
+
+// foldIndex returns the first column whose name equals name under case
+// folding, or -1.
+func foldIndex(cols []Column, name string) int {
+	for i := range cols {
+		if strings.EqualFold(cols[i].Name, name) {
+			return i
+		}
+	}
+	return -1
+}
+
+// groupMetadata holds the all-fields Metadata of every schema group, built
+// once: Metadata is immutable, and every harvest, consolidation and history
+// read asks for one of these.
+var groupMetadata = func() map[*glue.Group]*Metadata {
+	table := make(map[*glue.Group]*Metadata)
+	for _, g := range glue.Groups() {
+		if m, err := metadataForFields(g, g.FieldNames()); err == nil {
+			table[g] = m
+		}
+	}
+	return table
+}()
 
 // MetadataForGroup derives Metadata covering the named fields of a GLUE
 // group; fields is nil or empty for all fields in canonical order.
 func MetadataForGroup(g *glue.Group, fields []string) (*Metadata, error) {
 	if len(fields) == 0 {
+		if m, ok := groupMetadata[g]; ok {
+			return m, nil
+		}
 		fields = g.FieldNames()
 	}
+	return metadataForFields(g, fields)
+}
+
+func metadataForFields(g *glue.Group, fields []string) (*Metadata, error) {
 	cols := make([]Column, 0, len(fields))
 	for _, name := range fields {
 		f, ok := g.Field(name)
@@ -89,13 +123,13 @@ func (m *Metadata) Column(i int) Column { return m.cols[i] }
 func (m *Metadata) Columns() []Column { return append([]Column(nil), m.cols...) }
 
 // ColumnIndex returns the 0-based index of the named column
-// (case-insensitive), or -1 if absent.
+// (case-insensitive), or -1 if absent. A name spelled as the column was
+// declared is one map read; only another spelling is compared under folding.
 func (m *Metadata) ColumnIndex(name string) int {
-	i, ok := m.index[strings.ToLower(name)]
-	if !ok {
-		return -1
+	if i, ok := m.index[name]; ok {
+		return i
 	}
-	return i
+	return foldIndex(m.cols, name)
 }
 
 // ColumnNames returns the column labels in order.
@@ -130,6 +164,14 @@ func (rs *ResultSet) Metadata() *Metadata { return rs.meta }
 
 // Len returns the number of rows.
 func (rs *ResultSet) Len() int { return len(rs.rows) }
+
+// Grow reserves room for n more rows, so a caller that knows how many it is
+// about to Merge or append pays for one row-slice allocation.
+func (rs *ResultSet) Grow(n int) {
+	if n > cap(rs.rows)-len(rs.rows) {
+		rs.rows = append(make([][]any, 0, len(rs.rows)+n), rs.rows...)
+	}
+}
 
 // Next advances the cursor to the next row, returning false past the end.
 func (rs *ResultSet) Next() bool {
@@ -308,27 +350,52 @@ func NewBuilder(meta *Metadata) *Builder {
 	return &Builder{rs: New(meta)}
 }
 
-// Append adds a row; the value count must match the column count and each
-// value's dynamic type must match its column kind (nil is NULL). The first
-// error sticks and is reported by Build.
+// Grow reserves room for n more rows (see ResultSet.Grow).
+func (b *Builder) Grow(n int) *Builder {
+	b.rs.Grow(n)
+	return b
+}
+
+// Append adds a copy of row; the value count must match the column count and
+// each value's dynamic type must match its column kind (nil is NULL). The
+// first error sticks and is reported by Build.
 func (b *Builder) Append(row ...any) *Builder {
+	if b.check(row) {
+		b.rs.rows = append(b.rs.rows, append([]any(nil), row...))
+	}
+	return b
+}
+
+// AppendOwned is Append without the copy: the ResultSet keeps row itself, so
+// the caller must not write to it afterwards. It is for rows that are already
+// immutable (a store's retained rows) or were made for this ResultSet (a
+// decoder's), where the copy would be the only reason each row is allocated
+// twice.
+func (b *Builder) AppendOwned(row []any) *Builder {
+	if b.check(row) {
+		b.rs.rows = append(b.rs.rows, row)
+	}
+	return b
+}
+
+// check validates row against the metadata, recording the first failure.
+func (b *Builder) check(row []any) bool {
 	if b.err != nil {
-		return b
+		return false
 	}
 	m := b.rs.meta
-	if len(row) != m.ColumnCount() {
-		b.err = fmt.Errorf("resultset: row has %d values, want %d", len(row), m.ColumnCount())
-		return b
+	if len(row) != len(m.cols) {
+		b.err = fmt.Errorf("resultset: row has %d values, want %d", len(row), len(m.cols))
+		return false
 	}
 	for i, v := range row {
-		c := m.Column(i)
+		c := &m.cols[i]
 		if err := glue.CheckValue(glue.Field{Name: c.Name, Kind: c.Kind}, v); err != nil {
 			b.err = err
-			return b
+			return false
 		}
 	}
-	b.rs.rows = append(b.rs.rows, append([]any(nil), row...))
-	return b
+	return true
 }
 
 // Build returns the accumulated ResultSet or the first append error.

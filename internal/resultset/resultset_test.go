@@ -450,3 +450,67 @@ func TestGroupKey(t *testing.T) {
 		t.Error("string boundaries not preserved in group keys")
 	}
 }
+
+func TestAppendOwnedValidatesWithoutCopying(t *testing.T) {
+	m := mustMeta(t, []Column{{Name: "N", Kind: glue.Int}, {Name: "S", Kind: glue.String}})
+	row := []any{int64(1), "a"}
+	rs, err := NewBuilder(m).Grow(2).AppendOwned(row).Append(int64(2), nil).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.Len() != 2 || &rs.RowAt(0)[0] != &row[0] {
+		t.Error("AppendOwned copied the row it was given")
+	}
+	if _, err := NewBuilder(m).AppendOwned([]any{int64(1)}).Build(); err == nil {
+		t.Error("short owned row accepted")
+	}
+	if _, err := NewBuilder(m).AppendOwned([]any{"x", "a"}).Build(); err == nil {
+		t.Error("mistyped owned row accepted")
+	}
+}
+
+func TestGrowKeepsRowsAndReservesRoom(t *testing.T) {
+	rs := sampleRS(t)
+	before := rs.String()
+	rs.Grow(100)
+	if rs.String() != before {
+		t.Error("Grow changed the rows")
+	}
+	other := sampleRS(t)
+	if allocs := testing.AllocsPerRun(1, func() { _ = rs.Merge(other) }); allocs != 0 {
+		t.Errorf("Merge into reserved room allocated %.0f times", allocs)
+	}
+}
+
+// Column lookups by the declared spelling, NewMetadata and the all-fields
+// group metadata are on every query's path; none of them folds a name.
+func TestNameLookupsDoNotAllocate(t *testing.T) {
+	g := glue.MustLookup(glue.GroupProcessor)
+	m, err := MetadataForGroup(g, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if m.ColumnIndex("LoadLast1Min") != 6 || m.ColumnIndex("Bogus") != -1 {
+			t.Fatal("ColumnIndex wrong")
+		}
+		if again, _ := MetadataForGroup(g, nil); again != m {
+			t.Fatal("all-fields group metadata rebuilt")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("lookups allocate %.0f times", allocs)
+	}
+	if m.ColumnIndex("LOADLAST1MIN") != 6 || m.ColumnIndex("loadlast1min") != 6 {
+		t.Error("folded ColumnIndex lost")
+	}
+	cols := m.Columns()
+	// NewMetadata: the Metadata, its column copy and its index's buckets;
+	// nothing per name (folding each of ten names made it 16).
+	if allocs := testing.AllocsPerRun(100, func() { _, _ = NewMetadata(cols) }); allocs > 6 {
+		t.Errorf("NewMetadata of %d columns allocates %.0f times", len(cols), allocs)
+	}
+	if _, err := NewMetadata([]Column{{Name: "HostName"}, {Name: "Load"}, {Name: "HOSTNAME"}}); err == nil {
+		t.Error("case-insensitive duplicate accepted")
+	}
+}

@@ -76,7 +76,11 @@ func (c *Client) doContext(ctx context.Context, method, path string, body any, o
 		return fmt.Errorf("web: %s %s: %s: %s", method, path, resp.Status, strings.TrimSpace(string(msg)))
 	}
 	if out != nil {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		data, err := readBody(resp.Body, resp.ContentLength, maxResponseBody)
+		if err != nil {
+			return fmt.Errorf("web: reading %s response: %w", path, err)
+		}
+		if err := json.Unmarshal(data, out); err != nil {
 			return fmt.Errorf("web: decoding %s response: %w", path, err)
 		}
 	}

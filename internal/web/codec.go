@@ -1,0 +1,694 @@
+package web
+
+import (
+	"encoding/json"
+	"errors"
+	"fmt"
+	"math"
+	"slices"
+	"strconv"
+	"strings"
+	"time"
+	"unicode/utf8"
+
+	"gridrm/internal/glue"
+	"gridrm/internal/resultset"
+)
+
+// The ResultSet wire codec. A result is the JSON object
+//
+//	{"columns":[{"name":…,"kind":…,"unit":…,"group":…},…],"rows":[[cell,…],…]}
+//
+// and the column kind fixes each cell's JSON form (DESIGN.md, "Wire
+// contract"). WireResult writes and reads that object itself, without
+// reflection and without an intermediate [][]any: rows are appended to one
+// buffer straight from the ResultSet and scanned back straight into the
+// ResultSet's own row slices.
+
+// maxWireColumns bounds the columns a decoded result may declare. GLUE
+// groups have about ten; the bound keeps resultset.NewMetadata's pairwise
+// name check cheap on a hostile body.
+const maxWireColumns = 1024
+
+// MarshalJSON implements json.Marshaler. A non-finite Float cell is written
+// as null: JSON has no NaN or Inf, and a driver's 0/0 is an unknown value,
+// which is what SQL NULL means.
+func (wr WireResult) MarshalJSON() ([]byte, error) {
+	rs := wr.ResultSet
+	if rs == nil {
+		return nil, errors.New("web: no result set to encode")
+	}
+	meta := rs.Metadata()
+	size := len(`{"columns":[],"rows":[]}`)
+	for i := 0; i < meta.ColumnCount(); i++ {
+		c := meta.Column(i)
+		size += len(`{"name":"","kind":"string","unit":"","group":""},`) + len(c.Name) + len(c.Unit) + len(c.Group)
+	}
+	buf := make([]byte, 0, size)
+	buf = append(buf, `{"columns":[`...)
+	for i := 0; i < meta.ColumnCount(); i++ {
+		c := meta.Column(i)
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = appendString(append(buf, `{"name":`...), c.Name)
+		buf = appendString(append(buf, `,"kind":`...), c.Kind.String())
+		if c.Unit != "" {
+			buf = appendString(append(buf, `,"unit":`...), c.Unit)
+		}
+		if c.Group != "" {
+			buf = appendString(append(buf, `,"group":`...), c.Group)
+		}
+		buf = append(buf, '}')
+	}
+	buf = append(buf, `],"rows":[`...)
+	for r, n := 0, rs.Len(); r < n; r++ {
+		start := len(buf)
+		if r > 0 {
+			buf = append(buf, ',')
+		}
+		var err error
+		if buf, err = appendRow(buf, rs.RowAt(r)); err != nil {
+			return nil, fmt.Errorf("web: row %d: %w", r, err)
+		}
+		if r == 0 {
+			// The first row sizes the rest: one growth, an eighth to spare.
+			buf = slices.Grow(buf, (len(buf)-start+1)*(n-1)*9/8+len(`]}`))
+		}
+	}
+	return append(buf, `]}`...), nil
+}
+
+func appendRow(buf []byte, row []any) ([]byte, error) {
+	buf = append(buf, '[')
+	for i, v := range row {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		switch x := v.(type) {
+		case nil:
+			buf = append(buf, "null"...)
+		case string:
+			buf = appendString(buf, x)
+		case int64:
+			buf = strconv.AppendInt(buf, x, 10)
+		case float64:
+			buf = appendFloat(buf, x)
+		case bool:
+			buf = strconv.AppendBool(buf, x)
+		case time.Time:
+			buf = append(x.AppendFormat(append(buf, '"'), time.RFC3339Nano), '"')
+		default:
+			return nil, fmt.Errorf("column %d: cannot encode a %T", i, v)
+		}
+	}
+	return append(buf, ']'), nil
+}
+
+// appendFloat writes f the way encoding/json does ('f' form, 'e' for very
+// small and very large magnitudes), and null when f is not finite.
+func appendFloat(buf []byte, f float64) []byte {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return append(buf, "null"...)
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	buf = strconv.AppendFloat(buf, f, format, -1, 64)
+	if n := len(buf); format == 'e' && n >= 4 && buf[n-4] == 'e' && buf[n-3] == '-' && buf[n-2] == '0' {
+		buf[n-2] = buf[n-1] // e-09 → e-9
+		buf = buf[:n-1]
+	}
+	return buf
+}
+
+// appendString writes s as a JSON string with encoding/json's escaping:
+// quote, backslash and control characters, the HTML-sensitive <, > and &,
+// U+2028/U+2029, and U+FFFD for bytes that are not UTF-8.
+func appendString(buf []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	buf = append(buf, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if c := s[i]; c < utf8.RuneSelf {
+			if c >= ' ' && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+				i++
+				continue
+			}
+			buf = append(buf, s[start:i]...)
+			switch c {
+			case '"', '\\':
+				buf = append(buf, '\\', c)
+			case '\b':
+				buf = append(buf, '\\', 'b')
+			case '\f':
+				buf = append(buf, '\\', 'f')
+			case '\n':
+				buf = append(buf, '\\', 'n')
+			case '\r':
+				buf = append(buf, '\\', 'r')
+			case '\t':
+				buf = append(buf, '\\', 't')
+			default:
+				buf = append(buf, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			buf = append(append(buf, s[start:i]...), `\ufffd`...)
+			start = i + size
+		case r == '\u2028' || r == '\u2029':
+			buf = append(append(buf, s[start:i]...), '\\', 'u', '2', '0', '2', hex[r&0xF])
+			start = i + size
+		}
+		i += size
+	}
+	return append(append(buf, s[start:]...), '"')
+}
+
+// UnmarshalJSON implements json.Unmarshaler: one pass locates "columns" and
+// "rows" (in either order), the columns give the kinds, and the rows are
+// scanned cell by cell into values of those kinds. It accepts a subset of
+// what a reflective decode of the same object would — keys spelled exactly,
+// no duplicates, Int cells as integer literals — and every ResultSet it
+// returns is the one that decode would have built.
+func (wr *WireResult) UnmarshalJSON(data []byte) error {
+	var cols []resultset.Column
+	var rows *wireDecoder
+	d := wireDecoder{data: data}
+	for f := (fields{known: resultKeys}); ; {
+		i, err := d.next(&f)
+		if err != nil {
+			return err
+		}
+		if i < 0 {
+			break
+		}
+		start := d.pos
+		if err := d.skip(); err != nil {
+			return err
+		}
+		val := &wireDecoder{data: data[:d.pos], pos: start}
+		if i == 1 {
+			rows = val // decoded once the kinds are known, whichever came first
+		} else if cols, err = val.columns(); err != nil {
+			return err
+		}
+	}
+	if err := d.end(); err != nil {
+		return err
+	}
+	meta, err := resultset.NewMetadata(cols)
+	if err != nil {
+		return fmt.Errorf("web: %w", err)
+	}
+	b := resultset.NewBuilder(meta)
+	if rows != nil {
+		if err := rows.rows(cols, b); err != nil {
+			return err
+		}
+	}
+	rs, err := b.Build()
+	if err != nil {
+		return fmt.Errorf("web: %w", err)
+	}
+	wr.ResultSet = rs
+	return nil
+}
+
+var (
+	resultKeys = []string{"columns", "rows"}
+	columnKeys = []string{"name", "kind", "unit", "group"}
+)
+
+// wireDecoder is a cursor over JSON text. Its methods check everything they
+// consume, so UnmarshalJSON is safe on bytes json.Unmarshal has not vetted.
+type wireDecoder struct {
+	data []byte
+	pos  int
+}
+
+func (d *wireDecoder) errorf(format string, args ...any) error {
+	return fmt.Errorf("web: result offset %d: %s", d.pos, fmt.Sprintf(format, args...))
+}
+
+// peek skips white space and returns the byte at the cursor, 0 at the end.
+func (d *wireDecoder) peek() byte {
+	for d.pos < len(d.data) {
+		switch c := d.data[d.pos]; c {
+		case ' ', '\t', '\n', '\r':
+			d.pos++
+		default:
+			return c
+		}
+	}
+	return 0
+}
+
+func (d *wireDecoder) expect(c byte) error {
+	if d.peek() != c {
+		return d.errorf("expected %q", c)
+	}
+	d.pos++
+	return nil
+}
+
+// open consumes the opener of an array or object and reports whether an
+// element follows; if the closer follows instead, it consumes that too.
+func (d *wireDecoder) open(opener, closer byte) (bool, error) {
+	if err := d.expect(opener); err != nil {
+		return false, err
+	}
+	if d.peek() == closer {
+		d.pos++
+		return false, nil
+	}
+	return true, nil
+}
+
+// more is called after an element: it consumes a comma and reports true, or
+// consumes the closer and reports false.
+func (d *wireDecoder) more(closer byte) (bool, error) {
+	switch d.peek() {
+	case ',':
+		d.pos++
+		return true, nil
+	case closer:
+		d.pos++
+		return false, nil
+	}
+	return false, d.errorf("expected ',' or %q", closer)
+}
+
+// end checks that only white space is left.
+func (d *wireDecoder) end() error {
+	if d.peek(); d.pos < len(d.data) {
+		return d.errorf("unexpected data after the value")
+	}
+	return nil
+}
+
+// literal consumes word if it is next.
+func (d *wireDecoder) literal(word string) bool {
+	if len(d.data)-d.pos < len(word) || string(d.data[d.pos:d.pos+len(word)]) != word {
+		return false
+	}
+	d.pos += len(word)
+	return true
+}
+
+// stringLit consumes a JSON string and returns it, quotes included. plain
+// reports that the bytes between the quotes are the string's value as they
+// stand: no escapes, valid UTF-8.
+func (d *wireDecoder) stringLit() (lit []byte, plain bool, err error) {
+	if d.peek() != '"' {
+		return nil, false, d.errorf("expected a string")
+	}
+	start := d.pos
+	plain = true
+	ascii := true
+	for i := start + 1; i < len(d.data); i++ {
+		switch c := d.data[i]; {
+		case c == '"':
+			d.pos = i + 1
+			lit = d.data[start:d.pos]
+			return lit, plain && (ascii || utf8.Valid(lit)), nil
+		case c == '\\':
+			plain = false
+			i++
+		case c < ' ':
+			d.pos = i
+			return nil, false, d.errorf("control character in string")
+		case c >= utf8.RuneSelf:
+			ascii = false
+		}
+	}
+	d.pos = len(d.data)
+	return nil, false, d.errorf("unterminated string")
+}
+
+// unquote returns the value of a string literal: the literal's own bytes
+// when it is plain, otherwise what encoding/json makes of its escapes and
+// invalid UTF-8.
+func (d *wireDecoder) unquote(lit []byte, plain bool) ([]byte, error) {
+	if plain {
+		return lit[1 : len(lit)-1], nil
+	}
+	var s string
+	if err := json.Unmarshal(lit, &s); err != nil {
+		return nil, d.errorf("%v", err)
+	}
+	return []byte(s), nil
+}
+
+// number consumes a JSON number and reports whether it is an integer
+// literal (no fraction, no exponent).
+func (d *wireDecoder) number() (lit []byte, integer bool, err error) {
+	data, i := d.data, d.pos
+	digits := func() bool {
+		from := i
+		for i < len(data) && '0' <= data[i] && data[i] <= '9' {
+			i++
+		}
+		return i > from
+	}
+	if i < len(data) && data[i] == '-' {
+		i++
+	}
+	if i < len(data) && data[i] == '0' {
+		i++
+	} else if !digits() {
+		return nil, false, d.errorf("expected a number")
+	}
+	integer = true
+	if i < len(data) && data[i] == '.' {
+		i++
+		integer = false
+		if !digits() {
+			return nil, false, d.errorf("malformed number")
+		}
+	}
+	if i < len(data) && (data[i] == 'e' || data[i] == 'E') {
+		i++
+		integer = false
+		if i < len(data) && (data[i] == '+' || data[i] == '-') {
+			i++
+		}
+		if !digits() {
+			return nil, false, d.errorf("malformed number")
+		}
+	}
+	lit = data[d.pos:i]
+	d.pos = i
+	return lit, integer, nil
+}
+
+// skip consumes one value of any shape, finding its end by bracket depth
+// alone; the caller validates or re-parses what was skipped.
+func (d *wireDecoder) skip() error {
+	switch d.peek() {
+	case '"':
+		_, _, err := d.stringLit()
+		return err
+	case '[', '{':
+		for depth := 0; ; d.pos++ {
+			if d.pos >= len(d.data) {
+				return d.errorf("unterminated value")
+			}
+			switch d.data[d.pos] {
+			case '"':
+				if _, _, err := d.stringLit(); err != nil {
+					return err
+				}
+				d.pos-- // stringLit stepped past the quote; the loop steps again
+			case '[', '{':
+				depth++
+			case ']', '}':
+				if depth--; depth == 0 {
+					d.pos++
+					return nil
+				}
+			}
+		}
+	}
+	start := d.pos
+	for d.pos < len(d.data) && !strings.ContainsRune(",]} \t\n\r", rune(d.data[d.pos])) {
+		d.pos++
+	}
+	if d.pos == start {
+		return d.errorf("expected a value")
+	}
+	return nil
+}
+
+// fields is the state of a walk over one JSON object's fields.
+type fields struct {
+	known  []string // the keys the walk stops at
+	seen   int      // bit i: known[i] has appeared
+	opened bool
+}
+
+// next advances to the object's next field whose key is in f.known and
+// returns the key's index, with the cursor on the field's value, which the
+// caller consumes; it returns -1 once the object is closed. Other fields
+// are checked and passed over. A known key appearing twice is an error, and
+// so is a key that equals a known one only under case folding:
+// encoding/json would bind both, and which of two spellings wins is not a
+// rule worth having.
+func (d *wireDecoder) next(f *fields) (int, error) {
+	for {
+		var more bool
+		var err error
+		if f.opened {
+			more, err = d.more('}')
+		} else {
+			more, err = d.open('{', '}')
+			f.opened = true
+		}
+		if !more {
+			return -1, err
+		}
+		lit, plain, err := d.stringLit()
+		if err != nil {
+			return 0, err
+		}
+		key, err := d.unquote(lit, plain)
+		if err != nil {
+			return 0, err
+		}
+		if err := d.expect(':'); err != nil {
+			return 0, err
+		}
+		for i, name := range f.known {
+			if string(key) == name {
+				if f.seen&(1<<i) != 0 {
+					return 0, d.errorf("duplicate key %q", name)
+				}
+				f.seen |= 1 << i
+				return i, nil
+			}
+			if strings.EqualFold(string(key), name) {
+				return 0, d.errorf("key %q is not spelled %q", key, name)
+			}
+		}
+		start := d.pos
+		if err := d.skip(); err != nil {
+			return 0, err
+		}
+		if !json.Valid(d.data[start:d.pos]) {
+			return 0, d.errorf("malformed value for key %q", key)
+		}
+	}
+}
+
+// columns parses the "columns" array, which must be all of the input.
+func (d *wireDecoder) columns() ([]resultset.Column, error) {
+	var cols []resultset.Column
+	more, err := d.open('[', ']')
+	for more && err == nil {
+		if len(cols) == maxWireColumns {
+			return nil, d.errorf("more than %d columns", maxWireColumns)
+		}
+		var c resultset.Column
+		kind := false
+		for f := (fields{known: columnKeys}); ; {
+			i, err := d.next(&f)
+			if err != nil {
+				return nil, err
+			}
+			if i < 0 {
+				break
+			}
+			lit, plain, err := d.stringLit()
+			if err != nil {
+				return nil, err
+			}
+			if i == 1 { // "kind": one of five words, so no string is made
+				if c.Kind, kind = kindFromName(lit[1 : len(lit)-1]); !kind {
+					return nil, d.errorf("unknown kind %s", lit)
+				}
+				continue
+			}
+			s, err := d.unquote(lit, plain)
+			if err != nil {
+				return nil, err
+			}
+			switch i {
+			case 0:
+				c.Name = string(s)
+			case 2:
+				c.Unit = string(s)
+			case 3:
+				c.Group = string(s)
+			}
+		}
+		if !kind {
+			return nil, d.errorf("column %q has no kind", c.Name)
+		}
+		cols = append(cols, c)
+		more, err = d.more(']')
+	}
+	if err != nil {
+		return nil, err
+	}
+	return cols, d.end()
+}
+
+func kindFromName(name []byte) (glue.Kind, bool) {
+	switch string(name) {
+	case "string":
+		return glue.String, true
+	case "int":
+		return glue.Int, true
+	case "float":
+		return glue.Float, true
+	case "bool":
+		return glue.Bool, true
+	case "time":
+		return glue.Time, true
+	}
+	return 0, false
+}
+
+// sizeRows is the counting pre-pass over the "rows" text: how many rows it
+// holds and how many bytes its String cells take. Both only size
+// allocations, so it trusts nothing and checks nothing; rows does that.
+func sizeRows(text []byte, cols []resultset.Column) (rows, stringBytes int) {
+	depth, col := 0, 0
+	for i := 0; i < len(text); i++ {
+		switch c := text[i]; c {
+		case '[', '{':
+			if depth++; depth == 2 {
+				rows++
+				col = 0
+			}
+		case ']', '}':
+			depth--
+		case ',':
+			if depth == 2 {
+				col++
+			}
+		case '"':
+			from := i + 1
+			for i = from; i < len(text) && text[i] != '"'; i++ {
+				if text[i] == '\\' {
+					i++
+				}
+			}
+			if depth == 2 && col < len(cols) && cols[col].Kind == glue.String {
+				stringBytes += min(i, len(text)) - from
+			}
+		}
+	}
+	return rows, stringBytes
+}
+
+// rows parses the "rows" array, which must be the rest of the input, into
+// b. All rows are carved from one slab of cells and all String cells from
+// one run of bytes, both sized by sizeRows, so a row costs what boxing its
+// values costs and nothing else.
+func (d *wireDecoder) rows(cols []resultset.Column, b *resultset.Builder) error {
+	n, stringBytes := sizeRows(d.data[d.pos:], cols)
+	// A cell and its separator take two bytes at least, which bounds what a
+	// miscounted input can make the slab cost.
+	slab := make([]any, 0, min(n*len(cols), (len(d.data)-d.pos)/2+1))
+	var text strings.Builder
+	text.Grow(stringBytes)
+	b.Grow(n)
+
+	more, err := d.open('[', ']')
+	for more && err == nil {
+		if err := d.expect('['); err != nil {
+			return err
+		}
+		if cap(slab)-len(slab) < len(cols) {
+			slab = make([]any, 0, len(cols))
+		}
+		slab = slab[:len(slab)+len(cols)]
+		row := slab[len(slab)-len(cols) : len(slab) : len(slab)]
+		for i := range row {
+			if i > 0 && d.expect(',') != nil {
+				return d.errorf("row has fewer than %d cells", len(cols))
+			}
+			if row[i], err = d.cell(cols[i].Kind, &text); err != nil {
+				return fmt.Errorf("%w (column %s)", err, cols[i].Name)
+			}
+		}
+		if d.expect(']') != nil {
+			return d.errorf("row has more than %d cells, or a malformed one", len(cols))
+		}
+		b.AppendOwned(row)
+		more, err = d.more(']')
+	}
+	if err != nil {
+		return err
+	}
+	return d.end()
+}
+
+// cell parses one cell of the given kind; null is NULL for every kind.
+// String values are written to text and returned as slices of it.
+func (d *wireDecoder) cell(kind glue.Kind, text *strings.Builder) (any, error) {
+	c := d.peek()
+	if c == 'n' && d.literal("null") {
+		return nil, nil
+	}
+	switch kind {
+	case glue.String, glue.Time:
+		lit, plain, err := d.stringLit()
+		if err != nil {
+			return nil, err
+		}
+		s, err := d.unquote(lit, plain)
+		if err != nil {
+			return nil, err
+		}
+		if kind == glue.Time {
+			t, err := time.Parse(time.RFC3339Nano, string(s))
+			if err != nil {
+				return nil, d.errorf("%v", err)
+			}
+			return t, nil
+		}
+		from := text.Len()
+		text.Write(s)
+		return text.String()[from:], nil
+	case glue.Int:
+		lit, integer, err := d.number()
+		if err != nil {
+			return nil, err
+		}
+		if !integer {
+			return nil, d.errorf("int cell %s is not an integer literal", lit)
+		}
+		v, err := strconv.ParseInt(string(lit), 10, 64)
+		if err != nil {
+			return nil, d.errorf("%v", err)
+		}
+		return v, nil
+	case glue.Float:
+		lit, _, err := d.number()
+		if err != nil {
+			return nil, err
+		}
+		v, err := strconv.ParseFloat(string(lit), 64)
+		if err != nil {
+			return nil, d.errorf("%v", err)
+		}
+		return v, nil
+	case glue.Bool:
+		switch {
+		case c == 't' && d.literal("true"):
+			return true, nil
+		case c == 'f' && d.literal("false"):
+			return false, nil
+		}
+		return nil, d.errorf("expected true or false")
+	}
+	return nil, d.errorf("unknown kind %v", kind)
+}

@@ -40,19 +40,16 @@ func TestWireRoundTripThroughJSON(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		buf, err := json.Marshal(EncodeResultSet(rs))
+		buf, err := json.Marshal(WireResult{ResultSet: rs})
 		if err != nil {
 			return false
 		}
 		var wire WireResult
 		if err := json.Unmarshal(buf, &wire); err != nil {
-			return false
-		}
-		back, err := DecodeResultSet(wire)
-		if err != nil {
 			t.Logf("decode: %v", err)
 			return false
 		}
+		back := wire.ResultSet
 		got := back.RowAt(0)
 		for c := range row {
 			if row[c] == nil {

@@ -150,8 +150,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	var wr WireRequest
-	if err := json.NewDecoder(r.Body).Decode(&wr); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if !ReadJSON(w, r, &wr) {
 		return
 	}
 	req, err := wr.ToCoreRequest()
@@ -168,7 +167,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		httpError(w, err)
 		return
 	}
-	writeJSON(w, EncodeResponse(resp))
+	WriteJSON(w, EncodeResponse(resp))
 }
 
 // pollRequest is the body of POST /poll (Fig 9's explicit real-time poll).
@@ -188,8 +187,7 @@ func (s *Server) handlePoll(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	var pr pollRequest
-	if err := json.NewDecoder(r.Body).Decode(&pr); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if !ReadJSON(w, r, &pr) {
 		return
 	}
 	resp, err := s.gw.PollContext(traceContext(r), principalFrom(r), pr.URL, pr.Group)
@@ -197,7 +195,7 @@ func (s *Server) handlePoll(w http.ResponseWriter, r *http.Request) {
 		httpError(w, err)
 		return
 	}
-	writeJSON(w, EncodeResponse(resp))
+	WriteJSON(w, EncodeResponse(resp))
 }
 
 func (s *Server) manageAllowed(r *http.Request, op security.Operation) bool {
@@ -207,7 +205,7 @@ func (s *Server) manageAllowed(r *http.Request, op security.Operation) bool {
 func (s *Server) handleSources(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
-		writeJSON(w, s.gw.Sources())
+		WriteJSON(w, s.gw.Sources())
 	case http.MethodPost:
 		if !s.manageAllowed(r, security.OpManageSources) {
 			http.Error(w, "permission denied", http.StatusForbidden)
@@ -267,7 +265,7 @@ func (s *Server) handleDrivers(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-		writeJSON(w, out)
+		WriteJSON(w, out)
 	case http.MethodPost:
 		if !s.manageAllowed(r, security.OpManageDrivers) {
 			http.Error(w, "permission denied", http.StatusForbidden)
@@ -355,7 +353,7 @@ func (s *Server) handleTree(w http.ResponseWriter, r *http.Request) {
 	for _, src := range s.gw.Sources() {
 		out = append(out, TreeNode{Source: src, Cached: bySource[src.URL]})
 	}
-	writeJSON(w, out)
+	WriteJSON(w, out)
 }
 
 // watchRequest is the body of POST /watches: publish a GLUE metric as
@@ -368,7 +366,7 @@ type watchRequest struct {
 func (s *Server) handleWatches(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
-		writeJSON(w, s.gw.WatchedMetrics())
+		WriteJSON(w, s.gw.WatchedMetrics())
 	case http.MethodPost:
 		if !s.manageAllowed(r, security.OpManageSources) {
 			http.Error(w, "permission denied", http.StatusForbidden)
@@ -415,7 +413,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		since = t
 	}
 	evs := s.gw.Events().History(filter, since)
-	writeJSON(w, evs)
+	WriteJSON(w, evs)
 }
 
 // StatusReport is the body of GET /status.
@@ -475,7 +473,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		st := s.admit.stats()
 		adm = &st
 	}
-	writeJSON(w, StatusReport{
+	WriteJSON(w, StatusReport{
 		Site:    s.gw.Name(),
 		Gateway: s.gw.Stats(),
 		Drivers: s.gw.DriverManager().Stats(),
@@ -510,7 +508,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	if out == nil {
 		out = []trace.Summary{}
 	}
-	writeJSON(w, out)
+	WriteJSON(w, out)
 }
 
 // handleTrace serves GET /traces/<id>: one stored trace as a span tree.
@@ -525,7 +523,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("trace %q not found", id), http.StatusNotFound)
 		return
 	}
-	writeJSON(w, td)
+	WriteJSON(w, td)
 }
 
 // handleMetrics serves the gateway's metrics registry in the Prometheus
@@ -548,10 +546,5 @@ func (s *Server) handleSites(w http.ResponseWriter, r *http.Request) {
 	if s.sites != nil {
 		sites = append(sites, s.sites()...)
 	}
-	writeJSON(w, sites)
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(v)
+	WriteJSON(w, sites)
 }

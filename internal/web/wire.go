@@ -15,30 +15,21 @@
 package web
 
 import (
+	"errors"
 	"fmt"
-	"strconv"
 	"time"
 
 	"gridrm/internal/core"
-	"gridrm/internal/glue"
 	"gridrm/internal/resultset"
 	"gridrm/internal/trace"
 )
 
-// WireColumn describes one result column on the wire.
-type WireColumn struct {
-	Name  string `json:"name"`
-	Kind  string `json:"kind"`
-	Unit  string `json:"unit,omitempty"`
-	Group string `json:"group,omitempty"`
-}
-
-// WireResult is a ResultSet on the wire. Values are JSON-natural (numbers,
-// strings, booleans, null); the column kind disambiguates int64 vs float64
-// and identifies RFC 3339 time strings on decode.
+// WireResult is a ResultSet on the wire. It marshals and unmarshals itself
+// (codec.go): values are JSON-natural (numbers, strings, booleans, null) and
+// the column kind disambiguates int64 vs float64 and identifies RFC 3339
+// time strings on decode.
 type WireResult struct {
-	Columns []WireColumn `json:"columns"`
-	Rows    [][]any      `json:"rows"`
+	ResultSet *resultset.ResultSet
 }
 
 // WireRequest is a query request on the wire.
@@ -73,24 +64,6 @@ type WireResponse struct {
 	Trace []trace.SpanData `json:"trace,omitempty"`
 }
 
-func kindName(k glue.Kind) string { return k.String() }
-
-func kindFromName(name string) (glue.Kind, error) {
-	switch name {
-	case "string":
-		return glue.String, nil
-	case "int":
-		return glue.Int, nil
-	case "float":
-		return glue.Float, nil
-	case "bool":
-		return glue.Bool, nil
-	case "time":
-		return glue.Time, nil
-	}
-	return 0, fmt.Errorf("web: unknown kind %q", name)
-}
-
 // ParseMode converts the wire mode string; empty means cached.
 func ParseMode(s string) (core.Mode, error) {
 	switch s {
@@ -104,119 +77,6 @@ func ParseMode(s string) (core.Mode, error) {
 	return 0, fmt.Errorf("web: unknown mode %q", s)
 }
 
-// EncodeResultSet converts a ResultSet to its wire form.
-func EncodeResultSet(rs *resultset.ResultSet) WireResult {
-	meta := rs.Metadata()
-	out := WireResult{Columns: make([]WireColumn, meta.ColumnCount())}
-	for i := 0; i < meta.ColumnCount(); i++ {
-		c := meta.Column(i)
-		out.Columns[i] = WireColumn{Name: c.Name, Kind: kindName(c.Kind), Unit: c.Unit, Group: c.Group}
-	}
-	out.Rows = make([][]any, rs.Len())
-	for r := 0; r < rs.Len(); r++ {
-		src := rs.RowAt(r)
-		row := make([]any, len(src))
-		for i, v := range src {
-			switch x := v.(type) {
-			case time.Time:
-				row[i] = x.Format(time.RFC3339Nano)
-			default:
-				row[i] = v
-			}
-		}
-		out.Rows[r] = row
-	}
-	return out
-}
-
-// DecodeResultSet reconstructs a ResultSet from its wire form, restoring
-// per-column Go types from the declared kinds.
-func DecodeResultSet(wr WireResult) (*resultset.ResultSet, error) {
-	cols := make([]resultset.Column, len(wr.Columns))
-	kinds := make([]glue.Kind, len(wr.Columns))
-	for i, c := range wr.Columns {
-		k, err := kindFromName(c.Kind)
-		if err != nil {
-			return nil, err
-		}
-		kinds[i] = k
-		cols[i] = resultset.Column{Name: c.Name, Kind: k, Unit: c.Unit, Group: c.Group}
-	}
-	meta, err := resultset.NewMetadata(cols)
-	if err != nil {
-		return nil, err
-	}
-	b := resultset.NewBuilder(meta)
-	for _, row := range wr.Rows {
-		if len(row) != len(cols) {
-			return nil, fmt.Errorf("web: row has %d cells, want %d", len(row), len(cols))
-		}
-		decoded := make([]any, len(row))
-		for i, v := range row {
-			dv, err := decodeCell(v, kinds[i])
-			if err != nil {
-				return nil, fmt.Errorf("web: column %s: %w", cols[i].Name, err)
-			}
-			decoded[i] = dv
-		}
-		b.Append(decoded...)
-	}
-	return b.Build()
-}
-
-func decodeCell(v any, kind glue.Kind) (any, error) {
-	if v == nil {
-		return nil, nil
-	}
-	switch kind {
-	case glue.String:
-		s, ok := v.(string)
-		if !ok {
-			return nil, fmt.Errorf("expected string, got %T", v)
-		}
-		return s, nil
-	case glue.Int:
-		switch x := v.(type) {
-		case float64: // JSON numbers decode as float64
-			return int64(x), nil
-		case int64: // in-process round trips keep native types
-			return x, nil
-		case string:
-			n, err := strconv.ParseInt(x, 10, 64)
-			if err != nil {
-				return nil, err
-			}
-			return n, nil
-		}
-		return nil, fmt.Errorf("expected number, got %T", v)
-	case glue.Float:
-		switch x := v.(type) {
-		case float64:
-			return x, nil
-		case int64:
-			return float64(x), nil
-		}
-		return nil, fmt.Errorf("expected number, got %T", v)
-	case glue.Bool:
-		b, ok := v.(bool)
-		if !ok {
-			return nil, fmt.Errorf("expected bool, got %T", v)
-		}
-		return b, nil
-	case glue.Time:
-		s, ok := v.(string)
-		if !ok {
-			return nil, fmt.Errorf("expected time string, got %T", v)
-		}
-		t, err := time.Parse(time.RFC3339Nano, s)
-		if err != nil {
-			return nil, err
-		}
-		return t, nil
-	}
-	return nil, fmt.Errorf("unknown kind %v", kind)
-}
-
 // EncodeResponse converts a core.Response to its wire form.
 func EncodeResponse(resp *core.Response) WireResponse {
 	return WireResponse{
@@ -225,7 +85,7 @@ func EncodeResponse(resp *core.Response) WireResponse {
 		Mode:      resp.Mode.String(),
 		ElapsedNs: int64(resp.Elapsed),
 		Sources:   resp.Sources,
-		Result:    EncodeResultSet(resp.ResultSet),
+		Result:    WireResult{ResultSet: resp.ResultSet},
 		TraceID:   resp.TraceID,
 		Trace:     resp.Trace,
 	}
@@ -237,9 +97,8 @@ func DecodeResponse(wr WireResponse) (*core.Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	rs, err := DecodeResultSet(wr.Result)
-	if err != nil {
-		return nil, err
+	if wr.Result.ResultSet == nil {
+		return nil, errors.New("web: response carries no result")
 	}
 	return &core.Response{
 		Site:      wr.Site,
@@ -247,7 +106,7 @@ func DecodeResponse(wr WireResponse) (*core.Response, error) {
 		Mode:      mode,
 		Elapsed:   time.Duration(wr.ElapsedNs),
 		Sources:   wr.Sources,
-		ResultSet: rs,
+		ResultSet: wr.Result.ResultSet,
 		TraceID:   wr.TraceID,
 		Trace:     wr.Trace,
 	}, nil
