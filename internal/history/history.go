@@ -2,17 +2,24 @@
 // (paper §3.1.1: "historical data is retrieved from the Gateway's internal
 // database"; Fig 3's "Historical Data & Information Schemas").
 //
-// Every real-time harvest can be recorded: rows are stored per (source,
-// GLUE group) with the sample time, and historical queries read them back
+// Every real-time harvest can be recorded: rows are stored per (GLUE group,
+// source) with the sample time, and historical queries read them back
 // as ResultSets extended with two provenance columns, SourceURL and
 // SampledAt. Retention is bounded both by age and by sample count.
+//
+// Each (group, source) is one series, time-sorted and column-major (see
+// series.go): a range read binary-searches the window and copies out only
+// the answer, and a sample at rest costs its typed cells, not boxed ones.
+// Times — sample times and Time cells — are kept as Unix nanoseconds, the
+// journal's own representation, and read back in the local zone.
 package history
 
 import (
 	"fmt"
+	"math"
 	"sort"
-	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gridrm/internal/glue"
@@ -37,18 +44,16 @@ type Options struct {
 	Clock func() time.Time
 }
 
-// sample is one recorded harvest: the rows of one ResultSet at one time.
-type sample struct {
-	at   time.Time
-	rows [][]any
-}
-
 // Store is the historical database.
 type Store struct {
 	opts Options
 
-	mu   sync.RWMutex
-	data map[string][]sample // source+"\x00"+group → samples in time order
+	mu     sync.RWMutex
+	groups map[*glue.Group]map[string]*series // group → source → series
+
+	// Running totals, written under mu, so the gauges that read them on
+	// every scrape neither take the lock nor walk the store.
+	keys, samples atomic.Int64
 }
 
 // New creates a Store.
@@ -62,65 +67,146 @@ func New(opts Options) *Store {
 	if opts.Clock == nil {
 		opts.Clock = time.Now
 	}
-	return &Store{opts: opts, data: make(map[string][]sample)}
+	return &Store{opts: opts, groups: make(map[*glue.Group]map[string]*series)}
 }
 
-func storeKey(source, group string) string { return source + "\x00" + group }
+// cutoff is the time before which samples have aged out. It reads the
+// caller's clock, so it is called before taking the lock.
+func (s *Store) cutoff() time.Time { return s.opts.Clock().Add(-s.opts.MaxAge) }
+
+// unixNanos returns t as Unix nanoseconds, and whether t survives the trip.
+func unixNanos(t time.Time) (int64, bool) {
+	ns := t.UnixNano()
+	return ns, time.Unix(0, ns).Equal(t)
+}
+
+// checkRow is glue.ValidateRow plus the store's own limit: a Time cell must
+// be representable as Unix nanoseconds.
+func checkRow(g *glue.Group, row []any) error {
+	if err := glue.ValidateRow(g, row); err != nil {
+		return err
+	}
+	for i, f := range g.Fields {
+		if f.Kind != glue.Time || row[i] == nil {
+			continue
+		}
+		if _, ok := unixNanos(row[i].(time.Time)); !ok {
+			return fmt.Errorf("field %s: time %v out of range", f.Name, row[i])
+		}
+	}
+	return nil
+}
 
 // Record stores the rows of a harvested ResultSet for (source, group) at
 // time at. The ResultSet must carry the group's full canonical column set;
-// results that were projected by a query should not be recorded.
+// results that were projected by a query should not be recorded. Samples
+// may arrive out of time order; the series stays sorted.
 func (s *Store) Record(source, group string, rs *resultset.ResultSet, at time.Time) error {
 	g, ok := glue.Lookup(group)
 	if !ok {
 		return fmt.Errorf("history: unknown group %q", group)
 	}
 	meta := rs.Metadata()
-	if meta.ColumnCount() != len(g.Fields) {
-		return fmt.Errorf("history: result has %d columns, group %s has %d",
-			meta.ColumnCount(), g.Name, len(g.Fields))
-	}
-	for i, f := range g.Fields {
-		if meta.ColumnIndex(f.Name) != i {
-			return fmt.Errorf("history: result column %d is %q, want %q",
-				i, meta.Column(i).Name, f.Name)
+	// A harvest's result carries the group's own shared Metadata; only
+	// another one needs comparing with the group field by field.
+	if canonical, _ := resultset.MetadataForGroup(g, nil); meta != canonical {
+		if meta.ColumnCount() != len(g.Fields) {
+			return fmt.Errorf("history: result has %d columns, group %s has %d",
+				meta.ColumnCount(), g.Name, len(g.Fields))
+		}
+		for i, f := range g.Fields {
+			if meta.ColumnIndex(f.Name) != i {
+				return fmt.Errorf("history: result column %d is %q, want %q",
+					i, meta.Column(i).Name, f.Name)
+			}
 		}
 	}
-	// Deep-copy each row: RowAt returns the ResultSet's own slice, and a
-	// caller mutating its harvested rows must not corrupt stored history.
-	rows := make([][]any, rs.Len())
-	for i := 0; i < rs.Len(); i++ {
-		rows[i] = append([]any(nil), rs.RowAt(i)...)
+	n := rs.Len()
+	for i := 0; i < n; i++ {
+		if err := checkRow(g, rs.RowAt(i)); err != nil {
+			return fmt.Errorf("history: %w", err)
+		}
 	}
-	k := storeKey(source, g.Name)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	samples := append(s.data[k], sample{at: at, rows: rows})
-	samples = s.retainLocked(samples)
-	s.data[k] = samples
-	return nil
+	ns, ok := unixNanos(at)
+	if !ok {
+		return fmt.Errorf("history: sample time %v out of range", at)
+	}
+	// The cells are copied into the series' columns, so a caller mutating
+	// its harvested rows afterwards cannot corrupt stored history.
+	_, err := s.add(g, source, ns, n, rs.RowAt, false)
+	return err
 }
 
-func (s *Store) retainLocked(samples []sample) []sample {
-	cutoff := s.opts.Clock().Add(-s.opts.MaxAge)
-	start := 0
-	for start < len(samples) && samples[start].at.Before(cutoff) {
-		start++
+// add puts one checked sample into its series in time order — after any
+// sample of the same time, or not at all if dedupe is set and one exists —
+// and applies retention to the series. It reports whether the sample was
+// kept.
+func (s *Store) add(g *glue.Group, source string, at int64, n int, rowAt func(int) []any, dedupe bool) (bool, error) {
+	cutoff := s.cutoff()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	ser := s.groups[g][source]
+	if ser != nil {
+		if s.expire(g, ser, cutoff); ser.live() == 0 {
+			ser = nil // expire has dropped it from the store
+		}
 	}
-	if len(samples)-start > s.opts.MaxSamplesPerKey {
-		start = len(samples) - s.opts.MaxSamplesPerKey
+	if time.Unix(0, at).Before(cutoff) {
+		return false, nil
 	}
-	if start == 0 {
-		return samples
+	if ser == nil {
+		ser = newSeries(g, source)
+		if s.groups[g] == nil {
+			s.groups[g] = make(map[string]*series)
+		}
+		s.groups[g][source] = ser
+		s.keys.Add(1)
+	} else if rows := ser.rowStart(len(ser.times)) + n; rows > math.MaxInt32 {
+		return false, fmt.Errorf("history: %s of %s would hold %d rows", g.Name, source, rows)
 	}
-	// Copy the retained window instead of re-slicing: samples[start:] keeps
-	// the dropped prefix (and all its row data) reachable through the shared
-	// backing array for as long as the key lives, which under source churn
-	// is a leak — a key that stops receiving records would pin its pruned
-	// samples forever.
-	kept := make([]sample, len(samples)-start)
-	copy(kept, samples[start:])
-	return kept
+	i := len(ser.times)
+	if i > ser.head && at < ser.times[i-1] {
+		i = ser.head + sort.Search(ser.live(), func(k int) bool { return ser.times[ser.head+k] > at })
+	}
+	if dedupe && i > ser.head && ser.times[i-1] == at {
+		return false, nil
+	}
+	full := ser.live() == s.opts.MaxSamplesPerKey
+	switch {
+	case i == len(ser.times):
+		ser.push(at, n, rowAt)
+	case i == ser.head && full:
+		return false, nil // older than everything in a full series: the one retention would drop
+	default:
+		ser.insert(i, at, n, rowAt)
+	}
+	if full {
+		ser.drop(1)
+	} else {
+		s.samples.Add(1)
+	}
+	return true, nil
+}
+
+// expire drops ser's samples older than cutoff, and ser itself from the
+// store once it is empty. Callers hold s.mu.
+func (s *Store) expire(g *glue.Group, ser *series, cutoff time.Time) int {
+	k := 0
+	for ser.head+k < len(ser.times) && time.Unix(0, ser.times[ser.head+k]).Before(cutoff) {
+		k++
+	}
+	if k == 0 {
+		return 0
+	}
+	s.samples.Add(int64(-k))
+	if k == ser.live() {
+		ser.head += k
+		delete(s.groups[g], ser.source)
+		s.keys.Add(-1)
+		return k
+	}
+	ser.drop(k)
+	return k
 }
 
 // Query reads back history for a GLUE group across sources. Empty source
@@ -136,51 +222,74 @@ func (s *Store) Query(group, source string, since, until time.Time) (*resultset.
 	if err != nil {
 		return nil, err
 	}
-	type hit struct {
-		at     time.Time
-		source string
-		rows   [][]any
-	}
-	var hits []hit
+	// Freeze the series under the lock, read them outside it.
+	var wins []series
 	s.mu.RLock()
-	for k, samples := range s.data {
-		src, grp, ok := strings.Cut(k, "\x00")
-		if !ok || grp != g.Name {
-			continue
+	if source == "" {
+		wins = make([]series, 0, len(s.groups[g]))
+		for _, ser := range s.groups[g] {
+			wins = append(wins, ser.frozen())
 		}
-		if source != "" && src != source {
-			continue
-		}
-		for _, sm := range samples {
-			if !since.IsZero() && sm.at.Before(since) {
-				continue
-			}
-			if !until.IsZero() && sm.at.After(until) {
-				continue
-			}
-			hits = append(hits, hit{at: sm.at, source: src, rows: sm.rows})
-		}
+	} else if ser := s.groups[g][source]; ser != nil {
+		wins = []series{ser.frozen()}
 	}
 	s.mu.RUnlock()
-	// Stable order: time, then source.
-	sort.Slice(hits, func(i, j int) bool {
-		if !hits[i].at.Equal(hits[j].at) {
-			return hits[i].at.Before(hits[j].at)
+
+	// Narrow each series to the window: [head, len) becomes [lo, hi).
+	samples, rows := 0, 0
+	for w := range wins {
+		ser := &wins[w]
+		lo, hi := ser.head, len(ser.times)
+		if !since.IsZero() {
+			lo += sort.Search(hi-lo, func(k int) bool { return !time.Unix(0, ser.times[lo+k]).Before(since) })
 		}
-		return hits[i].source < hits[j].source
-	})
-	total := 0
-	for _, h := range hits {
-		total += len(h.rows)
+		if !until.IsZero() {
+			hi = lo + sort.Search(hi-lo, func(k int) bool { return time.Unix(0, ser.times[lo+k]).After(until) })
+		}
+		ser.head, ser.times = lo, ser.times[:hi]
+		samples += hi - lo
+		rows += ser.rowStart(hi) - ser.rowStart(lo)
 	}
-	b := resultset.NewBuilder(meta).Grow(total)
-	for _, h := range hits {
-		source, at := any(h.source), any(h.at) // boxed once per sample, not per row
-		for _, row := range h.rows {
-			full := make([]any, 0, len(row)+2)
-			full = append(full, row...)
-			b.AppendOwned(append(full, source, at))
+
+	width := len(g.Fields) + 2
+	slab := make([]any, 0, rows*width) // every row of the answer, carved from one array
+	b := resultset.NewBuilder(meta).Grow(rows)
+	emit := func(ser *series, i int) {
+		at := any(time.Unix(0, ser.times[i])) // boxed once per sample, not per row
+		slab = ser.sample(slab, i, width, func(row []any) {
+			row[width-2], row[width-1] = ser.boxed, at
+			b.AppendOwned(row)
+		})
+	}
+	if len(wins) == 1 {
+		for i := wins[0].head; i < len(wins[0].times); i++ {
+			emit(&wins[0], i)
 		}
+		return b.Build()
+	}
+	// Stable order across series: time, then source.
+	type hit struct {
+		ser *series
+		i   int
+	}
+	hits := make([]hit, 0, samples)
+	for w := range wins {
+		for i := wins[w].head; i < len(wins[w].times); i++ {
+			hits = append(hits, hit{&wins[w], i})
+		}
+	}
+	sort.Slice(hits, func(a, b int) bool {
+		x, y := hits[a], hits[b]
+		if tx, ty := x.ser.times[x.i], y.ser.times[y.i]; tx != ty {
+			return tx < ty
+		}
+		if x.ser != y.ser {
+			return x.ser.source < y.ser.source
+		}
+		return x.i < y.i
+	})
+	for _, h := range hits {
+		emit(h.ser, h.i)
 	}
 	return b.Build()
 }
@@ -196,37 +305,47 @@ func (s *Store) Latest(source, group string) (*resultset.ResultSet, time.Time, b
 	if !ok {
 		return nil, time.Time{}, false
 	}
-	s.mu.RLock()
-	samples := s.data[storeKey(source, g.Name)]
-	var last sample
-	if n := len(samples); n > 0 {
-		last = samples[n-1]
-	}
-	s.mu.RUnlock()
-	if last.at.IsZero() {
-		return nil, time.Time{}, false
-	}
-	if s.opts.Clock().Sub(last.at) > s.opts.MaxAge {
-		return nil, time.Time{}, false
-	}
 	meta, err := resultset.MetadataForGroup(g, nil)
 	if err != nil {
 		return nil, time.Time{}, false
 	}
-	b := resultset.NewBuilder(meta)
-	for _, row := range last.rows {
-		// Copy each row: the builder must not alias stored history.
-		b.Append(append([]any(nil), row...)...)
+	now := s.opts.Clock()
+	// One sample is a few rows: copying them out under the read lock costs
+	// less than freezing the series to do it outside.
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	ser := s.groups[g][source]
+	if ser == nil {
+		return nil, time.Time{}, false
 	}
+	last := len(ser.times) - 1 // a series in the store holds a sample
+	at := time.Unix(0, ser.times[last])
+	if now.Sub(at) > s.opts.MaxAge {
+		return nil, time.Time{}, false
+	}
+	rows := int(ser.ends[last]) - ser.rowStart(last)
+	b := resultset.NewBuilder(meta).Grow(rows)
+	ser.sample(make([]any, 0, rows*len(g.Fields)), last, len(g.Fields), func(row []any) { b.AppendOwned(row) })
 	rs, err := b.Build()
 	if err != nil {
 		return nil, time.Time{}, false
 	}
-	return rs, last.at, true
+	return rs, at, true
 }
 
-// Metadata returns the result shape historical queries produce for a group.
-func (s *Store) Metadata(g *glue.Group) (*resultset.Metadata, error) {
+// queryMetadata holds the shape historical queries produce for every schema
+// group, built once: Metadata is immutable and every Query asks for one.
+var queryMetadata = func() map[*glue.Group]*resultset.Metadata {
+	table := make(map[*glue.Group]*resultset.Metadata)
+	for _, g := range glue.Groups() {
+		if m, err := metadataFor(g); err == nil {
+			table[g] = m
+		}
+	}
+	return table
+}()
+
+func metadataFor(g *glue.Group) (*resultset.Metadata, error) {
 	base, err := resultset.MetadataForGroup(g, nil)
 	if err != nil {
 		return nil, err
@@ -239,16 +358,25 @@ func (s *Store) Metadata(g *glue.Group) (*resultset.Metadata, error) {
 	return resultset.NewMetadata(cols)
 }
 
+// Metadata returns the result shape historical queries produce for a group.
+func (s *Store) Metadata(g *glue.Group) (*resultset.Metadata, error) {
+	if m, ok := queryMetadata[g]; ok {
+		return m, nil
+	}
+	return metadataFor(g)
+}
+
 // Sources returns the distinct source URLs with history for a group.
 func (s *Store) Sources(group string) []string {
+	g, ok := glue.Lookup(group)
+	if !ok {
+		return nil
+	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	var out []string
-	suffix := "\x00" + group
-	for k := range s.data {
-		if len(k) > len(suffix) && k[len(k)-len(suffix):] == suffix {
-			out = append(out, k[:len(k)-len(suffix)])
-		}
+	for source := range s.groups[g] {
+		out = append(out, source)
 	}
 	sort.Strings(out) // deterministic order
 	return out
@@ -256,14 +384,21 @@ func (s *Store) Sources(group string) []string {
 
 // SampleCount returns how many samples are held for (source, group).
 func (s *Store) SampleCount(source, group string) int {
+	g, ok := glue.Lookup(group)
+	if !ok {
+		return 0
+	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.data[storeKey(source, group)])
+	if ser := s.groups[g][source]; ser != nil {
+		return ser.live()
+	}
+	return 0
 }
 
 // SampleRecord is one recorded sample in flat form — the exchange shape
 // between the store and a durability layer (internal/tsdb) that journals
-// records and snapshots retained state.
+// records and checkpoints retained state.
 type SampleRecord struct {
 	Source string
 	Group  string
@@ -271,101 +406,102 @@ type SampleRecord struct {
 	Rows   [][]any
 }
 
-// Snapshot returns every retained sample in stable (key, time) order. Row
-// slices are shared with the store — stored rows are immutable once recorded
-// (Record deep-copies in, readers copy out) — so callers may read but must
-// not mutate them.
-func (s *Store) Snapshot() []SampleRecord {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	keys := make([]string, 0, len(s.data))
-	for k := range s.data {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var out []SampleRecord
-	for _, k := range keys {
-		src, grp, ok := strings.Cut(k, "\x00")
-		if !ok {
-			continue
-		}
-		for _, sm := range s.data[k] {
-			out = append(out, SampleRecord{Source: src, Group: grp, At: sm.at, Rows: sm.rows})
-		}
-	}
-	return out
+// View is a point-in-time image of every retained sample, taken in O(keys):
+// it holds the series' array headers, not copies of their samples. Reading
+// it takes no lock and never blocks Record.
+type View struct {
+	series []viewSeries
 }
 
-// Load inserts a restored sample without Record's shape validation (the
-// durability layer only journals records that already passed it). Samples
-// are inserted in time order; a sample whose time exactly matches an
-// existing one for the key is dropped, so replaying a WAL that overlaps a
-// checkpoint is idempotent. Retention applies as usual. The store takes
-// ownership of rec.Rows. It reports whether the sample was kept.
-func (s *Store) Load(rec SampleRecord) bool {
+type viewSeries struct {
+	group string
+	series
+}
+
+// View freezes the store's retained state for a durability layer to encode.
+func (s *Store) View() *View {
+	v := &View{}
+	s.mu.RLock()
+	v.series = make([]viewSeries, 0, s.keys.Load())
+	for g, bySource := range s.groups {
+		for _, ser := range bySource {
+			v.series = append(v.series, viewSeries{g.Name, ser.frozen()})
+		}
+	}
+	s.mu.RUnlock()
+	// Stable (source, group) order, whatever the maps' was.
+	sort.Slice(v.series, func(i, j int) bool {
+		a, b := &v.series[i], &v.series[j]
+		if a.source != b.source {
+			return a.source < b.source
+		}
+		return a.group < b.group
+	})
+	return v
+}
+
+// Each calls fn with every sample, series by series in (source, group) order
+// and in time order within one, stopping at the first error. rec.Rows and
+// the rows in it are one buffer reused from sample to sample: fn must not
+// keep them.
+func (v *View) Each(fn func(rec SampleRecord) error) error {
+	var cells []any
+	var rows [][]any
+	for k := range v.series {
+		ser := &v.series[k]
+		rec := SampleRecord{Source: ser.source, Group: ser.group}
+		for i := ser.head; i < len(ser.times); i++ {
+			rows = rows[:0]
+			cells = ser.sample(cells[:0], i, len(ser.cols), func(row []any) { rows = append(rows, row) })
+			rec.At, rec.Rows = time.Unix(0, ser.times[i]), rows
+			if err := fn(rec); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// Load inserts a restored sample in time order. Like Record it checks the
+// rows against the group — a journal written under another schema, or a
+// foreign directory, must not poison the group's reads — and reports a
+// mismatch as an error. A sample whose time exactly matches an existing one
+// for the key is dropped, so replaying a WAL that overlaps a checkpoint is
+// idempotent. Retention applies as usual. The rows are copied. It reports
+// whether the sample was kept.
+func (s *Store) Load(rec SampleRecord) (bool, error) {
 	g, ok := glue.Lookup(rec.Group)
 	if !ok {
-		return false
+		return false, fmt.Errorf("history: unknown group %q", rec.Group)
 	}
-	k := storeKey(rec.Source, g.Name)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	samples := s.data[k]
-	sm := sample{at: rec.At, rows: rec.Rows}
-	n := len(samples)
-	if n == 0 || rec.At.After(samples[n-1].at) {
-		samples = append(samples, sm)
-	} else {
-		i := sort.Search(n, func(i int) bool { return !samples[i].at.Before(rec.At) })
-		if i < n && samples[i].at.Equal(rec.At) {
-			return false // checkpoint/WAL overlap: already restored
+	for _, row := range rec.Rows {
+		if err := checkRow(g, row); err != nil {
+			return false, fmt.Errorf("history: %w", err)
 		}
-		samples = append(samples, sample{})
-		copy(samples[i+1:], samples[i:])
-		samples[i] = sm
 	}
-	kept := s.retainLocked(samples)
-	if len(kept) == 0 {
-		delete(s.data, k)
-		return false
+	ns, ok := unixNanos(rec.At)
+	if !ok {
+		return false, fmt.Errorf("history: sample time %v out of range", rec.At)
 	}
-	s.data[k] = kept
-	// The loaded sample survived retention iff it is newer than the
-	// retained window's start.
-	return !sm.at.Before(kept[0].at)
+	return s.add(g, rec.Source, ns, len(rec.Rows), func(i int) []any { return rec.Rows[i] }, true)
 }
 
 // Keys returns how many (source, group) keys currently hold samples.
-func (s *Store) Keys() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.data)
-}
+func (s *Store) Keys() int { return int(s.keys.Load()) }
 
 // TotalSamples returns the total retained sample count across all keys.
-func (s *Store) TotalSamples() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	n := 0
-	for _, samples := range s.data {
-		n += len(samples)
-	}
-	return n
-}
+func (s *Store) TotalSamples() int { return int(s.samples.Load()) }
 
 // Prune applies retention to every key immediately and reports how many
 // samples were dropped.
 func (s *Store) Prune() int {
+	cutoff := s.cutoff()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	dropped := 0
-	for k, samples := range s.data {
-		kept := s.retainLocked(samples)
-		dropped += len(samples) - len(kept)
-		if len(kept) == 0 {
-			delete(s.data, k)
-		} else {
-			s.data[k] = kept
+	for g, bySource := range s.groups {
+		for _, ser := range bySource {
+			dropped += s.expire(g, ser, cutoff)
 		}
 	}
 	return dropped

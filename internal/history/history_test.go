@@ -1,6 +1,10 @@
 package history
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -271,6 +275,362 @@ func BenchmarkRecord(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if err := s.Record(srcA, glue.GroupMemory, rs, time.Unix(10000, 0)); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// The row-wise store this package used to be — one []sample per (source,
+// group), rows kept as the boxed [][]any they arrived as — survives here as
+// the reference model the columnar store is compared against. It is the old
+// code with one behaviour fixed: samples are inserted in time order (after
+// any of the same time), where the old Record appended in arrival order and
+// let a late sample defeat retention.
+
+type sample struct {
+	at   time.Time
+	rows [][]any
+}
+
+type refStore struct {
+	opts Options
+	data map[[2]string][]sample // {source, group} → samples in time order
+}
+
+func (m *refStore) retain(samples []sample) []sample {
+	cutoff := m.opts.Clock().Add(-m.opts.MaxAge)
+	start := 0
+	for start < len(samples) && samples[start].at.Before(cutoff) {
+		start++
+	}
+	if len(samples)-start > m.opts.MaxSamplesPerKey {
+		start = len(samples) - m.opts.MaxSamplesPerKey
+	}
+	return samples[start:]
+}
+
+// add is Record (dedupe false) and Load (dedupe true); it reports whether
+// the sample survived retention. Retention is applied to the key whatever
+// becomes of the sample.
+func (m *refStore) add(source, group string, rows [][]any, at time.Time, dedupe bool) bool {
+	k := [2]string{source, group}
+	samples := m.data[k]
+	i := sort.Search(len(samples), func(i int) bool { return samples[i].at.After(at) })
+	inserted := !dedupe || i == 0 || !samples[i-1].at.Equal(at)
+	if inserted {
+		copied := make([][]any, len(rows))
+		for r, row := range rows {
+			copied[r] = append([]any(nil), row...)
+		}
+		sm := sample{at: at, rows: copied}
+		samples = append(samples[:i:i], append([]sample{sm}, samples[i:]...)...)
+	}
+	kept := m.retain(samples)
+	if len(kept) == 0 {
+		delete(m.data, k)
+		return false
+	}
+	m.data[k] = kept
+	return inserted && i >= len(samples)-len(kept) // not among the dropped prefix
+}
+
+func (m *refStore) prune() int {
+	dropped := 0
+	for k, samples := range m.data {
+		kept := m.retain(samples)
+		dropped += len(samples) - len(kept)
+		if len(kept) == 0 {
+			delete(m.data, k)
+		} else {
+			m.data[k] = kept
+		}
+	}
+	return dropped
+}
+
+// query returns the rows Query should: each stored row plus source and time,
+// ordered by time, then source, then position in the series.
+func (m *refStore) query(group, source string, since, until time.Time) [][]any {
+	type hit struct {
+		at     time.Time
+		source string
+		rows   [][]any
+	}
+	var hits []hit
+	for _, src := range m.sources(group) {
+		if source != "" && src != source {
+			continue
+		}
+		for _, sm := range m.data[[2]string{src, group}] {
+			if !since.IsZero() && sm.at.Before(since) || !until.IsZero() && sm.at.After(until) {
+				continue
+			}
+			hits = append(hits, hit{sm.at, src, sm.rows})
+		}
+	}
+	sort.SliceStable(hits, func(i, j int) bool {
+		if !hits[i].at.Equal(hits[j].at) {
+			return hits[i].at.Before(hits[j].at)
+		}
+		return hits[i].source < hits[j].source
+	})
+	var out [][]any
+	for _, h := range hits {
+		for _, row := range h.rows {
+			out = append(out, append(append([]any(nil), row...), h.source, h.at))
+		}
+	}
+	return out
+}
+
+func (m *refStore) latest(source, group string) ([][]any, time.Time, bool) {
+	samples := m.data[[2]string{source, group}]
+	if len(samples) == 0 {
+		return nil, time.Time{}, false
+	}
+	last := samples[len(samples)-1]
+	if m.opts.Clock().Sub(last.at) > m.opts.MaxAge {
+		return nil, time.Time{}, false
+	}
+	return last.rows, last.at, true
+}
+
+func (m *refStore) sources(group string) []string {
+	var out []string
+	for k := range m.data {
+		if k[1] == group {
+			out = append(out, k[0])
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+func (m *refStore) total() int {
+	n := 0
+	for _, samples := range m.data {
+		n += len(samples)
+	}
+	return n
+}
+
+// recount walks the store the way Keys and TotalSamples used to.
+func (s *Store) recount() (keys, samples int) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for _, bySource := range s.groups {
+		for _, ser := range bySource {
+			keys++
+			samples += ser.live()
+		}
+	}
+	return keys, samples
+}
+
+func sameCell(a, b any) bool {
+	if ta, ok := a.(time.Time); ok {
+		tb, ok := b.(time.Time)
+		return ok && ta.Equal(tb)
+	}
+	return a == b
+}
+
+func sameRows(t *testing.T, what string, got *resultset.ResultSet, want [][]any) {
+	t.Helper()
+	if got.Len() != len(want) {
+		t.Fatalf("%s: %d rows, want %d", what, got.Len(), len(want))
+	}
+	for i, w := range want {
+		g := got.RowAt(i)
+		if len(g) != len(w) {
+			t.Fatalf("%s: row %d has %d cells, want %d", what, i, len(g), len(w))
+		}
+		for c := range w {
+			if !sameCell(g[c], w[c]) {
+				t.Fatalf("%s: row %d cell %d = %#v, want %#v", what, i, c, g[c], w[c])
+			}
+		}
+	}
+}
+
+// diffGen draws random rows for a group: every cell NULL with the column's
+// current probability, strings mostly from a small pool and sometimes
+// unique (so a dictionary outgrows its linear scan), times on whole seconds.
+type diffGen struct {
+	rng   *rand.Rand
+	nullP map[string][]float64 // group → per-column NULL probability
+	uniq  int
+}
+
+func (d *diffGen) rows(g *glue.Group, now time.Time) [][]any {
+	rows := make([][]any, d.rng.Intn(4)) // zero-row samples included
+	for r := range rows {
+		row := make([]any, len(g.Fields))
+		for c, f := range g.Fields {
+			if d.rng.Float64() < d.nullP[g.Name][c] {
+				continue
+			}
+			switch f.Kind {
+			case glue.String:
+				if d.rng.Intn(6) == 0 {
+					d.uniq++
+					row[c] = fmt.Sprintf("uniq-%d", d.uniq)
+				} else {
+					row[c] = fmt.Sprintf("s%d", d.rng.Intn(3))
+				}
+			case glue.Int:
+				row[c] = d.rng.Int63n(1000) - 500
+			case glue.Float:
+				row[c] = d.rng.Float64()
+			case glue.Time:
+				row[c] = now.Add(-time.Duration(d.rng.Intn(1e6)) * time.Second)
+			}
+		}
+		rows[r] = row
+	}
+	return rows
+}
+
+func rowsRS(t *testing.T, g *glue.Group, rows [][]any) *resultset.ResultSet {
+	t.Helper()
+	meta, err := resultset.MetadataForGroup(g, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := resultset.NewBuilder(meta)
+	for _, row := range rows {
+		b.Append(row...)
+	}
+	rs, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rs
+}
+
+// TestDifferentialAgainstRowModel drives the store and the reference model
+// with the same seeded random operations and requires every answer — rows
+// cell for cell and in order, counts, the running totals — to be the same.
+func TestDifferentialAgainstRowModel(t *testing.T) {
+	groups := []*glue.Group{glue.Memory, glue.OperatingSystem, glue.Processor}
+	sources := []string{srcA, srcB, "gridrm:nws://c:1"}
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		now := time.Unix(50000, 0)
+		opts := Options{
+			MaxAge:           90 * time.Second,
+			MaxSamplesPerKey: 3 + rng.Intn(12),
+			Clock:            func() time.Time { return now },
+		}
+		s, model := New(opts), &refStore{opts: opts, data: map[[2]string][]sample{}}
+		gen := &diffGen{rng: rng, nullP: map[string][]float64{}}
+		for _, g := range groups {
+			// Start with some columns always NULL and some never; the
+			// probabilities are redrawn mid-run so columns turn non-NULL
+			// (and NULL) late.
+			gen.nullP[g.Name] = make([]float64, len(g.Fields))
+		}
+		redraw := func() {
+			for _, g := range groups { // not a range over the map: the draws must repeat
+				p := gen.nullP[g.Name]
+				for c := range p {
+					p[c] = []float64{0, 0, 1, 0.3}[rng.Intn(4)]
+				}
+			}
+		}
+		redraw()
+		window := func() (since, until time.Time) {
+			if rng.Intn(3) > 0 {
+				since = now.Add(-time.Duration(rng.Intn(140)) * time.Second)
+			}
+			if rng.Intn(3) > 0 {
+				until = now.Add(-time.Duration(rng.Intn(140)-20) * time.Second)
+			}
+			return since, until // sometimes empty, sometimes inverted
+		}
+		for op := 0; op < 1500; op++ {
+			g := groups[rng.Intn(len(groups))]
+			src := sources[rng.Intn(len(sources))]
+			what := fmt.Sprintf("seed %d op %d (%s, %s)", seed, op, g.Name, src)
+			// Mostly the present, often the recent past, sometimes expired
+			// already; whole seconds make equal timestamps common.
+			at := now
+			switch rng.Intn(5) {
+			case 0, 1:
+				at = now.Add(-time.Duration(rng.Intn(30)) * time.Second)
+			case 2:
+				at = now.Add(-time.Duration(rng.Intn(150)) * time.Second)
+			}
+			switch k := rng.Intn(20); {
+			case k < 9:
+				rows := gen.rows(g, now)
+				if err := s.Record(src, g.Name, rowsRS(t, g, rows), at); err != nil {
+					t.Fatalf("%s: Record: %v", what, err)
+				}
+				model.add(src, g.Name, rows, at, false)
+			case k < 13:
+				rows := gen.rows(g, now)
+				kept, err := s.Load(SampleRecord{Source: src, Group: g.Name, At: at, Rows: rows})
+				if err != nil {
+					t.Fatalf("%s: Load: %v", what, err)
+				}
+				if want := model.add(src, g.Name, rows, at, true); kept != want {
+					t.Fatalf("%s: Load kept = %v, want %v", what, kept, want)
+				}
+			case k < 15:
+				now = now.Add(time.Duration(rng.Intn(20)) * time.Second)
+			case k == 15:
+				if got, want := s.Prune(), model.prune(); got != want {
+					t.Fatalf("%s: Prune dropped %d, want %d", what, got, want)
+				}
+			case k == 16:
+				redraw()
+			}
+
+			since, until := window()
+			for _, source := range []string{src, ""} {
+				rs, err := s.Query(g.Name, source, since, until)
+				if err != nil {
+					t.Fatalf("%s: Query: %v", what, err)
+				}
+				sameRows(t, what+" Query "+source, rs, model.query(g.Name, source, since, until))
+			}
+			rs, at, ok := s.Latest(src, g.Name)
+			wantRows, wantAt, wantOK := model.latest(src, g.Name)
+			if ok != wantOK || !at.Equal(wantAt) {
+				t.Fatalf("%s: Latest = %v %v, want %v %v", what, at, ok, wantAt, wantOK)
+			}
+			if ok {
+				sameRows(t, what+" Latest", rs, wantRows)
+			}
+			if got, want := s.Sources(g.Name), model.sources(g.Name); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: Sources = %v, want %v", what, got, want)
+			}
+			if got, want := s.SampleCount(src, g.Name), len(model.data[[2]string{src, g.Name}]); got != want {
+				t.Fatalf("%s: SampleCount = %d, want %d", what, got, want)
+			}
+			keys, samples := s.recount()
+			if s.Keys() != keys || s.TotalSamples() != samples {
+				t.Fatalf("%s: running totals %d keys %d samples, recount %d / %d",
+					what, s.Keys(), s.TotalSamples(), keys, samples)
+			}
+			if keys != len(model.data) || samples != model.total() {
+				t.Fatalf("%s: %d keys %d samples, model has %d / %d", what, keys, samples, len(model.data), model.total())
+			}
+		}
+		// The checkpoint view holds exactly the model's samples.
+		var seen int
+		_ = s.View().Each(func(rec SampleRecord) error {
+			seen++
+			for _, sm := range model.data[[2]string{rec.Source, rec.Group}] {
+				if sm.at.Equal(rec.At) && len(sm.rows) == len(rec.Rows) {
+					return nil
+				}
+			}
+			t.Fatalf("seed %d: view sample %s %s %v not in the model", seed, rec.Source, rec.Group, rec.At)
+			return nil
+		})
+		if seen != model.total() {
+			t.Fatalf("seed %d: view has %d samples, model %d", seed, seen, model.total())
 		}
 	}
 }

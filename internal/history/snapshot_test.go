@@ -14,9 +14,20 @@ func TestSnapshotLoadRoundTrip(t *testing.T) {
 	_ = s.Record(srcA, glue.GroupMemory, memRS(t, "a", 2048), t0.Add(time.Second))
 	_ = s.Record(srcB, glue.GroupMemory, memRS(t, "b", 512), t0.Add(2*time.Second))
 
-	snap := s.Snapshot()
+	view := s.View()
+	// Each reuses its row buffer, so keep a deep copy of every record.
+	var snap []SampleRecord
+	_ = view.Each(func(rec SampleRecord) error {
+		rows := make([][]any, len(rec.Rows))
+		for i, row := range rec.Rows {
+			rows[i] = append([]any(nil), row...)
+		}
+		rec.Rows = rows
+		snap = append(snap, rec)
+		return nil
+	})
 	if len(snap) != 3 {
-		t.Fatalf("snapshot records = %d", len(snap))
+		t.Fatalf("view records = %d", len(snap))
 	}
 	// Stable order: keys sorted, then time ascending within a key.
 	if snap[0].Source != srcB { // "gridrm:ganglia" sorts before "gridrm:snmp"
@@ -28,8 +39,8 @@ func TestSnapshotLoadRoundTrip(t *testing.T) {
 
 	restored, _ := newStore(Options{})
 	for _, rec := range snap {
-		if !restored.Load(rec) {
-			t.Errorf("Load(%v) dropped", rec.At)
+		if kept, err := restored.Load(rec); !kept || err != nil {
+			t.Errorf("Load(%v) = %v, %v", rec.At, kept, err)
 		}
 	}
 	if restored.Keys() != 2 || restored.TotalSamples() != 3 {
@@ -50,10 +61,10 @@ func TestLoadDedupesExactTimes(t *testing.T) {
 	t0 := *now
 	rec := SampleRecord{Source: srcA, Group: glue.GroupMemory, At: t0,
 		Rows: [][]any{{"a", int64(1), int64(1), int64(1), int64(1), 0.0, 0.0}}}
-	if !s.Load(rec) {
-		t.Fatal("first load dropped")
+	if kept, err := s.Load(rec); !kept || err != nil {
+		t.Fatalf("first load = %v, %v", kept, err)
 	}
-	if s.Load(rec) {
+	if kept, _ := s.Load(rec); kept {
 		t.Fatal("duplicate time accepted")
 	}
 	if s.TotalSamples() != 1 {
@@ -68,9 +79,9 @@ func TestLoadOutOfOrderInserts(t *testing.T) {
 		return SampleRecord{Source: srcA, Group: glue.GroupMemory, At: at,
 			Rows: [][]any{{"a", int64(1), int64(1), int64(1), int64(1), 0.0, 0.0}}}
 	}
-	_ = s.Load(mk(t0.Add(2 * time.Second)))
-	_ = s.Load(mk(t0)) // older sample arrives second (WAL after checkpoint)
-	_ = s.Load(mk(t0.Add(time.Second)))
+	_, _ = s.Load(mk(t0.Add(2 * time.Second)))
+	_, _ = s.Load(mk(t0)) // older sample arrives second (WAL after checkpoint)
+	_, _ = s.Load(mk(t0.Add(time.Second)))
 	rs, err := s.Query(glue.GroupMemory, srcA, time.Time{}, time.Time{})
 	if err != nil || rs.Len() != 3 {
 		t.Fatalf("rows=%d err=%v", rs.Len(), err)
@@ -90,14 +101,14 @@ func TestLoadRespectsRetention(t *testing.T) {
 	old := SampleRecord{Source: srcA, Group: glue.GroupMemory,
 		At:   now.Add(-time.Hour),
 		Rows: [][]any{{"a", int64(1), int64(1), int64(1), int64(1), 0.0, 0.0}}}
-	if s.Load(old) {
-		t.Fatal("expired sample reported kept")
+	if kept, err := s.Load(old); kept || err != nil {
+		t.Fatalf("expired sample: kept=%v err=%v", kept, err)
 	}
 	if s.Keys() != 0 {
 		t.Fatalf("expired-only key retained: keys=%d", s.Keys())
 	}
-	if s.Load(SampleRecord{Source: srcA, Group: "NoSuchGroup", At: *now}) {
-		t.Fatal("unknown group accepted")
+	if kept, err := s.Load(SampleRecord{Source: srcA, Group: "NoSuchGroup", At: *now}); kept || err == nil {
+		t.Fatalf("unknown group: kept=%v err=%v", kept, err)
 	}
 }
 

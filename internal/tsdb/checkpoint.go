@@ -105,8 +105,10 @@ func readCheckpointWALSeq(path string) uint64 {
 }
 
 // writeCheckpoint atomically writes a checkpoint file: tmp, fsync, rename,
-// directory fsync.
-func writeCheckpoint(dir string, seq, walSeq uint64, records []history.SampleRecord) error {
+// directory fsync. It encodes sample by sample from the view — a frozen
+// image that needs no lock — so no writer waits on it and no copy of the
+// retained state is made.
+func writeCheckpoint(dir string, seq, walSeq uint64, view *history.View) error {
 	path := filepath.Join(dir, checkpointName(seq))
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
@@ -133,12 +135,13 @@ func writeCheckpoint(dir string, seq, walSeq uint64, records []history.SampleRec
 		_, err := bw.Write(p)
 		return err
 	}
-	for _, rec := range records {
+	err = view.Each(func(rec history.SampleRecord) error {
 		payload = encodeSample(payload[:0], rec)
-		if err := writeFrame(payload); err != nil {
-			f.Close()
-			return err
-		}
+		return writeFrame(payload)
+	})
+	if err != nil {
+		f.Close()
+		return err
 	}
 	if err := writeFrame(ckptEndMarker); err != nil {
 		f.Close()

@@ -216,7 +216,18 @@ func (s *Store) restoreLocked() error {
 	if err != nil {
 		return err
 	}
-	var restored int64
+	var restored, rejected int64
+	var firstReject error
+	// A CRC-valid record the store refuses (rows of another schema, a
+	// foreign directory) is skipped and counted, never an error: returning
+	// one from the replay callback would truncate the records behind it.
+	load := func(rec history.SampleRecord) {
+		if _, err := s.mem.Load(rec); err != nil {
+			if rejected++; firstReject == nil {
+				firstReject = err
+			}
+		}
+	}
 	for i := len(cps) - 1; i >= 0; i-- {
 		recs, walSeq, err := loadCheckpoint(cps[i].path)
 		if err != nil {
@@ -226,7 +237,7 @@ func (s *Store) restoreLocked() error {
 			continue
 		}
 		for _, rec := range recs {
-			s.mem.Load(rec)
+			load(rec)
 		}
 		restored += int64(len(recs))
 		s.ckptSeq = cps[i].seq
@@ -246,7 +257,7 @@ func (s *Store) restoreLocked() error {
 			if err != nil {
 				return err
 			}
-			s.mem.Load(rec)
+			load(rec)
 			return nil
 		})
 		restored += int64(frames)
@@ -258,6 +269,10 @@ func (s *Store) restoreLocked() error {
 			s.corrupt++
 			s.alert(fmt.Sprintf("torn or corrupt WAL tail in %s truncated after %d valid records", seg.path, frames))
 		}
+	}
+	if rejected > 0 {
+		s.corrupt += rejected
+		s.alert(fmt.Sprintf("%d restored records rejected (written under another schema?), first: %v", rejected, firstReject))
 	}
 	s.replayed += restored
 	if restored > 0 || s.ckptSeq > 0 {
@@ -401,12 +416,12 @@ func (s *Store) Checkpoint() error {
 		return nil
 	}
 	walSeq := s.w.seq
-	snap := s.mem.Snapshot()
+	view := s.mem.View() // O(keys); Record waits for no more than this
 	seq := s.ckptSeq + 1
 	dir := s.opts.Dir
 	s.mu.Unlock()
 
-	err := writeCheckpoint(dir, seq, walSeq, snap)
+	err := writeCheckpoint(dir, seq, walSeq, view)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -429,3 +429,113 @@ func TestRepeatedRestartsAreIdempotent(t *testing.T) {
 		s2.CrashClose()
 	}
 }
+
+// TestRestoreRejectsRecordsOfAnotherSchema: CRC-valid records whose rows do
+// not fit the group (the GLUE schema changed between runs, or the directory
+// is someone else's) used to be loaded as they came, and every later Query
+// on the group then failed. They must be skipped — without truncating the
+// good records journaled behind them — counted, and alerted once.
+func TestRestoreRejectsRecordsOfAnotherSchema(t *testing.T) {
+	dir := t.TempDir()
+	s := Open(testOpts(dir, nil), newMem())
+	t0 := time.Unix(90000, 0)
+	foreign := func(at time.Time, row ...any) {
+		t.Helper()
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		payload := encodeSample(nil, history.SampleRecord{
+			Source: testSrc, Group: glue.GroupMemory, At: at, Rows: [][]any{row},
+		})
+		if err := s.w.append(payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	record(t, s, "h0", t0)
+	foreign(t0.Add(time.Second), "h1", int64(1), int64(2), int64(3))                     // four values, Memory has seven
+	foreign(t0.Add(2*time.Second), "h2", "1024", int64(2), int64(3), int64(4), 0.0, 0.0) // RAMSize as a string
+	record(t, s, "h3", t0.Add(3*time.Second))
+	foreign(t0.Add(4*time.Second), "h4")
+	record(t, s, "h5", t0.Add(5*time.Second))
+	s.CrashClose()
+
+	sink := &alertSink{}
+	mem := newMem()
+	s2 := Open(testOpts(dir, sink), mem)
+	defer s2.Close()
+	if st := s2.Stats(); st.CorruptRecords != 3 || st.ReplayedRecords != 6 {
+		t.Errorf("after restore: %+v, want 3 corrupt of 6 replayed", st)
+	}
+	rs, err := mem.Query(glue.GroupMemory, "", time.Time{}, time.Time{})
+	if err != nil || rs.Len() != 3 {
+		t.Fatalf("Query after restore: %v, err %v; want the 3 good records", rs, err)
+	}
+	sink.mu.Lock()
+	defer sink.mu.Unlock()
+	if len(sink.alerts) != 1 || !strings.Contains(sink.alerts[0], "3 restored records rejected") {
+		t.Errorf("alerts = %q, want one for all three rejects", sink.alerts)
+	}
+}
+
+// TestCheckpointRunsBesideRecord: the checkpoint encodes from a frozen view
+// outside every lock, so writers carry on while it runs — under -race this
+// is the proof that the view shares nothing a writer still touches — and a
+// crash right after still restores every record, from whichever of the
+// checkpoint and the WAL tail holds it.
+func TestCheckpointRunsBesideRecord(t *testing.T) {
+	dir := t.TempDir()
+	opts := testOpts(dir, nil)
+	opts.Fsync = FsyncOff
+	s := Open(opts, newMem())
+	const writers, each = 3, 400
+	t0 := time.Unix(90000, 0)
+	rs := memRS(t, "host", 1024)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			src := fmt.Sprintf("%s%d", testSrc, w)
+			for i := 0; i < each; i++ {
+				if err := s.Record(src, glue.GroupMemory, rs, t0.Add(time.Duration(i)*time.Millisecond)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	stop := make(chan struct{})
+	checkpoints := make(chan int)
+	go func() {
+		n := 0
+		for {
+			select {
+			case <-stop:
+				checkpoints <- n
+				return
+			default:
+			}
+			if err := s.Checkpoint(); err != nil {
+				t.Error(err)
+			}
+			n++
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	if n := <-checkpoints; n == 0 {
+		t.Fatal("no checkpoint ran beside the writers")
+	}
+	s.CrashClose()
+
+	mem := newMem()
+	s2 := Open(testOpts(dir, nil), mem)
+	defer s2.Close()
+	if st := s2.Stats(); st.CorruptRecords != 0 {
+		t.Errorf("after restart: %+v", st)
+	}
+	for w := 0; w < writers; w++ {
+		if n := mem.SampleCount(fmt.Sprintf("%s%d", testSrc, w), glue.GroupMemory); n != each {
+			t.Errorf("writer %d: restored %d samples, want %d", w, n, each)
+		}
+	}
+}
