@@ -27,6 +27,7 @@ import (
 	"gridrm/internal/event"
 	"gridrm/internal/glue"
 	"gridrm/internal/gma"
+	"gridrm/internal/health"
 	"gridrm/internal/repub"
 	"gridrm/internal/router"
 	"gridrm/internal/sitekit"
@@ -144,30 +145,23 @@ func main() {
 	}
 
 	gw, err := sitekit.NewGateway(m, sitekit.Options{
-		Name: m.Site,
-		Timeouts: sitekit.TimeoutOptions{
-			Harvest: *harvestTimeout,
-			Query:   *queryTimeout,
-		},
-		History: sitekit.HistoryOptions{
-			Dir:                *historyDir,
-			Fsync:              *historyFsync,
-			CheckpointInterval: *historyCkptIntv,
-			MaxDiskBytes:       *historyMaxDisk,
-		},
-		Push: sitekit.PushOptions{
-			Queue: *subQueue,
-			Stall: *subStall,
-		},
-		Retry:                 core.RetryOptions{Attempts: *retries, Backoff: *retryBackoff},
-		Breaker:               breaker.Options{Threshold: *breakerTrips, Cooldown: *breakerCool},
-		MaxConcurrentHarvests: *maxHarvests,
-		StaleGrace:            *staleGrace,
-		ProbeInterval:         *probeInterval,
-		Faults:                faults,
-		Trace: trace.Options{
-			Sample:        *traceSample,
-			SlowThreshold: *slowlogThold,
+		Faults: faults,
+		Gateway: core.Config{
+			HarvestTimeout: *harvestTimeout,
+			QueryTimeout:   *queryTimeout,
+			Durable: tsdb.Options{
+				Dir:                *historyDir,
+				Fsync:              *historyFsync,
+				CheckpointInterval: *historyCkptIntv,
+				MaxDiskBytes:       *historyMaxDisk,
+			},
+			Push:                  router.Options{QueueSize: *subQueue, Stall: *subStall},
+			Retry:                 core.RetryOptions{Attempts: *retries, Backoff: *retryBackoff},
+			Breaker:               breaker.Options{Threshold: *breakerTrips, Cooldown: *breakerCool},
+			MaxConcurrentHarvests: *maxHarvests,
+			StaleGrace:            *staleGrace,
+			Probe:                 health.Options{Interval: *probeInterval},
+			Trace:                 trace.Options{Sample: *traceSample, SlowThreshold: *slowlogThold},
 		},
 	}, *dynamic)
 	if err != nil {

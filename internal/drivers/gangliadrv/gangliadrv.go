@@ -21,11 +21,9 @@ import (
 	"time"
 
 	"gridrm/internal/agents/ganglia"
-	"gridrm/internal/driver"
+	"gridrm/internal/drivers/drvkit"
 	"gridrm/internal/glue"
-	"gridrm/internal/resultset"
 	"gridrm/internal/schema"
-	"gridrm/internal/sqlparse"
 )
 
 // DriverName is the registration name.
@@ -34,156 +32,55 @@ const DriverName = "jdbc-ganglia"
 // DefaultPort is the gmond port assumed when the URL has none.
 const DefaultPort = 8649
 
-// DefaultCacheTTL is the per-connection dump cache lifetime.
-const DefaultCacheTTL = time.Second
-
-// Driver is the JDBC-Ganglia driver.
-type Driver struct {
-	schemas *schema.Manager
-	// clock is injectable for cache tests.
-	clock func() time.Time
-}
-
 // New creates the driver; the SchemaManager may be nil.
-func New(sm *schema.Manager) *Driver { return &Driver{schemas: sm, clock: time.Now} }
-
-// SetClock injects a clock for tests.
-func (d *Driver) SetClock(clock func() time.Time) { d.clock = clock }
-
-// Name implements driver.Driver.
-func (d *Driver) Name() string { return DriverName }
-
-// Version implements driver.Versioned.
-func (d *Driver) Version() string { return "1.0" }
-
-// AcceptsURL implements driver.Driver.
-func (d *Driver) AcceptsURL(url string) bool {
-	u, err := driver.ParseURL(url)
-	if err != nil {
-		return false
-	}
-	return u.Protocol == "" || u.Protocol == "ganglia"
+func New(sm *schema.Manager) *drvkit.Driver {
+	return drvkit.New(drvkit.Spec{Name: DriverName, Protocol: "ganglia", DefaultPort: DefaultPort,
+		Agent: "a gmond agent", Schema: Schema, Open: open}, sm)
 }
 
-// Connect implements driver.Driver, verifying the agent by fetching and
-// parsing one dump.
-func (d *Driver) Connect(url string, props driver.Properties) (driver.Conn, error) {
-	u, err := driver.ParseURL(url)
-	if err != nil {
-		return nil, err
-	}
-	timeout := 2 * time.Second
-	if t := props.Get("timeout", ""); t != "" {
-		parsed, err := time.ParseDuration(t)
-		if err != nil {
-			return nil, fmt.Errorf("gangliadrv: bad timeout %q", t)
-		}
-		timeout = parsed
-	}
-	ttl := DefaultCacheTTL
-	if t := props.Get("cache_ttl", ""); t != "" {
-		parsed, err := time.ParseDuration(t)
-		if err != nil {
-			return nil, fmt.Errorf("gangliadrv: bad cache_ttl %q", t)
-		}
-		ttl = parsed
-	}
-	conn := &Conn{
-		drv:     d,
-		addr:    u.Address(DefaultPort),
-		url:     url,
-		timeout: timeout,
-		ttl:     ttl,
-	}
-	conn.mapping, conn.gen = d.lookupSchema()
-	if _, err := conn.fetch(); err != nil {
-		return nil, fmt.Errorf("gangliadrv: %s does not answer as a gmond agent: %w", url, err)
-	}
-	return conn, nil
-}
-
-func (d *Driver) lookupSchema() (*schema.DriverSchema, int64) {
-	if d.schemas == nil {
-		return Schema(), 0
-	}
-	if ds, gen, ok := d.schemas.Lookup(DriverName); ok {
-		return ds, gen
-	}
-	return Schema(), 0
-}
-
-// Conn is a Ganglia driver connection holding the per-plug-in dump cache.
-type Conn struct {
-	driver.UnimplementedConn
-	drv     *Driver
+// session holds the per-plug-in dump cache; gmond closes the socket after
+// each dump, so there is no standing connection.
+type session struct {
 	addr    string
-	url     string
 	timeout time.Duration
-	ttl     time.Duration
-	mapping *schema.DriverSchema
-	gen     int64
-	closed  bool
-
-	doc       *ganglia.Document
-	fetchedAt time.Time
-	// Fetches counts real dumps retrieved (cache-miss cost, E4).
-	Fetches int64
+	dump    *drvkit.Cached[*ganglia.Document]
 }
 
-// URL implements driver.Conn.
-func (c *Conn) URL() string { return c.url }
+// open verifies the agent by fetching and parsing one dump.
+func open(t drvkit.Target) (drvkit.Session, error) {
+	s := &session{addr: t.Addr, timeout: t.Timeout}
+	s.dump = drvkit.NewCached(t, s.fetch)
+	_, err := s.dump.Get()
+	return s, err
+}
 
-// Driver implements driver.Conn.
-func (c *Conn) Driver() string { return DriverName }
-
-// Close implements driver.Conn.
-func (c *Conn) Close() error { c.closed = true; return nil }
-
-// Ping implements driver.Conn by dialling the agent.
-func (c *Conn) Ping() error {
-	if c.closed {
-		return driver.ErrClosed
-	}
-	conn, err := net.DialTimeout("tcp", c.addr, c.timeout)
+// Ping implements drvkit.Session by dialling the agent.
+func (s *session) Ping() error {
+	tcp, err := net.DialTimeout("tcp", s.addr, s.timeout)
 	if err != nil {
 		return fmt.Errorf("gangliadrv: %w", err)
 	}
-	return conn.Close()
+	return tcp.Close()
 }
 
-// SourceInfo implements driver.MetadataProvider.
-func (c *Conn) SourceInfo() driver.SourceInfo {
-	info := driver.SourceInfo{Protocol: "ganglia", Groups: c.mapping.GroupNames()}
-	if c.doc != nil {
-		info.AgentVersion = c.doc.Version
+// Close implements drvkit.Session.
+func (s *session) Close() error { return nil }
+
+// AgentVersion implements drvkit.AgentVersioner from the last dump.
+func (s *session) AgentVersion() string {
+	if doc, ok := s.dump.Last(); ok {
+		return doc.Version
 	}
-	return info
+	return ""
 }
 
-// CreateStatement implements driver.Conn.
-func (c *Conn) CreateStatement() (driver.Stmt, error) {
-	if c.closed {
-		return nil, driver.ErrClosed
-	}
-	return &Stmt{conn: c}, nil
-}
-
-// document returns the cluster dump, via the per-plug-in cache.
-func (c *Conn) document() (*ganglia.Document, error) {
-	now := c.drv.clock()
-	if c.doc != nil && c.ttl > 0 && now.Sub(c.fetchedAt) <= c.ttl {
-		return c.doc, nil
-	}
-	return c.fetch()
-}
-
-func (c *Conn) fetch() (*ganglia.Document, error) {
-	tcp, err := net.DialTimeout("tcp", c.addr, c.timeout)
+func (s *session) fetch() (*ganglia.Document, error) {
+	tcp, err := net.DialTimeout("tcp", s.addr, s.timeout)
 	if err != nil {
 		return nil, err
 	}
 	defer tcp.Close()
-	_ = tcp.SetReadDeadline(time.Now().Add(c.timeout))
+	_ = tcp.SetReadDeadline(time.Now().Add(s.timeout))
 	data, err := io.ReadAll(tcp)
 	if err != nil {
 		return nil, err
@@ -192,63 +89,21 @@ func (c *Conn) fetch() (*ganglia.Document, error) {
 	if err := xml.Unmarshal(data, &doc); err != nil {
 		return nil, fmt.Errorf("parsing gmond XML: %w", err)
 	}
-	c.doc = &doc
-	c.fetchedAt = c.drv.clock()
-	c.Fetches++
-	return c.doc, nil
+	return &doc, nil
 }
 
-// Stmt executes SQL against the cluster dump.
-type Stmt struct {
-	driver.UnimplementedStmt
-	conn   *Conn
-	closed bool
-}
-
-// Close implements driver.Stmt.
-func (s *Stmt) Close() error { s.closed = true; return nil }
-
-// ExecuteQuery implements driver.Stmt.
-func (s *Stmt) ExecuteQuery(sql string) (*resultset.ResultSet, error) {
-	if s.closed || s.conn.closed {
-		return nil, driver.ErrClosed
-	}
-	if s.conn.drv.schemas != nil && !s.conn.drv.schemas.Valid(DriverName, s.conn.gen) {
-		s.conn.mapping, s.conn.gen = s.conn.drv.lookupSchema()
-	}
-	q, err := sqlparse.Parse(sql)
+// Fetch implements drvkit.Session: one row per host of the cluster dump.
+func (s *session) Fetch(rows *drvkit.Rows) error {
+	doc, err := s.dump.Get()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	g, ok := glue.Lookup(q.Table)
-	if !ok {
-		return nil, fmt.Errorf("gangliadrv: unknown group %q", q.Table)
-	}
-	gm, ok := s.conn.mapping.Groups[g.Name]
-	if !ok {
-		return nil, fmt.Errorf("gangliadrv: group %s not supported by this driver", g.Name)
-	}
-	doc, err := s.conn.document()
-	if err != nil {
-		return nil, err
-	}
-	meta, err := resultset.MetadataForGroup(g, nil)
-	if err != nil {
-		return nil, err
-	}
-	b := resultset.NewBuilder(meta)
 	for _, host := range doc.Cluster.Hosts {
-		row, err := schema.BuildRow(g, gm, hostResolver(g, host))
-		if err != nil {
-			return nil, err
+		if err := rows.Add(hostResolver(rows.Group, host)); err != nil {
+			return err
 		}
-		b.Append(row...)
 	}
-	full, err := b.Build()
-	if err != nil {
-		return nil, err
-	}
-	return sqlparse.ApplyToResultSet(q, full)
+	return nil
 }
 
 // hostResolver translates gmond metric names (plus the pseudo-metrics

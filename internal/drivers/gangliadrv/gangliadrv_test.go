@@ -7,6 +7,7 @@ import (
 	"gridrm/internal/agents/ganglia"
 	"gridrm/internal/agents/sim"
 	"gridrm/internal/driver"
+	"gridrm/internal/drivers/drvkit"
 	"gridrm/internal/glue"
 	"gridrm/internal/resultset"
 	"gridrm/internal/schema"
@@ -15,7 +16,7 @@ import (
 type fixture struct {
 	site  *sim.Site
 	agent *ganglia.Agent
-	drv   *Driver
+	drv   driver.Driver
 	sm    *schema.Manager
 	url   string
 	now   *time.Time
@@ -187,7 +188,7 @@ func TestDumpCachePolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	c := conn.(*Conn)
+	c := conn.(*drvkit.Conn).Session().(*session).dump
 	if c.Fetches != 1 { // connect probe
 		t.Fatalf("fetches after connect = %d", c.Fetches)
 	}
@@ -213,7 +214,7 @@ func TestCacheDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	c := conn.(*Conn)
+	c := conn.(*drvkit.Conn).Session().(*session).dump
 	f.query(t, conn, "SELECT * FROM Processor")
 	f.query(t, conn, "SELECT * FROM Processor")
 	if c.Fetches != 3 { // probe + 2 queries

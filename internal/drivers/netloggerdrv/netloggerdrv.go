@@ -21,11 +21,10 @@ import (
 
 	"gridrm/internal/agents/netlogger"
 	"gridrm/internal/driver"
+	"gridrm/internal/drivers/drvkit"
 	"gridrm/internal/event"
 	"gridrm/internal/glue"
-	"gridrm/internal/resultset"
 	"gridrm/internal/schema"
-	"gridrm/internal/sqlparse"
 )
 
 // DriverName is the registration name.
@@ -34,158 +33,34 @@ const DriverName = "jdbc-netlogger"
 // DefaultPort is the NetLogger port assumed when the URL has none.
 const DefaultPort = 14830
 
-// Driver is the JDBC-NetLogger driver.
-type Driver struct {
-	schemas *schema.Manager
-}
-
 // New creates the driver; the SchemaManager may be nil.
-func New(sm *schema.Manager) *Driver { return &Driver{schemas: sm} }
-
-// Name implements driver.Driver.
-func (d *Driver) Name() string { return DriverName }
-
-// Version implements driver.Versioned.
-func (d *Driver) Version() string { return "1.0" }
-
-// AcceptsURL implements driver.Driver.
-func (d *Driver) AcceptsURL(url string) bool {
-	u, err := driver.ParseURL(url)
-	if err != nil {
-		return false
-	}
-	return u.Protocol == "" || u.Protocol == "netlogger"
+func New(sm *schema.Manager) *drvkit.Driver {
+	return drvkit.New(drvkit.Spec{Name: DriverName, Protocol: "netlogger", DefaultPort: DefaultPort,
+		Agent: "a NetLogger agent", Schema: Schema, Open: open}, sm)
 }
 
-// Connect implements driver.Driver, verifying the agent with a HOSTS
-// handshake.
-func (d *Driver) Connect(url string, props driver.Properties) (driver.Conn, error) {
-	u, err := driver.ParseURL(url)
+// session is one TCP connection to the NetLogger collector.
+type session struct{ *drvkit.LineClient }
+
+// open dials the collector and verifies it with a HOSTS handshake.
+func open(t drvkit.Target) (drvkit.Session, error) {
+	line, err := drvkit.DialLine(t.Addr, t.Timeout)
 	if err != nil {
 		return nil, err
 	}
-	timeout := 2 * time.Second
-	if t := props.Get("timeout", ""); t != "" {
-		parsed, err := time.ParseDuration(t)
-		if err != nil {
-			return nil, fmt.Errorf("netloggerdrv: bad timeout %q", t)
-		}
-		timeout = parsed
-	}
-	tcp, err := net.DialTimeout("tcp", u.Address(DefaultPort), timeout)
-	if err != nil {
-		return nil, fmt.Errorf("netloggerdrv: %w", err)
-	}
-	conn := &Conn{drv: d, tcp: tcp, r: bufio.NewReader(tcp), url: url, timeout: timeout}
-	conn.mapping, conn.gen = d.lookupSchema()
-	if _, err := conn.hosts(); err != nil {
-		_ = tcp.Close()
-		return nil, fmt.Errorf("netloggerdrv: %s does not answer as a NetLogger agent: %w", url, err)
-	}
-	return conn, nil
+	s := &session{line}
+	return s, s.Ping()
 }
 
-func (d *Driver) lookupSchema() (*schema.DriverSchema, int64) {
-	if d.schemas == nil {
-		return Schema(), 0
-	}
-	if ds, gen, ok := d.schemas.Lookup(DriverName); ok {
-		return ds, gen
-	}
-	return Schema(), 0
-}
-
-// Conn is a NetLogger driver connection.
-type Conn struct {
-	driver.UnimplementedConn
-	drv     *Driver
-	tcp     net.Conn
-	r       *bufio.Reader
-	url     string
-	timeout time.Duration
-	mapping *schema.DriverSchema
-	gen     int64
-	closed  bool
-}
-
-// URL implements driver.Conn.
-func (c *Conn) URL() string { return c.url }
-
-// Driver implements driver.Conn.
-func (c *Conn) Driver() string { return DriverName }
-
-// Close implements driver.Conn.
-func (c *Conn) Close() error {
-	if c.closed {
-		return nil
-	}
-	c.closed = true
-	return c.tcp.Close()
-}
-
-// Ping implements driver.Conn with a HOSTS round trip.
-func (c *Conn) Ping() error {
-	if c.closed {
-		return driver.ErrClosed
-	}
-	_, err := c.hosts()
-	return err
-}
-
-// SourceInfo implements driver.MetadataProvider.
-func (c *Conn) SourceInfo() driver.SourceInfo {
-	return driver.SourceInfo{Protocol: "netlogger", Groups: c.mapping.GroupNames()}
-}
-
-// CreateStatement implements driver.Conn.
-func (c *Conn) CreateStatement() (driver.Stmt, error) {
-	if c.closed {
-		return nil, driver.ErrClosed
-	}
-	return &Stmt{conn: c}, nil
-}
-
-func (c *Conn) send(cmd string) error {
-	_ = c.tcp.SetDeadline(time.Now().Add(c.timeout))
-	_, err := fmt.Fprintf(c.tcp, "%s\n", cmd)
-	return err
-}
-
-func (c *Conn) readLine() (string, error) {
-	_ = c.tcp.SetDeadline(time.Now().Add(c.timeout))
-	line, err := c.r.ReadString('\n')
-	if err != nil {
-		return "", err
-	}
-	return strings.TrimSpace(line), nil
-}
-
-func (c *Conn) hosts() ([]string, error) {
-	if err := c.send("HOSTS"); err != nil {
-		return nil, err
-	}
-	var out []string
-	for {
-		line, err := c.readLine()
-		if err != nil {
-			return nil, err
-		}
-		if line == "END" {
-			return out, nil
-		}
-		if strings.HasPrefix(line, "ERR") {
-			return nil, fmt.Errorf("netloggerdrv: %s", line)
-		}
-		out = append(out, line)
-	}
-}
+// Ping implements drvkit.Session with a HOSTS round trip.
+func (s *session) Ping() error { return s.Command("HOSTS", nil) }
 
 // get performs one fine-grained GET for the latest value of (host, event).
-func (c *Conn) get(host, evt string) (float64, bool, error) {
-	if err := c.send("GET " + host + " " + evt); err != nil {
+func (s *session) get(host, evt string) (float64, bool, error) {
+	if err := s.Send("GET " + host + " " + evt); err != nil {
 		return 0, false, err
 	}
-	line, err := c.readLine()
+	line, err := s.ReadLine()
 	if err != nil {
 		return 0, false, err
 	}
@@ -199,55 +74,27 @@ func (c *Conn) get(host, evt string) (float64, bool, error) {
 	return rec.Value, true, nil
 }
 
-// Stmt executes SQL via per-value GETs.
-type Stmt struct {
-	driver.UnimplementedStmt
-	conn   *Conn
-	closed bool
-}
-
-// Close implements driver.Stmt.
-func (s *Stmt) Close() error { s.closed = true; return nil }
-
-// ExecuteQuery implements driver.Stmt.
-func (s *Stmt) ExecuteQuery(sql string) (*resultset.ResultSet, error) {
-	if s.closed || s.conn.closed {
-		return nil, driver.ErrClosed
+// Fetch implements drvkit.Session: one row per host, one GET per mapped
+// field.
+func (s *session) Fetch(rows *drvkit.Rows) error {
+	// The list is read whole first: the GETs below share the connection.
+	var hosts []string
+	if err := s.Command("HOSTS", func(host string) error {
+		hosts = append(hosts, host)
+		return nil
+	}); err != nil {
+		return err
 	}
-	if s.conn.drv.schemas != nil && !s.conn.drv.schemas.Valid(DriverName, s.conn.gen) {
-		s.conn.mapping, s.conn.gen = s.conn.drv.lookupSchema()
-	}
-	q, err := sqlparse.Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	g, ok := glue.Lookup(q.Table)
-	if !ok {
-		return nil, fmt.Errorf("netloggerdrv: unknown group %q", q.Table)
-	}
-	gm, ok := s.conn.mapping.Groups[g.Name]
-	if !ok {
-		return nil, fmt.Errorf("netloggerdrv: group %s not supported by this driver", g.Name)
-	}
-	hosts, err := s.conn.hosts()
-	if err != nil {
-		return nil, err
-	}
-	meta, err := resultset.MetadataForGroup(g, nil)
-	if err != nil {
-		return nil, err
-	}
-	b := resultset.NewBuilder(meta)
 	for _, host := range hosts {
-		var resolveErr error
-		row, err := schema.BuildRow(g, gm, func(native string) (any, bool) {
+		var getErr error
+		err := rows.Add(func(native string) (any, bool) {
 			if native == "hostname" {
 				return host, true
 			}
 			name, conv, _ := strings.Cut(native, "|")
-			v, ok, err := s.conn.get(host, name)
+			v, ok, err := s.get(host, name)
 			if err != nil {
-				resolveErr = err
+				getErr = err
 				return nil, false
 			}
 			if !ok {
@@ -258,19 +105,14 @@ func (s *Stmt) ExecuteQuery(sql string) (*resultset.ResultSet, error) {
 			}
 			return v, true
 		})
-		if resolveErr != nil {
-			return nil, resolveErr
+		if getErr != nil {
+			return getErr
 		}
 		if err != nil {
-			return nil, err
+			return err
 		}
-		b.Append(row...)
 	}
-	full, err := b.Build()
-	if err != nil {
-		return nil, err
-	}
-	return sqlparse.ApplyToResultSet(q, full)
+	return nil
 }
 
 // Schema returns the driver's GLUE mapping. Native names are ULM NL.EVNT
@@ -412,11 +254,11 @@ func (d *OutboundEvents) Transmit(ev event.Event) error {
 	if timeout <= 0 {
 		timeout = 2 * time.Second
 	}
-	tcp, err := net.DialTimeout("tcp", u.Address(DefaultPort), timeout)
+	line, err := drvkit.DialLine(u.Address(DefaultPort), timeout)
 	if err != nil {
 		return fmt.Errorf("netloggerdrv: %w", err)
 	}
-	defer tcp.Close()
+	defer line.Close()
 	rec := netlogger.Record{
 		Date:  ev.Time,
 		Host:  ev.Host,
@@ -425,16 +267,15 @@ func (d *OutboundEvents) Transmit(ev event.Event) error {
 		Event: ev.Name,
 		Value: ev.Value,
 	}
-	_ = tcp.SetDeadline(time.Now().Add(timeout))
-	if _, err := fmt.Fprintf(tcp, "LOG %s\n", rec.Format()); err != nil {
+	if err := line.Send("LOG " + rec.Format()); err != nil {
 		return fmt.Errorf("netloggerdrv: %w", err)
 	}
-	resp, err := bufio.NewReader(tcp).ReadString('\n')
+	resp, err := line.ReadLine()
 	if err != nil {
 		return fmt.Errorf("netloggerdrv: %w", err)
 	}
 	if !strings.HasPrefix(resp, "OK") {
-		return fmt.Errorf("netloggerdrv: transmit rejected: %s", strings.TrimSpace(resp))
+		return fmt.Errorf("netloggerdrv: transmit rejected: %s", resp)
 	}
 	return nil
 }

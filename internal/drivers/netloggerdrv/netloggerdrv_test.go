@@ -16,7 +16,7 @@ import (
 type fixture struct {
 	site  *sim.Site
 	agent *netlogger.Agent
-	drv   *Driver
+	drv   driver.Driver
 	url   string
 }
 

@@ -13,17 +13,13 @@
 package nwsdrv
 
 import (
-	"bufio"
 	"fmt"
-	"net"
+	"sort"
 	"strings"
-	"time"
 
-	"gridrm/internal/driver"
+	"gridrm/internal/drivers/drvkit"
 	"gridrm/internal/glue"
-	"gridrm/internal/resultset"
 	"gridrm/internal/schema"
-	"gridrm/internal/sqlparse"
 )
 
 // DriverName is the registration name.
@@ -32,194 +28,61 @@ const DriverName = "jdbc-nws"
 // DefaultPort is the NWS port assumed when the URL has none.
 const DefaultPort = 8090
 
-// DefaultCacheTTL is the per-connection state cache lifetime.
-const DefaultCacheTTL = time.Second
-
-// Driver is the JDBC-NWS driver.
-type Driver struct {
-	schemas *schema.Manager
-	clock   func() time.Time
-}
-
 // New creates the driver; the SchemaManager may be nil.
-func New(sm *schema.Manager) *Driver { return &Driver{schemas: sm, clock: time.Now} }
-
-// SetClock injects a clock for cache tests.
-func (d *Driver) SetClock(clock func() time.Time) { d.clock = clock }
-
-// Name implements driver.Driver.
-func (d *Driver) Name() string { return DriverName }
-
-// Version implements driver.Versioned.
-func (d *Driver) Version() string { return "1.0" }
-
-// AcceptsURL implements driver.Driver.
-func (d *Driver) AcceptsURL(url string) bool {
-	u, err := driver.ParseURL(url)
-	if err != nil {
-		return false
-	}
-	return u.Protocol == "" || u.Protocol == "nws"
+func New(sm *schema.Manager) *drvkit.Driver {
+	return drvkit.New(drvkit.Spec{Name: DriverName, Protocol: "nws", DefaultPort: DefaultPort,
+		Agent: "an NWS agent", Schema: Schema, Open: open}, sm)
 }
 
-// Connect implements driver.Driver, verifying the agent with a LIST
-// handshake.
-func (d *Driver) Connect(url string, props driver.Properties) (driver.Conn, error) {
-	u, err := driver.ParseURL(url)
+// siteState is the parsed site: host → resource → value.
+type siteState map[string]map[string]float64
+
+// session is one TCP connection to the NWS nameserver plus the per-plug-in
+// state cache.
+type session struct {
+	*drvkit.LineClient
+	forecast bool
+	state    *drvkit.Cached[siteState]
+}
+
+// open dials the nameserver and verifies it with a LIST handshake.
+func open(t drvkit.Target) (drvkit.Session, error) {
+	line, err := drvkit.DialLine(t.Addr, t.Timeout)
 	if err != nil {
 		return nil, err
 	}
-	timeout := 2 * time.Second
-	if t := props.Get("timeout", ""); t != "" {
-		parsed, err := time.ParseDuration(t)
-		if err != nil {
-			return nil, fmt.Errorf("nwsdrv: bad timeout %q", t)
-		}
-		timeout = parsed
-	}
-	ttl := DefaultCacheTTL
-	if t := props.Get("cache_ttl", ""); t != "" {
-		parsed, err := time.ParseDuration(t)
-		if err != nil {
-			return nil, fmt.Errorf("nwsdrv: bad cache_ttl %q", t)
-		}
-		ttl = parsed
-	}
-	tcp, err := net.DialTimeout("tcp", u.Address(DefaultPort), timeout)
-	if err != nil {
-		return nil, fmt.Errorf("nwsdrv: %w", err)
-	}
-	conn := &Conn{
-		drv:      d,
-		tcp:      tcp,
-		r:        bufio.NewReader(tcp),
-		url:      url,
-		timeout:  timeout,
-		ttl:      ttl,
-		forecast: props.Get("use_forecast", "") == "true",
-	}
-	conn.mapping, conn.gen = d.lookupSchema()
-	if _, err := conn.listSeries(); err != nil {
-		_ = tcp.Close()
-		return nil, fmt.Errorf("nwsdrv: %s does not answer as an NWS agent: %w", url, err)
-	}
-	return conn, nil
+	s := &session{LineClient: line, forecast: t.Props.Get("use_forecast", "") == "true"}
+	s.state = drvkit.NewCached(t, s.fetch)
+	return s, s.Ping()
 }
 
-func (d *Driver) lookupSchema() (*schema.DriverSchema, int64) {
-	if d.schemas == nil {
-		return Schema(), 0
-	}
-	if ds, gen, ok := d.schemas.Lookup(DriverName); ok {
-		return ds, gen
-	}
-	return Schema(), 0
-}
-
-// Conn is an NWS driver connection holding the per-plug-in state cache.
-type Conn struct {
-	driver.UnimplementedConn
-	drv      *Driver
-	tcp      net.Conn
-	r        *bufio.Reader
-	url      string
-	timeout  time.Duration
-	ttl      time.Duration
-	forecast bool
-	mapping  *schema.DriverSchema
-	gen      int64
-	closed   bool
-
-	state     map[string]map[string]float64 // host → resource → value
-	fetchedAt time.Time
-	// Fetches counts full state refreshes (E4's cache-miss cost).
-	Fetches int64
-}
-
-// URL implements driver.Conn.
-func (c *Conn) URL() string { return c.url }
-
-// Driver implements driver.Conn.
-func (c *Conn) Driver() string { return DriverName }
-
-// Close implements driver.Conn.
-func (c *Conn) Close() error {
-	if c.closed {
-		return nil
-	}
-	c.closed = true
-	return c.tcp.Close()
-}
-
-// Ping implements driver.Conn with a LIST round trip.
-func (c *Conn) Ping() error {
-	if c.closed {
-		return driver.ErrClosed
-	}
-	_, err := c.listSeries()
+// Ping implements drvkit.Session with a LIST round trip.
+func (s *session) Ping() error {
+	_, err := s.listSeries()
 	return err
-}
-
-// SourceInfo implements driver.MetadataProvider.
-func (c *Conn) SourceInfo() driver.SourceInfo {
-	return driver.SourceInfo{Protocol: "nws", Groups: c.mapping.GroupNames()}
-}
-
-// CreateStatement implements driver.Conn.
-func (c *Conn) CreateStatement() (driver.Stmt, error) {
-	if c.closed {
-		return nil, driver.ErrClosed
-	}
-	return &Stmt{conn: c}, nil
-}
-
-func (c *Conn) send(cmd string) error {
-	_ = c.tcp.SetDeadline(time.Now().Add(c.timeout))
-	_, err := fmt.Fprintf(c.tcp, "%s\n", cmd)
-	return err
-}
-
-func (c *Conn) readLine() (string, error) {
-	_ = c.tcp.SetDeadline(time.Now().Add(c.timeout))
-	line, err := c.r.ReadString('\n')
-	if err != nil {
-		return "", err
-	}
-	return strings.TrimSpace(line), nil
 }
 
 // listSeries runs LIST and returns host → resources.
-func (c *Conn) listSeries() (map[string][]string, error) {
-	if err := c.send("LIST"); err != nil {
-		return nil, err
-	}
+func (s *session) listSeries() (map[string][]string, error) {
 	out := make(map[string][]string)
-	for {
-		line, err := c.readLine()
-		if err != nil {
-			return nil, err
-		}
-		if line == "END" {
-			return out, nil
-		}
-		if strings.HasPrefix(line, "ERR") {
-			return nil, fmt.Errorf("nwsdrv: %s", line)
-		}
+	err := s.Command("LIST", func(line string) error {
 		fields := strings.Fields(line)
 		if len(fields) != 2 {
-			return nil, fmt.Errorf("nwsdrv: bad LIST line %q", line)
+			return fmt.Errorf("nwsdrv: bad LIST line %q", line)
 		}
 		out[fields[0]] = append(out[fields[0]], fields[1])
-	}
+		return nil
+	})
+	return out, err
 }
 
 // latest fetches the most recent measurement of one series by reading (and
 // parsing) the whole series response — the coarse path.
-func (c *Conn) latest(host, resource string) (float64, bool, error) {
-	if err := c.send("SERIES " + host + " " + resource); err != nil {
+func (s *session) latest(host, resource string) (float64, bool, error) {
+	if err := s.Send("SERIES " + host + " " + resource); err != nil {
 		return 0, false, err
 	}
-	header, err := c.readLine()
+	header, err := s.ReadLine()
 	if err != nil {
 		return 0, false, err
 	}
@@ -230,7 +93,7 @@ func (c *Conn) latest(host, resource string) (float64, bool, error) {
 	var last float64
 	have := false
 	for i := 0; i < n; i++ {
-		line, err := c.readLine()
+		line, err := s.ReadLine()
 		if err != nil {
 			return 0, false, err
 		}
@@ -241,18 +104,18 @@ func (c *Conn) latest(host, resource string) (float64, bool, error) {
 		}
 		last, have = v, true
 	}
-	if end, err := c.readLine(); err != nil || end != "END" {
+	if end, err := s.ReadLine(); err != nil || end != "END" {
 		return 0, false, fmt.Errorf("nwsdrv: missing END (got %q, %v)", end, err)
 	}
 	return last, have, nil
 }
 
 // forecastValue fetches the NWS forecast of one series.
-func (c *Conn) forecastValue(host, resource string) (float64, bool, error) {
-	if err := c.send("FORECAST " + host + " " + resource); err != nil {
+func (s *session) forecastValue(host, resource string) (float64, bool, error) {
+	if err := s.Send("FORECAST " + host + " " + resource); err != nil {
 		return 0, false, err
 	}
-	line, err := c.readLine()
+	line, err := s.ReadLine()
 	if err != nil {
 		return 0, false, err
 	}
@@ -266,26 +129,22 @@ func (c *Conn) forecastValue(host, resource string) (float64, bool, error) {
 	return v, true, nil
 }
 
-// siteState returns host → resource → value, through the TTL cache.
-func (c *Conn) siteState() (map[string]map[string]float64, error) {
-	now := c.drv.clock()
-	if c.state != nil && c.ttl > 0 && now.Sub(c.fetchedAt) <= c.ttl {
-		return c.state, nil
-	}
-	series, err := c.listSeries()
+// fetch reads every series the nameserver lists.
+func (s *session) fetch() (siteState, error) {
+	series, err := s.listSeries()
 	if err != nil {
 		return nil, err
 	}
-	state := make(map[string]map[string]float64, len(series))
+	state := make(siteState, len(series))
 	for host, resources := range series {
 		state[host] = make(map[string]float64, len(resources))
 		for _, res := range resources {
 			var v float64
 			var ok bool
-			if c.forecast {
-				v, ok, err = c.forecastValue(host, res)
+			if s.forecast {
+				v, ok, err = s.forecastValue(host, res)
 			} else {
-				v, ok, err = c.latest(host, res)
+				v, ok, err = s.latest(host, res)
 			}
 			if err != nil {
 				return nil, err
@@ -295,75 +154,29 @@ func (c *Conn) siteState() (map[string]map[string]float64, error) {
 			}
 		}
 	}
-	c.state = state
-	c.fetchedAt = c.drv.clock()
-	c.Fetches++
 	return state, nil
 }
 
-// Stmt executes SQL against NWS series.
-type Stmt struct {
-	driver.UnimplementedStmt
-	conn   *Conn
-	closed bool
-}
-
-// Close implements driver.Stmt.
-func (s *Stmt) Close() error { s.closed = true; return nil }
-
-// ExecuteQuery implements driver.Stmt.
-func (s *Stmt) ExecuteQuery(sql string) (*resultset.ResultSet, error) {
-	if s.closed || s.conn.closed {
-		return nil, driver.ErrClosed
-	}
-	if s.conn.drv.schemas != nil && !s.conn.drv.schemas.Valid(DriverName, s.conn.gen) {
-		s.conn.mapping, s.conn.gen = s.conn.drv.lookupSchema()
-	}
-	q, err := sqlparse.Parse(sql)
+// Fetch implements drvkit.Session: one row per host, in name order.
+func (s *session) Fetch(rows *drvkit.Rows) error {
+	state, err := s.state.Get()
 	if err != nil {
-		return nil, err
-	}
-	g, ok := glue.Lookup(q.Table)
-	if !ok {
-		return nil, fmt.Errorf("nwsdrv: unknown group %q", q.Table)
-	}
-	gm, ok := s.conn.mapping.Groups[g.Name]
-	if !ok {
-		return nil, fmt.Errorf("nwsdrv: group %s not supported by this driver", g.Name)
-	}
-	state, err := s.conn.siteState()
-	if err != nil {
-		return nil, err
+		return err
 	}
 	hosts := make([]string, 0, len(state))
 	for h := range state {
 		hosts = append(hosts, h)
 	}
-	for i := 1; i < len(hosts); i++ {
-		for j := i; j > 0 && hosts[j] < hosts[j-1]; j-- {
-			hosts[j], hosts[j-1] = hosts[j-1], hosts[j]
-		}
-	}
-	meta, err := resultset.MetadataForGroup(g, nil)
-	if err != nil {
-		return nil, err
-	}
-	b := resultset.NewBuilder(meta)
+	sort.Strings(hosts)
 	for _, host := range hosts {
 		values := state[host]
-		row, err := schema.BuildRow(g, gm, func(native string) (any, bool) {
-			return resolve(native, host, values, g)
-		})
-		if err != nil {
-			return nil, err
+		if err := rows.Add(func(native string) (any, bool) {
+			return resolve(native, host, values, rows.Group)
+		}); err != nil {
+			return err
 		}
-		b.Append(row...)
 	}
-	full, err := b.Build()
-	if err != nil {
-		return nil, err
-	}
-	return sqlparse.ApplyToResultSet(q, full)
+	return nil
 }
 
 // resolve maps natives ("hostname", "const:x", "<resource>" or

@@ -8,6 +8,7 @@ import (
 	"gridrm/internal/agents/nws"
 	"gridrm/internal/agents/sim"
 	"gridrm/internal/driver"
+	"gridrm/internal/drivers/drvkit"
 	"gridrm/internal/resultset"
 	"gridrm/internal/schema"
 )
@@ -15,7 +16,7 @@ import (
 type fixture struct {
 	site  *sim.Site
 	agent *nws.Agent
-	drv   *Driver
+	drv   driver.Driver
 	url   string
 	now   *time.Time
 }
@@ -117,7 +118,7 @@ func TestStateCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	c := conn.(*Conn)
+	c := conn.(*drvkit.Conn).Session().(*session).state
 	f.query(t, conn, "SELECT * FROM Memory")
 	f.query(t, conn, "SELECT * FROM Processor")
 	if c.Fetches != 1 {

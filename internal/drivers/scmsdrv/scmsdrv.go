@@ -9,19 +9,14 @@
 package scmsdrv
 
 import (
-	"bufio"
 	"fmt"
-	"net"
 	"strconv"
 	"strings"
-	"time"
 
 	"gridrm/internal/agents/scms"
-	"gridrm/internal/driver"
+	"gridrm/internal/drivers/drvkit"
 	"gridrm/internal/glue"
-	"gridrm/internal/resultset"
 	"gridrm/internal/schema"
-	"gridrm/internal/sqlparse"
 )
 
 // DriverName is the registration name.
@@ -30,213 +25,54 @@ const DriverName = "jdbc-scms"
 // DefaultPort is the SCMS port assumed when the URL has none.
 const DefaultPort = 2933
 
-// Driver is the JDBC-SCMS driver.
-type Driver struct {
-	schemas *schema.Manager
-}
-
 // New creates the driver; the SchemaManager may be nil.
-func New(sm *schema.Manager) *Driver { return &Driver{schemas: sm} }
-
-// Name implements driver.Driver.
-func (d *Driver) Name() string { return DriverName }
-
-// Version implements driver.Versioned.
-func (d *Driver) Version() string { return "1.0" }
-
-// AcceptsURL implements driver.Driver.
-func (d *Driver) AcceptsURL(url string) bool {
-	u, err := driver.ParseURL(url)
-	if err != nil {
-		return false
-	}
-	return u.Protocol == "" || u.Protocol == "scms"
+func New(sm *schema.Manager) *drvkit.Driver {
+	return drvkit.New(drvkit.Spec{Name: DriverName, Protocol: "scms", DefaultPort: DefaultPort,
+		Agent: "an SCMS agent", Schema: Schema, Open: open}, sm)
 }
 
-// Connect implements driver.Driver, verifying the agent with a NODES
-// handshake.
-func (d *Driver) Connect(url string, props driver.Properties) (driver.Conn, error) {
-	u, err := driver.ParseURL(url)
+// session is one TCP connection to the SCMS daemon.
+type session struct{ *drvkit.LineClient }
+
+// open dials the daemon and verifies it with a NODES handshake.
+func open(t drvkit.Target) (drvkit.Session, error) {
+	line, err := drvkit.DialLine(t.Addr, t.Timeout)
 	if err != nil {
 		return nil, err
 	}
-	timeout := 2 * time.Second
-	if t := props.Get("timeout", ""); t != "" {
-		parsed, err := time.ParseDuration(t)
-		if err != nil {
-			return nil, fmt.Errorf("scmsdrv: bad timeout %q", t)
-		}
-		timeout = parsed
-	}
-	tcp, err := net.DialTimeout("tcp", u.Address(DefaultPort), timeout)
-	if err != nil {
-		return nil, fmt.Errorf("scmsdrv: %w", err)
-	}
-	conn := &Conn{drv: d, tcp: tcp, r: bufio.NewReader(tcp), url: url, timeout: timeout}
-	conn.mapping, conn.gen = d.lookupSchema()
-	if _, err := conn.command("NODES"); err != nil {
-		_ = tcp.Close()
-		return nil, fmt.Errorf("scmsdrv: %s does not answer as an SCMS agent: %w", url, err)
-	}
-	return conn, nil
+	s := &session{line}
+	return s, s.Ping()
 }
 
-func (d *Driver) lookupSchema() (*schema.DriverSchema, int64) {
-	if d.schemas == nil {
-		return Schema(), 0
-	}
-	if ds, gen, ok := d.schemas.Lookup(DriverName); ok {
-		return ds, gen
-	}
-	return Schema(), 0
-}
+// Ping implements drvkit.Session with a NODES round trip.
+func (s *session) Ping() error { return s.Command("NODES", nil) }
 
-// Conn is an SCMS driver connection.
-type Conn struct {
-	driver.UnimplementedConn
-	drv     *Driver
-	tcp     net.Conn
-	r       *bufio.Reader
-	url     string
-	timeout time.Duration
-	mapping *schema.DriverSchema
-	gen     int64
-	closed  bool
-}
-
-// URL implements driver.Conn.
-func (c *Conn) URL() string { return c.url }
-
-// Driver implements driver.Conn.
-func (c *Conn) Driver() string { return DriverName }
-
-// Close implements driver.Conn.
-func (c *Conn) Close() error {
-	if c.closed {
-		return nil
-	}
-	c.closed = true
-	return c.tcp.Close()
-}
-
-// Ping implements driver.Conn with a NODES round trip.
-func (c *Conn) Ping() error {
-	if c.closed {
-		return driver.ErrClosed
-	}
-	_, err := c.command("NODES")
-	return err
-}
-
-// SourceInfo implements driver.MetadataProvider.
-func (c *Conn) SourceInfo() driver.SourceInfo {
-	return driver.SourceInfo{Protocol: "scms", Groups: c.mapping.GroupNames()}
-}
-
-// CreateStatement implements driver.Conn.
-func (c *Conn) CreateStatement() (driver.Stmt, error) {
-	if c.closed {
-		return nil, driver.ErrClosed
-	}
-	return &Stmt{conn: c}, nil
-}
-
-// command sends one line and collects response lines up to END.
-func (c *Conn) command(cmd string) ([]string, error) {
-	_ = c.tcp.SetDeadline(time.Now().Add(c.timeout))
-	if _, err := fmt.Fprintf(c.tcp, "%s\n", cmd); err != nil {
-		return nil, err
-	}
-	var out []string
-	for {
-		_ = c.tcp.SetDeadline(time.Now().Add(c.timeout))
-		line, err := c.r.ReadString('\n')
-		if err != nil {
-			return nil, err
-		}
-		line = strings.TrimSpace(line)
-		if line == "END" {
-			return out, nil
-		}
-		if strings.HasPrefix(line, "ERR") {
-			return nil, fmt.Errorf("scmsdrv: %s", line)
-		}
-		out = append(out, line)
-	}
-}
-
-// Stmt executes SQL against SCMS status lines.
-type Stmt struct {
-	driver.UnimplementedStmt
-	conn   *Conn
-	closed bool
-}
-
-// Close implements driver.Stmt.
-func (s *Stmt) Close() error { s.closed = true; return nil }
-
-// ExecuteQuery implements driver.Stmt.
-func (s *Stmt) ExecuteQuery(sql string) (*resultset.ResultSet, error) {
-	if s.closed || s.conn.closed {
-		return nil, driver.ErrClosed
-	}
-	if s.conn.drv.schemas != nil && !s.conn.drv.schemas.Valid(DriverName, s.conn.gen) {
-		s.conn.mapping, s.conn.gen = s.conn.drv.lookupSchema()
-	}
-	q, err := sqlparse.Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	g, ok := glue.Lookup(q.Table)
-	if !ok {
-		return nil, fmt.Errorf("scmsdrv: unknown group %q", q.Table)
-	}
-	gm, ok := s.conn.mapping.Groups[g.Name]
-	if !ok {
-		return nil, fmt.Errorf("scmsdrv: group %s not supported by this driver", g.Name)
-	}
-	// Site-level element groups come from the CLUSTER command; per-host
-	// groups from STATUS.
-	kind := clusterKind(g.Name)
+// Fetch implements drvkit.Session. Site-level element groups come from the
+// CLUSTER command; per-host groups from STATUS.
+func (s *session) Fetch(rows *drvkit.Rows) error {
+	kind := clusterKind(rows.Group.Name)
 	cmd := "STATUS"
 	if kind != "" {
 		cmd = "CLUSTER"
 	}
-	lines, err := s.conn.command(cmd)
-	if err != nil {
-		return nil, err
-	}
-	meta, err := resultset.MetadataForGroup(g, nil)
-	if err != nil {
-		return nil, err
-	}
-	b := resultset.NewBuilder(meta)
-	for _, line := range lines {
+	return s.Command(cmd, func(line string) error {
 		var fields map[string]string
+		var err error
 		if kind != "" {
 			fields, err = scms.ParseFields(line)
 			if err == nil && fields["kind"] != kind {
-				continue
+				return nil
 			}
 		} else {
 			fields, err = scms.ParseStatus(line)
 		}
 		if err != nil {
-			return nil, fmt.Errorf("scmsdrv: %w", err)
+			return fmt.Errorf("scmsdrv: %w", err)
 		}
-		row, err := schema.BuildRow(g, gm, func(native string) (any, bool) {
+		return rows.Add(func(native string) (any, bool) {
 			return resolve(native, fields)
 		})
-		if err != nil {
-			return nil, err
-		}
-		b.Append(row...)
-	}
-	full, err := b.Build()
-	if err != nil {
-		return nil, err
-	}
-	return sqlparse.ApplyToResultSet(q, full)
+	})
 }
 
 // clusterKind returns the CLUSTER line kind tag serving a GLUE group, or

@@ -13,7 +13,7 @@ import (
 type fixture struct {
 	site  *sim.Site
 	agent *scms.Agent
-	drv   *Driver
+	drv   driver.Driver
 	url   string
 }
 

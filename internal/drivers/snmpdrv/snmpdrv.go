@@ -22,11 +22,9 @@ import (
 	"time"
 
 	"gridrm/internal/agents/snmp"
-	"gridrm/internal/driver"
+	"gridrm/internal/drivers/drvkit"
 	"gridrm/internal/glue"
-	"gridrm/internal/resultset"
 	"gridrm/internal/schema"
-	"gridrm/internal/sqlparse"
 )
 
 // DriverName is the registration name.
@@ -35,209 +33,82 @@ const DriverName = "jdbc-snmp"
 // DefaultPort is the agent port assumed when the URL has none.
 const DefaultPort = 1161
 
-// Driver is the JDBC-SNMP driver.
-type Driver struct {
-	schemas *schema.Manager
-}
-
 // New creates the driver. The SchemaManager may be nil, in which case the
 // built-in mapping is used without revalidation.
-func New(sm *schema.Manager) *Driver { return &Driver{schemas: sm} }
-
-// Name implements driver.Driver.
-func (d *Driver) Name() string { return DriverName }
-
-// Version implements driver.Versioned.
-func (d *Driver) Version() string { return "1.0" }
-
-// AcceptsURL implements driver.Driver: the URL must parse and either name
-// the snmp protocol or leave the protocol open for dynamic selection.
-func (d *Driver) AcceptsURL(url string) bool {
-	u, err := driver.ParseURL(url)
-	if err != nil {
-		return false
-	}
-	return u.Protocol == "" || u.Protocol == "snmp"
+func New(sm *schema.Manager) *drvkit.Driver {
+	return drvkit.New(drvkit.Spec{Name: DriverName, Protocol: "snmp", DefaultPort: DefaultPort,
+		Agent: "an SNMP agent", Schema: Schema, Open: open}, sm)
 }
 
-// Connect implements driver.Driver: it opens a UDP client and verifies the
-// agent by fetching sysName, so that dynamic selection only succeeds when
-// the data source really speaks this protocol.
-func (d *Driver) Connect(url string, props driver.Properties) (driver.Conn, error) {
-	u, err := driver.ParseURL(url)
+// session is one UDP client bound to an agent, plus the sysName its table
+// rows are keyed by.
+type session struct {
+	client  *snmp.Client
+	sysName string
+}
+
+// open binds a UDP client and verifies the agent by fetching sysName, so
+// that dynamic selection only succeeds when the data source really speaks
+// this protocol.
+func open(t drvkit.Target) (drvkit.Session, error) {
+	community := t.Props.Get("community", snmp.DefaultCommunity)
+	if t.URL.Path != "" {
+		community = t.URL.Path
+	}
+	client, err := snmp.Dial(t.Addr, community, t.Timeout)
 	if err != nil {
 		return nil, err
 	}
-	community := props.Get("community", snmp.DefaultCommunity)
-	if u.Path != "" {
-		community = u.Path
-	}
-	timeout := 2 * time.Second
-	if t := props.Get("timeout", ""); t != "" {
-		parsed, err := time.ParseDuration(t)
-		if err != nil {
-			return nil, fmt.Errorf("snmpdrv: bad timeout %q", t)
-		}
-		timeout = parsed
-	}
-	client, err := snmp.Dial(u.Address(DefaultPort), community, timeout)
-	if err != nil {
-		return nil, fmt.Errorf("snmpdrv: %w", err)
-	}
+	s := &session{client: client}
 	vbs, err := client.Get(snmp.OIDSysName)
-	if err != nil || len(vbs) == 0 || vbs[0].Value.Type != snmp.TypeString {
-		_ = client.Close()
-		return nil, fmt.Errorf("snmpdrv: %s does not answer as an SNMP agent: %v", url, err)
+	if err != nil {
+		return s, err
 	}
-	conn := &Conn{drv: d, client: client, url: url, sysName: vbs[0].Value.Str}
-	conn.mapping, conn.gen = d.lookupSchema()
-	return conn, nil
+	if len(vbs) == 0 || vbs[0].Value.Type != snmp.TypeString {
+		return s, fmt.Errorf("no sysName")
+	}
+	s.sysName = vbs[0].Value.Str
+	return s, nil
 }
 
-func (d *Driver) lookupSchema() (*schema.DriverSchema, int64) {
-	if d.schemas == nil {
-		return Schema(), 0
-	}
-	if ds, gen, ok := d.schemas.Lookup(DriverName); ok {
-		return ds, gen
-	}
-	return Schema(), 0
-}
-
-// Conn is an SNMP driver connection. Per Fig 5, the schema mapping is
-// cached when the connection is created.
-type Conn struct {
-	driver.UnimplementedConn
-	drv     *Driver
-	client  *snmp.Client
-	url     string
-	sysName string
-	mapping *schema.DriverSchema
-	gen     int64
-	closed  bool
-}
-
-// URL implements driver.Conn.
-func (c *Conn) URL() string { return c.url }
-
-// Driver implements driver.Conn.
-func (c *Conn) Driver() string { return DriverName }
-
-// Ping implements driver.Conn with a sysUpTime fetch.
-func (c *Conn) Ping() error {
-	if c.closed {
-		return driver.ErrClosed
-	}
-	_, err := c.client.Get(snmp.OIDSysUpTime)
+// Ping implements drvkit.Session with a sysUpTime fetch.
+func (s *session) Ping() error {
+	_, err := s.client.Get(snmp.OIDSysUpTime)
 	return err
 }
 
-// Close implements driver.Conn.
-func (c *Conn) Close() error {
-	if c.closed {
-		return nil
-	}
-	c.closed = true
-	return c.client.Close()
-}
+// Close implements drvkit.Session.
+func (s *session) Close() error { return s.client.Close() }
 
-// SourceInfo implements driver.MetadataProvider.
-func (c *Conn) SourceInfo() driver.SourceInfo {
-	return driver.SourceInfo{
-		Protocol:     "snmp",
-		AgentVersion: fmt.Sprintf("v%d", snmp.Version),
-		Groups:       c.mapping.GroupNames(),
-	}
-}
+// AgentVersion implements drvkit.AgentVersioner.
+func (s *session) AgentVersion() string { return fmt.Sprintf("v%d", snmp.Version) }
 
-// CreateStatement implements driver.Conn.
-func (c *Conn) CreateStatement() (driver.Stmt, error) {
-	if c.closed {
-		return nil, driver.ErrClosed
-	}
-	return &Stmt{conn: c}, nil
-}
-
-// Stmt executes SQL against the agent.
-type Stmt struct {
-	driver.UnimplementedStmt
-	conn   *Conn
-	closed bool
-}
-
-// Close implements driver.Stmt.
-func (s *Stmt) Close() error {
-	s.closed = true
-	return nil
-}
-
-// ExecuteQuery implements driver.Stmt: it parses the SQL, performs the
-// native SNMP retrieval for the target group, builds GLUE rows via the
-// SchemaManager mapping, and finishes WHERE/ORDER/LIMIT/projection locally.
-func (s *Stmt) ExecuteQuery(sql string) (*resultset.ResultSet, error) {
-	if s.closed || s.conn.closed {
-		return nil, driver.ErrClosed
-	}
-	// Check schema-cache consistency before using the cached instance
-	// (Fig 5).
-	if s.conn.drv.schemas != nil && !s.conn.drv.schemas.Valid(DriverName, s.conn.gen) {
-		s.conn.mapping, s.conn.gen = s.conn.drv.lookupSchema()
-	}
-	q, err := sqlparse.Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	g, ok := glue.Lookup(q.Table)
-	if !ok {
-		return nil, fmt.Errorf("snmpdrv: unknown group %q", q.Table)
-	}
-	gm, ok := s.conn.mapping.Groups[g.Name]
-	if !ok {
-		return nil, fmt.Errorf("snmpdrv: group %s not supported by this driver", g.Name)
-	}
-	full, err := s.fetchGroup(g, gm)
-	if err != nil {
-		return nil, err
-	}
-	return sqlparse.ApplyToResultSet(q, full)
-}
-
-func (s *Stmt) fetchGroup(g *glue.Group, gm *schema.GroupMapping) (*resultset.ResultSet, error) {
-	meta, err := resultset.MetadataForGroup(g, nil)
-	if err != nil {
-		return nil, err
-	}
-	b := resultset.NewBuilder(meta)
-	switch g.Name {
+// Fetch implements drvkit.Session: scalar groups cost one Get, table groups
+// one walk per table.
+func (s *session) Fetch(rows *drvkit.Rows) error {
+	switch rows.Group.Name {
 	case glue.GroupProcessor, glue.GroupMemory, glue.GroupOperatingSystem:
-		row, err := s.fetchScalarRow(g, gm)
+		row, err := s.fetchScalarRow(rows.Group, rows.Mapping)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		b.Append(row...)
+		rows.Append(row)
+		return nil
 	case glue.GroupDisk:
-		if err := s.appendStorageRows(g, gm, b); err != nil {
-			return nil, err
-		}
+		return s.appendStorageRows(rows)
 	case glue.GroupNetworkAdapter:
-		if err := s.appendIfRows(g, gm, b); err != nil {
-			return nil, err
-		}
+		return s.appendIfRows(rows)
 	case glue.GroupProcess:
-		if err := s.appendProcessRows(g, gm, b); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("snmpdrv: group %s not supported by this driver", g.Name)
+		return s.appendProcessRows(rows)
 	}
-	return b.Build()
+	return fmt.Errorf("snmpdrv: group %s not supported by this driver", rows.Group.Name)
 }
 
 // fetchScalarRow performs one Get over every scalar OID the mapping needs
 // and assembles the GLUE row directly (two mappings may pull different
 // fields out of the same OID, e.g. OS Name and Release from sysDescr, so
 // translation is per field, not per OID).
-func (s *Stmt) fetchScalarRow(g *glue.Group, gm *schema.GroupMapping) ([]any, error) {
+func (s *session) fetchScalarRow(g *glue.Group, gm *schema.GroupMapping) ([]any, error) {
 	oids := make([]snmp.OID, len(gm.Fields))
 	for i, f := range gm.Fields {
 		oid, err := snmp.ParseOID(f.Native)
@@ -251,14 +122,14 @@ func (s *Stmt) fetchScalarRow(g *glue.Group, gm *schema.GroupMapping) ([]any, er
 	// refetch individually so present values still translate and absent
 	// ones become NULL. An error with no varbinds is a transport failure
 	// and propagates.
-	vbs, err := s.conn.client.Get(oids...)
+	vbs, err := s.client.Get(oids...)
 	if err != nil {
 		if len(vbs) == 0 {
 			return nil, fmt.Errorf("snmpdrv: %w", err)
 		}
 		vbs = vbs[:0]
 		for _, oid := range oids {
-			single, gerr := s.conn.client.Get(oid)
+			single, gerr := s.client.Get(oid)
 			if gerr != nil {
 				if len(single) == 0 {
 					return nil, fmt.Errorf("snmpdrv: %w", gerr)
@@ -394,8 +265,8 @@ func swRunState(n int64) string {
 
 // tableValues walks one SNMP table subtree and returns column → index →
 // value.
-func (s *Stmt) tableValues(prefix snmp.OID) (map[uint32]map[uint32]snmp.Value, error) {
-	vbs, err := s.conn.client.Walk(prefix)
+func (s *session) tableValues(prefix snmp.OID) (map[uint32]map[uint32]snmp.Value, error) {
+	vbs, err := s.client.Walk(prefix)
 	if err != nil {
 		return nil, err
 	}
@@ -428,7 +299,7 @@ func sortedIndices(col map[uint32]snmp.Value) []uint32 {
 
 // appendStorageRows renders hrStorageTable disk rows (index ≥ 2; index 1 is
 // physical memory).
-func (s *Stmt) appendStorageRows(g *glue.Group, gm *schema.GroupMapping, b *resultset.Builder) error {
+func (s *session) appendStorageRows(rows *drvkit.Rows) error {
 	table, err := s.tableValues(snmp.OIDHrStorage)
 	if err != nil {
 		return err
@@ -440,7 +311,7 @@ func (s *Stmt) appendStorageRows(g *glue.Group, gm *schema.GroupMapping, b *resu
 		if idx < 2 {
 			continue
 		}
-		values := map[string]any{"sysName": s.conn.sysName}
+		values := map[string]any{"sysName": s.sysName}
 		if v := descr[idx]; v.Type == snmp.TypeString {
 			values["hrStorageDescr"] = strings.TrimPrefix(v.Str, "/dev/")
 		}
@@ -456,27 +327,25 @@ func (s *Stmt) appendStorageRows(g *glue.Group, gm *schema.GroupMapping, b *resu
 		if haveSize && haveUsed {
 			values["hrStorageFree"] = sz - us
 		}
-		row, err := schema.BuildRow(g, gm, func(native string) (any, bool) {
+		if err := rows.Add(func(native string) (any, bool) {
 			v, ok := values[native]
 			return v, ok
-		})
-		if err != nil {
+		}); err != nil {
 			return err
 		}
-		b.Append(row...)
 	}
 	return nil
 }
 
 // appendIfRows renders ifTable rows.
-func (s *Stmt) appendIfRows(g *glue.Group, gm *schema.GroupMapping, b *resultset.Builder) error {
+func (s *session) appendIfRows(rows *drvkit.Rows) error {
 	table, err := s.tableValues(snmp.OIDIfTable)
 	if err != nil {
 		return err
 	}
 	descr := table[snmp.IfColDescr]
 	for _, idx := range sortedIndices(descr) {
-		values := map[string]any{"sysName": s.conn.sysName}
+		values := map[string]any{"sysName": s.sysName}
 		put := func(native string, col uint32, conv func(snmp.Value) (any, bool)) {
 			if v, ok := table[col][idx]; ok {
 				if out, ok := conv(v); ok {
@@ -507,20 +376,18 @@ func (s *Stmt) appendIfRows(g *glue.Group, gm *schema.GroupMapping, b *resultset
 		put("ifOutOctets", snmp.IfColOutOctets, asInt)
 		put("ifInUcastPkts", snmp.IfColInPkts, asInt)
 		put("ifOutUcastPkts", snmp.IfColOutPkts, asInt)
-		row, err := schema.BuildRow(g, gm, func(native string) (any, bool) {
+		if err := rows.Add(func(native string) (any, bool) {
 			v, ok := values[native]
 			return v, ok
-		})
-		if err != nil {
+		}); err != nil {
 			return err
 		}
-		b.Append(row...)
 	}
 	return nil
 }
 
 // appendProcessRows renders hrSWRun + hrSWRunPerf rows.
-func (s *Stmt) appendProcessRows(g *glue.Group, gm *schema.GroupMapping, b *resultset.Builder) error {
+func (s *session) appendProcessRows(rows *drvkit.Rows) error {
 	run, err := s.tableValues(snmp.OIDHrSWRun)
 	if err != nil {
 		return err
@@ -531,7 +398,7 @@ func (s *Stmt) appendProcessRows(g *glue.Group, gm *schema.GroupMapping, b *resu
 	}
 	pids := run[snmp.HrSWRunColIndex]
 	for _, idx := range sortedIndices(pids) {
-		values := map[string]any{"sysName": s.conn.sysName}
+		values := map[string]any{"sysName": s.sysName}
 		if v := pids[idx]; v.Type == snmp.TypeInt {
 			values["hrSWRunIndex"] = v.Int
 		}
@@ -547,14 +414,12 @@ func (s *Stmt) appendProcessRows(g *glue.Group, gm *schema.GroupMapping, b *resu
 		if v, ok := perf[snmp.HrSWRunPerfColMem][idx]; ok && v.Type == snmp.TypeInt {
 			values["hrSWRunPerfMem"] = v.Int
 		}
-		row, err := schema.BuildRow(g, gm, func(native string) (any, bool) {
+		if err := rows.Add(func(native string) (any, bool) {
 			v, ok := values[native]
 			return v, ok
-		})
-		if err != nil {
+		}); err != nil {
 			return err
 		}
-		b.Append(row...)
 	}
 	return nil
 }

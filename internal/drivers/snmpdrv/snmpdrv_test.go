@@ -16,7 +16,7 @@ import (
 type fixture struct {
 	site  *sim.Site
 	agent *snmp.Agent
-	drv   *Driver
+	drv   driver.Driver
 	sm    *schema.Manager
 	url   string
 }

@@ -89,6 +89,35 @@ func TestStoreSnapshotThenLiveTransition(t *testing.T) {
 	}
 }
 
+// A source that reports several hosts keeps one live row per host: rows are
+// keyed by source plus the GLUE key cells, not by source alone.
+func TestUpsertKeepsEveryHostOfASource(t *testing.T) {
+	s := NewStore()
+	now := time.Now()
+	cols := []string{"HostName", "LoadLast1Min"}
+	s.Upsert("A", glue.GroupProcessor, "src", cols, []any{"h1", 1.0}, now)
+	s.Upsert("A", glue.GroupProcessor, "src", cols, []any{"h2", 2.0}, now)
+	loads := func() map[string]float64 {
+		rs, _, ok := s.Merged(glue.GroupProcessor, []string{"A"})
+		if !ok {
+			t.Fatal("no merged view")
+		}
+		out := make(map[string]float64)
+		for rs.Next() {
+			host, _ := rs.GetString("HostName")
+			out[host], _ = rs.GetFloat("LoadLast1Min")
+		}
+		return out
+	}
+	if got := loads(); len(got) != 2 || got["h1"] != 1.0 || got["h2"] != 2.0 {
+		t.Fatalf("two-host source: view = %v, want both hosts", got)
+	}
+	s.Upsert("A", glue.GroupProcessor, "src", cols, []any{"h1", 5.0}, now.Add(time.Second))
+	if got := loads(); len(got) != 2 || got["h1"] != 5.0 || got["h2"] != 2.0 {
+		t.Fatalf("after re-push of h1: view = %v, want h1 replaced, h2 kept", got)
+	}
+}
+
 // A region answer shares the stored rows instead of copying them, so it
 // must be a snapshot all the same: upserts that land while the answer is
 // being read (run under -race) replace stored rows and never write into

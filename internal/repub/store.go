@@ -18,7 +18,8 @@ import (
 )
 
 // Store holds a republisher's merged view: for every (site, group) it
-// keeps the latest row per source. Rows arrive two ways — whole-table
+// keeps the latest row of every entity (the group's GLUE key fields) each
+// source reports. Rows arrive two ways — whole-table
 // snapshots from a scrape, and single rows pushed by a subscription — and
 // the two never mix within a group: the first live row after a snapshot
 // clears the snapshot, because once the push feed is up every active
@@ -77,8 +78,10 @@ func (s *Store) SetSnapshot(site, group string, rs *resultset.ResultSet, at time
 	gv.at = at
 }
 
-// Upsert stores one subscription-pushed row, keyed by its source, mapping
-// the pushed columns onto the group's full column set. The first live row
+// Upsert stores one subscription-pushed row, mapping the pushed columns onto
+// the group's full column set. Rows are keyed by source plus the row's GLUE
+// key cells, so a re-push of a host replaces its row and every other host of
+// a multi-host source keeps its own. The first live row
 // after a snapshot clears the snapshot (see Store). Rows for groups the
 // GLUE schema does not know are dropped.
 func (s *Store) Upsert(site, group, source string, cols []string, row []any, at time.Time) {
@@ -101,8 +104,13 @@ func (s *Store) Upsert(site, group, source string, cols []string, row []any, at 
 		gv.rows = make(map[string]storedRow, len(gv.rows))
 	}
 	full := make([]any, gv.meta.ColumnCount())
+	var keyBuf [4]int // no GLUE group has more key fields
+	keyCols := keyBuf[:0]
 	for i := 0; i < gv.meta.ColumnCount(); i++ {
 		name := gv.meta.Column(i).Name
+		if f, ok := g.Field(name); ok && f.Key {
+			keyCols = append(keyCols, i)
+		}
 		for j, c := range cols {
 			if j < len(row) && strings.EqualFold(c, name) {
 				full[i] = row[j]
@@ -110,7 +118,7 @@ func (s *Store) Upsert(site, group, source string, cols []string, row []any, at 
 			}
 		}
 	}
-	gv.rows[source] = storedRow{row: full, at: at}
+	gv.rows[source+"\x00"+resultset.GroupKey(full, keyCols)] = storedRow{row: full, at: at}
 	if at.After(gv.at) {
 		gv.at = at
 	}

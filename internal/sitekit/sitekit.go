@@ -9,6 +9,9 @@ package sitekit
 import (
 	"encoding/json"
 	"fmt"
+	"net"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -18,7 +21,6 @@ import (
 	"gridrm/internal/agents/scms"
 	"gridrm/internal/agents/sim"
 	"gridrm/internal/agents/snmp"
-	"gridrm/internal/breaker"
 	"gridrm/internal/core"
 	"gridrm/internal/driver"
 	"gridrm/internal/drivers/faultdrv"
@@ -29,10 +31,6 @@ import (
 	"gridrm/internal/drivers/nwsdrv"
 	"gridrm/internal/drivers/scmsdrv"
 	"gridrm/internal/drivers/snmpdrv"
-	"gridrm/internal/health"
-	"gridrm/internal/router"
-	"gridrm/internal/trace"
-	"gridrm/internal/tsdb"
 )
 
 // TimeoutOptions groups a site's time bounds.
@@ -40,42 +38,10 @@ type TimeoutOptions struct {
 	// Agent is passed to sources as the driver "timeout" property
 	// (default 2s).
 	Agent time.Duration
-	// Harvest bounds each source harvest in the gateway built by
-	// NewGateway (0 = core default, negative = disabled).
-	Harvest time.Duration
-	// Query bounds whole requests when the caller supplies no deadline
-	// (0 = core default, negative = disabled).
-	Query time.Duration
 }
 
-// HistoryOptions groups the crash-safe durable-history knobs.
-type HistoryOptions struct {
-	// Dir enables WAL + checkpoint persistence in this directory; empty
-	// keeps history purely in-memory.
-	Dir string
-	// Fsync is the WAL fsync policy: "always", "interval" (default) or
-	// "off". Only meaningful with Dir set.
-	Fsync string
-	// CheckpointInterval is the period of background history checkpoints
-	// (0 = tsdb default, negative = only at shutdown).
-	CheckpointInterval time.Duration
-	// MaxDiskBytes budgets the history directory's size; oldest WAL
-	// segments are dropped first when it is exceeded (0 = unlimited).
-	MaxDiskBytes int64
-}
-
-// PushOptions groups the continuous-query (subscription) knobs.
-type PushOptions struct {
-	// Queue bounds each subscriber's queue (0 = router default 256).
-	Queue int
-	// Stall is how long a subscriber's queue may stay continuously full
-	// before the subscriber is evicted (0 = router default 10s,
-	// negative = never).
-	Stall time.Duration
-}
-
-// Options configures a simulated site. Related knobs are grouped into the
-// Timeouts, History and Push sub-structs.
+// Options configures a simulated site and the gateway NewGateway builds
+// over it.
 type Options struct {
 	// Name is the site name (default "site").
 	Name string
@@ -85,63 +51,20 @@ type Options struct {
 	Seed int64
 	// LoadAlarm is the sim's load-high threshold (default 4.0).
 	LoadAlarm float64
-	// Timeouts groups the agent/harvest/query time bounds.
+	// Timeouts groups the agent time bounds.
 	Timeouts TimeoutOptions
-	// History groups the durable-history knobs.
-	History HistoryOptions
-	// Push groups the continuous-query knobs.
-	Push PushOptions
 	// CoarseCacheTTL is passed to the Ganglia and NWS sources as
 	// "cache_ttl" (default 1s); set negative for "0s" (off).
 	CoarseCacheTTL time.Duration
-	// Retry configures per-source harvest retries (zero value = no retries).
-	Retry core.RetryOptions
-	// Breaker configures the per-source circuit breaker (zero value = core
-	// defaults; Threshold < 0 disables).
-	Breaker breaker.Options
-	// MaxConcurrentHarvests bounds concurrent driver harvests in the
-	// gateway built by NewGateway (0 = unbounded).
-	MaxConcurrentHarvests int
-	// StaleGrace is how long past its TTL an expired cache entry remains
-	// servable as a degraded result (0 = core default, negative = off).
-	StaleGrace time.Duration
-	// ProbeInterval enables the background source health prober at this
-	// period (0 = no background probing).
-	ProbeInterval time.Duration
 	// Faults, when set, wraps every bundled driver in a faultdrv
 	// fault-injection layer sharing this knob set — the substrate for
 	// chaos testing and the gateway's -fault-* CLI flags. Drivers keep
 	// their own registration names, so schemas and static preferences
 	// are unaffected.
 	Faults *faultdrv.Faults
-	// Trace configures the gateway's query tracer (sampling rate, trace
-	// store capacity, slow-query threshold). The zero value keeps the
-	// core defaults.
-	Trace trace.Options
-}
-
-// CoreConfig maps the gateway-relevant options onto a core.Config for the
-// given site name. NewGateway and the cmd binaries use this so every knob
-// flows through one translation instead of ad-hoc field copying.
-func (o Options) CoreConfig(name string) core.Config {
-	return core.Config{
-		Name:                  name,
-		HarvestTimeout:        o.Timeouts.Harvest,
-		QueryTimeout:          o.Timeouts.Query,
-		Retry:                 o.Retry,
-		Breaker:               o.Breaker,
-		MaxConcurrentHarvests: o.MaxConcurrentHarvests,
-		StaleGrace:            o.StaleGrace,
-		Probe:                 health.Options{Interval: o.ProbeInterval},
-		Trace:                 o.Trace,
-		Push:                  router.Options{QueueSize: o.Push.Queue, Stall: o.Push.Stall},
-		Durable: tsdb.Options{
-			Dir:                o.History.Dir,
-			Fsync:              o.History.Fsync,
-			CheckpointInterval: o.History.CheckpointInterval,
-			MaxDiskBytes:       o.History.MaxDiskBytes,
-		},
-	}
+	// Gateway configures the gateway NewGateway builds; its Name is
+	// taken from the manifest.
+	Gateway core.Config
 }
 
 func (o *Options) fill() {
@@ -351,32 +274,32 @@ func SourceConfigs(m Manifest, opts Options, dynamic bool) []core.SourceConfig {
 			host = m.Hosts[i]
 		}
 		out = append(out, core.SourceConfig{
-			URL:         driver.FormatURL("snmp", hostPart(addr), portPart(addr), ""),
+			URL:         agentURL("snmp", addr),
 			Props:       driver.Properties{"timeout": timeout},
 			Drivers:     pref(snmpdrv.DriverName),
 			Description: "SNMP agent on " + host,
 		})
 	}
 	out = append(out, core.SourceConfig{
-		URL:         driver.FormatURL("ganglia", hostPart(m.Ganglia), portPart(m.Ganglia), ""),
+		URL:         agentURL("ganglia", m.Ganglia),
 		Props:       driver.Properties{"timeout": timeout, "cache_ttl": coarseTTL},
 		Drivers:     pref(gangliadrv.DriverName),
 		Description: "Ganglia gmond for " + m.Site,
 	})
 	out = append(out, core.SourceConfig{
-		URL:         driver.FormatURL("nws", hostPart(m.NWS), portPart(m.NWS), ""),
+		URL:         agentURL("nws", m.NWS),
 		Props:       driver.Properties{"timeout": timeout, "cache_ttl": coarseTTL},
 		Drivers:     pref(nwsdrv.DriverName),
 		Description: "NWS nameserver for " + m.Site,
 	})
 	out = append(out, core.SourceConfig{
-		URL:         driver.FormatURL("netlogger", hostPart(m.NetLogger), portPart(m.NetLogger), ""),
+		URL:         agentURL("netlogger", m.NetLogger),
 		Props:       driver.Properties{"timeout": timeout},
 		Drivers:     pref(netloggerdrv.DriverName),
 		Description: "NetLogger collector for " + m.Site,
 	})
 	out = append(out, core.SourceConfig{
-		URL:         driver.FormatURL("scms", hostPart(m.SCMS), portPart(m.SCMS), ""),
+		URL:         agentURL("scms", m.SCMS),
 		Props:       driver.Properties{"timeout": timeout},
 		Drivers:     pref(scmsdrv.DriverName),
 		Description: "SCMS daemon for " + m.Site,
@@ -384,26 +307,18 @@ func SourceConfigs(m Manifest, opts Options, dynamic bool) []core.SourceConfig {
 	return out
 }
 
-func hostPart(addr string) string {
-	for i := len(addr) - 1; i >= 0; i-- {
-		if addr[i] == ':' {
-			return addr[:i]
-		}
+// agentURL renders a manifest "host:port" address as a data-source URL;
+// an address without a port leaves the driver's default port in force.
+func agentURL(protocol, addr string) string {
+	host, portText, err := net.SplitHostPort(addr)
+	if err != nil {
+		return driver.FormatURL(protocol, addr, 0, "")
 	}
-	return addr
-}
-
-func portPart(addr string) int {
-	for i := len(addr) - 1; i >= 0; i-- {
-		if addr[i] == ':' {
-			port := 0
-			if _, err := fmt.Sscanf(addr[i+1:], "%d", &port); err != nil {
-				return 0
-			}
-			return port
-		}
+	if strings.Contains(host, ":") {
+		host = "[" + host + "]" // IPv6 literal: driver.URL keeps the brackets
 	}
-	return 0
+	port, _ := strconv.Atoi(portText)
+	return driver.FormatURL(protocol, host, port, "")
 }
 
 // RegisterDrivers installs the full bundled driver set (the paper's initial
@@ -450,7 +365,9 @@ func registerDrivers(gw *core.Gateway, faults *faultdrv.Faults) error {
 // NewGateway creates a gateway named after the site with every bundled
 // driver registered and every agent of the manifest added as a source.
 func NewGateway(m Manifest, opts Options, dynamic bool) (*core.Gateway, error) {
-	gw := core.New(opts.CoreConfig(m.Site))
+	cfg := opts.Gateway
+	cfg.Name = m.Site
+	gw := core.New(cfg)
 	if err := registerDrivers(gw, opts.Faults); err != nil {
 		gw.Close()
 		return nil, err

@@ -111,33 +111,43 @@ func TestTicker(t *testing.T) {
 }
 
 func TestHostPortParts(t *testing.T) {
-	if hostPart("127.0.0.1:99") != "127.0.0.1" || portPart("127.0.0.1:99") != 99 {
-		t.Error("addr split wrong")
-	}
-	if hostPart("noport") != "noport" || portPart("noport") != 0 {
-		t.Error("portless addr")
-	}
-	if portPart("h:bad") != 0 {
-		t.Error("bad port parsed")
+	for addr, want := range map[string]string{
+		"127.0.0.1:99": "gridrm:snmp://127.0.0.1:99",
+		"[::1]:99":     "gridrm:snmp://[::1]:99",
+		"noport":       "gridrm:snmp://noport", // driver default port applies
+		"h:bad":        "gridrm:snmp://h",
+	} {
+		if got := agentURL("snmp", addr); got != want {
+			t.Errorf("agentURL(%q) = %q, want %q", addr, got, want)
+		}
 	}
 }
 
-func TestOptionsCoreConfig(t *testing.T) {
-	o := Options{
-		Timeouts: TimeoutOptions{Harvest: 4 * time.Second, Query: 5 * time.Second},
-		History: HistoryOptions{Dir: "/tmp/h", Fsync: "always",
-			CheckpointInterval: time.Minute, MaxDiskBytes: 1024},
-		Push: PushOptions{Queue: 7, Stall: 8 * time.Second},
+// NewGateway builds the gateway from Options.Gateway as given, named after
+// the manifest's site.
+func TestNewGatewayTakesGatewayConfig(t *testing.T) {
+	s, err := Start(Options{Name: "kit", Hosts: 1, Seed: 5,
+		Gateway: core.Config{Name: "overridden", DisableHistory: true}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	cfg := o.CoreConfig("s")
-	if cfg.Name != "s" || cfg.HarvestTimeout != 4*time.Second || cfg.QueryTimeout != 5*time.Second {
-		t.Errorf("timeouts not mapped: %+v", cfg)
+	defer s.Close()
+	gw, err := NewGateway(s.Manifest(), s.Opts, false)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if cfg.Durable.Dir != "/tmp/h" || cfg.Durable.Fsync != "always" ||
-		cfg.Durable.CheckpointInterval != time.Minute || cfg.Durable.MaxDiskBytes != 1024 {
-		t.Errorf("history not mapped: %+v", cfg.Durable)
+	defer gw.Close()
+	if gw.Name() != "kit" {
+		t.Errorf("gateway name = %q, want the manifest's site", gw.Name())
 	}
-	if cfg.Push.QueueSize != 7 || cfg.Push.Stall != 8*time.Second {
-		t.Errorf("push not mapped: %+v", cfg.Push)
+	if _, err := gw.QueryContext(context.Background(), core.QueryOptions{
+		Principal: security.Principal{Name: "kit-test"},
+		SQL:       "SELECT * FROM Processor",
+		Mode:      core.ModeRealTime,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if n := gw.HistoryStatus().Samples; n != 0 {
+		t.Errorf("history samples = %d with DisableHistory set", n)
 	}
 }
