@@ -142,8 +142,8 @@ func (g *Gateway) queryAllSites(ctx context.Context, req QueryOptions, start tim
 	g.fanouts.Add(1)
 	g.fanoutLegs.Add(int64(len(legs) - 1)) // legs[0] is the local leg
 	fctx, fsp := trace.StartSpan(ctx, "fanout")
-	fsp.SetAttr("sites", strconv.Itoa(siteCount))
-	fsp.SetAttr("legs", strconv.Itoa(len(legs)))
+	fsp.SetAttrInt("sites", siteCount)
+	fsp.SetAttrInt("legs", len(legs))
 	ch := make(chan legResult, len(legs))
 	for i, leg := range legs {
 		go func(i int, leg FanoutLeg) {
@@ -151,7 +151,7 @@ func (g *Gateway) queryAllSites(ctx context.Context, req QueryOptions, start tim
 			if leg.Republisher {
 				lctx, lsp := trace.StartSpan(fctx, "region")
 				lsp.SetAttr("republisher", leg.Target)
-				lsp.SetAttr("covers", strconv.Itoa(len(leg.Covers)))
+				lsp.SetAttrInt("covers", len(leg.Covers))
 				r := subReq
 				r.Site = leg.Target
 				// Pin the region answer to exactly the planned coverage: a

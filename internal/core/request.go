@@ -318,7 +318,7 @@ func (g *Gateway) query(ctx context.Context, req QueryOptions, start time.Time) 
 	}
 
 	parseStart := g.clock()
-	_, psp := trace.StartSpan(ctx, "parse")
+	psp := trace.SpanFromContext(ctx).Child("parse")
 	q, err := g.plans.Parse(req.SQL)
 	psp.SetError(err)
 	psp.End()
@@ -350,7 +350,7 @@ func (g *Gateway) queryHistorical(ctx context.Context, req QueryOptions, q *sqlp
 			return nil, &PermissionError{Principal: req.Principal.Name, What: "history of " + source}
 		}
 	}
-	_, hsp := trace.StartSpan(ctx, "history-query")
+	hsp := trace.SpanFromContext(ctx).Child("history-query")
 	rs, err := g.history.Query(group.Name, source, req.Since, req.Until)
 	hsp.SetError(err)
 	hsp.End()
@@ -379,9 +379,10 @@ func (g *Gateway) queryLive(ctx context.Context, req QueryOptions, q *sqlparse.Q
 		rs     *resultset.ResultSet
 	}
 	ch := make(chan sourceResult, len(targets))
+	hsql := harvestSQL(group.Name) // once per query, not per source
 	for i, url := range targets {
 		go func(i int, url string) {
-			st, rs := g.querySource(ctx, req, url, group)
+			st, rs := g.querySource(ctx, req, url, group, hsql)
 			ch <- sourceResult{i: i, status: st, rs: rs}
 		}(i, url)
 	}
@@ -412,7 +413,7 @@ collect:
 	}
 
 	consolidateStart := g.clock()
-	_, csp := trace.StartSpan(ctx, "consolidate")
+	csp := trace.SpanFromContext(ctx).Child("consolidate")
 	meta, err := resultset.MetadataForGroup(group, nil)
 	if err != nil {
 		csp.SetError(err)
@@ -522,9 +523,9 @@ func (g *Gateway) supportsGroup(url, group string) bool {
 // querySource obtains one source's full-group rows, from cache or by
 // harvest, honouring the FGSL, the circuit breaker and the per-source
 // harvest timeout.
-func (g *Gateway) querySource(ctx context.Context, req QueryOptions, url string, group *glue.Group) (SourceStatus, *resultset.ResultSet) {
+func (g *Gateway) querySource(ctx context.Context, req QueryOptions, url string, group *glue.Group, hsql string) (SourceStatus, *resultset.ResultSet) {
 	status := SourceStatus{Source: url}
-	ctx, ssp := trace.StartSpan(ctx, "source")
+	ssp := trace.SpanFromContext(ctx).Child("source")
 	if ssp != nil {
 		ssp.SetAttr("url", url)
 		defer func() {
@@ -554,10 +555,9 @@ func (g *Gateway) querySource(ctx context.Context, req QueryOptions, url string,
 		return status, nil
 	}
 
-	hsql := harvestSQL(group.Name)
 	if req.Mode == ModeCached {
 		lookupStart := g.clock()
-		_, lsp := trace.StartSpan(ctx, "cache-lookup")
+		lsp := ssp.Child("cache-lookup")
 		rs, at, ok := g.cache.Get(url, hsql)
 		if ok {
 			lsp.SetAttr("hit", "true")
@@ -582,8 +582,10 @@ func (g *Gateway) querySource(ctx context.Context, req QueryOptions, url string,
 		return status, g.degradedResult(req.Mode, url, hsql, group, &status)
 	}
 
-	hctx, hsp := trace.StartSpan(ctx, "harvest")
-	res, shared := g.sharedHarvest(hctx, url, group, hsql)
+	// The harvest span is the first below "source" that anything hangs off,
+	// so the cached path derives no context at all.
+	hsp := ssp.Child("harvest")
+	res, shared := g.sharedHarvest(trace.ContextWithSpan(ctx, hsp), url, group, hsql)
 	if shared {
 		g.coalesced.Add(1)
 		hsp.SetAttr("coalesced", "true")
@@ -740,7 +742,7 @@ func (g *Gateway) harvest(ctx context.Context, url, hsql string) (*resultset.Res
 		return nil, "", err
 	}
 	driverName := conn.Driver()
-	_, dsp := trace.StartSpan(ctx, "driver-execute")
+	dsp := trace.SpanFromContext(ctx).Child("driver-execute")
 	dsp.SetAttr("driver", driverName)
 	stmt, err := driver.SafeCreateStatement(conn)
 	if err != nil {

@@ -193,15 +193,13 @@ func (g *Gateway) publishRows(ctx context.Context, url string, group *glue.Group
 		return
 	}
 	start := g.clock()
-	_, span := trace.StartSpan(ctx, "dispatch")
+	span := trace.SpanFromContext(ctx).Child("dispatch")
 	rows := make([][]any, rs.Len())
 	for i := range rows {
 		rows[i] = rs.RowAt(i)
 	}
 	n := g.push.Publish(url, group.Name, rs.Metadata().ColumnNames(), rows, start)
-	if span != nil {
-		span.SetAttr("rows", fmt.Sprintf("%d", n))
-	}
+	span.SetAttrInt("rows", n)
 	span.End()
 	g.observeStage(StageDispatch, start)
 }

@@ -144,7 +144,7 @@ func (m *Manager) Get(url string, props driver.Properties) (*Conn, error) {
 // caller. When the request is being traced, the checkout is recorded as a
 // "pool-checkout" span noting whether an idle connection was reused.
 func (m *Manager) GetContext(ctx context.Context, url string, props driver.Properties) (*Conn, error) {
-	_, sp := trace.StartSpan(ctx, "pool-checkout")
+	sp := trace.SpanFromContext(ctx).Child("pool-checkout")
 	if sp != nil {
 		sp.SetAttr("url", url)
 	}

@@ -63,14 +63,15 @@ type Cache struct {
 	opts Options
 
 	mu      sync.Mutex
-	entries map[string]*cached
+	entries map[key]*cached
 
 	hits, misses, stale, evictions, graceHits atomic.Int64
 }
 
+// key is a comparable struct so that a lookup builds no string.
+type key struct{ source, sql string }
+
 type cached struct {
-	source   string
-	sql      string
 	rs       *resultset.ResultSet
 	cachedAt time.Time
 }
@@ -89,22 +90,20 @@ func New(opts Options) *Cache {
 	if opts.Clock == nil {
 		opts.Clock = time.Now
 	}
-	return &Cache{opts: opts, entries: make(map[string]*cached)}
+	return &Cache{opts: opts, entries: make(map[key]*cached)}
 }
-
-func cacheKey(source, sql string) string { return source + "\x00" + sql }
 
 // Get returns a cached result (as an independent-cursor clone) and when it
 // was harvested, if present and fresh.
 func (c *Cache) Get(source, sql string) (*resultset.ResultSet, time.Time, bool) {
 	now := c.opts.Clock()
 	c.mu.Lock()
-	e, ok := c.entries[cacheKey(source, sql)]
+	e, ok := c.entries[key{source, sql}]
 	if ok && now.Sub(e.cachedAt) > c.opts.TTL {
 		// Expired: a miss for freshness purposes, but the entry is kept
 		// for GetStale until it ages past TTL+StaleGrace.
 		if now.Sub(e.cachedAt) > c.opts.TTL+c.opts.StaleGrace {
-			delete(c.entries, cacheKey(source, sql))
+			delete(c.entries, key{source, sql})
 		}
 		c.mu.Unlock()
 		c.stale.Add(1)
@@ -129,7 +128,7 @@ func (c *Cache) Get(source, sql string) (*resultset.ResultSet, time.Time, bool) 
 // oldest entry is considered for eviction.
 func (c *Cache) Put(source, sql string, rs *resultset.ResultSet) {
 	now := c.opts.Clock()
-	k := cacheKey(source, sql)
+	k := key{source, sql}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, exists := c.entries[k]; !exists && len(c.entries) >= c.opts.MaxEntries {
@@ -138,7 +137,7 @@ func (c *Cache) Put(source, sql string, rs *resultset.ResultSet) {
 			c.evictOldestLocked()
 		}
 	}
-	c.entries[k] = &cached{source: source, sql: sql, rs: rs.Clone(), cachedAt: now}
+	c.entries[k] = &cached{rs: rs.Clone(), cachedAt: now}
 }
 
 // GetStale returns a cached result regardless of TTL expiry, provided the
@@ -148,7 +147,7 @@ func (c *Cache) Put(source, sql string, rs *resultset.ResultSet) {
 func (c *Cache) GetStale(source, sql string) (*resultset.ResultSet, time.Time, bool) {
 	now := c.opts.Clock()
 	c.mu.Lock()
-	e, ok := c.entries[cacheKey(source, sql)]
+	e, ok := c.entries[key{source, sql}]
 	if !ok || now.Sub(e.cachedAt) > c.opts.TTL+c.opts.StaleGrace {
 		c.mu.Unlock()
 		return nil, time.Time{}, false
@@ -173,7 +172,7 @@ func (c *Cache) purgeExpiredLocked(now time.Time) {
 }
 
 func (c *Cache) evictOldestLocked() {
-	var oldestKey string
+	var oldestKey key
 	var oldest time.Time
 	first := true
 	for k, e := range c.entries {
@@ -181,7 +180,7 @@ func (c *Cache) evictOldestLocked() {
 			oldestKey, oldest, first = k, e.cachedAt, false
 		}
 	}
-	if oldestKey != "" {
+	if !first {
 		delete(c.entries, oldestKey)
 		c.evictions.Add(1)
 	}
@@ -193,8 +192,8 @@ func (c *Cache) InvalidateSource(source string) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := 0
-	for k, e := range c.entries {
-		if e.source == source {
+	for k := range c.entries {
+		if k.source == source {
 			delete(c.entries, k)
 			n++
 		}
@@ -206,7 +205,7 @@ func (c *Cache) InvalidateSource(source string) int {
 func (c *Cache) Clear() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.entries = make(map[string]*cached)
+	c.entries = make(map[key]*cached)
 }
 
 // Len returns the number of cached entries (fresh or not yet collected).
@@ -222,12 +221,12 @@ func (c *Cache) Entries() []Entry {
 	now := c.opts.Clock()
 	c.mu.Lock()
 	out := make([]Entry, 0, len(c.entries))
-	for _, e := range c.entries {
+	for k, e := range c.entries {
 		age := now.Sub(e.cachedAt)
 		if age > c.opts.TTL {
 			continue
 		}
-		out = append(out, Entry{Source: e.source, SQL: e.sql, Rows: e.rs.Len(), CachedAt: e.cachedAt, Age: age})
+		out = append(out, Entry{Source: k.source, SQL: k.sql, Rows: e.rs.Len(), CachedAt: e.cachedAt, Age: age})
 	}
 	c.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool {

@@ -35,14 +35,13 @@ type Store struct {
 type groupView struct {
 	meta *resultset.Metadata
 	live bool // rows come from the subscription, not a snapshot
-	rows map[string]storedRow
+	rows map[string]*storedRow
 	at   time.Time // newest update
 }
 
-type storedRow struct {
-	row []any
-	at  time.Time
-}
+// storedRow is a map value Upsert can replace the row of in place: a
+// re-pushed row then costs a lookup, not a new key string.
+type storedRow struct{ row []any }
 
 // NewStore returns an empty view store.
 func NewStore() *Store {
@@ -57,7 +56,7 @@ func (s *Store) view(site, group string) *groupView {
 	}
 	gv, ok := groups[group]
 	if !ok {
-		gv = &groupView{rows: make(map[string]storedRow)}
+		gv = &groupView{rows: make(map[string]*storedRow)}
 		groups[group] = gv
 	}
 	return gv
@@ -71,9 +70,11 @@ func (s *Store) SetSnapshot(site, group string, rs *resultset.ResultSet, at time
 	gv := s.view(site, group)
 	gv.meta = rs.Metadata()
 	gv.live = false
-	gv.rows = make(map[string]storedRow, rs.Len())
-	for i := 0; i < rs.Len(); i++ {
-		gv.rows["#"+strconv.Itoa(i)] = storedRow{row: rs.RowAt(i), at: at}
+	gv.rows = make(map[string]*storedRow, rs.Len())
+	slab := make([]storedRow, rs.Len())
+	for i := range slab {
+		slab[i].row = rs.RowAt(i)
+		gv.rows["#"+strconv.Itoa(i)] = &slab[i]
 	}
 	gv.at = at
 }
@@ -101,7 +102,7 @@ func (s *Store) Upsert(site, group, source string, cols []string, row []any, at 
 	}
 	if !gv.live {
 		gv.live = true
-		gv.rows = make(map[string]storedRow, len(gv.rows))
+		gv.rows = make(map[string]*storedRow, len(gv.rows))
 	}
 	full := make([]any, gv.meta.ColumnCount())
 	var keyBuf [4]int // no GLUE group has more key fields
@@ -118,7 +119,13 @@ func (s *Store) Upsert(site, group, source string, cols []string, row []any, at 
 			}
 		}
 	}
-	gv.rows[source+"\x00"+resultset.GroupKey(full, keyCols)] = storedRow{row: full, at: at}
+	var buf [96]byte // source NUL key cells: on the stack for any realistic row
+	key := resultset.AppendGroupKey(append(append(buf[:0], source...), 0), full, keyCols)
+	if sr := gv.rows[string(key)]; sr != nil {
+		sr.row = full
+	} else {
+		gv.rows[string(key)] = &storedRow{row: full}
+	}
 	if at.After(gv.at) {
 		gv.at = at
 	}

@@ -530,45 +530,34 @@ func (rs *ResultSet) Merge(other *ResultSet) error {
 	return nil
 }
 
-// GroupKey encodes the values of row at the given column indexes into a
-// string usable as a grouping map key. Values are tagged by type so that,
-// say, int64(1) and "1" produce distinct keys, and joined with a separator
-// that cannot occur inside the encoded forms.
-func GroupKey(row []any, cols []int) string {
-	var b strings.Builder
+// AppendGroupKey appends to dst an encoding of row's values at the given
+// column indexes, usable as a grouping map key. Values are tagged by type so
+// that, say, int64(1) and "1" produce distinct keys, and joined with a
+// separator that cannot occur inside the encoded forms. A caller that
+// reuses dst and looks groups up with m[string(dst)] allocates a key only
+// when it stores a new group, not for every row.
+func AppendGroupKey(dst []byte, row []any, cols []int) []byte {
 	for _, i := range cols {
 		switch v := row[i].(type) {
 		case nil:
-			b.WriteString("n\x00")
+			dst = append(dst, 'n')
 		case string:
-			b.WriteString("s")
-			b.WriteString(strconv.Itoa(len(v)))
-			b.WriteString(":")
-			b.WriteString(v)
-			b.WriteString("\x00")
+			dst = append(strconv.AppendInt(append(dst, 's'), int64(len(v)), 10), ':')
+			dst = append(dst, v...)
 		case int64:
-			b.WriteString("i")
-			b.WriteString(strconv.FormatInt(v, 10))
-			b.WriteString("\x00")
+			dst = strconv.AppendInt(append(dst, 'i'), v, 10)
 		case float64:
-			b.WriteString("f")
-			b.WriteString(strconv.FormatFloat(v, 'g', -1, 64))
-			b.WriteString("\x00")
+			dst = strconv.AppendFloat(append(dst, 'f'), v, 'g', -1, 64)
 		case bool:
-			b.WriteString("b")
-			b.WriteString(strconv.FormatBool(v))
-			b.WriteString("\x00")
+			dst = strconv.AppendBool(append(dst, 'b'), v)
 		case time.Time:
-			b.WriteString("t")
-			b.WriteString(strconv.FormatInt(v.UnixNano(), 10))
-			b.WriteString("\x00")
+			dst = strconv.AppendInt(append(dst, 't'), v.UnixNano(), 10)
 		default:
-			b.WriteString("?")
-			fmt.Fprintf(&b, "%v", v)
-			b.WriteString("\x00")
+			dst = fmt.Appendf(append(dst, '?'), "%v", v)
 		}
+		dst = append(dst, 0)
 	}
-	return b.String()
+	return dst
 }
 
 // CompareValues orders two raw values. NULL (nil) sorts before everything;

@@ -430,6 +430,7 @@ func TestSortedByLeavesInputAlone(t *testing.T) {
 }
 
 func TestGroupKey(t *testing.T) {
+	key := func(row []any, cols []int) string { return string(AppendGroupKey(nil, row, cols)) }
 	rows := [][]any{
 		{int64(1), "a"},
 		{float64(1), "a"}, // same numeric value, different type
@@ -440,13 +441,13 @@ func TestGroupKey(t *testing.T) {
 	}
 	keys := make(map[string]int)
 	for i, row := range rows {
-		keys[GroupKey(row, []int{0, 1})] = i
+		keys[key(row, []int{0, 1})] = i
 	}
 	if len(keys) != 5 {
 		t.Errorf("got %d distinct keys, want 5: %v", len(keys), keys)
 	}
 	// Boundary confusion: ("ab","c") must differ from ("a","bc").
-	if GroupKey([]any{"ab", "c"}, []int{0, 1}) == GroupKey([]any{"a", "bc"}, []int{0, 1}) {
+	if key([]any{"ab", "c"}, []int{0, 1}) == key([]any{"a", "bc"}, []int{0, 1}) {
 		t.Error("string boundaries not preserved in group keys")
 	}
 }

@@ -190,15 +190,16 @@ func aggregateResultSet(q *Query, rs *resultset.ResultSet) (*resultset.ResultSet
 		return nil, err
 	}
 	groups := make(map[string]*aggGroup)
-	var order []string
+	var order []*aggGroup
+	var key []byte // reused: a key string is made once per group, not per row
 	for i := 0; i < rs.Len(); i++ {
 		row := rs.RowAt(i)
-		key := resultset.GroupKey(row, plan.groupIdx)
-		g := groups[key]
+		key = resultset.AppendGroupKey(key[:0], row, plan.groupIdx)
+		g := groups[string(key)]
 		if g == nil {
 			g = &aggGroup{rep: row, states: make([]aggState, len(plan.items))}
-			groups[key] = g
-			order = append(order, key)
+			groups[string(key)] = g
+			order = append(order, g)
 		}
 		for j, ip := range plan.items {
 			var v any
@@ -210,12 +211,10 @@ func aggregateResultSet(q *Query, rs *resultset.ResultSet) (*resultset.ResultSet
 	}
 	if len(q.GroupBy) == 0 && len(order) == 0 {
 		// Global aggregate over zero rows: one row of empty accumulators.
-		groups[""] = &aggGroup{states: make([]aggState, len(plan.items))}
-		order = append(order, "")
+		order = append(order, &aggGroup{states: make([]aggState, len(plan.items))})
 	}
 	b := resultset.NewBuilder(plan.meta)
-	for _, key := range order {
-		g := groups[key]
+	for _, g := range order {
 		row := make([]any, len(plan.items))
 		for j, ip := range plan.items {
 			if ip.item.Agg == AggNone {
@@ -270,15 +269,16 @@ func FinalizeAggregate(q *Query, partial *resultset.ResultSet) (*resultset.Resul
 	// mins, max → max of maxes; NULL partials (a site with no matching
 	// non-NULL values) are skipped.
 	groups := make(map[string]*aggGroup)
-	var order []string
+	var order []*aggGroup
+	var key []byte
 	for i := 0; i < partial.Len(); i++ {
 		row := partial.RowAt(i)
-		key := resultset.GroupKey(row, groupIdx)
-		g := groups[key]
+		key = resultset.AppendGroupKey(key[:0], row, groupIdx)
+		g := groups[string(key)]
 		if g == nil {
 			g = &aggGroup{rep: row, states: make([]aggState, len(pq.Items))}
-			groups[key] = g
-			order = append(order, key)
+			groups[string(key)] = g
+			order = append(order, g)
 		}
 		for j, it := range pq.Items {
 			v := row[pIdx[j]]
@@ -318,8 +318,7 @@ func FinalizeAggregate(q *Query, partial *resultset.ResultSet) (*resultset.Resul
 		}
 	}
 	if len(q.GroupBy) == 0 && len(order) == 0 {
-		groups[""] = &aggGroup{states: make([]aggState, len(pq.Items))}
-		order = append(order, "")
+		order = append(order, &aggGroup{states: make([]aggState, len(pq.Items))})
 	}
 
 	// Partial item lookup by canonical name, for finalizing avg and for
@@ -346,8 +345,7 @@ func FinalizeAggregate(q *Query, partial *resultset.ResultSet) (*resultset.Resul
 		return nil, err
 	}
 	b := resultset.NewBuilder(meta)
-	for _, key := range order {
-		g := groups[key]
+	for _, g := range order {
 		row := make([]any, len(q.Items))
 		for i, it := range q.Items {
 			switch it.Agg {

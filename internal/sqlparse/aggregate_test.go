@@ -455,3 +455,65 @@ func TestPlanCacheConcurrent(t *testing.T) {
 		t.Errorf("entries = %d exceeds capacity", st.Entries)
 	}
 }
+
+// TestGroupByAllocatesPerGroupNotPerRow: a group's key string is made when
+// the group is first seen, so a thousand rows in four groups cost no more
+// allocations than four rows in four groups — for the local aggregate and
+// for the partial merge alike.
+func TestGroupByAllocatesPerGroupNotPerRow(t *testing.T) {
+	g := glue.MustLookup(glue.GroupProcessor)
+	meta, err := resultset.MetadataForGroup(g, []string{"HostName", "Model", "CPUCount", "LoadLast1Min"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func(rows int) *resultset.ResultSet {
+		b := resultset.NewBuilder(meta)
+		for i := 0; i < rows; i++ {
+			b.Append(fmt.Sprint("n", i), fmt.Sprint("model-", i%4), int64(2+i%4), 1.5)
+		}
+		rs, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rs
+	}
+	q := mustParse(t, "SELECT Model, CPUCount, count(*), sum(LoadLast1Min), max(LoadLast1Min) FROM Processor GROUP BY Model, CPUCount")
+	small, large := build(4), build(1000)
+	apply := func(rs *resultset.ResultSet) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if out, err := ApplyToResultSet(q, rs); err != nil || out.Len() != 4 {
+				t.Fatalf("aggregate: %d groups, err %v", out.Len(), err)
+			}
+		})
+	}
+	if few, many := apply(small), apply(large); many > few {
+		t.Errorf("GROUP BY over 1,000 rows = %v allocs, over 4 rows = %v: rows must not allocate", many, few)
+	}
+	pq := q.PartialQuery()
+	partial := func(rs *resultset.ResultSet) *resultset.ResultSet {
+		out := resultset.New(nil)
+		for site := 0; site < rs.Len()/4; site++ { // every "site" reports the same four groups
+			p, err := ApplyToResultSet(pq, small)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if site == 0 {
+				out = resultset.New(p.Metadata())
+			}
+			if err := out.Merge(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return out
+	}
+	finalize := func(rs *resultset.ResultSet) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if out, err := FinalizeAggregate(q, rs); err != nil || out.Len() != 4 {
+				t.Fatalf("finalize: %d groups, err %v", out.Len(), err)
+			}
+		})
+	}
+	if few, many := finalize(partial(small)), finalize(partial(large)); many > few {
+		t.Errorf("FinalizeAggregate over 1,000 partial rows = %v allocs, over 4 = %v: rows must not allocate", many, few)
+	}
+}

@@ -25,42 +25,27 @@ func SpanFromContext(ctx context.Context) *Span {
 }
 
 // StartSpan begins a child of the active span, inheriting its trace and
-// site. When the request is untraced it returns (ctx, nil) and costs only
-// the context lookup.
+// site, and derives the context its own children hang off; a span that will
+// have none is cheaper as SpanFromContext(ctx).Child(name). When the request
+// is untraced it returns (ctx, nil) and costs only the context lookup.
 func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
-	parent := SpanFromContext(ctx)
-	if parent == nil {
-		return ctx, nil
-	}
-	sp := &Span{rec: parent.rec, data: SpanData{
-		TraceID: parent.data.TraceID,
-		SpanID:  parent.rec.nextSpanID(),
-		Parent:  parent.data.SpanID,
-		Name:    name,
-		Site:    parent.data.Site,
-		Start:   parent.rec.tracer.clock(),
-	}}
-	return context.WithValue(ctx, spanKey{}, sp), sp
+	sp := SpanFromContext(ctx).Child(name)
+	return ContextWithSpan(ctx, sp), sp
 }
 
 // AttachRemote stitches spans recorded by a remote gateway into the active
 // trace, marking them Remote. No-op when the request is untraced.
 func AttachRemote(ctx context.Context, spans []SpanData) {
-	sp := SpanFromContext(ctx)
-	if sp == nil || len(spans) == 0 {
-		return
+	if sp := SpanFromContext(ctx); sp != nil {
+		sp.rec.attachRemote(spans)
 	}
-	sp.rec.attachRemote(spans)
 }
 
 // Carrier is the trace context that crosses a gateway-to-gateway hop.
 type Carrier struct {
-	// TraceID is the originating trace.
-	TraceID string
-	// Parent is the calling gateway's span the remote work nests under.
-	Parent string
-	// Sampled tells the remote gateway whether to record spans.
-	Sampled bool
+	TraceID string // the originating trace
+	Parent  string // the calling gateway's span the remote work nests under
+	Sampled bool   // whether the remote gateway should record spans
 }
 
 // Header renders the carrier as the X-GridRM-Trace header value.
@@ -72,18 +57,28 @@ func (c Carrier) Header() string {
 	return c.TraceID + "-" + c.Parent + "-" + s
 }
 
+// validID accepts what StartTrace and spanID can produce — hex and ".", the
+// longest a 32-byte trace ID — with room to spare: at most 64 bytes.
+func validID(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') && c != '.' {
+			return false
+		}
+	}
+	return s != "" && len(s) <= 64
+}
+
 // ParseCarrier parses an X-GridRM-Trace header value. ok is false for an
-// empty or malformed value.
+// empty or malformed value, including IDs this package could not have made:
+// the header arrives from the network, unauthenticated.
 func ParseCarrier(h string) (c Carrier, ok bool) {
-	parts := strings.Split(strings.TrimSpace(h), "-")
-	if len(parts) != 3 || parts[0] == "" || parts[1] == "" {
+	traceID, rest, _ := strings.Cut(strings.TrimSpace(h), "-")
+	parent, flag, _ := strings.Cut(rest, "-")
+	sampled, err := strconv.ParseBool(flag)
+	if err != nil || !validID(traceID) || !validID(parent) {
 		return Carrier{}, false
 	}
-	sampled, err := strconv.ParseBool(parts[2])
-	if err != nil {
-		return Carrier{}, false
-	}
-	return Carrier{TraceID: parts[0], Parent: parts[1], Sampled: sampled}, true
+	return Carrier{TraceID: traceID, Parent: parent, Sampled: sampled}, true
 }
 
 // CarrierFromContext builds the outbound carrier for the active span; ok is
@@ -93,7 +88,7 @@ func CarrierFromContext(ctx context.Context) (Carrier, bool) {
 	if sp == nil {
 		return Carrier{}, false
 	}
-	return Carrier{TraceID: sp.data.TraceID, Parent: sp.data.SpanID, Sampled: true}, true
+	return Carrier{TraceID: sp.rec.traceID, Parent: sp.SpanID(), Sampled: true}, true
 }
 
 // ContextWithRemote marks ctx as serving an inbound remote request carrying

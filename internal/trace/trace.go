@@ -10,10 +10,12 @@
 //
 // The whole API is nil-tolerant: an unsampled query carries a nil *Span and
 // every span operation on it is a no-op, so the untraced hot path costs a
-// context lookup and a nil check per stage.
+// context lookup and a nil check per stage. A sampled query allocates one
+// recorder; its spans are slots inside it (see recorder).
 package trace
 
 import (
+	"cmp"
 	"context"
 	crand "crypto/rand"
 	"encoding/binary"
@@ -42,8 +44,9 @@ type Options struct {
 	// Capacity is how many finished traces the in-memory store retains;
 	// the oldest trace is evicted first (default 256).
 	Capacity int
-	// MaxSpans caps the spans recorded per trace; spans beyond the cap are
-	// counted in Stats.DroppedSpans (default 512).
+	// MaxSpans caps the spans recorded per trace, across every leg stored
+	// under one trace ID; spans beyond the cap are counted in
+	// Stats.DroppedSpans (default 512).
 	MaxSpans int
 	// SlowLog is the slow-query ring buffer size (default 128).
 	SlowLog int
@@ -64,61 +67,86 @@ type Options struct {
 type Decision int
 
 const (
-	// DecideSample (the default) applies the tracer's Sample rate.
-	DecideSample Decision = iota
-	// DecideOn forces the query to be traced.
-	DecideOn
-	// DecideOff disables tracing for the query.
-	DecideOff
+	DecideSample Decision = iota // the default: the tracer's Sample rate decides
+	DecideOn                     // force the query to be traced
+	DecideOff                    // disable tracing for the query
 )
 
-// SpanData is a finished span: the stored and wire form.
+// SpanData is a finished span: the wire form, made when something reads it.
 type SpanData struct {
-	// TraceID identifies the whole request tree.
-	TraceID string `json:"traceId"`
-	// SpanID identifies this span.
-	SpanID string `json:"spanId"`
-	// Parent is the parent span's ID ("" for a locally rooted trace).
-	Parent string `json:"parent,omitempty"`
-	// Name is the operation, e.g. "query", "harvest", "pool-checkout".
-	Name string `json:"name"`
-	// Site is the gateway that recorded the span.
-	Site string `json:"site,omitempty"`
-	// Remote marks a span stitched in from a remote gateway's response.
-	Remote bool `json:"remote,omitempty"`
-	// Start is when the operation began.
-	Start time.Time `json:"start"`
-	// Duration is how long it took.
-	Duration time.Duration `json:"durationNs"`
-	// Attrs carries string key/value annotations (sql, url, driver ...).
-	Attrs map[string]string `json:"attrs,omitempty"`
-	// Err is the operation's failure, if any.
-	Err string `json:"err,omitempty"`
+	TraceID  string            `json:"traceId"`          // the whole request tree
+	SpanID   string            `json:"spanId"`           // this span
+	Parent   string            `json:"parent,omitempty"` // the parent span's ID; "" for a locally rooted trace
+	Name     string            `json:"name"`             // the operation: "query", "harvest", "pool-checkout" ...
+	Site     string            `json:"site,omitempty"`   // the gateway that recorded the span
+	Remote   bool              `json:"remote,omitempty"` // stitched in from a remote gateway's response
+	Start    time.Time         `json:"start"`
+	Duration time.Duration     `json:"durationNs"`
+	Attrs    map[string]string `json:"attrs,omitempty"` // annotations: sql, url, driver ...
+	Err      string            `json:"err,omitempty"`   // the operation's failure, if any
 }
 
-// Span is a live span being recorded. A nil *Span is valid: every method
-// no-ops, which is how unsampled requests skip all bookkeeping.
+// Span is a live span: one slot of its trace's recorder, so starting one
+// allocates nothing while the current chunk has room. A nil *Span is valid:
+// every method no-ops, which is how unsampled requests skip all bookkeeping.
+// The fields are guarded by rec.mu and frozen once the span has ended.
 type Span struct {
-	rec *recorder
-
-	mu    sync.Mutex
-	ended bool
-	data  SpanData
+	rec    *recorder
+	name   string
+	err    string
+	start  time.Duration // offset from rec.base
+	dur    time.Duration
+	id     int32 // slot number; the span ID is "<prefix>.<id+1>"
+	parent int32 // parent's slot number; -1 on the root, whose parent is rec.parent
+	endSeq int32 // 1-based position among the trace's ended spans; 0 while live
+	nattr  uint8
+	attrs  [inlineAttrs]attr
 }
 
-// SetAttr annotates the span.
-func (s *Span) SetAttr(key, value string) {
+// inlineAttrs is how many attributes a slot holds itself (no span on the
+// cached or real-time path sets more); the rest spill to recorder.spill.
+const inlineAttrs = 2
+
+// attr is one annotation. A number stays a number until something reads it.
+type attr struct {
+	key, str string
+	num      int64
+	slot     int32 // the owning slot, for a spilled attr
+	isNum    bool
+}
+
+func (a attr) value() string {
+	if a.isNum {
+		return strconv.FormatInt(a.num, 10)
+	}
+	return a.str
+}
+
+// SetAttr annotates the span; a repeated key overwrites.
+func (s *Span) SetAttr(key, value string) { s.set(attr{key: key, str: value}) }
+
+// SetAttrInt annotates the span with a number, formatted only when read.
+func (s *Span) SetAttrInt(key string, v int) { s.set(attr{key: key, num: int64(v), isNum: true}) }
+
+func (s *Span) set(a attr) {
 	if s == nil {
 		return
 	}
-	s.mu.Lock()
-	if !s.ended {
-		if s.data.Attrs == nil {
-			s.data.Attrs = make(map[string]string, 2)
-		}
-		s.data.Attrs[key] = value
+	r := s.rec
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if s.endSeq != 0 {
+		return
 	}
-	s.mu.Unlock()
+	a.slot = s.id
+	if old := r.find(s, a.key); old != nil {
+		*old = a
+	} else if s.nattr < inlineAttrs {
+		s.attrs[s.nattr] = a
+		s.nattr++
+	} else {
+		r.spill = append(r.spill, a)
+	}
 }
 
 // SetError records err on the span (no-op for nil err).
@@ -126,11 +154,12 @@ func (s *Span) SetError(err error) {
 	if s == nil || err == nil {
 		return
 	}
-	s.mu.Lock()
-	if !s.ended {
-		s.data.Err = err.Error()
+	msg := err.Error()
+	s.rec.mu.Lock()
+	if s.endSeq == 0 {
+		s.err = msg
 	}
-	s.mu.Unlock()
+	s.rec.mu.Unlock()
 }
 
 // TraceID returns the span's trace ID ("" for a nil span).
@@ -138,7 +167,7 @@ func (s *Span) TraceID() string {
 	if s == nil {
 		return ""
 	}
-	return s.data.TraceID
+	return s.rec.traceID
 }
 
 // SpanID returns the span's ID ("" for a nil span).
@@ -146,7 +175,7 @@ func (s *Span) SpanID() string {
 	if s == nil {
 		return ""
 	}
-	return s.data.SpanID
+	return s.rec.spanID(s.id)
 }
 
 // ParentID returns the parent span's ID. A root span with a non-empty
@@ -155,147 +184,232 @@ func (s *Span) ParentID() string {
 	if s == nil {
 		return ""
 	}
-	return s.data.Parent
+	return s.rec.spanID(s.parent)
 }
 
 // IsRoot reports whether this span is its trace's local root.
-func (s *Span) IsRoot() bool {
-	return s != nil && s.rec.root == s
+func (s *Span) IsRoot() bool { return s != nil && s.id == 0 }
+
+// Child begins a child of s without deriving a context: the form for a span
+// nothing hangs off (parse, cache-lookup, consolidate ...), and what
+// StartSpan is built on. It returns nil when s is nil or the trace is full.
+func (s *Span) Child(name string) *Span {
+	if s == nil {
+		return nil
+	}
+	return s.rec.start(name, s.id)
 }
 
-// End finishes the span and hands it to the trace's recorder; ending the
-// root span publishes the collected trace to the tracer's store. End is
-// idempotent.
+// End finishes the span in place; ending the root moves the whole recorder
+// into the tracer's store. End is idempotent. A span that ends after its
+// root (a coalesced harvest outliving the query that began it, a hedged
+// loser) still ends in its own slot and shows up in the stored trace.
 func (s *Span) End() {
 	if s == nil {
 		return
 	}
-	s.mu.Lock()
-	if s.ended {
-		s.mu.Unlock()
+	r := s.rec
+	r.mu.Lock()
+	if s.endSeq != 0 {
+		r.mu.Unlock()
 		return
 	}
-	s.ended = true
-	s.data.Duration = s.rec.tracer.clock().Sub(s.data.Start)
-	// The Attrs map moves into the recorded SpanData without copying:
-	// SetAttr mutates only while !ended, so it is frozen from here on.
-	d := s.data
-	s.mu.Unlock()
-	s.rec.add(d)
-	if s.rec.root == s {
-		s.rec.publish()
+	s.dur = r.tracer.opts.Clock().Sub(r.base) - s.start
+	r.ended++
+	s.endSeq = r.ended
+	r.mu.Unlock()
+	if s.id == 0 {
+		r.tracer.store(r)
 	}
 }
 
-// Collected snapshots every span recorded in this span's trace so far,
-// including spans stitched in from remote gateways. Call it on the root
-// after End to ship the trace on the wire.
+// Collected materialises every span ended in this span's trace so far, in
+// the order they ended, then the spans stitched in from remote gateways.
+// Call it on the root after End to ship the trace on the wire.
 func (s *Span) Collected() []SpanData {
 	if s == nil {
 		return nil
 	}
-	return s.rec.snapshot()
+	return s.rec.appendSpans(nil)
 }
 
-// recorder accumulates the finished spans of one trace.
+// slotsPerChunk lets a single-source query (7 spans) live entirely in the
+// recorder's own first chunk: one allocation per traced query.
+const slotsPerChunk = 8
+
+// chunk is a block of slots. Chunks are only ever appended and never
+// reused, so a *Span stays valid, and private to its trace, for as long as
+// anything holds it: a late End cannot reach another trace's memory.
+type chunk struct {
+	slots [slotsPerChunk]Span
+	next  *chunk
+}
+
+// recorder is one serving leg of one trace: the trace-wide facts once, and
+// the spans as slots. Span IDs, SpanData and the carrier are strings only
+// where something reads them: Collected, Tracer.Trace, CarrierFromContext.
 type recorder struct {
 	tracer  *Tracer
 	traceID string
-	root    *Span
-	// prefix + seq generate span IDs: one crypto/rand draw per serving
-	// leg instead of one per span, with the counter providing in-trace
-	// uniqueness. "." keeps IDs clear of the carrier's "-" separator.
-	prefix string
-	seq    atomic.Uint64
+	parent  string    // the remote caller's span ID; "" for a locally rooted trace
+	site    string    // the gateway recording this leg
+	base    time.Time // the root's start; slots hold offsets from it
+	// prefix + slot number make span IDs: one crypto/rand draw per serving
+	// leg, and "." keeps IDs clear of the carrier's "-" separator.
+	prefix  [4]byte
+	nextLeg *recorder // a later leg stored under the same trace ID (tracer.mu)
 
-	mu    sync.Mutex
-	spans []SpanData
+	mu     sync.Mutex
+	slots  int32 // started
+	ended  int32
+	tail   *chunk
+	spill  []attr
+	remote []SpanData
+	head   chunk
 }
 
-func (r *recorder) nextSpanID() string {
-	return r.prefix + "." + strconv.FormatUint(r.seq.Add(1), 10)
-}
-
-func (r *recorder) add(d SpanData) {
+// start claims the next slot; nil (and one DroppedSpans) at the cap.
+func (r *recorder) start(name string, parent int32) *Span {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if len(r.spans) >= r.tracer.opts.MaxSpans {
+	if int(r.slots)+len(r.remote) >= r.tracer.opts.MaxSpans {
 		r.tracer.droppedSpans.Add(1)
-		return
+		return nil
 	}
-	r.spans = append(r.spans, d)
+	i := r.slots % slotsPerChunk
+	if i == 0 && r.slots > 0 {
+		r.tail.next = new(chunk)
+		r.tail = r.tail.next
+	}
+	now := r.tracer.opts.Clock()
+	if r.slots == 0 {
+		r.base = now
+	}
+	s := &r.tail.slots[i]
+	s.rec, s.name, s.id, s.parent, s.start = r, name, r.slots, parent, now.Sub(r.base)
+	r.slots++
+	return s
+}
+
+// find returns s's attribute named key, or nil. Called with r.mu held.
+func (r *recorder) find(s *Span, key string) *attr {
+	for i := range s.attrs[:s.nattr] {
+		if s.attrs[i].key == key {
+			return &s.attrs[i]
+		}
+	}
+	for i := range r.spill {
+		if r.spill[i].slot == s.id && r.spill[i].key == key {
+			return &r.spill[i]
+		}
+	}
+	return nil
+}
+
+// spanID renders a slot number as its span ID; -1 is the root's parent.
+func (r *recorder) spanID(slot int32) string {
+	if slot < 0 {
+		return r.parent
+	}
+	var b [20]byte
+	hex.Encode(b[:], r.prefix[:])
+	b[8] = '.'
+	return string(strconv.AppendInt(b[:9], int64(slot)+1, 10))
 }
 
 func (r *recorder) attachRemote(spans []SpanData) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, d := range spans {
-		if len(r.spans) >= r.tracer.opts.MaxSpans {
-			r.tracer.droppedSpans.Add(1)
-			return
-		}
-		d.Remote = true
-		r.spans = append(r.spans, d)
+	room := max(r.tracer.opts.MaxSpans-int(r.slots)-len(r.remote), 0)
+	if len(spans) > room {
+		r.tracer.droppedSpans.Add(int64(len(spans) - room))
+		spans = spans[:room]
+	}
+	n := len(r.remote)
+	r.remote = append(r.remote, spans...)
+	for i := n; i < len(r.remote); i++ {
+		r.remote[i].Remote = true
 	}
 }
 
-func (r *recorder) snapshot() []SpanData {
+func (r *recorder) appendSpans(dst []SpanData) []SpanData {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append([]SpanData(nil), r.spans...)
+	base, left := len(dst), r.slots
+	dst = append(dst, make([]SpanData, r.ended)...)
+	for c := &r.head; c != nil; c, left = c.next, left-slotsPerChunk {
+		for i := range c.slots[:min(left, slotsPerChunk)] {
+			s := &c.slots[i]
+			if s.endSeq == 0 {
+				continue
+			}
+			d := &dst[base+int(s.endSeq)-1]
+			*d = SpanData{TraceID: r.traceID, SpanID: r.spanID(s.id), Parent: r.spanID(s.parent),
+				Name: s.name, Site: r.site, Start: r.base.Add(s.start), Duration: s.dur, Err: s.err}
+			if s.nattr > 0 {
+				d.Attrs = make(map[string]string, s.nattr)
+			}
+			for _, a := range s.attrs[:s.nattr] {
+				d.Attrs[a.key] = a.value()
+			}
+			for _, a := range r.spill {
+				if a.slot == s.id {
+					d.Attrs[a.key] = a.value()
+				}
+			}
+		}
+	}
+	return append(dst, r.remote...)
 }
 
-func (r *recorder) publish() {
-	r.tracer.store(r.traceID, r.snapshot())
+// summary is the leg's /traces row. The root slot it reads is frozen: a
+// recorder reaches the store only by its root ending.
+func (r *recorder) summary() Summary {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	root := &r.head.slots[0]
+	s := Summary{TraceID: r.traceID, Name: root.name, Site: r.site, Start: r.base,
+		Duration: root.dur, Spans: int(r.ended) + len(r.remote), Err: root.err}
+	if sql := r.find(root, "sql"); sql != nil {
+		s.SQL = sql.value()
+	}
+	return s
 }
 
 // SlowQuery is one slow-query log entry.
 type SlowQuery struct {
-	// Time is when the query started.
-	Time time.Time `json:"time"`
-	// Site is the gateway that served it.
-	Site string `json:"site,omitempty"`
-	// SQL is the query text.
-	SQL string `json:"sql"`
-	// Mode is the execution mode.
-	Mode string `json:"mode,omitempty"`
-	// Elapsed is the gateway-side processing time.
-	Elapsed time.Duration `json:"elapsedNs"`
-	// TraceID links to the stored trace when the query was sampled.
-	TraceID string `json:"traceId,omitempty"`
-	// Err is the query's failure, if it failed outright.
-	Err string `json:"err,omitempty"`
+	Time    time.Time     `json:"time"`           // when the query started
+	Site    string        `json:"site,omitempty"` // the gateway that served it
+	SQL     string        `json:"sql"`
+	Mode    string        `json:"mode,omitempty"`    // the execution mode
+	Elapsed time.Duration `json:"elapsedNs"`         // gateway-side processing time
+	TraceID string        `json:"traceId,omitempty"` // the stored trace, when the query was sampled
+	Err     string        `json:"err,omitempty"`     // the query's failure, if it failed outright
 }
 
 // Stats counts tracer activity.
 type Stats struct {
-	// Started counts sampled root spans begun.
-	Started int64
-	// Stored counts traces published to the store.
-	Stored int64
-	// Evicted counts traces evicted by the store's capacity.
-	Evicted int64
-	// SlowQueries counts queries recorded in the slow-query log.
-	SlowQueries int64
-	// DroppedSpans counts spans discarded by the per-trace cap.
-	DroppedSpans int64
+	Started      int64 // sampled root spans begun
+	Stored       int64 // traces published to the store
+	Evicted      int64 // traces evicted by the store's capacity
+	SlowQueries  int64 // queries recorded in the slow-query log
+	DroppedSpans int64 // spans discarded by the per-trace cap
 }
 
 // Tracer owns the sampling decision, the bounded trace store and the
 // slow-query log. A nil *Tracer is valid and never samples.
 type Tracer struct {
-	opts  Options
-	clock func() time.Time
+	opts Options
 
 	seq atomic.Uint64
 
 	mu     sync.Mutex
-	traces map[string][]SpanData
-	order  []string // trace IDs, oldest first
+	traces map[string]*recorder // the first leg stored under each trace ID
+	order  []string             // trace IDs, oldest first
 
-	slowMu   sync.Mutex
-	slow     []SlowQuery
-	slowNext int
+	slowMu sync.Mutex
+	slow   []SlowQuery // a ring once full: entry i of the log is slow[i%SlowLog]
+	slowN  int         // entries ever logged
 
 	started, stored, evicted atomic.Int64
 	slowCount, droppedSpans  atomic.Int64
@@ -303,28 +417,15 @@ type Tracer struct {
 
 // New creates a Tracer.
 func New(o Options) *Tracer {
-	if o.Capacity <= 0 {
-		o.Capacity = defaultCapacity
-	}
-	if o.MaxSpans <= 0 {
-		o.MaxSpans = defaultMaxSpans
-	}
-	if o.SlowLog <= 0 {
-		o.SlowLog = defaultSlowLog
-	}
-	if o.SlowThreshold == 0 {
-		o.SlowThreshold = defaultSlowThreshold
-	}
-	if o.Sample == 0 {
-		o.Sample = 1
-	}
-	if o.Sample < 0 {
-		o.Sample = 0
-	}
+	o.Capacity = cmp.Or(max(o.Capacity, 0), defaultCapacity)
+	o.MaxSpans = cmp.Or(max(o.MaxSpans, 0), defaultMaxSpans)
+	o.SlowLog = cmp.Or(max(o.SlowLog, 0), defaultSlowLog)
+	o.SlowThreshold = cmp.Or(o.SlowThreshold, defaultSlowThreshold)
+	o.Sample = cmp.Or(o.Sample, 1)
 	if o.Clock == nil {
 		o.Clock = time.Now
 	}
-	return &Tracer{opts: o, clock: o.Clock, traces: make(map[string][]SpanData)}
+	return &Tracer{opts: o, traces: make(map[string]*recorder)}
 }
 
 // StartTrace begins the root span of one query. An inbound remote trace
@@ -338,64 +439,62 @@ func (t *Tracer) StartTrace(ctx context.Context, name, site string, d Decision) 
 		return ctx, nil
 	}
 	car, remote := remoteFromContext(ctx)
-	var sampled bool
-	switch {
-	case remote:
-		sampled = car.Sampled
-	case d == DecideOn:
-		sampled = true
-	case d == DecideOff:
-		sampled = false
-	default:
-		sampled = t.shouldSample()
+	if !remote {
+		car.Sampled = d == DecideOn || d == DecideSample && t.shouldSample()
 	}
-	if !sampled {
+	if !car.Sampled {
 		return ctx, nil
 	}
 	t.started.Add(1)
-	traceID, parent := car.TraceID, car.Parent
-	if !remote {
-		traceID = newID(16)
+	rec := &recorder{tracer: t, traceID: car.TraceID, parent: car.Parent, site: site}
+	rec.tail = &rec.head
+	// One draw makes both identities: 16 bytes of trace ID, unless the
+	// caller's continues, and the leg's span-ID prefix. Should crypto/rand
+	// fail, a process-unique counter keeps IDs distinct.
+	var rnd [20]byte
+	if _, err := crand.Read(rnd[:]); err != nil {
+		binary.BigEndian.PutUint64(rnd[12:], idFallback.Add(1))
 	}
-	rec := &recorder{tracer: t, traceID: traceID, prefix: newID(4),
-		spans: make([]SpanData, 0, 16)}
-	sp := &Span{rec: rec, data: SpanData{
-		TraceID: traceID,
-		SpanID:  rec.nextSpanID(),
-		Parent:  parent,
-		Name:    name,
-		Site:    site,
-		Start:   t.clock(),
-	}}
-	rec.root = sp
+	copy(rec.prefix[:], rnd[16:])
+	if !remote {
+		rec.traceID = hex.EncodeToString(rnd[:16])
+	}
+	sp := rec.start(name, -1)
 	return ContextWithSpan(ctx, sp), sp
 }
+
+var idFallback atomic.Uint64
 
 // shouldSample decides deterministically (a multiplicative hash over a
 // sequence counter) so tests are reproducible and no lock is taken.
 func (t *Tracer) shouldSample() bool {
 	r := t.opts.Sample
-	if r <= 0 {
-		return false
-	}
-	if r >= 1 {
-		return true
+	if r <= 0 || r >= 1 {
+		return r >= 1
 	}
 	h := (t.seq.Add(1) * 2654435761) & 0xffffffff
 	return float64(h) < r*float64(uint64(1)<<32)
 }
 
-// store files one trace's spans, evicting the oldest stored traces beyond
-// capacity. Publishing the same trace ID again (several serving legs of one
-// parent trace on the same gateway) merges instead of displacing.
-func (t *Tracer) store(id string, spans []SpanData) {
-	if len(spans) == 0 {
-		return
-	}
+// store files one finished leg (the recorder itself, not a copy), evicting
+// the oldest stored traces beyond capacity. A trace ID stored again —
+// several serving legs of one parent trace on the same gateway — links the
+// leg behind the first while the trace is under MaxSpans; whatever the
+// trace and the new leg hold beyond the cap counts as dropped, so a
+// replayed X-GridRM-Trace header cannot grow the store.
+func (t *Tracer) store(r *recorder) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if _, ok := t.traces[id]; ok {
-		t.traces[id] = append(t.traces[id], spans...)
+	if last, ok := t.traces[r.traceID]; ok {
+		total := last.summary().Spans
+		for ; last.nextLeg != nil; last = last.nextLeg {
+			total += last.nextLeg.summary().Spans
+		}
+		n := r.summary().Spans
+		t.droppedSpans.Add(int64(min(n, max(total+n-t.opts.MaxSpans, 0))))
+		if total < t.opts.MaxSpans {
+			last.nextLeg = r
+		}
 		return
 	}
 	for len(t.order) >= t.opts.Capacity {
@@ -403,8 +502,8 @@ func (t *Tracer) store(id string, spans []SpanData) {
 		t.order = t.order[1:]
 		t.evicted.Add(1)
 	}
-	t.traces[id] = spans
-	t.order = append(t.order, id)
+	t.traces[r.traceID] = r
+	t.order = append(t.order, r.traceID)
 	t.stored.Add(1)
 }
 
@@ -427,14 +526,16 @@ func (t *Tracer) Trace(id string) (*TraceData, bool) {
 		return nil, false
 	}
 	t.mu.Lock()
-	spans, ok := t.traces[id]
-	if ok {
-		spans = append([]SpanData(nil), spans...)
+	leg, ok := t.traces[id]
+	var spans []SpanData
+	for ; leg != nil; leg = leg.nextLeg {
+		spans = leg.appendSpans(spans)
 	}
 	t.mu.Unlock()
 	if !ok {
 		return nil, false
 	}
+	spans = spans[:min(len(spans), t.opts.MaxSpans)]
 	return &TraceData{TraceID: id, Spans: len(spans), Roots: BuildTree(spans)}, true
 }
 
@@ -443,14 +544,15 @@ func (t *Tracer) Trace(id string) (*TraceData, bool) {
 // parent span lives on another gateway — become roots.
 func BuildTree(spans []SpanData) []*Node {
 	nodes := make(map[string]*Node, len(spans))
-	ordered := make([]*Node, 0, len(spans))
+	ordered := make([]*Node, len(spans))
 	for i := range spans {
-		n := &Node{SpanData: spans[i]}
-		if _, dup := nodes[n.SpanID]; !dup {
-			nodes[n.SpanID] = n
+		ordered[i] = &Node{SpanData: spans[i]}
+		if _, dup := nodes[spans[i].SpanID]; !dup {
+			nodes[spans[i].SpanID] = ordered[i]
 		}
-		ordered = append(ordered, n)
 	}
+	// Sorted once, so roots and every Children list come out in start order.
+	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].Start.Before(ordered[j].Start) })
 	var roots []*Node
 	for _, n := range ordered {
 		if p, ok := nodes[n.Parent]; ok && p != n {
@@ -459,15 +561,7 @@ func BuildTree(spans []SpanData) []*Node {
 			roots = append(roots, n)
 		}
 	}
-	sortNodes(roots)
-	for _, n := range ordered {
-		sortNodes(n.Children)
-	}
 	return roots
-}
-
-func sortNodes(ns []*Node) {
-	sort.SliceStable(ns, func(i, j int) bool { return ns[i].Start.Before(ns[j].Start) })
 }
 
 // Summary is one stored trace's listing row (GET /traces).
@@ -482,7 +576,8 @@ type Summary struct {
 	Err      string        `json:"err,omitempty"`
 }
 
-// Traces lists stored traces, newest first.
+// Traces lists stored traces, newest first: the first leg's root, and the
+// span count across legs.
 func (t *Tracer) Traces() []Summary {
 	if t == nil {
 		return nil
@@ -491,21 +586,12 @@ func (t *Tracer) Traces() []Summary {
 	defer t.mu.Unlock()
 	out := make([]Summary, 0, len(t.order))
 	for i := len(t.order) - 1; i >= 0; i-- {
-		id := t.order[i]
-		spans := t.traces[id]
-		s := Summary{TraceID: id, Spans: len(spans)}
-		ids := make(map[string]bool, len(spans))
-		for _, sd := range spans {
-			ids[sd.SpanID] = true
+		head := t.traces[t.order[i]]
+		s := head.summary()
+		for leg := head.nextLeg; leg != nil; leg = leg.nextLeg {
+			s.Spans += leg.summary().Spans
 		}
-		for _, sd := range spans {
-			if !sd.Remote && (sd.Parent == "" || !ids[sd.Parent]) {
-				s.Name, s.Site, s.Start = sd.Name, sd.Site, sd.Start
-				s.Duration, s.Err = sd.Duration, sd.Err
-				s.SQL = sd.Attrs["sql"]
-				break
-			}
-		}
+		s.Spans = min(s.Spans, t.opts.MaxSpans)
 		out = append(out, s)
 	}
 	return out
@@ -523,9 +609,9 @@ func (t *Tracer) ObserveQuery(q SlowQuery) {
 	if len(t.slow) < t.opts.SlowLog {
 		t.slow = append(t.slow, q)
 	} else {
-		t.slow[t.slowNext] = q
-		t.slowNext = (t.slowNext + 1) % t.opts.SlowLog
+		t.slow[t.slowN%t.opts.SlowLog] = q
 	}
+	t.slowN++
 	t.slowMu.Unlock()
 }
 
@@ -536,24 +622,19 @@ func (t *Tracer) SlowQueries() []SlowQuery {
 	}
 	t.slowMu.Lock()
 	defer t.slowMu.Unlock()
-	n := len(t.slow)
-	out := make([]SlowQuery, 0, n)
-	start := 0
-	if n == t.opts.SlowLog {
-		start = t.slowNext
-	}
-	for i := n - 1; i >= 0; i-- {
-		out = append(out, t.slow[(start+i)%n])
+	out := make([]SlowQuery, len(t.slow))
+	for i := range out {
+		out[i] = t.slow[(t.slowN-1-i)%t.opts.SlowLog]
 	}
 	return out
 }
 
 // SlowThreshold returns the effective slow-query threshold (0 = disabled).
 func (t *Tracer) SlowThreshold() time.Duration {
-	if t == nil || t.opts.SlowThreshold < 0 {
+	if t == nil {
 		return 0
 	}
-	return t.opts.SlowThreshold
+	return max(t.opts.SlowThreshold, 0)
 }
 
 // Stats returns tracer counters.
@@ -568,16 +649,4 @@ func (t *Tracer) Stats() Stats {
 		SlowQueries:  t.slowCount.Load(),
 		DroppedSpans: t.droppedSpans.Load(),
 	}
-}
-
-var idFallback atomic.Uint64
-
-// newID returns n random bytes hex-encoded; if crypto/rand fails (it cannot
-// on supported platforms) a process-unique counter keeps IDs distinct.
-func newID(n int) string {
-	b := make([]byte, n)
-	if _, err := crand.Read(b); err != nil {
-		binary.BigEndian.PutUint64(b[n-8:], idFallback.Add(1))
-	}
-	return hex.EncodeToString(b)
 }
