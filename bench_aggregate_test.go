@@ -120,30 +120,3 @@ func BenchmarkAggregatePushdown(b *testing.B) {
 		}
 	})
 }
-
-// BenchmarkPlanCache compares a cold parse per query with the LRU plan
-// cache hit path.
-func BenchmarkPlanCache(b *testing.B) {
-	const sql = "SELECT Model, avg(LoadLast1Min) FROM Processor WHERE LoadLast1Min > 2.5 GROUP BY Model ORDER BY avg(LoadLast1Min) DESC LIMIT 10"
-	b.Run("parse", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := sqlparse.Parse(sql); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("cached", func(b *testing.B) {
-		c := sqlparse.NewPlanCache(64)
-		if _, err := c.Parse(sql); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := c.Parse(sql); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}

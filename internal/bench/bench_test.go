@@ -2,8 +2,11 @@ package bench
 
 import (
 	"bytes"
+	"errors"
+	"flag"
 	"io"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -21,7 +24,7 @@ func TestRegistryComplete(t *testing.T) {
 			t.Errorf("ids[%d] = %q, want %q (numeric order)", i, id, want)
 		}
 		e, ok := Lookup(id)
-		if !ok || e.Anchor == "" || e.Claim == "" || e.Run == nil {
+		if !ok || e.Anchor == "" || e.Claim == "" || e.run == nil {
 			t.Errorf("experiment %s incomplete: %+v", id, e)
 		}
 	}
@@ -79,12 +82,36 @@ func TestPickAndTimeIt(t *testing.T) {
 	if got := pick(false, []int{1}, []int{1, 2, 3}); len(got) != 3 {
 		t.Error("full pick wrong")
 	}
-	n := 0
-	d, err := timeIt(5, func() error { n++; return nil })
-	if err != nil || n != 5 || d < 0 {
-		t.Errorf("timeIt: %v %d %v", d, n, err)
+	// One iteration per case is enough here; Run sets its own benchtime.
+	if err := flag.Set("test.benchtime", "1x"); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := timeIt(1, func() error { return io.EOF }); err == nil {
-		t.Error("timeIt swallowed error")
+	r := &run{w: io.Discard}
+	n := 0
+	res := r.measure("counts", loop(func() error { n++; return nil }))
+	if r.err != nil || res.N == 0 || n < res.N || perOp(res) < 0 {
+		t.Errorf("measure: %+v after %d calls, err %v", res, n, r.err)
+	}
+	r.measure("fails", loop(func() error { return io.EOF }))
+	if !errors.Is(r.err, io.EOF) {
+		t.Errorf("measure swallowed the case's error: %v", r.err)
+	}
+	ran := false
+	r.measure("after a failure", func(*testing.B) error { ran = true; return nil })
+	if ran || r.cases != 3 {
+		t.Errorf("a case ran after the first failure (ran=%v cases=%d)", ran, r.cases)
+	}
+}
+
+// TestWorkersShareTheCount pins the concurrent cases' loop: n goroutines
+// make exactly the asked number of calls between them, and a failing call
+// is returned.
+func TestWorkersShareTheCount(t *testing.T) {
+	var calls atomic.Int64
+	if err := workers(8, 1000, func() error { calls.Add(1); return nil }); err != nil || calls.Load() != 1000 {
+		t.Errorf("workers made %d calls of 1000, err %v", calls.Load(), err)
+	}
+	if err := workers(4, 100, func() error { return io.EOF }); !errors.Is(err, io.EOF) {
+		t.Errorf("workers = %v, want io.EOF", err)
 	}
 }

@@ -3,9 +3,11 @@ package bench
 import (
 	"context"
 	"fmt"
-	"io"
+	"testing"
+	"time"
 
 	"gridrm/internal/core"
+	"gridrm/internal/qcache"
 	"gridrm/internal/security"
 	"gridrm/internal/sitekit"
 )
@@ -17,18 +19,16 @@ func init() {
 		Claim: "a SQL query flows RequestManager → ConnectionManager → DriverManager → " +
 			"driver → SchemaManager and returns a GLUE ResultSet from every driver; " +
 			"cached-mode responses are much faster than real-time harvests",
-		Run: runE1,
+		run: runE1,
 	})
 }
 
 var benchPrincipal = security.Principal{Name: "bench", Roles: []string{"operator"}}
 
-func runE1(w io.Writer, quick bool) error {
-	iters := 20
-	if quick {
-		iters = 5
-	}
-	site, err := sitekit.Start(sitekit.Options{Name: "e1", Hosts: 4, Seed: 11, CoarseCacheTTL: -1})
+func runE1(r *run) error {
+	// Cache TTL an hour: a cached case never re-harvests mid-measurement.
+	site, err := sitekit.Start(sitekit.Options{Name: "e1", Hosts: 4, Seed: 11, CoarseCacheTTL: -1,
+		Gateway: core.Config{Cache: qcache.Options{TTL: time.Hour}}})
 	if err != nil {
 		return err
 	}
@@ -55,44 +55,35 @@ func runE1(w io.Writer, quick bool) error {
 		targets = append(targets, target{src.Drivers[0], src.URL})
 	}
 
-	t := newTable(w, "driver", "real-time/query", "cached/query", "speedup", "rows")
+	t := newTable(r.w, "driver", "real-time/query", "cached/query", "speedup", "rows",
+		"real-time B/op", "real-time allocs/op", "cached B/op", "cached allocs/op")
 	for _, tgt := range targets {
-		query := func(mode core.Mode) func() error {
-			return func() error {
-				_, err := gw.QueryContext(context.Background(), core.QueryOptions{
-					Principal: benchPrincipal,
-					SQL:       "SELECT * FROM Processor",
-					Sources:   []string{tgt.url},
-					Mode:      mode,
-				})
-				return err
+		// The first query of each case warms the pool and driver (or the
+		// query cache) outside the timer.
+		query := func(mode core.Mode) func(b *testing.B) error {
+			return func(b *testing.B) error {
+				req := core.QueryOptions{Principal: benchPrincipal,
+					SQL: "SELECT * FROM Processor", Sources: []string{tgt.url}, Mode: mode}
+				resp, err := gw.QueryContext(context.Background(), req)
+				if err != nil {
+					return err
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := gw.QueryContext(context.Background(), req); err != nil {
+						return err
+					}
+				}
+				b.ReportMetric(float64(resp.ResultSet.Len()), "rows")
+				return nil
 			}
 		}
-		// Warm the pool and driver cache once.
-		if err := query(core.ModeRealTime)(); err != nil {
-			return fmt.Errorf("%s: %w", tgt.label, err)
-		}
-		rt, err := timeIt(iters, query(core.ModeRealTime))
-		if err != nil {
-			return err
-		}
-		// Warm the query cache; the gateway cache TTL default is 2s, so
-		// keep cached timing inside it.
-		if err := query(core.ModeCached)(); err != nil {
-			return err
-		}
-		cachedIters := iters * 10
-		cached, err := timeIt(cachedIters, query(core.ModeCached))
-		if err != nil {
-			return err
-		}
-		resp, err := gw.QueryContext(context.Background(), core.QueryOptions{Principal: benchPrincipal,
-			SQL: "SELECT * FROM Processor", Sources: []string{tgt.url}})
-		if err != nil {
-			return err
-		}
-		speedup := float64(rt) / float64(cached)
-		t.row(tgt.label, rt, cached, fmt.Sprintf("%.0fx", speedup), resp.ResultSet.Len())
+		rt := r.measure(tgt.label+"/real-time", query(core.ModeRealTime))
+		cached := r.measure(tgt.label+"/cached", query(core.ModeCached))
+		t.row(tgt.label, perOp(rt), perOp(cached),
+			fmt.Sprintf("%.0fx", float64(rt.NsPerOp())/float64(cached.NsPerOp())), int(rt.Extra["rows"]),
+			rt.AllocedBytesPerOp(), rt.AllocsPerOp(), cached.AllocedBytesPerOp(), cached.AllocsPerOp())
 	}
 	t.flush()
 
@@ -100,7 +91,7 @@ func runE1(w io.Writer, quick bool) error {
 	st := gw.Stats()
 	ps := gw.Pool().Stats()
 	ds := gw.DriverManager().Stats()
-	fmt.Fprintf(w, "\nstage counters: harvests=%d cache-served=%d | pool hits=%d misses=%d opens=%d | driver scans=%d probes=%d last-good hits=%d\n",
+	fmt.Fprintf(r.w, "\nstage counters: harvests=%d cache-served=%d | pool hits=%d misses=%d opens=%d | driver scans=%d probes=%d last-good hits=%d\n",
 		st.Harvests, st.CacheServed, ps.Hits, ps.Misses, ps.Opens, ds.Scans, ds.ScanProbes, ds.CacheHits)
 	return nil
 }

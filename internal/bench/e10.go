@@ -3,7 +3,6 @@ package bench
 import (
 	"context"
 	"fmt"
-	"io"
 	"math"
 	"strings"
 
@@ -18,13 +17,13 @@ func init() {
 		Claim: "the same host queried through every driver yields the same GLUE values " +
 			"wherever the native source carries them, and NULL where translation is not " +
 			"possible — the correctness table behind GridRM's whole premise",
-		Run: runE10,
+		run: runE10,
 	})
 }
 
-func runE10(w io.Writer, quick bool) error {
+func runE10(r *run) error {
 	hosts := 4
-	if quick {
+	if r.quick {
 		hosts = 2
 	}
 	site, err := sitekit.Start(sitekit.Options{Name: "e10", Hosts: hosts, Seed: 1010, CoarseCacheTTL: -1})
@@ -113,7 +112,7 @@ func runE10(w io.Writer, quick bool) error {
 	}
 
 	headers := append([]string{"Processor field", "sim truth"}, driverOrder...)
-	t := newTable(w, headers...)
+	t := newTable(r.w, headers...)
 	mismatches := 0
 	for _, c := range checks {
 		cells := []any{c.field, fmt.Sprintf("%v", c.want)}
@@ -128,10 +127,10 @@ func runE10(w io.Writer, quick bool) error {
 	if mismatches > 0 {
 		return fmt.Errorf("%d value mismatches across drivers", mismatches)
 	}
-	fmt.Fprintf(w, "\nevery non-NULL cell agrees with the simulator truth (float tolerance where\n"+
+	fmt.Fprintf(r.w, "\nevery non-NULL cell agrees with the simulator truth (float tolerance where\n"+
 		"the native encoding is lossy); NULL marks fields the source cannot translate\n"+
 		"(§3.1.4). Coverage per driver:\n")
-	ct := newTable(w, "driver", "group", "mapped fields / total")
+	ct := newTable(r.w, "driver", "group", "mapped fields / total")
 	sm := gw.SchemaManager()
 	for _, name := range driverOrder {
 		ds, _, ok := sm.Lookup(name)

@@ -2,7 +2,7 @@ package bench
 
 import (
 	"fmt"
-	"io"
+	"testing"
 
 	"gridrm/internal/driver"
 	"gridrm/internal/drivers/memdrv"
@@ -15,13 +15,13 @@ func init() {
 		Claim: "static preferences and the last-good driver cache avoid the AcceptsURL " +
 			"scan, whose cost grows with registry size; when a cached driver dies the " +
 			"configured policy (retry / try-next / report) governs failover",
-		Run: runE2,
+		run: runE2,
 	})
 }
 
 // e2Registry builds a manager with n registered drivers where only the last
 // one accepts the target protocol.
-func e2Registry(n int) (*driver.Manager, *memdrv.Backend, string) {
+func e2Registry(n int) (*driver.Manager, string) {
 	dm := driver.NewManager()
 	backend := memdrv.NewBackend([]string{"h1"})
 	for i := 0; i < n-1; i++ {
@@ -29,73 +29,62 @@ func e2Registry(n int) (*driver.Manager, *memdrv.Backend, string) {
 		_ = dm.RegisterDriver(d)
 	}
 	_ = dm.RegisterDriver(memdrv.New("jdbc-target", "target", backend))
-	return dm, backend, "gridrm:target://agent:1"
+	return dm, "gridrm:target://agent:1"
 }
 
-func runE2(w io.Writer, quick bool) error {
-	sizes := pick(quick, []int{4, 16}, []int{1, 4, 16, 64})
-	iters := 2000
-	if quick {
-		iters = 200
-	}
+func runE2(r *run) error {
+	sizes := pick(r.quick, []int{4, 16}, []int{1, 4, 16, 64})
 
-	t := newTable(w, "registered drivers", "dynamic scan", "last-good cache", "static pref", "probes/scan")
-	for _, n := range sizes {
-		// Dynamic: clear the cache before every connect.
-		dm, _, url := e2Registry(n)
-		dyn, err := timeIt(iters, func() error {
-			dm.ClearCache()
+	// connectLoop is the measured operation of every column: locate a
+	// driver for url, connect, close.
+	connectLoop := func(b *testing.B, dm *driver.Manager, url string, clearCache bool) error {
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if clearCache {
+				dm.ClearCache()
+			}
 			conn, err := dm.Connect(url, nil)
 			if err != nil {
 				return err
 			}
-			return conn.Close()
-		})
-		if err != nil {
-			return err
+			_ = conn.Close() // memdrv's Close cannot fail
 		}
-		stats := dm.Stats()
-		probes := float64(stats.ScanProbes) / float64(stats.Scans)
+		return nil
+	}
 
+	t := newTable(r.w, "registered drivers", "dynamic scan", "last-good cache", "static pref", "probes/scan")
+	for _, n := range sizes {
+		// Dynamic: clear the cache before every connect.
+		dyn := r.measure(fmt.Sprintf("dynamic-scan/drivers-%d", n), func(b *testing.B) error {
+			dm, url := e2Registry(n)
+			err := connectLoop(b, dm, url, true)
+			st := dm.Stats()
+			b.ReportMetric(float64(st.ScanProbes)/float64(st.Scans), "probes/scan")
+			return err
+		})
 		// Cached: warm once, then reconnects hit the last-good entry.
-		dm2, _, url2 := e2Registry(n)
-		if conn, err := dm2.Connect(url2, nil); err != nil {
-			return err
-		} else {
+		cached := r.measure(fmt.Sprintf("last-good-cache/drivers-%d", n), func(b *testing.B) error {
+			dm, url := e2Registry(n)
+			conn, err := dm.Connect(url, nil)
+			if err != nil {
+				return err
+			}
 			_ = conn.Close()
-		}
-		cached, err := timeIt(iters, func() error {
-			conn, err := dm2.Connect(url2, nil)
-			if err != nil {
-				return err
-			}
-			return conn.Close()
+			return connectLoop(b, dm, url, false)
 		})
-		if err != nil {
-			return err
-		}
-
-		// Static preference.
-		dm3, _, url3 := e2Registry(n)
-		dm3.SetPreferences(url3, []string{"jdbc-target"})
-		static, err := timeIt(iters, func() error {
-			conn, err := dm3.Connect(url3, nil)
-			if err != nil {
-				return err
-			}
-			return conn.Close()
+		static := r.measure(fmt.Sprintf("static-preference/drivers-%d", n), func(b *testing.B) error {
+			dm, url := e2Registry(n)
+			dm.SetPreferences(url, []string{"jdbc-target"})
+			return connectLoop(b, dm, url, false)
 		})
-		if err != nil {
-			return err
-		}
-		t.row(n, dyn, cached, static, fmt.Sprintf("%.1f", probes))
+		t.row(n, perOp(dyn), perOp(cached), perOp(static), fmt.Sprintf("%.1f", dyn.Extra["probes/scan"]))
 	}
 	t.flush()
 
 	// Failover behaviour: cached driver dies; TryNext relocates, Report
 	// surfaces the error (§3.1.3 configuration rules).
-	fmt.Fprintf(w, "\nfailover when the cached driver dies:\n")
-	ft := newTable(w, "policy", "retries", "outcome", "connect failures", "failovers")
+	fmt.Fprintf(r.w, "\nfailover when the cached driver dies:\n")
+	ft := newTable(r.w, "policy", "retries", "outcome", "connect failures", "failovers")
 	for _, policy := range []driver.Policy{
 		{Retries: 0, OnFailure: driver.TryNext},
 		{Retries: 2, OnFailure: driver.TryNext},

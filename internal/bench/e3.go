@@ -2,8 +2,7 @@ package bench
 
 import (
 	"fmt"
-	"io"
-	"sync"
+	"testing"
 	"time"
 
 	"gridrm/internal/driver"
@@ -18,79 +17,58 @@ func init() {
 		Claim: "driver connections incur an overhead when a data source is first " +
 			"connected, so pooling wins whenever connect cost is non-trivial, and the " +
 			"hit ratio stays high under concurrency",
-		Run: runE3,
+		run: runE3,
 	})
 }
 
-func runE3(w io.Writer, quick bool) error {
-	concurrencies := pick(quick, []int{1, 8}, []int{1, 4, 16, 64})
-	perWorker := 50
-	if quick {
-		perWorker = 10
-	}
+func runE3(r *run) error {
+	concurrencies := pick(r.quick, []int{1, 8}, []int{1, 4, 16, 64})
 	connectCost := 500 * time.Microsecond
 
-	run := func(disabled bool, workers int) (time.Duration, pool.Stats, error) {
-		backend := memdrv.NewBackend([]string{"h1", "h2"})
-		backend.SetConnectDelay(connectCost)
-		dm := driver.NewManager()
-		if err := dm.RegisterDriver(memdrv.New("jdbc-mem", "mem", backend)); err != nil {
-			return 0, pool.Stats{}, err
-		}
-		cm := pool.New(dm, pool.Options{Disabled: disabled, MaxIdlePerSource: workers})
-		url := "gridrm:mem://agent:1"
-		start := time.Now()
-		var wg sync.WaitGroup
-		errs := make(chan error, workers)
-		for i := 0; i < workers; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for j := 0; j < perWorker; j++ {
-					conn, err := cm.Get(url, nil)
-					if err != nil {
-						errs <- err
-						return
-					}
-					stmt, err := conn.CreateStatement()
-					if err != nil {
-						conn.Discard()
-						errs <- err
-						return
-					}
-					if _, err := stmt.ExecuteQuery("SELECT * FROM Processor"); err != nil {
-						conn.Discard()
-						errs <- err
-						return
-					}
-					conn.Release()
+	// queries spreads b.N checkout-query-release rounds over workers
+	// goroutines sharing one pool.
+	queries := func(disabled bool, workerCount int) func(b *testing.B) error {
+		return func(b *testing.B) error {
+			backend := memdrv.NewBackend([]string{"h1", "h2"})
+			backend.SetConnectDelay(connectCost)
+			dm := driver.NewManager()
+			if err := dm.RegisterDriver(memdrv.New("jdbc-mem", "mem", backend)); err != nil {
+				return err
+			}
+			cm := pool.New(dm, pool.Options{Disabled: disabled, MaxIdlePerSource: workerCount})
+			url := "gridrm:mem://agent:1"
+			b.ResetTimer()
+			err := workers(workerCount, b.N, func() error {
+				conn, err := cm.Get(url, nil)
+				if err != nil {
+					return err
 				}
-			}()
+				stmt, err := conn.CreateStatement()
+				if err != nil {
+					conn.Discard()
+					return err
+				}
+				if _, err := stmt.ExecuteQuery("SELECT * FROM Processor"); err != nil {
+					conn.Discard()
+					return err
+				}
+				conn.Release()
+				return nil
+			})
+			ps := cm.Stats()
+			b.ReportMetric(float64(ps.Hits)/float64(ps.Hits+ps.Misses), "hit-ratio")
+			b.ReportMetric(float64(ps.Opens)/float64(b.N), "opens/op")
+			return err
 		}
-		wg.Wait()
-		close(errs)
-		if err := <-errs; err != nil {
-			return 0, pool.Stats{}, err
-		}
-		total := time.Since(start)
-		perQuery := total / time.Duration(workers*perWorker)
-		return perQuery, cm.Stats(), nil
 	}
 
-	t := newTable(w, "concurrency", "pooled/query", "unpooled/query", "speedup", "pool hit ratio", "opens pooled", "opens unpooled")
+	t := newTable(r.w, "concurrency", "pooled/query", "unpooled/query", "speedup", "pool hit ratio", "opens/query pooled", "opens/query unpooled")
 	for _, c := range concurrencies {
-		pooled, ps, err := run(false, c)
-		if err != nil {
-			return err
-		}
-		unpooled, us, err := run(true, c)
-		if err != nil {
-			return err
-		}
-		hitRatio := float64(ps.Hits) / float64(ps.Hits+ps.Misses)
-		t.row(c, pooled, unpooled,
-			fmt.Sprintf("%.1fx", float64(unpooled)/float64(pooled)),
-			fmt.Sprintf("%.2f", hitRatio), ps.Opens, us.Opens)
+		pooled := r.measure(fmt.Sprintf("pooled/workers-%d", c), queries(false, c))
+		unpooled := r.measure(fmt.Sprintf("unpooled/workers-%d", c), queries(true, c))
+		t.row(c, perOp(pooled), perOp(unpooled),
+			fmt.Sprintf("%.1fx", float64(unpooled.NsPerOp())/float64(pooled.NsPerOp())),
+			pooled.Extra["hit-ratio"], fmt.Sprintf("%.4f", pooled.Extra["opens/op"]), unpooled.Extra["opens/op"])
 	}
 	t.flush()
 
@@ -109,7 +87,7 @@ func runE3(w io.Writer, quick bool) error {
 	}
 	now = now.Add(2 * time.Minute)
 	reaped := cm.Reap()
-	fmt.Fprintf(w, "\nidle reaping: %d idle connections evicted after MaxIdleTime (pool now %d)\n",
+	fmt.Fprintf(r.w, "\nidle reaping: %d idle connections evicted after MaxIdleTime (pool now %d)\n",
 		reaped, cm.IdleCount())
 	return nil
 }

@@ -2,7 +2,7 @@ package bench
 
 import (
 	"fmt"
-	"io"
+	"testing"
 
 	"gridrm/internal/driver"
 	"gridrm/internal/drivers/gangliadrv"
@@ -21,15 +21,11 @@ func init() {
 		Claim: "SNMP/NetLogger support fine-grained native requests with little parsing; " +
 			"Ganglia/NWS responses are coarse-grained and parse-heavy, so per-plug-in " +
 			"caching slashes their cost; native requests per query show the granularity gap",
-		Run: runE4,
+		run: runE4,
 	})
 }
 
-func runE4(w io.Writer, quick bool) error {
-	iters := 30
-	if quick {
-		iters = 8
-	}
+func runE4(r *run) error {
 	site, err := sitekit.Start(sitekit.Options{Name: "e4", Hosts: 6, Seed: 44})
 	if err != nil {
 		return err
@@ -76,39 +72,41 @@ func runE4(w io.Writer, quick bool) error {
 			driver.Properties{"cache_ttl": "1h"}, site.NWS.Requests, "coarse-text", procSQL},
 	}
 
-	t := newTable(w, "driver", "style", "latency/query", "native reqs/query", "rows")
+	t := newTable(r.w, "driver", "style", "latency/query", "native reqs/query", "rows", "B/op", "allocs/op")
 	for _, p := range probes {
-		conn, err := p.drv.Connect(p.url, p.props)
-		if err != nil {
-			return fmt.Errorf("%s: %w", p.label, err)
-		}
-		stmt, err := conn.CreateStatement()
-		if err != nil {
-			_ = conn.Close()
-			return err
-		}
-		// Warm-up (fills plug-in caches where configured).
-		rs, err := stmt.ExecuteQuery(p.sql)
-		if err != nil {
-			_ = conn.Close()
-			return fmt.Errorf("%s: %w", p.label, err)
-		}
-		before := p.requests()
-		mean, err := timeIt(iters, func() error {
-			_, err := stmt.ExecuteQuery(p.sql)
-			return err
+		res := r.measure(p.label, func(b *testing.B) error {
+			conn, err := p.drv.Connect(p.url, p.props)
+			if err != nil {
+				return err
+			}
+			defer conn.Close()
+			stmt, err := conn.CreateStatement()
+			if err != nil {
+				return err
+			}
+			defer stmt.Close()
+			// Warm-up (fills plug-in caches where configured).
+			rs, err := stmt.ExecuteQuery(p.sql)
+			if err != nil {
+				return err
+			}
+			before := p.requests()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := stmt.ExecuteQuery(p.sql); err != nil {
+					return err
+				}
+			}
+			b.ReportMetric(float64(p.requests()-before)/float64(b.N), "native-reqs/op")
+			b.ReportMetric(float64(rs.Len()), "rows")
+			return nil
 		})
-		if err != nil {
-			_ = conn.Close()
-			return err
-		}
-		perQuery := float64(p.requests()-before) / float64(iters)
-		t.row(p.label, p.style, mean, fmt.Sprintf("%.1f", perQuery), rs.Len())
-		_ = stmt.Close()
-		_ = conn.Close()
+		t.row(p.label, p.style, perOp(res), fmt.Sprintf("%.1f", res.Extra["native-reqs/op"]),
+			int(res.Extra["rows"]), res.AllocedBytesPerOp(), res.AllocsPerOp())
 	}
 	t.flush()
-	fmt.Fprintf(w, "\nnote: 'native reqs/query' counts protocol commands the agent served — the\n"+
+	fmt.Fprintf(r.w, "\nnote: 'native reqs/query' counts protocol commands the agent served — the\n"+
 		"per-OID round trips of SNMP versus one whole-cluster dump for Ganglia.\n")
 	return nil
 }

@@ -2,8 +2,8 @@ package bench
 
 import (
 	"fmt"
-	"io"
 	"sync/atomic"
+	"testing"
 	"time"
 
 	"gridrm/internal/event"
@@ -16,7 +16,7 @@ func init() {
 		Claim: "the fast buffer absorbs bursts without losing events; delivery cost " +
 			"scales with listener fan-out; threshold rules synthesise alerts promptly " +
 			"and forward them to outbound transmitters",
-		Run: runE5,
+		run: runE5,
 	})
 }
 
@@ -30,71 +30,76 @@ func (c *countingOutbound) Transmit(event.Event) error {
 	return nil
 }
 
-func runE5(w io.Writer, quick bool) error {
-	burst := 100000
-	if quick {
-		burst = 10000
-	}
-	fanouts := pick(quick, []int{1, 8}, []int{1, 4, 16, 64})
+func runE5(r *run) error {
+	fanouts := pick(r.quick, []int{1, 8}, []int{1, 4, 16, 64})
 
-	t := newTable(w, "listeners", "burst size", "drain time", "events/sec", "delivered", "lost", "high water")
+	// One burst of b.N events published back to back, then drained: the
+	// burst size is whatever the front-end's benchtime makes b.N.
+	t := newTable(r.w, "listeners", "burst size", "drain time", "events/sec", "delivered", "lost", "high water")
 	for _, listeners := range fanouts {
-		m := event.NewManager(event.Options{HistorySize: 1024})
-		var delivered atomic.Int64
-		for i := 0; i < listeners; i++ {
-			m.Subscribe(event.Filter{}, func(event.Event) { delivered.Add(1) })
-		}
-		start := time.Now()
-		for i := 0; i < burst; i++ {
-			m.Publish(event.Event{Name: "burst", Host: "h", Value: float64(i), Time: time.Unix(int64(i), 0)})
-		}
-		m.Drain()
-		elapsed := time.Since(start)
-		want := int64(burst * listeners)
-		lost := want - delivered.Load()
-		rate := float64(burst) / elapsed.Seconds()
-		t.row(listeners, burst, elapsed.Round(time.Millisecond),
-			fmt.Sprintf("%.0f", rate), delivered.Load(), lost, m.Stats().HighWater)
-		m.Close()
+		res := r.measure(fmt.Sprintf("burst/listeners-%d", listeners), func(b *testing.B) error {
+			m := event.NewManager(event.Options{HistorySize: 1024})
+			defer m.Close()
+			var delivered atomic.Int64
+			for i := 0; i < listeners; i++ {
+				m.Subscribe(event.Filter{}, func(event.Event) { delivered.Add(1) })
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.Publish(event.Event{Name: "burst", Host: "h", Value: float64(i), Time: time.Unix(int64(i), 0)})
+			}
+			m.Drain()
+			b.StopTimer()
+			b.ReportMetric(float64(int64(b.N*listeners)-delivered.Load()), "lost")
+			b.ReportMetric(float64(m.Stats().HighWater), "high-water")
+			return nil
+		})
+		lost := int64(res.Extra["lost"])
+		t.row(listeners, res.N, res.T.Round(time.Millisecond),
+			fmt.Sprintf("%.0f", float64(res.N)/res.T.Seconds()),
+			int64(res.N*listeners)-lost, lost, int64(res.Extra["high-water"]))
 	}
 	t.flush()
 
 	// Threshold alert latency: publish a crossing event, time until the
 	// alert lands at a listener and an outbound transmitter.
-	m := event.NewManager(event.Options{})
-	defer m.Close()
-	if err := m.AddRule(event.ThresholdRule{
-		Name: "load-alarm", Match: event.Filter{Name: "load"},
-		Op: event.Above, Threshold: 4, Rearm: 0.75,
-	}); err != nil {
-		return err
-	}
-	out := &countingOutbound{}
-	m.AddOutbound(event.Filter{Severity: event.SeverityAlert}, out)
-	alertAt := make(chan time.Time, 1)
-	m.Subscribe(event.Filter{Severity: event.SeverityAlert}, func(event.Event) {
-		select {
-		case alertAt <- time.Now():
-		default:
+	res := r.measure("threshold-alert", func(b *testing.B) error {
+		m := event.NewManager(event.Options{})
+		defer m.Close()
+		if err := m.AddRule(event.ThresholdRule{
+			Name: "load-alarm", Match: event.Filter{Name: "load"},
+			Op: event.Above, Threshold: 4, Rearm: 0.75,
+		}); err != nil {
+			return err
 		}
+		out := &countingOutbound{}
+		m.AddOutbound(event.Filter{Severity: event.SeverityAlert}, out)
+		alertAt := make(chan time.Time, 1)
+		m.Subscribe(event.Filter{Severity: event.SeverityAlert}, func(event.Event) {
+			select {
+			case alertAt <- time.Now():
+			default:
+			}
+		})
+		var total time.Duration
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			start := time.Now()
+			m.Publish(event.Event{Name: "load", Host: "h", Value: 9, Time: time.Unix(int64(i), 0)})
+			at := <-alertAt
+			total += at.Sub(start)
+			// Re-arm the rule.
+			m.Publish(event.Event{Name: "load", Host: "h", Value: 0, Time: time.Unix(int64(i), 1)})
+			m.Drain()
+		}
+		b.ReportMetric(float64(total)/float64(b.N), "alert-ns/op")
+		b.ReportMetric(float64(out.n.Load()), "transmitted")
+		b.ReportMetric(float64(m.Stats().TransmitErrors), "transmit-errors")
+		return nil
 	})
-	iters := 200
-	if quick {
-		iters = 50
-	}
-	var total time.Duration
-	for i := 0; i < iters; i++ {
-		start := time.Now()
-		m.Publish(event.Event{Name: "load", Host: "h", Value: 9, Time: time.Unix(int64(i), 0)})
-		at := <-alertAt
-		total += at.Sub(start)
-		// Re-arm the rule.
-		m.Publish(event.Event{Name: "load", Host: "h", Value: 0, Time: time.Unix(int64(i), 1)})
-		m.Drain()
-	}
-	fmt.Fprintf(w, "\nthreshold alert latency (publish → alert delivered): mean %s over %d alerts\n",
-		(total / time.Duration(iters)).Round(time.Microsecond), iters)
-	fmt.Fprintf(w, "alerts transmitted to outbound driver: %d (transmit errors: %d)\n",
-		out.n.Load(), m.Stats().TransmitErrors)
+	fmt.Fprintf(r.w, "\nthreshold alert latency (publish → alert delivered): mean %s over %d alerts\n",
+		time.Duration(res.Extra["alert-ns/op"]).Round(time.Microsecond), res.N)
+	fmt.Fprintf(r.w, "alerts transmitted to outbound driver: %d (transmit errors: %d)\n",
+		int64(res.Extra["transmitted"]), int64(res.Extra["transmit-errors"]))
 	return nil
 }

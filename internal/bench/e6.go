@@ -3,8 +3,7 @@ package bench
 import (
 	"context"
 	"fmt"
-	"io"
-	"sync"
+	"testing"
 	"time"
 
 	"gridrm/internal/core"
@@ -20,87 +19,58 @@ func init() {
 		Claim: "with the query cache on, a heavily used gateway answers many clients " +
 			"while the number of native requests reaching the agents stays nearly flat; " +
 			"with the cache off, intrusion grows linearly with client load",
-		Run: runE6,
+		run: runE6,
 	})
 }
 
-func runE6(w io.Writer, quick bool) error {
-	clients := pick(quick, []int{1, 16}, []int{1, 8, 32, 128})
-	queriesPerClient := 20
-	if quick {
-		queriesPerClient = 5
-	}
+func runE6(r *run) error {
+	clients := pick(r.quick, []int{1, 16}, []int{1, 8, 32, 128})
 	agentDelay := 300 * time.Microsecond
 
-	run := func(cached bool, nClients int) (time.Duration, int64, core.Stats, error) {
-		backend := memdrv.NewBackend([]string{"h1", "h2", "h3", "h4"})
-		backend.SetQueryDelay(agentDelay)
-		gw := core.New(core.Config{
-			Name:  "e6",
-			Cache: qcache.Options{TTL: time.Hour}, // never stale within the run
-			Pool:  pool.Options{MaxIdlePerSource: nClients},
-		})
-		defer gw.Close()
-		d := memdrv.New("jdbc-mem", "mem", backend)
-		if err := gw.RegisterDriver(d, d.Schema()); err != nil {
-			return 0, 0, core.Stats{}, err
-		}
-		url := "gridrm:mem://agent:1"
-		if err := gw.AddSource(core.SourceConfig{URL: url}); err != nil {
-			return 0, 0, core.Stats{}, err
-		}
-		mode := core.ModeRealTime
-		if cached {
-			mode = core.ModeCached
-		}
-		start := time.Now()
-		var wg sync.WaitGroup
-		errs := make(chan error, nClients)
-		for c := 0; c < nClients; c++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for q := 0; q < queriesPerClient; q++ {
-					_, err := gw.QueryContext(context.Background(), core.QueryOptions{
-						Principal: benchPrincipal,
-						SQL:       "SELECT * FROM Processor WHERE LoadLast1Min >= 0",
-						Mode:      mode,
-					})
-					if err != nil {
-						errs <- err
-						return
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		close(errs)
-		if err := <-errs; err != nil {
-			return 0, 0, core.Stats{}, err
-		}
-		elapsed := time.Since(start)
-		return elapsed, backend.Queries(), gw.Stats(), nil
-	}
-
-	t := newTable(w, "clients", "mode", "queries", "elapsed", "gateway q/s", "agent requests", "intrusion/query")
-	for _, n := range clients {
-		for _, cached := range []bool{false, true} {
-			elapsed, agentReqs, st, err := run(cached, n)
-			if err != nil {
+	// load spreads b.N queries over nClients goroutines on one gateway.
+	load := func(mode core.Mode, nClients int) func(b *testing.B) error {
+		return func(b *testing.B) error {
+			backend := memdrv.NewBackend([]string{"h1", "h2", "h3", "h4"})
+			backend.SetQueryDelay(agentDelay)
+			gw := core.New(core.Config{
+				Name:  "e6",
+				Cache: qcache.Options{TTL: time.Hour}, // never stale within the run
+				Pool:  pool.Options{MaxIdlePerSource: nClients},
+			})
+			defer gw.Close()
+			d := memdrv.New("jdbc-mem", "mem", backend)
+			if err := gw.RegisterDriver(d, d.Schema()); err != nil {
 				return err
 			}
-			total := st.Queries
-			mode := "real-time"
-			if cached {
-				mode = "cached"
+			if err := gw.AddSource(core.SourceConfig{URL: "gridrm:mem://agent:1"}); err != nil {
+				return err
 			}
-			t.row(n, mode, total, elapsed.Round(time.Millisecond),
-				fmt.Sprintf("%.0f", float64(total)/elapsed.Seconds()),
-				agentReqs, fmt.Sprintf("%.3f", float64(agentReqs)/float64(total)))
+			b.ResetTimer()
+			err := workers(nClients, b.N, func() error {
+				_, err := gw.QueryContext(context.Background(), core.QueryOptions{
+					Principal: benchPrincipal,
+					SQL:       "SELECT * FROM Processor WHERE LoadLast1Min >= 0",
+					Mode:      mode,
+				})
+				return err
+			})
+			b.ReportMetric(float64(backend.Queries())/float64(b.N), "agent-reqs/op")
+			return err
+		}
+	}
+
+	t := newTable(r.w, "clients", "mode", "queries", "elapsed", "gateway q/s", "agent requests", "intrusion/query")
+	for _, n := range clients {
+		for _, mode := range []core.Mode{core.ModeRealTime, core.ModeCached} {
+			res := r.measure(fmt.Sprintf("%s/clients-%d", mode, n), load(mode, n))
+			intrusion := res.Extra["agent-reqs/op"]
+			t.row(n, mode, res.N, res.T.Round(time.Millisecond),
+				fmt.Sprintf("%.0f", float64(res.N)/res.T.Seconds()),
+				int64(intrusion*float64(res.N)+0.5), fmt.Sprintf("%.3f", intrusion))
 		}
 	}
 	t.flush()
-	fmt.Fprintf(w, "\nnote: 'agent requests' is how many queries actually reached the (rate-limited)\n"+
+	fmt.Fprintf(r.w, "\nnote: 'agent requests' is how many queries actually reached the (rate-limited)\n"+
 		"native agent — the paper's \"resource intrusion\". Cached mode pins it near 1.\n")
 	return nil
 }

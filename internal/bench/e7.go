@@ -3,7 +3,6 @@ package bench
 import (
 	"context"
 	"fmt"
-	"io"
 	"net/http/httptest"
 	"time"
 
@@ -21,7 +20,7 @@ func init() {
 		Claim: "clients connect to any gateway; remote-site queries route through the " +
 			"GMA directory to the owning gateway with one extra HTTP hop, and routing " +
 			"cost stays flat as the federation grows",
-		Run: runE7,
+		run: runE7,
 	})
 }
 
@@ -64,14 +63,10 @@ func closeFederation(sites []*fedSite) {
 	}
 }
 
-func runE7(w io.Writer, quick bool) error {
-	sizes := pick(quick, []int{2, 4}, []int{2, 4, 8, 16})
-	iters := 100
-	if quick {
-		iters = 20
-	}
+func runE7(r *run) error {
+	sizes := pick(r.quick, []int{2, 4}, []int{2, 4, 8, 16})
 
-	t := newTable(w, "federation size", "local query", "remote (1 hop)", "hop overhead",
+	t := newTable(r.w, "federation size", "local query", "remote (1 hop)", "hop overhead",
 		"VO-wide (site=*)", "directory lookup")
 	for _, n := range sizes {
 		dir, sites, err := buildFederation(n)
@@ -83,26 +78,18 @@ func runE7(w io.Writer, quick bool) error {
 		client := &web.Client{BaseURL: entry.srv.URL, Principal: benchPrincipal}
 		remoteSite := fmt.Sprintf("site%02d", n-1)
 
-		local, err := timeIt(iters, func() error {
+		local := r.measure(fmt.Sprintf("local/sites-%d", n), loop(func() error {
 			_, err := client.Query(context.Background(), core.QueryOptions{SQL: "SELECT * FROM Processor", Mode: core.ModeRealTime})
 			return err
-		})
-		if err != nil {
-			closeFederation(sites)
-			return err
-		}
-		remote, err := timeIt(iters, func() error {
+		}))
+		remote := r.measure(fmt.Sprintf("remote-1hop/sites-%d", n), loop(func() error {
 			_, err := client.Query(context.Background(), core.QueryOptions{SQL: "SELECT * FROM Processor",
 				Site: remoteSite, Mode: core.ModeRealTime})
 			return err
-		})
-		if err != nil {
-			closeFederation(sites)
-			return err
-		}
+		}))
 		// One SQL statement over the whole VO: the fan-out runs in
 		// parallel, so cost should track the slowest site, not the sum.
-		voWide, err := timeIt(iters, func() error {
+		voWide := r.measure(fmt.Sprintf("vo-wide/sites-%d", n), loop(func() error {
 			resp, err := entry.gw.QueryContext(context.Background(), core.QueryOptions{
 				Principal: benchPrincipal,
 				SQL:       "SELECT * FROM Processor",
@@ -116,23 +103,15 @@ func runE7(w io.Writer, quick bool) error {
 				return fmt.Errorf("VO rows = %d, want %d", resp.ResultSet.Len(), 2*n)
 			}
 			return nil
-		})
-		if err != nil {
-			closeFederation(sites)
-			return err
-		}
-		lookup, err := timeIt(iters*10, func() error {
+		}))
+		lookup := r.measure(fmt.Sprintf("directory-lookup/sites-%d", n), loop(func() error {
 			_, ok, err := dir.LookupContext(context.Background(), remoteSite)
 			if !ok {
 				return fmt.Errorf("site lost")
 			}
 			return err
-		})
-		if err != nil {
-			closeFederation(sites)
-			return err
-		}
-		t.row(n, local, remote, remote-local, voWide, lookup)
+		}))
+		t.row(n, perOp(local), perOp(remote), perOp(remote)-perOp(local), perOp(voWide), perOp(lookup))
 		closeFederation(sites)
 	}
 	t.flush()
@@ -148,7 +127,7 @@ func runE7(w io.Writer, quick bool) error {
 	reg.Stop()
 	time.Sleep(80 * time.Millisecond)
 	_, afterStop, _ := dir.LookupContext(context.Background(), "x")
-	fmt.Fprintf(w, "\nproducer freshness: alive under refresh=%v, gone after deregistration=%v\n",
+	fmt.Fprintf(r.w, "\nproducer freshness: alive under refresh=%v, gone after deregistration=%v\n",
 		stillThere, !afterStop)
 	return nil
 }

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"io"
 
 	"gridrm/internal/security"
 )
@@ -14,60 +13,37 @@ func init() {
 		Claim: "per-query CGSL/FGSL checks cost microseconds even with large rule " +
 			"sets (first-match-wins scan), so multi-level security does not dominate " +
 			"the query path; Defer decisions route to the owning gateway",
-		Run: runE8,
+		run: runE8,
 	})
 }
 
-func runE8(w io.Writer, quick bool) error {
-	ruleCounts := pick(quick, []int{10, 1000}, []int{10, 100, 1000, 10000})
-	iters := 20000
-	if quick {
-		iters = 2000
-	}
+func runE8(r *run) error {
+	ruleCounts := pick(r.quick, []int{10, 1000}, []int{10, 100, 1000, 10000})
 	alice := security.Principal{Name: "alice", Roles: []string{"operator"}}
+	nobody := security.Principal{Name: "zz-nobody"}
 
-	t := newTable(w, "rules", "coarse allow (first rule)", "coarse deny (full scan)", "fine allow", "fine deny")
+	t := newTable(r.w, "rules", "coarse allow (first rule)", "coarse deny (full scan)", "fine allow", "fine deny")
 	for _, n := range ruleCounts {
 		coarse := security.NewCoarsePolicy(security.Deny)
 		coarse.Add(security.CoarseRule{Principal: "alice", Decision: security.Allow})
-		for i := 1; i < n; i++ {
-			coarse.Add(security.CoarseRule{Principal: fmt.Sprintf("user%05d", i), Decision: security.Allow})
-		}
-		fast, err := timeIt(iters, func() error {
-			coarse.Check(alice, security.OpQueryRealTime)
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		slow, err := timeIt(iters, func() error {
-			coarse.Check(security.Principal{Name: "zz-nobody"}, security.OpQueryRealTime)
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-
 		fine := security.NewFinePolicy(security.Deny)
 		fine.Add(security.FineRule{Principal: "alice", Source: "gridrm:snmp://%", Decision: security.Allow})
 		for i := 1; i < n; i++ {
-			fine.Add(security.FineRule{Principal: fmt.Sprintf("user%05d", i), Decision: security.Allow})
+			user := fmt.Sprintf("user%05d", i)
+			coarse.Add(security.CoarseRule{Principal: user, Decision: security.Allow})
+			fine.Add(security.FineRule{Principal: user, Decision: security.Allow})
 		}
-		fAllow, err := timeIt(iters, func() error {
-			fine.Check(alice, "gridrm:snmp://h:1", "Processor")
-			return nil
-		})
-		if err != nil {
-			return err
+		coarseCheck := func(p security.Principal) func() error {
+			return func() error { coarse.Check(p, security.OpQueryRealTime); return nil }
 		}
-		fDeny, err := timeIt(iters, func() error {
-			fine.Check(security.Principal{Name: "zz-nobody"}, "gridrm:snmp://h:1", "Processor")
-			return nil
-		})
-		if err != nil {
-			return err
+		fineCheck := func(p security.Principal) func() error {
+			return func() error { fine.Check(p, "gridrm:snmp://h:1", "Processor"); return nil }
 		}
-		t.row(n, fast, slow, fAllow, fDeny)
+		fast := r.measure(fmt.Sprintf("coarse-allow/rules-%d", n), loop(coarseCheck(alice)))
+		slow := r.measure(fmt.Sprintf("coarse-deny/rules-%d", n), loop(coarseCheck(nobody)))
+		fAllow := r.measure(fmt.Sprintf("fine-allow/rules-%d", n), loop(fineCheck(alice)))
+		fDeny := r.measure(fmt.Sprintf("fine-deny/rules-%d", n), loop(fineCheck(nobody)))
+		t.row(n, perOp(fast), perOp(slow), perOp(fAllow), perOp(fDeny))
 	}
 	t.flush()
 
@@ -75,7 +51,7 @@ func runE8(w io.Writer, quick bool) error {
 	fine := security.NewFinePolicy(security.Allow)
 	fine.Add(security.FineRule{Source: "gridrm:remote://%", Decision: security.Defer})
 	d := fine.Check(alice, "gridrm:remote://elsewhere:1", "Memory")
-	fmt.Fprintf(w, "\ndeferred decision for a remote resource: %s (the owning gateway decides)\n", d)
-	fmt.Fprintf(w, "policy stats: %+v\n", fine.Stats())
+	fmt.Fprintf(r.w, "\ndeferred decision for a remote resource: %s (the owning gateway decides)\n", d)
+	fmt.Fprintf(r.w, "policy stats: %+v\n", fine.Stats())
 	return nil
 }

@@ -3,7 +3,6 @@ package bench
 import (
 	"errors"
 	"fmt"
-	"io"
 
 	"gridrm/internal/driver"
 	"gridrm/internal/resultset"
@@ -17,7 +16,7 @@ func init() {
 			"driver that errored — every unimplemented method fails uniformly with " +
 			"ErrNotImplemented rather than being a compile-time hole, and the base " +
 			"indirection costs nanoseconds",
-		Run: runE9,
+		run: runE9,
 	})
 }
 
@@ -35,12 +34,7 @@ func (minimalStmt) ExecuteQuery(string) (*resultset.ResultSet, error) {
 	return resultset.New(meta), nil
 }
 
-func runE9(w io.Writer, quick bool) error {
-	iters := 200000
-	if quick {
-		iters = 20000
-	}
-
+func runE9(r *run) error {
 	// API surface coverage: every method of the base types must answer,
 	// none may panic, and fallible ones must return ErrNotImplemented.
 	type call struct {
@@ -80,7 +74,7 @@ func runE9(w io.Writer, quick bool) error {
 			return outcome(err), err == nil
 		}},
 	}
-	t := newTable(w, "API method", "behaviour", "as specified")
+	t := newTable(r.w, "API method", "behaviour", "as specified")
 	allOK := true
 	for _, c := range calls {
 		got, ok := c.check()
@@ -95,27 +89,21 @@ func runE9(w io.Writer, quick bool) error {
 	// Cost of the pattern: unimplemented error path vs a one-method
 	// override, both through the interface.
 	var s driver.Stmt = driver.UnimplementedStmt{}
-	unimpl, err := timeIt(iters, func() error {
+	unimpl := r.measure("unimplemented-error-path", loop(func() error {
 		_, err := s.ExecuteQuery("q")
 		if !errors.Is(err, driver.ErrNotImplemented) {
-			return err
+			return fmt.Errorf("ExecuteQuery = %v, want ErrNotImplemented", err)
 		}
 		return nil
-	})
-	if err != nil {
-		return err
-	}
+	}))
 	var ms driver.Stmt = minimalStmt{}
-	impl, err := timeIt(iters, func() error {
+	impl := r.measure("minimal-override", loop(func() error {
 		_, err := ms.ExecuteQuery("q")
 		return err
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "\ncall cost: unimplemented (error path) %s/call, minimal override %s/call\n",
-		unimpl, impl)
-	fmt.Fprintf(w, "a minimal driver (1 of %d methods overridden) is fully usable through the API\n", len(calls))
+	}))
+	fmt.Fprintf(r.w, "\ncall cost: unimplemented (error path) %s/call, minimal override %s/call\n",
+		perOp(unimpl), perOp(impl))
+	fmt.Fprintf(r.w, "a minimal driver (1 of %d methods overridden) is fully usable through the API\n", len(calls))
 	return nil
 }
 

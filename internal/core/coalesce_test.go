@@ -10,7 +10,6 @@ import (
 
 	"gridrm/internal/driver"
 	"gridrm/internal/glue"
-	"gridrm/internal/qcache"
 	"gridrm/internal/resultset"
 	"gridrm/internal/schema"
 	"gridrm/internal/security"
@@ -253,26 +252,4 @@ func TestMaxConcurrentHarvests(t *testing.T) {
 	if n := d.calls.Load(); n != 6 {
 		t.Errorf("harvests = %d, want 6", n)
 	}
-}
-
-// BenchmarkHarvestFanoutCoalesced measures single-flight harvest sharing
-// when concurrent cache-missing clients hammer one source.
-func BenchmarkHarvestFanoutCoalesced(b *testing.B) {
-	d := &gateDriver{name: "gate", proto: "gate", hosts: []string{"h1", "h2", "h3", "h4"},
-		delay: 200 * time.Microsecond}
-	g := newGateFixture(b, d, Config{
-		// A one-nanosecond TTL keeps every query a cache miss, so the
-		// benchmark measures harvest fan-out, not cache hits.
-		Cache: qcache.Options{TTL: time.Nanosecond},
-	}, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			if _, err := g.QueryContext(context.Background(), QueryOptions{Principal: coalescePrincipal, SQL: "SELECT * FROM Processor", Mode: ModeCached}); err != nil {
-				b.Error(err)
-				return
-			}
-		}
-	})
 }

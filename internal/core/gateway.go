@@ -252,8 +252,8 @@ type Stats struct {
 	// SinkBreakerOpens counts per-sink breaker closed-to-open
 	// transitions.
 	SinkBreakerOpens int64
-	// EventsDropped counts Event Manager drops (bounded fast buffer plus
-	// per-listener queue overflow).
+	// EventsDropped counts events dropped from the Event Manager's bounded
+	// fast buffer.
 	EventsDropped int64
 	// Fanouts counts all-sites fan-out queries executed.
 	Fanouts int64
@@ -529,10 +529,8 @@ func (g *Gateway) registerMetrics() {
 	r.CounterFunc("gridrm_events_published_total", "Events accepted by the Event Manager.", func() int64 { return g.events.Stats().Published })
 	r.CounterFunc("gridrm_events_dispatched_total", "Events fully processed by the dispatcher.", func() int64 { return g.events.Stats().Dispatched })
 	r.CounterFunc("gridrm_event_alerts_total", "Threshold alerts synthesised.", func() int64 { return g.events.Stats().Alerts })
-	r.CounterFunc("gridrm_events_dropped_total", "Events discarded by the Event Manager (bounded fast buffer + listener queues).",
-		func() int64 { ev := g.events.Stats(); return ev.Dropped + ev.ListenerDropped })
-	r.CounterFunc("gridrm_event_listener_dropped_total", "Deliveries discarded at full per-listener queues.",
-		func() int64 { return g.events.Stats().ListenerDropped })
+	r.CounterFunc("gridrm_events_dropped_total", "Events discarded from the Event Manager's bounded fast buffer.",
+		func() int64 { return g.events.Stats().Dropped })
 	r.CounterFunc("gridrm_rows_published_total", "Harvested rows fanned into the push router.",
 		func() int64 { return g.push.Stats().Published })
 	r.CounterFunc("gridrm_rows_enqueued_total", "Per-subscriber row enqueues by the push router.",
@@ -1039,7 +1037,7 @@ func (g *Gateway) Stats() Stats {
 		SinkDelivered:       g.push.Stats().SinkDelivered,
 		SinkDropped:         g.push.Stats().SinkDropped,
 		SinkBreakerOpens:    g.push.Stats().SinkBreakerOpens,
-		EventsDropped:       g.events.Stats().Dropped + g.events.Stats().ListenerDropped,
+		EventsDropped:       g.events.Stats().Dropped,
 		Fanouts:             g.fanouts.Load(),
 		FanoutLegs:          g.fanoutLegs.Load(),
 	}

@@ -2,7 +2,6 @@ package event
 
 import (
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -43,96 +42,4 @@ func TestBoundedQueueDropsOldest(t *testing.T) {
 		t.Fatalf("newest event was dropped; last delivered = %v", last.Value)
 	}
 	m.Close()
-}
-
-// TestListenerQueueIsolatesSlowListener: with ListenerQueue set, a stuck
-// listener overflows its own queue (with per-listener accounting) while
-// the dispatcher and other listeners keep making progress. Drop-oldest
-// guarantees the newest event always reaches a live listener eventually.
-func TestListenerQueueIsolatesSlowListener(t *testing.T) {
-	m := NewManager(Options{ListenerQueue: 4})
-	stuck := make(chan struct{})
-	slowID := m.SubscribeNamed("slow", Filter{}, func(Event) { <-stuck })
-	var fastFinal atomic.Int64
-	m.SubscribeNamed("fast", Filter{}, func(ev Event) {
-		if ev.Name == "final" {
-			fastFinal.Add(1)
-		}
-	})
-
-	const n = 200
-	for i := 0; i < n; i++ {
-		m.Publish(Event{Name: "burst", Time: time.Now()})
-	}
-	m.Publish(Event{Name: "final", Time: time.Now()})
-
-	// The dispatcher must process the whole burst despite the wedged
-	// listener, and the fast listener must see the newest event.
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if m.Stats().Dispatched == n+1 && fastFinal.Load() == 1 {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if got := m.Stats().Dispatched; got != n+1 {
-		t.Fatalf("dispatcher stalled behind stuck listener: dispatched %d/%d", got, n+1)
-	}
-	if fastFinal.Load() != 1 {
-		t.Fatal("fast listener never saw the newest event")
-	}
-	if m.Stats().ListenerDropped == 0 {
-		t.Fatal("slow-listener overflow was not accounted")
-	}
-	var slowDrops int64
-	for _, ls := range m.ListenerStats() {
-		if ls.ID == slowID {
-			slowDrops = ls.Dropped
-		}
-	}
-	if slowDrops == 0 {
-		t.Fatal("per-listener drop counter not incremented")
-	}
-	close(stuck)
-	m.Drain() // must terminate: pending deliveries finish once unstuck
-	m.Close()
-}
-
-// TestUnsubscribeAsyncListenerDrainsQueue: unsubscribing an async listener
-// lets its worker drain and exit without racing the dispatcher.
-func TestUnsubscribeAsyncListenerDrainsQueue(t *testing.T) {
-	m := NewManager(Options{ListenerQueue: 64})
-	var seen atomic.Int64
-	id := m.SubscribeNamed("tmp", Filter{}, func(Event) { seen.Add(1) })
-	for i := 0; i < 10; i++ {
-		m.Publish(Event{Name: "e", Time: time.Now()})
-	}
-	m.Drain()
-	m.Unsubscribe(id)
-	for i := 0; i < 10; i++ {
-		m.Publish(Event{Name: "after", Time: time.Now()})
-	}
-	m.Drain()
-	if got := seen.Load(); got != 10 {
-		t.Fatalf("listener saw %d events, want exactly the 10 pre-unsubscribe", got)
-	}
-	if m.ListenerCount() != 0 {
-		t.Fatal("listener still registered")
-	}
-	m.Close()
-}
-
-// TestCloseWithAsyncListeners: Close drains listener queues before
-// returning.
-func TestCloseWithAsyncListeners(t *testing.T) {
-	m := NewManager(Options{ListenerQueue: 256})
-	var seen atomic.Int64
-	m.SubscribeNamed("l", Filter{}, func(Event) { seen.Add(1) })
-	for i := 0; i < 100; i++ {
-		m.Publish(Event{Name: "e", Time: time.Now()})
-	}
-	m.Close()
-	if got := seen.Load(); got != 100 {
-		t.Fatalf("Close lost deliveries: %d/100", got)
-	}
 }

@@ -152,10 +152,6 @@ type Stats struct {
 	// Dropped counts events discarded from a full fast buffer
 	// (Options.MaxQueue overflow). Zero in the default unbounded mode.
 	Dropped int64
-	// ListenerDropped counts deliveries discarded at full listener queues
-	// (Options.ListenerQueue overflow). Zero in the default synchronous
-	// mode.
-	ListenerDropped int64
 	// Transmitted counts successful outbound transmissions.
 	Transmitted int64
 	// TransmitErrors counts failed outbound transmissions.
@@ -164,14 +160,6 @@ type Stats struct {
 	Alerts int64
 	// HighWater is the deepest the fast buffer has been.
 	HighWater int64
-}
-
-// ListenerStat is one listener's management view.
-type ListenerStat struct {
-	ID      int64  `json:"id"`
-	Name    string `json:"name,omitempty"`
-	Dropped int64  `json:"dropped"`
-	Pending int    `json:"pending"`
 }
 
 // Options configures a Manager.
@@ -184,12 +172,6 @@ type Options struct {
 	// a cap. When full, Publish drops the *oldest* queued event and
 	// counts it in Stats.Dropped; Publish itself never blocks either way.
 	MaxQueue int
-	// ListenerQueue gives each listener its own bounded queue drained by
-	// its own goroutine, so one slow listener cannot stall the dispatcher
-	// (or, transitively, every other listener). The default 0 keeps
-	// synchronous delivery on the dispatcher goroutine. Overflow drops
-	// oldest with per-listener accounting (ListenerStats).
-	ListenerQueue int
 }
 
 // Manager is the Event Manager.
@@ -201,7 +183,6 @@ type Manager struct {
 	cond      *sync.Cond
 	closed    bool
 	listeners map[int64]*subscription
-	retired   []*subscription // async listeners awaiting channel close
 	nextID    int64
 	outbound  []outboundEntry
 	rules     []*ruleState
@@ -211,22 +192,16 @@ type Manager struct {
 	inbound   []InboundDriver
 
 	published, dispatched, delivered       atomic.Int64
-	dropped, listenerDropped               atomic.Int64
+	dropped                                atomic.Int64
 	transmitted, transmitErrors, alertsCnt atomic.Int64
 	highWater                              atomic.Int64
-	pending                                atomic.Int64 // enqueued on listener queues, not yet delivered
 
-	wg  sync.WaitGroup // dispatcher
-	lwg sync.WaitGroup // listener workers
+	wg sync.WaitGroup // dispatcher
 }
 
 type subscription struct {
-	id      int64
-	name    string
-	filter  Filter
-	fn      Listener
-	ch      chan Event // nil = synchronous delivery on the dispatcher
-	dropped atomic.Int64
+	filter Filter
+	fn     Listener
 }
 
 type outboundEntry struct {
@@ -286,98 +261,18 @@ func (m *Manager) Publish(ev Event) {
 // Subscribe registers a listener for events matching filter, returning an
 // id for Unsubscribe.
 func (m *Manager) Subscribe(filter Filter, fn Listener) int64 {
-	return m.SubscribeNamed("", filter, fn)
-}
-
-// SubscribeNamed registers a listener with a label for ListenerStats.
-// With Options.ListenerQueue > 0 the listener gets its own bounded queue
-// and goroutine; events are delivered in order per listener, overflow
-// drops oldest.
-func (m *Manager) SubscribeNamed(name string, filter Filter, fn Listener) int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.nextID++
-	s := &subscription{id: m.nextID, name: name, filter: filter, fn: fn}
-	if m.opts.ListenerQueue > 0 {
-		s.ch = make(chan Event, m.opts.ListenerQueue)
-		m.lwg.Add(1)
-		go m.listenerWorker(s)
-	}
-	m.listeners[m.nextID] = s
+	m.listeners[m.nextID] = &subscription{filter: filter, fn: fn}
 	return m.nextID
 }
 
-// Unsubscribe removes a listener. An async listener's queue is still
-// drained before its goroutine exits.
+// Unsubscribe removes a listener.
 func (m *Manager) Unsubscribe(id int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	s, ok := m.listeners[id]
-	if !ok {
-		return
-	}
 	delete(m.listeners, id)
-	if s.ch != nil {
-		// Only the dispatcher sends on s.ch, so the close must happen
-		// there too — queue it and wake the dispatcher.
-		m.retired = append(m.retired, s)
-		m.cond.Signal()
-	}
-}
-
-// listenerWorker drains one async listener's queue; it exits when the
-// channel is closed (by the dispatcher on Unsubscribe, or Close).
-func (m *Manager) listenerWorker(s *subscription) {
-	defer m.lwg.Done()
-	for ev := range s.ch {
-		s.fn(ev)
-		m.delivered.Add(1)
-		m.pending.Add(-1)
-	}
-}
-
-// offerListener enqueues ev on an async listener's queue, dropping the
-// oldest entry (with accounting) when full. Called only from the
-// dispatcher goroutine.
-func (m *Manager) offerListener(s *subscription, ev Event) {
-	select {
-	case s.ch <- ev:
-		m.pending.Add(1)
-		return
-	default:
-	}
-	select {
-	case <-s.ch:
-		m.pending.Add(-1)
-		s.dropped.Add(1)
-		m.listenerDropped.Add(1)
-	default:
-	}
-	select {
-	case s.ch <- ev:
-		m.pending.Add(1)
-	default:
-		s.dropped.Add(1)
-		m.listenerDropped.Add(1)
-	}
-}
-
-// ListenerStats lists per-listener delivery state for the management
-// view, sorted by id.
-func (m *Manager) ListenerStats() []ListenerStat {
-	m.mu.Lock()
-	out := make([]ListenerStat, 0, len(m.listeners))
-	for _, s := range m.listeners {
-		out = append(out, ListenerStat{
-			ID:      s.id,
-			Name:    s.name,
-			Dropped: s.dropped.Load(),
-			Pending: len(s.ch),
-		})
-	}
-	m.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
 }
 
 // ListenerCount returns the number of registered listeners.
@@ -446,15 +341,14 @@ func (m *Manager) History(filter Filter, since time.Time) []Event {
 // Stats returns a snapshot of counters.
 func (m *Manager) Stats() Stats {
 	return Stats{
-		Published:       m.published.Load(),
-		Dispatched:      m.dispatched.Load(),
-		Delivered:       m.delivered.Load(),
-		Dropped:         m.dropped.Load(),
-		ListenerDropped: m.listenerDropped.Load(),
-		Transmitted:     m.transmitted.Load(),
-		TransmitErrors:  m.transmitErrors.Load(),
-		Alerts:          m.alertsCnt.Load(),
-		HighWater:       m.highWater.Load(),
+		Published:      m.published.Load(),
+		Dispatched:     m.dispatched.Load(),
+		Delivered:      m.delivered.Load(),
+		Dropped:        m.dropped.Load(),
+		Transmitted:    m.transmitted.Load(),
+		TransmitErrors: m.transmitErrors.Load(),
+		Alerts:         m.alertsCnt.Load(),
+		HighWater:      m.highWater.Load(),
 	}
 }
 
@@ -466,17 +360,15 @@ func (m *Manager) QueueDepth() int {
 	return len(m.queue)
 }
 
-// Drain blocks until every event published so far has been dispatched and
-// every enqueued listener delivery has completed. Events dropped from a
-// bounded fast buffer count as handled — they will never dispatch.
+// Drain blocks until every event published so far has been dispatched
+// (listeners run on the dispatcher, so delivered too). Events dropped from
+// a bounded fast buffer count as handled — they will never dispatch.
 func (m *Manager) Drain() {
 	for {
 		m.mu.Lock()
 		empty := len(m.queue) == 0
 		m.mu.Unlock()
-		if empty &&
-			m.dispatched.Load()+m.dropped.Load() >= m.published.Load() &&
-			m.pending.Load() == 0 {
+		if empty && m.dispatched.Load()+m.dropped.Load() >= m.published.Load() {
 			return
 		}
 		time.Sleep(time.Millisecond)
@@ -500,43 +392,19 @@ func (m *Manager) Close() {
 		_ = d.Close()
 	}
 	m.wg.Wait()
-	// The dispatcher is gone: closing listener channels is now safe (only
-	// the dispatcher ever sends on them). Workers drain their queues and
-	// exit.
-	m.mu.Lock()
-	subs := make([]*subscription, 0, len(m.listeners)+len(m.retired))
-	for _, s := range m.listeners {
-		subs = append(subs, s)
-	}
-	subs = append(subs, m.retired...)
-	m.retired = nil
-	m.mu.Unlock()
-	for _, s := range subs {
-		if s.ch != nil {
-			close(s.ch)
-		}
-	}
-	m.lwg.Wait()
 }
 
 func (m *Manager) dispatch() {
 	defer m.wg.Done()
 	for {
 		m.mu.Lock()
-		for len(m.queue) == 0 && len(m.retired) == 0 && !m.closed {
+		for len(m.queue) == 0 && !m.closed {
 			m.cond.Wait()
 		}
-		retired := m.retired
-		m.retired = nil
 		done := len(m.queue) == 0 && m.closed
 		batch := m.queue
 		m.queue = nil
 		m.mu.Unlock()
-		// Close unsubscribed async listeners here, between batches, where
-		// no send on their channel can be in flight.
-		for _, s := range retired {
-			close(s.ch)
-		}
 		if done {
 			return
 		}
@@ -595,10 +463,6 @@ func (m *Manager) process(ev Event) {
 	m.mu.Unlock()
 
 	for _, s := range subs {
-		if s.ch != nil {
-			m.offerListener(s, ev)
-			continue
-		}
 		s.fn(ev)
 		m.delivered.Add(1)
 	}

@@ -5,13 +5,10 @@
 // resource data are routed through the Global layer to the gateway that
 // owns the data.
 //
-// The registration record is versioned (v1): every member of the
-// federation — site gateways, republisher gateways, and entry gateways —
-// registers a Registration carrying its Role and a monotonically
-// increasing Generation. v0 records (the flat site/endpoint shape) are
-// still accepted on the wire and map to Role "site"; v1 records marshal
-// with both the "name" and legacy "site" JSON keys so v0 readers keep
-// working. See DESIGN.md §7 for the compatibility rule.
+// Every member of the federation — site gateways, republisher gateways,
+// and entry gateways — registers a Registration carrying its Role and a
+// monotonically increasing Generation; a registration without a role is a
+// site. See DESIGN.md §7.
 //
 // The package provides the directory (in-process and over HTTP), a
 // Registrar that keeps a member's record fresh, the consistent-hash Ring
@@ -55,76 +52,33 @@ func (r Role) valid() bool {
 	return false
 }
 
-// Registration is one federation member's directory record (v1).
+// Registration is one federation member's directory record, and its JSON
+// form on the directory's HTTP interface.
 type Registration struct {
 	// Name is the member's unique name: the site name for Role "site",
 	// the republisher name otherwise.
-	Name string
+	Name string `json:"name,omitempty"`
 	// Endpoint is the member's servlet base URL ("http://host:port").
-	Endpoint string
-	// Role classifies the member; empty normalises to RoleSite (the v0
-	// shim: old register calls carry no role).
-	Role Role
+	Endpoint string `json:"endpoint"`
+	// Role classifies the member; the directory files an empty one as
+	// RoleSite.
+	Role Role `json:"role,omitempty"`
 	// Groups lists the GLUE groups the member can answer for.
-	Groups []string
+	Groups []string `json:"groups,omitempty"`
 	// Owns is advisory: the sites a republisher currently owns on the
 	// ring. Routing recomputes ownership from the ring rather than trust
 	// this field; it exists for operators and tests.
-	Owns []string
+	Owns []string `json:"owns,omitempty"`
 	// Generation increases whenever the member's identity-relevant fields
 	// (endpoint, role) change. The directory bumps it on change even when
 	// the caller leaves it zero; routers use it to invalidate cached
 	// lookups that predate a re-registration.
-	Generation uint64
+	Generation uint64 `json:"generation,omitempty"`
 	// RegisteredAt is when the record was last refreshed.
-	RegisteredAt time.Time
-}
-
-// wireRegistration is the JSON shape of a Registration. It carries both
-// the v1 "name" key and the v0 "site" key: v1 writers populate both so v0
-// readers keep resolving endpoints, and the decoder prefers "name" but
-// falls back to "site" so v0 writers are still accepted.
-type wireRegistration struct {
-	Name         string    `json:"name,omitempty"`
-	Site         string    `json:"site,omitempty"`
-	Endpoint     string    `json:"endpoint"`
-	Role         string    `json:"role,omitempty"`
-	Groups       []string  `json:"groups,omitempty"`
-	Owns         []string  `json:"owns,omitempty"`
-	Generation   uint64    `json:"generation,omitempty"`
 	RegisteredAt time.Time `json:"registeredAt"`
 }
 
-// MarshalJSON writes the v1 wire form, duplicating Name into the legacy
-// "site" key for v0 readers.
-func (r Registration) MarshalJSON() ([]byte, error) {
-	return json.Marshal(wireRegistration{
-		Name: r.Name, Site: r.Name, Endpoint: r.Endpoint, Role: string(r.Role),
-		Groups: r.Groups, Owns: r.Owns, Generation: r.Generation, RegisteredAt: r.RegisteredAt,
-	})
-}
-
-// UnmarshalJSON accepts both v1 records and v0 (site/endpoint) records: the
-// name comes from "name" when present and "site" otherwise, and a missing
-// role normalises to RoleSite.
-func (r *Registration) UnmarshalJSON(b []byte) error {
-	var w wireRegistration
-	if err := json.Unmarshal(b, &w); err != nil {
-		return err
-	}
-	name := w.Name
-	if name == "" {
-		name = w.Site
-	}
-	*r = Registration{
-		Name: name, Endpoint: w.Endpoint, Role: Role(w.Role),
-		Groups: w.Groups, Owns: w.Owns, Generation: w.Generation, RegisteredAt: w.RegisteredAt,
-	}
-	r.normalize()
-	return nil
-}
-
-// normalize applies the v0 shim: an empty role is a site.
+// normalize applies the default: an empty role is a site.
 func (r *Registration) normalize() {
 	if r.Role == "" {
 		r.Role = RoleSite
@@ -285,14 +239,13 @@ func (d *Directory) Prune() int {
 
 // Handler returns the directory's HTTP interface:
 //
-//	POST   /gma/register       body: Registration (v0 site/endpoint shape accepted)
+//	POST   /gma/register       body: Registration
 //	DELETE /gma/register?site=
 //	GET    /gma/lookup?site=
 //	GET    /gma/sites
 //	GET    /gma/registrations
 //
-// The ?site= parameter names the member (any role); the v0 parameter name
-// is kept for wire compatibility.
+// The ?site= parameter names the member, whatever its role.
 func (d *Directory) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/gma/register", func(w http.ResponseWriter, r *http.Request) {
@@ -476,43 +429,19 @@ func (c *DirectoryClient) SitesContext(ctx context.Context) ([]string, error) {
 	return out, nil
 }
 
-// ListContext implements DirectoryService. Against a v0 directory (no
-// /gma/registrations route) it degrades to Sites + Lookups so a v1 router
-// can still plan against an un-upgraded directory.
+// ListContext implements DirectoryService.
 func (c *DirectoryClient) ListContext(ctx context.Context) ([]Registration, error) {
 	resp, err := c.roundTrip(ctx, http.MethodGet, "/gma/registrations", nil)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		return c.listViaLookups(ctx)
-	}
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("gma: registrations failed: %s", resp.Status)
 	}
 	var out []Registration
 	if err := json.NewDecoder(io.LimitReader(resp.Body, maxDirectoryBody)).Decode(&out); err != nil {
 		return nil, err
-	}
-	return out, nil
-}
-
-// listViaLookups reconstructs the registration list from the v0 routes.
-func (c *DirectoryClient) listViaLookups(ctx context.Context) ([]Registration, error) {
-	sites, err := c.SitesContext(ctx)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Registration, 0, len(sites))
-	for _, s := range sites {
-		r, ok, err := c.LookupContext(ctx, s)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			out = append(out, r)
-		}
 	}
 	return out, nil
 }

@@ -107,23 +107,30 @@ func TestDirectoryHTTP(t *testing.T) {
 		t.Error("bad register over HTTP accepted")
 	}
 
-	// Wire compatibility, in raw JSON: a v0 body carrying only "site" (no
-	// "name", no "role") registers as a site-role member, and a v1 record
-	// marshals both keys so v0 readers still find "site".
+	// The wire form, in raw JSON: one name key, an explicit role; a body
+	// that carries the name under the retired "site" key is nameless.
 	resp, err := http.Post(srv.URL+"/gma/register", "application/json",
 		strings.NewReader(`{"site":"V0","endpoint":"http://v0"}`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("site-only register status = %s, want 400", resp.Status)
+	}
+	if _, ok, err := c.LookupContext(context.Background(), "V0"); err != nil || ok {
+		t.Errorf("nameless record registered: %v, %v", ok, err)
+	}
+	resp, err = http.Post(srv.URL+"/gma/register", "application/json",
+		strings.NewReader(`{"name":"V1","endpoint":"http://v1"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
 	if resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("v0 register status = %s", resp.Status)
+		t.Fatalf("role-less register status = %s", resp.Status)
 	}
-	p, ok, err = c.LookupContext(context.Background(), "V0")
-	if err != nil || !ok || p.Name != "V0" || p.Role != RoleSite || p.Endpoint != "http://v0" {
-		t.Errorf("v0 record decoded as %+v, %v, %v", p, ok, err)
-	}
-	resp, err = http.Get(srv.URL + "/gma/lookup?site=V0")
+	resp, err = http.Get(srv.URL + "/gma/lookup?site=V1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,8 +139,8 @@ func TestDirectoryHTTP(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&raw); err != nil {
 		t.Fatal(err)
 	}
-	if raw["name"] != "V0" || raw["site"] != "V0" || raw["role"] != "site" {
-		t.Errorf("v1 wire form = %v, want name, site and role", raw)
+	if _, dup := raw["site"]; dup || raw["name"] != "V1" || raw["role"] != "site" || raw["endpoint"] != "http://v1" {
+		t.Errorf("wire form = %v, want name, endpoint and the defaulted role, no site key", raw)
 	}
 }
 

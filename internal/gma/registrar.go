@@ -53,7 +53,7 @@ type Registrar struct {
 }
 
 // NewRegistrar creates a registrar that re-registers info every interval.
-// An empty Role normalises to RoleSite (the v0 shim).
+// An empty Role normalises to RoleSite.
 func NewRegistrar(dir DirectoryService, info Registration, interval time.Duration) *Registrar {
 	if interval <= 0 {
 		interval = 30 * time.Second

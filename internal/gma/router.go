@@ -47,9 +47,6 @@ type Config struct {
 	// RingVNodes is the virtual-node count per republisher on the
 	// ownership ring (0 uses DefaultVNodes).
 	RingVNodes int
-	// DisableRepublishers turns off republisher-first routing and
-	// planning even when republishers are registered, for A/B runs.
-	DisableRepublishers bool
 	// Clock is injectable for tests; nil uses time.Now.
 	Clock func() time.Time
 }
@@ -376,11 +373,8 @@ func (r *Router) storeRegistrations(regs []Registration, now time.Time) {
 }
 
 // owner returns the republisher owning site on the current ring ("" when
-// no republishers are registered or republisher routing is disabled).
+// no republishers are registered).
 func (r *Router) owner(site string) string {
-	if r.cfg.DisableRepublishers {
-		return ""
-	}
 	r.mu.Lock()
 	ring := r.ring
 	r.mu.Unlock()
@@ -621,7 +615,7 @@ func (r *Router) FanoutPlan(ctx context.Context) ([]core.FanoutLeg, error) {
 	ring := r.ring
 	r.mu.Unlock()
 	var legs []core.FanoutLeg
-	if r.cfg.DisableRepublishers || ring.Empty() {
+	if ring.Empty() {
 		for _, s := range sites {
 			legs = append(legs, core.FanoutLeg{Target: s})
 		}

@@ -415,29 +415,3 @@ func TestRouterRepublisherFirstWithFallthrough(t *testing.T) {
 		t.Errorf("RepubRoutes = %d, RepubFallthroughs = %d, want 2 and 1", st.RepubRoutes, st.RepubFallthroughs)
 	}
 }
-
-func TestRouterDisableRepublishers(t *testing.T) {
-	dir := newCountingDir()
-	_ = dir.Directory.RegisterContext(context.Background(), Registration{Name: "B", Endpoint: "http://site-b"})
-	_ = dir.Directory.RegisterContext(context.Background(), Registration{Name: "R", Endpoint: "http://repub-r", Role: RoleRepublisher})
-	r := NewRouter(dir, func(_ context.Context, e string, q core.QueryOptions) (*core.Response, error) {
-		return &core.Response{Site: q.Site + "@" + e}, nil
-	}, "A", Config{LookupTTL: time.Minute, DisableRepublishers: true})
-	_ = r.Sites()
-	resp, err := r.RemoteQueryContext(context.Background(), "B", core.QueryOptions{Site: "B"})
-	if err != nil || resp.Site != "B@http://site-b" {
-		t.Fatalf("disabled routing = %v, %v, want direct", resp, err)
-	}
-	if plan, err := r.FanoutPlan(context.Background()); err != nil {
-		t.Fatal(err)
-	} else {
-		for _, leg := range plan {
-			if leg.Republisher {
-				t.Errorf("disabled planner produced republisher leg %+v", leg)
-			}
-		}
-	}
-	if n := r.Stats().RepubRoutes; n != 0 {
-		t.Errorf("RepubRoutes = %d, want 0", n)
-	}
-}

@@ -222,63 +222,6 @@ func TestQueryOrderManySamples(t *testing.T) {
 	}
 }
 
-func benchStore(b *testing.B, samples int) *Store {
-	b.Helper()
-	now := time.Unix(10000, 0)
-	s := New(Options{MaxAge: 24 * time.Hour, MaxSamplesPerKey: samples + 1,
-		Clock: func() time.Time { return now }})
-	g := glue.MustLookup(glue.GroupMemory)
-	meta, err := resultset.MetadataForGroup(g, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rs, err := resultset.NewBuilder(meta).
-		Append("h", int64(64), int64(32), int64(128), int64(64), 0.0, 0.0).
-		Build()
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < samples; i++ {
-		src := srcA
-		if i%2 == 1 {
-			src = srcB
-		}
-		if err := s.Record(src, glue.GroupMemory, rs, now.Add(time.Duration(-i)*time.Second)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	return s
-}
-
-// BenchmarkQuerySorted measures the read path that previously used an
-// O(n²) insertion sort over the collected samples.
-func BenchmarkQuerySorted(b *testing.B) {
-	s := benchStore(b, 1000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Query(glue.GroupMemory, "", time.Time{}, time.Time{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkRecord(b *testing.B) {
-	s := benchStore(b, 0)
-	g := glue.MustLookup(glue.GroupMemory)
-	meta, _ := resultset.MetadataForGroup(g, nil)
-	rs, _ := resultset.NewBuilder(meta).
-		Append("h", int64(64), int64(32), int64(128), int64(64), 0.0, 0.0).
-		Build()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := s.Record(srcA, glue.GroupMemory, rs, time.Unix(10000, 0)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // The row-wise store this package used to be — one []sample per (source,
 // group), rows kept as the boxed [][]any they arrived as — survives here as
 // the reference model the columnar store is compared against. It is the old

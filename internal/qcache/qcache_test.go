@@ -259,33 +259,3 @@ func TestConcurrentGetPutClear(t *testing.T) {
 	}
 	<-done
 }
-
-func BenchmarkGetHit(b *testing.B) {
-	c := New(Options{TTL: time.Hour})
-	meta, _ := resultset.NewMetadata([]resultset.Column{{Name: "HostName", Kind: glue.String}})
-	rs, _ := resultset.NewBuilder(meta).Append("h").Build()
-	c.Put(src, sql, rs)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, _, ok := c.Get(src, sql); !ok {
-			b.Fatal("miss")
-		}
-	}
-}
-
-// BenchmarkPutAtCapacity measures Put when the cache is full of expired
-// garbage — the case the expiry purge exists for.
-func BenchmarkPutAtCapacity(b *testing.B) {
-	now := time.Unix(0, 0)
-	c := New(Options{TTL: time.Second, MaxEntries: 256, Clock: func() time.Time { return now }})
-	meta, _ := resultset.NewMetadata([]resultset.Column{{Name: "HostName", Kind: glue.String}})
-	rs, _ := resultset.NewBuilder(meta).Append("h").Build()
-	for i := 0; i < 256; i++ {
-		c.Put(fmt.Sprintf("src%d", i), sql, rs)
-	}
-	now = now.Add(2 * time.Second)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c.Put(fmt.Sprintf("live%d", i%512), sql, rs)
-	}
-}

@@ -288,9 +288,12 @@ type Subscription struct {
 	enqueued atomic.Int64
 	dropped  atomic.Int64
 	lastSeq  atomic.Uint64
-	// fullSince is the unix-nano timestamp of the first overflow of the
-	// current full stretch; 0 while the queue accepts sends.
-	fullSince atomic.Int64
+	// mu serialises offers: a send landing in the slot another publisher's
+	// drop-oldest just freed would read as the consumer catching up.
+	mu sync.Mutex
+	// fullSince (under mu) is when the current full stretch first
+	// overflowed; zero while the queue accepts sends.
+	fullSince time.Time
 	evicted   atomic.Bool
 	gapped    bool // set once at Subscribe, read-only afterwards
 	sink      bool // owned by a sinkRunner: hidden from Subscribers, never evicted
@@ -303,32 +306,29 @@ func (s *Subscription) offer(m Metric, now time.Time) (stalled bool) {
 	if s.evicted.Load() {
 		return false
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	select {
 	case s.ch <- m:
 		s.noteEnqueue(m.Seq)
-		s.fullSince.Store(0)
+		s.fullSince = time.Time{}
 		return false
 	default:
 	}
 	// Full: start (or continue) the stall clock, then drop the oldest.
-	if first := s.fullSince.Load(); first == 0 {
-		s.fullSince.CompareAndSwap(0, now.UnixNano())
-	} else if s.r.opts.Stall > 0 && now.Sub(time.Unix(0, first)) >= s.r.opts.Stall {
+	if s.fullSince.IsZero() {
+		s.fullSince = now
+	} else if s.r.opts.Stall > 0 && now.Sub(s.fullSince) >= s.r.opts.Stall {
 		stalled = true
 	}
 	select {
 	case <-s.ch:
 		s.dropped.Add(1)
 		s.r.dropped.Add(1)
-	default:
+	default: // the consumer emptied the queue meanwhile
 	}
-	select {
-	case s.ch <- m:
-		s.noteEnqueue(m.Seq)
-	default:
-		s.dropped.Add(1)
-		s.r.dropped.Add(1)
-	}
+	s.ch <- m // cannot block: mu admits no other sender and a slot is free
+	s.noteEnqueue(m.Seq)
 	return stalled
 }
 

@@ -310,3 +310,44 @@ func TestConcurrentPublishSubscribeRace(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestStallEvictionUnderConcurrentPublishers: a consumer that takes nothing
+// must be evicted however many goroutines publish at once. One publisher's
+// send landing in the slot another's drop-oldest had just freed used to
+// count as the consumer catching up and restart the stall clock, so under
+// concurrent harvests a wedged subscriber outlived Stall indefinitely
+// (scenarios/subscriber_churn.yaml under -race: 0 evictions of 3).
+func TestStallEvictionUnderConcurrentPublishers(t *testing.T) {
+	clock := time.Unix(1000, 0)
+	var mu sync.Mutex
+	now := func() time.Time { mu.Lock(); defer mu.Unlock(); return clock }
+
+	r := New(Options{QueueSize: 4, Stall: time.Second, Clock: now})
+	s, err := r.Subscribe(SubscribeOptions{Name: "wedged"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Four publishers overflow the queue together while the clock moves a
+	// tenth of Stall per round: the queue is full throughout and nothing is
+	// consumed, so the first publish of round 10 must evict.
+	for round := 0; round < 12 && !s.Evicted(); round++ {
+		var wg sync.WaitGroup
+		for p := 0; p < 4; p++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				publishN(r, 500, "cpu")
+			}()
+		}
+		wg.Wait()
+		mu.Lock()
+		clock = clock.Add(100 * time.Millisecond)
+		mu.Unlock()
+	}
+	if !s.Evicted() {
+		t.Fatal("wedged subscriber outlived Stall: concurrent publishers restarted its stall clock")
+	}
+	if st := r.Stats(); st.Dropped != st.Enqueued {
+		t.Errorf("stats = %+v: a consumer that took nothing drops exactly what it was offered", st)
+	}
+}

@@ -22,7 +22,7 @@ import "sort"
 //	min_wal_appends       records journaled to the WAL          >= limit
 //	min_rows_published    rows pushed to continuous queries     >= limit
 //	min_rows_dropped      rows dropped on stuck subscribers     >= limit
-//	max_row_drop_rate     rows_dropped / rows_published         <= limit
+//	max_row_drop_rate     rows_dropped / rows_enqueued (per-subscriber offers) <= limit
 //	min_sub_evictions     stalled subscribers evicted           >= limit
 //	min_sink_breaker_opens push-sink breaker opens              >= limit
 //	min_repub_region_queries region queries answered by republishers >= limit
@@ -73,11 +73,9 @@ func evalAssertions(sc *Scenario, r *Report) []AssertionResult {
 		case "min_rows_dropped":
 			return float64(r.Counters["rows_dropped"])
 		case "max_row_drop_rate":
-			published := float64(r.Counters["rows_published"])
-			if published == 0 {
-				published = 1
-			}
-			return float64(r.Counters["rows_dropped"]) / published
+			// A row is enqueued once per matching subscriber and dropped at
+			// most once from each queue, so this lies in [0, 1].
+			return float64(r.Counters["rows_dropped"]) / max(float64(r.Counters["rows_enqueued"]), 1)
 		case "min_sub_evictions":
 			return float64(r.Counters["subscriber_evictions"])
 		case "min_sink_breaker_opens":

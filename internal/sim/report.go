@@ -12,8 +12,8 @@ import (
 	"time"
 )
 
-// Report is the simulator's JSON output — the repo's BENCH_*.json format.
-// See docs/sim-report.md for the field-by-field schema.
+// Report is the simulator's JSON output; docs/sim-report.md has the
+// field-by-field schema.
 type Report struct {
 	Scenario    string                    `json:"scenario"`
 	Description string                    `json:"description,omitempty"`
@@ -183,6 +183,7 @@ func (h *Harness) scrapeCounters() (map[string]int64, map[string]float64) {
 		counters["plan_cache_misses"] += st.PlanCacheMisses
 		counters["rows_published"] += st.RowsPublished
 		counters["rows_dropped"] += st.RowsDropped
+		counters["rows_enqueued"] += gw.PushRouter().Stats().Enqueued
 		counters["subscriber_evictions"] += st.SubscriberEvictions
 		counters["sink_delivered"] += st.SinkDelivered
 		counters["sink_dropped"] += st.SinkDropped

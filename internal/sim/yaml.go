@@ -4,7 +4,7 @@
 // spins the fleet up in-process against the real internal/core,
 // internal/web and internal/gma code, injects the faults through the
 // existing faultdrv and chaos knobs, and emits a machine-readable JSON
-// performance report (the repo's BENCH_*.json trajectory).
+// report (docs/sim-report.md).
 //
 // All randomness — fleet generation, fault-target selection, per-client
 // query sequences — derives from one seeded math/rand source, so any run is

@@ -1,7 +1,6 @@
 package tsdb
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
@@ -29,41 +28,5 @@ func BenchmarkWALAppend(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkRestore measures startup recovery: open a directory holding a
-// checkpoint plus a WAL tail and replay it into a fresh in-memory store.
-func BenchmarkRestore(b *testing.B) {
-	const records = 1000
-	dir := b.TempDir()
-	opts := testOpts(dir, nil)
-	opts.Fsync = FsyncOff
-	seedMem := newMem()
-	seed := Open(opts, seedMem)
-	t0 := time.Unix(90000, 0)
-	for i := 0; i < records/2; i++ {
-		record(b, seed, fmt.Sprintf("h%d", i), t0.Add(time.Duration(i)*time.Second))
-	}
-	if err := seed.Checkpoint(); err != nil {
-		b.Fatal(err)
-	}
-	for i := records / 2; i < records; i++ {
-		record(b, seed, fmt.Sprintf("h%d", i), t0.Add(time.Duration(i)*time.Second))
-	}
-	seed.CrashClose()
-
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mem := newMem()
-		ro := testOpts(dir, nil)
-		s := Open(ro, mem)
-		if n := mem.SampleCount(testSrc, glue.GroupMemory); n != records {
-			b.Fatalf("restored %d, want %d", n, records)
-		}
-		b.StopTimer()
-		s.CrashClose() // leave the directory untouched for the next iteration
-		b.StartTimer()
 	}
 }

@@ -536,7 +536,9 @@ func TestWireCodecAllocations(t *testing.T) {
 	overhead := decodeAllocs(small) - cols // per response: envelope, columns, slab, row index
 	decode := decodeAllocs(body)
 	t.Logf("encode %.0f allocs; decode %.0f allocs for %d cells (%.0f per response)", encode, decode, rows*cols, overhead)
-	if encode > 12 {
+	// Under -race the encode count reads 13 about once in six runs; the
+	// bound is exact only without the race runtime's own allocations.
+	if encode > 12 && !raceEnabled {
 		t.Errorf("encoding %d rows took %.0f allocations, want a fixed handful (≤ 12)", rows, encode)
 	}
 	if overhead > 80 {

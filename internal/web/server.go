@@ -452,9 +452,6 @@ type StatusReport struct {
 	Subscribers []router.SubscriberStat `json:"subscribers,omitempty"`
 	// Sinks lists configured push sinks with delivery/retry/breaker state.
 	Sinks []router.SinkStat `json:"sinks,omitempty"`
-	// Listeners reports per-listener event delivery and drop counters (only
-	// populated when the event manager runs with async listener queues).
-	Listeners []event.ListenerStat `json:"event_listeners,omitempty"`
 }
 
 type poolStatsJSON struct {
@@ -494,7 +491,6 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		Push:        s.gw.PushRouter().Stats(),
 		Subscribers: s.gw.PushRouter().Subscribers(),
 		Sinks:       s.gw.PushRouter().SinkStats(),
-		Listeners:   s.gw.Events().ListenerStats(),
 	})
 }
 
