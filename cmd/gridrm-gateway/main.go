@@ -109,7 +109,7 @@ func main() {
 
 	dir, localDir := assembleDirectory(*hostDir, *refresh, *dirTimeout, directories)
 	if *role == "republisher" {
-		runRepublisher(*name, *listen, dir, localDir, *repubRefresh, *repubScrape, *ringVNodes)
+		runRepublisher(*name, *listen, dir, localDir, *repubRefresh, *repubScrape, *ringVNodes, *maxInFlight, *maxQueue)
 		return
 	}
 	if *role != "site" {
@@ -310,7 +310,7 @@ func assembleDirectory(hostDir bool, refresh, dirTimeout time.Duration, director
 //	gridrm-gateway -role=republisher -name repub-a -listen 127.0.0.1:8090 \
 //	    -directory http://127.0.0.1:8080
 func runRepublisher(name, listen string, dir gma.DirectoryService, localDir *gma.Directory,
-	refresh, scrape time.Duration, vnodes int) {
+	refresh, scrape time.Duration, vnodes, maxInFlight, maxQueue int) {
 	if name == "" {
 		log.Fatal("gridrm-gateway: republisher mode requires -name")
 	}
@@ -334,8 +334,10 @@ func runRepublisher(name, listen string, dir gma.DirectoryService, localDir *gma
 		log.Fatalf("gridrm-gateway: %v", err)
 	}
 
+	front := g.Handler()
+	front.SetAdmissionLimits(maxInFlight, maxQueue)
 	mux := http.NewServeMux()
-	mux.Handle("/", g.Handler())
+	mux.Handle("/", front)
 	if localDir != nil {
 		mux.Handle("/gma/", localDir.Handler())
 	}

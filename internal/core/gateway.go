@@ -53,10 +53,6 @@ type Config struct {
 	// periodically, and restored on the next start — so the degradation
 	// ladder's history tier survives gateway restarts.
 	Durable tsdb.Options
-	// HistoryPruneInterval is the period of the background history
-	// retention sweep (default 1m; negative disables the loop, retention
-	// then only runs on the write path).
-	HistoryPruneInterval time.Duration
 	// Events configures the Event Manager.
 	Events event.Options
 	// RecordHistory stores every real-time harvest in the historical
@@ -100,9 +96,6 @@ type Config struct {
 	// store capacity, sample rate, slow threshold). Trace.Clock defaults
 	// to the gateway clock.
 	Trace trace.Options
-	// PlanCacheSize bounds the LRU cache of parsed query plans (default
-	// 512 entries; negative disables the cache).
-	PlanCacheSize int
 	// Push configures the metric router behind continuous queries
 	// (Subscribe): per-subscriber queue bound, replay ring size for
 	// Last-Event-ID resume, and the slow-consumer eviction stall.
@@ -138,11 +131,14 @@ func (o RetryOptions) fill() RetryOptions {
 }
 
 const (
-	defaultHarvestTimeout       = 10 * time.Second
-	defaultQueryTimeout         = 30 * time.Second
-	defaultStaleGrace           = 2 * time.Minute
-	defaultPlanCacheSize        = 512
-	defaultHistoryPruneInterval = time.Minute
+	defaultHarvestTimeout = 10 * time.Second
+	defaultQueryTimeout   = 30 * time.Second
+	defaultStaleGrace     = 2 * time.Minute
+	// planCacheSize bounds the LRU cache of parsed query plans.
+	planCacheSize = 512
+	// historyPruneInterval is the period of the background history
+	// retention sweep.
+	historyPruneInterval = time.Minute
 )
 
 // ErrGatewayClosed is returned for queries issued after Shutdown or Close.
@@ -305,12 +301,11 @@ type Gateway struct {
 	plans     *sqlparse.PlanCache
 	push      *router.Router // continuous-query fan-out (distinct from the federation router)
 
-	pruneStop chan struct{} // nil when the prune loop is disabled
+	pruneStop chan struct{}
 	pruneDone chan struct{}
 
 	mu       sync.RWMutex
-	sources  map[string]*SourceInfo
-	breakers map[string]*breaker.Breaker
+	sources  map[string]*source
 	watches  map[string][]metricWatch
 	router   GlobalRouter
 	closed   bool
@@ -371,9 +366,6 @@ func New(cfg Config) *Gateway {
 	if cfg.Trace.Clock == nil {
 		cfg.Trace.Clock = cfg.Clock
 	}
-	if cfg.PlanCacheSize == 0 {
-		cfg.PlanCacheSize = defaultPlanCacheSize
-	}
 	if cfg.Push.Clock == nil {
 		cfg.Push.Clock = cfg.Clock
 	}
@@ -402,11 +394,12 @@ func New(cfg Config) *Gateway {
 		breakerOpts:    cfg.Breaker.Fill(),
 		flights:        newFlightGroup(),
 		tracer:         trace.New(cfg.Trace),
-		plans:          sqlparse.NewPlanCache(cfg.PlanCacheSize),
+		plans:          sqlparse.NewPlanCache(planCacheSize),
 		push:           router.New(cfg.Push),
 		registry:       reg,
-		sources:        make(map[string]*SourceInfo),
-		breakers:       make(map[string]*breaker.Breaker),
+		sources:        make(map[string]*source),
+		pruneStop:      make(chan struct{}),
+		pruneDone:      make(chan struct{}),
 	}
 	if cfg.MaxConcurrentHarvests > 0 {
 		g.harvestSem = make(chan struct{}, cfg.MaxConcurrentHarvests)
@@ -429,14 +422,7 @@ func New(cfg Config) *Gateway {
 	g.prober = health.New(g, cfg.Probe, g.onHealthTransition)
 	g.registerMetrics()
 	g.prober.Start()
-	if cfg.HistoryPruneInterval == 0 {
-		cfg.HistoryPruneInterval = defaultHistoryPruneInterval
-	}
-	if cfg.HistoryPruneInterval > 0 {
-		g.pruneStop = make(chan struct{})
-		g.pruneDone = make(chan struct{})
-		go g.pruneLoop(cfg.HistoryPruneInterval)
-	}
+	go g.pruneLoop()
 	return g
 }
 
@@ -457,9 +443,9 @@ func (g *Gateway) durabilityEvent(severity string) func(kind, detail string) {
 // pruneLoop sweeps history retention so idle keys are released even when no
 // writes arrive (satellite of the durable-history work: Prune used to run
 // only on demand).
-func (g *Gateway) pruneLoop(interval time.Duration) {
+func (g *Gateway) pruneLoop() {
 	defer close(g.pruneDone)
-	ticker := time.NewTicker(interval)
+	ticker := time.NewTicker(historyPruneInterval)
 	defer ticker.Stop()
 	for {
 		select {
@@ -677,10 +663,8 @@ func (g *Gateway) Shutdown(ctx context.Context) error {
 	g.mu.Unlock()
 
 	g.prober.Stop()
-	if g.pruneStop != nil {
-		close(g.pruneStop)
-		<-g.pruneDone
-	}
+	close(g.pruneStop)
+	<-g.pruneDone
 
 	drained := make(chan struct{})
 	go func() {
@@ -804,8 +788,7 @@ func (g *Gateway) AddSource(cfg SourceConfig) error {
 	if _, dup := g.sources[cfg.URL]; dup {
 		return fmt.Errorf("core: source %s already registered", cfg.URL)
 	}
-	g.sources[cfg.URL] = &SourceInfo{SourceConfig: cfg}
-	g.breakers[cfg.URL] = breaker.New(g.breakerOpts)
+	g.sources[cfg.URL] = &source{SourceInfo: SourceInfo{SourceConfig: cfg}, breaker: breaker.New(g.breakerOpts)}
 	g.drivers.SetPreferences(cfg.URL, cfg.Drivers)
 	return nil
 }
@@ -816,7 +799,6 @@ func (g *Gateway) RemoveSource(url string) error {
 	_, ok := g.sources[url]
 	if ok {
 		delete(g.sources, url)
-		delete(g.breakers, url)
 	}
 	g.mu.Unlock()
 	if !ok {
@@ -827,22 +809,35 @@ func (g *Gateway) RemoveSource(url string) error {
 	return nil
 }
 
+// source is one registered data source: its stored record — the SourceInfo
+// fields derived per read (Breaker, Health, LastProbe, ProbeFailures) stay
+// zero here and are filled by snapshot — and the circuit breaker in front
+// of its harvests.
+type source struct {
+	SourceInfo
+	breaker *breaker.Breaker
+}
+
+// snapshot is s's record with the per-read fields filled in. The caller
+// holds g.mu.
+func (g *Gateway) snapshot(s *source, now time.Time) SourceInfo {
+	info := s.SourceInfo
+	info.Breaker = string(s.breaker.State(now))
+	if h, probed := g.prober.Health(s.URL); probed {
+		info.Health = string(h.State)
+		info.LastProbe = h.LastProbe
+		info.ProbeFailures = h.ConsecutiveFailures
+	}
+	return info
+}
+
 // Sources lists registered data sources with health, sorted by URL.
 func (g *Gateway) Sources() []SourceInfo {
 	now := g.clock()
 	g.mu.RLock()
 	out := make([]SourceInfo, 0, len(g.sources))
-	for url, s := range g.sources {
-		info := *s
-		if br := g.breakers[url]; br != nil {
-			info.Breaker = string(br.State(now))
-		}
-		if h, probed := g.prober.Health(url); probed {
-			info.Health = string(h.State)
-			info.LastProbe = h.LastProbe
-			info.ProbeFailures = h.ConsecutiveFailures
-		}
-		out = append(out, info)
+	for _, s := range g.sources {
+		out = append(out, g.snapshot(s, now))
 	}
 	g.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].URL < out[j].URL })
@@ -858,24 +853,29 @@ func (g *Gateway) Source(url string) (SourceInfo, bool) {
 	if !ok {
 		return SourceInfo{}, false
 	}
-	info := *s
-	if br := g.breakers[url]; br != nil {
-		info.Breaker = string(br.State(now))
-	}
-	if h, probed := g.prober.Health(url); probed {
-		info.Health = string(h.State)
-		info.LastProbe = h.LastProbe
-		info.ProbeFailures = h.ConsecutiveFailures
-	}
-	return info, true
+	return g.snapshot(s, now), true
 }
 
-// breaker returns the source's circuit breaker, if the source is
-// registered.
-func (g *Gateway) breaker(url string) *breaker.Breaker {
+// lookup returns a registered source's connection properties and circuit
+// breaker.
+func (g *Gateway) lookup(url string) (driver.Properties, *breaker.Breaker, error) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	return g.breakers[url]
+	s, ok := g.sources[url]
+	if !ok {
+		return nil, nil, fmt.Errorf("core: source %s not registered", url)
+	}
+	return s.Props, s.breaker, nil
+}
+
+// lastDriver names the driver that last harvested url ("" when none has).
+func (g *Gateway) lastDriver(url string) string {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	if s, ok := g.sources[url]; ok {
+		return s.LastDriver
+	}
+	return ""
 }
 
 // SetGlobalRouter wires the gateway to the Global layer.
@@ -909,17 +909,11 @@ func (g *Gateway) ProbeTargets() []string {
 // cooldown elapses the probe claims the half-open slot itself, so breakers
 // recover proactively instead of waiting for user traffic.
 func (g *Gateway) ProbeSource(ctx context.Context, url string) error {
-	g.mu.RLock()
-	src, ok := g.sources[url]
-	var props driver.Properties
-	if ok {
-		props = src.Props
+	props, br, err := g.lookup(url)
+	if err != nil {
+		return err
 	}
-	g.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("core: source %s not registered", url)
-	}
-	if br := g.breaker(url); br != nil && !br.Allow(g.clock()) {
+	if !br.Allow(g.clock()) {
 		return health.ErrSkipped
 	}
 	conn, err := g.pool.GetContext(ctx, url, props)
@@ -1045,22 +1039,22 @@ func (g *Gateway) Stats() Stats {
 
 func (g *Gateway) noteSuccess(url, driverName string, at time.Time) {
 	g.mu.Lock()
-	br := g.breakers[url]
-	if s, ok := g.sources[url]; ok {
+	s, ok := g.sources[url]
+	if ok {
 		s.LastDriver = driverName
 		s.LastSuccess = at
 		s.LastError = ""
 	}
 	g.mu.Unlock()
-	if br != nil {
-		br.OnSuccess()
+	if ok {
+		s.breaker.OnSuccess()
 	}
 }
 
 func (g *Gateway) noteFailure(url string, err error, at time.Time) {
 	g.mu.Lock()
-	br := g.breakers[url]
-	if s, ok := g.sources[url]; ok {
+	s, registered := g.sources[url]
+	if registered {
 		s.LastError = err.Error()
 		s.LastErrorAt = at
 	}
@@ -1085,7 +1079,7 @@ func (g *Gateway) noteFailure(url string, err error, at time.Time) {
 		Time:     at,
 		Detail:   err.Error(),
 	})
-	if br != nil && br.OnFailure(at) {
+	if registered && s.breaker.OnFailure(at) {
 		g.breakerOpens.Add(1)
 		g.events.Publish(event.Event{
 			Source:   url,

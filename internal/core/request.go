@@ -569,14 +569,12 @@ func (g *Gateway) querySource(ctx context.Context, req QueryOptions, url string,
 			status.Cached = true
 			status.HarvestedAt = at
 			status.Rows = rs.Len()
-			if info, ok := g.Source(url); ok {
-				status.Driver = info.LastDriver
-			}
+			status.Driver = g.lastDriver(url)
 			return status, rs
 		}
 	}
 
-	if br := g.breaker(url); br != nil && !br.Allow(g.clock()) {
+	if _, br, err := g.lookup(url); err == nil && !br.Allow(g.clock()) {
 		g.breakerSkipped.Add(1)
 		status.Err = ErrCircuitOpen
 		return status, g.degradedResult(req.Mode, url, hsql, group, &status)
@@ -624,8 +622,8 @@ func (g *Gateway) degradedResult(mode Mode, url, hsql string, group *glue.Group,
 		status.HarvestedAt = at
 		status.Age = g.clock().Sub(at)
 		status.Rows = rows
-		if info, ok := g.Source(url); ok && status.Driver == "" {
-			status.Driver = info.LastDriver
+		if status.Driver == "" {
+			status.Driver = g.lastDriver(url)
 		}
 	}
 	if rs, at, ok := g.cache.GetStale(url, hsql); ok {
@@ -722,15 +720,9 @@ func (g *Gateway) harvestWithRetry(ctx context.Context, url, hsql string) (*resu
 // timeout the connection is discarded, never released: a non-context
 // driver may still be using it in the shim goroutine.
 func (g *Gateway) harvest(ctx context.Context, url, hsql string) (*resultset.ResultSet, string, error) {
-	g.mu.RLock()
-	src, ok := g.sources[url]
-	var props driver.Properties
-	if ok {
-		props = src.Props
-	}
-	g.mu.RUnlock()
-	if !ok {
-		return nil, "", fmt.Errorf("core: source %s not registered", url)
+	props, _, err := g.lookup(url)
+	if err != nil {
+		return nil, "", err
 	}
 	if g.harvestTimeout > 0 {
 		var cancel context.CancelFunc

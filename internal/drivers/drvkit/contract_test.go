@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"gridrm/internal/driver"
+	"gridrm/internal/drivers/drvkit"
 	"gridrm/internal/drivers/gangliadrv"
 	"gridrm/internal/drivers/netloggerdrv"
 	"gridrm/internal/drivers/nwsdrv"
@@ -274,5 +275,57 @@ func TestNonAgentEndpointRejected(t *testing.T) {
 		case <-time.After(5 * time.Second):
 			t.Errorf("%s driver kept its socket after a failed handshake", n.protocol)
 		}
+	}
+}
+
+// An agent that never stops writing cannot make a driver buffer without
+// bound: gmond's dump is read to EOF, so the read is capped at
+// MaxAgentResponse and the harvest fails once the cap is crossed — on
+// loopback, long before its timeout.
+func TestEndlessAgentResponseIsCapped(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	written := make(chan int64, 1) // the one connection Connect opens
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		block := []byte(strings.Repeat("<!-- gmond -->", 1<<12))
+		var n int64
+		for {
+			m, err := c.Write(block)
+			n += int64(m)
+			if err != nil { // the driver hung up
+				written <- n
+				return
+			}
+		}
+	}()
+	const timeout = 30 * time.Second
+	start := time.Now()
+	conn, err := gangliadrv.New(nil).Connect("gridrm:ganglia://"+ln.Addr().String(),
+		driver.Properties{"timeout": timeout.String()})
+	if err == nil {
+		_ = conn.Close()
+		t.Fatal("ganglia driver bound to an agent that never finished its dump")
+	}
+	if elapsed := time.Since(start); elapsed >= timeout {
+		t.Errorf("gave up after %v: the timeout ended the read, not the cap", elapsed)
+	}
+	if !strings.Contains(err.Error(), "too large") {
+		t.Errorf("err = %v, want the dump refused as oversized", err)
+	}
+	select {
+	case n := <-written:
+		if n > 2*drvkit.MaxAgentResponse {
+			t.Errorf("agent got %d bytes across before the driver hung up; cap is %d", n, drvkit.MaxAgentResponse)
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("driver kept its socket after refusing the dump")
 	}
 }

@@ -34,6 +34,12 @@ const (
 	defaultCacheTTL = time.Second
 )
 
+// MaxAgentResponse bounds what a driver buffers of one agent response. The
+// largest a bundled agent sends is gmond's whole-cluster XML dump, about
+// 1.5 KB per host as agents/ganglia renders it; this is twice the dump of a
+// 10,000-host cluster.
+const MaxAgentResponse = 32 << 20
+
 // Spec declares one native driver.
 type Spec struct {
 	// Name is the registration name, e.g. "jdbc-scms".

@@ -15,7 +15,6 @@ package gangliadrv
 import (
 	"encoding/xml"
 	"fmt"
-	"io"
 	"net"
 	"strconv"
 	"time"
@@ -23,6 +22,7 @@ import (
 	"gridrm/internal/agents/ganglia"
 	"gridrm/internal/drivers/drvkit"
 	"gridrm/internal/glue"
+	"gridrm/internal/httpjson"
 	"gridrm/internal/schema"
 )
 
@@ -81,7 +81,7 @@ func (s *session) fetch() (*ganglia.Document, error) {
 	}
 	defer tcp.Close()
 	_ = tcp.SetReadDeadline(time.Now().Add(s.timeout))
-	data, err := io.ReadAll(tcp)
+	data, err := httpjson.ReadBody(tcp, -1, drvkit.MaxAgentResponse)
 	if err != nil {
 		return nil, err
 	}

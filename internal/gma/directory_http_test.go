@@ -1,7 +1,9 @@
 package gma
 
 import (
+	"bytes"
 	"context"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -94,4 +96,62 @@ func TestDirectoryPrune(t *testing.T) {
 	if n := forever.Prune(); n != 0 {
 		t.Errorf("Prune with no TTL = %d, want 0", n)
 	}
+}
+
+// FuzzRegistration feeds arbitrary bytes to POST /gma/register, the one
+// decoder an unauthenticated peer reaches on the registry. Whatever arrives,
+// the directory answers 204, 400 or 413; an accepted body leaves exactly one
+// complete record, findable under its own name and stable when registered
+// again, and a refused one leaves nothing.
+func FuzzRegistration(f *testing.F) {
+	for _, seed := range []string{
+		`{"site":"V0","endpoint":"http://v0"}`,
+		`{"name":"V1","endpoint":"http://v1"}`,
+		`{"name":"repub-a","endpoint":"http://r","role":"republisher","owns":["A","B"],"generation":7}`,
+		`{"name":"A","endpoint":"http://a","role":"warp"}`,
+		`{"name":"A","endpoint":"http://a","registeredAt":"2003-06-01T10:30:00Z","groups":["Processor"]}`,
+		`{"name":"A","endpoint":"http://a","generation":-1}`,
+		`{}`, `null`, `[]`, `{not json`, ``,
+	} {
+		f.Add([]byte(seed))
+	}
+	ctx := context.Background()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		d := NewDirectory(0, nil)
+		post := func() int {
+			rec := httptest.NewRecorder()
+			d.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/gma/register", bytes.NewReader(body)))
+			return rec.Code
+		}
+		code := post()
+		regs, err := d.ListContext(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch code {
+		case http.StatusNoContent:
+			if len(regs) != 1 {
+				t.Fatalf("accepted %q, directory holds %d records", body, len(regs))
+			}
+			r := regs[0]
+			if r.Name == "" || r.Endpoint == "" || !r.Role.valid() || r.Generation == 0 || r.RegisteredAt.IsZero() {
+				t.Fatalf("accepted %q as incomplete record %+v", body, r)
+			}
+			if got, ok, _ := d.LookupContext(ctx, r.Name); !ok || got.Generation != r.Generation {
+				t.Fatalf("record %+v not found under its own name (got %+v, %v)", r, got, ok)
+			}
+			if again := post(); again != http.StatusNoContent {
+				t.Fatalf("re-registering %q -> %d", body, again)
+			}
+			if got, _, _ := d.LookupContext(ctx, r.Name); got.Generation != r.Generation {
+				t.Fatalf("identical re-registration moved generation %d -> %d", r.Generation, got.Generation)
+			}
+		case http.StatusBadRequest, http.StatusRequestEntityTooLarge:
+			if len(regs) != 0 {
+				t.Fatalf("refused %q (%d) but stored %+v", body, code, regs)
+			}
+		default:
+			t.Fatalf("%q -> %d, want 204, 400 or 413", body, code)
+		}
+	})
 }

@@ -20,6 +20,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -27,6 +28,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"gridrm/internal/httpjson"
 )
 
 // Role classifies a federation member in the directory.
@@ -237,74 +240,65 @@ func (d *Directory) Prune() int {
 	return n
 }
 
-// Handler returns the directory's HTTP interface:
-//
-//	POST   /gma/register       body: Registration
-//	DELETE /gma/register?site=
-//	GET    /gma/lookup?site=
-//	GET    /gma/sites
-//	GET    /gma/registrations
-//
-// The ?site= parameter names the member, whatever its role.
+// Route is one row of the directory's HTTP interface. The pattern carries
+// the method, so ServeMux answers any other method with 405.
+type Route struct {
+	Pattern string
+	Serve   http.HandlerFunc
+}
+
+// Routes is the directory's HTTP interface. The ?site= parameter names the
+// member, whatever its role.
+func (d *Directory) Routes() []Route {
+	return []Route{
+		{"POST /gma/register", func(w http.ResponseWriter, r *http.Request) {
+			var reg Registration
+			if httpjson.ReadJSON(w, r, &reg) {
+				answer(w, nil, d.RegisterContext(r.Context(), reg), http.StatusBadRequest)
+			}
+		}},
+		{"DELETE /gma/register", func(w http.ResponseWriter, r *http.Request) {
+			answer(w, nil, d.DeregisterContext(r.Context(), r.URL.Query().Get("site")), http.StatusNotFound)
+		}},
+		{"GET /gma/lookup", func(w http.ResponseWriter, r *http.Request) {
+			reg, ok, err := d.LookupContext(r.Context(), r.URL.Query().Get("site"))
+			if err == nil && !ok {
+				http.Error(w, "unknown member", http.StatusNotFound)
+				return
+			}
+			answer(w, reg, err, http.StatusInternalServerError)
+		}},
+		{"GET /gma/sites", func(w http.ResponseWriter, r *http.Request) {
+			sites, err := d.SitesContext(r.Context())
+			answer(w, sites, err, http.StatusInternalServerError)
+		}},
+		{"GET /gma/registrations", func(w http.ResponseWriter, r *http.Request) {
+			regs, err := d.ListContext(r.Context())
+			answer(w, regs, err, http.StatusInternalServerError)
+		}},
+	}
+}
+
+// Handler mounts Routes on a mux.
 func (d *Directory) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/gma/register", func(w http.ResponseWriter, r *http.Request) {
-		switch r.Method {
-		case http.MethodPost:
-			var reg Registration
-			if err := json.NewDecoder(r.Body).Decode(&reg); err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-			if err := d.RegisterContext(r.Context(), reg); err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-			w.WriteHeader(http.StatusNoContent)
-		case http.MethodDelete:
-			if err := d.DeregisterContext(r.Context(), r.URL.Query().Get("site")); err != nil {
-				http.Error(w, err.Error(), http.StatusNotFound)
-				return
-			}
-			w.WriteHeader(http.StatusNoContent)
-		default:
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		}
-	})
-	mux.HandleFunc("/gma/lookup", func(w http.ResponseWriter, r *http.Request) {
-		reg, ok, err := d.LookupContext(r.Context(), r.URL.Query().Get("site"))
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		if !ok {
-			http.Error(w, "unknown member", http.StatusNotFound)
-			return
-		}
-		writeJSON(w, reg)
-	})
-	mux.HandleFunc("/gma/sites", func(w http.ResponseWriter, r *http.Request) {
-		sites, err := d.SitesContext(r.Context())
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		writeJSON(w, sites)
-	})
-	mux.HandleFunc("/gma/registrations", func(w http.ResponseWriter, r *http.Request) {
-		regs, err := d.ListContext(r.Context())
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		writeJSON(w, regs)
-	})
+	for _, rt := range d.Routes() {
+		mux.HandleFunc(rt.Pattern, rt.Serve)
+	}
 	return mux
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(v)
+// answer ends a directory request: err with the given status, else v as
+// JSON, else (v nil) 204 No Content.
+func answer(w http.ResponseWriter, v any, err error, status int) {
+	switch {
+	case err != nil:
+		http.Error(w, err.Error(), status)
+	case v == nil:
+		w.WriteHeader(http.StatusNoContent)
+	default:
+		httpjson.WriteJSON(w, v)
+	}
 }
 
 // DefaultClientTimeout bounds DirectoryClient requests when neither Timeout
@@ -336,23 +330,50 @@ func (c *DirectoryClient) client() *http.Client {
 	return &http.Client{Timeout: timeout}
 }
 
-func (c *DirectoryClient) roundTrip(ctx context.Context, method, path string, body []byte) (*http.Response, error) {
+// maxDirectoryBody bounds how much of a directory response the client will
+// read before JSON decoding — a misbehaving (or impersonated) directory
+// cannot make a gateway buffer an unbounded body.
+const maxDirectoryBody = 1 << 20
+
+// errNotFound is a 404 from the directory: the member is not registered.
+var errNotFound = errors.New("not found")
+
+// send performs one directory round trip; what names the operation in
+// errors. The answer must carry the want status, and when out is non-nil at
+// most maxDirectoryBody of it is decoded into out.
+func (c *DirectoryClient) send(ctx context.Context, what, method, path string, body []byte, want int, out any) error {
 	var rdr io.Reader
 	if body != nil {
 		rdr = bytes.NewReader(body)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, rdr)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := c.client().Do(req)
 	if err != nil {
-		return nil, fmt.Errorf("gma: %w", err)
+		return fmt.Errorf("gma: %w", err)
 	}
-	return resp, nil
+	defer resp.Body.Close()
+	switch resp.StatusCode {
+	case want:
+		if out == nil {
+			return nil
+		}
+		return json.NewDecoder(io.LimitReader(resp.Body, maxDirectoryBody)).Decode(out)
+	case http.StatusNotFound:
+		return fmt.Errorf("gma: %s failed: %w", what, errNotFound)
+	}
+	return fmt.Errorf("gma: %s failed: %s", what, resp.Status)
+}
+
+// get is send for the read-only routes: a GET answered 200 with a T.
+func get[T any](ctx context.Context, c *DirectoryClient, what, path string) (out T, err error) {
+	err = c.send(ctx, what, http.MethodGet, path, nil, http.StatusOK, &out)
+	return out, err
 }
 
 // RegisterContext implements DirectoryService.
@@ -361,89 +382,33 @@ func (c *DirectoryClient) RegisterContext(ctx context.Context, r Registration) e
 	if err != nil {
 		return err
 	}
-	resp, err := c.roundTrip(ctx, http.MethodPost, "/gma/register", body)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		return fmt.Errorf("gma: register failed: %s", resp.Status)
-	}
-	return nil
+	return c.send(ctx, "register", http.MethodPost, "/gma/register", body, http.StatusNoContent, nil)
 }
-
-// maxDirectoryBody bounds how much of a directory response the client will
-// read before JSON decoding — a misbehaving (or impersonated) directory
-// cannot make a gateway buffer an unbounded body.
-const maxDirectoryBody = 1 << 20
 
 // DeregisterContext implements DirectoryService. The member name is
 // query-escaped: names with spaces or '&' deregister their own key, not a
 // truncated one.
 func (c *DirectoryClient) DeregisterContext(ctx context.Context, name string) error {
-	resp, err := c.roundTrip(ctx, http.MethodDelete, "/gma/register?site="+url.QueryEscape(name), nil)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		return fmt.Errorf("gma: deregister failed: %s", resp.Status)
-	}
-	return nil
+	return c.send(ctx, "deregister", http.MethodDelete, "/gma/register?site="+url.QueryEscape(name), nil, http.StatusNoContent, nil)
 }
 
 // LookupContext implements DirectoryService.
 func (c *DirectoryClient) LookupContext(ctx context.Context, name string) (Registration, bool, error) {
-	resp, err := c.roundTrip(ctx, http.MethodGet, "/gma/lookup?site="+url.QueryEscape(name), nil)
-	if err != nil {
-		return Registration{}, false, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
+	r, err := get[Registration](ctx, c, "lookup", "/gma/lookup?site="+url.QueryEscape(name))
+	if errors.Is(err, errNotFound) {
 		return Registration{}, false, nil
 	}
-	if resp.StatusCode != http.StatusOK {
-		return Registration{}, false, fmt.Errorf("gma: lookup failed: %s", resp.Status)
-	}
-	var r Registration
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxDirectoryBody)).Decode(&r); err != nil {
-		return Registration{}, false, err
-	}
-	return r, true, nil
+	return r, err == nil, err
 }
 
 // SitesContext implements DirectoryService.
 func (c *DirectoryClient) SitesContext(ctx context.Context) ([]string, error) {
-	resp, err := c.roundTrip(ctx, http.MethodGet, "/gma/sites", nil)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("gma: sites failed: %s", resp.Status)
-	}
-	var out []string
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxDirectoryBody)).Decode(&out); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return get[[]string](ctx, c, "sites", "/gma/sites")
 }
 
 // ListContext implements DirectoryService.
 func (c *DirectoryClient) ListContext(ctx context.Context) ([]Registration, error) {
-	resp, err := c.roundTrip(ctx, http.MethodGet, "/gma/registrations", nil)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("gma: registrations failed: %s", resp.Status)
-	}
-	var out []Registration
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxDirectoryBody)).Decode(&out); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return get[[]Registration](ctx, c, "registrations", "/gma/registrations")
 }
 
 var _ DirectoryService = (*Directory)(nil)

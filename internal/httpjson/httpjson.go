@@ -1,4 +1,6 @@
-package web
+// Package httpjson is the one capped body reader, JSON request decoder and
+// JSON response writer behind every HTTP surface (internal/web, internal/gma).
+package httpjson
 
 import (
 	"encoding/json"
@@ -9,23 +11,16 @@ import (
 	"strconv"
 )
 
-// MaxRequestBody bounds the body of a query or poll request, on the site
-// servlet and on a republisher alike: a request is a SQL string and a few
-// names, so a megabyte is already generous.
+// MaxRequestBody bounds a request body on every surface: a request is SQL,
+// a registration or a few names, so a megabyte is already generous.
 const MaxRequestBody = 1 << 20
-
-// maxResponseBody bounds what Client buffers of a gateway's response, so a
-// misbehaving (or impersonated) peer cannot make the caller hold an
-// unbounded body. A Processor row is about 200 bytes on the wire; this is
-// room for some 300,000 of them.
-const maxResponseBody = 64 << 20
 
 var errBodyTooLarge = errors.New("body too large")
 
-// readBody reads a whole HTTP body of at most limit bytes. When the peer
-// declared the length the body lands in one buffer of exactly that size;
-// only an undeclared (chunked) body is read by doubling.
-func readBody(r io.Reader, declared, limit int64) ([]byte, error) {
+// ReadBody reads a whole body of at most limit bytes. A declared length lands
+// in one buffer of exactly that size; only an undeclared one (declared < 0:
+// chunked HTTP, or a raw stream read to EOF) is read by doubling.
+func ReadBody(r io.Reader, declared, limit int64) ([]byte, error) {
 	if declared > limit {
 		return nil, fmt.Errorf("%w: %d bytes declared, limit %d", errBodyTooLarge, declared, limit)
 	}
@@ -45,7 +40,7 @@ func readBody(r io.Reader, declared, limit int64) ([]byte, error) {
 // On failure it has answered the request (413 for an oversized body, 400
 // otherwise) and returns false.
 func ReadJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	body, err := readBody(http.MaxBytesReader(w, r.Body, MaxRequestBody), r.ContentLength, MaxRequestBody)
+	body, err := ReadBody(http.MaxBytesReader(w, r.Body, MaxRequestBody), r.ContentLength, MaxRequestBody)
 	if err == nil {
 		err = json.Unmarshal(body, v)
 	}
@@ -68,7 +63,7 @@ func ReadJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 func WriteJSON(w http.ResponseWriter, v any) {
 	body, err := json.Marshal(v)
 	if err != nil {
-		http.Error(w, "web: encoding the response: "+err.Error(), http.StatusInternalServerError)
+		http.Error(w, "encoding the response: "+err.Error(), http.StatusInternalServerError)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

@@ -14,6 +14,7 @@ import (
 	"gridrm/internal/core"
 	"gridrm/internal/glue"
 	"gridrm/internal/gma"
+	"gridrm/internal/httpjson"
 	"gridrm/internal/resultset"
 	"gridrm/internal/router"
 	"gridrm/internal/web"
@@ -445,7 +446,7 @@ func TestHandlerSpeaksServletWireProtocol(t *testing.T) {
 		t.Fatalf("NaN view over the wire = %v, %v", resp, err)
 	}
 	// An oversized request is refused by the same rule as on a site servlet.
-	big, err := http.Post(srv.URL+"/query", "application/json", strings.NewReader(`{"sql":"`+strings.Repeat("x", web.MaxRequestBody)+`"}`))
+	big, err := http.Post(srv.URL+"/query", "application/json", strings.NewReader(`{"sql":"`+strings.Repeat("x", httpjson.MaxRequestBody)+`"}`))
 	if err != nil {
 		t.Fatal(err)
 	}

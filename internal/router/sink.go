@@ -32,8 +32,6 @@ type Sink interface {
 type SinkOptions struct {
 	// Queue bounds the sink's mailbox (default Options.QueueSize).
 	Queue int
-	// BatchSize caps metrics per Deliver call (default 64).
-	BatchSize int
 	// Retries is how many additional Deliver attempts a failed batch
 	// gets (default 2).
 	Retries int
@@ -51,9 +49,6 @@ type SinkOptions struct {
 func (o SinkOptions) fill(r *Router) SinkOptions {
 	if o.Queue <= 0 {
 		o.Queue = r.opts.QueueSize
-	}
-	if o.BatchSize <= 0 {
-		o.BatchSize = 64
 	}
 	if o.Retries < 0 {
 		o.Retries = 0
@@ -177,10 +172,13 @@ func (sr *sinkRunner) run() {
 	}
 }
 
-// gather drains up to BatchSize-1 more queued metrics behind first.
+// sinkBatchSize caps metrics per Deliver call.
+const sinkBatchSize = 64
+
+// gather drains up to sinkBatchSize-1 more queued metrics behind first.
 func (sr *sinkRunner) gather(first Metric) []Metric {
-	batch := append(make([]Metric, 0, sr.opts.BatchSize), first)
-	for len(batch) < sr.opts.BatchSize {
+	batch := append(make([]Metric, 0, sinkBatchSize), first)
+	for len(batch) < sinkBatchSize {
 		select {
 		case m := <-sr.sub.ch:
 			batch = append(batch, m)

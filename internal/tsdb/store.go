@@ -20,9 +20,6 @@ type Options struct {
 	// Fsync is the WAL fsync policy: FsyncAlways, FsyncInterval (default)
 	// or FsyncOff.
 	Fsync string
-	// FsyncEvery bounds how stale unsynced WAL data may get under
-	// FsyncInterval (default 100ms).
-	FsyncEvery time.Duration
 	// SegmentMaxBytes rotates the live WAL segment once it grows past this
 	// (default 4 MiB).
 	SegmentMaxBytes int64
@@ -57,9 +54,6 @@ func ValidFsync(s string) bool {
 func (o Options) withDefaults() Options {
 	if !ValidFsync(o.Fsync) {
 		o.Fsync = FsyncInterval
-	}
-	if o.FsyncEvery <= 0 {
-		o.FsyncEvery = 100 * time.Millisecond
 	}
 	if o.SegmentMaxBytes <= 0 {
 		o.SegmentMaxBytes = 4 << 20
@@ -195,8 +189,7 @@ func (s *Store) attachLocked() error {
 	if n := len(segs); n > 0 && segs[n-1].seq >= next {
 		next = segs[n-1].seq + 1
 	}
-	w, err := createSegment(s.opts.Dir, next, s.opts.Fsync, s.opts.FsyncEvery,
-		s.opts.Clock, func() { s.fsyncs++ })
+	w, err := createSegment(s.opts.Dir, next, s.opts.Fsync, s.opts.Clock, func() { s.fsyncs++ })
 	if err != nil {
 		return err
 	}
@@ -332,8 +325,7 @@ func (s *Store) rotateLocked() {
 	}
 	s.sealed = append(s.sealed, info)
 	next := s.lastSeq + 1
-	w, err := createSegment(s.opts.Dir, next, s.opts.Fsync, s.opts.FsyncEvery,
-		s.opts.Clock, func() { s.fsyncs++ })
+	w, err := createSegment(s.opts.Dir, next, s.opts.Fsync, s.opts.Clock, func() { s.fsyncs++ })
 	if err != nil {
 		s.w = nil
 		s.detachLocked(fmt.Sprintf("creating WAL segment failed: %v", err))

@@ -44,6 +44,9 @@ const (
 	FsyncOff      = "off"
 )
 
+// fsyncEvery bounds how stale unsynced WAL data may get under FsyncInterval.
+const fsyncEvery = 100 * time.Millisecond
+
 func segmentName(seq uint64) string { return fmt.Sprintf("wal-%016d.seg", seq) }
 
 func parseSegmentName(name string) (uint64, bool) {
@@ -95,17 +98,15 @@ type segmentWriter struct {
 	size int64
 	buf  []byte
 
-	policy    string
-	syncEvery time.Duration
-	lastSync  time.Time
-	clock     func() time.Time
-	onSync    func()
+	policy   string
+	lastSync time.Time
+	clock    func() time.Time
+	onSync   func()
 }
 
 // createSegment opens a fresh segment file for appending and writes its
 // header.
-func createSegment(dir string, seq uint64, policy string, syncEvery time.Duration,
-	clock func() time.Time, onSync func()) (*segmentWriter, error) {
+func createSegment(dir string, seq uint64, policy string, clock func() time.Time, onSync func()) (*segmentWriter, error) {
 	path := filepath.Join(dir, segmentName(seq))
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644)
 	if err != nil {
@@ -113,7 +114,7 @@ func createSegment(dir string, seq uint64, policy string, syncEvery time.Duratio
 	}
 	w := &segmentWriter{
 		f: f, path: path, seq: seq,
-		policy: policy, syncEvery: syncEvery, clock: clock, onSync: onSync,
+		policy: policy, clock: clock, onSync: onSync,
 		lastSync: clock(),
 	}
 	header := make([]byte, 0, segHeaderSize)
@@ -147,7 +148,7 @@ func (w *segmentWriter) maybeSync() error {
 	case FsyncOff:
 		return nil
 	default: // FsyncInterval
-		if w.clock().Sub(w.lastSync) >= w.syncEvery {
+		if w.clock().Sub(w.lastSync) >= fsyncEvery {
 			return w.sync()
 		}
 		return nil

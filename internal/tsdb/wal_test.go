@@ -14,7 +14,7 @@ import (
 func buildSegment(t testing.TB, dir string, payloads [][]byte) (string, []int64) {
 	t.Helper()
 	clock := func() time.Time { return time.Unix(90000, 0) }
-	w, err := createSegment(dir, 1, FsyncOff, 0, clock, nil)
+	w, err := createSegment(dir, 1, FsyncOff, clock, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

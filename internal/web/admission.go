@@ -2,26 +2,11 @@ package web
 
 import (
 	"context"
-	"net/http"
-	"strconv"
 	"sync/atomic"
-	"time"
 )
 
-// AdmissionOptions bounds concurrent query handling at the servlet, so a
-// federated query storm sheds load with 429s instead of collapsing the
-// gateway under unbounded goroutines.
-type AdmissionOptions struct {
-	// MaxInFlight is how many admitted requests may execute at once
-	// (required; <= 0 disables the gate).
-	MaxInFlight int
-	// MaxQueue is how many requests may wait for a slot beyond MaxInFlight;
-	// arrivals past the queue are shed immediately (default 0: no queue).
-	MaxQueue int
-	// RetryAfter is the Retry-After hint sent with 429 responses
-	// (default 1s).
-	RetryAfter time.Duration
-}
+// retryAfter is the Retry-After hint, in seconds, sent with 429 responses.
+const retryAfter = "1"
 
 // AdmissionStats snapshots the gate for /status.
 type AdmissionStats struct {
@@ -38,11 +23,13 @@ type AdmissionStats struct {
 	Shed int64 `json:"shed"`
 }
 
-// admission is the load-shedding gate: a slot semaphore plus a bounded
-// count of waiters.
+// admission is the load-shedding gate, so a federated query storm sheds
+// load with 429s instead of collapsing the gateway under unbounded
+// goroutines: a semaphore of maxInFlight slots plus at most maxQueue
+// waiters; arrivals past the queue are shed immediately.
 type admission struct {
-	opts  AdmissionOptions
-	slots chan struct{}
+	slots    chan struct{}
+	maxQueue int
 
 	inflight atomic.Int64
 	queued   atomic.Int64
@@ -50,14 +37,8 @@ type admission struct {
 	shed     atomic.Int64
 }
 
-func newAdmission(opts AdmissionOptions) *admission {
-	if opts.MaxQueue < 0 {
-		opts.MaxQueue = 0
-	}
-	if opts.RetryAfter <= 0 {
-		opts.RetryAfter = time.Second
-	}
-	return &admission{opts: opts, slots: make(chan struct{}, opts.MaxInFlight)}
+func newAdmission(maxInFlight, maxQueue int) *admission {
+	return &admission{slots: make(chan struct{}, maxInFlight), maxQueue: max(maxQueue, 0)}
 }
 
 // acquire admits the request or reports it shed. The caller must invoke the
@@ -67,7 +48,7 @@ func (a *admission) acquire(ctx context.Context) (release func(), ok bool) {
 	case a.slots <- struct{}{}:
 	default:
 		// No free slot: join the bounded queue or shed.
-		if a.queued.Add(1) > int64(a.opts.MaxQueue) {
+		if a.queued.Add(1) > int64(a.maxQueue) {
 			a.queued.Add(-1)
 			a.shed.Add(1)
 			return nil, false
@@ -93,8 +74,8 @@ func (a *admission) acquire(ctx context.Context) (release func(), ok bool) {
 
 func (a *admission) stats() AdmissionStats {
 	return AdmissionStats{
-		MaxInFlight: a.opts.MaxInFlight,
-		MaxQueue:    a.opts.MaxQueue,
+		MaxInFlight: cap(a.slots),
+		MaxQueue:    a.maxQueue,
 		InFlight:    a.inflight.Load(),
 		Queued:      a.queued.Load(),
 		Admitted:    a.admitted.Load(),
@@ -102,17 +83,24 @@ func (a *admission) stats() AdmissionStats {
 	}
 }
 
-// SetAdmissionLimits installs a load-shedding gate in front of the query
-// handlers (/query and /poll): at most maxInFlight requests execute at
-// once, at most maxQueue more wait for a slot, and excess requests are shed
-// with 429 + Retry-After. Gate occupancy and shed counts are exported on
-// /status and /metrics. Call once, before serving; maxInFlight <= 0 leaves
-// the server ungated.
+// SetAdmissionLimits installs a load-shedding gate in front of the Gated
+// routes (/query and /poll): at most maxInFlight requests execute at once,
+// at most maxQueue more wait for a slot, and excess requests are shed with
+// 429 + Retry-After. Call once, before serving; maxInFlight <= 0 leaves the
+// surface ungated.
+func (f *Front) SetAdmissionLimits(maxInFlight, maxQueue int) {
+	if maxInFlight > 0 && f.admit == nil {
+		f.admit = newAdmission(maxInFlight, maxQueue)
+	}
+}
+
+// SetAdmissionLimits gates the servlet (see Front.SetAdmissionLimits) and
+// exports gate occupancy and shed counts on /status and /metrics.
 func (s *Server) SetAdmissionLimits(maxInFlight, maxQueue int) {
 	if maxInFlight <= 0 || s.admit != nil {
 		return
 	}
-	s.admit = newAdmission(AdmissionOptions{MaxInFlight: maxInFlight, MaxQueue: maxQueue})
+	s.Front.SetAdmissionLimits(maxInFlight, maxQueue)
 	reg := s.gw.Metrics()
 	reg.CounterFunc("gridrm_http_shed_total", "Requests shed by the admission gate (429).", s.admit.shed.Load)
 	reg.CounterFunc("gridrm_http_admitted_total", "Requests admitted by the admission gate.", s.admit.admitted.Load)
@@ -120,21 +108,4 @@ func (s *Server) SetAdmissionLimits(maxInFlight, maxQueue int) {
 		func() float64 { return float64(s.admit.inflight.Load()) })
 	reg.GaugeFunc("gridrm_http_queued", "Requests waiting for an admission slot.",
 		func() float64 { return float64(s.admit.queued.Load()) })
-}
-
-// admitRequest passes the request through the admission gate when one is
-// installed. When the request is shed it writes the 429 itself and returns
-// ok=false; otherwise the caller must defer release().
-func (s *Server) admitRequest(w http.ResponseWriter, r *http.Request) (release func(), ok bool) {
-	if s.admit == nil {
-		return func() {}, true
-	}
-	release, ok = s.admit.acquire(r.Context())
-	if !ok {
-		w.Header().Set("Retry-After",
-			strconv.Itoa(int((s.admit.opts.RetryAfter+time.Second-1)/time.Second)))
-		http.Error(w, "gateway saturated, retry later", http.StatusTooManyRequests)
-		return nil, false
-	}
-	return release, true
 }

@@ -11,7 +11,7 @@ import (
 )
 
 func TestAdmissionAcquireRelease(t *testing.T) {
-	a := newAdmission(AdmissionOptions{MaxInFlight: 2})
+	a := newAdmission(2, 0)
 	rel1, ok := a.acquire(context.Background())
 	if !ok {
 		t.Fatal("first acquire shed")
@@ -40,7 +40,7 @@ func TestAdmissionAcquireRelease(t *testing.T) {
 }
 
 func TestAdmissionQueue(t *testing.T) {
-	a := newAdmission(AdmissionOptions{MaxInFlight: 1, MaxQueue: 1})
+	a := newAdmission(1, 1)
 	rel, ok := a.acquire(context.Background())
 	if !ok {
 		t.Fatal("first acquire shed")
@@ -83,7 +83,7 @@ func TestAdmissionQueue(t *testing.T) {
 }
 
 func TestAdmissionQueuedCtxCancel(t *testing.T) {
-	a := newAdmission(AdmissionOptions{MaxInFlight: 1, MaxQueue: 1})
+	a := newAdmission(1, 1)
 	rel, ok := a.acquire(context.Background())
 	if !ok {
 		t.Fatal("first acquire shed")

@@ -12,6 +12,7 @@ import (
 
 	"gridrm/internal/core"
 	"gridrm/internal/glue"
+	"gridrm/internal/httpjson"
 	"gridrm/internal/resultset"
 )
 
@@ -38,13 +39,13 @@ func TestNonFiniteCellOverHTTP(t *testing.T) {
 
 func TestWriteJSONReportsEncodeErrors(t *testing.T) {
 	rec := httptest.NewRecorder()
-	WriteJSON(rec, EncodeResponse(&core.Response{})) // no ResultSet: cannot be encoded
+	httpjson.WriteJSON(rec, EncodeResponse(&core.Response{})) // no ResultSet: cannot be encoded
 	if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "encoding the response") {
 		t.Errorf("unencodable response -> %d %q, want 500", rec.Code, rec.Body.String())
 	}
 	meta, _ := resultset.NewMetadata([]resultset.Column{{Name: "N", Kind: glue.Int}})
 	rec = httptest.NewRecorder()
-	WriteJSON(rec, EncodeResponse(&core.Response{ResultSet: resultset.New(meta)}))
+	httpjson.WriteJSON(rec, EncodeResponse(&core.Response{ResultSet: resultset.New(meta)}))
 	if rec.Code != http.StatusOK || rec.Header().Get("Content-Length") != strconv.Itoa(rec.Body.Len()) {
 		t.Errorf("good response -> %d, Content-Length %q for %d bytes", rec.Code, rec.Header().Get("Content-Length"), rec.Body.Len())
 	}
@@ -52,7 +53,7 @@ func TestWriteJSONReportsEncodeErrors(t *testing.T) {
 
 func TestOversizedRequestsRejected(t *testing.T) {
 	f := newFixture(t, nil)
-	big := `{"sql":"` + strings.Repeat("x", MaxRequestBody) + `"}`
+	big := `{"sql":"` + strings.Repeat("x", httpjson.MaxRequestBody) + `"}`
 	for _, path := range []string{"/query", "/poll"} {
 		if resp := raw(t, f, http.MethodPost, path, big); resp.StatusCode != http.StatusRequestEntityTooLarge {
 			t.Errorf("%s with a declared %d-byte body -> %d, want 413", path, len(big), resp.StatusCode)

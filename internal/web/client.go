@@ -13,6 +13,7 @@ import (
 
 	"gridrm/internal/core"
 	"gridrm/internal/event"
+	"gridrm/internal/httpjson"
 	"gridrm/internal/security"
 	"gridrm/internal/trace"
 )
@@ -30,6 +31,12 @@ type Client struct {
 	// HTTPClient is optional; nil uses a 10s-timeout client.
 	HTTPClient *http.Client
 }
+
+// maxResponseBody bounds what Client buffers of a gateway's response, so a
+// misbehaving (or impersonated) peer cannot make the caller hold an
+// unbounded body. A Processor row is about 200 bytes on the wire; this is
+// room for some 300,000 of them.
+const maxResponseBody = 64 << 20
 
 func (c *Client) httpClient() *http.Client {
 	if c.HTTPClient != nil {
@@ -76,7 +83,7 @@ func (c *Client) doContext(ctx context.Context, method, path string, body any, o
 		return fmt.Errorf("web: %s %s: %s: %s", method, path, resp.Status, strings.TrimSpace(string(msg)))
 	}
 	if out != nil {
-		data, err := readBody(resp.Body, resp.ContentLength, maxResponseBody)
+		data, err := httpjson.ReadBody(resp.Body, resp.ContentLength, maxResponseBody)
 		if err != nil {
 			return fmt.Errorf("web: reading %s response: %w", path, err)
 		}

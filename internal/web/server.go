@@ -2,13 +2,10 @@ package web
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"net/http/pprof"
 	"sort"
-	"strings"
 	"time"
 
 	"gridrm/internal/core"
@@ -28,20 +25,15 @@ import (
 // substitution, see the package comment).
 type DriverFactory func() (driver.Driver, *schema.DriverSchema)
 
-// Server is the gateway servlet.
+// Server is the gateway servlet: the site's route table behind a Front.
 type Server struct {
+	*Front
 	gw *core.Gateway
 	// repository of activatable drivers.
 	repo map[string]DriverFactory
-	// optional GMA directory handler mounted at /gma/.
-	dir http.Handler
 	// sites optionally lists remote sites for /sites (wired to the
 	// gateway's GlobalRouter by the deployment).
 	sites func() []string
-	// admit is the optional load-shedding gate in front of /query and
-	// /poll (see SetAdmissionLimits).
-	admit *admission
-	mux   *http.ServeMux
 }
 
 // SetSiteLister wires /sites to the Global layer's view of remote sites.
@@ -50,62 +42,36 @@ func (s *Server) SetSiteLister(list func() []string) { s.sites = list }
 // NewServer creates the servlet for a gateway. repo may be nil; dir, when
 // non-nil, is mounted at /gma/ so this gateway also hosts the directory.
 func NewServer(gw *core.Gateway, repo map[string]DriverFactory, dir http.Handler) *Server {
-	s := &Server{gw: gw, repo: repo, dir: dir, mux: http.NewServeMux()}
-	s.routes()
+	s := &Server{gw: gw, repo: repo}
+	s.Front = NewFront(gw.CoarsePolicy(),
+		QueryRoute(gw),
+		Route{Pattern: "POST /poll", Gated: true, Serve: replyTo(s.poll)},
+		Route{Pattern: "GET /sources", Serve: reply(s.listSources)},
+		Route{Pattern: "POST /sources", Op: security.OpManageSources, Serve: replyTo(s.addSource)},
+		Route{Pattern: "DELETE /sources", Op: security.OpManageSources, Serve: reply(s.removeSource)},
+		Route{Pattern: "GET /drivers", Serve: reply(s.listDrivers)},
+		Route{Pattern: "POST /drivers", Op: security.OpManageDrivers, Serve: replyTo(s.activateDriver)},
+		Route{Pattern: "DELETE /drivers", Op: security.OpManageDrivers, Serve: reply(s.deactivateDriver)},
+		Route{Pattern: "POST /drivers/preferences", Op: security.OpManageDrivers, Serve: replyTo(s.setPreferences)},
+		Route{Pattern: "GET /tree", Serve: reply(s.tree)},
+		Route{Pattern: "GET /events", Op: security.OpEvents, Serve: reply(s.events)},
+		Route{Pattern: "GET /subscribe", Serve: s.subscribe},
+		Route{Pattern: "GET /watches", Serve: reply(s.listWatches)},
+		Route{Pattern: "POST /watches", Op: security.OpManageSources, Serve: replyTo(s.addWatch)},
+		Route{Pattern: "GET /status", Serve: reply(s.status)},
+		Route{Pattern: "GET /metrics", Serve: s.metrics},
+		Route{Pattern: "GET /sites", Serve: reply(s.listSites)},
+		Route{Pattern: "GET /traces", Serve: reply(s.listTraces)},
+		Route{Pattern: "GET /traces/{id}", Serve: reply(s.trace)},
+	)
+	if dir != nil {
+		s.mux.Handle("/gma/", dir)
+	}
 	return s
 }
 
-// ServeHTTP implements http.Handler.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
-
 // Gateway returns the wrapped gateway.
 func (s *Server) Gateway() *core.Gateway { return s.gw }
-
-// Principal headers.
-const (
-	HeaderUser  = "X-GridRM-User"
-	HeaderRoles = "X-GridRM-Roles"
-	HeaderSite  = "X-GridRM-Site"
-)
-
-func principalFrom(r *http.Request) security.Principal {
-	p := security.Principal{
-		Name: r.Header.Get(HeaderUser),
-		Site: r.Header.Get(HeaderSite),
-	}
-	if p.Name == "" {
-		p.Name = "anonymous"
-	}
-	if roles := r.Header.Get(HeaderRoles); roles != "" {
-		for _, role := range strings.Split(roles, ",") {
-			role = strings.TrimSpace(role)
-			if role != "" {
-				p.Roles = append(p.Roles, role)
-			}
-		}
-	}
-	return p
-}
-
-func (s *Server) routes() {
-	s.mux.HandleFunc("/query", s.handleQuery)
-	s.mux.HandleFunc("/poll", s.handlePoll)
-	s.mux.HandleFunc("/sources", s.handleSources)
-	s.mux.HandleFunc("/drivers", s.handleDrivers)
-	s.mux.HandleFunc("/drivers/preferences", s.handlePreferences)
-	s.mux.HandleFunc("/tree", s.handleTree)
-	s.mux.HandleFunc("/events", s.handleEvents)
-	s.mux.HandleFunc("/subscribe", s.handleSubscribe)
-	s.mux.HandleFunc("/watches", s.handleWatches)
-	s.mux.HandleFunc("/status", s.handleStatus)
-	s.mux.HandleFunc("/metrics", s.handleMetrics)
-	s.mux.HandleFunc("/sites", s.handleSites)
-	s.mux.HandleFunc("/traces", s.handleTraces)
-	s.mux.HandleFunc("/traces/", s.handleTrace)
-	if s.dir != nil {
-		s.mux.Handle("/gma/", s.dir)
-	}
-}
 
 // EnablePprof mounts net/http/pprof's handlers at /debug/pprof/ on the
 // servlet mux. Off by default; gated behind the gateway's -pprof flag
@@ -118,122 +84,30 @@ func (s *Server) EnablePprof() {
 	s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 }
 
-// traceContext extracts a propagated trace carrier from the request's
-// X-GridRM-Trace header into the context, so the gateway continues the
-// calling gateway's trace instead of starting its own.
-func traceContext(r *http.Request) context.Context {
-	ctx := r.Context()
-	if car, ok := trace.ParseCarrier(r.Header.Get(trace.HeaderName)); ok {
-		ctx = trace.ContextWithRemote(ctx, car)
-	}
-	return ctx
-}
-
-func httpError(w http.ResponseWriter, err error) {
-	var pe *core.PermissionError
-	switch {
-	case errors.As(err, &pe):
-		http.Error(w, err.Error(), http.StatusForbidden)
-	default:
-		http.Error(w, err.Error(), http.StatusBadRequest)
-	}
-}
-
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
-	release, ok := s.admitRequest(w, r)
-	if !ok {
-		return
-	}
-	defer release()
-	var wr WireRequest
-	if !ReadJSON(w, r, &wr) {
-		return
-	}
-	req, err := wr.ToCoreRequest()
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	req.Principal = principalFrom(r)
-	// The client's connection context bounds the query: a caller that
-	// gives up (or a parent gateway whose deadline expires) cancels the
-	// fan-out here too. A propagated trace context continues here.
-	resp, err := s.gw.QueryContext(traceContext(r), req)
-	if err != nil {
-		httpError(w, err)
-		return
-	}
-	WriteJSON(w, EncodeResponse(resp))
-}
-
 // pollRequest is the body of POST /poll (Fig 9's explicit real-time poll).
 type pollRequest struct {
 	URL   string `json:"url"`
 	Group string `json:"group"`
 }
 
-func (s *Server) handlePoll(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
-	release, ok := s.admitRequest(w, r)
-	if !ok {
-		return
-	}
-	defer release()
-	var pr pollRequest
-	if !ReadJSON(w, r, &pr) {
-		return
-	}
-	resp, err := s.gw.PollContext(traceContext(r), principalFrom(r), pr.URL, pr.Group)
+func (s *Server) poll(ctx context.Context, p security.Principal, pr *pollRequest) (any, error) {
+	resp, err := s.gw.PollContext(ctx, p, pr.URL, pr.Group)
 	if err != nil {
-		httpError(w, err)
-		return
+		return nil, err
 	}
-	WriteJSON(w, EncodeResponse(resp))
+	return EncodeResponse(resp), nil
 }
 
-func (s *Server) manageAllowed(r *http.Request, op security.Operation) bool {
-	return s.gw.CoarsePolicy().Check(principalFrom(r), op) == security.Allow
+func (s *Server) listSources(*http.Request) (any, error) {
+	return s.gw.Sources(), nil
 }
 
-func (s *Server) handleSources(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodGet:
-		WriteJSON(w, s.gw.Sources())
-	case http.MethodPost:
-		if !s.manageAllowed(r, security.OpManageSources) {
-			http.Error(w, "permission denied", http.StatusForbidden)
-			return
-		}
-		var cfg core.SourceConfig
-		if err := json.NewDecoder(r.Body).Decode(&cfg); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		if err := s.gw.AddSource(cfg); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		w.WriteHeader(http.StatusNoContent)
-	case http.MethodDelete:
-		if !s.manageAllowed(r, security.OpManageSources) {
-			http.Error(w, "permission denied", http.StatusForbidden)
-			return
-		}
-		if err := s.gw.RemoveSource(r.URL.Query().Get("url")); err != nil {
-			http.Error(w, err.Error(), http.StatusNotFound)
-			return
-		}
-		w.WriteHeader(http.StatusNoContent)
-	default:
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-	}
+func (s *Server) addSource(_ context.Context, _ security.Principal, cfg *core.SourceConfig) (any, error) {
+	return nil, s.gw.AddSource(*cfg)
+}
+
+func (s *Server) removeSource(r *http.Request) (any, error) {
+	return nil, withStatus(http.StatusNotFound, s.gw.RemoveSource(r.URL.Query().Get("url")))
 }
 
 // driverActivation is the body of POST /drivers: activate a driver from
@@ -249,57 +123,33 @@ type DriverListing struct {
 	Active bool `json:"active"`
 }
 
-func (s *Server) handleDrivers(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodGet:
-		active := s.gw.Drivers()
-		listed := make(map[string]bool, len(active))
-		var out []DriverListing
-		for _, d := range active {
-			out = append(out, DriverListing{DriverInfo: d, Active: true})
-			listed[d.Name] = true
-		}
-		for name := range s.repo {
-			if !listed[name] {
-				out = append(out, DriverListing{DriverInfo: core.DriverInfo{Name: name}})
-			}
-		}
-		sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-		WriteJSON(w, out)
-	case http.MethodPost:
-		if !s.manageAllowed(r, security.OpManageDrivers) {
-			http.Error(w, "permission denied", http.StatusForbidden)
-			return
-		}
-		var act driverActivation
-		if err := json.NewDecoder(r.Body).Decode(&act); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		factory, ok := s.repo[act.Name]
-		if !ok {
-			http.Error(w, fmt.Sprintf("driver %q not in repository", act.Name), http.StatusNotFound)
-			return
-		}
-		d, ds := factory()
-		if err := s.gw.RegisterDriver(d, ds); err != nil {
-			http.Error(w, err.Error(), http.StatusConflict)
-			return
-		}
-		w.WriteHeader(http.StatusNoContent)
-	case http.MethodDelete:
-		if !s.manageAllowed(r, security.OpManageDrivers) {
-			http.Error(w, "permission denied", http.StatusForbidden)
-			return
-		}
-		if err := s.gw.DeregisterDriver(r.URL.Query().Get("name")); err != nil {
-			http.Error(w, err.Error(), http.StatusNotFound)
-			return
-		}
-		w.WriteHeader(http.StatusNoContent)
-	default:
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+func (s *Server) listDrivers(*http.Request) (any, error) {
+	active := s.gw.Drivers()
+	listed := make(map[string]bool, len(active))
+	var out []DriverListing
+	for _, d := range active {
+		out = append(out, DriverListing{DriverInfo: d, Active: true})
+		listed[d.Name] = true
 	}
+	for name := range s.repo {
+		if !listed[name] {
+			out = append(out, DriverListing{DriverInfo: core.DriverInfo{Name: name}})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out, nil
+}
+
+func (s *Server) activateDriver(_ context.Context, _ security.Principal, act *driverActivation) (any, error) {
+	factory, ok := s.repo[act.Name]
+	if !ok {
+		return nil, withStatus(http.StatusNotFound, fmt.Errorf("driver %q not in repository", act.Name))
+	}
+	return nil, withStatus(http.StatusConflict, s.gw.RegisterDriver(factory()))
+}
+
+func (s *Server) deactivateDriver(r *http.Request) (any, error) {
+	return nil, withStatus(http.StatusNotFound, s.gw.DeregisterDriver(r.URL.Query().Get("name")))
 }
 
 // preferenceUpdate is the body of POST /drivers/preferences.
@@ -308,28 +158,14 @@ type preferenceUpdate struct {
 	Drivers []string `json:"drivers"`
 }
 
-func (s *Server) handlePreferences(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
-	if !s.manageAllowed(r, security.OpManageDrivers) {
-		http.Error(w, "permission denied", http.StatusForbidden)
-		return
-	}
-	var pu preferenceUpdate
-	if err := json.NewDecoder(r.Body).Decode(&pu); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
+func (s *Server) setPreferences(_ context.Context, _ security.Principal, pu *preferenceUpdate) (any, error) {
 	for _, name := range pu.Drivers {
 		if _, ok := s.gw.DriverManager().Driver(name); !ok {
-			http.Error(w, fmt.Sprintf("driver %q not registered", name), http.StatusNotFound)
-			return
+			return nil, withStatus(http.StatusNotFound, fmt.Errorf("driver %q not registered", name))
 		}
 	}
 	s.gw.DriverManager().SetPreferences(pu.URL, pu.Drivers)
-	w.WriteHeader(http.StatusNoContent)
+	return nil, nil
 }
 
 // TreeNode is one data source in the cached tree view (Fig 9): its health
@@ -339,21 +175,16 @@ type TreeNode struct {
 	Cached []qcache.Entry  `json:"cached,omitempty"`
 }
 
-func (s *Server) handleTree(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
-	entries := s.gw.Cache().Entries()
+func (s *Server) tree(*http.Request) (any, error) {
 	bySource := make(map[string][]qcache.Entry)
-	for _, e := range entries {
+	for _, e := range s.gw.Cache().Entries() {
 		bySource[e.Source] = append(bySource[e.Source], e)
 	}
 	var out []TreeNode
 	for _, src := range s.gw.Sources() {
 		out = append(out, TreeNode{Source: src, Cached: bySource[src.URL]})
 	}
-	WriteJSON(w, out)
+	return out, nil
 }
 
 // watchRequest is the body of POST /watches: publish a GLUE metric as
@@ -363,39 +194,15 @@ type watchRequest struct {
 	Field string `json:"field"`
 }
 
-func (s *Server) handleWatches(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodGet:
-		WriteJSON(w, s.gw.WatchedMetrics())
-	case http.MethodPost:
-		if !s.manageAllowed(r, security.OpManageSources) {
-			http.Error(w, "permission denied", http.StatusForbidden)
-			return
-		}
-		var wr watchRequest
-		if err := json.NewDecoder(r.Body).Decode(&wr); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		if err := s.gw.WatchMetric(wr.Group, wr.Field); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		w.WriteHeader(http.StatusNoContent)
-	default:
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-	}
+func (s *Server) listWatches(*http.Request) (any, error) {
+	return s.gw.WatchedMetrics(), nil
 }
 
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
-	if s.gw.CoarsePolicy().Check(principalFrom(r), security.OpEvents) != security.Allow {
-		http.Error(w, "permission denied", http.StatusForbidden)
-		return
-	}
+func (s *Server) addWatch(_ context.Context, _ security.Principal, wr *watchRequest) (any, error) {
+	return nil, s.gw.WatchMetric(wr.Group, wr.Field)
+}
+
+func (s *Server) events(r *http.Request) (any, error) {
 	q := r.URL.Query()
 	filter := event.Filter{
 		Source:   q.Get("source"),
@@ -407,13 +214,11 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("since"); v != "" {
 		t, err := time.Parse(time.RFC3339Nano, v)
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
+			return nil, err
 		}
 		since = t
 	}
-	evs := s.gw.Events().History(filter, since)
-	WriteJSON(w, evs)
+	return s.gw.Events().History(filter, since), nil
 }
 
 // StatusReport is the body of GET /status.
@@ -459,18 +264,14 @@ type poolStatsJSON struct {
 	Idle                                                 int
 }
 
-func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
+func (s *Server) status(*http.Request) (any, error) {
 	ps := s.gw.Pool().Stats()
 	var adm *AdmissionStats
 	if s.admit != nil {
 		st := s.admit.stats()
 		adm = &st
 	}
-	WriteJSON(w, StatusReport{
+	return StatusReport{
 		Site:    s.gw.Name(),
 		Gateway: s.gw.Stats(),
 		Drivers: s.gw.DriverManager().Stats(),
@@ -491,56 +292,38 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		Push:        s.gw.PushRouter().Stats(),
 		Subscribers: s.gw.PushRouter().Subscribers(),
 		Sinks:       s.gw.PushRouter().SinkStats(),
-	})
+	}, nil
 }
 
-// handleTraces serves GET /traces: stored trace summaries, newest first.
-func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
+// listTraces serves GET /traces: stored trace summaries, newest first.
+func (s *Server) listTraces(*http.Request) (any, error) {
+	if out := s.gw.Tracer().Traces(); out != nil {
+		return out, nil
 	}
-	out := s.gw.Tracer().Traces()
-	if out == nil {
-		out = []trace.Summary{}
-	}
-	WriteJSON(w, out)
+	return []trace.Summary{}, nil
 }
 
-// handleTrace serves GET /traces/<id>: one stored trace as a span tree.
-func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
-	id := strings.TrimPrefix(r.URL.Path, "/traces/")
+// trace serves GET /traces/<id>: one stored trace as a span tree.
+func (s *Server) trace(r *http.Request) (any, error) {
+	id := r.PathValue("id")
 	td, ok := s.gw.Tracer().Trace(id)
 	if !ok {
-		http.Error(w, fmt.Sprintf("trace %q not found", id), http.StatusNotFound)
-		return
+		return nil, withStatus(http.StatusNotFound, fmt.Errorf("trace %q not found", id))
 	}
-	WriteJSON(w, td)
+	return td, nil
 }
 
-// handleMetrics serves the gateway's metrics registry in the Prometheus
-// text exposition format.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
+// metrics serves the gateway's metrics registry in the Prometheus text
+// exposition format.
+func (s *Server) metrics(_ context.Context, w http.ResponseWriter, _ *http.Request, _ security.Principal) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = s.gw.Metrics().WritePrometheus(w)
 }
 
-func (s *Server) handleSites(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
+func (s *Server) listSites(*http.Request) (any, error) {
 	sites := []string{s.gw.Name()}
 	if s.sites != nil {
 		sites = append(sites, s.sites()...)
 	}
-	WriteJSON(w, sites)
+	return sites, nil
 }

@@ -16,6 +16,7 @@ import (
 
 	"gridrm/internal/core"
 	"gridrm/internal/router"
+	"gridrm/internal/security"
 	"gridrm/internal/trace"
 )
 
@@ -30,11 +31,7 @@ import (
 // defaultHeartbeat is the SSE comment interval when ?heartbeat= is absent.
 const defaultHeartbeat = 15 * time.Second
 
-func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
+func (s *Server) subscribe(ctx context.Context, w http.ResponseWriter, r *http.Request, p security.Principal) {
 	q := r.URL.Query()
 	sql := q.Get("sql")
 	if sql == "" {
@@ -49,7 +46,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	opts := core.QueryOptions{
 		SQL:       sql,
 		Mode:      core.ModeRealTime,
-		Principal: principalFrom(r),
+		Principal: p,
 	}
 	if srcs := q.Get("sources"); srcs != "" {
 		for _, src := range strings.Split(srcs, ",") {
@@ -84,7 +81,6 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		heartbeat = d
 	}
 
-	ctx := r.Context()
 	sub, err := s.gw.Subscribe(ctx, opts)
 	if err != nil {
 		httpError(w, err)
