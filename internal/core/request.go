@@ -459,12 +459,17 @@ func (g *Gateway) targetSources(req QueryOptions, group *glue.Group) ([]string, 
 	if len(req.Sources) > 0 {
 		g.mu.RLock()
 		defer g.mu.RUnlock()
-		for _, url := range req.Sources {
-			if _, ok := g.sources[url]; !ok {
+		// The registry's own strings, not the request's: these become cache
+		// keys, which outlive the request and would keep its memory with them.
+		urls := make([]string, len(req.Sources))
+		for i, url := range req.Sources {
+			s, ok := g.sources[url]
+			if !ok {
 				return nil, fmt.Errorf("core: source %s not registered", url)
 			}
+			urls[i] = s.URL
 		}
-		return append([]string(nil), req.Sources...), nil
+		return urls, nil
 	}
 	g.mu.RLock()
 	urls := make([]string, 0, len(g.sources))

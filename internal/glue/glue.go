@@ -167,6 +167,22 @@ func Lookup(name string) (*Group, bool) {
 	return g, ok
 }
 
+// FieldSpelled returns the group and the field whose canonical names are
+// exactly group and name, or nil. It folds nothing and makes no string, so a
+// decoder holding the two names as bytes can take the schema's own strings
+// for them instead of allocating its own.
+func FieldSpelled(group, name []byte) (*Group, *Field) {
+	g, ok := groups[string(group)]
+	if !ok || g.Name != string(group) {
+		return nil, nil
+	}
+	i, ok := g.index[string(name)]
+	if !ok || g.Fields[i].Name != string(name) {
+		return nil, nil
+	}
+	return g, &g.Fields[i]
+}
+
 // MustLookup is like Lookup but panics if the group does not exist. It is
 // intended for initialisation paths with literal group names.
 func MustLookup(name string) *Group {

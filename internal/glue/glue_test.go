@@ -235,3 +235,23 @@ func TestCanonicalLookupsDoNotAllocate(t *testing.T) {
 		t.Error("folded Field lost")
 	}
 }
+
+// FieldSpelled finds only the schema's own spelling, and never allocates: it
+// is how a wire decoder trades the names it was sent for the schema's.
+func TestFieldSpelled(t *testing.T) {
+	p := MustLookup(GroupProcessor)
+	g, f := FieldSpelled([]byte("Processor"), []byte("LoadLast1Min"))
+	if g != p || f != &p.Fields[6] {
+		t.Fatalf("FieldSpelled(Processor, LoadLast1Min) = %v, %v", g, f)
+	}
+	for _, miss := range [][2]string{{"processor", "LoadLast1Min"}, {"Processor", "loadlast1min"},
+		{"Processor", "Bogus"}, {"Quantum", "HostName"}, {"", "HostName"}, {"Processor", ""}} {
+		if g, f := FieldSpelled([]byte(miss[0]), []byte(miss[1])); g != nil || f != nil {
+			t.Errorf("FieldSpelled(%q, %q) found %v, %v", miss[0], miss[1], g, f)
+		}
+	}
+	group, name := []byte("Processor"), []byte("HostName")
+	if allocs := testing.AllocsPerRun(100, func() { FieldSpelled(group, name) }); allocs != 0 {
+		t.Errorf("FieldSpelled allocates %.0f times", allocs)
+	}
+}

@@ -12,6 +12,7 @@ package resultset
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -99,6 +100,21 @@ func MetadataForGroup(g *glue.Group, fields []string) (*Metadata, error) {
 		fields = g.FieldNames()
 	}
 	return metadataForFields(g, fields)
+}
+
+// MetadataForColumns is NewMetadata for columns that arrive from outside the
+// program: a list that is exactly a GLUE group's all-fields columns gets that
+// group's shared Metadata, the one MetadataForGroup(g, nil) returns, and
+// nothing is built.
+func MetadataForColumns(cols []Column) (*Metadata, error) {
+	if len(cols) > 0 {
+		if g, ok := glue.Lookup(cols[0].Group); ok {
+			if m := groupMetadata[g]; m != nil && slices.Equal(m.cols, cols) {
+				return m, nil
+			}
+		}
+	}
+	return NewMetadata(cols)
 }
 
 func metadataForFields(g *glue.Group, fields []string) (*Metadata, error) {

@@ -79,6 +79,40 @@ func TestMetadataForGroup(t *testing.T) {
 	}
 }
 
+// MetadataForColumns hands out a group's shared Metadata for exactly that
+// group's columns and builds a new one for anything else.
+func TestMetadataForColumns(t *testing.T) {
+	g := glue.MustLookup(glue.GroupProcessor)
+	shared, _ := MetadataForGroup(g, nil)
+	cols := shared.Columns()
+	if m, err := MetadataForColumns(cols); err != nil || m != shared {
+		t.Errorf("the group's own columns: got %p, %v; want the shared %p", m, err, shared)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _, _ = MetadataForColumns(cols) }); allocs != 0 {
+		t.Errorf("finding the shared Metadata allocates %.0f times", allocs)
+	}
+	for name, change := range map[string]func([]Column) []Column{
+		"a projection":  func(c []Column) []Column { return c[:4] },
+		"another order": func(c []Column) []Column { c[0], c[1] = c[1], c[0]; return c },
+		"another unit":  func(c []Column) []Column { c[3].Unit = "GHz"; return c },
+		"another kind":  func(c []Column) []Column { c[3].Kind = glue.Float; return c },
+		"another group": func(c []Column) []Column { c[0].Group = "processor"; return c },
+		"no group":      func(c []Column) []Column { c[0].Group = ""; return c },
+	} {
+		changed := change(shared.Columns())
+		m, err := MetadataForColumns(changed)
+		if err != nil || m == shared || m.ColumnCount() != len(changed) || m.Column(0) != changed[0] {
+			t.Errorf("%s: got %v, %v; want its own Metadata", name, m, err)
+		}
+	}
+	if _, err := MetadataForColumns([]Column{{Name: "A"}, {Name: "a"}}); err == nil {
+		t.Error("duplicate columns accepted")
+	}
+	if m, err := MetadataForColumns(nil); err != nil || m.ColumnCount() != 0 {
+		t.Errorf("no columns: %v, %v", m, err)
+	}
+}
+
 func TestCursorProtocol(t *testing.T) {
 	rs := sampleRS(t)
 	if _, err := rs.Row(); !errors.Is(err, ErrNoRow) {

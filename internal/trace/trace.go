@@ -28,8 +28,10 @@ import (
 )
 
 // HeaderName is the HTTP header that propagates trace context between
-// gateways: "<traceID>-<parentSpanID>-<sampled>".
-const HeaderName = "X-GridRM-Trace"
+// gateways: "<traceID>-<parentSpanID>-<sampled>". It is spelled in net/http's
+// canonical form (documentation writes X-GridRM-Trace; header names are
+// case-insensitive), so setting and getting it copies nothing.
+const HeaderName = "X-Gridrm-Trace"
 
 const (
 	defaultCapacity      = 256

@@ -3,7 +3,6 @@ package web
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -38,17 +37,23 @@ type Client struct {
 // room for some 300,000 of them.
 const maxResponseBody = 64 << 20
 
+// defaultHTTPClient serves every Client that brings none of its own, so
+// their requests share one set of keep-alive connections.
+var defaultHTTPClient = &http.Client{Timeout: 10 * time.Second}
+
 func (c *Client) httpClient() *http.Client {
 	if c.HTTPClient != nil {
 		return c.HTTPClient
 	}
-	return &http.Client{Timeout: 10 * time.Second}
+	return defaultHTTPClient
 }
 
 func (c *Client) doContext(ctx context.Context, method, path string, body any, out any) error {
 	var rdr io.Reader
 	if body != nil {
-		buf, err := json.Marshal(body)
+		// Not a pooled buffer: the transport may still be reading the body
+		// after Do has returned.
+		buf, err := httpjson.Marshal(body)
 		if err != nil {
 			return err
 		}
@@ -83,12 +88,8 @@ func (c *Client) doContext(ctx context.Context, method, path string, body any, o
 		return fmt.Errorf("web: %s %s: %s: %s", method, path, resp.Status, strings.TrimSpace(string(msg)))
 	}
 	if out != nil {
-		data, err := httpjson.ReadBody(resp.Body, resp.ContentLength, maxResponseBody)
-		if err != nil {
-			return fmt.Errorf("web: reading %s response: %w", path, err)
-		}
-		if err := json.Unmarshal(data, out); err != nil {
-			return fmt.Errorf("web: decoding %s response: %w", path, err)
+		if err := httpjson.DecodeBody(resp.Body, resp.ContentLength, maxResponseBody, out); err != nil {
+			return fmt.Errorf("web: %s response: %w", path, err)
 		}
 	}
 	return nil

@@ -9,13 +9,15 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unicode"
+	"unicode/utf16"
 	"unicode/utf8"
 
 	"gridrm/internal/glue"
 	"gridrm/internal/resultset"
 )
 
-// The ResultSet wire codec. A result is the JSON object
+// The wire codec. A result is the JSON object
 //
 //	{"columns":[{"name":…,"kind":…,"unit":…,"group":…},…],"rows":[[cell,…],…]}
 //
@@ -23,28 +25,27 @@ import (
 // contract"). WireResult writes and reads that object itself, without
 // reflection and without an intermediate [][]any: rows are appended to one
 // buffer straight from the ResultSet and scanned back straight into the
-// ResultSet's own row slices.
+// ResultSet's own row slices. The request and response envelopes around it
+// (envelope.go) are written and read with the same primitives.
 
 // maxWireColumns bounds the columns a decoded result may declare. GLUE
 // groups have about ten; the bound keeps resultset.NewMetadata's pairwise
 // name check cheap on a hostile body.
 const maxWireColumns = 1024
 
-// MarshalJSON implements json.Marshaler. A non-finite Float cell is written
-// as null: JSON has no NaN or Inf, and a driver's 0/0 is an unknown value,
-// which is what SQL NULL means.
-func (wr WireResult) MarshalJSON() ([]byte, error) {
+// MarshalJSON implements json.Marshaler.
+func (wr WireResult) MarshalJSON() ([]byte, error) { return wr.appendJSON(nil) }
+
+// appendJSON appends the result object to buf. A non-finite Float cell is
+// written as null: JSON has no NaN or Inf, and a driver's 0/0 is an unknown
+// value, which is what SQL NULL means.
+func (wr WireResult) appendJSON(buf []byte) ([]byte, error) {
 	rs := wr.ResultSet
 	if rs == nil {
 		return nil, errors.New("web: no result set to encode")
 	}
 	meta := rs.Metadata()
-	size := len(`{"columns":[],"rows":[]}`)
-	for i := 0; i < meta.ColumnCount(); i++ {
-		c := meta.Column(i)
-		size += len(`{"name":"","kind":"string","unit":"","group":""},`) + len(c.Name) + len(c.Unit) + len(c.Group)
-	}
-	buf := make([]byte, 0, size)
+	buf = slices.Grow(buf, wr.headSize())
 	buf = append(buf, `{"columns":[`...)
 	for i := 0; i < meta.ColumnCount(); i++ {
 		c := meta.Column(i)
@@ -77,6 +78,20 @@ func (wr WireResult) MarshalJSON() ([]byte, error) {
 		}
 	}
 	return append(buf, `]}`...), nil
+}
+
+// headSize is room enough for everything in the result object but its rows.
+func (wr WireResult) headSize() int {
+	size := len(`{"columns":[],"rows":[]}`)
+	if wr.ResultSet == nil {
+		return size
+	}
+	meta := wr.ResultSet.Metadata()
+	for i := 0; i < meta.ColumnCount(); i++ {
+		c := meta.Column(i)
+		size += len(`{"name":"","kind":"string","unit":"","group":""},`) + len(c.Name) + len(c.Unit) + len(c.Group)
+	}
+	return size
 }
 
 func appendRow(buf []byte, row []any) ([]byte, error) {
@@ -171,45 +186,39 @@ func appendString(buf []byte, s string) []byte {
 	return append(append(buf, s[start:]...), '"')
 }
 
-// UnmarshalJSON implements json.Unmarshaler: one pass locates "columns" and
-// "rows" (in either order), the columns give the kinds, and the rows are
-// scanned cell by cell into values of those kinds. It accepts a subset of
-// what a reflective decode of the same object would — keys spelled exactly,
-// no duplicates, Int cells as integer literals — and every ResultSet it
-// returns is the one that decode would have built.
+// UnmarshalJSON implements json.Unmarshaler.
 func (wr *WireResult) UnmarshalJSON(data []byte) error {
-	var cols []resultset.Column
-	var rows *wireDecoder
-	d := wireDecoder{data: data}
-	for f := (fields{known: resultKeys}); ; {
-		i, err := d.next(&f)
-		if err != nil {
-			return err
-		}
-		if i < 0 {
-			break
-		}
-		start := d.pos
-		if err := d.skip(); err != nil {
-			return err
-		}
-		val := &wireDecoder{data: data[:d.pos], pos: start}
-		if i == 1 {
-			rows = val // decoded once the kinds are known, whichever came first
-		} else if cols, err = val.columns(); err != nil {
-			return err
-		}
-	}
-	if err := d.end(); err != nil {
+	return wr.decode(&wireDecoder{data: data})
+}
+
+// decode reads the result object at d's cursor, which must be the rest of
+// d's input: one pass locates "columns" and "rows" (in either order), the
+// columns give the kinds, and the rows are scanned cell by cell into values
+// of those kinds. It accepts a subset of what a reflective decode of the same
+// object would — keys spelled exactly, no duplicates, Int cells as integer
+// literals — and every ResultSet it returns is the one that decode would
+// have built.
+func (wr *WireResult) decode(d *wireDecoder) error {
+	var at [len(resultKeys)]span
+	if err := d.members(resultKeys[:], at[:]); err != nil {
 		return err
 	}
-	meta, err := resultset.NewMetadata(cols)
+	// GLUE groups have about ten columns, so theirs never leave the stack.
+	var few [16]resultset.Column
+	cols := few[:0]
+	if at[0] != (span{}) {
+		var err error
+		if cols, err = d.at(at[0]).columns(cols); err != nil {
+			return err
+		}
+	}
+	meta, err := resultset.MetadataForColumns(cols)
 	if err != nil {
 		return fmt.Errorf("web: %w", err)
 	}
 	b := resultset.NewBuilder(meta)
-	if rows != nil {
-		if err := rows.rows(cols, b); err != nil {
+	if at[1] != (span{}) {
+		if err := d.at(at[1]).rows(cols, b); err != nil {
 			return err
 		}
 	}
@@ -222,19 +231,36 @@ func (wr *WireResult) UnmarshalJSON(data []byte) error {
 }
 
 var (
-	resultKeys = []string{"columns", "rows"}
-	columnKeys = []string{"name", "kind", "unit", "group"}
+	resultKeys = [...]string{"columns", "rows"}
+	columnKeys = [...]string{"name", "kind", "unit", "group"}
 )
 
 // wireDecoder is a cursor over JSON text. Its methods check everything they
-// consume, so UnmarshalJSON is safe on bytes json.Unmarshal has not vetted.
+// consume, so the decoders are safe on bytes json.Unmarshal has not vetted.
+// What they hand back as []byte may be a slice of data; whatever a decoder
+// keeps it copies (keep, string(b)), so nothing decoded aliases data.
 type wireDecoder struct {
 	data []byte
 	pos  int
 }
 
+// span is the text of one value within a wireDecoder's data; the zero span
+// is a value that was not there.
+type span struct{ start, end int }
+
+// at returns a cursor over the value at s alone, offsets unchanged.
+func (d *wireDecoder) at(s span) *wireDecoder {
+	return &wireDecoder{data: d.data[:s.end], pos: s.start}
+}
+
+// null reports whether the value at s is absent or the literal null, which
+// leave a field at its zero value alike, as they do in encoding/json.
+func (d *wireDecoder) null(s span) bool {
+	return s == span{} || string(d.data[s.start:s.end]) == "null"
+}
+
 func (d *wireDecoder) errorf(format string, args ...any) error {
-	return fmt.Errorf("web: result offset %d: %s", d.pos, fmt.Sprintf(format, args...))
+	return fmt.Errorf("web: wire offset %d: %s", d.pos, fmt.Sprintf(format, args...))
 }
 
 // peek skips white space and returns the byte at the cursor, 0 at the end.
@@ -333,17 +359,88 @@ func (d *wireDecoder) stringLit() (lit []byte, plain bool, err error) {
 }
 
 // unquote returns the value of a string literal: the literal's own bytes
-// when it is plain, otherwise what encoding/json makes of its escapes and
-// invalid UTF-8.
+// when it is plain, otherwise what encoding/json makes of it — escapes
+// resolved, a surrogate pair joined, a lone surrogate or a byte that is not
+// UTF-8 replaced by U+FFFD.
 func (d *wireDecoder) unquote(lit []byte, plain bool) ([]byte, error) {
+	s := lit[1 : len(lit)-1]
 	if plain {
-		return lit[1 : len(lit)-1], nil
+		return s, nil
 	}
-	var s string
-	if err := json.Unmarshal(lit, &s); err != nil {
-		return nil, d.errorf("%v", err)
+	out := make([]byte, 0, len(s))
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c != '\\' {
+			if c < utf8.RuneSelf {
+				out = append(out, c)
+				i++
+				continue
+			}
+			r, size := utf8.DecodeRune(s[i:])
+			out = utf8.AppendRune(out, r)
+			i += size
+			continue
+		}
+		if i+1 == len(s) {
+			return nil, d.errorf("unfinished escape in string")
+		}
+		i += 2
+		switch c := s[i-1]; c {
+		case '"', '\\', '/':
+			out = append(out, c)
+		case 'b':
+			out = append(out, '\b')
+		case 'f':
+			out = append(out, '\f')
+		case 'n':
+			out = append(out, '\n')
+		case 'r':
+			out = append(out, '\r')
+		case 't':
+			out = append(out, '\t')
+		case 'u':
+			r := hex4(s[i:])
+			if r < 0 {
+				return nil, d.errorf("invalid \\u escape in string")
+			}
+			i += 4
+			if utf16.IsSurrogate(r) {
+				low := rune(-1)
+				if i+2 <= len(s) && s[i] == '\\' && s[i+1] == 'u' {
+					low = hex4(s[i+2:])
+				}
+				if r = utf16.DecodeRune(r, low); r != unicode.ReplacementChar {
+					i += 6 // a valid pair; a lone half is U+FFFD and what follows is read on its own
+				}
+			}
+			out = utf8.AppendRune(out, r)
+		default:
+			return nil, d.errorf("invalid escape \\%c in string", c)
+		}
 	}
-	return []byte(s), nil
+	return out, nil
+}
+
+// hex4 reads four hex digits, -1 when s does not start with four.
+func hex4(s []byte) rune {
+	if len(s) < 4 {
+		return -1
+	}
+	var r rune
+	for _, c := range s[:4] {
+		switch {
+		case '0' <= c && c <= '9':
+			c -= '0'
+		case 'a' <= c && c <= 'f':
+			c -= 'a' - 10
+		case 'A' <= c && c <= 'F':
+			c -= 'A' - 10
+		default:
+			return -1
+		}
+		r = r<<4 | rune(c)
+	}
+	return r
 }
 
 // number consumes a JSON number and reports whether it is an integer
@@ -486,17 +583,85 @@ func (d *wireDecoder) next(f *fields) (int, error) {
 	}
 }
 
-// columns parses the "columns" array, which must be all of the input.
-func (d *wireDecoder) columns() ([]resultset.Column, error) {
-	var cols []resultset.Column
+// members walks the object at the cursor, which must be the rest of the
+// input, and leaves in at[i] where the value of known[i] is. The values are
+// only delimited (skip); whoever decodes one checks it.
+func (d *wireDecoder) members(known []string, at []span) error {
+	for f := (fields{known: known}); ; {
+		i, err := d.next(&f)
+		if err != nil {
+			return err
+		}
+		if i < 0 {
+			return d.end()
+		}
+		d.peek()
+		at[i].start = d.pos
+		if err := d.skip(); err != nil {
+			return err
+		}
+		at[i].end = d.pos
+	}
+}
+
+// stringValue consumes a JSON string and returns its value, which is a slice
+// of d.data unless the literal had escapes or bad UTF-8.
+func (d *wireDecoder) stringValue() ([]byte, error) {
+	lit, plain, err := d.stringLit()
+	if err != nil {
+		return nil, err
+	}
+	return d.unquote(lit, plain)
+}
+
+// keep returns a copy of b that lives at the end of text: the strings of one
+// decode share one backing array, sized before the first is kept.
+func keep(text *strings.Builder, b []byte) string {
+	from := text.Len()
+	text.Write(b)
+	return text.String()[from:]
+}
+
+// integer consumes an integer literal that fits in bits bits. A fraction or
+// an exponent is refused even when the value is whole, as encoding/json
+// refuses them for an integer field.
+func (d *wireDecoder) integer(bits int) (int64, error) {
+	lit, integer, err := d.number()
+	if err != nil {
+		return 0, err
+	}
+	if !integer {
+		return 0, d.errorf("%s is not an integer literal", lit)
+	}
+	v, err := strconv.ParseInt(string(lit), 10, bits)
+	if err != nil {
+		return 0, d.errorf("%v", err)
+	}
+	return v, nil
+}
+
+func (d *wireDecoder) boolean() (bool, error) {
+	switch c := d.peek(); {
+	case c == 't' && d.literal("true"):
+		return true, nil
+	case c == 'f' && d.literal("false"):
+		return false, nil
+	}
+	return false, d.errorf("expected true or false")
+}
+
+// columns parses the "columns" array, which must be all of the input, onto
+// cols. A column that is a GLUE field as the schema spells it — group, name,
+// kind and unit — takes the schema's strings; any other is kept as sent.
+func (d *wireDecoder) columns(cols []resultset.Column) ([]resultset.Column, error) {
 	more, err := d.open('[', ']')
 	for more && err == nil {
 		if len(cols) == maxWireColumns {
 			return nil, d.errorf("more than %d columns", maxWireColumns)
 		}
 		var c resultset.Column
-		kind := false
-		for f := (fields{known: columnKeys}); ; {
+		var text [len(columnKeys)][]byte
+		for f := (fields{known: columnKeys[:]}); ; {
 			i, err := d.next(&f)
 			if err != nil {
 				return nil, err
@@ -504,31 +669,21 @@ func (d *wireDecoder) columns() ([]resultset.Column, error) {
 			if i < 0 {
 				break
 			}
-			lit, plain, err := d.stringLit()
-			if err != nil {
+			if text[i], err = d.stringValue(); err != nil {
 				return nil, err
-			}
-			if i == 1 { // "kind": one of five words, so no string is made
-				if c.Kind, kind = kindFromName(lit[1 : len(lit)-1]); !kind {
-					return nil, d.errorf("unknown kind %s", lit)
-				}
-				continue
-			}
-			s, err := d.unquote(lit, plain)
-			if err != nil {
-				return nil, err
-			}
-			switch i {
-			case 0:
-				c.Name = string(s)
-			case 2:
-				c.Unit = string(s)
-			case 3:
-				c.Group = string(s)
 			}
 		}
-		if !kind {
-			return nil, d.errorf("column %q has no kind", c.Name)
+		if text[1] == nil {
+			return nil, d.errorf("column %q has no kind", text[0])
+		}
+		var known bool
+		if c.Kind, known = kindFromName(text[1]); !known {
+			return nil, d.errorf("unknown kind %q", text[1])
+		}
+		if g, f := glue.FieldSpelled(text[3], text[0]); f != nil && f.Kind == c.Kind && f.Unit == string(text[2]) {
+			c.Name, c.Unit, c.Group = f.Name, f.Unit, g.Name
+		} else {
+			c.Name, c.Unit, c.Group = string(text[0]), string(text[2]), string(text[3])
 		}
 		cols = append(cols, c)
 		more, err = d.more(']')
@@ -632,19 +787,14 @@ func (d *wireDecoder) rows(cols []resultset.Column, b *resultset.Builder) error 
 }
 
 // cell parses one cell of the given kind; null is NULL for every kind.
-// String values are written to text and returned as slices of it.
+// String values are kept in text.
 func (d *wireDecoder) cell(kind glue.Kind, text *strings.Builder) (any, error) {
-	c := d.peek()
-	if c == 'n' && d.literal("null") {
+	if d.peek() == 'n' && d.literal("null") {
 		return nil, nil
 	}
 	switch kind {
 	case glue.String, glue.Time:
-		lit, plain, err := d.stringLit()
-		if err != nil {
-			return nil, err
-		}
-		s, err := d.unquote(lit, plain)
+		s, err := d.stringValue()
 		if err != nil {
 			return nil, err
 		}
@@ -655,20 +805,11 @@ func (d *wireDecoder) cell(kind glue.Kind, text *strings.Builder) (any, error) {
 			}
 			return t, nil
 		}
-		from := text.Len()
-		text.Write(s)
-		return text.String()[from:], nil
+		return keep(text, s), nil
 	case glue.Int:
-		lit, integer, err := d.number()
+		v, err := d.integer(64)
 		if err != nil {
 			return nil, err
-		}
-		if !integer {
-			return nil, d.errorf("int cell %s is not an integer literal", lit)
-		}
-		v, err := strconv.ParseInt(string(lit), 10, 64)
-		if err != nil {
-			return nil, d.errorf("%v", err)
 		}
 		return v, nil
 	case glue.Float:
@@ -682,13 +823,11 @@ func (d *wireDecoder) cell(kind glue.Kind, text *strings.Builder) (any, error) {
 		}
 		return v, nil
 	case glue.Bool:
-		switch {
-		case c == 't' && d.literal("true"):
-			return true, nil
-		case c == 'f' && d.literal("false"):
-			return false, nil
+		v, err := d.boolean()
+		if err != nil {
+			return nil, err
 		}
-		return nil, d.errorf("expected true or false")
+		return v, nil
 	}
 	return nil, d.errorf("unknown kind %v", kind)
 }

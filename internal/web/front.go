@@ -80,11 +80,14 @@ func (f *Front) pipeline(rt Route) http.HandlerFunc {
 	}
 }
 
-// Principal headers.
+// Principal headers, in the canonical form net/http keys its maps by, so that
+// Set and Get use the constants as they stand instead of each making a
+// canonical copy. Header names are case-insensitive on the wire: a peer (or a
+// curl line) that writes X-GridRM-User is heard all the same.
 const (
-	HeaderUser  = "X-GridRM-User"
-	HeaderRoles = "X-GridRM-Roles"
-	HeaderSite  = "X-GridRM-Site"
+	HeaderUser  = "X-Gridrm-User"
+	HeaderRoles = "X-Gridrm-Roles"
+	HeaderSite  = "X-Gridrm-Site"
 )
 
 func principalFrom(r *http.Request) security.Principal {

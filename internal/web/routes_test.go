@@ -191,3 +191,17 @@ func TestQueryRouteBehindAnyQuerier(t *testing.T) {
 		t.Errorf("held query -> %d, want 200", code)
 	}
 }
+
+// The four GridRM headers are spelled the way net/http keys its header maps,
+// so Header.Set and Header.Get use the constants as they are; any other
+// spelling costs a canonicalised copy on every request, at both ends.
+func TestHeaderNamesCanonical(t *testing.T) {
+	for _, name := range []string{web.HeaderUser, web.HeaderRoles, web.HeaderSite, trace.HeaderName} {
+		if canon := http.CanonicalHeaderKey(name); canon != name {
+			t.Errorf("header %q is not canonical (%q)", name, canon)
+		}
+		if documented := "X-GridRM-"; !strings.EqualFold(name[:len(documented)], documented) {
+			t.Errorf("header %q is no longer the documented X-GridRM-… under case folding", name)
+		}
+	}
+}
