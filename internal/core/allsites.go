@@ -69,25 +69,17 @@ func (g *Gateway) queryAllSites(ctx context.Context, req QueryOptions, start tim
 		g.denied.Add(1)
 		return nil, &PermissionError{Principal: req.Principal.Name, What: "global query"}
 	}
-	q, err := g.plans.Parse(req.SQL)
+	plan, err := g.plans.Plan(req.SQL)
 	if err != nil {
 		return nil, err
 	}
+	q := plan.Query
 	subReq := req
 	subReq.Sources = nil // source URLs are site-local knowledge
-	if q.Aggregate() {
-		// Per-site sub-query: the partial-aggregate rewrite, still plain
-		// SQL in the same grammar.
-		subReq.SQL = q.PartialQuery().String()
-	} else {
-		// Per-site sub-query: same projection and WHERE, no ORDER/LIMIT —
-		// those only make sense over the consolidated rows.
-		sub := *q
-		sub.OrderBy = ""
-		sub.Desc = false
-		sub.Limit = -1
-		subReq.SQL = sub.String()
-	}
+	// Per-site sub-query: the partial-aggregate rewrite of an aggregate,
+	// otherwise the same projection and WHERE with no ORDER/LIMIT — still
+	// plain SQL in the same grammar.
+	subReq.SQL = plan.SiteSQL
 
 	g.mu.RLock()
 	router := g.router
@@ -298,7 +290,7 @@ collect:
 	}
 	return &Response{
 		Site:      AllSites,
-		SQL:       q.String(),
+		SQL:       plan.SQL,
 		Mode:      req.Mode,
 		ResultSet: merged,
 		Sources:   statuses,

@@ -15,9 +15,10 @@ import (
 	"gridrm/internal/security"
 )
 
-// gateDriver serves one Processor row per host; each harvest can block on
-// the gate channel (released by closing it) and optionally sleep, and the
-// driver tracks how many harvests ran and the deepest concurrency seen.
+// gateDriver serves one Processor row per host, stamped (LoadLast1Min) with
+// the harvest's call number; each harvest can block on the gate channel
+// (released by closing it) and optionally sleep, and the driver tracks how
+// many harvests ran and the deepest concurrency seen.
 type gateDriver struct {
 	name, proto string
 	hosts       []string
@@ -70,7 +71,7 @@ type gateStmt struct {
 
 func (s *gateStmt) ExecuteQuery(sql string) (*resultset.ResultSet, error) {
 	d := s.c.d
-	d.calls.Add(1)
+	call := d.calls.Add(1)
 	cur := d.inflight.Add(1)
 	defer d.inflight.Add(-1)
 	for {
@@ -94,7 +95,7 @@ func (s *gateStmt) ExecuteQuery(sql string) (*resultset.ResultSet, error) {
 	for _, h := range d.hosts {
 		row := make([]any, len(g.Fields))
 		row[g.FieldIndex("HostName")] = h
-		row[g.FieldIndex("LoadLast1Min")] = 1.0
+		row[g.FieldIndex("LoadLast1Min")] = float64(call)
 		b.Append(row...)
 	}
 	return b.Build()

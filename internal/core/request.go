@@ -205,15 +205,6 @@ func (g *Gateway) QueryContext(ctx context.Context, opts QueryOptions) (*Respons
 		return nil, err
 	}
 	defer g.endQuery()
-	if opts.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, opts.Timeout)
-		defer cancel()
-	} else if _, hasDeadline := ctx.Deadline(); !hasDeadline && g.queryTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, g.queryTimeout)
-		defer cancel()
-	}
 	ctx, span := g.startQuerySpan(ctx, opts)
 	start := g.clock()
 	resp, err := g.query(ctx, opts, start)
@@ -272,6 +263,19 @@ func (g *Gateway) startQuerySpan(ctx context.Context, opts QueryOptions) (contex
 	return ctx, span
 }
 
+// deadline bounds a query that is about to block — the miss fan-out, the
+// Global layer — by the request's timeout, or the gateway's QueryTimeout when
+// neither request nor caller set one, measured from the query's start.
+func (g *Gateway) deadline(ctx context.Context, timeout time.Duration, start time.Time) (context.Context, context.CancelFunc) {
+	if timeout <= 0 {
+		if _, has := ctx.Deadline(); has || g.queryTimeout <= 0 {
+			return ctx, func() {}
+		}
+		timeout = g.queryTimeout
+	}
+	return context.WithTimeout(ctx, timeout-g.clock().Sub(start))
+}
+
 // subQueryKey marks the contexts of an all-sites fan-out's local legs, so
 // only the consolidated parent query lands in the slow-query log.
 type subQueryKey struct{}
@@ -288,12 +292,13 @@ func isSubQuery(ctx context.Context) bool {
 func (g *Gateway) query(ctx context.Context, req QueryOptions, start time.Time) (*Response, error) {
 	g.queries.Add(1)
 
-	if req.Site == AllSites {
-		return g.queryAllSites(ctx, req, start)
-	}
-
-	// Remote site: coarse check, then route through the Global layer.
 	if req.Site != "" && req.Site != g.name {
+		ctx, cancel := g.deadline(ctx, req.Timeout, start)
+		defer cancel()
+		if req.Site == AllSites {
+			return g.queryAllSites(ctx, req, start)
+		}
+		// Remote site: coarse check, then route through the Global layer.
 		if g.coarse.Check(req.Principal, security.OpGlobalQuery) != security.Allow {
 			g.denied.Add(1)
 			return nil, &PermissionError{Principal: req.Principal.Name, What: "global query"}
@@ -319,25 +324,25 @@ func (g *Gateway) query(ctx context.Context, req QueryOptions, start time.Time) 
 
 	parseStart := g.clock()
 	psp := trace.SpanFromContext(ctx).Child("parse")
-	q, err := g.plans.Parse(req.SQL)
+	plan, err := g.plans.Plan(req.SQL)
 	psp.SetError(err)
 	psp.End()
 	g.observeStage(StageParse, parseStart)
 	if err != nil {
 		return nil, err
 	}
-	group, ok := glue.Lookup(q.Table)
+	group, ok := glue.Lookup(plan.Query.Table)
 	if !ok {
-		return nil, fmt.Errorf("core: unknown GLUE group %q", q.Table)
+		return nil, fmt.Errorf("core: unknown GLUE group %q", plan.Query.Table)
 	}
 
 	if req.Mode == ModeHistorical {
-		return g.queryHistorical(ctx, req, q, group)
+		return g.queryHistorical(ctx, req, plan, group)
 	}
-	return g.queryLive(ctx, req, q, group)
+	return g.queryLive(ctx, req, plan, group, start)
 }
 
-func (g *Gateway) queryHistorical(ctx context.Context, req QueryOptions, q *sqlparse.Query, group *glue.Group) (*Response, error) {
+func (g *Gateway) queryHistorical(ctx context.Context, req QueryOptions, plan *sqlparse.Plan, group *glue.Group) (*Response, error) {
 	source := ""
 	if len(req.Sources) == 1 {
 		source = req.Sources[0]
@@ -357,63 +362,57 @@ func (g *Gateway) queryHistorical(ctx context.Context, req QueryOptions, q *sqlp
 	if err != nil {
 		return nil, err
 	}
-	out, err := sqlparse.ApplyToResultSet(q, rs)
+	out, err := sqlparse.ApplyToResultSet(plan.Query, rs)
 	if err != nil {
 		return nil, err
 	}
-	return &Response{Site: g.name, SQL: q.String(), Mode: req.Mode, ResultSet: out}, nil
+	return &Response{Site: g.name, SQL: plan.SQL, Mode: req.Mode, ResultSet: out}, nil
 }
 
-func (g *Gateway) queryLive(ctx context.Context, req QueryOptions, q *sqlparse.Query, group *glue.Group) (*Response, error) {
+// openSource is a target the fresh-cache rung left unanswered, with its place
+// in the target order and the source span opened for it there.
+type openSource struct {
+	i    int
+	url  string
+	span *trace.Span
+}
+
+// queryLive walks each target's ladder (FGSL gate → fresh cache → harvest →
+// stale cache → history) in two steps. The gate and the fresh-cache rung never
+// block, so they run here, on the query's own goroutine, and settle every
+// denied or fresh source in place; only the sources they leave open fan out. A
+// query answered wholly from cache starts no goroutine and derives no deadline.
+func (g *Gateway) queryLive(ctx context.Context, req QueryOptions, plan *sqlparse.Plan, group *glue.Group, start time.Time) (*Response, error) {
 	targets, err := g.targetSources(req, group)
 	if err != nil {
 		return nil, err
 	}
-
-	// Fan out one goroutine per source; results come back over a buffered
-	// channel so a straggler that finishes after the deadline writes into
-	// the channel's buffer, never into shared state we are reading.
-	type sourceResult struct {
-		i      int
-		status SourceStatus
-		rs     *resultset.ResultSet
-	}
-	ch := make(chan sourceResult, len(targets))
 	hsql := harvestSQL(group.Name) // once per query, not per source
-	for i, url := range targets {
-		go func(i int, url string) {
-			st, rs := g.querySource(ctx, req, url, group, hsql)
-			ch <- sourceResult{i: i, status: st, rs: rs}
-		}(i, url)
-	}
-
 	statuses := make([]SourceStatus, len(targets))
 	results := make([]*resultset.ResultSet, len(targets))
-	answered := make([]bool, len(targets))
-	remaining := len(targets)
-collect:
-	for remaining > 0 {
-		select {
-		case r := <-ch:
-			statuses[r.i], results[r.i] = r.status, r.rs
-			answered[r.i] = true
-			remaining--
-		case <-ctx.Done():
-			// Deadline: return what we have; stragglers are marked timed
-			// out. Their goroutines unwind promptly (their harvest context
-			// is a child of ctx) and land in the channel buffer.
-			for i := range targets {
-				if !answered[i] {
-					g.timeouts.Add(1)
-					statuses[i] = SourceStatus{Source: targets[i], Err: ErrTimedOut}
-				}
-			}
-			break collect
+	qsp := trace.SpanFromContext(ctx)
+	var open []openSource
+	for i, url := range targets {
+		ssp := qsp.Child("source")
+		ssp.SetAttr("url", url)
+		if st, rs, settled := g.freshSource(req, url, group, hsql); settled {
+			endSourceSpan(ssp, &st)
+			statuses[i], results[i] = st, rs
+			continue
 		}
+		if open == nil {
+			open = make([]openSource, 0, len(targets)-i)
+		}
+		open = append(open, openSource{i: i, url: url, span: ssp})
+	}
+	if len(open) > 0 {
+		fctx, cancel := g.deadline(ctx, req.Timeout, start)
+		defer cancel()
+		g.harvestOpen(fctx, req.Mode, group, hsql, open, statuses, results)
 	}
 
 	consolidateStart := g.clock()
-	csp := trace.SpanFromContext(ctx).Child("consolidate")
+	csp := qsp.Child("consolidate")
 	meta, err := resultset.MetadataForGroup(group, nil)
 	if err != nil {
 		csp.SetError(err)
@@ -438,7 +437,7 @@ collect:
 			statuses[i].Err = err.Error()
 		}
 	}
-	out, err := sqlparse.ApplyToResultSet(q, merged)
+	out, err := sqlparse.ApplyToResultSet(plan.Query, merged)
 	csp.SetError(err)
 	csp.End()
 	g.observeStage(StageConsolidate, consolidateStart)
@@ -447,11 +446,46 @@ collect:
 	}
 	return &Response{
 		Site:      g.name,
-		SQL:       q.String(),
+		SQL:       plan.SQL,
 		Mode:      req.Mode,
 		ResultSet: out,
 		Sources:   statuses,
 	}, nil
+}
+
+// harvestOpen runs the rest of the ladder for the open sources, one goroutine
+// each. The channel is buffered to their number, so a straggler finishing after
+// the deadline writes into the buffer, never into the slices the caller reads.
+func (g *Gateway) harvestOpen(ctx context.Context, mode Mode, group *glue.Group, hsql string, open []openSource, statuses []SourceStatus, results []*resultset.ResultSet) {
+	type sourceResult struct {
+		i      int
+		status SourceStatus
+		rs     *resultset.ResultSet
+	}
+	ch := make(chan sourceResult, len(open))
+	for _, o := range open {
+		go func(o openSource) {
+			st, rs := g.harvestSource(ctx, mode, o.url, group, hsql, o.span)
+			ch <- sourceResult{i: o.i, status: st, rs: rs}
+		}(o)
+	}
+	for remaining := len(open); remaining > 0; remaining-- {
+		select {
+		case r := <-ch:
+			statuses[r.i], results[r.i] = r.status, r.rs
+		case <-ctx.Done():
+			// Deadline: return what we have; the stragglers (status still
+			// unwritten) are marked timed out. Their goroutines unwind promptly
+			// (their harvest context is a child of ctx) into the buffer.
+			for _, o := range open {
+				if statuses[o.i].Source == "" {
+					g.timeouts.Add(1)
+					statuses[o.i] = SourceStatus{Source: o.url, Err: ErrTimedOut}
+				}
+			}
+			return
+		}
+	}
 }
 
 // targetSources resolves which registered sources a query should touch.
@@ -525,68 +559,71 @@ func (g *Gateway) supportsGroup(url, group string) bool {
 	return false
 }
 
-// querySource obtains one source's full-group rows, from cache or by
-// harvest, honouring the FGSL, the circuit breaker and the per-source
-// harvest timeout.
-func (g *Gateway) querySource(ctx context.Context, req QueryOptions, url string, group *glue.Group, hsql string) (SourceStatus, *resultset.ResultSet) {
-	status := SourceStatus{Source: url}
-	ssp := trace.SpanFromContext(ctx).Child("source")
-	if ssp != nil {
-		ssp.SetAttr("url", url)
-		defer func() {
-			if status.Err != "" {
-				ssp.SetError(errors.New(status.Err))
-			}
-			if status.Cached {
-				ssp.SetAttr("cached", "true")
-			}
-			if status.Degraded != "" {
-				ssp.SetAttr("degraded", status.Degraded)
-			}
-			ssp.End()
-		}()
-	}
-	switch g.fine.Check(req.Principal, url, group.Name) {
-	case security.Allow:
-	case security.Defer:
-		// This gateway owns the resource, so there is nobody further to
-		// defer to; refuse, naming the rule outcome.
-		g.denied.Add(1)
-		status.Err = "permission deferred but source is local: denied"
-		return status, nil
-	default:
+// freshSource is the top of a source's ladder, the part that cannot block:
+// the FGSL check and, for a cached-mode query, the fresh-cache lookup. settled
+// reports the source answered — denied, or served from cache.
+func (g *Gateway) freshSource(req QueryOptions, url string, group *glue.Group, hsql string) (status SourceStatus, rs *resultset.ResultSet, settled bool) {
+	status.Source = url
+	if d := g.fine.Check(req.Principal, url, group.Name); d != security.Allow {
 		g.denied.Add(1)
 		status.Err = "permission denied"
-		return status, nil
-	}
-
-	if req.Mode == ModeCached {
-		lookupStart := g.clock()
-		lsp := ssp.Child("cache-lookup")
-		rs, at, ok := g.cache.Get(url, hsql)
-		if ok {
-			lsp.SetAttr("hit", "true")
+		if d == security.Defer {
+			// This gateway owns the resource, so there is nobody further to
+			// defer to; refuse, naming the rule outcome.
+			status.Err = "permission deferred but source is local: denied"
 		}
-		lsp.End()
-		g.observeStage(StageCache, lookupStart)
-		if ok {
-			g.cacheServed.Add(1)
-			status.Cached = true
-			status.HarvestedAt = at
-			status.Rows = rs.Len()
-			status.Driver = g.lastDriver(url)
-			return status, rs
-		}
+		return status, nil, true
 	}
+	if req.Mode != ModeCached {
+		return status, nil, false
+	}
+	lookupStart := g.clock()
+	rs, at, ok := g.cache.Get(url, hsql)
+	g.observeStage(StageCache, lookupStart)
+	if !ok {
+		return status, nil, false
+	}
+	g.cacheServed.Add(1)
+	status.Cached = true
+	status.HarvestedAt = at
+	status.Rows = rs.Len()
+	status.Driver = g.lastDriver(url)
+	return status, rs, true
+}
 
+// endSourceSpan closes a source's span with the outcome in its status.
+func endSourceSpan(ssp *trace.Span, status *SourceStatus) {
+	if ssp == nil {
+		return
+	}
+	if status.Err != "" {
+		ssp.SetError(errors.New(status.Err))
+	}
+	if status.Cached {
+		ssp.SetAttr("cached", "true")
+	}
+	if status.Degraded != "" {
+		ssp.SetAttr("degraded", status.Degraded)
+	}
+	ssp.End()
+}
+
+// harvestSource is the rest of the ladder for a source freshSource left open:
+// the circuit breaker, the coalesced harvest under the per-source timeout,
+// then the degraded tiers. ssp is the span opened before freshSource: its time
+// before "harvest" begins is the cache lookup and the hand-off to this goroutine.
+func (g *Gateway) harvestSource(ctx context.Context, mode Mode, url string, group *glue.Group, hsql string, ssp *trace.Span) (status SourceStatus, rs *resultset.ResultSet) {
+	status.Source = url
+	defer endSourceSpan(ssp, &status)
 	if _, br, err := g.lookup(url); err == nil && !br.Allow(g.clock()) {
 		g.breakerSkipped.Add(1)
 		status.Err = ErrCircuitOpen
-		return status, g.degradedResult(req.Mode, url, hsql, group, &status)
+		rs = g.degradedResult(mode, url, hsql, group, &status)
+		return status, rs
 	}
 
 	// The harvest span is the first below "source" that anything hangs off,
-	// so the cached path derives no context at all.
+	// so no context is derived before this point.
 	hsp := ssp.Child("harvest")
 	res, shared := g.sharedHarvest(trace.ContextWithSpan(ctx, hsp), url, group, hsql)
 	if shared {
@@ -601,7 +638,8 @@ func (g *Gateway) querySource(ctx context.Context, req QueryOptions, url string,
 		} else {
 			status.Err = res.err.Error()
 		}
-		return status, g.degradedResult(req.Mode, url, hsql, group, &status)
+		rs = g.degradedResult(mode, url, hsql, group, &status)
+		return status, rs
 	}
 	status.Driver = res.driverName
 	status.HarvestedAt = res.at
@@ -646,8 +684,9 @@ func (g *Gateway) degradedResult(mode Mode, url, hsql string, group *glue.Group,
 
 // sharedHarvest obtains one source's full-group rows by harvest.
 // Concurrent harvests for the same (source URL, canonical harvest SQL)
-// share one driver call through the single-flight group; followers get a
-// clone of the leader's rows and report shared=true.
+// share one driver call through the single-flight group; followers get the
+// leader's rows themselves (to read and Merge, like a cached result) and
+// report shared=true.
 func (g *Gateway) sharedHarvest(ctx context.Context, url string, group *glue.Group, hsql string) (flightResult, bool) {
 	return g.flights.do(ctx, url+"\x00"+hsql, func() flightResult {
 		return g.harvestLeader(ctx, url, group, hsql)

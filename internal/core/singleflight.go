@@ -40,11 +40,11 @@ func newFlightGroup() *flightGroup {
 
 // do executes fn once per key among concurrent callers. The first caller
 // (the leader) runs fn; every other caller waits for the leader's result —
-// receiving an independent-cursor clone — or its own ctx deadline,
-// whichever comes first. A waiter whose leader failed with a context error
-// while the waiter's own deadline still allows a harvest starts over,
-// possibly as the new leader, so one client giving up cannot fail the
-// others. shared reports whether the caller received another caller's
+// the same rows, shared: every holder only reads them — or its own ctx
+// deadline, whichever comes first. A waiter whose leader failed with a
+// context error while the waiter's own deadline still allows a harvest
+// starts over, possibly as the new leader, so one client giving up cannot
+// fail the others. shared reports whether the caller received another caller's
 // harvest.
 func (fg *flightGroup) do(ctx context.Context, key string, fn func() flightResult) (res flightResult, shared bool) {
 	for {
@@ -54,14 +54,10 @@ func (fg *flightGroup) do(ctx context.Context, key string, fn func() flightResul
 			fg.mu.Unlock()
 			select {
 			case <-f.done:
-				r := f.res
-				if r.err != nil {
-					if (errors.Is(r.err, context.Canceled) || errors.Is(r.err, context.DeadlineExceeded)) && ctx.Err() == nil {
-						continue
-					}
-					return flightResult{driverName: r.driverName, at: r.at, err: r.err}, true
+				if err := f.res.err; (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) && ctx.Err() == nil {
+					continue
 				}
-				return flightResult{rs: r.rs.Clone(), driverName: r.driverName, at: r.at}, true
+				return f.res, true
 			case <-ctx.Done():
 				return flightResult{err: ctx.Err()}, false
 			}

@@ -35,8 +35,10 @@ type Options struct {
 
 // Stats counts cache activity.
 type Stats struct {
-	Hits      int64
-	Misses    int64
+	Hits   int64
+	Misses int64
+	// Stale counts entries dropped as expired: each once, when it leaves
+	// the cache past its retention horizon (TTL+StaleGrace).
 	Stale     int64
 	Evictions int64
 	// GraceHits counts GetStale calls satisfied by an entry (fresh or
@@ -64,6 +66,9 @@ type Cache struct {
 
 	mu      sync.Mutex
 	entries map[key]*cached
+	// age is the sentinel of a ring through the entries in cachedAt order
+	// (next = oldest): Put writes at the back, expiry and eviction read the front.
+	age cached
 
 	hits, misses, stale, evictions, graceHits atomic.Int64
 }
@@ -71,9 +76,13 @@ type Cache struct {
 // key is a comparable struct so that a lookup builds no string.
 type key struct{ source, sql string }
 
+// cached is one entry. rs is never written after the Put that stored it:
+// Get and GetStale hand the same *ResultSet to every reader.
 type cached struct {
-	rs       *resultset.ResultSet
-	cachedAt time.Time
+	key        key
+	rs         *resultset.ResultSet
+	cachedAt   time.Time
+	prev, next *cached
 }
 
 // New creates a Cache.
@@ -90,100 +99,91 @@ func New(opts Options) *Cache {
 	if opts.Clock == nil {
 		opts.Clock = time.Now
 	}
-	return &Cache{opts: opts, entries: make(map[key]*cached)}
+	c := &Cache{opts: opts}
+	c.resetLocked()
+	return c
 }
 
-// Get returns a cached result (as an independent-cursor clone) and when it
-// was harvested, if present and fresh.
+func (c *Cache) resetLocked() {
+	c.entries = make(map[key]*cached)
+	c.age.prev, c.age.next = &c.age, &c.age
+}
+
+// dropLocked takes e out of the map and the age ring.
+func (c *Cache) dropLocked(e *cached) {
+	delete(c.entries, e.key)
+	e.prev.next, e.next.prev = e.next, e.prev
+}
+
+func (c *Cache) expired(e *cached, now time.Time) bool {
+	return now.Sub(e.cachedAt) > c.opts.TTL+c.opts.StaleGrace
+}
+
+// Get returns a cached result and when it was harvested, if present and
+// fresh. The ResultSet is the stored one, shared with every other reader:
+// read it (Len, RowAt, Merge it elsewhere), never move its cursor or sort it.
 func (c *Cache) Get(source, sql string) (*resultset.ResultSet, time.Time, bool) {
 	now := c.opts.Clock()
 	c.mu.Lock()
 	e, ok := c.entries[key{source, sql}]
-	if ok && now.Sub(e.cachedAt) > c.opts.TTL {
-		// Expired: a miss for freshness purposes, but the entry is kept
+	if !ok || now.Sub(e.cachedAt) > c.opts.TTL {
+		// Expired is a miss for freshness purposes, but the entry is kept
 		// for GetStale until it ages past TTL+StaleGrace.
-		if now.Sub(e.cachedAt) > c.opts.TTL+c.opts.StaleGrace {
-			delete(c.entries, key{source, sql})
+		if ok && c.expired(e, now) {
+			c.dropLocked(e)
+			c.stale.Add(1)
 		}
 		c.mu.Unlock()
-		c.stale.Add(1)
 		c.misses.Add(1)
 		return nil, time.Time{}, false
 	}
-	if !ok {
-		c.mu.Unlock()
-		c.misses.Add(1)
-		return nil, time.Time{}, false
-	}
-	// Read and clone the entry under the lock: a concurrent Put may
-	// replace it and a concurrent Clear drops the map it lives in.
-	rs, at := e.rs.Clone(), e.cachedAt
+	rs, at := e.rs, e.cachedAt
 	c.mu.Unlock()
 	c.hits.Add(1)
 	return rs, at, true
 }
 
-// Put stores a result. Overwriting an existing key never evicts (the map
-// does not grow); at capacity, expired entries are purged before a fresh
-// oldest entry is considered for eviction.
+// Put stores a result (a copy of its header: the caller keeps its cursor).
+// Overwriting an existing key never evicts (the map does not grow); at
+// capacity, expired entries are purged before the oldest fresh one is evicted.
 func (c *Cache) Put(source, sql string, rs *resultset.ResultSet) {
 	now := c.opts.Clock()
 	k := key{source, sql}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, exists := c.entries[k]; !exists && len(c.entries) >= c.opts.MaxEntries {
-		c.purgeExpiredLocked(now)
+	if old, exists := c.entries[k]; exists {
+		c.dropLocked(old)
+	} else if len(c.entries) >= c.opts.MaxEntries {
+		for c.age.next != &c.age && c.expired(c.age.next, now) {
+			c.dropLocked(c.age.next)
+			c.stale.Add(1)
+		}
 		if len(c.entries) >= c.opts.MaxEntries {
-			c.evictOldestLocked()
+			c.dropLocked(c.age.next)
+			c.evictions.Add(1)
 		}
 	}
-	c.entries[k] = &cached{rs: rs.Clone(), cachedAt: now}
+	e := &cached{key: k, rs: rs.Clone(), cachedAt: now, prev: c.age.prev, next: &c.age}
+	e.prev.next, c.age.prev = e, e
+	c.entries[k] = e
 }
 
 // GetStale returns a cached result regardless of TTL expiry, provided the
-// entry is still within the TTL+StaleGrace retention horizon. It backs the
-// gateway's serve-stale-on-failure degradation tier and never competes with
-// Get for the hit/miss counters.
+// entry is still within the TTL+StaleGrace retention horizon; the ResultSet
+// is shared as Get's is. It backs the gateway's serve-stale-on-failure
+// degradation tier and never competes with Get for the hit/miss counters.
 func (c *Cache) GetStale(source, sql string) (*resultset.ResultSet, time.Time, bool) {
 	now := c.opts.Clock()
 	c.mu.Lock()
 	e, ok := c.entries[key{source, sql}]
-	if !ok || now.Sub(e.cachedAt) > c.opts.TTL+c.opts.StaleGrace {
+	if !ok || c.expired(e, now) {
 		c.mu.Unlock()
 		return nil, time.Time{}, false
 	}
-	rs, at := e.rs.Clone(), e.cachedAt
+	rs, at := e.rs, e.cachedAt
 	c.mu.Unlock()
 	c.graceHits.Add(1)
 	return rs, at, true
-}
-
-// purgeExpiredLocked drops every entry past its retention horizon
-// (TTL+StaleGrace), so dead entries never force a fresh one out at
-// capacity. With no grace window this is the strict purge-at-TTL of the
-// paper's recent-status cache.
-func (c *Cache) purgeExpiredLocked(now time.Time) {
-	for k, e := range c.entries {
-		if now.Sub(e.cachedAt) > c.opts.TTL+c.opts.StaleGrace {
-			delete(c.entries, k)
-			c.stale.Add(1)
-		}
-	}
-}
-
-func (c *Cache) evictOldestLocked() {
-	var oldestKey key
-	var oldest time.Time
-	first := true
-	for k, e := range c.entries {
-		if first || e.cachedAt.Before(oldest) {
-			oldestKey, oldest, first = k, e.cachedAt, false
-		}
-	}
-	if !first {
-		delete(c.entries, oldestKey)
-		c.evictions.Add(1)
-	}
 }
 
 // InvalidateSource drops all entries for one data source (used when a
@@ -192,9 +192,9 @@ func (c *Cache) InvalidateSource(source string) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := 0
-	for k := range c.entries {
+	for k, e := range c.entries {
 		if k.source == source {
-			delete(c.entries, k)
+			c.dropLocked(e)
 			n++
 		}
 	}
@@ -205,7 +205,7 @@ func (c *Cache) InvalidateSource(source string) int {
 func (c *Cache) Clear() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.entries = make(map[key]*cached)
+	c.resetLocked()
 }
 
 // Len returns the number of cached entries (fresh or not yet collected).

@@ -2,6 +2,7 @@ package qcache
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -50,17 +51,6 @@ func TestPutGet(t *testing.T) {
 	s := c.Stats()
 	if s.Hits != 1 || s.Misses != 1 {
 		t.Errorf("stats %+v", s)
-	}
-}
-
-func TestGetReturnsIndependentCursors(t *testing.T) {
-	c, _ := newCache(time.Second, 0)
-	c.Put(src, sql, sampleRS(t, "h"))
-	a, _, _ := c.Get(src, sql)
-	b, _, _ := c.Get(src, sql)
-	a.Next()
-	if _, err := b.Row(); err == nil {
-		t.Error("cursor state shared between cached reads")
 	}
 }
 
@@ -237,8 +227,71 @@ func TestPutOverwriteDoesNotEvict(t *testing.T) {
 	}
 }
 
+// TestSharedResultConcurrentReaders is the shared-result contract under
+// -race: Get and GetStale hand every reader the stored ResultSet, so readers
+// that only read it (Len, RowAt, Merge into a set of their own) never see a
+// torn or mixed answer while a writer keeps replacing the entry, and what one
+// reader does to its merged copy never shows in the next reader's.
+func TestSharedResultConcurrentReaders(t *testing.T) {
+	c := New(Options{TTL: time.Hour, StaleGrace: time.Hour, MaxEntries: 8})
+	c.Put(src, sql, sampleRS(t, "h0"))
+	a, _, _ := c.Get(src, sql)
+	b, _, _ := c.GetStale(src, sql)
+	if a != b {
+		t.Error("Get and GetStale returned different ResultSets for one entry")
+	}
+	stop := make(chan struct{})
+	var writer, readers sync.WaitGroup
+	writer.Add(1)
+	go func() {
+		defer writer.Done()
+		for i := 1; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+				c.Put(src, sql, sampleRS(t, fmt.Sprintf("h%d", i)))
+			}
+		}
+	}()
+	for r := 0; r < 8; r++ {
+		readers.Add(1)
+		go func(get func(string, string) (*resultset.ResultSet, time.Time, bool)) {
+			defer readers.Done()
+			for i := 0; i < 500; i++ {
+				rs, _, ok := get(src, sql)
+				if !ok || rs.Len() != 1 {
+					t.Errorf("read %d: ok=%v", i, ok)
+					return
+				}
+				host := rs.RowAt(0)[0]
+				mine := resultset.New(rs.Metadata())
+				if err := mine.Merge(rs); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := mine.SortBy("HostName", true); err != nil || !mine.Next() {
+					t.Errorf("own copy: sort %v", err)
+					return
+				}
+				if got := rs.RowAt(0)[0]; got != host || mine.RowAt(0)[0] != host {
+					t.Errorf("shared rows changed under a reader: %v then %v", host, got)
+					return
+				}
+				if _, err := rs.Row(); err == nil {
+					t.Error("a reader's cursor moved the shared result's")
+					return
+				}
+			}
+		}([]func(string, string) (*resultset.ResultSet, time.Time, bool){c.Get, c.GetStale}[r%2])
+	}
+	readers.Wait()
+	close(stop)
+	writer.Wait()
+}
+
 // TestConcurrentGetPutClear exercises the Get/Put/Clear interleavings under
-// -race: the entry read and clone must happen under the lock.
+// -race: the entry must be read under the lock.
 func TestConcurrentGetPutClear(t *testing.T) {
 	c := New(Options{TTL: time.Second, MaxEntries: 8})
 	rs := sampleRS(t, "h")

@@ -43,15 +43,30 @@ func TestGetStaleServesExpiredWithinGrace(t *testing.T) {
 	}
 }
 
-func TestGetStaleReturnsIndependentCursor(t *testing.T) {
-	c, now := newGraceCache(time.Second, time.Minute)
+// TestStaleCountsAnEntryOnce: gridrm_qcache_stale_total is "entries dropped
+// as expired". An expired entry kept for the grace window is not dropped by
+// the lookups that miss on it; it is counted when it leaves.
+func TestStaleCountsAnEntryOnce(t *testing.T) {
+	now := time.Unix(0, 0)
+	c := New(Options{TTL: time.Second, StaleGrace: time.Minute, MaxEntries: 1,
+		Clock: func() time.Time { return now }})
 	c.Put(src, sql, sampleRS(t, "h"))
-	*now = now.Add(2 * time.Second)
-	a, _, _ := c.GetStale(src, sql)
-	b, _, _ := c.GetStale(src, sql)
-	a.Next()
-	if !b.Next() {
-		t.Fatal("second cursor exhausted by the first")
+	now = now.Add(2 * time.Second)
+	for i := 0; i < 3; i++ {
+		if _, _, ok := c.Get(src, sql); ok {
+			t.Fatal("expired entry served fresh")
+		}
+	}
+	if got := c.Stats().Stale; got != 0 {
+		t.Errorf("Stale = %d after lookups of an entry still held for grace, want 0", got)
+	}
+	now = now.Add(2 * time.Minute)
+	c.Put("gridrm:snmp://other:1", sql, sampleRS(t, "o")) // at capacity: purges the expired entry
+	if got, ev := c.Stats().Stale, c.Stats().Evictions; got != 1 || ev != 0 {
+		t.Errorf("Stale = %d, Evictions = %d after the purge, want 1 and 0", got, ev)
+	}
+	if s := c.Stats(); s.Misses != 3 {
+		t.Errorf("Misses = %d, want 3", s.Misses)
 	}
 }
 

@@ -90,6 +90,7 @@ type Stats struct {
 type Gateway struct {
 	opts  Options
 	store *Store
+	plans *sqlparse.PlanCache
 
 	mu      sync.Mutex
 	owns    []string
@@ -142,6 +143,7 @@ func New(opts Options) (*Gateway, error) {
 	g := &Gateway{
 		opts:    opts,
 		store:   NewStore(),
+		plans:   sqlparse.NewPlanCache(512), // the site gateways' size: entries send the same few texts
 		workers: make(map[string]*siteWorker),
 	}
 	if g.opts.Query == nil {
@@ -471,10 +473,11 @@ func (g *Gateway) QueryContext(ctx context.Context, req core.QueryOptions) (*cor
 	if req.Mode == core.ModeHistorical {
 		return nil, fmt.Errorf("repub: historical queries are answered by sites, not republishers")
 	}
-	q, err := sqlparse.Parse(req.SQL)
+	plan, err := g.plans.Plan(req.SQL)
 	if err != nil {
 		return nil, err
 	}
+	q := plan.Query
 	if _, ok := glue.Lookup(q.Table); !ok {
 		return nil, fmt.Errorf("repub: unknown GLUE group %q", q.Table)
 	}
@@ -531,7 +534,7 @@ func (g *Gateway) QueryContext(ctx context.Context, req core.QueryOptions) (*cor
 	}
 	return &core.Response{
 		Site:      g.opts.Name,
-		SQL:       q.String(),
+		SQL:       plan.SQL,
 		Mode:      req.Mode,
 		ResultSet: out,
 		Sources:   statuses,

@@ -423,8 +423,12 @@ func (b *Builder) Build() (*ResultSet, error) {
 }
 
 // Clone returns a ResultSet sharing this one's (immutable) rows with an
-// independent, reset cursor. Caches hand out clones so concurrent readers
-// do not fight over cursor state.
+// independent, reset cursor. The query cache keeps a clone of what it is
+// given and then hands that one stored ResultSet to every reader, as a
+// coalesced harvest hands its rows to every follower: a ResultSet that came
+// from either is shared. Read it (Len, RowAt, Metadata) and Merge it into a
+// set of your own; never move its cursor, sort it, or write its rows — Clone
+// it first if you need a cursor.
 func (rs *ResultSet) Clone() *ResultSet {
 	clone := *rs
 	clone.cursor = -1

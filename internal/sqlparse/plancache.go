@@ -10,9 +10,9 @@ import (
 // small set of query strings (harvest SQL is always the canonical
 // `SELECT * FROM <group>`), so caching the parse pays for itself quickly.
 //
-// Cached *Query values are shared between callers and MUST be treated as
-// immutable — copy the struct (`sub := *q`) before modifying, as the
-// federated sub-query rewrite does.
+// Cached plans are shared between callers and MUST be treated as immutable
+// — copy the Query (`sub := *q`) before modifying, as the federated
+// sub-query rewrite does.
 //
 // A nil or zero-capacity PlanCache is valid and degrades to plain Parse.
 type PlanCache struct {
@@ -24,9 +24,32 @@ type PlanCache struct {
 	hits, misses, evictions uint64
 }
 
-type planEntry struct {
-	sql string
-	q   *Query
+// Plan is one parse and the texts derived from it that a gateway echoes or
+// forwards on every request, rendered once when the plan is made. They sit
+// beside the Query, not in it: a Query is copied and edited by value.
+type Plan struct {
+	Query *Query
+	// SQL is Query.String(), the canonical text.
+	SQL string
+	// SiteSQL is the per-site sub-query of a federated execution: the
+	// partial-aggregate rewrite of an aggregate query, otherwise the same
+	// projection and WHERE without ORDER BY and LIMIT, which only make sense
+	// over the consolidated rows.
+	SiteSQL string
+
+	text string // the request text this plan is cached under
+}
+
+func newPlan(text string, q *Query) *Plan {
+	p := &Plan{Query: q, SQL: q.String(), text: text}
+	if q.Aggregate() {
+		p.SiteSQL = q.PartialQuery().String()
+	} else {
+		sub := *q
+		sub.OrderBy, sub.Desc, sub.Limit = "", false, -1
+		p.SiteSQL = sub.String()
+	}
+	return p
 }
 
 // NewPlanCache creates a PlanCache holding at most capacity plans.
@@ -40,40 +63,55 @@ func NewPlanCache(capacity int) *PlanCache {
 	return c
 }
 
-// Parse returns the parsed form of sql, consulting the cache first. Only
-// successful parses are cached; errors are recomputed each time (they are
-// not hot-path material).
+// Parse returns the parsed form of sql, consulting the cache first.
 func (c *PlanCache) Parse(sql string) (*Query, error) {
 	if c == nil || c.capacity <= 0 {
 		return Parse(sql)
 	}
-	c.mu.Lock()
-	if el, ok := c.entries[sql]; ok {
-		c.order.MoveToFront(el)
-		c.hits++
-		q := el.Value.(*planEntry).q
-		c.mu.Unlock()
-		return q, nil
+	p, err := c.Plan(sql)
+	if err != nil {
+		return nil, err
 	}
-	c.misses++
-	c.mu.Unlock()
+	return p.Query, nil
+}
 
+// Plan returns the plan for sql, consulting the cache first. Only
+// successful parses are cached; errors are recomputed each time (they are
+// not hot-path material).
+func (c *PlanCache) Plan(sql string) (*Plan, error) {
+	cached := c != nil && c.capacity > 0
+	if cached {
+		c.mu.Lock()
+		if el, ok := c.entries[sql]; ok {
+			c.order.MoveToFront(el)
+			c.hits++
+			p := el.Value.(*Plan)
+			c.mu.Unlock()
+			return p, nil
+		}
+		c.misses++
+		c.mu.Unlock()
+	}
 	q, err := Parse(sql)
 	if err != nil {
 		return nil, err
 	}
+	p := newPlan(sql, q)
+	if !cached {
+		return p, nil
+	}
 	c.mu.Lock()
 	if _, ok := c.entries[sql]; !ok {
-		c.entries[sql] = c.order.PushFront(&planEntry{sql: sql, q: q})
+		c.entries[sql] = c.order.PushFront(p)
 		if c.order.Len() > c.capacity {
 			oldest := c.order.Back()
 			c.order.Remove(oldest)
-			delete(c.entries, oldest.Value.(*planEntry).sql)
+			delete(c.entries, oldest.Value.(*Plan).text)
 			c.evictions++
 		}
 	}
 	c.mu.Unlock()
-	return q, nil
+	return p, nil
 }
 
 // PlanCacheStats is a point-in-time snapshot of cache effectiveness.

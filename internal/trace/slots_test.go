@@ -144,8 +144,8 @@ func TestRootEndsBesideItsChildren(t *testing.T) {
 				sp.SetAttr("url", "gridrm:mem://a:1")
 				sp.SetAttrInt("i", i)
 				sp.SetAttr("spilled", "yes")
-				leaf := SpanFromContext(sctx).Child("cache-lookup")
-				leaf.SetAttr("hit", "true")
+				leaf := SpanFromContext(sctx).Child("pool-checkout")
+				leaf.SetAttr("idle", "true")
 				leaf.End()
 				sp.End()
 				sp.SetAttr("late", "ignored")
@@ -193,18 +193,18 @@ func TestSpanAllocations(t *testing.T) {
 	// Six more leaves fit the recorder's first chunk beside the root and
 	// the warm-up run's.
 	if n := testing.AllocsPerRun(6, func() {
-		sp := SpanFromContext(ctx).Child("cache-lookup")
-		sp.SetAttr("hit", "true")
+		sp := SpanFromContext(ctx).Child("pool-checkout")
+		sp.SetAttr("idle", "true")
 		sp.SetAttrInt("rows", 123456)
 		sp.End()
 	}); n != 0 {
 		t.Errorf("leaf span start + 2 attrs + end = %v allocs, want 0", n)
 	}
 
-	// The cached dashboard query's trace: a root, parse, eight sources with
-	// a cache-lookup each, consolidate — 19 spans — started, annotated,
-	// ended and stored. One recorder, two more chunks, the trace ID, the
-	// root's context, and the store's own bookkeeping.
+	// The cached dashboard query's trace: a root, parse, eight sources,
+	// consolidate — 11 spans — started, annotated, ended and stored. One
+	// recorder, one more chunk, the trace ID, the root's context, and the
+	// store's own bookkeeping.
 	if n := testing.AllocsPerRun(200, func() {
 		ctx, root := tr.StartTrace(bg, "query", "siteA", DecideOn)
 		root.SetAttr("sql", "SELECT * FROM Processor")
@@ -213,17 +213,14 @@ func TestSpanAllocations(t *testing.T) {
 		for i := 0; i < 8; i++ {
 			src := SpanFromContext(ctx).Child("source")
 			src.SetAttr("url", "gridrm:mem://a:1")
-			look := src.Child("cache-lookup")
-			look.SetAttr("hit", "true")
-			look.End()
 			src.SetAttr("cached", "true")
 			src.End()
 		}
 		SpanFromContext(ctx).Child("consolidate").End()
 		root.End()
-	}); n > 12 {
-		t.Errorf("a 19-span trace = %v allocs end to end, want ≤ 12", n)
+	}); n > 10 {
+		t.Errorf("an 11-span trace = %v allocs end to end, want ≤ 10", n)
 	} else {
-		t.Logf("a 19-span trace = %v allocs end to end", n)
+		t.Logf("an 11-span trace = %v allocs end to end", n)
 	}
 }

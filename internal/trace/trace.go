@@ -193,7 +193,7 @@ func (s *Span) ParentID() string {
 func (s *Span) IsRoot() bool { return s != nil && s.id == 0 }
 
 // Child begins a child of s without deriving a context: the form for a span
-// nothing hangs off (parse, cache-lookup, consolidate ...), and what
+// nothing hangs off (parse, consolidate, pool-checkout ...), and what
 // StartSpan is built on. It returns nil when s is nil or the trace is full.
 func (s *Span) Child(name string) *Span {
 	if s == nil {
