@@ -90,10 +90,9 @@ func runE10(r *run) error {
 		if rs.Len() != 1 {
 			return nil, fmt.Errorf("%s returned %d rows", url, rs.Len())
 		}
-		row := rs.RowAt(0)
 		out := map[string]any{}
 		for i, col := range rs.Metadata().Columns() {
-			out[col.Name] = row[i]
+			out[col.Name] = rs.Cell(0, i).Value()
 		}
 		return out, nil
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -42,6 +43,18 @@ func legLabel(leg FanoutLeg) string {
 		return "repub:" + leg.Target
 	}
 	return "site:" + leg.Target
+}
+
+// relabel appends a leg's source statuses to dst, each under the leg's
+// label: the label is built once and dst grown once, not once a status.
+func relabel(dst []SourceStatus, label string, sources []SourceStatus) []SourceStatus {
+	dst = slices.Grow(dst, len(sources))
+	prefix := label + " "
+	for _, st := range sources {
+		st.Source = prefix + st.Source
+		dst = append(dst, st)
+	}
+	return dst
 }
 
 // queryAllSites executes one SQL statement across the whole virtual
@@ -187,10 +200,7 @@ func (g *Gateway) queryAllSites(ctx context.Context, req QueryOptions, start tim
 						}
 						out.answered++
 						out.results = append(out.results, resp.ResultSet)
-						for _, st := range resp.Sources {
-							st.Source = "site:" + site + " " + st.Source
-							out.statuses = append(out.statuses, st)
-						}
+						out.statuses = relabel(out.statuses, "site:"+site, resp.Sources)
 					}(site)
 				}
 				wg.Wait()
@@ -210,10 +220,7 @@ func (g *Gateway) queryAllSites(ctx context.Context, req QueryOptions, start tim
 			}
 			out.answered++
 			out.results = append(out.results, resp.ResultSet)
-			for _, st := range resp.Sources {
-				st.Source = legLabel(leg) + " " + st.Source
-				out.statuses = append(out.statuses, st)
-			}
+			out.statuses = relabel(out.statuses, legLabel(leg), resp.Sources)
 			ch <- out
 		}(i, leg)
 	}

@@ -116,12 +116,14 @@ func TestCachedAllHitStartsNoGoroutine(t *testing.T) {
 
 // TestCachedAllHitAllocBudget holds the engine's own share of the dashboard
 // query: QueryContext naming eight fresh sources, SELECT * so that nothing is
-// projected, traced (the default sample rate is 1). Measured at 12
-// allocations when written: the target list, the harvest SQL, the status and
-// result slices, the merged set and its row index, the response, and the
-// trace (recorder, second chunk, two ID strings, the span's context).
+// projected, traced (the default sample rate is 1). Measured at 14
+// allocations (12 while the merged set was a row index over shared boxed
+// rows): the target list, the harvest SQL, the status and result slices, the
+// merged set, its column headers and one array for each of the two columns
+// that hold values, the response, and the trace (recorder, second chunk, two
+// ID strings, the span's context).
 func TestCachedAllHitAllocBudget(t *testing.T) {
-	const measured = 12
+	const measured = 14
 	fx := newCachedFixture(t, Config{})
 	opts := QueryOptions{Principal: fx.admin, SQL: "SELECT * FROM Processor", Sources: fx.urls}
 	fx.query(t, opts)
@@ -132,7 +134,7 @@ func TestCachedAllHitAllocBudget(t *testing.T) {
 	})
 	t.Logf("all-hit cached query: %.0f allocs", got)
 	if got > measured+2 {
-		t.Errorf("all-hit cached query allocates %.0f times, budget %d + 2", got, measured)
+		t.Errorf("all-hit cached query allocates %.0f times, budget %d + 2 (the race runtime's own)", got, measured)
 	}
 }
 

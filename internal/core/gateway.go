@@ -475,6 +475,7 @@ func (g *Gateway) registerMetrics() {
 	g.stageHist = r.HistogramVec("gridrm_query_stage_seconds",
 		"Latency of query pipeline stages (parse, cache, harvest, consolidate, fanout, dispatch).",
 		"stage", nil)
+	metrics.RegisterRuntime(r)
 	r.CounterFunc("gridrm_queries_total", "Query calls accepted.", g.queries.Load)
 	r.CounterFunc("gridrm_query_errors_total", "Query calls that failed outright.", g.queryErrors.Load)
 	r.CounterFunc("gridrm_harvests_total", "Per-source real-time harvests performed.", g.harvests.Load)

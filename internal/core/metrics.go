@@ -93,28 +93,18 @@ func (g *Gateway) publishHarvestMetrics(url string, group *glue.Group, rs *resul
 	}
 	now := g.clock()
 	for i := 0; i < rs.Len(); i++ {
-		row := rs.RowAt(i)
 		for _, w := range watches {
-			v := row[w.fieldIdx]
-			if v == nil {
+			v := rs.Cell(i, w.fieldIdx)
+			if v.Null || !v.Numeric() {
 				continue // NULL: the source cannot supply this field
 			}
-			var value float64
-			switch x := v.(type) {
-			case int64:
-				value = float64(x)
-			case float64:
-				value = x
-			default:
-				continue
-			}
-			host, _ := row[w.hostIdx].(string)
+			host := rs.Cell(i, w.hostIdx).Str
 			g.events.Publish(event.Event{
 				Source:   url,
 				Host:     host,
 				Name:     group.Name + "." + w.fieldName,
 				Severity: event.SeverityUsage,
-				Value:    value,
+				Value:    v.AsFloat(),
 				Time:     now,
 			})
 		}

@@ -114,13 +114,12 @@ func (r *Rows) Add(resolve func(native string) (any, bool)) error {
 	if err != nil {
 		return err
 	}
-	r.b.AppendOwned(row)
+	r.b.Append(row...)
 	return nil
 }
 
 // Append adds a row the session assembled itself, in Group's field order.
-// The row belongs to the result afterwards.
-func (r *Rows) Append(row []any) { r.b.AppendOwned(row) }
+func (r *Rows) Append(row []any) { r.b.Append(row...) }
 
 // Driver is a native driver: a Spec behind the shared shell.
 type Driver struct {

@@ -80,19 +80,14 @@ func unixNanos(t time.Time) (int64, bool) {
 	return ns, time.Unix(0, ns).Equal(t)
 }
 
-// checkRow is glue.ValidateRow plus the store's own limit: a Time cell must
-// be representable as Unix nanoseconds.
-func checkRow(g *glue.Group, row []any) error {
-	if err := glue.ValidateRow(g, row); err != nil {
-		return err
+// checkTime is the store's own limit on a cell: a Time must be representable
+// as Unix nanoseconds.
+func checkTime(f glue.Field, v resultset.Cell) error {
+	if f.Kind != glue.Time || v.Null {
+		return nil
 	}
-	for i, f := range g.Fields {
-		if f.Kind != glue.Time || row[i] == nil {
-			continue
-		}
-		if _, ok := unixNanos(row[i].(time.Time)); !ok {
-			return fmt.Errorf("field %s: time %v out of range", f.Name, row[i])
-		}
+	if _, ok := unixNanos(v.Time); !ok {
+		return fmt.Errorf("history: field %s: time %v out of range", f.Name, v.Time)
 	}
 	return nil
 }
@@ -115,16 +110,18 @@ func (s *Store) Record(source, group string, rs *resultset.ResultSet, at time.Ti
 				meta.ColumnCount(), g.Name, len(g.Fields))
 		}
 		for i, f := range g.Fields {
-			if meta.ColumnIndex(f.Name) != i {
-				return fmt.Errorf("history: result column %d is %q, want %q",
-					i, meta.Column(i).Name, f.Name)
+			if c := meta.Column(i); meta.ColumnIndex(f.Name) != i || c.Kind != f.Kind {
+				return fmt.Errorf("history: result column %d is %s %q, want %s %q",
+					i, c.Kind, c.Name, f.Kind, f.Name)
 			}
 		}
 	}
 	n := rs.Len()
-	for i := 0; i < n; i++ {
-		if err := checkRow(g, rs.RowAt(i)); err != nil {
-			return fmt.Errorf("history: %w", err)
+	for c, f := range g.Fields {
+		for i := 0; f.Kind == glue.Time && i < n; i++ {
+			if err := checkTime(f, rs.Cell(i, c)); err != nil {
+				return err
+			}
 		}
 	}
 	ns, ok := unixNanos(at)
@@ -132,8 +129,12 @@ func (s *Store) Record(source, group string, rs *resultset.ResultSet, at time.Ti
 		return fmt.Errorf("history: sample time %v out of range", at)
 	}
 	// The cells are copied into the series' columns, so a caller mutating
-	// its harvested rows afterwards cannot corrupt stored history.
-	_, err := s.add(g, source, ns, n, rs.RowAt, false)
+	// its harvested result afterwards cannot corrupt stored history.
+	_, err := s.add(g, source, ns, n, func(c int, col *column, r int) {
+		if src := rs.Column(c); src != nil {
+			col.copyIn(r, src, 0, n, 0)
+		}
+	}, false)
 	return err
 }
 
@@ -141,7 +142,7 @@ func (s *Store) Record(source, group string, rs *resultset.ResultSet, at time.Ti
 // sample of the same time, or not at all if dedupe is set and one exists —
 // and applies retention to the series. It reports whether the sample was
 // kept.
-func (s *Store) add(g *glue.Group, source string, at int64, n int, rowAt func(int) []any, dedupe bool) (bool, error) {
+func (s *Store) add(g *glue.Group, source string, at int64, n int, put func(c int, col *column, r int), dedupe bool) (bool, error) {
 	cutoff := s.cutoff()
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -174,11 +175,11 @@ func (s *Store) add(g *glue.Group, source string, at int64, n int, rowAt func(in
 	full := ser.live() == s.opts.MaxSamplesPerKey
 	switch {
 	case i == len(ser.times):
-		ser.push(at, n, rowAt)
+		ser.push(at, n, put)
 	case i == ser.head && full:
 		return false, nil // older than everything in a full series: the one retention would drop
 	default:
-		ser.insert(i, at, n, rowAt)
+		ser.insert(i, at, n, put)
 	}
 	if full {
 		ser.drop(1)
@@ -236,7 +237,7 @@ func (s *Store) Query(group, source string, since, until time.Time) (*resultset.
 	s.mu.RUnlock()
 
 	// Narrow each series to the window: [head, len) becomes [lo, hi).
-	samples, rows := 0, 0
+	rows, live := 0, 0
 	for w := range wins {
 		ser := &wins[w]
 		lo, hi := ser.head, len(ser.times)
@@ -247,51 +248,24 @@ func (s *Store) Query(group, source string, since, until time.Time) (*resultset.
 			hi = lo + sort.Search(hi-lo, func(k int) bool { return time.Unix(0, ser.times[lo+k]).After(until) })
 		}
 		ser.head, ser.times = lo, ser.times[:hi]
-		samples += hi - lo
 		rows += ser.rowStart(hi) - ser.rowStart(lo)
+		live = max(live, ser.liveColumns())
 	}
 
-	width := len(g.Fields) + 2
-	slab := make([]any, 0, rows*width) // every row of the answer, carved from one array
-	b := resultset.NewBuilder(meta).Grow(rows)
-	emit := func(ser *series, i int) {
-		at := any(time.Unix(0, ser.times[i])) // boxed once per sample, not per row
-		slab = ser.sample(slab, i, width, func(row []any) {
-			row[width-2], row[width-1] = ser.boxed, at
-			b.AppendOwned(row)
-		})
+	// Series by series in source order; a stable sort by sample time then
+	// gives the order across them: time, then source.
+	if len(wins) > 1 {
+		sort.Slice(wins, func(i, j int) bool { return wins[i].source < wins[j].source })
 	}
-	if len(wins) == 1 {
-		for i := wins[0].head; i < len(wins[0].times); i++ {
-			emit(&wins[0], i)
-		}
-		return b.Build()
-	}
-	// Stable order across series: time, then source.
-	type hit struct {
-		ser *series
-		i   int
-	}
-	hits := make([]hit, 0, samples)
+	b := resultset.NewBuilder(meta).Grow(rows, live+2)
 	for w := range wins {
-		for i := wins[w].head; i < len(wins[w].times); i++ {
-			hits = append(hits, hit{&wins[w], i})
-		}
+		wins[w].copyOut(b, wins[w].head, len(wins[w].times), true)
 	}
-	sort.Slice(hits, func(a, b int) bool {
-		x, y := hits[a], hits[b]
-		if tx, ty := x.ser.times[x.i], y.ser.times[y.i]; tx != ty {
-			return tx < ty
-		}
-		if x.ser != y.ser {
-			return x.ser.source < y.ser.source
-		}
-		return x.i < y.i
-	})
-	for _, h := range hits {
-		emit(h.ser, h.i)
+	rs, err := b.Build()
+	if err == nil && len(wins) > 1 {
+		err = rs.SortBy(SampledColumn, false)
 	}
-	return b.Build()
+	return rs, err
 }
 
 // Latest returns the most recent recorded sample for (source, group) as a
@@ -323,9 +297,8 @@ func (s *Store) Latest(source, group string) (*resultset.ResultSet, time.Time, b
 	if now.Sub(at) > s.opts.MaxAge {
 		return nil, time.Time{}, false
 	}
-	rows := int(ser.ends[last]) - ser.rowStart(last)
-	b := resultset.NewBuilder(meta).Grow(rows)
-	ser.sample(make([]any, 0, rows*len(g.Fields)), last, len(g.Fields), func(row []any) { b.AppendOwned(row) })
+	b := resultset.NewBuilder(meta).Grow(int(ser.ends[last])-ser.rowStart(last), ser.liveColumns())
+	ser.copyOut(b, last, last+1, false)
 	rs, err := b.Build()
 	if err != nil {
 		return nil, time.Time{}, false
@@ -451,8 +424,7 @@ func (v *View) Each(fn func(rec SampleRecord) error) error {
 		ser := &v.series[k]
 		rec := SampleRecord{Source: ser.source, Group: ser.group}
 		for i := ser.head; i < len(ser.times); i++ {
-			rows = rows[:0]
-			cells = ser.sample(cells[:0], i, len(ser.cols), func(row []any) { rows = append(rows, row) })
+			cells, rows = ser.sample(cells, rows, i)
 			rec.At, rec.Rows = time.Unix(0, ser.times[i]), rows
 			if err := fn(rec); err != nil {
 				return err
@@ -475,15 +447,29 @@ func (s *Store) Load(rec SampleRecord) (bool, error) {
 		return false, fmt.Errorf("history: unknown group %q", rec.Group)
 	}
 	for _, row := range rec.Rows {
-		if err := checkRow(g, row); err != nil {
+		if err := glue.ValidateRow(g, row); err != nil {
 			return false, fmt.Errorf("history: %w", err)
+		}
+		for c, f := range g.Fields {
+			if f.Kind != glue.Time {
+				continue
+			}
+			if err := checkTime(f, resultset.CellOf(row[c])); err != nil {
+				return false, err
+			}
 		}
 	}
 	ns, ok := unixNanos(rec.At)
 	if !ok {
 		return false, fmt.Errorf("history: sample time %v out of range", rec.At)
 	}
-	return s.add(g, rec.Source, ns, len(rec.Rows), func(i int) []any { return rec.Rows[i] }, true)
+	return s.add(g, rec.Source, ns, len(rec.Rows), func(c int, col *column, r int) {
+		for i, row := range rec.Rows {
+			if row[c] != nil {
+				col.push(r+i, row[c])
+			}
+		}
+	}, true)
 }
 
 // Keys returns how many (source, group) keys currently hold samples.

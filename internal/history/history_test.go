@@ -577,3 +577,40 @@ func TestDifferentialAgainstRowModel(t *testing.T) {
 		}
 	}
 }
+
+// TestRangeReadAllocations: a one-source read of 50 samples of two hosts
+// copies the window's cells out column by column — an array for each column
+// that holds values, the set, its headers and the frozen series — and boxes
+// nothing: 16 allocations when written, 656 while a ResultSet row was a
+// []any and every cell of the answer its own box.
+func TestRangeReadAllocations(t *testing.T) {
+	s, now := newStore(Options{MaxSamplesPerKey: 1024})
+	meta, err := resultset.MetadataForGroup(glue.Processor, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		b := resultset.NewBuilder(meta)
+		for _, h := range []string{"h-a", "h-b"} {
+			b.Append(h, "Xeon", "Intel", int64(2700), int64(20480), int64(16), float64(i), 0.9, 0.8, 37.5)
+		}
+		rs, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Record(srcA, glue.GroupProcessor, rs, now.Add(time.Duration(i-200)*time.Second)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	since, until := now.Add(-50*time.Second), *now
+	allocs := testing.AllocsPerRun(100, func() {
+		rs, err := s.Query(glue.GroupProcessor, srcA, since, until)
+		if err != nil || rs.Len() != 100 {
+			t.Fatalf("%v rows, err %v", rs.Len(), err)
+		}
+	})
+	t.Logf("100-row range read: %.0f allocations", allocs)
+	if allocs > 20 {
+		t.Errorf("a 100-row range read took %.0f allocations, want ≤ 20", allocs)
+	}
+}

@@ -5,155 +5,52 @@ import (
 	"time"
 
 	"gridrm/internal/glue"
+	"gridrm/internal/resultset"
 )
 
-// The store's arrays are append-only: a write either appends past every
-// length handed out so far or builds fresh arrays (compaction, late insert).
-// No element below a published length is ever written again, so a shallow
-// copy of a series (frozen) is a consistent point-in-time image that can be
-// read with no lock while writers carry on.
-
-// bitmap is an append-only bit vector whose value is its own snapshot:
-// completed 64-bit words live in words, the word still filling lives in tail
-// by value. A bitmap that kept its last, partial word in the shared slice
-// would be written by the next append while a frozen copy reads it.
-// The length is the caller's: every bitmap here is as long as its column.
-type bitmap struct {
-	words []uint64
-	tail  uint64
-}
-
-// newBitmap returns n bits, all set to bit, with room for spare more.
-func newBitmap(n, spare int, bit bool) bitmap {
-	b := bitmap{words: make([]uint64, n>>6, (n+spare)>>6+1)}
-	if bit {
-		for i := range b.words {
-			b.words[i] = ^uint64(0)
-		}
-		b.tail = 1<<(n&63) - 1
-	}
-	return b
-}
-
-// push appends bit as bit number n.
-func (b *bitmap) push(n int, bit bool) {
-	if bit {
-		b.tail |= 1 << (n & 63)
-	}
-	if n&63 == 63 {
-		b.words = append(b.words, b.tail)
-		b.tail = 0
-	}
-}
-
-func (b *bitmap) get(i int) bool {
-	w := b.tail
-	if i>>6 < len(b.words) {
-		w = b.words[i>>6]
-	}
-	return w>>(i&63)&1 != 0
-}
-
-// slice returns bits [from, to) as a fresh bitmap with room for as many
-// again, and how many of them are set.
-func (b *bitmap) slice(from, to int) (bitmap, int) {
-	out := newBitmap(0, 2*(to-from), false)
-	set := 0
-	for i := from; i < to; i++ {
-		bit := b.get(i)
-		if bit {
-			set++
-		}
-		out.push(i-from, bit)
-	}
-	return out, set
-}
-
-// Which rows of a column are NULL.
-const (
-	allNull  = iota // every row; the column holds no arrays at all
-	noNull          // none; no validity bitmap
-	someNull        // those whose valid bit is 0
-)
+// The store's arrays are append-only, as resultset.Vector's are: compaction
+// and a late insert build fresh ones. A shallow copy of a series (frozen) is
+// therefore a consistent point-in-time image that can be read with no lock
+// while writers carry on.
 
 // dictScan is the dictionary size up to which a linear scan finds a string;
 // past it the column builds a map. Host names, models and vendors — one or
 // two distinct values per series — never pay for the map.
 const dictScan = 8
 
-// column holds one GLUE field of a series, one element per row, in the array
-// its kind selects. NULL rows hold a zero placeholder.
+// column holds one GLUE field of a series on the ResultSet's own column
+// layout. The Vector says which rows are NULL and holds the cells of every
+// kind but two: a Time cell is kept as an Int of Unix nanoseconds, the
+// journal's representation, and a String cell as a dictionary code.
 type column struct {
-	kind  glue.Kind
-	nulls int
+	kind glue.Kind
+	resultset.Vector
 
-	ints   []int64   // Int values; Time as Unix nanoseconds; Bool as 0 or 1
-	floats []float64 // Float values
-	codes  []uint32  // String values, as indexes into dict
-	// dict holds each distinct string once, already boxed, so reading a
-	// String cell allocates nothing. index is written and read by the
-	// writer only; a frozen copy never touches it.
+	codes []uint32 // String values, as indexes into dict
+	// dict holds each distinct string once, already boxed, so boxing a String
+	// cell allocates nothing. index is written and read by the writer only;
+	// a frozen copy never touches it.
 	dict  []any
 	index map[string]uint32
-
-	valid bitmap // used while nulls == someNull
 }
 
-// push appends v as row n. The caller has checked v against the kind.
-func (c *column) push(n int, v any) {
-	if v == nil {
-		switch c.nulls {
-		case allNull:
-			return
-		case noNull:
-			c.valid, c.nulls = newBitmap(n, n, true), someNull
-		}
-		c.valid.push(n, false)
-	} else {
-		if c.nulls == allNull {
-			// The first value after n NULL rows: materialise them.
-			c.nulls = noNull
-			if n > 0 {
-				c.valid, c.nulls = newBitmap(n, n, false), someNull
-				switch c.kind {
-				case glue.String:
-					c.codes = make([]uint32, n, 2*n)
-				case glue.Float:
-					c.floats = make([]float64, n, 2*n)
-				default:
-					c.ints = make([]int64, n, 2*n)
-				}
-			}
-		}
-		if c.nulls == someNull {
-			c.valid.push(n, true)
-		}
-	}
-	switch c.kind {
-	case glue.String:
-		var code uint32
-		if v != nil {
-			code = c.code(v.(string))
-		}
-		c.codes = append(c.codes, code)
-	case glue.Float:
-		f, _ := v.(float64)
-		c.floats = append(c.floats, f)
+// set stores v, NULL or of the column's kind, as row n, which follows every
+// row set so far. An array made here has room for room rows.
+func (c *column) set(n int, v resultset.Cell, room int) {
+	switch {
+	case v.Null:
+	case c.kind == glue.String:
+		c.Mark(n, room)
+		c.codes = append(resultset.Padded(c.codes, n, room), c.code(v.Str))
+	case c.kind == glue.Time: // checked by the store to be in range
+		c.Set(n, resultset.Cell{Kind: glue.Int, Int: v.Time.UnixNano()}, room)
 	default:
-		var i int64
-		switch v := v.(type) {
-		case int64:
-			i = v
-		case time.Time:
-			i = v.UnixNano()
-		case bool:
-			if v {
-				i = 1
-			}
-		}
-		c.ints = append(c.ints, i)
+		c.Set(n, v, room)
 	}
 }
+
+// push appends the boxed v as row n. The caller has checked v against the kind.
+func (c *column) push(n int, v any) { c.set(n, resultset.CellOf(v), 0) }
 
 // code returns v's dictionary code, adding v on first sight.
 func (c *column) code(v string) uint32 {
@@ -181,69 +78,51 @@ func (c *column) code(v string) uint32 {
 	return code
 }
 
-func (c *column) null(r int) bool {
-	return c.nulls == allNull || c.nulls == someNull && !c.valid.get(r)
+// at returns row r as a cell of the column's kind.
+func (c *column) at(r int) resultset.Cell {
+	switch {
+	case c.Null(r):
+		return resultset.Cell{Null: true}
+	case c.kind == glue.String:
+		return resultset.Cell{Kind: glue.String, Str: c.dict[c.codes[r]].(string)}
+	case c.kind == glue.Time:
+		return resultset.Cell{Kind: glue.Time, Time: time.Unix(0, c.Nums[r])}
+	}
+	return c.Cell(r)
 }
 
-// cell returns row r as the value a ResultSet row holds.
+// cell returns row r as the value a boxed row holds.
 func (c *column) cell(r int) any {
-	if c.null(r) {
-		return nil
-	}
-	switch c.kind {
-	case glue.String:
+	if c.kind == glue.String && !c.Null(r) {
 		return c.dict[c.codes[r]]
-	case glue.Float:
-		return c.floats[r]
-	case glue.Bool:
-		return c.ints[r] != 0
-	case glue.Time:
-		return time.Unix(0, c.ints[r])
-	default:
-		return c.ints[r]
+	}
+	return c.at(r).Value()
+}
+
+// copyIn stores rows [from, to) of src, a ResultSet's column of this
+// column's kind, as rows n onwards.
+func (c *column) copyIn(n int, src *resultset.Vector, from, to, room int) {
+	if c.kind != glue.String && c.kind != glue.Time {
+		c.AppendRange(n, src, from, to, room)
+		return
+	}
+	for r := from; r < min(to, int(src.Rows)); r++ {
+		c.set(n+r-from, src.Cell(r), room)
 	}
 }
 
-// slice returns rows [from, to) in fresh arrays with room for as many again.
-// The dictionary keeps only strings those rows use, and the NULL state is
-// re-derived, so a column whose NULLs (or values) have all aged out stops
-// paying for them.
-func (c *column) slice(from, to int) column {
-	out := column{kind: c.kind, nulls: c.nulls}
-	n := to - from
-	if c.nulls == someNull {
-		var set int
-		out.valid, set = c.valid.slice(from, to)
-		switch set {
-		case 0:
-			out.nulls = allNull
-		case n:
-			out.valid, out.nulls = bitmap{}, noNull
-		}
+// appendFrom stores rows [from, to) of src, another series' column of this
+// field, as rows n onwards. The dictionary gains only strings those rows use
+// and the NULL state is re-derived, so a rebuilt column whose NULLs (or
+// values) have all aged out stops paying for them.
+func (c *column) appendFrom(n int, src *column, from, to, room int) {
+	if c.kind != glue.String { // a Time stays the Int it is
+		c.AppendRange(n, &src.Vector, from, to, room)
+		return
 	}
-	if out.nulls == allNull {
-		return column{kind: c.kind}
+	for r := from; r < min(to, int(src.Rows)); r++ {
+		c.set(n+r-from, src.at(r), room)
 	}
-	switch c.kind {
-	case glue.String:
-		out.codes = make([]uint32, n, 2*n)
-		remap := make([]uint32, len(c.dict)) // old code → new code + 1
-		for i := range out.codes {
-			if c.null(from + i) {
-				continue
-			}
-			old := c.codes[from+i]
-			if remap[old] == 0 {
-				remap[old] = out.code(c.dict[old].(string)) + 1
-			}
-			out.codes[i] = remap[old] - 1
-		}
-	case glue.Float:
-		out.floats = append(make([]float64, 0, 2*n), c.floats[from:to]...)
-	default:
-		out.ints = append(make([]int64, 0, 2*n), c.ints[from:to]...)
-	}
-	return out
 }
 
 // series is the history of one (group, source): samples in ascending time
@@ -253,7 +132,6 @@ func (c *column) slice(from, to int) column {
 // write copies the series.
 type series struct {
 	source string
-	boxed  any // source, boxed once for the SourceURL cell
 
 	head  int     // index of the oldest retained sample
 	times []int64 // sample times, Unix nanoseconds, ascending
@@ -262,7 +140,7 @@ type series struct {
 }
 
 func newSeries(g *glue.Group, source string) *series {
-	s := &series{source: source, boxed: source, cols: make([]column, len(g.Fields))}
+	s := &series{source: source, cols: make([]column, len(g.Fields))}
 	for i, f := range g.Fields {
 		s.cols[i].kind = f.Kind
 	}
@@ -279,32 +157,37 @@ func (s *series) rowStart(i int) int {
 	return int(s.ends[i-1])
 }
 
-// push appends a sample of n rows newer than (or as new as) every other.
-func (s *series) push(at int64, n int, rowAt func(int) []any) {
+// push appends a sample of n rows newer than (or as new as) every other;
+// put stores the sample's cells of column c, the first of them as row r.
+func (s *series) push(at int64, n int, put func(c int, col *column, r int)) {
 	r := s.rowStart(len(s.times))
-	for i := 0; i < n; i++ {
-		for c, v := range rowAt(i) {
-			s.cols[c].push(r+i, v)
-		}
+	for c := range s.cols {
+		put(c, &s.cols[c], r)
 	}
 	s.times = append(s.times, at)
 	s.ends = append(s.ends, int32(r+n))
 }
 
+// extend appends src's samples [from, to), which are newer than every other.
+func (s *series) extend(src *series, from, to, room int) {
+	r, r0, r1 := s.rowStart(len(s.times)), src.rowStart(from), src.rowStart(to)
+	for c := range s.cols {
+		s.cols[c].appendFrom(r, &src.cols[c], r0, r1, room)
+	}
+	s.times = append(s.times, src.times[from:to]...)
+	for _, end := range src.ends[from:to] {
+		s.ends = append(s.ends, end-int32(r0-r))
+	}
+}
+
 // insert places a late sample before sample i. Shifting the arrays would
 // write below published lengths, so the series is rebuilt around it:
-// samples before i are copied in bulk, those from i on re-appended.
-func (s *series) insert(i int, at int64, n int, rowAt func(int) []any) {
+// samples before i are copied out, the sample pushed, the rest re-appended.
+func (s *series) insert(i int, at int64, n int, put func(c int, col *column, r int)) {
 	old := *s
 	*s = old.slice(old.head, i)
-	s.push(at, n, rowAt)
-	var cells []any
-	var rows [][]any
-	for j := i; j < len(old.times); j++ {
-		rows = rows[:0]
-		cells = old.sample(cells[:0], j, len(old.cols), func(row []any) { rows = append(rows, row) })
-		s.push(old.times[j], len(rows), func(k int) []any { return rows[k] })
-	}
+	s.push(at, n, put)
+	s.extend(&old, i, len(old.times), 0)
 }
 
 // minCompact is the dead prefix below which a series is not rebuilt: a
@@ -324,20 +207,17 @@ func (s *series) drop(k int) {
 // slice returns samples [from, to) as a fresh series with room for as many
 // again: what a series at its cap appends before the next rebuild.
 func (s *series) slice(from, to int) series {
-	r0, r1 := s.rowStart(from), s.rowStart(to)
 	n := to - from
 	out := series{
-		source: s.source, boxed: s.boxed,
-		times: append(make([]int64, 0, 2*n), s.times[from:to]...),
-		ends:  make([]int32, n, 2*n),
-		cols:  make([]column, len(s.cols)),
+		source: s.source,
+		times:  make([]int64, 0, 2*n),
+		ends:   make([]int32, 0, 2*n),
+		cols:   make([]column, len(s.cols)),
 	}
-	for i := range out.ends {
-		out.ends[i] = s.ends[from+i] - int32(r0)
+	for c := range out.cols {
+		out.cols[c].kind = s.cols[c].kind
 	}
-	for c := range s.cols {
-		out.cols[c] = s.cols[c].slice(r0, r1)
-	}
+	out.extend(s, from, to, 2*(s.rowStart(to)-s.rowStart(from)))
 	return out
 }
 
@@ -349,25 +229,61 @@ func (s *series) frozen() series {
 	return f
 }
 
-// sample appends sample i's rows to cells, width cells each — the fields
-// first, any beyond them nil for the caller — and hands emit every row as
-// its own slice, capped so that appending to one cannot reach the next. The
-// cells are filled a column at a time, and a column that holds only NULLs
-// costs nothing. It returns the grown cells.
-func (s *series) sample(cells []any, i, width int, emit func(row []any)) []any {
-	from, to := s.rowStart(i), int(s.ends[i])
-	start := len(cells)
-	cells = slices.Grow(cells, (to-from)*width)[:start+(to-from)*width]
-	clear(cells[start:])
+// liveColumns counts the columns that hold a value.
+func (s *series) liveColumns() (n int) {
 	for c := range s.cols {
-		if col := &s.cols[c]; col.nulls != allNull {
-			for r, k := from, start+c; r < to; r, k = r+1, k+width {
+		if s.cols[c].Nulls != resultset.AllNull {
+			n++
+		}
+	}
+	return n
+}
+
+// copyOut adds samples [lo, hi) to b as rows, a column at a time: the cells
+// the Vector holds as the result wants them go over as one range, a String or
+// a Time cell by cell, and a column that holds only NULLs costs nothing.
+// With provenance, each row also gets its SourceURL and SampledAt.
+func (s *series) copyOut(b *resultset.Builder, lo, hi int, provenance bool) {
+	from, to := s.rowStart(lo), s.rowStart(hi)
+	for c := range s.cols {
+		switch col := &s.cols[c]; {
+		case col.Nulls == resultset.AllNull:
+		case col.kind == glue.String || col.kind == glue.Time:
+			for r := from; r < min(to, int(col.Rows)); r++ {
+				b.Put(r-from, c, col.at(r))
+			}
+		default:
+			b.Range(c, &col.Vector, from, to)
+		}
+	}
+	for i := lo; provenance && i < hi; i++ {
+		at := resultset.Cell{Kind: glue.Time, Time: time.Unix(0, s.times[i])}
+		for r := s.rowStart(i); r < int(s.ends[i]); r++ {
+			b.Put(r-from, len(s.cols), resultset.Cell{Kind: glue.String, Str: s.source})
+			b.Put(r-from, len(s.cols)+1, at)
+		}
+	}
+	b.Rows(to - from)
+}
+
+// sample returns sample i's rows boxed, for a durability layer to encode,
+// in cells and rows, which it reuses from call to call and returns grown.
+// The cells are filled a column at a time, and a column that holds only
+// NULLs costs nothing.
+func (s *series) sample(cells []any, rows [][]any, i int) ([]any, [][]any) {
+	from, to, width := s.rowStart(i), int(s.ends[i]), len(s.cols)
+	cells = slices.Grow(cells[:0], (to-from)*width)[:(to-from)*width]
+	clear(cells)
+	for c := range s.cols {
+		if col := &s.cols[c]; col.Nulls != resultset.AllNull {
+			for r, k := from, c; r < to; r, k = r+1, k+width {
 				cells[k] = col.cell(r)
 			}
 		}
 	}
-	for k := start; k < len(cells); k += width {
-		emit(cells[k : k+width : k+width])
+	rows = rows[:0]
+	for k := 0; k < len(cells); k += width {
+		rows = append(rows, cells[k:k+width:k+width])
 	}
-	return cells
+	return cells, rows
 }

@@ -10,7 +10,16 @@ import (
 	"time"
 
 	"gridrm/internal/glue"
+	"gridrm/internal/resultset"
 )
+
+// slice returns rows [from, to) of c in fresh arrays, as a series rebuilt
+// around them holds them.
+func (c *column) slice(from, to int) column {
+	out := column{kind: c.kind}
+	out.appendFrom(0, c, from, to, 2*(to-from))
+	return out
+}
 
 // TestColumnAgainstBoxedSlice pushes random values and NULLs into a column
 // of every kind — long enough to fill bitmap words and outgrow the
@@ -82,13 +91,13 @@ func TestColumnSliceShedsDeadState(t *testing.T) {
 		}
 		c.push(n, v)
 	}
-	if c.nulls != someNull || len(c.dict) != 26 {
-		t.Fatalf("before: nulls %d, %d dictionary entries", c.nulls, len(c.dict))
+	if c.Nulls != resultset.SomeNull || len(c.dict) != 26 {
+		t.Fatalf("before: nulls %d, %d dictionary entries", c.Nulls, len(c.dict))
 	}
-	if live := c.slice(50, 100); live.nulls != noNull || len(live.dict) != 1 || live.index != nil {
-		t.Errorf("live half: nulls %d, %d dictionary entries", live.nulls, len(live.dict))
+	if live := c.slice(50, 100); live.Nulls != resultset.NoNull || len(live.dict) != 1 || live.index != nil {
+		t.Errorf("live half: nulls %d, %d dictionary entries", live.Nulls, len(live.dict))
 	}
-	if dead := c.slice(1, 2); dead.nulls != allNull || dead.codes != nil {
+	if dead := c.slice(1, 2); dead.Nulls != resultset.AllNull || dead.codes != nil {
 		t.Errorf("an all-NULL slice kept arrays: %+v", dead)
 	}
 }

@@ -152,9 +152,8 @@ type SiteFreshness struct {
 // for the group, plus per-site freshness. Sites with no view yet simply
 // contribute nothing (freshness reports zero rows). ok is false when no
 // site has metadata for the group — the caller falls back to the GLUE
-// schema for an empty answer. The answer shares the stored rows: Upsert and
-// SetSnapshot replace a stored row and never write into one, so an answer
-// does not change under later updates.
+// schema for an empty answer. The answer holds copies of the stored rows'
+// cells, so it does not change under later updates.
 func (s *Store) Merged(group string, sites []string) (*resultset.ResultSet, []SiteFreshness, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -173,9 +172,9 @@ func (s *Store) Merged(group string, sites []string) (*resultset.ResultSet, []Si
 				out = resultset.New(gv.meta)
 				out.Grow(total)
 			}
-			b := resultset.NewBuilder(gv.meta).Grow(len(gv.rows))
+			b := resultset.NewBuilder(gv.meta).Grow(len(gv.rows), 0)
 			for _, sr := range gv.rows {
-				b.AppendOwned(sr.row)
+				b.Append(sr.row...)
 			}
 			if rs, err := b.Build(); err == nil {
 				if err := out.Merge(rs); err == nil {

@@ -3,19 +3,21 @@
 // ResultSetMetaData in the paper's JDBC-based design ("String queries in,
 // ResultSets out", §3).
 //
-// A ResultSet carries typed column metadata and a row cursor. Typed getters
-// coerce between compatible kinds the way JDBC getters do and record
-// whether the last value read was NULL (WasNull). ResultSets are built with
-// a Builder, which validates each appended row against the column metadata.
+// A ResultSet carries typed column metadata, its cells column by column (see
+// column.go) and a row cursor. Typed getters coerce between compatible kinds
+// the way JDBC getters do and record whether the last value read was NULL
+// (WasNull). ResultSets are built with a Builder, which validates each
+// appended row or cell against the column metadata.
 package resultset
 
 import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
+	"sync"
+	"text/tabwriter"
 	"time"
 
 	"gridrm/internal/glue"
@@ -158,41 +160,120 @@ func (m *Metadata) ColumnNames() []string {
 }
 
 // ResultSet is an in-memory table with a cursor, mirroring the subset of the
-// JDBC ResultSet contract GridRM drivers implement.
+// JDBC ResultSet contract GridRM drivers implement. Its cells are held by
+// column, and only the columns that hold a value are held at all.
 type ResultSet struct {
-	meta    *Metadata
-	rows    [][]any
-	cursor  int
-	wasNull bool
+	meta *Metadata
+	cols []Vector // the columns with a value in them, in column order
+	n    int32    // rows
+	room int32    // rows a Grow made room for
+	// cursor and wasNull belong to this header alone; Clone resets them.
+	cursor   int32
+	wasNull  bool
+	borrowed bool     // cols is another set's array: copy before writing
+	view     *[][]any // RowAt's boxed rows, built on first use under viewMu
 	// Source optionally records the data-source URL the rows came from.
 	Source string
 	// Fetched optionally records when the rows were harvested.
 	Fetched time.Time
 }
 
+// viewMu guards every ResultSet's view. It lives outside the struct so that
+// a ResultSet header stays copyable; only the compatibility view takes it.
+var viewMu sync.Mutex
+
 // New creates an empty ResultSet with the given metadata.
 func New(meta *Metadata) *ResultSet {
 	return &ResultSet{meta: meta, cursor: -1}
+}
+
+// like returns an empty set of rs's shape and provenance.
+func (rs *ResultSet) like() *ResultSet {
+	return &ResultSet{meta: rs.meta, cursor: -1, Source: rs.Source, Fetched: rs.Fetched}
 }
 
 // Metadata returns the result's column metadata.
 func (rs *ResultSet) Metadata() *Metadata { return rs.meta }
 
 // Len returns the number of rows.
-func (rs *ResultSet) Len() int { return len(rs.rows) }
+func (rs *ResultSet) Len() int { return int(rs.n) }
 
 // Grow reserves room for n more rows, so a caller that knows how many it is
-// about to Merge or append pays for one row-slice allocation.
+// about to Merge or append pays for one array per column that holds values.
 func (rs *ResultSet) Grow(n int) {
-	if n > cap(rs.rows)-len(rs.rows) {
-		rs.rows = append(make([][]any, 0, len(rs.rows)+n), rs.rows...)
+	rs.own()
+	rs.room = rs.n + int32(n)
+	for i := range rs.cols {
+		rs.cols[i].reserve(int(rs.room))
 	}
+}
+
+// find returns where in cols column c's cells are, or would be.
+func (rs *ResultSet) find(c int) (int, bool) {
+	if len(rs.cols) == len(rs.meta.cols) {
+		return c, true
+	}
+	i := 0
+	for i < len(rs.cols) && int(rs.cols[i].idx) < c {
+		i++
+	}
+	return i, i < len(rs.cols) && int(rs.cols[i].idx) == c
+}
+
+// Column returns column c's cells to read, nil when every row of it is NULL.
+func (rs *ResultSet) Column(c int) *Vector {
+	if i, ok := rs.find(c); ok {
+		return &rs.cols[i]
+	}
+	return nil
+}
+
+// Cell returns the value at row r of column c.
+func (rs *ResultSet) Cell(r, c int) Cell {
+	if v := rs.Column(c); v != nil {
+		return v.Cell(r)
+	}
+	return Cell{Null: true}
+}
+
+// own makes cols this set's to write: a clone's first write copies the
+// column headers it borrowed.
+func (rs *ResultSet) own() {
+	rs.view = nil
+	if rs.borrowed {
+		cols := make([]Vector, len(rs.cols))
+		for i := range cols {
+			cols[i] = rs.cols[i].shared()
+		}
+		rs.cols, rs.borrowed = cols, false
+	}
+}
+
+// hold makes room for k more columns to hold values, never for more than
+// there are: a column header is the fixed cost of a small set.
+func (rs *ResultSet) hold(k int) {
+	if k = min(k, len(rs.meta.cols)-len(rs.cols)); k > cap(rs.cols)-len(rs.cols) {
+		rs.cols = slices.Grow(rs.cols, k)
+	}
+}
+
+// live returns column c's cells for writing, holding the column from now
+// on. The caller has called own.
+func (rs *ResultSet) live(c int) *Vector {
+	i, ok := rs.find(c)
+	if !ok {
+		if len(rs.cols) == cap(rs.cols) {
+			rs.hold(max(2, len(rs.cols))) // double
+		}
+		rs.cols = slices.Insert(rs.cols, i, Vector{idx: int16(c)})
+	}
+	return &rs.cols[i]
 }
 
 // Next advances the cursor to the next row, returning false past the end.
 func (rs *ResultSet) Next() bool {
-	if rs.cursor+1 >= len(rs.rows) {
-		rs.cursor = len(rs.rows)
+	if rs.cursor+1 >= rs.n {
+		rs.cursor = rs.n
 		return false
 	}
 	rs.cursor++
@@ -205,328 +286,349 @@ func (rs *ResultSet) Reset() { rs.cursor = -1; rs.wasNull = false }
 // WasNull reports whether the last getter call read a NULL value.
 func (rs *ResultSet) WasNull() bool { return rs.wasNull }
 
-// Row returns the current row's raw values (shared, do not mutate).
-func (rs *ResultSet) Row() ([]any, error) {
-	if rs.cursor < 0 || rs.cursor >= len(rs.rows) {
-		return nil, ErrNoRow
+// rows returns the compatibility view: every row boxed as a []any, built
+// once and kept, so a write through it is read back through it (it does not
+// reach the columns). Product code reads cells; this is for callers that
+// hand rows on as events, and for tests.
+func (rs *ResultSet) rows() [][]any {
+	viewMu.Lock()
+	defer viewMu.Unlock()
+	if rs.view == nil {
+		n, w := int(rs.n), len(rs.meta.cols)
+		slab, rows := make([]any, n*w), make([][]any, n)
+		for r := range rows {
+			rows[r] = slab[r*w : (r+1)*w : (r+1)*w]
+		}
+		for i := range rs.cols {
+			c := &rs.cols[i]
+			for r := 0; r < min(n, int(c.Rows)); r++ {
+				slab[r*w+int(c.idx)] = c.Cell(r).Value()
+			}
+		}
+		rs.view = &rows
 	}
-	return rs.rows[rs.cursor], nil
+	return *rs.view
 }
 
-// RowAt returns the i-th row's raw values without moving the cursor.
-func (rs *ResultSet) RowAt(i int) []any { return rs.rows[i] }
+// Row returns the current row's values, boxed (shared, do not mutate).
+func (rs *ResultSet) Row() ([]any, error) {
+	if rs.cursor < 0 || rs.cursor >= rs.n {
+		return nil, ErrNoRow
+	}
+	return rs.rows()[rs.cursor], nil
+}
 
-func (rs *ResultSet) value(col string) (any, error) {
-	row, err := rs.Row()
-	if err != nil {
-		return nil, err
+// RowAt returns the i-th row's values, boxed, without moving the cursor.
+func (rs *ResultSet) RowAt(i int) []any { return rs.rows()[i] }
+
+func (rs *ResultSet) value(col string) (Cell, error) {
+	if rs.cursor < 0 || rs.cursor >= rs.n {
+		return Cell{}, ErrNoRow
 	}
 	i := rs.meta.ColumnIndex(col)
 	if i < 0 {
-		return nil, fmt.Errorf("%w: %q", ErrNoColumn, col)
+		return Cell{}, fmt.Errorf("%w: %q", ErrNoColumn, col)
 	}
-	v := row[i]
-	rs.wasNull = v == nil
+	v := rs.Cell(int(rs.cursor), i)
+	rs.wasNull = v.Null
 	return v, nil
+}
+
+// colErr names the column a conversion failed on.
+func colErr(col string, err error) error {
+	if err != nil {
+		err = fmt.Errorf("resultset: column %q: %w", col, err)
+	}
+	return err
 }
 
 // GetString returns the named column of the current row as a string.
 // Non-string values are formatted; NULL yields "".
 func (rs *ResultSet) GetString(col string) (string, error) {
 	v, err := rs.value(col)
-	if err != nil {
-		return "", err
+	switch {
+	case err != nil || v.Null || v.Kind == glue.String:
+		return v.Str, err
+	case v.Kind == glue.Float:
+		return strconv.FormatFloat(v.Float, 'g', -1, 64), nil
+	case v.Kind == glue.Time:
+		return v.Time.Format(time.RFC3339), nil
 	}
-	switch x := v.(type) {
-	case nil:
-		return "", nil
-	case string:
-		return x, nil
-	case int64:
-		return strconv.FormatInt(x, 10), nil
-	case float64:
-		return strconv.FormatFloat(x, 'g', -1, 64), nil
-	case bool:
-		return strconv.FormatBool(x), nil
-	case time.Time:
-		return x.Format(time.RFC3339), nil
-	}
-	return fmt.Sprint(v), nil
+	return fmt.Sprint(v.Value()), nil
 }
 
 // GetInt returns the named column of the current row as an int64.
 // Floats are truncated; numeric strings are parsed; NULL yields 0.
 func (rs *ResultSet) GetInt(col string) (int64, error) {
 	v, err := rs.value(col)
-	if err != nil {
+	switch {
+	case err != nil || v.Null:
 		return 0, err
+	case v.Kind == glue.Float:
+		v.Int = int64(v.Float)
+	case v.Kind == glue.String:
+		v.Int, err = strconv.ParseInt(strings.TrimSpace(v.Str), 10, 64)
+	case v.Kind == glue.Time:
+		err = errors.New("cannot convert time to int")
 	}
-	switch x := v.(type) {
-	case nil:
-		return 0, nil
-	case int64:
-		return x, nil
-	case float64:
-		return int64(x), nil
-	case bool:
-		if x {
-			return 1, nil
-		}
-		return 0, nil
-	case string:
-		n, err := strconv.ParseInt(strings.TrimSpace(x), 10, 64)
-		if err != nil {
-			return 0, fmt.Errorf("resultset: column %q: %w", col, err)
-		}
-		return n, nil
-	}
-	return 0, fmt.Errorf("resultset: column %q: cannot convert %T to int", col, v)
+	return v.Int, colErr(col, err)
 }
 
 // GetFloat returns the named column of the current row as a float64.
 // Ints widen; numeric strings are parsed; NULL yields 0.
 func (rs *ResultSet) GetFloat(col string) (float64, error) {
 	v, err := rs.value(col)
-	if err != nil {
+	switch {
+	case err != nil || v.Null:
 		return 0, err
+	case v.Kind == glue.Int:
+		v.Float = float64(v.Int)
+	case v.Kind == glue.String:
+		v.Float, err = strconv.ParseFloat(strings.TrimSpace(v.Str), 64)
+	case v.Kind != glue.Float:
+		err = fmt.Errorf("cannot convert %s to float", v.Kind)
 	}
-	switch x := v.(type) {
-	case nil:
-		return 0, nil
-	case float64:
-		return x, nil
-	case int64:
-		return float64(x), nil
-	case string:
-		f, err := strconv.ParseFloat(strings.TrimSpace(x), 64)
-		if err != nil {
-			return 0, fmt.Errorf("resultset: column %q: %w", col, err)
-		}
-		return f, nil
-	}
-	return 0, fmt.Errorf("resultset: column %q: cannot convert %T to float", col, v)
+	return v.Float, colErr(col, err)
 }
 
 // GetBool returns the named column of the current row as a bool.
 // Nonzero numbers are true; strings are parsed; NULL yields false.
 func (rs *ResultSet) GetBool(col string) (bool, error) {
 	v, err := rs.value(col)
-	if err != nil {
+	b := v.Int != 0 || v.Float != 0
+	switch {
+	case err != nil || v.Null:
 		return false, err
+	case v.Kind == glue.String:
+		b, err = strconv.ParseBool(strings.TrimSpace(v.Str))
+	case v.Kind == glue.Time:
+		err = errors.New("cannot convert time to bool")
 	}
-	switch x := v.(type) {
-	case nil:
-		return false, nil
-	case bool:
-		return x, nil
-	case int64:
-		return x != 0, nil
-	case float64:
-		return x != 0, nil
-	case string:
-		b, err := strconv.ParseBool(strings.TrimSpace(x))
-		if err != nil {
-			return false, fmt.Errorf("resultset: column %q: %w", col, err)
-		}
-		return b, nil
-	}
-	return false, fmt.Errorf("resultset: column %q: cannot convert %T to bool", col, v)
+	return b, colErr(col, err)
 }
 
 // GetTime returns the named column of the current row as a time.Time.
 // RFC 3339 strings are parsed; NULL yields the zero time.
 func (rs *ResultSet) GetTime(col string) (time.Time, error) {
 	v, err := rs.value(col)
-	if err != nil {
+	switch {
+	case err != nil || v.Null:
 		return time.Time{}, err
+	case v.Kind == glue.String:
+		v.Time, err = time.Parse(time.RFC3339, v.Str)
+	case v.Kind != glue.Time:
+		err = fmt.Errorf("cannot convert %s to time", v.Kind)
 	}
-	switch x := v.(type) {
-	case nil:
-		return time.Time{}, nil
-	case time.Time:
-		return x, nil
-	case string:
-		t, err := time.Parse(time.RFC3339, x)
-		if err != nil {
-			return time.Time{}, fmt.Errorf("resultset: column %q: %w", col, err)
-		}
-		return t, nil
-	}
-	return time.Time{}, fmt.Errorf("resultset: column %q: cannot convert %T to time", col, v)
+	return v.Time, colErr(col, err)
 }
 
-// Builder accumulates validated rows for a ResultSet.
+// Builder accumulates validated rows for a ResultSet. It holds the set it
+// builds, so the two cost one allocation.
 type Builder struct {
-	rs  *ResultSet
+	rs  ResultSet
 	err error
 }
 
 // NewBuilder creates a Builder producing a ResultSet with the given metadata.
 func NewBuilder(meta *Metadata) *Builder {
-	return &Builder{rs: New(meta)}
+	return &Builder{rs: ResultSet{meta: meta, cursor: -1}}
 }
 
-// Grow reserves room for n more rows (see ResultSet.Grow).
-func (b *Builder) Grow(n int) *Builder {
-	b.rs.Grow(n)
+// Grow reserves room for rows more rows (see ResultSet.Grow) in live columns
+// that will hold values; a producer that cannot say how many passes 0.
+func (b *Builder) Grow(rows, live int) *Builder {
+	b.rs.Grow(rows)
+	b.rs.hold(live)
 	return b
 }
 
-// Append adds a copy of row; the value count must match the column count and
-// each value's dynamic type must match its column kind (nil is NULL). The
-// first error sticks and is reported by Build.
+// Append adds row's values as one row; the value count must match the column
+// count and each value's dynamic type must match its column kind (nil is
+// NULL, and so is a non-finite float). The first error sticks and is
+// reported by Build.
 func (b *Builder) Append(row ...any) *Builder {
-	if b.check(row) {
-		b.rs.rows = append(b.rs.rows, append([]any(nil), row...))
-	}
-	return b
-}
-
-// AppendOwned is Append without the copy: the ResultSet keeps row itself, so
-// the caller must not write to it afterwards. It is for rows that are already
-// immutable (a store's retained rows) or were made for this ResultSet (a
-// decoder's), where the copy would be the only reason each row is allocated
-// twice.
-func (b *Builder) AppendOwned(row []any) *Builder {
-	if b.check(row) {
-		b.rs.rows = append(b.rs.rows, row)
-	}
-	return b
-}
-
-// check validates row against the metadata, recording the first failure.
-func (b *Builder) check(row []any) bool {
-	if b.err != nil {
-		return false
-	}
 	m := b.rs.meta
-	if len(row) != len(m.cols) {
+	if b.err == nil && len(row) != len(m.cols) {
 		b.err = fmt.Errorf("resultset: row has %d values, want %d", len(row), len(m.cols))
-		return false
+	}
+	live := 0
+	for i := 0; i < len(row) && b.err == nil; i++ {
+		b.err = glue.CheckValue(glue.Field{Name: m.cols[i].Name, Kind: m.cols[i].Kind}, row[i])
+		live += btoi(row[i] != nil)
+	}
+	if b.err != nil {
+		return b
+	}
+	if b.rs.cols == nil {
+		b.rs.hold(live) // the first row says which columns a harvest fills
 	}
 	for i, v := range row {
-		c := &m.cols[i]
-		if err := glue.CheckValue(glue.Field{Name: c.Name, Kind: c.Kind}, v); err != nil {
-			b.err = err
-			return false
+		if v != nil {
+			b.rs.live(i).Set(int(b.rs.n), CellOf(v), int(b.rs.room))
 		}
 	}
-	return true
+	b.rs.n++
+	return b
 }
+
+// column returns column c for cells of kind k to be stored in, or nil with
+// the first error recorded.
+func (b *Builder) column(c int, k glue.Kind) *Vector {
+	if col := b.rs.meta.cols[c]; b.err == nil && k != col.Kind {
+		b.err = fmt.Errorf("resultset: column %s expects %s, got %s", col.Name, col.Kind, k)
+	}
+	if b.err != nil {
+		return nil
+	}
+	return b.rs.live(c)
+}
+
+// Put stores v as column c of the i-th row not yet completed, which follows
+// every row of that column put so far; Rows completes rows. A producer that
+// has typed values writes them without boxing a row. A cell is NULL or of
+// its column's kind.
+func (b *Builder) Put(i, c int, v Cell) {
+	if v.Null {
+		return
+	}
+	if col := b.column(c, v.Kind); col != nil {
+		col.Set(int(b.rs.n)+i, v, int(b.rs.room))
+	}
+}
+
+// Range is Put for a run of rows a producer already holds as a column: src's
+// rows [from, to) become column c of the rows not yet completed.
+func (b *Builder) Range(c int, src *Vector, from, to int) {
+	if col := b.column(c, glue.Kind(src.kind)); col != nil {
+		col.AppendRange(int(b.rs.n), src, from, to, int(b.rs.room))
+	}
+}
+
+// Rows completes k rows, whose cells Put and Range stored; a cell neither
+// stored is NULL.
+func (b *Builder) Rows(k int) { b.rs.n += int32(k) }
 
 // Build returns the accumulated ResultSet or the first append error.
 func (b *Builder) Build() (*ResultSet, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
-	return b.rs, nil
+	return &b.rs, nil
 }
 
-// Clone returns a ResultSet sharing this one's (immutable) rows with an
+// Clone returns a ResultSet sharing this one's (immutable) columns with an
 // independent, reset cursor. The query cache keeps a clone of what it is
 // given and then hands that one stored ResultSet to every reader, as a
-// coalesced harvest hands its rows to every follower: a ResultSet that came
-// from either is shared. Read it (Len, RowAt, Metadata) and Merge it into a
-// set of your own; never move its cursor, sort it, or write its rows — Clone
-// it first if you need a cursor.
+// coalesced harvest hands its result to every follower: a ResultSet that
+// came from either is shared. Read it (Len, Cell, RowAt, Metadata) and Merge
+// it into a set of your own; never move its cursor or sort it — Clone it
+// first if you need a cursor. Writing to a clone copies its column headers
+// first, so the original never sees the write.
 func (rs *ResultSet) Clone() *ResultSet {
-	clone := *rs
-	clone.cursor = -1
-	clone.wasNull = false
-	return &clone
+	clone := rs.like()
+	clone.cols, clone.n, clone.borrowed = rs.cols, rs.n, true
+	return clone
 }
 
 // Project returns a new ResultSet containing only the named columns, in the
-// given order. The cursor of the result is reset.
+// given order, sharing their arrays. The cursor of the result is reset.
 func (rs *ResultSet) Project(cols []string) (*ResultSet, error) {
-	idx := make([]int, len(cols))
 	newCols := make([]Column, len(cols))
+	out := rs.like()
+	out.n, out.cols = rs.n, make([]Vector, 0, min(len(cols), len(rs.cols)))
 	for i, name := range cols {
 		j := rs.meta.ColumnIndex(name)
 		if j < 0 {
 			return nil, fmt.Errorf("%w: %q", ErrNoColumn, name)
 		}
-		idx[i] = j
 		newCols[i] = rs.meta.Column(j)
-	}
-	meta, err := NewMetadata(newCols)
-	if err != nil {
-		return nil, err
-	}
-	out := New(meta)
-	out.Source = rs.Source
-	out.Fetched = rs.Fetched
-	for _, row := range rs.rows {
-		nr := make([]any, len(idx))
-		for i, j := range idx {
-			nr[i] = row[j]
+		if v := rs.Column(j); v != nil {
+			out.cols = append(out.cols, v.shared())
+			out.cols[len(out.cols)-1].idx = int16(i)
 		}
-		out.rows = append(out.rows, nr)
 	}
-	return out, nil
+	var err error
+	out.meta, err = NewMetadata(newCols)
+	return out, err
 }
 
-// Filter returns a new ResultSet containing the rows for which keep returns
-// true. The predicate receives raw row values in column order.
-func (rs *ResultSet) Filter(keep func(row []any) bool) *ResultSet {
-	out := New(rs.meta)
-	out.Source = rs.Source
-	out.Fetched = rs.Fetched
-	for _, row := range rs.rows {
-		if keep(row) {
-			out.rows = append(out.rows, row)
+// gather returns a new ResultSet holding rs's rows sel, in sel's order.
+func (rs *ResultSet) gather(sel []int32) *ResultSet {
+	out := rs.like()
+	out.n, out.cols = int32(len(sel)), make([]Vector, 0, len(rs.cols))
+	for i := range rs.cols {
+		src, dst := &rs.cols[i], Vector{idx: rs.cols[i].idx}
+		for k, r := range sel {
+			dst.Set(k, src.Cell(int(r)), len(sel))
+		}
+		if dst.Nulls != AllNull {
+			out.cols = append(out.cols, dst)
 		}
 	}
 	return out
+}
+
+// Where returns a new ResultSet containing the rows keep accepts; one that
+// drops no row shares rs's columns.
+func (rs *ResultSet) Where(keep func(r int) bool) *ResultSet {
+	sel := make([]int32, 0, rs.n)
+	for r := int32(0); r < rs.n; r++ {
+		if keep(int(r)) {
+			sel = append(sel, r)
+		}
+	}
+	if len(sel) == int(rs.n) {
+		return rs.Clone()
+	}
+	return rs.gather(sel)
+}
+
+// Filter is Where for a predicate over boxed rows, in column order.
+func (rs *ResultSet) Filter(keep func(row []any) bool) *ResultSet {
+	return rs.Where(func(r int) bool { return keep(rs.RowAt(r)) })
 }
 
 // Limit returns a new ResultSet with at most n rows (n < 0 means no limit).
 func (rs *ResultSet) Limit(n int) *ResultSet {
-	if n < 0 || n >= len(rs.rows) {
-		clone := *rs
-		clone.cursor = -1
-		return &clone
+	if n < 0 || n >= int(rs.n) {
+		return rs.Clone()
 	}
-	out := New(rs.meta)
-	out.Source = rs.Source
-	out.Fetched = rs.Fetched
-	// Full slice expression: the limited set must not share spare capacity
-	// with the parent, or a later Merge into it would clobber parent rows.
-	out.rows = rs.rows[:n:n]
-	return out
+	return rs.Where(func(r int) bool { return r < n })
 }
 
 // SortBy sorts rows (stably) by the named column; desc reverses the order.
 // NULLs sort first ascending, last descending.
 func (rs *ResultSet) SortBy(col string, desc bool) error {
-	i := rs.meta.ColumnIndex(col)
-	if i < 0 {
-		return fmt.Errorf("%w: %q", ErrNoColumn, col)
+	sorted, err := rs.SortedBy(col, desc)
+	if err != nil {
+		return err
 	}
-	sort.SliceStable(rs.rows, func(a, b int) bool {
-		less := CompareValues(rs.rows[a][i], rs.rows[b][i]) < 0
-		if desc {
-			return CompareValues(rs.rows[b][i], rs.rows[a][i]) < 0
-		}
-		return less
-	})
+	rs.cols, rs.borrowed, rs.view = sorted.cols, false, nil
 	rs.Reset()
 	return nil
 }
 
 // SortedBy returns a new ResultSet with the rows sorted by the named
-// column, leaving rs untouched. Only the outer row slice is copied; the
-// rows themselves are shared, so this is the copy-on-write companion to
-// SortBy for result sets whose rows other readers may still hold.
+// column, leaving rs untouched: the copy-on-write companion to SortBy for
+// result sets other readers may still hold.
 func (rs *ResultSet) SortedBy(col string, desc bool) (*ResultSet, error) {
-	out := New(rs.meta)
-	out.Source = rs.Source
-	out.Fetched = rs.Fetched
-	out.rows = append(make([][]any, 0, len(rs.rows)), rs.rows...)
-	if err := out.SortBy(col, desc); err != nil {
-		return nil, err
+	i := rs.meta.ColumnIndex(col)
+	if i < 0 {
+		return nil, fmt.Errorf("%w: %q", ErrNoColumn, col)
 	}
-	return out, nil
+	perm := make([]int32, rs.n)
+	for r := range perm {
+		perm[r] = int32(r)
+	}
+	if v := rs.Column(i); v != nil {
+		slices.SortStableFunc(perm, func(a, b int32) int {
+			if desc {
+				a, b = b, a
+			}
+			return CompareCells(v.Cell(int(a)), v.Cell(int(b)))
+		})
+	}
+	return rs.gather(perm), nil
 }
 
 // Merge appends the rows of other, which must have the same column names
@@ -536,7 +638,7 @@ func (rs *ResultSet) Merge(other *ResultSet) error {
 		return fmt.Errorf("resultset: merge column count mismatch: %d vs %d",
 			other.meta.ColumnCount(), rs.meta.ColumnCount())
 	}
-	for i := 0; i < rs.meta.ColumnCount(); i++ {
+	for i := 0; other.meta != rs.meta && i < rs.meta.ColumnCount(); i++ {
 		if !strings.EqualFold(rs.meta.Column(i).Name, other.meta.Column(i).Name) {
 			return fmt.Errorf("resultset: merge column %d mismatch: %q vs %q",
 				i, rs.meta.Column(i).Name, other.meta.Column(i).Name)
@@ -546,147 +648,40 @@ func (rs *ResultSet) Merge(other *ResultSet) error {
 				rs.meta.Column(i).Name, rs.meta.Column(i).Kind, other.meta.Column(i).Kind)
 		}
 	}
-	rs.rows = append(rs.rows, other.rows...)
+	rs.own()
+	if rs.cols == nil {
+		rs.hold(len(other.cols))
+	}
+	for i := range other.cols {
+		src := &other.cols[i]
+		rs.live(int(src.idx)).AppendRange(int(rs.n), src, 0, int(other.n), int(rs.room))
+	}
+	rs.n += other.n
 	return nil
-}
-
-// AppendGroupKey appends to dst an encoding of row's values at the given
-// column indexes, usable as a grouping map key. Values are tagged by type so
-// that, say, int64(1) and "1" produce distinct keys, and joined with a
-// separator that cannot occur inside the encoded forms. A caller that
-// reuses dst and looks groups up with m[string(dst)] allocates a key only
-// when it stores a new group, not for every row.
-func AppendGroupKey(dst []byte, row []any, cols []int) []byte {
-	for _, i := range cols {
-		switch v := row[i].(type) {
-		case nil:
-			dst = append(dst, 'n')
-		case string:
-			dst = append(strconv.AppendInt(append(dst, 's'), int64(len(v)), 10), ':')
-			dst = append(dst, v...)
-		case int64:
-			dst = strconv.AppendInt(append(dst, 'i'), v, 10)
-		case float64:
-			dst = strconv.AppendFloat(append(dst, 'f'), v, 'g', -1, 64)
-		case bool:
-			dst = strconv.AppendBool(append(dst, 'b'), v)
-		case time.Time:
-			dst = strconv.AppendInt(append(dst, 't'), v.UnixNano(), 10)
-		default:
-			dst = fmt.Appendf(append(dst, '?'), "%v", v)
-		}
-		dst = append(dst, 0)
-	}
-	return dst
-}
-
-// CompareValues orders two raw values. NULL (nil) sorts before everything;
-// numbers compare numerically across int64/float64; strings, bools and
-// times compare naturally; mismatched kinds fall back to formatted strings.
-func CompareValues(a, b any) int {
-	switch {
-	case a == nil && b == nil:
-		return 0
-	case a == nil:
-		return -1
-	case b == nil:
-		return 1
-	}
-	if fa, ok := toFloat(a); ok {
-		if fb, ok := toFloat(b); ok {
-			switch {
-			case fa < fb:
-				return -1
-			case fa > fb:
-				return 1
-			}
-			return 0
-		}
-	}
-	switch x := a.(type) {
-	case string:
-		if y, ok := b.(string); ok {
-			return strings.Compare(x, y)
-		}
-	case bool:
-		if y, ok := b.(bool); ok {
-			switch {
-			case !x && y:
-				return -1
-			case x && !y:
-				return 1
-			}
-			return 0
-		}
-	case time.Time:
-		if y, ok := b.(time.Time); ok {
-			switch {
-			case x.Before(y):
-				return -1
-			case x.After(y):
-				return 1
-			}
-			return 0
-		}
-	}
-	return strings.Compare(fmt.Sprint(a), fmt.Sprint(b))
-}
-
-func toFloat(v any) (float64, bool) {
-	switch x := v.(type) {
-	case int64:
-		return float64(x), true
-	case float64:
-		return x, true
-	}
-	return 0, false
 }
 
 // String renders the ResultSet as a compact aligned table, for logs and CLI
 // output. The cursor is not moved.
 func (rs *ResultSet) String() string {
-	names := rs.meta.ColumnNames()
-	widths := make([]int, len(names))
-	for i, n := range names {
-		widths[i] = len(n)
-	}
-	cells := make([][]string, len(rs.rows))
-	for r, row := range rs.rows {
-		cells[r] = make([]string, len(row))
-		for c, v := range row {
-			s := "NULL"
-			if v != nil {
-				switch x := v.(type) {
-				case float64:
-					s = strconv.FormatFloat(x, 'f', 2, 64)
-				case time.Time:
-					s = x.Format(time.RFC3339)
-				default:
-					s = fmt.Sprint(v)
-				}
-			}
-			cells[r][c] = s
-			if len(s) > widths[c] {
-				widths[c] = len(s)
-			}
-		}
-	}
 	var sb strings.Builder
-	for i, n := range names {
-		if i > 0 {
-			sb.WriteString("  ")
-		}
-		fmt.Fprintf(&sb, "%-*s", widths[i], n)
-	}
-	sb.WriteByte('\n')
-	for _, row := range cells {
-		for i, s := range row {
-			if i > 0 {
-				sb.WriteString("  ")
+	w := tabwriter.NewWriter(&sb, 0, 0, 2, ' ', 0)
+	fmt.Fprintln(w, strings.Join(rs.meta.ColumnNames(), "\t"))
+	for r := 0; r < int(rs.n); r++ {
+		for c := range rs.meta.cols {
+			s := "NULL"
+			switch v := rs.Cell(r, c); {
+			case v.Null:
+			case v.Kind == glue.Float:
+				s = strconv.FormatFloat(v.Float, 'f', 2, 64)
+			case v.Kind == glue.Time:
+				s = v.Time.Format(time.RFC3339)
+			default:
+				s = fmt.Sprint(v.Value())
 			}
-			fmt.Fprintf(&sb, "%-*s", widths[i], s)
+			fmt.Fprint(w, s, "\t")
 		}
-		sb.WriteByte('\n')
+		fmt.Fprintln(w)
 	}
+	w.Flush()
 	return sb.String()
 }

@@ -92,93 +92,84 @@ type aggState struct {
 	n    int64 // rows observed (non-NULL for everything but count(*))
 	sumI int64
 	sumF float64
-	cmp  any // current min/max
+	cmp  resultset.Cell // current min/max
 }
 
-func (s *aggState) observe(ip aggItemPlan, v any) {
-	switch ip.item.Agg {
-	case AggCount:
-		if ip.item.Star || v != nil {
-			s.n++
-		}
-	case AggSum:
-		if v == nil {
-			return
-		}
-		if ip.kind == glue.Int {
-			s.sumI += v.(int64)
-		} else {
-			s.sumF += asFloat(v)
-		}
-		s.n++
-	case AggAvg:
-		if v == nil {
-			return
-		}
-		s.sumF += asFloat(v)
-		s.n++
-	case AggMin:
-		if v == nil {
-			return
-		}
-		if s.n == 0 || resultset.CompareValues(v, s.cmp) < 0 {
-			s.cmp = v
-		}
-		s.n++
-	case AggMax:
-		if v == nil {
-			return
-		}
-		if s.n == 0 || resultset.CompareValues(v, s.cmp) > 0 {
-			s.cmp = v
-		}
-		s.n++
+// observe folds v into the aggregate agg over a column of kind kind. It
+// serves both evaluations: a row's cell, and (FinalizeAggregate) a site's
+// partial, where a partial count is added up like a sum.
+func (s *aggState) observe(agg AggFunc, kind glue.Kind, v resultset.Cell) {
+	if v.Null {
+		return
 	}
+	switch agg {
+	case AggSum, AggAvg:
+		if kind == glue.Int {
+			s.sumI += v.Int
+		}
+		s.sumF += v.AsFloat()
+	case AggMin:
+		if s.n == 0 || resultset.CompareCells(v, s.cmp) < 0 {
+			s.cmp = v
+		}
+	case AggMax:
+		if s.n == 0 || resultset.CompareCells(v, s.cmp) > 0 {
+			s.cmp = v
+		}
+	}
+	s.n++
 }
 
 func (s *aggState) value(ip aggItemPlan) any {
-	switch ip.item.Agg {
-	case AggCount:
+	switch {
+	case ip.item.Agg == AggCount:
 		return s.n
-	case AggSum:
-		if s.n == 0 {
-			return nil
-		}
-		if ip.kind == glue.Int {
-			return s.sumI
-		}
+	case s.n == 0:
+		return nil
+	case ip.item.Agg == AggSum && ip.kind == glue.Int:
+		return s.sumI
+	case ip.item.Agg == AggSum:
 		return s.sumF
-	case AggAvg:
-		if s.n == 0 {
-			return nil
-		}
+	case ip.item.Agg == AggAvg:
 		return s.sumF / float64(s.n)
-	default: // min/max
-		if s.n == 0 {
-			return nil
-		}
-		return s.cmp
 	}
+	return s.cmp.Value() // min/max
 }
 
 // normName canonicalizes an output column label for case-insensitive
 // lookup, matching resultset's case-insensitive column index.
 func normName(name string) string { return strings.ToLower(name) }
 
-func asFloat(v any) float64 {
-	switch x := v.(type) {
-	case int64:
-		return float64(x)
-	case float64:
-		return x
-	}
-	return 0
-}
-
 // aggGroup is the accumulator row for one grouping key.
 type aggGroup struct {
-	rep    []any // first row seen — source of the group-by column values
+	rep    int // first row seen — source of the group-by column values
 	states []aggState
+}
+
+// groupRows walks rs's rows, handing each to observe with the accumulator of
+// the group its cells at groupIdx select; groups come back in first-seen row
+// order. A global aggregate (no GROUP BY) over zero rows still has one group.
+func groupRows(rs *resultset.ResultSet, groupIdx []int, states int, observe func(g *aggGroup, r int)) []*aggGroup {
+	groups := make(map[string]*aggGroup)
+	var order []*aggGroup
+	var key []byte // reused: a key string is made once per group, not per row
+	for r := 0; r < rs.Len(); r++ {
+		key = key[:0]
+		for _, c := range groupIdx {
+			key = resultset.AppendCellKey(key, rs.Cell(r, c))
+		}
+		g := groups[string(key)]
+		if g == nil {
+			g = &aggGroup{rep: r, states: make([]aggState, states)}
+			groups[string(key)] = g
+			order = append(order, g)
+		}
+		observe(g, r)
+	}
+	if len(groupIdx) == 0 && len(order) == 0 {
+		order = append(order, &aggGroup{states: make([]aggState, states)})
+	}
+	return order
 }
 
 // aggregateResultSet evaluates q's aggregate select list over the (already
@@ -189,36 +180,22 @@ func aggregateResultSet(q *Query, rs *resultset.ResultSet) (*resultset.ResultSet
 	if err != nil {
 		return nil, err
 	}
-	groups := make(map[string]*aggGroup)
-	var order []*aggGroup
-	var key []byte // reused: a key string is made once per group, not per row
-	for i := 0; i < rs.Len(); i++ {
-		row := rs.RowAt(i)
-		key = resultset.AppendGroupKey(key[:0], row, plan.groupIdx)
-		g := groups[string(key)]
-		if g == nil {
-			g = &aggGroup{rep: row, states: make([]aggState, len(plan.items))}
-			groups[string(key)] = g
-			order = append(order, g)
-		}
+	order := groupRows(rs, plan.groupIdx, len(plan.items), func(g *aggGroup, r int) {
 		for j, ip := range plan.items {
-			var v any
-			if ip.in >= 0 {
-				v = row[ip.in]
+			switch {
+			case ip.item.Star:
+				g.states[j].n++
+			case ip.item.Agg != AggNone:
+				g.states[j].observe(ip.item.Agg, ip.kind, rs.Cell(r, ip.in))
 			}
-			g.states[j].observe(ip, v)
 		}
-	}
-	if len(q.GroupBy) == 0 && len(order) == 0 {
-		// Global aggregate over zero rows: one row of empty accumulators.
-		order = append(order, &aggGroup{states: make([]aggState, len(plan.items))})
-	}
+	})
 	b := resultset.NewBuilder(plan.meta)
 	for _, g := range order {
 		row := make([]any, len(plan.items))
 		for j, ip := range plan.items {
 			if ip.item.Agg == AggNone {
-				row[j] = g.rep[ip.in]
+				row[j] = rs.Cell(g.rep, ip.in).Value()
 			} else {
 				row[j] = g.states[j].value(ip)
 			}
@@ -268,58 +245,16 @@ func FinalizeAggregate(q *Query, partial *resultset.ResultSet) (*resultset.Resul
 	// aggregate: count → sum of counts, sum → sum of sums, min → min of
 	// mins, max → max of maxes; NULL partials (a site with no matching
 	// non-NULL values) are skipped.
-	groups := make(map[string]*aggGroup)
-	var order []*aggGroup
-	var key []byte
-	for i := 0; i < partial.Len(); i++ {
-		row := partial.RowAt(i)
-		key = resultset.AppendGroupKey(key[:0], row, groupIdx)
-		g := groups[string(key)]
-		if g == nil {
-			g = &aggGroup{rep: row, states: make([]aggState, len(pq.Items))}
-			groups[string(key)] = g
-			order = append(order, g)
-		}
+	order := groupRows(partial, groupIdx, len(pq.Items), func(g *aggGroup, r int) {
 		for j, it := range pq.Items {
-			v := row[pIdx[j]]
-			st := &g.states[j]
-			switch it.Agg {
-			case AggCount:
-				if v != nil {
-					st.n += v.(int64)
-				}
-			case AggSum:
-				if v == nil {
-					continue
-				}
-				if pmeta.Column(pIdx[j]).Kind == glue.Int {
-					st.sumI += v.(int64)
-				} else {
-					st.sumF += asFloat(v)
-				}
-				st.n++
-			case AggMin:
-				if v == nil {
-					continue
-				}
-				if st.n == 0 || resultset.CompareValues(v, st.cmp) < 0 {
-					st.cmp = v
-				}
-				st.n++
-			case AggMax:
-				if v == nil {
-					continue
-				}
-				if st.n == 0 || resultset.CompareValues(v, st.cmp) > 0 {
-					st.cmp = v
-				}
-				st.n++
+			switch v := partial.Cell(r, pIdx[j]); {
+			case it.Agg == AggCount && !v.Null:
+				g.states[j].n += v.Int
+			case it.Agg != AggCount && it.Agg != AggNone:
+				g.states[j].observe(it.Agg, pmeta.Column(pIdx[j]).Kind, v)
 			}
 		}
-	}
-	if len(q.GroupBy) == 0 && len(order) == 0 {
-		order = append(order, &aggGroup{states: make([]aggState, len(pq.Items))})
-	}
+	})
 
 	// Partial item lookup by canonical name, for finalizing avg and for
 	// mapping q.Items back onto merged states.
@@ -350,7 +285,7 @@ func FinalizeAggregate(q *Query, partial *resultset.ResultSet) (*resultset.Resul
 		for i, it := range q.Items {
 			switch it.Agg {
 			case AggNone:
-				row[i] = g.rep[pIdx[stateOf[normName(it.Name())]]]
+				row[i] = partial.Cell(g.rep, pIdx[stateOf[normName(it.Name())]]).Value()
 			case AggCount:
 				row[i] = g.states[stateOf[normName(it.Name())]].n
 			case AggAvg:
@@ -378,10 +313,8 @@ func FinalizeAggregate(q *Query, partial *resultset.ResultSet) (*resultset.Resul
 				}
 			case AggMin, AggMax:
 				st := g.states[stateOf[normName(it.Name())]]
-				if st.n == 0 {
-					row[i] = nil
-				} else {
-					row[i] = st.cmp
+				if st.n > 0 {
+					row[i] = st.cmp.Value()
 				}
 			}
 		}

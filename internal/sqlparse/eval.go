@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"gridrm/internal/glue"
 	"gridrm/internal/resultset"
 )
 
@@ -11,11 +12,19 @@ import (
 // The boolean result reports whether the column exists at all.
 type RowResolver func(column string) (any, bool)
 
-// Eval evaluates a WHERE expression against one row. A nil expression is
-// true. Comparisons involving NULL are false (use IS NULL to test for
-// NULL), matching common SQL behaviour. Referencing a column the row does
-// not have is an error.
+// Eval evaluates a WHERE expression against one boxed row — an event, which
+// has no column to read cells from. A nil expression is true. Comparisons
+// involving NULL are false (use IS NULL to test for NULL), matching common
+// SQL behaviour. Referencing a column the row does not have is an error.
 func Eval(e Expr, resolve RowResolver) (bool, error) {
+	return eval(e, func(column string) (resultset.Cell, bool) {
+		v, ok := resolve(column)
+		return resultset.CellOf(v), ok
+	})
+}
+
+// eval is Eval over cells, which is how a ResultSet's rows are read.
+func eval(e Expr, resolve func(column string) (resultset.Cell, bool)) (bool, error) {
 	if e == nil {
 		return true, nil
 	}
@@ -25,23 +34,19 @@ func Eval(e Expr, resolve RowResolver) (bool, error) {
 		if !ok {
 			return false, fmt.Errorf("sqlparse: unknown column %q", x.Column)
 		}
-		isNull := v == nil
-		if x.Negate {
-			return !isNull, nil
-		}
-		return isNull, nil
+		return v.Null != x.Negate, nil
 	case *Comparison:
 		v, ok := resolve(x.Column)
 		if !ok {
 			return false, fmt.Errorf("sqlparse: unknown column %q", x.Column)
 		}
-		if v == nil || x.Value == nil {
+		if v.Null || x.Value == nil {
 			return false, nil
 		}
 		if x.Op == OpLike {
-			s, ok := v.(string)
-			if !ok {
-				s = fmt.Sprint(v)
+			s := v.Str
+			if v.Kind != glue.String {
+				s = fmt.Sprint(v.Value())
 			}
 			pat, ok := x.Value.(string)
 			if !ok {
@@ -49,7 +54,7 @@ func Eval(e Expr, resolve RowResolver) (bool, error) {
 			}
 			return MatchLike(pat, s), nil
 		}
-		cmp := resultset.CompareValues(v, x.Value)
+		cmp := resultset.CompareCells(v, resultset.CellOf(x.Value))
 		switch x.Op {
 		case OpEq:
 			return cmp == 0, nil
@@ -66,7 +71,7 @@ func Eval(e Expr, resolve RowResolver) (bool, error) {
 		}
 		return false, fmt.Errorf("sqlparse: unknown operator %v", x.Op)
 	case *Logical:
-		left, err := Eval(x.Left, resolve)
+		left, err := eval(x.Left, resolve)
 		if err != nil {
 			return false, err
 		}
@@ -77,12 +82,12 @@ func Eval(e Expr, resolve RowResolver) (bool, error) {
 			if !left {
 				return false, nil
 			}
-			return Eval(x.Right, resolve)
+			return eval(x.Right, resolve)
 		case OpOr:
 			if left {
 				return true, nil
 			}
-			return Eval(x.Right, resolve)
+			return eval(x.Right, resolve)
 		}
 	}
 	return false, fmt.Errorf("sqlparse: unknown expression %T", e)
@@ -128,9 +133,8 @@ func likeMatch(p, s string) bool {
 // coarse-grained native snapshots use this to finish query processing; it
 // is part of the driver development API the paper describes in §3.2.1.
 //
-// The input rs is never mutated: stages that reorder rows work on a copy
-// of the row slice, so drivers and caches may keep serving rs to
-// concurrent queries.
+// The input rs is never mutated: stages that reorder rows build new
+// columns, so drivers and caches may keep serving rs to concurrent queries.
 func ApplyToResultSet(q *Query, rs *resultset.ResultSet) (*resultset.ResultSet, error) {
 	meta := rs.Metadata()
 	// Validate referenced columns up front for a clear error.
@@ -142,14 +146,17 @@ func ApplyToResultSet(q *Query, rs *resultset.ResultSet) (*resultset.ResultSet, 
 	out := rs
 	if q.Where != nil {
 		var evalErr error
-		out = out.Filter(func(row []any) bool {
-			ok, err := Eval(q.Where, func(col string) (any, bool) {
-				i := meta.ColumnIndex(col)
-				if i < 0 {
-					return nil, false
-				}
-				return row[i], true
-			})
+		row := 0 // one resolver for every row, not a closure a row
+		resolve := func(col string) (resultset.Cell, bool) {
+			i := meta.ColumnIndex(col)
+			if i < 0 {
+				return resultset.Cell{}, false
+			}
+			return rs.Cell(row, i), true
+		}
+		out = out.Where(func(r int) bool {
+			row = r
+			ok, err := eval(q.Where, resolve)
 			if err != nil && evalErr == nil {
 				evalErr = err
 			}
@@ -164,20 +171,14 @@ func ApplyToResultSet(q *Query, rs *resultset.ResultSet) (*resultset.ResultSet, 
 		if err != nil {
 			return nil, err
 		}
-		out = agg // freshly built: safe to sort in place below
+		out = agg
 	}
 	if q.OrderBy != "" {
-		if out == rs {
-			// Copy-on-write: sorting the caller's set in place would
-			// reorder rows shared with other readers.
-			sorted, err := out.SortedBy(q.OrderBy, q.Desc)
-			if err != nil {
-				return nil, err
-			}
-			out = sorted
-		} else if err := out.SortBy(q.OrderBy, q.Desc); err != nil {
+		sorted, err := out.SortedBy(q.OrderBy, q.Desc)
+		if err != nil {
 			return nil, err
 		}
+		out = sorted
 	}
 	if q.Limit >= 0 {
 		out = out.Limit(q.Limit)

@@ -17,7 +17,9 @@ import (
 	"math"
 	"time"
 
+	"gridrm/internal/glue"
 	"gridrm/internal/history"
+	"gridrm/internal/resultset"
 )
 
 // recordVersion is the first byte of every encoded sample payload.
@@ -49,18 +51,43 @@ const (
 //	  tagInt: varint           tagFloat:  8-byte IEEE-754 bits
 //	  tagBool: u8 0/1          tagTime:   varint Unix nanoseconds
 func encodeSample(buf []byte, rec history.SampleRecord) []byte {
-	buf = append(buf, recordVersion)
-	buf = appendBytes(buf, rec.Source)
-	buf = appendBytes(buf, rec.Group)
-	buf = binary.AppendVarint(buf, rec.At.UnixNano())
-	buf = binary.AppendUvarint(buf, uint64(len(rec.Rows)))
+	buf = encodeHeader(buf, rec.Source, rec.Group, rec.At, len(rec.Rows))
 	for _, row := range rec.Rows {
 		buf = binary.AppendUvarint(buf, uint64(len(row)))
 		for _, v := range row {
-			buf = appendValue(buf, v)
+			if v == nil { // most cells of a sparse harvest
+				buf = append(buf, tagNil)
+				continue
+			}
+			// A value outside the GLUE runtime types should not reach the
+			// store; CellOf keeps the record decodable by storing its string
+			// form rather than failing the append.
+			buf = appendCell(buf, resultset.CellOf(v))
 		}
 	}
 	return buf
+}
+
+// encodeResult is encodeSample for a harvest's own ResultSet: the cells are
+// read from its columns, and nothing is boxed on the way to the journal.
+func encodeResult(buf []byte, source, group string, at time.Time, rs *resultset.ResultSet) []byte {
+	buf = encodeHeader(buf, source, group, at, rs.Len())
+	for r, cols := 0, rs.Metadata().ColumnCount(); r < rs.Len(); r++ {
+		buf = binary.AppendUvarint(buf, uint64(cols))
+		for c := 0; c < cols; c++ {
+			buf = appendCell(buf, rs.Cell(r, c))
+		}
+	}
+	return buf
+}
+
+// encodeHeader appends everything of a sample's encoding before its rows.
+func encodeHeader(buf []byte, source, group string, at time.Time, rows int) []byte {
+	buf = append(buf, recordVersion)
+	buf = appendBytes(buf, source)
+	buf = appendBytes(buf, group)
+	buf = binary.AppendVarint(buf, at.UnixNano())
+	return binary.AppendUvarint(buf, uint64(rows))
 }
 
 func appendBytes(buf []byte, s string) []byte {
@@ -68,35 +95,20 @@ func appendBytes(buf []byte, s string) []byte {
 	return append(buf, s...)
 }
 
-func appendValue(buf []byte, v any) []byte {
-	switch x := v.(type) {
-	case nil:
+func appendCell(buf []byte, v resultset.Cell) []byte {
+	switch {
+	case v.Null:
 		return append(buf, tagNil)
-	case string:
-		buf = append(buf, tagString)
-		return appendBytes(buf, x)
-	case int64:
-		buf = append(buf, tagInt)
-		return binary.AppendVarint(buf, x)
-	case float64:
-		buf = append(buf, tagFloat)
-		return binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
-	case bool:
-		buf = append(buf, tagBool)
-		if x {
-			return append(buf, 1)
-		}
-		return append(buf, 0)
-	case time.Time:
-		buf = append(buf, tagTime)
-		return binary.AppendVarint(buf, x.UnixNano())
-	default:
-		// A value outside the GLUE runtime types should not reach the
-		// store; keep the record decodable by storing its string form
-		// rather than failing the append.
-		buf = append(buf, tagString)
-		return appendBytes(buf, fmt.Sprint(x))
+	case v.Kind == glue.String:
+		return appendBytes(append(buf, tagString), v.Str)
+	case v.Kind == glue.Float:
+		return binary.LittleEndian.AppendUint64(append(buf, tagFloat), math.Float64bits(v.Float))
+	case v.Kind == glue.Bool:
+		return append(buf, tagBool, byte(v.Int))
+	case v.Kind == glue.Time:
+		return binary.AppendVarint(append(buf, tagTime), v.Time.UnixNano())
 	}
+	return binary.AppendVarint(append(buf, tagInt), v.Int)
 }
 
 // decoder is a bounds-checked cursor over an encoded payload. Every read

@@ -286,15 +286,7 @@ func (s *Store) Record(source, group string, rs *resultset.ResultSet, at time.Ti
 	if s.closed || !s.attached {
 		return nil
 	}
-	// Rows are only read during encoding, so aliasing the ResultSet's own
-	// slices is safe here.
-	rows := make([][]any, rs.Len())
-	for i := range rows {
-		rows[i] = rs.RowAt(i)
-	}
-	s.encBuf = encodeSample(s.encBuf[:0], history.SampleRecord{
-		Source: source, Group: group, At: at, Rows: rows,
-	})
+	s.encBuf = encodeResult(s.encBuf[:0], source, group, at, rs)
 	err := s.failWrites
 	if err == nil {
 		err = s.w.append(s.encBuf)

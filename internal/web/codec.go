@@ -23,10 +23,10 @@ import (
 //
 // and the column kind fixes each cell's JSON form (DESIGN.md, "Wire
 // contract"). WireResult writes and reads that object itself, without
-// reflection and without an intermediate [][]any: rows are appended to one
-// buffer straight from the ResultSet and scanned back straight into the
-// ResultSet's own row slices. The request and response envelopes around it
-// (envelope.go) are written and read with the same primitives.
+// reflection and without boxing a cell: rows are appended to one buffer
+// straight from the ResultSet's columns and scanned back straight into
+// them. The request and response envelopes around it (envelope.go) are
+// written and read with the same primitives.
 
 // maxWireColumns bounds the columns a decoded result may declare. GLUE
 // groups have about ten; the bound keeps resultset.NewMetadata's pairwise
@@ -63,15 +63,18 @@ func (wr WireResult) appendJSON(buf []byte) ([]byte, error) {
 		buf = append(buf, '}')
 	}
 	buf = append(buf, `],"rows":[`...)
+	// Look each column up once, not once a cell; GLUE groups have about ten.
+	var few [16]*resultset.Vector
+	cols := few[:0]
+	for i := 0; i < meta.ColumnCount(); i++ {
+		cols = append(cols, rs.Column(i))
+	}
 	for r, n := 0, rs.Len(); r < n; r++ {
 		start := len(buf)
 		if r > 0 {
 			buf = append(buf, ',')
 		}
-		var err error
-		if buf, err = appendRow(buf, rs.RowAt(r)); err != nil {
-			return nil, fmt.Errorf("web: row %d: %w", r, err)
-		}
+		buf = appendRow(buf, cols, r)
 		if r == 0 {
 			// The first row sizes the rest: one growth, an eighth to spare.
 			buf = slices.Grow(buf, (len(buf)-start+1)*(n-1)*9/8+len(`]}`))
@@ -94,30 +97,33 @@ func (wr WireResult) headSize() int {
 	return size
 }
 
-func appendRow(buf []byte, row []any) ([]byte, error) {
+// appendRow appends row r of the columns; one that is nil is all NULL.
+func appendRow(buf []byte, cols []*resultset.Vector, r int) []byte {
 	buf = append(buf, '[')
-	for i, v := range row {
+	for i, col := range cols {
 		if i > 0 {
 			buf = append(buf, ',')
 		}
-		switch x := v.(type) {
-		case nil:
+		if col == nil {
 			buf = append(buf, "null"...)
-		case string:
-			buf = appendString(buf, x)
-		case int64:
-			buf = strconv.AppendInt(buf, x, 10)
-		case float64:
-			buf = appendFloat(buf, x)
-		case bool:
-			buf = strconv.AppendBool(buf, x)
-		case time.Time:
-			buf = append(x.AppendFormat(append(buf, '"'), time.RFC3339Nano), '"')
+			continue
+		}
+		switch v := col.Cell(r); {
+		case v.Null:
+			buf = append(buf, "null"...)
+		case v.Kind == glue.String:
+			buf = appendString(buf, v.Str)
+		case v.Kind == glue.Float:
+			buf = appendFloat(buf, v.Float)
+		case v.Kind == glue.Bool:
+			buf = strconv.AppendBool(buf, v.Int != 0)
+		case v.Kind == glue.Time:
+			buf = append(v.Time.AppendFormat(append(buf, '"'), time.RFC3339Nano), '"')
 		default:
-			return nil, fmt.Errorf("column %d: cannot encode a %T", i, v)
+			buf = strconv.AppendInt(buf, v.Int, 10)
 		}
 	}
-	return append(buf, ']'), nil
+	return append(buf, ']')
 }
 
 // appendFloat writes f the way encoding/json does ('f' form, 'e' for very
@@ -711,9 +717,10 @@ func kindFromName(name []byte) (glue.Kind, bool) {
 }
 
 // sizeRows is the counting pre-pass over the "rows" text: how many rows it
-// holds and how many bytes its String cells take. Both only size
-// allocations, so it trusts nothing and checks nothing; rows does that.
-func sizeRows(text []byte, cols []resultset.Column) (rows, stringBytes int) {
+// holds, how many bytes its String cells take and how many cells of its first
+// row are null. All three only size allocations, so it trusts nothing and
+// checks nothing; rows does that.
+func sizeRows(text []byte, cols []resultset.Column) (rows, stringBytes, nulls int) {
 	depth, col := 0, 0
 	for i := 0; i < len(text); i++ {
 		switch c := text[i]; c {
@@ -728,6 +735,10 @@ func sizeRows(text []byte, cols []resultset.Column) (rows, stringBytes int) {
 			if depth == 2 {
 				col++
 			}
+		case 'n': // a string is skipped whole below, so this is a null
+			if depth == 2 && rows == 1 {
+				nulls++
+			}
 		case '"':
 			from := i + 1
 			for i = from; i < len(text) && text[i] != '"'; i++ {
@@ -740,44 +751,41 @@ func sizeRows(text []byte, cols []resultset.Column) (rows, stringBytes int) {
 			}
 		}
 	}
-	return rows, stringBytes
+	return rows, stringBytes, nulls
 }
 
 // rows parses the "rows" array, which must be the rest of the input, into
-// b. All rows are carved from one slab of cells and all String cells from
-// one run of bytes, both sized by sizeRows, so a row costs what boxing its
-// values costs and nothing else.
+// b: each cell goes straight into its column, the columns sized by sizeRows
+// and all String cells kept in one run of bytes, so decoding costs an array
+// per column that holds values, however many rows there are.
 func (d *wireDecoder) rows(cols []resultset.Column, b *resultset.Builder) error {
-	n, stringBytes := sizeRows(d.data[d.pos:], cols)
-	// A cell and its separator take two bytes at least, which bounds what a
-	// miscounted input can make the slab cost.
-	slab := make([]any, 0, min(n*len(cols), (len(d.data)-d.pos)/2+1))
+	n, stringBytes, nulls := sizeRows(d.data[d.pos:], cols)
 	var text strings.Builder
 	text.Grow(stringBytes)
-	b.Grow(n)
+	// A cell and its separator take two bytes at least, which bounds what a
+	// miscounted input can make the columns cost; the first row says which
+	// of them will hold values.
+	b.Grow(min(n, ((len(d.data)-d.pos)/2+1)/max(1, len(cols))), len(cols)-nulls)
 
 	more, err := d.open('[', ']')
 	for more && err == nil {
 		if err := d.expect('['); err != nil {
 			return err
 		}
-		if cap(slab)-len(slab) < len(cols) {
-			slab = make([]any, 0, len(cols))
-		}
-		slab = slab[:len(slab)+len(cols)]
-		row := slab[len(slab)-len(cols) : len(slab) : len(slab)]
-		for i := range row {
+		for i := range cols {
 			if i > 0 && d.expect(',') != nil {
 				return d.errorf("row has fewer than %d cells", len(cols))
 			}
-			if row[i], err = d.cell(cols[i].Kind, &text); err != nil {
+			v, err := d.cell(cols[i].Kind, &text)
+			if err != nil {
 				return fmt.Errorf("%w (column %s)", err, cols[i].Name)
 			}
+			b.Put(0, i, v)
 		}
 		if d.expect(']') != nil {
 			return d.errorf("row has more than %d cells, or a malformed one", len(cols))
 		}
-		b.AppendOwned(row)
+		b.Rows(1)
 		more, err = d.more(']')
 	}
 	if err != nil {
@@ -788,46 +796,39 @@ func (d *wireDecoder) rows(cols []resultset.Column, b *resultset.Builder) error 
 
 // cell parses one cell of the given kind; null is NULL for every kind.
 // String values are kept in text.
-func (d *wireDecoder) cell(kind glue.Kind, text *strings.Builder) (any, error) {
+func (d *wireDecoder) cell(kind glue.Kind, text *strings.Builder) (v resultset.Cell, err error) {
 	if d.peek() == 'n' && d.literal("null") {
-		return nil, nil
+		return resultset.Cell{Null: true}, nil
 	}
+	v.Kind = kind
 	switch kind {
 	case glue.String, glue.Time:
-		s, err := d.stringValue()
-		if err != nil {
-			return nil, err
+		var s []byte
+		if s, err = d.stringValue(); err != nil {
+			return v, err
 		}
-		if kind == glue.Time {
-			t, err := time.Parse(time.RFC3339Nano, string(s))
-			if err != nil {
-				return nil, d.errorf("%v", err)
-			}
-			return t, nil
+		if kind == glue.String {
+			v.Str = keep(text, s)
+		} else if v.Time, err = time.Parse(time.RFC3339Nano, string(s)); err != nil {
+			err = d.errorf("%v", err)
 		}
-		return keep(text, s), nil
 	case glue.Int:
-		v, err := d.integer(64)
-		if err != nil {
-			return nil, err
-		}
-		return v, nil
+		v.Int, err = d.integer(64)
 	case glue.Float:
-		lit, _, err := d.number()
-		if err != nil {
-			return nil, err
+		var lit []byte
+		if lit, _, err = d.number(); err != nil {
+			return v, err
 		}
-		v, err := strconv.ParseFloat(string(lit), 64)
-		if err != nil {
-			return nil, d.errorf("%v", err)
+		if v.Float, err = strconv.ParseFloat(string(lit), 64); err != nil {
+			err = d.errorf("%v", err)
 		}
-		return v, nil
 	case glue.Bool:
-		v, err := d.boolean()
-		if err != nil {
-			return nil, err
+		var t bool
+		if t, err = d.boolean(); t {
+			v.Int = 1
 		}
-		return v, nil
+	default:
+		err = d.errorf("unknown kind %v", kind)
 	}
-	return nil, d.errorf("unknown kind %v", kind)
+	return v, err
 }

@@ -68,6 +68,12 @@ func TestMetricsEndpoint(t *testing.T) {
 		`le="+Inf"`,
 		"gridrm_pool_dial_seconds_count",
 		"gridrm_event_queue_depth",
+		"gridrm_runtime_goroutines",
+		"gridrm_runtime_heap_alloc_bytes",
+		"gridrm_runtime_heap_objects",
+		"gridrm_runtime_mallocs_total",
+		"gridrm_runtime_gc_cycles_total",
+		"gridrm_runtime_gc_pause_seconds_total",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics output missing %q", want)
