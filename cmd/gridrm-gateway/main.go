@@ -68,7 +68,6 @@ func main() {
 		role         = flag.String("role", "site", "directory role: site (serve a manifest's agents) or republisher (mirror a shard of sites and answer region queries)")
 		repubRefresh = flag.Duration("repub-refresh", 2*time.Second, "republisher directory poll / rebalance cadence")
 		repubScrape  = flag.Duration("repub-scrape", 5*time.Second, "republisher re-scrape cadence for sites without a live subscription")
-		ringVNodes   = flag.Int("ring-vnodes", 0, "virtual nodes per republisher on the ownership ring (0 = default; all members must agree)")
 
 		harvestTimeout = flag.Duration("harvest-timeout", 0, "per-source harvest timeout (0 = default, negative = off)")
 		queryTimeout   = flag.Duration("query-timeout", 0, "whole-request deadline when the caller sets none (0 = default, negative = off)")
@@ -109,7 +108,7 @@ func main() {
 
 	dir, localDir := assembleDirectory(*hostDir, *refresh, *dirTimeout, directories)
 	if *role == "republisher" {
-		runRepublisher(*name, *listen, dir, localDir, *repubRefresh, *repubScrape, *ringVNodes, *maxInFlight, *maxQueue)
+		runRepublisher(*name, *listen, dir, localDir, *repubRefresh, *repubScrape, *maxInFlight, *maxQueue)
 		return
 	}
 	if *role != "site" {
@@ -205,7 +204,6 @@ func main() {
 			LookupTTL:     *lookupTTL,
 			RetryAttempts: *remoteRetries,
 			HedgeAfter:    *hedgeAfter,
-			RingVNodes:    *ringVNodes,
 		})
 		fedRouter.RegisterMetrics(gw.Metrics())
 		gw.SetGlobalRouter(fedRouter)
@@ -310,7 +308,7 @@ func assembleDirectory(hostDir bool, refresh, dirTimeout time.Duration, director
 //	gridrm-gateway -role=republisher -name repub-a -listen 127.0.0.1:8090 \
 //	    -directory http://127.0.0.1:8080
 func runRepublisher(name, listen string, dir gma.DirectoryService, localDir *gma.Directory,
-	refresh, scrape time.Duration, vnodes, maxInFlight, maxQueue int) {
+	refresh, scrape time.Duration, maxInFlight, maxQueue int) {
 	if name == "" {
 		log.Fatal("gridrm-gateway: republisher mode requires -name")
 	}
@@ -325,7 +323,6 @@ func runRepublisher(name, listen string, dir gma.DirectoryService, localDir *gma
 		Directory:       dir,
 		RefreshInterval: refresh,
 		ScrapeInterval:  scrape,
-		VNodes:          vnodes,
 	})
 	if err != nil {
 		log.Fatalf("gridrm-gateway: %v", err)

@@ -29,14 +29,6 @@ type FanoutLeg struct {
 	Covers []string
 }
 
-// FanoutPlanner is implemented by routers that can turn the flat
-// all-sites fan-out into a tree (gma.Router with republishers
-// registered). queryAllSites consults it when present and falls back to
-// GlobalRouter.Sites otherwise.
-type FanoutPlanner interface {
-	FanoutPlan(ctx context.Context) ([]FanoutLeg, error)
-}
-
 // legLabel names a leg in source statuses and timeout diagnostics.
 func legLabel(leg FanoutLeg) string {
 	if leg.Republisher {
@@ -67,12 +59,15 @@ func relabel(dst []SourceStatus, label string, sources []SourceStatus) []SourceS
 // wire; the entry gateway merges them (sum of sums, min of mins) and
 // finalizes the answer.
 //
-// When the router plans a hierarchical fan-out (FanoutPlanner), sites
-// owned by republishers are covered by one region leg each: the entry's
-// fan-out degree is the number of republishers, not the number of sites,
-// and the partial-aggregate sub-query is answered from the republisher's
-// merged view. A failed region leg degrades to direct legs for the sites
-// it covered, so a dead republisher costs latency, not answers.
+// The router plans the fan-out (GlobalRouter.FanoutPlan). Sites owned by
+// republishers are covered by one region leg each: the entry's fan-out
+// degree is the number of republishers, not the number of sites, and the
+// partial-aggregate sub-query is answered from the republisher's merged
+// view. A failed region leg degrades to direct legs for the sites it
+// covered, so a dead republisher costs latency, not answers. A plan that
+// cannot be made (the directory is down and nothing is cached) leaves the
+// local leg alone, and the answer says so in a "plan" source status: rows
+// of one site must not pass for the VO's.
 //
 // The fan-out is bounded by ctx: a leg that has not answered when the
 // deadline passes is reported as timed out and the consolidated rows of
@@ -99,19 +94,10 @@ func (g *Gateway) queryAllSites(ctx context.Context, req QueryOptions, start tim
 	g.mu.RUnlock()
 	legs := []FanoutLeg{{Target: g.name}}
 	siteCount := 1
+	var planErr error
 	if router != nil {
 		var planned []FanoutLeg
-		if fp, ok := router.(FanoutPlanner); ok {
-			planned, err = fp.FanoutPlan(ctx)
-			if err != nil {
-				planned = nil
-			}
-		}
-		if planned == nil {
-			for _, site := range router.Sites() {
-				planned = append(planned, FanoutLeg{Target: site})
-			}
-		}
+		planned, planErr = router.FanoutPlan(ctx)
 		for _, leg := range planned {
 			if leg.Republisher {
 				siteCount += len(leg.Covers)
@@ -258,7 +244,10 @@ collect:
 			rows += rs.Len()
 		}
 	}
-	statuses := make([]SourceStatus, 0, sources)
+	statuses := make([]SourceStatus, 0, sources+1)
+	if planErr != nil {
+		statuses = append(statuses, SourceStatus{Source: "plan", Err: planErr.Error()})
+	}
 	for _, lr := range results {
 		answered += lr.answered
 		statuses = append(statuses, lr.statuses...)

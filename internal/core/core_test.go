@@ -554,7 +554,9 @@ func (r *fakeRouter) RemoteQueryContext(_ context.Context, site string, req Quer
 	return r.resp, nil
 }
 
-func (r *fakeRouter) Sites() []string { return []string{"siteB"} }
+func (r *fakeRouter) FanoutPlan(context.Context) ([]FanoutLeg, error) {
+	return []FanoutLeg{{Target: "siteB"}}, nil
+}
 
 func TestRemoteRouting(t *testing.T) {
 	f := newFixture(t)

@@ -380,7 +380,9 @@ func (r *hangingRouter) RemoteQueryContext(_ context.Context, site string, req Q
 	return nil, errors.New("released late")
 }
 
-func (r *hangingRouter) Sites() []string { return []string{"siteSlow"} }
+func (r *hangingRouter) FanoutPlan(context.Context) ([]FanoutLeg, error) {
+	return []FanoutLeg{{Target: "siteSlow"}}, nil
+}
 
 // TestAllSitesStragglerTimesOut: an all-sites fan-out with one unreachable
 // site still returns the local rows at the deadline, with the straggler site

@@ -267,8 +267,10 @@ type GlobalRouter interface {
 	// returns its response, bounded by ctx so an all-sites fan-out can
 	// abandon a hung site at the request deadline.
 	RemoteQueryContext(ctx context.Context, site string, req QueryOptions) (*Response, error)
-	// Sites lists the remote sites the router can reach.
-	Sites() []string
+	// FanoutPlan lists the legs of an all-sites query beyond the local one:
+	// a direct leg for each remote site the router can reach, or one region
+	// leg for all the sites a republisher answers for.
+	FanoutPlan(ctx context.Context) ([]FanoutLeg, error)
 }
 
 // Gateway is a GridRM gateway's local layer.

@@ -376,16 +376,3 @@ func CheckValue(f Field, v any) error {
 	}
 	return nil
 }
-
-// ValidateRow checks a full row (in canonical field order) against group g.
-func ValidateRow(g *Group, row []any) error {
-	if len(row) != len(g.Fields) {
-		return fmt.Errorf("glue: group %s expects %d fields, row has %d", g.Name, len(g.Fields), len(row))
-	}
-	for i, f := range g.Fields {
-		if err := CheckValue(f, row[i]); err != nil {
-			return fmt.Errorf("glue: group %s: %w", g.Name, err)
-		}
-	}
-	return nil
-}

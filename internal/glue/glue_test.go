@@ -163,22 +163,6 @@ func TestCheckValue(t *testing.T) {
 	}
 }
 
-func TestValidateRow(t *testing.T) {
-	g := MustLookup(GroupNetworkElement) // Name, Type, PortCount, Status
-	if err := ValidateRow(g, []any{"r1", "router", int64(24), "up"}); err != nil {
-		t.Errorf("valid row rejected: %v", err)
-	}
-	if err := ValidateRow(g, []any{"r1", "router", int64(24)}); err == nil {
-		t.Error("short row accepted")
-	}
-	if err := ValidateRow(g, []any{"r1", "router", "24", "up"}); err == nil {
-		t.Error("mistyped row accepted")
-	}
-	if err := ValidateRow(g, []any{nil, nil, nil, nil}); err != nil {
-		t.Errorf("all-NULL row rejected: %v", err)
-	}
-}
-
 func TestKindString(t *testing.T) {
 	want := map[Kind]string{String: "string", Int: "int", Float: "float", Bool: "bool", Time: "time"}
 	for k, s := range want {

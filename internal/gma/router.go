@@ -44,9 +44,6 @@ type Config struct {
 	// has not answered after this long; the first response wins and the
 	// loser is cancelled (0 disables hedging).
 	HedgeAfter time.Duration
-	// RingVNodes is the virtual-node count per republisher on the
-	// ownership ring (0 uses DefaultVNodes).
-	RingVNodes int
 	// Clock is injectable for tests; nil uses time.Now.
 	Clock func() time.Time
 }
@@ -92,7 +89,7 @@ type cachedLookup struct {
 }
 
 // Router routes remote-site queries via the GMA directory; it implements
-// core.GlobalRouter and core.FanoutPlanner. It keeps a TTL'd lookup cache
+// core.GlobalRouter. It keeps a TTL'd lookup cache
 // with stale-on-error semantics and a circuit breaker per remote endpoint,
 // retries with backoff, optionally hedges straggling remote queries, and —
 // when republishers are registered — routes site queries through the
@@ -360,7 +357,7 @@ func (r *Router) storeRegistrations(regs []Registration, now time.Time) {
 		r.regs = append([]Registration(nil), regs...)
 		r.regsAt = now
 	}
-	r.ring = NewRing(repubs, r.cfg.RingVNodes)
+	r.ring = NewRing(repubs, DefaultVNodes)
 	for _, reg := range regs {
 		if prev, seen := r.gens[reg.Name]; seen && prev != reg.Generation {
 			if _, cached := r.lookups[r.cacheKey(reg.Name)]; cached {
@@ -568,8 +565,8 @@ func (r *Router) execHedged(ctx context.Context, endpoint string, req core.Query
 	}
 }
 
-// Sites implements core.GlobalRouter: the names of registered site-role
-// members, excluding the local site. The list rides the registration
+// Sites lists the names of registered site-role members, excluding the
+// local site, for the servlet's /sites. The list rides the registration
 // cache: cached for LookupTTL and served stale when the directory is
 // unreachable, so all-sites fan-out keeps working through an outage.
 func (r *Router) Sites() []string {
@@ -586,7 +583,7 @@ func (r *Router) Sites() []string {
 	return sites
 }
 
-// FanoutPlan implements core.FanoutPlanner: it turns the all-sites
+// FanoutPlan implements core.GlobalRouter: it turns the all-sites
 // fan-out into a tree. Sites owned by a registered republisher are
 // covered by one leg targeting that republisher (the republisher answers
 // from its merged region view); sites without an owner get direct legs.
@@ -641,4 +638,3 @@ func (r *Router) FanoutPlan(ctx context.Context) ([]core.FanoutLeg, error) {
 }
 
 var _ core.GlobalRouter = (*Router)(nil)
-var _ core.FanoutPlanner = (*Router)(nil)

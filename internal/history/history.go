@@ -97,21 +97,35 @@ func checkTime(f glue.Field, v resultset.Cell) error {
 // results that were projected by a query should not be recorded. Samples
 // may arrive out of time order; the series stays sorted.
 func (s *Store) Record(source, group string, rs *resultset.ResultSet, at time.Time) error {
+	_, err := s.record(source, group, rs, at, false)
+	return err
+}
+
+// Load is Record for a sample a durability layer restores: one whose time
+// exactly matches a sample the key already holds is dropped, so replaying a
+// WAL that overlaps a checkpoint is idempotent. It checks what Record checks
+// — a journal written under another schema, or a foreign directory, must not
+// poison the group's reads — and reports whether the sample was kept.
+func (s *Store) Load(source, group string, rs *resultset.ResultSet, at time.Time) (bool, error) {
+	return s.record(source, group, rs, at, true)
+}
+
+func (s *Store) record(source, group string, rs *resultset.ResultSet, at time.Time, dedupe bool) (bool, error) {
 	g, ok := glue.Lookup(group)
 	if !ok {
-		return fmt.Errorf("history: unknown group %q", group)
+		return false, fmt.Errorf("history: unknown group %q", group)
 	}
 	meta := rs.Metadata()
 	// A harvest's result carries the group's own shared Metadata; only
 	// another one needs comparing with the group field by field.
 	if canonical, _ := resultset.MetadataForGroup(g, nil); meta != canonical {
 		if meta.ColumnCount() != len(g.Fields) {
-			return fmt.Errorf("history: result has %d columns, group %s has %d",
+			return false, fmt.Errorf("history: result has %d columns, group %s has %d",
 				meta.ColumnCount(), g.Name, len(g.Fields))
 		}
 		for i, f := range g.Fields {
 			if c := meta.Column(i); meta.ColumnIndex(f.Name) != i || c.Kind != f.Kind {
-				return fmt.Errorf("history: result column %d is %s %q, want %s %q",
+				return false, fmt.Errorf("history: result column %d is %s %q, want %s %q",
 					i, c.Kind, c.Name, f.Kind, f.Name)
 			}
 		}
@@ -120,22 +134,21 @@ func (s *Store) Record(source, group string, rs *resultset.ResultSet, at time.Ti
 	for c, f := range g.Fields {
 		for i := 0; f.Kind == glue.Time && i < n; i++ {
 			if err := checkTime(f, rs.Cell(i, c)); err != nil {
-				return err
+				return false, err
 			}
 		}
 	}
 	ns, ok := unixNanos(at)
 	if !ok {
-		return fmt.Errorf("history: sample time %v out of range", at)
+		return false, fmt.Errorf("history: sample time %v out of range", at)
 	}
 	// The cells are copied into the series' columns, so a caller mutating
 	// its harvested result afterwards cannot corrupt stored history.
-	_, err := s.add(g, source, ns, n, func(c int, col *column, r int) {
+	return s.add(g, source, ns, n, func(c int, col *column, r int) {
 		if src := rs.Column(c); src != nil {
 			col.copyIn(r, src, 0, n, 0)
 		}
-	}, false)
-	return err
+	}, dedupe)
 }
 
 // add puts one checked sample into its series in time order — after any
@@ -369,16 +382,6 @@ func (s *Store) SampleCount(source, group string) int {
 	return 0
 }
 
-// SampleRecord is one recorded sample in flat form — the exchange shape
-// between the store and a durability layer (internal/tsdb) that journals
-// records and checkpoints retained state.
-type SampleRecord struct {
-	Source string
-	Group  string
-	At     time.Time
-	Rows   [][]any
-}
-
 // View is a point-in-time image of every retained sample, taken in O(keys):
 // it holds the series' array headers, not copies of their samples. Reading
 // it takes no lock and never blocks Record.
@@ -413,63 +416,40 @@ func (s *Store) View() *View {
 	return v
 }
 
+// Sample is one retained sample of a View: At's rows of (Source, Group), its
+// cells read where the series holds them.
+type Sample struct {
+	Source, Group string
+	At            time.Time
+	ser           *series
+	from, rows    int
+}
+
+// Len returns the number of rows, Width the number of cells in each.
+func (s *Sample) Len() int   { return s.rows }
+func (s *Sample) Width() int { return len(s.ser.cols) }
+
+// Null reports whether row r of the group's field c is NULL; Cell returns
+// its value.
+func (s *Sample) Null(r, c int) bool           { return s.ser.cols[c].Null(s.from + r) }
+func (s *Sample) Cell(r, c int) resultset.Cell { return s.ser.cols[c].at(s.from + r) }
+
 // Each calls fn with every sample, series by series in (source, group) order
-// and in time order within one, stopping at the first error. rec.Rows and
-// the rows in it are one buffer reused from sample to sample: fn must not
-// keep them.
-func (v *View) Each(fn func(rec SampleRecord) error) error {
-	var cells []any
-	var rows [][]any
+// and in time order within one, stopping at the first error. The Sample is
+// reused from call to call: fn must not keep it.
+func (v *View) Each(fn func(*Sample) error) error {
 	for k := range v.series {
 		ser := &v.series[k]
-		rec := SampleRecord{Source: ser.source, Group: ser.group}
+		smp := Sample{Source: ser.source, Group: ser.group, ser: &ser.series}
 		for i := ser.head; i < len(ser.times); i++ {
-			cells, rows = ser.sample(cells, rows, i)
-			rec.At, rec.Rows = time.Unix(0, ser.times[i]), rows
-			if err := fn(rec); err != nil {
+			smp.At, smp.from = time.Unix(0, ser.times[i]), ser.rowStart(i)
+			smp.rows = int(ser.ends[i]) - smp.from
+			if err := fn(&smp); err != nil {
 				return err
 			}
 		}
 	}
 	return nil
-}
-
-// Load inserts a restored sample in time order. Like Record it checks the
-// rows against the group — a journal written under another schema, or a
-// foreign directory, must not poison the group's reads — and reports a
-// mismatch as an error. A sample whose time exactly matches an existing one
-// for the key is dropped, so replaying a WAL that overlaps a checkpoint is
-// idempotent. Retention applies as usual. The rows are copied. It reports
-// whether the sample was kept.
-func (s *Store) Load(rec SampleRecord) (bool, error) {
-	g, ok := glue.Lookup(rec.Group)
-	if !ok {
-		return false, fmt.Errorf("history: unknown group %q", rec.Group)
-	}
-	for _, row := range rec.Rows {
-		if err := glue.ValidateRow(g, row); err != nil {
-			return false, fmt.Errorf("history: %w", err)
-		}
-		for c, f := range g.Fields {
-			if f.Kind != glue.Time {
-				continue
-			}
-			if err := checkTime(f, resultset.CellOf(row[c])); err != nil {
-				return false, err
-			}
-		}
-	}
-	ns, ok := unixNanos(rec.At)
-	if !ok {
-		return false, fmt.Errorf("history: sample time %v out of range", rec.At)
-	}
-	return s.add(g, rec.Source, ns, len(rec.Rows), func(c int, col *column, r int) {
-		for i, row := range rec.Rows {
-			if row[c] != nil {
-				col.push(r+i, row[c])
-			}
-		}
-	}, true)
 }
 
 // Keys returns how many (source, group) keys currently hold samples.

@@ -377,6 +377,17 @@ func sameCell(a, b any) bool {
 	return a == b
 }
 
+// sampleRows boxes a view sample's rows, for comparing with boxed references.
+func sampleRows(smp *Sample) [][]any {
+	rows := make([][]any, smp.Len())
+	for r := range rows {
+		for c := 0; c < smp.Width(); c++ {
+			rows[r] = append(rows[r], smp.Cell(r, c).Value())
+		}
+	}
+	return rows
+}
+
 func sameRows(t *testing.T, what string, got *resultset.ResultSet, want [][]any) {
 	t.Helper()
 	if got.Len() != len(want) {
@@ -512,7 +523,7 @@ func TestDifferentialAgainstRowModel(t *testing.T) {
 				model.add(src, g.Name, rows, at, false)
 			case k < 13:
 				rows := gen.rows(g, now)
-				kept, err := s.Load(SampleRecord{Source: src, Group: g.Name, At: at, Rows: rows})
+				kept, err := s.Load(src, g.Name, rowsRS(t, g, rows), at)
 				if err != nil {
 					t.Fatalf("%s: Load: %v", what, err)
 				}
@@ -562,14 +573,14 @@ func TestDifferentialAgainstRowModel(t *testing.T) {
 		}
 		// The checkpoint view holds exactly the model's samples.
 		var seen int
-		_ = s.View().Each(func(rec SampleRecord) error {
+		_ = s.View().Each(func(smp *Sample) error {
 			seen++
-			for _, sm := range model.data[[2]string{rec.Source, rec.Group}] {
-				if sm.at.Equal(rec.At) && len(sm.rows) == len(rec.Rows) {
+			for _, sm := range model.data[[2]string{smp.Source, smp.Group}] {
+				if sm.at.Equal(smp.At) && len(sm.rows) == smp.Len() {
 					return nil
 				}
 			}
-			t.Fatalf("seed %d: view sample %s %s %v not in the model", seed, rec.Source, rec.Group, rec.At)
+			t.Fatalf("seed %d: view sample %s %s %v not in the model", seed, smp.Source, smp.Group, smp.At)
 			return nil
 		})
 		if seen != model.total() {

@@ -1,7 +1,6 @@
 package history
 
 import (
-	"slices"
 	"time"
 
 	"gridrm/internal/glue"
@@ -27,10 +26,9 @@ type column struct {
 	resultset.Vector
 
 	codes []uint32 // String values, as indexes into dict
-	// dict holds each distinct string once, already boxed, so boxing a String
-	// cell allocates nothing. index is written and read by the writer only;
-	// a frozen copy never touches it.
-	dict  []any
+	// dict holds each distinct string once. index is written and read by the
+	// writer only; a frozen copy never touches it.
+	dict  []string
 	index map[string]uint32
 }
 
@@ -49,14 +47,11 @@ func (c *column) set(n int, v resultset.Cell, room int) {
 	}
 }
 
-// push appends the boxed v as row n. The caller has checked v against the kind.
-func (c *column) push(n int, v any) { c.set(n, resultset.CellOf(v), 0) }
-
 // code returns v's dictionary code, adding v on first sight.
 func (c *column) code(v string) uint32 {
 	if c.index == nil {
 		for i, d := range c.dict {
-			if d.(string) == v {
+			if d == v {
 				return uint32(i)
 			}
 		}
@@ -66,7 +61,7 @@ func (c *column) code(v string) uint32 {
 		}
 		c.index = make(map[string]uint32, 2*len(c.dict))
 		for i, d := range c.dict {
-			c.index[d.(string)] = uint32(i)
+			c.index[d] = uint32(i)
 		}
 	}
 	code, ok := c.index[v]
@@ -84,19 +79,11 @@ func (c *column) at(r int) resultset.Cell {
 	case c.Null(r):
 		return resultset.Cell{Null: true}
 	case c.kind == glue.String:
-		return resultset.Cell{Kind: glue.String, Str: c.dict[c.codes[r]].(string)}
+		return resultset.Cell{Kind: glue.String, Str: c.dict[c.codes[r]]}
 	case c.kind == glue.Time:
 		return resultset.Cell{Kind: glue.Time, Time: time.Unix(0, c.Nums[r])}
 	}
 	return c.Cell(r)
-}
-
-// cell returns row r as the value a boxed row holds.
-func (c *column) cell(r int) any {
-	if c.kind == glue.String && !c.Null(r) {
-		return c.dict[c.codes[r]]
-	}
-	return c.at(r).Value()
 }
 
 // copyIn stores rows [from, to) of src, a ResultSet's column of this
@@ -264,26 +251,4 @@ func (s *series) copyOut(b *resultset.Builder, lo, hi int, provenance bool) {
 		}
 	}
 	b.Rows(to - from)
-}
-
-// sample returns sample i's rows boxed, for a durability layer to encode,
-// in cells and rows, which it reuses from call to call and returns grown.
-// The cells are filled a column at a time, and a column that holds only
-// NULLs costs nothing.
-func (s *series) sample(cells []any, rows [][]any, i int) ([]any, [][]any) {
-	from, to, width := s.rowStart(i), int(s.ends[i]), len(s.cols)
-	cells = slices.Grow(cells[:0], (to-from)*width)[:(to-from)*width]
-	clear(cells)
-	for c := range s.cols {
-		if col := &s.cols[c]; col.Nulls != resultset.AllNull {
-			for r, k := from, c; r < to; r, k = r+1, k+width {
-				cells[k] = col.cell(r)
-			}
-		}
-	}
-	rows = rows[:0]
-	for k := 0; k < len(cells); k += width {
-		rows = append(rows, cells[k:k+width:k+width])
-	}
-	return cells, rows
 }

@@ -36,7 +36,7 @@ func TestColumnAgainstBoxedSlice(t *testing.T) {
 	check := func(what string, c *column, want []any) {
 		t.Helper()
 		for r, w := range want {
-			if got := c.cell(r); !sameCell(got, w) {
+			if got := c.at(r).Value(); !sameCell(got, w) {
 				t.Fatalf("%s: row %d = %#v, want %#v", what, r, got, w)
 			}
 		}
@@ -57,7 +57,7 @@ func TestColumnAgainstBoxedSlice(t *testing.T) {
 				if p := nullP[n/150]; rng.Float64() >= p {
 					v = value(rng)
 				}
-				c.push(n, v)
+				c.set(n, resultset.CellOf(v), 0)
 				want = append(want, v)
 			}
 			what := fmt.Sprintf("%v nulls %v", kind, nullP)
@@ -70,8 +70,8 @@ func TestColumnAgainstBoxedSlice(t *testing.T) {
 				check(fmt.Sprintf("%s slice [%d,%d)", what, from, to), &part, want[from:to])
 				// The slice is a working column: it takes appends.
 				v := value(rng)
-				part.push(to-from, v)
-				part.push(to-from+1, nil)
+				part.set(to-from, resultset.CellOf(v), 0)
+				part.set(to-from+1, resultset.CellOf(nil), 0)
 				check(what+" slice, appended", &part, append(append([]any(nil), want[from:to]...), v, nil))
 			}
 		}
@@ -89,7 +89,7 @@ func TestColumnSliceShedsDeadState(t *testing.T) {
 		} else if n%2 == 0 {
 			v = fmt.Sprintf("old-%d", n)
 		}
-		c.push(n, v)
+		c.set(n, resultset.CellOf(v), 0)
 	}
 	if c.Nulls != resultset.SomeNull || len(c.dict) != 26 {
 		t.Fatalf("before: nulls %d, %d dictionary entries", c.Nulls, len(c.dict))
@@ -154,28 +154,48 @@ func TestLateSamplesRespectRetention(t *testing.T) {
 func TestLoadRejectsRowsOfAnotherShape(t *testing.T) {
 	s, now := newStore(Options{})
 	good := []any{"a", int64(1), int64(1), int64(1), int64(1), 0.0, 0.0}
-	for name, rows := range map[string][][]any{
-		"narrow row":     {good, {"a", int64(1), int64(1), int64(1)}},
-		"wide row":       {append(append([]any(nil), good...), "extra")},
-		"wrong kind":     {{"a", "1024", int64(1), int64(1), int64(1), 0.0, 0.0}},
-		"time too early": nil, // set below: needs another group
-	} {
-		rec := SampleRecord{Source: srcA, Group: glue.GroupMemory, At: *now, Rows: rows}
-		if name == "time too early" {
-			rec.Group = glue.GroupOperatingSystem
-			rec.Rows = [][]any{{"a", "os", "1", "2", int64(3), time.Time{}}}
+	// shaped builds a set of Memory's column names, as many as row has values,
+	// each of its value's kind: what a journal of another schema decodes to.
+	shaped := func(g *glue.Group, row []any) *resultset.ResultSet {
+		t.Helper()
+		var cols []resultset.Column
+		for c, v := range row {
+			name := fmt.Sprint("Extra", c)
+			if c < len(g.Fields) {
+				name = g.Fields[c].Name
+			}
+			cols = append(cols, resultset.Column{Name: name, Kind: resultset.CellOf(v).Kind})
 		}
-		if kept, err := s.Load(rec); kept || err == nil {
+		meta, err := resultset.NewMetadata(cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs, err := resultset.NewBuilder(meta).Append(row...).Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rs
+	}
+	for name, row := range map[string][]any{
+		"narrow row": {"a", int64(1), int64(1), int64(1)},
+		"wide row":   append(append([]any(nil), good...), "extra"),
+		"wrong kind": {"a", "1024", int64(1), int64(1), int64(1), 0.0, 0.0},
+	} {
+		if kept, err := s.Load(srcA, glue.GroupMemory, shaped(glue.Memory, row), *now); kept || err == nil {
 			t.Errorf("%s: kept=%v err=%v, want a rejection", name, kept, err)
 		}
 	}
-	if kept, err := s.Load(SampleRecord{Source: srcA, Group: glue.GroupMemory, At: time.Time{}, Rows: [][]any{good}}); kept || err == nil {
+	early := shaped(glue.OperatingSystem, []any{"a", "os", "1", "2", int64(3), time.Time{}})
+	if kept, err := s.Load(srcA, glue.GroupOperatingSystem, early, *now); kept || err == nil {
+		t.Errorf("time too early: kept=%v err=%v, want a rejection", kept, err)
+	}
+	if kept, err := s.Load(srcA, glue.GroupMemory, shaped(glue.Memory, good), time.Time{}); kept || err == nil {
 		t.Errorf("zero sample time: kept=%v err=%v, want a rejection", kept, err)
 	}
 	if s.Keys() != 0 || s.TotalSamples() != 0 {
 		t.Errorf("rejected records left %d keys, %d samples", s.Keys(), s.TotalSamples())
 	}
-	if kept, err := s.Load(SampleRecord{Source: srcA, Group: glue.GroupMemory, At: *now, Rows: [][]any{good}}); !kept || err != nil {
+	if kept, err := s.Load(srcA, glue.GroupMemory, shaped(glue.Memory, good), *now); !kept || err != nil {
 		t.Fatalf("good record: kept=%v err=%v", kept, err)
 	}
 	rs, err := s.Query(glue.GroupMemory, "", time.Time{}, time.Time{})
@@ -299,16 +319,16 @@ func TestConcurrentRecordQueryView(t *testing.T) {
 	reader(func() error { // the checkpoint's read
 		var prevSrc string
 		var prev time.Time
-		return s.View().Each(func(rec SampleRecord) error {
-			if rec.Source == prevSrc && rec.At.Before(prev) {
-				return fmt.Errorf("view: %s out of time order", rec.Source)
+		return s.View().Each(func(smp *Sample) error {
+			if smp.Source == prevSrc && smp.At.Before(prev) {
+				return fmt.Errorf("view: %s out of time order", smp.Source)
 			}
-			prevSrc, prev = rec.Source, rec.At
-			if len(rec.Rows) != 2 {
-				return fmt.Errorf("view: sample of %d rows", len(rec.Rows))
+			prevSrc, prev = smp.Source, smp.At
+			if smp.Len() != 2 {
+				return fmt.Errorf("view: sample of %d rows", smp.Len())
 			}
-			for _, row := range rec.Rows {
-				if err := wholeRow(row, rec.At); err != nil {
+			for _, row := range sampleRows(smp) {
+				if err := wholeRow(row, smp.At); err != nil {
 					return fmt.Errorf("view: %w", err)
 				}
 			}

@@ -14,34 +14,30 @@ func TestSnapshotLoadRoundTrip(t *testing.T) {
 	_ = s.Record(srcA, glue.GroupMemory, memRS(t, "a", 2048), t0.Add(time.Second))
 	_ = s.Record(srcB, glue.GroupMemory, memRS(t, "b", 512), t0.Add(2*time.Second))
 
-	view := s.View()
-	// Each reuses its row buffer, so keep a deep copy of every record.
-	var snap []SampleRecord
-	_ = view.Each(func(rec SampleRecord) error {
-		rows := make([][]any, len(rec.Rows))
-		for i, row := range rec.Rows {
-			rows[i] = append([]any(nil), row...)
+	// Each reuses its Sample, so keep what identifies each one.
+	type seen struct {
+		source string
+		at     time.Time
+	}
+	var snap []seen
+	restored, _ := newStore(Options{})
+	_ = s.View().Each(func(smp *Sample) error {
+		snap = append(snap, seen{smp.Source, smp.At})
+		rs := rowsRS(t, glue.Memory, sampleRows(smp))
+		if kept, err := restored.Load(smp.Source, smp.Group, rs, smp.At); !kept || err != nil {
+			t.Errorf("Load(%v) = %v, %v", smp.At, kept, err)
 		}
-		rec.Rows = rows
-		snap = append(snap, rec)
 		return nil
 	})
 	if len(snap) != 3 {
 		t.Fatalf("view records = %d", len(snap))
 	}
 	// Stable order: keys sorted, then time ascending within a key.
-	if snap[0].Source != srcB { // "gridrm:ganglia" sorts before "gridrm:snmp"
-		t.Errorf("first key = %q", snap[0].Source)
+	if snap[0].source != srcB { // "gridrm:ganglia" sorts before "gridrm:snmp"
+		t.Errorf("first key = %q", snap[0].source)
 	}
-	if !snap[1].At.Equal(t0) || !snap[2].At.Equal(t0.Add(time.Second)) {
-		t.Errorf("time order within key: %v, %v", snap[1].At, snap[2].At)
-	}
-
-	restored, _ := newStore(Options{})
-	for _, rec := range snap {
-		if kept, err := restored.Load(rec); !kept || err != nil {
-			t.Errorf("Load(%v) = %v, %v", rec.At, kept, err)
-		}
+	if !snap[1].at.Equal(t0) || !snap[2].at.Equal(t0.Add(time.Second)) {
+		t.Errorf("time order within key: %v, %v", snap[1].at, snap[2].at)
 	}
 	if restored.Keys() != 2 || restored.TotalSamples() != 3 {
 		t.Fatalf("restored keys=%d samples=%d", restored.Keys(), restored.TotalSamples())
@@ -59,12 +55,11 @@ func TestSnapshotLoadRoundTrip(t *testing.T) {
 func TestLoadDedupesExactTimes(t *testing.T) {
 	s, now := newStore(Options{})
 	t0 := *now
-	rec := SampleRecord{Source: srcA, Group: glue.GroupMemory, At: t0,
-		Rows: [][]any{{"a", int64(1), int64(1), int64(1), int64(1), 0.0, 0.0}}}
-	if kept, err := s.Load(rec); !kept || err != nil {
+	rs := memRS(t, "a", 1)
+	if kept, err := s.Load(srcA, glue.GroupMemory, rs, t0); !kept || err != nil {
 		t.Fatalf("first load = %v, %v", kept, err)
 	}
-	if kept, _ := s.Load(rec); kept {
+	if kept, _ := s.Load(srcA, glue.GroupMemory, rs, t0); kept {
 		t.Fatal("duplicate time accepted")
 	}
 	if s.TotalSamples() != 1 {
@@ -75,13 +70,10 @@ func TestLoadDedupesExactTimes(t *testing.T) {
 func TestLoadOutOfOrderInserts(t *testing.T) {
 	s, now := newStore(Options{})
 	t0 := *now
-	mk := func(at time.Time) SampleRecord {
-		return SampleRecord{Source: srcA, Group: glue.GroupMemory, At: at,
-			Rows: [][]any{{"a", int64(1), int64(1), int64(1), int64(1), 0.0, 0.0}}}
-	}
-	_, _ = s.Load(mk(t0.Add(2 * time.Second)))
-	_, _ = s.Load(mk(t0)) // older sample arrives second (WAL after checkpoint)
-	_, _ = s.Load(mk(t0.Add(time.Second)))
+	rs := memRS(t, "a", 1)
+	_, _ = s.Load(srcA, glue.GroupMemory, rs, t0.Add(2*time.Second))
+	_, _ = s.Load(srcA, glue.GroupMemory, rs, t0) // older sample arrives second (WAL after checkpoint)
+	_, _ = s.Load(srcA, glue.GroupMemory, rs, t0.Add(time.Second))
 	rs, err := s.Query(glue.GroupMemory, srcA, time.Time{}, time.Time{})
 	if err != nil || rs.Len() != 3 {
 		t.Fatalf("rows=%d err=%v", rs.Len(), err)
@@ -98,16 +90,13 @@ func TestLoadOutOfOrderInserts(t *testing.T) {
 
 func TestLoadRespectsRetention(t *testing.T) {
 	s, now := newStore(Options{MaxAge: time.Minute})
-	old := SampleRecord{Source: srcA, Group: glue.GroupMemory,
-		At:   now.Add(-time.Hour),
-		Rows: [][]any{{"a", int64(1), int64(1), int64(1), int64(1), 0.0, 0.0}}}
-	if kept, err := s.Load(old); kept || err != nil {
+	if kept, err := s.Load(srcA, glue.GroupMemory, memRS(t, "a", 1), now.Add(-time.Hour)); kept || err != nil {
 		t.Fatalf("expired sample: kept=%v err=%v", kept, err)
 	}
 	if s.Keys() != 0 {
 		t.Fatalf("expired-only key retained: keys=%d", s.Keys())
 	}
-	if kept, err := s.Load(SampleRecord{Source: srcA, Group: "NoSuchGroup", At: *now}); kept || err == nil {
+	if kept, err := s.Load(srcA, "NoSuchGroup", memRS(t, "a", 1), *now); kept || err == nil {
 		t.Fatalf("unknown group: kept=%v err=%v", kept, err)
 	}
 }

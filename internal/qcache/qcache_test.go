@@ -278,7 +278,7 @@ func TestSharedResultConcurrentReaders(t *testing.T) {
 					t.Errorf("shared rows changed under a reader: %v then %v", host, got)
 					return
 				}
-				if _, err := rs.Row(); err == nil {
+				if _, err := rs.GetString("HostName"); err == nil {
 					t.Error("a reader's cursor moved the shared result's")
 					return
 				}

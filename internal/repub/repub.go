@@ -50,10 +50,6 @@ type Options struct {
 	// ScrapeInterval is the re-scrape cadence for sites without a live
 	// subscription (default 5s).
 	ScrapeInterval time.Duration
-	// VNodes is the consistent-hash ring's virtual-node count per
-	// republisher (default gma.DefaultVNodes). Every republisher in a
-	// deployment must agree on it.
-	VNodes int
 	// Clock is a time source for tests.
 	Clock func() time.Time
 }
@@ -130,9 +126,6 @@ func New(opts Options) (*Gateway, error) {
 	}
 	if opts.ScrapeInterval <= 0 {
 		opts.ScrapeInterval = 5 * time.Second
-	}
-	if opts.VNodes <= 0 {
-		opts.VNodes = gma.DefaultVNodes
 	}
 	if opts.Clock == nil {
 		opts.Clock = time.Now
@@ -286,7 +279,7 @@ func (g *Gateway) Refresh(ctx context.Context) error {
 	if !self {
 		republishers = append(republishers, g.opts.Name)
 	}
-	ring := gma.NewRing(republishers, g.opts.VNodes)
+	ring := gma.NewRing(republishers, gma.DefaultVNodes)
 	var owns []string
 	for _, site := range sites {
 		if ring.Owner(site) == g.opts.Name {

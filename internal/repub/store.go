@@ -8,7 +8,6 @@
 package repub
 
 import (
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -31,12 +30,21 @@ type Store struct {
 	sites map[string]map[string]*groupView // site → group → view
 }
 
-// groupView is one (site, group) slice of the merged view.
+// groupView is one (site, group) slice of the merged view: a scrape's whole
+// table (snap, shared read-only) or the rows the subscription pushed, never
+// both.
 type groupView struct {
 	meta *resultset.Metadata
-	live bool // rows come from the subscription, not a snapshot
+	snap *resultset.ResultSet
 	rows map[string]*storedRow
 	at   time.Time // newest update
+}
+
+func (gv *groupView) len() int {
+	if gv.snap != nil {
+		return gv.snap.Len()
+	}
+	return len(gv.rows)
 }
 
 // storedRow is a map value Upsert can replace the row of in place: a
@@ -56,27 +64,20 @@ func (s *Store) view(site, group string) *groupView {
 	}
 	gv, ok := groups[group]
 	if !ok {
-		gv = &groupView{rows: make(map[string]*storedRow)}
+		gv = &groupView{}
 		groups[group] = gv
 	}
 	return gv
 }
 
 // SetSnapshot replaces the (site, group) view with a scraped full-table
-// result. The view leaves live mode: the snapshot is now authoritative.
+// result, which the store keeps and only ever reads. The view leaves live
+// mode: the snapshot is now authoritative.
 func (s *Store) SetSnapshot(site, group string, rs *resultset.ResultSet, at time.Time) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	gv := s.view(site, group)
-	gv.meta = rs.Metadata()
-	gv.live = false
-	gv.rows = make(map[string]*storedRow, rs.Len())
-	slab := make([]storedRow, rs.Len())
-	for i := range slab {
-		slab[i].row = rs.RowAt(i)
-		gv.rows["#"+strconv.Itoa(i)] = &slab[i]
-	}
-	gv.at = at
+	gv.meta, gv.snap, gv.rows, gv.at = rs.Metadata(), rs, nil, at
 }
 
 // Upsert stores one subscription-pushed row, mapping the pushed columns onto
@@ -100,9 +101,8 @@ func (s *Store) Upsert(site, group, source string, cols []string, row []any, at 
 		}
 		gv.meta = meta
 	}
-	if !gv.live {
-		gv.live = true
-		gv.rows = make(map[string]*storedRow, len(gv.rows))
+	if gv.rows == nil {
+		gv.snap, gv.rows = nil, make(map[string]*storedRow, gv.len())
 	}
 	full := make([]any, gv.meta.ColumnCount())
 	var keyBuf [4]int // no GLUE group has more key fields
@@ -160,7 +160,7 @@ func (s *Store) Merged(group string, sites []string) (*resultset.ResultSet, []Si
 	total := 0
 	for _, site := range sites {
 		if gv, ok := s.sites[site][group]; ok {
-			total += len(gv.rows)
+			total += gv.len()
 		}
 	}
 	var out *resultset.ResultSet
@@ -172,16 +172,18 @@ func (s *Store) Merged(group string, sites []string) (*resultset.ResultSet, []Si
 				out = resultset.New(gv.meta)
 				out.Grow(total)
 			}
-			b := resultset.NewBuilder(gv.meta).Grow(len(gv.rows), 0)
-			for _, sr := range gv.rows {
-				b.Append(sr.row...)
-			}
-			if rs, err := b.Build(); err == nil {
-				if err := out.Merge(rs); err == nil {
-					sf.Rows = rs.Len()
+			rs, err := gv.snap, error(nil)
+			if rs == nil { // live rows are the boxes the push border handed over
+				b := resultset.NewBuilder(gv.meta).Grow(len(gv.rows), 0)
+				for _, sr := range gv.rows {
+					b.Append(sr.row...)
 				}
+				rs, err = b.Build()
 			}
-			sf.Live = gv.live
+			if err == nil && out.Merge(rs) == nil {
+				sf.Rows = rs.Len()
+			}
+			sf.Live = gv.snap == nil
 			sf.At = gv.at
 		}
 		fresh = append(fresh, sf)
@@ -196,7 +198,7 @@ func (s *Store) Rows() int {
 	n := 0
 	for _, groups := range s.sites {
 		for _, gv := range groups {
-			n += len(gv.rows)
+			n += gv.len()
 		}
 	}
 	return n

@@ -106,9 +106,6 @@ func btoi(b bool) int {
 	return 0
 }
 
-// CompareValues is CompareCells for boxed values.
-func CompareValues(a, b any) int { return CompareCells(CellOf(a), CellOf(b)) }
-
 // AppendCellKey appends to dst an encoding of c usable in a grouping map
 // key. Values are tagged by kind so that, say, Int 1 and "1" produce
 // distinct keys, and end in a separator that cannot occur inside the encoded

@@ -236,6 +236,13 @@ func (rs *ResultSet) Cell(r, c int) Cell {
 	return Cell{Null: true}
 }
 
+// Null reports whether the value at row r of column c is NULL, without
+// making a Cell of it.
+func (rs *ResultSet) Null(r, c int) bool {
+	v := rs.Column(c)
+	return v == nil || v.Null(r)
+}
+
 // own makes cols this set's to write: a clone's first write copies the
 // column headers it borrowed.
 func (rs *ResultSet) own() {
@@ -286,11 +293,12 @@ func (rs *ResultSet) Reset() { rs.cursor = -1; rs.wasNull = false }
 // WasNull reports whether the last getter call read a NULL value.
 func (rs *ResultSet) WasNull() bool { return rs.wasNull }
 
-// rows returns the compatibility view: every row boxed as a []any, built
-// once and kept, so a write through it is read back through it (it does not
-// reach the columns). Product code reads cells; this is for callers that
-// hand rows on as events, and for tests.
-func (rs *ResultSet) rows() [][]any {
+// RowAt returns the i-th row's values boxed (shared, do not mutate) without
+// moving the cursor. It reads the compatibility view: every row boxed as a
+// []any, built once and kept, so a write through it is read back through it
+// (it does not reach the columns). Product code reads cells; this is for the
+// one caller that hands rows on as events, and for tests.
+func (rs *ResultSet) RowAt(i int) []any {
 	viewMu.Lock()
 	defer viewMu.Unlock()
 	if rs.view == nil {
@@ -307,19 +315,8 @@ func (rs *ResultSet) rows() [][]any {
 		}
 		rs.view = &rows
 	}
-	return *rs.view
+	return (*rs.view)[i]
 }
-
-// Row returns the current row's values, boxed (shared, do not mutate).
-func (rs *ResultSet) Row() ([]any, error) {
-	if rs.cursor < 0 || rs.cursor >= rs.n {
-		return nil, ErrNoRow
-	}
-	return rs.rows()[rs.cursor], nil
-}
-
-// RowAt returns the i-th row's values, boxed, without moving the cursor.
-func (rs *ResultSet) RowAt(i int) []any { return rs.rows()[i] }
 
 func (rs *ResultSet) value(col string) (Cell, error) {
 	if rs.cursor < 0 || rs.cursor >= rs.n {
@@ -508,6 +505,20 @@ func (b *Builder) Range(c int, src *Vector, from, to int) {
 // stored is NULL.
 func (b *Builder) Rows(k int) { b.rs.n += int32(k) }
 
+// Reset empties the set being built, which Build may have handed out, and
+// keeps its arrays for the rows to come: for a producer of many short-lived
+// sets whose consumer copies what it takes (a restore decoding a journal).
+func (b *Builder) Reset() {
+	for i := range b.rs.cols {
+		c := &b.rs.cols[i]
+		clear(c.Nums) // Padded counts on spare cells being zero
+		clear(c.Strs)
+		clear(c.Times)
+		*c = Vector{idx: c.idx, Nums: c.Nums[:0], Strs: c.Strs[:0], Times: c.Times[:0]}
+	}
+	b.rs.n, b.rs.view, b.err = 0, nil, nil
+}
+
 // Build returns the accumulated ResultSet or the first append error.
 func (b *Builder) Build() (*ResultSet, error) {
 	if b.err != nil {
@@ -581,11 +592,6 @@ func (rs *ResultSet) Where(keep func(r int) bool) *ResultSet {
 		return rs.Clone()
 	}
 	return rs.gather(sel)
-}
-
-// Filter is Where for a predicate over boxed rows, in column order.
-func (rs *ResultSet) Filter(keep func(row []any) bool) *ResultSet {
-	return rs.Where(func(r int) bool { return keep(rs.RowAt(r)) })
 }
 
 // Limit returns a new ResultSet with at most n rows (n < 0 means no limit).

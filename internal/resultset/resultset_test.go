@@ -115,14 +115,14 @@ func TestMetadataForColumns(t *testing.T) {
 
 func TestCursorProtocol(t *testing.T) {
 	rs := sampleRS(t)
-	if _, err := rs.Row(); !errors.Is(err, ErrNoRow) {
-		t.Errorf("Row before Next: %v", err)
+	if _, err := rs.GetString("HostName"); !errors.Is(err, ErrNoRow) {
+		t.Errorf("getter before Next: %v", err)
 	}
 	count := 0
 	for rs.Next() {
 		count++
-		if _, err := rs.Row(); err != nil {
-			t.Errorf("Row on row %d: %v", count, err)
+		if _, err := rs.GetString("HostName"); err != nil {
+			t.Errorf("getter on row %d: %v", count, err)
 		}
 	}
 	if count != 3 {
@@ -131,8 +131,8 @@ func TestCursorProtocol(t *testing.T) {
 	if rs.Next() {
 		t.Error("Next past end returned true")
 	}
-	if _, err := rs.Row(); !errors.Is(err, ErrNoRow) {
-		t.Error("Row past end should fail")
+	if _, err := rs.GetString("HostName"); !errors.Is(err, ErrNoRow) {
+		t.Error("getter past end should fail")
 	}
 	rs.Reset()
 	if !rs.Next() {
@@ -246,7 +246,7 @@ func TestProject(t *testing.T) {
 func TestFilterAndLimit(t *testing.T) {
 	rs := sampleRS(t)
 	idx := rs.Metadata().ColumnIndex("CPUs")
-	f := rs.Filter(func(row []any) bool { return row[idx].(int64) >= 4 })
+	f := rs.Where(func(r int) bool { return rs.Cell(r, idx).Int >= 4 })
 	if f.Len() != 2 {
 		t.Errorf("filtered %d rows, want 2", f.Len())
 	}
@@ -307,7 +307,7 @@ func TestMerge(t *testing.T) {
 	}
 }
 
-func TestCompareValues(t *testing.T) {
+func TestCompareCells(t *testing.T) {
 	now := time.Now()
 	cases := []struct {
 		a, b any
@@ -328,8 +328,8 @@ func TestCompareValues(t *testing.T) {
 		{now, now, 0},
 	}
 	for _, c := range cases {
-		if got := CompareValues(c.a, c.b); sign(got) != c.want {
-			t.Errorf("CompareValues(%v,%v) = %d, want sign %d", c.a, c.b, got, c.want)
+		if got := compareBoxed(c.a, c.b); sign(got) != c.want {
+			t.Errorf("CompareCells(%v,%v) = %d, want sign %d", c.a, c.b, got, c.want)
 		}
 	}
 }
@@ -344,22 +344,25 @@ func sign(n int) int {
 	return 0
 }
 
-func TestCompareValuesProperties(t *testing.T) {
+// compareBoxed is CompareCells over the values a driver hands in.
+func compareBoxed(a, b any) int { return CompareCells(CellOf(a), CellOf(b)) }
+
+func TestCompareCellsProperties(t *testing.T) {
 	// Antisymmetry and reflexivity over int64/float64 pairs; a non-finite
 	// float is NULL, which keeps the order strict where NaN itself would not.
 	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		if CompareValues(x, 2.0) != -1 || CompareValues(2.0, x) != 1 || CompareValues(x, int64(2)) != -1 {
+		if compareBoxed(x, 2.0) != -1 || compareBoxed(2.0, x) != 1 || compareBoxed(x, int64(2)) != -1 {
 			t.Errorf("%v does not sort before every number, as NULL does", x)
 		}
-		if CompareValues(x, nil) != 0 || CompareValues(x, math.NaN()) != 0 {
+		if compareBoxed(x, nil) != 0 || compareBoxed(x, math.NaN()) != 0 {
 			t.Errorf("%v is not NULL's equal", x)
 		}
 	}
 	f := func(a, b int64, x, y float64) bool {
-		ok := sign(CompareValues(a, b)) == -sign(CompareValues(b, a))
-		ok = ok && CompareValues(a, a) == 0
-		ok = ok && sign(CompareValues(x, y)) == -sign(CompareValues(y, x))
-		ok = ok && CompareValues(float64(a), a) == 0
+		ok := sign(compareBoxed(a, b)) == -sign(compareBoxed(b, a))
+		ok = ok && compareBoxed(a, a) == 0
+		ok = ok && sign(compareBoxed(x, y)) == -sign(compareBoxed(y, x))
+		ok = ok && compareBoxed(float64(a), a) == 0
 		return ok
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -502,6 +505,52 @@ func TestGrowKeepsRowsAndReservesRoom(t *testing.T) {
 	other := sampleRS(t)
 	if allocs := testing.AllocsPerRun(1, func() { _ = rs.Merge(other) }); allocs != 0 {
 		t.Errorf("Merge into reserved room allocated %.0f times", allocs)
+	}
+}
+
+// TestBuilderReset: a reset Builder builds the next set in the last one's
+// arrays — no allocation once they have the room — and nothing of the last
+// set shows through: not its rows, not a value under a NULL, not a column
+// the next set leaves empty.
+func TestBuilderReset(t *testing.T) {
+	m := mustMeta(t, []Column{
+		{Name: "HostName", Kind: glue.String},
+		{Name: "Load", Kind: glue.Float},
+		{Name: "CPUs", Kind: glue.Int},
+	})
+	b := NewBuilder(m)
+	fill := func(rows ...[]any) *ResultSet {
+		b.Reset()
+		for _, row := range rows {
+			for c, v := range row {
+				b.Put(0, c, CellOf(v))
+			}
+			b.Rows(1)
+		}
+		rs, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rs
+	}
+	fill([]any{"alpha", 0.5, int64(4)}, []any{"beta", 1.5, int64(8)}, []any{"gamma", 2.5, int64(2)})
+	rs := fill([]any{"delta", nil, nil}, []any{nil, nil, nil}, []any{"zeta", 3.5, nil})
+	want := [][]any{{"delta", nil, nil}, {nil, nil, nil}, {"zeta", 3.5, nil}}
+	if rs.Len() != len(want) {
+		t.Fatalf("%d rows after Reset, want %d", rs.Len(), len(want))
+	}
+	for r, row := range want {
+		for c, v := range row {
+			if got := rs.Cell(r, c).Value(); got != v {
+				t.Errorf("row %d column %d = %v, want %v", r, c, got, v)
+			}
+		}
+	}
+	if got := rs.Column(1).Nums[1]; got != 0 {
+		t.Errorf("the placeholder under a NULL holds %d of the last set", got)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { fill(want...) }); allocs != 0 {
+		t.Errorf("rebuilding in the kept arrays allocated %.0f times", allocs)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"gridrm/internal/glue"
+	"gridrm/internal/resultset"
 )
 
 func validSchema() *DriverSchema {
@@ -144,7 +145,11 @@ func TestBuildRow(t *testing.T) {
 	if row[g.FieldIndex("CPUCount")] != nil || row[g.FieldIndex("Model")] != nil {
 		t.Error("NULL rule violated")
 	}
-	if err := glue.ValidateRow(g, row); err != nil {
+	meta, err := resultset.MetadataForGroup(g, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := resultset.NewBuilder(meta).Append(row...).Build(); err != nil {
 		t.Errorf("built row invalid: %v", err)
 	}
 }

@@ -120,20 +120,22 @@ func (s *aggState) observe(agg AggFunc, kind glue.Kind, v resultset.Cell) {
 	s.n++
 }
 
-func (s *aggState) value(ip aggItemPlan) any {
+// value returns the aggregate agg of the kind-kind values observed: NULL for
+// anything but a count of none.
+func (s *aggState) value(agg AggFunc, kind glue.Kind) resultset.Cell {
 	switch {
-	case ip.item.Agg == AggCount:
-		return s.n
+	case agg == AggCount:
+		return resultset.Cell{Kind: glue.Int, Int: s.n}
 	case s.n == 0:
-		return nil
-	case ip.item.Agg == AggSum && ip.kind == glue.Int:
-		return s.sumI
-	case ip.item.Agg == AggSum:
-		return s.sumF
-	case ip.item.Agg == AggAvg:
-		return s.sumF / float64(s.n)
+		return resultset.Cell{Null: true}
+	case agg == AggSum && kind == glue.Int:
+		return resultset.Cell{Kind: glue.Int, Int: s.sumI}
+	case agg == AggSum:
+		return resultset.Cell{Kind: glue.Float, Float: s.sumF}
+	case agg == AggAvg:
+		return resultset.Cell{Kind: glue.Float, Float: s.sumF / float64(s.n)}
 	}
-	return s.cmp.Value() // min/max
+	return s.cmp // min/max
 }
 
 // normName canonicalizes an output column label for case-insensitive
@@ -190,17 +192,16 @@ func aggregateResultSet(q *Query, rs *resultset.ResultSet) (*resultset.ResultSet
 			}
 		}
 	})
-	b := resultset.NewBuilder(plan.meta)
+	b := resultset.NewBuilder(plan.meta).Grow(len(order), len(plan.items))
 	for _, g := range order {
-		row := make([]any, len(plan.items))
 		for j, ip := range plan.items {
 			if ip.item.Agg == AggNone {
-				row[j] = rs.Cell(g.rep, ip.in).Value()
+				b.Put(0, j, rs.Cell(g.rep, ip.in))
 			} else {
-				row[j] = g.states[j].value(ip)
+				b.Put(0, j, g.states[j].value(ip.item.Agg, ip.kind))
 			}
 		}
-		b.Append(row...)
+		b.Rows(1)
 	}
 	out, err := b.Build()
 	if err != nil {
@@ -279,46 +280,26 @@ func FinalizeAggregate(q *Query, partial *resultset.ResultSet) (*resultset.Resul
 	if err != nil {
 		return nil, err
 	}
-	b := resultset.NewBuilder(meta)
+	b := resultset.NewBuilder(meta).Grow(len(order), len(q.Items))
 	for _, g := range order {
-		row := make([]any, len(q.Items))
 		for i, it := range q.Items {
-			switch it.Agg {
+			switch si := stateOf[normName(it.Name())]; it.Agg {
 			case AggNone:
-				row[i] = partial.Cell(g.rep, pIdx[stateOf[normName(it.Name())]]).Value()
-			case AggCount:
-				row[i] = g.states[stateOf[normName(it.Name())]].n
+				b.Put(0, i, partial.Cell(g.rep, pIdx[si]))
 			case AggAvg:
-				sumSt := g.states[stateOf[normName(SelectItem{Column: it.Column, Agg: AggSum}.Name())]]
-				cntSt := g.states[stateOf[normName(SelectItem{Column: it.Column, Agg: AggCount}.Name())]]
-				if cntSt.n == 0 {
-					row[i] = nil
-					continue
-				}
-				si := stateOf[normName(SelectItem{Column: it.Column, Agg: AggSum}.Name())]
+				// The sum partial's state, finalized over the count partial's.
+				si = stateOf[normName(SelectItem{Column: it.Column, Agg: AggSum}.Name())]
+				sum := g.states[si]
+				sum.n = g.states[stateOf[normName(SelectItem{Column: it.Column, Agg: AggCount}.Name())]].n
 				if pmeta.Column(pIdx[si]).Kind == glue.Int {
-					row[i] = float64(sumSt.sumI) / float64(cntSt.n)
-				} else {
-					row[i] = sumSt.sumF / float64(cntSt.n)
+					sum.sumF = float64(sum.sumI)
 				}
-			case AggSum:
-				si := stateOf[normName(it.Name())]
-				st := g.states[si]
-				if st.n == 0 {
-					row[i] = nil
-				} else if pmeta.Column(pIdx[si]).Kind == glue.Int {
-					row[i] = st.sumI
-				} else {
-					row[i] = st.sumF
-				}
-			case AggMin, AggMax:
-				st := g.states[stateOf[normName(it.Name())]]
-				if st.n > 0 {
-					row[i] = st.cmp.Value()
-				}
+				b.Put(0, i, sum.value(AggAvg, glue.Float))
+			default:
+				b.Put(0, i, g.states[si].value(it.Agg, pmeta.Column(pIdx[si]).Kind))
 			}
 		}
-		b.Append(row...)
+		b.Rows(1)
 	}
 	out, err := b.Build()
 	if err != nil {

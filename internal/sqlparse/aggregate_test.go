@@ -257,10 +257,11 @@ func TestFinalizeAggregateEquivalence(t *testing.T) {
 	// Partition rows into 3 "sites" (one gets a single row, one gets none
 	// for some groups) and run the partial query per site.
 	pq := q.PartialQuery()
+	host := func(r int) string { return rs.Cell(r, 0).Str }
 	parts := []*resultset.ResultSet{
-		rs.Filter(func(row []any) bool { return row[0] == "n1" }),
-		rs.Filter(func(row []any) bool { return row[0] == "n2" || row[0] == "n3" }),
-		rs.Filter(func(row []any) bool { row0, _ := row[0].(string); return row0 > "n3" }),
+		rs.Where(func(r int) bool { return host(r) == "n1" }),
+		rs.Where(func(r int) bool { return host(r) == "n2" || host(r) == "n3" }),
+		rs.Where(func(r int) bool { return host(r) > "n3" }),
 	}
 	var merged *resultset.ResultSet
 	for _, part := range parts {
@@ -318,7 +319,7 @@ func equalGroupRows(a, b map[string][]any) bool {
 				}
 				continue
 			}
-			if resultset.CompareValues(ra[i], rb[i]) != 0 {
+			if resultset.CompareCells(resultset.CellOf(ra[i]), resultset.CellOf(rb[i])) != 0 {
 				return false
 			}
 		}

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -126,17 +125,12 @@ func writeCheckpoint(dir string, seq, walSeq uint64, view *history.View) error {
 	}
 	var frame, payload []byte
 	writeFrame := func(p []byte) error {
-		frame = frame[:0]
-		frame = binary.LittleEndian.AppendUint32(frame, uint32(len(p)))
-		frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(p, crcTable))
-		if _, err := bw.Write(frame); err != nil {
-			return err
-		}
-		_, err := bw.Write(p)
+		frame = appendFrame(frame[:0], p)
+		_, err := bw.Write(frame)
 		return err
 	}
-	err = view.Each(func(rec history.SampleRecord) error {
-		payload = encodeSample(payload[:0], rec)
+	err = view.Each(func(smp *history.Sample) error {
+		payload = encodeResult(payload[:0], smp.Source, smp.Group, smp.At, smp.Width(), smp)
 		return writeFrame(payload)
 	})
 	if err != nil {
@@ -177,51 +171,50 @@ func syncDir(dir string) {
 	_ = d.Close()
 }
 
-// loadCheckpoint parses one checkpoint file. Any anomaly — short header,
-// bad magic, torn frame, CRC mismatch, undecodable sample, or a missing
-// end marker — fails the whole file: checkpoints are all-or-nothing, the
-// caller falls back to an older one.
-func loadCheckpoint(path string) (records []history.SampleRecord, walSeq uint64, err error) {
+// loadCheckpoint hands one checkpoint file's sample payloads to fn in order,
+// after checking the file whole. Any anomaly — short header, bad magic, torn
+// frame, CRC mismatch or a missing end marker — fails the file before fn has
+// seen any of it: checkpoints are all-or-nothing, the caller falls back to an
+// older one. An error from fn (an undecodable sample) fails it part-way;
+// what fn took by then are samples the older checkpoint and the WAL hold too,
+// and a repeat is dropped when it is loaded.
+func loadCheckpoint(path string, fn func(payload []byte) error) (frames int, walSeq uint64, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, 0, err
+		return 0, 0, err
 	}
+	name := filepath.Base(path)
 	if len(data) < ckptHeaderSize || string(data[:4]) != ckptMagic ||
 		binary.LittleEndian.Uint32(data[4:8]) != ckptVersion {
-		return nil, 0, fmt.Errorf("tsdb: %s: bad checkpoint header", filepath.Base(path))
+		return 0, 0, fmt.Errorf("tsdb: %s: bad checkpoint header", name)
 	}
-	walSeq = binary.LittleEndian.Uint64(data[8:16])
-	off := ckptHeaderSize
-	sealed := false
-	for off < len(data) {
-		if len(data)-off < frameHeaderSize {
-			return nil, 0, fmt.Errorf("tsdb: %s: torn frame at byte %d", filepath.Base(path), off)
-		}
-		length := binary.LittleEndian.Uint32(data[off : off+4])
-		sum := binary.LittleEndian.Uint32(data[off+4 : off+8])
-		if length > maxFrameBytes || int(length) > len(data)-off-frameHeaderSize {
-			return nil, 0, fmt.Errorf("tsdb: %s: torn frame at byte %d", filepath.Base(path), off)
-		}
-		payload := data[off+frameHeaderSize : off+frameHeaderSize+int(length)]
-		if crc32.Checksum(payload, crcTable) != sum {
-			return nil, 0, fmt.Errorf("tsdb: %s: CRC mismatch at byte %d", filepath.Base(path), off)
-		}
-		off += frameHeaderSize + int(length)
-		if len(payload) == 1 && payload[0] == ckptEndMarker[0] {
-			sealed = true
-			if off != len(data) {
-				return nil, 0, fmt.Errorf("tsdb: %s: %d bytes after end marker", filepath.Base(path), len(data)-off)
+	// walk runs over the frames up to the end marker: with no fn it checks
+	// them, with one it delivers them.
+	walk := func(fn func(payload []byte) error) (int, error) {
+		frames := 0
+		for off := ckptHeaderSize; off < len(data); frames++ {
+			payload, ok := frameAt(data, off, fn == nil)
+			if !ok {
+				return 0, fmt.Errorf("tsdb: %s: torn or corrupt frame at byte %d", name, off)
 			}
-			break
+			off += frameHeaderSize + len(payload)
+			if len(payload) == 1 && payload[0] == ckptEndMarker[0] {
+				if off != len(data) {
+					return 0, fmt.Errorf("tsdb: %s: %d bytes after end marker", name, len(data)-off)
+				}
+				return frames, nil
+			}
+			if fn != nil {
+				if err := fn(payload); err != nil {
+					return 0, fmt.Errorf("tsdb: %s: %w", name, err)
+				}
+			}
 		}
-		rec, err := decodeSample(payload)
-		if err != nil {
-			return nil, 0, fmt.Errorf("tsdb: %s: %w", filepath.Base(path), err)
-		}
-		records = append(records, rec)
+		return 0, fmt.Errorf("tsdb: %s: missing end marker (incomplete write)", name)
 	}
-	if !sealed {
-		return nil, 0, fmt.Errorf("tsdb: %s: missing end marker (incomplete write)", filepath.Base(path))
+	if _, err := walk(nil); err != nil {
+		return 0, 0, err
 	}
-	return records, walSeq, nil
+	frames, err = walk(fn)
+	return frames, binary.LittleEndian.Uint64(data[8:16]), err
 }

@@ -18,15 +18,13 @@ import (
 	"time"
 
 	"gridrm/internal/glue"
-	"gridrm/internal/history"
 	"gridrm/internal/resultset"
 )
 
 // recordVersion is the first byte of every encoded sample payload.
 const recordVersion = 1
 
-// Per-value type tags. The set mirrors the runtime types resultset rows
-// hold for the GLUE kinds (string, int64, float64, bool, time.Time, nil).
+// Per-value type tags: NULL and one for each GLUE kind.
 const (
 	tagNil    = 0
 	tagString = 1
@@ -36,7 +34,17 @@ const (
 	tagTime   = 5
 )
 
-// encodeSample appends the binary encoding of one sample to buf.
+// cells is a sample's rows as the encoder reads them: a harvest's ResultSet
+// on the way to the journal, a retained history.Sample on the way to a
+// checkpoint.
+type cells interface {
+	Len() int
+	Null(r, c int) bool
+	Cell(r, c int) resultset.Cell
+}
+
+// encodeResult appends the binary encoding of one sample, rows of cols cells,
+// to buf. The cells are read where they are held; nothing is boxed.
 //
 // Payload layout (varints are encoding/binary (u)varints, fixed ints are
 // little-endian):
@@ -50,44 +58,24 @@ const (
 //	  tagNil: nothing          tagString: uvarint len + bytes
 //	  tagInt: varint           tagFloat:  8-byte IEEE-754 bits
 //	  tagBool: u8 0/1          tagTime:   varint Unix nanoseconds
-func encodeSample(buf []byte, rec history.SampleRecord) []byte {
-	buf = encodeHeader(buf, rec.Source, rec.Group, rec.At, len(rec.Rows))
-	for _, row := range rec.Rows {
-		buf = binary.AppendUvarint(buf, uint64(len(row)))
-		for _, v := range row {
-			if v == nil { // most cells of a sparse harvest
-				buf = append(buf, tagNil)
-				continue
-			}
-			// A value outside the GLUE runtime types should not reach the
-			// store; CellOf keeps the record decodable by storing its string
-			// form rather than failing the append.
-			buf = appendCell(buf, resultset.CellOf(v))
-		}
-	}
-	return buf
-}
-
-// encodeResult is encodeSample for a harvest's own ResultSet: the cells are
-// read from its columns, and nothing is boxed on the way to the journal.
-func encodeResult(buf []byte, source, group string, at time.Time, rs *resultset.ResultSet) []byte {
-	buf = encodeHeader(buf, source, group, at, rs.Len())
-	for r, cols := 0, rs.Metadata().ColumnCount(); r < rs.Len(); r++ {
-		buf = binary.AppendUvarint(buf, uint64(cols))
-		for c := 0; c < cols; c++ {
-			buf = appendCell(buf, rs.Cell(r, c))
-		}
-	}
-	return buf
-}
-
-// encodeHeader appends everything of a sample's encoding before its rows.
-func encodeHeader(buf []byte, source, group string, at time.Time, rows int) []byte {
+func encodeResult(buf []byte, source, group string, at time.Time, cols int, rows cells) []byte {
 	buf = append(buf, recordVersion)
 	buf = appendBytes(buf, source)
 	buf = appendBytes(buf, group)
 	buf = binary.AppendVarint(buf, at.UnixNano())
-	return binary.AppendUvarint(buf, uint64(rows))
+	n := rows.Len()
+	buf = binary.AppendUvarint(buf, uint64(n))
+	for r := 0; r < n; r++ {
+		buf = binary.AppendUvarint(buf, uint64(cols))
+		for c := 0; c < cols; c++ {
+			if rows.Null(r, c) { // most cells of a sparse harvest: no Cell made
+				buf = append(buf, tagNil)
+			} else {
+				buf = appendCell(buf, rows.Cell(r, c))
+			}
+		}
+	}
+	return buf
 }
 
 func appendBytes(buf []byte, s string) []byte {
@@ -111,12 +99,15 @@ func appendCell(buf []byte, v resultset.Cell) []byte {
 	return binary.AppendVarint(append(buf, tagInt), v.Int)
 }
 
-// decoder is a bounds-checked cursor over an encoded payload. Every read
-// fails softly: decodeSample never panics, whatever the input.
+// decoder is a bounds-checked cursor over one encoded payload after another.
+// Every read fails softly: sample never panics, whatever the input. A restore
+// decodes every retained sample only for history to copy it, so the decoder
+// keeps the set it built for a group and builds the group's next sample in it.
 type decoder struct {
 	data []byte
 	off  int
 	err  error
+	sets map[*glue.Group]*resultset.Builder
 }
 
 func (d *decoder) fail(format string, args ...any) {
@@ -178,75 +169,104 @@ func (d *decoder) bytes() string {
 	return s
 }
 
-func (d *decoder) value() any {
-	switch tag := d.byte(); tag {
-	case tagNil:
-		return nil
-	case tagString:
-		return d.bytes()
-	case tagInt:
-		return d.varint()
-	case tagFloat:
+// tagKinds maps a value tag to the kind of cell it holds.
+var tagKinds = [...]glue.Kind{tagString: glue.String, tagInt: glue.Int, tagFloat: glue.Float, tagBool: glue.Bool, tagTime: glue.Time}
+
+// cell reads the payload of a value whose tag said kind k.
+func (d *decoder) cell(k glue.Kind) resultset.Cell {
+	v := resultset.Cell{Kind: k}
+	switch k {
+	case glue.String:
+		v.Str = d.bytes()
+	case glue.Int:
+		v.Int = d.varint()
+	case glue.Float:
 		if d.err == nil && len(d.data)-d.off < 8 {
 			d.fail("truncated float at byte %d", d.off)
 		}
-		if d.err != nil {
-			return nil
+		if d.err == nil {
+			v.Float = math.Float64frombits(binary.LittleEndian.Uint64(d.data[d.off:]))
+			d.off += 8
 		}
-		bits := binary.LittleEndian.Uint64(d.data[d.off:])
-		d.off += 8
-		return math.Float64frombits(bits)
-	case tagBool:
-		return d.byte() != 0
-	case tagTime:
-		return time.Unix(0, d.varint())
-	default:
-		d.fail("unknown value tag %d at byte %d", tag, d.off-1)
-		return nil
+	case glue.Bool:
+		if d.byte() != 0 {
+			v.Int = 1
+		}
+	case glue.Time:
+		v.Time = time.Unix(0, d.varint())
 	}
+	return v
 }
 
-// decodeSample parses one encoded sample payload. It returns an error (never
+// sample is one decoded record; rs is its rows until the decoder's next
+// sample of the group. A CRC-valid record the schema has no place for — a
+// group it does not know, rows of another width, a value of another kind —
+// comes back with refused set and no rows: it is skipped and counted, where
+// a malformed one is corruption.
+type sample struct {
+	source, group string
+	at            time.Time
+	rs            *resultset.ResultSet
+	refused       error
+}
+
+// sample parses one encoded sample payload into a set of the group's own
+// shape, checking each row's width and each value's tag against the group
+// before reading (or allocating) anything for it. It returns an error (never
 // panics) on any malformed input — truncation, bad tags, absurd counts.
-func decodeSample(data []byte) (history.SampleRecord, error) {
-	d := &decoder{data: data}
+func (d *decoder) sample(data []byte) (sample, error) {
+	d.data, d.off, d.err = data, 0, nil
 	if v := d.byte(); d.err == nil && v != recordVersion {
-		return history.SampleRecord{}, fmt.Errorf("tsdb: decode: unknown record version %d", v)
+		return sample{}, fmt.Errorf("tsdb: decode: unknown record version %d", v)
 	}
-	rec := history.SampleRecord{
-		Source: d.bytes(),
-		Group:  d.bytes(),
-		At:     time.Unix(0, d.varint()),
-	}
+	rec := sample{source: d.bytes(), group: d.bytes(), at: time.Unix(0, d.varint())}
 	rowCount := d.uvarint()
-	// Each row costs at least one byte (its column count), so a count
-	// beyond the remaining payload is corruption, not a big record.
-	if d.err == nil && rowCount > uint64(len(data)-d.off) {
-		d.fail("row count %d exceeds remaining %d bytes", rowCount, len(data)-d.off)
+	if d.err != nil {
+		return sample{}, d.err
+	}
+	g, ok := glue.Lookup(rec.group)
+	if !ok {
+		rec.refused = fmt.Errorf("tsdb: unknown group %q", rec.group)
+		return rec, nil
+	}
+	b := d.sets[g]
+	if b == nil {
+		if d.sets == nil {
+			d.sets = make(map[*glue.Group]*resultset.Builder)
+		}
+		meta, _ := resultset.MetadataForGroup(g, nil) // a group's own is always there
+		b = resultset.NewBuilder(meta)
+		d.sets[g] = b
+	}
+	b.Reset()
+	// A row count the payload has not the bytes for ends at the truncation.
+	for i := uint64(0); i < rowCount && d.err == nil; i++ {
+		if cols := d.uvarint(); d.err == nil && cols != uint64(len(g.Fields)) {
+			rec.refused = fmt.Errorf("tsdb: row has %d values, group %s has %d", cols, g.Name, len(g.Fields))
+			return rec, nil
+		}
+		for c, f := range g.Fields {
+			tag := d.byte()
+			switch {
+			case d.err != nil || tag == tagNil:
+			case int(tag) >= len(tagKinds):
+				d.fail("unknown value tag %d at byte %d", tag, d.off-1)
+			case tagKinds[tag] != f.Kind:
+				rec.refused = fmt.Errorf("tsdb: group %s field %s expects %s, got %s", g.Name, f.Name, f.Kind, tagKinds[tag])
+				return rec, nil
+			default:
+				b.Put(0, c, d.cell(f.Kind))
+			}
+		}
+		b.Rows(1)
 	}
 	if d.err != nil {
-		return history.SampleRecord{}, d.err
-	}
-	rec.Rows = make([][]any, 0, rowCount)
-	for i := uint64(0); i < rowCount; i++ {
-		colCount := d.uvarint()
-		if d.err == nil && colCount > uint64(len(data)-d.off) {
-			d.fail("column count %d exceeds remaining %d bytes", colCount, len(data)-d.off)
-		}
-		if d.err != nil {
-			return history.SampleRecord{}, d.err
-		}
-		row := make([]any, 0, colCount)
-		for j := uint64(0); j < colCount; j++ {
-			row = append(row, d.value())
-		}
-		rec.Rows = append(rec.Rows, row)
-	}
-	if d.err != nil {
-		return history.SampleRecord{}, d.err
+		return sample{}, d.err
 	}
 	if d.off != len(data) {
-		return history.SampleRecord{}, fmt.Errorf("tsdb: decode: %d trailing bytes", len(data)-d.off)
+		return sample{}, fmt.Errorf("tsdb: decode: %d trailing bytes", len(data)-d.off)
 	}
-	return rec, nil
+	var err error
+	rec.rs, err = b.Build()
+	return rec, err
 }

@@ -3,26 +3,40 @@ package tsdb
 import (
 	"bytes"
 	"encoding/binary"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
-	"gridrm/internal/history"
+	"gridrm/internal/glue"
+	"gridrm/internal/resultset"
 )
 
-// fuzzSeedPayload is a realistic encoded sample to mutate from.
+// fuzzSeedPayload is a realistic encoded sample to mutate from: two rows of
+// the group with a Time field, a NULL in each.
 func fuzzSeedPayload() []byte {
-	return encodeSample(nil, history.SampleRecord{
-		Source: "gridrm:snmp://node:1",
-		Group:  "Memory",
-		At:     time.Unix(90000, 123),
-		Rows: [][]any{
-			{"host-a", int64(1024), 3.14, true, nil, time.Unix(90000, 0)},
-			{"host-b", int64(2048), 2.71, false, nil, time.Unix(90001, 0)},
-		},
-	})
+	meta, _ := resultset.MetadataForGroup(glue.MustLookup(glue.GroupOperatingSystem), nil)
+	rs, _ := resultset.NewBuilder(meta).
+		Append("host-a", "Linux", nil, "5.4", int64(1024), time.Unix(90000, 0)).
+		Append("host-b", "Linux", "6.1", "12", int64(2048), nil).
+		Build()
+	return encodeResult(nil, "gridrm:snmp://node:1", glue.GroupOperatingSystem, time.Unix(90000, 123), meta.ColumnCount(), rs)
+}
+
+// sameCells reports whether two sets hold the same cells.
+func sameCells(a, b *resultset.ResultSet) bool {
+	cols := a.Metadata().ColumnCount()
+	if a.Len() != b.Len() || cols != b.Metadata().ColumnCount() {
+		return false
+	}
+	for r := 0; r < a.Len(); r++ {
+		for c := 0; c < cols; c++ {
+			if x, y := a.Cell(r, c), b.Cell(r, c); x.Null != y.Null || x.Kind != y.Kind || resultset.CompareCells(x, y) != 0 {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // fuzzSeedSegment is a well-formed two-frame WAL segment image.
@@ -31,9 +45,7 @@ func fuzzSeedSegment() []byte {
 	seg = append(seg, segMagic...)
 	seg = binary.LittleEndian.AppendUint32(seg, segVersion)
 	for _, p := range [][]byte{fuzzSeedPayload(), []byte("short")} {
-		seg = binary.LittleEndian.AppendUint32(seg, uint32(len(p)))
-		seg = binary.LittleEndian.AppendUint32(seg, crc32.Checksum(p, crcTable))
-		seg = append(seg, p...)
+		seg = appendFrame(seg, p)
 	}
 	return seg
 }
@@ -41,7 +53,8 @@ func fuzzSeedSegment() []byte {
 // FuzzWALDecode throws arbitrary bytes at both decode layers: the sample
 // codec directly, and a whole segment image through replay. The properties:
 // neither ever panics, replay truncation converges in one pass, and a frame
-// whose CRC validates decodes to a record that re-encodes byte-identically.
+// whose CRC validates decodes to a record that re-encodes to the same
+// record, cell for cell.
 func FuzzWALDecode(f *testing.F) {
 	payload := fuzzSeedPayload()
 	segment := fuzzSeedSegment()
@@ -62,13 +75,13 @@ func FuzzWALDecode(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Layer 1: the sample codec must fail softly on any input.
-		if rec, err := decodeSample(data); err == nil {
-			round := encodeSample(nil, rec)
-			if again, err2 := decodeSample(round); err2 != nil {
-				t.Fatalf("re-encode of accepted payload rejected: %v", err2)
-			} else if again.Source != rec.Source || again.Group != rec.Group ||
-				!again.At.Equal(rec.At) || len(again.Rows) != len(rec.Rows) {
-				t.Fatalf("decode/encode/decode drifted: %+v vs %+v", rec, again)
+		if rec, err := new(decoder).sample(data); err == nil && rec.refused == nil {
+			round := encodeResult(nil, rec.source, rec.group, rec.at, rec.rs.Metadata().ColumnCount(), rec.rs)
+			if again, err2 := new(decoder).sample(round); err2 != nil || again.refused != nil {
+				t.Fatalf("re-encode of accepted payload rejected: %v, %v", err2, again.refused)
+			} else if again.source != rec.source || again.group != rec.group ||
+				!again.at.Equal(rec.at) || !sameCells(again.rs, rec.rs) {
+				t.Fatalf("decode/encode/decode drifted:\n%v\nvs\n%v", rec.rs, again.rs)
 			}
 		}
 
@@ -81,7 +94,7 @@ func FuzzWALDecode(f *testing.F) {
 		var payloads [][]byte
 		frames, _, err := replaySegment(path, func(p []byte) error {
 			payloads = append(payloads, append([]byte(nil), p...))
-			_, derr := decodeSample(p)
+			_, derr := new(decoder).sample(p)
 			return derr
 		})
 		if err != nil {
@@ -95,7 +108,7 @@ func FuzzWALDecode(f *testing.F) {
 			}
 		}
 		again, truncated, err := replaySegment(path, func(p []byte) error {
-			_, derr := decodeSample(p)
+			_, derr := new(decoder).sample(p)
 			return derr
 		})
 		if err != nil || truncated || again != frames {

@@ -211,28 +211,35 @@ func (s *Store) restoreLocked() error {
 	}
 	var restored, rejected int64
 	var firstReject error
-	// A CRC-valid record the store refuses (rows of another schema, a
-	// foreign directory) is skipped and counted, never an error: returning
-	// one from the replay callback would truncate the records behind it.
-	load := func(rec history.SampleRecord) {
-		if _, err := s.mem.Load(rec); err != nil {
+	// load decodes one payload and loads it. A CRC-valid record the schema
+	// or the store refuses (rows of another schema, a foreign directory) is
+	// skipped and counted, never an error: returning one would truncate the
+	// records behind it.
+	var dec decoder
+	load := func(payload []byte) error {
+		rec, err := dec.sample(payload)
+		if err != nil {
+			return err
+		}
+		if err = rec.refused; err == nil {
+			_, err = s.mem.Load(rec.source, rec.group, rec.rs, rec.at)
+		}
+		if err != nil {
 			if rejected++; firstReject == nil {
 				firstReject = err
 			}
 		}
+		return nil
 	}
 	for i := len(cps) - 1; i >= 0; i-- {
-		recs, walSeq, err := loadCheckpoint(cps[i].path)
+		frames, walSeq, err := loadCheckpoint(cps[i].path, load)
 		if err != nil {
 			s.corrupt++
 			s.alert(fmt.Sprintf("corrupt checkpoint dropped, falling back to previous: %v", err))
 			_ = os.Remove(cps[i].path)
 			continue
 		}
-		for _, rec := range recs {
-			load(rec)
-		}
-		restored += int64(len(recs))
+		restored += int64(frames)
 		s.ckptSeq = cps[i].seq
 		s.ckptWALSeq = walSeq
 		break
@@ -245,14 +252,7 @@ func (s *Store) restoreLocked() error {
 		if seg.seq < s.ckptWALSeq {
 			continue // fully covered by the checkpoint
 		}
-		frames, truncated, err := replaySegment(seg.path, func(payload []byte) error {
-			rec, err := decodeSample(payload)
-			if err != nil {
-				return err
-			}
-			load(rec)
-			return nil
-		})
+		frames, truncated, err := replaySegment(seg.path, load)
 		restored += int64(frames)
 		if err != nil {
 			s.alert(fmt.Sprintf("cannot replay WAL segment %s: %v", seg.path, err))
@@ -286,7 +286,7 @@ func (s *Store) Record(source, group string, rs *resultset.ResultSet, at time.Ti
 	if s.closed || !s.attached {
 		return nil
 	}
-	s.encBuf = encodeResult(s.encBuf[:0], source, group, at, rs)
+	s.encBuf = encodeResult(s.encBuf[:0], source, group, at, rs.Metadata().ColumnCount(), rs)
 	err := s.failWrites
 	if err == nil {
 		err = s.w.append(s.encBuf)

@@ -130,10 +130,7 @@ func createSegment(dir string, seq uint64, policy string, clock func() time.Time
 
 // append frames and writes one payload, syncing per the fsync policy.
 func (w *segmentWriter) append(payload []byte) error {
-	w.buf = w.buf[:0]
-	w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(len(payload)))
-	w.buf = binary.LittleEndian.AppendUint32(w.buf, crc32.Checksum(payload, crcTable))
-	w.buf = append(w.buf, payload...)
+	w.buf = appendFrame(w.buf[:0], payload)
 	if _, err := w.f.Write(w.buf); err != nil {
 		return err
 	}
@@ -179,6 +176,28 @@ func (w *segmentWriter) close() error {
 // (and the give-up path after a disk fault, where sync would fail anyway).
 func (w *segmentWriter) abandon() { _ = w.f.Close() }
 
+// appendFrame appends payload's frame — its length, its CRC, itself — to buf.
+func appendFrame(buf, payload []byte) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, crcTable))
+	return append(buf, payload...)
+}
+
+// frameAt returns the payload of the frame that starts at data[off:]; ok is
+// false when the frame is torn — its header or its claimed length runs past
+// the data — or, with verify set, its payload does not match its CRC.
+func frameAt(data []byte, off int, verify bool) (payload []byte, ok bool) {
+	if len(data)-off < frameHeaderSize {
+		return nil, false
+	}
+	length := binary.LittleEndian.Uint32(data[off : off+4])
+	if length > maxFrameBytes || int(length) > len(data)-off-frameHeaderSize {
+		return nil, false
+	}
+	payload = data[off+frameHeaderSize : off+frameHeaderSize+int(length)]
+	return payload, !verify || crc32.Checksum(payload, crcTable) == binary.LittleEndian.Uint32(data[off+4:off+8])
+}
+
 // replaySegment streams a segment's valid frames into fn in append order.
 // Any corruption — a bad header, torn frame, CRC mismatch or an undecodable
 // payload (fn returning an error) — truncates the file back to the last
@@ -199,30 +218,12 @@ func replaySegment(path string, fn func(payload []byte) error) (frames int, trun
 		// trusted. Truncate it to empty.
 		return 0, true, os.Truncate(path, 0)
 	}
-	off := segHeaderSize
-	for {
-		if off == len(data) {
-			return frames, false, nil
+	for off := segHeaderSize; off < len(data); frames++ {
+		payload, ok := frameAt(data, off, true)
+		if !ok || fn != nil && fn(payload) != nil {
+			return frames, true, os.Truncate(path, int64(off))
 		}
-		if len(data)-off < frameHeaderSize {
-			break // torn frame header
-		}
-		length := binary.LittleEndian.Uint32(data[off : off+4])
-		sum := binary.LittleEndian.Uint32(data[off+4 : off+8])
-		if length > maxFrameBytes || int(length) > len(data)-off-frameHeaderSize {
-			break // torn or garbage length
-		}
-		payload := data[off+frameHeaderSize : off+frameHeaderSize+int(length)]
-		if crc32.Checksum(payload, crcTable) != sum {
-			break // bit flip
-		}
-		if fn != nil {
-			if err := fn(payload); err != nil {
-				break // framed correctly but undecodable
-			}
-		}
-		off += frameHeaderSize + int(length)
-		frames++
+		off += frameHeaderSize + len(payload)
 	}
-	return frames, true, os.Truncate(path, int64(off))
+	return frames, false, nil
 }
