@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"gridrm/internal/breaker"
+	"gridrm/internal/drivers/memdrv"
 	"gridrm/internal/qcache"
 	"gridrm/internal/security"
 	"gridrm/internal/trace"
@@ -116,14 +117,14 @@ func TestCachedAllHitStartsNoGoroutine(t *testing.T) {
 
 // TestCachedAllHitAllocBudget holds the engine's own share of the dashboard
 // query: QueryContext naming eight fresh sources, SELECT * so that nothing is
-// projected, traced (the default sample rate is 1). Measured at 14
-// allocations (12 while the merged set was a row index over shared boxed
-// rows): the target list, the harvest SQL, the status and result slices, the
-// merged set, its column headers and one array for each of the two columns
-// that hold values, the response, and the trace (recorder, second chunk, two
-// ID strings, the span's context).
+// projected, traced (the default sample rate is 1). Measured at 13
+// allocations (14 while the harvest SQL was built for every query): the
+// target list, the status and result slices, the merged set, its column
+// headers and one array for each of the two columns that hold values, the
+// response, and the trace (recorder, second chunk, two ID strings, the span's
+// context).
 func TestCachedAllHitAllocBudget(t *testing.T) {
-	const measured = 14
+	const measured = 13
 	fx := newCachedFixture(t, Config{})
 	opts := QueryOptions{Principal: fx.admin, SQL: "SELECT * FROM Processor", Sources: fx.urls}
 	fx.query(t, opts)
@@ -135,6 +136,54 @@ func TestCachedAllHitAllocBudget(t *testing.T) {
 	t.Logf("all-hit cached query: %.0f allocs", got)
 	if got > measured+2 {
 		t.Errorf("all-hit cached query allocates %.0f times, budget %d + 2 (the race runtime's own)", got, measured)
+	}
+}
+
+// TestHarvestAllocBudget holds the miss path's share: one real-time
+// QueryContext naming eight sources of one memdrv driver, every connection
+// pooled, traced, history on. Measured at 179 allocations, 22.4 a harvest,
+// where 308c47c measured 292 and 36.5: a harvest no longer pays for a ping's
+// goroutine, channel and closures (5), a parse of the harvest text (6), a
+// flight's key string and done channel (2) or a cache entry it already has (1).
+// What is left, a harvest: memdrv's statement and boxed rows (8), the attempt's
+// deadline (4), the source's goroutine and its slot in the result channel (2),
+// and one each for the span's context, the pooled handle, the flight, its
+// closure and the cache's copy of the set header.
+func TestHarvestAllocBudget(t *testing.T) {
+	const measured = 179
+	g := New(Config{Name: "harvestsite"})
+	t.Cleanup(g.Close)
+	d := memdrv.New("jdbc-mem", "mem", memdrv.NewBackend([]string{"h1"}))
+	if err := g.RegisterDriver(d, d.Schema()); err != nil {
+		t.Fatal(err)
+	}
+	opts := QueryOptions{Principal: security.Principal{Name: "admin", Roles: []string{"operator"}},
+		SQL: "SELECT * FROM Processor", Mode: ModeRealTime}
+	for i := 0; i < cachedSources; i++ {
+		url := fmt.Sprintf("gridrm:mem://agent%d:1", i)
+		if err := g.AddSource(SourceConfig{URL: url}); err != nil {
+			t.Fatal(err)
+		}
+		opts.Sources = append(opts.Sources, url)
+	}
+	poll := func() {
+		resp, err := g.QueryContext(context.Background(), opts)
+		if err != nil || resp.ResultSet.Len() != cachedSources {
+			t.Fatalf("poll: %v, %+v", err, resp)
+		}
+	}
+	poll() // dial the eight connections
+	got := testing.AllocsPerRun(200, poll)
+	if ps := g.Pool().Stats(); ps.Opens != cachedSources || ps.PingFailures != 0 {
+		t.Fatalf("harvests were not pooled: %+v", ps)
+	}
+	t.Logf("real-time query over %d pooled sources: %.0f allocs, %.1f a harvest", cachedSources, got, got/cachedSources)
+	budget := float64(measured + 2)
+	if raceEnabled {
+		budget += 2 * cachedSources // the race runtime allocates for each goroutine
+	}
+	if got > budget {
+		t.Errorf("real-time query over %d pooled sources allocates %.0f times, budget %.0f", cachedSources, got, budget)
 	}
 }
 

@@ -510,7 +510,7 @@ func (g *Gateway) registerMetrics() {
 		func() float64 { return float64(g.cache.Len()) })
 	r.CounterFunc("gridrm_pool_dials_total", "Connections opened via the DriverManager.", func() int64 { return g.pool.Stats().Opens })
 	r.CounterFunc("gridrm_pool_idle_hits_total", "Pool Gets satisfied from an idle connection.", func() int64 { return g.pool.Stats().Hits })
-	r.CounterFunc("gridrm_pool_ping_failures_total", "Pooled connections discarded as stale.", func() int64 { return g.pool.Stats().PingFailures })
+	r.CounterFunc("gridrm_pool_ping_failures_total", "Pooled connections discarded as stale: pinged after a statement on them failed, or by the prober, and found dead.", func() int64 { return g.pool.Stats().PingFailures })
 	r.GaugeFunc("gridrm_pool_idle_connections", "Idle pooled connections.",
 		func() float64 { return float64(g.pool.IdleCount()) })
 	r.GaugeFunc("gridrm_event_queue_depth", "Events waiting in the dispatcher's fast buffer.",
@@ -904,9 +904,11 @@ func (g *Gateway) ProbeTargets() []string {
 }
 
 // ProbeSource implements health.Pinger: a cheap liveness check of one
-// source via a pooled connection (idle connections are validated with Ping;
-// a fresh connect proves liveness by itself). A probe respects the circuit
-// breaker — when the breaker is open mid-cooldown it reports
+// source via a pooled connection. Liveness is the probe's question, so it is
+// the one caller that pings a connection no statement has failed on: an idle
+// connection that does not answer is discarded as stale and the next one
+// tried, and a fresh connect proves liveness by itself. A probe respects the
+// circuit breaker — when the breaker is open mid-cooldown it reports
 // health.ErrSkipped rather than hammering a known-bad source (and rather
 // than noting a failure, which would extend the cooldown forever). Once the
 // cooldown elapses the probe claims the half-open slot itself, so breakers
@@ -919,15 +921,22 @@ func (g *Gateway) ProbeSource(ctx context.Context, url string) error {
 	if !br.Allow(g.clock()) {
 		return health.ErrSkipped
 	}
-	conn, err := g.pool.GetContext(ctx, url, props)
-	if err != nil {
-		g.noteFailure(url, err, g.clock())
-		return err
+	for {
+		conn, err := g.pool.GetContext(ctx, url, props)
+		if err == nil && conn.Reused() && conn.PingContext(ctx) != nil {
+			if err = ctx.Err(); err == nil {
+				continue // stale and now closed: the next idle connection, or a dial
+			}
+		}
+		if err != nil {
+			g.noteFailure(url, err, g.clock())
+			return err
+		}
+		driverName := conn.Driver()
+		conn.Release()
+		g.noteSuccess(url, driverName, g.clock())
+		return nil
 	}
-	driverName := conn.Driver()
-	conn.Release()
-	g.noteSuccess(url, driverName, g.clock())
-	return nil
 }
 
 // onHealthTransition publishes a source's probed state change: an Alert

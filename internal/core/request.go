@@ -9,6 +9,7 @@ import (
 
 	"gridrm/internal/driver"
 	"gridrm/internal/glue"
+	"gridrm/internal/pool"
 	"gridrm/internal/resultset"
 	"gridrm/internal/retry"
 	"gridrm/internal/security"
@@ -183,8 +184,22 @@ func (e *PermissionError) Error() string {
 // harvestSQL is the canonical per-source query the gateway executes: the
 // full GLUE group. Client WHERE/ORDER/LIMIT/projection are applied over the
 // consolidated rows, so every client query on a group shares one cache
-// entry and one history record per source.
-func harvestSQL(group string) string { return "SELECT * FROM " + group }
+// entry and one history record per source. Each GLUE group's text is built
+// once: it is a cache key, a flight key and a plan-cache key on every harvest.
+func harvestSQL(group string) string {
+	if sql, ok := harvestSQLs[group]; ok {
+		return sql
+	}
+	return "SELECT * FROM " + group
+}
+
+var harvestSQLs = func() map[string]string {
+	m := make(map[string]string)
+	for _, name := range glue.GroupNames() {
+		m[name] = "SELECT * FROM " + name
+	}
+	return m
+}()
 
 // QueryContext executes a query — the RequestManager path of Fig 3: SQL
 // comes in, a consolidated ResultSet comes out. The request is bounded by
@@ -688,7 +703,7 @@ func (g *Gateway) degradedResult(mode Mode, url, hsql string, group *glue.Group,
 // leader's rows themselves (to read and Merge, like a cached result) and
 // report shared=true.
 func (g *Gateway) sharedHarvest(ctx context.Context, url string, group *glue.Group, hsql string) (flightResult, bool) {
-	return g.flights.do(ctx, url+"\x00"+hsql, func() flightResult {
+	return g.flights.do(ctx, flightKey{url, hsql}, func() flightResult {
 		return g.harvestLeader(ctx, url, group, hsql)
 	})
 }
@@ -763,6 +778,15 @@ func (g *Gateway) harvestWithRetry(ctx context.Context, url, hsql string) (*resu
 // per-source HarvestTimeout on top of the request context. After a
 // timeout the connection is discarded, never released: a non-context
 // driver may still be using it in the shim goroutine.
+//
+// An idle connection is trusted until a statement on it fails. Drivers do not
+// classify their errors, so when one fails on a reused connection while the
+// attempt's context is still live, the connection is pinged then: a failed
+// ping means the pooled session had died (counted in the pool's PingFailures,
+// closed) and the statement re-runs on the next connection inside this same
+// attempt and budget; a ping that answers means the error is the statement's
+// own. Each pass either returns or closes one idle connection, so the loop
+// ends at a fresh dial at the latest.
 func (g *Gateway) harvest(ctx context.Context, url, hsql string) (*resultset.ResultSet, string, error) {
 	props, _, err := g.lookup(url)
 	if err != nil {
@@ -773,31 +797,45 @@ func (g *Gateway) harvest(ctx context.Context, url, hsql string) (*resultset.Res
 		ctx, cancel = context.WithTimeout(ctx, g.harvestTimeout)
 		defer cancel()
 	}
-	conn, err := g.pool.GetContext(ctx, url, props)
-	if err != nil {
-		return nil, "", err
+	for redialed := false; ; redialed = true {
+		conn, err := g.pool.GetContext(ctx, url, props)
+		if err != nil {
+			return nil, "", err
+		}
+		driverName := conn.Driver()
+		rs, err := execute(ctx, conn, hsql, redialed)
+		if err == nil {
+			conn.Release()
+			rs.Source = url
+			return rs, driverName, nil
+		}
+		if !conn.Reused() || ctx.Err() != nil || conn.PingContext(ctx) == nil {
+			conn.Discard()
+			return nil, driverName, err
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, driverName, err // the pool settles the abandoned ping
+		}
 	}
-	driverName := conn.Driver()
+}
+
+// execute runs the harvest statement on conn as a "driver-execute" span;
+// redialed marks the run that replaced a stale pooled connection.
+func execute(ctx context.Context, conn *pool.Conn, hsql string, redialed bool) (*resultset.ResultSet, error) {
 	dsp := trace.SpanFromContext(ctx).Child("driver-execute")
-	dsp.SetAttr("driver", driverName)
-	stmt, err := driver.SafeCreateStatement(conn)
-	if err != nil {
-		dsp.SetError(err)
-		dsp.End()
-		conn.Discard()
-		return nil, driverName, err
+	dsp.SetAttr("driver", conn.Driver())
+	if redialed {
+		dsp.SetAttr("redialed", "true")
 	}
-	rs, err := driver.QueryContext(ctx, stmt, hsql)
-	_ = driver.SafeClose(stmt)
+	var rs *resultset.ResultSet
+	stmt, err := driver.SafeCreateStatement(conn)
+	if err == nil {
+		rs, err = driver.QueryContext(ctx, stmt, hsql)
+		_ = driver.SafeClose(stmt)
+	}
 	dsp.SetError(err)
 	dsp.End()
-	if err != nil {
-		conn.Discard()
-		return nil, driverName, err
-	}
-	conn.Release()
-	rs.Source = url
-	return rs, driverName, nil
+	return rs, err
 }
 
 // PollContext forces a real-time refresh of one source for one GLUE group

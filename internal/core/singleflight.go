@@ -19,23 +19,27 @@ type flightResult struct {
 	err        error
 }
 
-// flight is one in-progress harvest; done is closed once res is final.
+// flight is one in-progress harvest. done is made by the first follower to
+// join (a harvest nobody waits for makes no channel), closed once res is final.
 type flight struct {
 	done    chan struct{}
 	res     flightResult
 	waiters atomic.Int64
 }
 
-// flightGroup coalesces concurrent harvests of the same key — (source URL,
-// canonical harvest SQL) — so N cache-missing queries cost the data source
-// one harvest, the intrusion limit the paper's cache exists for (§4).
+// flightKey names a harvest: the source and the canonical harvest SQL.
+type flightKey struct{ url, sql string }
+
+// flightGroup coalesces concurrent harvests of the same key, so N
+// cache-missing queries cost the data source one harvest, the intrusion limit
+// the paper's cache exists for (§4).
 type flightGroup struct {
 	mu       sync.Mutex
-	inflight map[string]*flight
+	inflight map[flightKey]*flight
 }
 
 func newFlightGroup() *flightGroup {
-	return &flightGroup{inflight: make(map[string]*flight)}
+	return &flightGroup{inflight: make(map[flightKey]*flight)}
 }
 
 // do executes fn once per key among concurrent callers. The first caller
@@ -46,14 +50,17 @@ func newFlightGroup() *flightGroup {
 // starts over, possibly as the new leader, so one client giving up cannot
 // fail the others. shared reports whether the caller received another caller's
 // harvest.
-func (fg *flightGroup) do(ctx context.Context, key string, fn func() flightResult) (res flightResult, shared bool) {
+func (fg *flightGroup) do(ctx context.Context, key flightKey, fn func() flightResult) (res flightResult, shared bool) {
 	for {
 		fg.mu.Lock()
 		if f, ok := fg.inflight[key]; ok {
 			f.waiters.Add(1)
+			if f.done == nil {
+				f.done = make(chan struct{})
+			}
 			fg.mu.Unlock()
 			select {
-			case <-f.done:
+			case <-f.done: // set under the lock, never changed after
 				if err := f.res.err; (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) && ctx.Err() == nil {
 					continue
 				}
@@ -62,7 +69,7 @@ func (fg *flightGroup) do(ctx context.Context, key string, fn func() flightResul
 				return flightResult{err: ctx.Err()}, false
 			}
 		}
-		f := &flight{done: make(chan struct{})}
+		f := &flight{}
 		fg.inflight[key] = f
 		fg.mu.Unlock()
 
@@ -70,8 +77,11 @@ func (fg *flightGroup) do(ctx context.Context, key string, fn func() flightResul
 
 		fg.mu.Lock()
 		delete(fg.inflight, key)
+		done := f.done // final: nobody joins a flight that is out of the map
 		fg.mu.Unlock()
-		close(f.done)
+		if done != nil {
+			close(done)
+		}
 		return f.res, false
 	}
 }

@@ -90,8 +90,10 @@ type Conn interface {
 	CreateStatement() (Stmt, error)
 	// Close releases the session.
 	Close() error
-	// Ping verifies the data source is still reachable; pooled
-	// connections are validated with Ping before reuse.
+	// Ping verifies the data source is still reachable. The gateway asks
+	// after a statement on a pooled connection failed, to tell a dead
+	// session from a failed query, and when its prober checks liveness;
+	// a harvest that succeeds never pings.
 	Ping() error
 	// URL returns the data-source URL the connection was opened with.
 	URL() string

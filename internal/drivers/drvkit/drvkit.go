@@ -83,7 +83,9 @@ type Target struct {
 
 // Session is a driver's live exchange with one agent.
 type Session interface {
-	// Ping round-trips the agent; pooled connections are validated with it.
+	// Ping round-trips the agent. No harvest pays for one: the gateway asks
+	// only after a statement on a pooled connection failed, to tell a dead
+	// session from a failed query, and when its prober checks liveness.
 	Ping() error
 	// Close releases the transport.
 	Close() error
@@ -126,13 +128,15 @@ type Driver struct {
 	spec    Spec
 	prefix  string
 	schemas *schema.Manager
+	plans   *sqlparse.PlanCache
 	clock   func() time.Time
 }
 
 // New creates the driver; the SchemaManager may be nil, in which case the
 // built-in mapping is used without revalidation.
 func New(spec Spec, sm *schema.Manager) *Driver {
-	return &Driver{spec: spec, prefix: spec.Protocol + "drv", schemas: sm, clock: time.Now}
+	return &Driver{spec: spec, prefix: spec.Protocol + "drv", schemas: sm,
+		plans: sqlparse.NewPlanCache(sqlparse.DriverPlans), clock: time.Now}
 }
 
 // SetClock injects the clock sessions see as Target.Clock, for cache tests.
@@ -271,7 +275,8 @@ type stmt struct {
 // Close implements driver.Stmt.
 func (s *stmt) Close() error { s.closed = true; return nil }
 
-// ExecuteQuery implements driver.Stmt: it parses the SQL, has the session
+// ExecuteQuery implements driver.Stmt: it resolves the SQL (the canonical
+// harvest text is parsed once a driver), has the session
 // fetch the target group's full rows through the current mapping, and
 // finishes WHERE/ORDER/LIMIT/projection locally.
 func (s *stmt) ExecuteQuery(sql string) (*resultset.ResultSet, error) {
@@ -284,7 +289,7 @@ func (s *stmt) ExecuteQuery(sql string) (*resultset.ResultSet, error) {
 	if d := c.drv; d.schemas != nil && !d.schemas.Valid(d.spec.Name, c.gen) {
 		c.mapping, c.gen = d.lookupSchema()
 	}
-	q, err := sqlparse.Parse(sql)
+	q, err := c.drv.plans.Parse(sql)
 	if err != nil {
 		return nil, err
 	}

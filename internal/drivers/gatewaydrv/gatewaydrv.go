@@ -37,10 +37,13 @@ const DriverName = "jdbc-gridrm"
 // Driver is the gateway-of-gateways driver.
 type Driver struct {
 	schemas *schema.Manager
+	plans   *sqlparse.PlanCache
 }
 
 // New creates the driver; the SchemaManager may be nil.
-func New(sm *schema.Manager) *Driver { return &Driver{schemas: sm} }
+func New(sm *schema.Manager) *Driver {
+	return &Driver{schemas: sm, plans: sqlparse.NewPlanCache(sqlparse.DriverPlans)}
+}
 
 // Name implements driver.Driver.
 func (d *Driver) Name() string { return DriverName }
@@ -161,7 +164,7 @@ func (s *Stmt) ExecuteQueryContext(ctx context.Context, sql string) (*resultset.
 	if s.closed || s.conn.closed {
 		return nil, driver.ErrClosed
 	}
-	q, err := sqlparse.Parse(sql)
+	q, err := s.conn.drv.plans.Parse(sql)
 	if err != nil {
 		return nil, err
 	}

@@ -27,10 +27,13 @@ const DriverName = "jdbc-hist"
 // Driver is the historical-store driver.
 type Driver struct {
 	store *history.Store
+	plans *sqlparse.PlanCache
 }
 
 // New creates the driver bound to a history store.
-func New(store *history.Store) *Driver { return &Driver{store: store} }
+func New(store *history.Store) *Driver {
+	return &Driver{store: store, plans: sqlparse.NewPlanCache(sqlparse.DriverPlans)}
+}
 
 // Name implements driver.Driver.
 func (d *Driver) Name() string { return DriverName }
@@ -126,7 +129,7 @@ func (s *Stmt) ExecuteQuery(sql string) (*resultset.ResultSet, error) {
 	if s.closed || s.conn.closed {
 		return nil, driver.ErrClosed
 	}
-	q, err := sqlparse.Parse(sql)
+	q, err := s.conn.drv.plans.Parse(sql)
 	if err != nil {
 		return nil, err
 	}

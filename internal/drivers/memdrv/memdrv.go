@@ -72,11 +72,12 @@ type Driver struct {
 	name    string
 	proto   string
 	backend *Backend
+	plans   *sqlparse.PlanCache
 }
 
 // New creates a driver with registration name and URL protocol.
 func New(name, proto string, backend *Backend) *Driver {
-	return &Driver{name: name, proto: proto, backend: backend}
+	return &Driver{name: name, proto: proto, backend: backend, plans: sqlparse.NewPlanCache(sqlparse.DriverPlans)}
 }
 
 // Name implements driver.Driver.
@@ -189,7 +190,7 @@ func (s *stmt) ExecuteQueryContext(ctx context.Context, sql string) (*resultset.
 		return nil, fmt.Errorf("%s: query failed", s.c.d.name)
 	}
 	b.queries.Add(1)
-	q, err := sqlparse.Parse(sql)
+	q, err := s.c.d.plans.Parse(sql)
 	if err != nil {
 		return nil, err
 	}

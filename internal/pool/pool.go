@@ -6,8 +6,9 @@
 //
 // The manager asks the GridRMDriverManager for a new connection only when
 // no suitable pooled instance exists; every new connection is registered
-// with the pool before use. Idle connections are validated with Ping before
-// reuse and reaped after MaxIdleTime.
+// with the pool before use. An idle connection is trusted until a statement on
+// it fails (Conn.PingContext then tells a stale session from a failed query)
+// and reaped after MaxIdleTime.
 package pool
 
 import (
@@ -52,7 +53,9 @@ type Stats struct {
 	Opens int64
 	// Closes counts underlying connections closed.
 	Closes int64
-	// PingFailures counts pooled connections discarded as stale.
+	// PingFailures counts pooled connections discarded as stale: a reused
+	// connection whose PingContext failed, after a statement on it did or
+	// when the prober asked.
 	PingFailures int64
 	// Evictions counts idle connections dropped by capacity or age.
 	Evictions int64
@@ -110,8 +113,13 @@ type Conn struct {
 	driver.Conn
 	mgr      *Manager
 	key      string
+	reused   bool
 	released atomic.Bool
 }
+
+// Reused reports whether the connection came from the idle pool, unvalidated,
+// rather than from a fresh connect.
+func (c *Conn) Reused() bool { return c.reused }
 
 // Release returns the connection to the pool for reuse.
 func (c *Conn) Release() {
@@ -132,7 +140,8 @@ func (c *Conn) Discard() {
 }
 
 // Get returns a connection to the data source, reusing a pooled instance
-// when one validates, otherwise opening a new one via the DriverManager.
+// as it is when there is one, otherwise opening a new one via the
+// DriverManager.
 func (m *Manager) Get(url string, props driver.Properties) (*Conn, error) {
 	return m.GetContext(context.Background(), url, props)
 }
@@ -148,44 +157,32 @@ func (m *Manager) GetContext(ctx context.Context, url string, props driver.Prope
 	if sp != nil {
 		sp.SetAttr("url", url)
 	}
-	conn, reused, err := m.getContext(ctx, url, props)
+	conn, err := m.getContext(ctx, url, props)
 	if sp != nil {
-		sp.SetAttr("reused", strconv.FormatBool(reused))
+		sp.SetAttr("reused", strconv.FormatBool(err == nil && conn.reused))
 		sp.SetError(err)
 		sp.End()
 	}
 	return conn, err
 }
 
-func (m *Manager) getContext(ctx context.Context, url string, props driver.Properties) (*Conn, bool, error) {
+func (m *Manager) getContext(ctx context.Context, url string, props driver.Properties) (*Conn, error) {
 	k := key(url, props)
-	if !m.opts.Disabled {
-		for {
-			conn, ok := m.takeIdle(k)
-			if !ok {
-				break
-			}
-			if err := m.ping(ctx, k, conn); err != nil {
-				if ctx.Err() != nil {
-					return nil, false, ctx.Err()
-				}
-				continue
-			}
-			m.hits.Add(1)
-			return &Conn{Conn: conn, mgr: m, key: k}, true, nil
-		}
+	if conn, ok := m.takeIdle(k); ok {
+		m.hits.Add(1)
+		return &Conn{Conn: conn, mgr: m, key: k, reused: true}, nil
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	m.misses.Add(1)
 	if ctx.Done() == nil {
 		conn, err := m.connect(url, props)
 		if err != nil {
-			return nil, false, fmt.Errorf("pool: %w", err)
+			return nil, fmt.Errorf("pool: %w", err)
 		}
 		m.opens.Add(1)
-		return &Conn{Conn: conn, mgr: m, key: k}, false, nil
+		return &Conn{Conn: conn, mgr: m, key: k}, nil
 	}
 	type result struct {
 		conn driver.Conn
@@ -199,10 +196,10 @@ func (m *Manager) getContext(ctx context.Context, url string, props driver.Prope
 	select {
 	case r := <-ch:
 		if r.err != nil {
-			return nil, false, fmt.Errorf("pool: %w", r.err)
+			return nil, fmt.Errorf("pool: %w", r.err)
 		}
 		m.opens.Add(1)
-		return &Conn{Conn: r.conn, mgr: m, key: k}, false, nil
+		return &Conn{Conn: r.conn, mgr: m, key: k}, nil
 	case <-ctx.Done():
 		go func() {
 			if r := <-ch; r.err == nil {
@@ -210,7 +207,7 @@ func (m *Manager) getContext(ctx context.Context, url string, props driver.Prope
 				m.put(k, r.conn)
 			}
 		}()
-		return nil, false, ctx.Err()
+		return nil, ctx.Err()
 	}
 }
 
@@ -225,41 +222,38 @@ func (m *Manager) connect(url string, props driver.Properties) (driver.Conn, err
 	return conn, err
 }
 
-// ping validates an idle connection before reuse. A driver's Ping carries no
-// context, so when ctx can expire the wait (not the probe) is abandoned at
-// the deadline: the probe finishes in the background and re-pools or closes
-// the connection on its own outcome, while the caller gets ctx.Err().
-func (m *Manager) ping(ctx context.Context, k string, conn driver.Conn) error {
-	discard := func(err error) error {
-		m.pingFailures.Add(1)
-		m.closes.Add(1)
-		_ = driver.SafeClose(conn)
+// PingContext asks the driver whether the session is still alive: after a
+// statement failed on a reused connection, or because liveness is the caller's
+// question (the prober). Nil means alive, and the connection is still the
+// caller's to Release or Discard. Any error spends the handle: a failed ping
+// counts the connection as stale and closes it. A driver's Ping carries no
+// context, so when ctx can expire the wait (not the probe) is abandoned at the
+// deadline: the probe finishes in the background and re-pools or closes the
+// connection on its own outcome, while the caller gets ctx.Err().
+func (c *Conn) PingContext(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		c.Release()
+		return err
+	}
+	stale := func(err error) error {
+		if err != nil {
+			c.mgr.pingFailures.Add(1)
+			c.Discard()
+		}
 		return err
 	}
 	if ctx.Done() == nil {
-		if err := driver.SafePing(conn); err != nil {
-			return discard(err)
-		}
-		return nil
-	}
-	if err := ctx.Err(); err != nil {
-		m.put(k, conn)
-		return err
+		return stale(driver.SafePing(c.Conn))
 	}
 	ch := make(chan error, 1)
-	go func() { ch <- driver.SafePing(conn) }()
+	go func() { ch <- driver.SafePing(c.Conn) }()
 	select {
 	case err := <-ch:
-		if err != nil {
-			return discard(err)
-		}
-		return nil
+		return stale(err)
 	case <-ctx.Done():
 		go func() {
-			if err := <-ch; err != nil {
-				_ = discard(err)
-			} else {
-				m.put(k, conn)
+			if stale(<-ch) == nil {
+				c.Release()
 			}
 		}()
 		return ctx.Err()

@@ -1,6 +1,7 @@
 package pool
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -11,11 +12,14 @@ import (
 	"gridrm/internal/driver"
 )
 
-// slowDriver counts connects and can fail pings after poisoning.
+// slowDriver counts connects and pings, can fail pings after poisoning and
+// can hold them until pingGate is closed.
 type slowDriver struct {
 	name     string
 	connects atomic.Int64
+	pings    atomic.Int64
 	poison   atomic.Bool
+	pingGate chan struct{}
 }
 
 func (d *slowDriver) Name() string { return d.name }
@@ -40,6 +44,10 @@ type slowConn struct {
 func (c *slowConn) URL() string    { return c.url }
 func (c *slowConn) Driver() string { return c.d.name }
 func (c *slowConn) Ping() error {
+	c.d.pings.Add(1)
+	if c.d.pingGate != nil {
+		<-c.d.pingGate
+	}
 	if c.d.poison.Load() {
 		return errors.New("stale")
 	}
@@ -129,20 +137,87 @@ func TestPropertiesSeparateBuckets(t *testing.T) {
 	}
 }
 
-func TestStalePingDiscarded(t *testing.T) {
+// TestIdleHandedOutUnpinged: an idle connection is trusted, so a checkout
+// costs the agent nothing; the handle says it was reused so that whoever sees
+// a statement fail on it knows to ask.
+func TestIdleHandedOutUnpinged(t *testing.T) {
 	m, d := newManager(t, Options{})
 	c, _ := m.Get(url, nil)
+	if c.Reused() {
+		t.Error("fresh connection reports Reused")
+	}
 	c.Release()
 	d.poison.Store(true)
-	if _, err := m.Get(url, nil); err != nil {
-		t.Fatal(err) // new connect still succeeds
+	c, err := m.Get(url, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	s := m.Stats()
-	if s.PingFailures != 1 {
-		t.Errorf("ping failures = %d", s.PingFailures)
+	if !c.Reused() {
+		t.Error("idle connection does not report Reused")
 	}
-	if d.connects.Load() != 2 {
-		t.Errorf("connects = %d, want 2", d.connects.Load())
+	if d.pings.Load() != 0 || d.connects.Load() != 1 {
+		t.Errorf("checkout cost %d pings and %d connects, want 0 and 1", d.pings.Load(), d.connects.Load())
+	}
+}
+
+// TestPingContext: a ping that answers leaves the connection with the caller;
+// one that fails counts it stale, closes it and spends the handle.
+func TestPingContext(t *testing.T) {
+	m, d := newManager(t, Options{})
+	c, _ := m.Get(url, nil)
+	if err := c.PingContext(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	c.Release()
+	if m.IdleCount() != 1 || m.Stats().PingFailures != 0 {
+		t.Fatalf("after a healthy ping: idle %d, stats %+v", m.IdleCount(), m.Stats())
+	}
+
+	d.poison.Store(true)
+	c, _ = m.Get(url, nil)
+	underlying := c.Conn.(*slowConn)
+	if err := c.PingContext(context.Background()); err == nil {
+		t.Fatal("ping of a poisoned connection succeeded")
+	}
+	c.Release() // spent: must not pool the closed connection
+	if s := m.Stats(); s.PingFailures != 1 || s.Closes != 1 || m.IdleCount() != 0 || !underlying.closed.Load() {
+		t.Errorf("after a failed ping: idle %d, closed %v, stats %+v", m.IdleCount(), underlying.closed.Load(), s)
+	}
+}
+
+// TestPingContextAbandonedAtDeadline: the caller gets ctx.Err() at once and
+// the ping, finishing later, re-pools the connection or closes it as stale.
+func TestPingContextAbandonedAtDeadline(t *testing.T) {
+	for _, poisoned := range []bool{false, true} {
+		m, d := newManager(t, Options{})
+		d.pingGate = make(chan struct{})
+		d.poison.Store(poisoned)
+		c, _ := m.Get(url, nil)
+		ctx, cancel := context.WithCancel(context.Background())
+		errc := make(chan error, 1)
+		go func() { errc <- c.PingContext(ctx) }()
+		for d.pings.Load() == 0 {
+			time.Sleep(time.Millisecond)
+		}
+		cancel()
+		if err := <-errc; !errors.Is(err, context.Canceled) {
+			t.Fatalf("poisoned=%v: PingContext = %v, want context.Canceled", poisoned, err)
+		}
+		close(d.pingGate)
+		deadline := time.Now().Add(2 * time.Second)
+		for int64(m.IdleCount())+m.Stats().Closes != 1 {
+			if time.Now().After(deadline) {
+				t.Fatalf("poisoned=%v: connection neither pooled nor closed: idle %d, stats %+v", poisoned, m.IdleCount(), m.Stats())
+			}
+			time.Sleep(time.Millisecond)
+		}
+		want := Stats{Misses: 1, Opens: 1}
+		if poisoned {
+			want.PingFailures, want.Closes = 1, 1
+		}
+		if s := m.Stats(); s != want {
+			t.Errorf("poisoned=%v: stats %+v, want %+v", poisoned, s, want)
+		}
 	}
 }
 

@@ -76,8 +76,9 @@ type Cache struct {
 // key is a comparable struct so that a lookup builds no string.
 type key struct{ source, sql string }
 
-// cached is one entry. rs is never written after the Put that stored it:
-// Get and GetStale hand the same *ResultSet to every reader.
+// cached is one entry. A ResultSet is never written after the Put that stored
+// it: Get and GetStale copy the pointer under the lock and hand the same set to
+// every reader, and a later Put of the key swaps the pointer, not the set.
 type cached struct {
 	key        key
 	rs         *resultset.ResultSet
@@ -112,8 +113,10 @@ func (c *Cache) resetLocked() {
 // dropLocked takes e out of the map and the age ring.
 func (c *Cache) dropLocked(e *cached) {
 	delete(c.entries, e.key)
-	e.prev.next, e.next.prev = e.next, e.prev
+	e.unlink()
 }
+
+func (e *cached) unlink() { e.prev.next, e.next.prev = e.next, e.prev }
 
 func (c *Cache) expired(e *cached, now time.Time) bool {
 	return now.Sub(e.cachedAt) > c.opts.TTL+c.opts.StaleGrace
@@ -144,28 +147,34 @@ func (c *Cache) Get(source, sql string) (*resultset.ResultSet, time.Time, bool) 
 }
 
 // Put stores a result (a copy of its header: the caller keeps its cursor).
-// Overwriting an existing key never evicts (the map does not grow); at
-// capacity, expired entries are purged before the oldest fresh one is evicted.
+// Overwriting an existing key never evicts (the map does not grow) and re-uses
+// the entry, moved to the ring's tail; at capacity, expired entries are purged
+// before the oldest fresh one is evicted.
 func (c *Cache) Put(source, sql string, rs *resultset.ResultSet) {
 	now := c.opts.Clock()
 	k := key{source, sql}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if old, exists := c.entries[k]; exists {
-		c.dropLocked(old)
-	} else if len(c.entries) >= c.opts.MaxEntries {
-		for c.age.next != &c.age && c.expired(c.age.next, now) {
-			c.dropLocked(c.age.next)
-			c.stale.Add(1)
-		}
+	e, exists := c.entries[k]
+	if exists {
+		e.unlink()
+	} else {
 		if len(c.entries) >= c.opts.MaxEntries {
-			c.dropLocked(c.age.next)
-			c.evictions.Add(1)
+			for c.age.next != &c.age && c.expired(c.age.next, now) {
+				c.dropLocked(c.age.next)
+				c.stale.Add(1)
+			}
+			if len(c.entries) >= c.opts.MaxEntries {
+				c.dropLocked(c.age.next)
+				c.evictions.Add(1)
+			}
 		}
+		e = &cached{key: k}
+		c.entries[k] = e
 	}
-	e := &cached{key: k, rs: rs.Clone(), cachedAt: now, prev: c.age.prev, next: &c.age}
+	e.rs, e.cachedAt = rs.Clone(), now
+	e.prev, e.next = c.age.prev, &c.age
 	e.prev.next, c.age.prev = e, e
-	c.entries[k] = e
 }
 
 // GetStale returns a cached result regardless of TTL expiry, provided the

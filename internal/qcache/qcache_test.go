@@ -227,6 +227,47 @@ func TestPutOverwriteDoesNotEvict(t *testing.T) {
 	}
 }
 
+var cloneSink *resultset.ResultSet // keeps a measured Clone on the heap, where Put's is
+
+// TestOverwriteReusesEntry: a re-harvest stores into the entry its key already
+// has — nothing allocated beyond the header Clone makes — and the entry moves
+// to the ring's tail, so eviction order, evictions and stale_total are what
+// they were when an overwrite dropped the entry and made a new one.
+func TestOverwriteReusesEntry(t *testing.T) {
+	c, now := newCache(10*time.Second, 3)
+	rs := sampleRS(t, "h")
+	for _, k := range []string{"a", "b", "c"} {
+		c.Put(k, sql, rs)
+		*now = now.Add(time.Millisecond)
+	}
+	clone := testing.AllocsPerRun(100, func() { cloneSink = rs.Clone() })
+	if got := testing.AllocsPerRun(100, func() { c.Put("a", sql, rs) }); got != clone {
+		t.Errorf("overwriting Put allocates %.0f times, want Clone's %.0f", got, clone)
+	}
+	held, at, ok := c.Get("a", sql)
+	if !ok || !at.Equal(*now) {
+		t.Fatalf("overwritten entry: ok %v, cached at %v, want %v", ok, at, *now)
+	}
+	c.Put("a", sql, sampleRS(t, "h2"))
+	if host, _ := held.RowAt(0)[0].(string); host != "h" {
+		t.Errorf("a reader's set changed under it: host %q", host)
+	}
+
+	// "a" is now the newest: the newcomer evicts "b", the oldest.
+	c.Put("d", sql, rs)
+	for k, want := range map[string]bool{"a": true, "b": false, "c": true, "d": true} {
+		if _, _, ok := c.Get(k, sql); ok != want {
+			t.Errorf("%s cached = %v, want %v", k, ok, want)
+		}
+	}
+	// Past the horizon every entry leaves once, an overwritten one included.
+	*now = now.Add(11 * time.Second)
+	c.Put("e", sql, rs)
+	if s := c.Stats(); s.Evictions != 1 || s.Stale != 3 || c.Len() != 1 {
+		t.Errorf("stats %+v, len %d; want 1 eviction, 3 stale, 1 entry", s, c.Len())
+	}
+}
+
 // TestSharedResultConcurrentReaders is the shared-result contract under
 // -race: Get and GetStale hand every reader the stored ResultSet, so readers
 // that only read it (Len, RowAt, Merge into a set of their own) never see a

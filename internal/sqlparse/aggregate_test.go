@@ -457,6 +457,55 @@ func TestPlanCacheConcurrent(t *testing.T) {
 	}
 }
 
+// TestPlanCacheHarvestTextIsFree: what a driver shell pays to resolve the
+// canonical harvest text through the plan cache it owns is a map hit, and the
+// cached Query is shared: two harvests apply it to their own rows at once
+// (-race holds the immutable-plan contract).
+func TestPlanCacheHarvestTextIsFree(t *testing.T) {
+	const harvest = "SELECT * FROM Processor"
+	c := NewPlanCache(DriverPlans)
+	q, err := c.Parse(harvest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		if again, err := c.Parse(harvest); err != nil || again != q {
+			t.Fatalf("hit returned %p, %v; want %p", again, err, q)
+		}
+	}); got != 0 {
+		t.Errorf("a plan-cache hit on the harvest text allocates %.0f times, want 0", got)
+	}
+
+	meta, err := resultset.MetadataForGroup(glue.MustLookup(glue.GroupProcessor), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for j := 0; j < 200; j++ {
+				shared, err := c.Parse(harvest)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				b := resultset.NewBuilder(meta)
+				b.Put(0, 0, resultset.Cell{Kind: glue.String, Str: fmt.Sprintf("h%d-%d", i, j)})
+				b.Rows(1)
+				full, _ := b.Build()
+				out, err := ApplyToResultSet(shared, full)
+				if err != nil || out.Len() != 1 || out.Metadata().ColumnCount() != meta.ColumnCount() {
+					t.Errorf("apply: %v, %+v", err, out)
+					return
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
+}
+
 // TestGroupByAllocatesPerGroupNotPerRow: a group's key string is made when
 // the group is first seen, so a thousand rows in four groups cost no more
 // allocations than four rows in four groups — for the local aggregate and

@@ -52,6 +52,12 @@ func newPlan(text string, q *Query) *Plan {
 	return p
 }
 
+// DriverPlans is the capacity of the PlanCache each driver shell owns. A
+// gateway sends a driver one text per GLUE group, the canonical harvest SQL,
+// so the nine groups fit several times over and what a direct caller's ad-hoc
+// statements displace is at worst re-parsed.
+const DriverPlans = 64
+
 // NewPlanCache creates a PlanCache holding at most capacity plans.
 // capacity <= 0 yields a disabled cache (still safe to use).
 func NewPlanCache(capacity int) *PlanCache {
