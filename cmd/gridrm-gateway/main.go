@@ -23,7 +23,6 @@ import (
 
 	"gridrm/internal/breaker"
 	"gridrm/internal/core"
-	"gridrm/internal/drivers/faultdrv"
 	"gridrm/internal/event"
 	"gridrm/internal/glue"
 	"gridrm/internal/gma"
@@ -35,6 +34,11 @@ import (
 	"gridrm/internal/tsdb"
 	"gridrm/internal/web"
 )
+
+// drainTimeout bounds the graceful shutdown of either role on SIGINT or
+// SIGTERM: deregistration, the HTTP server's in-flight requests and the
+// gateway's own drain together.
+const drainTimeout = 10 * time.Second
 
 // multiFlag collects a repeatable string flag (-directory may be given once
 // per replica).
@@ -72,29 +76,18 @@ func main() {
 		harvestTimeout = flag.Duration("harvest-timeout", 0, "per-source harvest timeout (0 = default, negative = off)")
 		queryTimeout   = flag.Duration("query-timeout", 0, "whole-request deadline when the caller sets none (0 = default, negative = off)")
 		retries        = flag.Int("retries", 0, "per-source harvest retries after the first failure")
-		retryBackoff   = flag.Duration("retry-backoff", 0, "initial retry backoff (0 = default)")
 		breakerTrips   = flag.Int("breaker-threshold", 0, "consecutive failures that open a source's circuit breaker (0 = default, negative = off)")
 		breakerCool    = flag.Duration("breaker-cooldown", 0, "how long an open breaker waits before a half-open probe (0 = default)")
-		dirTimeout     = flag.Duration("directory-timeout", 0, "GMA directory HTTP timeout (0 = default)")
-		maxHarvests    = flag.Int("max-concurrent-harvests", 0, "bound on concurrent driver harvests (0 = unbounded)")
 		staleGrace     = flag.Duration("stale-grace", 0, "how long expired cache entries remain servable as degraded results (0 = default 2m, negative = off)")
 		probeInterval  = flag.Duration("probe-interval", 15*time.Second, "background source health probe period (0 = off)")
-		drainTimeout   = flag.Duration("drain-timeout", 10*time.Second, "how long shutdown waits for in-flight queries on SIGTERM")
 
 		lookupTTL     = flag.Duration("lookup-ttl", 15*time.Second, "how long directory lookups are cached by the router (negative = off)")
 		remoteRetries = flag.Int("remote-retries", 1, "additional attempts for a failed remote-gateway query")
-		hedgeAfter    = flag.Duration("hedge-after", 0, "hedge a straggling remote query after this long (0 = off)")
 		maxInFlight   = flag.Int("max-inflight", 0, "max concurrent /query+/poll requests before shedding with 429 (0 = unbounded)")
 		maxQueue      = flag.Int("max-queue", 0, "requests allowed to wait for an admission slot beyond -max-inflight")
 
-		faultErrEvery   = flag.Int("fault-error-every", 0, "chaos: fail every nth driver query (0 = off)")
-		faultPanicEvery = flag.Int("fault-panic-every", 0, "chaos: panic on every nth driver query (0 = off)")
-		faultLatency    = flag.Duration("fault-latency", 0, "chaos: added per-query driver latency")
-
-		historyDir      = flag.String("history-dir", "", "directory for crash-safe history persistence (WAL + checkpoints; empty = in-memory only)")
-		historyFsync    = flag.String("history-fsync", "interval", "history WAL fsync policy: always, interval or off")
-		historyCkptIntv = flag.Duration("history-checkpoint-interval", 0, "history checkpoint period (0 = default 1m, negative = only at shutdown)")
-		historyMaxDisk  = flag.Int64("history-max-disk-bytes", 0, "history disk budget in bytes; oldest WAL segments dropped first (0 = unlimited)")
+		historyDir   = flag.String("history-dir", "", "directory for crash-safe history persistence (WAL + checkpoints; empty = in-memory only)")
+		historyFsync = flag.String("history-fsync", "interval", "history WAL fsync policy: always, interval or off")
 
 		subQueue = flag.Int("subscribe-queue", 0, "per-subscriber continuous-query buffer (0 = default 256)")
 		subStall = flag.Duration("subscribe-stall", 0, "evict a subscriber whose queue stays full this long (0 = default 10s, negative = never)")
@@ -106,7 +99,7 @@ func main() {
 	)
 	flag.Parse()
 
-	dir, localDir := assembleDirectory(*hostDir, *refresh, *dirTimeout, directories)
+	dir, localDir := assembleDirectory(*hostDir, *refresh, directories)
 	if *role == "republisher" {
 		runRepublisher(*name, *listen, dir, localDir, *repubRefresh, *repubScrape, *maxInFlight, *maxQueue)
 		return
@@ -133,34 +126,17 @@ func main() {
 		m.Site = *name
 	}
 
-	var faults *faultdrv.Faults
-	if *faultErrEvery > 0 || *faultPanicEvery > 0 || *faultLatency > 0 {
-		faults = faultdrv.NewFaults()
-		faults.SetErrorEvery(*faultErrEvery)
-		faults.SetPanicEveryQuery(*faultPanicEvery)
-		faults.SetQueryLatency(*faultLatency)
-		log.Printf("chaos: fault injection armed (error-every=%d panic-every=%d latency=%s)",
-			*faultErrEvery, *faultPanicEvery, *faultLatency)
-	}
-
 	gw, err := sitekit.NewGateway(m, sitekit.Options{
-		Faults: faults,
 		Gateway: core.Config{
 			HarvestTimeout: *harvestTimeout,
 			QueryTimeout:   *queryTimeout,
-			Durable: tsdb.Options{
-				Dir:                *historyDir,
-				Fsync:              *historyFsync,
-				CheckpointInterval: *historyCkptIntv,
-				MaxDiskBytes:       *historyMaxDisk,
-			},
-			Push:                  router.Options{QueueSize: *subQueue, Stall: *subStall},
-			Retry:                 core.RetryOptions{Attempts: *retries, Backoff: *retryBackoff},
-			Breaker:               breaker.Options{Threshold: *breakerTrips, Cooldown: *breakerCool},
-			MaxConcurrentHarvests: *maxHarvests,
-			StaleGrace:            *staleGrace,
-			Probe:                 health.Options{Interval: *probeInterval},
-			Trace:                 trace.Options{Sample: *traceSample, SlowThreshold: *slowlogThold},
+			Durable:        tsdb.Options{Dir: *historyDir, Fsync: *historyFsync},
+			Push:           router.Options{QueueSize: *subQueue, Stall: *subStall},
+			Retry:          core.RetryOptions{Attempts: *retries},
+			Breaker:        breaker.Options{Threshold: *breakerTrips, Cooldown: *breakerCool},
+			StaleGrace:     *staleGrace,
+			Probe:          health.Options{Interval: *probeInterval},
+			Trace:          trace.Options{Sample: *traceSample, SlowThreshold: *slowlogThold},
 		},
 	}, *dynamic)
 	if err != nil {
@@ -203,7 +179,6 @@ func main() {
 		fedRouter := gma.NewRouter(dir, web.RemoteQueryContext, m.Site, gma.Config{
 			LookupTTL:     *lookupTTL,
 			RetryAttempts: *remoteRetries,
-			HedgeAfter:    *hedgeAfter,
 		})
 		fedRouter.RegisterMetrics(gw.Metrics())
 		gw.SetGlobalRouter(fedRouter)
@@ -263,8 +238,8 @@ func main() {
 	// peers stop routing here, then let the HTTP server finish in-flight
 	// requests, then drain the gateway itself (prober, queries, events,
 	// pool) — all bounded by the drain timeout.
-	log.Printf("shutting down: draining for up to %s", *drainTimeout)
-	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+	log.Printf("shutting down: draining for up to %s", drainTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
 	if reg != nil {
 		reg.Stop()
@@ -282,14 +257,14 @@ func main() {
 // federated behind a MultiDirectory when there is more than one so
 // registration fans out and lookups fail over. dir is nil when there is
 // neither.
-func assembleDirectory(hostDir bool, refresh, dirTimeout time.Duration, directories []string) (dir gma.DirectoryService, localDir *gma.Directory) {
+func assembleDirectory(hostDir bool, refresh time.Duration, directories []string) (dir gma.DirectoryService, localDir *gma.Directory) {
 	var replicas []gma.DirectoryService
 	if hostDir {
 		localDir = gma.NewDirectory(3*refresh, nil)
 		replicas = append(replicas, localDir)
 	}
 	for _, base := range directories {
-		replicas = append(replicas, &gma.DirectoryClient{BaseURL: base, Timeout: dirTimeout})
+		replicas = append(replicas, &gma.DirectoryClient{BaseURL: base})
 	}
 	switch len(replicas) {
 	case 0:
@@ -353,7 +328,7 @@ func runRepublisher(name, listen string, dir gma.DirectoryService, localDir *gma
 	// Graceful drain: deregister first so entry gateways replan onto the
 	// surviving republishers, then close the servlet.
 	log.Printf("republisher %s shutting down", name)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
 	g.Stop(ctx)
 	if err := httpServer.Shutdown(ctx); err != nil {

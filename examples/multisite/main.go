@@ -62,11 +62,8 @@ func deploySite(name string, hosts int, seed int64, dir gma.DirectoryService,
 	go func() { _ = d.server.Serve(ln) }()
 
 	// The router caches lookups (stale-served during a directory
-	// outage), breaks per remote endpoint, and hedges stragglers.
-	router := gma.NewRouter(dir, web.RemoteQueryContext, name, gma.Config{
-		RetryAttempts: 1,
-		HedgeAfter:    500 * time.Millisecond,
-	})
+	// outage), breaks per remote endpoint, and retries a failed call once.
+	router := gma.NewRouter(dir, web.RemoteQueryContext, name, gma.Config{RetryAttempts: 1})
 	router.RegisterMetrics(gw.Metrics())
 	gw.SetGlobalRouter(router)
 	srv.SetSiteLister(router.Sites)

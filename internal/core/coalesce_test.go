@@ -2,12 +2,14 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"gridrm/internal/breaker"
 	"gridrm/internal/driver"
 	"gridrm/internal/glue"
 	"gridrm/internal/resultset"
@@ -17,17 +19,13 @@ import (
 
 // gateDriver serves one Processor row per host, stamped (LoadLast1Min) with
 // the harvest's call number; each harvest can block on the gate channel
-// (released by closing it) and optionally sleep, and the driver tracks how
-// many harvests ran and the deepest concurrency seen.
+// (released by closing it), and the driver counts how many harvests ran.
 type gateDriver struct {
 	name, proto string
 	hosts       []string
 	gate        chan struct{}
-	delay       time.Duration
 
-	calls       atomic.Int64
-	inflight    atomic.Int64
-	maxInflight atomic.Int64
+	calls atomic.Int64
 }
 
 func (d *gateDriver) Name() string { return d.name }
@@ -72,19 +70,8 @@ type gateStmt struct {
 func (s *gateStmt) ExecuteQuery(sql string) (*resultset.ResultSet, error) {
 	d := s.c.d
 	call := d.calls.Add(1)
-	cur := d.inflight.Add(1)
-	defer d.inflight.Add(-1)
-	for {
-		max := d.maxInflight.Load()
-		if cur <= max || d.maxInflight.CompareAndSwap(max, cur) {
-			break
-		}
-	}
 	if d.gate != nil {
 		<-d.gate
-	}
-	if d.delay > 0 {
-		time.Sleep(d.delay)
 	}
 	g := glue.MustLookup(glue.GroupProcessor)
 	meta, err := resultset.MetadataForGroup(g, nil)
@@ -234,23 +221,31 @@ func TestCoalescedWaiterHonoursOwnDeadline(t *testing.T) {
 	}
 }
 
-// TestMaxConcurrentHarvests: the semaphore bounds the fan-out of a single
-// query across many sources.
-func TestMaxConcurrentHarvests(t *testing.T) {
-	d := &gateDriver{name: "gate", proto: "gate", hosts: []string{"h"}, delay: 20 * time.Millisecond}
-	g := newGateFixture(t, d, Config{MaxConcurrentHarvests: 2}, 6)
+// TestDoneContextHarvestsNothing: a harvest leader whose context is already
+// done returns that error before the driver is called, and leaves every
+// counter, the breaker and the source's health as they were.
+func TestDoneContextHarvestsNothing(t *testing.T) {
+	d := &gateDriver{name: "gate", proto: "gate", hosts: []string{"h"}}
+	g := newGateFixture(t, d, Config{Breaker: breaker.Options{Threshold: 1}}, 1)
+	url := g.Sources()[0].URL
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
 
-	resp, err := g.QueryContext(context.Background(), QueryOptions{Principal: coalescePrincipal, SQL: "SELECT * FROM Processor", Mode: ModeRealTime})
-	if err != nil {
-		t.Fatal(err)
+	res := g.harvestLeader(ctx, url, glue.MustLookup(glue.GroupProcessor), "SELECT * FROM Processor")
+	if !errors.Is(res.err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", res.err)
 	}
-	if resp.ResultSet.Len() != 6 {
-		t.Fatalf("rows = %d, want 6", resp.ResultSet.Len())
+	if n := d.calls.Load(); n != 0 {
+		t.Errorf("driver called %d times", n)
 	}
-	if max := d.maxInflight.Load(); max > 2 {
-		t.Errorf("max concurrent harvests = %d, want <= 2", max)
+	if st := g.Stats(); st != (Stats{}) {
+		t.Errorf("stats moved: %+v", st)
 	}
-	if n := d.calls.Load(); n != 6 {
-		t.Errorf("harvests = %d, want 6", n)
+	if n := g.Pool().Stats().Opens; n != 0 {
+		t.Errorf("pool dialled %d connections", n)
+	}
+	info, _ := g.Source(url)
+	if info.Breaker != "closed" || info.LastError != "" {
+		t.Errorf("source noted: breaker %q, last error %q", info.Breaker, info.LastError)
 	}
 }

@@ -28,6 +28,7 @@ import (
 	"gridrm/internal/metrics"
 	"gridrm/internal/pool"
 	"gridrm/internal/qcache"
+	"gridrm/internal/retry"
 	"gridrm/internal/router"
 	"gridrm/internal/schema"
 	"gridrm/internal/security"
@@ -44,8 +45,6 @@ type Config struct {
 	Pool pool.Options
 	// Cache configures the query cache.
 	Cache qcache.Options
-	// History configures the historical store.
-	History history.Options
 	// Durable configures crash-safe persistence for the historical store.
 	// With Durable.Dir empty (the default) history stays purely in-memory,
 	// byte-identical to the pre-durability behaviour. With a directory set,
@@ -53,10 +52,8 @@ type Config struct {
 	// periodically, and restored on the next start — so the degradation
 	// ladder's history tier survives gateway restarts.
 	Durable tsdb.Options
-	// Events configures the Event Manager.
-	Events event.Options
-	// RecordHistory stores every real-time harvest in the historical
-	// store (default true; set DisableHistory to turn off).
+	// DisableHistory stops recording real-time harvests in the historical
+	// store (by default every harvest is recorded).
 	DisableHistory bool
 	// Coarse is the CGSL policy (open by default).
 	Coarse *security.CoarsePolicy
@@ -77,11 +74,6 @@ type Config struct {
 	// per-endpoint breakers): an open source is skipped cheaply with
 	// status "circuit open" until a half-open probe succeeds.
 	Breaker breaker.Options
-	// MaxConcurrentHarvests bounds how many driver harvests may run at
-	// once across all requests — queryLive and all-sites fan-out legs
-	// alike (default 0: unbounded, today's behaviour). Queries waiting
-	// for a slot still honour their own deadline.
-	MaxConcurrentHarvests int
 	// StaleGrace is how long past its TTL an expired query-cache entry
 	// remains servable as a degraded result when a harvest fails, times
 	// out or is breaker-skipped (default 2m; negative disables the
@@ -111,8 +103,9 @@ type RetryOptions struct {
 	// Attempts is how many additional harvest attempts a failed source
 	// gets (default 0: fail fast, matching the seed behaviour).
 	Attempts int
-	// Backoff is the wait before the first retry (default 50ms); it
-	// follows the internal/retry schedule capped at MaxRetryBackoff.
+	// Backoff is the wait before the first retry (default
+	// retry.DefaultBase); it follows the internal/retry schedule capped at
+	// MaxRetryBackoff.
 	Backoff time.Duration
 }
 
@@ -125,7 +118,7 @@ func (o RetryOptions) fill() RetryOptions {
 		o.Attempts = 0
 	}
 	if o.Backoff <= 0 {
-		o.Backoff = 50 * time.Millisecond
+		o.Backoff = retry.DefaultBase
 	}
 	return o
 }
@@ -293,8 +286,7 @@ type Gateway struct {
 	retry          RetryOptions
 	breakerOpts    breaker.Options
 
-	flights    *flightGroup
-	harvestSem chan struct{} // nil = unbounded
+	flights *flightGroup
 
 	registry  *metrics.Registry
 	stageHist *metrics.HistogramVec
@@ -341,9 +333,6 @@ func New(cfg Config) *Gateway {
 	if cfg.Cache.Clock == nil {
 		cfg.Cache.Clock = cfg.Clock
 	}
-	if cfg.History.Clock == nil {
-		cfg.History.Clock = cfg.Clock
-	}
 	if cfg.Pool.Clock == nil {
 		cfg.Pool.Clock = cfg.Clock
 	}
@@ -385,8 +374,8 @@ func New(cfg Config) *Gateway {
 		schemas:        schema.NewManager(),
 		pool:           pool.New(dm, cfg.Pool),
 		cache:          qcache.New(cfg.Cache),
-		history:        history.New(cfg.History),
-		events:         event.NewManager(cfg.Events),
+		history:        history.New(history.Options{Clock: cfg.Clock}),
+		events:         event.NewManager(event.Options{}),
 		coarse:         cfg.Coarse,
 		fine:           cfg.Fine,
 		recordHistory:  !cfg.DisableHistory,
@@ -402,9 +391,6 @@ func New(cfg Config) *Gateway {
 		sources:        make(map[string]*source),
 		pruneStop:      make(chan struct{}),
 		pruneDone:      make(chan struct{}),
-	}
-	if cfg.MaxConcurrentHarvests > 0 {
-		g.harvestSem = make(chan struct{}, cfg.MaxConcurrentHarvests)
 	}
 	if cfg.Durable.Dir != "" {
 		if cfg.Durable.Clock == nil {
@@ -598,26 +584,6 @@ func (g *Gateway) QueryStageLatencies() []metrics.HistogramSnapshot {
 // with fake clocks stay deterministic.
 func (g *Gateway) observeStage(stage string, start time.Time) {
 	g.stageHist.With(stage).Observe(g.clock().Sub(start).Seconds())
-}
-
-// acquireHarvestSlot blocks until a harvest slot is free (when
-// MaxConcurrentHarvests bounds them) or ctx expires.
-func (g *Gateway) acquireHarvestSlot(ctx context.Context) error {
-	if g.harvestSem == nil {
-		return ctx.Err()
-	}
-	select {
-	case g.harvestSem <- struct{}{}:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-func (g *Gateway) releaseHarvestSlot() {
-	if g.harvestSem != nil {
-		<-g.harvestSem
-	}
 }
 
 // Name returns the gateway's site name.

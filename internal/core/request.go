@@ -709,16 +709,17 @@ func (g *Gateway) sharedHarvest(ctx context.Context, url string, group *glue.Gro
 }
 
 // harvestLeader performs a real driver harvest with all its bookkeeping:
-// concurrency slot, retries, stats, breaker and health notes, cache fill,
-// history record and watched-metric events. All bookkeeping lives here, on
-// the leader, so followers of a coalesced harvest never double count — and
-// the cache is filled before the flight completes, so a caller arriving
-// after the flight sees the cached rows rather than starting a new harvest.
+// retries, stats, breaker and health notes, cache fill, history record and
+// watched-metric events. All bookkeeping lives here, on the leader, so
+// followers of a coalesced harvest never double count — and the cache is
+// filled before the flight completes, so a caller arriving after the flight
+// sees the cached rows rather than starting a new harvest. A leader whose
+// context is already done returns that error untouched: no driver call, no
+// counter, no breaker or health note.
 func (g *Gateway) harvestLeader(ctx context.Context, url string, group *glue.Group, hsql string) flightResult {
-	if err := g.acquireHarvestSlot(ctx); err != nil {
+	if err := ctx.Err(); err != nil {
 		return flightResult{err: err}
 	}
-	defer g.releaseHarvestSlot()
 	g.inflightHarvests.Add(1)
 	defer g.inflightHarvests.Add(-1)
 	start := g.clock()

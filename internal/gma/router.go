@@ -22,7 +22,7 @@ type ExecContext func(ctx context.Context, endpoint string, req core.QueryOption
 
 // Config configures the Router's resilience features. The zero value is
 // the production default: a 15s lookup cache, per-endpoint breakers at the
-// shared defaults, no retries, no hedging.
+// shared defaults, no retries.
 type Config struct {
 	// LookupTTL is how long a directory lookup (and the registration
 	// list) is served from the router's cache without consulting the
@@ -37,13 +37,10 @@ type Config struct {
 	// RetryAttempts is how many additional attempts a failed remote query
 	// gets, with exponential backoff, while the caller's ctx allows.
 	RetryAttempts int
-	// RetryBackoff is the wait before the first retry (default 50ms); it
-	// follows the internal/retry schedule capped at core.MaxRetryBackoff.
+	// RetryBackoff is the wait before the first retry (default
+	// retry.DefaultBase); it follows the internal/retry schedule capped at
+	// core.MaxRetryBackoff.
 	RetryBackoff time.Duration
-	// HedgeAfter launches a second identical remote query when the first
-	// has not answered after this long; the first response wins and the
-	// loser is cancelled (0 disables hedging).
-	HedgeAfter time.Duration
 	// Clock is injectable for tests; nil uses time.Now.
 	Clock func() time.Time
 }
@@ -62,10 +59,6 @@ type Stats struct {
 	// RemoteBreakerSkipped counts remote queries rejected cheaply because
 	// the endpoint's breaker was open.
 	RemoteBreakerSkipped int64
-	// Hedges counts hedge requests launched for straggling remote queries.
-	Hedges int64
-	// HedgeWins counts hedge requests that answered before the original.
-	HedgeWins int64
 	// LookupCacheHits counts directory lookups served fresh from the cache.
 	LookupCacheHits int64
 	// StaleLookups counts lookups (and registration lists) served from an
@@ -91,8 +84,7 @@ type cachedLookup struct {
 // Router routes remote-site queries via the GMA directory; it implements
 // core.GlobalRouter. It keeps a TTL'd lookup cache
 // with stale-on-error semantics and a circuit breaker per remote endpoint,
-// retries with backoff, optionally hedges straggling remote queries, and —
-// when republishers are registered — routes site queries through the
+// retries with backoff, and — when republishers are registered — routes site queries through the
 // owning republisher (consistent hash) with fall-through to the site
 // itself.
 type Router struct {
@@ -121,7 +113,6 @@ type Router struct {
 
 	remoteQueries, remoteFailures, remoteRetries atomic.Int64
 	breakerOpens, breakerSkipped                 atomic.Int64
-	hedges, hedgeWins                            atomic.Int64
 	lookupHits, staleLookups                     atomic.Int64
 	repubRoutes, repubFallthroughs               atomic.Int64
 	genEvictions                                 atomic.Int64
@@ -136,7 +127,7 @@ func NewRouter(dir DirectoryService, exec ExecContext, local string, cfg Config)
 	}
 	cfg.Breaker = cfg.Breaker.Fill()
 	if cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = 50 * time.Millisecond
+		cfg.RetryBackoff = retry.DefaultBase
 	}
 	clock := cfg.Clock
 	if clock == nil {
@@ -181,8 +172,6 @@ func (r *Router) Stats() Stats {
 		RemoteRetries:        r.remoteRetries.Load(),
 		RemoteBreakerOpens:   r.breakerOpens.Load(),
 		RemoteBreakerSkipped: r.breakerSkipped.Load(),
-		Hedges:               r.hedges.Load(),
-		HedgeWins:            r.hedgeWins.Load(),
 		LookupCacheHits:      r.lookupHits.Load(),
 		StaleLookups:         r.staleLookups.Load(),
 		RepubRoutes:          r.repubRoutes.Load(),
@@ -200,8 +189,6 @@ func (r *Router) RegisterMetrics(reg *metrics.Registry) {
 	reg.CounterFunc("gridrm_remote_retries_total", "Remote query retry attempts performed.", r.remoteRetries.Load)
 	reg.CounterFunc("gridrm_remote_breaker_opens_total", "Per-endpoint breaker closed-to-open transitions.", r.breakerOpens.Load)
 	reg.CounterFunc("gridrm_remote_breaker_skipped_total", "Remote queries rejected because the endpoint breaker was open.", r.breakerSkipped.Load)
-	reg.CounterFunc("gridrm_remote_hedges_total", "Hedge requests launched for straggling remote queries.", r.hedges.Load)
-	reg.CounterFunc("gridrm_remote_hedge_wins_total", "Hedge requests that answered before the original.", r.hedgeWins.Load)
 	reg.CounterFunc("gridrm_lookup_cache_hits_total", "Directory lookups served fresh from the router cache.", r.lookupHits.Load)
 	reg.CounterFunc("gridrm_stale_lookups_total", "Lookups served from an expired cache entry during a directory outage.", r.staleLookups.Load)
 	reg.CounterFunc("gridrm_repub_routes_total", "Site queries routed via the owning republisher.", r.repubRoutes.Load)
@@ -391,8 +378,8 @@ func routeViaRepublisher(target Registration, req core.QueryOptions) bool {
 
 // RemoteQueryContext implements core.GlobalRouter: directory lookup (with
 // cache), republisher-first routing for cached site reads, per-endpoint
-// breaker admission, the remote call with optional hedging, and retries
-// with backoff — all bounded by ctx. When the request is being traced the
+// breaker admission, the remote call, and retries with backoff — all
+// bounded by ctx. When the request is being traced the
 // hop is recorded as a "remote-query" span; the HTTP exec propagates the
 // trace context to the remote gateway and stitches its returned spans into
 // the local trace.
@@ -416,7 +403,7 @@ func (r *Router) RemoteQueryContext(ctx context.Context, site string, req core.Q
 
 	// Republisher-first: cached reads of an owned site are answered by
 	// the owning republisher's merged view; any failure falls through to
-	// the site's own gateway below, where breakers/retries/hedging apply.
+	// the site's own gateway below, where breakers and retries apply.
 	if routeViaRepublisher(p, req) {
 		if owner := r.owner(site); owner != "" && owner != site {
 			if resp, ok := r.tryRepublisher(ctx, owner, site, req, sp); ok {
@@ -450,7 +437,7 @@ func (r *Router) RemoteQueryContext(ctx context.Context, site string, req core.Q
 			sp.SetError(err)
 			return nil, err
 		}
-		resp, err := r.execHedged(ctx, p.Endpoint, req)
+		resp, err := r.exec(ctx, p.Endpoint, req)
 		if err == nil {
 			br.OnSuccess()
 			return resp, nil
@@ -476,7 +463,7 @@ func (r *Router) RemoteQueryContext(ctx context.Context, site string, req core.Q
 }
 
 // tryRepublisher attempts one site-scoped query against the owning
-// republisher. It is a single hedged attempt through the republisher
+// republisher. It is a single attempt through the republisher
 // endpoint's breaker: the direct-to-site path behind it provides the
 // retry budget, so a dead republisher costs one failed round trip (and
 // after its breaker opens, nothing).
@@ -493,7 +480,7 @@ func (r *Router) tryRepublisher(ctx context.Context, owner, site string, req cor
 	}
 	r.repubRoutes.Add(1)
 	sp.SetAttr("republisher", owner)
-	resp, err := r.execHedged(ctx, reg.Endpoint, req)
+	resp, err := r.exec(ctx, reg.Endpoint, req)
 	if err == nil {
 		br.OnSuccess()
 		return resp, true
@@ -504,65 +491,6 @@ func (r *Router) tryRepublisher(ctx context.Context, owner, site string, req cor
 	r.invalidateLookup(owner)
 	r.repubFallthroughs.Add(1)
 	return nil, false
-}
-
-// execHedged performs one remote call; when HedgeAfter is configured and
-// the call has not answered in time, a second identical call is launched
-// and the first response wins — the Dean/Barroso hedged-request pattern for
-// tail tolerance. The loser is cancelled through the shared context.
-func (r *Router) execHedged(ctx context.Context, endpoint string, req core.QueryOptions) (*core.Response, error) {
-	if r.cfg.HedgeAfter <= 0 {
-		return r.exec(ctx, endpoint, req)
-	}
-	hctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	type result struct {
-		resp   *core.Response
-		err    error
-		hedged bool
-	}
-	ch := make(chan result, 2)
-	launch := func(hedged bool) {
-		go func() {
-			resp, err := r.exec(hctx, endpoint, req)
-			ch <- result{resp: resp, err: err, hedged: hedged}
-		}()
-	}
-	launch(false)
-	outstanding := 1
-	hedgeLaunched := false
-	timer := time.NewTimer(r.cfg.HedgeAfter)
-	defer timer.Stop()
-	var firstErr error
-	for {
-		select {
-		case <-timer.C:
-			if !hedgeLaunched {
-				hedgeLaunched = true
-				r.hedges.Add(1)
-				launch(true)
-				outstanding++
-			}
-		case res := <-ch:
-			if res.err == nil {
-				if res.hedged {
-					r.hedgeWins.Add(1)
-				}
-				return res.resp, nil
-			}
-			if firstErr == nil {
-				firstErr = res.err
-			}
-			outstanding--
-			if outstanding == 0 {
-				// Nothing left in flight; if the hedge never launched it
-				// never will (we return before the timer matters).
-				return nil, firstErr
-			}
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
 }
 
 // Sites lists the names of registered site-role members, excluding the

@@ -237,76 +237,6 @@ func TestRouterRetriesHonourContext(t *testing.T) {
 	}
 }
 
-func TestRouterHedging(t *testing.T) {
-	dir := newCountingDir()
-	_ = dir.Directory.RegisterContext(context.Background(), Registration{Name: "B", Endpoint: "http://b"})
-	var calls atomic.Int64
-	exec := func(ctx context.Context, e string, q core.QueryOptions) (*core.Response, error) {
-		if calls.Add(1) == 1 {
-			// The original call straggles until cancelled.
-			select {
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			case <-time.After(5 * time.Second):
-				return okExec(e, q)
-			}
-		}
-		return okExec(e, q)
-	}
-	r := NewRouter(dir, exec, "A", Config{HedgeAfter: 20 * time.Millisecond})
-	start := time.Now()
-	if _, err := r.RemoteQueryContext(context.Background(), "B", core.QueryOptions{Site: "B"}); err != nil {
-		t.Fatalf("hedged query failed: %v", err)
-	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Errorf("hedge did not rescue the straggler: %s", elapsed)
-	}
-	st := r.Stats()
-	if st.Hedges != 1 || st.HedgeWins != 1 {
-		t.Errorf("Hedges = %d HedgeWins = %d, want 1/1", st.Hedges, st.HedgeWins)
-	}
-}
-
-func TestRouterHedgeLoses(t *testing.T) {
-	// A hedge that fires after the original already answered is still
-	// counted, but the original's response wins and HedgeWins stays 0.
-	dir := newCountingDir()
-	_ = dir.Directory.RegisterContext(context.Background(), Registration{Name: "B", Endpoint: "http://b"})
-	var calls atomic.Int64
-	exec := func(ctx context.Context, e string, q core.QueryOptions) (*core.Response, error) {
-		if calls.Add(1) > 1 {
-			// The hedge (if launched) never answers first.
-			select {
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			case <-time.After(5 * time.Second):
-			}
-		}
-		time.Sleep(30 * time.Millisecond)
-		return okExec(e, q)
-	}
-	r := NewRouter(dir, exec, "A", Config{HedgeAfter: 5 * time.Millisecond})
-	if _, err := r.RemoteQueryContext(context.Background(), "B", core.QueryOptions{Site: "B"}); err != nil {
-		t.Fatal(err)
-	}
-	st := r.Stats()
-	if st.Hedges != 1 || st.HedgeWins != 0 {
-		t.Errorf("Hedges = %d HedgeWins = %d, want 1/0", st.Hedges, st.HedgeWins)
-	}
-}
-
-func TestRouterHedgeBothFail(t *testing.T) {
-	dir := newCountingDir()
-	_ = dir.Directory.RegisterContext(context.Background(), Registration{Name: "B", Endpoint: "http://b"})
-	r := NewRouter(dir, func(context.Context, string, core.QueryOptions) (*core.Response, error) {
-		return nil, fmt.Errorf("refused")
-	}, "A", Config{HedgeAfter: time.Nanosecond})
-	if _, err := r.RemoteQueryContext(context.Background(), "B", core.QueryOptions{Site: "B"}); err == nil ||
-		!strings.Contains(err.Error(), "refused") {
-		t.Errorf("double-failure error = %v", err)
-	}
-}
-
 func TestRouterGenerationChangeEvictsCachedLookup(t *testing.T) {
 	dir := newCountingDir()
 	_ = dir.Directory.RegisterContext(context.Background(), Registration{Name: "B", Endpoint: "http://b1"})

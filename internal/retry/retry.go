@@ -11,6 +11,10 @@ import (
 	"time"
 )
 
+// DefaultBase is the nominal wait before the first harvest or remote-query
+// retry when the caller sets none.
+const DefaultBase = 50 * time.Millisecond
+
 // Backoff is an exponential schedule with equal jitter: attempt n waits a
 // random duration in [d/2, d] where d = min(Base<<n, Max).
 type Backoff struct {

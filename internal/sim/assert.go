@@ -7,8 +7,6 @@ import "sort"
 //
 //	max_error_rate        client errors / requests              <= limit
 //	max_p99_ms            "all" label p99 latency (ms)          <= limit
-//	max_p95_ms            "all" label p95 latency (ms)          <= limit
-//	max_shed_rate         shed / requests                       <= limit
 //	min_throughput_rps    requests / wall-clock seconds         >= limit
 //	min_requests          total client requests                 >= limit
 //	min_degraded_share    (stale_serves+history_fallbacks)/requests >= limit
@@ -16,7 +14,6 @@ import "sort"
 //	min_history_fallbacks history_fallbacks counter             >= limit
 //	min_coalesced         coalesced counter                     >= limit
 //	min_breaker_opens     breaker_opens counter (local layer)   >= limit
-//	min_hedges            hedges counter (federation layer)     >= limit
 //	min_plan_cache_hits   plan_cache_hits counter (all sites)   >= limit
 //	min_replayed_records  records restored from checkpoint+WAL  >= limit
 //	min_wal_appends       records journaled to the WAL          >= limit
@@ -42,10 +39,6 @@ func evalAssertions(sc *Scenario, r *Report) []AssertionResult {
 			return r.Load.ErrorRate
 		case "max_p99_ms":
 			return r.Latency["all"].P99Ms
-		case "max_p95_ms":
-			return r.Latency["all"].P95Ms
-		case "max_shed_rate":
-			return float64(r.Counters["shed"]) / requests
 		case "min_throughput_rps":
 			return r.Load.ThroughputRPS
 		case "min_requests":
@@ -60,8 +53,6 @@ func evalAssertions(sc *Scenario, r *Report) []AssertionResult {
 			return float64(r.Counters["coalesced"])
 		case "min_breaker_opens":
 			return float64(r.Counters["breaker_opens"])
-		case "min_hedges":
-			return float64(r.Counters["hedges"])
 		case "min_plan_cache_hits":
 			return float64(r.Counters["plan_cache_hits"])
 		case "min_replayed_records":

@@ -57,18 +57,14 @@ func PlanEvents(sc *Scenario, fleet *Fleet, rng *rand.Rand) ([]PlannedEvent, err
 				plannedDown[url] = !wantDown
 			}
 		case ActionPartitionSite, ActionHealSite, ActionLatencySpike,
-			ActionLatencyClear, ActionDriverErrors, ActionDriverErrorsClear,
-			ActionRestartGateway:
+			ActionLatencyClear, ActionRestartGateway:
 			site, err := resolveSite(sc, ev.Site, rng)
 			if err != nil {
 				return nil, err
 			}
 			pe.Targets = []string{site}
-			switch ev.Action {
-			case ActionLatencySpike:
+			if ev.Action == ActionLatencySpike {
 				pe.Detail = "latency=" + ev.Latency.String()
-			case ActionDriverErrors:
-				pe.Detail = fmt.Sprintf("error_every=%d", ev.ErrorEvery)
 			}
 		case ActionDirectoryDown, ActionDirectoryUp:
 			pe.Targets = []string{fmt.Sprintf("directory-%d", ev.Directory)}
@@ -166,10 +162,6 @@ func (pe PlannedEvent) Fire(h *Harness) error {
 		h.Sites[pe.Targets[0]].Faults.SetQueryLatency(pe.spec.Latency)
 	case ActionLatencyClear:
 		h.Sites[pe.Targets[0]].Faults.SetQueryLatency(0)
-	case ActionDriverErrors:
-		h.Sites[pe.Targets[0]].Faults.SetErrorEvery(pe.spec.ErrorEvery)
-	case ActionDriverErrorsClear:
-		h.Sites[pe.Targets[0]].Faults.SetErrorEvery(0)
 	case ActionRestartGateway:
 		if err := h.RestartSite(pe.Targets[0]); err != nil {
 			return err

@@ -17,7 +17,6 @@ import (
 	"gridrm/internal/core"
 	"gridrm/internal/drivers/faultdrv"
 	"gridrm/internal/gma"
-	"gridrm/internal/health"
 	"gridrm/internal/qcache"
 	"gridrm/internal/repub"
 	"gridrm/internal/router"
@@ -43,8 +42,8 @@ type SiteRuntime struct {
 	// template sets durable_history). restart_gateway reuses it so the
 	// replacement gateway restores the pre-crash samples.
 	HistoryDir string
-	// Faults is the site's fault-injection layer; latency_spike and
-	// driver_errors events turn these knobs.
+	// Faults is the site's fault-injection layer; latency_spike events and
+	// the integration chaos tests turn its knobs.
 	Faults *faultdrv.Faults
 	// Server is the site's HTTP face (always present on the entry site,
 	// on every site under federation). partition_site drops its traffic.
@@ -273,7 +272,7 @@ func NewHarnessOpts(sc *Scenario, rng *rand.Rand, opts HarnessOptions) (*Harness
 		}
 	}
 	if h.Entry.Server == nil {
-		srv, err := h.startWebServer(h.Entry, nil)
+		srv, err := NewChaosServer(web.NewServer(h.Entry.Gateway, nil, nil))
 		if err != nil {
 			return nil, err
 		}
@@ -313,16 +312,13 @@ func (h *Harness) startSite(site string, tpl SiteTemplate) (*SiteRuntime, error)
 // up on the same history dir.
 func (h *Harness) buildGateway(site string, tpl SiteTemplate, historyDir string, faults *faultdrv.Faults) (*core.Gateway, error) {
 	cfg := core.Config{
-		Name:                  site,
-		Cache:                 qcache.Options{TTL: tpl.CacheTTL},
-		HarvestTimeout:        tpl.HarvestTimeout,
-		QueryTimeout:          tpl.QueryTimeout,
-		Breaker:               breaker.Options{Threshold: tpl.BreakerThreshold, Cooldown: tpl.BreakerCooldown},
-		MaxConcurrentHarvests: tpl.MaxConcurrentHarvests,
-		DisableHistory:        tpl.DisableHistory,
-		StaleGrace:            tpl.StaleGrace,
-		Probe:                 health.Options{Interval: tpl.ProbeInterval},
-		Push:                  router.Options{QueueSize: tpl.SubscribeQueue, Stall: tpl.SubscribeStall},
+		Name:           site,
+		Cache:          qcache.Options{TTL: tpl.CacheTTL},
+		HarvestTimeout: tpl.HarvestTimeout,
+		Breaker:        breaker.Options{Threshold: tpl.BreakerThreshold, Cooldown: tpl.BreakerCooldown},
+		DisableHistory: tpl.DisableHistory,
+		StaleGrace:     tpl.StaleGrace,
+		Push:           router.Options{QueueSize: tpl.SubscribeQueue, Stall: tpl.SubscribeStall},
 	}
 	if historyDir != "" {
 		cfg.Durable = tsdb.Options{Dir: historyDir, Fsync: tpl.HistoryFsync}
@@ -409,26 +405,13 @@ func (h *Harness) RestartSite(site string) error {
 	rt.Gateway = gw
 	h.gwMu.Unlock()
 	if rt.Server != nil {
-		ws := web.NewServer(gw, nil, nil)
-		if rt == h.Entry && h.Scenario.Load.MaxInFlight > 0 {
-			ws.SetAdmissionLimits(h.Scenario.Load.MaxInFlight, h.Scenario.Load.MaxQueue)
-		}
-		rt.Server.SetHandler(ws)
+		rt.Server.SetHandler(web.NewServer(gw, nil, nil))
 	}
 	// Requests already inside the old instance get a moment to finish.
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
 	_ = old.Shutdown(ctx)
 	return nil
-}
-
-// startWebServer puts a site's gateway behind a droppable HTTP server.
-func (h *Harness) startWebServer(rt *SiteRuntime, dir http.Handler) (*ChaosServer, error) {
-	ws := web.NewServer(rt.Gateway, nil, dir)
-	if rt == h.Entry && h.Scenario.Load.MaxInFlight > 0 {
-		ws.SetAdmissionLimits(h.Scenario.Load.MaxInFlight, h.Scenario.Load.MaxQueue)
-	}
-	return NewChaosServer(ws)
 }
 
 // federate stands up the directory replicas, registers every site and
@@ -448,7 +431,7 @@ func (h *Harness) federate() error {
 	h.MultiDir = gma.NewMultiDirectory(services...)
 	for _, site := range h.SiteOrder {
 		rt := h.Sites[site]
-		srv, err := h.startWebServer(rt, nil)
+		srv, err := NewChaosServer(web.NewServer(rt.Gateway, nil, nil))
 		if err != nil {
 			return err
 		}
@@ -474,7 +457,6 @@ func (h *Harness) federate() error {
 	h.Router = gma.NewRouter(h.MultiDir, web.RemoteQueryContext, h.Entry.Name, gma.Config{
 		LookupTTL:     fed.LookupTTL,
 		RetryAttempts: fed.RetryAttempts,
-		HedgeAfter:    fed.HedgeAfter,
 		Clock:         h.opts.Clock,
 	})
 	h.Entry.Gateway.SetGlobalRouter(h.Router)

@@ -159,7 +159,7 @@ func percentile(xs []float64, q float64) float64 {
 
 // scrapeCounters sums the degradation/resilience counters across every
 // gateway, folds in the router's federation counters, and scrapes the entry
-// site's /metrics endpoint for the HTTP-layer numbers (load shedding).
+// site's /metrics endpoint into the report's metrics map.
 func (h *Harness) scrapeCounters() (map[string]int64, map[string]float64) {
 	counters := map[string]int64{}
 	for _, site := range h.SiteOrder {
@@ -211,8 +211,6 @@ func (h *Harness) scrapeCounters() (map[string]int64, map[string]float64) {
 		counters["remote_retries"] = rs.RemoteRetries
 		counters["remote_breaker_opens"] = rs.RemoteBreakerOpens
 		counters["remote_breaker_skipped"] = rs.RemoteBreakerSkipped
-		counters["hedges"] = rs.Hedges
-		counters["hedge_wins"] = rs.HedgeWins
 		counters["lookup_cache_hits"] = rs.LookupCacheHits
 		counters["stale_lookups"] = rs.StaleLookups
 		counters["repub_routes"] = rs.RepubRoutes
@@ -231,9 +229,6 @@ func (h *Harness) scrapeCounters() (map[string]int64, map[string]float64) {
 		counters["repub_rebalances"] = ps.Rebalances
 	}
 	metrics := scrapeMetrics(h.MetricsURL())
-	if shed, ok := metrics["gridrm_http_shed_total"]; ok {
-		counters["shed"] = int64(shed)
-	}
 	return counters, metrics
 }
 

@@ -43,15 +43,12 @@ type SiteTemplate struct {
 	Weight  int // relative share of remote/fanout client traffic (default 1)
 
 	// Gateway tuning; zero values keep the core defaults.
-	CacheTTL              time.Duration
-	StaleGrace            time.Duration
-	HarvestTimeout        time.Duration
-	QueryTimeout          time.Duration
-	BreakerThreshold      int
-	BreakerCooldown       time.Duration
-	MaxConcurrentHarvests int
-	ProbeInterval         time.Duration
-	DisableHistory        bool
+	CacheTTL         time.Duration
+	StaleGrace       time.Duration
+	HarvestTimeout   time.Duration
+	BreakerThreshold int
+	BreakerCooldown  time.Duration
+	DisableHistory   bool
 	// DurableHistory gives every instance of this template a crash-safe
 	// history dir (WAL + checkpoints) under the harness's temp root, so
 	// restart_gateway events restore pre-crash history.
@@ -75,7 +72,6 @@ type FederationSpec struct {
 	Enabled       bool
 	Directories   int           // directory replicas (default 1)
 	LookupTTL     time.Duration // router lookup cache TTL (default 250ms)
-	HedgeAfter    time.Duration // hedged remote reads (0 = off)
 	RetryAttempts int           // remote retry attempts (0 = router default)
 	EntrySite     string        // site clients talk to (default: first instance)
 
@@ -97,8 +93,6 @@ type LoadSpec struct {
 	Transport       string        // "inproc" (default) or "http"
 	ThinkTime       time.Duration // per-client pause between queries
 	SourcesPerQuery int           // 0 = query all sources; N = N seeded-random sources
-	MaxInFlight     int           // entry-server admission gate (0 = no gate)
-	MaxQueue        int           // admission queue behind the gate
 	Mix             []MixEntry
 
 	// Subscribers opens this many continuous-query subscriptions on the
@@ -119,7 +113,7 @@ type LoadSpec struct {
 type MixEntry struct {
 	Mode   string // cached | real-time | historical
 	Scope  string // local | remote | fanout (default local)
-	Table  string // GLUE table (default Processor)
+	Table  string // GLUE table: the SQL's, else Processor
 	SQL    string // full query text overriding "SELECT * FROM <table>"
 	Weight int    // relative frequency (default 1)
 }
@@ -150,7 +144,6 @@ type EventSpec struct {
 	Site        string        // target site template or instance ("" = seeded-random site)
 	Count       int           // targets for kill_source/revive_source (default 1)
 	Latency     time.Duration // for latency_spike
-	ErrorEvery  int           // for driver_errors (default 1 = every call)
 	Directory   int           // replica index for directory_down/up (default 0)
 	Republisher int           // 1-based index for *_republisher actions (default 1)
 }
@@ -164,19 +157,17 @@ const (
 
 // Event actions.
 const (
-	ActionKillSource        = "kill_source"
-	ActionReviveSource      = "revive_source"
-	ActionPartitionSite     = "partition_site"
-	ActionHealSite          = "heal_site"
-	ActionDirectoryDown     = "directory_down"
-	ActionDirectoryUp       = "directory_up"
-	ActionLatencySpike      = "latency_spike"
-	ActionLatencyClear      = "latency_clear"
-	ActionDriverErrors      = "driver_errors"
-	ActionDriverErrorsClear = "driver_errors_clear"
-	ActionRestartGateway    = "restart_gateway"
-	ActionStallSubscriber   = "stall_subscriber"
-	ActionKillSubscriber    = "kill_subscriber"
+	ActionKillSource      = "kill_source"
+	ActionReviveSource    = "revive_source"
+	ActionPartitionSite   = "partition_site"
+	ActionHealSite        = "heal_site"
+	ActionDirectoryDown   = "directory_down"
+	ActionDirectoryUp     = "directory_up"
+	ActionLatencySpike    = "latency_spike"
+	ActionLatencyClear    = "latency_clear"
+	ActionRestartGateway  = "restart_gateway"
+	ActionStallSubscriber = "stall_subscriber"
+	ActionKillSubscriber  = "kill_subscriber"
 	// ActionKillRepublisher crashes a republisher: its servlet drops
 	// connections and its loops halt, but its registration stays in the
 	// directory — the entry router must fall through to direct site
@@ -193,7 +184,6 @@ var validActions = map[string]bool{
 	ActionPartitionSite: true, ActionHealSite: true,
 	ActionDirectoryDown: true, ActionDirectoryUp: true,
 	ActionLatencySpike: true, ActionLatencyClear: true,
-	ActionDriverErrors: true, ActionDriverErrorsClear: true,
 	ActionRestartGateway:  true,
 	ActionStallSubscriber: true, ActionKillSubscriber: true,
 	ActionKillRepublisher: true, ActionReviveRepublisher: true,
@@ -208,7 +198,6 @@ var validModes = map[string]bool{"cached": true, "real-time": true, "historical"
 var assertionKeys = map[string]bool{
 	"max_error_rate":         true,
 	"max_p99_ms":             true,
-	"max_p95_ms":             true,
 	"min_throughput_rps":     true,
 	"min_requests":           true,
 	"min_degraded_share":     true,
@@ -216,9 +205,7 @@ var assertionKeys = map[string]bool{
 	"min_history_fallbacks":  true,
 	"min_coalesced":          true,
 	"min_breaker_opens":      true,
-	"min_hedges":             true,
 	"min_plan_cache_hits":    true,
-	"max_shed_rate":          true,
 	"min_replayed_records":   true,
 	"min_wal_appends":        true,
 	"min_rows_published":     true,
@@ -270,24 +257,21 @@ func ParseScenario(data []byte) (*Scenario, error) {
 		for _, item := range d.childList(fm, "sites") {
 			im := d.itemMap(item, "fleet.sites")
 			tpl := SiteTemplate{
-				Name:                  d.str(im, "name", ""),
-				Count:                 d.intVal(im, "count", 1),
-				Sources:               d.intVal(im, "sources", 4),
-				Hosts:                 d.intVal(im, "hosts", 2),
-				Weight:                d.intVal(im, "weight", 1),
-				CacheTTL:              d.dur(im, "cache_ttl", 0),
-				StaleGrace:            d.dur(im, "stale_grace", 0),
-				HarvestTimeout:        d.dur(im, "harvest_timeout", 0),
-				QueryTimeout:          d.dur(im, "query_timeout", 0),
-				BreakerThreshold:      d.intVal(im, "breaker_threshold", 0),
-				BreakerCooldown:       d.dur(im, "breaker_cooldown", 0),
-				MaxConcurrentHarvests: d.intVal(im, "max_concurrent_harvests", 0),
-				ProbeInterval:         d.dur(im, "probe_interval", 0),
-				DisableHistory:        d.boolVal(im, "disable_history", false),
-				DurableHistory:        d.boolVal(im, "durable_history", false),
-				HistoryFsync:          d.str(im, "history_fsync", ""),
-				SubscribeQueue:        d.intVal(im, "subscribe_queue", 0),
-				SubscribeStall:        d.dur(im, "subscribe_stall", 0),
+				Name:             d.str(im, "name", ""),
+				Count:            d.intVal(im, "count", 1),
+				Sources:          d.intVal(im, "sources", 4),
+				Hosts:            d.intVal(im, "hosts", 2),
+				Weight:           d.intVal(im, "weight", 1),
+				CacheTTL:         d.dur(im, "cache_ttl", 0),
+				StaleGrace:       d.dur(im, "stale_grace", 0),
+				HarvestTimeout:   d.dur(im, "harvest_timeout", 0),
+				BreakerThreshold: d.intVal(im, "breaker_threshold", 0),
+				BreakerCooldown:  d.dur(im, "breaker_cooldown", 0),
+				DisableHistory:   d.boolVal(im, "disable_history", false),
+				DurableHistory:   d.boolVal(im, "durable_history", false),
+				HistoryFsync:     d.str(im, "history_fsync", ""),
+				SubscribeQueue:   d.intVal(im, "subscribe_queue", 0),
+				SubscribeStall:   d.dur(im, "subscribe_stall", 0),
 			}
 			d.noExtra(im, "fleet.sites")
 			sc.Fleet.Sites = append(sc.Fleet.Sites, tpl)
@@ -299,7 +283,6 @@ func ParseScenario(data []byte) (*Scenario, error) {
 			Enabled:       d.boolVal(fm, "enabled", true),
 			Directories:   d.intVal(fm, "directories", 1),
 			LookupTTL:     d.dur(fm, "lookup_ttl", 250*time.Millisecond),
-			HedgeAfter:    d.dur(fm, "hedge_after", 0),
 			RetryAttempts: d.intVal(fm, "retry_attempts", 0),
 			EntrySite:     d.str(fm, "entry_site", ""),
 			Republishers:  d.intVal(fm, "republishers", 0),
@@ -315,8 +298,6 @@ func ParseScenario(data []byte) (*Scenario, error) {
 			Transport:       d.str(lm, "transport", "inproc"),
 			ThinkTime:       d.dur(lm, "think_time", 0),
 			SourcesPerQuery: d.intVal(lm, "sources_per_query", 0),
-			MaxInFlight:     d.intVal(lm, "max_in_flight", 0),
-			MaxQueue:        d.intVal(lm, "max_queue", 0),
 			Subscribers:     d.intVal(lm, "subscribers", 0),
 			SubscriberSQL:   d.str(lm, "subscriber_sql", ""),
 			DeadSink:        d.boolVal(lm, "dead_sink", false),
@@ -326,7 +307,7 @@ func ParseScenario(data []byte) (*Scenario, error) {
 			mix := MixEntry{
 				Mode:   d.str(im, "mode", "cached"),
 				Scope:  d.str(im, "scope", ScopeLocal),
-				Table:  d.str(im, "table", "Processor"),
+				Table:  "Processor",
 				SQL:    d.str(im, "sql", ""),
 				Weight: d.intVal(im, "weight", 1),
 			}
@@ -343,7 +324,6 @@ func ParseScenario(data []byte) (*Scenario, error) {
 			Site:        d.str(im, "site", ""),
 			Count:       d.intVal(im, "count", 1),
 			Latency:     d.dur(im, "latency", 0),
-			ErrorEvery:  d.intVal(im, "error_every", 1),
 			Directory:   d.intVal(im, "directory", 0),
 			Republisher: d.intVal(im, "republisher", 1),
 		}
@@ -430,9 +410,6 @@ func (s *Scenario) Validate() error {
 	}
 	if s.Load.SourcesPerQuery < 0 {
 		return fmt.Errorf("scenario: load.sources_per_query must be >= 0")
-	}
-	if s.Load.MaxInFlight < 0 || s.Load.MaxQueue < 0 {
-		return fmt.Errorf("scenario: load.max_in_flight and load.max_queue must be >= 0")
 	}
 	if s.Load.Subscribers < 0 {
 		return fmt.Errorf("scenario: load.subscribers must be >= 0")
@@ -523,10 +500,6 @@ func (s *Scenario) Validate() error {
 		case ActionLatencySpike:
 			if ev.Latency <= 0 {
 				return fmt.Errorf("scenario: %s: latency_spike needs latency > 0", at)
-			}
-		case ActionDriverErrors:
-			if ev.ErrorEvery < 1 {
-				return fmt.Errorf("scenario: %s: error_every must be >= 1", at)
 			}
 		case ActionPartitionSite, ActionHealSite:
 			if !s.Federation.Enabled {

@@ -23,7 +23,6 @@ import (
 	"gridrm/internal/agents/snmp"
 	"gridrm/internal/core"
 	"gridrm/internal/driver"
-	"gridrm/internal/drivers/faultdrv"
 	"gridrm/internal/drivers/gangliadrv"
 	"gridrm/internal/drivers/gatewaydrv"
 	"gridrm/internal/drivers/histdrv"
@@ -56,12 +55,6 @@ type Options struct {
 	// CoarseCacheTTL is passed to the Ganglia and NWS sources as
 	// "cache_ttl" (default 1s); set negative for "0s" (off).
 	CoarseCacheTTL time.Duration
-	// Faults, when set, wraps every bundled driver in a faultdrv
-	// fault-injection layer sharing this knob set — the substrate for
-	// chaos testing and the gateway's -fault-* CLI flags. Drivers keep
-	// their own registration names, so schemas and static preferences
-	// are unaffected.
-	Faults *faultdrv.Faults
 	// Gateway configures the gateway NewGateway builds; its Name is
 	// taken from the manifest.
 	Gateway core.Config
@@ -324,33 +317,20 @@ func agentURL(protocol, addr string) string {
 // RegisterDrivers installs the full bundled driver set (the paper's initial
 // set of §3.2.3 plus the historical-store driver) into a gateway.
 func RegisterDrivers(gw *core.Gateway) error {
-	return registerDrivers(gw, nil)
-}
-
-// registerDrivers installs the bundled drivers, each wrapped in a
-// fault-injection layer (under its own name, so schemas still match) when
-// faults is non-nil.
-func registerDrivers(gw *core.Gateway, faults *faultdrv.Faults) error {
 	sm := gw.SchemaManager()
-	wrap := func(d driver.Driver) driver.Driver {
-		if faults == nil {
-			return d
-		}
-		return faultdrv.New(d.Name(), d, faults)
-	}
-	if err := gw.RegisterDriver(wrap(snmpdrv.New(sm)), snmpdrv.Schema()); err != nil {
+	if err := gw.RegisterDriver(snmpdrv.New(sm), snmpdrv.Schema()); err != nil {
 		return err
 	}
-	if err := gw.RegisterDriver(wrap(gangliadrv.New(sm)), gangliadrv.Schema()); err != nil {
+	if err := gw.RegisterDriver(gangliadrv.New(sm), gangliadrv.Schema()); err != nil {
 		return err
 	}
-	if err := gw.RegisterDriver(wrap(nwsdrv.New(sm)), nwsdrv.Schema()); err != nil {
+	if err := gw.RegisterDriver(nwsdrv.New(sm), nwsdrv.Schema()); err != nil {
 		return err
 	}
-	if err := gw.RegisterDriver(wrap(netloggerdrv.New(sm)), netloggerdrv.Schema()); err != nil {
+	if err := gw.RegisterDriver(netloggerdrv.New(sm), netloggerdrv.Schema()); err != nil {
 		return err
 	}
-	if err := gw.RegisterDriver(wrap(scmsdrv.New(sm)), scmsdrv.Schema()); err != nil {
+	if err := gw.RegisterDriver(scmsdrv.New(sm), scmsdrv.Schema()); err != nil {
 		return err
 	}
 	if err := gw.RegisterDriver(histdrv.New(gw.HistoryStore()), histdrv.Schema()); err != nil {
@@ -368,7 +348,7 @@ func NewGateway(m Manifest, opts Options, dynamic bool) (*core.Gateway, error) {
 	cfg := opts.Gateway
 	cfg.Name = m.Site
 	gw := core.New(cfg)
-	if err := registerDrivers(gw, opts.Faults); err != nil {
+	if err := RegisterDrivers(gw); err != nil {
 		gw.Close()
 		return nil, err
 	}

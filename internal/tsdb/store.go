@@ -27,16 +27,13 @@ type Options struct {
 	// (default 1m; negative disables the loop, checkpoints then happen only
 	// at Close and after a re-attach).
 	CheckpointInterval time.Duration
-	// MaxDiskBytes budgets the directory's total size; when exceeded the
-	// oldest sealed segments are dropped first. 0 means unlimited.
-	MaxDiskBytes int64
 	// ReattachBackoff is the initial backoff before retrying disk access
 	// after a fault (default 2s, doubled with jitter up to 1m).
 	ReattachBackoff time.Duration
 	// Clock is injectable for tests; defaults to time.Now.
 	Clock func() time.Time
 	// Alert, if set, receives durability alerts (corruption detected, disk
-	// fault, budget dropping unsynced data).
+	// fault).
 	Alert func(kind, detail string)
 	// Status, if set, receives non-alert state transitions (restore summary,
 	// re-attach).
@@ -104,7 +101,6 @@ type Store struct {
 	checkpointErrors int64
 	walErrors        int64
 	reattaches       int64
-	segmentsDropped  int64
 	lastCheckpoint   time.Time
 
 	ckptMu    sync.Mutex      // serializes checkpoint writes
@@ -126,7 +122,6 @@ type Stats struct {
 	CheckpointErrors int64     `json:"checkpoint_errors"`
 	WALErrors        int64     `json:"wal_errors"`
 	Reattaches       int64     `json:"reattaches"`
-	SegmentsDropped  int64     `json:"segments_dropped"`
 	DiskBytes        int64     `json:"disk_bytes"`
 	WALSegments      int       `json:"wal_segments"`
 	LastCheckpoint   time.Time `json:"last_checkpoint,omitempty"`
@@ -325,7 +320,6 @@ func (s *Store) rotateLocked() {
 	}
 	s.w = w
 	s.lastSeq = next
-	s.enforceBudgetLocked()
 }
 
 // detachLocked degrades to memory-only mode after a disk fault and starts
@@ -444,7 +438,6 @@ func (s *Store) Checkpoint() error {
 		}
 	}
 	s.sealed = kept
-	s.enforceBudgetLocked()
 	return nil
 }
 
@@ -462,29 +455,8 @@ func (s *Store) checkpointLoop() {
 	}
 }
 
-// enforceBudgetLocked drops the oldest sealed segments while the directory
-// exceeds MaxDiskBytes. Callers hold s.mu.
-func (s *Store) enforceBudgetLocked() {
-	if s.opts.MaxDiskBytes <= 0 {
-		return
-	}
-	for s.diskBytesLocked() > s.opts.MaxDiskBytes && len(s.sealed) > 0 {
-		seg := s.sealed[0]
-		if err := os.Remove(seg.path); err != nil {
-			return
-		}
-		s.sealed = s.sealed[1:]
-		s.segmentsDropped++
-		if seg.seq >= s.ckptWALSeq {
-			// This segment was not yet covered by a checkpoint: its
-			// records just lost durability. The budget wins, but loudly.
-			s.alert(fmt.Sprintf("disk budget dropped un-checkpointed WAL segment %s", seg.path))
-		} else {
-			s.status(fmt.Sprintf("disk budget dropped WAL segment %s", seg.path))
-		}
-	}
-}
-
+// diskBytesLocked sums the live segment, the sealed segments and the kept
+// checkpoints. Callers hold s.mu.
 func (s *Store) diskBytesLocked() int64 {
 	var n int64
 	for _, seg := range s.sealed {
@@ -514,7 +486,6 @@ func (s *Store) Stats() Stats {
 		CheckpointErrors: s.checkpointErrors,
 		WALErrors:        s.walErrors,
 		Reattaches:       s.reattaches,
-		SegmentsDropped:  s.segmentsDropped,
 		DiskBytes:        s.diskBytesLocked(),
 		WALSegments:      len(s.sealed),
 		LastCheckpoint:   s.lastCheckpoint,

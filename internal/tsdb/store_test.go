@@ -340,31 +340,6 @@ func TestDiskFaultDegradesThenReattaches(t *testing.T) {
 	}
 }
 
-func TestDiskBudgetDropsOldestSegments(t *testing.T) {
-	dir := t.TempDir()
-	sink := &alertSink{}
-	opts := testOpts(dir, sink)
-	opts.SegmentMaxBytes = 256 // rotate every few records
-	opts.MaxDiskBytes = 1024
-	mem := newMem()
-	s := Open(opts, mem)
-	defer s.Close()
-	t0 := time.Unix(90000, 0)
-	for i := 0; i < 200; i++ {
-		record(t, s, fmt.Sprintf("host%03d", i), t0.Add(time.Duration(i)*time.Second))
-	}
-	st := s.Stats()
-	if st.SegmentsDropped == 0 {
-		t.Fatalf("budget never dropped a segment: %+v", st)
-	}
-	if st.DiskBytes > 2*opts.MaxDiskBytes {
-		t.Errorf("disk bytes %d way over budget %d", st.DiskBytes, opts.MaxDiskBytes)
-	}
-	if !sink.alertContaining("disk budget dropped un-checkpointed WAL segment") {
-		t.Errorf("no budget alert: %v", sink.alerts)
-	}
-}
-
 func TestOpenOnUnusableDirIsMemoryOnly(t *testing.T) {
 	// A regular file where the directory should be: MkdirAll fails.
 	base := t.TempDir()
