@@ -48,6 +48,14 @@ func (g *Gateway) Subscribe(ctx context.Context, opts QueryOptions) (*router.Sub
 	if q.Aggregate() || len(q.GroupBy) > 0 {
 		return nil, fmt.Errorf("core: continuous queries cannot aggregate; subscribe to raw rows and aggregate client-side")
 	}
+	// A stream has no end to sort or cut at: each row is pushed as it is
+	// harvested, so ORDER BY and LIMIT would be silently ignored.
+	if q.OrderBy != "" {
+		return nil, fmt.Errorf("core: continuous queries cannot ORDER BY; rows are pushed in harvest order")
+	}
+	if q.Limit >= 0 {
+		return nil, fmt.Errorf("core: continuous queries cannot LIMIT; close the subscription instead")
+	}
 	group, ok := glue.Lookup(q.Table)
 	if !ok {
 		return nil, fmt.Errorf("core: unknown GLUE group %q", q.Table)
@@ -188,17 +196,28 @@ func (g *Gateway) PushRouter() *router.Router { return g.push }
 // no-op when nothing subscribes (Idle is one atomic load), and it never
 // blocks: the router's queues are bounded with drop-oldest overflow, so a
 // stuck subscriber costs the harvest path nothing but this fan-out loop.
+// The rows are boxed here, once a publish, into one slab of their own: the
+// router's consumers keep them, and rs is shared with the cache.
 func (g *Gateway) publishRows(ctx context.Context, url string, group *glue.Group, rs *resultset.ResultSet) {
 	if g.push.Idle() || rs.Len() == 0 {
 		return
 	}
 	start := g.clock()
 	span := trace.SpanFromContext(ctx).Child("dispatch")
-	rows := make([][]any, rs.Len())
-	for i := range rows {
-		rows[i] = rs.RowAt(i)
+	meta := rs.Metadata()
+	n, w := rs.Len(), meta.ColumnCount()
+	slab, rows := make([]any, n*w), make([][]any, n)
+	for r := range rows {
+		rows[r] = slab[r*w : (r+1)*w : (r+1)*w]
 	}
-	n := g.push.Publish(url, group.Name, rs.Metadata().ColumnNames(), rows, start)
+	for c := 0; c < w; c++ {
+		if col := rs.Column(c); col != nil {
+			for r := 0; r < n; r++ {
+				slab[r*w+c] = col.Cell(r).Value()
+			}
+		}
+	}
+	n = g.push.Publish(url, group.Name, meta.ColumnNames(), rows, start)
 	span.SetAttrInt("rows", n)
 	span.End()
 	g.observeStage(StageDispatch, start)

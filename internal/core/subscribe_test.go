@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -149,6 +150,34 @@ func TestSubscribeValidation(t *testing.T) {
 			t.Errorf("%s: Subscribe accepted invalid options", tc.name)
 		}
 	}
+}
+
+// TestSubscribeRejectsOrderByAndLimit: a continuous query pushes each row as
+// it is harvested, so it has nothing to sort or cut. Both clauses are
+// refused by name rather than accepted and ignored, and the same predicate
+// without them subscribes.
+func TestSubscribeRejectsOrderByAndLimit(t *testing.T) {
+	f := newFixture(t)
+	for clause, sql := range map[string]string{
+		"ORDER BY": "SELECT * FROM Processor ORDER BY LoadLast1Min DESC",
+		"LIMIT":    "SELECT * FROM Processor LIMIT 1",
+		"LIMIT 0":  "SELECT HostName FROM Processor WHERE LoadLast1Min > 0 LIMIT 0",
+		"both":     "SELECT * FROM Processor ORDER BY LoadLast1Min DESC LIMIT 1",
+	} {
+		_, err := f.g.Subscribe(context.Background(), QueryOptions{Principal: f.admin, SQL: sql})
+		name := strings.Fields(clause)[0]
+		if clause == "both" {
+			name = "ORDER BY"
+		}
+		if err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("%s: Subscribe(%q) = %v, want an error naming %s", clause, sql, err, name)
+		}
+	}
+	sub, err := f.g.Subscribe(context.Background(), QueryOptions{Principal: f.admin, SQL: "SELECT * FROM Processor WHERE LoadLast1Min > 0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub.Close()
 }
 
 func TestSubscribeCoarseDenied(t *testing.T) {

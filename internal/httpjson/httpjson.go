@@ -7,10 +7,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"slices"
 	"strconv"
 	"sync"
+	"unicode/utf8"
 )
 
 // MaxRequestBody bounds a request body on every surface: a request is SQL,
@@ -45,6 +47,72 @@ func putBody(p *[]byte) {
 	if cap(*p) <= maxPooledBody {
 		bodies.Put(p)
 	}
+}
+
+// AppendFloat writes f the way encoding/json does ('f' form, 'e' for very
+// small and very large magnitudes), and null when f is not finite.
+func AppendFloat(buf []byte, f float64) []byte {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return append(buf, "null"...)
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	buf = strconv.AppendFloat(buf, f, format, -1, 64)
+	if n := len(buf); format == 'e' && n >= 4 && buf[n-4] == 'e' && buf[n-3] == '-' && buf[n-2] == '0' {
+		buf[n-2] = buf[n-1] // e-09 → e-9
+		buf = buf[:n-1]
+	}
+	return buf
+}
+
+// AppendString writes s as a JSON string with encoding/json's escaping:
+// quote, backslash and control characters, the HTML-sensitive <, > and &,
+// U+2028/U+2029, and U+FFFD for bytes that are not UTF-8.
+func AppendString(buf []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	buf = append(buf, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if c := s[i]; c < utf8.RuneSelf {
+			if c >= ' ' && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+				i++
+				continue
+			}
+			buf = append(buf, s[start:i]...)
+			switch c {
+			case '"', '\\':
+				buf = append(buf, '\\', c)
+			case '\b':
+				buf = append(buf, '\\', 'b')
+			case '\f':
+				buf = append(buf, '\\', 'f')
+			case '\n':
+				buf = append(buf, '\\', 'n')
+			case '\r':
+				buf = append(buf, '\\', 'r')
+			case '\t':
+				buf = append(buf, '\\', 't')
+			default:
+				buf = append(buf, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			buf = append(append(buf, s[start:i]...), '\\', 'u', 'f', 'f', 'f', 'd')
+			start = i + size
+		case r == 0x2028 || r == 0x2029: // LINE and PARAGRAPH SEPARATOR
+			buf = append(append(buf, s[start:i]...), '\\', 'u', '2', '0', '2', hex[r&0xF])
+			start = i + size
+		}
+		i += size
+	}
+	return append(append(buf, s[start:]...), '"')
 }
 
 // Marshal is json.Marshal, except that an Appender writes itself.

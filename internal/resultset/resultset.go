@@ -17,6 +17,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"text/tabwriter"
 	"time"
 
@@ -45,6 +46,7 @@ type Column struct {
 // ResultSetMetaData.
 type Metadata struct {
 	cols  []Column
+	names atomic.Pointer[[]string] // ColumnNames, made on first use
 	index map[string]int
 }
 
@@ -150,12 +152,17 @@ func (m *Metadata) ColumnIndex(name string) int {
 	return foldIndex(m.cols, name)
 }
 
-// ColumnNames returns the column labels in order.
+// ColumnNames returns the column labels in order. The slice is made once per
+// Metadata and shared by every caller: treat it as read-only.
 func (m *Metadata) ColumnNames() []string {
+	if names := m.names.Load(); names != nil {
+		return *names
+	}
 	names := make([]string, len(m.cols))
 	for i, c := range m.cols {
 		names[i] = c.Name
 	}
+	m.names.Store(&names)
 	return names
 }
 
@@ -296,8 +303,8 @@ func (rs *ResultSet) WasNull() bool { return rs.wasNull }
 // RowAt returns the i-th row's values boxed (shared, do not mutate) without
 // moving the cursor. It reads the compatibility view: every row boxed as a
 // []any, built once and kept, so a write through it is read back through it
-// (it does not reach the columns). Product code reads cells; this is for the
-// one caller that hands rows on as events, and for tests.
+// (it does not reach the columns). Product code reads cells; this is for
+// tests and the benchmark's oracle.
 func (rs *ResultSet) RowAt(i int) []any {
 	viewMu.Lock()
 	defer viewMu.Unlock()

@@ -586,3 +586,26 @@ func TestNameLookupsDoNotAllocate(t *testing.T) {
 		t.Error("case-insensitive duplicate accepted")
 	}
 }
+
+// TestColumnNamesSharedOnce: ColumnNames is made once a Metadata and handed
+// to every caller, however many ask at once (the push path asks once a
+// publish, from concurrent harvests).
+func TestColumnNamesSharedOnce(t *testing.T) {
+	meta, err := NewMetadata([]Column{{Name: "HostName", Kind: glue.String}, {Name: "Load", Kind: glue.Float}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make(chan []string, 8)
+	for i := 0; i < cap(got); i++ {
+		go func() { got <- meta.ColumnNames() }()
+	}
+	for i := 0; i < cap(got); i++ {
+		if names := <-got; strings.Join(names, ",") != "HostName,Load" {
+			t.Fatalf("ColumnNames = %v", names)
+		}
+	}
+	first := meta.ColumnNames()
+	if n := testing.AllocsPerRun(10, func() { _ = meta.ColumnNames() }); n != 0 || &first[0] != &meta.ColumnNames()[0] {
+		t.Fatalf("ColumnNames allocates %.0f a call, or hands out a fresh slice", n)
+	}
+}

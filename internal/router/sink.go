@@ -3,7 +3,6 @@ package router
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"os"
@@ -22,7 +21,9 @@ import (
 type Sink interface {
 	// Name identifies the sink (unique per router).
 	Name() string
-	// Deliver writes one batch; ctx is cancelled at router shutdown.
+	// Deliver writes one batch; ctx is cancelled at router shutdown. The
+	// batch's slots are reused for the next one, so Deliver must not keep
+	// the slice once it returns (the metrics in it it may copy and keep).
 	Deliver(ctx context.Context, batch []Metric) error
 	// Close releases the sink's resources after its last Deliver.
 	Close() error
@@ -81,6 +82,7 @@ type sinkRunner struct {
 	sub  *Subscription
 	opts SinkOptions
 	br   *breaker.Breaker
+	slot []Metric // deliver's sinkBatchSize slots, one batch at a time
 
 	ctx    context.Context // cancelled at shutdown to unblock Deliver
 	cancel context.CancelFunc
@@ -118,8 +120,9 @@ func (r *Router) AddSink(sink Sink, opts SinkOptions) error {
 	ctx, cancel := context.WithCancel(context.Background())
 	sr := &sinkRunner{
 		r: r, sink: sink, sub: s, opts: o,
-		br:  breaker.New(o.Breaker),
-		ctx: ctx, cancel: cancel,
+		br:   breaker.New(o.Breaker),
+		slot: make([]Metric, 0, sinkBatchSize),
+		ctx:  ctx, cancel: cancel,
 		done: make(chan struct{}),
 	}
 	r.mu.Lock()
@@ -152,7 +155,7 @@ func (sr *sinkRunner) run() {
 	for {
 		select {
 		case m := <-sr.sub.ch:
-			sr.deliverBatch(sr.gather(m))
+			sr.deliver(m)
 		case <-sr.sub.done:
 			// Final drain: ship what is already queued, without blocking
 			// shutdown on a dead sink — ctx is cancelled when the drain
@@ -160,7 +163,7 @@ func (sr *sinkRunner) run() {
 			for {
 				select {
 				case m := <-sr.sub.ch:
-					sr.deliverBatch(sr.gather(m))
+					sr.deliver(m)
 				default:
 					return
 				}
@@ -175,18 +178,22 @@ func (sr *sinkRunner) run() {
 // sinkBatchSize caps metrics per Deliver call.
 const sinkBatchSize = 64
 
-// gather drains up to sinkBatchSize-1 more queued metrics behind first.
-func (sr *sinkRunner) gather(first Metric) []Metric {
-	batch := append(make([]Metric, 0, sinkBatchSize), first)
+// deliver ships first and up to sinkBatchSize-1 more queued metrics behind
+// it as one batch, in the runner's slots, which are cleared afterwards so
+// they pin no rows between bursts.
+func (sr *sinkRunner) deliver(first Metric) {
+	batch := append(sr.slot[:0], first)
+gather:
 	for len(batch) < sinkBatchSize {
 		select {
 		case m := <-sr.sub.ch:
 			batch = append(batch, m)
 		default:
-			return batch
+			break gather
 		}
 	}
-	return batch
+	sr.deliverBatch(batch)
+	clear(batch)
 }
 
 // deliverBatch applies breaker gating, then retry-with-backoff. A batch
@@ -340,13 +347,21 @@ type HTTPSink struct {
 // Name identifies the sink as its URL.
 func (h *HTTPSink) Name() string { return "http:" + h.URL }
 
-// Deliver POSTs the batch.
+// Deliver POSTs the batch. The body is a fresh buffer a batch, not one the
+// sink keeps: the transport may still read a request's body after Do has
+// returned.
 func (h *HTTPSink) Deliver(ctx context.Context, batch []Metric) error {
-	body, err := json.Marshal(batch)
-	if err != nil {
-		return err
+	body := []byte{'['}
+	for i, m := range batch {
+		if i > 0 {
+			body = append(body, ',')
+		}
+		var err error
+		if body, err = m.AppendJSON(body); err != nil {
+			return err
+		}
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, h.URL, bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, h.URL, bytes.NewReader(append(body, ']')))
 	if err != nil {
 		return err
 	}
@@ -374,6 +389,7 @@ type FileSink struct {
 	path string
 	mu   sync.Mutex
 	f    *os.File
+	buf  []byte // under mu: one batch's lines
 }
 
 // NewFileSink opens (creating or appending) the JSONL file.
@@ -388,21 +404,24 @@ func NewFileSink(path string) (*FileSink, error) {
 // Name identifies the sink as its path.
 func (fs *FileSink) Name() string { return "file:" + fs.path }
 
-// Deliver appends one JSON line per metric.
+// Deliver appends one JSON line per metric — the line json.Encoder writes —
+// with one Write a batch.
 func (fs *FileSink) Deliver(_ context.Context, batch []Metric) error {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	for _, m := range batch {
-		if err := enc.Encode(m); err != nil {
-			return err
-		}
-	}
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	if fs.f == nil {
 		return fmt.Errorf("router: file sink %s closed", fs.path)
 	}
-	_, err := fs.f.Write(buf.Bytes())
+	buf := fs.buf[:0]
+	for _, m := range batch {
+		var err error
+		if buf, err = m.AppendJSON(buf); err != nil {
+			return err
+		}
+		buf = append(buf, '\n')
+	}
+	fs.buf = buf
+	_, err := fs.f.Write(buf)
 	return err
 }
 

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -14,6 +13,7 @@ import (
 	"unicode/utf8"
 
 	"gridrm/internal/glue"
+	"gridrm/internal/httpjson"
 	"gridrm/internal/resultset"
 )
 
@@ -52,13 +52,13 @@ func (wr WireResult) appendJSON(buf []byte) ([]byte, error) {
 		if i > 0 {
 			buf = append(buf, ',')
 		}
-		buf = appendString(append(buf, `{"name":`...), c.Name)
-		buf = appendString(append(buf, `,"kind":`...), c.Kind.String())
+		buf = httpjson.AppendString(append(buf, `{"name":`...), c.Name)
+		buf = httpjson.AppendString(append(buf, `,"kind":`...), c.Kind.String())
 		if c.Unit != "" {
-			buf = appendString(append(buf, `,"unit":`...), c.Unit)
+			buf = httpjson.AppendString(append(buf, `,"unit":`...), c.Unit)
 		}
 		if c.Group != "" {
-			buf = appendString(append(buf, `,"group":`...), c.Group)
+			buf = httpjson.AppendString(append(buf, `,"group":`...), c.Group)
 		}
 		buf = append(buf, '}')
 	}
@@ -112,9 +112,9 @@ func appendRow(buf []byte, cols []*resultset.Vector, r int) []byte {
 		case v.Null:
 			buf = append(buf, "null"...)
 		case v.Kind == glue.String:
-			buf = appendString(buf, v.Str)
+			buf = httpjson.AppendString(buf, v.Str)
 		case v.Kind == glue.Float:
-			buf = appendFloat(buf, v.Float)
+			buf = httpjson.AppendFloat(buf, v.Float)
 		case v.Kind == glue.Bool:
 			buf = strconv.AppendBool(buf, v.Int != 0)
 		case v.Kind == glue.Time:
@@ -124,72 +124,6 @@ func appendRow(buf []byte, cols []*resultset.Vector, r int) []byte {
 		}
 	}
 	return append(buf, ']')
-}
-
-// appendFloat writes f the way encoding/json does ('f' form, 'e' for very
-// small and very large magnitudes), and null when f is not finite.
-func appendFloat(buf []byte, f float64) []byte {
-	if math.IsNaN(f) || math.IsInf(f, 0) {
-		return append(buf, "null"...)
-	}
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	buf = strconv.AppendFloat(buf, f, format, -1, 64)
-	if n := len(buf); format == 'e' && n >= 4 && buf[n-4] == 'e' && buf[n-3] == '-' && buf[n-2] == '0' {
-		buf[n-2] = buf[n-1] // e-09 → e-9
-		buf = buf[:n-1]
-	}
-	return buf
-}
-
-// appendString writes s as a JSON string with encoding/json's escaping:
-// quote, backslash and control characters, the HTML-sensitive <, > and &,
-// U+2028/U+2029, and U+FFFD for bytes that are not UTF-8.
-func appendString(buf []byte, s string) []byte {
-	const hex = "0123456789abcdef"
-	buf = append(buf, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		if c := s[i]; c < utf8.RuneSelf {
-			if c >= ' ' && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
-				i++
-				continue
-			}
-			buf = append(buf, s[start:i]...)
-			switch c {
-			case '"', '\\':
-				buf = append(buf, '\\', c)
-			case '\b':
-				buf = append(buf, '\\', 'b')
-			case '\f':
-				buf = append(buf, '\\', 'f')
-			case '\n':
-				buf = append(buf, '\\', 'n')
-			case '\r':
-				buf = append(buf, '\\', 'r')
-			case '\t':
-				buf = append(buf, '\\', 't')
-			default:
-				buf = append(buf, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
-			}
-			i++
-			start = i
-			continue
-		}
-		r, size := utf8.DecodeRuneInString(s[i:])
-		switch {
-		case r == utf8.RuneError && size == 1:
-			buf = append(append(buf, s[start:i]...), `\ufffd`...)
-			start = i + size
-		case r == '\u2028' || r == '\u2029':
-			buf = append(append(buf, s[start:i]...), '\\', 'u', '2', '0', '2', hex[r&0xF])
-			start = i + size
-		}
-		i += size
-	}
-	return append(append(buf, s[start:]...), '"')
 }
 
 // UnmarshalJSON implements json.Unmarshaler.

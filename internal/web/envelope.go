@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"gridrm/internal/core"
+	"gridrm/internal/httpjson"
 	"gridrm/internal/trace"
 )
 
@@ -43,9 +44,9 @@ func (wr WireRequest) AppendJSON(buf []byte) ([]byte, error) {
 		}
 	}
 	buf = slices.Grow(buf, size)
-	buf = appendString(append(buf, `{"sql":`...), wr.SQL)
+	buf = httpjson.AppendString(append(buf, `{"sql":`...), wr.SQL)
 	if wr.Site != "" {
-		buf = appendString(append(buf, `,"site":`...), wr.Site)
+		buf = httpjson.AppendString(append(buf, `,"site":`...), wr.Site)
 	}
 	if len(wr.Sources) > 0 {
 		buf = appendStrings(append(buf, `,"sources":`...), wr.Sources)
@@ -54,19 +55,19 @@ func (wr WireRequest) AppendJSON(buf []byte) ([]byte, error) {
 		buf = appendStrings(append(buf, `,"region":`...), wr.Region)
 	}
 	if wr.Mode != "" {
-		buf = appendString(append(buf, `,"mode":`...), wr.Mode)
+		buf = httpjson.AppendString(append(buf, `,"mode":`...), wr.Mode)
 	}
 	if wr.Since != "" {
-		buf = appendString(append(buf, `,"since":`...), wr.Since)
+		buf = httpjson.AppendString(append(buf, `,"since":`...), wr.Since)
 	}
 	if wr.Until != "" {
-		buf = appendString(append(buf, `,"until":`...), wr.Until)
+		buf = httpjson.AppendString(append(buf, `,"until":`...), wr.Until)
 	}
 	if wr.TimeoutNs != 0 {
 		buf = strconv.AppendInt(append(buf, `,"timeoutNs":`...), wr.TimeoutNs, 10)
 	}
 	if wr.Trace != "" {
-		buf = appendString(append(buf, `,"trace":`...), wr.Trace)
+		buf = httpjson.AppendString(append(buf, `,"trace":`...), wr.Trace)
 	}
 	return append(buf, '}'), nil
 }
@@ -77,7 +78,7 @@ func appendStrings(buf []byte, list []string) []byte {
 		if i > 0 {
 			buf = append(buf, ',')
 		}
-		buf = appendString(buf, s)
+		buf = httpjson.AppendString(buf, s)
 	}
 	return append(buf, ']')
 }
@@ -197,9 +198,9 @@ func (wr WireResponse) AppendJSON(buf []byte) ([]byte, error) {
 			2*20 + len(st.Source) + len(st.Driver) + len(st.Err) + len(st.Degraded)
 	}
 	buf = slices.Grow(buf, size)
-	buf = appendString(append(buf, `{"site":`...), wr.Site)
-	buf = appendString(append(buf, `,"sql":`...), wr.SQL)
-	buf = appendString(append(buf, `,"mode":`...), wr.Mode)
+	buf = httpjson.AppendString(append(buf, `{"site":`...), wr.Site)
+	buf = httpjson.AppendString(append(buf, `,"sql":`...), wr.SQL)
+	buf = httpjson.AppendString(append(buf, `,"mode":`...), wr.Mode)
 	buf = strconv.AppendInt(append(buf, `,"elapsedNs":`...), wr.ElapsedNs, 10)
 	var err error
 	if len(wr.Sources) > 0 {
@@ -218,7 +219,7 @@ func (wr WireResponse) AppendJSON(buf []byte) ([]byte, error) {
 		return nil, err
 	}
 	if wr.TraceID != "" {
-		buf = appendString(append(buf, `,"traceId":`...), wr.TraceID)
+		buf = httpjson.AppendString(append(buf, `,"traceId":`...), wr.TraceID)
 	}
 	if len(wr.Trace) > 0 {
 		spans, err := json.Marshal(wr.Trace)
@@ -231,8 +232,8 @@ func (wr WireResponse) AppendJSON(buf []byte) ([]byte, error) {
 }
 
 func appendStatus(buf []byte, st *core.SourceStatus) ([]byte, error) {
-	buf = appendString(append(buf, `{"Source":`...), st.Source)
-	buf = appendString(append(buf, `,"Driver":`...), st.Driver)
+	buf = httpjson.AppendString(append(buf, `{"Source":`...), st.Source)
+	buf = httpjson.AppendString(append(buf, `,"Driver":`...), st.Driver)
 	buf = strconv.AppendBool(append(buf, `,"Cached":`...), st.Cached)
 	buf = append(buf, `,"HarvestedAt":"`...)
 	start := len(buf)
@@ -246,8 +247,8 @@ func appendStatus(buf []byte, st *core.SourceStatus) ([]byte, error) {
 		return nil, errors.New("web: source status: Time.MarshalJSON: timezone hour outside of range [0,23]")
 	}
 	buf = strconv.AppendInt(append(buf, `","Rows":`...), int64(st.Rows), 10)
-	buf = appendString(append(buf, `,"Err":`...), st.Err)
-	buf = appendString(append(buf, `,"Degraded":`...), st.Degraded)
+	buf = httpjson.AppendString(append(buf, `,"Err":`...), st.Err)
+	buf = httpjson.AppendString(append(buf, `,"Degraded":`...), st.Degraded)
 	buf = strconv.AppendInt(append(buf, `,"Age":`...), int64(st.Age), 10)
 	return append(buf, '}'), nil
 }

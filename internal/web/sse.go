@@ -102,6 +102,7 @@ func (s *Server) subscribe(ctx context.Context, w http.ResponseWriter, r *http.R
 	hb := time.NewTicker(heartbeat)
 	defer hb.Stop()
 	var drops int64
+	var frame []byte // the stream's one buffer: a frame at a time
 	for {
 		select {
 		case <-ctx.Done():
@@ -117,15 +118,8 @@ func (s *Server) subscribe(ctx context.Context, w http.ResponseWriter, r *http.R
 			}
 			return
 		case m := <-sub.C():
-			// Drop-oldest overflow between reads surfaces as a gap event so
-			// the client knows rows were lost (and how many), not skipped.
-			if d := sub.Dropped(); d > drops {
-				if err := writeSSEEvent(w, "gap", 0, gapData{Dropped: d - drops}); err != nil {
-					return
-				}
-				drops = d
-			}
-			if err := writeSSEMetric(w, m); err != nil {
+			var ok bool
+			if frame, ok = writeBurst(w, sub, m, frame, &drops); !ok {
 				return
 			}
 			flusher.Flush()
@@ -148,13 +142,40 @@ type gapData struct {
 	Oldest uint64 `json:"oldest,omitempty"`
 }
 
-func writeSSEMetric(w io.Writer, m router.Metric) error {
-	data, err := json.Marshal(m)
-	if err != nil {
-		return err
+// writeBurst writes m and the rows already queued behind it, at most a
+// queue's worth, one Write a frame into frame's array; the caller flushes
+// the burst once. It returns the buffer, and false when the stream must end.
+func writeBurst(w io.Writer, sub *router.Subscription, m router.Metric, frame []byte, drops *int64) ([]byte, bool) {
+	for n := cap(sub.C()); ; n-- {
+		// Drop-oldest overflow between reads surfaces as a gap event so the
+		// client knows rows were lost (and how many), not skipped.
+		if d := sub.Dropped(); d > *drops {
+			if writeSSEEvent(w, "gap", 0, gapData{Dropped: d - *drops}) != nil {
+				return frame, false
+			}
+			*drops = d
+		}
+		var err error
+		if frame, err = appendSSEMetric(frame[:0], m); err != nil {
+			return frame, false
+		}
+		if _, err = w.Write(frame); err != nil || n <= 1 {
+			return frame, err == nil
+		}
+		select {
+		case m = <-sub.C():
+		default:
+			return frame, true
+		}
 	}
-	_, err = fmt.Fprintf(w, "id: %d\nevent: metric\ndata: %s\n\n", m.Seq, data)
-	return err
+}
+
+// appendSSEMetric appends m's frame: its sequence number as the event id
+// and its JSON (router.Metric.AppendJSON) as the data line.
+func appendSSEMetric(buf []byte, m router.Metric) ([]byte, error) {
+	buf = strconv.AppendUint(append(buf, "id: "...), m.Seq, 10)
+	buf, err := m.AppendJSON(append(buf, "\nevent: metric\ndata: "...))
+	return append(buf, "\n\n"...), err
 }
 
 func writeSSEEvent(w io.Writer, event string, id uint64, v any) error {
@@ -345,29 +366,17 @@ func (cs *ClientSubscription) read(ctx context.Context, body io.ReadCloser, idle
 
 	sc := bufio.NewScanner(body)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	var event string
-	var data []byte
+	var fr frameReader
 	for sc.Scan() {
 		if idleTimer != nil {
 			idleTimer.Reset(idle)
 		}
-		line := sc.Text()
-		switch {
-		case line == "":
-			if len(data) > 0 && !cs.dispatch(ctx, event, data) {
-				return
-			}
-			event, data = "", nil
-		case strings.HasPrefix(line, ":"):
-			// Heartbeat comment: liveness only (already reset the watchdog).
-		case strings.HasPrefix(line, "id:"):
-			if seq, err := strconv.ParseUint(strings.TrimSpace(line[3:]), 10, 64); err == nil && seq > cs.lastSeq.Load() {
-				cs.lastSeq.Store(seq)
-			}
-		case strings.HasPrefix(line, "event:"):
-			event = strings.TrimSpace(line[6:])
-		case strings.HasPrefix(line, "data:"):
-			data = append(data, strings.TrimSpace(line[5:])...)
+		event, data, seq := fr.line(sc.Bytes())
+		if seq > cs.lastSeq.Load() {
+			cs.lastSeq.Store(seq)
+		}
+		if data != nil && !cs.dispatch(ctx, &fr.metrics, event, data) {
+			return
 		}
 	}
 	err := sc.Err()
@@ -385,11 +394,11 @@ func (cs *ClientSubscription) read(ctx context.Context, body io.ReadCloser, idle
 }
 
 // dispatch routes one parsed SSE frame; false ends the reader.
-func (cs *ClientSubscription) dispatch(ctx context.Context, event string, data []byte) bool {
+func (cs *ClientSubscription) dispatch(ctx context.Context, md *metricDecoder, event string, data []byte) bool {
 	switch event {
 	case "metric", "":
-		var m router.Metric
-		if err := json.Unmarshal(data, &m); err != nil {
+		m, err := md.decode(data)
+		if err != nil {
 			cs.setErr(fmt.Errorf("web: bad metric frame: %w", err))
 			return false
 		}
