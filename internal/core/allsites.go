@@ -40,6 +40,9 @@ func legLabel(leg FanoutLeg) string {
 // relabel appends a leg's source statuses to dst, each under the leg's
 // label: the label is built once and dst grown once, not once a status.
 func relabel(dst []SourceStatus, label string, sources []SourceStatus) []SourceStatus {
+	if len(sources) == 0 {
+		return dst
+	}
 	dst = slices.Grow(dst, len(sources))
 	prefix := label + " "
 	for _, st := range sources {
@@ -52,12 +55,12 @@ func relabel(dst []SourceStatus, label string, sources []SourceStatus) []SourceS
 // queryAllSites executes one SQL statement across the whole virtual
 // organisation: locally, plus at every remote site the Global layer can
 // reach, consolidating the answers into one ResultSet. ORDER BY and LIMIT
-// are stripped from the fan-out sub-queries and re-applied over the merged
-// rows, so "the 3 busiest hosts anywhere" means exactly that. Aggregate
-// queries are pushed down: each site answers the partial-aggregate rewrite
-// (sum+count for avg, and so on) and only those partial rows cross the
-// wire; the entry gateway merges them (sum of sums, min of mins) and
-// finalizes the answer.
+// are stripped from the fan-out sub-queries (which keep the ORDER BY column)
+// and applied over the legs' rows, so "the 3 busiest hosts anywhere" means
+// exactly that. Aggregate queries are pushed down: each site answers the
+// partial-aggregate rewrite (sum+count for avg, and so on) and only those
+// partial rows cross the wire; the entry gateway combines them (sum of sums,
+// min of mins) and finalizes the answer.
 //
 // The router plans the fan-out (GlobalRouter.FanoutPlan). Sites owned by
 // republishers are covered by one region leg each: the entry's fan-out
@@ -121,9 +124,14 @@ func (g *Gateway) queryAllSites(ctx context.Context, req QueryOptions, start tim
 		return resp, err
 	}
 
+	// A leg's answered rows and its statuses: those already under their site's
+	// label, then, for a direct leg, the site's own statuses, which the
+	// collector relabels straight into the answer's.
 	type legResult struct {
 		i        int
 		statuses []SourceStatus
+		label    string
+		sources  []SourceStatus
 		results  []*resultset.ResultSet
 		answered int
 	}
@@ -206,7 +214,7 @@ func (g *Gateway) queryAllSites(ctx context.Context, req QueryOptions, start tim
 			}
 			out.answered++
 			out.results = append(out.results, resp.ResultSet)
-			out.statuses = relabel(out.statuses, legLabel(leg), resp.Sources)
+			out.label, out.sources = legLabel(leg), resp.Sources
 			ch <- out
 		}(i, leg)
 	}
@@ -236,14 +244,18 @@ collect:
 	fsp.End()
 	g.observeStage(StageFanout, fanoutStart)
 
-	var merged *resultset.ResultSet
-	rows, sources, answered := 0, 0, 0
+	// The legs' answers are the parts the consolidated answer is evaluated
+	// over: one whose shape differs from the first's is named, not merged.
+	var meta *resultset.Metadata
+	sources, answered, answers := 0, 0, 0
 	for _, lr := range results {
-		sources += len(lr.statuses)
-		for _, rs := range lr.results {
-			rows += rs.Len()
+		sources += len(lr.statuses) + len(lr.sources)
+		answers += len(lr.results)
+		if len(lr.results) > 0 && meta == nil {
+			meta = lr.results[0].Metadata()
 		}
 	}
+	parts := make([]*resultset.ResultSet, 0, answers)
 	statuses := make([]SourceStatus, 0, sources+1)
 	if planErr != nil {
 		statuses = append(statuses, SourceStatus{Source: "plan", Err: planErr.Error()})
@@ -251,38 +263,31 @@ collect:
 	for _, lr := range results {
 		answered += lr.answered
 		statuses = append(statuses, lr.statuses...)
+		statuses = relabel(statuses, lr.label, lr.sources)
 		for _, rs := range lr.results {
-			if merged == nil {
-				merged = resultset.New(rs.Metadata())
-				merged.Grow(rows)
-			}
-			if err := merged.Merge(rs); err != nil {
+			if err := meta.Conforms(rs.Metadata()); err != nil {
 				statuses = append(statuses, SourceStatus{
 					Source: "merge",
 					Err:    err.Error(),
 				})
+				continue
 			}
+			parts = append(parts, rs)
 		}
 	}
 	if answered == 0 {
 		return nil, fmt.Errorf("core: no site answered the all-sites query")
 	}
+	// Aggregates combine the sites' partial rows (sum of sums, min of mins)
+	// before ordering and limiting; other rows are sorted, limited and
+	// projected as they stand.
+	consolidate := sqlparse.ApplyToParts
 	if q.Aggregate() {
-		// merged holds the concatenated per-site partial rows; combine
-		// them into the final aggregate before ordering and limiting.
-		final, err := sqlparse.FinalizeAggregate(q, merged)
-		if err != nil {
-			return nil, err
-		}
-		merged = final
+		consolidate = sqlparse.FinalizeParts
 	}
-	if q.OrderBy != "" && merged.Metadata().ColumnIndex(q.OrderBy) >= 0 {
-		if err := merged.SortBy(q.OrderBy, q.Desc); err != nil {
-			return nil, err
-		}
-	}
-	if q.Limit >= 0 {
-		merged = merged.Limit(q.Limit)
+	merged, err := consolidate(plan.Consolidate, meta, parts)
+	if err != nil {
+		return nil, err
 	}
 	return &Response{
 		Site:      AllSites,

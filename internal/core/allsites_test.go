@@ -295,3 +295,30 @@ func TestAllSitesFanoutPlan(t *testing.T) {
 		})
 	}
 }
+
+// TestAllSitesOrderByUnprojectedColumn: an all-sites ORDER BY on a column the
+// query does not project sorts the VO's rows by it. The sites' sub-query
+// carries the column; the entry sorts, limits and then projects it away.
+func TestAllSitesOrderByUnprojectedColumn(t *testing.T) {
+	f, _ := buildVO(t)
+	resp, err := f.g.QueryContext(context.Background(), QueryOptions{
+		Principal: f.admin,
+		SQL:       "SELECT HostName FROM Processor ORDER BY LoadLast1Min DESC LIMIT 2",
+		Site:      AllSites,
+		Mode:      ModeRealTime,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if names := resp.ResultSet.Metadata().ColumnNames(); len(names) != 1 || names[0] != "HostName" {
+		t.Errorf("columns = %v, want [HostName]", names)
+	}
+	var hosts []string
+	for r := 0; r < resp.ResultSet.Len(); r++ {
+		hosts = append(hosts, resp.ResultSet.Cell(r, 0).Str)
+	}
+	// The two busiest hosts in the VO are siteZ's (load 9); siteA's run 1 and 5.
+	if got := strings.Join(hosts, ","); got != "z1,z2" {
+		t.Errorf("hosts = %s, want z1,z2", got)
+	}
+}

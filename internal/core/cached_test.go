@@ -119,8 +119,9 @@ func TestCachedAllHitStartsNoGoroutine(t *testing.T) {
 // query: QueryContext naming eight fresh sources, SELECT * so that nothing is
 // projected, traced (the default sample rate is 1). Measured at 13
 // allocations (14 while the harvest SQL was built for every query): the
-// target list, the status and result slices, the merged set, its column
-// headers and one array for each of the two columns that hold values, the
+// target list, the status and result slices, the answer set, its column
+// headers and one array for each of the two columns that hold values (the
+// cached sets are the parts it is evaluated over, copied once), the
 // response, and the trace (recorder, second chunk, two ID strings, the span's
 // context).
 func TestCachedAllHitAllocBudget(t *testing.T) {

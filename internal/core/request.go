@@ -434,25 +434,23 @@ func (g *Gateway) queryLive(ctx context.Context, req QueryOptions, plan *sqlpars
 		csp.End()
 		return nil, err
 	}
-	merged := resultset.New(meta)
-	total := 0
-	for _, rs := range results {
-		if rs != nil {
-			total += rs.Len()
-		}
-	}
-	merged.Grow(total)
+	// The sources' sets are the parts the answer is evaluated over, compacted
+	// in place: an answer copies each cell it keeps once, or shares the one
+	// set it is.
+	parts := results[:0]
 	for i, rs := range results {
 		if rs == nil {
 			continue
 		}
-		if err := merged.Merge(rs); err != nil {
+		if err := meta.Conforms(rs.Metadata()); err != nil {
 			// A driver produced a non-canonical shape; report it against
 			// the source rather than failing the whole consolidation.
 			statuses[i].Err = err.Error()
+			continue
 		}
+		parts = append(parts, rs)
 	}
-	out, err := sqlparse.ApplyToResultSet(plan.Query, merged)
+	out, err := sqlparse.ApplyToParts(plan.Query, meta, parts)
 	csp.SetError(err)
 	csp.End()
 	g.observeStage(StageConsolidate, consolidateStart)

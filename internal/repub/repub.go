@@ -503,16 +503,14 @@ func (g *Gateway) QueryContext(ctx context.Context, req core.QueryOptions) (*cor
 		sites = []string{req.Site}
 		g.siteQueries.Add(1)
 	}
-	rs, fresh, ok := g.store.Merged(q.Table, sites)
-	if !ok {
+	meta, parts, fresh := g.store.Parts(q.Table, sites)
+	if meta == nil {
 		group, _ := glue.Lookup(q.Table)
-		meta, err := resultset.MetadataForGroup(group, nil)
-		if err != nil {
+		if meta, err = resultset.MetadataForGroup(group, nil); err != nil {
 			return nil, err
 		}
-		rs = resultset.New(meta)
 	}
-	out, err := sqlparse.ApplyToResultSet(q, rs)
+	out, err := sqlparse.ApplyToParts(q, meta, parts)
 	if err != nil {
 		return nil, err
 	}

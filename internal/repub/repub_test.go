@@ -6,10 +6,13 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"gridrm/internal/core"
 	"gridrm/internal/glue"
@@ -17,6 +20,7 @@ import (
 	"gridrm/internal/httpjson"
 	"gridrm/internal/resultset"
 	"gridrm/internal/router"
+	"gridrm/internal/sqlparse"
 	"gridrm/internal/web"
 )
 
@@ -45,6 +49,23 @@ func procRows(t *testing.T, rows ...[2]any) *resultset.ResultSet {
 	return rs
 }
 
+var selectAll = &sqlparse.Query{Table: glue.GroupProcessor, Limit: -1}
+
+// merged is the region answer to SELECT * over the sites' views, evaluated
+// as QueryContext evaluates it; ok is false when no site has a view.
+func merged(t *testing.T, s *Store, group string, sites []string) (*resultset.ResultSet, []SiteFreshness, bool) {
+	t.Helper()
+	meta, parts, fresh := s.Parts(group, sites)
+	if meta == nil {
+		return nil, fresh, false
+	}
+	rs, err := sqlparse.ApplyToParts(selectAll, meta, parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rs, fresh, true
+}
+
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -61,14 +82,14 @@ func TestStoreSnapshotThenLiveTransition(t *testing.T) {
 	s := NewStore()
 	now := time.Now()
 	s.SetSnapshot("A", glue.GroupProcessor, procRows(t, [2]any{"h1", 1.0}, [2]any{"h2", 2.0}), now)
-	rs, fresh, ok := s.Merged(glue.GroupProcessor, []string{"A"})
+	rs, fresh, ok := merged(t, s, glue.GroupProcessor, []string{"A"})
 	if !ok || rs.Len() != 2 || fresh[0].Live {
 		t.Fatalf("snapshot view: ok=%v len=%d fresh=%+v", ok, rs.Len(), fresh)
 	}
 	// The first live row clears the snapshot: no double counting.
 	cols := []string{"HostName", "LoadLast1Min"}
 	s.Upsert("A", glue.GroupProcessor, "src1", cols, []any{"h1", 5.0}, now.Add(time.Second))
-	rs, fresh, ok = s.Merged(glue.GroupProcessor, []string{"A"})
+	rs, fresh, ok = merged(t, s, glue.GroupProcessor, []string{"A"})
 	if !ok || rs.Len() != 1 || !fresh[0].Live {
 		t.Fatalf("live view: ok=%v len=%d fresh=%+v", ok, rs.Len(), fresh)
 	}
@@ -80,12 +101,12 @@ func TestStoreSnapshotThenLiveTransition(t *testing.T) {
 	// Later rows upsert by source: same source replaces, new source adds.
 	s.Upsert("A", glue.GroupProcessor, "src1", cols, []any{"h1", 6.0}, now)
 	s.Upsert("A", glue.GroupProcessor, "src2", cols, []any{"h2", 7.0}, now)
-	rs, _, _ = s.Merged(glue.GroupProcessor, []string{"A"})
+	rs, _, _ = merged(t, s, glue.GroupProcessor, []string{"A"})
 	if rs.Len() != 2 {
 		t.Fatalf("after upserts len = %d, want 2", rs.Len())
 	}
 	s.RemoveSite("A")
-	if _, _, ok := s.Merged(glue.GroupProcessor, []string{"A"}); ok {
+	if _, _, ok := merged(t, s, glue.GroupProcessor, []string{"A"}); ok {
 		t.Fatal("removed site still answers")
 	}
 }
@@ -99,7 +120,7 @@ func TestUpsertKeepsEveryHostOfASource(t *testing.T) {
 	s.Upsert("A", glue.GroupProcessor, "src", cols, []any{"h1", 1.0}, now)
 	s.Upsert("A", glue.GroupProcessor, "src", cols, []any{"h2", 2.0}, now)
 	loads := func() map[string]float64 {
-		rs, _, ok := s.Merged(glue.GroupProcessor, []string{"A"})
+		rs, _, ok := merged(t, s, glue.GroupProcessor, []string{"A"})
 		if !ok {
 			t.Fatal("no merged view")
 		}
@@ -119,10 +140,11 @@ func TestUpsertKeepsEveryHostOfASource(t *testing.T) {
 	}
 }
 
-// A region answer shares the stored rows instead of copying them, so it
-// must be a snapshot all the same: upserts that land while the answer is
-// being read (run under -race) replace stored rows and never write into
-// the ones the answer holds.
+// A region answer shares the stored sets instead of copying them — a
+// snapshot as scraped, live rows as the set the first reader after a change
+// built — so it must be a snapshot all the same: upserts and new snapshots
+// that land while answers are being read and built (run under -race) replace
+// what the store holds and never write into what an answer holds.
 func TestMergedAnswerSurvivesLaterUpserts(t *testing.T) {
 	s := NewStore()
 	now := time.Now()
@@ -131,11 +153,28 @@ func TestMergedAnswerSurvivesLaterUpserts(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		s.Upsert("B", glue.GroupProcessor, fmt.Sprint("src", i), cols, []any{fmt.Sprint("b", i), float64(i)}, now)
 	}
-	rs, _, ok := s.Merged(glue.GroupProcessor, []string{"A", "B"})
-	if !ok || rs.Len() != 9 {
-		t.Fatalf("merged view: ok=%v len=%d", ok, rs.Len())
+	var answers []*resultset.ResultSet
+	for _, sites := range [][]string{{"A", "B"}, {"A"}, {"B"}} {
+		rs, _, ok := merged(t, s, glue.GroupProcessor, sites)
+		if !ok {
+			t.Fatalf("no view of %v", sites)
+		}
+		answers = append(answers, rs)
 	}
-	before := rs.String()
+	if n := answers[0].Len(); n != 9 {
+		t.Fatalf("merged view has %d rows, want 9", n)
+	}
+	before := make([]string, len(answers))
+	for i, rs := range answers {
+		before[i] = rs.String()
+	}
+	check := func(when string) {
+		for i, rs := range answers {
+			if got := rs.String(); got != before[i] {
+				t.Fatalf("answer changed %s:\n%s\nwas\n%s", when, got, before[i])
+			}
+		}
+	}
 
 	snaps := []*resultset.ResultSet{
 		procRows(t, [2]any{"a1", 9.0}, [2]any{"a2", 0.5}),
@@ -151,16 +190,26 @@ func TestMergedAnswerSurvivesLaterUpserts(t *testing.T) {
 			s.SetSnapshot("A", glue.GroupProcessor, snaps[round%2], now)
 		}
 	}()
+	var readers sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() { // readers building the live set while it is dropped
+			defer readers.Done()
+			for i := 0; i < 50; i++ {
+				if rs, _, _ := merged(t, s, glue.GroupProcessor, []string{"B"}); rs.Len() != 8 {
+					t.Errorf("live view has %d rows, want 8", rs.Len())
+					return
+				}
+			}
+		}()
+	}
 	for i := 0; i < 50; i++ {
-		if got := rs.String(); got != before {
-			t.Fatalf("answer changed under a later upsert:\n%s\nwas\n%s", got, before)
-		}
+		check("under a later upsert")
 	}
 	<-done
-	if got := rs.String(); got != before {
-		t.Fatalf("answer changed after later upserts:\n%s\nwas\n%s", got, before)
-	}
-	if again, _, _ := s.Merged(glue.GroupProcessor, []string{"A", "B"}); again.Len() != 10 {
+	readers.Wait()
+	check("after later upserts")
+	if again, _, _ := merged(t, s, glue.GroupProcessor, []string{"A", "B"}); again.Len() != 10 {
 		t.Fatalf("fresh answer has %d rows, want 10", again.Len())
 	}
 }
@@ -491,16 +540,37 @@ func TestRegionPinnedToCallerCoverage(t *testing.T) {
 	}
 }
 
-// TestRegionAnswerAllocations: a region answer — Store.Merged, then the wire
-// encoding — costs the same allocations for a view of 20 rows and one of 400:
-// the stored rows' cells are copied into the answer's columns, one array a
-// column and site, and nothing is allocated a row. Measured at 11 for two
-// sites when written.
+// allocated returns the objects and bytes f allocates a run, as
+// testing.AllocsPerRun measures objects.
+func allocated(runs int, f func()) (objects, bytes uint64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.Mallocs - before.Mallocs) / uint64(runs), (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+// TestRegionAnswerAllocations: a region answer is its query evaluated over
+// the store's sets as they are held (Store.Parts, sqlparse.ApplyToParts).
+//   - A SELECT * answer over two live views, then its wire encoding, costs
+//     the same allocations for 20 rows as for 400: the views' rows are copied
+//     once, into one array a column, and nothing is allocated a row. Measured
+//     at 6 when written; copying every view into a merged set first cost 11.
+//   - An aggregate answer over two snapshot views of 20 rows allocates the
+//     same objects and bytes as one over 400: it reads the cells where the
+//     snapshots hold them.
+//   - A one-site SELECT * answer shares the snapshot's arrays, and costs the
+//     same objects and bytes for 20 rows as for 400.
 func TestRegionAnswerAllocations(t *testing.T) {
-	answer := func(hosts int) float64 {
+	sites := []string{"A", "B"}
+	live := func(hosts int) float64 {
 		s := NewStore()
 		now := time.Now()
-		for _, site := range []string{"A", "B"} {
+		for _, site := range sites {
 			for i := 0; i < hosts; i++ {
 				s.Upsert(site, glue.GroupProcessor, fmt.Sprint(site, "-src", i/2), []string{"HostName", "LoadLast1Min"},
 					[]any{fmt.Sprint(site, "-host", i), float64(i)}, now)
@@ -508,7 +578,7 @@ func TestRegionAnswerAllocations(t *testing.T) {
 		}
 		var buf []byte
 		return testing.AllocsPerRun(50, func() {
-			rs, _, ok := s.Merged(glue.GroupProcessor, []string{"A", "B"})
+			rs, _, ok := merged(t, s, glue.GroupProcessor, sites)
 			if !ok || rs.Len() != 2*hosts {
 				t.Fatalf("merged %d rows, want %d", rs.Len(), 2*hosts)
 			}
@@ -518,9 +588,60 @@ func TestRegionAnswerAllocations(t *testing.T) {
 			}
 		})
 	}
-	small, large := answer(10), answer(200)
-	t.Logf("region answer: %.0f allocations for 20 rows, %.0f for 400", small, large)
-	if (small != large || large > 13) && !raceEnabled {
-		t.Errorf("a region answer of 20 rows took %.0f allocations and one of 400 took %.0f, want the same and ≤ 13", small, large)
+	small, large := live(10), live(200)
+	t.Logf("SELECT * over live views: %.0f allocations for 20 rows, %.0f for 400", small, large)
+	if (small != large || large > 8) && !raceEnabled {
+		t.Errorf("a region answer of 20 rows took %.0f allocations and one of 400 took %.0f, want the same and ≤ 8", small, large)
+	}
+
+	agg, err := sqlparse.Parse("SELECT count(*), avg(LoadLast1Min) FROM Processor")
+	if err != nil {
+		t.Fatal(err)
+	}
+	partial := agg.PartialQuery()
+	snapshots := func(hosts int) *Store {
+		s := NewStore()
+		for _, site := range sites {
+			rows := make([][2]any, hosts)
+			for i := range rows {
+				rows[i] = [2]any{fmt.Sprint(site, "-host", i), float64(i)}
+			}
+			s.SetSnapshot(site, glue.GroupProcessor, procRows(t, rows...), time.Now())
+		}
+		return s
+	}
+	answer := func(s *Store, q *sqlparse.Query, sites ...string) *resultset.ResultSet {
+		meta, parts, _ := s.Parts(glue.GroupProcessor, sites)
+		rs, err := sqlparse.ApplyToParts(q, meta, parts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rs
+	}
+	type cost struct{ objects, bytes uint64 }
+	measure := func(q *sqlparse.Query, sites ...string) (few, many cost) {
+		s10, s200 := snapshots(10), snapshots(200)
+		few.objects, few.bytes = allocated(50, func() { answer(s10, q, sites...) })
+		many.objects, many.bytes = allocated(50, func() { answer(s200, q, sites...) })
+		return few, many
+	}
+	few, many := measure(partial, sites...)
+	t.Logf("aggregate over snapshot views: %+v for 20 rows, %+v for 400", few, many)
+	if few != many && !raceEnabled {
+		t.Errorf("an aggregate region answer over 20 view rows cost %+v and over 400 cost %+v, want the same", few, many)
+	}
+	few, many = measure(selectAll, "A")
+	t.Logf("one-site SELECT * over a snapshot view: %+v for 10 rows, %+v for 200", few, many)
+	if few != many && !raceEnabled {
+		t.Errorf("a one-site SELECT * region answer over 10 rows cost %+v and over 200 cost %+v, want the same", few, many)
+	}
+	s := snapshots(10)
+	snap := s.sites["A"][glue.GroupProcessor].snap
+	rs := answer(s, selectAll, "A")
+	for _, c := range []int{snap.Metadata().ColumnIndex("HostName"), snap.Metadata().ColumnIndex("LoadLast1Min")} {
+		held, got := snap.Column(c), rs.Column(c)
+		if got == nil || unsafe.SliceData(got.Strs) != unsafe.SliceData(held.Strs) || unsafe.SliceData(got.Nums) != unsafe.SliceData(held.Nums) {
+			t.Errorf("a one-site SELECT * answer's column %d does not share the snapshot's arrays", c)
+		}
 	}
 }

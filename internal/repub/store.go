@@ -10,6 +10,7 @@ package repub
 import (
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gridrm/internal/glue"
@@ -37,7 +38,10 @@ type groupView struct {
 	meta *resultset.Metadata
 	snap *resultset.ResultSet
 	rows map[string]*storedRow
-	at   time.Time // newest update
+	// built is rows as a set, shared read-only like snap: made by the first
+	// reader after an Upsert, which drops it.
+	built atomic.Pointer[resultset.ResultSet]
+	at    time.Time // newest update
 }
 
 func (gv *groupView) len() int {
@@ -78,6 +82,7 @@ func (s *Store) SetSnapshot(site, group string, rs *resultset.ResultSet, at time
 	defer s.mu.Unlock()
 	gv := s.view(site, group)
 	gv.meta, gv.snap, gv.rows, gv.at = rs.Metadata(), rs, nil, at
+	gv.built.Store(nil)
 }
 
 // Upsert stores one subscription-pushed row, mapping the pushed columns onto
@@ -129,6 +134,7 @@ func (s *Store) Upsert(site, group, source string, cols []string, row []any, at 
 	if at.After(gv.at) {
 		gv.at = at
 	}
+	gv.built.Store(nil)
 }
 
 // RemoveSite drops every view for a site the republisher no longer owns,
@@ -148,39 +154,41 @@ type SiteFreshness struct {
 	At   time.Time `json:"at"`
 }
 
-// Merged builds one ResultSet holding the latest rows of every listed site
-// for the group, plus per-site freshness. Sites with no view yet simply
-// contribute nothing (freshness reports zero rows). ok is false when no
-// site has metadata for the group — the caller falls back to the GLUE
-// schema for an empty answer. The answer holds copies of the stored rows'
-// cells, so it does not change under later updates.
-func (s *Store) Merged(group string, sites []string) (*resultset.ResultSet, []SiteFreshness, bool) {
+// Parts returns the latest rows of every listed site's view of the group,
+// one set a site that has a view, in the order listed, plus per-site
+// freshness; a query evaluates over them as one table (sqlparse.ApplyToParts)
+// without their being copied into one first. Sites with no view yet simply
+// contribute nothing (freshness reports zero rows). meta is the shape of the
+// sets, nil when no site has a view of the group — the caller falls back to
+// the GLUE schema for an empty answer. A snapshot is handed out as stored,
+// since nothing writes to it after SetSnapshot; live rows are copied into a
+// set once after each change, and that set is handed out until the next.
+// Either way the parts do not change under later updates.
+func (s *Store) Parts(group string, sites []string) (meta *resultset.Metadata, parts []*resultset.ResultSet, fresh []SiteFreshness) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	total := 0
-	for _, site := range sites {
-		if gv, ok := s.sites[site][group]; ok {
-			total += gv.len()
-		}
-	}
-	var out *resultset.ResultSet
-	fresh := make([]SiteFreshness, 0, len(sites))
+	fresh, parts = make([]SiteFreshness, 0, len(sites)), make([]*resultset.ResultSet, 0, len(sites))
 	for _, site := range sites {
 		sf := SiteFreshness{Site: site}
 		if gv, ok := s.sites[site][group]; ok && gv.meta != nil {
-			if out == nil {
-				out = resultset.New(gv.meta)
-				out.Grow(total)
-			}
-			rs, err := gv.snap, error(nil)
+			rs := gv.snap
 			if rs == nil { // live rows are the boxes the push border handed over
-				b := resultset.NewBuilder(gv.meta).Grow(len(gv.rows), 0)
-				for _, sr := range gv.rows {
-					b.Append(sr.row...)
+				if rs = gv.built.Load(); rs == nil {
+					b := resultset.NewBuilder(gv.meta).Grow(len(gv.rows), 0)
+					for _, sr := range gv.rows {
+						b.Append(sr.row...)
+					}
+					if built, err := b.Build(); err == nil {
+						rs = built
+						gv.built.Store(rs)
+					}
 				}
-				rs, err = b.Build()
 			}
-			if err == nil && out.Merge(rs) == nil {
+			if meta == nil {
+				meta = gv.meta
+			}
+			if rs != nil && meta.Conforms(rs.Metadata()) == nil {
+				parts = append(parts, rs)
 				sf.Rows = rs.Len()
 			}
 			sf.Live = gv.snap == nil
@@ -188,7 +196,7 @@ func (s *Store) Merged(group string, sites []string) (*resultset.ResultSet, []Si
 		}
 		fresh = append(fresh, sf)
 	}
-	return out, fresh, out != nil
+	return meta, parts, fresh
 }
 
 // Rows counts the stored rows across every view, for /status.

@@ -152,6 +152,41 @@ func (m *Metadata) ColumnIndex(name string) int {
 	return foldIndex(m.cols, name)
 }
 
+// Conforms reports, as an error naming the first difference, whether sets of
+// shape other can stand for sets of shape m: the same column count, names
+// (case-insensitively) and kinds in the same order.
+func (m *Metadata) Conforms(other *Metadata) error {
+	if other.ColumnCount() != m.ColumnCount() {
+		return fmt.Errorf("resultset: merge column count mismatch: %d vs %d",
+			other.ColumnCount(), m.ColumnCount())
+	}
+	for i := 0; other != m && i < m.ColumnCount(); i++ {
+		if !strings.EqualFold(m.cols[i].Name, other.cols[i].Name) {
+			return fmt.Errorf("resultset: merge column %d mismatch: %q vs %q",
+				i, m.cols[i].Name, other.cols[i].Name)
+		}
+		if m.cols[i].Kind != other.cols[i].Kind {
+			return fmt.Errorf("resultset: merge column %q kind mismatch: %s vs %s",
+				m.cols[i].Name, m.cols[i].Kind, other.cols[i].Kind)
+		}
+	}
+	return nil
+}
+
+// Project returns the Metadata of the named columns, in the given order,
+// and the index in m of each.
+func (m *Metadata) Project(names []string) (*Metadata, []int, error) {
+	cols, idx := make([]Column, len(names)), make([]int, len(names))
+	for i, name := range names {
+		if idx[i] = m.ColumnIndex(name); idx[i] < 0 {
+			return nil, nil, fmt.Errorf("%w: %q", ErrNoColumn, name)
+		}
+		cols[i] = m.cols[idx[i]]
+	}
+	meta, err := NewMetadata(cols)
+	return meta, idx, err
+}
+
 // ColumnNames returns the column labels in order. The slice is made once per
 // Metadata and shared by every caller: treat it as read-only.
 func (m *Metadata) ColumnNames() []string {
@@ -551,46 +586,140 @@ func (rs *ResultSet) Clone() *ResultSet {
 // Project returns a new ResultSet containing only the named columns, in the
 // given order, sharing their arrays. The cursor of the result is reset.
 func (rs *ResultSet) Project(cols []string) (*ResultSet, error) {
-	newCols := make([]Column, len(cols))
-	out := rs.like()
-	out.n, out.cols = rs.n, make([]Vector, 0, min(len(cols), len(rs.cols)))
-	for i, name := range cols {
-		j := rs.meta.ColumnIndex(name)
-		if j < 0 {
-			return nil, fmt.Errorf("%w: %q", ErrNoColumn, name)
-		}
-		newCols[i] = rs.meta.Column(j)
-		if v := rs.Column(j); v != nil {
-			out.cols = append(out.cols, v.shared())
-			out.cols[len(out.cols)-1].idx = int16(i)
-		}
+	meta, idx, err := rs.meta.Project(cols)
+	if err != nil {
+		return nil, err
 	}
-	var err error
-	out.meta, err = NewMetadata(newCols)
-	return out, err
+	out := rs.like()
+	out.meta, out.n, out.cols = meta, rs.n, rs.shareColumns(idx)
+	return out, nil
 }
 
-// gather returns a new ResultSet holding rs's rows sel, in sel's order.
-func (rs *ResultSet) gather(sel []int32) *ResultSet {
-	out := rs.like()
-	out.n, out.cols = int32(len(sel)), make([]Vector, 0, len(rs.cols))
-	for i := range rs.cols {
-		src, dst := &rs.cols[i], Vector{idx: rs.cols[i].idx}
+// shareColumns returns rs's columns idx, column i of the answer being rs's
+// column idx[i], sharing their arrays.
+func (rs *ResultSet) shareColumns(idx []int) []Vector {
+	cols := make([]Vector, 0, min(len(idx), len(rs.cols)))
+	for i, j := range idx {
+		if v := rs.Column(j); v != nil {
+			cols = append(cols, v.shared())
+			cols[len(cols)-1].idx = int16(i)
+		}
+	}
+	return cols
+}
+
+// Ref names row Row of parts[Part], for a caller that reads several sets of
+// one shape as one table of their rows in order.
+type Ref struct{ Part, Row int32 }
+
+// row is an index into one set's rows: the selection Where, Limit and
+// SortedBy make.
+type row int32
+
+func (r row) ref() Ref { return Ref{Row: int32(r)} }
+func (r Ref) ref() Ref { return r }
+
+// Gather returns a new set of shape meta holding the parts' rows sel names,
+// in sel's order, or every row of every part in order when sel is nil. Its
+// column i is the parts' column cols[i], or column i when cols is nil. The
+// parts conform to one shape (Metadata.Conforms), and no part is written.
+//
+// An answer that is one whole part shares that part's arrays; any other
+// copies the cells it holds once, one array a column. Either way it carries
+// no Source or Fetched, as a set merged from several has.
+func Gather(meta *Metadata, parts []*ResultSet, sel []Ref, cols []int) *ResultSet {
+	out := New(meta)
+	if sel != nil {
+		gatherRows(out, parts, sel, cols)
+		return out
+	}
+	whole, filled, live := -1, 0, 0
+	for p, part := range parts {
+		if part.n > 0 {
+			whole, filled, out.n = p, filled+1, out.n+part.n
+			live = max(live, len(part.cols))
+		}
+	}
+	if filled > 1 {
+		whole = -1
+	}
+	switch {
+	case out.n == 0:
+	case whole >= 0 && cols == nil:
+		out.cols, out.borrowed = parts[whole].cols, true
+	case whole >= 0:
+		out.cols = parts[whole].shareColumns(cols)
+	default: // part by part, as Merge appends
+		out.hold(live)
+		n := 0
+		for _, part := range parts {
+			for k := 0; cols == nil && k < len(part.cols); k++ {
+				src := &part.cols[k]
+				out.live(int(src.idx)).AppendRange(n, src, 0, int(part.n), int(out.n))
+			}
+			for i, c := range cols {
+				if src := part.Column(c); src != nil {
+					out.live(i).AppendRange(n, src, 0, int(part.n), int(out.n))
+				}
+			}
+			n += int(part.n)
+		}
+	}
+	return out
+}
+
+// column is the input column of an answer's column i.
+func column(cols []int, i int) int {
+	if cols == nil {
+		return i
+	}
+	return cols[i]
+}
+
+// gatherRows fills out, of shape out.meta, with the parts' rows sel, in
+// sel's order: each column's cells copied into one array.
+func gatherRows[R interface{ ref() Ref }](out *ResultSet, parts []*ResultSet, sel []R, cols []int) {
+	out.n = int32(len(sel))
+	if len(sel) == 0 {
+		return
+	}
+	live := 0
+	for _, part := range parts {
+		live = max(live, len(part.cols))
+	}
+	out.cols = make([]Vector, 0, min(live, len(out.meta.cols)))
+	for i := range out.meta.cols {
+		if !slices.ContainsFunc(parts, func(p *ResultSet) bool { return p.Column(column(cols, i)) != nil }) {
+			continue // NULL in every part
+		}
+		dst, at, src := Vector{idx: int16(i)}, int32(-1), (*Vector)(nil)
 		for k, r := range sel {
-			dst.Set(k, src.Cell(int(r)), len(sel))
+			ref := r.ref()
+			if ref.Part != at { // a part's rows tend to come together
+				at, src = ref.Part, parts[ref.Part].Column(column(cols, i))
+			}
+			if src != nil {
+				dst.Set(k, src.Cell(int(ref.Row)), len(sel))
+			}
 		}
 		if dst.Nulls != AllNull {
 			out.cols = append(out.cols, dst)
 		}
 	}
+}
+
+// gather returns a new ResultSet holding rs's rows sel, in sel's order.
+func (rs *ResultSet) gather(sel []row) *ResultSet {
+	out := rs.like()
+	gatherRows(out, []*ResultSet{rs}, sel, nil)
 	return out
 }
 
 // Where returns a new ResultSet containing the rows keep accepts; one that
 // drops no row shares rs's columns.
 func (rs *ResultSet) Where(keep func(r int) bool) *ResultSet {
-	sel := make([]int32, 0, rs.n)
-	for r := int32(0); r < rs.n; r++ {
+	sel := make([]row, 0, rs.n)
+	for r := row(0); r < row(rs.n); r++ {
 		if keep(int(r)) {
 			sel = append(sel, r)
 		}
@@ -629,12 +758,12 @@ func (rs *ResultSet) SortedBy(col string, desc bool) (*ResultSet, error) {
 	if i < 0 {
 		return nil, fmt.Errorf("%w: %q", ErrNoColumn, col)
 	}
-	perm := make([]int32, rs.n)
+	perm := make([]row, rs.n)
 	for r := range perm {
-		perm[r] = int32(r)
+		perm[r] = row(r)
 	}
 	if v := rs.Column(i); v != nil {
-		slices.SortStableFunc(perm, func(a, b int32) int {
+		slices.SortStableFunc(perm, func(a, b row) int {
 			if desc {
 				a, b = b, a
 			}
@@ -647,19 +776,8 @@ func (rs *ResultSet) SortedBy(col string, desc bool) (*ResultSet, error) {
 // Merge appends the rows of other, which must have the same column names
 // and kinds in the same order, into rs.
 func (rs *ResultSet) Merge(other *ResultSet) error {
-	if other.meta.ColumnCount() != rs.meta.ColumnCount() {
-		return fmt.Errorf("resultset: merge column count mismatch: %d vs %d",
-			other.meta.ColumnCount(), rs.meta.ColumnCount())
-	}
-	for i := 0; other.meta != rs.meta && i < rs.meta.ColumnCount(); i++ {
-		if !strings.EqualFold(rs.meta.Column(i).Name, other.meta.Column(i).Name) {
-			return fmt.Errorf("resultset: merge column %d mismatch: %q vs %q",
-				i, rs.meta.Column(i).Name, other.meta.Column(i).Name)
-		}
-		if rs.meta.Column(i).Kind != other.meta.Column(i).Kind {
-			return fmt.Errorf("resultset: merge column %q kind mismatch: %s vs %s",
-				rs.meta.Column(i).Name, rs.meta.Column(i).Kind, other.meta.Column(i).Kind)
-		}
+	if err := rs.meta.Conforms(other.meta); err != nil {
+		return err
 	}
 	rs.own()
 	if rs.cols == nil {

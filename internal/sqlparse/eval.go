@@ -2,6 +2,7 @@ package sqlparse
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"gridrm/internal/glue"
@@ -127,68 +128,214 @@ func likeMatch(p, s string) bool {
 	return pi == len(p)
 }
 
+// ApplyToParts evaluates q over parts, sets of shape meta read as one table
+// of their rows in order, and returns the answer. WHERE selects (part, row)
+// pairs; aggregates read the selected cells where they are; ORDER BY sorts
+// the selection and LIMIT cuts it; the projection picks columns, and one
+// resultset.Gather builds the answer. No part is written, so a part may be a
+// set other readers share (a cached harvest, a republisher's snapshot).
+//
+// An answer that is one whole part, in order, shares that part's arrays; any
+// other copies the cells it keeps once. It carries no Source or Fetched, as a
+// set merged from several has.
+func ApplyToParts(q *Query, meta *resultset.Metadata, parts []*resultset.ResultSet) (*resultset.ResultSet, error) {
+	return evaluate(q, meta, parts, how{})
+}
+
 // ApplyToResultSet applies the query's WHERE, GROUP BY/aggregates, ORDER
 // BY, LIMIT and column projection to a full-table ResultSet (one whose
 // columns cover everything the query references). Drivers that fetch
 // coarse-grained native snapshots use this to finish query processing; it
 // is part of the driver development API the paper describes in §3.2.1.
 //
-// The input rs is never mutated: stages that reorder rows build new
-// columns, so drivers and caches may keep serving rs to concurrent queries.
+// It is ApplyToParts over the one part rs, whose Source and Fetched the
+// answer keeps; a query with no WHERE, ORDER BY, LIMIT or projection answers
+// rs itself. The input rs is never mutated, so drivers and caches may keep
+// serving rs to concurrent queries.
 func ApplyToResultSet(q *Query, rs *resultset.ResultSet) (*resultset.ResultSet, error) {
-	meta := rs.Metadata()
-	// Validate referenced columns up front for a clear error.
-	for _, c := range q.ColumnsReferenced() {
-		if meta.ColumnIndex(c) < 0 {
-			return nil, fmt.Errorf("sqlparse: unknown column %q in table %s", c, q.Table)
+	return evaluate(q, rs.Metadata(), []*resultset.ResultSet{rs}, how{from: rs})
+}
+
+// how says what evaluate's parts hold and what it answers.
+type how struct {
+	partial bool                 // the parts are q.PartialQuery()'s rows: finalize them
+	from    *resultset.ResultSet // the one part whose Source and Fetched the answer keeps
+}
+
+// evaluate is the one evaluator behind ApplyToParts, ApplyToResultSet,
+// FinalizeParts and FinalizeAggregate.
+func evaluate(q *Query, meta *resultset.Metadata, parts []*resultset.ResultSet, h how) (*resultset.ResultSet, error) {
+	for _, p := range parts {
+		if err := meta.Conforms(p.Metadata()); err != nil {
+			return nil, err
 		}
 	}
-	out := rs
-	if q.Where != nil {
-		var evalErr error
-		row := 0 // one resolver for every row, not a closure a row
-		resolve := func(col string) (resultset.Cell, bool) {
-			i := meta.ColumnIndex(col)
-			if i < 0 {
-				return resultset.Cell{}, false
+	if h.partial && !q.Aggregate() {
+		return nil, fmt.Errorf("sqlparse: FinalizeAggregate on non-aggregate query")
+	}
+	var sel []resultset.Ref
+	if !h.partial {
+		// Validate referenced columns up front for a clear error.
+		for _, c := range q.ColumnsReferenced() {
+			if meta.ColumnIndex(c) < 0 {
+				return nil, fmt.Errorf("sqlparse: unknown column %q in table %s", c, q.Table)
 			}
-			return rs.Cell(row, i), true
 		}
-		out = out.Where(func(r int) bool {
-			row = r
-			ok, err := eval(q.Where, resolve)
-			if err != nil && evalErr == nil {
-				evalErr = err
-			}
-			return ok
-		})
-		if evalErr != nil {
-			return nil, evalErr
+		var err error
+		if sel, err = where(q.Where, meta, parts); err != nil {
+			return nil, err
 		}
 	}
 	if q.Aggregate() {
-		agg, err := aggregateResultSet(q, out)
-		if err != nil {
-			return nil, err
+		out, err := aggregate(q, meta, parts, sel, h)
+		if err == nil && h.from != nil {
+			out.Source, out.Fetched = h.from.Source, h.from.Fetched
 		}
-		out = agg
+		return out, err
 	}
 	if q.OrderBy != "" {
-		sorted, err := out.SortedBy(q.OrderBy, q.Desc)
-		if err != nil {
-			return nil, err
-		}
-		out = sorted
+		sel = sortRows(sel, parts, meta.ColumnIndex(q.OrderBy), q.Desc)
 	}
 	if q.Limit >= 0 {
-		out = out.Limit(q.Limit)
+		sel = firstRows(sel, parts, q.Limit)
 	}
-	if !q.Star() && !q.Aggregate() {
-		projected, err := out.Project(q.Columns)
-		if err != nil {
+	if sel != nil && inOrder(sel, parts) {
+		sel = nil
+	}
+	outMeta, cols := meta, []int(nil)
+	if !q.Star() {
+		var err error
+		if outMeta, cols, err = meta.Project(q.Columns); err != nil {
 			return nil, err
 		}
-		out = projected
+	}
+	if h.from != nil && sel == nil && cols == nil && q.Where == nil && q.OrderBy == "" && q.Limit < 0 {
+		return h.from, nil
+	}
+	out := resultset.Gather(outMeta, parts, sel, cols)
+	if h.from != nil {
+		out.Source, out.Fetched = h.from.Source, h.from.Fetched
 	}
 	return out, nil
+}
+
+// rows returns the number of rows in parts.
+func rows(parts []*resultset.ResultSet) int {
+	n := 0
+	for _, p := range parts {
+		n += p.Len()
+	}
+	return n
+}
+
+// appendRows appends to sel the first n rows of parts, in order.
+func appendRows(sel []resultset.Ref, parts []*resultset.ResultSet, n int) []resultset.Ref {
+	for p := 0; p < len(parts) && n > 0; p++ {
+		for r := 0; r < parts[p].Len() && n > 0; r, n = r+1, n-1 {
+			sel = append(sel, resultset.Ref{Part: int32(p), Row: int32(r)})
+		}
+	}
+	return sel
+}
+
+// each calls visit with every row sel names, or every row of parts in order
+// when sel is nil.
+func each(parts []*resultset.ResultSet, sel []resultset.Ref, visit func(resultset.Ref)) {
+	if sel != nil {
+		for _, ref := range sel {
+			visit(ref)
+		}
+		return
+	}
+	for p, part := range parts {
+		for r := 0; r < part.Len(); r++ {
+			visit(resultset.Ref{Part: int32(p), Row: int32(r)})
+		}
+	}
+}
+
+// where returns the rows of parts e accepts, in order, or nil when it accepts
+// every row: a filter that drops nothing allocates nothing.
+func where(e Expr, meta *resultset.Metadata, parts []*resultset.ResultSet) ([]resultset.Ref, error) {
+	if e == nil {
+		return nil, nil
+	}
+	var at resultset.Ref // one resolver for every row, not a closure a row
+	resolve := func(col string) (resultset.Cell, bool) {
+		i := meta.ColumnIndex(col)
+		if i < 0 {
+			return resultset.Cell{}, false
+		}
+		return parts[at.Part].Cell(int(at.Row), i), true
+	}
+	var sel []resultset.Ref
+	kept := 0 // rows accepted before the first one dropped
+	for p, part := range parts {
+		for r := 0; r < part.Len(); r++ {
+			at = resultset.Ref{Part: int32(p), Row: int32(r)}
+			ok, err := eval(e, resolve)
+			switch {
+			case err != nil:
+				return nil, err
+			case sel != nil && ok:
+				sel = append(sel, at)
+			case ok:
+				kept++
+			case sel == nil: // the first row dropped
+				sel = appendRows(make([]resultset.Ref, 0, rows(parts)-1), parts, kept)
+			}
+		}
+	}
+	return sel, nil
+}
+
+// sortRows sorts the rows sel names (every row of parts when nil) stably by
+// column c; desc reverses the order. NULLs sort first ascending, last
+// descending.
+func sortRows(sel []resultset.Ref, parts []*resultset.ResultSet, c int, desc bool) []resultset.Ref {
+	if sel == nil {
+		sel = appendRows(make([]resultset.Ref, 0, rows(parts)), parts, rows(parts))
+	}
+	var buf [8]*resultset.Vector
+	vecs := buf[:0]
+	for _, p := range parts {
+		vecs = append(vecs, p.Column(c))
+	}
+	cell := func(ref resultset.Ref) resultset.Cell {
+		if v := vecs[ref.Part]; v != nil {
+			return v.Cell(int(ref.Row))
+		}
+		return resultset.Cell{Null: true}
+	}
+	slices.SortStableFunc(sel, func(a, b resultset.Ref) int {
+		if desc {
+			a, b = b, a
+		}
+		return resultset.CompareCells(cell(a), cell(b))
+	})
+	return sel
+}
+
+// firstRows cuts the rows sel names (every row of parts when nil) to at most n.
+func firstRows(sel []resultset.Ref, parts []*resultset.ResultSet, n int) []resultset.Ref {
+	switch {
+	case sel != nil:
+		return sel[:min(n, len(sel))]
+	case n < rows(parts):
+		return appendRows(make([]resultset.Ref, 0, n), parts, n)
+	}
+	return nil
+}
+
+// inOrder reports whether sel names every row of parts, in order.
+func inOrder(sel []resultset.Ref, parts []*resultset.ResultSet) bool {
+	k := 0
+	for p, part := range parts {
+		for r := 0; r < part.Len(); r, k = r+1, k+1 {
+			if k >= len(sel) || sel[k] != (resultset.Ref{Part: int32(p), Row: int32(r)}) {
+				return false
+			}
+		}
+	}
+	return k == len(sel)
 }

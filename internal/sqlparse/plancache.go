@@ -2,6 +2,8 @@ package sqlparse
 
 import (
 	"container/list"
+	"slices"
+	"strings"
 	"sync"
 )
 
@@ -33,22 +35,32 @@ type Plan struct {
 	SQL string
 	// SiteSQL is the per-site sub-query of a federated execution: the
 	// partial-aggregate rewrite of an aggregate query, otherwise the same
-	// projection and WHERE without ORDER BY and LIMIT, which only make sense
-	// over the consolidated rows.
+	// WHERE without ORDER BY and LIMIT, which only make sense over the
+	// consolidated rows, and the same projection plus the ORDER BY column
+	// when the projection lacks it.
 	SiteSQL string
+	// Consolidate is what the entry evaluates over the sites' answers to
+	// SiteSQL: for an aggregate query, Query itself (see FinalizeParts);
+	// otherwise Query without its WHERE, which the sites applied, so that it
+	// sorts, limits and then projects.
+	Consolidate *Query
 
 	text string // the request text this plan is cached under
 }
 
 func newPlan(text string, q *Query) *Plan {
-	p := &Plan{Query: q, SQL: q.String(), text: text}
+	p := &Plan{Query: q, SQL: q.String(), Consolidate: q, text: text}
 	if q.Aggregate() {
 		p.SiteSQL = q.PartialQuery().String()
-	} else {
-		sub := *q
-		sub.OrderBy, sub.Desc, sub.Limit = "", false, -1
-		p.SiteSQL = sub.String()
+		return p
 	}
+	site, hub := *q, *q
+	site.OrderBy, site.Desc, site.Limit = "", false, -1
+	if q.OrderBy != "" && !q.Star() && !slices.ContainsFunc(q.Columns, func(c string) bool { return strings.EqualFold(c, q.OrderBy) }) {
+		site.Columns = append(slices.Clip(q.Columns), q.OrderBy)
+	}
+	hub.Where = nil
+	p.SiteSQL, p.Consolidate = site.String(), &hub
 	return p
 }
 
