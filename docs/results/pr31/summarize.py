@@ -3,7 +3,8 @@
 per workload and seed, parent median -> change median of each gated metric,
 the pairs (in run order) in which the change read lower, and the distance
 between the parent's quartiles. Files tagged .final hold the pairs run on the
-committed tree after the matrix (see README.md)."""
+tree committed after the matrix, .review those run on the tree after review,
+and .cacheab the A/B of the live-view cache (see README.md)."""
 import json, statistics, pathlib
 
 here = pathlib.Path(__file__).parent
@@ -21,10 +22,12 @@ def iqr(xs):
 
 print("| workload | seed | pairs | " + " | ".join(f"`{m}`" for m in metrics) + " | requests (parent / change), failed |")
 print("|---|---|---|" + "---|" * (len(metrics) + 1))
-for tag, w, seed in [(tag, w, seed) for tag in ["", ".final"]
+labels = {"": "", ".final": " (final tree)", ".review": " (after review)", ".cacheab": " (cache → no cache)"}
+for tag, w, seed in [(tag, w, seed) for tag in labels
                      for w in ["federated_tree", "cached_dashboard", "harvest_history", "subscribe_push"]
                      for seed in ["1", "20030901"]]:
-        p, c = load(w, seed, "parent", tag), load(w, seed, "change", tag)
+        a, b = ("cache", "nocache") if tag == ".cacheab" else ("parent", "change")
+        p, c = load(w, seed, a, tag), load(w, seed, b, tag)
         n = min(len(p), len(c))
         if n == 0:
             continue
@@ -37,4 +40,4 @@ for tag, w, seed in [(tag, w, seed) for tag in ["", ".final"]
             cells.append(f"{pm:.4g} → {cm:.4g} ({(cm - pm) / pm * 100:+.1f} %, {won}/{n}; parent IQR {iqr(pv):.3g})")
         req = f"{sum(r['attempted'] for r in p[:n]):,} / {sum(r['attempted'] for r in c[:n]):,}, {sum(r['failed'] for r in p[:n] + c[:n])}"
         ok = all(r["correct"] for r in p[:n] + c[:n])
-        print(f"| `{w}`{' (final tree)' if tag else ''} | {seed} | {n} | " + " | ".join(cells) + f" | {req}{'' if ok else ' (ORACLE SPOKE)'} |")
+        print(f"| `{w}`{labels[tag]} | {seed} | {n} | " + " | ".join(cells) + f" | {req}{'' if ok else ' (ORACLE SPOKE)'} |")

@@ -140,11 +140,10 @@ func TestUpsertKeepsEveryHostOfASource(t *testing.T) {
 	}
 }
 
-// A region answer shares the stored sets instead of copying them — a
-// snapshot as scraped, live rows as the set the first reader after a change
-// built — so it must be a snapshot all the same: upserts and new snapshots
-// that land while answers are being read and built (run under -race) replace
-// what the store holds and never write into what an answer holds.
+// A region answer shares a stored snapshot instead of copying it, so it must
+// be a snapshot all the same: upserts and new snapshots that land while
+// answers are being read and built (run under -race) replace what the store
+// holds and never write into what an answer holds.
 func TestMergedAnswerSurvivesLaterUpserts(t *testing.T) {
 	s := NewStore()
 	now := time.Now()
@@ -193,7 +192,7 @@ func TestMergedAnswerSurvivesLaterUpserts(t *testing.T) {
 	var readers sync.WaitGroup
 	for r := 0; r < 2; r++ {
 		readers.Add(1)
-		go func() { // readers building the live set while it is dropped
+		go func() { // readers building the live set while it is written
 			defer readers.Done()
 			for i := 0; i < 50; i++ {
 				if rs, _, _ := merged(t, s, glue.GroupProcessor, []string{"B"}); rs.Len() != 8 {
@@ -557,9 +556,11 @@ func allocated(runs int, f func()) (objects, bytes uint64) {
 // TestRegionAnswerAllocations: a region answer is its query evaluated over
 // the store's sets as they are held (Store.Parts, sqlparse.ApplyToParts).
 //   - A SELECT * answer over two live views, then its wire encoding, costs
-//     the same allocations for 20 rows as for 400: the views' rows are copied
-//     once, into one array a column, and nothing is allocated a row. Measured
-//     at 6 when written; copying every view into a merged set first cost 11.
+//     the same allocations for 20 rows as for 400: each view's rows are built
+//     into a set of the read's own and the answer copies those once more, one
+//     array a column, and nothing is allocated a row. Measured at 14 when
+//     written: the parts slice and one Builder a view are handed out, where
+//     building each view only to merge it kept its Builder on the stack (11).
 //   - An aggregate answer over two snapshot views of 20 rows allocates the
 //     same objects and bytes as one over 400: it reads the cells where the
 //     snapshots hold them.
@@ -590,8 +591,8 @@ func TestRegionAnswerAllocations(t *testing.T) {
 	}
 	small, large := live(10), live(200)
 	t.Logf("SELECT * over live views: %.0f allocations for 20 rows, %.0f for 400", small, large)
-	if (small != large || large > 8) && !raceEnabled {
-		t.Errorf("a region answer of 20 rows took %.0f allocations and one of 400 took %.0f, want the same and ≤ 8", small, large)
+	if (small != large || large > 14) && !raceEnabled {
+		t.Errorf("a region answer of 20 rows took %.0f allocations and one of 400 took %.0f, want the same and ≤ 14", small, large)
 	}
 
 	agg, err := sqlparse.Parse("SELECT count(*), avg(LoadLast1Min) FROM Processor")

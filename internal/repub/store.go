@@ -10,7 +10,6 @@ package repub
 import (
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"gridrm/internal/glue"
@@ -38,10 +37,7 @@ type groupView struct {
 	meta *resultset.Metadata
 	snap *resultset.ResultSet
 	rows map[string]*storedRow
-	// built is rows as a set, shared read-only like snap: made by the first
-	// reader after an Upsert, which drops it.
-	built atomic.Pointer[resultset.ResultSet]
-	at    time.Time // newest update
+	at   time.Time // newest update
 }
 
 func (gv *groupView) len() int {
@@ -82,7 +78,6 @@ func (s *Store) SetSnapshot(site, group string, rs *resultset.ResultSet, at time
 	defer s.mu.Unlock()
 	gv := s.view(site, group)
 	gv.meta, gv.snap, gv.rows, gv.at = rs.Metadata(), rs, nil, at
-	gv.built.Store(nil)
 }
 
 // Upsert stores one subscription-pushed row, mapping the pushed columns onto
@@ -134,7 +129,6 @@ func (s *Store) Upsert(site, group, source string, cols []string, row []any, at 
 	if at.After(gv.at) {
 		gv.at = at
 	}
-	gv.built.Store(nil)
 }
 
 // RemoveSite drops every view for a site the republisher no longer owns,
@@ -161,9 +155,9 @@ type SiteFreshness struct {
 // contribute nothing (freshness reports zero rows). meta is the shape of the
 // sets, nil when no site has a view of the group — the caller falls back to
 // the GLUE schema for an empty answer. A snapshot is handed out as stored,
-// since nothing writes to it after SetSnapshot; live rows are copied into a
-// set once after each change, and that set is handed out until the next.
-// Either way the parts do not change under later updates.
+// since nothing writes to it after SetSnapshot; live rows are built into a
+// set of the reader's own. Either way the parts do not change under later
+// updates.
 func (s *Store) Parts(group string, sites []string) (meta *resultset.Metadata, parts []*resultset.ResultSet, fresh []SiteFreshness) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -173,16 +167,11 @@ func (s *Store) Parts(group string, sites []string) (meta *resultset.Metadata, p
 		if gv, ok := s.sites[site][group]; ok && gv.meta != nil {
 			rs := gv.snap
 			if rs == nil { // live rows are the boxes the push border handed over
-				if rs = gv.built.Load(); rs == nil {
-					b := resultset.NewBuilder(gv.meta).Grow(len(gv.rows), 0)
-					for _, sr := range gv.rows {
-						b.Append(sr.row...)
-					}
-					if built, err := b.Build(); err == nil {
-						rs = built
-						gv.built.Store(rs)
-					}
+				b := resultset.NewBuilder(gv.meta).Grow(len(gv.rows), 0)
+				for _, sr := range gv.rows {
+					b.Append(sr.row...)
 				}
+				rs, _ = b.Build() // nil for a row the schema refuses: the view is left out
 			}
 			if meta == nil {
 				meta = gv.meta

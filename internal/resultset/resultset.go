@@ -612,13 +612,6 @@ func (rs *ResultSet) shareColumns(idx []int) []Vector {
 // one shape as one table of their rows in order.
 type Ref struct{ Part, Row int32 }
 
-// row is an index into one set's rows: the selection Where, Limit and
-// SortedBy make.
-type row int32
-
-func (r row) ref() Ref { return Ref{Row: int32(r)} }
-func (r Ref) ref() Ref { return r }
-
 // Gather returns a new set of shape meta holding the parts' rows sel names,
 // in sel's order, or every row of every part in order when sel is nil. Its
 // column i is the parts' column cols[i], or column i when cols is nil. The
@@ -633,10 +626,10 @@ func Gather(meta *Metadata, parts []*ResultSet, sel []Ref, cols []int) *ResultSe
 		gatherRows(out, parts, sel, cols)
 		return out
 	}
-	whole, filled, live := -1, 0, 0
+	whole, filled, live, total := -1, 0, 0, int32(0)
 	for p, part := range parts {
 		if part.n > 0 {
-			whole, filled, out.n = p, filled+1, out.n+part.n
+			whole, filled, total = p, filled+1, total+part.n
 			live = max(live, len(part.cols))
 		}
 	}
@@ -644,28 +637,35 @@ func Gather(meta *Metadata, parts []*ResultSet, sel []Ref, cols []int) *ResultSe
 		whole = -1
 	}
 	switch {
-	case out.n == 0:
+	case total == 0:
 	case whole >= 0 && cols == nil:
-		out.cols, out.borrowed = parts[whole].cols, true
+		out.cols, out.n, out.borrowed = parts[whole].cols, total, true
 	case whole >= 0:
-		out.cols = parts[whole].shareColumns(cols)
-	default: // part by part, as Merge appends
+		out.cols, out.n = parts[whole].shareColumns(cols), total
+	default:
+		out.Grow(int(total))
 		out.hold(live)
-		n := 0
 		for _, part := range parts {
-			for k := 0; cols == nil && k < len(part.cols); k++ {
-				src := &part.cols[k]
-				out.live(int(src.idx)).AppendRange(n, src, 0, int(part.n), int(out.n))
-			}
-			for i, c := range cols {
-				if src := part.Column(c); src != nil {
-					out.live(i).AppendRange(n, src, 0, int(part.n), int(out.n))
-				}
-			}
-			n += int(part.n)
+			out.appendPart(part, cols)
 		}
 	}
 	return out
+}
+
+// appendPart appends part's rows to rs, part's column cols[i] becoming rs's
+// column i (every column as it is when cols is nil). The caller has called
+// own.
+func (rs *ResultSet) appendPart(part *ResultSet, cols []int) {
+	for k := 0; cols == nil && k < len(part.cols); k++ {
+		src := &part.cols[k]
+		rs.live(int(src.idx)).AppendRange(int(rs.n), src, 0, int(part.n), int(rs.room))
+	}
+	for i, c := range cols {
+		if src := part.Column(c); src != nil {
+			rs.live(i).AppendRange(int(rs.n), src, 0, int(part.n), int(rs.room))
+		}
+	}
+	rs.n += part.n
 }
 
 // column is the input column of an answer's column i.
@@ -678,7 +678,7 @@ func column(cols []int, i int) int {
 
 // gatherRows fills out, of shape out.meta, with the parts' rows sel, in
 // sel's order: each column's cells copied into one array.
-func gatherRows[R interface{ ref() Ref }](out *ResultSet, parts []*ResultSet, sel []R, cols []int) {
+func gatherRows(out *ResultSet, parts []*ResultSet, sel []Ref, cols []int) {
 	out.n = int32(len(sel))
 	if len(sel) == 0 {
 		return
@@ -693,8 +693,7 @@ func gatherRows[R interface{ ref() Ref }](out *ResultSet, parts []*ResultSet, se
 			continue // NULL in every part
 		}
 		dst, at, src := Vector{idx: int16(i)}, int32(-1), (*Vector)(nil)
-		for k, r := range sel {
-			ref := r.ref()
+		for k, ref := range sel {
 			if ref.Part != at { // a part's rows tend to come together
 				at, src = ref.Part, parts[ref.Part].Column(column(cols, i))
 			}
@@ -709,19 +708,19 @@ func gatherRows[R interface{ ref() Ref }](out *ResultSet, parts []*ResultSet, se
 }
 
 // gather returns a new ResultSet holding rs's rows sel, in sel's order.
-func (rs *ResultSet) gather(sel []row) *ResultSet {
-	out := rs.like()
-	gatherRows(out, []*ResultSet{rs}, sel, nil)
+func (rs *ResultSet) gather(sel []Ref) *ResultSet {
+	out := Gather(rs.meta, []*ResultSet{rs}, sel, nil)
+	out.Source, out.Fetched = rs.Source, rs.Fetched
 	return out
 }
 
 // Where returns a new ResultSet containing the rows keep accepts; one that
 // drops no row shares rs's columns.
 func (rs *ResultSet) Where(keep func(r int) bool) *ResultSet {
-	sel := make([]row, 0, rs.n)
-	for r := row(0); r < row(rs.n); r++ {
+	sel := make([]Ref, 0, rs.n)
+	for r := int32(0); r < rs.n; r++ {
 		if keep(int(r)) {
-			sel = append(sel, r)
+			sel = append(sel, Ref{Row: r})
 		}
 	}
 	if len(sel) == int(rs.n) {
@@ -758,16 +757,16 @@ func (rs *ResultSet) SortedBy(col string, desc bool) (*ResultSet, error) {
 	if i < 0 {
 		return nil, fmt.Errorf("%w: %q", ErrNoColumn, col)
 	}
-	perm := make([]row, rs.n)
+	perm := make([]Ref, rs.n)
 	for r := range perm {
-		perm[r] = row(r)
+		perm[r].Row = int32(r)
 	}
 	if v := rs.Column(i); v != nil {
-		slices.SortStableFunc(perm, func(a, b row) int {
+		slices.SortStableFunc(perm, func(a, b Ref) int {
 			if desc {
 				a, b = b, a
 			}
-			return CompareCells(v.Cell(int(a)), v.Cell(int(b)))
+			return CompareCells(v.Cell(int(a.Row)), v.Cell(int(b.Row)))
 		})
 	}
 	return rs.gather(perm), nil
@@ -783,11 +782,7 @@ func (rs *ResultSet) Merge(other *ResultSet) error {
 	if rs.cols == nil {
 		rs.hold(len(other.cols))
 	}
-	for i := range other.cols {
-		src := &other.cols[i]
-		rs.live(int(src.idx)).AppendRange(int(rs.n), src, 0, int(other.n), int(rs.room))
-	}
-	rs.n += other.n
+	rs.appendPart(other, nil)
 	return nil
 }
 

@@ -244,9 +244,11 @@ func TestPartialQueryRewrite(t *testing.T) {
 
 // TestFinalizeAggregateEquivalence is the avg-merge contract: splitting the
 // rows over "sites", aggregating each part with the partial query, and
-// merging the partials must equal aggregating all rows directly.
+// finalizing the partials — merged into one set, or read where they are —
+// must equal aggregating all rows directly.
 func TestFinalizeAggregateEquivalence(t *testing.T) {
-	rs := buildLoad(t)
+	// Three "sites": one gets a single row, one gets none for some groups.
+	rs, parts := splitLoad(t)
 	q := mustParse(t, "SELECT Model, count(*), avg(LoadLast1Min), min(LoadLast1Min), max(LoadLast1Min), sum(CPUCount) FROM Processor GROUP BY Model")
 
 	direct, err := ApplyToResultSet(q, rs)
@@ -254,25 +256,17 @@ func TestFinalizeAggregateEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Partition rows into 3 "sites" (one gets a single row, one gets none
-	// for some groups) and run the partial query per site.
 	pq := q.PartialQuery()
-	host := func(r int) string { return rs.Cell(r, 0).Str }
-	parts := []*resultset.ResultSet{
-		rs.Where(func(r int) bool { return host(r) == "n1" }),
-		rs.Where(func(r int) bool { return host(r) == "n2" || host(r) == "n3" }),
-		rs.Where(func(r int) bool { return host(r) > "n3" }),
-	}
 	var merged *resultset.ResultSet
-	for _, part := range parts {
-		partial, err := ApplyToResultSet(pq, part)
-		if err != nil {
+	partials := make([]*resultset.ResultSet, len(parts))
+	for i, part := range parts {
+		if partials[i], err = ApplyToResultSet(pq, part); err != nil {
 			t.Fatal(err)
 		}
 		if merged == nil {
-			merged = resultset.New(partial.Metadata())
+			merged = resultset.New(partials[i].Metadata())
 		}
-		if err := merged.Merge(partial); err != nil {
+		if err := merged.Merge(partials[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -280,9 +274,15 @@ func TestFinalizeAggregateEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
 	if got, want := rowsByGroup(t, final, "Model"), rowsByGroup(t, direct, "Model"); !equalGroupRows(got, want) {
 		t.Errorf("finalized partials != direct aggregate:\n  got  %v\n  want %v", got, want)
+	}
+	overParts, err := FinalizeParts(q, merged.Metadata(), partials)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rendered(overParts) != rendered(final) {
+		t.Errorf("finalized over the partials as parts:\n%s\nmerged first:\n%s", rendered(overParts), rendered(final))
 	}
 }
 

@@ -25,8 +25,7 @@ func rendered(rs *resultset.ResultSet) string {
 }
 
 // TestApplyToPartsEqualsOneSet: a query over parts answers what it answers
-// over the one set their rows make, in the same order, for every stage — and
-// partial aggregates over parts finalize as they do concatenated.
+// over the one set their rows make, in the same order, for every stage.
 func TestApplyToPartsEqualsOneSet(t *testing.T) {
 	rs, parts := splitLoad(t)
 	for _, sql := range []string{
@@ -54,25 +53,6 @@ func TestApplyToPartsEqualsOneSet(t *testing.T) {
 		}
 		if got.Source != "" || !got.Fetched.IsZero() {
 			t.Errorf("%s: an answer over parts carries provenance %q %v", sql, got.Source, got.Fetched)
-		}
-		if !q.Aggregate() {
-			continue
-		}
-		// Each part's partial aggregate, finalized over the partials as parts.
-		var partials []*resultset.ResultSet
-		for _, p := range parts {
-			partial, err := ApplyToResultSet(q.PartialQuery(), p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			partials = append(partials, partial)
-		}
-		final, err := FinalizeParts(q, partials[0].Metadata(), partials)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rendered(final) != rendered(want) {
-			t.Errorf("%s finalized over partials:\n%s\ndirect:\n%s", sql, rendered(final), rendered(want))
 		}
 	}
 }
