@@ -27,7 +27,7 @@ func main() {
 	defer site.Close()
 	nlURL := "gridrm:netlogger://" + site.NL.Addr()
 
-	mgr := event.NewManager(event.Options{HistorySize: 1024})
+	mgr := event.NewManager()
 	defer mgr.Close()
 
 	// Inbound: consume the NetLogger STREAM, translating ULM records to
@@ -51,8 +51,10 @@ func main() {
 	// Outbound: GridRM alerts are translated back to native ULM records
 	// and transmitted to the data source ("GridRM can pass events back
 	// out to data sources as required", §3.1.5).
-	mgr.AddOutbound(event.Filter{Severity: event.SeverityAlert},
-		&netloggerdrv.OutboundEvents{URL: nlURL})
+	if err := mgr.AddOutbound(event.Filter{Severity: event.SeverityAlert},
+		&netloggerdrv.OutboundEvents{URL: nlURL}); err != nil {
+		log.Fatal(err)
+	}
 
 	// A console listener, like the paper's monitoring clients.
 	alerts := make(chan event.Event, 64)

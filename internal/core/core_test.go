@@ -281,7 +281,6 @@ func TestSourceFailureIsPartial(t *testing.T) {
 		t.Error("source info missing LastError")
 	}
 	// A poll-failed status event was published.
-	f.g.Events().Drain()
 	evs := f.g.Events().History(event.Filter{Name: "poll-failed"}, time.Time{})
 	if len(evs) != 1 || evs[0].Source != f.urlB {
 		t.Errorf("poll-failed events = %v", evs)
@@ -462,7 +461,6 @@ func TestDriverManagement(t *testing.T) {
 		t.Errorf("rows after deregistration = %d", resp.ResultSet.Len())
 	}
 	// Registration events were published.
-	f.g.Events().Drain()
 	if evs := f.g.Events().History(event.Filter{Name: "driver-%"}, time.Time{}); len(evs) != 3 {
 		t.Errorf("driver events = %d", len(evs))
 	}

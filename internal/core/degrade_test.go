@@ -205,7 +205,6 @@ func TestPanicContainmentMidQuery(t *testing.T) {
 				t.Errorf("Stats.DriverPanics = %d, want 1", n)
 			}
 
-			fx.g.Events().Drain()
 			evs := fx.g.Events().History(event.Filter{Name: "driver-panic"}, time.Time{})
 			if len(evs) != 1 {
 				t.Fatalf("driver-panic events = %+v, want 1", evs)
@@ -374,7 +373,6 @@ func TestProberRecoversOpenBreaker(t *testing.T) {
 	}
 
 	// The transition surfaced as an event.
-	fx.g.Events().Drain()
 	evs := fx.g.Events().History(event.Filter{Name: "source-health"}, time.Time{})
 	if len(evs) != 1 || !strings.Contains(evs[0].Detail, "healthy") {
 		t.Errorf("source-health events = %+v", evs)
@@ -411,7 +409,6 @@ func TestProberMarksDownSource(t *testing.T) {
 		t.Fatalf("after 2 failures health = %+v", h)
 	}
 
-	fx.g.Events().Drain()
 	var alerts int
 	for _, ev := range fx.g.Events().History(event.Filter{Name: "source-health"}, time.Time{}) {
 		if ev.Severity == event.SeverityAlert {

@@ -241,8 +241,8 @@ type Stats struct {
 	// SinkBreakerOpens counts per-sink breaker closed-to-open
 	// transitions.
 	SinkBreakerOpens int64
-	// EventsDropped counts events dropped from the Event Manager's bounded
-	// fast buffer.
+	// EventsDropped counts events the Event Manager's listeners and
+	// outbound drivers lost: queue overflow, eviction or failed transmits.
 	EventsDropped int64
 	// Fanouts counts all-sites fan-out queries executed.
 	Fanouts int64
@@ -300,7 +300,6 @@ type Gateway struct {
 
 	mu       sync.RWMutex
 	sources  map[string]*source
-	watches  map[string][]metricWatch
 	router   GlobalRouter
 	closed   bool
 	inflight sync.WaitGroup // queries in flight; Add only under mu while !closed
@@ -375,7 +374,7 @@ func New(cfg Config) *Gateway {
 		pool:           pool.New(dm, cfg.Pool),
 		cache:          qcache.New(cfg.Cache),
 		history:        history.New(history.Options{Clock: cfg.Clock}),
-		events:         event.NewManager(event.Options{}),
+		events:         event.NewManager(),
 		coarse:         cfg.Coarse,
 		fine:           cfg.Fine,
 		recordHistory:  !cfg.DisableHistory,
@@ -456,7 +455,7 @@ const (
 )
 
 // registerMetrics wires the gateway's counters, the pool, the cache, the
-// breaker and the event dispatcher into the metrics registry, and creates
+// breaker and the Event Manager into the metrics registry, and creates
 // the per-stage query latency histogram.
 func (g *Gateway) registerMetrics() {
 	r := g.registry
@@ -499,12 +498,9 @@ func (g *Gateway) registerMetrics() {
 	r.CounterFunc("gridrm_pool_ping_failures_total", "Pooled connections discarded as stale: pinged after a statement on them failed, or by the prober, and found dead.", func() int64 { return g.pool.Stats().PingFailures })
 	r.GaugeFunc("gridrm_pool_idle_connections", "Idle pooled connections.",
 		func() float64 { return float64(g.pool.IdleCount()) })
-	r.GaugeFunc("gridrm_event_queue_depth", "Events waiting in the dispatcher's fast buffer.",
-		func() float64 { return float64(g.events.QueueDepth()) })
-	r.CounterFunc("gridrm_events_published_total", "Events accepted by the Event Manager.", func() int64 { return g.events.Stats().Published })
-	r.CounterFunc("gridrm_events_dispatched_total", "Events fully processed by the dispatcher.", func() int64 { return g.events.Stats().Dispatched })
+	r.CounterFunc("gridrm_events_published_total", "Events recorded by the Event Manager.", func() int64 { return g.events.Stats().Published })
 	r.CounterFunc("gridrm_event_alerts_total", "Threshold alerts synthesised.", func() int64 { return g.events.Stats().Alerts })
-	r.CounterFunc("gridrm_events_dropped_total", "Events discarded from the Event Manager's bounded fast buffer.",
+	r.CounterFunc("gridrm_events_dropped_total", "Events lost by event listeners and outbound drivers (overflow, eviction, failed transmits).",
 		func() int64 { return g.events.Stats().Dropped })
 	r.CounterFunc("gridrm_rows_published_total", "Harvested rows fanned into the push router.",
 		func() int64 { return g.push.Stats().Published })

@@ -708,12 +708,12 @@ func (g *Gateway) sharedHarvest(ctx context.Context, url string, group *glue.Gro
 
 // harvestLeader performs a real driver harvest with all its bookkeeping:
 // retries, stats, breaker and health notes, cache fill, history record and
-// watched-metric events. All bookkeeping lives here, on the leader, so
-// followers of a coalesced harvest never double count — and the cache is
-// filled before the flight completes, so a caller arriving after the flight
-// sees the cached rows rather than starting a new harvest. A leader whose
-// context is already done returns that error untouched: no driver call, no
-// counter, no breaker or health note.
+// the push to subscribers and rule sinks. All bookkeeping lives here, on the
+// leader, so followers of a coalesced harvest never double count — and the
+// cache is filled before the flight completes, so a caller arriving after
+// the flight sees the cached rows rather than starting a new harvest. A
+// leader whose context is already done returns that error untouched: no
+// driver call, no counter, no breaker or health note.
 func (g *Gateway) harvestLeader(ctx context.Context, url string, group *glue.Group, hsql string) flightResult {
 	if err := ctx.Err(); err != nil {
 		return flightResult{err: err}
@@ -747,7 +747,6 @@ func (g *Gateway) harvestLeader(ctx context.Context, url string, group *glue.Gro
 			_ = g.history.Record(url, group.Name, rs, now)
 		}
 	}
-	g.publishHarvestMetrics(url, group, rs)
 	g.publishRows(ctx, url, group, rs)
 	return flightResult{rs: rs, driverName: driverName, at: now}
 }

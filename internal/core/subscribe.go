@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"gridrm/internal/event"
 	"gridrm/internal/glue"
 	"gridrm/internal/resultset"
 	"gridrm/internal/router"
@@ -17,7 +18,9 @@ import (
 // or polls of the queried group is matched against it and pushed to the
 // returned subscription. The subscription ends when ctx is cancelled, when
 // Close is called on it, when the router evicts it for stalling, or at
-// gateway shutdown — select on Done alongside C.
+// gateway shutdown — select on Done alongside C. An eviction is also
+// published as a subscriber-evicted Alert event naming the subscriber and
+// the rows it dropped, so /events says why a stream ended.
 //
 // The push path shares Publish's backpressure contract: the subscription's
 // queue is bounded, overflow drops oldest with accounting, and a consumer
@@ -68,24 +71,36 @@ func (g *Gateway) Subscribe(ctx context.Context, opts QueryOptions) (*router.Sub
 			return nil, err
 		}
 	}
-	match := g.buildMatch(opts, q, group)
+	label := subscriberLabel(opts)
 	sub, err := g.push.Subscribe(router.SubscribeOptions{
-		Name:    subscriberLabel(opts),
-		Match:   match,
+		Name:    label,
+		Match:   g.buildMatch(opts, q, group),
 		FromSeq: opts.FromSeq,
 	})
 	if err != nil {
 		return nil, err
 	}
-	if ctx != nil && ctx.Done() != nil {
-		go func() {
-			select {
-			case <-ctx.Done():
-				sub.Close()
-			case <-sub.Done():
-			}
-		}()
+	var cancelled <-chan struct{}
+	if ctx != nil {
+		cancelled = ctx.Done()
 	}
+	go func() {
+		select {
+		case <-cancelled:
+			sub.Close()
+		case <-sub.Done():
+			if dropped := sub.Dropped(); sub.Evicted() {
+				g.events.Publish(event.Event{
+					Source:   "gateway:" + g.name,
+					Name:     "subscriber-evicted",
+					Severity: event.SeverityAlert,
+					Value:    float64(dropped),
+					Time:     sub.EvictedAt(),
+					Detail:   fmt.Sprintf("%s: evicted for stalling after dropping %d rows", label, dropped),
+				})
+			}
+		}
+	}()
 	return sub, nil
 }
 
@@ -191,6 +206,73 @@ func equalFold(a, b string) bool {
 // PushRouter returns the metric router behind continuous queries, for sink
 // registration and the management view.
 func (g *Gateway) PushRouter() *router.Router { return g.push }
+
+// AddHarvestRule raises alerts from harvested rows, Fig 3's "Threshold
+// exceeded. Alert transmitted" with no polling loop of its own: a sink on
+// the push router reads group.field and the row's host key from every
+// harvest of the group and runs rule over them, as causes named
+// "<Group>.<Field>". Each alert goes to the Event Manager; the rows
+// themselves are not published as events. A NULL field raises nothing.
+func (g *Gateway) AddHarvestRule(group, field string, rule event.ThresholdRule) error {
+	gg, ok := glue.Lookup(group)
+	if !ok {
+		return fmt.Errorf("core: unknown group %q", group)
+	}
+	f, ok := gg.Field(field)
+	if !ok {
+		return fmt.Errorf("core: group %s has no field %q", group, field)
+	}
+	if f.Kind != glue.Int && f.Kind != glue.Float {
+		return fmt.Errorf("core: field %s.%s is %s; only numeric fields take threshold rules", group, field, f.Kind)
+	}
+	host := ""
+	for _, kf := range gg.Fields {
+		if kf.Key && kf.Kind == glue.String {
+			host = kf.Name
+			break
+		}
+	}
+	if host == "" {
+		return fmt.Errorf("core: group %s has no string key field to attribute alerts to", group)
+	}
+	check, err := g.events.Trigger(rule)
+	if err != nil {
+		return err
+	}
+	rs := &ruleSink{name: rule.Name, cause: gg.Name + "." + f.Name, field: f.Name, host: host, check: check}
+	return g.push.AddSink(rs, router.SinkOptions{Match: func(m router.Metric) (router.Metric, bool) {
+		return m, m.Group == gg.Name
+	}})
+}
+
+// ruleSink runs one harvest rule over the rows the push router hands it.
+type ruleSink struct {
+	name, cause, field, host string
+	check                    func(event.Event)
+}
+
+func (s *ruleSink) Name() string { return "rule:" + s.name }
+func (s *ruleSink) Close() error { return nil }
+func (s *ruleSink) Deliver(_ context.Context, batch []router.Metric) error {
+	for _, m := range batch {
+		fi, hi := columnIndex(m.Columns, s.field), columnIndex(m.Columns, s.host)
+		if fi < 0 || hi < 0 {
+			continue
+		}
+		var v float64
+		switch x := m.Row[fi].(type) {
+		case float64:
+			v = x
+		case int64:
+			v = float64(x)
+		default:
+			continue // NULL: the source cannot supply this field
+		}
+		host, _ := m.Row[hi].(string)
+		s.check(event.Event{Source: m.Source, Host: host, Name: s.cause, Value: v, Time: m.Time})
+	}
+	return nil
+}
 
 // publishRows fans a fresh harvest's rows into the push router. It is a
 // no-op when nothing subscribes (Idle is one atomic load), and it never

@@ -3,10 +3,13 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
+	"gridrm/internal/event"
+	"gridrm/internal/glue"
 	"gridrm/internal/router"
 	"gridrm/internal/security"
 )
@@ -258,5 +261,143 @@ func TestStuckSubscriberDoesNotSlowQueries(t *testing.T) {
 	}
 	if st.RowsDropped == 0 {
 		t.Fatal("stuck subscriber's overflow was not accounted")
+	}
+}
+
+// settleSinks waits until the push router's sinks have delivered or dropped
+// every row enqueued for them (the gateway has no subscribers meanwhile).
+func settleSinks(t *testing.T, g *Gateway) {
+	t.Helper()
+	waitFor(t, "push sinks to settle", func() bool {
+		st := g.push.Stats()
+		return st.SinkDelivered+st.SinkDropped+st.Dropped == st.Enqueued
+	})
+}
+
+func TestHarvestRuleValidation(t *testing.T) {
+	f := newFixture(t)
+	rule := event.ThresholdRule{Name: "overload", Op: event.Above, Threshold: 4}
+	if err := f.g.AddHarvestRule("Nope", "X", rule); err == nil {
+		t.Error("unknown group accepted")
+	}
+	if err := f.g.AddHarvestRule(glue.GroupProcessor, "Nope", rule); err == nil {
+		t.Error("unknown field accepted")
+	}
+	if err := f.g.AddHarvestRule(glue.GroupProcessor, "HostName", rule); err == nil {
+		t.Error("non-numeric field accepted")
+	}
+	if err := f.g.AddHarvestRule(glue.GroupProcessor, "LoadLast1Min", event.ThresholdRule{}); err == nil {
+		t.Error("unnamed rule accepted")
+	}
+	if err := f.g.AddHarvestRule(glue.GroupProcessor, "LoadLast1Min", rule); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.g.AddHarvestRule(glue.GroupProcessor, "LoadLast1Min", rule); err == nil {
+		t.Error("duplicate rule accepted")
+	}
+	if ss := f.g.PushRouter().SinkStats(); len(ss) != 1 || ss[0].Name != "rule:overload" {
+		t.Errorf("push sinks %+v, want the rule's", ss)
+	}
+}
+
+// TestHarvestPublishesWatchedMetrics: a client that wants one field of every
+// harvest subscribes to it; harvests publish no events of their own, and a
+// cached answer pushes nothing new.
+func TestHarvestPublishesWatchedMetrics(t *testing.T) {
+	f := newFixture(t)
+	sub, err := f.g.Subscribe(context.Background(), QueryOptions{
+		Principal: f.admin, SQL: "SELECT HostName, LoadLast1Min FROM Processor",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	f.query(t, "SELECT * FROM Processor", ModeRealTime)
+	byHost := map[string]float64{}
+	for _, m := range recvRows(t, sub, 3) { // 2 hosts from source A + 1 from source B
+		host, _ := m.Row[0].(string)
+		byHost[host], _ = m.Row[1].(float64)
+	}
+	if byHost["a1"] != 1.0 || byHost["b1"] != 5.0 {
+		t.Errorf("values %v", byHost)
+	}
+	if evs := f.g.Events().History(event.Filter{Name: "Processor.%"}, time.Time{}); len(evs) != 0 {
+		t.Errorf("harvest published %d events", len(evs))
+	}
+	// Cached queries do not re-publish (no new harvest).
+	before := f.g.Stats().RowsPublished
+	f.query(t, "SELECT * FROM Processor", ModeCached)
+	if after := f.g.Stats().RowsPublished; after != before {
+		t.Errorf("cached query published %d new rows", after-before)
+	}
+}
+
+func TestHarvestToAlertPath(t *testing.T) {
+	// Fig 3 end to end: a real-time query harvests rows, the rule's sink on
+	// the push router reads the field, the threshold fires, and an alert is
+	// recorded — no separate polling loop.
+	f := newFixture(t)
+	if err := f.g.AddHarvestRule(glue.GroupProcessor, "LoadLast1Min", event.ThresholdRule{
+		Name:      "overload",
+		Match:     event.Filter{Name: "Processor.LoadLast1Min"},
+		Op:        event.Above,
+		Threshold: 4.0,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	f.query(t, "SELECT * FROM Processor", ModeRealTime)
+	settleSinks(t, f.g)
+	alerts := f.g.Events().History(event.Filter{Name: "overload"}, time.Time{})
+	if len(alerts) != 1 {
+		t.Fatalf("alerts = %d", len(alerts))
+	}
+	// Only the 5.0-load host from driver 2 crossed.
+	if alerts[0].Host != "b1" || alerts[0].Value != 5.0 {
+		t.Errorf("alert %+v", alerts[0])
+	}
+}
+
+func TestNullWatchedFieldSkipped(t *testing.T) {
+	f := newFixture(t)
+	// Utilization is unmapped in the memDriver's schema → NULL on every
+	// row → no alerts, even from a rule any value would fire.
+	if err := f.g.AddHarvestRule(glue.GroupProcessor, "Utilization", event.ThresholdRule{
+		Name: "busy", Op: event.Above, Threshold: -1,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	f.query(t, "SELECT * FROM Processor", ModeRealTime)
+	settleSinks(t, f.g)
+	if evs := f.g.Events().History(event.Filter{Name: "busy"}, time.Time{}); len(evs) != 0 {
+		t.Errorf("NULL field raised %d alerts", len(evs))
+	}
+}
+
+// TestEvictedSubscriberRaisesEvent: a continuous query that never reads is
+// evicted once it stalls, and /events alone says which stream ended and
+// how many rows it had dropped.
+func TestEvictedSubscriberRaisesEvent(t *testing.T) {
+	f := newFixture(t)
+	sub, err := f.g.Subscribe(context.Background(), QueryOptions{Principal: f.admin, SQL: "SELECT * FROM Processor"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200 && !sub.Evicted(); i++ {
+		*f.now = f.now.Add(time.Hour) // bust the cache, and run the stall clock
+		f.query(t, "SELECT * FROM Processor", ModeRealTime)
+	}
+	if !sub.Evicted() {
+		t.Fatal("a subscriber that never read was not evicted")
+	}
+	var evs []event.Event
+	waitFor(t, "the subscriber-evicted event", func() bool {
+		evs = f.g.Events().History(event.Filter{Name: "subscriber-evicted"}, time.Time{})
+		return len(evs) > 0
+	})
+	ev := evs[0]
+	want := fmt.Sprintf("admin: SELECT * FROM Processor: evicted for stalling after dropping %d rows", sub.Dropped())
+	if len(evs) != 1 || ev.Severity != event.SeverityAlert || ev.Detail != want || ev.Value != float64(sub.Dropped()) ||
+		sub.Dropped() == 0 || !ev.Time.Equal(*f.now) {
+		t.Errorf("events %+v; want one Alert with detail %q", evs, want)
 	}
 }

@@ -132,7 +132,7 @@ func TestErrors(t *testing.T) {
 
 func TestInboundEventsBridge(t *testing.T) {
 	f := newFixture(t)
-	mgr := event.NewManager(event.Options{})
+	mgr := event.NewManager()
 	defer mgr.Close()
 	inbound := &InboundEvents{URL: f.url}
 	if err := mgr.AttachInbound(inbound); err != nil {
@@ -192,7 +192,7 @@ func TestFullEventLoopThroughManager(t *testing.T) {
 	// fires, and the alert is transmitted back out to the same data
 	// source natively.
 	f := newFixture(t)
-	mgr := event.NewManager(event.Options{})
+	mgr := event.NewManager()
 	defer mgr.Close()
 	_ = mgr.AddRule(event.ThresholdRule{
 		Name:      "load-alarm",
@@ -200,7 +200,9 @@ func TestFullEventLoopThroughManager(t *testing.T) {
 		Op:        event.Above,
 		Threshold: -1, // any load fires
 	})
-	mgr.AddOutbound(event.Filter{Severity: event.SeverityAlert}, &OutboundEvents{URL: f.url})
+	if err := mgr.AddOutbound(event.Filter{Severity: event.SeverityAlert}, &OutboundEvents{URL: f.url}); err != nil {
+		t.Fatal(err)
+	}
 	if err := mgr.AttachInbound(&InboundEvents{URL: f.url}); err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +226,7 @@ func TestInboundDropsOwnTransmissions(t *testing.T) {
 	// Loop prevention: an event transmitted outbound (PROG=gridrm) and
 	// echoed by the agent's stream must NOT be re-ingested.
 	f := newFixture(t)
-	mgr := event.NewManager(event.Options{})
+	mgr := event.NewManager()
 	defer mgr.Close()
 	if err := mgr.AttachInbound(&InboundEvents{URL: f.url}); err != nil {
 		t.Fatal(err)
@@ -238,7 +240,6 @@ func TestInboundDropsOwnTransmissions(t *testing.T) {
 		t.Fatal(err)
 	}
 	time.Sleep(200 * time.Millisecond)
-	mgr.Drain()
 	if echoes.Load() != 0 {
 		t.Errorf("own transmission re-ingested %d times (echo loop)", echoes.Load())
 	}

@@ -2,23 +2,20 @@
 // the bridge between native events issued by data sources and GridRM's
 // internal event format.
 //
-// Inbound: event drivers receive native events, a per-driver Formatter
-// translates them into the standard Event, and Publish places them on the
-// fast buffer — an unbounded queue drained by a single dispatcher, which
-// "ensures events are not lost in a busy system". The dispatcher records
-// every event for historical analysis, evaluates threshold rules (which can
-// synthesise alert events), forwards events to all registered listeners
-// whose filters match, and transmits matching events back out through
-// outbound drivers after translation to the data source's native format.
+// Events ride a router.Router of the Manager's own: its replay ring is the
+// history, listeners are its subscriptions and outbound drivers its sinks,
+// so Publish never blocks on a consumer and what one loses is counted.
 package event
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"gridrm/internal/router"
 	"gridrm/internal/sqlparse"
 )
 
@@ -31,61 +28,52 @@ const (
 
 // Event is GridRM's standard internal event format.
 type Event struct {
-	// Source is the data-source URL (or component name) the event
-	// concerns.
-	Source string
-	// Host is the subject host, when applicable.
-	Host string
-	// Name identifies the event ("load-high", "cpu.util", ...).
-	Name string
-	// Severity is one of the Severity* levels.
-	Severity string
-	// Value carries the numeric payload, if any.
-	Value float64
-	// Time is when the event occurred.
-	Time time.Time
-	// Detail optionally carries free text.
-	Detail string
+	Source   string    // data-source URL (or component name) the event concerns
+	Host     string    // subject host, when applicable
+	Name     string    // identifies the event ("load-high", "cpu.util", ...)
+	Severity string    // one of the Severity* levels
+	Value    float64   // numeric payload, if any
+	Time     time.Time // when the event occurred
+	Detail   string    // optional free text
+}
+
+// HistorySize is how many recent events the replay ring keeps. An event is
+// one row of columns in the router group "Event".
+const (
+	HistorySize = 4096
+	group       = "Event"
+	closeGrace  = 2 * time.Second // how long Close waits on consumers
+)
+
+var columns = []string{"Host", "Name", "Severity", "Value", "Detail"}
+
+// eventOf reads an event back from the row publish wrote for it.
+func eventOf(m router.Metric) Event {
+	r := m.Row
+	return Event{Source: m.Source, Host: r[0].(string), Name: r[1].(string), Severity: r[2].(string),
+		Value: r[3].(float64), Time: m.Time, Detail: r[4].(string)}
 }
 
 // Filter selects events. Empty fields are wildcards; Name and Host accept
 // SQL LIKE patterns (% and _).
-type Filter struct {
-	Source   string
-	Host     string
-	Name     string
-	Severity string
-}
+type Filter struct{ Source, Host, Name, Severity string }
 
 // Matches reports whether the filter selects ev.
 func (f Filter) Matches(ev Event) bool {
-	if f.Source != "" && f.Source != ev.Source {
-		return false
-	}
-	if f.Severity != "" && f.Severity != ev.Severity {
-		return false
-	}
-	if f.Host != "" && !sqlparse.MatchLike(f.Host, ev.Host) {
-		return false
-	}
-	if f.Name != "" && !sqlparse.MatchLike(f.Name, ev.Name) {
-		return false
-	}
-	return true
+	return (f.Source == "" || f.Source == ev.Source) &&
+		(f.Severity == "" || f.Severity == ev.Severity) &&
+		(f.Host == "" || sqlparse.MatchLike(f.Host, ev.Host)) &&
+		(f.Name == "" || sqlparse.MatchLike(f.Name, ev.Name))
 }
 
-// Listener receives events on the dispatcher goroutine; implementations
-// must be fast or hand off to their own goroutine.
-type Listener func(Event)
+// match adapts f to the router's per-consumer match hook.
+func (f Filter) match(m router.Metric) (router.Metric, bool) { return m, f.Matches(eventOf(m)) }
 
 // InboundDriver is an event driver that consumes a native event feed and
 // publishes translated events; the Manager only manages its lifecycle.
 type InboundDriver interface {
-	// Name identifies the driver.
 	Name() string
-	// Start begins consuming; translated events go to sink.
-	Start(sink func(Event)) error
-	// Close stops consuming.
+	Start(sink func(Event)) error // begin consuming; translated events go to sink
 	Close() error
 }
 
@@ -93,16 +81,13 @@ type InboundDriver interface {
 // format (Fig 4's Transmitter API: "format standard GridRM event into a
 // native provider event ... transmit to data source").
 type OutboundDriver interface {
-	// Name identifies the driver.
 	Name() string
-	// Transmit delivers one event natively.
 	Transmit(Event) error
 }
 
-// CompareOp is the comparison applied by a ThresholdRule.
+// CompareOp is a ThresholdRule's comparison, Above or Below.
 type CompareOp int
 
-// Threshold comparison operators.
 const (
 	Above CompareOp = iota
 	Below
@@ -111,196 +96,191 @@ const (
 // ThresholdRule synthesises an alert when a matching event's value crosses
 // a threshold ("Threshold exceeded. Alert transmitted", Fig 3/4).
 type ThresholdRule struct {
-	// Name names the synthesised alert event.
-	Name string
-	// Match selects the input events the rule watches.
-	Match Filter
-	// Op and Threshold define the crossing test.
+	Name      string // names the synthesised alert event
+	Match     Filter // selects the input events the rule watches
 	Op        CompareOp
 	Threshold float64
-	// Rearm is the hysteresis fraction: after firing, the rule re-arms
-	// for a host once the value returns past Threshold*Rearm (Above) or
-	// Threshold/Rearm (Below). Zero means fire on every crossing event.
+	// Rearm is the hysteresis fraction: a fired rule re-arms for a host past
+	// Threshold*Rearm (Above) or Threshold/Rearm (Below); 0 re-arms at once.
 	Rearm float64
 }
 
-func (r *ThresholdRule) exceeded(v float64) bool {
-	if r.Op == Above {
-		return v > r.Threshold
-	}
-	return v < r.Threshold
+// rule is a ThresholdRule with the hosts it has fired for.
+type rule struct {
+	ThresholdRule
+	fired map[string]bool
 }
 
-func (r *ThresholdRule) rearmed(v float64) bool {
-	if r.Rearm == 0 {
-		return true
+func newRule(r ThresholdRule) (*rule, error) {
+	if r.Name == "" {
+		return nil, fmt.Errorf("event: rule must be named")
 	}
-	if r.Op == Above {
-		return v <= r.Threshold*r.Rearm
+	if r.Rearm < 0 || r.Rearm > 1 {
+		return nil, fmt.Errorf("event: rearm fraction %v out of range [0,1]", r.Rearm)
 	}
-	return v >= r.Threshold/r.Rearm
+	return &rule{ThresholdRule: r, fired: make(map[string]bool)}, nil
+}
+
+// check is the one crossing and re-arm test, for published events and
+// harvested rows alike: it returns the alert cause raises, if any.
+func (r *rule) check(cause Event) (Event, bool) {
+	if !r.Match.Matches(cause) {
+		return Event{}, false
+	}
+	v, t := cause.Value, r.Threshold
+	exceeded, rearmed := v > t, r.Rearm == 0 || v <= t*r.Rearm
+	if r.Op == Below {
+		exceeded, rearmed = v < t, r.Rearm == 0 || v >= t/r.Rearm
+	}
+	fired := r.fired[cause.Host]
+	if fired && rearmed {
+		delete(r.fired, cause.Host)
+	}
+	if fired || !exceeded {
+		return Event{}, false
+	}
+	r.fired[cause.Host] = true
+	return Event{Source: cause.Source, Host: cause.Host, Name: r.Name, Severity: SeverityAlert,
+		Value: v, Time: cause.Time, Detail: fmt.Sprintf("threshold %v crossed by %s=%v", t, cause.Name, v)}, true
 }
 
 // Stats counts Event Manager activity.
 type Stats struct {
-	// Published counts events accepted by Publish.
-	Published int64
-	// Dispatched counts events fully processed by the dispatcher.
-	Dispatched int64
-	// Delivered counts listener invocations.
-	Delivered int64
-	// Dropped counts events discarded from a full fast buffer
-	// (Options.MaxQueue overflow). Zero in the default unbounded mode.
-	Dropped int64
-	// Transmitted counts successful outbound transmissions.
-	Transmitted int64
-	// TransmitErrors counts failed outbound transmissions.
-	TransmitErrors int64
-	// Alerts counts threshold alerts synthesised.
-	Alerts int64
-	// HighWater is the deepest the fast buffer has been.
-	HighWater int64
-}
-
-// Options configures a Manager.
-type Options struct {
-	// HistorySize bounds the recorded event ring (default 4096).
-	HistorySize int
-	// MaxQueue bounds the fast buffer. The default 0 keeps the paper's
-	// unbounded "events are not lost" mode — but an unbounded buffer
-	// behind a wedged listener grows without bound, so busy gateways set
-	// a cap. When full, Publish drops the *oldest* queued event and
-	// counts it in Stats.Dropped; Publish itself never blocks either way.
-	MaxQueue int
+	Published int64 // events recorded, alerts included
+	Delivered int64 // listener invocations
+	// Dropped counts events listeners and outbound drivers lost: overflow,
+	// eviction, or a batch that exhausted its retries or met a breaker.
+	Dropped        int64
+	Transmitted    int64 // events outbound drivers transmitted
+	TransmitErrors int64 // outbound batches that exhausted their retries
+	Alerts         int64 // threshold alerts synthesised
 }
 
 // Manager is the Event Manager.
 type Manager struct {
-	opts Options
-
-	mu        sync.Mutex
-	queue     []Event // fast buffer
-	cond      *sync.Cond
-	closed    bool
-	listeners map[int64]*subscription
-	nextID    int64
-	outbound  []outboundEntry
-	rules     []*ruleState
-	history   []Event
-	histNext  int
-	histFull  bool
-	inbound   []InboundDriver
-
-	published, dispatched, delivered       atomic.Int64
-	dropped                                atomic.Int64
-	transmitted, transmitErrors, alertsCnt atomic.Int64
-	highWater                              atomic.Int64
-
-	wg sync.WaitGroup // dispatcher
+	r *router.Router
+	// mu serialises publishing, so each alert lands right after its cause.
+	mu                sync.Mutex
+	closed            bool
+	rules             []*rule
+	inbound           []InboundDriver
+	delivered, alerts atomic.Int64
+	listeners         sync.WaitGroup
 }
 
-type subscription struct {
-	filter Filter
-	fn     Listener
-}
+// NewManager creates an Event Manager.
+func NewManager() *Manager { return newManager(router.Options{ReplaySize: HistorySize}) }
 
-type outboundEntry struct {
-	filter Filter
-	drv    OutboundDriver
-}
+func newManager(opts router.Options) *Manager { return &Manager{r: router.New(opts)} }
 
-type ruleState struct {
-	rule  ThresholdRule
-	fired map[string]bool // host → currently fired
-}
-
-// NewManager creates and starts an Event Manager.
-func NewManager(opts Options) *Manager {
-	if opts.HistorySize <= 0 {
-		opts.HistorySize = 4096
-	}
-	m := &Manager{
-		opts:      opts,
-		listeners: make(map[int64]*subscription),
-		history:   make([]Event, opts.HistorySize),
-	}
-	m.cond = sync.NewCond(&m.mu)
-	m.wg.Add(1)
-	go m.dispatch()
-	return m
-}
-
-// Publish places an event on the fast buffer. It never blocks on slow
-// consumers; with the default unbounded buffer it never drops either,
-// while a configured MaxQueue drops the oldest queued event (counted in
-// Stats.Dropped) instead of growing without bound. Close discards events
-// published after shutdown.
+// Publish records ev, hands it to every matching listener and outbound
+// driver, then publishes the alerts rules raise on it. It never blocks on a
+// consumer. Events published after Close are discarded.
 func (m *Manager) Publish(ev Event) {
 	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.publish(ev)
+}
+
+func (m *Manager) publish(ev Event) {
+	row := []any{ev.Host, ev.Name, ev.Severity, ev.Value, ev.Detail}
+	if m.r.Publish(ev.Source, group, columns, [][]any{row}, ev.Time) == 0 {
+		return // closed
+	}
+	for _, rl := range m.rules {
+		m.raise(rl, ev)
+	}
+}
+
+// raise publishes the alert rl raises on cause, if any. m.mu is held.
+func (m *Manager) raise(rl *rule, cause Event) {
+	if alert, ok := rl.check(cause); ok {
+		m.alerts.Add(1)
+		m.publish(alert)
+	}
+}
+
+// Subscribe calls fn, on a goroutine of its own, for events matching filter
+// and returns the func that removes it. A listener a queue behind loses the
+// oldest events (counted in Stats.Dropped); one that stalls is evicted.
+func (m *Manager) Subscribe(filter Filter, fn func(Event)) (unsubscribe func()) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	if m.closed {
-		m.mu.Unlock()
-		return
+		return func() {}
 	}
-	if m.opts.MaxQueue > 0 && len(m.queue) >= m.opts.MaxQueue {
-		m.queue = m.queue[1:]
-		m.dropped.Add(1)
+	sub, err := m.r.Subscribe(router.SubscribeOptions{Name: "listener", Match: filter.match})
+	if err != nil {
+		return func() {}
 	}
-	m.queue = append(m.queue, ev)
-	depth := int64(len(m.queue))
-	m.cond.Signal()
-	m.mu.Unlock()
-	m.published.Add(1)
-	for {
-		hw := m.highWater.Load()
-		if depth <= hw || m.highWater.CompareAndSwap(hw, depth) {
-			return
+	m.listeners.Add(1)
+	go func() {
+		defer m.listeners.Done()
+		// After Done, take what was queued (an evicted queue was dropped).
+		for done := false; !done || len(sub.C()) > 0; {
+			select {
+			case mt := <-sub.C():
+				fn(eventOf(mt))
+				m.delivered.Add(1)
+			case <-sub.Done():
+				done = true
+			}
+		}
+	}()
+	return sub.Close
+}
+
+// outbound adapts an OutboundDriver to a router sink, so Transmit runs on
+// the sink's goroutine under its retries, backoff and breaker.
+type outbound struct {
+	drv  OutboundDriver
+	sent uint64 // highest Seq transmitted: a retried batch skips what went
+}
+
+func (o *outbound) Name() string { return "event:" + o.drv.Name() }
+func (o *outbound) Close() error { return nil }
+func (o *outbound) Deliver(_ context.Context, batch []router.Metric) error {
+	for _, mt := range batch {
+		if mt.Seq > o.sent {
+			if err := o.drv.Transmit(eventOf(mt)); err != nil {
+				return err
+			}
+			o.sent = mt.Seq
 		}
 	}
-}
-
-// Subscribe registers a listener for events matching filter, returning an
-// id for Unsubscribe.
-func (m *Manager) Subscribe(filter Filter, fn Listener) int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.nextID++
-	m.listeners[m.nextID] = &subscription{filter: filter, fn: fn}
-	return m.nextID
-}
-
-// Unsubscribe removes a listener.
-func (m *Manager) Unsubscribe(id int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	delete(m.listeners, id)
-}
-
-// ListenerCount returns the number of registered listeners.
-func (m *Manager) ListenerCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.listeners)
-}
-
-// AddOutbound registers an outbound driver for events matching filter.
-func (m *Manager) AddOutbound(filter Filter, drv OutboundDriver) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.outbound = append(m.outbound, outboundEntry{filter: filter, drv: drv})
-}
-
-// AddRule installs a threshold rule.
-func (m *Manager) AddRule(r ThresholdRule) error {
-	if r.Name == "" {
-		return fmt.Errorf("event: rule must be named")
-	}
-	if r.Rearm < 0 || r.Rearm > 1 {
-		return fmt.Errorf("event: rearm fraction %v out of range [0,1]", r.Rearm)
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.rules = append(m.rules, &ruleState{rule: r, fired: make(map[string]bool)})
 	return nil
+}
+
+// AddOutbound registers an outbound driver for events matching filter;
+// driver names must be unique within a Manager.
+func (m *Manager) AddOutbound(filter Filter, drv OutboundDriver) error {
+	return m.r.AddSink(&outbound{drv: drv}, router.SinkOptions{Match: filter.match})
+}
+
+// AddRule installs a threshold rule over published events.
+func (m *Manager) AddRule(r ThresholdRule) error {
+	rl, err := newRule(r)
+	if err != nil {
+		return err
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.rules = append(m.rules, rl)
+	return nil
+}
+
+// Trigger compiles r for causes that are not published, such as harvested
+// rows: the func it returns publishes the alert a cause raises, if any.
+func (m *Manager) Trigger(r ThresholdRule) (func(cause Event), error) {
+	rl, err := newRule(r)
+	if err != nil {
+		return nil, err
+	}
+	return func(cause Event) {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		m.raise(rl, cause)
+	}, nil
 }
 
 // AttachInbound starts an inbound event driver feeding this manager; the
@@ -310,27 +290,17 @@ func (m *Manager) AttachInbound(d InboundDriver) error {
 		return fmt.Errorf("event: starting %s: %w", d.Name(), err)
 	}
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	m.inbound = append(m.inbound, d)
-	m.mu.Unlock()
 	return nil
 }
 
 // History returns recorded events matching filter at or after since
 // (zero = all), oldest first.
 func (m *Manager) History(filter Filter, since time.Time) []Event {
-	m.mu.Lock()
-	var all []Event
-	if m.histFull {
-		all = append(all, m.history[m.histNext:]...)
-	}
-	all = append(all, m.history[:m.histNext]...)
-	m.mu.Unlock()
 	var out []Event
-	for _, ev := range all {
-		if !since.IsZero() && ev.Time.Before(since) {
-			continue
-		}
-		if filter.Matches(ev) {
+	for _, mt := range m.r.Buffered() {
+		if ev := eventOf(mt); !ev.Time.Before(since) && filter.Matches(ev) {
 			out = append(out, ev)
 		}
 	}
@@ -340,143 +310,28 @@ func (m *Manager) History(filter Filter, since time.Time) []Event {
 
 // Stats returns a snapshot of counters.
 func (m *Manager) Stats() Stats {
-	return Stats{
-		Published:      m.published.Load(),
-		Dispatched:     m.dispatched.Load(),
-		Delivered:      m.delivered.Load(),
-		Dropped:        m.dropped.Load(),
-		Transmitted:    m.transmitted.Load(),
-		TransmitErrors: m.transmitErrors.Load(),
-		Alerts:         m.alertsCnt.Load(),
-		HighWater:      m.highWater.Load(),
-	}
+	st := m.r.Stats()
+	return Stats{Published: st.Published, Delivered: m.delivered.Load(), Dropped: st.Dropped + st.SinkDropped,
+		Transmitted: st.SinkDelivered, TransmitErrors: st.SinkErrors, Alerts: m.alerts.Load()}
 }
 
-// QueueDepth returns how many events are waiting in the fast buffer right
-// now (the dispatcher backlog; exported as gridrm_event_queue_depth).
-func (m *Manager) QueueDepth() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.queue)
-}
+// SinkStats lists the outbound drivers' delivery, retry and breaker state.
+func (m *Manager) SinkStats() []router.SinkStat { return m.r.SinkStats() }
 
-// Drain blocks until every event published so far has been dispatched
-// (listeners run on the dispatcher, so delivered too). Events dropped from
-// a bounded fast buffer count as handled — they will never dispatch.
-func (m *Manager) Drain() {
-	for {
-		m.mu.Lock()
-		empty := len(m.queue) == 0
-		m.mu.Unlock()
-		if empty && m.dispatched.Load()+m.dropped.Load() >= m.published.Load() {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// Close stops the dispatcher after draining the buffer and closes inbound
-// drivers.
+// Close closes inbound drivers, then gives outbound drivers and listeners
+// closeGrace to take what was queued for them. Idempotent.
 func (m *Manager) Close() {
 	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return
-	}
 	m.closed = true
 	inbound := m.inbound
 	m.inbound = nil
-	m.cond.Signal()
 	m.mu.Unlock()
 	for _, d := range inbound {
 		_ = d.Close()
 	}
-	m.wg.Wait()
-}
-
-func (m *Manager) dispatch() {
-	defer m.wg.Done()
-	for {
-		m.mu.Lock()
-		for len(m.queue) == 0 && !m.closed {
-			m.cond.Wait()
-		}
-		done := len(m.queue) == 0 && m.closed
-		batch := m.queue
-		m.queue = nil
-		m.mu.Unlock()
-		if done {
-			return
-		}
-		for _, ev := range batch {
-			m.process(ev)
-			m.dispatched.Add(1)
-		}
-	}
-}
-
-func (m *Manager) process(ev Event) {
-	m.mu.Lock()
-	// Record for historical analysis.
-	m.history[m.histNext] = ev
-	m.histNext++
-	if m.histNext == len(m.history) {
-		m.histNext = 0
-		m.histFull = true
-	}
-	// Threshold rules may synthesise alerts, processed inline so ordering
-	// is alert-after-cause.
-	var alerts []Event
-	for _, rs := range m.rules {
-		if !rs.rule.Match.Matches(ev) {
-			continue
-		}
-		key := ev.Host
-		switch {
-		case !rs.fired[key] && rs.rule.exceeded(ev.Value):
-			rs.fired[key] = true
-			alerts = append(alerts, Event{
-				Source:   ev.Source,
-				Host:     ev.Host,
-				Name:     rs.rule.Name,
-				Severity: SeverityAlert,
-				Value:    ev.Value,
-				Time:     ev.Time,
-				Detail:   fmt.Sprintf("threshold %v crossed by %s=%v", rs.rule.Threshold, ev.Name, ev.Value),
-			})
-		case rs.fired[key] && rs.rule.rearmed(ev.Value):
-			rs.fired[key] = false
-		}
-	}
-	subs := make([]*subscription, 0, len(m.listeners))
-	for _, s := range m.listeners {
-		if s.filter.Matches(ev) {
-			subs = append(subs, s)
-		}
-	}
-	outs := make([]outboundEntry, 0, len(m.outbound))
-	for _, o := range m.outbound {
-		if o.filter.Matches(ev) {
-			outs = append(outs, o)
-		}
-	}
-	m.mu.Unlock()
-
-	for _, s := range subs {
-		s.fn(ev)
-		m.delivered.Add(1)
-	}
-	for _, o := range outs {
-		if err := o.drv.Transmit(ev); err != nil {
-			m.transmitErrors.Add(1)
-		} else {
-			m.transmitted.Add(1)
-		}
-	}
-	for _, alert := range alerts {
-		m.alertsCnt.Add(1)
-		m.published.Add(1) // alerts count as published events
-		m.process(alert)
-		m.dispatched.Add(1)
-	}
+	ctx, cancel := context.WithTimeout(context.Background(), closeGrace)
+	defer cancel()
+	_ = m.r.Close(ctx)
+	go func() { m.listeners.Wait(); cancel() }()
+	<-ctx.Done()
 }

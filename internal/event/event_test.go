@@ -1,21 +1,44 @@
 package event
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"gridrm/internal/router"
 )
 
 func newMgr(t *testing.T) *Manager {
 	t.Helper()
-	m := NewManager(Options{HistorySize: 64})
+	m := newManager(router.Options{ReplaySize: 64})
 	t.Cleanup(m.Close)
 	return m
 }
 
 func at(sec int) time.Time { return time.Unix(int64(sec), 0) }
+
+// waitFor polls cond until it holds, failing the test after five seconds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// settle waits until every listener and outbound driver has delivered or
+// dropped each event enqueued for it.
+func settle(t *testing.T, m *Manager) {
+	t.Helper()
+	waitFor(t, "consumers to settle", func() bool {
+		st := m.r.Stats()
+		return m.Stats().Delivered+st.SinkDelivered+st.SinkDropped+st.Dropped == st.Enqueued
+	})
+}
 
 func TestFilterMatches(t *testing.T) {
 	ev := Event{Source: "s1", Host: "site-node01", Name: "load-high", Severity: SeverityAlert}
@@ -54,14 +77,14 @@ func TestPublishDeliver(t *testing.T) {
 	m.Publish(Event{Name: "a", Severity: SeverityUsage, Time: at(1)})
 	m.Publish(Event{Name: "b", Severity: SeverityAlert, Time: at(2)})
 	m.Publish(Event{Name: "c", Severity: SeverityUsage, Time: at(3)})
-	m.Drain()
+	settle(t, m)
 	mu.Lock()
 	defer mu.Unlock()
 	if len(got) != 2 || got[0].Name != "a" || got[1].Name != "c" {
 		t.Errorf("delivered %v", got)
 	}
 	s := m.Stats()
-	if s.Published != 3 || s.Dispatched != 3 || s.Delivered != 2 {
+	if s.Published != 3 || s.Delivered != 2 {
 		t.Errorf("stats %+v", s)
 	}
 }
@@ -69,20 +92,23 @@ func TestPublishDeliver(t *testing.T) {
 func TestUnsubscribe(t *testing.T) {
 	m := newMgr(t)
 	var n atomic.Int64
-	id := m.Subscribe(Filter{}, func(Event) { n.Add(1) })
+	unsubscribe := m.Subscribe(Filter{}, func(Event) { n.Add(1) })
 	m.Publish(Event{Name: "x", Time: at(1)})
-	m.Drain()
-	m.Unsubscribe(id)
+	settle(t, m)
+	unsubscribe()
 	m.Publish(Event{Name: "y", Time: at(2)})
-	m.Drain()
+	settle(t, m)
 	if n.Load() != 1 {
 		t.Errorf("deliveries = %d", n.Load())
 	}
-	if m.ListenerCount() != 0 {
+	if m.r.Stats().Subscribers != 0 {
 		t.Error("listener count nonzero")
 	}
 }
 
+// TestNoLossUnderBurst: a burst that fits a listener's queue while the
+// listener is blocked is delivered whole once it resumes, from however many
+// publishers.
 func TestNoLossUnderBurst(t *testing.T) {
 	m := newMgr(t)
 	var n atomic.Int64
@@ -94,30 +120,28 @@ func TestNoLossUnderBurst(t *testing.T) {
 		n.Add(1)
 	})
 	m.Publish(Event{Name: "blocker", Time: at(0)})
-	const burst = 10000
+	waitFor(t, "the listener to take the blocker", func() bool { return m.r.Subscribers()[0].Pending == 0 })
+	const publishers, each = 8, 31 // 248 events: inside the default 256-slot queue
 	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
+	for i := 0; i < publishers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for j := 0; j < burst/8; j++ {
+			for j := 0; j < each; j++ {
 				m.Publish(Event{Name: "burst", Time: at(1)})
 			}
 		}()
 	}
 	wg.Wait()
 	close(block)
-	m.Drain()
-	if n.Load() != burst+1 {
-		t.Errorf("delivered %d of %d (fast buffer lost events)", n.Load(), burst+1)
-	}
-	if m.Stats().HighWater < 2 {
-		t.Errorf("high water %d, expected backlog while blocked", m.Stats().HighWater)
+	settle(t, m)
+	if n.Load() != publishers*each+1 || m.Stats().Dropped != 0 {
+		t.Errorf("delivered %d of %d, dropped %d", n.Load(), publishers*each+1, m.Stats().Dropped)
 	}
 }
 
 func TestHistoryRingAndFilter(t *testing.T) {
-	m := NewManager(Options{HistorySize: 4})
+	m := newManager(router.Options{ReplaySize: 4})
 	defer m.Close()
 	for i := 1; i <= 6; i++ {
 		name := "even"
@@ -126,7 +150,6 @@ func TestHistoryRingAndFilter(t *testing.T) {
 		}
 		m.Publish(Event{Name: name, Value: float64(i), Time: at(i)})
 	}
-	m.Drain()
 	all := m.History(Filter{}, time.Time{})
 	if len(all) != 4 {
 		t.Fatalf("history = %d, want ring size 4", len(all))
@@ -166,7 +189,7 @@ func TestThresholdRule(t *testing.T) {
 	for i, v := range vals {
 		m.Publish(Event{Host: "h1", Name: "load", Severity: SeverityUsage, Value: v, Time: at(i)})
 	}
-	m.Drain()
+	settle(t, m)
 	mu.Lock()
 	defer mu.Unlock()
 	if len(alerts) != 2 {
@@ -191,7 +214,7 @@ func TestThresholdPerHost(t *testing.T) {
 	m.Publish(Event{Host: "a", Name: "load", Value: 2, Time: at(1)})
 	m.Publish(Event{Host: "b", Name: "load", Value: 2, Time: at(1)})
 	m.Publish(Event{Host: "a", Name: "load", Value: 3, Time: at(2)}) // still fired, no re-alert
-	m.Drain()
+	settle(t, m)
 	if n.Load() != 2 {
 		t.Errorf("alerts = %d, want one per host", n.Load())
 	}
@@ -204,9 +227,32 @@ func TestThresholdBelow(t *testing.T) {
 	m.Subscribe(Filter{Name: "disk-low"}, func(Event) { n.Add(1) })
 	m.Publish(Event{Host: "h", Name: "disk.free", Value: 500, Time: at(1)})
 	m.Publish(Event{Host: "h", Name: "disk.free", Value: 50, Time: at(2)})
-	m.Drain()
+	settle(t, m)
 	if n.Load() != 1 {
 		t.Errorf("below alerts = %d", n.Load())
+	}
+}
+
+// TestTrigger: a rule over causes that are not published (harvested rows)
+// runs the same crossing and re-arm test, and records only its alerts.
+func TestTrigger(t *testing.T) {
+	m := newMgr(t)
+	if _, err := m.Trigger(ThresholdRule{}); err == nil {
+		t.Error("unnamed rule accepted")
+	}
+	fire, err := m.Trigger(ThresholdRule{Name: "hot", Op: Above, Threshold: 4, Rearm: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range []float64{5, 6, 1, 7} { // fire at 5, suppressed 6, rearm at 1, fire at 7
+		fire(Event{Source: "s", Host: "h", Name: "Processor.LoadLast1Min", Value: v, Time: at(i)})
+	}
+	hist := m.History(Filter{}, time.Time{})
+	if len(hist) != 2 || hist[0].Value != 5 || hist[1].Value != 7 || hist[0].Name != "hot" {
+		t.Fatalf("history %+v, want the two alerts alone", hist)
+	}
+	if st := m.Stats(); st.Alerts != 2 || st.Published != 2 {
+		t.Errorf("stats %+v", st)
 	}
 }
 
@@ -245,10 +291,15 @@ func (r *recordingOutbound) Transmit(ev Event) error {
 func TestOutboundTransmit(t *testing.T) {
 	m := newMgr(t)
 	rec := &recordingOutbound{}
-	m.AddOutbound(Filter{Severity: SeverityAlert}, rec)
+	if err := m.AddOutbound(Filter{Severity: SeverityAlert}, rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.AddOutbound(Filter{}, rec); err == nil {
+		t.Error("second outbound driver under one name accepted")
+	}
 	m.Publish(Event{Name: "usage", Severity: SeverityUsage, Time: at(1)})
 	m.Publish(Event{Name: "alert", Severity: SeverityAlert, Time: at(2)})
-	m.Drain()
+	settle(t, m)
 	rec.mu.Lock()
 	n := len(rec.evs)
 	rec.mu.Unlock()
@@ -262,21 +313,62 @@ func TestOutboundTransmit(t *testing.T) {
 	rec.fail = true
 	rec.mu.Unlock()
 	m.Publish(Event{Name: "alert2", Severity: SeverityAlert, Time: at(3)})
-	m.Drain()
-	if m.Stats().TransmitErrors != 1 {
-		t.Errorf("transmit errors = %d", m.Stats().TransmitErrors)
+	settle(t, m)
+	if st := m.Stats(); st.TransmitErrors != 1 || st.Dropped != 1 {
+		t.Errorf("transmit errors = %d, dropped = %d", st.TransmitErrors, st.Dropped)
+	}
+	if ss := m.SinkStats(); len(ss) != 1 || ss[0].Name != "event:rec" || ss[0].Retries != 2 {
+		t.Errorf("sink stats %+v", ss)
 	}
 }
+
+// TestRetriedBatchNotRetransmitted: when Transmit fails partway through a
+// batch, the retry resumes after the last event that went out.
+func TestRetriedBatchNotRetransmitted(t *testing.T) {
+	var calls atomic.Int64
+	var got []string
+	var mu sync.Mutex
+	flaky := outboundFunc(func(ev Event) error {
+		if calls.Add(1) == 2 {
+			return errors.New("blip")
+		}
+		mu.Lock()
+		got = append(got, ev.Name)
+		mu.Unlock()
+		return nil
+	})
+	o := &outbound{drv: flaky}
+	batch := []router.Metric{}
+	for i, name := range []string{"a", "b", "c"} {
+		batch = append(batch, router.Metric{Seq: uint64(i + 1), Columns: columns, Row: []any{"", name, "", 0.0, ""}})
+	}
+	if err := o.Deliver(context.Background(), batch); err == nil {
+		t.Fatal("first attempt should fail at b")
+	}
+	if err := o.Deliver(context.Background(), batch); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 3 || got[0] != "a" || got[1] != "b" || got[2] != "c" {
+		t.Errorf("transmitted %v, want a b c once each", got)
+	}
+}
+
+type outboundFunc func(Event) error
+
+func (f outboundFunc) Name() string            { return "func" }
+func (f outboundFunc) Transmit(ev Event) error { return f(ev) }
 
 func TestRuleAlertReachesOutbound(t *testing.T) {
 	// The full Fig 4 path: native usage event → threshold → alert →
 	// outbound transmission.
 	m := newMgr(t)
 	rec := &recordingOutbound{}
-	m.AddOutbound(Filter{Severity: SeverityAlert}, rec)
+	if err := m.AddOutbound(Filter{Severity: SeverityAlert}, rec); err != nil {
+		t.Fatal(err)
+	}
 	_ = m.AddRule(ThresholdRule{Name: "hot", Match: Filter{Name: "temp"}, Op: Above, Threshold: 90})
 	m.Publish(Event{Host: "h", Name: "temp", Severity: SeverityUsage, Value: 95, Time: at(1)})
-	m.Drain()
+	settle(t, m)
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
 	if len(rec.evs) != 1 || rec.evs[0].Name != "hot" {
@@ -299,7 +391,7 @@ func (f *fakeInbound) Start(sink func(Event)) error {
 func (f *fakeInbound) Close() error { f.closed.Store(true); return nil }
 
 func TestAttachInboundLifecycle(t *testing.T) {
-	m := NewManager(Options{})
+	m := NewManager()
 	in := &fakeInbound{}
 	if err := m.AttachInbound(in); err != nil {
 		t.Fatal(err)
@@ -310,7 +402,7 @@ func TestAttachInboundLifecycle(t *testing.T) {
 	var n atomic.Int64
 	m.Subscribe(Filter{}, func(Event) { n.Add(1) })
 	in.sink(Event{Name: "native", Time: at(1)})
-	m.Drain()
+	settle(t, m)
 	if n.Load() != 1 {
 		t.Error("inbound event not delivered")
 	}
@@ -321,17 +413,18 @@ func TestAttachInboundLifecycle(t *testing.T) {
 }
 
 func TestPublishAfterClose(t *testing.T) {
-	m := NewManager(Options{})
+	m := NewManager()
 	m.Close()
 	m.Publish(Event{Name: "late", Time: at(1)}) // must not panic or deadlock
 	if m.Stats().Published != 0 {
 		t.Error("post-close publish counted")
 	}
-	m.Close() // idempotent
+	m.Subscribe(Filter{}, func(Event) {})() // a no-op, and so is removing it
+	m.Close()                               // idempotent
 }
 
 func TestCloseDrainsBuffer(t *testing.T) {
-	m := NewManager(Options{})
+	m := NewManager()
 	var n atomic.Int64
 	m.Subscribe(Filter{}, func(Event) { n.Add(1) })
 	for i := 0; i < 100; i++ {

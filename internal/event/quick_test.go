@@ -5,6 +5,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"gridrm/internal/router"
 )
 
 // TestFilterWildcardProperties: the empty filter matches everything; a
@@ -49,12 +51,11 @@ func TestHistoryNeverExceedsRing(t *testing.T) {
 	f := func(count uint16, size uint8) bool {
 		n := int(count%512) + 1
 		ring := int(size%64) + 1
-		m := NewManager(Options{HistorySize: ring})
+		m := newManager(router.Options{ReplaySize: ring})
 		defer m.Close()
 		for i := 0; i < n; i++ {
 			m.Publish(Event{Name: "x", Value: float64(i), Time: time.Unix(int64(i), 0)})
 		}
-		m.Drain()
 		hist := m.History(Filter{}, time.Time{})
 		if len(hist) > ring {
 			return false

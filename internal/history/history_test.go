@@ -102,7 +102,8 @@ func TestRecordValidation(t *testing.T) {
 	}
 	// Projected result (wrong shape) is rejected.
 	rs := memRS(t, "a", 1)
-	proj, _ := rs.Project([]string{"HostName"})
+	meta, idx, _ := rs.Metadata().Project([]string{"HostName"})
+	proj := resultset.Gather(meta, []*resultset.ResultSet{rs}, nil, idx)
 	if err := s.Record(srcA, glue.GroupMemory, proj, *now); err == nil {
 		t.Error("projected result accepted")
 	}

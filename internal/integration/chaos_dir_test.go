@@ -138,7 +138,6 @@ func TestChaosDirectoryOutage(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("state listener never reported the outage")
 	}
-	gwA.Events().Drain()
 	if evs := gwA.Events().History(event.Filter{Name: "directory-unreachable"}, time.Time{}); len(evs) == 0 {
 		t.Error("no directory-unreachable alert published")
 	}

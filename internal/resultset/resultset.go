@@ -583,18 +583,6 @@ func (rs *ResultSet) Clone() *ResultSet {
 	return clone
 }
 
-// Project returns a new ResultSet containing only the named columns, in the
-// given order, sharing their arrays. The cursor of the result is reset.
-func (rs *ResultSet) Project(cols []string) (*ResultSet, error) {
-	meta, idx, err := rs.meta.Project(cols)
-	if err != nil {
-		return nil, err
-	}
-	out := rs.like()
-	out.meta, out.n, out.cols = meta, rs.n, rs.shareColumns(idx)
-	return out, nil
-}
-
 // shareColumns returns rs's columns idx, column i of the answer being rs's
 // column idx[i], sharing their arrays.
 func (rs *ResultSet) shareColumns(idx []int) []Vector {
@@ -712,29 +700,6 @@ func (rs *ResultSet) gather(sel []Ref) *ResultSet {
 	out := Gather(rs.meta, []*ResultSet{rs}, sel, nil)
 	out.Source, out.Fetched = rs.Source, rs.Fetched
 	return out
-}
-
-// Where returns a new ResultSet containing the rows keep accepts; one that
-// drops no row shares rs's columns.
-func (rs *ResultSet) Where(keep func(r int) bool) *ResultSet {
-	sel := make([]Ref, 0, rs.n)
-	for r := int32(0); r < rs.n; r++ {
-		if keep(int(r)) {
-			sel = append(sel, Ref{Row: r})
-		}
-	}
-	if len(sel) == int(rs.n) {
-		return rs.Clone()
-	}
-	return rs.gather(sel)
-}
-
-// Limit returns a new ResultSet with at most n rows (n < 0 means no limit).
-func (rs *ResultSet) Limit(n int) *ResultSet {
-	if n < 0 || n >= int(rs.n) {
-		return rs.Clone()
-	}
-	return rs.Where(func(r int) bool { return r < n })
 }
 
 // SortBy sorts rows (stably) by the named column; desc reverses the order.

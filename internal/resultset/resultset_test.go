@@ -225,12 +225,27 @@ func TestBuilderCopiesRows(t *testing.T) {
 	}
 }
 
+// where is the gather a query's WHERE makes: rs's rows keep accepts, in
+// order.
+func where(rs *ResultSet, keep func(r int) bool) *ResultSet {
+	sel := []Ref{}
+	for r := 0; r < rs.Len(); r++ {
+		if keep(r) {
+			sel = append(sel, Ref{Row: int32(r)})
+		}
+	}
+	return Gather(rs.Metadata(), []*ResultSet{rs}, sel, nil)
+}
+
+// TestProject: a projection gathers the named columns, in the given order,
+// sharing the part's arrays.
 func TestProject(t *testing.T) {
 	rs := sampleRS(t)
-	p, err := rs.Project([]string{"CPUs", "HostName"})
+	meta, idx, err := rs.Metadata().Project([]string{"CPUs", "HostName"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	p := Gather(meta, []*ResultSet{rs}, nil, idx)
 	if got := p.Metadata().ColumnNames(); got[0] != "CPUs" || got[1] != "HostName" {
 		t.Errorf("projected columns %v", got)
 	}
@@ -238,26 +253,28 @@ func TestProject(t *testing.T) {
 	if n, _ := p.GetInt("CPUs"); n != 4 {
 		t.Errorf("projected value %d", n)
 	}
-	if _, err := rs.Project([]string{"Nope"}); err == nil {
+	if _, _, err := rs.Metadata().Project([]string{"Nope"}); err == nil {
 		t.Error("projecting unknown column succeeded")
 	}
 }
 
+// TestFilterAndLimit: a WHERE gathers the rows it keeps, a LIMIT the first
+// n, and no selection at all is the whole part.
 func TestFilterAndLimit(t *testing.T) {
 	rs := sampleRS(t)
 	idx := rs.Metadata().ColumnIndex("CPUs")
-	f := rs.Where(func(r int) bool { return rs.Cell(r, idx).Int >= 4 })
+	f := where(rs, func(r int) bool { return rs.Cell(r, idx).Int >= 4 })
 	if f.Len() != 2 {
 		t.Errorf("filtered %d rows, want 2", f.Len())
 	}
-	if l := rs.Limit(1); l.Len() != 1 {
-		t.Errorf("Limit(1) -> %d rows", l.Len())
+	if l := where(rs, func(r int) bool { return r < 1 }); l.Len() != 1 || l.RowAt(0)[0] != "alpha" {
+		t.Errorf("first row -> %d rows", l.Len())
 	}
-	if l := rs.Limit(-1); l.Len() != 3 {
-		t.Errorf("Limit(-1) -> %d rows", l.Len())
+	if l := where(rs, func(int) bool { return false }); l.Len() != 0 {
+		t.Errorf("empty selection -> %d rows", l.Len())
 	}
-	if l := rs.Limit(10); l.Len() != 3 {
-		t.Errorf("Limit(10) -> %d rows", l.Len())
+	if l := Gather(rs.Metadata(), []*ResultSet{rs}, nil, nil); l.Len() != 3 {
+		t.Errorf("whole part -> %d rows", l.Len())
 	}
 }
 
@@ -414,7 +431,7 @@ func TestStringRendering(t *testing.T) {
 // slice shared the parent's spare capacity.
 func TestLimitDoesNotAliasParent(t *testing.T) {
 	parent := sampleRS(t)
-	limited := parent.Limit(1)
+	limited := where(parent, func(r int) bool { return r < 1 })
 
 	extra, err := NewBuilder(parent.Metadata()).Append("delta", 9.0, int64(1)).Build()
 	if err != nil {

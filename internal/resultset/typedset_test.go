@@ -270,7 +270,7 @@ func TestTypedSetAgainstRowModel(t *testing.T) {
 						rows = append(rows, m.rows[r])
 					}
 				}
-				rs = rs.Where(keep)
+				rs = where(rs, keep)
 				m = &model{cols: m.cols, rows: rows}
 				what += " where"
 			case 2: // SortedBy, stable
@@ -294,7 +294,12 @@ func TestTypedSetAgainstRowModel(t *testing.T) {
 				if k >= 0 && k < len(rows) {
 					rows = rows[:k]
 				}
-				rs, m = rs.Limit(k), &model{cols: m.cols, rows: rows}
+				if k >= 0 && k < rs.Len() {
+					rs = where(rs, func(r int) bool { return r < k })
+				} else {
+					rs = resultset.Gather(rs.Metadata(), []*resultset.ResultSet{rs}, nil, nil)
+				}
+				m = &model{cols: m.cols, rows: rows}
 				what += " limit"
 			case 4: // Project onto a shuffled subset
 				perm := rng.Perm(len(m.cols))[:1+rng.Intn(len(m.cols))]
@@ -310,11 +315,11 @@ func TestTypedSetAgainstRowModel(t *testing.T) {
 					}
 					pm.rows = append(pm.rows, pr)
 				}
-				projected, err := rs.Project(names)
+				meta, idx, err := rs.Metadata().Project(names)
 				if err != nil {
 					t.Fatal(err)
 				}
-				rs, m = projected, pm
+				rs, m = resultset.Gather(meta, []*resultset.ResultSet{rs}, nil, idx), pm
 				what += " project"
 			case 5: // group keys: two rows share a key exactly when their cells are equal
 				keys := map[string]int{}
@@ -452,4 +457,16 @@ func TestSmallSetFootprint(t *testing.T) {
 	if bytes > 360 {
 		t.Errorf("a one-row harvest takes %.0f bytes, want ≤ 360 (1.29 × the 280 of a boxed row)", bytes)
 	}
+}
+
+// where is the gather a query's WHERE makes: rs's rows keep accepts, in
+// order.
+func where(rs *resultset.ResultSet, keep func(r int) bool) *resultset.ResultSet {
+	sel := []resultset.Ref{}
+	for r := 0; r < rs.Len(); r++ {
+		if keep(r) {
+			sel = append(sel, resultset.Ref{Row: int32(r)})
+		}
+	}
+	return resultset.Gather(rs.Metadata(), []*resultset.ResultSet{rs}, sel, nil)
 }

@@ -156,12 +156,14 @@ func New(opts Options) *Router {
 // path uses it to skip row publication entirely when nothing listens.
 func (r *Router) Idle() bool { return r.active.Load() == 0 }
 
-// Publish fans a harvested result's rows out to every matching subscriber
-// and sink. It never blocks: full queues drop their oldest entry, and
-// consumers stalled past Options.Stall are evicted. Returns the number of
-// rows accepted (0 after Close or with no consumers).
+// Publish records a harvested result's rows in the replay ring and fans
+// them out to every matching subscriber and sink. It never blocks: full
+// queues drop their oldest entry, and consumers stalled past Options.Stall
+// are evicted. Rows are recorded even when nothing listens; callers that
+// would box rows for nobody check Idle first. Returns the number of rows
+// accepted (0 after Close).
 func (r *Router) Publish(source, group string, columns []string, rows [][]any, at time.Time) int {
-	if r.Idle() || len(rows) == 0 {
+	if len(rows) == 0 {
 		return 0
 	}
 	now := r.opts.Clock()
@@ -189,24 +191,26 @@ func (r *Router) Publish(source, group string, columns []string, rows [][]any, a
 	}
 	r.mu.RUnlock()
 	for _, s := range evict {
-		r.evict(s)
+		r.evict(s, now)
 	}
 	return n
 }
 
 // evict removes a stalled subscriber: its Done channel closes, queued
 // metrics are discarded and counted as drops.
-func (r *Router) evict(s *Subscription) {
+func (r *Router) evict(s *Subscription, now time.Time) {
 	if !s.evicted.CompareAndSwap(false, true) {
 		return
 	}
+	s.evictedAt = now
 	r.mu.Lock()
 	delete(r.subs, s.id)
 	r.mu.Unlock()
 	r.active.Add(-1)
 	r.evicted.Add(1)
-	s.close()
-	// Drain what the consumer never took so the drop count is honest.
+	// Drain what the consumer never took so the drop count is honest, and
+	// final by the time Done closes.
+	defer s.close()
 	for {
 		select {
 		case <-s.ch:
@@ -295,8 +299,9 @@ type Subscription struct {
 	// overflowed; zero while the queue accepts sends.
 	fullSince time.Time
 	evicted   atomic.Bool
-	gapped    bool // set once at Subscribe, read-only afterwards
-	sink      bool // owned by a sinkRunner: hidden from Subscribers, never evicted
+	evictedAt time.Time // set once at eviction, before Done closes
+	gapped    bool      // set once at Subscribe, read-only afterwards
+	sink      bool      // owned by a sinkRunner: hidden from Subscribers, never evicted
 }
 
 // offer enqueues m with drop-oldest overflow, returning true when the
@@ -376,6 +381,9 @@ func (s *Subscription) Enqueued() int64 { return s.enqueued.Load() }
 // stalling.
 func (s *Subscription) Evicted() bool { return s.evicted.Load() }
 
+// EvictedAt is when the router evicted this subscriber; read it after Done.
+func (s *Subscription) EvictedAt() time.Time { return s.evictedAt }
+
 // Gapped reports whether a FromSeq resume could not be fully served from
 // the replay ring — rows between FromSeq and the ring's oldest entry are
 // gone.
@@ -434,6 +442,13 @@ func (r *Router) Subscribers() []SubscriberStat {
 	}
 	r.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	return out
+}
+
+// Buffered returns the metrics held in the replay ring, oldest first.
+func (r *Router) Buffered() []Metric {
+	var out []Metric
+	r.replay.since(0, func(m Metric) { out = append(out, m) })
 	return out
 }
 

@@ -14,16 +14,22 @@ func publishN(r *Router, n int, group string) {
 	}
 }
 
+// TestPublishIdleIsFree: Idle is what callers check before boxing rows for
+// nobody. A publish made to an idle router anyway fans out nowhere and
+// leaves it idle; the row is only recorded in the replay ring.
 func TestPublishIdleIsFree(t *testing.T) {
 	r := New(Options{})
 	if !r.Idle() {
 		t.Fatal("fresh router should be idle")
 	}
-	if n := r.Publish("s", "g", []string{"a"}, [][]any{{1}}, time.Now()); n != 0 {
-		t.Fatalf("publish with no consumers accepted %d rows", n)
+	if n := r.Publish("s", "g", []string{"a"}, [][]any{{1}}, time.Now()); n != 1 {
+		t.Fatalf("publish with no consumers recorded %d rows, want 1", n)
 	}
-	if got := r.Stats().Published; got != 0 {
-		t.Fatalf("published = %d, want 0", got)
+	if st := r.Stats(); st.Published != 1 || st.Enqueued != 0 || !r.Idle() {
+		t.Fatalf("stats %+v, idle %v: want one row recorded, none enqueued, still idle", st, r.Idle())
+	}
+	if b := r.Buffered(); len(b) != 1 || b[0].Seq != 1 || b[0].Group != "g" {
+		t.Fatalf("replay ring holds %+v", b)
 	}
 }
 

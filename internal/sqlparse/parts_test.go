@@ -12,11 +12,19 @@ import (
 // the rest, so every query below sees a part boundary.
 func splitLoad(t *testing.T) (*resultset.ResultSet, []*resultset.ResultSet) {
 	rs := buildLoad(t)
-	host := func(r int) string { return rs.Cell(r, 0).Str }
+	part := func(keep func(host string) bool) *resultset.ResultSet {
+		sel := []resultset.Ref{}
+		for r := 0; r < rs.Len(); r++ {
+			if keep(rs.Cell(r, 0).Str) {
+				sel = append(sel, resultset.Ref{Row: int32(r)})
+			}
+		}
+		return resultset.Gather(rs.Metadata(), []*resultset.ResultSet{rs}, sel, nil)
+	}
 	return rs, []*resultset.ResultSet{
-		rs.Where(func(r int) bool { return host(r) == "n1" }),
-		rs.Where(func(r int) bool { return host(r) == "n2" || host(r) == "n3" }),
-		rs.Where(func(r int) bool { return host(r) > "n3" }),
+		part(func(h string) bool { return h == "n1" }),
+		part(func(h string) bool { return h == "n2" || h == "n3" }),
+		part(func(h string) bool { return h > "n3" }),
 	}
 }
 

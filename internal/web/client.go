@@ -193,19 +193,6 @@ func (c *Client) Events(ctx context.Context, filter event.Filter, since time.Tim
 	return out, err
 }
 
-// WatchMetric asks the gateway to publish group.field as events on every
-// harvest.
-func (c *Client) WatchMetric(ctx context.Context, group, field string) error {
-	return c.doContext(ctx, http.MethodPost, "/watches", watchRequest{Group: group, Field: field}, nil)
-}
-
-// WatchedMetrics lists active metric watches.
-func (c *Client) WatchedMetrics(ctx context.Context) ([]string, error) {
-	var out []string
-	err := c.doContext(ctx, http.MethodGet, "/watches", nil, &out)
-	return out, err
-}
-
 // Status fetches the gateway's counters.
 func (c *Client) Status(ctx context.Context) (*StatusReport, error) {
 	var out StatusReport

@@ -67,7 +67,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"gridrm_query_stage_seconds_count",
 		`le="+Inf"`,
 		"gridrm_pool_dial_seconds_count",
-		"gridrm_event_queue_depth",
+		"gridrm_events_dropped_total",
 		"gridrm_runtime_goroutines",
 		"gridrm_runtime_heap_alloc_bytes",
 		"gridrm_runtime_heap_objects",

@@ -56,8 +56,6 @@ func NewServer(gw *core.Gateway, repo map[string]DriverFactory, dir http.Handler
 		Route{Pattern: "GET /tree", Serve: reply(s.tree)},
 		Route{Pattern: "GET /events", Op: security.OpEvents, Serve: reply(s.events)},
 		Route{Pattern: "GET /subscribe", Serve: s.subscribe},
-		Route{Pattern: "GET /watches", Serve: reply(s.listWatches)},
-		Route{Pattern: "POST /watches", Op: security.OpManageSources, Serve: replyTo(s.addWatch)},
 		Route{Pattern: "GET /status", Serve: reply(s.status)},
 		Route{Pattern: "GET /metrics", Serve: s.metrics},
 		Route{Pattern: "GET /sites", Serve: reply(s.listSites)},
@@ -187,21 +185,6 @@ func (s *Server) tree(*http.Request) (any, error) {
 	return out, nil
 }
 
-// watchRequest is the body of POST /watches: publish a GLUE metric as
-// events on every harvest (the Fig 3 notification path).
-type watchRequest struct {
-	Group string `json:"group"`
-	Field string `json:"field"`
-}
-
-func (s *Server) listWatches(*http.Request) (any, error) {
-	return s.gw.WatchedMetrics(), nil
-}
-
-func (s *Server) addWatch(_ context.Context, _ security.Principal, wr *watchRequest) (any, error) {
-	return nil, s.gw.WatchMetric(wr.Group, wr.Field)
-}
-
 func (s *Server) events(r *http.Request) (any, error) {
 	q := r.URL.Query()
 	filter := event.Filter{
@@ -255,7 +238,8 @@ type StatusReport struct {
 	// Subscribers lists live continuous-query subscribers with per-consumer
 	// drop accounting.
 	Subscribers []router.SubscriberStat `json:"subscribers,omitempty"`
-	// Sinks lists configured push sinks with delivery/retry/breaker state.
+	// Sinks lists configured push sinks, then the Event Manager's outbound
+	// drivers, with delivery/retry/breaker state.
 	Sinks []router.SinkStat `json:"sinks,omitempty"`
 }
 
@@ -291,7 +275,7 @@ func (s *Server) status(*http.Request) (any, error) {
 		History:     s.gw.HistoryStatus(),
 		Push:        s.gw.PushRouter().Stats(),
 		Subscribers: s.gw.PushRouter().Subscribers(),
-		Sinks:       s.gw.PushRouter().SinkStats(),
+		Sinks:       append(s.gw.PushRouter().SinkStats(), s.gw.Events().SinkStats()...),
 	}, nil
 }
 

@@ -284,7 +284,6 @@ func TestEventsOverHTTP(t *testing.T) {
 		Severity: event.SeverityAlert, Value: 9, Time: time.Now()})
 	f.gw.Events().Publish(event.Event{Name: "cpu.util", Host: "a1",
 		Severity: event.SeverityUsage, Value: 50, Time: time.Now()})
-	f.gw.Events().Drain()
 	evs, err := f.client.Events(context.Background(), event.Filter{Severity: event.SeverityAlert}, time.Time{})
 	if err != nil {
 		t.Fatal(err)
@@ -308,30 +307,6 @@ func TestStatusOverHTTP(t *testing.T) {
 	}
 	if st.Pool.Opens != 1 {
 		t.Errorf("pool %+v", st.Pool)
-	}
-}
-
-func TestWatchesOverHTTP(t *testing.T) {
-	f := newFixture(t, nil)
-	if err := f.client.WatchMetric(context.Background(), glue.GroupProcessor, "LoadLast1Min"); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.client.WatchMetric(context.Background(), glue.GroupProcessor, "HostName"); err == nil {
-		t.Error("non-numeric watch accepted")
-	}
-	got, err := f.client.WatchedMetrics(context.Background())
-	if err != nil || len(got) != 1 || got[0] != "Processor.LoadLast1Min" {
-		t.Errorf("watches %v, %v", got, err)
-	}
-	// Harvest → events over HTTP.
-	if _, err := f.client.Query(context.Background(), core.QueryOptions{SQL: "SELECT * FROM Processor",
-		Mode: core.ModeRealTime}); err != nil {
-		t.Fatal(err)
-	}
-	f.gw.Events().Drain()
-	evs, err := f.client.Events(context.Background(), event.Filter{Name: "Processor.LoadLast1Min"}, time.Time{})
-	if err != nil || len(evs) != 2 {
-		t.Errorf("harvest events = %d, %v", len(evs), err)
 	}
 }
 
