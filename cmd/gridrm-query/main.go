@@ -117,9 +117,9 @@ func main() {
 		if d := st.History.Durability; d != nil {
 			fmt.Printf("  durability: state=%s dir=%s wal-appends=%d fsyncs=%d replayed=%d corrupt=%d\n",
 				d.State, d.Dir, d.WALAppends, d.Fsyncs, d.ReplayedRecords, d.CorruptRecords)
-			fmt.Printf("  durability: checkpoints=%d checkpoint-errors=%d wal-errors=%d reattaches=%d segments=%d disk-bytes=%d\n",
+			fmt.Printf("  durability: checkpoints=%d checkpoint-errors=%d wal-errors=%d reattaches=%d segments=%d disk-bytes=%d wal-bytes-since-checkpoint=%d\n",
 				d.Checkpoints, d.CheckpointErrors, d.WALErrors, d.Reattaches,
-				d.WALSegments, d.DiskBytes)
+				d.WALSegments, d.DiskBytes, d.WALBytesSinceCheckpoint)
 		}
 		fmt.Printf("  probes: attempted=%d failed=%d skipped=%d transitions=%d\n",
 			st.Probes.Probes, st.Probes.Failures, st.Probes.Skipped, st.Probes.Transitions)

@@ -553,6 +553,8 @@ func (g *Gateway) registerMetrics() {
 			func() int64 { return g.durable.Stats().Checkpoints })
 		r.GaugeFunc("gridrm_history_disk_bytes", "Bytes the history WAL and checkpoints occupy on disk.",
 			func() float64 { return float64(g.durable.Stats().DiskBytes) })
+		r.GaugeFunc("gridrm_history_wal_bytes_since_checkpoint", "Framed WAL bytes no checkpoint covers yet: what a crash now would replay.",
+			func() float64 { return float64(g.durable.Stats().WALBytesSinceCheckpoint) })
 		r.GaugeFunc("gridrm_history_durable", "1 while history persistence is attached, 0 in memory-only degradation.",
 			func() float64 {
 				if g.durable.Stats().State == "durable" {

@@ -135,6 +135,50 @@ func TestSubscribeFineSecurityPerMetric(t *testing.T) {
 	}
 }
 
+// TestSubscribeFineSecurityOnReplay: a principal's continuous query that
+// resumes with FromSeq is filtered by the FGSL policy on the rows the replay
+// ring hands it exactly as on live publishes: a source denied to the
+// principal reaches it from neither.
+func TestSubscribeFineSecurityOnReplay(t *testing.T) {
+	f := newFixture(t)
+	p := security.Principal{Name: "viewer", Roles: []string{"operator"}}
+	f.g.FinePolicy().Add(security.FineRule{Principal: "viewer", Source: f.urlB, Decision: security.Deny})
+	// An unrestricted subscriber keeps the push router publishing.
+	probe, err := f.g.Subscribe(context.Background(), QueryOptions{Principal: f.admin, SQL: "SELECT * FROM Processor"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer probe.Close()
+	f.query(t, "SELECT * FROM Processor", ModeRealTime)
+	from := f.g.PushRouter().Seq()
+	f.query(t, "SELECT * FROM Processor", ModeRealTime) // the rows the resume replays
+	if got := f.g.PushRouter().Seq() - from; got != 3 {
+		t.Fatalf("the harvest published %d rows, want 3", got)
+	}
+
+	sub, err := f.g.Subscribe(context.Background(), QueryOptions{Principal: p, SQL: "SELECT * FROM Processor", FromSeq: from})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	if sub.Gapped() {
+		t.Fatal("a resume within the ring reported a gap")
+	}
+	replayed := recvRows(t, sub, 2)
+	f.query(t, "SELECT * FROM Processor", ModeRealTime)
+	live := recvRows(t, sub, 2)
+	for i, m := range append(replayed, live...) {
+		if m.Source != f.urlA || m.Seq <= from {
+			t.Fatalf("row %d: seq %d from %s reached the viewer (resumed after %d)", i, m.Seq, m.Source, from)
+		}
+	}
+	select {
+	case m := <-sub.C():
+		t.Fatalf("an extra row reached the viewer: seq %d from %s", m.Seq, m.Source)
+	case <-time.After(50 * time.Millisecond):
+	}
+}
+
 func TestSubscribeValidation(t *testing.T) {
 	f := newFixture(t)
 	cases := []struct {

@@ -2,8 +2,10 @@ package repub
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strconv"
 	"strings"
@@ -18,6 +20,7 @@ import (
 	"gridrm/internal/schema"
 	"gridrm/internal/security"
 	"gridrm/internal/sqlparse"
+	"gridrm/internal/web"
 )
 
 // This file holds TestRouteEquivalence: a generated query answers alike
@@ -611,6 +614,56 @@ func checkAnswer(q *eqQuery, ref eqAnswer, rs *resultset.ResultSet, keyOf func(v
 	return nil
 }
 
+// overTheWire returns rs as the client of a gateway reads it: encoded by
+// the servlet's codec and decoded by the client's.
+func overTheWire(rs *resultset.ResultSet) (*resultset.ResultSet, error) {
+	data, err := json.Marshal(web.WireResult{ResultSet: rs})
+	if err != nil {
+		return nil, err
+	}
+	var back web.WireResult
+	if err := back.UnmarshalJSON(data); err != nil {
+		return nil, err
+	}
+	return back.ResultSet, nil
+}
+
+// sameOnTheWire compares an answer that crossed the wire with the answer as
+// the route made it, row for row, and kind-exactly with the reference: a
+// NULL is NULL, and every other cell has the Go type the reference gives
+// its column — an Int an int64, a Float a float64, a Time a time.Time — so a
+// count or a sum that came back as a float is an error where the
+// reference's %#v rendering would not tell.
+func sameOnTheWire(ref eqAnswer, sent, got *resultset.ResultSet) error {
+	sm, gm := sent.Metadata(), got.Metadata()
+	if sm.ColumnCount() != gm.ColumnCount() || sent.Len() != got.Len() {
+		return fmt.Errorf("%d columns and %d rows, sent %d and %d", gm.ColumnCount(), got.Len(), sm.ColumnCount(), sent.Len())
+	}
+	types := make([]reflect.Type, sm.ColumnCount())
+	for _, o := range ref.pre {
+		for c, v := range o.vals {
+			if v != nil && types[c] == nil {
+				types[c] = reflect.TypeOf(v)
+			}
+		}
+	}
+	for c := 0; c < sm.ColumnCount(); c++ {
+		if sm.Column(c) != gm.Column(c) {
+			return fmt.Errorf("column %d is %+v, sent %+v", c, gm.Column(c), sm.Column(c))
+		}
+		for r := 0; r < sent.Len(); r++ {
+			want, have := sent.Cell(r, c).Value(), got.Cell(r, c).Value()
+			switch {
+			case reflect.TypeOf(have) != reflect.TypeOf(want) || have != want:
+				return fmt.Errorf("row %d column %d is %#v (%T), sent %#v (%T)", r, c, have, have, want, want)
+			case have != nil && types[c] != nil && reflect.TypeOf(have) != types[c]:
+				return fmt.Errorf("row %d column %d is a %T, the reference's column holds %v", r, c, have, types[c])
+			}
+		}
+	}
+	return nil
+}
+
 // TestRouteEquivalence runs seeded generated queries — projection, WHERE
 // with AND/OR/IS NULL, ORDER BY, LIMIT, GROUP BY with COUNT/SUM/AVG/MIN/MAX
 // — over a four-site fleet with NULL cells, through each route that
@@ -623,6 +676,10 @@ func checkAnswer(q *eqQuery, ref eqAnswer, rs *resultset.ResultSet, keyOf func(v
 //   - all sites, with a direct leg a site
 //   - all sites, with the three behind one region leg; aggregates are pushed
 //     down as partials and finalized at the entry
+//
+// Every answer is also sent through the wire codec, before anything reads
+// it in process, and must come back as it was sent, cell for cell and
+// kind-exactly with the reference.
 func TestRouteEquivalence(t *testing.T) {
 	const seed, queries = 20030901, 300
 	rng := rand.New(rand.NewSource(seed))
@@ -732,8 +789,18 @@ func TestRouteEquivalence(t *testing.T) {
 						t.Fatalf("%s: %s: source %s: %s", r.name, sql, st.Source, st.Err)
 					}
 				}
-				if err := checkAnswer(q, reference(q, r.rows), resp.ResultSet, keyOf(q)); err != nil {
+				ref := reference(q, r.rows)
+				// The wire first: an answer that holds its parts is written
+				// from them, before any read here flattens it.
+				wired, err := overTheWire(resp.ResultSet)
+				if err != nil {
+					t.Fatalf("%s: %s: %v", r.name, sql, err)
+				}
+				if err := checkAnswer(q, ref, resp.ResultSet, keyOf(q)); err != nil {
 					t.Errorf("%s: %s: %v", r.name, sql, err)
+				}
+				if err := sameOnTheWire(ref, resp.ResultSet, wired); err != nil {
+					t.Errorf("%s: %s: over the wire: %v", r.name, sql, err)
 				}
 			}
 		}

@@ -557,10 +557,13 @@ func allocated(runs int, f func()) (objects, bytes uint64) {
 // the store's sets as they are held (Store.Parts, sqlparse.ApplyToParts).
 //   - A SELECT * answer over two live views, then its wire encoding, costs
 //     the same allocations for 20 rows as for 400: each view's rows are built
-//     into a set of the read's own and the answer copies those once more, one
-//     array a column, and nothing is allocated a row. Measured at 14 when
-//     written: the parts slice and one Builder a view are handed out, where
-//     building each view only to merge it kept its Builder on the stack (11).
+//     into a set of the read's own, the answer holds those sets as its parts
+//     and the encoding writes them where they are; nothing is allocated a
+//     row. Bound at 14: the parts slice and one Builder a view are handed
+//     out.
+//   - A two-site SELECT * answer over snapshot views and its encoding into a
+//     reused buffer cost the same objects and bytes for 20 rows as for 400:
+//     the answer is a concatenation of the snapshots, never copied.
 //   - An aggregate answer over two snapshot views of 20 rows allocates the
 //     same objects and bytes as one over 400: it reads the cells where the
 //     snapshots hold them.
@@ -635,6 +638,27 @@ func TestRegionAnswerAllocations(t *testing.T) {
 	t.Logf("one-site SELECT * over a snapshot view: %+v for 10 rows, %+v for 200", few, many)
 	if few != many && !raceEnabled {
 		t.Errorf("a one-site SELECT * region answer over 10 rows cost %+v and over 200 cost %+v, want the same", few, many)
+	}
+	// Two sites' SELECT * is a concatenation of the snapshots, written to
+	// the wire from them: with the output buffer reused, nothing grows with
+	// the rows.
+	encoded := func(hosts int) cost {
+		s := snapshots(hosts)
+		var buf []byte
+		var c cost
+		c.objects, c.bytes = allocated(50, func() {
+			var err error
+			rs := answer(s, selectAll, sites...)
+			if buf, err = web.EncodeResponse(&core.Response{ResultSet: rs}).AppendJSON(buf[:0]); err != nil || rs.Len() != 2*hosts {
+				t.Fatalf("%d rows, %v", rs.Len(), err)
+			}
+		})
+		return c
+	}
+	few, many = encoded(10), encoded(200)
+	t.Logf("two-site SELECT * over snapshot views, encoded: %+v for 20 rows, %+v for 400", few, many)
+	if few != many && !raceEnabled {
+		t.Errorf("a two-site SELECT * region answer and its encoding cost %+v for 20 rows and %+v for 400, want the same", few, many)
 	}
 	s := snapshots(10)
 	snap := s.sites["A"][glue.GroupProcessor].snap

@@ -203,7 +203,9 @@ func (m *Metadata) ColumnNames() []string {
 
 // ResultSet is an in-memory table with a cursor, mirroring the subset of the
 // JDBC ResultSet contract GridRM drivers implement. Its cells are held by
-// column, and only the columns that hold a value are held at all.
+// column, and only the columns that hold a value are held at all; or, for a
+// concatenation of whole parts that Gather built, by those parts until a
+// read of its cells copies them into columns of its own (see extra).
 type ResultSet struct {
 	meta *Metadata
 	cols []Vector // the columns with a value in them, in column order
@@ -212,16 +214,101 @@ type ResultSet struct {
 	// cursor and wasNull belong to this header alone; Clone resets them.
 	cursor   int32
 	wasNull  bool
-	borrowed bool     // cols is another set's array: copy before writing
-	view     *[][]any // RowAt's boxed rows, built on first use under viewMu
+	borrowed bool                  // cols is another set's array: copy before writing
+	ext      atomic.Pointer[extra] // what few sets have; nil for most
 	// Source optionally records the data-source URL the rows came from.
 	Source string
 	// Fetched optionally records when the rows were harvested.
 	Fetched time.Time
 }
 
+// extra is what few sets have, kept out of the header that every set pays
+// for: the parts of a concatenation, and RowAt's boxed rows.
+//
+// A concatenation holds its rows as the whole parts they are, in order: flat
+// sets of its shape, none empty, which nobody writes. The wire writes them as
+// they stand (Expand); the first read of the set's cells in the process
+// copies them into the set's columns, once, which is the one copy a
+// concatenation costs when anything here reads it.
+type extra struct {
+	parts []*ResultSet // a concatenation's, set when the extra is made
+	mu    sync.Mutex   // held by the one flatten
+	done  atomic.Bool  // the set's columns hold the parts' cells
+	view  [][]any      // RowAt's boxed rows, built on first use under viewMu
+}
+
+// parts returns the parts rs concatenates, nil when it holds its own cells.
+func (rs *ResultSet) parts() []*ResultSet {
+	if e := rs.ext.Load(); e != nil {
+		return e.parts
+	}
+	return nil
+}
+
+// flat makes sure a concatenation's cells are in its columns before they are
+// read or written; a set that holds its own cells pays one load.
+func (rs *ResultSet) flat() {
+	if e := rs.ext.Load(); e != nil && e.parts != nil && !e.done.Load() {
+		rs.flatten(e)
+	}
+}
+
+// flatten copies the parts' cells into rs's columns, one array a column,
+// exactly once however many readers race to it. Len never changes.
+func (rs *ResultSet) flatten(e *extra) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.done.Load() {
+		return
+	}
+	out := ResultSet{meta: rs.meta}
+	out.Grow(int(rs.n))
+	out.hold(width(e.parts))
+	for _, part := range e.parts {
+		out.appendPart(part, nil)
+	}
+	rs.cols, rs.room = out.cols, out.room
+	e.done.Store(true)
+}
+
+// width is the most columns any of parts holds values in.
+func width(parts []*ResultSet) int {
+	live := 0
+	for _, p := range parts {
+		if held := p.parts(); held != nil {
+			live = max(live, width(held))
+		} else {
+			live = max(live, len(p.cols))
+		}
+	}
+	return live
+}
+
+// Expand returns parts with each concatenation among them replaced by the
+// whole parts it holds, so that a caller that reads parts' cells reads flat
+// sets only and copies nothing it does not keep: parts itself when none is
+// a concatenation. The sets it returns are shared: never write them.
+func Expand(parts []*ResultSet) []*ResultSet {
+	for i, p := range parts {
+		held := p.parts()
+		if held == nil {
+			continue
+		}
+		out := append(make([]*ResultSet, 0, len(parts)+len(held)), parts[:i]...)
+		for _, p := range parts[i:] {
+			if held := p.parts(); held != nil {
+				out = append(out, held...)
+			} else {
+				out = append(out, p)
+			}
+		}
+		return out
+	}
+	return parts
+}
+
 // viewMu guards every ResultSet's view. It lives outside the struct so that
-// a ResultSet header stays copyable; only the compatibility view takes it.
+// a ResultSet header stays small; only the compatibility view takes it.
 var viewMu sync.Mutex
 
 // New creates an empty ResultSet with the given metadata.
@@ -264,6 +351,7 @@ func (rs *ResultSet) find(c int) (int, bool) {
 
 // Column returns column c's cells to read, nil when every row of it is NULL.
 func (rs *ResultSet) Column(c int) *Vector {
+	rs.flat()
 	if i, ok := rs.find(c); ok {
 		return &rs.cols[i]
 	}
@@ -286,9 +374,10 @@ func (rs *ResultSet) Null(r, c int) bool {
 }
 
 // own makes cols this set's to write: a clone's first write copies the
-// column headers it borrowed.
+// column headers it borrowed, and a concatenation stops being one.
 func (rs *ResultSet) own() {
-	rs.view = nil
+	rs.flat()
+	rs.ext.Store(nil)
 	if rs.borrowed {
 		cols := make([]Vector, len(rs.cols))
 		for i := range cols {
@@ -341,9 +430,15 @@ func (rs *ResultSet) WasNull() bool { return rs.wasNull }
 // (it does not reach the columns). Product code reads cells; this is for
 // tests and the benchmark's oracle.
 func (rs *ResultSet) RowAt(i int) []any {
+	rs.flat()
 	viewMu.Lock()
 	defer viewMu.Unlock()
-	if rs.view == nil {
+	e := rs.ext.Load()
+	if e == nil {
+		e = new(extra)
+		rs.ext.Store(e)
+	}
+	if e.view == nil {
 		n, w := int(rs.n), len(rs.meta.cols)
 		slab, rows := make([]any, n*w), make([][]any, n)
 		for r := range rows {
@@ -355,9 +450,9 @@ func (rs *ResultSet) RowAt(i int) []any {
 				slab[r*w+int(c.idx)] = c.Cell(r).Value()
 			}
 		}
-		rs.view = &rows
+		e.view = rows
 	}
-	return (*rs.view)[i]
+	return e.view[i]
 }
 
 func (rs *ResultSet) value(col string) (Cell, error) {
@@ -558,7 +653,8 @@ func (b *Builder) Reset() {
 		clear(c.Times)
 		*c = Vector{idx: c.idx, Nums: c.Nums[:0], Strs: c.Strs[:0], Times: c.Times[:0]}
 	}
-	b.rs.n, b.rs.view, b.err = 0, nil, nil
+	b.rs.n, b.err = 0, nil
+	b.rs.ext.Store(nil)
 }
 
 // Build returns the accumulated ResultSet or the first append error.
@@ -577,9 +673,16 @@ func (b *Builder) Build() (*ResultSet, error) {
 // it into a set of your own; never move its cursor or sort it — Clone it
 // first if you need a cursor. Writing to a clone copies its column headers
 // first, so the original never sees the write.
+//
+// A clone of a concatenation holds the same parts, and flattens on its own.
 func (rs *ResultSet) Clone() *ResultSet {
 	clone := rs.like()
-	clone.cols, clone.n, clone.borrowed = rs.cols, rs.n, true
+	clone.n = rs.n
+	if held := rs.parts(); held != nil {
+		clone.ext.Store(&extra{parts: held})
+	} else {
+		clone.cols, clone.borrowed = rs.cols, true
+	}
 	return clone
 }
 
@@ -605,37 +708,49 @@ type Ref struct{ Part, Row int32 }
 // column i is the parts' column cols[i], or column i when cols is nil. The
 // parts conform to one shape (Metadata.Conforms), and no part is written.
 //
-// An answer that is one whole part shares that part's arrays; any other
-// copies the cells it holds once, one array a column. Either way it carries
-// no Source or Fetched, as a set merged from several has.
+// An answer that is one whole part shares that part's arrays. An answer of
+// several whole parts (sel nil) is their concatenation: it holds the parts,
+// each projected onto the answer's columns, and copies nothing until a read
+// of its cells (see extra). A selection copies the cells it keeps once, one
+// array a column. Every answer carries no Source or Fetched, as a set merged
+// from several has.
 func Gather(meta *Metadata, parts []*ResultSet, sel []Ref, cols []int) *ResultSet {
 	out := New(meta)
 	if sel != nil {
 		gatherRows(out, parts, sel, cols)
 		return out
 	}
-	whole, filled, live, total := -1, 0, 0, int32(0)
+	parts = Expand(parts)
+	whole, filled, total := -1, 0, int32(0)
 	for p, part := range parts {
 		if part.n > 0 {
 			whole, filled, total = p, filled+1, total+part.n
-			live = max(live, len(part.cols))
 		}
-	}
-	if filled > 1 {
-		whole = -1
 	}
 	switch {
 	case total == 0:
-	case whole >= 0 && cols == nil:
+	case filled == 1 && cols == nil:
 		out.cols, out.n, out.borrowed = parts[whole].cols, total, true
-	case whole >= 0:
+	case filled == 1:
 		out.cols, out.n = parts[whole].shareColumns(cols), total
 	default:
-		out.Grow(int(total))
-		out.hold(live)
-		for _, part := range parts {
-			out.appendPart(part, cols)
+		held := make([]*ResultSet, 0, filled)
+		var views []ResultSet // the parts projected, one allocation for all
+		if cols != nil {
+			views = make([]ResultSet, 0, filled)
 		}
+		for _, part := range parts {
+			switch {
+			case part.n == 0:
+				continue
+			case cols != nil:
+				views = append(views, ResultSet{meta: meta, cols: part.shareColumns(cols), n: part.n, cursor: -1})
+				part = &views[len(views)-1]
+			}
+			held = append(held, part)
+		}
+		out.n = total
+		out.ext.Store(&extra{parts: held})
 	}
 	return out
 }
@@ -644,6 +759,12 @@ func Gather(meta *Metadata, parts []*ResultSet, sel []Ref, cols []int) *ResultSe
 // column i (every column as it is when cols is nil). The caller has called
 // own.
 func (rs *ResultSet) appendPart(part *ResultSet, cols []int) {
+	if held := part.parts(); held != nil {
+		for _, p := range held {
+			rs.appendPart(p, cols)
+		}
+		return
+	}
 	for k := 0; cols == nil && k < len(part.cols); k++ {
 		src := &part.cols[k]
 		rs.live(int(src.idx)).AppendRange(int(rs.n), src, 0, int(part.n), int(rs.room))
@@ -671,11 +792,7 @@ func gatherRows(out *ResultSet, parts []*ResultSet, sel []Ref, cols []int) {
 	if len(sel) == 0 {
 		return
 	}
-	live := 0
-	for _, part := range parts {
-		live = max(live, len(part.cols))
-	}
-	out.cols = make([]Vector, 0, min(live, len(out.meta.cols)))
+	out.cols = make([]Vector, 0, min(width(parts), len(out.meta.cols)))
 	for i := range out.meta.cols {
 		if !slices.ContainsFunc(parts, func(p *ResultSet) bool { return p.Column(column(cols, i)) != nil }) {
 			continue // NULL in every part
@@ -709,7 +826,8 @@ func (rs *ResultSet) SortBy(col string, desc bool) error {
 	if err != nil {
 		return err
 	}
-	rs.cols, rs.borrowed, rs.view = sorted.cols, false, nil
+	rs.cols, rs.borrowed = sorted.cols, false
+	rs.ext.Store(nil)
 	rs.Reset()
 	return nil
 }
@@ -745,7 +863,7 @@ func (rs *ResultSet) Merge(other *ResultSet) error {
 	}
 	rs.own()
 	if rs.cols == nil {
-		rs.hold(len(other.cols))
+		rs.hold(width([]*ResultSet{other}))
 	}
 	rs.appendPart(other, nil)
 	return nil

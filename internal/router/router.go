@@ -47,7 +47,8 @@ type Options struct {
 	// subscriber.
 	QueueSize int
 	// ReplaySize bounds the replay ring used for resume-after-reconnect
-	// (default 1024; negative disables replay).
+	// (default 1024; negative disables replay). The ring grows to it as
+	// rows arrive.
 	ReplaySize int
 	// Stall is how long a subscriber's queue may stay continuously full
 	// before the subscriber is evicted (default 10s; negative disables
@@ -146,9 +147,7 @@ func New(opts Options) *Router {
 		subs:  make(map[uint64]*Subscription),
 		sinks: make(map[string]*sinkRunner),
 	}
-	if o.ReplaySize > 0 {
-		r.replay.buf = make([]Metric, o.ReplaySize)
-	}
+	r.replay.size = max(o.ReplaySize, 0)
 	return r
 }
 
@@ -460,28 +459,40 @@ func (r *Router) OldestBuffered() uint64 { return r.replay.oldest() }
 func (r *Router) Seq() uint64 { return r.replay.seq.Load() }
 
 // replayRing is the bounded buffer of recent metrics serving
-// resume-after-reconnect. A zero buf disables replay (seq numbers are
-// still assigned).
+// resume-after-reconnect. It holds at most size metrics in buf, which starts
+// empty and doubles as metrics arrive until it holds size: a ring that is
+// seldom written costs what it holds, not what it may hold. A zero size
+// disables replay (seq numbers are still assigned).
 type replayRing struct {
 	mu   sync.Mutex
+	size int // the bound; fixed at New
 	buf  []Metric
 	next int
 	full bool
 	seq  atomic.Uint64
 }
 
+// replayFirstSlots is the room a ring makes when its first metric arrives.
+const replayFirstSlots = 16
+
 // append stamps m with the next sequence number, stores it and returns
 // the assigned seq.
 func (rr *replayRing) append(m Metric) uint64 {
 	seq := rr.seq.Add(1)
-	if len(rr.buf) == 0 {
+	if rr.size == 0 {
 		return seq
 	}
 	m.Seq = seq
 	rr.mu.Lock()
+	if rr.next == len(rr.buf) {
+		// Not wrapped yet, so buf is oldest first: double it.
+		grown := make([]Metric, min(max(2*len(rr.buf), replayFirstSlots), rr.size))
+		copy(grown, rr.buf)
+		rr.buf = grown
+	}
 	rr.buf[rr.next] = m
 	rr.next++
-	if rr.next == len(rr.buf) {
+	if rr.next == rr.size {
 		rr.next = 0
 		rr.full = true
 	}
@@ -493,7 +504,7 @@ func (rr *replayRing) append(m Metric) uint64 {
 // reporting how many were fed and whether rows between after and the
 // oldest buffered entry are already gone.
 func (rr *replayRing) since(after uint64, fn func(Metric)) (n int, gapped bool) {
-	if len(rr.buf) == 0 {
+	if rr.size == 0 {
 		return 0, rr.seq.Load() > after
 	}
 	rr.mu.Lock()
@@ -522,9 +533,6 @@ func (rr *replayRing) since(after uint64, fn func(Metric)) (n int, gapped bool) 
 func (rr *replayRing) oldest() uint64 {
 	rr.mu.Lock()
 	defer rr.mu.Unlock()
-	if len(rr.buf) == 0 {
-		return 0
-	}
 	if rr.full {
 		return rr.buf[rr.next].Seq
 	}

@@ -2,6 +2,7 @@ package router
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -228,6 +229,62 @@ func TestFromSeqGapDetection(t *testing.T) {
 	}
 	if got := r.OldestBuffered(); got != 17 {
 		t.Fatalf("OldestBuffered = %d, want 17", got)
+	}
+}
+
+// TestReplayRingGrowsToItsBound: the ring holds nothing until a row is
+// published, then doubles from replayFirstSlots to its bound, and wraps
+// there. At every step it holds exactly the newest min(n, bound) rows,
+// oldest first, and resume and gap detection answer as a ring allocated
+// whole would. A disabled ring holds nothing ever and reports every resume
+// that missed a row as gapped.
+func TestReplayRingGrowsToItsBound(t *testing.T) {
+	const bound = 100 // 16 → 32 → 64 → 100, then the wrap
+	r := New(Options{ReplaySize: bound})
+	if len(r.replay.buf) != 0 || r.OldestBuffered() != 0 || len(r.Buffered()) != 0 {
+		t.Fatalf("an unused ring holds %d slots", len(r.replay.buf))
+	}
+	slots := []int{}
+	for n := 1; n <= 2*bound+bound/2; n++ {
+		publishN(r, 1, "cpu")
+		if k := len(r.replay.buf); len(slots) == 0 || slots[len(slots)-1] != k {
+			slots = append(slots, k)
+		}
+		oldest := uint64(max(1, n-bound+1))
+		got := r.Buffered()
+		if len(got) != n-int(oldest)+1 || got[0].Seq != oldest || got[len(got)-1].Seq != uint64(n) {
+			t.Fatalf("after %d rows the ring holds %d rows from seq %d, want %d from %d", n, len(got), got[0].Seq, n-int(oldest)+1, oldest)
+		}
+		for i := 1; i < len(got); i++ {
+			if got[i].Seq != got[i-1].Seq+1 {
+				t.Fatalf("after %d rows: seq %d follows %d", n, got[i].Seq, got[i-1].Seq)
+			}
+		}
+		if r.OldestBuffered() != oldest || r.Seq() != uint64(n) {
+			t.Fatalf("after %d rows: oldest %d, seq %d", n, r.OldestBuffered(), r.Seq())
+		}
+		for _, after := range []uint64{0, oldest - 1, oldest, uint64(n)} {
+			fed, gapped := r.replay.since(after, func(Metric) {})
+			want := n - int(max(after, oldest-1))
+			if fed != want || gapped != (after+1 < oldest) {
+				t.Fatalf("after %d rows, since(%d) fed %d gapped %v, want %d %v", n, after, fed, gapped, want, after+1 < oldest)
+			}
+		}
+	}
+	if want := []int{16, 32, 64, 100}; !slices.Equal(slots, want) {
+		t.Fatalf("ring sizes %v, want %v", slots, want)
+	}
+
+	off := New(Options{ReplaySize: -1})
+	publishN(off, 3, "cpu")
+	if len(off.replay.buf) != 0 || off.Buffered() != nil || off.OldestBuffered() != 0 || off.Seq() != 3 {
+		t.Fatalf("a disabled ring holds %d slots, oldest %d, seq %d", len(off.replay.buf), off.OldestBuffered(), off.Seq())
+	}
+	if _, gapped := off.replay.since(2, func(Metric) {}); !gapped {
+		t.Fatal("a disabled ring resumed past a row without a gap")
+	}
+	if fed, gapped := off.replay.since(3, func(Metric) {}); fed != 0 || gapped {
+		t.Fatal("a disabled ring reported a gap where no row was missed")
 	}
 }
 

@@ -135,9 +135,10 @@ func likeMatch(p, s string) bool {
 // resultset.Gather builds the answer. No part is written, so a part may be a
 // set other readers share (a cached harvest, a republisher's snapshot).
 //
-// An answer that is one whole part, in order, shares that part's arrays; any
-// other copies the cells it keeps once. It carries no Source or Fetched, as a
-// set merged from several has.
+// An answer that is one whole part, in order, shares that part's arrays; one
+// of several whole parts holds them (resultset.Gather); any other copies the
+// cells it keeps once. It carries no Source or Fetched, as a set merged from
+// several has.
 func ApplyToParts(q *Query, meta *resultset.Metadata, parts []*resultset.ResultSet) (*resultset.ResultSet, error) {
 	return evaluate(q, meta, parts, how{})
 }
@@ -165,6 +166,10 @@ type how struct {
 // evaluate is the one evaluator behind ApplyToParts, ApplyToResultSet,
 // FinalizeParts and FinalizeAggregate.
 func evaluate(q *Query, meta *resultset.Metadata, parts []*resultset.ResultSet, h how) (*resultset.ResultSet, error) {
+	// A part that is itself a concatenation (a site's answer among the legs
+	// of an all-sites one) is read as the parts it holds, so that passing it
+	// on or selecting from it copies nothing twice.
+	parts = resultset.Expand(parts)
 	for _, p := range parts {
 		if err := meta.Conforms(p.Metadata()); err != nil {
 			return nil, err

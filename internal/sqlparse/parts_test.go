@@ -2,6 +2,7 @@ package sqlparse
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"unsafe"
 
@@ -125,5 +126,66 @@ func TestPlanSiteSQL(t *testing.T) {
 		if p.SiteSQL != c.site || p.Consolidate.String() != c.consolidate {
 			t.Errorf("%s:\n site %s, want %s\n consolidate %s, want %s", c.sql, p.SiteSQL, c.site, p.Consolidate, c.consolidate)
 		}
+	}
+}
+
+// TestApplyToPartsExpandsConcatenations: a part that is itself a whole-part
+// concatenation — the entry's own site among the legs of an all-sites
+// answer — is read as the parts it holds. A WHERE over it answers as over
+// those parts, copies each kept cell once and never flattens the leg: it
+// costs what the same WHERE over the parts costs, give or take the slice
+// the parts are listed in, where flattening the leg would copy every one of
+// its 2,000 rows.
+func TestApplyToPartsExpandsConcatenations(t *testing.T) {
+	meta := buildLoad(t).Metadata()
+	site := func(name string, hosts int) *resultset.ResultSet {
+		b := resultset.NewBuilder(meta)
+		for h := 0; h < hosts; h++ {
+			b.Append(fmt.Sprint(name, "-", h), "alpha", int64(4), float64(h%100))
+		}
+		rs, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rs
+	}
+	a, b, c := site("a", 1000), site("b", 1000), site("c", 10)
+	star := mustParse(t, "SELECT * FROM Processor")
+	leg := func() *resultset.ResultSet {
+		rs, err := ApplyToParts(star, meta, []*resultset.ResultSet{a, b})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rs
+	}
+	if n := len(resultset.Expand([]*resultset.ResultSet{leg()})); n != 2 {
+		t.Fatalf("the own-site leg holds %d parts, want 2", n)
+	}
+	q := mustParse(t, "SELECT HostName, LoadLast1Min FROM Processor WHERE LoadLast1Min > 98")
+	over := func(parts ...*resultset.ResultSet) *resultset.ResultSet {
+		rs, err := ApplyToParts(q, meta, parts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rs
+	}
+	want, got := over(a, b, c), over(leg(), c)
+	if rendered(got) != rendered(want) || got.Len() != 20 {
+		t.Fatalf("over the leg:\n%s\nover its parts:\n%s", rendered(got), rendered(want))
+	}
+	bytes := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		f()
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 20; i++ {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / 20
+	}
+	viaLeg := bytes(func() { over(leg(), c) })
+	viaParts := bytes(func() { leg(); over(a, b, c) })
+	if viaLeg > viaParts+1024 {
+		t.Fatalf("a WHERE over the own-site leg allocated %d bytes, over its parts %d: the leg was copied", viaLeg, viaParts)
 	}
 }

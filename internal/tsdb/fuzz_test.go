@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -114,6 +115,84 @@ func FuzzWALDecode(f *testing.F) {
 		if err != nil || truncated || again != frames {
 			t.Fatalf("replay did not converge: frames %d→%d truncated=%v err=%v",
 				frames, again, truncated, err)
+		}
+	})
+}
+
+// fuzzSeedCheckpoint is a well-formed checkpoint image: the header, two
+// sample frames and the end marker.
+func fuzzSeedCheckpoint() []byte {
+	ckpt := binary.LittleEndian.AppendUint32([]byte(ckptMagic), ckptVersion)
+	ckpt = binary.LittleEndian.AppendUint64(ckpt, 7)
+	for _, p := range [][]byte{fuzzSeedPayload(), fuzzSeedPayload(), ckptEndMarker} {
+		ckpt = appendFrame(ckpt, p)
+	}
+	return ckpt
+}
+
+// FuzzCheckpointLoad throws arbitrary bytes at the checkpoint loader, first
+// on its own with the sample decoder behind it, then as the one checkpoint
+// of a directory a store restores from. The properties: nothing panics; a
+// file the loader accepts delivered every frame it counts, each of which the
+// sample decoder took and which re-encodes to the same record; a store
+// restores exactly that many records from it, and drops a file the loader
+// refuses as corrupt; and no input, whatever lengths it claims, makes either
+// allocate more than maxFrameBytes.
+func FuzzCheckpointLoad(f *testing.F) {
+	seed := fuzzSeedCheckpoint()
+	f.Add(seed)
+	f.Add(seed[:len(seed)-1]) // torn end marker
+	f.Add(seed[:ckptHeaderSize])
+	f.Add([]byte{})
+	flipped := append([]byte(nil), seed...)
+	flipped[ckptHeaderSize+frameHeaderSize+3] ^= 0x10 // CRC mismatch
+	f.Add(flipped)
+	huge := binary.LittleEndian.AppendUint32(append([]byte(nil), seed[:ckptHeaderSize]...), maxFrameBytes+1)
+	f.Add(append(huge, make([]byte, 12)...)) // a frame claiming past the bound
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, checkpointName(1))
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		var dec decoder
+		delivered := 0
+		frames, _, err := loadCheckpoint(path, func(p []byte) error {
+			rec, err := dec.sample(p)
+			if err != nil {
+				return err
+			}
+			delivered++
+			if rec.refused != nil {
+				return nil
+			}
+			round := encodeResult(nil, rec.source, rec.group, rec.at, rec.rs.Metadata().ColumnCount(), rec.rs)
+			if again, err := new(decoder).sample(round); err != nil || again.refused != nil ||
+				again.source != rec.source || again.group != rec.group || !again.at.Equal(rec.at) || !sameCells(again.rs, rec.rs) {
+				t.Fatalf("an accepted checkpoint record does not survive re-encoding: %v", err)
+			}
+			return nil
+		})
+		if err == nil && frames != delivered {
+			t.Fatalf("accepted with %d frames, delivered %d", frames, delivered)
+		}
+
+		s := Open(Options{Dir: dir, Fsync: FsyncOff, CheckpointInterval: -1, Alert: func(string, string) {}, Status: func(string, string) {}}, newMem())
+		st := s.Stats()
+		s.CrashClose()
+		runtime.ReadMemStats(&after)
+		if grown := after.TotalAlloc - before.TotalAlloc; grown > maxFrameBytes {
+			t.Fatalf("loading and restoring %d bytes allocated %d", len(data), grown)
+		}
+		_, statErr := os.Stat(path)
+		switch {
+		case err == nil && (st.ReplayedRecords != int64(frames) || statErr != nil):
+			t.Fatalf("an accepted checkpoint of %d frames restored %d (file kept: %v)", frames, st.ReplayedRecords, statErr == nil)
+		case err != nil && (st.CorruptRecords == 0 || statErr == nil):
+			t.Fatalf("a refused checkpoint (%v) was not dropped as corrupt: %+v", err, st)
 		}
 	})
 }

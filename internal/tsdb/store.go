@@ -102,6 +102,10 @@ type Store struct {
 	walErrors        int64
 	reattaches       int64
 	lastCheckpoint   time.Time
+	// walBytes counts the framed bytes the WAL holds past the checkpoints:
+	// replayed at restore, then appended. ckptWALBytes is its value where
+	// the newest checkpoint's snapshot was cut.
+	walBytes, ckptWALBytes int64
 
 	ckptMu    sync.Mutex      // serializes checkpoint writes
 	stopCtx   context.Context // cancelled by Close/CrashClose to end the background loops
@@ -125,6 +129,9 @@ type Stats struct {
 	DiskBytes        int64     `json:"disk_bytes"`
 	WALSegments      int       `json:"wal_segments"`
 	LastCheckpoint   time.Time `json:"last_checkpoint,omitempty"`
+	// WALBytesSinceCheckpoint is the framed WAL bytes no checkpoint covers:
+	// what a crash now would replay.
+	WALBytesSinceCheckpoint int64 `json:"wal_bytes_since_checkpoint"`
 }
 
 // Open attaches durability to mem. It never fails: if the directory cannot
@@ -247,7 +254,13 @@ func (s *Store) restoreLocked() error {
 		if seg.seq < s.ckptWALSeq {
 			continue // fully covered by the checkpoint
 		}
-		frames, truncated, err := replaySegment(seg.path, load)
+		frames, truncated, err := replaySegment(seg.path, func(payload []byte) error {
+			err := load(payload)
+			if err == nil {
+				s.walBytes += int64(frameHeaderSize + len(payload))
+			}
+			return err
+		})
 		restored += int64(frames)
 		if err != nil {
 			s.alert(fmt.Sprintf("cannot replay WAL segment %s: %v", seg.path, err))
@@ -292,6 +305,7 @@ func (s *Store) Record(source, group string, rs *resultset.ResultSet, at time.Ti
 		return nil
 	}
 	s.walAppends++
+	s.walBytes += int64(frameHeaderSize + len(s.encBuf))
 	if s.w.size >= s.opts.SegmentMaxBytes {
 		s.rotateLocked()
 	}
@@ -393,7 +407,7 @@ func (s *Store) Checkpoint() error {
 		s.mu.Unlock()
 		return nil
 	}
-	walSeq := s.w.seq
+	walSeq, walBytes := s.w.seq, s.walBytes
 	view := s.mem.View() // O(keys); Record waits for no more than this
 	seq := s.ckptSeq + 1
 	dir := s.opts.Dir
@@ -413,6 +427,7 @@ func (s *Store) Checkpoint() error {
 	s.checkpoints++
 	s.ckptSeq = seq
 	s.ckptWALSeq = walSeq
+	s.ckptWALBytes = walBytes
 	s.lastCheckpoint = s.opts.Clock()
 	s.ckpts = append(s.ckpts, checkpointInfo{
 		seq: seq, path: filepath.Join(dir, checkpointName(seq)), walSeq: walSeq,
@@ -489,6 +504,8 @@ func (s *Store) Stats() Stats {
 		DiskBytes:        s.diskBytesLocked(),
 		WALSegments:      len(s.sealed),
 		LastCheckpoint:   s.lastCheckpoint,
+
+		WALBytesSinceCheckpoint: s.walBytes - s.ckptWALBytes,
 	}
 	if s.attached {
 		st.State = "durable"

@@ -596,3 +596,48 @@ func TestHostileFrameAllocatesNothingForItsClaims(t *testing.T) {
 		t.Errorf("after restore: %+v, %d samples; want 1 refused of 2 replayed, 1 loaded", st, mem.TotalSamples())
 	}
 }
+
+// TestWALBytesSinceCheckpoint: the gauge grows by the framed bytes each
+// record appends, keeps counting across a segment rotation, falls after a
+// checkpoint to what was appended since its cut, and after a restart counts
+// the WAL tail the restore replayed.
+func TestWALBytesSinceCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	opts := testOpts(dir, nil)
+	opts.SegmentMaxBytes = 200
+	s := Open(opts, newMem())
+	t0 := time.Unix(90000, 0)
+	if got := s.Stats().WALBytesSinceCheckpoint; got != 0 {
+		t.Fatalf("a fresh store reports %d bytes since checkpoint", got)
+	}
+	var want int64
+	for i := 0; i < 12; i++ {
+		host, at := fmt.Sprintf("host%d", i), t0.Add(time.Duration(i)*time.Second)
+		frame := int64(frameHeaderSize + len(encodeResult(nil, testSrc, glue.GroupMemory, at, 7, memRS(t, host, 1024))))
+		record(t, s, host, at)
+		if want += frame; s.Stats().WALBytesSinceCheckpoint != want {
+			t.Fatalf("after record %d: %d bytes since checkpoint, want %d", i, s.Stats().WALBytesSinceCheckpoint, want)
+		}
+	}
+	if st := s.Stats(); st.WALSegments < 3 {
+		t.Fatalf("no rotation to cross: %+v", st)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Stats().WALBytesSinceCheckpoint; got != 0 {
+		t.Fatalf("after a checkpoint: %d bytes since it, want 0", got)
+	}
+	record(t, s, "late", t0.Add(time.Minute))
+	late := s.Stats().WALBytesSinceCheckpoint
+	if late <= 0 || late >= want {
+		t.Fatalf("one record after the checkpoint: %d bytes, want a frame's", late)
+	}
+	s.CrashClose()
+
+	s2 := Open(testOpts(dir, nil), newMem())
+	defer s2.Close()
+	if got := s2.Stats().WALBytesSinceCheckpoint; got != late {
+		t.Fatalf("after a restart: %d bytes since checkpoint, want the %d the restore replayed", got, late)
+	}
+}

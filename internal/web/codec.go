@@ -63,21 +63,28 @@ func (wr WireResult) appendJSON(buf []byte) ([]byte, error) {
 		buf = append(buf, '}')
 	}
 	buf = append(buf, `],"rows":[`...)
-	// Look each column up once, not once a cell; GLUE groups have about ten.
+	// A concatenation's rows are written from the parts they are, in place:
+	// the answer a hop only passes on is never copied into a set of its own.
+	one := [1]*resultset.ResultSet{rs}
 	var few [16]*resultset.Vector
-	cols := few[:0]
-	for i := 0; i < meta.ColumnCount(); i++ {
-		cols = append(cols, rs.Column(i))
-	}
-	for r, n := 0, rs.Len(); r < n; r++ {
-		start := len(buf)
-		if r > 0 {
-			buf = append(buf, ',')
+	k, n := 0, rs.Len()
+	for _, part := range resultset.Expand(one[:]) {
+		// Look each column up once a part, not once a cell; GLUE groups
+		// have about ten.
+		cols := few[:0]
+		for i := 0; i < meta.ColumnCount(); i++ {
+			cols = append(cols, part.Column(i))
 		}
-		buf = appendRow(buf, cols, r)
-		if r == 0 {
-			// The first row sizes the rest: one growth, an eighth to spare.
-			buf = slices.Grow(buf, (len(buf)-start+1)*(n-1)*9/8+len(`]}`))
+		for r := 0; r < part.Len(); r, k = r+1, k+1 {
+			start := len(buf)
+			if k > 0 {
+				buf = append(buf, ',')
+			}
+			buf = appendRow(buf, cols, r)
+			if k == 0 {
+				// The first row sizes the rest: one growth, an eighth to spare.
+				buf = slices.Grow(buf, (len(buf)-start+1)*(n-1)*9/8+len(`]}`))
+			}
 		}
 	}
 	return append(buf, `]}`...), nil

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net/http"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -277,6 +278,79 @@ func TestWireDifferential(t *testing.T) {
 		if diff := sameResult(fromRef, twice); diff != "" {
 			t.Fatalf("second trip changed the result: %s", diff)
 		}
+	}
+}
+
+// TestWireConcatenationMatchesFlattened: an answer that is a concatenation
+// of whole parts is written from the parts as they stand, and its bytes are
+// those of the same rows held in one set, and of the concatenation's own
+// flattened copy. Over generated shapes (NULL-only columns among them) the
+// rows are split into 1, 2 or many parts, empty ones included, each holding
+// only the columns its rows fill, and read whole or projected.
+func TestWireConcatenationMatchesFlattened(t *testing.T) {
+	rng := rand.New(rand.NewSource(20030901))
+	concatenations := 0
+	for i := 0; i < 2000; i++ {
+		src := genResult(rng)
+		meta := src.Metadata()
+		rows := resultset.New(meta)
+		for k := 0; k < 1+rng.Intn(4); k++ {
+			if err := rows.Merge(src); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Cut the rows into parts at random points, repeats making empty parts.
+		cuts := []int{0, rows.Len()}
+		for k := rng.Intn([]int{1, 2, 12}[i%3]); k > 0; k-- {
+			cuts = append(cuts, rng.Intn(rows.Len()+1))
+		}
+		slices.Sort(cuts)
+		var parts []*resultset.ResultSet
+		for k := 1; k < len(cuts); k++ {
+			sel := []resultset.Ref{}
+			for r := cuts[k-1]; r < cuts[k]; r++ {
+				sel = append(sel, resultset.Ref{Row: int32(r)})
+			}
+			parts = append(parts, resultset.Gather(meta, []*resultset.ResultSet{rows}, sel, nil))
+		}
+		outMeta, cols := meta, []int(nil)
+		if rng.Intn(2) == 0 && meta.ColumnCount() > 0 {
+			names := meta.ColumnNames()
+			var pick []string
+			for _, k := range rng.Perm(len(names))[:1+rng.Intn(len(names))] {
+				pick = append(pick, names[k])
+			}
+			var err error
+			if outMeta, cols, err = meta.Project(pick); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cat := resultset.Gather(outMeta, parts, nil, cols)
+		if len(resultset.Expand([]*resultset.ResultSet{cat})) > 1 {
+			concatenations++
+		}
+		got, err := json.Marshal(WireResult{ResultSet: cat})
+		if err != nil {
+			t.Fatal(err)
+		}
+		one, err := json.Marshal(WireResult{ResultSet: resultset.Gather(outMeta, []*resultset.ResultSet{rows}, nil, cols)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		flat := resultset.New(outMeta)
+		if err := flat.Merge(cat); err != nil {
+			t.Fatal(err)
+		}
+		flattened, err := json.Marshal(WireResult{ResultSet: flat})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, one) || !bytes.Equal(got, flattened) {
+			t.Fatalf("%d parts %v, columns %v:\nconcatenation %s\none set       %s\nflattened     %s", len(parts), cuts, cols, got, one, flattened)
+		}
+	}
+	if concatenations < 500 {
+		t.Fatalf("only %d of the answers were concatenations", concatenations)
 	}
 }
 
