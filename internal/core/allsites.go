@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"gridrm/internal/intern"
 	"gridrm/internal/resultset"
 	"gridrm/internal/security"
 	"gridrm/internal/sqlparse"
@@ -38,15 +39,28 @@ func legLabel(leg FanoutLeg) string {
 }
 
 // relabel appends a leg's source statuses to dst, each under the leg's
-// label: the label is built once and dst grown once, not once a status.
+// label, and grows dst once, not once a status. A labelled source is a name
+// the next poll repeats, so it comes from the intern table when it is short
+// enough: built on the stack, it allocates only the first time.
 func relabel(dst []SourceStatus, label string, sources []SourceStatus) []SourceStatus {
 	if len(sources) == 0 {
 		return dst
 	}
 	dst = slices.Grow(dst, len(sources))
-	prefix := label + " "
+	var names intern.Batch
+	defer names.Done()
+	var buf [intern.MaxLen]byte
 	for _, st := range sources {
-		st.Source = prefix + st.Source
+		if len(label)+1+len(st.Source) > len(buf) {
+			st.Source = label + " " + st.Source
+		} else {
+			name := append(append(append(buf[:0], label...), ' '), st.Source...)
+			if s, ok := names.Bytes(name); ok {
+				st.Source = s
+			} else {
+				st.Source = string(name)
+			}
+		}
 		dst = append(dst, st)
 	}
 	return dst

@@ -121,6 +121,55 @@ func TestHistoryFallbackWhenCacheDry(t *testing.T) {
 	}
 }
 
+// TestDeniedSourceNotServedDegraded: a source the fine-grained policy denies
+// to a principal stays denied when its live harvest fails and the ladder
+// would serve it degraded, from the stale cache or from history. The denied
+// principal gets what TestCachedDeniedSourceNotServedFromCache expects of the
+// cache rung — "permission denied", no rows, no degraded serve — while an
+// allowed principal gets the degraded rows.
+func TestDeniedSourceNotServedDegraded(t *testing.T) {
+	for _, rung := range []struct {
+		degraded string
+		grace    time.Duration
+		serves   func(Stats) int64
+	}{
+		{DegradedStaleCache, 10 * time.Minute, func(s Stats) int64 { return s.StaleServes }},
+		{DegradedHistory, -1, func(s Stats) int64 { return s.HistoryFallbacks }},
+	} {
+		t.Run(rung.degraded, func(t *testing.T) {
+			fine := security.OpenFinePolicy()
+			fx := newDegradeFixture(t, Config{StaleGrace: rung.grace, Fine: fine})
+			fine.Add(security.FineRule{Principal: "guest", Source: fx.url, Decision: security.Deny})
+			if s := fx.query(t, ModeCached); s.Err != "" || s.Rows != 1 {
+				t.Fatalf("priming query status %+v", s) // fills the cache and history
+			}
+			*fx.now = fx.now.Add(30 * time.Second) // past TTL; within grace and history's MaxAge
+			fx.drv.fail.Store(true)
+
+			before := fx.g.Stats()
+			resp, err := fx.g.QueryContext(context.Background(), QueryOptions{Principal: security.Principal{Name: "guest"},
+				SQL: "SELECT * FROM Processor", Mode: ModeCached})
+			if err != nil {
+				t.Fatal(err)
+			}
+			after := fx.g.Stats()
+			if len(resp.Sources) != 1 || resp.ResultSet.Len() != 0 {
+				t.Fatalf("denied principal got %d rows, statuses %+v", resp.ResultSet.Len(), resp.Sources)
+			}
+			if st := resp.Sources[0]; st.Err != "permission denied" || st.Degraded != "" || st.Cached || st.Rows != 0 {
+				t.Errorf("denied source answered: %+v", st)
+			}
+			if d, served := after.Denied-before.Denied, rung.serves(after)-rung.serves(before); d != 1 || served != 0 {
+				t.Errorf("Denied +%d, %s serves +%d; want +1, +0", d, rung.degraded, served)
+			}
+
+			if s := fx.query(t, ModeCached); s.Degraded != rung.degraded || s.Rows != 1 {
+				t.Errorf("allowed principal got %+v, want 1 row degraded %q", s, rung.degraded)
+			}
+		})
+	}
+}
+
 // TestRealTimeModeFailsHonestly: an explicit real-time poll promised fresh
 // rows; it must not serve stale ones.
 func TestRealTimeModeFailsHonestly(t *testing.T) {

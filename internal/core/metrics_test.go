@@ -1,6 +1,7 @@
 package core
 
 import (
+	"os"
 	"regexp"
 	"strconv"
 	"strings"
@@ -30,7 +31,11 @@ func TestRuntimeSeriesAroundQueries(t *testing.T) {
 		f.query(t, "SELECT * FROM Processor", ModeCached)
 	}
 	after := scrape()
-	if len(after) != 7 || after["gridrm_runtime_goroutines"] < 1 {
+	series := 7
+	if _, err := os.Stat("/proc/self/fd"); err == nil {
+		series++ // gridrm_runtime_open_fds
+	}
+	if len(after) != series || after["gridrm_runtime_goroutines"] < 1 {
 		t.Fatalf("runtime series: %v", after)
 	}
 	queries := after["gridrm_queries_total"] - before["gridrm_queries_total"]

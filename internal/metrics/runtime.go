@@ -1,15 +1,51 @@
 package metrics
 
 import (
+	"os"
 	"runtime"
 	"sync"
+
+	"gridrm/internal/intern"
 )
 
 // RegisterRuntime exports what the process itself costs — goroutines, live
-// heap, allocations and GC — so that an operator can read, say, allocations
-// per query (gridrm_runtime_mallocs_total over gridrm_queries_total) from the
-// gateway's own /metrics.
-func RegisterRuntime(r *Registry) { registerRuntime(r, runtime.ReadMemStats) }
+// heap, allocations, GC, open files and the wire decoders' intern table — so
+// that an operator can read, say, allocations per query
+// (gridrm_runtime_mallocs_total over gridrm_queries_total), or whether the
+// table thrashes (misses against hits), from the gateway's own /metrics.
+func RegisterRuntime(r *Registry) {
+	registerRuntime(r, runtime.ReadMemStats)
+	if _, err := os.Stat(fdDir); err == nil {
+		r.GaugeFunc("gridrm_runtime_open_fds", "File descriptors the process holds open.",
+			func() float64 { return float64(openFDs()) })
+	}
+	r.GaugeFunc("gridrm_intern_entries", "Strings the wire decoders' intern table holds.",
+		func() float64 { return float64(intern.Read().Entries) })
+	r.GaugeFunc("gridrm_intern_bytes", "Bytes of the strings the intern table holds.",
+		func() float64 { return float64(intern.Read().Bytes) })
+	r.CounterFunc("gridrm_intern_hits_total", "Decoded names found in the intern table.",
+		func() int64 { return intern.Read().Hits })
+	r.CounterFunc("gridrm_intern_misses_total", "Decoded names the intern table did not hold.",
+		func() int64 { return intern.Read().Misses })
+}
+
+// fdDir lists the process's open file descriptors, on Linux.
+const fdDir = "/proc/self/fd"
+
+// openFDs counts the entries of fdDir but the one reading it opens; -1 if
+// it cannot be read.
+func openFDs() int {
+	d, err := os.Open(fdDir)
+	if err != nil {
+		return -1
+	}
+	defer d.Close()
+	names, err := d.Readdirnames(-1)
+	if err != nil {
+		return -1
+	}
+	return len(names) - 1
+}
 
 // registerRuntime is RegisterRuntime over a given reader of the runtime's
 // memory statistics. Reading them stops the world, so a scrape reads them

@@ -5,10 +5,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"slices"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -149,11 +152,17 @@ type eqRouter struct {
 	sites  map[string]*core.Gateway
 	repub  *Gateway
 	region bool
+	// endpoints, when set, are the sites' servlets: a site leg then
+	// crosses the real wire, as a deployment's gma.Router sends it.
+	endpoints map[string]string
 }
 
 func (r *eqRouter) RemoteQueryContext(ctx context.Context, site string, req core.QueryOptions) (*core.Response, error) {
 	if site == r.repub.opts.Name {
 		return r.repub.QueryContext(ctx, req)
+	}
+	if url, ok := r.endpoints[site]; ok {
+		return web.RemoteQueryContext(ctx, url, req)
 	}
 	return r.sites[site].QueryContext(ctx, req)
 }
@@ -671,6 +680,7 @@ func sameOnTheWire(ref eqAnswer, sent, got *resultset.ResultSet) error {
 // reference:
 //   - one source of a site
 //   - a site's sources together
+//   - another site, asked by name through its servlet over HTTP
 //   - a republisher's region of three sites, over snapshot views and over
 //     live views
 //   - all sites, with a direct leg a site
@@ -741,6 +751,21 @@ func TestRouteEquivalence(t *testing.T) {
 			return sites["s0"].QueryContext(ctx, opts)
 		}
 	}
+	// The remote-site route: s0 asks s1 through s1's own servlet, so the
+	// answer is encoded, sent and decoded — its names taken from the intern
+	// table — before it is compared.
+	servlet := web.NewServer(sites["s1"], nil, nil)
+	var served atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		served.Add(1)
+		servlet.ServeHTTP(w, r)
+	}))
+	t.Cleanup(srv.Close)
+	remoteAsk := func(sql string) (*core.Response, error) {
+		router.region, router.endpoints = false, map[string]string{"s1": srv.URL}
+		defer func() { router.endpoints = nil }()
+		return sites["s0"].QueryContext(ctx, core.QueryOptions{SQL: sql, Principal: admin, Site: "s1"})
+	}
 	regionAsk := func(sql string) (*core.Response, error) {
 		return rp.QueryContext(ctx, core.QueryOptions{SQL: sql, Principal: admin, Site: rp.opts.Name})
 	}
@@ -748,6 +773,7 @@ func TestRouteEquivalence(t *testing.T) {
 	routes := []route{
 		{"one source", fleet.rows[fleet.sources["s0"][1]], entry(core.QueryOptions{Sources: fleet.sources["s0"][1:]}, false)},
 		{"local sources", fleet.siteRows("s0"), entry(core.QueryOptions{}, false)},
+		{"remote site over the wire", fleet.siteRows("s1"), remoteAsk},
 		{"region over snapshot views", remote, regionAsk},
 		{"all sites, direct legs", all, entry(core.QueryOptions{Site: core.AllSites}, false)},
 		{"all sites, region leg (snapshots)", all, entry(core.QueryOptions{Site: core.AllSites}, true)},
@@ -806,6 +832,9 @@ func TestRouteEquivalence(t *testing.T) {
 		}
 	}
 	run(routes)
+	if n := served.Load(); n != queries {
+		t.Errorf("s1's servlet answered %d queries, want the remote-site route's %d", n, queries)
+	}
 
 	// The same region, fed live: every view leaves its snapshot for the rows
 	// pushed to it.

@@ -14,6 +14,7 @@ import (
 
 	"gridrm/internal/glue"
 	"gridrm/internal/httpjson"
+	"gridrm/internal/intern"
 	"gridrm/internal/resultset"
 )
 
@@ -135,7 +136,9 @@ func appendRow(buf []byte, cols []*resultset.Vector, r int) []byte {
 
 // UnmarshalJSON implements json.Unmarshaler.
 func (wr *WireResult) UnmarshalJSON(data []byte) error {
-	return wr.decode(&wireDecoder{data: data})
+	var t texts
+	defer t.table.Done()
+	return wr.decode(&wireDecoder{data: data}, &t)
 }
 
 // decode reads the result object at d's cursor, which must be the rest of
@@ -144,8 +147,8 @@ func (wr *WireResult) UnmarshalJSON(data []byte) error {
 // of those kinds. It accepts a subset of what a reflective decode of the same
 // object would — keys spelled exactly, no duplicates, Int cells as integer
 // literals — and every ResultSet it returns is the one that decode would
-// have built.
-func (wr *WireResult) decode(d *wireDecoder) error {
+// have built. Its strings come from t.
+func (wr *WireResult) decode(d *wireDecoder, t *texts) error {
 	var at [len(resultKeys)]span
 	if err := d.members(resultKeys[:], at[:]); err != nil {
 		return err
@@ -165,7 +168,7 @@ func (wr *WireResult) decode(d *wireDecoder) error {
 	}
 	b := resultset.NewBuilder(meta)
 	if at[1] != (span{}) {
-		if err := d.at(at[1]).rows(cols, b); err != nil {
+		if err := d.at(at[1]).rows(cols, b, t); err != nil {
 			return err
 		}
 	}
@@ -185,7 +188,7 @@ var (
 // wireDecoder is a cursor over JSON text. Its methods check everything they
 // consume, so the decoders are safe on bytes json.Unmarshal has not vetted.
 // What they hand back as []byte may be a slice of data; whatever a decoder
-// keeps it copies (keep, string(b)), so nothing decoded aliases data.
+// keeps it copies (texts, string(b)), so nothing decoded aliases data.
 type wireDecoder struct {
 	data []byte
 	pos  int
@@ -561,12 +564,38 @@ func (d *wireDecoder) stringValue() ([]byte, error) {
 	return d.unquote(lit, plain)
 }
 
-// keep returns a copy of b that lives at the end of text: the strings of one
-// decode share one backing array, sized before the first is kept.
-func keep(text *strings.Builder, b []byte) string {
-	from := text.Len()
-	text.Write(b)
-	return text.String()[from:]
+// texts is where one decode's strings come from. A name — a String cell, a
+// source, a driver — is the intern table's when the table takes it; a longer
+// string, or a new name past the batch's admission cap, is cut from one run
+// of bytes. The run is sized on its first use from the counting pre-passes,
+// less what the table took, so an answer whose names are all known allocates
+// no run at all.
+type texts struct {
+	table intern.Batch
+	run   strings.Builder
+	size  int // bytes the run may still have to hold
+}
+
+// name returns the string b spells, from the table if it takes b.
+func (t *texts) name(b []byte) string {
+	if s, ok := t.table.Bytes(b); ok {
+		t.size -= len(b)
+		return s
+	}
+	return t.keep(b)
+}
+
+// keep returns a copy of b cut from the run.
+func (t *texts) keep(b []byte) string {
+	if len(b) == 0 {
+		return ""
+	}
+	if t.run.Cap() == 0 {
+		t.run.Grow(max(t.size, len(b)))
+	}
+	from := t.run.Len()
+	t.run.Write(b)
+	return t.run.String()[from:]
 }
 
 // integer consumes an integer literal that fits in bits bits. A fraction or
@@ -697,12 +726,11 @@ func sizeRows(text []byte, cols []resultset.Column) (rows, stringBytes, nulls in
 
 // rows parses the "rows" array, which must be the rest of the input, into
 // b: each cell goes straight into its column, the columns sized by sizeRows
-// and all String cells kept in one run of bytes, so decoding costs an array
-// per column that holds values, however many rows there are.
-func (d *wireDecoder) rows(cols []resultset.Column, b *resultset.Builder) error {
+// and String cells taken from t, so decoding costs an array per column that
+// holds values, however many rows there are.
+func (d *wireDecoder) rows(cols []resultset.Column, b *resultset.Builder, t *texts) error {
 	n, stringBytes, nulls := sizeRows(d.data[d.pos:], cols)
-	var text strings.Builder
-	text.Grow(stringBytes)
+	t.size += stringBytes
 	// A cell and its separator take two bytes at least, which bounds what a
 	// miscounted input can make the columns cost; the first row says which
 	// of them will hold values.
@@ -717,7 +745,7 @@ func (d *wireDecoder) rows(cols []resultset.Column, b *resultset.Builder) error 
 			if i > 0 && d.expect(',') != nil {
 				return d.errorf("row has fewer than %d cells", len(cols))
 			}
-			v, err := d.cell(cols[i].Kind, &text)
+			v, err := d.cell(cols[i].Kind, t)
 			if err != nil {
 				return fmt.Errorf("%w (column %s)", err, cols[i].Name)
 			}
@@ -736,8 +764,8 @@ func (d *wireDecoder) rows(cols []resultset.Column, b *resultset.Builder) error 
 }
 
 // cell parses one cell of the given kind; null is NULL for every kind.
-// String values are kept in text.
-func (d *wireDecoder) cell(kind glue.Kind, text *strings.Builder) (v resultset.Cell, err error) {
+// String values come from t.
+func (d *wireDecoder) cell(kind glue.Kind, t *texts) (v resultset.Cell, err error) {
 	if d.peek() == 'n' && d.literal("null") {
 		return resultset.Cell{Null: true}, nil
 	}
@@ -749,7 +777,7 @@ func (d *wireDecoder) cell(kind glue.Kind, text *strings.Builder) (v resultset.C
 			return v, err
 		}
 		if kind == glue.String {
-			v.Str = keep(text, s)
+			v.Str = t.name(s)
 		} else if v.Time, err = time.Parse(time.RFC3339Nano, string(s)); err != nil {
 			err = d.errorf("%v", err)
 		}

@@ -12,12 +12,14 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"gridrm/internal/core"
 	"gridrm/internal/glue"
 	"gridrm/internal/httpjson"
+	"gridrm/internal/intern"
 	"gridrm/internal/resultset"
 )
 
@@ -663,8 +665,12 @@ func (w *nowhere) Write(p []byte) (int, error) { return len(p), nil }
 // net/http's two header values. Decoding through httpjson.DecodeBody costs
 // the same handful of allocations for 8, 100 and 900 rows: the envelope, the
 // set, its column headers, one array for each column that holds values and
-// one run of bytes for every string. (While a row was a []any it cost a box
-// a non-NULL cell on top: 79, 907 and 8,107 for these answers.)
+// one run of bytes for the strings that are not names (the SQL). A name — a
+// String cell, a source, a driver — the intern table already holds costs no
+// allocation; one it does not hold costs one, at its exact size, which
+// TestColdNamesCostAtMostTheAdmissionCap bounds. The table is warmed first,
+// as a gateway's is by the polls before. (While a row was a []any it cost a
+// box a non-NULL cell on top: 79, 907 and 8,107 for these answers.)
 func TestWireCodecAllocations(t *testing.T) {
 	resp := processorResponse(100)
 	w := &nowhere{header: http.Header{}}
@@ -678,16 +684,12 @@ func TestWireCodecAllocations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return testing.AllocsPerRun(20, func() {
-			var wr WireResponse
-			in.Reset(body)
-			if err := httpjson.DecodeBody(&in, int64(len(body)), maxResponseBody, &wr); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := DecodeResponse(wr); err != nil {
-				t.Fatal(err)
-			}
-		})
+		decode := func() { decodeBody(t, &in, body) }
+		// A decode admits intern.Admit new names at most.
+		for range (resp.ResultSet.Len()+len(resp.Sources))/intern.Admit + 2 {
+			decode()
+		}
+		return testing.AllocsPerRun(20, decode)
 	}
 	small, site, region := decodeAllocs(processorResponse(8)), decodeAllocs(resp), decodeAllocs(processorResponse(900))
 	dashboard := decodeAllocs(dashboardResponse()) // 8 rows from 8 sources: 8 statuses in the envelope
@@ -703,6 +705,89 @@ func TestWireCodecAllocations(t *testing.T) {
 	if (region > 25 || dashboard > region+2) && !raceEnabled {
 		t.Errorf("decoding took %.0f allocations (%.0f with 8 statuses), want ≤ 25 and no more for statuses than their slice", region, dashboard)
 	}
+}
+
+// decodeBody decodes a response body as the client does, read through in.
+func decodeBody(t testing.TB, in *bytes.Reader, body []byte) {
+	var wr WireResponse
+	in.Reset(body)
+	if err := httpjson.DecodeBody(in, int64(len(body)), maxResponseBody, &wr); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeResponse(wr); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestColdNamesCostAtMostTheAdmissionCap: a 900-row answer whose host names
+// the intern table has never seen costs at most intern.Admit allocations more
+// than a warm decode of the same shape — the names the table admits, one
+// each — and the names past the cap share the run of bytes.
+func TestColdNamesCostAtMostTheAdmissionCap(t *testing.T) {
+	warmBody, err := EncodeResponse(processorResponse(900)).AppendJSON(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var in bytes.Reader
+	for range 900/intern.Admit + 2 {
+		decodeBody(t, &in, warmBody)
+	}
+	warm := testing.AllocsPerRun(5, func() { decodeBody(t, &in, warmBody) })
+	// AllocsPerRun decodes once before it counts: each call gets host names
+	// no decode has seen.
+	var bodies [2][]byte
+	for i := range bodies {
+		bodies[i] = bytes.ReplaceAll(warmBody, []byte(`"node-`), []byte(fmt.Sprintf(`"cold%d-%d-node-`, i, time.Now().UnixNano())))
+	}
+	next := 0
+	cold := testing.AllocsPerRun(1, func() { decodeBody(t, &in, bodies[next]); next++ })
+	t.Logf("900 rows: %.0f allocations warm, %.0f with every host name new (admission cap %d)", warm, cold, intern.Admit)
+	if cold > warm+intern.Admit && !raceEnabled {
+		t.Errorf("a decode of 900 new host names took %.0f allocations, want ≤ %.0f (warm) + %d (the admission cap)", cold, warm, intern.Admit)
+	}
+}
+
+// TestConcurrentDecodersShareTheInternTable: decoders on several goroutines
+// read answers whose host names overlap — every goroutine reads every body,
+// each starting at a different one — and that together carry more names
+// than the intern table holds, so its shards are cleared while others read
+// them. Every decoded answer has exactly the host names it was sent. Run it
+// under -race.
+func TestConcurrentDecodersShareTheInternTable(t *testing.T) {
+	const bodies, rows, workers = 48, 900, 4 // 43,200 names > intern.Entries
+	base, err := EncodeResponse(processorResponse(rows)).AppendJSON(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := time.Now().UnixNano() // names no earlier -count run has sent
+	var sent [bodies][]byte
+	for i := range sent {
+		sent[i] = bytes.ReplaceAll(base, []byte(`"node-`), []byte(fmt.Sprintf(`"r%d-b%02d-node-`, run, i)))
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k := 0; k < bodies; k++ {
+				i := (k + w*bodies/workers) % bodies // each worker starts elsewhere
+				var wr WireResponse
+				if err := wr.DecodeJSON(sent[i]); err != nil {
+					t.Error(err)
+					return
+				}
+				hosts := wr.Result.ResultSet
+				for r := 0; r < rows; r++ {
+					want := fmt.Sprintf("r%d-b%02d-node-%04d.site-a.example.org", run, i, r)
+					if got := hosts.Cell(r, 0).Str; got != want {
+						t.Errorf("body %d row %d: host %q, want %q", i, r, got, want)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }
 
 // BenchmarkWireCodec times the servlet's response codec on all-fields

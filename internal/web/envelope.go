@@ -6,7 +6,6 @@ import (
 	"errors"
 	"slices"
 	"strconv"
-	"strings"
 	"time"
 
 	"gridrm/internal/core"
@@ -93,27 +92,37 @@ func (wr *WireRequest) DecodeJSON(data []byte) error {
 	if err := d.members(requestKeys[:], at[:]); err != nil {
 		return err
 	}
-	var text strings.Builder
-	size := 0
+	var t texts
+	defer t.table.Done()
 	for _, s := range at {
-		size += s.end - s.start
+		t.size += s.end - s.start
 	}
-	text.Grow(size)
 	var out WireRequest
 	var err error
-	for i, dst := range [...]*string{0: &out.SQL, 1: &out.Site, 4: &out.Mode, 5: &out.Since, 6: &out.Until, 8: &out.Trace} {
+	// The names a request carries come from the intern table; its SQL,
+	// times and trace context are its own, kept after the names so that
+	// the run of bytes is sized for them alone.
+	for i, dst := range [...]*string{1: &out.Site, 4: &out.Mode} {
 		if dst == nil {
 			continue
 		}
-		if *dst, err = d.stringAt(at[i], &text); err != nil {
+		if *dst, err = d.stringAt(at[i], t.name); err != nil {
 			return err
 		}
 	}
-	if out.Sources, err = d.stringsAt(at[2], &text); err != nil {
+	if out.Sources, err = d.stringsAt(at[2], &t); err != nil {
 		return err
 	}
-	if out.Region, err = d.stringsAt(at[3], &text); err != nil {
+	if out.Region, err = d.stringsAt(at[3], &t); err != nil {
 		return err
+	}
+	for i, dst := range [...]*string{0: &out.SQL, 5: &out.Since, 6: &out.Until, 8: &out.Trace} {
+		if dst == nil {
+			continue
+		}
+		if *dst, err = d.stringAt(at[i], t.keep); err != nil {
+			return err
+		}
 	}
 	if out.TimeoutNs, err = d.integerAt(at[7]); err != nil {
 		return err
@@ -122,8 +131,8 @@ func (wr *WireRequest) DecodeJSON(data []byte) error {
 	return nil
 }
 
-// stringAt decodes the string at s into text.
-func (d *wireDecoder) stringAt(s span, text *strings.Builder) (string, error) {
+// stringAt decodes the string at s, copied by as.
+func (d *wireDecoder) stringAt(s span, as func([]byte) string) (string, error) {
 	if d.null(s) {
 		return "", nil
 	}
@@ -135,11 +144,11 @@ func (d *wireDecoder) stringAt(s span, text *strings.Builder) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return keep(text, b), nil
+	return as(b), nil
 }
 
-// stringsAt decodes the array of strings at s into text.
-func (d *wireDecoder) stringsAt(s span, text *strings.Builder) ([]string, error) {
+// stringsAt decodes the array of names at s.
+func (d *wireDecoder) stringsAt(s span, t *texts) ([]string, error) {
 	if d.null(s) {
 		return nil, nil
 	}
@@ -157,7 +166,7 @@ func (d *wireDecoder) stringsAt(s span, text *strings.Builder) ([]string, error)
 			if b, err = v.stringValue(); err != nil {
 				return nil, err
 			}
-			list = append(list, keep(text, b))
+			list = append(list, t.name(b))
 		}
 		more, err = v.more(']')
 	}
@@ -270,30 +279,43 @@ func (wr *WireResponse) DecodeJSON(data []byte) error {
 	for _, i := range [...]int{0, 1, 2, 6} {
 		size += at[i].end - at[i].start
 	}
-	var text strings.Builder
-	text.Grow(size)
+	var t texts
+	defer t.table.Done()
+	t.size = size
 	var out WireResponse
 	var err error
-	for i, dst := range [...]*string{0: &out.Site, 1: &out.SQL, 2: &out.Mode, 6: &out.TraceID} {
+	// The names first — the result's String cells, the statuses, the site
+	// and mode — and the strings that are the answer's own after them, so
+	// that the run of bytes is sized on its first use for what the intern
+	// table did not take.
+	if at[5] != (span{}) {
+		if err := out.Result.decode(d.at(at[5]), &t); err != nil {
+			return err
+		}
+	}
+	if !d.null(at[4]) {
+		if out.Sources, err = d.at(at[4]).sources(statuses, &t); err != nil {
+			return err
+		}
+	}
+	for i, dst := range [...]*string{0: &out.Site, 2: &out.Mode} {
 		if dst == nil {
 			continue
 		}
-		if *dst, err = d.stringAt(at[i], &text); err != nil {
+		if *dst, err = d.stringAt(at[i], t.name); err != nil {
+			return err
+		}
+	}
+	for i, dst := range [...]*string{1: &out.SQL, 6: &out.TraceID} {
+		if dst == nil {
+			continue
+		}
+		if *dst, err = d.stringAt(at[i], t.keep); err != nil {
 			return err
 		}
 	}
 	if out.ElapsedNs, err = d.integerAt(at[3]); err != nil {
 		return err
-	}
-	if !d.null(at[4]) {
-		if out.Sources, err = d.at(at[4]).sources(statuses, &text); err != nil {
-			return err
-		}
-	}
-	if at[5] != (span{}) {
-		if err := out.Result.decode(d.at(at[5])); err != nil {
-			return err
-		}
 	}
 	if at[7] != (span{}) {
 		var spans []trace.SpanData // here, so that only a traced answer pays for the pointer to it
@@ -307,11 +329,11 @@ func (wr *WireResponse) DecodeJSON(data []byte) error {
 }
 
 // sizeSources is the counting pre-pass over the "sources" text: how many
-// statuses it holds and how many bytes of string they will keep (a time is
-// parsed, not kept; a Driver that repeats the one before is shared). Both
-// only size allocations, so it checks nothing; sources does that.
+// statuses it holds and how many bytes of string they carry (a time is
+// parsed, not kept). Both only size allocations, so it checks nothing;
+// sources does that.
 func sizeSources(text []byte) (statuses, stringBytes int) {
-	var key, driver []byte
+	var key []byte
 	depth, value := 0, false // value: the last structural byte was ':'
 	for i := 0; i < len(text); i++ {
 		switch c := text[i]; c {
@@ -337,12 +359,8 @@ func sizeSources(text []byte) (statuses, stringBytes int) {
 			switch {
 			case !value:
 				key = val
-			case depth != 2, string(key) == "HarvestedAt", string(key) == "Driver" && bytes.Equal(val, driver):
-			default:
+			case depth == 2 && string(key) != "HarvestedAt":
 				stringBytes += len(val)
-			}
-			if value && depth == 2 && string(key) == "Driver" {
-				driver = val
 			}
 		}
 	}
@@ -350,8 +368,9 @@ func sizeSources(text []byte) (statuses, stringBytes int) {
 }
 
 // sources parses the "sources" array, which must be all of the input; n is
-// how many statuses sizeSources counted.
-func (d *wireDecoder) sources(n int, text *strings.Builder) ([]core.SourceStatus, error) {
+// how many statuses sizeSources counted. Its names come from the intern
+// table; error text is the answer's own.
+func (d *wireDecoder) sources(n int, t *texts) ([]core.SourceStatus, error) {
 	// A status takes two bytes at least, which bounds what a miscount costs.
 	list := make([]core.SourceStatus, 0, min(n, (len(d.data)-d.pos)/2))
 	more, err := d.open('[', ']')
@@ -377,18 +396,13 @@ func (d *wireDecoder) sources(n int, text *strings.Builder) ([]core.SourceStatus
 				}
 				switch i {
 				case 0:
-					st.Source = keep(text, b)
+					st.Source = t.name(b)
 				case 1:
-					// One driver serves most sources of an answer.
-					if n := len(list); n > 0 && list[n-1].Driver == string(b) {
-						st.Driver = list[n-1].Driver
-					} else {
-						st.Driver = keep(text, b)
-					}
+					st.Driver = t.name(b)
 				case 5:
-					st.Err = keep(text, b)
+					st.Err = t.keep(b)
 				case 6:
-					st.Degraded = keep(text, b)
+					st.Degraded = t.name(b)
 				}
 			case 2:
 				st.Cached, err = d.boolean()

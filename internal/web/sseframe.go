@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"strconv"
-	"strings"
 	"time"
 
 	"gridrm/internal/glue"
@@ -42,7 +41,11 @@ func (fr *frameReader) line(line []byte) (event string, data []byte, seq uint64)
 	case line[0] == ':':
 		// Heartbeat comment: liveness only.
 	case bytes.HasPrefix(line, []byte("id:")):
-		seq, _ = strconv.ParseUint(string(bytes.TrimSpace(line[3:])), 10, 64)
+		// An id that is not a sequence number, one past uint64 included, is
+		// 0: ParseUint's result on a range error is the maximum, not 0.
+		if v, err := strconv.ParseUint(string(bytes.TrimSpace(line[3:])), 10, 64); err == nil {
+			seq = v
+		}
 	case bytes.HasPrefix(line, []byte("event:")):
 		fr.event = eventName(bytes.TrimSpace(line[6:]))
 	case bytes.HasPrefix(line, []byte("data:")):
@@ -197,11 +200,11 @@ func (d *wireDecoder) columnNames(group string) (cols []string, fields []*glue.F
 }
 
 // row reads the row array, the whole of d's input. Cell i is typed by
-// fields[i] when there is one; the String cells of a row share one
-// allocation.
+// fields[i] when there is one; String cells come from the intern table, or
+// share one run of bytes.
 func (d *wireDecoder) row(fields []*glue.Field) ([]any, error) {
-	var text strings.Builder
-	text.Grow(len(d.data) - d.pos)
+	t := texts{size: len(d.data) - d.pos}
+	defer t.table.Done()
 	row := make([]any, 0, len(fields))
 	more, err := d.open('[', ']')
 	for i := 0; more && err == nil; i++ {
@@ -210,7 +213,7 @@ func (d *wireDecoder) row(fields []*glue.Field) ([]any, error) {
 			f = fields[i]
 		}
 		var v any
-		if v, err = d.value(f, &text); err != nil {
+		if v, err = d.value(f, &t); err != nil {
 			return nil, err
 		}
 		row = append(row, v)
@@ -225,7 +228,7 @@ func (d *wireDecoder) row(fields []*glue.Field) ([]any, error) {
 // value reads one cell as json.Unmarshal reads a JSON value into an any,
 // except that an integer literal in an Int field is an int64 and a string
 // in a Time field that is a JSON time is a time.Time.
-func (d *wireDecoder) value(f *glue.Field, text *strings.Builder) (any, error) {
+func (d *wireDecoder) value(f *glue.Field, t *texts) (any, error) {
 	switch c := d.peek(); {
 	case c == 'n' && d.literal("null"):
 		return nil, nil
@@ -238,12 +241,12 @@ func (d *wireDecoder) value(f *glue.Field, text *strings.Builder) (any, error) {
 			return nil, err
 		}
 		if f != nil && f.Kind == glue.Time {
-			var t time.Time
-			if t.UnmarshalJSON(d.data[start:d.pos]) == nil {
-				return t, nil
+			var at time.Time
+			if at.UnmarshalJSON(d.data[start:d.pos]) == nil {
+				return at, nil
 			}
 		}
-		return keep(text, s), nil
+		return t.name(s), nil
 	case c == '-' || '0' <= c && c <= '9':
 		lit, integer, err := d.number()
 		if err != nil {
