@@ -71,7 +71,6 @@ func main() {
 
 		role         = flag.String("role", "site", "directory role: site (serve a manifest's agents) or republisher (mirror a shard of sites and answer region queries)")
 		repubRefresh = flag.Duration("repub-refresh", 2*time.Second, "republisher directory poll / rebalance cadence")
-		repubScrape  = flag.Duration("repub-scrape", 5*time.Second, "republisher re-scrape cadence for sites without a live subscription")
 
 		harvestTimeout = flag.Duration("harvest-timeout", 0, "per-source harvest timeout (0 = default, negative = off)")
 		queryTimeout   = flag.Duration("query-timeout", 0, "whole-request deadline when the caller sets none (0 = default, negative = off)")
@@ -101,7 +100,7 @@ func main() {
 
 	dir, localDir := assembleDirectory(*hostDir, *refresh, directories)
 	if *role == "republisher" {
-		runRepublisher(*name, *listen, dir, localDir, *repubRefresh, *repubScrape, *maxInFlight, *maxQueue)
+		runRepublisher(*name, *listen, dir, localDir, *repubRefresh, *maxInFlight, *maxQueue)
 		return
 	}
 	if *role != "site" {
@@ -277,13 +276,13 @@ func assembleDirectory(hostDir bool, refresh time.Duration, directories []string
 }
 
 // runRepublisher runs the gateway in republisher mode: no local agents or
-// drivers — just the shard-maintenance loops over the directory and the
-// region-query servlet.
+// drivers — just the shard-maintenance loops over the directory, each owned
+// site's /subscribe feed, and the region-query servlet.
 //
 //	gridrm-gateway -role=republisher -name repub-a -listen 127.0.0.1:8090 \
 //	    -directory http://127.0.0.1:8080
 func runRepublisher(name, listen string, dir gma.DirectoryService, localDir *gma.Directory,
-	refresh, scrape time.Duration, maxInFlight, maxQueue int) {
+	refresh time.Duration, maxInFlight, maxQueue int) {
 	if name == "" {
 		log.Fatal("gridrm-gateway: republisher mode requires -name")
 	}
@@ -297,7 +296,6 @@ func runRepublisher(name, listen string, dir gma.DirectoryService, localDir *gma
 		Endpoint:        endpoint,
 		Directory:       dir,
 		RefreshInterval: refresh,
-		ScrapeInterval:  scrape,
 	})
 	if err != nil {
 		log.Fatalf("gridrm-gateway: %v", err)

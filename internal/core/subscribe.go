@@ -274,14 +274,19 @@ func (s *ruleSink) Deliver(_ context.Context, batch []router.Metric) error {
 	return nil
 }
 
-// publishRows fans a fresh harvest's rows into the push router. It is a
-// no-op when nothing subscribes (Idle is one atomic load), and it never
+// publishRows fans a fresh harvest's rows into the push router. When
+// nothing subscribes (Idle is one atomic load) it boxes nothing and only
+// marks the skip, so a later resume knows of it. It never
 // blocks: the router's queues are bounded with drop-oldest overflow, so a
 // stuck subscriber costs the harvest path nothing but this fan-out loop.
 // The rows are boxed here, once a publish, into one slab of their own: the
 // router's consumers keep them, and rs is shared with the cache.
 func (g *Gateway) publishRows(ctx context.Context, url string, group *glue.Group, rs *resultset.ResultSet) {
-	if g.push.Idle() || rs.Len() == 0 {
+	if rs.Len() == 0 {
+		return
+	}
+	if g.push.Idle() {
+		g.push.Skip()
 		return
 	}
 	start := g.clock()

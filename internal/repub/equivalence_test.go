@@ -698,7 +698,7 @@ func TestRouteEquivalence(t *testing.T) {
 	ctx := context.Background()
 
 	sites := map[string]*core.Gateway{}
-	dir := gma.NewDirectory(0, nil)
+	dir, dead := gma.NewDirectory(0, nil), deadEndpoint(t)
 	for _, s := range fleet.sites {
 		gw := core.New(core.Config{Name: s})
 		t.Cleanup(gw.Close)
@@ -713,14 +713,13 @@ func TestRouteEquivalence(t *testing.T) {
 		}
 		sites[s] = gw
 		if s != "s0" {
-			if err := dir.RegisterContext(ctx, gma.Registration{Name: s, Endpoint: "http://" + s}); err != nil {
+			if err := dir.RegisterContext(ctx, gma.Registration{Name: s, Endpoint: dead, Groups: []string{glue.GroupProcessor}}); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 	rp, err := New(Options{
 		Name: "repub-0", Endpoint: "http://repub-0", Directory: dir,
-		Groups: []string{glue.GroupProcessor},
 		Query: func(ctx context.Context, site string, req core.QueryOptions) (*core.Response, error) {
 			req.Principal = admin
 			return sites[site].QueryContext(ctx, req)

@@ -2,7 +2,10 @@ package repub
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"net/url"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -13,15 +16,16 @@ import (
 	"gridrm/internal/gma"
 	"gridrm/internal/resultset"
 	"gridrm/internal/retry"
-	"gridrm/internal/router"
 	"gridrm/internal/sqlparse"
 	"gridrm/internal/web"
 )
 
-// SubscribeFunc opens a continuous query against a child site. The
-// republisher prefers this feed — rows arrive as they are harvested — and
-// falls back to periodic scrapes when it is absent or refused.
-type SubscribeFunc func(ctx context.Context, site, sql string) (*router.Subscription, error)
+// A feed's streams ask the child for heartbeats, and a stream silent for
+// the idle timeout is given up as dead.
+const (
+	feedHeartbeat   = 5 * time.Second
+	feedIdleTimeout = 3 * feedHeartbeat
+)
 
 // QueryFunc runs one query against a child site, for scrapes and the
 // scrape fallback. The default resolves the site through the directory and
@@ -37,18 +41,13 @@ type Options struct {
 	Endpoint string
 	// Directory is the registry shared with the sites (required).
 	Directory gma.DirectoryService
-	// Groups lists the GLUE groups to mirror; default: every group the
-	// schema knows.
-	Groups []string
-	// Subscribe, when set, feeds the view by continuous query.
-	Subscribe SubscribeFunc
-	// Query overrides how sites are scraped (tests, in-process wiring).
+	// Query overrides how sites are scraped (tests).
 	Query QueryFunc
 	// RefreshInterval is the directory poll / rebalance cadence
 	// (default 2s).
 	RefreshInterval time.Duration
-	// ScrapeInterval is the re-scrape cadence for sites without a live
-	// subscription (default 5s).
+	// ScrapeInterval is the re-scrape cadence for sites whose feed is down
+	// (default 5s).
 	ScrapeInterval time.Duration
 	// Clock is a time source for tests.
 	Clock func() time.Time
@@ -65,13 +64,18 @@ type Stats struct {
 	// Scrapes and ScrapeErrors count child-site scrape attempts.
 	Scrapes      int64 `json:"scrapes"`
 	ScrapeErrors int64 `json:"scrapeErrors"`
-	// LiveRows counts rows applied from subscriptions.
+	// LiveRows counts rows applied from feeds.
 	LiveRows int64 `json:"liveRows"`
-	// Subscriptions counts successfully established subscription
-	// sessions; SubscribeFallbacks counts sessions that fell back to
-	// scraping.
+	// Subscriptions counts feeds opened, resumed or fresh and seeded;
+	// SubscribeFallbacks counts feeds that would not open, each followed
+	// by a scrape and a ScrapeInterval.
 	Subscriptions      int64 `json:"subscriptions"`
 	SubscribeFallbacks int64 `json:"subscribeFallbacks"`
+	// Resumes counts feeds reopened after the seqs they last applied;
+	// GappedResumes counts those the site then told rows were lost, which
+	// ended them in a re-scrape.
+	Resumes       int64 `json:"resumes"`
+	GappedResumes int64 `json:"gappedResumes"`
 	// Rebalances counts refresh cycles that changed the owned-site set.
 	Rebalances int64 `json:"rebalances"`
 	// RefreshErrors counts directory refresh failures.
@@ -104,13 +108,22 @@ type Gateway struct {
 	liveRows           atomic.Int64
 	subscriptions      atomic.Int64
 	subscribeFallbacks atomic.Int64
+	resumes            atomic.Int64
+	gappedResumes      atomic.Int64
 	rebalances         atomic.Int64
 	refreshErrors      atomic.Int64
 }
 
 type siteWorker struct {
+	site   string
+	groups []string // mirrored: the site's registered ones
 	cancel context.CancelFunc
 	done   chan struct{}
+	// What /status shows: whether the feed is open, the site's seq of the
+	// row it applied last, and the view's newest update (unix ns).
+	streaming atomic.Bool
+	applied   atomic.Uint64
+	updated   atomic.Int64
 }
 
 // New builds a republisher gateway. Start launches its loops.
@@ -129,9 +142,6 @@ func New(opts Options) (*Gateway, error) {
 	}
 	if opts.Clock == nil {
 		opts.Clock = time.Now
-	}
-	if len(opts.Groups) == 0 {
-		opts.Groups = glue.GroupNames()
 	}
 	g := &Gateway{
 		opts:    opts,
@@ -166,10 +176,45 @@ func (g *Gateway) Stats() Stats {
 		LiveRows:           g.liveRows.Load(),
 		Subscriptions:      g.subscriptions.Load(),
 		SubscribeFallbacks: g.subscribeFallbacks.Load(),
+		Resumes:            g.resumes.Load(),
+		GappedResumes:      g.gappedResumes.Load(),
 		Rebalances:         g.rebalances.Load(),
 		RefreshErrors:      g.refreshErrors.Load(),
 		StoredRows:         g.store.Rows(),
 	}
+}
+
+// Feed is how one owned site's view is kept, for /status: Mode is "stream"
+// while the site's /subscribe streams are open and "scrape" while the view
+// rests on scrapes; AgeSeconds is how long ago the view last changed (0
+// while it is empty); LastSeq is the site's seq of the row the feed applied
+// last.
+type Feed struct {
+	Site       string  `json:"site"`
+	Mode       string  `json:"mode"`
+	AgeSeconds float64 `json:"ageSeconds"`
+	LastSeq    uint64  `json:"lastSeq"`
+}
+
+// Feeds reports how each owned site's view is kept, in site order.
+func (g *Gateway) Feeds() []Feed {
+	now := g.opts.Clock()
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	feeds := make([]Feed, 0, len(g.owns))
+	for _, site := range g.owns {
+		if w := g.workers[site]; w != nil {
+			f := Feed{Site: site, Mode: "scrape", LastSeq: w.applied.Load()}
+			if w.streaming.Load() {
+				f.Mode = "stream"
+			}
+			if at := w.updated.Load(); at != 0 {
+				f.AgeSeconds = now.Sub(time.Unix(0, at)).Seconds()
+			}
+			feeds = append(feeds, f)
+		}
+	}
+	return feeds
 }
 
 // Start begins the refresh loop: poll the directory, rebuild the ring,
@@ -264,6 +309,7 @@ func (g *Gateway) Refresh(ctx context.Context) error {
 		return err
 	}
 	var republishers, sites []string
+	groups := make(map[string][]string)
 	self := false
 	for _, r := range regs {
 		switch r.Role {
@@ -274,6 +320,7 @@ func (g *Gateway) Refresh(ctx context.Context) error {
 			}
 		case gma.RoleSite:
 			sites = append(sites, r.Name)
+			groups[r.Name] = r.Groups
 		}
 	}
 	if !self {
@@ -311,9 +358,9 @@ func (g *Gateway) Refresh(ctx context.Context) error {
 	for _, site := range owns {
 		if _, ok := g.workers[site]; !ok {
 			wctx, cancel := context.WithCancel(g.runCtx)
-			w := &siteWorker{cancel: cancel, done: make(chan struct{})}
+			w := &siteWorker{site: site, groups: mirrored(groups[site]), cancel: cancel, done: make(chan struct{})}
 			g.workers[site] = w
-			go g.runSite(wctx, site, w.done)
+			go g.runSite(wctx, w)
 		}
 	}
 	g.mu.Unlock()
@@ -338,25 +385,34 @@ func (g *Gateway) register(ctx context.Context, owns []string) error {
 		Name:     g.opts.Name,
 		Endpoint: g.opts.Endpoint,
 		Role:     gma.RoleRepublisher,
-		Groups:   g.opts.Groups,
 		Owns:     owns,
 	})
 }
 
-// runSite mirrors one owned site until ctx ends: scrape a full snapshot,
-// then hold a subscription session (when wired) or re-scrape on a timer.
-// The session is entered only on top of a complete snapshot: live rows
-// update what the view holds, they never supply rows a partial scrape
-// missed, so an incomplete scrape is repeated after ScrapeInterval instead.
-func (g *Gateway) runSite(ctx context.Context, site string, done chan struct{}) {
-	defer close(done)
+// mirrored is what the republisher mirrors of a site that registered
+// groups: those, else every GLUE group.
+func mirrored(groups []string) []string {
+	if len(groups) > 0 {
+		return groups
+	}
+	return glue.GroupNames()
+}
+
+// runSite mirrors one owned site until ctx ends by its feed (follow). A feed
+// the network cut resumes where it left off, with no scrape. A feed that
+// cannot resume — a gap, an eviction, a refused resume, a stream that never
+// carried a row — ends, and a fresh feed is seeded by a scrape. While the
+// site's feed will not open, scrapes on ScrapeInterval stand in for it.
+func (g *Gateway) runSite(ctx context.Context, w *siteWorker) {
+	defer close(w.done)
+	var from []uint64 // where a cut feed resumes, a seq a group; nil: seed a new feed
 	for ctx.Err() == nil {
-		complete := g.scrapeSite(ctx, site)
-		if complete && g.opts.Subscribe != nil && g.consumeSubscriptions(ctx, site) {
-			// The session ended (site restart, eviction): loop around to
-			// re-scrape and re-subscribe.
+		var opened bool
+		if from, opened = g.follow(ctx, w, from); opened || ctx.Err() != nil {
 			continue
 		}
+		g.subscribeFallbacks.Add(1)
+		g.scrapeSite(ctx, w)
 		if retry.Sleep(ctx, g.opts.ScrapeInterval) != nil {
 			return
 		}
@@ -367,13 +423,13 @@ func (g *Gateway) runSite(ctx context.Context, site string, done chan struct{}) 
 // and reports whether it is complete: every group answered and no source
 // behind an answer failed without contributing rows. Partial answers are
 // installed all the same — a short view beats an empty one.
-func (g *Gateway) scrapeSite(ctx context.Context, site string) bool {
+func (g *Gateway) scrapeSite(ctx context.Context, w *siteWorker) bool {
 	complete := true
-	for _, group := range g.opts.Groups {
+	for _, group := range w.groups {
 		sctx, cancel := context.WithTimeout(ctx, g.opts.ScrapeInterval)
-		resp, err := g.opts.Query(sctx, site, core.QueryOptions{
+		resp, err := g.opts.Query(sctx, w.site, core.QueryOptions{
 			SQL:  "SELECT * FROM " + group,
-			Site: site,
+			Site: w.site,
 		})
 		cancel()
 		g.scrapes.Add(1)
@@ -387,70 +443,128 @@ func (g *Gateway) scrapeSite(ctx context.Context, site string) bool {
 				complete = false
 			}
 		}
-		g.store.SetSnapshot(site, group, resp.ResultSet, g.opts.Clock())
+		now := g.opts.Clock()
+		g.store.SetSnapshot(w.site, group, resp.ResultSet, now)
+		w.updated.Store(now.UnixNano())
 	}
 	return complete
 }
 
-// consumeSubscriptions opens one continuous query per mirrored group and
-// feeds the store until any subscription ends or ctx is cancelled. It
-// returns false when the session could not be established (caller falls
-// back to the scrape timer) and true when an established session ended.
-func (g *Gateway) consumeSubscriptions(ctx context.Context, site string) bool {
-	subs := make([]*router.Subscription, 0, len(g.opts.Groups))
-	for _, group := range g.opts.Groups {
-		sub, err := g.opts.Subscribe(ctx, site, "SELECT * FROM "+group)
-		if err != nil {
-			for _, s := range subs {
-				s.Close()
-			}
-			g.subscribeFallbacks.Add(1)
-			return false
+// follow opens the site's feed, a /subscribe stream a group resuming after
+// from's seqs (fresh, and seeded by a complete scrape, when from is nil),
+// and applies its rows until a stream ends or the site says rows were lost.
+// opened is false when a stream would not open. next is where the feed
+// resumes: from again when the site could not be reached; nil when the site
+// refused the feed, said rows were lost, or a stream has no seq to resume
+// after.
+func (g *Gateway) follow(ctx context.Context, w *siteWorker, from []uint64) (next []uint64, opened bool) {
+	endpoint, err := g.endpoint(ctx, w.site)
+	if err != nil {
+		return from, false
+	}
+	c := web.Client{BaseURL: endpoint}
+	feed, end := context.WithCancel(ctx) // ends every stream of the feed
+	defer end()
+	hung := time.AfterFunc(feedIdleTimeout, end) // a child that takes the requests and never answers them
+	streams := make([]*web.ClientSubscription, len(w.groups))
+	next = make([]uint64, len(w.groups))
+	for i, group := range w.groups {
+		q := core.QueryOptions{SQL: "SELECT * FROM " + group}
+		if from != nil {
+			q.FromSeq, next[i] = from[i], from[i]
 		}
-		subs = append(subs, sub)
+		if streams[i], err = c.SubscribeContext(feed, web.SubscribeConfig{Query: q, Heartbeat: feedHeartbeat, IdleTimeout: feedIdleTimeout}); err != nil {
+			if !errors.As(err, new(*url.Error)) {
+				return nil, false // the site answered, and not with a stream
+			}
+			return from, false
+		}
+	}
+	hung.Stop()
+	// A new feed is seeded once its streams are open: a row the site
+	// publishes meanwhile waits in its stream and lands on the seed. An
+	// incomplete scrape is repeated after ScrapeInterval, for live rows
+	// update what the view holds and never supply rows a scrape missed.
+	for seeded := from != nil; !seeded; {
+		if seeded = g.scrapeSite(feed, w); !seeded && retry.Sleep(feed, g.opts.ScrapeInterval) != nil {
+			return nil, true
+		}
 	}
 	g.subscriptions.Add(1)
-	// One goroutine per feed; the session ends when the first feed does.
-	ended := make(chan struct{}, len(subs))
-	var wg sync.WaitGroup
-	for _, sub := range subs {
-		wg.Add(1)
-		go func(sub *router.Subscription) {
-			defer wg.Done()
-			for {
-				select {
-				case m := <-sub.C():
-					g.store.Upsert(site, m.Group, m.Source, m.Columns, m.Row, m.Time)
-					g.liveRows.Add(1)
-				case <-sub.Done():
-					ended <- struct{}{}
-					return
-				case <-ctx.Done():
-					ended <- struct{}{}
-					return
-				}
-			}
-		}(sub)
+	if from != nil {
+		g.resumes.Add(1)
 	}
-	<-ended
-	for _, s := range subs {
-		s.Close()
+	w.streaming.Store(true)
+	defer w.streaming.Store(false)
+	var applying sync.WaitGroup
+	for i, cs := range streams {
+		applying.Add(1)
+		go func() {
+			defer applying.Done()
+			defer end() // the feed ends with its first stream
+			next[i] = max(next[i], g.apply(w, cs))
+		}()
 	}
-	wg.Wait()
-	return ctx.Err() == nil
+	applying.Wait()
+	gapped := slices.ContainsFunc(streams, lost)
+	if gapped && from != nil {
+		g.gappedResumes.Add(1)
+	}
+	if ctx.Err() != nil || gapped || slices.Contains(next, 0) {
+		return nil, true
+	}
+	return next, true
 }
 
-// directoryQuery is the default QueryFunc: resolve the site's endpoint in
-// the directory and query its servlet interface.
-func (g *Gateway) directoryQuery(ctx context.Context, site string, req core.QueryOptions) (*core.Response, error) {
+// apply upserts one stream's rows into the site's view until the stream
+// ends or the site says rows were lost, and returns the newest seq applied.
+// Rows the stream delivered but apply did not reach are replayed by the
+// resume after that seq. A gap notice ends no stream, and one ahead of any
+// row (a resume the site's ring cannot serve) comes alone: apply looks for
+// one after every row, and as often as a scrape would have run.
+func (g *Gateway) apply(w *siteWorker, cs *web.ClientSubscription) (last uint64) {
+	check := time.NewTicker(g.opts.ScrapeInterval)
+	defer check.Stop()
+	for !lost(cs) {
+		select {
+		case m := <-cs.C():
+			g.store.Upsert(w.site, m.Group, m.Source, m.Columns, m.Row, m.Time)
+			g.liveRows.Add(1)
+			w.applied.Store(m.Seq)
+			w.updated.Store(g.opts.Clock().UnixNano())
+			last = max(last, m.Seq)
+		case <-check.C:
+		case <-cs.Done():
+			return last
+		}
+	}
+	return last
+}
+
+// lost reports whether the site told the stream that rows are gone: a gap
+// notice or an eviction.
+func lost(cs *web.ClientSubscription) bool { return cs.Gaps() > 0 || cs.Evicted() }
+
+// endpoint resolves a child site's servlet in the directory, for its scrapes
+// and its feed alike.
+func (g *Gateway) endpoint(ctx context.Context, site string) (string, error) {
 	reg, ok, err := g.opts.Directory.LookupContext(ctx, site)
+	if err != nil {
+		return "", err
+	}
+	if !ok {
+		return "", fmt.Errorf("repub: site %q not in directory", site)
+	}
+	return reg.Endpoint, nil
+}
+
+// directoryQuery is the default QueryFunc: the site's servlet answers.
+func (g *Gateway) directoryQuery(ctx context.Context, site string, req core.QueryOptions) (*core.Response, error) {
+	endpoint, err := g.endpoint(ctx, site)
 	if err != nil {
 		return nil, err
 	}
-	if !ok {
-		return nil, fmt.Errorf("repub: site %q not in directory", site)
-	}
-	return web.RemoteQueryContext(ctx, reg.Endpoint, req)
+	return web.RemoteQueryContext(ctx, endpoint, req)
 }
 
 // QueryContext answers a query from the merged view. Scope comes from

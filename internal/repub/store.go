@@ -10,6 +10,7 @@ package repub
 import (
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gridrm/internal/glue"
@@ -18,33 +19,41 @@ import (
 
 // Store holds a republisher's merged view: for every (site, group) it
 // keeps the latest row of every entity (the group's GLUE key fields) each
-// source reports. Rows arrive two ways — whole-table
-// snapshots from a scrape, and single rows pushed by a subscription — and
-// the two never mix within a group: the first live row after a snapshot
-// clears the snapshot, because once the push feed is up every active
-// source republishes within one harvest period and the live set converges
-// to full coverage without the risk of double-counting stale snapshot rows
-// in aggregates.
+// source reports. Rows arrive two ways — whole-table snapshots from a scrape,
+// and single rows pushed by a subscription. A snapshot replaces the view. A
+// pushed row replaces its own entity's rows only: the row its source pushed
+// last, and the snapshot's rows of that entity. The snapshot's other rows
+// stay until a push of their entity or the next snapshot, so a push of part
+// of a site (one source's harvest, a harvest another source timed out of)
+// never hides the rest, and an entity is never counted twice.
 type Store struct {
 	mu    sync.RWMutex
 	sites map[string]map[string]*groupView // site → group → view
 }
 
 // groupView is one (site, group) slice of the merged view: a scrape's whole
-// table (snap, shared read-only) or the rows the subscription pushed, never
-// both.
+// table (snap, shared read-only) until a row is pushed, then the pushed rows
+// and the scraped rows no push has replaced yet.
 type groupView struct {
 	meta *resultset.Metadata
 	snap *resultset.ResultSet
-	rows map[string]*storedRow
-	at   time.Time // newest update
+	rows map[string]*storedRow // pushed, by source and GLUE key
+	held map[string][][]any    // scraped, by GLUE key
+	at   time.Time             // newest update
+	// built is rows and held as one set, shared by the reads between two
+	// pushes as a snapshot is.
+	built atomic.Pointer[resultset.ResultSet]
 }
 
 func (gv *groupView) len() int {
 	if gv.snap != nil {
 		return gv.snap.Len()
 	}
-	return len(gv.rows)
+	n := len(gv.rows)
+	for _, rows := range gv.held {
+		n += len(rows)
+	}
+	return n
 }
 
 // storedRow is a map value Upsert can replace the row of in place: a
@@ -71,21 +80,21 @@ func (s *Store) view(site, group string) *groupView {
 }
 
 // SetSnapshot replaces the (site, group) view with a scraped full-table
-// result, which the store keeps and only ever reads. The view leaves live
-// mode: the snapshot is now authoritative.
+// result, which the store keeps and only ever reads.
 func (s *Store) SetSnapshot(site, group string, rs *resultset.ResultSet, at time.Time) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	gv := s.view(site, group)
-	gv.meta, gv.snap, gv.rows, gv.at = rs.Metadata(), rs, nil, at
+	gv.meta, gv.snap, gv.rows, gv.held, gv.at = rs.Metadata(), rs, nil, nil, at
+	gv.built.Store(nil)
 }
 
 // Upsert stores one subscription-pushed row, mapping the pushed columns onto
 // the group's full column set. Rows are keyed by source plus the row's GLUE
 // key cells, so a re-push of a host replaces its row and every other host of
-// a multi-host source keeps its own. The first live row
-// after a snapshot clears the snapshot (see Store). Rows for groups the
-// GLUE schema does not know are dropped.
+// a multi-host source keeps its own. The row also replaces the snapshot's
+// rows of its entity (see Store). Rows for groups the GLUE schema does not
+// know are dropped.
 func (s *Store) Upsert(site, group, source string, cols []string, row []any, at time.Time) {
 	g, ok := glue.Lookup(group)
 	if !ok {
@@ -101,26 +110,22 @@ func (s *Store) Upsert(site, group, source string, cols []string, row []any, at 
 		}
 		gv.meta = meta
 	}
-	if gv.rows == nil {
-		gv.snap, gv.rows = nil, make(map[string]*storedRow, gv.len())
-	}
-	full := make([]any, gv.meta.ColumnCount())
 	var keyBuf [4]int // no GLUE group has more key fields
 	keyCols := keyBuf[:0]
 	for i := 0; i < gv.meta.ColumnCount(); i++ {
-		name := gv.meta.Column(i).Name
-		if f, ok := g.Field(name); ok && f.Key {
+		if f, ok := g.Field(gv.meta.Column(i).Name); ok && f.Key {
 			keyCols = append(keyCols, i)
 		}
-		for j, c := range cols {
-			if j < len(row) && strings.EqualFold(c, name) {
-				full[i] = row[j]
-				break
-			}
-		}
 	}
+	if gv.rows == nil {
+		gv.hold(keyCols)
+	}
+	full := widen(gv.meta, cols, row)
 	var buf [96]byte // source NUL key cells: on the stack for any realistic row
 	key := resultset.AppendGroupKey(append(append(buf[:0], source...), 0), full, keyCols)
+	if len(gv.held) > 0 {
+		delete(gv.held, string(key[len(source)+1:]))
+	}
 	if sr := gv.rows[string(key)]; sr != nil {
 		sr.row = full
 	} else {
@@ -129,6 +134,45 @@ func (s *Store) Upsert(site, group, source string, cols []string, row []any, at 
 	if at.After(gv.at) {
 		gv.at = at
 	}
+	gv.built.Store(nil)
+}
+
+// hold turns the view's snapshot, ahead of its first pushed row, into held
+// rows keyed by their GLUE key cells.
+func (gv *groupView) hold(keyCols []int) {
+	rs := gv.snap
+	gv.snap, gv.rows = nil, make(map[string]*storedRow)
+	if rs == nil {
+		return
+	}
+	gv.held = make(map[string][][]any, rs.Len())
+	cols := make([]string, rs.Metadata().ColumnCount())
+	for c := range cols {
+		cols[c] = rs.Metadata().Column(c).Name
+	}
+	for r := 0; r < rs.Len(); r++ {
+		cells := make([]any, len(cols))
+		for c := range cells {
+			cells[c] = rs.Cell(r, c).Value()
+		}
+		full := widen(gv.meta, cols, cells)
+		key := string(resultset.AppendGroupKey(nil, full, keyCols))
+		gv.held[key] = append(gv.held[key], full)
+	}
+}
+
+// widen maps a row's named cells onto meta's columns.
+func widen(meta *resultset.Metadata, cols []string, row []any) []any {
+	full := make([]any, meta.ColumnCount())
+	for i := range full {
+		for j, c := range cols {
+			if j < len(row) && strings.EqualFold(c, meta.Column(i).Name) {
+				full[i] = row[j]
+				break
+			}
+		}
+	}
+	return full
 }
 
 // RemoveSite drops every view for a site the republisher no longer owns,
@@ -156,7 +200,8 @@ type SiteFreshness struct {
 // sets, nil when no site has a view of the group — the caller falls back to
 // the GLUE schema for an empty answer. A snapshot is handed out as stored,
 // since nothing writes to it after SetSnapshot; live rows are built into a
-// set of the reader's own. Either way the parts do not change under later
+// set on the first read after a push, and the reads until the next push
+// share it the same way. Either way the parts do not change under later
 // updates.
 func (s *Store) Parts(group string, sites []string) (meta *resultset.Metadata, parts []*resultset.ResultSet, fresh []SiteFreshness) {
 	s.mu.RLock()
@@ -166,12 +211,21 @@ func (s *Store) Parts(group string, sites []string) (meta *resultset.Metadata, p
 		sf := SiteFreshness{Site: site}
 		if gv, ok := s.sites[site][group]; ok && gv.meta != nil {
 			rs := gv.snap
+			if rs == nil {
+				rs = gv.built.Load()
+			}
 			if rs == nil { // live rows are the boxes the push border handed over
-				b := resultset.NewBuilder(gv.meta).Grow(len(gv.rows), 0)
+				b := resultset.NewBuilder(gv.meta).Grow(gv.len(), 0)
 				for _, sr := range gv.rows {
 					b.Append(sr.row...)
 				}
+				for _, rows := range gv.held {
+					for _, row := range rows {
+						b.Append(row...)
+					}
+				}
 				rs, _ = b.Build() // nil for a row the schema refuses: the view is left out
+				gv.built.Store(rs)
 			}
 			if meta == nil {
 				meta = gv.meta

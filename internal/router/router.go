@@ -155,6 +155,11 @@ func New(opts Options) *Router {
 // path uses it to skip row publication entirely when nothing listens.
 func (r *Router) Idle() bool { return r.active.Load() == 0 }
 
+// Skip stands for a harvest left unpublished because the router was Idle:
+// its rows are not recorded, but it takes a seq, so a subscriber that
+// resumes across it hears of a gap instead of missing the rows unawares.
+func (r *Router) Skip() { r.replay.seq.Add(1) }
+
 // Publish records a harvested result's rows in the replay ring and fans
 // them out to every matching subscriber and sink. It never blocks: full
 // queues drop their oldest entry, and consumers stalled past Options.Stall
@@ -501,11 +506,15 @@ func (rr *replayRing) append(m Metric) uint64 {
 }
 
 // since feeds every buffered metric with Seq > after to fn in order,
-// reporting how many were fed and whether rows between after and the
-// oldest buffered entry are already gone.
+// reporting how many were fed and whether it could not feed every seq up
+// to the newest: rows older than the oldest buffered entry are gone, and a
+// skipped harvest (Router.Skip) was never recorded. A resume past the
+// newest seq is gapped too: the numbering restarted (the producer did), so
+// what the caller saw is not this ring's to replay.
 func (rr *replayRing) since(after uint64, fn func(Metric)) (n int, gapped bool) {
-	if rr.size == 0 {
-		return 0, rr.seq.Load() > after
+	head := rr.seq.Load()
+	if rr.size == 0 || after > head {
+		return 0, head != after
 	}
 	rr.mu.Lock()
 	var ordered []Metric
@@ -514,19 +523,13 @@ func (rr *replayRing) since(after uint64, fn func(Metric)) (n int, gapped bool) 
 	}
 	ordered = append(ordered, rr.buf[:rr.next]...)
 	rr.mu.Unlock()
-	if len(ordered) > 0 && ordered[0].Seq > after+1 {
-		gapped = true
-	}
-	if len(ordered) == 0 && rr.seq.Load() > after {
-		gapped = true
-	}
 	for _, m := range ordered {
 		if m.Seq > after {
 			fn(m)
 			n++
 		}
 	}
-	return n, gapped
+	return n, uint64(n) != head-after
 }
 
 // oldest returns the lowest buffered seq (0 when empty).

@@ -232,6 +232,31 @@ func TestFromSeqGapDetection(t *testing.T) {
 	}
 }
 
+// TestResumePastHeadIsGapped: a resume point beyond the newest seq is one a
+// restarted producer's numbering began again under, so the rows it stood for
+// are gone. The subscriber must hear of it, over an empty ring, a used one
+// and a disabled one alike.
+func TestResumePastHeadIsGapped(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		replay    int
+		published int
+	}{{"empty ring", 16, 0}, {"after 3 rows", 16, 3}, {"disabled ring", -1, 3}} {
+		r := New(Options{ReplaySize: tc.replay})
+		probe, _ := r.Subscribe(SubscribeOptions{})
+		publishN(r, tc.published, "cpu")
+		s, err := r.Subscribe(SubscribeOptions{FromSeq: 500})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !s.Gapped() {
+			t.Errorf("%s: a resume from 500 at seq %d is not gapped", tc.name, r.Seq())
+		}
+		s.Close()
+		probe.Close()
+	}
+}
+
 // TestReplayRingGrowsToItsBound: the ring holds nothing until a row is
 // published, then doubles from replayFirstSlots to its bound, and wraps
 // there. At every step it holds exactly the newest min(n, bound) rows,

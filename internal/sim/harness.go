@@ -464,9 +464,9 @@ func (h *Harness) federate() error {
 	return nil
 }
 
-// startRepublisher brings up one republisher: scrapes go over HTTP through
-// the sites' droppable servers (so partitions bite), live feeds subscribe
-// straight into the child gateways in-process.
+// startRepublisher brings up one republisher, configured as the binary's
+// -role=republisher is: its scrapes and its /subscribe feeds reach the sites
+// over HTTP through their droppable servers, so partitions cut both.
 func (h *Harness) startRepublisher(name string, fed FederationSpec) error {
 	srv, err := NewChaosServer(http.NotFoundHandler())
 	if err != nil {
@@ -476,8 +476,6 @@ func (h *Harness) startRepublisher(name string, fed FederationSpec) error {
 		Name:            name,
 		Endpoint:        srv.URL(),
 		Directory:       h.MultiDir,
-		Groups:          fleetGroups(),
-		Subscribe:       h.repubSubscribe,
 		RefreshInterval: fed.RepubRefresh,
 		ScrapeInterval:  fed.RepubScrape,
 	})
@@ -492,16 +490,6 @@ func (h *Harness) startRepublisher(name string, fed FederationSpec) error {
 	}
 	h.Repubs = append(h.Repubs, &RepubRuntime{Name: name, Gateway: g, Server: srv})
 	return nil
-}
-
-// repubSubscribe is the republishers' live feed: a continuous query opened
-// directly on the child site's gateway.
-func (h *Harness) repubSubscribe(ctx context.Context, site, sql string) (*router.Subscription, error) {
-	gw := h.SiteGateway(site)
-	if gw == nil {
-		return nil, fmt.Errorf("sim: repub subscribe: unknown site %q", site)
-	}
-	return gw.Subscribe(ctx, core.QueryOptions{Principal: SimPrincipal, SQL: sql})
 }
 
 // Republisher returns republisher i (1-based), nil when out of range.
@@ -639,12 +627,14 @@ func (h *Harness) Close() {
 }
 
 // ChaosServer is an HTTP server whose traffic can be dropped at runtime:
-// while dropped, every connection is severed without a response, which is
-// what a network partition or a dead process looks like to clients —
-// unlike httptest.Server, it can come back on the same address.
+// while dropped, every connection is severed without a response, the open
+// ones (a /subscribe stream) included, which is what a network partition or
+// a dead process looks like to clients — unlike httptest.Server, it can
+// come back on the same address.
 type ChaosServer struct {
-	mu      sync.RWMutex // guards inner (swapped by SetHandler on restart)
+	mu      sync.RWMutex // guards inner (swapped by SetHandler on restart) and conns
 	inner   http.Handler
+	conns   map[net.Conn]bool // open connections, for SetDropped to sever
 	ln      net.Listener
 	srv     *http.Server
 	dropped atomic.Bool
@@ -657,8 +647,8 @@ func NewChaosServer(inner http.Handler) (*ChaosServer, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &ChaosServer{inner: inner, ln: ln}
-	c.srv = &http.Server{Handler: c}
+	c := &ChaosServer{inner: inner, conns: make(map[net.Conn]bool), ln: ln}
+	c.srv = &http.Server{Handler: c, ConnState: c.track}
 	go func() { _ = c.srv.Serve(ln) }()
 	return c, nil
 }
@@ -667,7 +657,31 @@ func NewChaosServer(inner http.Handler) (*ChaosServer, error) {
 func (c *ChaosServer) URL() string { return "http://" + c.ln.Addr().String() }
 
 // SetDropped severs (or restores) the server's traffic.
-func (c *ChaosServer) SetDropped(dropped bool) { c.dropped.Store(dropped) }
+func (c *ChaosServer) SetDropped(dropped bool) {
+	c.dropped.Store(dropped)
+	if dropped {
+		c.mu.RLock()
+		defer c.mu.RUnlock()
+		for conn := range c.conns {
+			conn.Close()
+		}
+	}
+}
+
+// track keeps the set of open connections. A request's own transitions
+// (active, idle) change nothing and take no lock.
+func (c *ChaosServer) track(conn net.Conn, state http.ConnState) {
+	if state == http.StateActive || state == http.StateIdle {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if state == http.StateNew {
+		c.conns[conn] = true
+	} else { // hijacked or closed
+		delete(c.conns, conn)
+	}
+}
 
 // SetHandler swaps the inner handler — the address survives a gateway
 // restart, just like a process coming back on its configured port.

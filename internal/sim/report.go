@@ -226,6 +226,9 @@ func (h *Harness) scrapeCounters() (map[string]int64, map[string]float64) {
 		counters["repub_scrape_errors"] = ps.ScrapeErrors
 		counters["repub_live_rows"] = ps.LiveRows
 		counters["repub_subscriptions"] = ps.Subscriptions
+		counters["repub_subscribe_fallbacks"] = ps.SubscribeFallbacks
+		counters["repub_resumes"] = ps.Resumes
+		counters["repub_gapped_resumes"] = ps.GappedResumes
 		counters["repub_rebalances"] = ps.Rebalances
 	}
 	metrics := scrapeMetrics(h.MetricsURL())

@@ -83,7 +83,8 @@ type FederationSpec struct {
 	// RepubRefresh is the republishers' directory poll / rebalance cadence
 	// (default 200ms — sim runs are seconds long).
 	RepubRefresh time.Duration
-	// RepubScrape is the republishers' re-scrape cadence (default 300ms).
+	// RepubScrape is the republishers' re-scrape cadence while a site's
+	// feed is down (default 300ms).
 	RepubScrape time.Duration
 }
 

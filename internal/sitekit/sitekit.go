@@ -2,8 +2,10 @@
 // observed through every bundled native agent (per-host SNMP, site-wide
 // Ganglia/NWS/NetLogger/SCMS), plus helpers to register the matching
 // drivers with a gateway and to describe the deployment as a manifest the
-// command-line tools exchange. Examples, cmd binaries and the benchmark
-// harness all build their testbeds from this package.
+// command-line tools exchange. The examples, the cmd binaries and the
+// paper experiments (internal/bench: E1, E4, E10) build their testbeds from
+// this package; the simulator and the benchmark build theirs on
+// internal/sim's fleet driver.
 package sitekit
 
 import (
