@@ -10,9 +10,11 @@
 // decoded message — admits at most Admit of them. A shard that fills is
 // cleared and refills from what the next decodes read, so a stream of names
 // never seen twice costs the table its hits, never its bound. A shard's map
-// is made on its first admission with room for its whole share, so that a
-// miss costs one allocation, the copy, and never a map growth; once every
-// shard is in use the maps' slots take about 2 MB.
+// is made on its first admission for an eighth of its share, which the
+// Admit names of one decode cannot outgrow, so a cold decode's misses cost
+// one allocation each, the copy; a shard that holds more names doubles its
+// map, up to its share. A table in light use holds about 5 KB of slots a
+// shard, 310 KB in all; one whose every shard has filled holds about 2.6 MB.
 package intern
 
 import (
@@ -33,12 +35,32 @@ const (
 
 	shards   = 64
 	perShard = Entries / shards
+	presize  = perShard / 8 // a new shard map's size hint: Admit names never grow it
+
+	// slotBytes is what one slot of a shard's map costs: its key's and its
+	// value's string headers (32 bytes), a control byte, and the
+	// allocator's rounding of the slot array up to its size class, about
+	// 15 %.
+	slotBytes = 38
 )
 
 type shard struct {
 	mu    sync.Mutex
 	m     map[string]string // nil until the first admission
 	bytes int               // the length of the strings in m
+	high  int               // the most strings m has held: clear keeps its slots
+}
+
+// mapBytes estimates the slots of a map made for presize entries that has
+// held at most n: the map doubles whenever its entries pass 7/8 of its
+// slots, from the power of two it was made with, and a clear keeps them all.
+func mapBytes(n int) int {
+	n = max(n, presize)
+	slots := 8
+	for slots*7/8 < n {
+		slots *= 2
+	}
+	return slots * slotBytes
 }
 
 var table struct {
@@ -88,13 +110,14 @@ func (bt *Batch) Bytes(b []byte) (string, bool) {
 	}
 	switch {
 	case sh.m == nil:
-		sh.m = make(map[string]string, perShard)
+		sh.m = make(map[string]string, presize)
 	case len(sh.m) >= perShard:
 		clear(sh.m)
 		sh.bytes = 0
 	}
 	sh.m[s] = s
 	sh.bytes += len(s)
+	sh.high = max(sh.high, len(sh.m))
 	return s, true
 }
 
@@ -112,7 +135,10 @@ func (bt *Batch) Done() {
 
 // Stats is the table's state as the gridrm_intern_* series report it.
 type Stats struct {
-	Entries, Bytes int   // what the table holds now
+	// Entries is the strings the table holds now. Bytes is what it
+	// retains: their bytes plus an estimate of its maps' slots, sized by
+	// the most strings each shard has held.
+	Entries, Bytes int
 	Hits, Misses   int64 // lookups since the process started
 }
 
@@ -125,6 +151,9 @@ func Read() Stats {
 		sh.mu.Lock()
 		st.Entries += len(sh.m)
 		st.Bytes += sh.bytes
+		if sh.m != nil {
+			st.Bytes += mapBytes(sh.high)
+		}
 		sh.mu.Unlock()
 	}
 	return st

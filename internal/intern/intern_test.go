@@ -2,6 +2,8 @@ package intern
 
 import (
 	"fmt"
+	"hash/maphash"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -158,9 +160,12 @@ func TestBoundedUnderDistinctStream(t *testing.T) {
 			bt.Bytes(buf)
 		}
 		if i%10_000 == 0 || i == 999_999 {
-			if st := Read(); st.Entries > Entries || st.Bytes > Entries*MaxLen {
-				t.Fatalf("after %d strings the table holds %d strings, %d bytes; want ≤ %d, ≤ %d",
-					i+1, st.Entries, st.Bytes, Entries, Entries*MaxLen)
+			// Bytes adds the maps' slots to the strings; at most every shard
+			// has grown its map to its whole share.
+			if st, strs := Read(), stringBytes(); st.Entries > Entries || strs > Entries*MaxLen ||
+				st.Bytes > Entries*MaxLen+shards*mapBytes(perShard) {
+				t.Fatalf("after %d strings the table holds %d strings, %d bytes of them, %d in all; want ≤ %d, ≤ %d, ≤ %d",
+					i+1, st.Entries, strs, st.Bytes, Entries, Entries*MaxLen, Entries*MaxLen+shards*mapBytes(perShard))
 			}
 		}
 	}
@@ -203,5 +208,102 @@ func TestConcurrentBatchesGetTheirStrings(t *testing.T) {
 	wg.Wait()
 	if st := Read(); st.Entries > Entries {
 		t.Errorf("the table holds %d strings, want ≤ %d", st.Entries, Entries)
+	}
+}
+
+// stringBytes is the length of the strings the table holds.
+func stringBytes() int {
+	n := 0
+	for i := range table.shards {
+		sh := &table.shards[i]
+		sh.mu.Lock()
+		n += sh.bytes
+		sh.mu.Unlock()
+	}
+	return n
+}
+
+// resetTable empties the table as a new process finds it, maps and all, and
+// again when the test ends, so no later test inherits a table near a
+// growth.
+func resetTable(t *testing.T) {
+	reset := func() {
+		for i := range table.shards {
+			sh := &table.shards[i]
+			sh.mu.Lock()
+			sh.m, sh.bytes, sh.high = nil, 0, 0
+			sh.mu.Unlock()
+		}
+	}
+	reset()
+	t.Cleanup(reset)
+}
+
+// liveHeap is the heap's live bytes after a collection.
+func liveHeap() int {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return int(ms.HeapAlloc)
+}
+
+// admit puts name in the table, starting a new batch when this one is
+// past its cap.
+func admit(bt *Batch, name []byte) {
+	if _, ok := bt.Bytes(name); !ok {
+		bt.Done()
+		bt.Bytes(name)
+	}
+}
+
+// TestLightUseRetainsLittle: a table with one name in every shard — every
+// map made — retains a few KB a shard. Made for its whole share, each map
+// took 40 KB, 2.6 MB over the table.
+func TestLightUseRetainsLittle(t *testing.T) {
+	resetTable(t)
+	before := liveHeap()
+	var bt Batch
+	buf := make([]byte, 0, MaxLen)
+	var used [shards]bool
+	for i, n := 0, 0; n < shards; i++ {
+		buf = strconv.AppendInt(append(buf[:0], "one-a-shard-"...), int64(i), 10)
+		if k := maphash.Bytes(table.seed, buf) % shards; !used[k] {
+			used[k] = true
+			n++
+			admit(&bt, buf)
+		}
+	}
+	bt.Done()
+	grew, st := liveHeap()-before, Read()
+	t.Logf("%d names, one a shard: the heap grew %d bytes, the table reports %d", st.Entries, grew, st.Bytes)
+	if st.Entries != shards {
+		t.Fatalf("the table holds %d names, want %d", st.Entries, shards)
+	}
+	if bound := 512 << 10; grew > bound {
+		t.Errorf("one name a shard retains %d bytes, want ≤ %d (a whole share a map is %d)", grew, bound, shards*mapBytes(perShard))
+	}
+}
+
+// TestReportedBytesMatchTheHeap: what Read reports the table retains — its
+// strings and its maps' slots — is what the heap grows by when the table
+// fills from empty, within 10 %. The names are 16 bytes, a size class of
+// their own, so the heap holds no more of them than their length.
+func TestReportedBytesMatchTheHeap(t *testing.T) {
+	resetTable(t)
+	before := liveHeap()
+	var bt Batch
+	buf := make([]byte, 0, 16)
+	// 128 names a shard on average: some shards grow their maps once,
+	// some twice, and a few not at all.
+	for i := 0; i < 128*shards; i++ {
+		buf = strconv.AppendInt(append(buf[:0], "ledger-"...), int64(100_000_000+i), 10)
+		admit(&bt, buf)
+	}
+	bt.Done()
+	grew, st := liveHeap()-before, Read()
+	t.Logf("%d names: the heap grew %d bytes, the table reports %d (%d of strings)", st.Entries, grew, st.Bytes, stringBytes())
+	if d := float64(st.Bytes-grew) / float64(grew); d < -0.10 || d > 0.10 {
+		t.Errorf("the table reports %d bytes, the heap grew %d (%+.1f %%), want within 10 %%", st.Bytes, grew, 100*d)
 	}
 }

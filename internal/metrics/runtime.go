@@ -21,7 +21,7 @@ func RegisterRuntime(r *Registry) {
 	}
 	r.GaugeFunc("gridrm_intern_entries", "Strings the wire decoders' intern table holds.",
 		func() float64 { return float64(intern.Read().Entries) })
-	r.GaugeFunc("gridrm_intern_bytes", "Bytes of the strings the intern table holds.",
+	r.GaugeFunc("gridrm_intern_bytes", "Bytes the intern table retains: its strings plus an estimate of its maps' slots.",
 		func() float64 { return float64(intern.Read().Bytes) })
 	r.CounterFunc("gridrm_intern_hits_total", "Decoded names found in the intern table.",
 		func() int64 { return intern.Read().Hits })

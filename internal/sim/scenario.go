@@ -149,6 +149,11 @@ type EventSpec struct {
 	Republisher int           // 1-based index for *_republisher actions (default 1)
 }
 
+// maxSites bounds the site instances a fleet's templates expand to. A count
+// past it is a typo, not a fleet: expanding it would exhaust memory before
+// any check could refuse it.
+const maxSites = 4096
+
 // Load scopes.
 const (
 	ScopeLocal  = "local"
@@ -381,7 +386,7 @@ func (s *Scenario) Validate() error {
 		return fmt.Errorf("scenario: fleet.sites must declare at least one template")
 	}
 	seen := map[string]bool{}
-	totalWeight := 0
+	totalWeight, instances := 0, 0
 	for i, tpl := range s.Fleet.Sites {
 		at := fmt.Sprintf("fleet.sites[%d]", i)
 		if tpl.Name == "" {
@@ -390,6 +395,10 @@ func (s *Scenario) Validate() error {
 		if tpl.Count < 1 || tpl.Sources < 1 || tpl.Hosts < 1 {
 			return fmt.Errorf("scenario: %s: count, sources and hosts must be >= 1", at)
 		}
+		if tpl.Count > maxSites-instances {
+			return fmt.Errorf("scenario: %s: the fleet may have at most %d sites", at, maxSites)
+		}
+		instances += tpl.Count
 		if tpl.Weight < 0 {
 			return fmt.Errorf("scenario: %s: weight must be >= 0", at)
 		}

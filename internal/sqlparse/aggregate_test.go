@@ -3,6 +3,7 @@ package sqlparse
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -428,6 +429,64 @@ func TestPlanCache(t *testing.T) {
 	}
 	if _, err := NewPlanCache(0).Parse("SELECT * FROM t"); err != nil {
 		t.Errorf("zero-cap cache: %v", err)
+	}
+}
+
+// TestPlanCacheSizedByUse: a gateway's 512-plan cache holding the three
+// texts its clients send retains a few KB, not the map slots of all 512
+// (27 KB); filled, it evicts the least recently used plan as before.
+func TestPlanCacheSizedByUse(t *testing.T) {
+	heap := func() int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	texts := []string{"SELECT * FROM Processor", "SELECT HostName FROM Memory WHERE RAMSize > 4", "SELECT * FROM Disk"}
+	for _, sql := range texts { // the parser's first-use state
+		if _, err := Parse(sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := heap()
+	c := NewPlanCache(512)
+	for _, sql := range texts {
+		if _, err := c.Plan(sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	grew := heap() - before
+	t.Logf("a 512-plan cache holding %d plans retains %d bytes", len(texts), grew)
+	if grew > 8<<10 {
+		t.Errorf("a 512-plan cache holding %d plans retains %d bytes, want ≤ 8 KB", len(texts), grew)
+	}
+
+	text := func(i int) string { return fmt.Sprintf("SELECT * FROM t%d", i) }
+	for i := 0; i < 512; i++ {
+		if _, err := c.Plan(text(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first, err := c.Plan(text(0)) // touched: t1 is now the least recently used
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Plan("SELECT * FROM past_the_cap"); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.Entries != 512 || st.Evictions != uint64(len(texts))+1 {
+		t.Errorf("stats = %+v, want 512 entries and %d evictions", st, len(texts)+1)
+	}
+	if again, _ := c.Plan(text(0)); again != first {
+		t.Error("the most recently used plan was evicted")
+	}
+	misses := c.Stats().Misses
+	if _, err := c.Plan(text(1)); err != nil {
+		t.Fatal(err)
+	}
+	if c.Stats().Misses != misses+1 {
+		t.Error("the least recently used plan was kept past the cap")
 	}
 }
 

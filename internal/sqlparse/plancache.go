@@ -75,7 +75,7 @@ const DriverPlans = 64
 func NewPlanCache(capacity int) *PlanCache {
 	c := &PlanCache{capacity: capacity}
 	if capacity > 0 {
-		c.entries = make(map[string]*list.Element, capacity)
+		c.entries = make(map[string]*list.Element) // grows with use, not to its bound
 		c.order = list.New()
 	}
 	return c

@@ -365,7 +365,7 @@ func (cs *ClientSubscription) read(ctx context.Context, body io.ReadCloser, idle
 	}
 
 	sc := bufio.NewScanner(body)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	sc.Buffer(nil, 1<<20) // bufio's 4 KB, doubled as a longer line needs
 	var fr frameReader
 	for sc.Scan() {
 		if idleTimer != nil {

@@ -3,7 +3,11 @@ package web
 import (
 	"bufio"
 	"context"
+	"errors"
+	"fmt"
+	"io"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"strings"
 	"testing"
@@ -311,5 +315,99 @@ func TestStatusReportsPushCounters(t *testing.T) {
 	}
 	if len(st.Subscribers) != 1 || st.Subscribers[0].Enqueued != 2 {
 		t.Fatalf("subscriber stats over HTTP: %+v", st.Subscribers)
+	}
+}
+
+// rawSSE answers every request with an event stream of the bytes write puts
+// on it, then holds the stream open until the client goes. It returns a
+// client of its own transport, whose connections close with the test.
+func rawSSE(t *testing.T, write func(w io.Writer)) *Client {
+	t.Helper()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/event-stream")
+		write(w)
+		w.(http.Flusher).Flush()
+		<-r.Context().Done()
+	}))
+	tr := &http.Transport{}
+	t.Cleanup(func() {
+		tr.CloseIdleConnections()
+		srv.Close()
+	})
+	return &Client{BaseURL: srv.URL, HTTPClient: &http.Client{Transport: tr}}
+}
+
+// metricFrame writes one metric frame whose one String cell is host.
+func metricFrame(w io.Writer, seq uint64, host string) {
+	fmt.Fprintf(w, "id: %d\nevent: metric\ndata: {\"seq\":%d,\"source\":\"gridrm:sim://a\",\"group\":\"Processor\","+
+		"\"time\":\"2003-09-01T00:00:00Z\",\"columns\":[\"HostName\"],\"row\":[%q]}\n\n", seq, seq, host)
+}
+
+func subscribeRaw(t *testing.T, c *Client) *ClientSubscription {
+	t.Helper()
+	sub, err := c.SubscribeContext(context.Background(), SubscribeConfig{
+		Query: core.QueryOptions{SQL: "SELECT HostName FROM Processor"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sub.Close)
+	return sub
+}
+
+// TestSSELongLineDecodes: a 256 KB data line decodes whole. The line buffer
+// starts at 4 KB and grows to it.
+func TestSSELongLineDecodes(t *testing.T) {
+	host := strings.Repeat("h", 256<<10)
+	sub := subscribeRaw(t, rawSSE(t, func(w io.Writer) { metricFrame(w, 1, host) }))
+	m := recvSSE(t, sub, 1)[0]
+	if got, _ := m.Row[0].(string); got != host {
+		t.Fatalf("a %d-byte cell came back as %d bytes", len(host), len(got))
+	}
+	if sub.LastSeq() != 1 {
+		t.Errorf("LastSeq = %d, want 1", sub.LastSeq())
+	}
+}
+
+// TestSSELineOverCapEndsStream: a line past the 1 MB cap ends the
+// subscription, and Err names the stream error.
+func TestSSELineOverCapEndsStream(t *testing.T) {
+	sub := subscribeRaw(t, rawSSE(t, func(w io.Writer) {
+		io.WriteString(w, "data: "+strings.Repeat("x", 1<<20)+"\n\n")
+	}))
+	select {
+	case <-sub.Done():
+	case m := <-sub.C():
+		t.Fatalf("a line over the cap delivered %v", m)
+	case <-time.After(5 * time.Second):
+		t.Fatal("a line over the cap left the stream open")
+	}
+	if err := sub.Err(); !errors.Is(err, bufio.ErrTooLong) || !strings.Contains(err.Error(), "subscribe stream") {
+		t.Fatalf("Err() = %v, want the stream's %v", err, bufio.ErrTooLong)
+	}
+}
+
+// TestSSEOpenStreamsRetainLittle: 32 open subscriptions on short rows
+// retain less, after a collection, than 64 KB a stream, the size their line
+// buffers used to start at. Both ends of every connection count.
+func TestSSEOpenStreamsRetainLittle(t *testing.T) {
+	const streams = 32
+	c := rawSSE(t, func(w io.Writer) { metricFrame(w, 1, "node-1") })
+	subscribeRaw(t, c) // the server's and transport's first-use state
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	for range streams {
+		recvSSE(t, subscribeRaw(t, c), 1) // held open until the test ends
+	}
+	grew := int64(heap()) - int64(before)
+	t.Logf("%d open streams: the heap grew %d bytes, %d a stream", streams, grew, grew/streams)
+	if bound := int64(streams * 64 << 10); grew >= bound {
+		t.Errorf("%d open streams retain %d bytes, want < %d (64 KB a stream)", streams, grew, bound)
 	}
 }
