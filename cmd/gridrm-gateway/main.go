@@ -70,7 +70,7 @@ func main() {
 		refresh  = flag.Duration("refresh", 30*time.Second, "GMA registration refresh interval")
 
 		role         = flag.String("role", "site", "directory role: site (serve a manifest's agents) or republisher (mirror a shard of sites and answer region queries)")
-		repubRefresh = flag.Duration("repub-refresh", 2*time.Second, "republisher directory poll / rebalance cadence")
+		repubRefresh = flag.Duration("repub-refresh", 2*time.Second, "longest a republisher goes without re-reading the directory and re-registering; membership changes are acted on at once")
 
 		harvestTimeout = flag.Duration("harvest-timeout", 0, "per-source harvest timeout (0 = default, negative = off)")
 		queryTimeout   = flag.Duration("query-timeout", 0, "whole-request deadline when the caller sets none (0 = default, negative = off)")

@@ -22,10 +22,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -103,6 +106,31 @@ type DirectoryService interface {
 	SitesContext(ctx context.Context) ([]string, error)
 	// ListContext returns every fresh record, sorted by name.
 	ListContext(ctx context.Context) ([]Registration, error)
+	// WatchContext is ListContext once the membership's Digest differs
+	// from digest, or once wait has passed, whichever comes first.
+	WatchContext(ctx context.Context, digest string, wait time.Duration) ([]Registration, error)
+}
+
+// Digest names a membership: a hash of each record's name, role, endpoint
+// and groups, taken in the order given (ListContext's name order). It
+// leaves out RegisteredAt, Owns and Generation, so a heartbeat or a
+// republisher's re-registration of its Owns leaves it unchanged.
+func Digest(regs []Registration) string {
+	h := fnv.New64a()
+	field := func(s string) {
+		h.Write([]byte(s))
+		h.Write([]byte{0})
+	}
+	for _, r := range regs {
+		field(r.Name)
+		field(string(r.Role))
+		field(r.Endpoint)
+		for _, g := range r.Groups {
+			field(g)
+		}
+		h.Write([]byte{1})
+	}
+	return strconv.FormatUint(h.Sum64(), 16)
 }
 
 // Directory is the in-process GMA directory with TTL-based expiry of
@@ -113,6 +141,7 @@ type Directory struct {
 
 	mu      sync.RWMutex
 	members map[string]Registration
+	changed chan struct{} // closed, and replaced, when the Digest may have changed
 }
 
 // NewDirectory creates a directory; records older than ttl are treated as
@@ -122,7 +151,13 @@ func NewDirectory(ttl time.Duration, clock func() time.Time) *Directory {
 	if clock == nil {
 		clock = time.Now
 	}
-	return &Directory{ttl: ttl, clock: clock, members: make(map[string]Registration)}
+	return &Directory{ttl: ttl, clock: clock, members: make(map[string]Registration), changed: make(chan struct{})}
+}
+
+// notify wakes every watcher; d.mu is held for writing.
+func (d *Directory) notify() {
+	close(d.changed)
+	d.changed = make(chan struct{})
 }
 
 // RegisterContext implements DirectoryService. The stored Generation is
@@ -144,7 +179,11 @@ func (d *Directory) RegisterContext(ctx context.Context, r Registration) error {
 	r.RegisteredAt = d.clock()
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if prev, ok := d.members[r.Name]; ok {
+	prev, ok := d.members[r.Name]
+	if !ok || !d.fresh(prev) || r.Endpoint != prev.Endpoint || r.Role != prev.Role || !slices.Equal(r.Groups, prev.Groups) {
+		defer d.notify()
+	}
+	if ok {
 		switch {
 		case r.Generation > prev.Generation:
 			// Caller-supplied bump wins.
@@ -171,6 +210,7 @@ func (d *Directory) DeregisterContext(ctx context.Context, name string) error {
 		return fmt.Errorf("gma: %q not registered", name)
 	}
 	delete(d.members, name)
+	d.notify()
 	return nil
 }
 
@@ -216,6 +256,11 @@ func (d *Directory) ListContext(ctx context.Context) ([]Registration, error) {
 	}
 	d.mu.RLock()
 	defer d.mu.RUnlock()
+	return d.list(), nil
+}
+
+// list is every fresh record, sorted by name; d.mu is held.
+func (d *Directory) list() []Registration {
 	out := make([]Registration, 0, len(d.members))
 	for _, r := range d.members {
 		if d.fresh(r) {
@@ -223,7 +268,32 @@ func (d *Directory) ListContext(ctx context.Context) ([]Registration, error) {
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out, nil
+	return out
+}
+
+// WatchContext implements DirectoryService. A join, a deregister, or a
+// change of a member's endpoint, role or groups wakes it; a record that
+// expires by TTL is seen only at the next call.
+func (d *Directory) WatchContext(ctx context.Context, digest string, wait time.Duration) ([]Registration, error) {
+	timer := time.NewTimer(wait)
+	defer timer.Stop()
+	for waited := false; ; {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		d.mu.RLock()
+		regs, changed := d.list(), d.changed
+		d.mu.RUnlock()
+		if waited || Digest(regs) != digest {
+			return regs, nil
+		}
+		select {
+		case <-changed:
+		case <-timer.C:
+			waited = true
+		case <-ctx.Done():
+		}
+	}
 }
 
 // Prune drops expired records and reports how many were removed.
@@ -247,8 +317,12 @@ type Route struct {
 	Serve   http.HandlerFunc
 }
 
+// maxWatchWait caps the wait a GET /gma/registrations?wait= may hold.
+const maxWatchWait = 30 * time.Second
+
 // Routes is the directory's HTTP interface. The ?site= parameter names the
-// member, whatever its role.
+// member, whatever its role. GET /gma/registrations with ?wait= (a Go
+// duration) and ?digest= is WatchContext; without ?wait= it is ListContext.
 func (d *Directory) Routes() []Route {
 	return []Route{
 		{"POST /gma/register", func(w http.ResponseWriter, r *http.Request) {
@@ -273,7 +347,18 @@ func (d *Directory) Routes() []Route {
 			answer(w, sites, err, http.StatusInternalServerError)
 		}},
 		{"GET /gma/registrations", func(w http.ResponseWriter, r *http.Request) {
-			regs, err := d.ListContext(r.Context())
+			q := r.URL.Query()
+			if !q.Has("wait") {
+				regs, err := d.ListContext(r.Context())
+				answer(w, regs, err, http.StatusInternalServerError)
+				return
+			}
+			wait, err := time.ParseDuration(q.Get("wait"))
+			if err != nil || wait < 0 {
+				http.Error(w, "bad wait", http.StatusBadRequest)
+				return
+			}
+			regs, err := d.WatchContext(r.Context(), q.Get("digest"), min(wait, maxWatchWait))
 			answer(w, regs, err, http.StatusInternalServerError)
 		}},
 	}
@@ -409,6 +494,18 @@ func (c *DirectoryClient) SitesContext(ctx context.Context) ([]string, error) {
 // ListContext implements DirectoryService.
 func (c *DirectoryClient) ListContext(ctx context.Context) ([]Registration, error) {
 	return get[[]Registration](ctx, c, "registrations", "/gma/registrations")
+}
+
+// WatchContext implements DirectoryService as a long poll. The wait is
+// held under half the client's timeout, so the directory answers before
+// the request times out, and under maxWatchWait.
+func (c *DirectoryClient) WatchContext(ctx context.Context, digest string, wait time.Duration) ([]Registration, error) {
+	wait = min(max(wait, 0), maxWatchWait)
+	if t := c.client().Timeout; t > 0 {
+		wait = min(wait, t/2)
+	}
+	path := "/gma/registrations?digest=" + url.QueryEscape(digest) + "&wait=" + wait.String()
+	return get[[]Registration](ctx, c, "watch", path)
 }
 
 var _ DirectoryService = (*Directory)(nil)

@@ -199,6 +199,10 @@ func firstAnswer[T any](ctx context.Context, m *MultiDirectory, what string, ask
 			break
 		}
 		v, err := ask(r.svc)
+		if err != nil && errors.Is(ctx.Err(), context.Canceled) {
+			errs = append(errs, err) // the caller gave up; the replica did not fail
+			break
+		}
 		if err != nil {
 			r.noteErr(err, time.Now())
 			errs = append(errs, err)
@@ -221,6 +225,13 @@ func (m *MultiDirectory) SitesContext(ctx context.Context) ([]string, error) {
 // (health-ranked) that answers wins.
 func (m *MultiDirectory) ListContext(ctx context.Context) ([]Registration, error) {
 	return firstAnswer(ctx, m, "registrations", func(d DirectoryService) ([]Registration, error) { return d.ListContext(ctx) })
+}
+
+// WatchContext implements DirectoryService over the first replica
+// (health-ranked) that answers, the one ListContext answers from. Watching
+// every replica would return at once, for ever, while two of them disagree.
+func (m *MultiDirectory) WatchContext(ctx context.Context, digest string, wait time.Duration) ([]Registration, error) {
+	return firstAnswer(ctx, m, "watch", func(d DirectoryService) ([]Registration, error) { return d.WatchContext(ctx, digest, wait) })
 }
 
 var _ DirectoryService = (*MultiDirectory)(nil)

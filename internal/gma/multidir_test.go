@@ -72,6 +72,13 @@ func (f *flakyDir) ListContext(ctx context.Context) ([]Registration, error) {
 	return f.Directory.ListContext(ctx)
 }
 
+func (f *flakyDir) WatchContext(ctx context.Context, digest string, wait time.Duration) ([]Registration, error) {
+	if err := f.err(); err != nil {
+		return nil, err
+	}
+	return f.Directory.WatchContext(ctx, digest, wait)
+}
+
 func TestMultiDirectoryRegisterFansOut(t *testing.T) {
 	d1, d2 := newFlakyDir(), newFlakyDir()
 	md := NewMultiDirectory(d1, d2)

@@ -43,8 +43,9 @@ type Options struct {
 	Directory gma.DirectoryService
 	// Query overrides how sites are scraped (tests).
 	Query QueryFunc
-	// RefreshInterval is the directory poll / rebalance cadence
-	// (default 2s).
+	// RefreshInterval bounds how long the republisher goes without
+	// re-reading the directory and re-registering (default 2s). A change
+	// of membership is acted on at once, not at the interval.
 	RefreshInterval time.Duration
 	// ScrapeInterval is the re-scrape cadence for sites whose feed is down
 	// (default 5s).
@@ -78,7 +79,10 @@ type Stats struct {
 	GappedResumes int64 `json:"gappedResumes"`
 	// Rebalances counts refresh cycles that changed the owned-site set.
 	Rebalances int64 `json:"rebalances"`
-	// RefreshErrors counts directory refresh failures.
+	// MembershipChanges counts directory watches that returned because
+	// the membership changed, not because RefreshInterval passed.
+	MembershipChanges int64 `json:"membershipChanges"`
+	// RefreshErrors counts failed directory watches and registrations.
 	RefreshErrors int64 `json:"refreshErrors"`
 	// StoredRows is the current row count across every view.
 	StoredRows int `json:"storedRows"`
@@ -92,13 +96,14 @@ type Gateway struct {
 	store *Store
 	plans *sqlparse.PlanCache
 
-	mu      sync.Mutex
-	owns    []string
-	workers map[string]*siteWorker
-	started bool
-	cancel  context.CancelFunc
-	runCtx  context.Context
-	wg      sync.WaitGroup
+	mu         sync.Mutex
+	owns       []string
+	membership Membership
+	workers    map[string]*siteWorker
+	started    bool
+	cancel     context.CancelFunc
+	runCtx     context.Context
+	wg         sync.WaitGroup
 
 	regionQueries      atomic.Int64
 	siteQueries        atomic.Int64
@@ -111,7 +116,20 @@ type Gateway struct {
 	resumes            atomic.Int64
 	gappedResumes      atomic.Int64
 	rebalances         atomic.Int64
+	membershipChanges  atomic.Int64
 	refreshErrors      atomic.Int64
+}
+
+// Membership is the directory membership the owned shard was computed
+// from, for /status. Republishers on one directory that show different
+// digests disagree about the ring.
+type Membership struct {
+	// Digest is gma.Digest of the directory's records.
+	Digest string `json:"digest"`
+	// Members counts the records, of every role.
+	Members int `json:"members"`
+	// ChangedAt is when the republisher last saw the digest change.
+	ChangedAt time.Time `json:"changedAt"`
 }
 
 type siteWorker struct {
@@ -179,9 +197,17 @@ func (g *Gateway) Stats() Stats {
 		Resumes:            g.resumes.Load(),
 		GappedResumes:      g.gappedResumes.Load(),
 		Rebalances:         g.rebalances.Load(),
+		MembershipChanges:  g.membershipChanges.Load(),
 		RefreshErrors:      g.refreshErrors.Load(),
 		StoredRows:         g.store.Rows(),
 	}
+}
+
+// Membership snapshots the membership the owned shard rests on.
+func (g *Gateway) Membership() Membership {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.membership
 }
 
 // Feed is how one owned site's view is kept, for /status: Mode is "stream"
@@ -217,7 +243,7 @@ func (g *Gateway) Feeds() []Feed {
 	return feeds
 }
 
-// Start begins the refresh loop: poll the directory, rebuild the ring,
+// Start begins the watch loop: watch the directory, rebuild the ring,
 // reconcile site workers, and keep the republisher's own registration
 // (role, Owns) current. An immediate first refresh runs before Start
 // returns, so tests and single-shot tools see a settled ownership set.
@@ -230,11 +256,9 @@ func (g *Gateway) Start(ctx context.Context) error {
 	g.started = true
 	g.runCtx, g.cancel = context.WithCancel(ctx)
 	g.mu.Unlock()
-	if err := g.Refresh(g.runCtx); err != nil {
-		g.refreshErrors.Add(1)
-	}
+	seen, _ := g.refresh(g.runCtx, "")
 	g.wg.Add(1)
-	go g.refreshLoop()
+	go g.watch(seen)
 	return nil
 }
 
@@ -282,32 +306,52 @@ func (g *Gateway) Halt() {
 	g.wg.Wait()
 }
 
-func (g *Gateway) refreshLoop() {
+// watch refreshes until the republisher stops. Each refresh waits on the
+// directory for a membership other than seen, or for RefreshInterval; a
+// failed one waits out RefreshInterval, so a dead directory cannot spin
+// the loop.
+func (g *Gateway) watch(seen string) {
 	defer g.wg.Done()
-	t := time.NewTicker(g.opts.RefreshInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-g.runCtx.Done():
-			return
-		case <-t.C:
-			if err := g.Refresh(g.runCtx); err != nil {
-				g.refreshErrors.Add(1)
-			}
+	for g.runCtx.Err() == nil {
+		var ok bool
+		if seen, ok = g.refresh(g.runCtx, seen); !ok {
+			_ = retry.Sleep(g.runCtx, g.opts.RefreshInterval)
 		}
 	}
 }
 
-// Refresh runs one directory cycle synchronously: list the members, build
-// the ring over every registered republisher (self included), recompute
-// the owned shard, reconcile workers, and (re)register self with the
-// current Owns. Exported so tests and the simulator can force a
-// deterministic rebalance.
-func (g *Gateway) Refresh(ctx context.Context) error {
-	regs, err := g.opts.Directory.ListContext(ctx)
+// refresh runs one directory cycle: watch the directory from the digest
+// seen ("" returns at once), build the ring over every registered
+// republisher (self included), recompute the owned shard, reconcile
+// workers, and (re)register self with the current Owns. It returns the
+// digest the shard now rests on; ok is false when the watch failed.
+func (g *Gateway) refresh(ctx context.Context, seen string) (digest string, ok bool) {
+	regs, err := g.opts.Directory.WatchContext(ctx, seen, g.opts.RefreshInterval)
 	if err != nil {
-		return err
+		if ctx.Err() == nil {
+			g.refreshErrors.Add(1)
+		}
+		return seen, false
 	}
+	if digest = gma.Digest(regs); digest != seen {
+		if seen != "" {
+			g.membershipChanges.Add(1)
+		}
+		g.mu.Lock()
+		g.membership = Membership{Digest: digest, Members: len(regs), ChangedAt: g.opts.Clock()}
+		g.mu.Unlock()
+	}
+	if err := g.rebalance(ctx, regs); err != nil && ctx.Err() == nil {
+		g.refreshErrors.Add(1)
+	}
+	return digest, true
+}
+
+// rebalance moves the owned shard to what regs place on this republisher.
+// A worker stops when its site is shed or re-registers with other groups,
+// and its view goes with it; every owned site without a worker gets a
+// fresh one, seeded by a scrape of the groups the site now registers.
+func (g *Gateway) rebalance(ctx context.Context, regs []gma.Registration) error {
 	var republishers, sites []string
 	groups := make(map[string][]string)
 	self := false
@@ -340,7 +384,7 @@ func (g *Gateway) Refresh(ctx context.Context) error {
 		g.mu.Unlock()
 		return nil
 	}
-	changed := !equalStrings(owns, g.owns)
+	changed := !slices.Equal(owns, g.owns)
 	g.owns = owns
 	var stopped []*siteWorker
 	ownSet := make(map[string]bool, len(owns))
@@ -348,15 +392,22 @@ func (g *Gateway) Refresh(ctx context.Context) error {
 		ownSet[s] = true
 	}
 	for site, w := range g.workers {
-		if !ownSet[site] {
+		if !ownSet[site] || !slices.Equal(w.groups, mirrored(groups[site])) {
 			w.cancel()
 			stopped = append(stopped, w)
 			delete(g.workers, site)
-			g.store.RemoveSite(site)
 		}
 	}
+	g.mu.Unlock()
+	// A stopped worker's last write lands before its view is dropped, and
+	// its successor starts on an empty view.
+	for _, w := range stopped {
+		<-w.done
+		g.store.RemoveSite(w.site)
+	}
+	g.mu.Lock()
 	for _, site := range owns {
-		if _, ok := g.workers[site]; !ok {
+		if _, ok := g.workers[site]; !ok && g.started {
 			wctx, cancel := context.WithCancel(g.runCtx)
 			w := &siteWorker{site: site, groups: mirrored(groups[site]), cancel: cancel, done: make(chan struct{})}
 			g.workers[site] = w
@@ -364,9 +415,6 @@ func (g *Gateway) Refresh(ctx context.Context) error {
 		}
 	}
 	g.mu.Unlock()
-	for _, w := range stopped {
-		<-w.done
-	}
 	if changed {
 		g.rebalances.Add(1)
 	}
@@ -656,16 +704,4 @@ func (g *Gateway) ownsSite(site string) bool {
 		}
 	}
 	return false
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

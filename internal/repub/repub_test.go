@@ -330,11 +330,12 @@ func TestGatewayScrapesAndAnswersRegionQueries(t *testing.T) {
 	}
 }
 
-func TestGatewayRebalanceOnMembershipChange(t *testing.T) {
-	dir := gma.NewDirectory(0, nil)
-	sites, query, _ := fakeSites(t, dir, 8)
+// startRepub starts a republisher over dir with no refresh tick to speak
+// of: whatever it does after Start, a directory change made it do.
+func startRepub(t *testing.T, dir gma.DirectoryService, name string, query QueryFunc) *Gateway {
+	t.Helper()
 	g, err := New(Options{
-		Name: "repub-0", Endpoint: "http://repub-0", Directory: dir,
+		Name: name, Endpoint: "http://" + name, Directory: dir,
 		Query:           query,
 		RefreshInterval: time.Hour, ScrapeInterval: time.Hour,
 	})
@@ -344,50 +345,147 @@ func TestGatewayRebalanceOnMembershipChange(t *testing.T) {
 	if err := g.Start(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	defer g.Stop(context.Background())
+	t.Cleanup(func() { g.Stop(context.Background()) })
+	return g
+}
+
+// ownedByRing reports whether g owns exactly what the ring over repubs
+// places on it.
+func ownedByRing(g *Gateway, sites, repubs []string) bool {
+	ring := gma.NewRing(repubs, gma.DefaultVNodes)
+	var want []string
+	for _, s := range sites {
+		if ring.Owner(s) == g.Name() {
+			want = append(want, s)
+		}
+	}
+	return slices.Equal(g.Owns(), want)
+}
+
+func TestGatewayRebalanceOnMembershipChange(t *testing.T) {
+	dir := gma.NewDirectory(0, nil)
+	sites, query, _ := fakeSites(t, dir, 8)
+	g := startRepub(t, dir, "repub-0", query)
 	if len(g.Owns()) != 8 {
 		t.Fatalf("sole republisher owns %v", g.Owns())
 	}
-	// A second republisher joins: this one must shed the sites the ring
-	// now places elsewhere, and drop their views.
+	// A second republisher joins: with no tick due for an hour, this one
+	// must shed the sites the ring now places elsewhere, and drop their
+	// views.
 	if err := dir.RegisterContext(context.Background(), gma.Registration{
 		Name: "repub-1", Endpoint: "http://repub-1", Role: gma.RoleRepublisher,
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.Refresh(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	waitFor(t, "the shed", func() bool { return ownedByRing(g, sites, []string{"repub-0", "repub-1"}) })
 	owns := g.Owns()
 	if len(owns) == 0 || len(owns) == len(sites) {
 		t.Fatalf("after join owns %d of %d sites, want a strict subset", len(owns), len(sites))
 	}
-	if g.Stats().Rebalances == 0 {
-		t.Fatal("rebalance not counted")
-	}
-	ring := gma.NewRing([]string{"repub-0", "repub-1"}, gma.DefaultVNodes)
-	for _, s := range owns {
-		if ring.Owner(s) != "repub-0" {
-			t.Fatalf("owns %s which the ring places at %s", s, ring.Owner(s))
-		}
+	if st := g.Stats(); st.Rebalances == 0 || st.MembershipChanges == 0 {
+		t.Fatalf("rebalance not counted: %+v", st)
 	}
 	// Shed sites are refused and their rows are gone from the view.
-	var shed string
-	ownSet := map[string]bool{}
-	for _, s := range owns {
-		ownSet[s] = true
-	}
-	for _, s := range sites {
-		if !ownSet[s] {
-			shed = s
-			break
-		}
-	}
+	shed := slices.DeleteFunc(slices.Clone(sites), func(s string) bool { return slices.Contains(owns, s) })[0]
 	if _, err := g.QueryContext(context.Background(), core.QueryOptions{
 		SQL: "SELECT HostName FROM Processor", Site: shed,
 	}); err == nil {
 		t.Fatalf("shed site %s still answered", shed)
 	}
+}
+
+func TestSurvivorTakesOverADrainedPeer(t *testing.T) {
+	dir := gma.NewDirectory(0, nil)
+	sites, query, _ := fakeSites(t, dir, 8)
+	a := startRepub(t, dir, "repub-0", query)
+	b := startRepub(t, dir, "repub-1", query)
+	both := []string{"repub-0", "repub-1"}
+	waitFor(t, "the split", func() bool { return ownedByRing(a, sites, both) && ownedByRing(b, sites, both) })
+	b.Stop(context.Background()) // drain: deregister, workers wound down
+	waitFor(t, "the takeover", func() bool { return len(a.Owns()) == len(sites) })
+	waitFor(t, "the taken-over views", func() bool { return a.store.Rows() == len(sites) })
+}
+
+func TestStatusDigestAgreesAfterAJoin(t *testing.T) {
+	dir := gma.NewDirectory(0, nil)
+	_, query, _ := fakeSites(t, dir, 4)
+	a := startRepub(t, dir, "repub-0", query)
+	b := startRepub(t, dir, "repub-1", query)
+	status := func(g *Gateway) Membership {
+		front := httptest.NewServer(g.Handler())
+		defer front.Close()
+		resp, err := http.Get(front.URL + "/status")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var st struct{ Membership Membership }
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		return st.Membership
+	}
+	regs, _ := dir.ListContext(context.Background())
+	want := gma.Digest(regs)
+	waitFor(t, "both digests", func() bool { return a.Membership().Digest == want && b.Membership().Digest == want })
+	ma, mb := status(a), status(b)
+	if ma.Digest != want || mb.Digest != want || ma.Members != 6 || mb.Members != 6 || ma.ChangedAt.IsZero() {
+		t.Fatalf("/status membership %+v and %+v, want digest %s over 6 members", ma, mb, want)
+	}
+	if a.Stats().MembershipChanges == 0 {
+		t.Fatal("repub-0 saw repub-1 join without counting a membership change")
+	}
+}
+
+// groupRows is one row of group for host, in the group's full shape.
+func groupRows(t *testing.T, group, host string) *resultset.ResultSet {
+	t.Helper()
+	g, ok := glue.Lookup(group)
+	if !ok {
+		t.Fatalf("group %s missing", group)
+	}
+	meta, err := resultset.MetadataForGroup(g, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := make([]any, meta.ColumnCount())
+	row[meta.ColumnIndex("HostName")] = host
+	b := resultset.NewBuilder(meta)
+	b.Append(row...)
+	rs, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rs
+}
+
+func TestChangedGroupsAreMirrored(t *testing.T) {
+	dir := gma.NewDirectory(0, nil)
+	dead := deadEndpoint(t)
+	register := func(groups ...string) {
+		t.Helper()
+		if err := dir.RegisterContext(context.Background(), gma.Registration{Name: "site-0", Endpoint: dead, Groups: groups}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	register(glue.GroupProcessor)
+	query := func(ctx context.Context, site string, req core.QueryOptions) (*core.Response, error) {
+		group := strings.TrimPrefix(req.SQL, "SELECT * FROM ")
+		return &core.Response{ResultSet: groupRows(t, group, "h-"+group)}, nil
+	}
+	g := startRepub(t, dir, "repub-0", query)
+	hosts := func(group string) int {
+		resp, err := g.QueryContext(context.Background(), core.QueryOptions{SQL: "SELECT HostName FROM " + group})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.ResultSet.Len()
+	}
+	waitFor(t, "the Processor view", func() bool { return hosts(glue.GroupProcessor) == 1 })
+	register(glue.GroupProcessor, glue.GroupMemory)
+	waitFor(t, "the Memory view", func() bool { return hosts(glue.GroupMemory) == 1 && hosts(glue.GroupProcessor) == 1 })
+	register(glue.GroupMemory)
+	waitFor(t, "Processor dropped", func() bool { return hosts(glue.GroupProcessor) == 0 && hosts(glue.GroupMemory) == 1 })
 }
 
 // childSite starts a site gateway with no sources behind its own servlet

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -98,6 +99,22 @@ type Harness struct {
 	// deadSink is the black-holed endpoint behind the load.dead_sink HTTP
 	// push sink (nil unless the scenario asks for one).
 	deadSink *ChaosServer
+
+	// convergeMu guards converged, how long each republisher membership
+	// event took to settle (awaitOwnership); stopAwait ends the waits
+	// still open at Close.
+	convergeMu sync.Mutex
+	converged  []convergence
+	awaiting   sync.WaitGroup
+	awaitCtx   context.Context
+	stopAwait  context.CancelFunc
+}
+
+// convergence is how long the republishers' shards took to partition the
+// sites again after a membership event.
+type convergence struct {
+	event string
+	after time.Duration
 }
 
 // simSubscriber is one continuous-query consumer: a drain goroutine that
@@ -429,6 +446,7 @@ func (h *Harness) federate() error {
 		services = append(services, &gma.DirectoryClient{BaseURL: srv.URL(), Timeout: 2 * time.Second})
 	}
 	h.MultiDir = gma.NewMultiDirectory(services...)
+	h.awaitCtx, h.stopAwait = context.WithCancel(context.Background())
 	for _, site := range h.SiteOrder {
 		rt := h.Sites[site]
 		srv, err := NewChaosServer(web.NewServer(rt.Gateway, nil, nil))
@@ -449,10 +467,14 @@ func (h *Harness) federate() error {
 			return fmt.Errorf("sim: register %s: %w", site, err)
 		}
 	}
+	began := time.Now()
 	for i := 1; i <= fed.Republishers; i++ {
 		if err := h.startRepublisher(fmt.Sprintf("repub-%d", i), fed); err != nil {
 			return err
 		}
+	}
+	if fed.Republishers > 0 {
+		h.awaitOwnership("start", fmt.Sprintf("repub-%d", fed.Republishers), true, began)
 	}
 	h.Router = gma.NewRouter(h.MultiDir, web.RemoteQueryContext, h.Entry.Name, gma.Config{
 		LookupTTL:     fed.LookupTTL,
@@ -519,6 +541,7 @@ func (h *Harness) ReviveRepublisher(i int) bool {
 		return false
 	}
 	rr.Server.SetDropped(false)
+	h.awaitOwnership("revive "+rr.Name, rr.Name, true, time.Now())
 	return rr.Gateway.Start(context.Background()) == nil
 }
 
@@ -532,9 +555,72 @@ func (h *Harness) DrainRepublisher(i int) bool {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
+	h.awaitOwnership("drain "+rr.Name, rr.Name, false, time.Now())
 	rr.Gateway.Stop(ctx)
 	rr.Server.SetDropped(true)
 	return true
+}
+
+// ownership reads the directory's first replica in process. misowned
+// counts the sites that the shards of the republishers it lists do not
+// cover exactly once, plus any site they cover that is not one of the
+// fleet's; a crashed republisher stays listed, and counts with the shard
+// it held when it died. listed reports whether it lists the member named.
+func (h *Harness) ownership(name string) (misowned int, listed bool) {
+	regs, _ := h.Replicas[0].Dir.ListContext(context.Background())
+	registered := func(name string) bool {
+		return slices.ContainsFunc(regs, func(r gma.Registration) bool { return r.Name == name })
+	}
+	owners := make(map[string]int, len(h.SiteOrder))
+	for _, rr := range h.Repubs {
+		if registered(rr.Name) {
+			for _, site := range rr.Gateway.Owns() {
+				owners[site]++
+			}
+		}
+	}
+	for _, site := range h.SiteOrder {
+		if owners[site] != 1 {
+			misowned++
+		}
+		delete(owners, site)
+	}
+	return misowned + len(owners), registered(name)
+}
+
+// awaitOwnership times how long a membership event that began at start
+// takes to settle: until the directory lists the republisher named (or,
+// when listed is false, no longer lists it) and the shards partition the
+// sites again. It only reads the shards; it never makes a republisher
+// refresh.
+func (h *Harness) awaitOwnership(event, name string, listed bool, start time.Time) {
+	h.awaiting.Add(1)
+	go func() {
+		defer h.awaiting.Done()
+		poll := time.NewTicker(time.Millisecond)
+		defer poll.Stop()
+		for {
+			if misowned, in := h.ownership(name); misowned == 0 && in == listed {
+				break
+			}
+			select {
+			case <-poll.C:
+			case <-h.awaitCtx.Done():
+				return
+			}
+		}
+		h.convergeMu.Lock()
+		h.converged = append(h.converged, convergence{event, time.Since(start)})
+		h.convergeMu.Unlock()
+	}()
+}
+
+// convergences lists the membership events whose shards have settled,
+// with how long each took, in the order they settled.
+func (h *Harness) convergences() []convergence {
+	h.convergeMu.Lock()
+	defer h.convergeMu.Unlock()
+	return slices.Clone(h.converged)
 }
 
 // RepubStats sums every republisher's counters.
@@ -551,6 +637,7 @@ func (h *Harness) RepubStats() repub.Stats {
 		total.Subscriptions += s.Subscriptions
 		total.SubscribeFallbacks += s.SubscribeFallbacks
 		total.Rebalances += s.Rebalances
+		total.MembershipChanges += s.MembershipChanges
 		total.RefreshErrors += s.RefreshErrors
 		total.StoredRows += s.StoredRows
 	}
@@ -598,6 +685,10 @@ func (h *Harness) SetDirectoryDown(i int, down bool) bool {
 // Close tears the harness down: registrars, site servers, gateways, then
 // directory replicas. Safe on a partially-built harness.
 func (h *Harness) Close() {
+	if h.stopAwait != nil {
+		h.stopAwait()
+		h.awaiting.Wait()
+	}
 	for _, site := range h.SiteOrder {
 		rt := h.Sites[site]
 		if rt.Registrar != nil {

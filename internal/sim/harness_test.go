@@ -170,3 +170,62 @@ federation:
 		t.Errorf("the feed came back with %d resumes, as many as before the cut", st.Resumes)
 	}
 }
+
+// TestShardsPartitionAfterEveryMembershipEvent: with a refresh interval no
+// run reaches, the republishers' shards still partition the sites exactly
+// once after the federation starts, after a drain and after a revive,
+// because each membership change wakes every republisher's directory watch.
+func TestShardsPartitionAfterEveryMembershipEvent(t *testing.T) {
+	sc, err := ParseScenario([]byte(`
+name: membership-events
+duration: 1s
+fleet:
+  sites:
+    - name: hub
+      count: 1
+      sources: 1
+      hosts: 1
+    - name: leaf
+      count: 6
+      sources: 1
+      hosts: 1
+federation:
+  enabled: true
+  entry_site: hub
+  republishers: 3
+  repub_refresh: 1h
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := NewHarness(sc, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	settled := func(event string) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+			for _, c := range h.convergences() {
+				if c.event == event {
+					if misowned, _ := h.ownership(""); misowned != 0 {
+						t.Fatalf("%s settled, yet %d sites are not owned exactly once", event, misowned)
+					}
+					return
+				}
+			}
+			if time.Now().After(deadline) {
+				misowned, _ := h.ownership("")
+				t.Fatalf("%s never settled: %d sites not owned exactly once", event, misowned)
+			}
+		}
+	}
+	settled("start")
+	h.DrainRepublisher(2)
+	settled("drain repub-2")
+	h.ReviveRepublisher(2)
+	settled("revive repub-2")
+	if n := h.RepubStats().MembershipChanges; n == 0 {
+		t.Fatal("no republisher counted a membership change")
+	}
+}

@@ -26,7 +26,14 @@ type Report struct {
 	Metrics     map[string]float64        `json:"metrics,omitempty"`
 	Events      []EventRecord             `json:"events"`
 	Assertions  []AssertionResult         `json:"assertions"`
-	Passed      bool                      `json:"passed"`
+	// Invariants are checked on every run they apply to, whatever the
+	// scenario asserts.
+	Invariants []AssertionResult `json:"invariants,omitempty"`
+	// RepubConvergeMS is the longest a republisher membership event (the
+	// federation's start, a drain, a revive) took to settle: until the
+	// republishers' shards partitioned the sites again.
+	RepubConvergeMS float64 `json:"repub_converge_ms,omitempty"`
+	Passed          bool    `json:"passed"`
 }
 
 // FleetSummary sizes the generated fleet.
@@ -89,7 +96,7 @@ func (r *Report) Summary() string {
 		fmt.Fprintf(&b, ", p50 %.2fms p95 %.2fms p99 %.2fms", all.P50Ms, all.P95Ms, all.P99Ms)
 	}
 	b.WriteString("\n")
-	for _, a := range r.Assertions {
+	for _, a := range append(r.Assertions, r.Invariants...) {
 		status := "PASS"
 		if !a.OK {
 			status = "FAIL"
@@ -230,6 +237,7 @@ func (h *Harness) scrapeCounters() (map[string]int64, map[string]float64) {
 		counters["repub_resumes"] = ps.Resumes
 		counters["repub_gapped_resumes"] = ps.GappedResumes
 		counters["repub_rebalances"] = ps.Rebalances
+		counters["repub_membership_changes"] = ps.MembershipChanges
 	}
 	metrics := scrapeMetrics(h.MetricsURL())
 	return counters, metrics

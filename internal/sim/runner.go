@@ -162,8 +162,19 @@ func Run(sc *Scenario, opts RunOptions) (*Report, error) {
 		})
 	}
 	r.Assertions = evalAssertions(sc, r)
+	if len(h.Repubs) > 0 {
+		// Ownership conserves: every site is owned by exactly one
+		// republisher once the run's membership events have settled.
+		misowned, _ := h.ownership("")
+		r.Invariants = []AssertionResult{{Name: "repub_owns_partition", Actual: float64(misowned), OK: misowned == 0}}
+		for _, c := range h.convergences() {
+			ms := float64(c.after) / float64(time.Millisecond)
+			logf("republisher shards settled %.1fms after %s", ms, c.event)
+			r.RepubConvergeMS = max(r.RepubConvergeMS, ms)
+		}
+	}
 	r.Passed = true
-	for _, a := range r.Assertions {
+	for _, a := range append(r.Assertions, r.Invariants...) {
 		if !a.OK {
 			r.Passed = false
 		}

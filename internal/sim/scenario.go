@@ -80,8 +80,9 @@ type FederationSpec struct {
 	// answers fan-outs as a tree of region aggregates and routes cached
 	// site reads republisher-first. 0 keeps the flat federation.
 	Republishers int
-	// RepubRefresh is the republishers' directory poll / rebalance cadence
-	// (default 200ms — sim runs are seconds long).
+	// RepubRefresh is the longest a republisher goes without re-reading
+	// the directory and re-registering; a membership change is acted on at
+	// once (default 200ms — sim runs are seconds long).
 	RepubRefresh time.Duration
 	// RepubScrape is the republishers' re-scrape cadence while a site's
 	// feed is down (default 300ms).
