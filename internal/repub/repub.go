@@ -2,9 +2,7 @@ package repub
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"net/url"
 	"slices"
 	"sort"
 	"sync"
@@ -67,16 +65,11 @@ type Stats struct {
 	ScrapeErrors int64 `json:"scrapeErrors"`
 	// LiveRows counts rows applied from feeds.
 	LiveRows int64 `json:"liveRows"`
-	// Subscriptions counts feeds opened, resumed or fresh and seeded;
-	// SubscribeFallbacks counts feeds that would not open, each followed
-	// by a scrape and a ScrapeInterval.
+	// Subscriptions counts feeds opened and seeded; SubscribeFallbacks
+	// counts feeds that would not open, each followed by a scrape and a
+	// ScrapeInterval.
 	Subscriptions      int64 `json:"subscriptions"`
 	SubscribeFallbacks int64 `json:"subscribeFallbacks"`
-	// Resumes counts feeds reopened after the seqs they last applied;
-	// GappedResumes counts those the site then told rows were lost, which
-	// ended them in a re-scrape.
-	Resumes       int64 `json:"resumes"`
-	GappedResumes int64 `json:"gappedResumes"`
 	// Rebalances counts refresh cycles that changed the owned-site set.
 	Rebalances int64 `json:"rebalances"`
 	// MembershipChanges counts directory watches that returned because
@@ -113,8 +106,6 @@ type Gateway struct {
 	liveRows           atomic.Int64
 	subscriptions      atomic.Int64
 	subscribeFallbacks atomic.Int64
-	resumes            atomic.Int64
-	gappedResumes      atomic.Int64
 	rebalances         atomic.Int64
 	membershipChanges  atomic.Int64
 	refreshErrors      atomic.Int64
@@ -194,8 +185,6 @@ func (g *Gateway) Stats() Stats {
 		LiveRows:           g.liveRows.Load(),
 		Subscriptions:      g.subscriptions.Load(),
 		SubscribeFallbacks: g.subscribeFallbacks.Load(),
-		Resumes:            g.resumes.Load(),
-		GappedResumes:      g.gappedResumes.Load(),
 		Rebalances:         g.rebalances.Load(),
 		MembershipChanges:  g.membershipChanges.Load(),
 		RefreshErrors:      g.refreshErrors.Load(),
@@ -446,17 +435,14 @@ func mirrored(groups []string) []string {
 	return glue.GroupNames()
 }
 
-// runSite mirrors one owned site until ctx ends by its feed (follow). A feed
-// the network cut resumes where it left off, with no scrape. A feed that
-// cannot resume — a gap, an eviction, a refused resume, a stream that never
-// carried a row — ends, and a fresh feed is seeded by a scrape. While the
-// site's feed will not open, scrapes on ScrapeInterval stand in for it.
+// runSite mirrors one owned site until ctx ends by its feed (follow). Any end
+// of a feed — a cut, a gap, an eviction, a child restarted behind the same
+// URL — ends it, and a fresh feed is seeded by a scrape. While the site's
+// feed will not open, scrapes on ScrapeInterval stand in for it.
 func (g *Gateway) runSite(ctx context.Context, w *siteWorker) {
 	defer close(w.done)
-	var from []uint64 // where a cut feed resumes, a seq a group; nil: seed a new feed
 	for ctx.Err() == nil {
-		var opened bool
-		if from, opened = g.follow(ctx, w, from); opened || ctx.Err() != nil {
+		if g.follow(ctx, w) || ctx.Err() != nil {
 			continue
 		}
 		g.subscribeFallbacks.Add(1)
@@ -498,81 +484,56 @@ func (g *Gateway) scrapeSite(ctx context.Context, w *siteWorker) bool {
 	return complete
 }
 
-// follow opens the site's feed, a /subscribe stream a group resuming after
-// from's seqs (fresh, and seeded by a complete scrape, when from is nil),
-// and applies its rows until a stream ends or the site says rows were lost.
-// opened is false when a stream would not open. next is where the feed
-// resumes: from again when the site could not be reached; nil when the site
-// refused the feed, said rows were lost, or a stream has no seq to resume
-// after.
-func (g *Gateway) follow(ctx context.Context, w *siteWorker, from []uint64) (next []uint64, opened bool) {
+// follow opens the site's feed, a fresh /subscribe stream a group seeded by a
+// complete scrape, and applies its rows until a stream ends or the site says
+// rows were lost. opened is false when a stream would not open.
+func (g *Gateway) follow(ctx context.Context, w *siteWorker) (opened bool) {
 	endpoint, err := g.endpoint(ctx, w.site)
 	if err != nil {
-		return from, false
+		return false
 	}
 	c := web.Client{BaseURL: endpoint}
 	feed, end := context.WithCancel(ctx) // ends every stream of the feed
 	defer end()
 	hung := time.AfterFunc(feedIdleTimeout, end) // a child that takes the requests and never answers them
 	streams := make([]*web.ClientSubscription, len(w.groups))
-	next = make([]uint64, len(w.groups))
 	for i, group := range w.groups {
 		q := core.QueryOptions{SQL: "SELECT * FROM " + group}
-		if from != nil {
-			q.FromSeq, next[i] = from[i], from[i]
-		}
 		if streams[i], err = c.SubscribeContext(feed, web.SubscribeConfig{Query: q, Heartbeat: feedHeartbeat, IdleTimeout: feedIdleTimeout}); err != nil {
-			if !errors.As(err, new(*url.Error)) {
-				return nil, false // the site answered, and not with a stream
-			}
-			return from, false
+			return false
 		}
 	}
 	hung.Stop()
-	// A new feed is seeded once its streams are open: a row the site
-	// publishes meanwhile waits in its stream and lands on the seed. An
-	// incomplete scrape is repeated after ScrapeInterval, for live rows
-	// update what the view holds and never supply rows a scrape missed.
-	for seeded := from != nil; !seeded; {
-		if seeded = g.scrapeSite(feed, w); !seeded && retry.Sleep(feed, g.opts.ScrapeInterval) != nil {
-			return nil, true
+	// The feed is seeded once its streams are open: a row the site publishes
+	// meanwhile waits in its stream and lands on the seed. An incomplete
+	// scrape is repeated after ScrapeInterval, for live rows update what the
+	// view holds and never supply rows a scrape missed.
+	for !g.scrapeSite(feed, w) {
+		if retry.Sleep(feed, g.opts.ScrapeInterval) != nil {
+			return true
 		}
 	}
 	g.subscriptions.Add(1)
-	if from != nil {
-		g.resumes.Add(1)
-	}
 	w.streaming.Store(true)
 	defer w.streaming.Store(false)
 	var applying sync.WaitGroup
-	for i, cs := range streams {
+	for _, cs := range streams {
 		applying.Add(1)
 		go func() {
 			defer applying.Done()
 			defer end() // the feed ends with its first stream
-			next[i] = max(next[i], g.apply(w, cs))
+			g.apply(w, cs)
 		}()
 	}
 	applying.Wait()
-	gapped := slices.ContainsFunc(streams, lost)
-	if gapped && from != nil {
-		g.gappedResumes.Add(1)
-	}
-	if ctx.Err() != nil || gapped || slices.Contains(next, 0) {
-		return nil, true
-	}
-	return next, true
+	return true
 }
 
-// apply upserts one stream's rows into the site's view until the stream
-// ends or the site says rows were lost, and returns the newest seq applied.
-// Rows the stream delivered but apply did not reach are replayed by the
-// resume after that seq. A gap notice ends no stream, and one ahead of any
-// row (a resume the site's ring cannot serve) comes alone: apply looks for
-// one after every row, and as often as a scrape would have run.
-func (g *Gateway) apply(w *siteWorker, cs *web.ClientSubscription) (last uint64) {
-	check := time.NewTicker(g.opts.ScrapeInterval)
-	defer check.Stop()
+// apply upserts one stream's rows into the site's view until the stream ends
+// or the site says rows were lost. A gap notice ends no stream, and the site
+// writes one in the same burst as the row after it: apply looks for one after
+// every row.
+func (g *Gateway) apply(w *siteWorker, cs *web.ClientSubscription) {
 	for !lost(cs) {
 		select {
 		case m := <-cs.C():
@@ -580,13 +541,10 @@ func (g *Gateway) apply(w *siteWorker, cs *web.ClientSubscription) (last uint64)
 			g.liveRows.Add(1)
 			w.applied.Store(m.Seq)
 			w.updated.Store(g.opts.Clock().UnixNano())
-			last = max(last, m.Seq)
-		case <-check.C:
 		case <-cs.Done():
-			return last
+			return
 		}
 	}
-	return last
 }
 
 // lost reports whether the site told the stream that rows are gone: a gap

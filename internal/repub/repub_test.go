@@ -637,29 +637,23 @@ func TestPushKeepsTheRestOfTheView(t *testing.T) {
 }
 
 // subscribeLog wraps a child's servlet to record the resume point of every
-// /subscribe request it gets ("" for a fresh feed), and, while hold is
-// set, to keep a resume waiting until the test lets it through.
+// /subscribe request it gets ("" for a fresh feed), and to keep every request
+// after the first waiting until release is closed.
 type subscribeLog struct {
-	mu    sync.Mutex
-	froms []string
-	hold  chan struct{} // closed to let held resumes through; nil holds nothing
-	held  chan string   // each held resume's point
+	mu      sync.Mutex
+	froms   []string
+	release chan struct{}
 }
 
 func (l *subscribeLog) wrap(h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/subscribe" {
-			from := r.URL.Query().Get("from")
 			l.mu.Lock()
-			l.froms = append(l.froms, from)
-			hold := l.hold
+			l.froms = append(l.froms, r.URL.Query().Get("from"))
+			reconnect := len(l.froms) > 1
 			l.mu.Unlock()
-			if hold != nil && from != "" {
-				select {
-				case l.held <- from:
-				default: // the test reads the first resume's point only
-				}
-				<-hold
+			if reconnect {
+				<-l.release
 			}
 		}
 		h.ServeHTTP(w, r)
@@ -672,110 +666,78 @@ func (l *subscribeLog) log() []string {
 	return append([]string(nil), l.froms...)
 }
 
-// TestFeedResumesBySeq: a stream the network cuts resumes after the last
-// seq it applied, and the rows the site published meanwhile arrive by the
-// replay — with no scrape.
-func TestFeedResumesBySeq(t *testing.T) {
-	dir := gma.NewDirectory(0, nil)
-	_, query, _ := fakeSites(t, dir, 1)
-	subs := &subscribeLog{hold: make(chan struct{}), held: make(chan string, 1)}
-	var release sync.Once
-	t.Cleanup(func() { release.Do(func() { close(subs.hold) }) })
-	child, srv := childSite(t, dir, "site-0", subs.wrap)
-	g, err := New(Options{
-		Name: "repub-0", Endpoint: "http://repub-0", Directory: dir,
-		Query:           query,
-		RefreshInterval: time.Hour, ScrapeInterval: time.Hour,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Start(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	defer g.Stop(context.Background())
-	waitFor(t, "subscription", func() bool { return g.Stats().Subscriptions == 1 })
-	publish(child, "h1", 1.0)
-	waitFor(t, "the first live row", func() bool { return g.Stats().LiveRows == 1 })
-	scrapes := g.Stats().Scrapes
+// TestCutFeedReseeds: any end of a feed ends it, and the next is a fresh one:
+// a /subscribe with no resume point, seeded by one scrape of each mirrored
+// group. The child publishes three rows before the reconnect gets through —
+// after a network cut, into the numbering the feed left; after a restart
+// behind the same URL, into a new numbering that has passed the seq the feed
+// applied last, where a resume would go on silently.
+func TestCutFeedReseeds(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		restart bool
+	}{
+		{"network cut", false},
+		{"child restarted", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := gma.NewDirectory(0, nil)
+			_, query, _ := fakeSites(t, dir, 1)
+			subs := &subscribeLog{release: make(chan struct{})}
+			var release sync.Once
+			t.Cleanup(func() { release.Do(func() { close(subs.release) }) })
+			var servlet atomic.Pointer[http.Handler] // swapped on the child's restart
+			child, srv := childSite(t, dir, "site-0", func(h http.Handler) http.Handler {
+				servlet.Store(&h)
+				return subs.wrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+					(*servlet.Load()).ServeHTTP(w, r)
+				}))
+			})
+			g, err := New(Options{
+				Name: "repub-0", Endpoint: "http://repub-0", Directory: dir,
+				Query:           query,
+				RefreshInterval: time.Hour, ScrapeInterval: time.Hour,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := g.Start(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			defer g.Stop(context.Background())
+			waitFor(t, "subscription", func() bool { return g.Stats().Subscriptions == 1 })
+			publish(child, "h1", 1.0)
+			publish(child, "h2", 2.0)
+			waitFor(t, "the live rows", func() bool { return g.Stats().LiveRows == 2 })
+			scrapes := g.Stats().Scrapes
 
-	srv.CloseClientConnections()
-	var from string
-	select {
-	case from = <-subs.held:
-	case <-time.After(5 * time.Second):
-		t.Fatal("the cut stream was not resumed")
-	}
-	publish(child, "h2", 2.0) // while the feed is cut
-	publish(child, "h3", 3.0)
-	release.Do(func() { close(subs.hold) })
-	waitFor(t, "the rows published during the cut", func() bool {
-		h := viewHosts(g)
-		return h["h1"] && h["h2"] && h["h3"]
-	})
+			if tc.restart {
+				child = core.New(core.Config{Name: "site-0"})
+				t.Cleanup(child.Close)
+				var h http.Handler = web.NewServer(child, nil, nil)
+				servlet.Store(&h)
+			}
+			srv.CloseClientConnections()
+			waitFor(t, "the reconnect", func() bool { return len(subs.log()) == 2 })
+			publish(child, "h3", 3.0)
+			publish(child, "h4", 4.0)
+			publish(child, "h5", 5.0)
+			release.Do(func() { close(subs.release) })
+			waitFor(t, "the fresh feed", func() bool { return g.Stats().Subscriptions == 2 })
+			publish(child, "h6", 6.0)
+			waitFor(t, "a row on the fresh feed", func() bool { return viewHosts(g)["h6"] })
 
-	if from != "1" {
-		t.Errorf("the feed resumed from %q, want after seq 1, the row it applied", from)
-	}
-	st := g.Stats()
-	if st.Scrapes != scrapes || st.Subscriptions != 2 || st.LiveRows != 3 {
-		t.Errorf("after the resume: %d scrapes (want %d), %d feeds opened (want 2), %d live rows (want 3)",
-			st.Scrapes, scrapes, st.Subscriptions, st.LiveRows)
-	}
-	if st.Resumes != 1 || st.GappedResumes != 0 {
-		t.Errorf("resumes counted %d, gapped %d; want one clean resume", st.Resumes, st.GappedResumes)
-	}
-	if got := subs.log(); !slices.Equal(got, []string{"", "1"}) {
-		t.Errorf("subscribe requests resumed from %q, want a fresh feed and one resume after 1", got)
-	}
-}
-
-// TestFeedGapRescrapes: a resume the site cannot serve — here a restarted
-// site, whose numbering began again below the feed's resume point — ends
-// the feed: exactly one re-scrape, then a fresh subscribe.
-func TestFeedGapRescrapes(t *testing.T) {
-	dir := gma.NewDirectory(0, nil)
-	_, query, _ := fakeSites(t, dir, 1)
-	subs := &subscribeLog{}
-	var servlet atomic.Pointer[http.Handler] // swapped on the site's restart
-	child, srv := childSite(t, dir, "site-0", func(h http.Handler) http.Handler {
-		servlet.Store(&h)
-		return subs.wrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			(*servlet.Load()).ServeHTTP(w, r)
-		}))
-	})
-	g, err := New(Options{
-		Name: "repub-0", Endpoint: "http://repub-0", Directory: dir,
-		Query:           query,
-		RefreshInterval: time.Hour, ScrapeInterval: 20 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Start(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	defer g.Stop(context.Background())
-	waitFor(t, "subscription", func() bool { return g.Stats().Subscriptions == 1 })
-	publish(child, "h1", 1.0)
-	publish(child, "h2", 2.0)
-	waitFor(t, "the live rows", func() bool { return g.Stats().LiveRows == 2 })
-	scrapes := g.Stats().Scrapes
-
-	restarted := core.New(core.Config{Name: "site-0"})
-	t.Cleanup(restarted.Close)
-	var h http.Handler = web.NewServer(restarted, nil, nil)
-	servlet.Store(&h)
-	srv.CloseClientConnections()
-	waitFor(t, "a fresh feed after the gap", func() bool { return len(subs.log()) == 3 })
-	time.Sleep(5 * 20 * time.Millisecond) // room for a second re-scrape that must not come
-
-	if got := subs.log(); !slices.Equal(got, []string{"", "2", ""}) {
-		t.Errorf("subscribe requests resumed from %q, want a fresh feed, a resume after 2, a fresh feed", got)
-	}
-	if st := g.Stats(); st.Scrapes != scrapes+1 || st.Subscriptions != 3 || st.Resumes != 1 || st.GappedResumes != 1 {
-		t.Errorf("after the gap: %d scrapes (want %d, one re-scrape), %d feeds opened (want 3), %d resumes and %d gapped (want 1 and 1)",
-			st.Scrapes, scrapes+1, st.Subscriptions, st.Resumes, st.GappedResumes)
+			if got := subs.log(); !slices.Equal(got, []string{"", ""}) {
+				t.Errorf("subscribe requests resumed from %q, want two fresh feeds", got)
+			}
+			if st := g.Stats(); st.Scrapes != scrapes+1 || st.Subscriptions != 2 {
+				t.Errorf("after the reconnect: %d scrapes (want %d, one seeding scrape of the one mirrored group), %d feeds opened (want 2)",
+					st.Scrapes, scrapes+1, st.Subscriptions)
+			}
+			if f, seq := g.Feeds()[0], child.PushRouter().Seq(); f.Mode != "stream" || f.LastSeq != seq {
+				t.Errorf("the fresh feed shows as %+v, want streaming with the child's seq %d applied", f, seq)
+			}
+		})
 	}
 }
 

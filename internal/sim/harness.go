@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"sort"
 	"sync"
@@ -624,24 +625,21 @@ func (h *Harness) convergences() []convergence {
 }
 
 // RepubStats sums every republisher's counters.
-func (h *Harness) RepubStats() repub.Stats {
-	var total repub.Stats
+func (h *Harness) RepubStats() (total repub.Stats) {
 	for _, rr := range h.Repubs {
-		s := rr.Gateway.Stats()
-		total.RegionQueries += s.RegionQueries
-		total.SiteQueries += s.SiteQueries
-		total.NotOwned += s.NotOwned
-		total.Scrapes += s.Scrapes
-		total.ScrapeErrors += s.ScrapeErrors
-		total.LiveRows += s.LiveRows
-		total.Subscriptions += s.Subscriptions
-		total.SubscribeFallbacks += s.SubscribeFallbacks
-		total.Rebalances += s.Rebalances
-		total.MembershipChanges += s.MembershipChanges
-		total.RefreshErrors += s.RefreshErrors
-		total.StoredRows += s.StoredRows
+		total = addStats(total, rr.Gateway.Stats())
 	}
 	return total
+}
+
+// addStats adds b's counters to a's field by field, so a counter added to
+// repub.Stats is summed with no change here. Every field is an integer.
+func addStats(a, b repub.Stats) repub.Stats {
+	sum, v := reflect.ValueOf(&a).Elem(), reflect.ValueOf(b)
+	for i := 0; i < v.NumField(); i++ {
+		sum.Field(i).SetInt(sum.Field(i).Int() + v.Field(i).Int())
+	}
+	return a
 }
 
 func fleetGroups() []string {

@@ -3,14 +3,20 @@ package sim
 import (
 	"bufio"
 	"context"
+	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"gridrm/internal/core"
+	"gridrm/internal/glue"
 	"gridrm/internal/repub"
+	"gridrm/internal/resultset"
 )
 
 // TestDroppedServerSeversOpenStreams: dropping a server cuts the responses
@@ -49,11 +55,11 @@ func TestDroppedServerSeversOpenStreams(t *testing.T) {
 }
 
 // TestPartitionCutsRepublisherFeed: partitioning a leaf cuts its
-// republisher's /subscribe feed, scrapes stand in while it is cut, and
-// after the heal the feed resumes by seq: the rows the leaf published during
-// the cut arrive by replay. A second consumer on the leaf keeps its router
-// publishing through the cut; with none, a harvest nobody hears is a gap,
-// and the republisher re-scrapes instead.
+// republisher's /subscribe feed and scrapes stand in while it is cut. After
+// the heal a fresh feed is seeded, and the republisher's answer for the leaf
+// is the leaf's own: the rows the leaf harvested during the cut, each entity
+// exactly once. The leaf's cache outlives the test, so its own answer is
+// that harvest's rows.
 func TestPartitionCutsRepublisherFeed(t *testing.T) {
 	sc, err := ParseScenario([]byte(`
 name: partition-feed
@@ -68,6 +74,7 @@ fleet:
       count: 2
       sources: 2
       hosts: 1
+      cache_ttl: 1h
 federation:
   enabled: true
   entry_site: hub
@@ -100,75 +107,81 @@ federation:
 			}
 		}
 	}
-	harvest := func() {
-		for _, group := range fleetGroups() {
-			if _, err := gw.QueryContext(context.Background(), core.QueryOptions{
-				Principal: SimPrincipal, SQL: "SELECT * FROM " + group, Mode: core.ModeRealTime,
-			}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	// published counts the rows every site's router published. Until the
-	// second consumer below subscribes, a router publishes only while the
-	// republisher listens, so every row counted reaches the republisher.
-	published := func() (n int64) {
-		for _, site := range h.SiteOrder {
-			n += h.SiteGateway(site).PushRouter().Stats().Published
-		}
-		return n
-	}
-	// arrived reports whether the republisher applied every row published
-	// since the routers had published p0 and it had applied l0.
-	arrived := func(p0, l0 int64) func() bool {
-		return func() bool { return rp.Stats().LiveRows-l0 == published()-p0 }
-	}
-	wait("every feed, seeded and caught up", func() bool {
-		for _, f := range rp.Feeds() {
-			if f.Mode != "stream" {
-				return false
-			}
-		}
-		return arrived(0, 0)()
-	})
-	other, err := gw.Subscribe(context.Background(), core.QueryOptions{Principal: SimPrincipal, SQL: "SELECT * FROM Memory"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer other.Close()
-	go func() {
-		for {
-			select {
-			case <-other.C():
-			case <-other.Done():
-				return
-			}
-		}
-	}()
+	wait("the leaf's feed", func() bool { return feed().Mode == "stream" })
 
-	p0, l0 := published(), rp.Stats().LiveRows
-	harvest() // every stream of the feed carries a row, so each has a seq to resume after
-	wait("the harvest's rows", arrived(p0, l0))
-
-	before := rp.Stats()
+	before, harvests := rp.Stats(), gw.Stats().Harvests
 	h.PartitionSite(leaf, true)
 	wait("the scrape fallback", func() bool {
 		st := rp.Stats()
 		return feed().Mode == "scrape" && st.SubscribeFallbacks > before.SubscribeFallbacks && st.Scrapes > before.Scrapes
 	})
-	cutAt, p0, l0 := gw.PushRouter().Seq(), published(), rp.Stats().LiveRows
-	harvest() // published while the feed is cut
-	if published() == p0 {
-		t.Fatal("the harvest during the cut published nothing")
+	for _, group := range fleetGroups() {
+		if _, err := gw.QueryContext(context.Background(), core.QueryOptions{
+			Principal: SimPrincipal, SQL: "SELECT * FROM " + group, Mode: core.ModeRealTime,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if gw.Stats().Harvests == harvests {
+		t.Fatal("the leaf harvested nothing during the cut")
 	}
 	h.PartitionSite(leaf, false)
-	wait("the rows published during the cut", func() bool { return feed().Mode == "stream" && arrived(p0, l0)() })
-	if f := feed(); f.LastSeq <= cutAt {
-		t.Errorf("after the heal the feed's last seq is %d, want past %d, where the cut began", f.LastSeq, cutAt)
+	wait("a fresh feed after the heal", func() bool { return feed().Mode == "stream" })
+
+	for _, group := range fleetGroups() {
+		req := core.QueryOptions{Principal: SimPrincipal, SQL: "SELECT * FROM " + group, Site: leaf}
+		own, err := gw.QueryContext(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mirrored, err := rp.QueryContext(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sameEntities(group, own.ResultSet, mirrored.ResultSet); err != nil {
+			t.Errorf("%s: the republisher's answer for %s: %v", group, leaf, err)
+		}
 	}
-	if st := rp.Stats(); st.Resumes <= before.Resumes {
-		t.Errorf("the feed came back with %d resumes, as many as before the cut", st.Resumes)
+}
+
+// sameEntities reports how got differs from want: in its columns, in a GLUE
+// entity it holds more than once, or in its rows as a multiset.
+func sameEntities(group string, want, got *resultset.ResultSet) error {
+	meta := got.Metadata()
+	if w, g := want.Metadata().ColumnNames(), meta.ColumnNames(); !slices.Equal(w, g) {
+		return fmt.Errorf("columns %v, want %v", g, w)
 	}
+	keys, seen := glue.MustLookup(group).KeyFields(), map[string]bool{}
+	for r := 0; r < got.Len(); r++ {
+		var key strings.Builder
+		for _, f := range keys {
+			fmt.Fprintf(&key, "%v ", got.Cell(r, meta.ColumnIndex(f)).Value())
+		}
+		if seen[key.String()] {
+			return fmt.Errorf("entity %q appears more than once", key.String())
+		}
+		seen[key.String()] = true
+	}
+	if w, g := typedRows(want), typedRows(got); !slices.Equal(w, g) {
+		return fmt.Errorf("rows %q, want %q", g, w)
+	}
+	return nil
+}
+
+// typedRows renders rs's rows sorted, each cell with its Go type, so an Int
+// that came back as a Float differs.
+func typedRows(rs *resultset.ResultSet) []string {
+	out := make([]string, rs.Len())
+	for r := range out {
+		var row strings.Builder
+		for c := 0; c < rs.Metadata().ColumnCount(); c++ {
+			v := rs.Cell(r, c).Value()
+			fmt.Fprintf(&row, "%T(%v) ", v, v)
+		}
+		out[r] = row.String()
+	}
+	slices.Sort(out)
+	return out
 }
 
 // TestShardsPartitionAfterEveryMembershipEvent: with a refresh interval no
@@ -227,5 +240,22 @@ federation:
 	settled("revive repub-2")
 	if n := h.RepubStats().MembershipChanges; n == 0 {
 		t.Fatal("no republisher counted a membership change")
+	}
+}
+
+// TestRepubStatsSumsEveryField: the harness's republisher total adds every
+// counter of repub.Stats, so none reads a silent zero.
+func TestRepubStatsSumsEveryField(t *testing.T) {
+	var a, b repub.Stats
+	va, vb := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	for i := 0; i < va.NumField(); i++ {
+		va.Field(i).SetInt(int64(i + 1))
+		vb.Field(i).SetInt(int64(100 * (i + 1)))
+	}
+	sum := reflect.ValueOf(addStats(a, b))
+	for i := 0; i < sum.NumField(); i++ {
+		if got, want := sum.Field(i).Int(), int64(101*(i+1)); got != want {
+			t.Errorf("%s sums to %d, want %d", sum.Type().Field(i).Name, got, want)
+		}
 	}
 }

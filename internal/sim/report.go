@@ -234,8 +234,6 @@ func (h *Harness) scrapeCounters() (map[string]int64, map[string]float64) {
 		counters["repub_live_rows"] = ps.LiveRows
 		counters["repub_subscriptions"] = ps.Subscriptions
 		counters["repub_subscribe_fallbacks"] = ps.SubscribeFallbacks
-		counters["repub_resumes"] = ps.Resumes
-		counters["repub_gapped_resumes"] = ps.GappedResumes
 		counters["repub_rebalances"] = ps.Rebalances
 		counters["repub_membership_changes"] = ps.MembershipChanges
 	}
