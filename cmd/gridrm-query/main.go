@@ -149,9 +149,9 @@ func main() {
 			}
 			fmt.Printf("  stage %-12s count=%-8d avg=%s\n", stage.Label, stage.Count, avg.Round(time.Microsecond))
 		}
-		fmt.Printf("  traces: started=%d stored=%d evicted=%d slow-queries=%d dropped-spans=%d\n",
-			st.Traces.Started, st.Traces.Stored, st.Traces.Evicted,
-			st.Traces.SlowQueries, st.Traces.DroppedSpans)
+		fmt.Printf("  traces: started=%d stored=%d evicted=%d recycled=%d bytes=%d slow-queries=%d dropped-spans=%d\n",
+			st.Traces.Started, st.Traces.Stored, st.Traces.Evicted, st.Traces.Recycled,
+			st.Traces.Bytes, st.Traces.SlowQueries, st.Traces.DroppedSpans)
 		for _, sq := range st.Slow {
 			note := ""
 			if sq.Err != "" {

@@ -527,6 +527,9 @@ func (g *Gateway) registerMetrics() {
 	r.CounterFunc("gridrm_traces_evicted_total", "Query traces evicted from the trace store.", func() int64 { return g.tracer.Stats().Evicted })
 	r.CounterFunc("gridrm_slow_queries_total", "Queries recorded in the slow-query log.", func() int64 { return g.tracer.Stats().SlowQueries })
 	r.CounterFunc("gridrm_trace_spans_dropped_total", "Spans discarded by the per-trace cap.", func() int64 { return g.tracer.Stats().DroppedSpans })
+	r.CounterFunc("gridrm_traces_recycled_total", "Evicted trace legs retired for reuse: every span ended, their handles made inert.", func() int64 { return g.tracer.Stats().Recycled })
+	r.GaugeFunc("gridrm_trace_bytes", "Bytes the tracer's stored and free recorders and chunks occupy.",
+		func() float64 { return float64(g.tracer.Stats().Bytes) })
 	r.CounterFunc("gridrm_plan_cache_hits_total", "Query parses served from the plan cache.",
 		func() int64 { return int64(g.plans.Stats().Hits) })
 	r.CounterFunc("gridrm_plan_cache_misses_total", "Query parses that ran the parser.",

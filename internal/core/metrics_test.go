@@ -50,3 +50,27 @@ func TestRuntimeSeriesAroundQueries(t *testing.T) {
 	}
 	t.Logf("%.0f allocations a cached query, read from /metrics", mallocs/queries)
 }
+
+// TestTraceFootprintOnMetrics: once the trace store is full, /metrics shows
+// what the tracer holds and how many evicted traces it took back for reuse.
+func TestTraceFootprintOnMetrics(t *testing.T) {
+	f := newFixture(t)
+	for i := 0; i < 300; i++ { // every query is sampled; the store keeps 256
+		f.query(t, "SELECT * FROM Processor", ModeCached)
+	}
+	var sb strings.Builder
+	if err := f.g.Metrics().WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	samples := map[string]float64{}
+	for _, m := range regexp.MustCompile(`(?m)^(gridrm_trace_bytes|gridrm_traces_recycled_total|gridrm_traces_evicted_total) (\S+)$`).FindAllStringSubmatch(sb.String(), -1) {
+		samples[m[1]], _ = strconv.ParseFloat(m[2], 64)
+	}
+	st := f.g.Tracer().Stats()
+	if samples["gridrm_trace_bytes"] != float64(st.Bytes) || st.Bytes == 0 {
+		t.Errorf("gridrm_trace_bytes = %v, the tracer reports %d", samples["gridrm_trace_bytes"], st.Bytes)
+	}
+	if r := samples["gridrm_traces_recycled_total"]; r < 1 || r > samples["gridrm_traces_evicted_total"] {
+		t.Errorf("recycled %v of %v evicted traces", r, samples["gridrm_traces_evicted_total"])
+	}
+}

@@ -225,7 +225,18 @@ func (g *Gateway) QueryContext(ctx context.Context, opts QueryOptions) (*Respons
 	resp, err := g.query(ctx, opts, start)
 	elapsed := g.clock().Sub(start)
 	span.SetError(err)
-	span.End()
+	// Read the root's identity before End, and its spans as it ends: once
+	// stored, its recorder may be evicted and reused by another query.
+	traceID, root := span.TraceID(), span.IsRoot()
+	var wire []trace.SpanData
+	if root && err == nil && span.ParentID() != "" {
+		// This gateway served a leg of a remote gateway's trace: ship the
+		// finished spans back so the caller can stitch them under its own
+		// tree.
+		wire = span.EndCollected()
+	} else {
+		span.End()
+	}
 	if !isSubQuery(ctx) {
 		slow := trace.SlowQuery{
 			Time:    start,
@@ -233,7 +244,7 @@ func (g *Gateway) QueryContext(ctx context.Context, opts QueryOptions) (*Respons
 			SQL:     opts.SQL,
 			Mode:    opts.Mode.String(),
 			Elapsed: elapsed,
-			TraceID: span.TraceID(),
+			TraceID: traceID,
 		}
 		if err != nil {
 			slow.Err = err.Error()
@@ -245,14 +256,8 @@ func (g *Gateway) QueryContext(ctx context.Context, opts QueryOptions) (*Respons
 		return nil, err
 	}
 	resp.Elapsed = elapsed
-	if span.IsRoot() {
-		resp.TraceID = span.TraceID()
-		if span.ParentID() != "" {
-			// This gateway served a leg of a remote gateway's trace: ship
-			// the finished spans back so the caller can stitch them under
-			// its own tree.
-			resp.Trace = span.Collected()
-		}
+	if root {
+		resp.TraceID, resp.Trace = traceID, wire
 	}
 	return resp, nil
 }
@@ -261,14 +266,14 @@ func (g *Gateway) QueryContext(ctx context.Context, opts QueryOptions) (*Respons
 // context already carries one (the local leg of an all-sites fan-out), the
 // trace root otherwise — continuing a propagated remote trace when the
 // context carries one.
-func (g *Gateway) startQuerySpan(ctx context.Context, opts QueryOptions) (context.Context, *trace.Span) {
-	var span *trace.Span
-	if trace.SpanFromContext(ctx) != nil {
+func (g *Gateway) startQuerySpan(ctx context.Context, opts QueryOptions) (context.Context, trace.Span) {
+	var span trace.Span
+	if trace.SpanFromContext(ctx).Recording() {
 		ctx, span = trace.StartSpan(ctx, "query")
 	} else {
 		ctx, span = g.tracer.StartTrace(ctx, "query", g.name, opts.Trace)
 	}
-	if span != nil {
+	if span.Recording() {
 		span.SetAttr("sql", opts.SQL)
 		span.SetAttr("mode", opts.Mode.String())
 		if opts.Site != "" {
@@ -389,7 +394,7 @@ func (g *Gateway) queryHistorical(ctx context.Context, req QueryOptions, plan *s
 type openSource struct {
 	i    int
 	url  string
-	span *trace.Span
+	span trace.Span
 }
 
 // queryLive walks each target's ladder (FGSL gate → fresh cache → harvest →
@@ -605,8 +610,8 @@ func (g *Gateway) freshSource(req QueryOptions, url string, group *glue.Group, h
 }
 
 // endSourceSpan closes a source's span with the outcome in its status.
-func endSourceSpan(ssp *trace.Span, status *SourceStatus) {
-	if ssp == nil {
+func endSourceSpan(ssp trace.Span, status *SourceStatus) {
+	if !ssp.Recording() {
 		return
 	}
 	if status.Err != "" {
@@ -625,7 +630,7 @@ func endSourceSpan(ssp *trace.Span, status *SourceStatus) {
 // the circuit breaker, the coalesced harvest under the per-source timeout,
 // then the degraded tiers. ssp is the span opened before freshSource: its time
 // before "harvest" begins is the cache lookup and the hand-off to this goroutine.
-func (g *Gateway) harvestSource(ctx context.Context, mode Mode, url string, group *glue.Group, hsql string, ssp *trace.Span) (status SourceStatus, rs *resultset.ResultSet) {
+func (g *Gateway) harvestSource(ctx context.Context, mode Mode, url string, group *glue.Group, hsql string, ssp trace.Span) (status SourceStatus, rs *resultset.ResultSet) {
 	status.Source = url
 	defer endSourceSpan(ssp, &status)
 	if _, br, err := g.lookup(url); err == nil && !br.Allow(g.clock()) {

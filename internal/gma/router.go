@@ -389,7 +389,7 @@ func routeViaRepublisher(target Registration, req core.QueryOptions) bool {
 // than being unroutable for a full lookup TTL.
 func (r *Router) RemoteQueryContext(ctx context.Context, site string, req core.QueryOptions) (*core.Response, error) {
 	ctx, sp := trace.StartSpan(ctx, "remote-query")
-	if sp != nil {
+	if sp.Recording() {
 		sp.SetAttr("site", site)
 		defer sp.End()
 	}
@@ -467,7 +467,7 @@ func (r *Router) RemoteQueryContext(ctx context.Context, site string, req core.Q
 // endpoint's breaker: the direct-to-site path behind it provides the
 // retry budget, so a dead republisher costs one failed round trip (and
 // after its breaker opens, nothing).
-func (r *Router) tryRepublisher(ctx context.Context, owner, site string, req core.QueryOptions, sp *trace.Span) (*core.Response, bool) {
+func (r *Router) tryRepublisher(ctx context.Context, owner, site string, req core.QueryOptions, sp trace.Span) (*core.Response, bool) {
 	reg, err := r.lookup(ctx, owner)
 	if err != nil || reg.Role != RoleRepublisher {
 		return nil, false

@@ -154,11 +154,11 @@ func (m *Manager) Get(url string, props driver.Properties) (*Conn, error) {
 // "pool-checkout" span noting whether an idle connection was reused.
 func (m *Manager) GetContext(ctx context.Context, url string, props driver.Properties) (*Conn, error) {
 	sp := trace.SpanFromContext(ctx).Child("pool-checkout")
-	if sp != nil {
+	if sp.Recording() {
 		sp.SetAttr("url", url)
 	}
 	conn, err := m.getContext(ctx, url, props)
-	if sp != nil {
+	if sp.Recording() {
 		sp.SetAttr("reused", strconv.FormatBool(err == nil && conn.reused))
 		sp.SetError(err)
 		sp.End()

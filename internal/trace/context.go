@@ -9,36 +9,52 @@ import (
 type spanKey struct{}
 type remoteKey struct{}
 
-// ContextWithSpan returns ctx carrying sp as the active span.
-func ContextWithSpan(ctx context.Context, sp *Span) context.Context {
-	if sp == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, spanKey{}, sp)
+// spanCtx carries the active span. A context type of the package's own
+// holds the handle as a field, so deriving it is the one allocation
+// context.WithValue would be, and reading it boxes nothing.
+type spanCtx struct {
+	context.Context
+	sp Span
 }
 
-// SpanFromContext returns the active span, or nil when the request is not
-// being traced. The nil span is safe to use.
-func SpanFromContext(ctx context.Context) *Span {
-	sp, _ := ctx.Value(spanKey{}).(*Span)
-	return sp
+func (c *spanCtx) Value(key any) any {
+	if key == (spanKey{}) {
+		return c
+	}
+	return c.Context.Value(key)
+}
+
+// ContextWithSpan returns ctx carrying sp as the active span.
+func ContextWithSpan(ctx context.Context, sp Span) context.Context {
+	if sp.rec == nil {
+		return ctx
+	}
+	return &spanCtx{ctx, sp}
+}
+
+// SpanFromContext returns the active span, or the zero Span when the
+// request is not being traced. The zero Span is safe to use.
+func SpanFromContext(ctx context.Context) Span {
+	if c, ok := ctx.Value(spanKey{}).(*spanCtx); ok {
+		return c.sp
+	}
+	return Span{}
 }
 
 // StartSpan begins a child of the active span, inheriting its trace and
 // site, and derives the context its own children hang off; a span that will
 // have none is cheaper as SpanFromContext(ctx).Child(name). When the request
-// is untraced it returns (ctx, nil) and costs only the context lookup.
-func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
+// is untraced it returns (ctx, Span{}) and costs only the context lookup.
+func StartSpan(ctx context.Context, name string) (context.Context, Span) {
 	sp := SpanFromContext(ctx).Child(name)
 	return ContextWithSpan(ctx, sp), sp
 }
 
 // AttachRemote stitches spans recorded by a remote gateway into the active
-// trace, marking them Remote. No-op when the request is untraced.
+// trace, marking them Remote. No-op when the request is untraced or its
+// trace has been recycled.
 func AttachRemote(ctx context.Context, spans []SpanData) {
-	if sp := SpanFromContext(ctx); sp != nil {
-		sp.rec.attachRemote(spans)
-	}
+	SpanFromContext(ctx).attachRemote(spans)
 }
 
 // Carrier is the trace context that crosses a gateway-to-gateway hop.
@@ -82,13 +98,16 @@ func ParseCarrier(h string) (c Carrier, ok bool) {
 }
 
 // CarrierFromContext builds the outbound carrier for the active span; ok is
-// false when the request is untraced (send no header).
+// false when the request is untraced or its trace has been recycled (send
+// no header).
 func CarrierFromContext(ctx context.Context) (Carrier, bool) {
 	sp := SpanFromContext(ctx)
-	if sp == nil {
+	r := sp.lock()
+	if r == nil {
 		return Carrier{}, false
 	}
-	return Carrier{TraceID: sp.rec.traceID, Parent: sp.SpanID(), Sampled: true}, true
+	defer r.mu.Unlock()
+	return Carrier{TraceID: r.traceID, Parent: r.spanID(sp.slot), Sampled: true}, true
 }
 
 // ContextWithRemote marks ctx as serving an inbound remote request carrying

@@ -1,27 +1,32 @@
 package trace
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 )
 
+// hostileCarriers are X-GridRM-Trace values this package could not have
+// made; FuzzParseCarrier starts from them too.
+var hostileCarriers = map[string]string{
+	"8 KB trace ID":      strings.Repeat("a", 8<<10) + "-b.1-1",
+	"8 KB parent ID":     "abc-" + strings.Repeat("a", 8<<10) + "-1",
+	"65-byte trace ID":   strings.Repeat("a", 65) + "-b.1-1",
+	"quote in trace ID":  `ab"c-b.1-1`,
+	"quote in parent ID": `abc-b".1-1`,
+	"upper-case hex":     "ABC-b.1-1",
+	"space inside":       "a c-b.1-1",
+	"newline":            "abc\n-b.1-1",
+	"non-ASCII":          "abç-b.1-1",
+}
+
 // TestParseCarrierRejectsHostileIDs: the header arrives unauthenticated, so
 // an ID this package could not have made is no carrier at all.
 func TestParseCarrierRejectsHostileIDs(t *testing.T) {
-	long := strings.Repeat("a", 8<<10)
-	for name, h := range map[string]string{
-		"8 KB trace ID":      long + "-b.1-1",
-		"8 KB parent ID":     "abc-" + long + "-1",
-		"65-byte trace ID":   strings.Repeat("a", 65) + "-b.1-1",
-		"quote in trace ID":  `ab"c-b.1-1`,
-		"quote in parent ID": `abc-b".1-1`,
-		"upper-case hex":     "ABC-b.1-1",
-		"space inside":       "a c-b.1-1",
-		"newline":            "abc\n-b.1-1",
-		"non-ASCII":          "abç-b.1-1",
-	} {
+	for name, h := range hostileCarriers {
 		if _, ok := ParseCarrier(h); ok {
 			t.Errorf("%s: accepted", name)
 		}
@@ -81,8 +86,8 @@ func TestStragglerEndsInItsOwnSlot(t *testing.T) {
 	exec.SetAttr("driver", "jdbc-mem")
 	exec.End()
 	harvest.End()
-	if late := SpanFromContext(hctx).Child("dispatch"); late != nil {
-		t.Fatal("a span beyond MaxSpans must be nil")
+	if late := SpanFromContext(hctx).Child("dispatch"); late.Recording() {
+		t.Fatal("a span beyond MaxSpans must be the zero Span")
 	}
 	td, _ := tr.Trace(root.TraceID())
 	if td.Spans != 3 || len(td.Roots) != 1 || len(td.Roots[0].Children) != 1 {
@@ -127,13 +132,70 @@ func TestSpillAndOverwrite(t *testing.T) {
 
 // TestRootEndsBesideItsChildren is for the race detector: eight goroutines
 // start, annotate and end children while the root ends and is stored,
-// Collected, Trace and Traces are read, and a straggler ends later.
+// Collected, Trace and Traces are read, and a straggler ends later. Beside
+// them, on a second tracer with a store of four, roots end and are evicted
+// and their recorders reused while four more goroutines drive every method
+// of handles from traces already gone.
 func TestRootEndsBesideItsChildren(t *testing.T) {
 	tr := New(Options{MaxSpans: 64}) // low enough that the cap is hit too
 	ctx, root := tr.StartTrace(bg, "query", "siteA", DecideOn)
 	_, straggler := StartSpan(ctx, "harvest")
 	var wg sync.WaitGroup
 	begin := make(chan struct{})
+	const churnCap = 4
+	churn := New(Options{Capacity: churnCap})
+	var oldMu sync.Mutex
+	// Contexts of ended traces, two a trace in the order they were stored.
+	// All but the last churnCap traces' have been evicted, every span of
+	// them ended, so recycled: their handles must reach nothing.
+	var old []context.Context
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		<-begin
+		for i := 0; i < 400; i++ {
+			ctx, root := churn.StartTrace(bg, "query", "siteB", DecideOn)
+			root.SetAttr("sql", "SELECT 1")
+			sctx, src := StartSpan(ctx, "source")
+			src.SetAttr("url", "gridrm:mem://b:1")
+			src.End()
+			root.End()
+			oldMu.Lock()
+			old = append(old, ctx, sctx)
+			oldMu.Unlock()
+		}
+	}()
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			<-begin
+			for i := 0; i < 400; i++ {
+				oldMu.Lock()
+				n := len(old) - 2*churnCap
+				var ctx context.Context
+				if n > 0 {
+					ctx = old[(i*7+g)%n]
+				}
+				oldMu.Unlock()
+				if ctx == nil {
+					continue
+				}
+				stale := SpanFromContext(ctx)
+				stale.SetAttr("stale", "x")
+				stale.SetAttrInt("stale-n", i)
+				stale.SetError(errors.New("stale"))
+				_, c := StartSpan(ctx, "stale")
+				c.SetAttr("stale", "x")
+				c.End()
+				stale.End()
+				stale.Collected()
+				AttachRemote(ctx, []SpanData{{SpanID: "eeeeeeee.1", Name: "stale"}})
+				CarrierFromContext(ctx)
+				churn.Traces()
+			}
+		}(g)
+	}
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
@@ -182,6 +244,23 @@ func TestRootEndsBesideItsChildren(t *testing.T) {
 	if offered := int64(2 + 8*20*2 + 50); int64(td.Spans)+st.DroppedSpans != offered || td.Spans != 64 {
 		t.Fatalf("stored %d + dropped %d, want %d offered and the cap of 64 stored", td.Spans, st.DroppedSpans, offered)
 	}
+	// Only a failed generation check could let a stale handle into a
+	// trace: every stored trace is its root and source, as recorded.
+	for _, sum := range churn.Traces() {
+		td, _ := churn.Trace(sum.TraceID)
+		if td.Spans != 2 || len(td.Roots) != 1 || len(td.Roots[0].Children) != 1 {
+			t.Errorf("stored trace %s", mustJSON(t, td))
+			continue
+		}
+		r, src := td.Roots[0], td.Roots[0].Children[0]
+		if r.Name != "query" || len(r.Attrs) != 1 || r.Attrs["sql"] != "SELECT 1" || r.Err != "" ||
+			src.Name != "source" || len(src.Attrs) != 1 || src.Err != "" {
+			t.Errorf("stored trace %s", mustJSON(t, td))
+		}
+	}
+	if st := churn.Stats(); st.Recycled == 0 {
+		t.Errorf("churn stats %+v: no trace was recycled", st)
+	}
 }
 
 // TestSpanAllocations holds the point of the slot recorder: spans cost
@@ -202,10 +281,8 @@ func TestSpanAllocations(t *testing.T) {
 	}
 
 	// The cached dashboard query's trace: a root, parse, eight sources,
-	// consolidate — 11 spans — started, annotated, ended and stored. One
-	// recorder, one more chunk, the trace ID, the root's context, and the
-	// store's own bookkeeping.
-	if n := testing.AllocsPerRun(200, func() {
+	// consolidate — 11 spans — started, annotated, ended and stored.
+	dashboard := func() {
 		ctx, root := tr.StartTrace(bg, "query", "siteA", DecideOn)
 		root.SetAttr("sql", "SELECT * FROM Processor")
 		root.SetAttr("mode", "cached")
@@ -218,9 +295,24 @@ func TestSpanAllocations(t *testing.T) {
 		}
 		SpanFromContext(ctx).Child("consolidate").End()
 		root.End()
-	}); n > 10 {
-		t.Errorf("an 11-span trace = %v allocs end to end, want ≤ 10", n)
+	}
+	// While the store fills, nothing is free to reuse: one recorder, one
+	// more chunk, the trace ID, the root's context, and now and then the
+	// store's own bookkeeping as it grows.
+	if n := testing.AllocsPerRun(200, dashboard); n > 5 {
+		t.Errorf("an 11-span trace in a filling store = %v allocs end to end, want ≤ 5", n)
 	} else {
-		t.Logf("an 11-span trace = %v allocs end to end", n)
+		t.Logf("an 11-span trace in a filling store = %v allocs end to end", n)
+	}
+	// Once it is full, the recorder and its second chunk are the ones the
+	// trace the store evicts leaves behind; what allocates is the trace ID
+	// and the root's context.
+	for i := 0; i < defaultCapacity; i++ {
+		dashboard()
+	}
+	if n := testing.AllocsPerRun(200, dashboard); n > 3 {
+		t.Errorf("an 11-span trace in a full store = %v allocs end to end, want ≤ 3", n)
+	} else {
+		t.Logf("an 11-span trace in a full store = %v allocs end to end", n)
 	}
 }

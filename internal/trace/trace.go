@@ -8,10 +8,11 @@
 // their own spans and return them on the wire, and the parent gateway
 // attaches them to its trace before publishing.
 //
-// The whole API is nil-tolerant: an unsampled query carries a nil *Span and
-// every span operation on it is a no-op, so the untraced hot path costs a
-// context lookup and a nil check per stage. A sampled query allocates one
-// recorder; its spans are slots inside it (see recorder).
+// The whole API tolerates the untraced case: an unsampled query carries the
+// zero Span and every span operation on it is a no-op, so the untraced hot
+// path costs a context lookup and a nil check per stage. A sampled query
+// takes one recorder, reused from a trace the store evicted when one is
+// free; its spans are slots inside it (see recorder).
 package trace
 
 import (
@@ -25,6 +26,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 )
 
 // HeaderName is the HTTP header that propagates trace context between
@@ -88,17 +90,25 @@ type SpanData struct {
 	Err      string            `json:"err,omitempty"`   // the operation's failure, if any
 }
 
-// Span is a live span: one slot of its trace's recorder, so starting one
-// allocates nothing while the current chunk has room. A nil *Span is valid:
-// every method no-ops, which is how unsampled requests skip all bookkeeping.
-// The fields are guarded by rec.mu and frozen once the span has ended.
+// Span is a handle on a live span: its recorder, its slot there, and the
+// recorder's generation when the slot was claimed. The zero Span is the
+// untraced no-op: every method does nothing. Recorders are reused once the
+// store evicts their trace, so every method takes the recorder's lock and
+// does nothing when the generation has moved on: a handle kept past its
+// trace cannot reach the trace that reuses the memory.
 type Span struct {
-	rec    *recorder
+	rec  *recorder
+	slot int32
+	gen  uint32
+}
+
+// slot is one span's state inside a recorder, guarded by rec.mu and frozen
+// once the span has ended.
+type slot struct {
 	name   string
 	err    string
 	start  time.Duration // offset from rec.base
 	dur    time.Duration
-	id     int32 // slot number; the span ID is "<prefix>.<id+1>"
 	parent int32 // parent's slot number; -1 on the root, whose parent is rec.parent
 	endSeq int32 // 1-based position among the trace's ended spans; 0 while live
 	nattr  uint8
@@ -124,203 +134,174 @@ func (a attr) value() string {
 	return a.str
 }
 
+// lock returns s's recorder locked, or nil when s is the zero Span or past
+// its generation.
+func (s Span) lock() *recorder {
+	r := s.rec
+	if r == nil {
+		return nil
+	}
+	r.mu.Lock()
+	if r.gen != s.gen {
+		r.mu.Unlock()
+		return nil
+	}
+	return r
+}
+
+// Recording reports whether s belongs to a sampled trace: false for the
+// zero Span of an untraced request. It takes no lock, so it stays true for
+// a handle kept past its trace, whose methods do nothing.
+func (s Span) Recording() bool { return s.rec != nil }
+
 // SetAttr annotates the span; a repeated key overwrites.
-func (s *Span) SetAttr(key, value string) { s.set(attr{key: key, str: value}) }
+func (s Span) SetAttr(key, value string) { s.set(attr{key: key, str: value}) }
 
 // SetAttrInt annotates the span with a number, formatted only when read.
-func (s *Span) SetAttrInt(key string, v int) { s.set(attr{key: key, num: int64(v), isNum: true}) }
+func (s Span) SetAttrInt(key string, v int) { s.set(attr{key: key, num: int64(v), isNum: true}) }
 
-func (s *Span) set(a attr) {
-	if s == nil {
+func (s Span) set(a attr) {
+	r := s.lock()
+	if r == nil {
 		return
 	}
-	r := s.rec
-	r.mu.Lock()
 	defer r.mu.Unlock()
-	if s.endSeq != 0 {
+	sl := r.at(s.slot)
+	if sl.endSeq != 0 {
 		return
 	}
-	a.slot = s.id
-	if old := r.find(s, a.key); old != nil {
+	a.slot = s.slot
+	if old := r.find(sl, s.slot, a.key); old != nil {
 		*old = a
-	} else if s.nattr < inlineAttrs {
-		s.attrs[s.nattr] = a
-		s.nattr++
+	} else if sl.nattr < inlineAttrs {
+		sl.attrs[sl.nattr] = a
+		sl.nattr++
 	} else {
 		r.spill = append(r.spill, a)
 	}
 }
 
 // SetError records err on the span (no-op for nil err).
-func (s *Span) SetError(err error) {
-	if s == nil || err == nil {
+func (s Span) SetError(err error) {
+	if s.rec == nil || err == nil {
 		return
 	}
 	msg := err.Error()
-	s.rec.mu.Lock()
-	if s.endSeq == 0 {
-		s.err = msg
+	r := s.lock()
+	if r == nil {
+		return
 	}
-	s.rec.mu.Unlock()
+	if sl := r.at(s.slot); sl.endSeq == 0 {
+		sl.err = msg
+	}
+	r.mu.Unlock()
 }
 
-// TraceID returns the span's trace ID ("" for a nil span).
-func (s *Span) TraceID() string {
-	if s == nil {
+// TraceID returns the span's trace ID ("" for the zero Span or a handle
+// past its trace).
+func (s Span) TraceID() string {
+	r := s.lock()
+	if r == nil {
 		return ""
 	}
-	return s.rec.traceID
+	defer r.mu.Unlock()
+	return r.traceID
 }
 
-// SpanID returns the span's ID ("" for a nil span).
-func (s *Span) SpanID() string {
-	if s == nil {
+// SpanID returns the span's ID ("" for the zero Span or a handle past its
+// trace).
+func (s Span) SpanID() string {
+	r := s.lock()
+	if r == nil {
 		return ""
 	}
-	return s.rec.spanID(s.id)
+	defer r.mu.Unlock()
+	return r.spanID(s.slot)
 }
 
 // ParentID returns the parent span's ID. A root span with a non-empty
 // parent is continuing a trace propagated from a remote gateway.
-func (s *Span) ParentID() string {
-	if s == nil {
+func (s Span) ParentID() string {
+	r := s.lock()
+	if r == nil {
 		return ""
 	}
-	return s.rec.spanID(s.parent)
+	defer r.mu.Unlock()
+	return r.spanID(r.at(s.slot).parent)
 }
 
 // IsRoot reports whether this span is its trace's local root.
-func (s *Span) IsRoot() bool { return s != nil && s.id == 0 }
+func (s Span) IsRoot() bool { return s.rec != nil && s.slot == 0 }
 
 // Child begins a child of s without deriving a context: the form for a span
 // nothing hangs off (parse, consolidate, pool-checkout ...), and what
-// StartSpan is built on. It returns nil when s is nil or the trace is full.
-func (s *Span) Child(name string) *Span {
-	if s == nil {
-		return nil
+// StartSpan is built on. It returns the zero Span when s is the zero Span,
+// past its trace, or the trace is full.
+func (s Span) Child(name string) Span {
+	r := s.lock()
+	if r == nil {
+		return Span{}
 	}
-	return s.rec.start(name, s.id)
+	defer r.mu.Unlock()
+	return r.start(name, s.slot)
 }
 
 // End finishes the span in place; ending the root moves the whole recorder
 // into the tracer's store. End is idempotent. A span that ends after its
 // root (a coalesced harvest outliving the query that began it, a hedged
-// loser) still ends in its own slot and shows up in the stored trace.
-func (s *Span) End() {
-	if s == nil {
-		return
+// loser) still ends in its own slot and shows up in the stored trace. The
+// store recycles an evicted trace only once every span of it has ended.
+func (s Span) End() { s.end(false) }
+
+// EndCollected ends s as End does and returns what Collected would return
+// just after, read under the same lock: the form for a root that ships its
+// trace on the wire, whose recorder may be evicted and reused as soon as
+// it is stored. It returns nil when s had already ended.
+func (s Span) EndCollected() []SpanData { return s.end(true) }
+
+func (s Span) end(collect bool) []SpanData {
+	r := s.lock()
+	if r == nil {
+		return nil
 	}
-	r := s.rec
-	r.mu.Lock()
-	if s.endSeq != 0 {
+	sl := r.at(s.slot)
+	if sl.endSeq != 0 {
 		r.mu.Unlock()
-		return
+		return nil
 	}
-	s.dur = r.tracer.opts.Clock().Sub(r.base) - s.start
+	sl.dur = r.tracer.opts.Clock().Sub(r.base) - sl.start
 	r.ended++
-	s.endSeq = r.ended
+	sl.endSeq = r.ended
+	var out []SpanData
+	if collect {
+		out = r.appendSpans(nil)
+	}
 	r.mu.Unlock()
-	if s.id == 0 {
+	if s.slot == 0 {
 		r.tracer.store(r)
 	}
+	return out
 }
 
 // Collected materialises every span ended in this span's trace so far, in
 // the order they ended, then the spans stitched in from remote gateways.
-// Call it on the root after End to ship the trace on the wire.
-func (s *Span) Collected() []SpanData {
-	if s == nil {
+// Read it on a root before End, or take EndCollected, to ship the trace on
+// the wire.
+func (s Span) Collected() []SpanData {
+	r := s.lock()
+	if r == nil {
 		return nil
 	}
-	return s.rec.appendSpans(nil)
-}
-
-// slotsPerChunk lets a single-source query (7 spans) live entirely in the
-// recorder's own first chunk: one allocation per traced query.
-const slotsPerChunk = 8
-
-// chunk is a block of slots. Chunks are only ever appended and never
-// reused, so a *Span stays valid, and private to its trace, for as long as
-// anything holds it: a late End cannot reach another trace's memory.
-type chunk struct {
-	slots [slotsPerChunk]Span
-	next  *chunk
-}
-
-// recorder is one serving leg of one trace: the trace-wide facts once, and
-// the spans as slots. Span IDs, SpanData and the carrier are strings only
-// where something reads them: Collected, Tracer.Trace, CarrierFromContext.
-type recorder struct {
-	tracer  *Tracer
-	traceID string
-	parent  string    // the remote caller's span ID; "" for a locally rooted trace
-	site    string    // the gateway recording this leg
-	base    time.Time // the root's start; slots hold offsets from it
-	// prefix + slot number make span IDs: one crypto/rand draw per serving
-	// leg, and "." keeps IDs clear of the carrier's "-" separator.
-	prefix  [4]byte
-	nextLeg *recorder // a later leg stored under the same trace ID (tracer.mu)
-
-	mu     sync.Mutex
-	slots  int32 // started
-	ended  int32
-	tail   *chunk
-	spill  []attr
-	remote []SpanData
-	head   chunk
-}
-
-// start claims the next slot; nil (and one DroppedSpans) at the cap.
-func (r *recorder) start(name string, parent int32) *Span {
-	r.mu.Lock()
 	defer r.mu.Unlock()
-	if int(r.slots)+len(r.remote) >= r.tracer.opts.MaxSpans {
-		r.tracer.droppedSpans.Add(1)
-		return nil
-	}
-	i := r.slots % slotsPerChunk
-	if i == 0 && r.slots > 0 {
-		r.tail.next = new(chunk)
-		r.tail = r.tail.next
-	}
-	now := r.tracer.opts.Clock()
-	if r.slots == 0 {
-		r.base = now
-	}
-	s := &r.tail.slots[i]
-	s.rec, s.name, s.id, s.parent, s.start = r, name, r.slots, parent, now.Sub(r.base)
-	r.slots++
-	return s
+	return r.appendSpans(nil)
 }
 
-// find returns s's attribute named key, or nil. Called with r.mu held.
-func (r *recorder) find(s *Span, key string) *attr {
-	for i := range s.attrs[:s.nattr] {
-		if s.attrs[i].key == key {
-			return &s.attrs[i]
-		}
+// attachRemote stitches spans recorded by a remote gateway into s's trace.
+func (s Span) attachRemote(spans []SpanData) {
+	r := s.lock()
+	if r == nil {
+		return
 	}
-	for i := range r.spill {
-		if r.spill[i].slot == s.id && r.spill[i].key == key {
-			return &r.spill[i]
-		}
-	}
-	return nil
-}
-
-// spanID renders a slot number as its span ID; -1 is the root's parent.
-func (r *recorder) spanID(slot int32) string {
-	if slot < 0 {
-		return r.parent
-	}
-	var b [20]byte
-	hex.Encode(b[:], r.prefix[:])
-	b[8] = '.'
-	return string(strconv.AppendInt(b[:9], int64(slot)+1, 10))
-}
-
-func (r *recorder) attachRemote(spans []SpanData) {
-	r.mu.Lock()
 	defer r.mu.Unlock()
 	room := max(r.tracer.opts.MaxSpans-int(r.slots)-len(r.remote), 0)
 	if len(spans) > room {
@@ -334,19 +315,124 @@ func (r *recorder) attachRemote(spans []SpanData) {
 	}
 }
 
+// slotsPerChunk lets a single-source query (7 spans) live entirely in the
+// recorder's own first chunk.
+const slotsPerChunk = 8
+
+// chunk is a block of slots. A recorder's chunks are only ever appended
+// while its trace is live; they return to the tracer's free list when the
+// store evicts the trace, every span of it ended.
+type chunk struct {
+	slots [slotsPerChunk]slot
+	next  *chunk
+}
+
+// recorder is one serving leg of one trace: the trace-wide facts once, and
+// the spans as slots. Span IDs, SpanData and the carrier are strings only
+// where something reads them: Collected, Tracer.Trace, CarrierFromContext.
+// A recorder outlives its trace when it is recycled; gen tells its traces
+// apart.
+type recorder struct {
+	tracer *Tracer
+	// nextLeg is a later leg stored under the same trace ID (tracer.mu),
+	// or the next free recorder (tracer.freeMu).
+	nextLeg *recorder
+
+	mu      sync.Mutex
+	gen     uint32 // bumped when the store retires the recorder; a Span from before no longer matches
+	traceID string
+	parent  string    // the remote caller's span ID; "" for a locally rooted trace
+	site    string    // the gateway recording this leg
+	base    time.Time // the root's start; slots hold offsets from it
+	// rnd is one crypto/rand draw per serving leg, made into the recorder
+	// so it escapes nowhere: 16 bytes of trace ID, unless the caller's
+	// continues, then the span-ID prefix. Prefix + slot number make span
+	// IDs, and "." keeps them clear of the carrier's "-" separator.
+	rnd    [20]byte
+	slots  int32 // started
+	ended  int32
+	stored bool // filed in the store: its chunks count in tracer.held
+	tail   *chunk
+	spill  []attr
+	remote []SpanData
+	head   chunk
+}
+
+// start claims the next slot; the zero Span (and one DroppedSpans) at the
+// cap. Called with r.mu held.
+func (r *recorder) start(name string, parent int32) Span {
+	t := r.tracer
+	if int(r.slots)+len(r.remote) >= t.opts.MaxSpans {
+		t.droppedSpans.Add(1)
+		return Span{}
+	}
+	i := r.slots % slotsPerChunk
+	if i == 0 && r.slots > 0 {
+		r.tail.next = t.takeChunk()
+		r.tail = r.tail.next
+		if r.stored {
+			t.held.Add(chunkBytes)
+		}
+	}
+	now := t.opts.Clock()
+	if r.slots == 0 {
+		r.base = now
+	}
+	r.tail.slots[i] = slot{name: name, parent: parent, start: now.Sub(r.base)}
+	sp := Span{rec: r, slot: r.slots, gen: r.gen}
+	r.slots++
+	return sp
+}
+
+// at returns slot i. Called with r.mu held.
+func (r *recorder) at(i int32) *slot {
+	c := &r.head
+	for ; i >= slotsPerChunk; i -= slotsPerChunk {
+		c = c.next
+	}
+	return &c.slots[i]
+}
+
+// find returns slot i's attribute named key, or nil. Called with r.mu held.
+func (r *recorder) find(sl *slot, i int32, key string) *attr {
+	for j := range sl.attrs[:sl.nattr] {
+		if sl.attrs[j].key == key {
+			return &sl.attrs[j]
+		}
+	}
+	for j := range r.spill {
+		if r.spill[j].slot == i && r.spill[j].key == key {
+			return &r.spill[j]
+		}
+	}
+	return nil
+}
+
+// spanID renders a slot number as its span ID; -1 is the root's parent.
+func (r *recorder) spanID(slot int32) string {
+	if slot < 0 {
+		return r.parent
+	}
+	var b [20]byte
+	hex.Encode(b[:], r.rnd[16:])
+	b[8] = '.'
+	return string(strconv.AppendInt(b[:9], int64(slot)+1, 10))
+}
+
+// appendSpans materialises the leg's ended spans, then its remote ones.
+// Called with r.mu held.
 func (r *recorder) appendSpans(dst []SpanData) []SpanData {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	base, left := len(dst), r.slots
 	dst = append(dst, make([]SpanData, r.ended)...)
-	for c := &r.head; c != nil; c, left = c.next, left-slotsPerChunk {
+	for c := &r.head; c != nil && left > 0; c, left = c.next, left-slotsPerChunk {
 		for i := range c.slots[:min(left, slotsPerChunk)] {
 			s := &c.slots[i]
 			if s.endSeq == 0 {
 				continue
 			}
+			id := r.slots - left + int32(i)
 			d := &dst[base+int(s.endSeq)-1]
-			*d = SpanData{TraceID: r.traceID, SpanID: r.spanID(s.id), Parent: r.spanID(s.parent),
+			*d = SpanData{TraceID: r.traceID, SpanID: r.spanID(id), Parent: r.spanID(s.parent),
 				Name: s.name, Site: r.site, Start: r.base.Add(s.start), Duration: s.dur, Err: s.err}
 			if s.nattr > 0 {
 				d.Attrs = make(map[string]string, s.nattr)
@@ -355,7 +441,7 @@ func (r *recorder) appendSpans(dst []SpanData) []SpanData {
 				d.Attrs[a.key] = a.value()
 			}
 			for _, a := range r.spill {
-				if a.slot == s.id {
+				if a.slot == id {
 					d.Attrs[a.key] = a.value()
 				}
 			}
@@ -372,11 +458,59 @@ func (r *recorder) summary() Summary {
 	root := &r.head.slots[0]
 	s := Summary{TraceID: r.traceID, Name: root.name, Site: r.site, Start: r.base,
 		Duration: root.dur, Spans: int(r.ended) + len(r.remote), Err: root.err}
-	if sql := r.find(root, "sql"); sql != nil {
+	if sql := r.find(root, 0, "sql"); sql != nil {
 		s.SQL = sql.value()
 	}
 	return s
 }
+
+// heldBytes is what the leg's recorder and its chunks occupy. Called with
+// r.mu held.
+func (r *recorder) heldBytes() int64 {
+	return recorderBytes + int64(max(r.slots-1, 0)/slotsPerChunk)*chunkBytes
+}
+
+// hold files the leg's memory under the store's. Called with tracer.mu held.
+func (r *recorder) hold() {
+	r.mu.Lock()
+	r.stored = true
+	r.tracer.held.Add(r.heldBytes())
+	r.mu.Unlock()
+}
+
+// retire takes an evicted leg out of the store's memory, and back for
+// reuse when every span it started has ended, reporting whether it did; a
+// leg with a live span is left to the GC, which is where its straggler's
+// handle keeps it. Bumping gen makes every handle on the leg inert. It
+// returns the leg's extra chunks, unlinked. Called with tracer.mu held.
+func (r *recorder) retire() (extra *chunk, ok bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.stored = false
+	r.tracer.held.Add(-r.heldBytes())
+	if r.ended != r.slots {
+		return nil, false
+	}
+	r.gen++
+	extra, r.head.next, r.tail = r.head.next, nil, &r.head
+	r.slots, r.ended = 0, 0
+	r.spill, r.remote = nil, nil
+	return extra, true
+}
+
+// The free lists are bounded by constants: a few traces' worth, since the
+// store evicts one trace for each it stores and each new trace takes one.
+const (
+	maxFreeRecorders = 16
+	maxFreeChunks    = 64
+)
+
+// Sizes as the allocator hands them out: objects of 1 to 1.5 KB, as
+// recorders and chunks are, fall in size classes 128 bytes apart.
+var (
+	recorderBytes = (int64(unsafe.Sizeof(recorder{})) + 127) &^ 127
+	chunkBytes    = (int64(unsafe.Sizeof(chunk{})) + 127) &^ 127
+)
 
 // SlowQuery is one slow-query log entry.
 type SlowQuery struct {
@@ -396,6 +530,13 @@ type Stats struct {
 	Evicted      int64 // traces evicted by the store's capacity
 	SlowQueries  int64 // queries recorded in the slow-query log
 	DroppedSpans int64 // spans discarded by the per-trace cap
+	// Recycled counts evicted legs retired for reuse: every span they
+	// started had ended, so their handles went inert. Those that find the
+	// free lists full are left to the GC.
+	Recycled int64
+	// Bytes is what the recorders and chunks held by the store and the
+	// free lists occupy, kept as they come and go.
+	Bytes int64
 }
 
 // Tracer owns the sampling decision, the bounded trace store and the
@@ -407,14 +548,24 @@ type Tracer struct {
 
 	mu     sync.Mutex
 	traces map[string]*recorder // the first leg stored under each trace ID
-	order  []string             // trace IDs, oldest first
+	order  []string             // trace IDs, oldest first from order[first]: a ring once Capacity long
+	first  int
+
+	// freeMu guards the free lists: evicted recorders linked by nextLeg
+	// and their chunks linked by next. It is taken last, under a
+	// recorder's lock when start needs a chunk.
+	freeMu                 sync.Mutex
+	freeRecs               *recorder
+	freeChunks             *chunk
+	nFreeRecs, nFreeChunks int
 
 	slowMu sync.Mutex
 	slow   []SlowQuery // a ring once full: entry i of the log is slow[i%SlowLog]
 	slowN  int         // entries ever logged
 
-	started, stored, evicted atomic.Int64
-	slowCount, droppedSpans  atomic.Int64
+	started, stored, evicted, recycled atomic.Int64
+	slowCount, droppedSpans            atomic.Int64
+	held                               atomic.Int64 // Stats.Bytes
 }
 
 // New creates a Tracer.
@@ -434,34 +585,34 @@ func New(o Options) *Tracer {
 // context (ContextWithRemote) takes precedence: the new root continues the
 // remote trace ID under the remote parent span, sampled per the parent
 // gateway's decision. Otherwise d and the tracer's Sample rate decide. The
-// returned span is nil — and every operation on it a no-op — when the query
-// is not sampled.
-func (t *Tracer) StartTrace(ctx context.Context, name, site string, d Decision) (context.Context, *Span) {
+// returned span is the zero Span — and every operation on it a no-op —
+// when the query is not sampled.
+func (t *Tracer) StartTrace(ctx context.Context, name, site string, d Decision) (context.Context, Span) {
 	if t == nil {
-		return ctx, nil
+		return ctx, Span{}
 	}
 	car, remote := remoteFromContext(ctx)
 	if !remote {
 		car.Sampled = d == DecideOn || d == DecideSample && t.shouldSample()
 	}
 	if !car.Sampled {
-		return ctx, nil
+		return ctx, Span{}
 	}
 	t.started.Add(1)
-	rec := &recorder{tracer: t, traceID: car.TraceID, parent: car.Parent, site: site}
-	rec.tail = &rec.head
-	// One draw makes both identities: 16 bytes of trace ID, unless the
-	// caller's continues, and the leg's span-ID prefix. Should crypto/rand
-	// fail, a process-unique counter keeps IDs distinct.
-	var rnd [20]byte
-	if _, err := crand.Read(rnd[:]); err != nil {
-		binary.BigEndian.PutUint64(rnd[12:], idFallback.Add(1))
+	rec := t.takeRecorder()
+	rec.mu.Lock()
+	// Should crypto/rand fail, a process-unique counter keeps IDs distinct.
+	if _, err := crand.Read(rec.rnd[:]); err != nil {
+		binary.BigEndian.PutUint64(rec.rnd[12:], idFallback.Add(1))
 	}
-	copy(rec.prefix[:], rnd[16:])
 	if !remote {
-		rec.traceID = hex.EncodeToString(rnd[:16])
+		var id [32]byte
+		hex.Encode(id[:], rec.rnd[:16])
+		car.TraceID = string(id[:])
 	}
+	rec.traceID, rec.parent, rec.site = car.TraceID, car.Parent, site
 	sp := rec.start(name, -1)
+	rec.mu.Unlock()
 	return ContextWithSpan(ctx, sp), sp
 }
 
@@ -478,12 +629,78 @@ func (t *Tracer) shouldSample() bool {
 	return float64(h) < r*float64(uint64(1)<<32)
 }
 
+// takeRecorder returns a recycled recorder, or a new one when none is free.
+func (t *Tracer) takeRecorder() *recorder {
+	t.freeMu.Lock()
+	r := t.freeRecs
+	if r != nil {
+		t.freeRecs, r.nextLeg = r.nextLeg, nil
+		t.nFreeRecs--
+		t.held.Add(-recorderBytes)
+	}
+	t.freeMu.Unlock()
+	if r == nil {
+		r = &recorder{tracer: t}
+		r.tail = &r.head
+	}
+	return r
+}
+
+// takeChunk returns a recycled chunk, or a new one when none is free.
+func (t *Tracer) takeChunk() *chunk {
+	t.freeMu.Lock()
+	c := t.freeChunks
+	if c != nil {
+		t.freeChunks, c.next = c.next, nil
+		t.nFreeChunks--
+		t.held.Add(-chunkBytes)
+	}
+	t.freeMu.Unlock()
+	if c == nil {
+		c = new(chunk)
+	}
+	return c
+}
+
+// evict drops the oldest stored trace, recycling each of its legs whose
+// spans have all ended into the free lists, as far as their caps allow.
+// Called with t.mu held.
+func (t *Tracer) evict() {
+	id := t.order[t.first]
+	leg := t.traces[id]
+	delete(t.traces, id)
+	t.evicted.Add(1)
+	for leg != nil {
+		r := leg
+		leg, r.nextLeg = r.nextLeg, nil
+		extra, ok := r.retire()
+		if !ok {
+			continue
+		}
+		t.recycled.Add(1)
+		t.freeMu.Lock()
+		if t.nFreeRecs < maxFreeRecorders {
+			r.nextLeg, t.freeRecs = t.freeRecs, r
+			t.nFreeRecs++
+			t.held.Add(recorderBytes)
+		}
+		for c := extra; c != nil && t.nFreeChunks < maxFreeChunks; {
+			next := c.next
+			c.next, t.freeChunks = t.freeChunks, c
+			t.nFreeChunks++
+			t.held.Add(chunkBytes)
+			c = next
+		}
+		t.freeMu.Unlock()
+	}
+}
+
 // store files one finished leg (the recorder itself, not a copy), evicting
-// the oldest stored traces beyond capacity. A trace ID stored again —
-// several serving legs of one parent trace on the same gateway — links the
-// leg behind the first while the trace is under MaxSpans; whatever the
-// trace and the new leg hold beyond the cap counts as dropped, so a
-// replayed X-GridRM-Trace header cannot grow the store.
+// the oldest stored trace once the store holds Capacity. A trace ID stored
+// again — several serving legs of one parent trace on the same gateway —
+// links the leg behind the first while the trace is under MaxSpans;
+// whatever the trace and the new leg hold beyond the cap counts as dropped,
+// so a replayed X-GridRM-Trace header cannot grow the store.
 func (t *Tracer) store(r *recorder) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -496,16 +713,19 @@ func (t *Tracer) store(r *recorder) {
 		t.droppedSpans.Add(int64(min(n, max(total+n-t.opts.MaxSpans, 0))))
 		if total < t.opts.MaxSpans {
 			last.nextLeg = r
+			r.hold()
 		}
 		return
 	}
-	for len(t.order) >= t.opts.Capacity {
-		delete(t.traces, t.order[0])
-		t.order = t.order[1:]
-		t.evicted.Add(1)
+	if len(t.order) < t.opts.Capacity {
+		t.order = append(t.order, r.traceID)
+	} else {
+		t.evict()
+		t.order[t.first] = r.traceID
+		t.first = (t.first + 1) % len(t.order)
 	}
 	t.traces[r.traceID] = r
-	t.order = append(t.order, r.traceID)
+	r.hold()
 	t.stored.Add(1)
 }
 
@@ -531,7 +751,9 @@ func (t *Tracer) Trace(id string) (*TraceData, bool) {
 	leg, ok := t.traces[id]
 	var spans []SpanData
 	for ; leg != nil; leg = leg.nextLeg {
+		leg.mu.Lock()
 		spans = leg.appendSpans(spans)
+		leg.mu.Unlock()
 	}
 	t.mu.Unlock()
 	if !ok {
@@ -588,7 +810,7 @@ func (t *Tracer) Traces() []Summary {
 	defer t.mu.Unlock()
 	out := make([]Summary, 0, len(t.order))
 	for i := len(t.order) - 1; i >= 0; i-- {
-		head := t.traces[t.order[i]]
+		head := t.traces[t.order[(t.first+i)%len(t.order)]]
 		s := head.summary()
 		for leg := head.nextLeg; leg != nil; leg = leg.nextLeg {
 			s.Spans += leg.summary().Spans
@@ -650,5 +872,7 @@ func (t *Tracer) Stats() Stats {
 		Evicted:      t.evicted.Load(),
 		SlowQueries:  t.slowCount.Load(),
 		DroppedSpans: t.droppedSpans.Load(),
+		Recycled:     t.recycled.Load(),
+		Bytes:        t.held.Load(),
 	}
 }

@@ -26,7 +26,7 @@ func newTestTracer(o Options) *Tracer {
 func TestSpanTreeRoundTrip(t *testing.T) {
 	tr := newTestTracer(Options{})
 	ctx, root := tr.StartTrace(context.Background(), "query", "siteA", DecideOn)
-	if root == nil {
+	if !root.Recording() {
 		t.Fatal("expected sampled root span")
 	}
 	root.SetAttr("sql", "SELECT * FROM Processor")
@@ -73,10 +73,10 @@ func TestSpanTreeRoundTrip(t *testing.T) {
 func TestUntracedPathIsNoop(t *testing.T) {
 	tr := newTestTracer(Options{})
 	ctx, root := tr.StartTrace(context.Background(), "query", "siteA", DecideOff)
-	if root != nil {
-		t.Fatal("DecideOff must yield a nil span")
+	if root.Recording() {
+		t.Fatal("DecideOff must yield the zero Span")
 	}
-	// Everything on the nil span must be safe.
+	// Everything on the zero Span must be safe.
 	_, child := StartSpan(ctx, "source")
 	child.SetAttr("k", "v")
 	child.SetError(errors.New("x"))
@@ -84,14 +84,14 @@ func TestUntracedPathIsNoop(t *testing.T) {
 	root.SetAttr("k", "v")
 	root.End()
 	if root.TraceID() != "" || root.IsRoot() {
-		t.Fatal("nil span must report empty identity")
+		t.Fatal("the zero Span must report empty identity")
 	}
 	AttachRemote(ctx, []SpanData{{SpanID: "x"}})
 	if got := tr.Stats().Started; got != 0 {
 		t.Fatalf("started = %d, want 0", got)
 	}
 	var nilTracer *Tracer
-	if _, sp := nilTracer.StartTrace(context.Background(), "q", "s", DecideOn); sp != nil {
+	if _, sp := nilTracer.StartTrace(context.Background(), "q", "s", DecideOn); sp.Recording() {
 		t.Fatal("nil tracer must never sample")
 	}
 	nilTracer.ObserveQuery(SlowQuery{Elapsed: time.Hour})
@@ -197,7 +197,7 @@ func TestSamplingRates(t *testing.T) {
 		tr := newTestTracer(Options{Sample: rate})
 		hits := 0
 		for i := 0; i < n; i++ {
-			if _, sp := tr.StartTrace(context.Background(), "q", "s", DecideSample); sp != nil {
+			if _, sp := tr.StartTrace(context.Background(), "q", "s", DecideSample); sp.Recording() {
 				hits++
 				sp.End()
 			}
@@ -215,7 +215,7 @@ func TestSamplingRates(t *testing.T) {
 	}
 	// DecideOn overrides a zero rate.
 	tr := newTestTracer(Options{Sample: -1})
-	if _, sp := tr.StartTrace(context.Background(), "q", "s", DecideOn); sp == nil {
+	if _, sp := tr.StartTrace(context.Background(), "q", "s", DecideOn); !sp.Recording() {
 		t.Fatal("DecideOn must sample even at rate 0")
 	}
 }
@@ -251,7 +251,7 @@ func TestRemoteContinuation(t *testing.T) {
 	remote := newTestTracer(Options{Sample: -1})
 	rctx := ContextWithRemote(context.Background(), car)
 	_, rroot := remote.StartTrace(rctx, "query", "siteB", DecideSample)
-	if rroot == nil {
+	if !rroot.Recording() {
 		t.Fatal("remote gateway must honour the carrier's sampling decision")
 	}
 	if rroot.TraceID() != proot.TraceID() {
@@ -289,7 +289,7 @@ func TestRemoteContinuation(t *testing.T) {
 
 	// An unsampled carrier must suppress remote tracing.
 	rctx = ContextWithRemote(context.Background(), Carrier{TraceID: "t", Parent: "p", Sampled: false})
-	if _, sp := remote.StartTrace(rctx, "query", "siteB", DecideOn); sp != nil {
+	if _, sp := remote.StartTrace(rctx, "query", "siteB", DecideOn); sp.Recording() {
 		t.Fatal("unsampled carrier must win over DecideOn")
 	}
 }
