@@ -37,7 +37,7 @@ func TestDirectoryClientEscaping(t *testing.T) {
 
 // TestDirectoryHTTPTTLExpiry exercises record expiry through the HTTP
 // handler, not just the in-process API: an expired record must 404 on
-// lookup and vanish from the sites list.
+// lookup and vanish from the registration list.
 func TestDirectoryHTTPTTLExpiry(t *testing.T) {
 	now := time.Unix(1000, 0)
 	d := NewDirectory(10*time.Second, func() time.Time { return now })
@@ -55,9 +55,9 @@ func TestDirectoryHTTPTTLExpiry(t *testing.T) {
 	if _, ok, err := c.LookupContext(context.Background(), "A"); err != nil || ok {
 		t.Errorf("expired lookup = %v, %v, want not-found without error", ok, err)
 	}
-	sites, err := c.SitesContext(context.Background())
-	if err != nil || len(sites) != 0 {
-		t.Errorf("expired Sites = %v, %v", sites, err)
+	regs, err := c.ListContext(context.Background())
+	if err != nil || len(regs) != 0 {
+		t.Errorf("expired List = %v, %v", regs, err)
 	}
 	// Refreshing the registration revives it over HTTP too.
 	if err := c.RegisterContext(context.Background(), Registration{Name: "A", Endpoint: "http://a"}); err != nil {

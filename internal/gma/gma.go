@@ -77,8 +77,8 @@ type Registration struct {
 	Owns []string `json:"owns,omitempty"`
 	// Generation increases whenever the member's identity-relevant fields
 	// (endpoint, role) change. The directory bumps it on change even when
-	// the caller leaves it zero; routers use it to invalidate cached
-	// lookups that predate a re-registration.
+	// the caller leaves it zero, so a reader can tell a re-registration
+	// from a heartbeat.
 	Generation uint64 `json:"generation,omitempty"`
 	// RegisteredAt is when the record was last refreshed.
 	RegisteredAt time.Time `json:"registeredAt"`
@@ -101,10 +101,8 @@ type DirectoryService interface {
 	DeregisterContext(ctx context.Context, name string) error
 	// LookupContext finds a member by name, whatever its role.
 	LookupContext(ctx context.Context, name string) (Registration, bool, error)
-	// SitesContext lists registered members with Role "site", sorted — the
-	// fan-out universe. Republishers and entries never appear here.
-	SitesContext(ctx context.Context) ([]string, error)
-	// ListContext returns every fresh record, sorted by name.
+	// ListContext returns every fresh record, sorted by name; the Router
+	// looks members up in it by binary search.
 	ListContext(ctx context.Context) ([]Registration, error)
 	// WatchContext is ListContext once the membership's Digest differs
 	// from digest, or once wait has passed, whichever comes first.
@@ -163,8 +161,8 @@ func (d *Directory) notify() {
 // RegisterContext implements DirectoryService. The stored Generation is
 // monotonic: a re-registration that changes the endpoint or role bumps it
 // even when the caller left Generation zero, and a caller-supplied larger
-// Generation always wins — so routers can detect a re-registered member
-// without comparing endpoints themselves.
+// Generation always wins — so a reader can detect a re-registered member
+// without comparing endpoints itself.
 func (d *Directory) RegisterContext(ctx context.Context, r Registration) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -230,23 +228,6 @@ func (d *Directory) LookupContext(ctx context.Context, name string) (Registratio
 		return Registration{}, false, nil
 	}
 	return r, true, nil
-}
-
-// SitesContext implements DirectoryService.
-func (d *Directory) SitesContext(ctx context.Context) ([]string, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	out := make([]string, 0, len(d.members))
-	for name, r := range d.members {
-		if r.Role == RoleSite && d.fresh(r) {
-			out = append(out, name)
-		}
-	}
-	sort.Strings(out)
-	return out, nil
 }
 
 // ListContext implements DirectoryService.
@@ -341,10 +322,6 @@ func (d *Directory) Routes() []Route {
 				return
 			}
 			answer(w, reg, err, http.StatusInternalServerError)
-		}},
-		{"GET /gma/sites", func(w http.ResponseWriter, r *http.Request) {
-			sites, err := d.SitesContext(r.Context())
-			answer(w, sites, err, http.StatusInternalServerError)
 		}},
 		{"GET /gma/registrations", func(w http.ResponseWriter, r *http.Request) {
 			q := r.URL.Query()
@@ -484,11 +461,6 @@ func (c *DirectoryClient) LookupContext(ctx context.Context, name string) (Regis
 		return Registration{}, false, nil
 	}
 	return r, err == nil, err
-}
-
-// SitesContext implements DirectoryService.
-func (c *DirectoryClient) SitesContext(ctx context.Context) ([]string, error) {
-	return get[[]string](ctx, c, "sites", "/gma/sites")
 }
 
 // ListContext implements DirectoryService.

@@ -31,9 +31,9 @@ func TestDirectoryRegisterLookup(t *testing.T) {
 	if _, ok, _ := d.LookupContext(context.Background(), "B"); ok {
 		t.Error("unknown site found")
 	}
-	sites, _ := d.SitesContext(context.Background())
-	if len(sites) != 1 || sites[0] != "A" {
-		t.Errorf("Sites = %v", sites)
+	regs, _ := d.ListContext(context.Background())
+	if len(regs) != 1 || regs[0].Name != "A" {
+		t.Errorf("List = %v", regs)
 	}
 	if err := d.DeregisterContext(context.Background(), "A"); err != nil {
 		t.Fatal(err)
@@ -55,8 +55,8 @@ func TestDirectoryTTL(t *testing.T) {
 	if _, ok, _ := d.LookupContext(context.Background(), "A"); ok {
 		t.Error("stale record returned")
 	}
-	if sites, _ := d.SitesContext(context.Background()); len(sites) != 0 {
-		t.Errorf("stale sites = %v", sites)
+	if regs, _ := d.ListContext(context.Background()); len(regs) != 0 {
+		t.Errorf("stale registrations = %v", regs)
 	}
 	if n := d.Prune(); n != 1 {
 		t.Errorf("pruned %d", n)
@@ -93,9 +93,9 @@ func TestDirectoryHTTP(t *testing.T) {
 	if _, ok, err := c.LookupContext(context.Background(), "nope"); err != nil || ok {
 		t.Errorf("missing lookup = %v, %v", ok, err)
 	}
-	sites, err := c.SitesContext(context.Background())
-	if err != nil || len(sites) != 1 {
-		t.Errorf("Sites = %v, %v", sites, err)
+	regs, err := c.ListContext(context.Background())
+	if err != nil || len(regs) != 1 {
+		t.Errorf("List = %v, %v", regs, err)
 	}
 	if err := c.DeregisterContext(context.Background(), "A"); err != nil {
 		t.Fatal(err)
@@ -152,8 +152,8 @@ func TestDirectoryClientConnectionErrors(t *testing.T) {
 	if _, _, err := c.LookupContext(context.Background(), "A"); err == nil {
 		t.Error("lookup to dead directory succeeded")
 	}
-	if _, err := c.SitesContext(context.Background()); err == nil {
-		t.Error("sites to dead directory succeeded")
+	if _, err := c.ListContext(context.Background()); err == nil {
+		t.Error("list to dead directory succeeded")
 	}
 }
 
@@ -199,6 +199,8 @@ func TestRouter(t *testing.T) {
 	d := NewDirectory(0, nil)
 	_ = d.RegisterContext(context.Background(), Registration{Name: "A", Endpoint: "http://a"})
 	_ = d.RegisterContext(context.Background(), Registration{Name: "B", Endpoint: "http://b"})
+	_ = d.RegisterContext(context.Background(), Registration{Name: "E", Endpoint: "http://e", Role: RoleEntry})
+	_ = d.RegisterContext(context.Background(), Registration{Name: "R", Endpoint: "http://r", Role: RoleRepublisher})
 
 	var gotEndpoint string
 	exec := func(_ context.Context, endpoint string, req core.QueryOptions) (*core.Response, error) {
@@ -206,7 +208,7 @@ func TestRouter(t *testing.T) {
 		return &core.Response{Site: req.Site}, nil
 	}
 	r := NewRouter(d, exec, "A", Config{})
-	resp, err := r.RemoteQueryContext(context.Background(), "B", core.QueryOptions{Site: "B", SQL: "SELECT * FROM Processor"})
+	resp, err := r.RemoteQueryContext(context.Background(), "B", core.QueryOptions{Site: "B", SQL: "SELECT * FROM Processor", Mode: core.ModeRealTime})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +220,7 @@ func TestRouter(t *testing.T) {
 	}
 	sites := r.Sites()
 	if len(sites) != 1 || sites[0] != "B" {
-		t.Errorf("Sites = %v (must exclude local)", sites)
+		t.Errorf("Sites = %v (must exclude local, republishers and entries)", sites)
 	}
 }
 

@@ -215,12 +215,6 @@ func firstAnswer[T any](ctx context.Context, m *MultiDirectory, what string, ask
 	return zero, fmt.Errorf("gma: %s failed on every replica: %w", what, errors.Join(errs...))
 }
 
-// SitesContext implements DirectoryService: the first replica
-// (health-ranked) that answers wins.
-func (m *MultiDirectory) SitesContext(ctx context.Context) ([]string, error) {
-	return firstAnswer(ctx, m, "sites", func(d DirectoryService) ([]string, error) { return d.SitesContext(ctx) })
-}
-
 // ListContext implements DirectoryService: the first replica
 // (health-ranked) that answers wins.
 func (m *MultiDirectory) ListContext(ctx context.Context) ([]Registration, error) {

@@ -58,13 +58,6 @@ func (f *flakyDir) LookupContext(ctx context.Context, site string) (Registration
 	return f.Directory.LookupContext(ctx, site)
 }
 
-func (f *flakyDir) SitesContext(ctx context.Context) ([]string, error) {
-	if err := f.err(); err != nil {
-		return nil, err
-	}
-	return f.Directory.SitesContext(ctx)
-}
-
 func (f *flakyDir) ListContext(ctx context.Context) ([]Registration, error) {
 	if err := f.err(); err != nil {
 		return nil, err
@@ -168,22 +161,22 @@ func TestMultiDirectoryHealthRanking(t *testing.T) {
 	}
 }
 
-func TestMultiDirectorySitesFailsOver(t *testing.T) {
+func TestMultiDirectoryListFailsOver(t *testing.T) {
 	d1, d2 := newFlakyDir(), newFlakyDir()
 	md := NewMultiDirectory(d1, d2)
 	_ = md.RegisterContext(context.Background(), Registration{Name: "A", Endpoint: "http://a"})
 	d1.setDown(true)
-	sites, err := md.SitesContext(context.Background())
-	if err != nil || len(sites) != 1 || sites[0] != "A" {
-		t.Errorf("failover Sites = %v, %v", sites, err)
+	regs, err := md.ListContext(context.Background())
+	if err != nil || len(regs) != 1 || regs[0].Name != "A" {
+		t.Errorf("failover List = %v, %v", regs, err)
 	}
 	d2.setDown(true)
-	if _, err := md.SitesContext(context.Background()); err == nil {
-		t.Error("Sites with all replicas down succeeded")
+	if _, err := md.ListContext(context.Background()); err == nil {
+		t.Error("List with all replicas down succeeded")
 	}
 
 	// A replica that accepts the connection and then never answers must
-	// not hold SitesContext past the caller's context.
+	// not hold ListContext past the caller's context.
 	release := make(chan struct{})
 	hung := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		select {
@@ -197,11 +190,11 @@ func TestMultiDirectorySitesFailsOver(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	if _, err := md.SitesContext(ctx); !errors.Is(err, context.DeadlineExceeded) {
-		t.Errorf("Sites against a hung replica = %v, want the context's deadline", err)
+	if _, err := md.ListContext(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("List against a hung replica = %v, want the context's deadline", err)
 	}
 	if took := time.Since(start); took > 2*time.Second {
-		t.Errorf("hung replica held SitesContext for %v", took)
+		t.Errorf("hung replica held ListContext for %v", took)
 	}
 }
 

@@ -3,7 +3,7 @@ package gma
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -21,15 +21,15 @@ import (
 type ExecContext func(ctx context.Context, endpoint string, req core.QueryOptions) (*core.Response, error)
 
 // Config configures the Router's resilience features. The zero value is
-// the production default: a 15s lookup cache, per-endpoint breakers at the
-// shared defaults, no retries.
+// the production default: a 15s directory copy, per-endpoint breakers at
+// the shared defaults, no retries.
 type Config struct {
-	// LookupTTL is how long a directory lookup (and the registration
-	// list) is served from the router's cache without consulting the
-	// directory. Expired entries are still kept and served stale when
-	// every directory replica is unreachable — the Global-layer analogue
-	// of the local stale-cache degradation tier (default 15s; negative
-	// disables caching entirely).
+	// LookupTTL is how long the router routes from its copy of the
+	// directory (one registration list) without listing it again. An
+	// expired copy is still kept and served stale when every directory
+	// replica is unreachable — the Global-layer analogue of the local
+	// stale-cache degradation tier (default 15s; negative keeps no copy,
+	// so every routing decision lists the directory).
 	LookupTTL time.Duration
 	// Breaker configures the per-remote-endpoint circuit breaker
 	// (Threshold 0 = breaker defaults; negative disables).
@@ -59,10 +59,12 @@ type Stats struct {
 	// RemoteBreakerSkipped counts remote queries rejected cheaply because
 	// the endpoint's breaker was open.
 	RemoteBreakerSkipped int64
-	// LookupCacheHits counts directory lookups served fresh from the cache.
+	// LookupCacheHits counts member names (a query's target, or the
+	// republisher owning it) resolved from a copy of the directory
+	// younger than LookupTTL.
 	LookupCacheHits int64
-	// StaleLookups counts lookups (and registration lists) served from an
-	// expired cache entry because the directory was unreachable.
+	// StaleLookups counts routing decisions served from an expired copy
+	// because the directory was unreachable.
 	StaleLookups int64
 	// RepubRoutes counts site-scoped queries routed to the site's owning
 	// republisher instead of the site itself.
@@ -70,23 +72,60 @@ type Stats struct {
 	// RepubFallthroughs counts republisher-routed queries that fell
 	// through to the site's own gateway because the republisher failed.
 	RepubFallthroughs int64
-	// GenerationEvictions counts cached lookups evicted before their TTL
-	// because the directory reported a newer registration Generation.
-	GenerationEvictions int64
 }
 
-// cachedLookup is one member's cached registration record.
-type cachedLookup struct {
-	r  Registration
-	at time.Time
+// snapshot is the router's copy of the directory: one registration list
+// in ListContext's name order, the ring over its republishers, and when
+// it was listed. It is never changed once built, so a routing decision
+// that holds one sees a single version of the directory: every site it
+// plans has an owner it can resolve.
+type snapshot struct {
+	regs []Registration
+	ring *Ring
+	at   time.Time
+	// expired marks a copy a failed remote call discredited: the next
+	// decision lists again, and this one is kept for stale-on-error.
+	expired bool
+}
+
+func newSnapshot(regs []Registration, at time.Time) *snapshot {
+	var repubs []string
+	for _, reg := range regs {
+		if reg.Role == RoleRepublisher {
+			repubs = append(repubs, reg.Name)
+		}
+	}
+	return &snapshot{regs: regs, ring: NewRing(repubs, DefaultVNodes), at: at}
+}
+
+// find returns the member named name, whatever its role.
+func (s *snapshot) find(name string) (Registration, bool) {
+	i, ok := slices.BinarySearchFunc(s.regs, name, func(reg Registration, name string) int {
+		return strings.Compare(reg.Name, name)
+	})
+	if !ok {
+		return Registration{}, false
+	}
+	return s.regs[i], true
+}
+
+// sites lists the site-role members other than local, in name order.
+func (s *snapshot) sites(local string) []string {
+	sites := make([]string, 0, len(s.regs))
+	for _, reg := range s.regs {
+		if reg.Role == RoleSite && reg.Name != local {
+			sites = append(sites, reg.Name)
+		}
+	}
+	return sites
 }
 
 // Router routes remote-site queries via the GMA directory; it implements
-// core.GlobalRouter. It keeps a TTL'd lookup cache
-// with stale-on-error semantics and a circuit breaker per remote endpoint,
-// retries with backoff, and — when republishers are registered — routes site queries through the
-// owning republisher (consistent hash) with fall-through to the site
-// itself.
+// core.GlobalRouter. It routes from one TTL'd copy of the directory with
+// stale-on-error semantics, keeps a circuit breaker per remote endpoint,
+// retries with backoff, and — when republishers are registered — routes
+// site queries through the owning republisher (consistent hash) with
+// fall-through to the site itself.
 type Router struct {
 	dir  DirectoryService
 	exec ExecContext
@@ -94,28 +133,17 @@ type Router struct {
 	local string
 	cfg   Config
 	clock func() time.Time
-	// dirKey identifies the directory set; cached lookups are keyed on
-	// (dirKey, site) so routers sharing a cache implementation can never
-	// serve an endpoint resolved against a different directory set.
-	dirKey string
 
-	mu      sync.Mutex
-	lookups map[string]cachedLookup // by cacheKey(site)
-	// regs is the last known registration list; ring and owners are
-	// derived from it and rebuilt whenever the list is refreshed.
-	regs   []Registration
-	regsAt time.Time
-	ring   *Ring
-	// gens tracks the Generation the router last saw per member, for
-	// early eviction of cached lookups on re-registration.
-	gens     map[string]uint64
+	mu sync.Mutex
+	// snap is the one copy of the directory: nil until the first list,
+	// and always nil when LookupTTL < 0.
+	snap     *snapshot
 	breakers map[string]*breaker.Breaker // by endpoint
 
 	remoteQueries, remoteFailures, remoteRetries atomic.Int64
 	breakerOpens, breakerSkipped                 atomic.Int64
 	lookupHits, staleLookups                     atomic.Int64
 	repubRoutes, repubFallthroughs               atomic.Int64
-	genEvictions                                 atomic.Int64
 }
 
 // NewRouter creates the Router for the gateway named local; exec forwards
@@ -135,34 +163,9 @@ func NewRouter(dir DirectoryService, exec ExecContext, local string, cfg Config)
 	}
 	return &Router{
 		dir: dir, exec: exec, local: local, cfg: cfg, clock: clock,
-		dirKey:   directoryKey(dir),
-		lookups:  make(map[string]cachedLookup),
-		gens:     make(map[string]uint64),
 		breakers: make(map[string]*breaker.Breaker),
 	}
 }
-
-// directoryKey derives a stable identity for a directory set: the replica
-// URLs for a MultiDirectory, the base URL for a DirectoryClient, and the
-// instance address otherwise.
-func directoryKey(dir DirectoryService) string {
-	switch d := dir.(type) {
-	case *DirectoryClient:
-		return d.BaseURL
-	case *MultiDirectory:
-		names := make([]string, 0, len(d.replicas))
-		for _, r := range d.replicas {
-			names = append(names, r.name)
-		}
-		sort.Strings(names)
-		return strings.Join(names, ",")
-	default:
-		return fmt.Sprintf("%p", dir)
-	}
-}
-
-// cacheKey scopes a member's cache entry to this router's directory set.
-func (r *Router) cacheKey(name string) string { return r.dirKey + "\x00" + name }
 
 // Stats returns the router's counters.
 func (r *Router) Stats() Stats {
@@ -176,24 +179,37 @@ func (r *Router) Stats() Stats {
 		StaleLookups:         r.staleLookups.Load(),
 		RepubRoutes:          r.repubRoutes.Load(),
 		RepubFallthroughs:    r.repubFallthroughs.Load(),
-		GenerationEvictions:  r.genEvictions.Load(),
 	}
 }
 
-// RegisterMetrics exports the router's counters — and, when the directory
-// is a MultiDirectory, replica health gauges — into a metrics registry
-// (typically the gateway's, so they appear on GET /metrics).
+// RegisterMetrics exports the router's counters and its copy of the
+// directory — and, when the directory is a MultiDirectory, replica health
+// gauges — into a metrics registry (typically the gateway's, so they
+// appear on GET /metrics).
 func (r *Router) RegisterMetrics(reg *metrics.Registry) {
 	reg.CounterFunc("gridrm_remote_queries_total", "Remote gateway queries attempted.", r.remoteQueries.Load)
 	reg.CounterFunc("gridrm_remote_failures_total", "Remote gateway queries that failed after retries.", r.remoteFailures.Load)
 	reg.CounterFunc("gridrm_remote_retries_total", "Remote query retry attempts performed.", r.remoteRetries.Load)
 	reg.CounterFunc("gridrm_remote_breaker_opens_total", "Per-endpoint breaker closed-to-open transitions.", r.breakerOpens.Load)
 	reg.CounterFunc("gridrm_remote_breaker_skipped_total", "Remote queries rejected because the endpoint breaker was open.", r.breakerSkipped.Load)
-	reg.CounterFunc("gridrm_lookup_cache_hits_total", "Directory lookups served fresh from the router cache.", r.lookupHits.Load)
-	reg.CounterFunc("gridrm_stale_lookups_total", "Lookups served from an expired cache entry during a directory outage.", r.staleLookups.Load)
+	reg.CounterFunc("gridrm_lookup_cache_hits_total", "Member names resolved from a fresh copy of the directory.", r.lookupHits.Load)
+	reg.CounterFunc("gridrm_stale_lookups_total", "Routing decisions served from an expired copy during a directory outage.", r.staleLookups.Load)
 	reg.CounterFunc("gridrm_repub_routes_total", "Site queries routed via the owning republisher.", r.repubRoutes.Load)
 	reg.CounterFunc("gridrm_repub_fallthroughs_total", "Republisher-routed queries that fell through to the site gateway.", r.repubFallthroughs.Load)
-	reg.CounterFunc("gridrm_generation_evictions_total", "Cached lookups evicted early on registration generation change.", r.genEvictions.Load)
+	reg.GaugeFunc("gridrm_directory_copy_age_seconds", "Seconds since the router last listed the directory (0 with no copy kept).",
+		func() float64 {
+			if s := r.kept(); s != nil {
+				return r.clock().Sub(s.at).Seconds()
+			}
+			return 0
+		})
+	reg.GaugeFunc("gridrm_directory_copy_members", "Registrations in the router's copy of the directory.",
+		func() float64 {
+			if s := r.kept(); s != nil {
+				return float64(len(s.regs))
+			}
+			return 0
+		})
 	if md, ok := r.dir.(*MultiDirectory); ok {
 		reg.GaugeFunc("gridrm_directory_replicas_healthy", "Directory replicas whose last operation succeeded.",
 			func() float64 {
@@ -230,142 +246,76 @@ func (r *Router) EndpointBreakerState(endpoint string) string {
 	return string(r.endpointBreaker(endpoint).State(r.clock()))
 }
 
-// lookup resolves a member name to its registration: fresh cache entry
-// first, then the directory, falling back to a stale cache entry when
-// every directory replica is unreachable.
-func (r *Router) lookup(ctx context.Context, name string) (Registration, error) {
-	now := r.clock()
-	caching := r.cfg.LookupTTL > 0
-	key := r.cacheKey(name)
-	if caching {
-		r.mu.Lock()
-		c, ok := r.lookups[key]
-		r.mu.Unlock()
-		if ok && now.Sub(c.at) <= r.cfg.LookupTTL {
-			r.lookupHits.Add(1)
-			return c.r, nil
-		}
-	}
-	reg, ok, err := r.dir.LookupContext(ctx, name)
-	if err != nil {
-		if caching {
-			// Stale-on-error: a warm entry outlives a full directory
-			// outage, like the local layer's stale-cache degradation tier.
-			r.mu.Lock()
-			c, cached := r.lookups[key]
-			r.mu.Unlock()
-			if cached {
-				r.staleLookups.Add(1)
-				return c.r, nil
-			}
-		}
-		return Registration{}, fmt.Errorf("gma: directory lookup for %q: %w", name, err)
-	}
-	if !ok {
-		// Authoritative not-found: drop any stale record so a deregistered
-		// member stops being routable at the next TTL boundary.
-		if caching {
-			r.mu.Lock()
-			delete(r.lookups, key)
-			r.mu.Unlock()
-		}
-		return Registration{}, fmt.Errorf("gma: no producer registered for site %q", name)
-	}
-	if caching {
-		r.mu.Lock()
-		r.lookups[key] = cachedLookup{r: reg, at: now}
-		if r.gens[name] != reg.Generation {
-			r.gens[name] = reg.Generation
-		}
-		r.mu.Unlock()
-	}
-	return reg, nil
-}
-
-// invalidateLookup expires one member's cached lookup so the next attempt
-// re-consults the directory. The entry is kept with a zero timestamp
-// rather than deleted: stale-on-error still has a record to serve if the
-// directory is down too.
-func (r *Router) invalidateLookup(name string) {
+// kept returns the copy of the directory the router holds (nil if none).
+func (r *Router) kept() *snapshot {
 	r.mu.Lock()
-	key := r.cacheKey(name)
-	if c, ok := r.lookups[key]; ok {
-		c.at = time.Time{}
-		r.lookups[key] = c
-	}
-	r.mu.Unlock()
+	defer r.mu.Unlock()
+	return r.snap
 }
 
-// registrations returns the directory's registration list, cached for
-// LookupTTL with stale-on-error fallback. Refreshing the list rebuilds
-// the ownership ring and evicts cached lookups whose Generation changed —
-// a re-registered member is re-resolved before its lookup TTL expires.
-func (r *Router) registrations(ctx context.Context) ([]Registration, error) {
+// read returns the snapshot one routing decision uses: the kept copy
+// while it is younger than LookupTTL (cached), else a fresh ListContext.
+// When every directory replica is unreachable it serves the kept copy
+// stale, so a warm router outlives a full directory outage.
+func (r *Router) read(ctx context.Context) (s *snapshot, cached bool, err error) {
 	now := r.clock()
-	caching := r.cfg.LookupTTL > 0
-	if caching {
-		r.mu.Lock()
-		regs, at := r.regs, r.regsAt
-		r.mu.Unlock()
-		if regs != nil && now.Sub(at) <= r.cfg.LookupTTL {
-			return regs, nil
-		}
+	kept := r.kept()
+	if kept != nil && !kept.expired && now.Sub(kept.at) <= r.cfg.LookupTTL {
+		return kept, true, nil
 	}
 	regs, err := r.dir.ListContext(ctx)
 	if err != nil {
-		if caching {
-			r.mu.Lock()
-			regs := r.regs
-			r.mu.Unlock()
-			if regs != nil {
-				r.staleLookups.Add(1)
-				return regs, nil
-			}
+		if kept != nil {
+			r.staleLookups.Add(1)
+			return kept, false, nil
 		}
-		return nil, err
+		return nil, false, fmt.Errorf("gma: directory list: %w", err)
 	}
-	r.storeRegistrations(regs, now)
-	return regs, nil
-}
-
-// storeRegistrations installs a freshly fetched registration list:
-// caches it, rebuilds the republisher ring, and applies generation-based
-// eviction to the lookup cache.
-func (r *Router) storeRegistrations(regs []Registration, now time.Time) {
-	var repubs []string
-	for _, reg := range regs {
-		if reg.Role == RoleRepublisher {
-			repubs = append(repubs, reg.Name)
-		}
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	s = newSnapshot(regs, now)
 	if r.cfg.LookupTTL > 0 {
-		r.regs = append([]Registration(nil), regs...)
-		r.regsAt = now
+		r.mu.Lock()
+		r.snap = s
+		r.mu.Unlock()
 	}
-	r.ring = NewRing(repubs, DefaultVNodes)
-	for _, reg := range regs {
-		if prev, seen := r.gens[reg.Name]; seen && prev != reg.Generation {
-			if _, cached := r.lookups[r.cacheKey(reg.Name)]; cached {
-				delete(r.lookups, r.cacheKey(reg.Name))
-				r.genEvictions.Add(1)
-			}
-		}
-		r.gens[reg.Name] = reg.Generation
-	}
+	return s, false, nil
 }
 
-// owner returns the republisher owning site on the current ring ("" when
-// no republishers are registered).
-func (r *Router) owner(site string) string {
+// expire marks s expired if it is still the kept copy, so the next
+// decision lists the directory again. The copy stays kept: stale-on-error
+// still has it to serve if the directory is down too.
+func (r *Router) expire(s *snapshot) {
 	r.mu.Lock()
-	ring := r.ring
-	r.mu.Unlock()
-	if ring.Empty() {
-		return ""
+	if r.snap == s {
+		r.snap = &snapshot{regs: s.regs, ring: s.ring, at: s.at, expired: true}
 	}
-	return ring.Owner(site)
+	r.mu.Unlock()
+}
+
+// resolve finds the member named name in the snapshot a decision uses,
+// counting a cache hit when that snapshot was cached. A cached snapshot
+// that lacks the name is listed again once, so a member that registered
+// since is routable at once; a freshly listed or stale one that lacks it
+// is authoritative.
+func (r *Router) resolve(ctx context.Context, name string) (*snapshot, Registration, bool, error) {
+	s, cached, err := r.read(ctx)
+	if err != nil {
+		return nil, Registration{}, false, err
+	}
+	reg, ok := s.find(name)
+	if !ok && cached {
+		r.expire(s)
+		if s, cached, err = r.read(ctx); err != nil {
+			return nil, Registration{}, false, err
+		}
+		reg, ok = s.find(name)
+	}
+	if !ok {
+		return nil, Registration{}, false, fmt.Errorf("gma: no producer registered for site %q", name)
+	}
+	if cached {
+		r.lookupHits.Add(1)
+	}
+	return s, reg, cached, nil
 }
 
 // routeViaRepublisher reports whether a query for target may be served by
@@ -376,24 +326,25 @@ func routeViaRepublisher(target Registration, req core.QueryOptions) bool {
 	return target.Role == RoleSite && req.Mode == core.ModeCached
 }
 
-// RemoteQueryContext implements core.GlobalRouter: directory lookup (with
-// cache), republisher-first routing for cached site reads, per-endpoint
-// breaker admission, the remote call, and retries with backoff — all
-// bounded by ctx. When the request is being traced the
-// hop is recorded as a "remote-query" span; the HTTP exec propagates the
-// trace context to the remote gateway and stitches its returned spans into
-// the local trace.
+// RemoteQueryContext implements core.GlobalRouter: resolution against
+// the router's copy of the directory, republisher-first routing for
+// cached site reads, per-endpoint breaker admission, the remote call, and
+// retries with backoff — all bounded by ctx. The target and its owning
+// republisher come from one snapshot. When the request is being traced
+// the hop is recorded as a "remote-query" span; the HTTP exec propagates
+// the trace context to the remote gateway and stitches its returned spans
+// into the local trace.
 //
-// A failed attempt expires the target's cached lookup before the retry, so
-// a site re-registered at a new endpoint is re-resolved immediately rather
-// than being unroutable for a full lookup TTL.
+// A failed attempt expires the snapshot before the retry, so a site
+// re-registered at a new endpoint is re-resolved immediately rather than
+// being unroutable for a full lookup TTL.
 func (r *Router) RemoteQueryContext(ctx context.Context, site string, req core.QueryOptions) (*core.Response, error) {
 	ctx, sp := trace.StartSpan(ctx, "remote-query")
 	if sp.Recording() {
 		sp.SetAttr("site", site)
 		defer sp.End()
 	}
-	p, err := r.lookup(ctx, site)
+	s, p, cached, err := r.resolve(ctx, site)
 	if err != nil {
 		sp.SetError(err)
 		return nil, err
@@ -405,8 +356,11 @@ func (r *Router) RemoteQueryContext(ctx context.Context, site string, req core.Q
 	// the owning republisher's merged view; any failure falls through to
 	// the site's own gateway below, where breakers and retries apply.
 	if routeViaRepublisher(p, req) {
-		if owner := r.owner(site); owner != "" && owner != site {
-			if resp, ok := r.tryRepublisher(ctx, owner, site, req, sp); ok {
+		if owner, ok := s.find(s.ring.Owner(site)); ok {
+			if cached {
+				r.lookupHits.Add(1)
+			}
+			if resp, ok := r.tryRepublisher(ctx, s, owner, req, sp); ok {
 				return resp, nil
 			}
 		}
@@ -416,13 +370,13 @@ func (r *Router) RemoteQueryContext(ctx context.Context, site string, req core.Q
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
-			// Re-resolve: the previous attempt invalidated the cached
-			// lookup, so a re-registered endpoint is picked up here.
-			if np, err := r.lookup(ctx, site); err == nil {
+			// Re-resolve: the previous attempt expired the snapshot, so a
+			// re-registered endpoint is picked up here.
+			if ns, np, _, err := r.resolve(ctx, site); err == nil {
 				if np.Endpoint != p.Endpoint {
 					sp.SetAttr("endpoint", np.Endpoint)
 				}
-				p = np
+				s, p = ns, np
 			}
 		}
 		br := r.endpointBreaker(p.Endpoint)
@@ -446,7 +400,7 @@ func (r *Router) RemoteQueryContext(ctx context.Context, site string, req core.Q
 		if br.OnFailure(r.clock()) {
 			r.breakerOpens.Add(1)
 		}
-		r.invalidateLookup(site)
+		r.expire(s)
 		if attempt >= r.cfg.RetryAttempts || ctx.Err() != nil {
 			break
 		}
@@ -463,24 +417,20 @@ func (r *Router) RemoteQueryContext(ctx context.Context, site string, req core.Q
 }
 
 // tryRepublisher attempts one site-scoped query against the owning
-// republisher. It is a single attempt through the republisher
-// endpoint's breaker: the direct-to-site path behind it provides the
-// retry budget, so a dead republisher costs one failed round trip (and
-// after its breaker opens, nothing).
-func (r *Router) tryRepublisher(ctx context.Context, owner, site string, req core.QueryOptions, sp trace.Span) (*core.Response, bool) {
-	reg, err := r.lookup(ctx, owner)
-	if err != nil || reg.Role != RoleRepublisher {
-		return nil, false
-	}
-	br := r.endpointBreaker(reg.Endpoint)
+// republisher, resolved from snapshot s. It is a single attempt through
+// the republisher endpoint's breaker: the direct-to-site path behind it
+// provides the retry budget, so a dead republisher costs one failed round
+// trip (and after its breaker opens, nothing).
+func (r *Router) tryRepublisher(ctx context.Context, s *snapshot, owner Registration, req core.QueryOptions, sp trace.Span) (*core.Response, bool) {
+	br := r.endpointBreaker(owner.Endpoint)
 	if !br.Allow(r.clock()) {
 		r.breakerSkipped.Add(1)
 		r.repubFallthroughs.Add(1)
 		return nil, false
 	}
 	r.repubRoutes.Add(1)
-	sp.SetAttr("republisher", owner)
-	resp, err := r.exec(ctx, reg.Endpoint, req)
+	sp.SetAttr("republisher", owner.Name)
+	resp, err := r.exec(ctx, owner.Endpoint, req)
 	if err == nil {
 		br.OnSuccess()
 		return resp, true
@@ -488,78 +438,49 @@ func (r *Router) tryRepublisher(ctx context.Context, owner, site string, req cor
 	if br.OnFailure(r.clock()) {
 		r.breakerOpens.Add(1)
 	}
-	r.invalidateLookup(owner)
+	r.expire(s)
 	r.repubFallthroughs.Add(1)
 	return nil, false
 }
 
 // Sites lists the names of registered site-role members, excluding the
-// local site, for the servlet's /sites. The list rides the registration
-// cache: cached for LookupTTL and served stale when the directory is
-// unreachable, so all-sites fan-out keeps working through an outage.
+// local site, for the servlet's /sites. It reads the router's copy of the
+// directory, so it is served stale when the directory is unreachable and
+// all-sites fan-out keeps working through an outage.
 func (r *Router) Sites() []string {
-	regs, err := r.registrations(context.Background())
+	s, _, err := r.read(context.Background())
 	if err != nil {
 		return nil
 	}
-	sites := make([]string, 0, len(regs))
-	for _, reg := range regs {
-		if reg.Role == RoleSite && reg.Name != r.local {
-			sites = append(sites, reg.Name)
-		}
-	}
-	return sites
+	return s.sites(r.local)
 }
 
 // FanoutPlan implements core.GlobalRouter: it turns the all-sites
-// fan-out into a tree. Sites owned by a registered republisher are
-// covered by one leg targeting that republisher (the republisher answers
-// from its merged region view); sites without an owner get direct legs.
-// The entry gateway's fan-out degree becomes O(republishers), not
-// O(sites); a failed republisher leg is re-expanded by the caller into
-// direct legs for the sites it covered.
+// fan-out into a tree. With republishers registered, each one's ring
+// shard becomes one leg targeting it (the republisher answers from its
+// merged region view); with none, every site gets a direct leg. The ring
+// and the sites come from one snapshot, so every site has a registered
+// owner and is covered exactly once. The entry gateway's fan-out degree
+// becomes O(republishers), not O(sites); a failed republisher leg is
+// re-expanded by the caller into direct legs for the sites it covered.
 func (r *Router) FanoutPlan(ctx context.Context) ([]core.FanoutLeg, error) {
-	regs, err := r.registrations(ctx)
+	s, _, err := r.read(ctx)
 	if err != nil {
 		return nil, err
 	}
-	var sites []string
-	repub := make(map[string]bool)
-	for _, reg := range regs {
-		switch reg.Role {
-		case RoleSite:
-			if reg.Name != r.local {
-				sites = append(sites, reg.Name)
-			}
-		case RoleRepublisher:
-			repub[reg.Name] = true
-		}
-	}
-	sort.Strings(sites)
-	r.mu.Lock()
-	ring := r.ring
-	r.mu.Unlock()
-	var legs []core.FanoutLeg
-	if ring.Empty() {
-		for _, s := range sites {
-			legs = append(legs, core.FanoutLeg{Target: s})
+	sites := s.sites(r.local)
+	if s.ring.Empty() {
+		legs := make([]core.FanoutLeg, len(sites))
+		for i, site := range sites {
+			legs[i] = core.FanoutLeg{Target: site}
 		}
 		return legs, nil
 	}
-	assign := ring.Assign(sites)
-	for _, owner := range ring.Members() {
-		covered := assign[owner]
-		// A ring member that is no longer registered (stale ring vs a
-		// fresher list) gets no leg; its sites fan out directly below.
-		if len(covered) == 0 || !repub[owner] {
-			continue
-		}
-		legs = append(legs, core.FanoutLeg{Target: owner, Republisher: true, Covers: covered})
-	}
-	// Sites the ring could not place (no live owner) fan out directly.
-	for _, s := range sites {
-		if owner := ring.Owner(s); owner == "" || !repub[owner] {
-			legs = append(legs, core.FanoutLeg{Target: s})
+	assign := s.ring.Assign(sites)
+	var legs []core.FanoutLeg
+	for _, reg := range s.regs {
+		if covered := assign[reg.Name]; len(covered) > 0 {
+			legs = append(legs, core.FanoutLeg{Target: reg.Name, Republisher: true, Covers: covered})
 		}
 	}
 	return legs, nil

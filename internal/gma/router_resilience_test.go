@@ -3,7 +3,9 @@ package gma
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -12,56 +14,74 @@ import (
 	"gridrm/internal/core"
 )
 
-// countingDir wraps a flakyDir and counts Lookup traffic, so tests can
-// assert the router's cache actually absorbed directory load.
+// countingDir wraps a flakyDir and counts ListContext traffic, so tests
+// can assert the router's copy of the directory actually absorbed
+// directory load.
 type countingDir struct {
 	*flakyDir
-	lookups atomic.Int64
-	sites   atomic.Int64
+	lists atomic.Int64
 }
 
 func newCountingDir() *countingDir { return &countingDir{flakyDir: newFlakyDir()} }
 
-func (c *countingDir) LookupContext(ctx context.Context, site string) (Registration, bool, error) {
-	c.lookups.Add(1)
-	return c.flakyDir.LookupContext(ctx, site)
-}
-
-func (c *countingDir) SitesContext(ctx context.Context) ([]string, error) {
-	c.sites.Add(1)
-	return c.flakyDir.SitesContext(ctx)
+func (c *countingDir) ListContext(ctx context.Context) ([]Registration, error) {
+	c.lists.Add(1)
+	return c.flakyDir.ListContext(ctx)
 }
 
 func okExec(endpoint string, req core.QueryOptions) (*core.Response, error) {
 	return &core.Response{Site: req.Site}, nil
 }
 
+// TestRouterLookupCache: one LookupTTL window of remote queries (site and
+// republisher targets, direct and republisher-routed), Sites() and
+// FanoutPlan costs exactly one directory read.
 func TestRouterLookupCache(t *testing.T) {
 	dir := newCountingDir()
 	_ = dir.Directory.RegisterContext(context.Background(), Registration{Name: "B", Endpoint: "http://b"})
+	_ = dir.Directory.RegisterContext(context.Background(), Registration{Name: "R", Endpoint: "http://r", Role: RoleRepublisher})
 	now := time.Unix(1000, 0)
 	r := NewRouter(dir, func(_ context.Context, e string, q core.QueryOptions) (*core.Response, error) {
 		return okExec(e, q)
 	}, "A", Config{LookupTTL: 10 * time.Second, Clock: func() time.Time { return now }})
 
+	realTime := core.QueryOptions{Site: "B", Mode: core.ModeRealTime}
 	for i := 0; i < 3; i++ {
-		if _, err := r.RemoteQueryContext(context.Background(), "B", core.QueryOptions{Site: "B"}); err != nil {
+		if _, err := r.RemoteQueryContext(context.Background(), "B", realTime); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if n := dir.lookups.Load(); n != 1 {
-		t.Errorf("directory lookups = %d, want 1 (cache must absorb repeats)", n)
 	}
 	if hits := r.Stats().LookupCacheHits; hits != 2 {
 		t.Errorf("LookupCacheHits = %d, want 2", hits)
 	}
-	// Past the TTL the directory is consulted again.
-	now = now.Add(11 * time.Second)
+	// A republisher target, and a cached read routed via its owner: the
+	// target and the owner each count a hit.
+	if _, err := r.RemoteQueryContext(context.Background(), "R", core.QueryOptions{Site: "R"}); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := r.RemoteQueryContext(context.Background(), "B", core.QueryOptions{Site: "B"}); err != nil {
 		t.Fatal(err)
 	}
-	if n := dir.lookups.Load(); n != 2 {
-		t.Errorf("directory lookups after TTL = %d, want 2", n)
+	if sites := r.Sites(); len(sites) != 1 {
+		t.Errorf("Sites = %v", sites)
+	}
+	if legs, err := r.FanoutPlan(context.Background()); err != nil || len(legs) != 1 || legs[0].Target != "R" {
+		t.Errorf("FanoutPlan = %+v, %v", legs, err)
+	}
+	st := r.Stats()
+	if n := dir.lists.Load(); n != 1 {
+		t.Errorf("directory reads = %d, want 1 (one copy serves the window)", n)
+	}
+	if st.LookupCacheHits != 5 || st.RepubRoutes != 1 {
+		t.Errorf("LookupCacheHits = %d, RepubRoutes = %d, want 5 and 1", st.LookupCacheHits, st.RepubRoutes)
+	}
+	// Past the TTL the directory is consulted again.
+	now = now.Add(11 * time.Second)
+	if _, err := r.RemoteQueryContext(context.Background(), "B", realTime); err != nil {
+		t.Fatal(err)
+	}
+	if n := dir.lists.Load(); n != 2 {
+		t.Errorf("directory reads after TTL = %d, want 2", n)
 	}
 }
 
@@ -74,7 +94,7 @@ func TestRouterStaleLookupSurvivesDirectoryOutage(t *testing.T) {
 		return okExec(e, q)
 	}, "A", Config{LookupTTL: 10 * time.Second, Clock: func() time.Time { return now }})
 
-	// Warm the lookup and sites caches.
+	// Warm the router's copy of the directory.
 	if _, err := r.RemoteQueryContext(context.Background(), "B", core.QueryOptions{Site: "B"}); err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +112,7 @@ func TestRouterStaleLookupSurvivesDirectoryOutage(t *testing.T) {
 		t.Errorf("stale Sites = %v", sites)
 	}
 	if st := r.Stats(); st.StaleLookups != 2 {
-		t.Errorf("StaleLookups = %d, want 2 (lookup + sites)", st.StaleLookups)
+		t.Errorf("StaleLookups = %d, want 2 (one per decision: query + sites)", st.StaleLookups)
 	}
 	// A site never seen before still fails — there is nothing to serve.
 	if _, err := r.RemoteQueryContext(context.Background(), "C", core.QueryOptions{Site: "C"}); err == nil {
@@ -110,14 +130,14 @@ func TestRouterAuthoritativeNotFoundDropsCache(t *testing.T) {
 	if _, err := r.RemoteQueryContext(context.Background(), "B", core.QueryOptions{Site: "B"}); err != nil {
 		t.Fatal(err)
 	}
-	// The site deregisters; a healthy directory's not-found is authoritative
-	// and must evict the cached record, not serve it stale.
+	// The site deregisters; a healthy directory's fresh list is
+	// authoritative and replaces the copy that held it.
 	_ = dir.Directory.DeregisterContext(context.Background(), "B")
 	now = now.Add(time.Minute)
 	if _, err := r.RemoteQueryContext(context.Background(), "B", core.QueryOptions{Site: "B"}); err == nil {
 		t.Fatal("deregistered site still routed")
 	}
-	// Even during a later outage the dropped entry stays gone.
+	// Even during a later outage the dropped member stays gone.
 	dir.setDown(true)
 	if _, err := r.RemoteQueryContext(context.Background(), "B", core.QueryOptions{Site: "B"}); err == nil {
 		t.Error("evicted entry served stale")
@@ -237,7 +257,10 @@ func TestRouterRetriesHonourContext(t *testing.T) {
 	}
 }
 
-func TestRouterGenerationChangeEvictsCachedLookup(t *testing.T) {
+// TestRouterUsesReRegisteredEndpointAfterReList: a member re-registered
+// at a new endpoint is routed there once the router lists the directory
+// again, and not before.
+func TestRouterUsesReRegisteredEndpointAfterReList(t *testing.T) {
 	dir := newCountingDir()
 	_ = dir.Directory.RegisterContext(context.Background(), Registration{Name: "B", Endpoint: "http://b1"})
 	now := time.Unix(1000, 0)
@@ -247,33 +270,30 @@ func TestRouterGenerationChangeEvictsCachedLookup(t *testing.T) {
 		return okExec(e, q)
 	}, "A", Config{LookupTTL: 15 * time.Second, Clock: func() time.Time { return now }})
 
-	// t=0: the registration list (and B's generation) is cached.
+	// t=0: the router lists the directory.
 	if sites := r.Sites(); len(sites) != 1 {
 		t.Fatalf("Sites = %v", sites)
 	}
-	// t=10: B's lookup is cached, fresh until t=25.
 	if _, err := r.RemoteQueryContext(context.Background(), "B", core.QueryOptions{Site: "B"}); err != nil {
 		t.Fatal(err)
 	}
-	// B re-registers at a new endpoint: the directory bumps its
-	// Generation.
+	// B re-registers at a new endpoint; the copy is still fresh at t=10.
 	_ = dir.Directory.RegisterContext(context.Background(), Registration{Name: "B", Endpoint: "http://b2"})
-	// t=16: the registration list expires and is refetched; the changed
-	// generation must evict B's still-fresh cached lookup.
-	now = now.Add(16 * time.Second)
-	_ = r.Sites()
-	if n := r.Stats().GenerationEvictions; n != 1 {
-		t.Fatalf("GenerationEvictions = %d, want 1", n)
-	}
+	now = now.Add(10 * time.Second)
 	if _, err := r.RemoteQueryContext(context.Background(), "B", core.QueryOptions{Site: "B"}); err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"http://b1", "http://b2"}
-	if len(endpoints) != 2 || endpoints[0] != want[0] || endpoints[1] != want[1] {
-		t.Errorf("exec endpoints = %v, want %v (eviction must re-resolve before TTL)", endpoints, want)
+	// t=16: the copy expires, and the next decision lists the directory.
+	now = now.Add(6 * time.Second)
+	if _, err := r.RemoteQueryContext(context.Background(), "B", core.QueryOptions{Site: "B"}); err != nil {
+		t.Fatal(err)
 	}
-	if n := dir.lookups.Load(); n != 2 {
-		t.Errorf("directory lookups = %d, want 2", n)
+	want := []string{"http://b1", "http://b1", "http://b2"}
+	if !slices.Equal(endpoints, want) {
+		t.Errorf("exec endpoints = %v, want %v (the re-list must pick up the new endpoint)", endpoints, want)
+	}
+	if n := dir.lists.Load(); n != 2 {
+		t.Errorf("directory reads = %d, want 2", n)
 	}
 }
 
@@ -285,7 +305,7 @@ func TestRouterFailedAttemptReResolvesBeforeRetry(t *testing.T) {
 		calls.Add(1)
 		if e == "http://dead" {
 			// The site moves while the first attempt is failing: the
-			// retry must consult the directory again, not the cache.
+			// retry must list the directory again, not reuse its copy.
 			_ = dir.Directory.RegisterContext(context.Background(), Registration{Name: "B", Endpoint: "http://alive"})
 			return nil, fmt.Errorf("connection refused")
 		}
@@ -299,8 +319,8 @@ func TestRouterFailedAttemptReResolvesBeforeRetry(t *testing.T) {
 	if n := calls.Load(); n != 2 {
 		t.Errorf("exec calls = %d, want 2 (fail on dead, succeed on alive)", n)
 	}
-	if n := dir.lookups.Load(); n != 2 {
-		t.Errorf("directory lookups = %d, want 2 (failure invalidates the cached lookup)", n)
+	if n := dir.lists.Load(); n != 2 {
+		t.Errorf("directory reads = %d, want 2 (failure expires the copy)", n)
 	}
 	if st := r.Stats(); st.RemoteRetries != 1 {
 		t.Errorf("RemoteRetries = %d, want 1", st.RemoteRetries)
@@ -321,7 +341,6 @@ func TestRouterRepublisherFirstWithFallthrough(t *testing.T) {
 		}
 		return &core.Response{Site: q.Site}, nil
 	}, "A", Config{LookupTTL: time.Minute})
-	_ = r.Sites() // fetches the registration list, which builds the ring
 
 	// Cached site reads route to the owning republisher.
 	resp, err := r.RemoteQueryContext(context.Background(), "B", core.QueryOptions{Site: "B"})
@@ -344,4 +363,78 @@ func TestRouterRepublisherFirstWithFallthrough(t *testing.T) {
 	if st.RepubRoutes != 2 || st.RepubFallthroughs != 1 {
 		t.Errorf("RepubRoutes = %d, RepubFallthroughs = %d, want 2 and 1", st.RepubRoutes, st.RepubFallthroughs)
 	}
+}
+
+// TestRouterReListsForANameItsCopyLacks: a member that registered after
+// the router listed the directory is routable at once, at the cost of one
+// more list; a name the fresh list lacks is refused.
+func TestRouterReListsForANameItsCopyLacks(t *testing.T) {
+	dir := newCountingDir()
+	_ = dir.Directory.RegisterContext(context.Background(), Registration{Name: "B", Endpoint: "http://b"})
+	r := NewRouter(dir, func(_ context.Context, e string, q core.QueryOptions) (*core.Response, error) {
+		return okExec(e, q)
+	}, "A", Config{LookupTTL: time.Minute})
+	if _, err := r.RemoteQueryContext(context.Background(), "B", core.QueryOptions{Site: "B"}); err != nil {
+		t.Fatal(err)
+	}
+	_ = dir.Directory.RegisterContext(context.Background(), Registration{Name: "C", Endpoint: "http://c"})
+	for i := 0; i < 2; i++ {
+		if _, err := r.RemoteQueryContext(context.Background(), "C", core.QueryOptions{Site: "C"}); err != nil {
+			t.Fatalf("query %d to a member that joined after the list: %v", i, err)
+		}
+	}
+	if n := dir.lists.Load(); n != 2 {
+		t.Errorf("directory reads = %d, want 2 (one list for the joiner, then the copy)", n)
+	}
+	if _, err := r.RemoteQueryContext(context.Background(), "D", core.QueryOptions{Site: "D"}); err == nil {
+		t.Error("unregistered member routed")
+	}
+	if n := dir.lists.Load(); n != 3 {
+		t.Errorf("directory reads after an unknown name = %d, want 3", n)
+	}
+}
+
+// TestRouterConcurrentDecisions: queries, Sites and FanoutPlan from many
+// goroutines, while failures expire the copy and members join and leave,
+// share the router's one copy of the directory without a race, and a
+// member registered throughout is always routable.
+func TestRouterConcurrentDecisions(t *testing.T) {
+	dir := newCountingDir()
+	_ = dir.Directory.RegisterContext(context.Background(), Registration{Name: "B", Endpoint: "http://b"})
+	_ = dir.Directory.RegisterContext(context.Background(), Registration{Name: "R", Endpoint: "http://r", Role: RoleRepublisher})
+	var calls atomic.Int64
+	r := NewRouter(dir, func(_ context.Context, e string, q core.QueryOptions) (*core.Response, error) {
+		// Every other republisher call fails and expires the copy; the
+		// query falls through to B.
+		if e == "http://r" && calls.Add(1)%2 == 0 {
+			return nil, fmt.Errorf("transient")
+		}
+		return okExec(e, q)
+	}, "A", Config{LookupTTL: time.Millisecond, Breaker: breaker.Options{Threshold: -1}})
+
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			name := fmt.Sprintf("C%d", g)
+			for i := 0; i < 100; i++ {
+				switch i % 4 {
+				case 0:
+					_ = dir.Directory.RegisterContext(context.Background(), Registration{Name: name, Endpoint: "http://" + name})
+				case 1:
+					_ = dir.Directory.DeregisterContext(context.Background(), name)
+				case 2:
+					_ = r.Sites()
+					if _, err := r.FanoutPlan(context.Background()); err != nil {
+						t.Errorf("FanoutPlan: %v", err)
+					}
+				}
+				if _, err := r.RemoteQueryContext(context.Background(), "B", core.QueryOptions{Site: "B"}); err != nil {
+					t.Errorf("query to B: %v", err)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -412,8 +412,8 @@ func (g *Gateway) rebalance(ctx context.Context, regs []gma.Registration) error 
 
 // register advertises (or re-advertises) the republisher with its current
 // shard. Owns changes do not bump Generation — the entry router rebuilds
-// its ring from membership, not Owns — but a changed Endpoint does, which
-// is what invalidates routed lookups after a republisher moves.
+// its ring from membership, not Owns — but a changed Endpoint does; the
+// entry router routes to the new Endpoint from its next directory list.
 func (g *Gateway) register(ctx context.Context, owns []string) error {
 	if g.opts.Endpoint == "" {
 		return nil

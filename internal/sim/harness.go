@@ -589,6 +589,33 @@ func (h *Harness) ownership(name string) (misowned int, listed bool) {
 	return misowned + len(owners), registered(name)
 }
 
+// planCoverage asks the entry router for an all-sites fan-out plan and
+// counts the fleet's sites that its legs plus the entry's own leg do not
+// cover exactly once, plus any name they cover that is not one of the
+// fleet's. A plan the router cannot make misses every site.
+func (h *Harness) planCoverage() (miscovered int) {
+	legs, err := h.Router.FanoutPlan(context.Background())
+	if err != nil {
+		return len(h.SiteOrder)
+	}
+	covered := map[string]int{h.Entry.Name: 1}
+	for _, leg := range legs {
+		if !leg.Republisher {
+			covered[leg.Target]++
+		}
+		for _, site := range leg.Covers {
+			covered[site]++
+		}
+	}
+	for _, site := range h.SiteOrder {
+		if covered[site] != 1 {
+			miscovered++
+		}
+		delete(covered, site)
+	}
+	return miscovered + len(covered)
+}
+
 // awaitOwnership times how long a membership event that began at start
 // takes to settle: until the directory lists the republisher named (or,
 // when listed is false, no longer lists it) and the shards partition the

@@ -15,6 +15,7 @@ import (
 
 	"gridrm/internal/core"
 	"gridrm/internal/glue"
+	"gridrm/internal/gma"
 	"gridrm/internal/repub"
 	"gridrm/internal/resultset"
 )
@@ -257,5 +258,71 @@ func TestRepubStatsSumsEveryField(t *testing.T) {
 		if got, want := sum.Field(i).Int(), int64(101*(i+1)); got != want {
 			t.Errorf("%s sums to %d, want %d", sum.Type().Field(i).Name, got, want)
 		}
+	}
+}
+
+// TestEntryDirectoryCopyOnMetrics: the entry router's copy of the
+// directory shows on /metrics. A join leaves the member count alone while
+// the copy is fresh and shows once it re-lists, and the re-list resets
+// the copy's age.
+func TestEntryDirectoryCopyOnMetrics(t *testing.T) {
+	sc, err := ParseScenario([]byte(`
+name: directory-copy
+duration: 1s
+fleet:
+  sites:
+    - name: hub
+      count: 1
+      sources: 1
+      hosts: 1
+    - name: leaf
+      count: 2
+      sources: 1
+      hosts: 1
+federation:
+  enabled: true
+  entry_site: hub
+  lookup_ttl: 1m
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk := NewClock()
+	h, err := NewHarnessOpts(sc, rand.New(rand.NewSource(1)), HarnessOptions{Clock: clk.Now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	copyOnMetrics := func() (age, members float64) {
+		t.Helper()
+		m := scrapeMetrics(h.MetricsURL())
+		age, ok1 := m["gridrm_directory_copy_age_seconds"]
+		members, ok2 := m["gridrm_directory_copy_members"]
+		if !ok1 || !ok2 {
+			t.Fatalf("directory copy gauges missing from /metrics")
+		}
+		return age, members
+	}
+
+	if got := len(h.Router.Sites()); got != 2 {
+		t.Fatalf("Sites = %d, want 2", got)
+	}
+	clk.Advance(5 * time.Second)
+	if age, members := copyOnMetrics(); age != 5 || members != 3 {
+		t.Fatalf("listed copy: age %v members %v, want 5 and 3", age, members)
+	}
+	if err := h.MultiDir.RegisterContext(context.Background(), gma.Registration{Name: "late", Endpoint: "http://late"}); err != nil {
+		t.Fatal(err)
+	}
+	_ = h.Router.Sites()
+	if age, members := copyOnMetrics(); age != 5 || members != 3 {
+		t.Errorf("fresh copy after a join: age %v members %v, want 5 and 3", age, members)
+	}
+	clk.Advance(time.Minute)
+	if got := len(h.Router.Sites()); got != 3 {
+		t.Fatalf("Sites after the re-list = %d, want 3", got)
+	}
+	if age, members := copyOnMetrics(); age != 0 || members != 4 {
+		t.Errorf("re-listed copy: age %v members %v, want 0 and 4", age, members)
 	}
 }

@@ -222,7 +222,6 @@ func (h *Harness) scrapeCounters() (map[string]int64, map[string]float64) {
 		counters["stale_lookups"] = rs.StaleLookups
 		counters["repub_routes"] = rs.RepubRoutes
 		counters["repub_fallthroughs"] = rs.RepubFallthroughs
-		counters["generation_evictions"] = rs.GenerationEvictions
 	}
 	if len(h.Repubs) > 0 {
 		ps := h.RepubStats()

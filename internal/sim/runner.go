@@ -162,11 +162,17 @@ func Run(sc *Scenario, opts RunOptions) (*Report, error) {
 		})
 	}
 	r.Assertions = evalAssertions(sc, r)
+	if h.Router != nil {
+		// Every fan-out plan covers every site once: the entry router's
+		// legs plus the entry's own leg cover the fleet exactly once.
+		miscovered := h.planCoverage()
+		r.Invariants = append(r.Invariants, AssertionResult{Name: "plan_covers_sites", Actual: float64(miscovered), OK: miscovered == 0})
+	}
 	if len(h.Repubs) > 0 {
 		// Ownership conserves: every site is owned by exactly one
 		// republisher once the run's membership events have settled.
 		misowned, _ := h.ownership("")
-		r.Invariants = []AssertionResult{{Name: "repub_owns_partition", Actual: float64(misowned), OK: misowned == 0}}
+		r.Invariants = append(r.Invariants, AssertionResult{Name: "repub_owns_partition", Actual: float64(misowned), OK: misowned == 0})
 		for _, c := range h.convergences() {
 			ms := float64(c.after) / float64(time.Millisecond)
 			logf("republisher shards settled %.1fms after %s", ms, c.event)

@@ -321,9 +321,9 @@ func TestSitesAndGMAMounted(t *testing.T) {
 	if err := dc.RegisterContext(context.Background(), gma.Registration{Name: "X", Endpoint: "http://x"}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := dc.SitesContext(context.Background())
-	if err != nil || len(got) != 1 {
-		t.Errorf("gma sites %v, %v", got, err)
+	got, err := dc.ListContext(context.Background())
+	if err != nil || len(got) != 1 || got[0].Name != "X" {
+		t.Errorf("gma registrations %v, %v", got, err)
 	}
 }
 
