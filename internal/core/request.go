@@ -91,6 +91,10 @@ type QueryOptions struct {
 	// numbers above FromSeq are replayed before live delivery begins.
 	// Ignored by QueryContext.
 	FromSeq uint64
+	// Validator is the validator of an answer the caller holds for this
+	// request (If-None-Match on the wire). A republisher whose views have not
+	// changed since answers NotModified; a site gateway ignores it.
+	Validator string
 }
 
 // SourceStatus reports the per-source outcome of a query.
@@ -162,6 +166,13 @@ type Response struct {
 	// them under its own span tree. Empty for locally rooted queries —
 	// those are read from the trace store instead.
 	Trace []trace.SpanData
+	// Validator versions the answer (ETag on the wire): a request that
+	// brings it back is answered NotModified until the data changes. Only a
+	// republisher sets it, and it is local to one hop.
+	Validator string
+	// NotModified reports that the answer the request's Validator names is
+	// still current; the response then carries nothing but the Validator.
+	NotModified bool
 }
 
 // AllSites is the Request.Site wildcard for virtual-organisation-wide

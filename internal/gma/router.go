@@ -72,6 +72,9 @@ type Stats struct {
 	// RepubFallthroughs counts republisher-routed queries that fell
 	// through to the site's own gateway because the republisher failed.
 	RepubFallthroughs int64
+	// NotModified counts republisher answers served from the answer the
+	// router held, after the republisher answered 304 Not Modified.
+	NotModified int64
 }
 
 // snapshot is the router's copy of the directory: one registration list
@@ -139,11 +142,14 @@ type Router struct {
 	// and always nil when LookupTTL < 0.
 	snap     *snapshot
 	breakers map[string]*breaker.Breaker // by endpoint
+	// held are the republishers' latest answers, revalidated by call.
+	held heldAnswers
 
 	remoteQueries, remoteFailures, remoteRetries atomic.Int64
 	breakerOpens, breakerSkipped                 atomic.Int64
 	lookupHits, staleLookups                     atomic.Int64
 	repubRoutes, repubFallthroughs               atomic.Int64
+	notModified                                  atomic.Int64
 }
 
 // NewRouter creates the Router for the gateway named local; exec forwards
@@ -179,6 +185,7 @@ func (r *Router) Stats() Stats {
 		StaleLookups:         r.staleLookups.Load(),
 		RepubRoutes:          r.repubRoutes.Load(),
 		RepubFallthroughs:    r.repubFallthroughs.Load(),
+		NotModified:          r.notModified.Load(),
 	}
 }
 
@@ -196,6 +203,11 @@ func (r *Router) RegisterMetrics(reg *metrics.Registry) {
 	reg.CounterFunc("gridrm_stale_lookups_total", "Routing decisions served from an expired copy during a directory outage.", r.staleLookups.Load)
 	reg.CounterFunc("gridrm_repub_routes_total", "Site queries routed via the owning republisher.", r.repubRoutes.Load)
 	reg.CounterFunc("gridrm_repub_fallthroughs_total", "Republisher-routed queries that fell through to the site gateway.", r.repubFallthroughs.Load)
+	reg.CounterFunc("gridrm_remote_not_modified_total", "Republisher answers served from the held answer after a 304 Not Modified.", r.notModified.Load)
+	reg.GaugeFunc("gridrm_remote_held_answers", "Republisher answers held for revalidation.",
+		func() float64 { n, _ := r.held.size(); return float64(n) })
+	reg.GaugeFunc("gridrm_remote_held_bytes", "Estimated bytes of the republisher answers held for revalidation.",
+		func() float64 { _, b := r.held.size(); return float64(b) })
 	reg.GaugeFunc("gridrm_directory_copy_age_seconds", "Seconds since the router last listed the directory (0 with no copy kept).",
 		func() float64 {
 			if s := r.kept(); s != nil {
@@ -272,6 +284,7 @@ func (r *Router) read(ctx context.Context) (s *snapshot, cached bool, err error)
 		return nil, false, fmt.Errorf("gma: directory list: %w", err)
 	}
 	s = newSnapshot(regs, now)
+	r.held.retain(s)
 	if r.cfg.LookupTTL > 0 {
 		r.mu.Lock()
 		r.snap = s
@@ -391,7 +404,7 @@ func (r *Router) RemoteQueryContext(ctx context.Context, site string, req core.Q
 			sp.SetError(err)
 			return nil, err
 		}
-		resp, err := r.exec(ctx, p.Endpoint, req)
+		resp, err := r.call(ctx, p, req, sp)
 		if err == nil {
 			br.OnSuccess()
 			return resp, nil
@@ -430,7 +443,7 @@ func (r *Router) tryRepublisher(ctx context.Context, s *snapshot, owner Registra
 	}
 	r.repubRoutes.Add(1)
 	sp.SetAttr("republisher", owner.Name)
-	resp, err := r.exec(ctx, owner.Endpoint, req)
+	resp, err := r.call(ctx, owner, req, sp)
 	if err == nil {
 		br.OnSuccess()
 		return resp, true

@@ -14,9 +14,17 @@ import (
 // Gateway, so web.RemoteQueryContext — and therefore the entry gateway's
 // resilient router — works against a republisher unchanged. GET /status
 // serves the ownership set, the membership it was computed from, each owned
-// site's feed and the counters.
+// site's feed and the counters; GET /metrics serves the counters in the
+// Prometheus text format.
 func (g *Gateway) Handler() *web.Front {
-	return web.NewFront(nil, web.QueryRoute(g), web.Route{Pattern: "GET /status", Serve: g.serveStatus})
+	return web.NewFront(nil, web.QueryRoute(g),
+		web.Route{Pattern: "GET /status", Serve: g.serveStatus},
+		web.Route{Pattern: "GET /metrics", Serve: g.serveMetrics})
+}
+
+func (g *Gateway) serveMetrics(_ context.Context, w http.ResponseWriter, _ *http.Request, _ security.Principal) {
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	_ = g.metrics.WritePrometheus(w)
 }
 
 func (g *Gateway) serveStatus(_ context.Context, w http.ResponseWriter, _ *http.Request, _ security.Principal) {

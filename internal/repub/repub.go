@@ -3,6 +3,7 @@ package repub
 import (
 	"context"
 	"fmt"
+	"math/rand/v2"
 	"slices"
 	"sort"
 	"sync"
@@ -12,6 +13,7 @@ import (
 	"gridrm/internal/core"
 	"gridrm/internal/glue"
 	"gridrm/internal/gma"
+	"gridrm/internal/metrics"
 	"gridrm/internal/resultset"
 	"gridrm/internal/retry"
 	"gridrm/internal/sqlparse"
@@ -60,6 +62,9 @@ type Stats struct {
 	SiteQueries int64 `json:"siteQueries"`
 	// NotOwned counts queries refused because the site is not owned.
 	NotOwned int64 `json:"notOwned"`
+	// NotModified counts region and site queries answered 304: the
+	// caller's validator was still current, so nothing was evaluated.
+	NotModified int64 `json:"notModified"`
 	// Scrapes and ScrapeErrors count child-site scrape attempts.
 	Scrapes      int64 `json:"scrapes"`
 	ScrapeErrors int64 `json:"scrapeErrors"`
@@ -88,9 +93,16 @@ type Gateway struct {
 	opts  Options
 	store *Store
 	plans *sqlparse.PlanCache
+	// epoch is drawn at New, so a restarted republisher never matches a
+	// validator its predecessor handed out.
+	epoch   uint64
+	metrics *metrics.Registry
 
-	mu         sync.Mutex
+	mu sync.Mutex
+	// owns is replaced whole, never written in place, so a reader may keep
+	// the slice it read under mu. ownsGen counts the replacements.
 	owns       []string
+	ownsGen    uint64
 	membership Membership
 	workers    map[string]*siteWorker
 	started    bool
@@ -101,6 +113,7 @@ type Gateway struct {
 	regionQueries      atomic.Int64
 	siteQueries        atomic.Int64
 	notOwned           atomic.Int64
+	notModified        atomic.Int64
 	scrapes            atomic.Int64
 	scrapeErrors       atomic.Int64
 	liveRows           atomic.Int64
@@ -156,12 +169,42 @@ func New(opts Options) (*Gateway, error) {
 		opts:    opts,
 		store:   NewStore(),
 		plans:   sqlparse.NewPlanCache(512), // the site gateways' size: entries send the same few texts
+		epoch:   rand.Uint64(),
+		metrics: metrics.NewRegistry(),
 		workers: make(map[string]*siteWorker),
 	}
 	if g.opts.Query == nil {
 		g.opts.Query = g.directoryQuery
 	}
+	g.registerMetrics()
 	return g, nil
+}
+
+// registerMetrics exports Stats on the republisher's GET /metrics. A
+// counter field Foo is gridrm_repub_foo_total and the one gauge, StoredRows,
+// is gridrm_repub_stored_rows.
+func (g *Gateway) registerMetrics() {
+	for _, c := range []struct {
+		name, help string
+		v          *atomic.Int64
+	}{
+		{"region_queries", "Queries answered from the merged region view.", &g.regionQueries},
+		{"site_queries", "Queries answered for one owned site.", &g.siteQueries},
+		{"not_owned", "Queries refused because a site they name is not owned.", &g.notOwned},
+		{"not_modified", "Queries answered 304 Not Modified: the caller's validator was current.", &g.notModified},
+		{"scrapes", "Child-site scrape attempts.", &g.scrapes},
+		{"scrape_errors", "Child-site scrapes that failed.", &g.scrapeErrors},
+		{"live_rows", "Rows applied from feeds.", &g.liveRows},
+		{"subscriptions", "Feeds opened and seeded.", &g.subscriptions},
+		{"subscribe_fallbacks", "Feeds that would not open, each followed by a scrape.", &g.subscribeFallbacks},
+		{"rebalances", "Refresh cycles that changed the owned-site set.", &g.rebalances},
+		{"membership_changes", "Directory watches that returned on a membership change.", &g.membershipChanges},
+		{"refresh_errors", "Failed directory watches and registrations.", &g.refreshErrors},
+	} {
+		g.metrics.CounterFunc("gridrm_repub_"+c.name+"_total", c.help, c.v.Load)
+	}
+	g.metrics.GaugeFunc("gridrm_repub_stored_rows", "Rows held across every view.",
+		func() float64 { return float64(g.store.Rows()) })
 }
 
 // Name returns the republisher's directory name.
@@ -180,6 +223,7 @@ func (g *Gateway) Stats() Stats {
 		RegionQueries:      g.regionQueries.Load(),
 		SiteQueries:        g.siteQueries.Load(),
 		NotOwned:           g.notOwned.Load(),
+		NotModified:        g.notModified.Load(),
 		Scrapes:            g.scrapes.Load(),
 		ScrapeErrors:       g.scrapeErrors.Load(),
 		LiveRows:           g.liveRows.Load(),
@@ -264,6 +308,7 @@ func (g *Gateway) Stop(ctx context.Context) {
 	workers := g.workers
 	g.workers = make(map[string]*siteWorker)
 	g.owns = nil
+	g.ownsGen++
 	g.mu.Unlock()
 	cancel()
 	for _, w := range workers {
@@ -374,7 +419,10 @@ func (g *Gateway) rebalance(ctx context.Context, regs []gma.Registration) error 
 		return nil
 	}
 	changed := !slices.Equal(owns, g.owns)
-	g.owns = owns
+	if changed {
+		g.owns = owns
+		g.ownsGen++
+	}
 	var stopped []*siteWorker
 	ownSet := make(map[string]bool, len(owns))
 	for _, s := range owns {
@@ -581,6 +629,10 @@ func (g *Gateway) directoryQuery(ctx context.Context, site string, req core.Quer
 // to direct legs after a rebalance. Historical queries are refused: the
 // view holds latest rows only, and the refusal routes the query to the
 // site's own history store.
+//
+// Every answer carries a validator. A request that brings back the current
+// one is answered NotModified once its scope has been checked, before
+// anything is evaluated.
 func (g *Gateway) QueryContext(ctx context.Context, req core.QueryOptions) (*core.Response, error) {
 	start := g.opts.Clock()
 	if req.Mode == core.ModeHistorical {
@@ -594,36 +646,17 @@ func (g *Gateway) QueryContext(ctx context.Context, req core.QueryOptions) (*cor
 	if _, ok := glue.Lookup(q.Table); !ok {
 		return nil, fmt.Errorf("repub: unknown GLUE group %q", q.Table)
 	}
-	var sites []string
-	switch req.Site {
-	case "", g.opts.Name, core.AllSites:
-		sites = g.Owns()
-		if len(req.Region) > 0 {
-			// The caller pinned the region: answer exactly those sites, and
-			// refuse when the shard has drifted from the caller's plan — a
-			// wrong-coverage answer would silently double- or under-count.
-			owned := make(map[string]bool, len(sites))
-			for _, s := range sites {
-				owned[s] = true
-			}
-			for _, s := range req.Region {
-				if !owned[s] {
-					g.notOwned.Add(1)
-					return nil, fmt.Errorf("repub: %s does not own site %q", g.opts.Name, s)
-				}
-			}
-			sites = req.Region
-		}
-		g.regionQueries.Add(1)
-	default:
-		if !g.ownsSite(req.Site) {
-			g.notOwned.Add(1)
-			return nil, fmt.Errorf("repub: %s does not own site %q", g.opts.Name, req.Site)
-		}
-		sites = []string{req.Site}
-		g.siteQueries.Add(1)
+	sites, pinned, gen, err := g.cover(req)
+	if err != nil {
+		return nil, err
 	}
-	meta, parts, fresh := g.store.Parts(q.Table, sites)
+	id := requestID(plan.SQL, req.Mode, pinned)
+	var vbuf [validatorLen]byte
+	if req.Validator != "" && string(g.appendValidator(vbuf[:0], id, gen, g.store.Version(q.Table, sites))) == req.Validator {
+		g.notModified.Add(1)
+		return &core.Response{NotModified: true, Validator: req.Validator}, nil
+	}
+	meta, parts, fresh, version := g.store.Parts(q.Table, sites)
 	if meta == nil {
 		group, _ := glue.Lookup(q.Table)
 		if meta, err = resultset.MetadataForGroup(group, nil); err != nil {
@@ -650,16 +683,99 @@ func (g *Gateway) QueryContext(ctx context.Context, req core.QueryOptions) (*cor
 		ResultSet: out,
 		Sources:   statuses,
 		Elapsed:   g.opts.Clock().Sub(start),
+		Validator: string(g.appendValidator(vbuf[:0], id, gen, version)),
 	}, nil
 }
 
-func (g *Gateway) ownsSite(site string) bool {
+// cover returns the sites a query covers, the sites it pinned itself (a
+// site, or a region; none for the whole owned shard), and the generation of
+// the owned shard it read them at, counting the query as a region or a site
+// query, or refuses a scope that is not this republisher's to answer.
+func (g *Gateway) cover(req core.QueryOptions) (sites, pinned []string, gen uint64, err error) {
 	g.mu.Lock()
-	defer g.mu.Unlock()
-	for _, s := range g.owns {
-		if s == site {
-			return true
+	owns := g.owns // sorted
+	gen = g.ownsGen
+	g.mu.Unlock()
+	switch req.Site {
+	case "", g.opts.Name, core.AllSites:
+		if len(req.Region) > 0 {
+			// The caller pinned the region: answer exactly those sites, and
+			// refuse when the shard has drifted from the caller's plan or
+			// the region names a site twice — a wrong-coverage answer would
+			// silently double- or under-count.
+			var buf [64]bool
+			seen := buf[:]
+			if len(owns) > len(buf) {
+				seen = make([]bool, len(owns))
+			}
+			for _, s := range req.Region {
+				i, ok := slices.BinarySearch(owns, s)
+				if !ok {
+					g.notOwned.Add(1)
+					return nil, nil, 0, fmt.Errorf("repub: %s does not own site %q", g.opts.Name, s)
+				}
+				if seen[i] {
+					return nil, nil, 0, fmt.Errorf("repub: region names site %q twice", s)
+				}
+				seen[i] = true
+			}
+			g.regionQueries.Add(1)
+			return req.Region, req.Region, gen, nil
+		}
+		g.regionQueries.Add(1)
+		return owns, nil, gen, nil
+	}
+	if _, ok := slices.BinarySearch(owns, req.Site); !ok {
+		g.notOwned.Add(1)
+		return nil, nil, 0, fmt.Errorf("repub: %s does not own site %q", g.opts.Name, req.Site)
+	}
+	g.siteQueries.Add(1)
+	sites = []string{req.Site}
+	return sites, sites, gen, nil
+}
+
+// validatorLen is a validator's fixed length: four values of 16 hex digits.
+const validatorLen = 64
+
+// appendValidator appends the validator of the answer to request id over
+// views at version v, read while the owned shard was at generation gen: the
+// epoch, id, v's stamp, and v's removals plus gen. Each of the last two only
+// grows, so an answer that any update, removal or rebalance since could have
+// changed gets a validator it never had; the version is exact, since nothing
+// of it is hashed.
+func (g *Gateway) appendValidator(buf []byte, id, gen uint64, v Version) []byte {
+	const digits = "0123456789abcdef"
+	for _, x := range [4]uint64{g.epoch, id, v.Stamp, v.Removals + gen} {
+		for shift := 60; shift >= 0; shift -= 4 {
+			buf = append(buf, digits[x>>shift&0xF])
 		}
 	}
-	return false
+	return buf
 }
+
+// requestID names the question a request asks, so that a validator matches
+// only an answer to the same question: the canonical SQL, which names the
+// group; the mode the answer echoes; and the sites the request pinned, in
+// order (none for the whole owned shard, which the shard generation
+// versions). It is FNV-1a over them, each length-prefixed.
+func requestID(sql string, mode core.Mode, pinned []string) uint64 {
+	h := hashString(14695981039346656037, sql)
+	h = hashByte(h, byte(mode))
+	for _, site := range pinned {
+		h = hashString(h, site)
+	}
+	return h
+}
+
+func hashString(h uint64, s string) uint64 {
+	for n := len(s); n > 0; n >>= 8 {
+		h = hashByte(h, byte(n))
+	}
+	h = hashByte(h, 0xff)
+	for i := 0; i < len(s); i++ {
+		h = hashByte(h, s[i])
+	}
+	return h
+}
+
+func hashByte(h uint64, b byte) uint64 { return (h ^ uint64(b)) * 1099511628211 }

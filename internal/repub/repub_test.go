@@ -58,7 +58,7 @@ var selectAll = &sqlparse.Query{Table: glue.GroupProcessor, Limit: -1}
 // as QueryContext evaluates it; ok is false when no site has a view.
 func merged(t *testing.T, s *Store, group string, sites []string) (*resultset.ResultSet, []SiteFreshness, bool) {
 	t.Helper()
-	meta, parts, fresh := s.Parts(group, sites)
+	meta, parts, fresh, _ := s.Parts(group, sites)
 	if meta == nil {
 		return nil, fresh, false
 	}
@@ -950,7 +950,7 @@ func TestRegionAnswerAllocations(t *testing.T) {
 		return s
 	}
 	answer := func(s *Store, q *sqlparse.Query, sites ...string) *resultset.ResultSet {
-		meta, parts, _ := s.Parts(glue.GroupProcessor, sites)
+		meta, parts, _, _ := s.Parts(glue.GroupProcessor, sites)
 		rs, err := sqlparse.ApplyToParts(q, meta, parts)
 		if err != nil {
 			t.Fatal(err)

@@ -26,10 +26,23 @@ import (
 // stay until a push of their entity or the next snapshot, so a push of part
 // of a site (one source's harvest, a harvest another source timed out of)
 // never hides the rest, and an entity is never counted twice.
+//
+// Every update stamps its view with the next value of one store-wide
+// counter, and every removal counts, so a Version names the state of any set
+// of views exactly (see Version).
 type Store struct {
 	mu    sync.RWMutex
 	sites map[string]map[string]*groupView // site → group → view
+	// stamp is the last stamp an update gave a view; removals counts
+	// RemoveSite calls.
+	stamp, removals uint64
 }
+
+// Version is the state of the views a region answer covers: the newest
+// stamp among them and the store's removal count. Both only grow, so any
+// update to a covered view, and any view dropped, gives a later Version a
+// value no earlier one had.
+type Version struct{ Stamp, Removals uint64 }
 
 // groupView is one (site, group) slice of the merged view: a scrape's whole
 // table (snap, shared read-only) until a row is pushed, then the pushed rows
@@ -40,6 +53,8 @@ type groupView struct {
 	rows map[string]*storedRow // pushed, by source and GLUE key
 	held map[string][][]any    // scraped, by GLUE key
 	at   time.Time             // newest update
+	// stamp is the store's stamp of the view's latest update.
+	stamp uint64
 	// built is rows and held as one set, shared by the reads between two
 	// pushes as a snapshot is.
 	built atomic.Pointer[resultset.ResultSet]
@@ -87,6 +102,13 @@ func (s *Store) SetSnapshot(site, group string, rs *resultset.ResultSet, at time
 	gv := s.view(site, group)
 	gv.meta, gv.snap, gv.rows, gv.held, gv.at = rs.Metadata(), rs, nil, nil, at
 	gv.built.Store(nil)
+	s.stampView(gv)
+}
+
+// stampView marks gv updated, with s.mu held for writing.
+func (s *Store) stampView(gv *groupView) {
+	s.stamp++
+	gv.stamp = s.stamp
 }
 
 // Upsert stores one subscription-pushed row, mapping the pushed columns onto
@@ -135,6 +157,7 @@ func (s *Store) Upsert(site, group, source string, cols []string, row []any, at 
 		gv.at = at
 	}
 	gv.built.Store(nil)
+	s.stampView(gv)
 }
 
 // hold turns the view's snapshot, ahead of its first pushed row, into held
@@ -180,7 +203,25 @@ func widen(meta *resultset.Metadata, cols []string, row []any) []any {
 func (s *Store) RemoveSite(site string) {
 	s.mu.Lock()
 	delete(s.sites, site)
+	s.removals++
 	s.mu.Unlock()
+}
+
+// Version reports the state of the listed sites' views of the group.
+func (s *Store) Version(group string, sites []string) Version {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.version(group, sites)
+}
+
+func (s *Store) version(group string, sites []string) Version {
+	v := Version{Removals: s.removals}
+	for _, site := range sites {
+		if gv, ok := s.sites[site][group]; ok && gv.stamp > v.Stamp {
+			v.Stamp = gv.stamp
+		}
+	}
+	return v
 }
 
 // SiteFreshness reports per-site row counts and newest update times for
@@ -202,10 +243,11 @@ type SiteFreshness struct {
 // since nothing writes to it after SetSnapshot; live rows are built into a
 // set on the first read after a push, and the reads until the next push
 // share it the same way. Either way the parts do not change under later
-// updates.
-func (s *Store) Parts(group string, sites []string) (meta *resultset.Metadata, parts []*resultset.ResultSet, fresh []SiteFreshness) {
+// updates, and v, read under the same lock, is the version they are.
+func (s *Store) Parts(group string, sites []string) (meta *resultset.Metadata, parts []*resultset.ResultSet, fresh []SiteFreshness, v Version) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	v = s.version(group, sites)
 	fresh, parts = make([]SiteFreshness, 0, len(sites)), make([]*resultset.ResultSet, 0, len(sites))
 	for _, site := range sites {
 		sf := SiteFreshness{Site: site}
@@ -239,7 +281,7 @@ func (s *Store) Parts(group string, sites []string) (meta *resultset.Metadata, p
 		}
 		fresh = append(fresh, sf)
 	}
-	return meta, parts, fresh
+	return meta, parts, fresh, v
 }
 
 // Rows counts the stored rows across every view, for /status.

@@ -180,3 +180,32 @@ func TestConcatenationReadersAndWriters(t *testing.T) {
 		t.Fatal("a column NULL in every part holds cells")
 	}
 }
+
+// TestBytesCountsCellsWithoutFlattening: a set's Bytes grows with its rows
+// and its strings' lengths, and a concatenation counts its parts' cells
+// without copying them into columns of its own.
+func TestBytesCountsCellsWithoutFlattening(t *testing.T) {
+	meta, _, parts := concatFixture(t)
+	sum := 0
+	for _, p := range parts {
+		sum += p.Bytes()
+	}
+	cat := Gather(meta, parts, nil, nil)
+	if got := cat.Bytes(); got != sum || sum == 0 {
+		t.Errorf("a concatenation's Bytes = %d, its parts' = %d", got, sum)
+	}
+	if e := cat.ext.Load(); e == nil || e.done.Load() {
+		t.Error("Bytes flattened the concatenation")
+	}
+	long, err := NewBuilder(meta).Append(string(make([]byte, 1000)), 0.5, int64(1), nil).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	short, err := NewBuilder(meta).Append("h", 0.5, int64(1), nil).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := long.Bytes() - short.Bytes(); d != 999 {
+		t.Errorf("a 1000-byte host name counts %d bytes more than a 1-byte one, want 999", d)
+	}
+}

@@ -20,6 +20,7 @@ import (
 	"sync/atomic"
 	"text/tabwriter"
 	"time"
+	"unsafe"
 
 	"gridrm/internal/glue"
 )
@@ -684,6 +685,29 @@ func (rs *ResultSet) Clone() *ResultSet {
 		clone.cols, clone.borrowed = rs.cols, true
 	}
 	return clone
+}
+
+// Bytes estimates the memory rs's cells hold: its column headers, each
+// column's arrays at their capacity, a string column's strings, and its
+// validity bitmap; a concatenation counts its parts. Arrays shared with other
+// sets are counted here too, and rs's own header is not.
+func (rs *ResultSet) Bytes() int {
+	if held := rs.parts(); held != nil {
+		n := 0
+		for _, p := range held {
+			n += p.Bytes()
+		}
+		return n
+	}
+	n := cap(rs.cols) * int(unsafe.Sizeof(Vector{}))
+	for i := range rs.cols {
+		c := &rs.cols[i]
+		n += 8*cap(c.Nums) + 16*cap(c.Strs) + 24*cap(c.Times) + 8*cap(c.valid.words)
+		for _, s := range c.Strs {
+			n += len(s)
+		}
+	}
+	return n
 }
 
 // shareColumns returns rs's columns idx, column i of the answer being rs's

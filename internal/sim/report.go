@@ -222,12 +222,14 @@ func (h *Harness) scrapeCounters() (map[string]int64, map[string]float64) {
 		counters["stale_lookups"] = rs.StaleLookups
 		counters["repub_routes"] = rs.RepubRoutes
 		counters["repub_fallthroughs"] = rs.RepubFallthroughs
+		counters["remote_not_modified"] = rs.NotModified
 	}
 	if len(h.Repubs) > 0 {
 		ps := h.RepubStats()
 		counters["repub_region_queries"] = ps.RegionQueries
 		counters["repub_site_queries"] = ps.SiteQueries
 		counters["repub_not_owned"] = ps.NotOwned
+		counters["repub_not_modified"] = ps.NotModified
 		counters["repub_scrapes"] = ps.Scrapes
 		counters["repub_scrape_errors"] = ps.ScrapeErrors
 		counters["repub_live_rows"] = ps.LiveRows

@@ -3,6 +3,7 @@ package web
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -49,19 +50,28 @@ func (c *Client) httpClient() *http.Client {
 }
 
 func (c *Client) doContext(ctx context.Context, method, path string, body any, out any) error {
+	_, _, err := c.exchange(ctx, method, path, body, "", out)
+	return err
+}
+
+// exchange is one request: body sent as JSON, with ifNoneMatch as a strong
+// If-None-Match when it is set, and a 2xx answer decoded into out. It
+// returns the answer's strong ETag, and notModified for a 304, which has no
+// body to decode.
+func (c *Client) exchange(ctx context.Context, method, path string, body any, ifNoneMatch string, out any) (etag string, notModified bool, err error) {
 	var rdr io.Reader
 	if body != nil {
 		// Not a pooled buffer: the transport may still be reading the body
 		// after Do has returned.
 		buf, err := httpjson.Marshal(body)
 		if err != nil {
-			return err
+			return "", false, err
 		}
 		rdr = bytes.NewReader(buf)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, rdr)
 	if err != nil {
-		return err
+		return "", false, err
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
@@ -78,34 +88,51 @@ func (c *Client) doContext(ctx context.Context, method, path string, body any, o
 	if car, ok := trace.CarrierFromContext(ctx); ok {
 		req.Header.Set(trace.HeaderName, car.Header())
 	}
+	if ifNoneMatch != "" {
+		req.Header.Set(HeaderIfNoneMatch, `"`+ifNoneMatch+`"`)
+	}
 	resp, err := c.httpClient().Do(req)
 	if err != nil {
-		return fmt.Errorf("web: %w", err)
+		return "", false, fmt.Errorf("web: %w", err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode >= 400 {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return fmt.Errorf("web: %s %s: %s: %s", method, path, resp.Status, strings.TrimSpace(string(msg)))
+		return "", false, fmt.Errorf("web: %s %s: %s: %s", method, path, resp.Status, strings.TrimSpace(string(msg)))
+	}
+	etag = unquoteETag(resp.Header.Get(HeaderETag))
+	if resp.StatusCode == http.StatusNotModified {
+		return etag, true, nil
 	}
 	if out != nil {
 		if err := httpjson.DecodeBody(resp.Body, resp.ContentLength, maxResponseBody, out); err != nil {
-			return fmt.Errorf("web: %s response: %w", path, err)
+			return "", false, fmt.Errorf("web: %s response: %w", path, err)
 		}
 	}
-	return nil
+	return etag, false, nil
 }
 
 // Query executes a SQL query at the gateway. When ctx carries a trace, the
-// spans the gateway recorded for this query are stitched into it.
+// spans the gateway recorded for this query are stitched into it. A
+// req.Validator is sent as If-None-Match, and a 304 to it is the response
+// {NotModified, Validator}; an answer's ETag is its Validator.
 func (c *Client) Query(ctx context.Context, req core.QueryOptions) (*core.Response, error) {
 	var wr WireResponse
-	if err := c.doContext(ctx, http.MethodPost, "/query", FromCoreRequest(req), &wr); err != nil {
+	etag, notModified, err := c.exchange(ctx, http.MethodPost, "/query", FromCoreRequest(req), req.Validator, &wr)
+	if err != nil {
 		return nil, err
+	}
+	if notModified {
+		if req.Validator == "" {
+			return nil, errors.New("web: POST /query: 304 Not Modified to a query that sent no validator")
+		}
+		return &core.Response{NotModified: true, Validator: etag}, nil
 	}
 	resp, err := DecodeResponse(wr)
 	if err != nil {
 		return nil, err
 	}
+	resp.Validator = etag
 	trace.AttachRemote(ctx, resp.Trace)
 	return resp, nil
 }

@@ -192,22 +192,52 @@ type Querier interface {
 
 // QueryRoute is the POST /query row over q: the servlet wire protocol
 // (WireRequest in, WireResponse out) that Client.Query and
-// RemoteQueryContext speak, behind the admission gate.
+// RemoteQueryContext speak, behind the admission gate. A strong
+// If-None-Match is the request's Validator; an answer's Validator is its
+// ETag, and a NotModified answer is a 304 with no body.
 func QueryRoute(q Querier) Route {
-	return Route{Pattern: "POST /query", Gated: true, Serve: replyTo(
-		func(ctx context.Context, p security.Principal, wr *WireRequest) (any, error) {
-			req, err := wr.ToCoreRequest()
-			if err != nil {
-				return nil, err
-			}
-			req.Principal = p
-			// The client's connection context bounds the query: a caller
-			// that gives up (or a parent gateway whose deadline expires)
-			// cancels the fan-out here too.
-			resp, err := q.QueryContext(ctx, req)
-			if err != nil {
-				return nil, err
-			}
-			return EncodeResponse(resp), nil
-		})}
+	return Route{Pattern: "POST /query", Gated: true, Serve: func(ctx context.Context, w http.ResponseWriter, r *http.Request, p security.Principal) {
+		var wr WireRequest
+		if !httpjson.ReadJSON(w, r, &wr) {
+			return
+		}
+		req, err := wr.ToCoreRequest()
+		if err != nil {
+			httpError(w, err)
+			return
+		}
+		req.Principal = p
+		req.Validator = unquoteETag(r.Header.Get(HeaderIfNoneMatch))
+		// The client's connection context bounds the query: a caller
+		// that gives up (or a parent gateway whose deadline expires)
+		// cancels the fan-out here too.
+		resp, err := q.QueryContext(ctx, req)
+		if err != nil {
+			httpError(w, err)
+			return
+		}
+		if resp.Validator != "" {
+			w.Header().Set(HeaderETag, `"`+resp.Validator+`"`)
+		}
+		if resp.NotModified {
+			w.WriteHeader(http.StatusNotModified)
+			return
+		}
+		httpjson.WriteJSON(w, EncodeResponse(resp))
+	}}
+}
+
+// Validator headers, canonical as the principal headers are.
+const (
+	HeaderETag        = "Etag"
+	HeaderIfNoneMatch = "If-None-Match"
+)
+
+// unquoteETag returns the validator a header names as one strong entity
+// tag, "" for anything else: an empty header, a weak tag, a list or *.
+func unquoteETag(h string) string {
+	if len(h) < 3 || h[0] != '"' || h[len(h)-1] != '"' || strings.IndexByte(h[1:len(h)-1], '"') >= 0 {
+		return ""
+	}
+	return h[1 : len(h)-1]
 }

@@ -192,9 +192,10 @@ func TestQueryRouteBehindAnyQuerier(t *testing.T) {
 	}
 }
 
-// The four GridRM headers are spelled the way net/http keys its header maps,
-// so Header.Set and Header.Get use the constants as they are; any other
-// spelling costs a canonicalised copy on every request, at both ends.
+// The four GridRM headers and the two validator headers are spelled the way
+// net/http keys its header maps, so Header.Set and Header.Get use the
+// constants as they are; any other spelling costs a canonicalised copy on
+// every request, at both ends.
 func TestHeaderNamesCanonical(t *testing.T) {
 	for _, name := range []string{web.HeaderUser, web.HeaderRoles, web.HeaderSite, trace.HeaderName} {
 		if canon := http.CanonicalHeaderKey(name); canon != name {
@@ -202,6 +203,11 @@ func TestHeaderNamesCanonical(t *testing.T) {
 		}
 		if documented := "X-GridRM-"; !strings.EqualFold(name[:len(documented)], documented) {
 			t.Errorf("header %q is no longer the documented X-GridRM-… under case folding", name)
+		}
+	}
+	for _, name := range []string{web.HeaderETag, web.HeaderIfNoneMatch} {
+		if canon := http.CanonicalHeaderKey(name); canon != name {
+			t.Errorf("header %q is not canonical (%q)", name, canon)
 		}
 	}
 }

@@ -139,6 +139,19 @@ func TestQueryOverHTTP(t *testing.T) {
 	}
 }
 
+// TestSiteGatewaySendsNoValidator: a site gateway's answers carry no
+// validator, so its /query never writes an ETag or a 304, whatever the
+// request brings.
+func TestSiteGatewaySendsNoValidator(t *testing.T) {
+	f := newFixture(t, nil)
+	for _, v := range []string{"", "v1"} {
+		resp, err := f.client.Query(context.Background(), core.QueryOptions{SQL: "SELECT HostName FROM Processor", Validator: v})
+		if err != nil || resp.NotModified || resp.Validator != "" || resp.ResultSet.Len() != 2 {
+			t.Errorf("site query with validator %q = %+v, %v; want a full answer without one", v, resp, err)
+		}
+	}
+}
+
 func TestQueryForbiddenOverHTTP(t *testing.T) {
 	coarse := security.NewCoarsePolicy(security.Deny)
 	coarse.Add(security.CoarseRule{Principal: "admin", Decision: security.Allow})
