@@ -39,7 +39,8 @@ func legLabel(leg FanoutLeg) string {
 }
 
 // relabel appends a leg's source statuses to dst, each under the leg's
-// label, and grows dst once, not once a status. A labelled source is a name
+// label, and grows dst once, not once a status. dst may be sources[:0],
+// which relabels them in place. A labelled source is a name
 // the next poll repeats, so it comes from the intern table when it is short
 // enough: built on the stack, it allocates only the first time.
 func relabel(dst []SourceStatus, label string, sources []SourceStatus) []SourceStatus {
@@ -109,21 +110,34 @@ func (g *Gateway) queryAllSites(ctx context.Context, req QueryOptions, start tim
 	g.mu.RLock()
 	router := g.router
 	g.mu.RUnlock()
-	legs := []FanoutLeg{{Target: g.name}}
-	siteCount := 1
+	// Leg 0 is the local site; the others are the router's plan, which is
+	// shared with every query of the same copy of the directory.
+	var planned []FanoutLeg
 	var planErr error
 	if router != nil {
-		var planned []FanoutLeg
 		planned, planErr = router.FanoutPlan(ctx)
-		for _, leg := range planned {
-			if leg.Republisher {
-				siteCount += len(leg.Covers)
-			} else {
-				siteCount++
-			}
-		}
-		legs = append(legs, planned...)
 	}
+	leg := func(i int) FanoutLeg {
+		if i == 0 {
+			return FanoutLeg{Target: g.name}
+		}
+		return planned[i-1]
+	}
+	nlegs := 1 + len(planned)
+	// siteCount is the sites the plan covers; room is the statuses the
+	// local leg's array keeps free for the others: an answered region leg
+	// adds exactly one. What direct legs add is not known until they
+	// answer, so the collector grows the array for them.
+	siteCount, regions := 1, 0
+	for _, l := range planned {
+		if l.Republisher {
+			siteCount += len(l.Covers)
+			regions++
+		} else {
+			siteCount++
+		}
+	}
+	room := regions
 
 	// querySite runs one direct sub-query against a site (local or
 	// remote) under its own span.
@@ -132,7 +146,11 @@ func (g *Gateway) queryAllSites(ctx context.Context, req QueryOptions, start tim
 		lsp.SetAttr("site", site)
 		r := subReq
 		r.Site = site
-		resp, err := g.QueryContext(markSubQuery(lctx), r)
+		extra := 0
+		if site == g.name {
+			extra = room
+		}
+		resp, err := g.QueryContext(markSubQuery(lctx, extra), r)
 		lsp.SetError(err)
 		lsp.End()
 		return resp, err
@@ -153,12 +171,12 @@ func (g *Gateway) queryAllSites(ctx context.Context, req QueryOptions, start tim
 	// the channel instead of blocking or racing the collection below.
 	fanoutStart := g.clock()
 	g.fanouts.Add(1)
-	g.fanoutLegs.Add(int64(len(legs) - 1)) // legs[0] is the local leg
+	g.fanoutLegs.Add(int64(nlegs - 1))
 	fctx, fsp := trace.StartSpan(ctx, "fanout")
 	fsp.SetAttrInt("sites", siteCount)
-	fsp.SetAttrInt("legs", len(legs))
-	ch := make(chan legResult, len(legs))
-	for i, leg := range legs {
+	fsp.SetAttrInt("legs", nlegs)
+	ch := make(chan legResult, nlegs)
+	for i := range nlegs {
 		go func(i int, leg FanoutLeg) {
 			out := legResult{i: i}
 			if leg.Republisher {
@@ -172,7 +190,7 @@ func (g *Gateway) queryAllSites(ctx context.Context, req QueryOptions, start tim
 				// re-count it, and one whose shard drifted must refuse so we
 				// degrade to direct legs below.
 				r.Region = leg.Covers
-				resp, err := g.QueryContext(markSubQuery(lctx), r)
+				resp, err := g.QueryContext(markSubQuery(lctx, 0), r)
 				lsp.SetError(err)
 				lsp.End()
 				if err == nil {
@@ -230,11 +248,11 @@ func (g *Gateway) queryAllSites(ctx context.Context, req QueryOptions, start tim
 			out.results = append(out.results, resp.ResultSet)
 			out.label, out.sources = legLabel(leg), resp.Sources
 			ch <- out
-		}(i, leg)
+		}(i, leg(i))
 	}
-	results := make([]legResult, len(legs))
-	answeredLeg := make([]bool, len(legs))
-	remaining := len(legs)
+	results := make([]legResult, nlegs)
+	answeredLeg := make([]bool, nlegs)
+	remaining := nlegs
 collect:
 	for remaining > 0 {
 		select {
@@ -243,11 +261,11 @@ collect:
 			answeredLeg[r.i] = true
 			remaining--
 		case <-ctx.Done():
-			for i, leg := range legs {
+			for i := range nlegs {
 				if !answeredLeg[i] {
 					g.timeouts.Add(1)
 					results[i] = legResult{i: i, statuses: []SourceStatus{{
-						Source: legLabel(leg),
+						Source: legLabel(leg(i)),
 						Err:    fmt.Errorf("%s: %w", ErrTimedOut, ctx.Err()).Error(),
 					}}}
 				}
@@ -270,9 +288,20 @@ collect:
 		}
 	}
 	parts := make([]*resultset.ResultSet, 0, answers)
-	statuses := make([]SourceStatus, 0, sources+1)
-	if planErr != nil {
+	// An answered local leg's statuses lead the answer's, and that leg is a
+	// sub-query whose Response nobody else holds, made with room for the
+	// other legs' statuses: they are relabelled in place and the rest go
+	// after them. A plan error, which leads the answer, or a failed local leg
+	// takes a new array.
+	var statuses []SourceStatus
+	switch {
+	case planErr != nil:
+		statuses = make([]SourceStatus, 0, sources+1)
 		statuses = append(statuses, SourceStatus{Source: "plan", Err: planErr.Error()})
+	case results[0].label != "":
+		statuses = slices.Grow(results[0].sources[:0], sources)
+	default:
+		statuses = make([]SourceStatus, 0, sources)
 	}
 	for _, lr := range results {
 		answered += lr.answered

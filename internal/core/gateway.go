@@ -262,7 +262,8 @@ type GlobalRouter interface {
 	RemoteQueryContext(ctx context.Context, site string, req QueryOptions) (*Response, error)
 	// FanoutPlan lists the legs of an all-sites query beyond the local one:
 	// a direct leg for each remote site the router can reach, or one region
-	// leg for all the sites a republisher answers for.
+	// leg for all the sites a republisher answers for. The legs and their
+	// Covers may be shared with other callers: they are read, never written.
 	FanoutPlan(ctx context.Context) ([]FanoutLeg, error)
 }
 
@@ -298,8 +299,12 @@ type Gateway struct {
 	pruneStop chan struct{}
 	pruneDone chan struct{}
 
-	mu       sync.RWMutex
-	sources  map[string]*source
+	mu      sync.RWMutex
+	sources map[string]*source
+	// sorted is every key of sources in order, shared by every reader and
+	// never written in place; nil once a registration has changed, until the
+	// next read rebuilds it (sortedSources).
+	sorted   []string
 	router   GlobalRouter
 	closed   bool
 	inflight sync.WaitGroup // queries in flight; Add only under mu while !closed
@@ -759,6 +764,7 @@ func (g *Gateway) AddSource(cfg SourceConfig) error {
 		return fmt.Errorf("core: source %s already registered", cfg.URL)
 	}
 	g.sources[cfg.URL] = &source{SourceInfo: SourceInfo{SourceConfig: cfg}, breaker: breaker.New(g.breakerOpts)}
+	g.sorted = nil
 	g.drivers.SetPreferences(cfg.URL, cfg.Drivers)
 	return nil
 }
@@ -769,6 +775,7 @@ func (g *Gateway) RemoveSource(url string) error {
 	_, ok := g.sources[url]
 	if ok {
 		delete(g.sources, url)
+		g.sorted = nil
 	}
 	g.mu.Unlock()
 	if !ok {
@@ -858,16 +865,32 @@ func (g *Gateway) SetGlobalRouter(r GlobalRouter) {
 // Prober returns the gateway's source health prober.
 func (g *Gateway) Prober() *health.Prober { return g.prober }
 
-// ProbeTargets implements health.Pinger: every registered source URL.
-func (g *Gateway) ProbeTargets() []string {
+// ProbeTargets implements health.Pinger: every registered source URL, in
+// order. The slice is the registry's shared one.
+func (g *Gateway) ProbeTargets() []string { return g.sortedSources() }
+
+// sortedSources returns every registered source URL in order. The list is
+// built on the first read after a registration changed and then shared by
+// every reader until the next change, so registering 5,000 sources sorts
+// once, not once a source; readers must not write to it.
+func (g *Gateway) sortedSources() []string {
 	g.mu.RLock()
-	urls := make([]string, 0, len(g.sources))
-	for url := range g.sources {
-		urls = append(urls, url)
-	}
+	urls := g.sorted
 	g.mu.RUnlock()
-	sort.Strings(urls)
-	return urls
+	if urls != nil {
+		return urls
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.sorted == nil {
+		urls := make([]string, 0, len(g.sources))
+		for url := range g.sources {
+			urls = append(urls, url)
+		}
+		sort.Strings(urls)
+		g.sorted = urls
+	}
+	return g.sorted
 }
 
 // ProbeSource implements health.Pinger: a cheap liveness check of one

@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"gridrm/internal/driver"
@@ -248,7 +248,7 @@ func (g *Gateway) QueryContext(ctx context.Context, opts QueryOptions) (*Respons
 	} else {
 		span.End()
 	}
-	if !isSubQuery(ctx) {
+	if _, sub := subQueryRoom(ctx); !sub {
 		slow := trace.SlowQuery{
 			Time:    start,
 			Site:    g.name,
@@ -307,17 +307,21 @@ func (g *Gateway) deadline(ctx context.Context, timeout time.Duration, start tim
 	return context.WithTimeout(ctx, timeout-g.clock().Sub(start))
 }
 
-// subQueryKey marks the contexts of an all-sites fan-out's local legs, so
-// only the consolidated parent query lands in the slow-query log.
+// subQueryKey marks the contexts of an all-sites fan-out's legs, so only
+// the consolidated parent query lands in the slow-query log. Its value is
+// the room the local leg's status array keeps for the statuses the parent
+// appends after it (0 on the other legs).
 type subQueryKey struct{}
 
-func markSubQuery(ctx context.Context) context.Context {
-	return context.WithValue(ctx, subQueryKey{}, true)
+func markSubQuery(ctx context.Context, room int) context.Context {
+	return context.WithValue(ctx, subQueryKey{}, room)
 }
 
-func isSubQuery(ctx context.Context) bool {
-	marked, _ := ctx.Value(subQueryKey{}).(bool)
-	return marked
+// subQueryRoom reports whether ctx is a fan-out leg's, and the room its
+// status array keeps.
+func subQueryRoom(ctx context.Context) (room int, marked bool) {
+	room, marked = ctx.Value(subQueryKey{}).(int)
+	return room, marked
 }
 
 func (g *Gateway) query(ctx context.Context, req QueryOptions, start time.Time) (*Response, error) {
@@ -419,7 +423,8 @@ func (g *Gateway) queryLive(ctx context.Context, req QueryOptions, plan *sqlpars
 		return nil, err
 	}
 	hsql := harvestSQL(group.Name) // once per query, not per source
-	statuses := make([]SourceStatus, len(targets))
+	room, _ := subQueryRoom(ctx)
+	statuses := make([]SourceStatus, len(targets), len(targets)+room)
 	results := make([]*resultset.ResultSet, len(targets))
 	qsp := trace.SpanFromContext(ctx)
 	var open []openSource
@@ -534,23 +539,28 @@ func (g *Gateway) targetSources(req QueryOptions, group *glue.Group) ([]string, 
 		}
 		return urls, nil
 	}
-	g.mu.RLock()
-	urls := make([]string, 0, len(g.sources))
-	for url := range g.sources {
-		urls = append(urls, url)
-	}
-	g.mu.RUnlock()
-	sort.Strings(urls)
-	var targets []string
-	for _, url := range urls {
+	// The registry's sorted list is shared: returned as it is when every
+	// source maps the group, copied only when one must be dropped. The group
+	// is checked on every call, so a new last-good driver or preference
+	// counts at once.
+	urls := g.sortedSources()
+	for i, url := range urls {
 		if g.supportsGroup(url, group.Name) {
-			targets = append(targets, url)
+			continue
 		}
+		targets := slices.Clip(urls[:i])
+		for _, url := range urls[i+1:] {
+			if g.supportsGroup(url, group.Name) {
+				targets = append(targets, url)
+			}
+		}
+		urls = targets
+		break
 	}
-	if len(targets) == 0 {
+	if len(urls) == 0 {
 		return nil, fmt.Errorf("core: no registered source supports group %s", group.Name)
 	}
-	return targets, nil
+	return urls, nil
 }
 
 // supportsGroup reports whether some driver usable for url maps the group.

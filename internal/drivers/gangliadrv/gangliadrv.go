@@ -85,6 +85,13 @@ func (s *session) fetch() (*ganglia.Document, error) {
 	if err != nil {
 		return nil, err
 	}
+	return parseDocument(data)
+}
+
+// parseDocument parses one gmond dump, at most drvkit.MaxAgentResponse bytes
+// as fetch reads it. It is the driver's whole surface to a hostile agent
+// (FuzzGangliaDocument).
+func parseDocument(data []byte) (*ganglia.Document, error) {
 	var doc ganglia.Document
 	if err := xml.Unmarshal(data, &doc); err != nil {
 		return nil, fmt.Errorf("parsing gmond XML: %w", err)
@@ -99,7 +106,7 @@ func (s *session) Fetch(rows *drvkit.Rows) error {
 		return err
 	}
 	for _, host := range doc.Cluster.Hosts {
-		if err := rows.Add(hostResolver(rows.Group, host)); err != nil {
+		if err := rows.Add(hostResolver(rows.Group, rows.Mapping, host)); err != nil {
 			return err
 		}
 	}
@@ -108,60 +115,91 @@ func (s *session) Fetch(rows *drvkit.Rows) error {
 
 // hostResolver translates gmond metric names (plus the pseudo-metrics
 // "hostname" and "ip") into GLUE-typed values for one host, parsing the
-// string VALs the coarse XML response carries.
-func hostResolver(g *glue.Group, host ganglia.Host) func(string) (any, bool) {
+// string VALs the coarse XML response carries. A VAL the field it maps to
+// cannot hold (text where gm puts a number) is unavailable, so NULL, as a
+// metric gmond does not report is: one odd metric does not fail the harvest.
+func hostResolver(g *glue.Group, gm *schema.GroupMapping, host ganglia.Host) func(string) (any, bool) {
 	metrics := make(map[string]ganglia.Metric, len(host.Metrics))
 	for _, m := range host.Metrics {
 		metrics[m.Name] = m
 	}
 	return func(native string) (any, bool) {
-		switch native {
-		case "hostname":
-			return host.Name, true
-		case "ip":
-			if host.IP == "" {
-				return nil, false
-			}
-			return host.IP, true
-		}
-		if len(native) > 6 && native[:6] == "const:" {
-			// Synthetic key values for gmond's cluster-wide aggregates.
-			return native[6:], true
-		}
-		name, conv, hasConv := cutConv(native)
-		m, ok := metrics[name]
+		v, ok := hostValue(host, metrics, native)
 		if !ok {
 			return nil, false
 		}
-		f, err := strconv.ParseFloat(m.Val, 64)
-		if m.Type == "string" || err != nil {
-			if hasConv {
+		for _, fm := range gm.Fields {
+			if fm.Native != native {
+				continue
+			}
+			if i := g.FieldIndex(fm.GLUEField); i >= 0 && glue.CheckValue(g.Fields[i], v) != nil {
 				return nil, false
 			}
-			return m.Val, true
 		}
-		if hasConv {
-			switch conv {
-			case "kb-to-mb":
-				return int64(f) / 1024, true
-			case "gb-to-mb":
-				return int64(f * 1024), true
-			case "idle-to-util":
-				return 100 - f, true
-			case "unix-to-time":
-				return time.Unix(int64(f), 0).UTC(), true
-			case "int":
-				return int64(f), true
-			}
+		return v, true
+	}
+}
+
+// hostValue is one native value of host, whose metrics are by name.
+func hostValue(host ganglia.Host, metrics map[string]ganglia.Metric, native string) (any, bool) {
+	switch native {
+	case "hostname":
+		return host.Name, true
+	case "ip":
+		if host.IP == "" {
 			return nil, false
 		}
-		// Default numeric: kind decided by the GLUE field at BuildRow;
-		// return float unless integral metric type.
-		if m.Type == "uint32" {
-			return int64(f), true
-		}
-		return f, true
+		return host.IP, true
 	}
+	if len(native) > 6 && native[:6] == "const:" {
+		// Synthetic key values for gmond's cluster-wide aggregates.
+		return native[6:], true
+	}
+	name, conv, hasConv := cutConv(native)
+	m, ok := metrics[name]
+	if !ok {
+		return nil, false
+	}
+	f, err := strconv.ParseFloat(m.Val, 64)
+	if m.Type == "string" || err != nil {
+		if hasConv {
+			return nil, false
+		}
+		return m.Val, true
+	}
+	if hasConv {
+		if conv == "idle-to-util" {
+			return 100 - f, true
+		}
+		if conv == "gb-to-mb" {
+			f *= 1024
+		}
+		// The other conversions are integral: a reading no int64 holds
+		// is NULL.
+		n, ok := schema.Int64(f)
+		if !ok {
+			return nil, false
+		}
+		switch conv {
+		case "kb-to-mb":
+			return n / 1024, true
+		case "gb-to-mb", "int":
+			return n, true
+		case "unix-to-time":
+			return time.Unix(n, 0).UTC(), true
+		}
+		return nil, false
+	}
+	// Default numeric: kind decided by the GLUE field at BuildRow;
+	// return float unless integral metric type.
+	if m.Type == "uint32" {
+		n, ok := schema.Int64(f)
+		if !ok {
+			return nil, false
+		}
+		return n, true
+	}
+	return f, true
 }
 
 // cutConv splits "metric|conversion" natives.

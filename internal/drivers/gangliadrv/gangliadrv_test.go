@@ -266,3 +266,26 @@ func TestSchemaValid(t *testing.T) {
 		t.Error("ganglia driver must not claim Process")
 	}
 }
+
+// TestOutOfRangeReadingsAreNull: a VAL that no int64 holds reads NULL in an
+// integral field, never the number a bare conversion would make of it.
+func TestOutOfRangeReadingsAreNull(t *testing.T) {
+	for _, tc := range []struct{ native, val, typ string }{
+		{"cpu_num|int", "1e300", "uint32"},
+		{"cpu_num", "1e300", "uint32"},
+		{"mem_total|kb-to-mb", "-5e30", "float"},
+		{"disk_total|gb-to-mb", "1e16", "double"},
+		{"boottime|unix-to-time", "NaN", "uint32"},
+		{"bytes_in|int", "+Inf", "float"},
+	} {
+		name, _, _ := cutConv(tc.native)
+		metrics := map[string]ganglia.Metric{name: {Name: name, Val: tc.val, Type: tc.typ}}
+		if v, ok := hostValue(ganglia.Host{Name: "h"}, metrics, tc.native); ok {
+			t.Errorf("%s with VAL %q reads %v, want NULL", tc.native, tc.val, v)
+		}
+	}
+	metrics := map[string]ganglia.Metric{"cpu_num": {Name: "cpu_num", Val: "4", Type: "uint32"}}
+	if v, ok := hostValue(ganglia.Host{Name: "h"}, metrics, "cpu_num|int"); !ok || v != int64(4) {
+		t.Errorf("cpu_num 4 reads %v, %v", v, ok)
+	}
+}

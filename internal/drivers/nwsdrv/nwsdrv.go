@@ -65,14 +65,7 @@ func (s *session) Ping() error {
 // listSeries runs LIST and returns host → resources.
 func (s *session) listSeries() (map[string][]string, error) {
 	out := make(map[string][]string)
-	err := s.Command("LIST", func(line string) error {
-		fields := strings.Fields(line)
-		if len(fields) != 2 {
-			return fmt.Errorf("nwsdrv: bad LIST line %q", line)
-		}
-		out[fields[0]] = append(out[fields[0]], fields[1])
-		return nil
-	})
+	err := s.Command("LIST", func(line string) error { return parseListLine(out, line) })
 	return out, err
 }
 
@@ -82,32 +75,7 @@ func (s *session) latest(host, resource string) (float64, bool, error) {
 	if err := s.Send("SERIES " + host + " " + resource); err != nil {
 		return 0, false, err
 	}
-	header, err := s.ReadLine()
-	if err != nil {
-		return 0, false, err
-	}
-	var n int
-	if _, err := fmt.Sscanf(header, "OK %d", &n); err != nil {
-		return 0, false, fmt.Errorf("nwsdrv: bad SERIES header %q", header)
-	}
-	var last float64
-	have := false
-	for i := 0; i < n; i++ {
-		line, err := s.ReadLine()
-		if err != nil {
-			return 0, false, err
-		}
-		var ts int64
-		var v float64
-		if _, err := fmt.Sscanf(line, "%d %g", &ts, &v); err != nil {
-			return 0, false, fmt.Errorf("nwsdrv: bad series line %q", line)
-		}
-		last, have = v, true
-	}
-	if end, err := s.ReadLine(); err != nil || end != "END" {
-		return 0, false, fmt.Errorf("nwsdrv: missing END (got %q, %v)", end, err)
-	}
-	return last, have, nil
+	return parseSeries(s.ReadLine)
 }
 
 // forecastValue fetches the NWS forecast of one series.
@@ -119,6 +87,58 @@ func (s *session) forecastValue(host, resource string) (float64, bool, error) {
 	if err != nil {
 		return 0, false, err
 	}
+	return parseForecast(line)
+}
+
+// The reply parsers below read what the nameserver sent and nothing else, so
+// they are the driver's whole surface to a hostile peer (FuzzNWSReply).
+
+// parseListLine adds one "<host> <resource>" line of a LIST reply to out.
+func parseListLine(out map[string][]string, line string) error {
+	fields := strings.Fields(line)
+	if len(fields) != 2 {
+		return fmt.Errorf("nwsdrv: bad LIST line %q", line)
+	}
+	out[fields[0]] = append(out[fields[0]], fields[1])
+	return nil
+}
+
+// parseSeries reads a SERIES reply — "OK <n>", n "<unix> <value>" lines,
+// "END" — a line at a time from readLine, and returns the last value. The
+// claimed n only bounds the loop: nothing is sized by it, so a reply that
+// claims more lines than it sends fails at its end.
+func parseSeries(readLine func() (string, error)) (float64, bool, error) {
+	header, err := readLine()
+	if err != nil {
+		return 0, false, err
+	}
+	var n int
+	if _, err := fmt.Sscanf(header, "OK %d", &n); err != nil {
+		return 0, false, fmt.Errorf("nwsdrv: bad SERIES header %q", header)
+	}
+	var last float64
+	have := false
+	for i := 0; i < n; i++ {
+		line, err := readLine()
+		if err != nil {
+			return 0, false, err
+		}
+		var ts int64
+		var v float64
+		if _, err := fmt.Sscanf(line, "%d %g", &ts, &v); err != nil {
+			return 0, false, fmt.Errorf("nwsdrv: bad series line %q", line)
+		}
+		last, have = v, true
+	}
+	if end, err := readLine(); err != nil || end != "END" {
+		return 0, false, fmt.Errorf("nwsdrv: missing END (got %q, %v)", end, err)
+	}
+	return last, have, nil
+}
+
+// parseForecast reads a FORECAST reply line, "FORECAST <value> <mse>"; an
+// "ERR" line means the series has no forecast.
+func parseForecast(line string) (float64, bool, error) {
 	if strings.HasPrefix(line, "ERR") {
 		return 0, false, nil
 	}
@@ -197,7 +217,11 @@ func resolve(native, host string, values map[string]float64, g *glue.Group) (any
 	case "avail-to-util":
 		return (1 - v) * 100, true
 	case "mb-int":
-		return int64(v), true
+		n, ok := schema.Int64(v)
+		if !ok {
+			return nil, false // NaN, ±Inf or out of range: NULL
+		}
+		return n, true
 	case "":
 		return v, true
 	}

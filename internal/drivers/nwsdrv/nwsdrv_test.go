@@ -177,3 +177,17 @@ func TestSchemaValid(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestOutOfRangeReadingsAreNull: an mb-int reading that no int64 holds
+// reads NULL, never the number a bare conversion would make of it.
+func TestOutOfRangeReadingsAreNull(t *testing.T) {
+	for _, f := range []float64{1e300, -5e30, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		values := map[string]float64{"freeMemory": f}
+		if v, ok := resolve("freeMemory|mb-int", "h", values, nil); ok {
+			t.Errorf("freeMemory %g reads %v, want NULL", f, v)
+		}
+	}
+	if v, ok := resolve("freeMemory|mb-int", "h", map[string]float64{"freeMemory": 512.7}, nil); !ok || v != int64(512) {
+		t.Errorf("freeMemory 512.7 reads %v, %v", v, ok)
+	}
+}

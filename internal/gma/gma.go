@@ -131,6 +131,16 @@ func Digest(regs []Registration) string {
 	return strconv.FormatUint(h.Sum64(), 16)
 }
 
+// DigestHash folds a Digest into 32 bits, so a membership can be exported
+// as a gauge: every member's gridrm_directory_copy_digest is the DigestHash
+// of the membership it acts on, and two members whose gauges differ
+// disagree about the ring.
+func DigestHash(digest string) uint32 {
+	h := fnv.New32a()
+	h.Write([]byte(digest))
+	return h.Sum32()
+}
+
 // Directory is the in-process GMA directory with TTL-based expiry of
 // stale member records.
 type Directory struct {

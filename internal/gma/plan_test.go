@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -17,7 +19,8 @@ import (
 // fresh and sometimes re-listed. Every plan covers each non-local site of
 // the snapshot it was made from exactly once, directly or in one region
 // leg, never the local site, and targets only that snapshot's
-// republishers with its region legs.
+// republishers with its region legs; and the plan the router keeps with its
+// copy is the plan computed afresh from that copy.
 func TestFanoutPlanCoversEverySiteOnce(t *testing.T) {
 	const local = "local"
 	roles := []Role{RoleSite, RoleSite, RoleSite, RoleRepublisher, RoleEntry}
@@ -58,8 +61,12 @@ func TestFanoutPlanCoversEverySiteOnce(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d step %d: %v", seed, step, err)
 			}
-			if err := planCovers(r.kept(), local, legs); err != nil {
+			s := r.kept()
+			if err := planCovers(s, local, legs); err != nil {
 				t.Fatalf("seed %d step %d: %v\nlegs %+v", seed, step, err, legs)
+			}
+			if fresh := s.plan(local); !reflect.DeepEqual(legs, fresh) {
+				t.Fatalf("seed %d step %d: the kept plan %+v is not the plan of its copy %+v", seed, step, legs, fresh)
 			}
 		}
 	}
@@ -96,4 +103,73 @@ func planCovers(s *snapshot, local string, legs []core.FanoutLeg) error {
 		return fmt.Errorf("%q is covered %d times but is not a non-local site", name, n)
 	}
 	return nil
+}
+
+// TestFanoutPlanIsMadeOncePerCopy: every FanoutPlan on a kept copy of the
+// directory returns the same legs and allocates nothing; the first call
+// after the copy is listed again sees a site join, and then one leave; and
+// a router that keeps no copy still plans.
+func TestFanoutPlanIsMadeOncePerCopy(t *testing.T) {
+	ctx := context.Background()
+	dir := NewDirectory(0, nil)
+	for _, reg := range []Registration{
+		{Name: "local", Role: RoleSite}, {Name: "s1", Role: RoleSite}, {Name: "s2", Role: RoleSite},
+		{Name: "r1", Role: RoleRepublisher}, {Name: "r2", Role: RoleRepublisher},
+	} {
+		reg.Endpoint = "http://" + reg.Name
+		if err := dir.RegisterContext(ctx, reg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	now := time.Unix(1000, 0)
+	r := NewRouter(dir, nil, "local", Config{LookupTTL: 10 * time.Second, Clock: func() time.Time { return now }})
+	covered := func(legs []core.FanoutLeg) (sites []string) {
+		for _, leg := range legs {
+			sites = append(sites, leg.Covers...)
+		}
+		slices.Sort(sites)
+		return sites
+	}
+	first, err := r.FanoutPlan(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := covered(first); !slices.Equal(got, []string{"s1", "s2"}) {
+		t.Fatalf("plan covers %v", got)
+	}
+	again, _ := r.FanoutPlan(ctx)
+	if &again[0] != &first[0] {
+		t.Error("a second plan over the kept copy was built again")
+	}
+	if !raceEnabled {
+		if n := testing.AllocsPerRun(100, func() { _, _ = r.FanoutPlan(ctx) }); n != 0 {
+			t.Errorf("FanoutPlan allocates %v per call on a kept copy", n)
+		}
+	}
+
+	if err := dir.RegisterContext(ctx, Registration{Name: "s3", Endpoint: "http://s3", Role: RoleSite}); err != nil {
+		t.Fatal(err)
+	}
+	now = now.Add(11 * time.Second)
+	joined, _ := r.FanoutPlan(ctx)
+	if got := covered(joined); !slices.Equal(got, []string{"s1", "s2", "s3"}) {
+		t.Errorf("after a join the plan covers %v", got)
+	}
+	if err := dir.DeregisterContext(ctx, "s1"); err != nil {
+		t.Fatal(err)
+	}
+	now = now.Add(11 * time.Second)
+	left, _ := r.FanoutPlan(ctx)
+	if got := covered(left); !slices.Equal(got, []string{"s2", "s3"}) {
+		t.Errorf("after a leave the plan covers %v", got)
+	}
+	if got := covered(first); !slices.Equal(got, []string{"s1", "s2"}) {
+		t.Errorf("a newer copy's plan changed an older one's legs: %v", got)
+	}
+
+	// A router that keeps no copy plans each call from the list it makes.
+	bare := NewRouter(dir, nil, "local", Config{LookupTTL: -1})
+	if got, _ := bare.FanoutPlan(ctx); !slices.Equal(covered(got), []string{"s2", "s3"}) {
+		t.Errorf("a router that keeps no copy plans %v", covered(got))
+	}
 }

@@ -81,11 +81,22 @@ type Stats struct {
 // in ListContext's name order, the ring over its republishers, and when
 // it was listed. It is never changed once built, so a routing decision
 // that holds one sees a single version of the directory: every site it
-// plans has an owner it can resolve.
+// plans has an owner it can resolve. The fan-out plan and the digest are
+// pure functions of the list and the local name, so a copy the router
+// keeps makes them once (see keep) and every all-sites query of the copy
+// shares them.
 type snapshot struct {
 	regs []Registration
 	ring *Ring
 	at   time.Time
+	// kept marks legs and digest as made: only a copy the router keeps
+	// has them.
+	kept bool
+	// legs is the all-sites fan-out plan over regs (see FanoutPlan).
+	legs []core.FanoutLeg
+	// digest is the 32-bit hash of Digest(regs), the
+	// gridrm_directory_copy_digest gauge.
+	digest uint32
 	// expired marks a copy a failed remote call discredited: the next
 	// decision lists again, and this one is kept for stale-on-error.
 	expired bool
@@ -99,6 +110,16 @@ func newSnapshot(regs []Registration, at time.Time) *snapshot {
 		}
 	}
 	return &snapshot{regs: regs, ring: NewRing(repubs, DefaultVNodes), at: at}
+}
+
+// keep makes what every decision on a kept copy shares: the fan-out plan
+// for the gateway named local, and the digest. It runs before the copy is
+// published, so readers never see it half made. A copy the router does not
+// keep (LookupTTL < 0) serves one decision and skips both.
+func (s *snapshot) keep(local string) {
+	s.legs = s.plan(local)
+	s.digest = DigestHash(Digest(s.regs))
+	s.kept = true
 }
 
 // find returns the member named name, whatever its role.
@@ -215,6 +236,13 @@ func (r *Router) RegisterMetrics(reg *metrics.Registry) {
 			}
 			return 0
 		})
+	reg.GaugeFunc("gridrm_directory_copy_digest", "32-bit hash of the digest of the router's copy of the directory (0 with no copy kept); members whose gauges differ disagree about the ring.",
+		func() float64 {
+			if s := r.kept(); s != nil {
+				return float64(s.digest)
+			}
+			return 0
+		})
 	reg.GaugeFunc("gridrm_directory_copy_members", "Registrations in the router's copy of the directory.",
 		func() float64 {
 			if s := r.kept(); s != nil {
@@ -286,6 +314,7 @@ func (r *Router) read(ctx context.Context) (s *snapshot, cached bool, err error)
 	s = newSnapshot(regs, now)
 	r.held.retain(s)
 	if r.cfg.LookupTTL > 0 {
+		s.keep(r.local)
 		r.mu.Lock()
 		r.snap = s
 		r.mu.Unlock()
@@ -299,7 +328,9 @@ func (r *Router) read(ctx context.Context) (s *snapshot, cached bool, err error)
 func (r *Router) expire(s *snapshot) {
 	r.mu.Lock()
 	if r.snap == s {
-		r.snap = &snapshot{regs: s.regs, ring: s.ring, at: s.at, expired: true}
+		expired := *s
+		expired.expired = true
+		r.snap = &expired
 	}
 	r.mu.Unlock()
 }
@@ -476,18 +507,30 @@ func (r *Router) Sites() []string {
 // owner and is covered exactly once. The entry gateway's fan-out degree
 // becomes O(republishers), not O(sites); a failed republisher leg is
 // re-expanded by the caller into direct legs for the sites it covered.
+//
+// The plan is made once per kept copy of the directory, so every call on a
+// kept copy returns the same legs: callers read them, and their Covers, and
+// never write to either. A router that keeps no copy plans each call.
 func (r *Router) FanoutPlan(ctx context.Context) ([]core.FanoutLeg, error) {
 	s, _, err := r.read(ctx)
 	if err != nil {
 		return nil, err
 	}
-	sites := s.sites(r.local)
+	if !s.kept {
+		return s.plan(r.local), nil
+	}
+	return s.legs, nil
+}
+
+// plan computes the fan-out plan over s for the gateway named local.
+func (s *snapshot) plan(local string) []core.FanoutLeg {
+	sites := s.sites(local)
 	if s.ring.Empty() {
 		legs := make([]core.FanoutLeg, len(sites))
 		for i, site := range sites {
 			legs[i] = core.FanoutLeg{Target: site}
 		}
-		return legs, nil
+		return legs
 	}
 	assign := s.ring.Assign(sites)
 	var legs []core.FanoutLeg
@@ -496,7 +539,7 @@ func (r *Router) FanoutPlan(ctx context.Context) ([]core.FanoutLeg, error) {
 			legs = append(legs, core.FanoutLeg{Target: reg.Name, Republisher: true, Covers: covered})
 		}
 	}
-	return legs, nil
+	return legs
 }
 
 var _ core.GlobalRouter = (*Router)(nil)

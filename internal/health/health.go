@@ -41,7 +41,8 @@ var ErrSkipped = errors.New("health: probe skipped")
 // Pinger is the surface the prober checks sources through; implemented by
 // the core Gateway.
 type Pinger interface {
-	// ProbeTargets lists the source URLs to probe.
+	// ProbeTargets lists the source URLs to probe. The prober only reads
+	// the slice, so an implementation may return one it shares.
 	ProbeTargets() []string
 	// ProbeSource cheaply verifies one source is alive (e.g. a pooled
 	// connection ping). It may return ErrSkipped (wrapped or not) when

@@ -182,7 +182,9 @@ func New(opts Options) (*Gateway, error) {
 
 // registerMetrics exports Stats on the republisher's GET /metrics. A
 // counter field Foo is gridrm_repub_foo_total and the one gauge, StoredRows,
-// is gridrm_repub_stored_rows.
+// is gridrm_repub_stored_rows. Beside them, gridrm_directory_copy_digest is
+// gma.DigestHash of Membership's digest, the gauge the entry router exports
+// for its own copy, so members whose gauges differ disagree about the ring.
 func (g *Gateway) registerMetrics() {
 	for _, c := range []struct {
 		name, help string
@@ -205,6 +207,13 @@ func (g *Gateway) registerMetrics() {
 	}
 	g.metrics.GaugeFunc("gridrm_repub_stored_rows", "Rows held across every view.",
 		func() float64 { return float64(g.store.Rows()) })
+	g.metrics.GaugeFunc("gridrm_directory_copy_digest", "32-bit hash of the digest of the directory membership the owned shard rests on (0 before the first refresh).",
+		func() float64 {
+			if d := g.Membership().Digest; d != "" {
+				return float64(gma.DigestHash(d))
+			}
+			return 0
+		})
 }
 
 // Name returns the republisher's directory name.

@@ -177,6 +177,17 @@ func (m *Manager) Drivers() []string {
 	return names
 }
 
+// Int64 converts a native numeric reading to an integer, truncating toward
+// zero as a Go conversion does. It refuses NaN, ±Inf and readings no int64
+// holds, which a conversion turns into an arbitrary number: a driver reads
+// such a value as NULL.
+func Int64(f float64) (int64, bool) {
+	if !(f >= -(1<<63) && f < 1<<63) {
+		return 0, false
+	}
+	return int64(f), true
+}
+
 // BuildRow materialises one GLUE row (canonical field order) for group g
 // under mapping gm, pulling native values through get. Unmapped fields and
 // fields whose native value is unavailable become NULL; a native value of

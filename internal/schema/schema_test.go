@@ -1,6 +1,7 @@
 package schema
 
 import (
+	"math"
 	"testing"
 
 	"gridrm/internal/glue"
@@ -174,5 +175,29 @@ func TestMappedLookup(t *testing.T) {
 	}
 	if _, ok := gm.Mapped("Model"); ok {
 		t.Error("unmapped field reported mapped")
+	}
+}
+
+func TestInt64RefusesWhatNoInt64Holds(t *testing.T) {
+	for _, tc := range []struct {
+		f    float64
+		want int64
+		ok   bool
+	}{
+		{1.9, 1, true},
+		{-1.9, -1, true},
+		{-(1 << 63), math.MinInt64, true},
+		{math.Nextafter(1<<63, 0), 1<<63 - 1024, true},
+		{1 << 63, 0, false},
+		{math.Nextafter(-(1 << 63), math.Inf(-1)), 0, false},
+		{1e300, 0, false},
+		{-5e30, 0, false},
+		{math.NaN(), 0, false},
+		{math.Inf(1), 0, false},
+		{math.Inf(-1), 0, false},
+	} {
+		if got, ok := Int64(tc.f); got != tc.want || ok != tc.ok {
+			t.Errorf("Int64(%g) = %d, %v; want %d, %v", tc.f, got, ok, tc.want, tc.ok)
+		}
 	}
 }

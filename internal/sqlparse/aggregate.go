@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 
 	"gridrm/internal/glue"
 	"gridrm/internal/resultset"
@@ -34,11 +35,58 @@ type aggOut struct {
 }
 
 // aggPlan is a compiled aggregate select list over a concrete input shape.
+// It is read, never written, by the evaluations that share it (aggMemo).
 type aggPlan struct {
 	in       []aggIn
 	out      []aggOut
 	groupIdx []int // input column indexes of the GROUP BY columns
 	meta     *resultset.Metadata
+}
+
+// aggMemo keeps the aggregate plans a Plan's Query was evaluated with: one
+// over raw rows and one over partial answers, each for the input Metadata it
+// last met. Building a plan resolves every item and makes the output
+// Metadata; kept, it is built once per input shape, and the answers of one
+// shape share one Metadata, so an entry finalizing its local leg's partial
+// answers finds their plan here too. It goes with the plan-cache entry whose
+// Query owns it: there is no package-level table.
+type aggMemo struct {
+	owner *Query // a copy of the Query shares the memo but builds its own plans
+	mu    sync.Mutex
+	plans [2]memoPlan // [0] over raw rows, [1] over partial answers
+}
+
+type memoPlan struct {
+	in   *resultset.Metadata
+	plan *aggPlan
+}
+
+// aggPlanFor returns q's aggregate plan over input shape in: over raw rows,
+// or with partial over the sites' answers to q.PartialQuery(). A Plan's
+// Query keeps the plans it builds; errors are not kept.
+func aggPlanFor(q *Query, in *resultset.Metadata, partial bool) (*aggPlan, error) {
+	build, slot := buildAggPlan, 0
+	if partial {
+		build, slot = buildPartialPlan, 1
+	}
+	m := q.aggs
+	if m == nil || m.owner != q {
+		return build(q, in)
+	}
+	m.mu.Lock()
+	kept := m.plans[slot]
+	m.mu.Unlock()
+	if kept.plan != nil && kept.in == in {
+		return kept.plan, nil
+	}
+	plan, err := build(q, in)
+	if err != nil {
+		return nil, err
+	}
+	m.mu.Lock()
+	m.plans[slot] = memoPlan{in: in, plan: plan}
+	m.mu.Unlock()
+	return plan, nil
 }
 
 func numericKind(k glue.Kind) bool { return k == glue.Int || k == glue.Float }
@@ -283,11 +331,7 @@ func (p *aggPlan) groupRows(parts []*resultset.ResultSet, sel []resultset.Ref) [
 // row order, then sorted by ORDER BY and cut by LIMIT: an answer's rows are
 // built once, from the groups that survive.
 func aggregate(q *Query, meta *resultset.Metadata, parts []*resultset.ResultSet, sel []resultset.Ref, h how) (*resultset.ResultSet, error) {
-	build := buildAggPlan
-	if h.partial {
-		build = buildPartialPlan
-	}
-	plan, err := build(q, meta)
+	plan, err := aggPlanFor(q, meta, h.partial)
 	if err != nil {
 		return nil, err
 	}

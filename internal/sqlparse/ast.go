@@ -82,6 +82,10 @@ type Query struct {
 	Desc bool
 	// Limit caps the row count; -1 means no limit.
 	Limit int
+
+	// aggs holds the aggregate plans this Query was evaluated with, when it
+	// is a Plan's (see aggMemo); a copy shares it but does not use it.
+	aggs *aggMemo
 }
 
 // Star reports whether the query selects all columns.

@@ -189,3 +189,53 @@ func TestApplyToPartsExpandsConcatenations(t *testing.T) {
 		t.Fatalf("a WHERE over the own-site leg allocated %d bytes, over its parts %d: the leg was copied", viaLeg, viaParts)
 	}
 }
+
+// TestAggregatePlanIsKeptPerShape: a plan-cache entry's Query builds its
+// aggregate plan once per input shape, so its answers — a site's partial
+// ones, and the entry's over them — share one Metadata and answer as a plan
+// built afresh does; a copy of the Query builds its own.
+func TestAggregatePlanIsKeptPerShape(t *testing.T) {
+	rs, parts := splitLoad(t)
+	c := NewPlanCache(8)
+	plan, err := c.Plan("SELECT Model, count(*), avg(LoadLast1Min) FROM Processor GROUP BY Model ORDER BY Model")
+	if err != nil {
+		t.Fatal(err)
+	}
+	site, err := c.Plan(plan.SiteSQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var partials []*resultset.ResultSet
+	for _, p := range parts {
+		partial, err := ApplyToParts(site.Query, rs.Metadata(), []*resultset.ResultSet{p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(partials) > 0 && partial.Metadata() != partials[0].Metadata() {
+			t.Fatal("a site's partial answers of one shape do not share their Metadata")
+		}
+		partials = append(partials, partial)
+	}
+	first, err := FinalizeParts(plan.Query, partials[0].Metadata(), partials)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := FinalizeParts(plan.Query, partials[0].Metadata(), partials)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Metadata() != first.Metadata() {
+		t.Error("the entry's second answer built its plan again")
+	}
+	copied := *plan.Query
+	fresh, err := FinalizeParts(&copied, partials[0].Metadata(), partials)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh.Metadata() == first.Metadata() {
+		t.Error("a copy of the Query used the plan its original kept")
+	}
+	if rendered(fresh) != rendered(first) {
+		t.Errorf("kept plan answers\n%s\nfresh plan answers\n%s", rendered(first), rendered(fresh))
+	}
+}

@@ -51,6 +51,7 @@ type Plan struct {
 func newPlan(text string, q *Query) *Plan {
 	p := &Plan{Query: q, SQL: q.String(), Consolidate: q, text: text}
 	if q.Aggregate() {
+		q.aggs = &aggMemo{owner: q}
 		p.SiteSQL = q.PartialQuery().String()
 		return p
 	}
