@@ -527,6 +527,8 @@ func (g *Gateway) registerMetrics() {
 		func() int64 { return g.push.Stats().SinkErrors })
 	r.CounterFunc("gridrm_sink_breaker_opens_total", "Per-sink breaker closed-to-open transitions.",
 		func() int64 { return g.push.Stats().SinkBreakerOpens })
+	r.CounterFunc("gridrm_fanouts_total", "All-sites fan-out queries executed.", g.fanouts.Load)
+	r.CounterFunc("gridrm_fanout_legs_total", "Remote legs the fan-outs dispatched (a republisher region leg counts once).", g.fanoutLegs.Load)
 	r.CounterFunc("gridrm_traces_started_total", "Sampled query traces begun.", func() int64 { return g.tracer.Stats().Started })
 	r.CounterFunc("gridrm_traces_stored_total", "Query traces published to the trace store.", func() int64 { return g.tracer.Stats().Stored })
 	r.CounterFunc("gridrm_traces_evicted_total", "Query traces evicted from the trace store.", func() int64 { return g.tracer.Stats().Evicted })
@@ -559,6 +561,12 @@ func (g *Gateway) registerMetrics() {
 			func() int64 { return g.durable.Stats().CorruptRecords })
 		r.CounterFunc("gridrm_history_checkpoints_total", "History checkpoints written.",
 			func() int64 { return g.durable.Stats().Checkpoints })
+		r.CounterFunc("gridrm_history_checkpoint_errors_total", "History checkpoints that failed to write.",
+			func() int64 { return g.durable.Stats().CheckpointErrors })
+		r.CounterFunc("gridrm_history_wal_errors_total", "WAL appends and segment seals that failed, each dropping history to memory-only.",
+			func() int64 { return g.durable.Stats().WALErrors })
+		r.CounterFunc("gridrm_history_reattaches_total", "Re-attachments to the history dir after a memory-only spell.",
+			func() int64 { return g.durable.Stats().Reattaches })
 		r.GaugeFunc("gridrm_history_disk_bytes", "Bytes the history WAL and checkpoints occupy on disk.",
 			func() float64 { return float64(g.durable.Stats().DiskBytes) })
 		r.GaugeFunc("gridrm_history_wal_bytes_since_checkpoint", "Framed WAL bytes no checkpoint covers yet: what a crash now would replay.",

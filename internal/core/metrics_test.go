@@ -2,10 +2,10 @@ package core
 
 import (
 	"os"
-	"regexp"
-	"strconv"
 	"strings"
 	"testing"
+
+	"gridrm/internal/metrics"
 )
 
 // TestRuntimeSeriesAroundQueries answers the operator's question "what does a
@@ -15,13 +15,15 @@ import (
 func TestRuntimeSeriesAroundQueries(t *testing.T) {
 	f := newFixture(t)
 	scrape := func() map[string]float64 {
-		var sb strings.Builder
-		if err := f.g.Metrics().WritePrometheus(&sb); err != nil {
+		ex, err := metrics.Scrape(f.g.Metrics())
+		if err != nil {
 			t.Fatal(err)
 		}
-		samples := map[string]float64{}
-		for _, m := range regexp.MustCompile(`(?m)^(gridrm_runtime_\w+|gridrm_queries_total) (\S+)$`).FindAllStringSubmatch(sb.String(), -1) {
-			samples[m[1]], _ = strconv.ParseFloat(m[2], 64)
+		samples := map[string]float64{"gridrm_queries_total": ex.Samples["gridrm_queries_total"]}
+		for name, v := range ex.Samples {
+			if strings.HasPrefix(name, "gridrm_runtime_") {
+				samples[name] = v
+			}
 		}
 		return samples
 	}
@@ -58,14 +60,11 @@ func TestTraceFootprintOnMetrics(t *testing.T) {
 	for i := 0; i < 300; i++ { // every query is sampled; the store keeps 256
 		f.query(t, "SELECT * FROM Processor", ModeCached)
 	}
-	var sb strings.Builder
-	if err := f.g.Metrics().WritePrometheus(&sb); err != nil {
+	ex, err := metrics.Scrape(f.g.Metrics())
+	if err != nil {
 		t.Fatal(err)
 	}
-	samples := map[string]float64{}
-	for _, m := range regexp.MustCompile(`(?m)^(gridrm_trace_bytes|gridrm_traces_recycled_total|gridrm_traces_evicted_total) (\S+)$`).FindAllStringSubmatch(sb.String(), -1) {
-		samples[m[1]], _ = strconv.ParseFloat(m[2], 64)
-	}
+	samples := ex.Samples
 	st := f.g.Tracer().Stats()
 	if samples["gridrm_trace_bytes"] != float64(st.Bytes) || st.Bytes == 0 {
 		t.Errorf("gridrm_trace_bytes = %v, the tracer reports %d", samples["gridrm_trace_bytes"], st.Bytes)

@@ -28,10 +28,10 @@ func TestRestartRecoveryScenario(t *testing.T) {
 	if !r.Passed {
 		t.Fatalf("scenario failed:\n%s", r.Summary())
 	}
-	if r.Counters["replayed_records"] == 0 {
+	if r.Counters["gridrm_history_replayed_records_total"] == 0 {
 		t.Error("restart restored nothing from the WAL")
 	}
-	if r.Counters["history_fallbacks"] == 0 {
+	if r.Counters["gridrm_history_fallbacks_total"] == 0 {
 		t.Error("restored history never served a query")
 	}
 	if r.Load.Errors > 0 {

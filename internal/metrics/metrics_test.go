@@ -126,3 +126,35 @@ func TestConcurrentObserve(t *testing.T) {
 		t.Fatalf("sum = %v", h.Sum())
 	}
 }
+
+// TestScrapeReadsEverySample: Scrape parses back what WritePrometheus
+// writes, labelled series and family types included, and Parse refuses a
+// line that is not a sample.
+func TestScrapeReadsEverySample(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("test_total", "a counter").Add(3)
+	r.GaugeFunc("test_gauge", "a gauge", func() float64 { return -0.25 })
+	r.HistogramVec("test_seconds", "a vec", "stage", []float64{1}).With(`a "b"`).Observe(0.5)
+	ex, err := Scrape(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for series, want := range map[string]float64{
+		"test_total": 3,
+		"test_gauge": -0.25,
+		`test_seconds_bucket{stage="a \"b\"",le="1"}`: 1,
+		`test_seconds_sum{stage="a \"b\""}`:           0.5,
+	} {
+		if got, ok := ex.Samples[series]; !ok || got != want {
+			t.Errorf("%s = %v (present %v), want %v", series, got, ok, want)
+		}
+	}
+	if ex.Types["test_total"] != "counter" || ex.Types["test_gauge"] != "gauge" || ex.Types["test_seconds"] != "histogram" {
+		t.Errorf("types = %v", ex.Types)
+	}
+	for _, bad := range []string{"lonely\n", "test_total x\n", `test{a="b" 1` + "\n"} {
+		if _, err := Parse(strings.NewReader(bad)); err == nil {
+			t.Errorf("Parse(%q) took it", bad)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package metrics
 import (
 	"os"
 	"runtime"
+	"strings"
 	"sync"
 
 	"gridrm/internal/intern"
@@ -27,6 +28,14 @@ func RegisterRuntime(r *Registry) {
 		func() int64 { return intern.Read().Hits })
 	r.CounterFunc("gridrm_intern_misses_total", "Decoded names the intern table did not hold.",
 		func() int64 { return intern.Read().Misses })
+}
+
+// ProcessWide reports whether a series is one of RegisterRuntime's. They
+// describe the process, not the registry: every registry in one process
+// reports the same values, so a reader that sums several in-process
+// registries takes them once.
+func ProcessWide(series string) bool {
+	return strings.HasPrefix(series, "gridrm_runtime_") || strings.HasPrefix(series, "gridrm_intern_")
 }
 
 // fdDir lists the process's open file descriptors, on Linux.

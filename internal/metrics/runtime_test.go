@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"regexp"
 	"runtime"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -35,15 +33,11 @@ func scrape(t *testing.T, r *Registry) map[string]float64 {
 			t.Errorf("%d lines say %s is a %s, want 1:\n%s", n, name, kind, text)
 		}
 	}
-	samples := map[string]float64{}
-	for _, m := range regexp.MustCompile(`(?m)^(\w+) (\S+)$`).FindAllStringSubmatch(text, -1) {
-		v, err := strconv.ParseFloat(m[2], 64)
-		if err != nil {
-			t.Errorf("sample %q: %v", m[0], err)
-		}
-		samples[m[1]] = v
+	ex, err := Parse(strings.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
 	}
-	return samples
+	return ex.Samples
 }
 
 var sink [][]byte

@@ -1,17 +1,15 @@
 package repub
 
 import (
-	"bufio"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"gridrm/internal/core"
 	"gridrm/internal/gma"
+	"gridrm/internal/metrics"
 	"gridrm/internal/web"
 )
 
@@ -46,18 +44,15 @@ func TestDigestGaugesAgreeAfterAJoin(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		sc := bufio.NewScanner(resp.Body)
-		for sc.Scan() {
-			if v, ok := strings.CutPrefix(sc.Text(), "gridrm_directory_copy_digest "); ok {
-				f, err := strconv.ParseFloat(v, 64)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return f
-			}
+		ex, err := metrics.Parse(resp.Body)
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Fatalf("%s/metrics has no gridrm_directory_copy_digest", base)
-		return 0
+		v, ok := ex.Samples["gridrm_directory_copy_digest"]
+		if !ok {
+			t.Fatalf("%s/metrics has no gridrm_directory_copy_digest", base)
+		}
+		return v
 	}
 	// relist ages the entry's copy past its TTL and has it route once.
 	relist := func() {

@@ -216,6 +216,9 @@ func (g *Gateway) registerMetrics() {
 		})
 }
 
+// Metrics returns the republisher's metrics registry (served by GET /metrics).
+func (g *Gateway) Metrics() *metrics.Registry { return g.metrics }
+
 // Name returns the republisher's directory name.
 func (g *Gateway) Name() string { return g.opts.Name }
 

@@ -3,12 +3,10 @@ package repub
 import (
 	"context"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -19,6 +17,7 @@ import (
 	"gridrm/internal/core"
 	"gridrm/internal/glue"
 	"gridrm/internal/gma"
+	"gridrm/internal/metrics"
 	"gridrm/internal/security"
 	"gridrm/internal/web"
 )
@@ -541,18 +540,17 @@ func TestMetricsServeEveryStatsField(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, err := io.ReadAll(resp.Body)
+	ex, err := metrics.Parse(resp.Body)
 	resp.Body.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(string(body), "\n")
 	st := reflect.ValueOf(f.rp.Stats())
 	for i := 0; i < st.NumField(); i++ {
 		field := st.Type().Field(i)
-		want := fmt.Sprintf("%s %d", metricName(field), st.Field(i).Int())
-		if !slices.Contains(lines, want) {
-			t.Errorf("Stats.%s: no line %q on /metrics", field.Name, want)
+		name := metricName(field)
+		if got, ok := ex.Samples[name]; !ok || got != float64(st.Field(i).Int()) {
+			t.Errorf("Stats.%s = %d: /metrics has %s = %v (present %v)", field.Name, st.Field(i).Int(), name, got, ok)
 		}
 	}
 	if f.rp.Stats().NotModified != 1 {

@@ -651,7 +651,8 @@ func (h *Harness) convergences() []convergence {
 	return slices.Clone(h.converged)
 }
 
-// RepubStats sums every republisher's counters.
+// RepubStats sums every republisher's counters. The sim report reads the
+// republishers' expositions instead; the benchmark still reads this.
 func (h *Harness) RepubStats() (total repub.Stats) {
 	for _, rr := range h.Repubs {
 		total = addStats(total, rr.Gateway.Stats())
@@ -677,9 +678,6 @@ func fleetGroups() []string {
 	sort.Strings(groups)
 	return groups
 }
-
-// MetricsURL is the entry site's Prometheus-style metrics endpoint.
-func (h *Harness) MetricsURL() string { return h.Entry.Server.URL() + "/metrics" }
 
 // KillSource marks a source dead; its connects, pings and queries fail
 // until ReviveSource.

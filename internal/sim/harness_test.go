@@ -16,6 +16,7 @@ import (
 	"gridrm/internal/core"
 	"gridrm/internal/glue"
 	"gridrm/internal/gma"
+	"gridrm/internal/metrics"
 	"gridrm/internal/repub"
 	"gridrm/internal/resultset"
 )
@@ -295,9 +296,17 @@ federation:
 	defer h.Close()
 	copyOnMetrics := func() (age, members float64) {
 		t.Helper()
-		m := scrapeMetrics(h.MetricsURL())
-		age, ok1 := m["gridrm_directory_copy_age_seconds"]
-		members, ok2 := m["gridrm_directory_copy_members"]
+		resp, err := http.Get(h.Entry.Server.URL() + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		ex, err := metrics.Parse(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		age, ok1 := ex.Samples["gridrm_directory_copy_age_seconds"]
+		members, ok2 := ex.Samples["gridrm_directory_copy_members"]
 		if !ok1 || !ok2 {
 			t.Fatalf("directory copy gauges missing from /metrics")
 		}

@@ -1,15 +1,14 @@
 package sim
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
-	"net/http"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
+
+	"gridrm/internal/metrics"
 )
 
 // Report is the simulator's JSON output; docs/sim-report.md has the
@@ -22,7 +21,7 @@ type Report struct {
 	Fleet       FleetSummary              `json:"fleet"`
 	Load        LoadSummary               `json:"load"`
 	Latency     map[string]LatencySummary `json:"latency"`
-	Counters    map[string]int64          `json:"counters"`
+	Counters    map[string]float64        `json:"counters"`
 	Metrics     map[string]float64        `json:"metrics,omitempty"`
 	Events      []EventRecord             `json:"events"`
 	Assertions  []AssertionResult         `json:"assertions"`
@@ -71,12 +70,14 @@ type EventRecord struct {
 	Detail  string   `json:"detail,omitempty"`
 }
 
-// AssertionResult is one checked assertion.
+// AssertionResult is one checked assertion. Missing names the metric it
+// reads that no member exposes; such an assertion fails.
 type AssertionResult struct {
-	Name   string  `json:"name"`
-	Limit  float64 `json:"limit"`
-	Actual float64 `json:"actual"`
-	OK     bool    `json:"ok"`
+	Name    string  `json:"name"`
+	Limit   float64 `json:"limit"`
+	Actual  float64 `json:"actual"`
+	OK      bool    `json:"ok"`
+	Missing string  `json:"missing,omitempty"`
 }
 
 // WriteJSON renders the report as indented JSON.
@@ -100,6 +101,10 @@ func (r *Report) Summary() string {
 		status := "PASS"
 		if !a.OK {
 			status = "FAIL"
+		}
+		if a.Missing != "" {
+			fmt.Fprintf(&b, "  %s %s: no member exposes %s\n", status, a.Name, a.Missing)
+			continue
 		}
 		fmt.Fprintf(&b, "  %s %s: limit %v actual %v\n", status, a.Name, a.Limit, round3(a.Actual))
 	}
@@ -164,113 +169,36 @@ func percentile(xs []float64, q float64) float64 {
 	return xs[idx]
 }
 
-// scrapeCounters sums the degradation/resilience counters across every
-// gateway, folds in the router's federation counters, and scrapes the entry
-// site's /metrics endpoint into the report's metrics map.
-func (h *Harness) scrapeCounters() (map[string]int64, map[string]float64) {
-	counters := map[string]int64{}
+// readMetrics renders every member's registry with the WritePrometheus
+// that serves its GET /metrics: each site's current gateway (the entry's
+// carries its router's families) and every republisher. It reads them in
+// process, so a partitioned site or a killed republisher still reports.
+// counters sums the counter samples by series, taking the process-wide
+// families once; entry is every sample of the entry's own exposition.
+func (h *Harness) readMetrics() (counters, entry map[string]float64, err error) {
+	regs := []*metrics.Registry{h.EntryGateway().Metrics()}
 	for _, site := range h.SiteOrder {
-		gw := h.SiteGateway(site)
-		st := gw.Stats()
-		counters["queries"] += st.Queries
-		counters["query_errors"] += st.QueryErrors
-		counters["harvests"] += st.Harvests
-		counters["harvest_errors"] += st.HarvestErrors
-		counters["cache_served"] += st.CacheServed
-		counters["coalesced"] += st.Coalesced
-		counters["routed"] += st.Routed
-		counters["timeouts"] += st.Timeouts
-		counters["retries"] += st.Retries
-		counters["breaker_skipped"] += st.BreakerSkipped
-		counters["breaker_opens"] += st.BreakerOpens
-		counters["stale_serves"] += st.StaleServes
-		counters["history_fallbacks"] += st.HistoryFallbacks
-		counters["driver_panics"] += st.DriverPanics
-		counters["plan_cache_hits"] += st.PlanCacheHits
-		counters["plan_cache_misses"] += st.PlanCacheMisses
-		counters["rows_published"] += st.RowsPublished
-		counters["rows_dropped"] += st.RowsDropped
-		counters["rows_enqueued"] += gw.PushRouter().Stats().Enqueued
-		counters["subscriber_evictions"] += st.SubscriberEvictions
-		counters["sink_delivered"] += st.SinkDelivered
-		counters["sink_dropped"] += st.SinkDropped
-		counters["sink_breaker_opens"] += st.SinkBreakerOpens
-		counters["events_dropped"] += st.EventsDropped
-		counters["fanouts"] += st.Fanouts
-		counters["fanout_legs"] += st.FanoutLegs
-		if d := gw.DurableHistory(); d != nil {
-			// Counters of the current instance only: a restart_gateway
-			// event discards the pre-crash instance's totals, so
-			// replayed_records reflects what the replacement restored.
-			ds := d.Stats()
-			counters["wal_appends"] += ds.WALAppends
-			counters["wal_fsyncs"] += ds.Fsyncs
-			counters["replayed_records"] += ds.ReplayedRecords
-			counters["corrupt_records"] += ds.CorruptRecords
-			counters["checkpoints"] += ds.Checkpoints
-			counters["history_disk_bytes"] += ds.DiskBytes
+		if site != h.Entry.Name {
+			regs = append(regs, h.SiteGateway(site).Metrics())
 		}
 	}
-	if h.Router != nil {
-		rs := h.Router.Stats()
-		counters["remote_queries"] = rs.RemoteQueries
-		counters["remote_failures"] = rs.RemoteFailures
-		counters["remote_retries"] = rs.RemoteRetries
-		counters["remote_breaker_opens"] = rs.RemoteBreakerOpens
-		counters["remote_breaker_skipped"] = rs.RemoteBreakerSkipped
-		counters["lookup_cache_hits"] = rs.LookupCacheHits
-		counters["stale_lookups"] = rs.StaleLookups
-		counters["repub_routes"] = rs.RepubRoutes
-		counters["repub_fallthroughs"] = rs.RepubFallthroughs
-		counters["remote_not_modified"] = rs.NotModified
+	for _, rr := range h.Repubs {
+		regs = append(regs, rr.Gateway.Metrics())
 	}
-	if len(h.Repubs) > 0 {
-		ps := h.RepubStats()
-		counters["repub_region_queries"] = ps.RegionQueries
-		counters["repub_site_queries"] = ps.SiteQueries
-		counters["repub_not_owned"] = ps.NotOwned
-		counters["repub_not_modified"] = ps.NotModified
-		counters["repub_scrapes"] = ps.Scrapes
-		counters["repub_scrape_errors"] = ps.ScrapeErrors
-		counters["repub_live_rows"] = ps.LiveRows
-		counters["repub_subscriptions"] = ps.Subscriptions
-		counters["repub_subscribe_fallbacks"] = ps.SubscribeFallbacks
-		counters["repub_rebalances"] = ps.Rebalances
-		counters["repub_membership_changes"] = ps.MembershipChanges
-	}
-	metrics := scrapeMetrics(h.MetricsURL())
-	return counters, metrics
-}
-
-// scrapeMetrics fetches and parses a Prometheus-style text exposition into
-// name -> value. Errors yield an empty map: the report's primary counters
-// come from Stats(), the scrape is corroboration.
-func scrapeMetrics(url string) map[string]float64 {
-	out := map[string]float64{}
-	client := &http.Client{Timeout: 5 * time.Second}
-	resp, err := client.Get(url)
-	if err != nil {
-		return out
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return out
-	}
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) != 2 {
-			continue
-		}
-		v, err := strconv.ParseFloat(fields[1], 64)
+	counters = map[string]float64{}
+	for i, reg := range regs {
+		ex, err := metrics.Scrape(reg)
 		if err != nil {
-			continue
+			return nil, nil, err
 		}
-		out[fields[0]] = v
+		if i == 0 {
+			entry = ex.Samples
+		}
+		for series, v := range ex.Samples {
+			if ex.Types[series] == "counter" && (i == 0 || !metrics.ProcessWide(series)) {
+				counters[series] += v
+			}
+		}
 	}
-	return out
+	return counters, entry, nil
 }

@@ -127,7 +127,10 @@ func Run(sc *Scenario, opts RunOptions) (*Report, error) {
 		requests += w.requests
 		errors += w.errors
 	}
-	counters, metrics := h.scrapeCounters()
+	counters, entryMetrics, err := h.readMetrics()
+	if err != nil {
+		return nil, fmt.Errorf("sim: reading metrics: %w", err)
+	}
 
 	r := &Report{
 		Scenario:    sc.Name,
@@ -148,7 +151,7 @@ func Run(sc *Scenario, opts RunOptions) (*Report, error) {
 		},
 		Latency:  hist.summaries(),
 		Counters: counters,
-		Metrics:  metrics,
+		Metrics:  entryMetrics,
 	}
 	if requests > 0 {
 		r.Load.ErrorRate = float64(errors) / float64(requests)

@@ -74,7 +74,7 @@ func TestRunProducesReport(t *testing.T) {
 	if _, ok := r.Latency["cached"]; !ok {
 		t.Errorf("missing cached latency label: %v", reflect.ValueOf(r.Latency).MapKeys())
 	}
-	if r.Counters["queries"] == 0 {
+	if r.Counters["gridrm_queries_total"] == 0 {
 		t.Errorf("counters not scraped: %v", r.Counters)
 	}
 	if len(r.Assertions) != 2 {

@@ -199,37 +199,39 @@ var validActions = map[string]bool{
 
 var validModes = map[string]bool{"cached": true, "real-time": true, "historical": true}
 
-// assertionKeys are the recognised assertion names; see assert.go for their
-// semantics. Rates are fractions in [0,1], *_ms are milliseconds, min_*
-// counters compare against scraped gateway totals.
-var assertionKeys = map[string]bool{
-	"max_error_rate":         true,
-	"max_p99_ms":             true,
-	"min_throughput_rps":     true,
-	"min_requests":           true,
-	"min_degraded_share":     true,
-	"min_stale_serves":       true,
-	"min_history_fallbacks":  true,
-	"min_coalesced":          true,
-	"min_breaker_opens":      true,
-	"min_plan_cache_hits":    true,
-	"min_replayed_records":   true,
-	"min_wal_appends":        true,
-	"min_rows_published":     true,
-	"min_rows_dropped":       true,
-	"max_row_drop_rate":      true,
-	"min_sub_evictions":      true,
-	"min_sink_breaker_opens": true,
+// assertionKeys is the one table of assertion keys: each names the counter
+// it reads, summed over every member's /metrics ("" for the four keys the
+// clients measure). evalAssertions derives the shares and ratios; the
+// rest compare the counter itself. Rates are fractions, *_ms milliseconds.
+var assertionKeys = map[string]string{
+	"max_error_rate":     "",
+	"max_p99_ms":         "",
+	"min_throughput_rps": "",
+	"min_requests":       "",
+	// degraded serves per client request
+	"min_degraded_share":     "gridrm_degraded_serves_total",
+	"min_stale_serves":       "gridrm_stale_serves_total",
+	"min_history_fallbacks":  "gridrm_history_fallbacks_total",
+	"min_coalesced":          "gridrm_coalesced_total",
+	"min_breaker_opens":      "gridrm_breaker_opens_total",
+	"min_plan_cache_hits":    "gridrm_plan_cache_hits_total",
+	"min_replayed_records":   "gridrm_history_replayed_records_total",
+	"min_wal_appends":        "gridrm_history_wal_appends_total",
+	"min_rows_published":     "gridrm_rows_published_total",
+	"min_rows_dropped":       "gridrm_rows_dropped_total",
+	"max_row_drop_rate":      "gridrm_rows_dropped_total", // per gridrm_rows_enqueued_total
+	"min_sub_evictions":      "gridrm_subscriber_evictions_total",
+	"min_sink_breaker_opens": "gridrm_sink_breaker_opens_total",
 	// Hierarchical federation: republisher region answers, entry-router
 	// republisher routing, and the fan-out ceiling (a fan-out query may
 	// touch at most this many remote legs — with republishers that is the
 	// republisher count, not the site count).
-	"min_repub_region_queries": true,
-	"min_repub_routes":         true,
-	"min_repub_fallthroughs":   true,
-	"min_repub_live_rows":      true,
-	"min_repub_rebalances":     true,
-	"max_remote_per_fanout":    true,
+	"min_repub_region_queries": "gridrm_repub_region_queries_total",
+	"min_repub_routes":         "gridrm_repub_routes_total",
+	"min_repub_fallthroughs":   "gridrm_repub_fallthroughs_total",
+	"min_repub_live_rows":      "gridrm_repub_live_rows_total",
+	"min_repub_rebalances":     "gridrm_repub_rebalances_total",
+	"max_remote_per_fanout":    "gridrm_fanout_legs_total", // per gridrm_fanouts_total
 }
 
 // LoadScenario reads, parses and validates a scenario file.
@@ -548,7 +550,7 @@ func (s *Scenario) Validate() error {
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		if !assertionKeys[k] {
+		if _, ok := assertionKeys[k]; !ok {
 			return fmt.Errorf("scenario: unknown assertion %q", k)
 		}
 		if s.Assertions[k] < 0 {
