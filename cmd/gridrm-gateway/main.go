@@ -27,6 +27,7 @@ import (
 	"gridrm/internal/glue"
 	"gridrm/internal/gma"
 	"gridrm/internal/health"
+	"gridrm/internal/metrics"
 	"gridrm/internal/repub"
 	"gridrm/internal/router"
 	"gridrm/internal/sitekit"
@@ -204,14 +205,9 @@ func main() {
 			})
 			log.Printf("gma: directory unreachable, retrying in background: %v", err)
 		})
-		gw.Metrics().GaugeFunc("gridrm_directory_reachable",
-			"1 when the last directory registration succeeded.",
-			func() float64 {
-				if reg.Registered() {
-					return 1
-				}
-				return 0
-			})
+		gw.Metrics().Collect(func(c *metrics.Collection) {
+			c.Gauge("gridrm_directory_reachable", "1 when the last directory registration succeeded.", metrics.Flag(reg.Registered()))
+		})
 		// Start fails only on invalid configuration; a directory outage is
 		// retried in the background so the gateway still serves local queries.
 		if err := reg.Start(); err != nil {

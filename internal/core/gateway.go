@@ -459,125 +459,132 @@ const (
 	StageDispatch    = "dispatch"
 )
 
-// registerMetrics wires the gateway's counters, the pool, the cache, the
-// breaker and the Event Manager into the metrics registry, and creates
-// the per-stage query latency histogram.
+// registerMetrics creates the per-stage query latency histogram and wires
+// each state owner into the metrics registry as one collect, which reads
+// the owner once per scrape.
 func (g *Gateway) registerMetrics() {
 	r := g.registry
 	g.stageHist = r.HistogramVec("gridrm_query_stage_seconds",
 		"Latency of query pipeline stages (parse, cache, harvest, consolidate, fanout, dispatch).",
 		"stage", nil)
 	metrics.RegisterRuntime(r)
-	r.CounterFunc("gridrm_queries_total", "Query calls accepted.", g.queries.Load)
-	r.CounterFunc("gridrm_query_errors_total", "Query calls that failed outright.", g.queryErrors.Load)
-	r.CounterFunc("gridrm_harvests_total", "Per-source real-time harvests performed.", g.harvests.Load)
-	r.CounterFunc("gridrm_harvest_errors_total", "Harvests that failed.", g.harvestErrors.Load)
-	r.CounterFunc("gridrm_cache_served_total", "Per-source results served from the query cache.", g.cacheServed.Load)
-	r.CounterFunc("gridrm_coalesced_total", "Cache-missing queries that shared another query's in-flight harvest.", g.coalesced.Load)
-	r.CounterFunc("gridrm_routed_total", "Queries forwarded to remote gateways.", g.routed.Load)
-	r.CounterFunc("gridrm_denied_total", "Security denials (coarse or fine).", g.denied.Load)
-	r.CounterFunc("gridrm_timeouts_total", "Harvests and fan-out legs abandoned at a deadline.", g.timeouts.Load)
-	r.CounterFunc("gridrm_retries_total", "Harvest retry attempts performed.", g.retries.Load)
-	r.CounterFunc("gridrm_breaker_opens_total", "Closed-to-open circuit breaker transitions.", g.breakerOpens.Load)
-	r.CounterFunc("gridrm_breaker_skipped_total", "Harvests skipped because a breaker was open.", g.breakerSkipped.Load)
-	r.CounterFunc("gridrm_stale_serves_total", "Degraded results served from an expired-within-grace cache entry.", g.staleServes.Load)
-	r.CounterFunc("gridrm_history_fallbacks_total", "Degraded results served from the latest historical sample.", g.historyFallbacks.Load)
-	r.CounterFunc("gridrm_degraded_serves_total", "Degraded results served (stale cache + history fallback).",
-		func() int64 { return g.staleServes.Load() + g.historyFallbacks.Load() })
-	r.CounterFunc("gridrm_driver_panics_total", "Driver panics contained at a call boundary.", g.driverPanics.Load)
-	r.CounterFunc("gridrm_probes_total", "Health probes attempted.", func() int64 { return g.prober.Stats().Probes })
-	r.CounterFunc("gridrm_probe_failures_total", "Health probes that failed.", func() int64 { return g.prober.Stats().Failures })
-	r.GaugeFunc("gridrm_sources_healthy", "Sources the prober currently classifies healthy.", g.healthGauge(health.StateHealthy))
-	r.GaugeFunc("gridrm_sources_degraded", "Sources the prober currently classifies degraded.", g.healthGauge(health.StateDegraded))
-	r.GaugeFunc("gridrm_sources_down", "Sources the prober currently classifies down.", g.healthGauge(health.StateDown))
-	r.GaugeFunc("gridrm_inflight_harvests", "Driver harvests currently executing.",
-		func() float64 { return float64(g.inflightHarvests.Load()) })
-	r.CounterFunc("gridrm_qcache_hits_total", "Query cache hits.", func() int64 { return g.cache.Stats().Hits })
-	r.CounterFunc("gridrm_qcache_misses_total", "Query cache misses.", func() int64 { return g.cache.Stats().Misses })
-	r.CounterFunc("gridrm_qcache_stale_total", "Query cache entries dropped as expired.", func() int64 { return g.cache.Stats().Stale })
-	r.CounterFunc("gridrm_qcache_evictions_total", "Query cache capacity evictions.", func() int64 { return g.cache.Stats().Evictions })
-	r.GaugeFunc("gridrm_qcache_entries", "Query cache entries held (fresh or not yet collected).",
-		func() float64 { return float64(g.cache.Len()) })
-	r.CounterFunc("gridrm_pool_dials_total", "Connections opened via the DriverManager.", func() int64 { return g.pool.Stats().Opens })
-	r.CounterFunc("gridrm_pool_idle_hits_total", "Pool Gets satisfied from an idle connection.", func() int64 { return g.pool.Stats().Hits })
-	r.CounterFunc("gridrm_pool_ping_failures_total", "Pooled connections discarded as stale: pinged after a statement on them failed, or by the prober, and found dead.", func() int64 { return g.pool.Stats().PingFailures })
-	r.GaugeFunc("gridrm_pool_idle_connections", "Idle pooled connections.",
-		func() float64 { return float64(g.pool.IdleCount()) })
-	r.CounterFunc("gridrm_events_published_total", "Events recorded by the Event Manager.", func() int64 { return g.events.Stats().Published })
-	r.CounterFunc("gridrm_event_alerts_total", "Threshold alerts synthesised.", func() int64 { return g.events.Stats().Alerts })
-	r.CounterFunc("gridrm_events_dropped_total", "Events lost by event listeners and outbound drivers (overflow, eviction, failed transmits).",
-		func() int64 { return g.events.Stats().Dropped })
-	r.CounterFunc("gridrm_rows_published_total", "Harvested rows fanned into the push router.",
-		func() int64 { return g.push.Stats().Published })
-	r.CounterFunc("gridrm_rows_enqueued_total", "Per-subscriber row enqueues by the push router.",
-		func() int64 { return g.push.Stats().Enqueued })
-	r.CounterFunc("gridrm_rows_dropped_total", "Rows dropped from subscriber queues (overflow or eviction).",
-		func() int64 { return g.push.Stats().Dropped })
-	r.CounterFunc("gridrm_subscriber_evictions_total", "Subscribers evicted for stalling.",
-		func() int64 { return g.push.Stats().Evicted })
-	r.GaugeFunc("gridrm_subscribers", "Continuous-query subscribers currently registered.",
-		func() float64 { return float64(g.push.Stats().Subscribers) })
-	r.CounterFunc("gridrm_sink_delivered_total", "Rows delivered to registered sinks.",
-		func() int64 { return g.push.Stats().SinkDelivered })
-	r.CounterFunc("gridrm_sink_dropped_total", "Rows dropped at sink queues, open breakers or exhausted retries.",
-		func() int64 { return g.push.Stats().SinkDropped })
-	r.CounterFunc("gridrm_sink_retries_total", "Sink delivery retries performed.",
-		func() int64 { return g.push.Stats().SinkRetries })
-	r.CounterFunc("gridrm_sink_errors_total", "Sink batches that exhausted their retries.",
-		func() int64 { return g.push.Stats().SinkErrors })
-	r.CounterFunc("gridrm_sink_breaker_opens_total", "Per-sink breaker closed-to-open transitions.",
-		func() int64 { return g.push.Stats().SinkBreakerOpens })
-	r.CounterFunc("gridrm_fanouts_total", "All-sites fan-out queries executed.", g.fanouts.Load)
-	r.CounterFunc("gridrm_fanout_legs_total", "Remote legs the fan-outs dispatched (a republisher region leg counts once).", g.fanoutLegs.Load)
-	r.CounterFunc("gridrm_traces_started_total", "Sampled query traces begun.", func() int64 { return g.tracer.Stats().Started })
-	r.CounterFunc("gridrm_traces_stored_total", "Query traces published to the trace store.", func() int64 { return g.tracer.Stats().Stored })
-	r.CounterFunc("gridrm_traces_evicted_total", "Query traces evicted from the trace store.", func() int64 { return g.tracer.Stats().Evicted })
-	r.CounterFunc("gridrm_slow_queries_total", "Queries recorded in the slow-query log.", func() int64 { return g.tracer.Stats().SlowQueries })
-	r.CounterFunc("gridrm_trace_spans_dropped_total", "Spans discarded by the per-trace cap.", func() int64 { return g.tracer.Stats().DroppedSpans })
-	r.CounterFunc("gridrm_traces_recycled_total", "Evicted trace legs retired for reuse: every span ended, their handles made inert.", func() int64 { return g.tracer.Stats().Recycled })
-	r.GaugeFunc("gridrm_trace_bytes", "Bytes the tracer's stored and free recorders and chunks occupy.",
-		func() float64 { return float64(g.tracer.Stats().Bytes) })
-	r.CounterFunc("gridrm_plan_cache_hits_total", "Query parses served from the plan cache.",
-		func() int64 { return int64(g.plans.Stats().Hits) })
-	r.CounterFunc("gridrm_plan_cache_misses_total", "Query parses that ran the parser.",
-		func() int64 { return int64(g.plans.Stats().Misses) })
-	r.CounterFunc("gridrm_plan_cache_evictions_total", "Parsed plans evicted by the LRU cap.",
-		func() int64 { return int64(g.plans.Stats().Evictions) })
-	r.GaugeFunc("gridrm_plan_cache_entries", "Parsed plans currently cached.",
-		func() float64 { return float64(g.plans.Stats().Entries) })
-	r.GaugeFunc("gridrm_history_keys", "Distinct (source, group) keys holding history samples.",
-		func() float64 { return float64(g.history.Keys()) })
-	r.GaugeFunc("gridrm_history_samples", "History samples retained across all keys.",
-		func() float64 { return float64(g.history.TotalSamples()) })
-	r.CounterFunc("gridrm_history_pruned_total", "History samples dropped by the retention sweep.", g.historyPrunes.Load)
+	r.Collect(func(c *metrics.Collection) {
+		stale, fallbacks := g.staleServes.Load(), g.historyFallbacks.Load()
+		c.Counter("gridrm_queries_total", "Query calls accepted.", float64(g.queries.Load()))
+		c.Counter("gridrm_query_errors_total", "Query calls that failed outright.", float64(g.queryErrors.Load()))
+		c.Counter("gridrm_harvests_total", "Per-source real-time harvests performed.", float64(g.harvests.Load()))
+		c.Counter("gridrm_harvest_errors_total", "Harvests that failed.", float64(g.harvestErrors.Load()))
+		c.Counter("gridrm_cache_served_total", "Per-source results served from the query cache.", float64(g.cacheServed.Load()))
+		c.Counter("gridrm_coalesced_total", "Cache-missing queries that shared another query's in-flight harvest.", float64(g.coalesced.Load()))
+		c.Counter("gridrm_routed_total", "Queries forwarded to remote gateways.", float64(g.routed.Load()))
+		c.Counter("gridrm_denied_total", "Security denials (coarse or fine).", float64(g.denied.Load()))
+		c.Counter("gridrm_timeouts_total", "Harvests and fan-out legs abandoned at a deadline.", float64(g.timeouts.Load()))
+		c.Counter("gridrm_retries_total", "Harvest retry attempts performed.", float64(g.retries.Load()))
+		c.Counter("gridrm_breaker_opens_total", "Closed-to-open circuit breaker transitions.", float64(g.breakerOpens.Load()))
+		c.Counter("gridrm_breaker_skipped_total", "Harvests skipped because a breaker was open.", float64(g.breakerSkipped.Load()))
+		c.Counter("gridrm_stale_serves_total", "Degraded results served from an expired-within-grace cache entry.", float64(stale))
+		c.Counter("gridrm_history_fallbacks_total", "Degraded results served from the latest historical sample.", float64(fallbacks))
+		c.Counter("gridrm_degraded_serves_total", "Degraded results served (stale cache + history fallback).", float64(stale+fallbacks))
+		c.Counter("gridrm_driver_panics_total", "Driver panics contained at a call boundary.", float64(g.driverPanics.Load()))
+	})
+	r.Collect(func(c *metrics.Collection) {
+		st, states := g.prober.Stats(), map[health.State]int{}
+		for _, h := range g.prober.Snapshot() {
+			states[h.State]++
+		}
+		c.Counter("gridrm_probes_total", "Health probes attempted.", float64(st.Probes))
+		c.Counter("gridrm_probe_failures_total", "Health probes that failed.", float64(st.Failures))
+		c.Counter("gridrm_probe_skipped_total", "Health probes the pinger declined.", float64(st.Skipped))
+		c.Counter("gridrm_probe_transitions_total", "Probed source state changes.", float64(st.Transitions))
+		c.Gauge("gridrm_sources_healthy", "Sources the prober currently classifies healthy.", float64(states[health.StateHealthy]))
+		c.Gauge("gridrm_sources_degraded", "Sources the prober currently classifies degraded.", float64(states[health.StateDegraded]))
+		c.Gauge("gridrm_sources_down", "Sources the prober currently classifies down.", float64(states[health.StateDown]))
+	})
+	r.Collect(func(c *metrics.Collection) {
+		c.Gauge("gridrm_inflight_harvests", "Driver harvests currently executing.", float64(g.inflightHarvests.Load()))
+	})
+	r.Collect(func(c *metrics.Collection) {
+		st := g.cache.Stats()
+		c.Counter("gridrm_qcache_hits_total", "Query cache hits.", float64(st.Hits))
+		c.Counter("gridrm_qcache_misses_total", "Query cache misses.", float64(st.Misses))
+		c.Counter("gridrm_qcache_stale_total", "Query cache entries dropped as expired.", float64(st.Stale))
+		c.Counter("gridrm_qcache_evictions_total", "Query cache capacity evictions.", float64(st.Evictions))
+		c.Counter("gridrm_qcache_grace_hits_total", "Degraded-serve lookups an entry satisfied, fresh or expired within grace.", float64(st.GraceHits))
+		c.Gauge("gridrm_qcache_entries", "Query cache entries held (fresh or not yet collected).", float64(g.cache.Len()))
+	})
+	r.Collect(func(c *metrics.Collection) {
+		st := g.pool.Stats()
+		c.Counter("gridrm_pool_dials_total", "Connections opened via the DriverManager.", float64(st.Opens))
+		c.Counter("gridrm_pool_idle_hits_total", "Pool Gets satisfied from an idle connection.", float64(st.Hits))
+		c.Counter("gridrm_pool_ping_failures_total", "Pooled connections discarded as stale: pinged after a statement on them failed, or by the prober, and found dead.", float64(st.PingFailures))
+		c.Counter("gridrm_pool_misses_total", "Pool Gets that had to open a new connection.", float64(st.Misses))
+		c.Counter("gridrm_pool_closes_total", "Pooled connections closed.", float64(st.Closes))
+		c.Counter("gridrm_pool_evictions_total", "Idle pooled connections dropped by capacity or age.", float64(st.Evictions))
+		c.Gauge("gridrm_pool_idle_connections", "Idle pooled connections.", float64(g.pool.IdleCount()))
+	})
+	r.Collect(func(c *metrics.Collection) {
+		st := g.events.Stats()
+		c.Counter("gridrm_events_published_total", "Events recorded by the Event Manager.", float64(st.Published))
+		c.Counter("gridrm_event_alerts_total", "Threshold alerts synthesised.", float64(st.Alerts))
+		c.Counter("gridrm_events_dropped_total", "Events lost by event listeners and outbound drivers (overflow, eviction, failed transmits).", float64(st.Dropped))
+		c.Counter("gridrm_events_delivered_total", "Event listener invocations.", float64(st.Delivered))
+		c.Counter("gridrm_events_transmitted_total", "Events outbound drivers transmitted.", float64(st.Transmitted))
+		c.Counter("gridrm_events_transmit_errors_total", "Outbound event batches that exhausted their retries.", float64(st.TransmitErrors))
+	})
+	r.Collect(func(c *metrics.Collection) {
+		st := g.push.Stats()
+		c.Counter("gridrm_rows_published_total", "Harvested rows fanned into the push router.", float64(st.Published))
+		c.Counter("gridrm_rows_enqueued_total", "Per-subscriber row enqueues by the push router.", float64(st.Enqueued))
+		c.Counter("gridrm_rows_dropped_total", "Rows dropped from subscriber queues (overflow or eviction).", float64(st.Dropped))
+		c.Counter("gridrm_subscriber_evictions_total", "Subscribers evicted for stalling.", float64(st.Evicted))
+		c.Gauge("gridrm_subscribers", "Continuous-query subscribers currently registered.", float64(st.Subscribers))
+		c.Counter("gridrm_sink_delivered_total", "Rows delivered to registered sinks.", float64(st.SinkDelivered))
+		c.Counter("gridrm_sink_dropped_total", "Rows dropped at sink queues, open breakers or exhausted retries.", float64(st.SinkDropped))
+		c.Counter("gridrm_sink_retries_total", "Sink delivery retries performed.", float64(st.SinkRetries))
+		c.Counter("gridrm_sink_errors_total", "Sink batches that exhausted their retries.", float64(st.SinkErrors))
+		c.Counter("gridrm_sink_breaker_opens_total", "Per-sink breaker closed-to-open transitions.", float64(st.SinkBreakerOpens))
+	})
+	r.Collect(func(c *metrics.Collection) {
+		c.Counter("gridrm_fanouts_total", "All-sites fan-out queries executed.", float64(g.fanouts.Load()))
+		c.Counter("gridrm_fanout_legs_total", "Remote legs the fan-outs dispatched (a republisher region leg counts once).", float64(g.fanoutLegs.Load()))
+	})
+	r.Collect(func(c *metrics.Collection) {
+		st := g.tracer.Stats()
+		c.Counter("gridrm_traces_started_total", "Sampled query traces begun.", float64(st.Started))
+		c.Counter("gridrm_traces_stored_total", "Query traces published to the trace store.", float64(st.Stored))
+		c.Counter("gridrm_traces_evicted_total", "Query traces evicted from the trace store.", float64(st.Evicted))
+		c.Counter("gridrm_slow_queries_total", "Queries recorded in the slow-query log.", float64(st.SlowQueries))
+		c.Counter("gridrm_trace_spans_dropped_total", "Spans discarded by the per-trace cap.", float64(st.DroppedSpans))
+		c.Counter("gridrm_traces_recycled_total", "Evicted trace legs retired for reuse: every span ended, their handles made inert.", float64(st.Recycled))
+		c.Gauge("gridrm_trace_bytes", "Bytes the tracer's stored and free recorders and chunks occupy.", float64(st.Bytes))
+	})
+	r.Collect(func(c *metrics.Collection) {
+		st := g.plans.Stats()
+		c.Counter("gridrm_plan_cache_hits_total", "Query parses served from the plan cache.", float64(st.Hits))
+		c.Counter("gridrm_plan_cache_misses_total", "Query parses that ran the parser.", float64(st.Misses))
+		c.Counter("gridrm_plan_cache_evictions_total", "Parsed plans evicted by the LRU cap.", float64(st.Evictions))
+		c.Gauge("gridrm_plan_cache_entries", "Parsed plans currently cached.", float64(st.Entries))
+	})
+	r.Collect(func(c *metrics.Collection) {
+		c.Gauge("gridrm_history_keys", "Distinct (source, group) keys holding history samples.", float64(g.history.Keys()))
+		c.Gauge("gridrm_history_samples", "History samples retained across all keys.", float64(g.history.TotalSamples()))
+		c.Counter("gridrm_history_pruned_total", "History samples dropped by the retention sweep.", float64(g.historyPrunes.Load()))
+	})
 	if g.durable != nil {
-		r.CounterFunc("gridrm_history_wal_appends_total", "History records journaled to the WAL.",
-			func() int64 { return g.durable.Stats().WALAppends })
-		r.CounterFunc("gridrm_history_fsyncs_total", "WAL fsync calls performed.",
-			func() int64 { return g.durable.Stats().Fsyncs })
-		r.CounterFunc("gridrm_history_replayed_records_total", "History records restored from checkpoint + WAL at startup.",
-			func() int64 { return g.durable.Stats().ReplayedRecords })
-		r.CounterFunc("gridrm_history_corrupt_records_total", "Corrupt WAL tails and checkpoints detected and recovered.",
-			func() int64 { return g.durable.Stats().CorruptRecords })
-		r.CounterFunc("gridrm_history_checkpoints_total", "History checkpoints written.",
-			func() int64 { return g.durable.Stats().Checkpoints })
-		r.CounterFunc("gridrm_history_checkpoint_errors_total", "History checkpoints that failed to write.",
-			func() int64 { return g.durable.Stats().CheckpointErrors })
-		r.CounterFunc("gridrm_history_wal_errors_total", "WAL appends and segment seals that failed, each dropping history to memory-only.",
-			func() int64 { return g.durable.Stats().WALErrors })
-		r.CounterFunc("gridrm_history_reattaches_total", "Re-attachments to the history dir after a memory-only spell.",
-			func() int64 { return g.durable.Stats().Reattaches })
-		r.GaugeFunc("gridrm_history_disk_bytes", "Bytes the history WAL and checkpoints occupy on disk.",
-			func() float64 { return float64(g.durable.Stats().DiskBytes) })
-		r.GaugeFunc("gridrm_history_wal_bytes_since_checkpoint", "Framed WAL bytes no checkpoint covers yet: what a crash now would replay.",
-			func() float64 { return float64(g.durable.Stats().WALBytesSinceCheckpoint) })
-		r.GaugeFunc("gridrm_history_durable", "1 while history persistence is attached, 0 in memory-only degradation.",
-			func() float64 {
-				if g.durable.Stats().State == "durable" {
-					return 1
-				}
-				return 0
-			})
+		r.Collect(func(c *metrics.Collection) {
+			st := g.durable.Stats()
+			c.Counter("gridrm_history_wal_appends_total", "History records journaled to the WAL.", float64(st.WALAppends))
+			c.Counter("gridrm_history_fsyncs_total", "WAL fsync calls performed.", float64(st.Fsyncs))
+			c.Counter("gridrm_history_replayed_records_total", "History records restored from checkpoint + WAL at startup.", float64(st.ReplayedRecords))
+			c.Counter("gridrm_history_corrupt_records_total", "Corrupt WAL tails and checkpoints detected and recovered.", float64(st.CorruptRecords))
+			c.Counter("gridrm_history_checkpoints_total", "History checkpoints written.", float64(st.Checkpoints))
+			c.Counter("gridrm_history_checkpoint_errors_total", "History checkpoints that failed to write.", float64(st.CheckpointErrors))
+			c.Counter("gridrm_history_wal_errors_total", "WAL appends and segment seals that failed, each dropping history to memory-only.", float64(st.WALErrors))
+			c.Counter("gridrm_history_reattaches_total", "Re-attachments to the history dir after a memory-only spell.", float64(st.Reattaches))
+			c.Gauge("gridrm_history_disk_bytes", "Bytes the history WAL and checkpoints occupy on disk.", float64(st.DiskBytes))
+			c.Gauge("gridrm_history_wal_bytes_since_checkpoint", "Framed WAL bytes no checkpoint covers yet: what a crash now would replay.", float64(st.WALBytesSinceCheckpoint))
+			c.Gauge("gridrm_history_durable", "1 while history persistence is attached, 0 in memory-only degradation.", metrics.Flag(st.State == "durable"))
+		})
 	}
 }
 
@@ -602,19 +609,6 @@ func (g *Gateway) observeStage(stage string, start time.Time) {
 
 // Name returns the gateway's site name.
 func (g *Gateway) Name() string { return g.name }
-
-// healthGauge returns a metric reader counting sources in one probed state.
-func (g *Gateway) healthGauge(s health.State) func() float64 {
-	return func() float64 {
-		n := 0
-		for _, h := range g.prober.Snapshot() {
-			if h.State == s {
-				n++
-			}
-		}
-		return float64(n)
-	}
-}
 
 // beginQuery admits a query into the in-flight set, refusing once the
 // gateway is shut down. The WaitGroup Add happens under the same lock that
@@ -997,6 +991,9 @@ func (g *Gateway) HistoryStatus() HistoryStatus {
 // Cache returns the gateway's query cache.
 func (g *Gateway) Cache() *qcache.Cache { return g.cache }
 
+// PlanCache returns the gateway's cache of parsed query plans.
+func (g *Gateway) PlanCache() *sqlparse.PlanCache { return g.plans }
+
 // Pool returns the gateway's ConnectionManager.
 func (g *Gateway) Pool() *pool.Manager { return g.pool }
 
@@ -1014,6 +1011,7 @@ func (g *Gateway) FinePolicy() *security.FinePolicy { return g.fine }
 
 // Stats returns gateway counters.
 func (g *Gateway) Stats() Stats {
+	plans, push := g.plans.Stats(), g.push.Stats()
 	return Stats{
 		Queries:        g.queries.Load(),
 		QueryErrors:    g.queryErrors.Load(),
@@ -1032,15 +1030,15 @@ func (g *Gateway) Stats() Stats {
 		HistoryFallbacks: g.historyFallbacks.Load(),
 		DriverPanics:     g.driverPanics.Load(),
 
-		PlanCacheHits:   int64(g.plans.Stats().Hits),
-		PlanCacheMisses: int64(g.plans.Stats().Misses),
+		PlanCacheHits:   int64(plans.Hits),
+		PlanCacheMisses: int64(plans.Misses),
 
-		RowsPublished:       g.push.Stats().Published,
-		RowsDropped:         g.push.Stats().Dropped,
-		SubscriberEvictions: g.push.Stats().Evicted,
-		SinkDelivered:       g.push.Stats().SinkDelivered,
-		SinkDropped:         g.push.Stats().SinkDropped,
-		SinkBreakerOpens:    g.push.Stats().SinkBreakerOpens,
+		RowsPublished:       push.Published,
+		RowsDropped:         push.Dropped,
+		SubscriberEvictions: push.Evicted,
+		SinkDelivered:       push.SinkDelivered,
+		SinkDropped:         push.SinkDropped,
+		SinkBreakerOpens:    push.SinkBreakerOpens,
 		EventsDropped:       g.events.Stats().Dropped,
 		Fanouts:             g.fanouts.Load(),
 		FanoutLegs:          g.fanoutLegs.Load(),

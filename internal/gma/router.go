@@ -215,55 +215,41 @@ func (r *Router) Stats() Stats {
 // gauges — into a metrics registry (typically the gateway's, so they
 // appear on GET /metrics).
 func (r *Router) RegisterMetrics(reg *metrics.Registry) {
-	reg.CounterFunc("gridrm_remote_queries_total", "Remote gateway queries attempted.", r.remoteQueries.Load)
-	reg.CounterFunc("gridrm_remote_failures_total", "Remote gateway queries that failed after retries.", r.remoteFailures.Load)
-	reg.CounterFunc("gridrm_remote_retries_total", "Remote query retry attempts performed.", r.remoteRetries.Load)
-	reg.CounterFunc("gridrm_remote_breaker_opens_total", "Per-endpoint breaker closed-to-open transitions.", r.breakerOpens.Load)
-	reg.CounterFunc("gridrm_remote_breaker_skipped_total", "Remote queries rejected because the endpoint breaker was open.", r.breakerSkipped.Load)
-	reg.CounterFunc("gridrm_lookup_cache_hits_total", "Member names resolved from a fresh copy of the directory.", r.lookupHits.Load)
-	reg.CounterFunc("gridrm_stale_lookups_total", "Routing decisions served from an expired copy during a directory outage.", r.staleLookups.Load)
-	reg.CounterFunc("gridrm_repub_routes_total", "Site queries routed via the owning republisher.", r.repubRoutes.Load)
-	reg.CounterFunc("gridrm_repub_fallthroughs_total", "Republisher-routed queries that fell through to the site gateway.", r.repubFallthroughs.Load)
-	reg.CounterFunc("gridrm_remote_not_modified_total", "Republisher answers served from the held answer after a 304 Not Modified.", r.notModified.Load)
-	reg.GaugeFunc("gridrm_remote_held_answers", "Republisher answers held for revalidation.",
-		func() float64 { n, _ := r.held.size(); return float64(n) })
-	reg.GaugeFunc("gridrm_remote_held_bytes", "Estimated bytes of the republisher answers held for revalidation.",
-		func() float64 { _, b := r.held.size(); return float64(b) })
-	reg.GaugeFunc("gridrm_directory_copy_age_seconds", "Seconds since the router last listed the directory (0 with no copy kept).",
-		func() float64 {
-			if s := r.kept(); s != nil {
-				return r.clock().Sub(s.at).Seconds()
+	md, multi := r.dir.(*MultiDirectory)
+	reg.Collect(func(c *metrics.Collection) {
+		st, kept := r.Stats(), r.kept()
+		answers, bytes := r.held.size()
+		var age, digest, members float64
+		if kept != nil {
+			age, digest, members = r.clock().Sub(kept.at).Seconds(), float64(kept.digest), float64(len(kept.regs))
+		}
+		c.Counter("gridrm_remote_queries_total", "Remote gateway queries attempted.", float64(st.RemoteQueries))
+		c.Counter("gridrm_remote_failures_total", "Remote gateway queries that failed after retries.", float64(st.RemoteFailures))
+		c.Counter("gridrm_remote_retries_total", "Remote query retry attempts performed.", float64(st.RemoteRetries))
+		c.Counter("gridrm_remote_breaker_opens_total", "Per-endpoint breaker closed-to-open transitions.", float64(st.RemoteBreakerOpens))
+		c.Counter("gridrm_remote_breaker_skipped_total", "Remote queries rejected because the endpoint breaker was open.", float64(st.RemoteBreakerSkipped))
+		c.Counter("gridrm_lookup_cache_hits_total", "Member names resolved from a fresh copy of the directory.", float64(st.LookupCacheHits))
+		c.Counter("gridrm_stale_lookups_total", "Routing decisions served from an expired copy during a directory outage.", float64(st.StaleLookups))
+		c.Counter("gridrm_repub_routes_total", "Site queries routed via the owning republisher.", float64(st.RepubRoutes))
+		c.Counter("gridrm_repub_fallthroughs_total", "Republisher-routed queries that fell through to the site gateway.", float64(st.RepubFallthroughs))
+		c.Counter("gridrm_remote_not_modified_total", "Republisher answers served from the held answer after a 304 Not Modified.", float64(st.NotModified))
+		c.Gauge("gridrm_remote_held_answers", "Republisher answers held for revalidation.", float64(answers))
+		c.Gauge("gridrm_remote_held_bytes", "Estimated bytes of the republisher answers held for revalidation.", float64(bytes))
+		c.Gauge("gridrm_directory_copy_age_seconds", "Seconds since the router last listed the directory (0 with no copy kept).", age)
+		c.Gauge("gridrm_directory_copy_digest", "32-bit hash of the digest of the router's copy of the directory (0 with no copy kept); members whose gauges differ disagree about the ring.", digest)
+		c.Gauge("gridrm_directory_copy_members", "Registrations in the router's copy of the directory.", members)
+		if !multi {
+			return
+		}
+		replicas, healthy := md.ReplicaHealth(), 0
+		for _, h := range replicas {
+			if h.Healthy {
+				healthy++
 			}
-			return 0
-		})
-	reg.GaugeFunc("gridrm_directory_copy_digest", "32-bit hash of the digest of the router's copy of the directory (0 with no copy kept); members whose gauges differ disagree about the ring.",
-		func() float64 {
-			if s := r.kept(); s != nil {
-				return float64(s.digest)
-			}
-			return 0
-		})
-	reg.GaugeFunc("gridrm_directory_copy_members", "Registrations in the router's copy of the directory.",
-		func() float64 {
-			if s := r.kept(); s != nil {
-				return float64(len(s.regs))
-			}
-			return 0
-		})
-	if md, ok := r.dir.(*MultiDirectory); ok {
-		reg.GaugeFunc("gridrm_directory_replicas_healthy", "Directory replicas whose last operation succeeded.",
-			func() float64 {
-				n := 0
-				for _, h := range md.ReplicaHealth() {
-					if h.Healthy {
-						n++
-					}
-				}
-				return float64(n)
-			})
-		reg.GaugeFunc("gridrm_directory_replicas", "Directory replicas configured.",
-			func() float64 { return float64(len(md.ReplicaHealth())) })
-	}
+		}
+		c.Gauge("gridrm_directory_replicas_healthy", "Directory replicas whose last operation succeeded.", float64(healthy))
+		c.Gauge("gridrm_directory_replicas", "Directory replicas configured.", float64(len(replicas)))
+	})
 }
 
 // endpointBreaker returns the breaker guarding one remote endpoint,

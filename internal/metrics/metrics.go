@@ -1,13 +1,14 @@
 // Package metrics is a dependency-free instrumentation layer for the
-// gateway's hot paths: counters, gauges and fixed-bucket latency
-// histograms, collected in a Registry that renders the Prometheus text
-// exposition format (served by the servlet's GET /metrics).
+// gateway: fixed-bucket latency histograms, which the hot paths update
+// lock-free, and counters and gauges that components already keep, all
+// collected in a Registry that renders the Prometheus text exposition
+// format (served by the servlet's GET /metrics).
 //
-// All instruments are safe for concurrent use and updates are lock-free;
-// the registry mutex is only taken at registration and scrape time.
-// Function-backed instruments (CounterFunc/GaugeFunc) read an existing
-// atomic counter at scrape time, so already-instrumented components are
-// exported without double counting.
+// A component exports the counters and gauges it keeps through Collect:
+// one collect per state owner, which reads that owner once per scrape and
+// emits every series from that one reading, so the series of one owner on
+// one scrape agree with each other. The registry mutex is only taken at
+// registration and scrape time.
 package metrics
 
 import (
@@ -20,31 +21,6 @@ import (
 	"sync"
 	"sync/atomic"
 )
-
-// Counter is a monotonically increasing count.
-type Counter struct {
-	v atomic.Int64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds n (n must be >= 0 for Prometheus semantics).
-func (c *Counter) Add(n int64) { c.v.Add(n) }
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Gauge is a value that can go up and down.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // DefBuckets are the default latency buckets, in seconds.
 var DefBuckets = []float64{
@@ -157,19 +133,70 @@ func (k kind) String() string {
 	}
 }
 
-// family is one registered metric name: a scalar instrument, a value
-// function, or a histogram vec.
+// family is one registered metric name: a histogram, a histogram vec or a
+// series of a collect.
 type family struct {
 	name, help string
 	kind       kind
 	label      string // vec label name, "" otherwise
 
-	counter     *Counter
-	counterFunc func() int64
-	gauge       *Gauge
-	gaugeFunc   func() float64
-	hist        *Histogram
-	vec         *HistogramVec
+	hist    *Histogram
+	vec     *HistogramVec
+	collect *collect // with idx, the series' place in the collect's reading
+	idx     int
+}
+
+// collect is one registered Collect: its read function and the families
+// it declared, in order.
+type collect struct {
+	read func(*Collection)
+	fams []*family
+}
+
+// Collection receives the series one collect emits: at registration, to
+// fix their names, help strings and types; at each scrape, their values,
+// which must come in the same order under the same names.
+type Collection struct {
+	declare bool
+	fams    []*family
+	vals    []float64
+	err     error
+}
+
+// Counter emits a counter series.
+func (c *Collection) Counter(name, help string, v float64) { c.emit(name, help, kindCounter, v) }
+
+// Gauge emits a gauge series.
+func (c *Collection) Gauge(name, help string, v float64) { c.emit(name, help, kindGauge, v) }
+
+// Flag is a gauge's value for a condition: 1 while it holds, 0 otherwise.
+func Flag(on bool) float64 {
+	if on {
+		return 1
+	}
+	return 0
+}
+
+func (c *Collection) emit(name, help string, k kind, v float64) {
+	if c.declare {
+		c.fams = append(c.fams, &family{name: name, help: help, kind: k})
+		return
+	}
+	if i := len(c.vals); c.err == nil && (i >= len(c.fams) || c.fams[i].name != name || c.fams[i].kind != k) {
+		c.err = fmt.Errorf("metrics: a collect emitted %s %q, not the series it declared at registration", k, name)
+	}
+	c.vals = append(c.vals, v)
+}
+
+// scrape runs the collect's read once, putting one value per declared
+// family into vals.
+func (col *collect) scrape(vals []float64) error {
+	c := Collection{fams: col.fams, vals: vals[:0:len(vals)]}
+	col.read(&c)
+	if c.err == nil && len(c.vals) < len(col.fams) {
+		c.err = fmt.Errorf("metrics: a collect did not emit %q, which it declared at registration", col.fams[len(c.vals)].name)
+	}
+	return c.err
 }
 
 // Registry holds registered metrics and renders them as Prometheus text.
@@ -182,39 +209,16 @@ type Registry struct {
 // NewRegistry creates an empty registry.
 func NewRegistry() *Registry { return &Registry{byName: make(map[string]*family)} }
 
-func (r *Registry) add(f *family) {
+func (r *Registry) add(fams ...*family) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, dup := r.byName[f.name]; dup {
-		panic(fmt.Sprintf("metrics: %q registered twice", f.name))
+	for _, f := range fams {
+		if _, dup := r.byName[f.name]; dup {
+			panic(fmt.Sprintf("metrics: %q registered twice", f.name))
+		}
+		r.byName[f.name] = f
 	}
-	r.byName[f.name] = f
-	r.families = append(r.families, f)
-}
-
-// Counter registers and returns a counter.
-func (r *Registry) Counter(name, help string) *Counter {
-	c := &Counter{}
-	r.add(&family{name: name, help: help, kind: kindCounter, counter: c})
-	return c
-}
-
-// CounterFunc registers a counter whose value is read from fn at scrape
-// time (for components that already keep their own atomic counters).
-func (r *Registry) CounterFunc(name, help string, fn func() int64) {
-	r.add(&family{name: name, help: help, kind: kindCounter, counterFunc: fn})
-}
-
-// Gauge registers and returns a settable gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	g := &Gauge{}
-	r.add(&family{name: name, help: help, kind: kindGauge, gauge: g})
-	return g
-}
-
-// GaugeFunc registers a gauge read from fn at scrape time.
-func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	r.add(&family{name: name, help: help, kind: kindGauge, gaugeFunc: fn})
+	r.families = append(r.families, fams...)
 }
 
 // Histogram registers and returns a histogram with the given bucket upper
@@ -239,26 +243,46 @@ func (r *Registry) HistogramVec(name, help, label string, buckets []float64) *Hi
 	return hv
 }
 
+// Collect registers the series of one state owner. At each scrape read
+// runs once: it reads the owner once and emits every series from that one
+// reading, so they agree with each other. Registration runs read once too,
+// to fix the series' names, help strings and types; a name already
+// registered panics. A scrape whose read emits a series it did not declare
+// then, or leaves one out, fails with an error.
+func (r *Registry) Collect(read func(*Collection)) {
+	c := Collection{declare: true}
+	read(&c)
+	col := &collect{read: read, fams: c.fams}
+	for i, f := range c.fams {
+		f.collect, f.idx = col, i
+	}
+	r.add(c.fams...)
+}
+
 // WritePrometheus renders every registered metric in the Prometheus text
-// exposition format (version 0.0.4), in registration order.
+// exposition format (version 0.0.4), in registration order. It runs every
+// collect before it writes, so a collect that breaks its declaration fails
+// the scrape with nothing written.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.Lock()
 	fams := append([]*family(nil), r.families...)
 	r.mu.Unlock()
-	for _, f := range fams {
+	vals := make([]float64, len(fams)) // each collected series' value
+	for i, f := range fams {
+		if f.collect != nil && f.idx == 0 {
+			if err := f.collect.scrape(vals[i : i+len(f.collect.fams)]); err != nil {
+				return err
+			}
+		}
+	}
+	for i, f := range fams {
 		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, escapeHelp(f.help), f.name, f.kind); err != nil {
 			return err
 		}
 		var err error
 		switch {
-		case f.counter != nil:
-			_, err = fmt.Fprintf(w, "%s %d\n", f.name, f.counter.Value())
-		case f.counterFunc != nil:
-			_, err = fmt.Fprintf(w, "%s %d\n", f.name, f.counterFunc())
-		case f.gauge != nil:
-			_, err = fmt.Fprintf(w, "%s %s\n", f.name, formatFloat(f.gauge.Value()))
-		case f.gaugeFunc != nil:
-			_, err = fmt.Fprintf(w, "%s %s\n", f.name, formatFloat(f.gaugeFunc()))
+		case f.collect != nil:
+			_, err = fmt.Fprintf(w, "%s %s\n", f.name, formatFloat(vals[i]))
 		case f.hist != nil:
 			err = writeHistogram(w, f.name, "", "", f.hist)
 		case f.vec != nil:
@@ -311,7 +335,9 @@ func writeHistogram(w io.Writer, name, label, value string, h *Histogram) error 
 	return err
 }
 
-func formatFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+// formatFloat renders a sample without an exponent, so a whole number reads
+// as an integer.
+func formatFloat(v float64) string { return strconv.FormatFloat(v, 'f', -1, 64) }
 
 func escapeHelp(s string) string {
 	return strings.NewReplacer(`\`, `\\`, "\n", `\n`).Replace(s)

@@ -4,7 +4,6 @@ import (
 	"os"
 	"runtime"
 	"strings"
-	"sync"
 
 	"gridrm/internal/intern"
 )
@@ -14,21 +13,7 @@ import (
 // that an operator can read, say, allocations per query
 // (gridrm_runtime_mallocs_total over gridrm_queries_total), or whether the
 // table thrashes (misses against hits), from the gateway's own /metrics.
-func RegisterRuntime(r *Registry) {
-	registerRuntime(r, runtime.ReadMemStats)
-	if _, err := os.Stat(fdDir); err == nil {
-		r.GaugeFunc("gridrm_runtime_open_fds", "File descriptors the process holds open.",
-			func() float64 { return float64(openFDs()) })
-	}
-	r.GaugeFunc("gridrm_intern_entries", "Strings the wire decoders' intern table holds.",
-		func() float64 { return float64(intern.Read().Entries) })
-	r.GaugeFunc("gridrm_intern_bytes", "Bytes the intern table retains: its strings plus an estimate of its maps' slots.",
-		func() float64 { return float64(intern.Read().Bytes) })
-	r.CounterFunc("gridrm_intern_hits_total", "Decoded names found in the intern table.",
-		func() int64 { return intern.Read().Hits })
-	r.CounterFunc("gridrm_intern_misses_total", "Decoded names the intern table did not hold.",
-		func() int64 { return intern.Read().Misses })
-}
+func RegisterRuntime(r *Registry) { registerRuntime(r, runtime.ReadMemStats) }
 
 // ProcessWide reports whether a series is one of RegisterRuntime's. They
 // describe the process, not the registry: every registry in one process
@@ -58,38 +43,26 @@ func openFDs() int {
 
 // registerRuntime is RegisterRuntime over a given reader of the runtime's
 // memory statistics. Reading them stops the world, so a scrape reads them
-// once: the first of the series below, which WritePrometheus renders in
-// registration order, takes the reading and the rest share it.
+// once, in the one collect that emits every series here.
 func registerRuntime(r *Registry, read func(*runtime.MemStats)) {
-	var (
-		mu sync.Mutex
-		ms runtime.MemStats
-	)
-	stat := func(refresh bool, field func(*runtime.MemStats) uint64) uint64 {
-		mu.Lock()
-		defer mu.Unlock()
-		if refresh {
-			read(&ms)
+	_, err := os.Stat(fdDir)
+	fds := err == nil
+	r.Collect(func(c *Collection) {
+		var ms runtime.MemStats
+		read(&ms)
+		in := intern.Read()
+		c.Gauge("gridrm_runtime_goroutines", "Goroutines that currently exist.", float64(runtime.NumGoroutine()))
+		c.Gauge("gridrm_runtime_heap_alloc_bytes", "Bytes of allocated heap objects.", float64(ms.HeapAlloc))
+		c.Gauge("gridrm_runtime_heap_objects", "Allocated heap objects.", float64(ms.HeapObjects))
+		c.Counter("gridrm_runtime_mallocs_total", "Heap objects allocated since the process started.", float64(ms.Mallocs))
+		c.Counter("gridrm_runtime_gc_cycles_total", "Completed GC cycles.", float64(ms.NumGC))
+		c.Counter("gridrm_runtime_gc_pause_seconds_total", "Time spent in GC stop-the-world pauses.", float64(ms.PauseTotalNs)/1e9)
+		if fds {
+			c.Gauge("gridrm_runtime_open_fds", "File descriptors the process holds open.", float64(openFDs()))
 		}
-		return field(&ms)
-	}
-	r.GaugeFunc("gridrm_runtime_goroutines", "Goroutines that currently exist.",
-		func() float64 { return float64(runtime.NumGoroutine()) })
-	r.GaugeFunc("gridrm_runtime_heap_alloc_bytes", "Bytes of allocated heap objects.", func() float64 {
-		return float64(stat(true, func(m *runtime.MemStats) uint64 { return m.HeapAlloc }))
+		c.Gauge("gridrm_intern_entries", "Strings the wire decoders' intern table holds.", float64(in.Entries))
+		c.Gauge("gridrm_intern_bytes", "Bytes the intern table retains: its strings plus an estimate of its maps' slots.", float64(in.Bytes))
+		c.Counter("gridrm_intern_hits_total", "Decoded names found in the intern table.", float64(in.Hits))
+		c.Counter("gridrm_intern_misses_total", "Decoded names the intern table did not hold.", float64(in.Misses))
 	})
-	r.GaugeFunc("gridrm_runtime_heap_objects", "Allocated heap objects.", func() float64 {
-		return float64(stat(false, func(m *runtime.MemStats) uint64 { return m.HeapObjects }))
-	})
-	r.CounterFunc("gridrm_runtime_mallocs_total", "Heap objects allocated since the process started.", func() int64 {
-		return int64(stat(false, func(m *runtime.MemStats) uint64 { return m.Mallocs }))
-	})
-	r.CounterFunc("gridrm_runtime_gc_cycles_total", "Completed GC cycles.", func() int64 {
-		return int64(stat(false, func(m *runtime.MemStats) uint64 { return uint64(m.NumGC) }))
-	})
-	// A counter of seconds is fractional, which CounterFunc's int64 cannot say.
-	r.add(&family{name: "gridrm_runtime_gc_pause_seconds_total", help: "Time spent in GC stop-the-world pauses.",
-		kind: kindCounter, gaugeFunc: func() float64 {
-			return float64(stat(false, func(m *runtime.MemStats) uint64 { return m.PauseTotalNs })) / 1e9
-		}})
 }

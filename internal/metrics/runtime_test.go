@@ -44,11 +44,16 @@ var sink [][]byte
 
 // TestRuntimeCollectors: two scrapes around some allocation and a GC. Every
 // series is present under its type, the counters only rise, and each scrape
-// reads the runtime's memory statistics once, not once a series.
+// reads the runtime's memory statistics once, not once a series (after the
+// one reading registration takes to declare the series).
 func TestRuntimeCollectors(t *testing.T) {
 	r := NewRegistry()
 	reads := 0
 	registerRuntime(r, func(ms *runtime.MemStats) { reads++; runtime.ReadMemStats(ms) })
+	if reads != 1 {
+		t.Errorf("registration read the memory statistics %d times, want once", reads)
+	}
+	reads = 0
 	before := scrape(t, r)
 	if reads != 1 {
 		t.Errorf("the first scrape read the memory statistics %d times, want once", reads)

@@ -24,7 +24,9 @@ func (g *Gateway) Handler() *web.Front {
 
 func (g *Gateway) serveMetrics(_ context.Context, w http.ResponseWriter, _ *http.Request, _ security.Principal) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = g.metrics.WritePrometheus(w)
+	if err := g.metrics.WritePrometheus(w); err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+	}
 }
 
 func (g *Gateway) serveStatus(_ context.Context, w http.ResponseWriter, _ *http.Request, _ security.Principal) {

@@ -186,34 +186,26 @@ func New(opts Options) (*Gateway, error) {
 // gma.DigestHash of Membership's digest, the gauge the entry router exports
 // for its own copy, so members whose gauges differ disagree about the ring.
 func (g *Gateway) registerMetrics() {
-	for _, c := range []struct {
-		name, help string
-		v          *atomic.Int64
-	}{
-		{"region_queries", "Queries answered from the merged region view.", &g.regionQueries},
-		{"site_queries", "Queries answered for one owned site.", &g.siteQueries},
-		{"not_owned", "Queries refused because a site they name is not owned.", &g.notOwned},
-		{"not_modified", "Queries answered 304 Not Modified: the caller's validator was current.", &g.notModified},
-		{"scrapes", "Child-site scrape attempts.", &g.scrapes},
-		{"scrape_errors", "Child-site scrapes that failed.", &g.scrapeErrors},
-		{"live_rows", "Rows applied from feeds.", &g.liveRows},
-		{"subscriptions", "Feeds opened and seeded.", &g.subscriptions},
-		{"subscribe_fallbacks", "Feeds that would not open, each followed by a scrape.", &g.subscribeFallbacks},
-		{"rebalances", "Refresh cycles that changed the owned-site set.", &g.rebalances},
-		{"membership_changes", "Directory watches that returned on a membership change.", &g.membershipChanges},
-		{"refresh_errors", "Failed directory watches and registrations.", &g.refreshErrors},
-	} {
-		g.metrics.CounterFunc("gridrm_repub_"+c.name+"_total", c.help, c.v.Load)
-	}
-	g.metrics.GaugeFunc("gridrm_repub_stored_rows", "Rows held across every view.",
-		func() float64 { return float64(g.store.Rows()) })
-	g.metrics.GaugeFunc("gridrm_directory_copy_digest", "32-bit hash of the digest of the directory membership the owned shard rests on (0 before the first refresh).",
-		func() float64 {
-			if d := g.Membership().Digest; d != "" {
-				return float64(gma.DigestHash(d))
-			}
-			return 0
-		})
+	g.metrics.Collect(func(c *metrics.Collection) {
+		st, digest := g.Stats(), 0.0
+		if d := g.Membership().Digest; d != "" {
+			digest = float64(gma.DigestHash(d))
+		}
+		c.Counter("gridrm_repub_region_queries_total", "Queries answered from the merged region view.", float64(st.RegionQueries))
+		c.Counter("gridrm_repub_site_queries_total", "Queries answered for one owned site.", float64(st.SiteQueries))
+		c.Counter("gridrm_repub_not_owned_total", "Queries refused because a site they name is not owned.", float64(st.NotOwned))
+		c.Counter("gridrm_repub_not_modified_total", "Queries answered 304 Not Modified: the caller's validator was current.", float64(st.NotModified))
+		c.Counter("gridrm_repub_scrapes_total", "Child-site scrape attempts.", float64(st.Scrapes))
+		c.Counter("gridrm_repub_scrape_errors_total", "Child-site scrapes that failed.", float64(st.ScrapeErrors))
+		c.Counter("gridrm_repub_live_rows_total", "Rows applied from feeds.", float64(st.LiveRows))
+		c.Counter("gridrm_repub_subscriptions_total", "Feeds opened and seeded.", float64(st.Subscriptions))
+		c.Counter("gridrm_repub_subscribe_fallbacks_total", "Feeds that would not open, each followed by a scrape.", float64(st.SubscribeFallbacks))
+		c.Counter("gridrm_repub_rebalances_total", "Refresh cycles that changed the owned-site set.", float64(st.Rebalances))
+		c.Counter("gridrm_repub_membership_changes_total", "Directory watches that returned on a membership change.", float64(st.MembershipChanges))
+		c.Counter("gridrm_repub_refresh_errors_total", "Failed directory watches and registrations.", float64(st.RefreshErrors))
+		c.Gauge("gridrm_repub_stored_rows", "Rows held across every view.", float64(st.StoredRows))
+		c.Gauge("gridrm_directory_copy_digest", "32-bit hash of the digest of the directory membership the owned shard rests on (0 before the first refresh).", digest)
+	})
 }
 
 // Metrics returns the republisher's metrics registry (served by GET /metrics).

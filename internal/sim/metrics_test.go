@@ -15,8 +15,8 @@ import (
 )
 
 // statsRule names the metric each integer field of one Stats struct is
-// exported as: gridrm_<prefix><foo>_total for an int64 counter Foo,
-// gridrm_<prefix><foo> for an int gauge, or the irregular name given.
+// exported as: gridrm_<prefix><foo>_total for an int64 or uint64 counter
+// Foo, gridrm_<prefix><foo> for an int gauge, or the irregular name given.
 type statsRule struct {
 	prefix    string
 	irregular map[string]string
@@ -36,6 +36,19 @@ var statsRules = map[string]statsRule{
 		"DiskBytes":               "gridrm_history_disk_bytes",
 		"WALBytesSinceCheckpoint": "gridrm_history_wal_bytes_since_checkpoint",
 	}},
+	"trace.Stats": {prefix: "traces_", irregular: map[string]string{
+		"SlowQueries":  "gridrm_slow_queries_total",
+		"DroppedSpans": "gridrm_trace_spans_dropped_total",
+		"Bytes":        "gridrm_trace_bytes",
+	}},
+	"qcache.Stats": {prefix: "qcache_"},
+	"pool.Stats": {prefix: "pool_", irregular: map[string]string{
+		"Hits":  "gridrm_pool_idle_hits_total",
+		"Opens": "gridrm_pool_dials_total",
+	}},
+	"event.Stats":             {prefix: "events_", irregular: map[string]string{"Alerts": "gridrm_event_alerts_total"}},
+	"health.Stats":            {prefix: "probe_", irregular: map[string]string{"Probes": "gridrm_probes_total"}},
+	"sqlparse.PlanCacheStats": {prefix: "plan_cache_"},
 }
 
 // statsExempt lists the integer Stats fields no metric carries, and why.
@@ -59,7 +72,7 @@ func statsMetric(typ string, field reflect.StructField) string {
 		}
 		b.WriteRune(unicode.ToLower(r))
 	}
-	if field.Type.Kind() == reflect.Int64 {
+	if k := field.Type.Kind(); k == reflect.Int64 || k == reflect.Uint64 {
 		b.WriteString("_total")
 	}
 	return b.String()
@@ -67,9 +80,11 @@ func statsMetric(typ string, field reflect.StructField) string {
 
 // TestMetricsCarryEveryStatsField walks every exported integer field of the
 // Stats structs behind a federated fleet with durable history (the site
-// gateway, its push router and durable store, the entry's federation
-// router, the republisher): after some traffic, each is on its member's
-// exposition with the value Stats reads, unless statsExempt says why not.
+// gateway and each state owner it exports: push router, durable store,
+// tracer, query cache, pool, Event Manager, prober and plan cache; the
+// entry's federation router; the republisher): after some traffic, each is
+// on its member's exposition with the value Stats reads, unless statsExempt
+// says why not.
 // So an operator's scrape, and the sim report built from it, can read every
 // counter the members keep.
 func TestMetricsCarryEveryStatsField(t *testing.T) {
@@ -127,7 +142,8 @@ federation:
 	for _, site := range h.SiteOrder {
 		gw := h.SiteGateway(site)
 		members = append(members, member{site, gw.Metrics(), func() []any {
-			st := []any{gw.Stats(), gw.PushRouter().Stats()}
+			st := []any{gw.Stats(), gw.PushRouter().Stats(), gw.Tracer().Stats(), gw.Cache().Stats(),
+				gw.Pool().Stats(), gw.Events().Stats(), gw.Prober().Stats(), gw.PlanCache().Stats()}
 			if d := gw.DurableHistory(); d != nil {
 				st = append(st, d.Stats())
 			}
@@ -167,7 +183,16 @@ federation:
 				walked[typ] = true
 				for i := 0; i < v.NumField(); i++ {
 					field := v.Type().Field(i)
-					if k := field.Type.Kind(); !field.IsExported() || k != reflect.Int && k != reflect.Int64 {
+					if !field.IsExported() {
+						continue
+					}
+					var want float64
+					switch field.Type.Kind() {
+					case reflect.Int, reflect.Int64:
+						want = float64(v.Field(i).Int())
+					case reflect.Uint64:
+						want = float64(v.Field(i).Uint())
+					default:
 						continue
 					}
 					key := typ + "." + field.Name
@@ -179,7 +204,7 @@ federation:
 					got, ok := ex.Samples[name]
 					if !ok {
 						problems = append(problems, key+": no "+name)
-					} else if want := float64(v.Field(i).Int()); got != want {
+					} else if got != want {
 						problems = append(problems, fmt.Sprintf("%s: %s reads %v, Stats %v", key, name, got, want))
 					}
 				}
@@ -204,39 +229,57 @@ federation:
 
 // TestAssertionOnAbsentMetricFails: an assertion whose counter no member
 // exposes fails and names it, where it once read 0 and so passed any max_
-// limit and any min_ limit of 0.
+// limit and any min_ limit of 0. So does a ratio over a denominator of 0,
+// naming the denominator: no subscriber, no fan-out or no request is no
+// data, not a rate of 0.
 func TestAssertionOnAbsentMetricFails(t *testing.T) {
-	sc, err := ParseScenario([]byte(runnerScenario)) // no durable history, no subscribers
+	sc, err := ParseScenario([]byte(runnerScenario)) // no durable history, no subscribers, no federation
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc.Assertions = map[string]float64{"min_wal_appends": 0, "max_row_drop_rate": 1}
-	missing := func(r *Report) map[string]string {
+	sc.Assertions = map[string]float64{"min_wal_appends": 0, "max_row_drop_rate": 1, "max_remote_per_fanout": 10}
+	// failures maps each failed assertion to "missing <metric>" or
+	// "no data <denominator>".
+	failures := func(sc *Scenario, r *Report) map[string]string {
 		out := map[string]string{}
 		for _, a := range evalAssertions(sc, r) {
-			if a.OK != (a.Missing == "") {
-				t.Errorf("%s: ok %v with missing %q", a.Name, a.OK, a.Missing)
+			switch {
+			case a.OK != (a.Missing == "" && a.NoData == ""):
+				t.Errorf("%s: ok %v with missing %q, no data %q", a.Name, a.OK, a.Missing, a.NoData)
+			case a.Missing != "":
+				out[a.Name] = "missing " + a.Missing
+			case a.NoData != "":
+				out[a.Name] = "no data " + a.NoData
 			}
-			out[a.Name] = a.Missing
 		}
 		return out
 	}
-	// Members that expose neither counter.
-	if got := missing(&Report{}); got["min_wal_appends"] != "gridrm_history_wal_appends_total" ||
-		got["max_row_drop_rate"] != "gridrm_rows_dropped_total" {
-		t.Errorf("with no counters exposed, missing = %v", got)
+	// Members that expose none of the counters.
+	if got := failures(sc, &Report{}); got["min_wal_appends"] != "missing gridrm_history_wal_appends_total" ||
+		got["max_row_drop_rate"] != "missing gridrm_rows_dropped_total" ||
+		got["max_remote_per_fanout"] != "missing gridrm_fanout_legs_total" {
+		t.Errorf("with no counters exposed, failures = %v", got)
+	}
+	// No request: the two per-request ratios have no data.
+	perRequest := &Scenario{Assertions: map[string]float64{"max_error_rate": 0, "min_degraded_share": 0}}
+	if got := failures(perRequest, &Report{Counters: map[string]float64{"gridrm_degraded_serves_total": 3}}); got["max_error_rate"] != "no data requests" ||
+		got["min_degraded_share"] != "no data requests" {
+		t.Errorf("with no requests, failures = %v", got)
 	}
 	// A real run: no site journals history, so the WAL counter is absent.
-	// Every gateway registers its push router's counters, so the row drop
-	// rate reads a true 0 over 0 offered rows.
+	// Every gateway registers its push router's and fan-out counters, but
+	// with no subscriber and no federation they offer no row and no leg.
 	r, err := Run(sc, RunOptions{Duration: 100 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := missing(r); got["min_wal_appends"] != "gridrm_history_wal_appends_total" || got["max_row_drop_rate"] != "" {
-		t.Errorf("run without durable history: missing = %v", got)
+	if got := failures(sc, r); len(got) != 3 || got["min_wal_appends"] != "missing gridrm_history_wal_appends_total" ||
+		got["max_row_drop_rate"] != "no data gridrm_rows_enqueued_total" ||
+		got["max_remote_per_fanout"] != "no data gridrm_fanouts_total" {
+		t.Errorf("run without durable history, subscribers or federation: failures = %v", got)
 	}
-	if r.Passed || !strings.Contains(r.Summary(), "FAIL min_wal_appends: no member exposes gridrm_history_wal_appends_total") {
-		t.Errorf("the run passed or its summary hides the missing metric:\n%s", r.Summary())
+	if r.Passed || !strings.Contains(r.Summary(), "FAIL min_wal_appends: no member exposes gridrm_history_wal_appends_total") ||
+		!strings.Contains(r.Summary(), "FAIL max_row_drop_rate: no data, gridrm_rows_enqueued_total is 0") {
+		t.Errorf("the run passed or its summary hides the missing metric or data:\n%s", r.Summary())
 	}
 }

@@ -71,13 +71,15 @@ type EventRecord struct {
 }
 
 // AssertionResult is one checked assertion. Missing names the metric it
-// reads that no member exposes; such an assertion fails.
+// reads that no member exposes; NoData names the denominator of a ratio
+// that read 0. Either way the assertion fails.
 type AssertionResult struct {
 	Name    string  `json:"name"`
 	Limit   float64 `json:"limit"`
 	Actual  float64 `json:"actual"`
 	OK      bool    `json:"ok"`
 	Missing string  `json:"missing,omitempty"`
+	NoData  string  `json:"no_data,omitempty"`
 }
 
 // WriteJSON renders the report as indented JSON.
@@ -104,6 +106,10 @@ func (r *Report) Summary() string {
 		}
 		if a.Missing != "" {
 			fmt.Fprintf(&b, "  %s %s: no member exposes %s\n", status, a.Name, a.Missing)
+			continue
+		}
+		if a.NoData != "" {
+			fmt.Fprintf(&b, "  %s %s: no data, %s is 0\n", status, a.Name, a.NoData)
 			continue
 		}
 		fmt.Fprintf(&b, "  %s %s: limit %v actual %v\n", status, a.Name, a.Limit, round3(a.Actual))

@@ -3,6 +3,8 @@ package web
 import (
 	"context"
 	"sync/atomic"
+
+	"gridrm/internal/metrics"
 )
 
 // retryAfter is the Retry-After hint, in seconds, sent with 429 responses.
@@ -101,11 +103,11 @@ func (s *Server) SetAdmissionLimits(maxInFlight, maxQueue int) {
 		return
 	}
 	s.Front.SetAdmissionLimits(maxInFlight, maxQueue)
-	reg := s.gw.Metrics()
-	reg.CounterFunc("gridrm_http_shed_total", "Requests shed by the admission gate (429).", s.admit.shed.Load)
-	reg.CounterFunc("gridrm_http_admitted_total", "Requests admitted by the admission gate.", s.admit.admitted.Load)
-	reg.GaugeFunc("gridrm_http_inflight", "Admitted requests currently executing.",
-		func() float64 { return float64(s.admit.inflight.Load()) })
-	reg.GaugeFunc("gridrm_http_queued", "Requests waiting for an admission slot.",
-		func() float64 { return float64(s.admit.queued.Load()) })
+	s.gw.Metrics().Collect(func(c *metrics.Collection) {
+		st := s.admit.stats()
+		c.Counter("gridrm_http_shed_total", "Requests shed by the admission gate (429).", float64(st.Shed))
+		c.Counter("gridrm_http_admitted_total", "Requests admitted by the admission gate.", float64(st.Admitted))
+		c.Gauge("gridrm_http_inflight", "Admitted requests currently executing.", float64(st.InFlight))
+		c.Gauge("gridrm_http_queued", "Requests waiting for an admission slot.", float64(st.Queued))
+	})
 }

@@ -301,7 +301,9 @@ func (s *Server) trace(r *http.Request) (any, error) {
 // exposition format.
 func (s *Server) metrics(_ context.Context, w http.ResponseWriter, _ *http.Request, _ security.Principal) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = s.gw.Metrics().WritePrometheus(w)
+	if err := s.gw.Metrics().WritePrometheus(w); err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+	}
 }
 
 func (s *Server) listSites(*http.Request) (any, error) {
