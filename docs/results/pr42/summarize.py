@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""Prints the results table of README.md from the *.jsonl files beside it:
-per workload and seed, parent median -> change median of each gated metric,
-the pairs (in run order) in which the change read lower, and the distance
-between the parent's quartiles."""
-import json, statistics, pathlib
+"""Prints the results table of README.md from the *.jsonl files beside it,
+or in the directory given as the first argument (docs/results/pr47 keeps
+its runs there): per workload and seed, parent median -> change median of
+each gated metric, the pairs (in run order) in which the change read lower,
+and the distance between the parent's quartiles."""
+import json, statistics, pathlib, sys
 
-here = pathlib.Path(__file__).parent
+here = pathlib.Path(sys.argv[1]) if len(sys.argv) > 1 else pathlib.Path(__file__).parent
 metrics = ["heap_live_mb", "alloc_kb_per_query", "allocs_per_query", "setup_s"]
 
 def load(w, seed, side):

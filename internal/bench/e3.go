@@ -88,6 +88,6 @@ func runE3(r *run) error {
 	now = now.Add(2 * time.Minute)
 	reaped := cm.Reap()
 	fmt.Fprintf(r.w, "\nidle reaping: %d idle connections evicted after MaxIdleTime (pool now %d)\n",
-		reaped, cm.IdleCount())
+		reaped, cm.Stats().Idle)
 	return nil
 }

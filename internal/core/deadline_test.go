@@ -322,9 +322,9 @@ func TestLateConnectionAdoptedByPool(t *testing.T) {
 
 	// The dial finishes after the deadline; the pool adopts the connection.
 	deadline := time.Now().Add(2 * time.Second)
-	for fx.g.Pool().IdleCount() == 0 {
+	for fx.g.Pool().Stats().Idle == 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("late connection was not adopted (idle = %d)", fx.g.Pool().IdleCount())
+			t.Fatalf("late connection was not adopted (idle = %d)", fx.g.Pool().Stats().Idle)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

@@ -510,7 +510,7 @@ func (g *Gateway) registerMetrics() {
 		c.Counter("gridrm_qcache_stale_total", "Query cache entries dropped as expired.", float64(st.Stale))
 		c.Counter("gridrm_qcache_evictions_total", "Query cache capacity evictions.", float64(st.Evictions))
 		c.Counter("gridrm_qcache_grace_hits_total", "Degraded-serve lookups an entry satisfied, fresh or expired within grace.", float64(st.GraceHits))
-		c.Gauge("gridrm_qcache_entries", "Query cache entries held (fresh or not yet collected).", float64(g.cache.Len()))
+		c.Gauge("gridrm_qcache_entries", "Query cache entries held (fresh or not yet collected).", float64(st.Entries))
 	})
 	r.Collect(func(c *metrics.Collection) {
 		st := g.pool.Stats()
@@ -520,7 +520,7 @@ func (g *Gateway) registerMetrics() {
 		c.Counter("gridrm_pool_misses_total", "Pool Gets that had to open a new connection.", float64(st.Misses))
 		c.Counter("gridrm_pool_closes_total", "Pooled connections closed.", float64(st.Closes))
 		c.Counter("gridrm_pool_evictions_total", "Idle pooled connections dropped by capacity or age.", float64(st.Evictions))
-		c.Gauge("gridrm_pool_idle_connections", "Idle pooled connections.", float64(g.pool.IdleCount()))
+		c.Gauge("gridrm_pool_idle_connections", "Idle pooled connections.", float64(st.Idle))
 	})
 	r.Collect(func(c *metrics.Collection) {
 		st := g.events.Stats()

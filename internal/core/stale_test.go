@@ -201,7 +201,7 @@ func TestStalePooledConnectionRedialed(t *testing.T) {
 		if info, _ := fx.g.Source(fx.url); info.Breaker != "closed" || info.LastError != "" {
 			t.Errorf("wrapped=%v: source heard of a failure: breaker %s, last error %q", wrapped, info.Breaker, info.LastError)
 		}
-		if idle := fx.g.Pool().IdleCount(); idle != 1 {
+		if idle := fx.g.Pool().Stats().Idle; idle != 1 {
 			t.Errorf("wrapped=%v: idle = %d, want the fresh connection pooled", wrapped, idle)
 		}
 
@@ -285,13 +285,13 @@ func TestDeadlineDuringPostFailurePing(t *testing.T) {
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		p := fx.g.Pool().Stats()
-		settled := int64(fx.g.Pool().IdleCount())+p.Closes == p.Opens && runtime.NumGoroutine() <= goroutines
+		settled := int64(p.Idle)+p.Closes == p.Opens && runtime.NumGoroutine() <= goroutines
 		if settled {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("not settled: idle %d, pool %+v, goroutines %d (were %d)",
-				fx.g.Pool().IdleCount(), p, runtime.NumGoroutine(), goroutines)
+			t.Fatalf("not settled: pool %+v, goroutines %d (were %d)",
+				p, runtime.NumGoroutine(), goroutines)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

@@ -193,6 +193,11 @@ func ReadJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	return false
 }
 
+// ContentType is the Content-Type header value of every JSON body, request
+// or answer. A header map's slices are replaced, never written in place, so
+// all headers share this one; it must not be written.
+var ContentType = []string{"application/json"}
+
 // WriteJSON answers a request with v as JSON. The body is encoded before
 // anything is sent, so a value that cannot be encoded is a 500 and not a 200
 // with half a body, and the length is declared so the peer can read it into
@@ -214,7 +219,8 @@ func WriteJSON(w http.ResponseWriter, v any) {
 		http.Error(w, "encoding the response: "+err.Error(), http.StatusInternalServerError)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	h := w.Header()
+	h["Content-Type"] = ContentType
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	_, _ = w.Write(body) // the client hung up; there is nobody left to tell
 }

@@ -59,6 +59,8 @@ type Stats struct {
 	PingFailures int64
 	// Evictions counts idle connections dropped by capacity or age.
 	Evictions int64
+	// Idle is the number of idle pooled connections.
+	Idle int
 }
 
 // Manager is the ConnectionManager.
@@ -335,19 +337,15 @@ func (m *Manager) CloseAll() {
 	}
 }
 
-// IdleCount returns the number of idle pooled connections.
-func (m *Manager) IdleCount() int {
+// Stats returns the pool counters and the idle count as of one instant: it
+// reads them all under one hold of the pool lock.
+func (m *Manager) Stats() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	n := 0
+	idle := 0
 	for _, conns := range m.idle {
-		n += len(conns)
+		idle += len(conns)
 	}
-	return n
-}
-
-// Stats returns a snapshot of pool counters.
-func (m *Manager) Stats() Stats {
 	return Stats{
 		Hits:         m.hits.Load(),
 		Misses:       m.misses.Load(),
@@ -355,6 +353,7 @@ func (m *Manager) Stats() Stats {
 		Closes:       m.closes.Load(),
 		PingFailures: m.pingFailures.Load(),
 		Evictions:    m.evictions.Load(),
+		Idle:         idle,
 	}
 }
 

@@ -96,8 +96,8 @@ func TestReleaseIdempotent(t *testing.T) {
 	c, _ := m.Get(url, nil)
 	c.Release()
 	c.Release()
-	if m.IdleCount() != 1 {
-		t.Errorf("idle = %d after double release", m.IdleCount())
+	if m.Stats().Idle != 1 {
+		t.Errorf("idle = %d after double release", m.Stats().Idle)
 	}
 }
 
@@ -109,11 +109,11 @@ func TestDiscardCloses(t *testing.T) {
 	if !underlying.closed.Load() {
 		t.Error("Discard did not close")
 	}
-	if m.IdleCount() != 0 {
+	if m.Stats().Idle != 0 {
 		t.Error("discarded connection pooled")
 	}
 	c.Release() // must be a no-op after Discard
-	if m.IdleCount() != 0 {
+	if m.Stats().Idle != 0 {
 		t.Error("Release after Discard pooled a closed conn")
 	}
 }
@@ -169,8 +169,8 @@ func TestPingContext(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Release()
-	if m.IdleCount() != 1 || m.Stats().PingFailures != 0 {
-		t.Fatalf("after a healthy ping: idle %d, stats %+v", m.IdleCount(), m.Stats())
+	if s := m.Stats(); s.Idle != 1 || s.PingFailures != 0 {
+		t.Fatalf("after a healthy ping: stats %+v", s)
 	}
 
 	d.poison.Store(true)
@@ -180,8 +180,8 @@ func TestPingContext(t *testing.T) {
 		t.Fatal("ping of a poisoned connection succeeded")
 	}
 	c.Release() // spent: must not pool the closed connection
-	if s := m.Stats(); s.PingFailures != 1 || s.Closes != 1 || m.IdleCount() != 0 || !underlying.closed.Load() {
-		t.Errorf("after a failed ping: idle %d, closed %v, stats %+v", m.IdleCount(), underlying.closed.Load(), s)
+	if s := m.Stats(); s.PingFailures != 1 || s.Closes != 1 || s.Idle != 0 || !underlying.closed.Load() {
+		t.Errorf("after a failed ping: closed %v, stats %+v", underlying.closed.Load(), s)
 	}
 }
 
@@ -205,15 +205,15 @@ func TestPingContextAbandonedAtDeadline(t *testing.T) {
 		}
 		close(d.pingGate)
 		deadline := time.Now().Add(2 * time.Second)
-		for int64(m.IdleCount())+m.Stats().Closes != 1 {
+		for s := m.Stats(); int64(s.Idle)+s.Closes != 1; s = m.Stats() {
 			if time.Now().After(deadline) {
-				t.Fatalf("poisoned=%v: connection neither pooled nor closed: idle %d, stats %+v", poisoned, m.IdleCount(), m.Stats())
+				t.Fatalf("poisoned=%v: connection neither pooled nor closed: stats %+v", poisoned, s)
 			}
 			time.Sleep(time.Millisecond)
 		}
-		want := Stats{Misses: 1, Opens: 1}
+		want := Stats{Misses: 1, Opens: 1, Idle: 1}
 		if poisoned {
-			want.PingFailures, want.Closes = 1, 1
+			want.PingFailures, want.Closes, want.Idle = 1, 1, 0
 		}
 		if s := m.Stats(); s != want {
 			t.Errorf("poisoned=%v: stats %+v, want %+v", poisoned, s, want)
@@ -234,8 +234,8 @@ func TestMaxIdlePerSource(t *testing.T) {
 	for _, c := range conns {
 		c.Release()
 	}
-	if m.IdleCount() != 2 {
-		t.Errorf("idle = %d, want 2", m.IdleCount())
+	if m.Stats().Idle != 2 {
+		t.Errorf("idle = %d, want 2", m.Stats().Idle)
 	}
 	if m.Stats().Evictions != 2 {
 		t.Errorf("evictions = %d", m.Stats().Evictions)
@@ -256,7 +256,7 @@ func TestReap(t *testing.T) {
 	if n := m.Reap(); n != 1 {
 		t.Errorf("reaped %d, want 1", n)
 	}
-	if m.IdleCount() != 0 {
+	if m.Stats().Idle != 0 {
 		t.Error("idle not drained")
 	}
 }
@@ -273,7 +273,7 @@ func TestDisabledPooling(t *testing.T) {
 	if d.connects.Load() != 3 {
 		t.Errorf("connects = %d, want 3 with pooling off", d.connects.Load())
 	}
-	if m.IdleCount() != 0 {
+	if m.Stats().Idle != 0 {
 		t.Error("disabled pool kept connections")
 	}
 	if m.Stats().Hits != 0 {
@@ -287,11 +287,11 @@ func TestCloseAll(t *testing.T) {
 	c2, _ := m.Get("gridrm:slow://h2:1", nil)
 	c1.Release()
 	c2.Release()
-	if m.IdleCount() != 2 {
-		t.Fatalf("idle = %d", m.IdleCount())
+	if m.Stats().Idle != 2 {
+		t.Fatalf("idle = %d", m.Stats().Idle)
 	}
 	m.CloseAll()
-	if m.IdleCount() != 0 {
+	if m.Stats().Idle != 0 {
 		t.Error("CloseAll left idle conns")
 	}
 	if m.Stats().Closes != 2 {

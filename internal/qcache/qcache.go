@@ -44,6 +44,8 @@ type Stats struct {
 	// GraceHits counts GetStale calls satisfied by an entry (fresh or
 	// expired-within-grace).
 	GraceHits int64
+	// Entries is the number of cached entries (fresh or not yet collected).
+	Entries int
 }
 
 // Entry describes one cached result for the tree view.
@@ -217,13 +219,6 @@ func (c *Cache) Clear() {
 	c.resetLocked()
 }
 
-// Len returns the number of cached entries (fresh or not yet collected).
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
 // Entries lists cached results for the tree view, newest first. Expired
 // entries are omitted.
 func (c *Cache) Entries() []Entry {
@@ -250,14 +245,18 @@ func (c *Cache) Entries() []Entry {
 	return out
 }
 
-// Stats returns a snapshot of cache counters.
+// Stats returns the cache counters and the entry count as of one instant:
+// it reads them all under one hold of the cache lock.
 func (c *Cache) Stats() Stats {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	return Stats{
 		Hits:      c.hits.Load(),
 		Misses:    c.misses.Load(),
 		Stale:     c.stale.Load(),
 		Evictions: c.evictions.Load(),
 		GraceHits: c.graceHits.Load(),
+		Entries:   len(c.entries),
 	}
 }
 

@@ -68,7 +68,7 @@ func TestTTLExpiry(t *testing.T) {
 	if c.Stats().Stale != 1 {
 		t.Errorf("stale = %d", c.Stats().Stale)
 	}
-	if c.Len() != 0 {
+	if c.Stats().Entries != 0 {
 		t.Error("expired entry retained")
 	}
 }
@@ -103,8 +103,8 @@ func TestMaxEntriesEvictsOldest(t *testing.T) {
 		*now = now.Add(time.Second)
 		c.Put(fmt.Sprintf("gridrm:x://h%d:1", i), sql, sampleRS(t, "h"))
 	}
-	if c.Len() != 3 {
-		t.Errorf("len = %d", c.Len())
+	if c.Stats().Entries != 3 {
+		t.Errorf("len = %d", c.Stats().Entries)
 	}
 	if _, _, ok := c.Get("gridrm:x://h0:1", sql); ok {
 		t.Error("oldest entry survived eviction")
@@ -147,7 +147,7 @@ func TestClear(t *testing.T) {
 	c, _ := newCache(time.Second, 0)
 	c.Put(src, sql, sampleRS(t, "h"))
 	c.Clear()
-	if c.Len() != 0 {
+	if c.Stats().Entries != 0 {
 		t.Error("Clear left entries")
 	}
 }
@@ -203,8 +203,8 @@ func TestPutPurgesExpiredBeforeEvicting(t *testing.T) {
 					t.Errorf("%s evicted, want alive", k)
 				}
 			}
-			if c.Len() > tc.max {
-				t.Errorf("len = %d > max %d", c.Len(), tc.max)
+			if c.Stats().Entries > tc.max {
+				t.Errorf("len = %d > max %d", c.Stats().Entries, tc.max)
 			}
 		})
 	}
@@ -263,8 +263,8 @@ func TestOverwriteReusesEntry(t *testing.T) {
 	// Past the horizon every entry leaves once, an overwritten one included.
 	*now = now.Add(11 * time.Second)
 	c.Put("e", sql, rs)
-	if s := c.Stats(); s.Evictions != 1 || s.Stale != 3 || c.Len() != 1 {
-		t.Errorf("stats %+v, len %d; want 1 eviction, 3 stale, 1 entry", s, c.Len())
+	if s := c.Stats(); s.Evictions != 1 || s.Stale != 3 || s.Entries != 1 {
+		t.Errorf("stats %+v; want 1 eviction, 3 stale, 1 entry", s)
 	}
 }
 

@@ -80,8 +80,8 @@ func TestZeroGracePreservesExpiry(t *testing.T) {
 	if _, _, ok := c.GetStale(src, sql); ok {
 		t.Error("GetStale served past TTL with zero grace")
 	}
-	if c.Len() != 0 {
-		t.Errorf("expired entry retained: len=%d", c.Len())
+	if c.Stats().Entries != 0 {
+		t.Errorf("expired entry retained: len=%d", c.Stats().Entries)
 	}
 }
 

@@ -45,6 +45,7 @@ var statsRules = map[string]statsRule{
 	"pool.Stats": {prefix: "pool_", irregular: map[string]string{
 		"Hits":  "gridrm_pool_idle_hits_total",
 		"Opens": "gridrm_pool_dials_total",
+		"Idle":  "gridrm_pool_idle_connections",
 	}},
 	"event.Stats":             {prefix: "events_", irregular: map[string]string{"Alerts": "gridrm_event_alerts_total"}},
 	"health.Stats":            {prefix: "probe_", irregular: map[string]string{"Probes": "gridrm_probes_total"}},

@@ -28,7 +28,11 @@ type Client struct {
 	BaseURL string
 	// Principal identifies the client; sent as headers.
 	Principal security.Principal
-	// HTTPClient is optional; nil uses a 10s-timeout client.
+	// HTTPClient is optional, and only its Transport and Timeout are used:
+	// a nil HTTPClient or Transport is http.DefaultTransport, and a nil
+	// HTTPClient times out at 10 s. The Timeout bounds each call but a
+	// subscription, headers and body together, unless the caller's context
+	// ends sooner. No redirect is followed, and no cookie jar is consulted.
 	HTTPClient *http.Client
 }
 
@@ -38,75 +42,157 @@ type Client struct {
 // room for some 300,000 of them.
 const maxResponseBody = 64 << 20
 
-// defaultHTTPClient serves every Client that brings none of its own, so
-// their requests share one set of keep-alive connections.
-var defaultHTTPClient = &http.Client{Timeout: 10 * time.Second}
+// defaultTimeout bounds each call of a Client that brings no HTTPClient.
+const defaultTimeout = 10 * time.Second
 
-func (c *Client) httpClient() *http.Client {
-	if c.HTTPClient != nil {
-		return c.HTTPClient
+// transport is where every request goes, so that Clients without one of
+// their own share http.DefaultTransport's keep-alive connections.
+func (c *Client) transport() http.RoundTripper {
+	if c.HTTPClient != nil && c.HTTPClient.Transport != nil {
+		return c.HTTPClient.Transport
 	}
-	return defaultHTTPClient
+	return http.DefaultTransport
 }
 
-func (c *Client) doContext(ctx context.Context, method, path string, body any, out any) error {
-	_, _, err := c.exchange(ctx, method, path, body, "", out)
+// withTimeout bounds ctx by the client's timeout, unless ctx already ends
+// no later. When the timeout ends a call, context.Cause is errClientTimeout.
+func (c *Client) withTimeout(ctx context.Context) (context.Context, context.CancelFunc) {
+	d := defaultTimeout
+	if c.HTTPClient != nil {
+		d = c.HTTPClient.Timeout
+	}
+	if d <= 0 {
+		return ctx, noCancel
+	}
+	deadline := time.Now().Add(d)
+	if dl, ok := ctx.Deadline(); ok && !dl.After(deadline) {
+		return ctx, noCancel
+	}
+	return context.WithDeadlineCause(ctx, deadline, errClientTimeout)
+}
+
+func noCancel() {}
+
+// errClientTimeout is the cause of a call the client's timeout ended. Like
+// net/http's client timeout it is a context.DeadlineExceeded.
+var errClientTimeout error = clientTimeout{}
+
+type clientTimeout struct{}
+
+func (clientTimeout) Error() string { return "client timeout exceeded" }
+
+// Is makes errors.Is(err, context.DeadlineExceeded) hold.
+func (clientTimeout) Is(target error) bool { return target == context.DeadlineExceeded }
+
+// timedOut returns err, which ended a request made under ctx, naming the
+// client's timeout when that is what ended it.
+func timedOut(ctx context.Context, err error) error {
+	if context.Cause(ctx) == errClientTimeout && !errors.Is(err, errClientTimeout) {
+		return fmt.Errorf("%w: %w", errClientTimeout, err)
+	}
 	return err
 }
 
-// exchange is one request: body sent as JSON, with ifNoneMatch as a strong
+// identityEncoding is every request's Accept-Encoding value. A transport
+// only reads a request's headers, so the slice is never written.
+var identityEncoding = []string{"identity"}
+
+// send builds a request and hands it straight to the transport; every
+// request a Client makes is built here. It carries only the headers the
+// gateway reads, by their canonical keys in the request's one map: the
+// principal, the trace carried by ctx, Content-Type with a body,
+// If-None-Match when ifNoneMatch is set, and Accept-Encoding: identity,
+// because the gateway never compresses. No User-Agent is sent. No redirect
+// is followed: the response returned is a 2xx or a 304, and any other status
+// is an error that names it.
+func (c *Client) send(ctx context.Context, method, path string, body []byte, ifNoneMatch string) (*http.Response, error) {
+	target := c.BaseURL + path
+	req, err := http.NewRequestWithContext(ctx, method, target, nil)
+	if err != nil {
+		return nil, err
+	}
+	type field struct{ key, value string }
+	var fields [5]field
+	n := 0
+	add := func(key, value string) {
+		if value != "" {
+			fields[n] = field{key, value}
+			n++
+		}
+	}
+	add(HeaderUser, c.Principal.Name)
+	add(HeaderRoles, strings.Join(c.Principal.Roles, ","))
+	add(HeaderSite, c.Principal.Site)
+	if car, ok := trace.CarrierFromContext(ctx); ok {
+		add(trace.HeaderName, car.Header())
+	}
+	if ifNoneMatch != "" {
+		add(HeaderIfNoneMatch, `"`+ifNoneMatch+`"`)
+	}
+	h := req.Header // empty, and never given more keys than one map group holds
+	h["Accept-Encoding"] = identityEncoding
+	h["User-Agent"] = nil // present but empty: the transport writes none
+	if n > 0 {
+		slab := make([]string, n)
+		for i, f := range fields[:n] {
+			slab[i] = f.value
+			h[f.key] = slab[i : i+1 : i+1]
+		}
+	}
+	if body != nil {
+		// Not a pooled buffer: the transport may still be reading it after
+		// RoundTrip has returned. A *bytes.Reader behind io.NopCloser is a
+		// body the transport knows is in memory, so it sends it with the
+		// headers in one write; GetBody lets it resend the request when a
+		// reused connection had closed before any of it was written.
+		h["Content-Type"] = httpjson.ContentType
+		req.Body = io.NopCloser(bytes.NewReader(body))
+		req.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(body)), nil }
+		req.ContentLength = int64(len(body))
+	}
+	resp, err := c.transport().RoundTrip(req)
+	if err != nil {
+		return nil, fmt.Errorf("web: %s %s: %w", method, target, timedOut(ctx, err))
+	}
+	if resp.StatusCode >= 300 && resp.StatusCode != http.StatusNotModified {
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+		resp.Body.Close()
+		return nil, fmt.Errorf("web: %s %s: %s: %s", method, path, resp.Status, strings.TrimSpace(string(msg)))
+	}
+	return resp, nil
+}
+
+func (c *Client) doContext(ctx context.Context, method, path string, body any, out any) error {
+	var buf []byte
+	if body != nil {
+		var err error
+		if buf, err = httpjson.Marshal(body); err != nil {
+			return err
+		}
+	}
+	_, _, err := c.exchange(ctx, method, path, buf, "", out)
+	return err
+}
+
+// exchange is one call: body sent as JSON, with ifNoneMatch as a strong
 // If-None-Match when it is set, and a 2xx answer decoded into out. It
 // returns the answer's strong ETag, and notModified for a 304, which has no
 // body to decode.
-func (c *Client) exchange(ctx context.Context, method, path string, body any, ifNoneMatch string, out any) (etag string, notModified bool, err error) {
-	var rdr io.Reader
-	if body != nil {
-		// Not a pooled buffer: the transport may still be reading the body
-		// after Do has returned.
-		buf, err := httpjson.Marshal(body)
-		if err != nil {
-			return "", false, err
-		}
-		rdr = bytes.NewReader(buf)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, rdr)
+func (c *Client) exchange(ctx context.Context, method, path string, body []byte, ifNoneMatch string, out any) (etag string, notModified bool, err error) {
+	ctx, cancel := c.withTimeout(ctx)
+	defer cancel()
+	resp, err := c.send(ctx, method, path, body, ifNoneMatch)
 	if err != nil {
 		return "", false, err
 	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	if c.Principal.Name != "" {
-		req.Header.Set(HeaderUser, c.Principal.Name)
-	}
-	if len(c.Principal.Roles) > 0 {
-		req.Header.Set(HeaderRoles, strings.Join(c.Principal.Roles, ","))
-	}
-	if c.Principal.Site != "" {
-		req.Header.Set(HeaderSite, c.Principal.Site)
-	}
-	if car, ok := trace.CarrierFromContext(ctx); ok {
-		req.Header.Set(trace.HeaderName, car.Header())
-	}
-	if ifNoneMatch != "" {
-		req.Header.Set(HeaderIfNoneMatch, `"`+ifNoneMatch+`"`)
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return "", false, fmt.Errorf("web: %w", err)
-	}
 	defer resp.Body.Close()
-	if resp.StatusCode >= 400 {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return "", false, fmt.Errorf("web: %s %s: %s: %s", method, path, resp.Status, strings.TrimSpace(string(msg)))
-	}
 	etag = unquoteETag(resp.Header.Get(HeaderETag))
 	if resp.StatusCode == http.StatusNotModified {
 		return etag, true, nil
 	}
 	if out != nil {
 		if err := httpjson.DecodeBody(resp.Body, resp.ContentLength, maxResponseBody, out); err != nil {
-			return "", false, fmt.Errorf("web: %s response: %w", path, err)
+			return "", false, fmt.Errorf("web: %s response: %w", path, timedOut(ctx, err))
 		}
 	}
 	return etag, false, nil
@@ -117,8 +203,12 @@ func (c *Client) exchange(ctx context.Context, method, path string, body any, if
 // req.Validator is sent as If-None-Match, and a 304 to it is the response
 // {NotModified, Validator}; an answer's ETag is its Validator.
 func (c *Client) Query(ctx context.Context, req core.QueryOptions) (*core.Response, error) {
+	body, err := FromCoreRequest(req).AppendJSON(nil)
+	if err != nil {
+		return nil, err
+	}
 	var wr WireResponse
-	etag, notModified, err := c.exchange(ctx, http.MethodPost, "/query", FromCoreRequest(req), req.Validator, &wr)
+	etag, notModified, err := c.exchange(ctx, http.MethodPost, "/query", body, req.Validator, &wr)
 	if err != nil {
 		return nil, err
 	}

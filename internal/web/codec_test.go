@@ -696,8 +696,8 @@ func TestWireCodecAllocations(t *testing.T) {
 	t.Logf("encode %.0f allocs; decode %.0f, %.0f, %.0f allocs for 8, 100, 900 rows, %.0f with 8 source statuses", encode, small, site, region, dashboard)
 	// The race runtime allocates on its own account, so the exact bounds hold
 	// only without it.
-	if encode > 4 && !raceEnabled {
-		t.Errorf("answering with 100 rows took %.0f allocations, want ≤ 4 (the boxed value, two header values, the length's digits)", encode)
+	if encode > 3 && !raceEnabled {
+		t.Errorf("answering with 100 rows took %.0f allocations, want ≤ 3 (the boxed value, the length's header value and its digits)", encode)
 	}
 	if (small != site || site != region) && !raceEnabled {
 		t.Errorf("decoding 8, 100 and 900 rows took %.0f, %.0f and %.0f allocations, want the same", small, site, region)

@@ -98,15 +98,33 @@ func principalFrom(r *http.Request) security.Principal {
 	if p.Name == "" {
 		p.Name = "anonymous"
 	}
-	if roles := r.Header.Get(HeaderRoles); roles != "" {
-		for _, role := range strings.Split(roles, ",") {
-			role = strings.TrimSpace(role)
-			if role != "" {
-				p.Roles = append(p.Roles, role)
-			}
+	p.Roles = parseRoles(r.Header.Get(HeaderRoles))
+	return p
+}
+
+// parseRoles reads a comma list of roles into one slice of exactly its
+// size, blanks trimmed and empty members dropped; nil when none is named.
+func parseRoles(list string) []string {
+	n := 0
+	for rest := list; rest != ""; {
+		var role string
+		role, rest, _ = strings.Cut(rest, ",")
+		if strings.TrimSpace(role) != "" {
+			n++
 		}
 	}
-	return p
+	if n == 0 {
+		return nil
+	}
+	roles := make([]string, 0, n)
+	for rest := list; rest != ""; {
+		var role string
+		role, rest, _ = strings.Cut(rest, ",")
+		if role = strings.TrimSpace(role); role != "" {
+			roles = append(roles, role)
+		}
+	}
+	return roles
 }
 
 // traceContext extracts a propagated trace carrier from the request's

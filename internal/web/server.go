@@ -13,6 +13,7 @@ import (
 	"gridrm/internal/event"
 	"gridrm/internal/health"
 	"gridrm/internal/metrics"
+	"gridrm/internal/pool"
 	"gridrm/internal/qcache"
 	"gridrm/internal/router"
 	"gridrm/internal/schema"
@@ -209,7 +210,7 @@ type StatusReport struct {
 	Site    string         `json:"site"`
 	Gateway core.Stats     `json:"gateway"`
 	Drivers driver.Stats   `json:"drivers"`
-	Pool    poolStatsJSON  `json:"pool"`
+	Pool    pool.Stats     `json:"pool"`
 	Cache   qcache.Stats   `json:"cache"`
 	Events  event.Stats    `json:"events"`
 	Coarse  security.Stats `json:"coarse"`
@@ -243,25 +244,17 @@ type StatusReport struct {
 	Sinks []router.SinkStat `json:"sinks,omitempty"`
 }
 
-type poolStatsJSON struct {
-	Hits, Misses, Opens, Closes, PingFailures, Evictions int64
-	Idle                                                 int
-}
-
 func (s *Server) status(*http.Request) (any, error) {
-	ps := s.gw.Pool().Stats()
 	var adm *AdmissionStats
 	if s.admit != nil {
 		st := s.admit.stats()
 		adm = &st
 	}
 	return StatusReport{
-		Site:    s.gw.Name(),
-		Gateway: s.gw.Stats(),
-		Drivers: s.gw.DriverManager().Stats(),
-		Pool: poolStatsJSON{Hits: ps.Hits, Misses: ps.Misses, Opens: ps.Opens,
-			Closes: ps.Closes, PingFailures: ps.PingFailures, Evictions: ps.Evictions,
-			Idle: s.gw.Pool().IdleCount()},
+		Site:        s.gw.Name(),
+		Gateway:     s.gw.Stats(),
+		Drivers:     s.gw.DriverManager().Stats(),
+		Pool:        s.gw.Pool().Stats(),
 		Cache:       s.gw.Cache().Stats(),
 		Events:      s.gw.Events().Stats(),
 		Coarse:      s.gw.CoarsePolicy().Stats(),

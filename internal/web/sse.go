@@ -17,7 +17,6 @@ import (
 	"gridrm/internal/core"
 	"gridrm/internal/router"
 	"gridrm/internal/security"
-	"gridrm/internal/trace"
 )
 
 // Server-sent-events transport for continuous queries (R-GMA's third query
@@ -267,11 +266,10 @@ func (cs *ClientSubscription) setErr(err error) {
 }
 
 // SubscribeContext opens a continuous query against the gateway's SSE
-// endpoint. Unlike the other client methods it is long-lived: the default
-// 10s-timeout HTTP client is deliberately bypassed (a caller-supplied
-// HTTPClient is honoured as-is, so leave its Timeout zero for streaming).
-// The stream ends when ctx is cancelled, Close is called, the idle watchdog
-// fires, or the server closes it (shutdown or eviction).
+// endpoint. Unlike the other client methods it is long-lived: of
+// HTTPClient only the Transport is used, and a stream never times out. The
+// stream ends when ctx is cancelled, Close is called, the idle watchdog
+// (IdleTimeout) fires, or the server closes it (shutdown or eviction).
 func (c *Client) SubscribeContext(ctx context.Context, cfg SubscribeConfig) (*ClientSubscription, error) {
 	q := url.Values{}
 	q.Set("sql", cfg.Query.SQL)
@@ -294,39 +292,10 @@ func (c *Client) SubscribeContext(ctx context.Context, cfg SubscribeConfig) (*Cl
 	}
 
 	ctx, cancel := context.WithCancel(ctx)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/subscribe?"+q.Encode(), nil)
+	resp, err := c.send(ctx, http.MethodGet, "/subscribe?"+q.Encode(), nil, "")
 	if err != nil {
 		cancel()
 		return nil, err
-	}
-	req.Header.Set("Accept", "text/event-stream")
-	if c.Principal.Name != "" {
-		req.Header.Set(HeaderUser, c.Principal.Name)
-	}
-	if len(c.Principal.Roles) > 0 {
-		req.Header.Set(HeaderRoles, strings.Join(c.Principal.Roles, ","))
-	}
-	if c.Principal.Site != "" {
-		req.Header.Set(HeaderSite, c.Principal.Site)
-	}
-	if car, ok := trace.CarrierFromContext(ctx); ok {
-		req.Header.Set(trace.HeaderName, car.Header())
-	}
-	// Streaming must not inherit the default client's 10s overall timeout.
-	hc := c.HTTPClient
-	if hc == nil {
-		hc = &http.Client{}
-	}
-	resp, err := hc.Do(req)
-	if err != nil {
-		cancel()
-		return nil, fmt.Errorf("web: %w", err)
-	}
-	if resp.StatusCode >= 400 {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		resp.Body.Close()
-		cancel()
-		return nil, fmt.Errorf("web: GET /subscribe: %s: %s", resp.Status, strings.TrimSpace(string(msg)))
 	}
 	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/event-stream") {
 		resp.Body.Close()
@@ -354,11 +323,10 @@ func (cs *ClientSubscription) read(ctx context.Context, body io.ReadCloser, idle
 		close(cs.done)
 	}()
 	var idleTimer *time.Timer
-	idleFired := make(chan struct{})
+	var idled atomic.Bool
 	if idle > 0 {
-		var once sync.Once
 		idleTimer = time.AfterFunc(idle, func() {
-			once.Do(func() { close(idleFired) })
+			idled.Store(true)
 			cs.cancel()
 		})
 		defer idleTimer.Stop()
@@ -379,17 +347,13 @@ func (cs *ClientSubscription) read(ctx context.Context, body io.ReadCloser, idle
 			return
 		}
 	}
-	err := sc.Err()
-	select {
-	case <-idleFired:
+	switch err := sc.Err(); {
+	case idled.Load():
 		cs.setErr(fmt.Errorf("web: subscribe stream idle for %s", idle))
-	default:
-		switch {
-		case ctx.Err() != nil:
-			// Deliberate Close / parent cancellation: a clean end.
-		case err != nil:
-			cs.setErr(fmt.Errorf("web: subscribe stream: %w", err))
-		}
+	case ctx.Err() != nil:
+		// Deliberate Close / parent cancellation: a clean end.
+	case err != nil:
+		cs.setErr(fmt.Errorf("web: subscribe stream: %w", err))
 	}
 }
 
