@@ -164,9 +164,8 @@ func tracingGateway(tb testing.TB, sample float64) (*core.Gateway, core.QueryOpt
 // "traced" records every query (seven spans). It prints; the bar — traced
 // minus untraced within 3 allocs/op and 256 B/op once the trace store is
 // full — is held by TestTracedQueryAllocBudget, in tier-1. Time is not
-// asserted: the two differ by a few microseconds in ~25, less than this
-// VM's clock spreads between runs of one binary (README, "Distributed query
-// tracing", has the table).
+// asserted: the two differ by a few microseconds in ~25, less than a 2-vCPU
+// VM's clock spreads between runs of one binary.
 func BenchmarkQueryTracing(b *testing.B) {
 	for _, bc := range []struct {
 		name   string

@@ -1,6 +1,6 @@
-// Command gridrm-bench regenerates the per-experiment tables of DESIGN.md's
-// index (E1–E10), each reproducing a figure or performance claim from the
-// GridRM paper on the simulated substrate.
+// Command gridrm-bench regenerates the per-experiment tables of
+// EXPERIMENTS.md (E1–E10), each reproducing a figure or performance claim
+// from the GridRM paper on the simulated substrate.
 //
 //	gridrm-bench -exp all
 //	gridrm-bench -exp e4          # driver granularity / caching policies

@@ -1,5 +1,5 @@
 // Package bench is the single definition of the GridRM paper experiments:
-// one scenario per experiment in DESIGN.md's per-experiment index (E1–E10),
+// one scenario per experiment in EXPERIMENTS.md (E1–E10),
 // each regenerating the table/behaviour the paper's figure or claim
 // corresponds to. An experiment builds its fixture once and hands every
 // measured loop to run.measure as a testing.B case; two front-ends execute

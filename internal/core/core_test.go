@@ -213,6 +213,8 @@ func TestQueryAppliesWhereOrderLimit(t *testing.T) {
 	}
 }
 
+// TestCachedModeLimitsIntrusion: cached queries with different SQL over one
+// group share one harvest; real-time and an expired entry harvest again.
 func TestCachedModeLimitsIntrusion(t *testing.T) {
 	f := newFixture(t)
 	f.query(t, "SELECT * FROM Processor", ModeCached)
@@ -240,6 +242,8 @@ func TestCachedModeLimitsIntrusion(t *testing.T) {
 	}
 }
 
+// TestCachedStatusReportsAge: a source served from cache reports the time
+// its rows were harvested and the driver that harvested them.
 func TestCachedStatusReportsAge(t *testing.T) {
 	f := newFixture(t)
 	f.query(t, "SELECT * FROM Memory", ModeRealTime)

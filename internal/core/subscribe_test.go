@@ -318,6 +318,9 @@ func settleSinks(t *testing.T, g *Gateway) {
 	})
 }
 
+// TestHarvestRuleValidation: a harvest rule on an unknown group or field, a
+// non-numeric field, an unnamed rule or a duplicate is refused; an accepted
+// one is one sink on the push router.
 func TestHarvestRuleValidation(t *testing.T) {
 	f := newFixture(t)
 	rule := event.ThresholdRule{Name: "overload", Op: event.Above, Threshold: 4}
@@ -376,6 +379,8 @@ func TestHarvestPublishesWatchedMetrics(t *testing.T) {
 	}
 }
 
+// TestHarvestToAlertPath: a harvest rule's sink raises its alert from the
+// rows a query harvested, with no polling loop of its own.
 func TestHarvestToAlertPath(t *testing.T) {
 	// Fig 3 end to end: a real-time query harvests rows, the rule's sink on
 	// the push router reads the field, the threshold fires, and an alert is
@@ -401,6 +406,8 @@ func TestHarvestToAlertPath(t *testing.T) {
 	}
 }
 
+// TestNullWatchedFieldSkipped: a watched field that is NULL raises no alert,
+// even under a rule any value would fire.
 func TestNullWatchedFieldSkipped(t *testing.T) {
 	f := newFixture(t)
 	// Utilization is unmapped in the memDriver's schema → NULL on every

@@ -92,11 +92,10 @@ type Manager struct {
 	prefs    map[string][]string
 	lastGood map[string]string
 	policy   Policy
-	caching  bool
 	stats    statsCounters
 }
 
-// NewManager returns an empty Manager with last-good caching enabled and a
+// NewManager returns an empty Manager with an empty last-good cache and a
 // zero-retry TryNext policy.
 func NewManager() *Manager {
 	return &Manager{
@@ -104,7 +103,6 @@ func NewManager() *Manager {
 		prefs:    make(map[string][]string),
 		lastGood: make(map[string]string),
 		policy:   Policy{Retries: 0, OnFailure: TryNext},
-		caching:  true,
 	}
 }
 
@@ -198,17 +196,6 @@ func (m *Manager) SetPolicy(p Policy) {
 	m.policy = p
 }
 
-// SetCaching enables or disables the last-good driver cache; disabling also
-// clears it. Used by the E2 ablation.
-func (m *Manager) SetCaching(on bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.caching = on
-	if !on {
-		m.lastGood = make(map[string]string)
-	}
-}
-
 // ClearCache drops all last-good cache entries.
 func (m *Manager) ClearCache() {
 	m.mu.Lock()
@@ -227,9 +214,6 @@ func (m *Manager) CachedDriver(url string) (string, bool) {
 // Stats returns a snapshot of the manager's counters.
 func (m *Manager) Stats() Stats { return m.stats.snapshot() }
 
-// ResetStats zeroes the counters (benchmark support).
-func (m *Manager) ResetStats() { m.stats = statsCounters{} }
-
 // Connect allocates a driver for the data source and opens a connection,
 // applying static preferences, the last-good cache, and dynamic selection
 // in that order, under the configured failure policy.
@@ -240,10 +224,7 @@ func (m *Manager) Connect(url string, props Properties) (Conn, error) {
 
 	m.mu.RLock()
 	prefs := m.prefs[url]
-	cached, hasCached := "", false
-	if m.caching {
-		cached, hasCached = m.lastGood[url]
-	}
+	cached, hasCached := m.lastGood[url]
 	policy := m.policy
 	m.mu.RUnlock()
 
@@ -359,9 +340,7 @@ func (m *Manager) tryConnect(d Driver, url string, props Properties, retries int
 func (m *Manager) remember(url, driverName string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.caching {
-		m.lastGood[url] = driverName
-	}
+	m.lastGood[url] = driverName
 }
 
 func (m *Manager) forget(url string) {

@@ -381,26 +381,6 @@ func TestDeregisterInvalidatesCache(t *testing.T) {
 	}
 }
 
-func TestSetCachingOff(t *testing.T) {
-	m := NewManager()
-	_ = m.RegisterDriver(&fakeDriver{name: "jdbc-b", proto: "b"})
-	m.SetCaching(false)
-	url := "gridrm:b://host"
-	if _, err := m.Connect(url, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := m.CachedDriver(url); ok {
-		t.Error("caching disabled but entry present")
-	}
-	s1 := m.Stats()
-	if _, err := m.Connect(url, nil); err != nil {
-		t.Fatal(err)
-	}
-	if m.Stats().Scans != s1.Scans+1 {
-		t.Error("caching disabled but no rescan")
-	}
-}
-
 func TestLocateDriver(t *testing.T) {
 	m := NewManager()
 	_ = m.RegisterDriver(&fakeDriver{name: "jdbc-a", proto: "a"})
@@ -496,21 +476,6 @@ func TestPropertiesHelpers(t *testing.T) {
 	q["k"] = "w"
 	if p["k"] != "v" {
 		t.Error("Clone aliases map")
-	}
-}
-
-func TestStatsReset(t *testing.T) {
-	m := NewManager()
-	_ = m.RegisterDriver(&fakeDriver{name: "jdbc-b", proto: "b"})
-	if _, err := m.Connect("gridrm:b://h", nil); err != nil {
-		t.Fatal(err)
-	}
-	if m.Stats().Connects == 0 {
-		t.Fatal("no connects recorded")
-	}
-	m.ResetStats()
-	if s := m.Stats(); s.Connects != 0 || s.Scans != 0 {
-		t.Errorf("stats after reset: %+v", s)
 	}
 }
 

@@ -8,7 +8,7 @@
 // Every member of the federation — site gateways, republisher gateways,
 // and entry gateways — registers a Registration carrying its Role and a
 // monotonically increasing Generation; a registration without a role is a
-// site. See DESIGN.md §7.
+// site. See DESIGN.md, "GMA router".
 //
 // The package provides the directory (in-process and over HTTP), a
 // Registrar that keeps a member's record fresh, the consistent-hash Ring

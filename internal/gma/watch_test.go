@@ -69,6 +69,9 @@ func watchAsync(ctx context.Context, svc DirectoryService, digest string, wait t
 	return out
 }
 
+// TestWatchReturnsOnMembershipChange: on every DirectoryService a watch
+// returns on a join, a deregister, or a member's new endpoint, role or
+// groups, and sleeps through a heartbeat re-registration.
 func TestWatchReturnsOnMembershipChange(t *testing.T) {
 	changes := []struct {
 		name   string
@@ -126,6 +129,8 @@ func TestWatchReturnsOnMembershipChange(t *testing.T) {
 	}
 }
 
+// TestWatchReturnsAtOnceOnStaleDigest: on every DirectoryService a watch
+// whose digest is not the current one returns the current list at once.
 func TestWatchReturnsAtOnceOnStaleDigest(t *testing.T) {
 	for _, impl := range watchImpls {
 		t.Run(impl.name, func(t *testing.T) {
@@ -139,6 +144,8 @@ func TestWatchReturnsAtOnceOnStaleDigest(t *testing.T) {
 	}
 }
 
+// TestWatchReturnsTheListAtWait: on every DirectoryService an unchanged
+// watch returns the same list when its wait passes.
 func TestWatchReturnsTheListAtWait(t *testing.T) {
 	for _, impl := range watchImpls {
 		t.Run(impl.name, func(t *testing.T) {
@@ -152,6 +159,8 @@ func TestWatchReturnsTheListAtWait(t *testing.T) {
 	}
 }
 
+// TestWatchEndsWithItsContext: on every DirectoryService a cancelled watch
+// returns context.Canceled at once.
 func TestWatchEndsWithItsContext(t *testing.T) {
 	for _, impl := range watchImpls {
 		t.Run(impl.name, func(t *testing.T) {
@@ -169,6 +178,9 @@ func TestWatchEndsWithItsContext(t *testing.T) {
 	}
 }
 
+// TestMultiDirectoryWatchFailsOver: MultiDirectory watches its first-ranked
+// replica, fails over to the next when it is down, wakes on a join there,
+// and does not count a watch its caller cancelled against a replica.
 func TestMultiDirectoryWatchFailsOver(t *testing.T) {
 	d1, d2 := newFlakyDir(), newFlakyDir()
 	md := NewMultiDirectory(d1, d2)
@@ -210,6 +222,9 @@ func mustList(t *testing.T, d DirectoryService) []Registration {
 	return regs
 }
 
+// TestClientWaitStaysUnderHalfItsTimeout: DirectoryClient asks the route to
+// wait at most half its own timeout, so a long watch returns the list
+// instead of timing out.
 func TestClientWaitStaysUnderHalfItsTimeout(t *testing.T) {
 	srv := httptest.NewServer(NewDirectory(0, nil).Handler())
 	defer srv.Close()
@@ -221,6 +236,9 @@ func TestClientWaitStaysUnderHalfItsTimeout(t *testing.T) {
 	}
 }
 
+// TestRegistrationsRouteWaitParameter: GET /gma/registrations is the plain
+// list without wait, a watch with it, and 400 for a malformed or negative
+// wait.
 func TestRegistrationsRouteWaitParameter(t *testing.T) {
 	d := NewDirectory(0, nil)
 	srv := httptest.NewServer(d.Handler())

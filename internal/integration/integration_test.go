@@ -3,7 +3,7 @@
 // running every bundled driver, the servlet interface, and the GMA global
 // layer. These are the executable counterparts of the paper's deployment
 // experience (§3.2.3) and of experiment E10 ("homogeneous view") in
-// DESIGN.md.
+// EXPERIMENTS.md.
 package integration_test
 
 import (

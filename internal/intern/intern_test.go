@@ -69,7 +69,7 @@ func TestHitAllocatesNothing(t *testing.T) {
 // of MaxLen bytes does.
 func TestLengthCap(t *testing.T) {
 	if MaxLen != 64 {
-		t.Errorf("MaxLen = %d, want 64 (DESIGN.md §8)", MaxLen)
+		t.Errorf("MaxLen = %d, want 64 (DESIGN.md, \"Wire codec\")", MaxLen)
 	}
 	var bt Batch
 	long := make([]byte, MaxLen+1)
@@ -92,7 +92,7 @@ func TestLengthCap(t *testing.T) {
 // again.
 func TestAdmissionCap(t *testing.T) {
 	if Admit != 64 {
-		t.Errorf("Admit = %d, want 64 (DESIGN.md §8)", Admit)
+		t.Errorf("Admit = %d, want 64 (DESIGN.md, \"Wire codec\")", Admit)
 	}
 	var bt Batch
 	var first string
@@ -145,7 +145,7 @@ func TestCountedOncePerBatch(t *testing.T) {
 // the table hold more than Entries strings or Entries×MaxLen bytes.
 func TestBoundedUnderDistinctStream(t *testing.T) {
 	if Entries != 32<<10 {
-		t.Errorf("Entries = %d, want 32 Ki (DESIGN.md §8)", Entries)
+		t.Errorf("Entries = %d, want 32 Ki (DESIGN.md, \"Wire codec\")", Entries)
 	}
 	var bt Batch
 	buf := make([]byte, 0, MaxLen)

@@ -362,6 +362,8 @@ func ownedByRing(g *Gateway, sites, repubs []string) bool {
 	return slices.Equal(g.Owns(), want)
 }
 
+// TestGatewayRebalanceOnMembershipChange: a republisher sheds the sites the
+// ring gives a joining peer, and drops their views, with no refresh tick.
 func TestGatewayRebalanceOnMembershipChange(t *testing.T) {
 	dir := gma.NewDirectory(0, nil)
 	sites, query, _ := fakeSites(t, dir, 8)
@@ -394,6 +396,8 @@ func TestGatewayRebalanceOnMembershipChange(t *testing.T) {
 	}
 }
 
+// TestSurvivorTakesOverADrainedPeer: when a peer drains, the survivor takes
+// over every site and mirrors their views, with no refresh tick.
 func TestSurvivorTakesOverADrainedPeer(t *testing.T) {
 	dir := gma.NewDirectory(0, nil)
 	sites, query, _ := fakeSites(t, dir, 8)
@@ -406,6 +410,8 @@ func TestSurvivorTakesOverADrainedPeer(t *testing.T) {
 	waitFor(t, "the taken-over views", func() bool { return a.store.Rows() == len(sites) })
 }
 
+// TestStatusDigestAgreesAfterAJoin: after a join settles, two republishers
+// on one directory show the same membership digest on /status.
 func TestStatusDigestAgreesAfterAJoin(t *testing.T) {
 	dir := gma.NewDirectory(0, nil)
 	_, query, _ := fakeSites(t, dir, 4)
@@ -459,6 +465,8 @@ func groupRows(t *testing.T, group, host string) *resultset.ResultSet {
 	return rs
 }
 
+// TestChangedGroupsAreMirrored: a site that re-registers with other groups
+// is re-mirrored over them with no refresh tick, and its old views go.
 func TestChangedGroupsAreMirrored(t *testing.T) {
 	dir := gma.NewDirectory(0, nil)
 	dead := deadEndpoint(t)
@@ -524,6 +532,8 @@ func viewHosts(g *Gateway) map[string]bool {
 	return hosts
 }
 
+// TestGatewaySubscriptionFeedsView: a republisher follows a child's
+// /subscribe, and a row the child pushes reaches the view between scrapes.
 func TestGatewaySubscriptionFeedsView(t *testing.T) {
 	dir := gma.NewDirectory(0, nil)
 	_, query, _ := fakeSites(t, dir, 1)

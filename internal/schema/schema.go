@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"gridrm/internal/glue"
 )
@@ -92,7 +91,6 @@ type Manager struct {
 	mu      sync.RWMutex
 	schemas map[string]*DriverSchema
 	gens    map[string]int64
-	lookups atomic.Int64
 }
 
 // NewManager returns an empty SchemaManager.
@@ -147,7 +145,6 @@ func (m *Manager) Deregister(driver string) {
 // Lookup returns a driver's schema and its current generation. Connections
 // cache both and revalidate with Valid.
 func (m *Manager) Lookup(driver string) (*DriverSchema, int64, bool) {
-	m.lookups.Add(1)
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	ds, ok := m.schemas[driver]
@@ -160,10 +157,6 @@ func (m *Manager) Valid(driver string, gen int64) bool {
 	defer m.mu.RUnlock()
 	return m.gens[driver] == gen
 }
-
-// Lookups returns how many schema lookups have been served (benchmark
-// support: a working connection-level schema cache keeps this low).
-func (m *Manager) Lookups() int64 { return m.lookups.Load() }
 
 // Drivers returns the names of drivers with registered schemas, sorted.
 func (m *Manager) Drivers() []string {

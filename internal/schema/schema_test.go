@@ -42,9 +42,6 @@ func TestRegisterAndLookup(t *testing.T) {
 	if m.Valid("jdbc-test", gen) {
 		t.Error("old generation still valid after re-register")
 	}
-	if m.Lookups() < 1 {
-		t.Error("lookups not counted")
-	}
 	if got := m.Drivers(); len(got) != 1 || got[0] != "jdbc-test" {
 		t.Errorf("Drivers = %v", got)
 	}

@@ -22,9 +22,6 @@ type Clock struct {
 // NewClock returns a clock starting at Epoch.
 func NewClock() *Clock { return &Clock{now: Epoch} }
 
-// NewClockAt returns a clock starting at the given instant.
-func NewClockAt(start time.Time) *Clock { return &Clock{now: start} }
-
 // Now returns the current simulated time. The method value (c.Now) matches
 // the `func() time.Time` clock hooks used across the repo.
 func (c *Clock) Now() time.Time {

@@ -119,14 +119,13 @@ type convergence struct {
 }
 
 // simSubscriber is one continuous-query consumer: a drain goroutine that
-// counts rows until a stall event wedges it or a kill event closes it.
+// consumes rows until a stall event wedges it or a kill event closes it.
 type simSubscriber struct {
 	sub       *router.Subscription
 	stall     chan struct{}
 	stallOnce sync.Once
 	stalled   bool // under Harness.subMu
 	killed    bool // under Harness.subMu
-	rows      atomic.Int64
 }
 
 // StartSubscribers opens n continuous queries on the entry gateway, each
@@ -164,7 +163,6 @@ func (ss *simSubscriber) drain() {
 		case <-ss.sub.Done():
 			return
 		case <-ss.sub.C():
-			ss.rows.Add(1)
 		}
 	}
 }
@@ -207,17 +205,6 @@ func (h *Harness) KillSubscribers(count int) int {
 		n++
 	}
 	return n
-}
-
-// SubscriberRows totals the rows all subscribers actually consumed.
-func (h *Harness) SubscriberRows() int64 {
-	h.subMu.Lock()
-	defer h.subMu.Unlock()
-	var total int64
-	for _, ss := range h.subscribers {
-		total += ss.rows.Load()
-	}
-	return total
 }
 
 // startDeadSink registers an HTTP push sink on the entry gateway whose

@@ -23,7 +23,7 @@ import (
 //	{"columns":[{"name":…,"kind":…,"unit":…,"group":…},…],"rows":[[cell,…],…]}
 //
 // and the column kind fixes each cell's JSON form (DESIGN.md, "Wire
-// contract"). WireResult writes and reads that object itself, without
+// codec"). WireResult writes and reads that object itself, without
 // reflection and without boxing a cell: rows are appended to one buffer
 // straight from the ResultSet's columns and scanned back straight into
 // them. The request and response envelopes around it (envelope.go) are

@@ -15,7 +15,7 @@ import (
 
 // The envelope codec: WireRequest and WireResponse written and read with
 // codec.go's primitives, byte for byte what encoding/json makes of the two
-// structs' tags (DESIGN.md, "Wire contract"). Like the result codec it
+// structs' tags (DESIGN.md, "Wire codec"). Like the result codec it
 // accepts a subset of what the reflective decode accepts: a known key is
 // spelled exactly and appears once, an integer is an integer literal; a key
 // it does not know is checked and skipped, and null leaves a field zero. The
