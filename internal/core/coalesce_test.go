@@ -231,7 +231,7 @@ func TestDoneContextHarvestsNothing(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	res := g.harvestLeader(ctx, url, glue.MustLookup(glue.GroupProcessor), "SELECT * FROM Processor")
+	res := g.harvestLeader(ctx, ctx, url, glue.MustLookup(glue.GroupProcessor), "SELECT * FROM Processor")
 	if !errors.Is(res.err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", res.err)
 	}

@@ -10,6 +10,7 @@ import (
 
 	"gridrm/internal/breaker"
 	"gridrm/internal/drivers/faultdrv"
+	"gridrm/internal/metrics"
 	"gridrm/internal/security"
 )
 
@@ -365,6 +366,50 @@ func TestRetryRecoversTransientFailure(t *testing.T) {
 	}
 	if n := fx.g.Stats().HarvestErrors; n != 0 {
 		t.Errorf("Stats.HarvestErrors = %d, want 0 (retry recovered)", n)
+	}
+}
+
+// TestRetryGetsAFreshHarvestBudget: a source's first attempt runs under the
+// query's harvest budget and hangs past HarvestTimeout; the retry gets a budget
+// of its own from the request context, not the spent one, and answers within
+// the query's deadline. gridrm_timeouts_total counts the abandoned attempt as
+// one per-source timeout.
+func TestRetryGetsAFreshHarvestBudget(t *testing.T) {
+	fx := newFaultFixture(t, Config{HarvestTimeout: 50 * time.Millisecond,
+		Retry: RetryOptions{Attempts: 1, Backoff: 400 * time.Millisecond}})
+	hung := fx.faults[0]
+	hung.SetHangQuery(true)
+	t.Cleanup(hung.Release)
+	go func() {
+		// The attempt timed out and the retry waits out its backoff (at least
+		// 200 ms): clear the hang before the retry starts.
+		for fx.g.Stats().Timeouts == 0 {
+			time.Sleep(time.Millisecond)
+		}
+		hung.SetHangQuery(false)
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+	defer cancel()
+	resp, err := fx.g.QueryContext(ctx, QueryOptions{Principal: fx.admin, SQL: "SELECT * FROM Processor",
+		Sources: []string{fx.urls[0]}, Mode: ModeRealTime})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := fx.status(t, resp, fx.urls[0]); s.Err != "" || s.Rows != 1 {
+		t.Fatalf("status = %+v, want the retry's row", s)
+	}
+	if n := hung.HangsServed(); n != 1 {
+		t.Errorf("hangs served = %d, want 1 (the first attempt)", n)
+	}
+	ex, err := metrics.Scrape(fx.g.Metrics())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ex.Samples["gridrm_timeouts_total"]; got != 1 {
+		t.Errorf("gridrm_timeouts_total = %v, want 1", got)
+	}
+	if st := fx.g.Stats(); st.Retries != 1 || st.HarvestErrors != 0 {
+		t.Errorf("retries %d, harvest errors %d; want 1 and 0", st.Retries, st.HarvestErrors)
 	}
 }
 

@@ -60,7 +60,9 @@ type Config struct {
 	// Fine is the FGSL policy (open by default).
 	Fine *security.FinePolicy
 	// HarvestTimeout bounds each per-source harvest attempt — connect,
-	// statement and query together (default 10s; negative disables).
+	// statement and query together (default 10s; negative disables). A
+	// query's first attempts share one budget, HarvestTimeout from the start
+	// of its harvests; each retry gets its own.
 	HarvestTimeout time.Duration
 	// QueryTimeout is the deadline applied to a whole request when the
 	// caller's context carries none (default 30s; negative disables).
@@ -97,7 +99,7 @@ type Config struct {
 }
 
 // RetryOptions configures per-source harvest retries. Retries only happen
-// while the request deadline allows; each attempt gets a fresh
+// while the request deadline allows; each retry gets a fresh
 // HarvestTimeout budget.
 type RetryOptions struct {
 	// Attempts is how many additional harvest attempts a failed source

@@ -488,20 +488,17 @@ func (g *Gateway) queryLive(ctx context.Context, req QueryOptions, plan *sqlpars
 }
 
 // harvestOpen runs the rest of the ladder for the open sources, one goroutine
-// each. The channel is buffered to their number, so a straggler finishing after
-// the deadline writes into the buffer, never into the slices the caller reads.
+// each, under one harvest budget for the whole query: every source's first
+// attempt ends by HarvestTimeout from here, or the request's deadline if that is
+// sooner. The channel is buffered to their number, so a straggler finishing
+// after the deadline writes into the buffer, never into the slices the caller
+// reads.
 func (g *Gateway) harvestOpen(ctx context.Context, mode Mode, group *glue.Group, hsql string, open []openSource, statuses []SourceStatus, results []*resultset.ResultSet) {
-	type sourceResult struct {
-		i      int
-		status SourceStatus
-		rs     *resultset.ResultSet
-	}
+	budget, cancel := g.harvestBudget(ctx)
+	defer cancel()
 	ch := make(chan sourceResult, len(open))
 	for _, o := range open {
-		go func(o openSource) {
-			st, rs := g.harvestSource(ctx, mode, o.url, group, hsql, o.span)
-			ch <- sourceResult{i: o.i, status: st, rs: rs}
-		}(o)
+		go g.harvestInto(ch, ctx, budget, mode, o, group, hsql)
 	}
 	for remaining := len(open); remaining > 0; remaining-- {
 		select {
@@ -520,6 +517,34 @@ func (g *Gateway) harvestOpen(ctx context.Context, mode Mode, group *glue.Group,
 			return
 		}
 	}
+}
+
+// sourceResult is one open source's outcome, as harvestInto hands it back.
+type sourceResult struct {
+	i      int
+	status SourceStatus
+	rs     *resultset.ResultSet
+}
+
+// harvestInto runs one open source's ladder and sends its outcome on ch. It is
+// a method, not a closure, so starting its goroutine allocates once.
+func (g *Gateway) harvestInto(ch chan<- sourceResult, ctx, budget context.Context, mode Mode, o openSource, group *glue.Group, hsql string) {
+	st, rs := g.harvestSource(ctx, budget, mode, o.url, group, hsql, o.span)
+	ch <- sourceResult{i: o.i, status: st, rs: rs}
+}
+
+// harvestBudget bounds a harvest by HarvestTimeout on top of ctx. A context that
+// already ends within HarvestTimeout is its own budget: the query's budget
+// passes through a source's first attempt unchanged, and only a retry, whose
+// context is the request's, derives a new one.
+func (g *Gateway) harvestBudget(ctx context.Context) (context.Context, context.CancelFunc) {
+	if g.harvestTimeout <= 0 {
+		return ctx, func() {}
+	}
+	if end, ok := ctx.Deadline(); ok && time.Until(end) <= g.harvestTimeout {
+		return ctx, func() {}
+	}
+	return context.WithTimeout(ctx, g.harvestTimeout)
 }
 
 // targetSources resolves which registered sources a query should touch.
@@ -648,10 +673,10 @@ func endSourceSpan(ssp trace.Span, status *SourceStatus) {
 }
 
 // harvestSource is the rest of the ladder for a source freshSource left open:
-// the circuit breaker, the coalesced harvest under the per-source timeout,
+// the circuit breaker, the coalesced harvest under the query's harvest budget,
 // then the degraded tiers. ssp is the span opened before freshSource: its time
 // before "harvest" begins is the cache lookup and the hand-off to this goroutine.
-func (g *Gateway) harvestSource(ctx context.Context, mode Mode, url string, group *glue.Group, hsql string, ssp trace.Span) (status SourceStatus, rs *resultset.ResultSet) {
+func (g *Gateway) harvestSource(ctx, budget context.Context, mode Mode, url string, group *glue.Group, hsql string, ssp trace.Span) (status SourceStatus, rs *resultset.ResultSet) {
 	status.Source = url
 	defer endSourceSpan(ssp, &status)
 	if _, br, err := g.lookup(url); err == nil && !br.Allow(g.clock()) {
@@ -664,7 +689,7 @@ func (g *Gateway) harvestSource(ctx context.Context, mode Mode, url string, grou
 	// The harvest span is the first below "source" that anything hangs off,
 	// so no context is derived before this point.
 	hsp := ssp.Child("harvest")
-	res, shared := g.sharedHarvest(trace.ContextWithSpan(ctx, hsp), url, group, hsql)
+	res, shared := g.sharedHarvest(ctx, trace.ContextWithSpan(budget, hsp), url, group, hsql)
 	if shared {
 		g.coalesced.Add(1)
 		hsp.SetAttr("coalesced", "true")
@@ -725,10 +750,11 @@ func (g *Gateway) degradedResult(mode Mode, url, hsql string, group *glue.Group,
 // Concurrent harvests for the same (source URL, canonical harvest SQL)
 // share one driver call through the single-flight group; followers get the
 // leader's rows themselves (to read and Merge, like a cached result) and
-// report shared=true.
-func (g *Gateway) sharedHarvest(ctx context.Context, url string, group *glue.Group, hsql string) (flightResult, bool) {
+// report shared=true. A follower waits on the request context ctx; a leader
+// harvests under budget, the query's harvest budget carrying the harvest span.
+func (g *Gateway) sharedHarvest(ctx, budget context.Context, url string, group *glue.Group, hsql string) (flightResult, bool) {
 	return g.flights.do(ctx, flightKey{url, hsql}, func() flightResult {
-		return g.harvestLeader(ctx, url, group, hsql)
+		return g.harvestLeader(ctx, budget, url, group, hsql)
 	})
 }
 
@@ -738,26 +764,21 @@ func (g *Gateway) sharedHarvest(ctx context.Context, url string, group *glue.Gro
 // leader, so followers of a coalesced harvest never double count — and the
 // cache is filled before the flight completes, so a caller arriving after
 // the flight sees the cached rows rather than starting a new harvest. A
-// leader whose context is already done returns that error untouched: no
-// driver call, no counter, no breaker or health note.
-func (g *Gateway) harvestLeader(ctx context.Context, url string, group *glue.Group, hsql string) flightResult {
+// leader whose request context is already done returns that error untouched:
+// no driver call, no counter, no breaker or health note.
+func (g *Gateway) harvestLeader(ctx, budget context.Context, url string, group *glue.Group, hsql string) flightResult {
 	if err := ctx.Err(); err != nil {
 		return flightResult{err: err}
 	}
 	g.inflightHarvests.Add(1)
 	defer g.inflightHarvests.Add(-1)
 	start := g.clock()
-	rs, driverName, err := g.harvestWithRetry(ctx, url, hsql)
+	rs, driverName, err := g.harvestWithRetry(ctx, budget, url, hsql)
 	g.observeStage(StageHarvest, start)
 	now := g.clock()
 	if err != nil {
 		g.harvestErrors.Add(1)
 		g.noteFailure(url, err, now)
-		// The request-level deadline is counted by queryLive's straggler
-		// sweep; only count per-source harvest timeouts here.
-		if (errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)) && ctx.Err() == nil {
-			g.timeouts.Add(1)
-		}
 		return flightResult{driverName: driverName, at: now, err: err}
 	}
 	g.harvests.Add(1)
@@ -773,20 +794,31 @@ func (g *Gateway) harvestLeader(ctx context.Context, url string, group *glue.Gro
 			_ = g.history.Record(url, group.Name, rs, now)
 		}
 	}
-	g.publishRows(ctx, url, group, rs)
+	g.publishRows(budget, url, group, rs)
 	return flightResult{rs: rs, driverName: driverName, at: now}
 }
 
-// harvestWithRetry runs harvest attempts under the gateway's retry policy.
-// Each attempt gets a fresh HarvestTimeout budget; backoff waits and
-// further attempts stop as soon as the request context expires.
-func (g *Gateway) harvestWithRetry(ctx context.Context, url, hsql string) (*resultset.ResultSet, string, error) {
+// harvestWithRetry runs harvest attempts under the gateway's retry policy. The
+// first runs under the query's harvest budget; a retry, or a first attempt
+// whose budget lapsed while its goroutine followed another query's harvest,
+// gets a fresh HarvestTimeout budget from the request context ctx. Backoff
+// waits and further attempts stop as soon as ctx expires. Every attempt
+// abandoned at its own budget while ctx lives counts as a per-source timeout;
+// the request's deadline is counted by harvestOpen's straggler sweep.
+func (g *Gateway) harvestWithRetry(ctx, budget context.Context, url, hsql string) (*resultset.ResultSet, string, error) {
 	backoff := retry.Backoff{Base: g.retry.Backoff, Max: MaxRetryBackoff}
 	var rs *resultset.ResultSet
 	var driverName string
 	var err error
 	for attempt := 0; ; attempt++ {
-		rs, driverName, err = g.harvest(ctx, url, hsql)
+		actx := budget
+		if attempt > 0 || budget.Err() != nil {
+			actx = trace.ContextWithSpan(ctx, trace.SpanFromContext(budget))
+		}
+		rs, driverName, err = g.harvest(actx, url, hsql)
+		if err != nil && ctx.Err() == nil && (errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)) {
+			g.timeouts.Add(1)
+		}
 		if err == nil || attempt >= g.retry.Attempts || ctx.Err() != nil {
 			return rs, driverName, err
 		}
@@ -799,9 +831,10 @@ func (g *Gateway) harvestWithRetry(ctx context.Context, url, hsql string) (*resu
 
 // harvest runs the canonical full-group query against one source through
 // the ConnectionManager (Fig 3's real-time path), bounded by the
-// per-source HarvestTimeout on top of the request context. After a
-// timeout the connection is discarded, never released: a non-context
-// driver may still be using it in the shim goroutine.
+// per-source HarvestTimeout on top of ctx (harvestBudget: a first attempt's
+// ctx is the query's budget already). After a timeout the connection is
+// discarded, never released: a non-context driver may still be using it in
+// the shim goroutine.
 //
 // An idle connection is trusted until a statement on it fails. Drivers do not
 // classify their errors, so when one fails on a reused connection while the
@@ -816,11 +849,8 @@ func (g *Gateway) harvest(ctx context.Context, url, hsql string) (*resultset.Res
 	if err != nil {
 		return nil, "", err
 	}
-	if g.harvestTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, g.harvestTimeout)
-		defer cancel()
-	}
+	ctx, cancel := g.harvestBudget(ctx)
+	defer cancel()
 	for redialed := false; ; redialed = true {
 		conn, err := g.pool.GetContext(ctx, url, props)
 		if err != nil {
@@ -843,8 +873,9 @@ func (g *Gateway) harvest(ctx context.Context, url, hsql string) (*resultset.Res
 	}
 }
 
-// execute runs the harvest statement on conn as a "driver-execute" span;
-// redialed marks the run that replaced a stale pooled connection.
+// execute runs the harvest statement on conn's pooled statement as a
+// "driver-execute" span; redialed marks the run that replaced a stale pooled
+// connection. The statement stays with conn and closes with it.
 func execute(ctx context.Context, conn *pool.Conn, hsql string, redialed bool) (*resultset.ResultSet, error) {
 	dsp := trace.SpanFromContext(ctx).Child("driver-execute")
 	dsp.SetAttr("driver", conn.Driver())
@@ -852,10 +883,9 @@ func execute(ctx context.Context, conn *pool.Conn, hsql string, redialed bool) (
 		dsp.SetAttr("redialed", "true")
 	}
 	var rs *resultset.ResultSet
-	stmt, err := driver.SafeCreateStatement(conn)
+	stmt, err := conn.Statement()
 	if err == nil {
 		rs, err = driver.QueryContext(ctx, stmt, hsql)
-		_ = driver.SafeClose(stmt)
 	}
 	dsp.SetError(err)
 	dsp.End()

@@ -101,7 +101,10 @@ type Conn interface {
 	Driver() string
 }
 
-// Stmt executes SQL against a data source (≈ java.sql.Statement).
+// Stmt executes SQL against a data source (≈ java.sql.Statement). As in
+// JDBC, one statement may run many queries, one at a time: the gateway's pool
+// makes a connection's statement on first use, keeps it with the connection
+// while the connection is idle, and closes it when it closes the connection.
 type Stmt interface {
 	// ExecuteQuery translates the SQL query to the source's native
 	// protocol, performs the retrieval, and populates a ResultSet whose

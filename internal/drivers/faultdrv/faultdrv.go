@@ -6,6 +6,8 @@
 // wrapped driver, and implements driver.StmtContext so a hung query can be
 // abandoned by context cancellation (set ContextAware(false) to model a
 // legacy driver that ignores contexts and exercises the goroutine shim).
+// A context-aware statement reads the mode at every execution, so one a pooled
+// connection keeps follows a later ContextAware(false) too.
 package faultdrv
 
 import (
@@ -89,8 +91,10 @@ func (f *Faults) setHang(flag *atomic.Bool, hang bool) {
 }
 
 // ContextAware controls whether wrapped statements implement context
-// cancellation (default true). When false the wrapper hides its
-// StmtContext implementation, modelling a legacy blocking driver.
+// cancellation (default true). When false, statements made from then on hide
+// their StmtContext implementation, modelling a legacy blocking driver, and
+// statements made before run each query through driver.QueryContext's
+// goroutine shim. A statement made while it is false stays legacy.
 func (f *Faults) ContextAware(on bool) { f.ctxAware.Store(on) }
 
 // Release frees every currently hung connect and query.
@@ -210,10 +214,11 @@ func (c *conn) CreateStatement() (driver.Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
+	s := &stmt{c: c, inner: inner}
 	if c.d.faults.ctxAware.Load() {
-		return &stmt{c: c, inner: inner}, nil
+		return s, nil
 	}
-	return &legacyStmt{stmt{c: c, inner: inner}}, nil
+	return legacyStmt{s}, nil
 }
 
 // stmt injects faults ahead of the wrapped statement and honours contexts.
@@ -228,8 +233,13 @@ func (s *stmt) ExecuteQuery(sql string) (*resultset.ResultSet, error) {
 	return s.execute(nil, sql)
 }
 
-// ExecuteQueryContext implements driver.StmtContext.
+// ExecuteQueryContext implements driver.StmtContext. With context support
+// switched off since the statement was made, the query goes through the shim,
+// as a legacy statement's would.
 func (s *stmt) ExecuteQueryContext(ctx context.Context, sql string) (*resultset.ResultSet, error) {
+	if !s.c.d.faults.ctxAware.Load() {
+		return driver.QueryContext(ctx, legacyStmt{s}, sql)
+	}
 	return s.execute(ctx, sql)
 }
 
@@ -259,10 +269,10 @@ func (s *stmt) execute(ctx context.Context, sql string) (*resultset.ResultSet, e
 
 // legacyStmt hides the StmtContext implementation so the gateway must use
 // its goroutine-with-timeout shim, as it would for a pre-context driver.
-type legacyStmt struct{ s stmt }
+type legacyStmt struct{ s *stmt }
 
-func (l *legacyStmt) Close() error { return l.s.Close() }
-func (l *legacyStmt) ExecuteQuery(sql string) (*resultset.ResultSet, error) {
+func (l legacyStmt) Close() error { return l.s.Close() }
+func (l legacyStmt) ExecuteQuery(sql string) (*resultset.ResultSet, error) {
 	return l.s.ExecuteQuery(sql)
 }
 
@@ -271,5 +281,5 @@ var (
 	_ driver.Conn        = (*conn)(nil)
 	_ driver.Stmt        = (*stmt)(nil)
 	_ driver.StmtContext = (*stmt)(nil)
-	_ driver.Stmt        = (*legacyStmt)(nil)
+	_ driver.Stmt        = legacyStmt{}
 )

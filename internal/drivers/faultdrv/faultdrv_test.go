@@ -3,6 +3,7 @@ package faultdrv
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,30 +13,33 @@ import (
 )
 
 // stubDriver is a minimal healthy backend for the wrapper to inject faults
-// in front of.
-type stubDriver struct{}
+// in front of. executed counts the queries that reached it.
+type stubDriver struct{ executed atomic.Int64 }
 
 func (d *stubDriver) Name() string               { return "stub" }
 func (d *stubDriver) AcceptsURL(url string) bool { return true }
 func (d *stubDriver) Connect(url string, props driver.Properties) (driver.Conn, error) {
-	return &stubConn{url: url}, nil
+	return &stubConn{d: d, url: url}, nil
 }
 
 type stubConn struct {
 	driver.UnimplementedConn
+	d   *stubDriver
 	url string
 }
 
 func (c *stubConn) URL() string                           { return c.url }
 func (c *stubConn) Driver() string                        { return "stub" }
 func (c *stubConn) Ping() error                           { return nil }
-func (c *stubConn) CreateStatement() (driver.Stmt, error) { return &stubStmt{}, nil }
+func (c *stubConn) CreateStatement() (driver.Stmt, error) { return &stubStmt{d: c.d}, nil }
 
 type stubStmt struct {
 	driver.UnimplementedStmt
+	d *stubDriver
 }
 
 func (s *stubStmt) ExecuteQuery(sql string) (*resultset.ResultSet, error) {
+	s.d.executed.Add(1)
 	g, _ := glue.Lookup(glue.GroupProcessor)
 	meta, err := resultset.MetadataForGroup(g, nil)
 	if err != nil {
@@ -161,6 +165,54 @@ func TestLegacyModeHidesStmtContext(t *testing.T) {
 	}
 	if _, err := stmt.ExecuteQuery("SELECT * FROM Processor"); err != nil {
 		t.Errorf("legacy query failed: %v", err)
+	}
+}
+
+// TestModeChosenPerExecution: a statement made context-aware and kept, as a
+// pooled connection keeps it, follows a later ContextAware(false). Its hung
+// query is abandoned at the caller's deadline by driver.QueryContext's
+// goroutine shim, whose driver call runs on, and reaches the backend, once the
+// hang is released; a context-aware query would have ended in the hang.
+func TestModeChosenPerExecution(t *testing.T) {
+	stub := &stubDriver{}
+	f := NewFaults()
+	conn, err := New("fault-stub", stub, f).Connect("gridrm:stub://h:1", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stmt, err := conn.CreateStatement()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hungQuery := func() {
+		t.Helper()
+		f.SetHangQuery(true)
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		defer cancel()
+		if _, err := driver.QueryContext(ctx, stmt, "SELECT * FROM Processor"); !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("hung query: err = %v, want deadline exceeded", err)
+		}
+		f.SetHangQuery(false)
+	}
+
+	f.ContextAware(false)
+	hungQuery()
+	for deadline := time.Now().Add(2 * time.Second); stub.executed.Load() != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("released shim never reached the backend (%d queries)", stub.executed.Load())
+		}
+	}
+
+	f.ContextAware(true)
+	hungQuery()
+	if _, err := driver.QueryContext(context.Background(), stmt, "SELECT * FROM Processor"); err != nil {
+		t.Fatal(err)
+	}
+	if n := stub.executed.Load(); n != 2 {
+		t.Errorf("backend saw %d queries, want 2: the context-aware hang ended in the wrapper", n)
+	}
+	if n := f.HangsServed(); n != 2 {
+		t.Errorf("hangs served = %d, want 2", n)
 	}
 }
 

@@ -29,8 +29,8 @@ import (
 // SourceColumn and SampledColumn are the provenance columns historical
 // results carry in addition to the group's GLUE fields.
 const (
-	SourceColumn  = "SourceURL"
-	SampledColumn = "SampledAt"
+	SourceColumn  = resultset.SourceColumn
+	SampledColumn = resultset.SampledColumn
 )
 
 // Options configures a Store.
@@ -319,37 +319,10 @@ func (s *Store) Latest(source, group string) (*resultset.ResultSet, time.Time, b
 	return rs, at, true
 }
 
-// queryMetadata holds the shape historical queries produce for every schema
-// group, built once: Metadata is immutable and every Query asks for one.
-var queryMetadata = func() map[*glue.Group]*resultset.Metadata {
-	table := make(map[*glue.Group]*resultset.Metadata)
-	for _, g := range glue.Groups() {
-		if m, err := metadataFor(g); err == nil {
-			table[g] = m
-		}
-	}
-	return table
-}()
-
-func metadataFor(g *glue.Group) (*resultset.Metadata, error) {
-	base, err := resultset.MetadataForGroup(g, nil)
-	if err != nil {
-		return nil, err
-	}
-	cols := base.Columns()
-	cols = append(cols,
-		resultset.Column{Name: SourceColumn, Kind: glue.String},
-		resultset.Column{Name: SampledColumn, Kind: glue.Time},
-	)
-	return resultset.NewMetadata(cols)
-}
-
-// Metadata returns the result shape historical queries produce for a group.
+// Metadata returns the result shape historical queries produce for a group,
+// shared with every other reader of that shape (resultset.MetadataWithProvenance).
 func (s *Store) Metadata(g *glue.Group) (*resultset.Metadata, error) {
-	if m, ok := queryMetadata[g]; ok {
-		return m, nil
-	}
-	return metadataFor(g)
+	return resultset.MetadataWithProvenance(g)
 }
 
 // Sources returns the distinct source URLs with history for a group.

@@ -8,7 +8,9 @@
 // no suitable pooled instance exists; every new connection is registered
 // with the pool before use. An idle connection is trusted until a statement on
 // it fails (Conn.PingContext then tells a stale session from a failed query)
-// and reaped after MaxIdleTime.
+// and reaped after MaxIdleTime. A connection keeps the statement it was first
+// asked for (Conn.Statement) while it is pooled, so a harvest on a reused
+// connection makes none, and the statement closes with its connection.
 package pool
 
 import (
@@ -77,6 +79,7 @@ type Manager struct {
 
 type idleConn struct {
 	conn    driver.Conn
+	stmt    driver.Stmt // nil until the connection's first Statement
 	retired time.Time
 }
 
@@ -115,6 +118,7 @@ type Conn struct {
 	driver.Conn
 	mgr      *Manager
 	key      string
+	stmt     driver.Stmt
 	reused   bool
 	released atomic.Bool
 }
@@ -123,22 +127,35 @@ type Conn struct {
 // rather than from a fresh connect.
 func (c *Conn) Reused() bool { return c.reused }
 
-// Release returns the connection to the pool for reuse.
+// Statement returns the connection's statement, making it on first use. A
+// statement runs many queries (driver.Stmt), so it stays with the connection
+// while it is pooled and is closed with it, never by the caller.
+func (c *Conn) Statement() (driver.Stmt, error) {
+	if c.stmt == nil {
+		stmt, err := driver.SafeCreateStatement(c.Conn)
+		if err != nil {
+			return nil, err
+		}
+		c.stmt = stmt
+	}
+	return c.stmt, nil
+}
+
+// Release returns the connection, with its statement, to the pool for reuse.
 func (c *Conn) Release() {
 	if c.released.Swap(true) {
 		return
 	}
-	c.mgr.put(c.key, c.Conn)
+	c.mgr.put(c.key, idleConn{conn: c.Conn, stmt: c.stmt})
 }
 
-// Discard closes the underlying connection without pooling it; use after
-// errors that suggest the session is broken.
+// Discard closes the underlying connection and its statement without pooling
+// them; use after errors that suggest the session is broken.
 func (c *Conn) Discard() {
 	if c.released.Swap(true) {
 		return
 	}
-	c.mgr.closes.Add(1)
-	_ = driver.SafeClose(c.Conn)
+	c.mgr.close(idleConn{conn: c.Conn, stmt: c.stmt})
 }
 
 // Get returns a connection to the data source, reusing a pooled instance
@@ -170,9 +187,9 @@ func (m *Manager) GetContext(ctx context.Context, url string, props driver.Prope
 
 func (m *Manager) getContext(ctx context.Context, url string, props driver.Properties) (*Conn, error) {
 	k := key(url, props)
-	if conn, ok := m.takeIdle(k); ok {
+	if ic, ok := m.takeIdle(k); ok {
 		m.hits.Add(1)
-		return &Conn{Conn: conn, mgr: m, key: k, reused: true}, nil
+		return &Conn{Conn: ic.conn, mgr: m, key: k, stmt: ic.stmt, reused: true}, nil
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -206,7 +223,7 @@ func (m *Manager) getContext(ctx context.Context, url string, props driver.Prope
 		go func() {
 			if r := <-ch; r.err == nil {
 				m.opens.Add(1)
-				m.put(k, r.conn)
+				m.put(k, idleConn{conn: r.conn})
 			}
 		}()
 		return nil, ctx.Err()
@@ -262,22 +279,22 @@ func (c *Conn) PingContext(ctx context.Context) error {
 	}
 }
 
-func (m *Manager) takeIdle(k string) (driver.Conn, bool) {
+func (m *Manager) takeIdle(k string) (idleConn, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	conns := m.idle[k]
 	if len(conns) == 0 {
-		return nil, false
+		return idleConn{}, false
 	}
 	last := conns[len(conns)-1]
 	m.idle[k] = conns[:len(conns)-1]
-	return last.conn, true
+	return last, true
 }
 
-func (m *Manager) put(k string, conn driver.Conn) {
+// put pools ic, or closes it when pooling is off or the bucket is full.
+func (m *Manager) put(k string, ic idleConn) {
 	if m.opts.Disabled {
-		m.closes.Add(1)
-		_ = driver.SafeClose(conn)
+		m.close(ic)
 		return
 	}
 	m.mu.Lock()
@@ -285,25 +302,35 @@ func (m *Manager) put(k string, conn driver.Conn) {
 	if len(conns) >= m.opts.MaxIdlePerSource {
 		m.mu.Unlock()
 		m.evictions.Add(1)
-		m.closes.Add(1)
-		_ = driver.SafeClose(conn)
+		m.close(ic)
 		return
 	}
-	m.idle[k] = append(conns, idleConn{conn: conn, retired: m.opts.Clock()})
+	ic.retired = m.opts.Clock()
+	m.idle[k] = append(conns, ic)
 	m.mu.Unlock()
+}
+
+// close closes a connection and the statement kept with it, counting one
+// close. Every path that drops a connection ends here.
+func (m *Manager) close(ic idleConn) {
+	m.closes.Add(1)
+	if ic.stmt != nil {
+		_ = driver.SafeClose(ic.stmt)
+	}
+	_ = driver.SafeClose(ic.conn)
 }
 
 // Reap closes idle connections older than MaxIdleTime and returns how many
 // were evicted. Gateways call this periodically.
 func (m *Manager) Reap() int {
 	cutoff := m.opts.Clock().Add(-m.opts.MaxIdleTime)
-	var victims []driver.Conn
+	var victims []idleConn
 	m.mu.Lock()
 	for k, conns := range m.idle {
 		keep := conns[:0]
 		for _, ic := range conns {
 			if ic.retired.Before(cutoff) {
-				victims = append(victims, ic.conn)
+				victims = append(victims, ic)
 			} else {
 				keep = append(keep, ic)
 			}
@@ -315,15 +342,15 @@ func (m *Manager) Reap() int {
 		}
 	}
 	m.mu.Unlock()
-	for _, c := range victims {
+	for _, ic := range victims {
 		m.evictions.Add(1)
-		m.closes.Add(1)
-		_ = driver.SafeClose(c)
+		m.close(ic)
 	}
 	return len(victims)
 }
 
-// CloseAll drains and closes every idle connection (gateway shutdown).
+// CloseAll drains and closes every idle connection and its statement (gateway
+// shutdown).
 func (m *Manager) CloseAll() {
 	m.mu.Lock()
 	all := m.idle
@@ -331,8 +358,7 @@ func (m *Manager) CloseAll() {
 	m.mu.Unlock()
 	for _, conns := range all {
 		for _, ic := range conns {
-			m.closes.Add(1)
-			_ = driver.SafeClose(ic.conn)
+			m.close(ic)
 		}
 	}
 }

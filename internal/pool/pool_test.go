@@ -12,14 +12,15 @@ import (
 	"gridrm/internal/driver"
 )
 
-// slowDriver counts connects and pings, can fail pings after poisoning and
-// can hold them until pingGate is closed.
+// slowDriver counts connects, pings and statements made, can fail pings after
+// poisoning and can hold them until pingGate is closed.
 type slowDriver struct {
-	name     string
-	connects atomic.Int64
-	pings    atomic.Int64
-	poison   atomic.Bool
-	pingGate chan struct{}
+	name       string
+	connects   atomic.Int64
+	pings      atomic.Int64
+	statements atomic.Int64
+	poison     atomic.Bool
+	pingGate   chan struct{}
 }
 
 func (d *slowDriver) Name() string { return d.name }
@@ -55,6 +56,20 @@ func (c *slowConn) Ping() error {
 }
 func (c *slowConn) Close() error {
 	c.closed.Store(true)
+	return nil
+}
+func (c *slowConn) CreateStatement() (driver.Stmt, error) {
+	c.d.statements.Add(1)
+	return &slowStmt{}, nil
+}
+
+type slowStmt struct {
+	driver.UnimplementedStmt
+	closed atomic.Bool
+}
+
+func (s *slowStmt) Close() error {
+	s.closed.Store(true)
 	return nil
 }
 
@@ -339,5 +354,79 @@ func TestDriversAccessor(t *testing.T) {
 	m, _ := newManager(t, Options{})
 	if m.Drivers() == nil {
 		t.Error("Drivers() nil")
+	}
+}
+
+// TestPooledStatementClosedWithItsConnection: a connection keeps the
+// statement it was first asked for while it is pooled, so the next checkout
+// makes none, and every path that drops the connection closes the statement
+// with it.
+func TestPooledStatementClosedWithItsConnection(t *testing.T) {
+	m, d := newManager(t, Options{})
+	c, _ := m.Get(url, nil)
+	stmt, err := c.Statement()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := c.Statement(); again != stmt {
+		t.Error("a second Statement on one checkout made another")
+	}
+	c.Release()
+	c, _ = m.Get(url, nil)
+	if again, _ := c.Statement(); again != stmt || d.statements.Load() != 1 {
+		t.Errorf("reused connection made a statement: %d made", d.statements.Load())
+	}
+	if stmt.(*slowStmt).closed.Load() {
+		t.Error("statement closed while its connection was pooled")
+	}
+	c.Release()
+
+	now := time.Unix(1000, 0)
+	for _, tc := range []struct {
+		name string
+		opts Options
+		drop func(t *testing.T, m *Manager, d *slowDriver, c *Conn)
+	}{
+		{"discard", Options{}, func(t *testing.T, m *Manager, d *slowDriver, c *Conn) { c.Discard() }},
+		{"failed ping", Options{}, func(t *testing.T, m *Manager, d *slowDriver, c *Conn) {
+			d.poison.Store(true)
+			if err := c.PingContext(context.Background()); err == nil {
+				t.Fatal("ping of a poisoned connection succeeded")
+			}
+		}},
+		{"eviction at put", Options{MaxIdlePerSource: 1}, func(t *testing.T, m *Manager, d *slowDriver, c *Conn) {
+			other, _ := m.Get(url, nil)
+			other.Release()
+			c.Release()
+		}},
+		{"reap", Options{MaxIdleTime: time.Second, Clock: func() time.Time { return now }}, func(t *testing.T, m *Manager, d *slowDriver, c *Conn) {
+			c.Release()
+			now = now.Add(2 * time.Second)
+			if n := m.Reap(); n != 1 {
+				t.Fatalf("reaped %d, want 1", n)
+			}
+		}},
+		{"close all", Options{}, func(t *testing.T, m *Manager, d *slowDriver, c *Conn) {
+			c.Release()
+			m.CloseAll()
+		}},
+		{"pooling disabled", Options{Disabled: true}, func(t *testing.T, m *Manager, d *slowDriver, c *Conn) { c.Release() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, d := newManager(t, tc.opts)
+			c, _ := m.Get(url, nil)
+			conn := c.Conn.(*slowConn)
+			stmt, err := c.Statement()
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.drop(t, m, d, c)
+			if !conn.closed.Load() || !stmt.(*slowStmt).closed.Load() {
+				t.Errorf("connection closed %v, its statement closed %v; want both", conn.closed.Load(), stmt.(*slowStmt).closed.Load())
+			}
+			if s := m.Stats(); int64(s.Idle)+s.Closes != s.Opens {
+				t.Errorf("connections unaccounted for: %+v", s)
+			}
+		})
 	}
 }

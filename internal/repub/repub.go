@@ -300,7 +300,9 @@ func (g *Gateway) Start(ctx context.Context) error {
 }
 
 // Stop halts the loops, stops every site worker, and withdraws the
-// republisher's registration so entry gateways replan without it.
+// republisher's registration so entry gateways replan without it. A
+// registration still in flight finishes first (register), so the withdrawal
+// is the directory's last word on this republisher.
 func (g *Gateway) Stop(ctx context.Context) {
 	g.mu.Lock()
 	if !g.started {
@@ -466,11 +468,16 @@ func (g *Gateway) rebalance(ctx context.Context, regs []gma.Registration) error 
 // shard. Owns changes do not bump Generation — the entry router rebuilds
 // its ring from membership, not Owns — but a changed Endpoint does; the
 // entry router routes to the new Endpoint from its next directory list.
+//
+// Stop does not cancel a registration: one already sent when the republisher
+// stops could still reach the directory after the deregistration Stop sends
+// next, and list the drained republisher again. It runs to its answer, bounded
+// by the directory client's timeout, and Stop withdraws only after it.
 func (g *Gateway) register(ctx context.Context, owns []string) error {
 	if g.opts.Endpoint == "" {
 		return nil
 	}
-	return g.opts.Directory.RegisterContext(ctx, gma.Registration{
+	return g.opts.Directory.RegisterContext(context.WithoutCancel(ctx), gma.Registration{
 		Name:     g.opts.Name,
 		Endpoint: g.opts.Endpoint,
 		Role:     gma.RoleRepublisher,

@@ -410,6 +410,77 @@ func TestSurvivorTakesOverADrainedPeer(t *testing.T) {
 	waitFor(t, "the taken-over views", func() bool { return a.store.Rows() == len(sites) })
 }
 
+// lateDirectory is a directory across a network: a registration its caller
+// abandons may still be applied after the call returns, as a request already
+// on the wire is. While hold is set, registrations wait for release, and each
+// held one is announced on pending.
+type lateDirectory struct {
+	*gma.Directory
+	hold    atomic.Bool
+	release chan struct{}
+	pending chan struct{}
+	applied sync.WaitGroup
+}
+
+func (d *lateDirectory) RegisterContext(ctx context.Context, r gma.Registration) error {
+	if !d.hold.Load() {
+		return d.Directory.RegisterContext(ctx, r)
+	}
+	done := make(chan error, 1)
+	d.applied.Add(1)
+	go func() {
+		defer d.applied.Done()
+		<-d.release
+		done <- d.Directory.RegisterContext(context.Background(), r)
+	}()
+	d.pending <- struct{}{}
+	select {
+	case err := <-done:
+		return err
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// TestDrainOutlastsARegistrationInFlight: a republisher drained while its
+// re-registration is still on its way to the directory ends unlisted. Stop
+// waits for that registration's answer before it deregisters, so the directory
+// cannot apply the registration after the deregistration.
+func TestDrainOutlastsARegistrationInFlight(t *testing.T) {
+	dir := &lateDirectory{Directory: gma.NewDirectory(0, nil),
+		release: make(chan struct{}), pending: make(chan struct{}, 8)}
+	_, query, _ := fakeSites(t, dir.Directory, 4)
+	g := startRepub(t, dir, "repub-0", query)
+	dir.hold.Store(true)
+	// A peer joins, so the republisher rebalances and re-registers.
+	if err := dir.Directory.RegisterContext(context.Background(), gma.Registration{
+		Name: "repub-1", Endpoint: "http://repub-1", Role: gma.RoleRepublisher,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-dir.pending:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the join never led to a re-registration")
+	}
+	stopped := make(chan struct{})
+	go func() {
+		g.Stop(context.Background())
+		close(stopped)
+	}()
+	time.Sleep(20 * time.Millisecond) // let a Stop that cancels it go on to deregister
+	close(dir.release)
+	select {
+	case <-stopped:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Stop never returned")
+	}
+	dir.applied.Wait()
+	if _, listed, _ := dir.LookupContext(context.Background(), "repub-0"); listed {
+		t.Fatal("the drained republisher is listed again: its registration landed after its deregistration")
+	}
+}
+
 // TestStatusDigestAgreesAfterAJoin: after a join settles, two republishers
 // on one directory show the same membership digest on /status.
 func TestStatusDigestAgreesAfterAJoin(t *testing.T) {

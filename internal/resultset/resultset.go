@@ -95,6 +95,40 @@ var groupMetadata = func() map[*glue.Group]*Metadata {
 	return table
 }()
 
+// SourceColumn and SampledColumn are the provenance columns a historical
+// answer carries after its group's GLUE fields: the source each row was
+// harvested from and when.
+const (
+	SourceColumn  = "SourceURL"
+	SampledColumn = "SampledAt"
+)
+
+// provenanceMetadata holds every schema group's historical-answer shape, its
+// all-fields columns then the provenance columns, built once like
+// groupMetadata.
+var provenanceMetadata = func() map[*glue.Group]*Metadata {
+	table := make(map[*glue.Group]*Metadata)
+	for g, m := range groupMetadata {
+		cols := append(m.Columns(),
+			Column{Name: SourceColumn, Kind: glue.String},
+			Column{Name: SampledColumn, Kind: glue.Time},
+		)
+		if pm, err := NewMetadata(cols); err == nil {
+			table[g] = pm
+		}
+	}
+	return table
+}()
+
+// MetadataWithProvenance returns the shape of a group's historical answer:
+// every field of the group, then SourceColumn and SampledColumn.
+func MetadataWithProvenance(g *glue.Group) (*Metadata, error) {
+	if m, ok := provenanceMetadata[g]; ok {
+		return m, nil
+	}
+	return nil, fmt.Errorf("resultset: no metadata for group %s", g.Name)
+}
+
 // MetadataForGroup derives Metadata covering the named fields of a GLUE
 // group; fields is nil or empty for all fields in canonical order.
 func MetadataForGroup(g *glue.Group, fields []string) (*Metadata, error) {
@@ -108,14 +142,17 @@ func MetadataForGroup(g *glue.Group, fields []string) (*Metadata, error) {
 }
 
 // MetadataForColumns is NewMetadata for columns that arrive from outside the
-// program: a list that is exactly a GLUE group's all-fields columns gets that
-// group's shared Metadata, the one MetadataForGroup(g, nil) returns, and
-// nothing is built.
+// program: a list that is exactly a GLUE group's all-fields columns, or those
+// and the provenance columns of a historical answer, gets the shared Metadata
+// that MetadataForGroup(g, nil) or MetadataWithProvenance returns, and nothing
+// is built.
 func MetadataForColumns(cols []Column) (*Metadata, error) {
 	if len(cols) > 0 {
 		if g, ok := glue.Lookup(cols[0].Group); ok {
-			if m := groupMetadata[g]; m != nil && slices.Equal(m.cols, cols) {
-				return m, nil
+			for _, m := range [...]*Metadata{groupMetadata[g], provenanceMetadata[g]} {
+				if m != nil && slices.Equal(m.cols, cols) {
+					return m, nil
+				}
 			}
 		}
 	}

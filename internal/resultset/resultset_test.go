@@ -113,6 +113,31 @@ func TestMetadataForColumns(t *testing.T) {
 	}
 }
 
+// MetadataForColumns hands out a group's shared historical-answer Metadata for
+// its columns followed by the provenance columns, and builds nothing to do it.
+func TestMetadataForProvenanceColumns(t *testing.T) {
+	g := glue.MustLookup(glue.GroupMemory)
+	shared, err := MetadataWithProvenance(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, _ := MetadataForGroup(g, nil)
+	if n := shared.ColumnCount(); n != base.ColumnCount()+2 ||
+		shared.Column(n-2).Name != SourceColumn || shared.Column(n-1).Name != SampledColumn {
+		t.Fatalf("provenance shape %v", shared.ColumnNames())
+	}
+	cols := shared.Columns()
+	if m, err := MetadataForColumns(cols); err != nil || m != shared {
+		t.Errorf("a historical answer's columns: got %p, %v; want the shared %p", m, err, shared)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _, _ = MetadataForColumns(cols) }); allocs != 0 {
+		t.Errorf("finding the shared historical Metadata allocates %.0f times", allocs)
+	}
+	if m, _ := MetadataForColumns(cols[:len(cols)-1]); m == shared || m == base {
+		t.Error("a list without SampledAt must get its own Metadata")
+	}
+}
+
 func TestCursorProtocol(t *testing.T) {
 	rs := sampleRS(t)
 	if _, err := rs.GetString("HostName"); !errors.Is(err, ErrNoRow) {

@@ -218,7 +218,9 @@ federation:
 		t.Fatal(err)
 	}
 	defer h.Close()
-	settled := func(event string) {
+	// settled waits for the event's convergence; member is the republisher
+	// the event should leave listed (start, revive) or unlisted (drain).
+	settled := func(event, member string) {
 		t.Helper()
 		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
 			for _, c := range h.convergences() {
@@ -230,16 +232,17 @@ federation:
 				}
 			}
 			if time.Now().After(deadline) {
-				misowned, _ := h.ownership("")
-				t.Fatalf("%s never settled: %d sites not owned exactly once", event, misowned)
+				misowned, listed := h.ownership(member)
+				t.Fatalf("%s never settled: %d sites not owned exactly once, %s listed: %v",
+					event, misowned, member, listed)
 			}
 		}
 	}
-	settled("start")
+	settled("start", "repub-3")
 	h.DrainRepublisher(2)
-	settled("drain repub-2")
+	settled("drain repub-2", "repub-2")
 	h.ReviveRepublisher(2)
-	settled("revive repub-2")
+	settled("revive repub-2", "repub-2")
 	if n := h.RepubStats().MembershipChanges; n == 0 {
 		t.Fatal("no republisher counted a membership change")
 	}

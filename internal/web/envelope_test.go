@@ -496,6 +496,34 @@ func TestPooledBodiesUnderConcurrentClients(t *testing.T) {
 	wg.Wait()
 }
 
+// TestHistoricalAnswerDecodesToSharedMetadata: a historical answer, a group's
+// fields then the provenance columns, comes back with the one Metadata the
+// history store answered with, so the client builds none for it.
+func TestHistoricalAnswerDecodesToSharedMetadata(t *testing.T) {
+	shared, err := resultset.MetadataWithProvenance(glue.MustLookup(glue.GroupProcessor))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := resultset.NewBuilder(shared)
+	for i := 0; i < 3; i++ {
+		b.Append(fmt.Sprintf("node-%d", i), "model", "vendor", int64(2400), int64(512), int64(2), 0.25, 0.5, 0.75, 37.5,
+			"gridrm:sim://agent:1", time.Unix(int64(1e9+i), 0).UTC())
+	}
+	rs, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := json.Marshal(EncodeResponse(&core.Response{Site: "site-a", SQL: "SELECT * FROM Processor",
+		Mode: core.ModeHistorical, ResultSet: rs}))
+	var wr WireResponse
+	if err := wr.DecodeJSON(body); err != nil {
+		t.Fatal(err)
+	}
+	if got := wr.Result.ResultSet; got.Metadata() != shared || got.Len() != 3 {
+		t.Errorf("decoded a historical answer of %d rows to its own Metadata %v", got.Len(), got.Metadata().ColumnNames())
+	}
+}
+
 // TestDecodedColumnsAreTheSchemas: an all-fields answer about a GLUE group
 // comes back with that group's shared Metadata, not a rebuilt copy; anything
 // else is kept as it was sent.
