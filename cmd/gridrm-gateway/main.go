@@ -27,7 +27,6 @@ import (
 	"gridrm/internal/glue"
 	"gridrm/internal/gma"
 	"gridrm/internal/health"
-	"gridrm/internal/metrics"
 	"gridrm/internal/repub"
 	"gridrm/internal/router"
 	"gridrm/internal/sitekit"
@@ -187,7 +186,7 @@ func main() {
 			Name: m.Site, Endpoint: endpoint, Groups: glue.GroupNames(),
 		}, *refresh)
 		// Directory reachability surfaces on the event bus (an Alert when
-		// registration starts failing, a Status on recovery) and as a gauge.
+		// registration starts failing, a Status on recovery) and on /metrics.
 		reg.SetStateListener(func(reachable bool, err error) {
 			if reachable {
 				gw.Events().Publish(event.Event{
@@ -205,9 +204,7 @@ func main() {
 			})
 			log.Printf("gma: directory unreachable, retrying in background: %v", err)
 		})
-		gw.Metrics().Collect(func(c *metrics.Collection) {
-			c.Gauge("gridrm_directory_reachable", "1 when the last directory registration succeeded.", metrics.Flag(reg.Registered()))
-		})
+		reg.RegisterMetrics(gw.Metrics())
 		// Start fails only on invalid configuration; a directory outage is
 		// retried in the background so the gateway still serves local queries.
 		if err := reg.Start(); err != nil {
@@ -324,7 +321,7 @@ func runRepublisher(name, listen string, dir gma.DirectoryService, localDir *gma
 	log.Printf("republisher %s shutting down", name)
 	ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
-	g.Stop(ctx)
+	g.Stop()
 	if err := httpServer.Shutdown(ctx); err != nil {
 		log.Printf("gridrm-gateway: http shutdown: %v", err)
 	}

@@ -200,6 +200,33 @@ func checkedLines(t *testing.T, doc string) []docLine {
 	return out
 }
 
+// maxChangesEntry bounds one PR's entry in CHANGES.md, in bytes: an entry
+// says what changed and points to its evidence in about 1 KB.
+const maxChangesEntry = 1300
+
+var changesEntry = regexp.MustCompile(`^PR \d+:`)
+
+// TestChangesEntriesStayShort fails when a `PR N:` line of CHANGES.md is
+// longer than maxChangesEntry bytes.
+func TestChangesEntriesStayShort(t *testing.T) {
+	data, err := os.ReadFile("CHANGES.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := 0
+	for i, line := range strings.Split(string(data), "\n") {
+		if label := changesEntry.FindString(line); label != "" {
+			entries++
+			if len(line) > maxChangesEntry {
+				t.Errorf("CHANGES.md:%d: the %s entry is %d bytes, over %d", i+1, strings.TrimSuffix(label, ":"), len(line), maxChangesEntry)
+			}
+		}
+	}
+	if entries == 0 {
+		t.Fatal("CHANGES.md has no PR entry: not run from the repo root?")
+	}
+}
+
 // TestCIPatternsMatchTests fails when a -run, -bench or -fuzz alternative of
 // a `go test` command in .github/workflows/ci.yml matches no function of its
 // kind in the packages the command names: go test runs such a pattern as "no

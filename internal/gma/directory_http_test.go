@@ -5,6 +5,7 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -68,41 +69,12 @@ func TestDirectoryHTTPTTLExpiry(t *testing.T) {
 	}
 }
 
-// TestDirectoryPrune: Prune removes exactly the expired records and leaves
-// live ones lookupable.
-func TestDirectoryPrune(t *testing.T) {
-	now := time.Unix(1000, 0)
-	d := NewDirectory(10*time.Second, func() time.Time { return now })
-	_ = d.RegisterContext(context.Background(), Registration{Name: "old", Endpoint: "http://old"})
-	now = now.Add(8 * time.Second)
-	_ = d.RegisterContext(context.Background(), Registration{Name: "new", Endpoint: "http://new"})
-	now = now.Add(4 * time.Second) // "old" is 12s old, "new" 4s
-
-	if n := d.Prune(); n != 1 {
-		t.Errorf("Prune = %d, want 1", n)
-	}
-	if _, ok, _ := d.LookupContext(context.Background(), "old"); ok {
-		t.Error("pruned record still found")
-	}
-	if _, ok, _ := d.LookupContext(context.Background(), "new"); !ok {
-		t.Error("live record pruned")
-	}
-	if n := d.Prune(); n != 0 {
-		t.Errorf("second Prune = %d, want 0", n)
-	}
-	// A TTL of zero means no expiry: nothing is ever pruned.
-	forever := NewDirectory(0, nil)
-	_ = forever.RegisterContext(context.Background(), Registration{Name: "A", Endpoint: "http://a"})
-	if n := forever.Prune(); n != 0 {
-		t.Errorf("Prune with no TTL = %d, want 0", n)
-	}
-}
-
 // FuzzRegistration feeds arbitrary bytes to POST /gma/register, the one
 // decoder an unauthenticated peer reaches on the registry. Whatever arrives,
 // the directory answers 204, 400 or 413; an accepted body leaves exactly one
-// complete record, findable under its own name and stable when registered
-// again, and a refused one leaves nothing.
+// complete record, findable under its own name and left unchanged but for
+// its timestamp when registered again, and a refused one leaves nothing. An
+// older peer's "owns" and "generation" keys are ignored.
 func FuzzRegistration(f *testing.F) {
 	for _, seed := range []string{
 		`{"site":"V0","endpoint":"http://v0"}`,
@@ -134,17 +106,22 @@ func FuzzRegistration(f *testing.F) {
 				t.Fatalf("accepted %q, directory holds %d records", body, len(regs))
 			}
 			r := regs[0]
-			if r.Name == "" || r.Endpoint == "" || !r.Role.valid() || r.Generation == 0 || r.RegisteredAt.IsZero() {
+			if r.Name == "" || r.Endpoint == "" || !r.Role.valid() || r.RegisteredAt.IsZero() {
 				t.Fatalf("accepted %q as incomplete record %+v", body, r)
 			}
-			if got, ok, _ := d.LookupContext(ctx, r.Name); !ok || got.Generation != r.Generation {
+			if got, ok, _ := d.LookupContext(ctx, r.Name); !ok || !reflect.DeepEqual(got, r) {
 				t.Fatalf("record %+v not found under its own name (got %+v, %v)", r, got, ok)
 			}
 			if again := post(); again != http.StatusNoContent {
 				t.Fatalf("re-registering %q -> %d", body, again)
 			}
-			if got, _, _ := d.LookupContext(ctx, r.Name); got.Generation != r.Generation {
-				t.Fatalf("identical re-registration moved generation %d -> %d", r.Generation, got.Generation)
+			got, _, _ := d.LookupContext(ctx, r.Name)
+			if got.RegisteredAt.Before(r.RegisteredAt) {
+				t.Fatalf("identical re-registration moved the timestamp back: %v -> %v", r.RegisteredAt, got.RegisteredAt)
+			}
+			got.RegisteredAt = r.RegisteredAt
+			if !reflect.DeepEqual(got, r) {
+				t.Fatalf("identical re-registration changed the record %+v -> %+v", r, got)
 			}
 		case http.StatusBadRequest, http.StatusRequestEntityTooLarge:
 			if len(regs) != 0 {

@@ -5,12 +5,12 @@
 // resource data are routed through the Global layer to the gateway that
 // owns the data.
 //
-// Every member of the federation — site gateways, republisher gateways,
-// and entry gateways — registers a Registration carrying its Role and a
-// monotonically increasing Generation; a registration without a role is a
-// site. See DESIGN.md, "GMA router".
+// Every member of the federation — site gateways and republisher gateways —
+// registers a Registration carrying its Role, and keeps it through one
+// Registrar; a registration without a role is a site. See DESIGN.md, "GMA
+// router".
 //
-// The package provides the directory (in-process and over HTTP), a
+// The package provides the directory (in-process and over HTTP), the
 // Registrar that keeps a member's record fresh, the consistent-hash Ring
 // that shards site ownership across republishers, and the Router that
 // plugs into core.Gateway as its GlobalRouter.
@@ -44,22 +44,16 @@ const (
 	// RoleRepublisher is an intermediate gateway re-serving merged views
 	// of the child sites it owns on the ring (R-GMA's republisher).
 	RoleRepublisher Role = "republisher"
-	// RoleEntry is a client-facing gateway that plans fan-outs; it
-	// registers so operators can see it, but is never a query target.
-	RoleEntry Role = "entry"
 )
 
 // valid reports whether the role is one the directory accepts.
-func (r Role) valid() bool {
-	switch r {
-	case RoleSite, RoleRepublisher, RoleEntry:
-		return true
-	}
-	return false
-}
+func (r Role) valid() bool { return r == RoleSite || r == RoleRepublisher }
 
 // Registration is one federation member's directory record, and its JSON
-// form on the directory's HTTP interface.
+// form on the directory's HTTP interface. It is the member's identity, and
+// holds only what some reader reads: a record carrying keys it does not
+// declare (an older peer's "owns" or "generation") decodes with them
+// ignored.
 type Registration struct {
 	// Name is the member's unique name: the site name for Role "site",
 	// the republisher name otherwise.
@@ -71,15 +65,6 @@ type Registration struct {
 	Role Role `json:"role,omitempty"`
 	// Groups lists the GLUE groups the member can answer for.
 	Groups []string `json:"groups,omitempty"`
-	// Owns is advisory: the sites a republisher currently owns on the
-	// ring. Routing recomputes ownership from the ring rather than trust
-	// this field; it exists for operators and tests.
-	Owns []string `json:"owns,omitempty"`
-	// Generation increases whenever the member's identity-relevant fields
-	// (endpoint, role) change. The directory bumps it on change even when
-	// the caller leaves it zero, so a reader can tell a re-registration
-	// from a heartbeat.
-	Generation uint64 `json:"generation,omitempty"`
 	// RegisteredAt is when the record was last refreshed.
 	RegisteredAt time.Time `json:"registeredAt"`
 }
@@ -111,8 +96,7 @@ type DirectoryService interface {
 
 // Digest names a membership: a hash of each record's name, role, endpoint
 // and groups, taken in the order given (ListContext's name order). It
-// leaves out RegisteredAt, Owns and Generation, so a heartbeat or a
-// republisher's re-registration of its Owns leaves it unchanged.
+// leaves out RegisteredAt, so a heartbeat leaves it unchanged.
 func Digest(regs []Registration) string {
 	h := fnv.New64a()
 	field := func(s string) {
@@ -168,11 +152,7 @@ func (d *Directory) notify() {
 	d.changed = make(chan struct{})
 }
 
-// RegisterContext implements DirectoryService. The stored Generation is
-// monotonic: a re-registration that changes the endpoint or role bumps it
-// even when the caller left Generation zero, and a caller-supplied larger
-// Generation always wins — so a reader can detect a re-registered member
-// without comparing endpoints itself.
+// RegisterContext implements DirectoryService.
 func (d *Directory) RegisterContext(ctx context.Context, r Registration) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -190,18 +170,6 @@ func (d *Directory) RegisterContext(ctx context.Context, r Registration) error {
 	prev, ok := d.members[r.Name]
 	if !ok || !d.fresh(prev) || r.Endpoint != prev.Endpoint || r.Role != prev.Role || !slices.Equal(r.Groups, prev.Groups) {
 		defer d.notify()
-	}
-	if ok {
-		switch {
-		case r.Generation > prev.Generation:
-			// Caller-supplied bump wins.
-		case r.Endpoint != prev.Endpoint || r.Role != prev.Role:
-			r.Generation = prev.Generation + 1
-		default:
-			r.Generation = prev.Generation
-		}
-	} else if r.Generation == 0 {
-		r.Generation = 1
 	}
 	d.members[r.Name] = r
 	return nil
@@ -285,20 +253,6 @@ func (d *Directory) WatchContext(ctx context.Context, digest string, wait time.D
 		case <-ctx.Done():
 		}
 	}
-}
-
-// Prune drops expired records and reports how many were removed.
-func (d *Directory) Prune() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	n := 0
-	for name, r := range d.members {
-		if !d.fresh(r) {
-			delete(d.members, name)
-			n++
-		}
-	}
-	return n
 }
 
 // Route is one row of the directory's HTTP interface. The pattern carries

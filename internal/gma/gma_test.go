@@ -58,9 +58,6 @@ func TestDirectoryTTL(t *testing.T) {
 	if regs, _ := d.ListContext(context.Background()); len(regs) != 0 {
 		t.Errorf("stale registrations = %v", regs)
 	}
-	if n := d.Prune(); n != 1 {
-		t.Errorf("pruned %d", n)
-	}
 	// Re-registration refreshes.
 	_ = d.RegisterContext(context.Background(), Registration{Name: "A", Endpoint: "http://a"})
 	if _, ok, _ := d.LookupContext(context.Background(), "A"); !ok {
@@ -199,8 +196,10 @@ func TestRouter(t *testing.T) {
 	d := NewDirectory(0, nil)
 	_ = d.RegisterContext(context.Background(), Registration{Name: "A", Endpoint: "http://a"})
 	_ = d.RegisterContext(context.Background(), Registration{Name: "B", Endpoint: "http://b"})
-	_ = d.RegisterContext(context.Background(), Registration{Name: "E", Endpoint: "http://e", Role: RoleEntry})
 	_ = d.RegisterContext(context.Background(), Registration{Name: "R", Endpoint: "http://r", Role: RoleRepublisher})
+	if err := d.RegisterContext(context.Background(), Registration{Name: "E", Endpoint: "http://e", Role: "entry"}); err == nil {
+		t.Error(`the retired role "entry" was accepted`)
+	}
 
 	var gotEndpoint string
 	exec := func(_ context.Context, endpoint string, req core.QueryOptions) (*core.Response, error) {
@@ -220,7 +219,7 @@ func TestRouter(t *testing.T) {
 	}
 	sites := r.Sites()
 	if len(sites) != 1 || sites[0] != "B" {
-		t.Errorf("Sites = %v (must exclude local, republishers and entries)", sites)
+		t.Errorf("Sites = %v (must exclude local and republishers)", sites)
 	}
 }
 

@@ -4,9 +4,9 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
+	"gridrm/internal/metrics"
 	"gridrm/internal/retry"
 )
 
@@ -14,23 +14,36 @@ import (
 // Registrar.Stop, so shutdown cannot hang on an unreachable directory.
 const deregisterTimeout = 3 * time.Second
 
-// RegistrarStats counts a Registrar's directory traffic.
+// RegistrarStats is one reading of a Registrar.
 type RegistrarStats struct {
-	// Registrations counts successful Register calls.
+	// Registrations counts registrations, the first and every heartbeat,
+	// the directory accepted.
 	Registrations int64
-	// Failures counts Register calls that failed.
+	// Failures counts registrations that failed.
 	Failures int64
+	// Reachable reports whether the last registration succeeded; it is
+	// false once the registrar has stopped.
+	Reachable bool
 }
 
-// Registrar keeps one federation member's record fresh in a directory.
+// Registrar keeps one federation member's record in a directory: a site's
+// and a republisher's alike.
 //
 // Start never fails for a transient directory outage: the initial
 // registration is attempted synchronously, and on failure the background
 // loop keeps retrying with jittered exponential backoff until the directory
 // answers — a gateway boots and serves local queries even when its
 // directory is down. Re-registration failures flip the registrar into the
-// unreachable state (observable via Registered and the state listener);
-// the next success flips it back. Stop→Start restart is supported.
+// unreachable state (observable via Stats and the state listener); the next
+// success flips it back.
+//
+// Each registration runs to the directory's answer, bounded by the
+// directory client's timeout, and is never abandoned by Stop or Halt: a
+// registration abandoned on the wire could reach the directory after the
+// deregistration that follows it and list a stopped member again. Stop
+// deregisters once the loop has exited, so the withdrawal is the
+// directory's last word; Halt leaves the record behind, as a crash does.
+// Either may be followed by Start.
 type Registrar struct {
 	dir      DirectoryService
 	info     Registration
@@ -42,14 +55,12 @@ type Registrar struct {
 	cancel  context.CancelFunc
 	done    chan struct{}
 
-	// notifyMu serialises state-listener callbacks and guards the edge
-	// detection, so flips are reported exactly once and in order.
-	notifyMu      sync.Mutex
-	reported      bool
-	reportedOK    bool
-	registered    atomic.Bool
-	registrations atomic.Int64
-	failures      atomic.Int64
+	// outcomeMu serialises outcomes: it guards stats and the listener's
+	// edge detection, so flips are reported exactly once and in order.
+	outcomeMu  sync.Mutex
+	stats      RegistrarStats
+	reported   bool
+	reportedOK bool
 }
 
 // NewRegistrar creates a registrar that re-registers info every interval.
@@ -71,46 +82,50 @@ func (r *Registrar) SetStateListener(fn func(reachable bool, err error)) {
 	r.onState = fn
 }
 
-// Registered reports whether the producer record is currently registered
-// (the last Register call succeeded). Backs the directory-reachable gauge.
-func (r *Registrar) Registered() bool { return r.registered.Load() }
-
-// Stats returns the registrar's counters.
+// Stats returns one reading of the registrar's counters and reachability.
 func (r *Registrar) Stats() RegistrarStats {
-	return RegistrarStats{
-		Registrations: r.registrations.Load(),
-		Failures:      r.failures.Load(),
-	}
+	r.outcomeMu.Lock()
+	defer r.outcomeMu.Unlock()
+	return r.stats
 }
 
-// register performs one Register call and reports reachability flips (and
-// the very first outcome) to the state listener.
-func (r *Registrar) register(ctx context.Context) error {
-	err := r.dir.RegisterContext(ctx, r.info)
-	if ctx.Err() != nil {
-		// Stopped mid-call: not an observation of the directory.
-		return err
-	}
+// RegisterMetrics exports one Stats reading per scrape on reg:
+// gridrm_directory_reachable, gridrm_directory_registrations_total and
+// gridrm_directory_registration_failures_total.
+func (r *Registrar) RegisterMetrics(reg *metrics.Registry) {
+	reg.Collect(func(c *metrics.Collection) {
+		st := r.Stats()
+		c.Gauge("gridrm_directory_reachable", "1 when the last directory registration succeeded.", metrics.Flag(st.Reachable))
+		c.Counter("gridrm_directory_registrations_total", "Directory registrations, the first and every heartbeat, that succeeded.", float64(st.Registrations))
+		c.Counter("gridrm_directory_registration_failures_total", "Directory registrations that failed.", float64(st.Failures))
+	})
+}
+
+// register performs one registration, under no context that Stop or Halt
+// cancels, and reports reachability flips (and the very first outcome) to
+// the state listener.
+func (r *Registrar) register() error {
+	err := r.dir.RegisterContext(context.Background(), r.info)
 	ok := err == nil
+	r.outcomeMu.Lock()
+	defer r.outcomeMu.Unlock()
 	if ok {
-		r.registrations.Add(1)
+		r.stats.Registrations++
 	} else {
-		r.failures.Add(1)
+		r.stats.Failures++
 	}
-	r.registered.Store(ok)
-	r.notifyMu.Lock()
+	r.stats.Reachable = ok
 	flip := !r.reported || r.reportedOK != ok
 	r.reported, r.reportedOK = true, ok
 	if flip && r.onState != nil {
-		// Called under notifyMu so flips arrive in order; listeners must
+		// Called under outcomeMu so flips arrive in order; listeners must
 		// not call back into the Registrar.
 		r.onState(ok, err)
 	}
-	r.notifyMu.Unlock()
 	return err
 }
 
-// Start begins keeping the record fresh until Stop. It returns an error
+// Start begins keeping the record fresh until Stop or Halt. It returns an error
 // only for invalid configuration (missing site or endpoint) — a directory
 // that is down does not fail Start; registration is retried in the
 // background with jittered exponential backoff until it lands.
@@ -133,7 +148,7 @@ func (r *Registrar) Start() error {
 
 	// First attempt runs synchronously so a healthy directory sees the
 	// record the moment Start returns; a failure only schedules retries.
-	initialErr := r.register(ctx)
+	initialErr := r.register()
 
 	// Retries start at an eighth of the refresh interval and are capped at
 	// it, jittered so a directory restart is not met by a thundering herd.
@@ -153,27 +168,39 @@ func (r *Registrar) Start() error {
 			if retry.Sleep(ctx, wait) != nil {
 				return
 			}
-			retrying = r.register(ctx) != nil
+			retrying = r.register() != nil
 		}
 	}()
 	return nil
 }
 
-// Stop halts refreshing and deregisters the producer, best-effort and
-// bounded: an unreachable directory cannot hang shutdown. The registrar can
-// be started again afterwards.
-func (r *Registrar) Stop() {
+// Halt stops refreshing and leaves the record in the directory, the crash
+// path: the member stays listed until the directory's TTL expires it. A
+// registration in flight finishes first. It reports whether the registrar
+// was running.
+func (r *Registrar) Halt() bool {
 	r.mu.Lock()
 	started := r.started
 	r.started = false
 	stop, done := r.cancel, r.done
 	r.mu.Unlock()
 	if !started {
-		return
+		return false
 	}
 	stop()
 	<-done
-	r.registered.Store(false)
+	return true
+}
+
+// Stop halts refreshing and then deregisters the member, best-effort and
+// bounded: an unreachable directory cannot hang shutdown.
+func (r *Registrar) Stop() {
+	if !r.Halt() {
+		return
+	}
+	r.outcomeMu.Lock()
+	r.stats.Reachable = false
+	r.outcomeMu.Unlock()
 	ctx, cancel := context.WithTimeout(context.Background(), deregisterTimeout)
 	defer cancel()
 	_ = r.dir.DeregisterContext(ctx, r.info.Name)

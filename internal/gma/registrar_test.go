@@ -4,6 +4,7 @@ import (
 	"context"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -64,8 +65,8 @@ func TestRegistrarSurvivesDirectoryOutage(t *testing.T) {
 		t.Fatalf("Start failed for a transient outage: %v", err)
 	}
 	defer r.Stop()
-	if r.Registered() {
-		t.Error("Registered() true while the directory is down")
+	if r.Stats().Reachable {
+		t.Error("Reachable while the directory is down")
 	}
 	mu.Lock()
 	if len(flips) != 1 || flips[0] {
@@ -76,14 +77,14 @@ func TestRegistrarSurvivesDirectoryOutage(t *testing.T) {
 	// The directory recovers; the backoff loop must land the registration.
 	dir.setDown(false)
 	deadline := time.Now().Add(3 * time.Second)
-	for !r.Registered() {
+	for !r.Stats().Reachable {
 		if time.Now().After(deadline) {
 			t.Fatal("registration never landed after recovery")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 	if _, ok, _ := dir.Directory.LookupContext(context.Background(), "A"); !ok {
-		t.Error("directory has no record despite Registered()")
+		t.Error("directory has no record despite Reachable")
 	}
 	mu.Lock()
 	if len(flips) != 2 || !flips[1] {
@@ -156,5 +157,99 @@ func TestRegistrarStopBounded(t *testing.T) {
 	case <-done:
 	case <-time.After(deregisterTimeout + 2*time.Second):
 		t.Fatal("Stop hung on an unreachable directory")
+	}
+}
+
+// heldDirectory is a directory across a network: a registration its caller
+// abandons may still be applied after the call returns, as a request already
+// on the wire is. While hold is set, registrations wait for release, and each
+// held one is announced on pending.
+type heldDirectory struct {
+	*Directory
+	hold    atomic.Bool
+	release chan struct{}
+	pending chan struct{}
+	applied sync.WaitGroup
+}
+
+func (d *heldDirectory) RegisterContext(ctx context.Context, r Registration) error {
+	if !d.hold.Load() {
+		return d.Directory.RegisterContext(ctx, r)
+	}
+	done := make(chan error, 1)
+	d.applied.Add(1)
+	go func() {
+		defer d.applied.Done()
+		<-d.release
+		done <- d.Directory.RegisterContext(context.Background(), r)
+	}()
+	d.pending <- struct{}{}
+	select {
+	case err := <-done:
+		return err
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// TestRegistrarStopOutlastsARegistrationInFlight: a member stopped while a
+// heartbeat is still on its way to the directory ends unlisted. Stop waits
+// for that heartbeat's answer before it deregisters, so the directory cannot
+// apply the heartbeat after the deregistration.
+func TestRegistrarStopOutlastsARegistrationInFlight(t *testing.T) {
+	dir := &heldDirectory{Directory: NewDirectory(0, nil),
+		release: make(chan struct{}), pending: make(chan struct{}, 8)}
+	r := NewRegistrar(dir, Registration{Name: "A", Endpoint: "http://a"}, 10*time.Millisecond)
+	if err := r.Start(); err != nil {
+		t.Fatal(err)
+	}
+	dir.hold.Store(true)
+	select {
+	case <-dir.pending:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no heartbeat reached the directory")
+	}
+	stopped := make(chan struct{})
+	go func() {
+		r.Stop()
+		close(stopped)
+	}()
+	time.Sleep(20 * time.Millisecond) // let a Stop that abandons it go on to deregister
+	close(dir.release)
+	select {
+	case <-stopped:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Stop never returned")
+	}
+	dir.applied.Wait()
+	if _, listed, _ := dir.LookupContext(context.Background(), "A"); listed {
+		t.Fatal("the stopped member is listed again: its heartbeat landed after its deregistration")
+	}
+}
+
+// TestRegistrarHaltLeavesTheRecord: Halt stops the heartbeat and leaves the
+// record listed, as a crash does; a Start after it refreshes the record
+// again.
+func TestRegistrarHaltLeavesTheRecord(t *testing.T) {
+	d := NewDirectory(0, nil)
+	r := NewRegistrar(d, Registration{Name: "A", Endpoint: "http://a", Role: RoleRepublisher}, 10*time.Millisecond)
+	if err := r.Start(); err != nil {
+		t.Fatal(err)
+	}
+	r.Halt()
+	halted, ok, _ := d.LookupContext(context.Background(), "A")
+	if !ok || halted.Role != RoleRepublisher {
+		t.Fatalf("after Halt the record is %+v, %v; want it left listed", halted, ok)
+	}
+	time.Sleep(50 * time.Millisecond)
+	if got, _, _ := d.LookupContext(context.Background(), "A"); !got.RegisteredAt.Equal(halted.RegisteredAt) {
+		t.Fatal("a halted registrar refreshed the record")
+	}
+	if err := r.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer r.Stop()
+	if got, _, _ := d.LookupContext(context.Background(), "A"); !got.RegisteredAt.After(halted.RegisteredAt) {
+		t.Fatal("restarting after Halt did not refresh the record")
 	}
 }

@@ -39,7 +39,7 @@ func watchFixture(t *testing.T, svc DirectoryService) string {
 	ctx := context.Background()
 	for _, r := range []Registration{
 		{Name: "A", Endpoint: "http://a", Groups: []string{"Processor"}},
-		{Name: "R", Endpoint: "http://r", Role: RoleRepublisher, Owns: []string{"A"}},
+		{Name: "R", Endpoint: "http://r", Role: RoleRepublisher},
 	} {
 		if err := svc.RegisterContext(ctx, r); err != nil {
 			t.Fatal(err)
@@ -71,7 +71,7 @@ func watchAsync(ctx context.Context, svc DirectoryService, digest string, wait t
 
 // TestWatchReturnsOnMembershipChange: on every DirectoryService a watch
 // returns on a join, a deregister, or a member's new endpoint, role or
-// groups, and sleeps through a heartbeat re-registration.
+// groups, and sleeps through a site's or a republisher's heartbeat.
 func TestWatchReturnsOnMembershipChange(t *testing.T) {
 	changes := []struct {
 		name   string
@@ -85,7 +85,7 @@ func TestWatchReturnsOnMembershipChange(t *testing.T) {
 			return d.RegisterContext(ctx, Registration{Name: "A", Endpoint: "http://a2", Groups: []string{"Processor"}})
 		}, true},
 		{"role", func(ctx context.Context, d DirectoryService) error {
-			return d.RegisterContext(ctx, Registration{Name: "A", Endpoint: "http://a", Role: RoleEntry, Groups: []string{"Processor"}})
+			return d.RegisterContext(ctx, Registration{Name: "A", Endpoint: "http://a", Role: RoleRepublisher, Groups: []string{"Processor"}})
 		}, true},
 		{"groups", func(ctx context.Context, d DirectoryService) error {
 			return d.RegisterContext(ctx, Registration{Name: "A", Endpoint: "http://a", Groups: []string{"Processor", "Memory"}})
@@ -94,8 +94,9 @@ func TestWatchReturnsOnMembershipChange(t *testing.T) {
 		{"heartbeat", func(ctx context.Context, d DirectoryService) error {
 			return d.RegisterContext(ctx, Registration{Name: "A", Endpoint: "http://a", Groups: []string{"Processor"}})
 		}, false},
+		// A republisher's heartbeat, which once re-sent the shard it owned.
 		{"owns", func(ctx context.Context, d DirectoryService) error {
-			return d.RegisterContext(ctx, Registration{Name: "R", Endpoint: "http://r", Role: RoleRepublisher, Owns: []string{}})
+			return d.RegisterContext(ctx, Registration{Name: "R", Endpoint: "http://r", Role: RoleRepublisher})
 		}, false},
 	}
 	for _, impl := range watchImpls {

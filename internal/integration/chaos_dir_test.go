@@ -125,7 +125,7 @@ func TestChaosDirectoryOutage(t *testing.T) {
 	// The registrar flips to unreachable but the gateway keeps serving;
 	// Start never failed. The flip is turned into an Alert on the event bus.
 	deadline := time.Now().Add(10 * time.Second)
-	for regA.Registered() {
+	for regA.Stats().Reachable {
 		if time.Now().After(deadline) {
 			t.Fatal("registrar never noticed the outage")
 		}
@@ -179,7 +179,7 @@ func TestChaosDirectoryOutage(t *testing.T) {
 	// re-registers without intervention.
 	h.SetDirectoryDown(0, false)
 	deadline = time.Now().Add(10 * time.Second)
-	for !regA.Registered() {
+	for !regA.Stats().Reachable {
 		if time.Now().After(deadline) {
 			t.Fatal("registrar never recovered after replica restart")
 		}
@@ -196,7 +196,7 @@ func TestChaosDirectoryOutage(t *testing.T) {
 		t.Fatalf("registrar restart: %v", err)
 	}
 	deadline = time.Now().Add(5 * time.Second)
-	for !regA.Registered() {
+	for !regA.Stats().Reachable {
 		if time.Now().After(deadline) {
 			t.Fatal("restarted registrar never registered")
 		}

@@ -754,7 +754,7 @@ func TestRouteEquivalence(t *testing.T) {
 	if err := rp.Start(ctx); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { rp.Stop(context.Background()) })
+	t.Cleanup(func() { rp.Stop() })
 	remote := fleet.siteRows("s1", "s2", "s3")
 	waitFor(t, "scrapes", func() bool { return rp.store.Rows() == len(remote) })
 	router := &eqRouter{sites: sites, repub: rp}

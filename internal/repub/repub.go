@@ -44,8 +44,9 @@ type Options struct {
 	// Query overrides how sites are scraped (tests).
 	Query QueryFunc
 	// RefreshInterval bounds how long the republisher goes without
-	// re-reading the directory and re-registering (default 2s). A change
-	// of membership is acted on at once, not at the interval.
+	// re-reading the directory (default 2s), and is the heartbeat of its
+	// gma.Registrar. A change of membership is acted on at once, not at the
+	// interval.
 	RefreshInterval time.Duration
 	// ScrapeInterval is the re-scrape cadence for sites whose feed is down
 	// (default 5s).
@@ -80,7 +81,8 @@ type Stats struct {
 	// MembershipChanges counts directory watches that returned because
 	// the membership changed, not because RefreshInterval passed.
 	MembershipChanges int64 `json:"membershipChanges"`
-	// RefreshErrors counts failed directory watches and registrations.
+	// RefreshErrors counts failed directory watches. Registrations are
+	// counted by the republisher's gma.Registrar.
 	RefreshErrors int64 `json:"refreshErrors"`
 	// StoredRows is the current row count across every view.
 	StoredRows int `json:"storedRows"`
@@ -97,6 +99,8 @@ type Gateway struct {
 	// validator its predecessor handed out.
 	epoch   uint64
 	metrics *metrics.Registry
+	// registrar keeps the republisher's record; nil without an Endpoint.
+	registrar *gma.Registrar
 
 	mu sync.Mutex
 	// owns is replaced whole, never written in place, so a reader may keep
@@ -176,6 +180,12 @@ func New(opts Options) (*Gateway, error) {
 	if g.opts.Query == nil {
 		g.opts.Query = g.directoryQuery
 	}
+	if opts.Endpoint != "" {
+		g.registrar = gma.NewRegistrar(opts.Directory, gma.Registration{
+			Name: opts.Name, Endpoint: opts.Endpoint, Role: gma.RoleRepublisher,
+		}, opts.RefreshInterval)
+		g.registrar.RegisterMetrics(g.metrics)
+	}
 	g.registerMetrics()
 	return g, nil
 }
@@ -202,7 +212,7 @@ func (g *Gateway) registerMetrics() {
 		c.Counter("gridrm_repub_subscribe_fallbacks_total", "Feeds that would not open, each followed by a scrape.", float64(st.SubscribeFallbacks))
 		c.Counter("gridrm_repub_rebalances_total", "Refresh cycles that changed the owned-site set.", float64(st.Rebalances))
 		c.Counter("gridrm_repub_membership_changes_total", "Directory watches that returned on a membership change.", float64(st.MembershipChanges))
-		c.Counter("gridrm_repub_refresh_errors_total", "Failed directory watches and registrations.", float64(st.RefreshErrors))
+		c.Counter("gridrm_repub_refresh_errors_total", "Failed directory watches.", float64(st.RefreshErrors))
 		c.Gauge("gridrm_repub_stored_rows", "Rows held across every view.", float64(st.StoredRows))
 		c.Gauge("gridrm_directory_copy_digest", "32-bit hash of the digest of the directory membership the owned shard rests on (0 before the first refresh).", digest)
 	})
@@ -280,10 +290,11 @@ func (g *Gateway) Feeds() []Feed {
 	return feeds
 }
 
-// Start begins the watch loop: watch the directory, rebuild the ring,
-// reconcile site workers, and keep the republisher's own registration
-// (role, Owns) current. An immediate first refresh runs before Start
-// returns, so tests and single-shot tools see a settled ownership set.
+// Start begins the watch loop: watch the directory, rebuild the ring and
+// reconcile site workers. An immediate first refresh runs before Start
+// returns, so tests and single-shot tools see a settled ownership set; the
+// republisher registers once it has its shard, and its registrar keeps the
+// record from then on.
 func (g *Gateway) Start(ctx context.Context) error {
 	g.mu.Lock()
 	if g.started {
@@ -294,56 +305,58 @@ func (g *Gateway) Start(ctx context.Context) error {
 	g.runCtx, g.cancel = context.WithCancel(ctx)
 	g.mu.Unlock()
 	seen, _ := g.refresh(g.runCtx, "")
+	if g.registrar != nil {
+		_ = g.registrar.Start() // fails only without a name or an endpoint, which New rules out
+	}
 	g.wg.Add(1)
 	go g.watch(seen)
 	return nil
 }
 
 // Stop halts the loops, stops every site worker, and withdraws the
-// republisher's registration so entry gateways replan without it. A
-// registration still in flight finishes first (register), so the withdrawal
-// is the directory's last word on this republisher.
-func (g *Gateway) Stop(ctx context.Context) {
-	g.mu.Lock()
-	if !g.started {
-		g.mu.Unlock()
-		return
+// republisher's registration so entry gateways replan without it; the
+// registrar lets a registration in flight finish first, so the withdrawal
+// is the directory's last word on this republisher. The withdrawal is
+// bounded, so an unreachable directory cannot hang Stop.
+func (g *Gateway) Stop() {
+	if g.halt(true) && g.registrar != nil {
+		g.registrar.Stop()
 	}
-	g.started = false
-	cancel := g.cancel
-	workers := g.workers
-	g.workers = make(map[string]*siteWorker)
-	g.owns = nil
-	g.ownsGen++
-	g.mu.Unlock()
-	cancel()
-	for _, w := range workers {
-		<-w.done
-	}
-	g.wg.Wait()
-	_ = g.opts.Directory.DeregisterContext(ctx, g.opts.Name)
 }
 
-// Halt stops the loops and workers WITHOUT deregistering — the crash
-// path. The stale registration stays in the directory, which is exactly
-// the failure the entry gateway's fall-through and the router's breakers
-// must absorb; the chaos harness uses this to kill a republisher.
+// Halt stops the loops, the workers and the registrar WITHOUT deregistering
+// — the crash path. The stale registration stays in the directory, which is
+// exactly the failure the entry gateway's fall-through and the router's
+// breakers must absorb; the chaos harness uses this to kill a republisher.
 func (g *Gateway) Halt() {
+	if g.halt(false) && g.registrar != nil {
+		g.registrar.Halt()
+	}
+}
+
+// halt stops the loops and workers and reports whether they were running;
+// shed drops the owned shard with them.
+func (g *Gateway) halt(shed bool) bool {
 	g.mu.Lock()
 	if !g.started {
 		g.mu.Unlock()
-		return
+		return false
 	}
 	g.started = false
 	cancel := g.cancel
 	workers := g.workers
 	g.workers = make(map[string]*siteWorker)
+	if shed {
+		g.owns = nil
+		g.ownsGen++
+	}
 	g.mu.Unlock()
 	cancel()
 	for _, w := range workers {
 		<-w.done
 	}
 	g.wg.Wait()
+	return true
 }
 
 // watch refreshes until the republisher stops. Each refresh waits on the
@@ -362,9 +375,9 @@ func (g *Gateway) watch(seen string) {
 
 // refresh runs one directory cycle: watch the directory from the digest
 // seen ("" returns at once), build the ring over every registered
-// republisher (self included), recompute the owned shard, reconcile
-// workers, and (re)register self with the current Owns. It returns the
-// digest the shard now rests on; ok is false when the watch failed.
+// republisher (self included), recompute the owned shard and reconcile
+// workers. It returns the digest the shard now rests on; ok is false when
+// the watch failed.
 func (g *Gateway) refresh(ctx context.Context, seen string) (digest string, ok bool) {
 	regs, err := g.opts.Directory.WatchContext(ctx, seen, g.opts.RefreshInterval)
 	if err != nil {
@@ -381,9 +394,7 @@ func (g *Gateway) refresh(ctx context.Context, seen string) (digest string, ok b
 		g.membership = Membership{Digest: digest, Members: len(regs), ChangedAt: g.opts.Clock()}
 		g.mu.Unlock()
 	}
-	if err := g.rebalance(ctx, regs); err != nil && ctx.Err() == nil {
-		g.refreshErrors.Add(1)
-	}
+	g.rebalance(regs)
 	return digest, true
 }
 
@@ -391,7 +402,7 @@ func (g *Gateway) refresh(ctx context.Context, seen string) (digest string, ok b
 // A worker stops when its site is shed or re-registers with other groups,
 // and its view goes with it; every owned site without a worker gets a
 // fresh one, seeded by a scrape of the groups the site now registers.
-func (g *Gateway) rebalance(ctx context.Context, regs []gma.Registration) error {
+func (g *Gateway) rebalance(regs []gma.Registration) {
 	var republishers, sites []string
 	groups := make(map[string][]string)
 	self := false
@@ -422,7 +433,7 @@ func (g *Gateway) rebalance(ctx context.Context, regs []gma.Registration) error 
 	g.mu.Lock()
 	if !g.started {
 		g.mu.Unlock()
-		return nil
+		return
 	}
 	changed := !slices.Equal(owns, g.owns)
 	if changed {
@@ -461,28 +472,6 @@ func (g *Gateway) rebalance(ctx context.Context, regs []gma.Registration) error 
 	if changed {
 		g.rebalances.Add(1)
 	}
-	return g.register(ctx, owns)
-}
-
-// register advertises (or re-advertises) the republisher with its current
-// shard. Owns changes do not bump Generation — the entry router rebuilds
-// its ring from membership, not Owns — but a changed Endpoint does; the
-// entry router routes to the new Endpoint from its next directory list.
-//
-// Stop does not cancel a registration: one already sent when the republisher
-// stops could still reach the directory after the deregistration Stop sends
-// next, and list the drained republisher again. It runs to its answer, bounded
-// by the directory client's timeout, and Stop withdraws only after it.
-func (g *Gateway) register(ctx context.Context, owns []string) error {
-	if g.opts.Endpoint == "" {
-		return nil
-	}
-	return g.opts.Directory.RegisterContext(context.WithoutCancel(ctx), gma.Registration{
-		Name:     g.opts.Name,
-		Endpoint: g.opts.Endpoint,
-		Role:     gma.RoleRepublisher,
-		Owns:     owns,
-	})
 }
 
 // mirrored is what the republisher mirrors of a site that registered

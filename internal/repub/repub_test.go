@@ -22,6 +22,7 @@ import (
 	"gridrm/internal/glue"
 	"gridrm/internal/gma"
 	"gridrm/internal/httpjson"
+	"gridrm/internal/metrics"
 	"gridrm/internal/resultset"
 	"gridrm/internal/sqlparse"
 	"gridrm/internal/web"
@@ -272,14 +273,22 @@ func TestGatewayScrapesAndAnswersRegionQueries(t *testing.T) {
 	if err := g.Start(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	defer g.Stop(context.Background())
+	defer g.Stop()
 	if owns := g.Owns(); len(owns) != len(sites) {
 		t.Fatalf("sole republisher owns %v, want all of %v", owns, sites)
 	}
-	// Self-registration carries the role and the shard.
+	// Self-registration carries the role and the endpoint, and the
+	// registrar that keeps it reports on the republisher's /metrics.
 	reg, ok, _ := dir.LookupContext(context.Background(), "repub-0")
-	if !ok || reg.Role != gma.RoleRepublisher || len(reg.Owns) != 3 {
+	if !ok || reg.Role != gma.RoleRepublisher || reg.Endpoint != "http://repub-0" {
 		t.Fatalf("self-registration = %+v, %v", reg, ok)
+	}
+	ex, err := metrics.Scrape(g.Metrics())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ex.Samples["gridrm_directory_reachable"] != 1 || ex.Samples["gridrm_directory_registrations_total"] < 1 {
+		t.Fatalf("registrar series = reachable %v, registrations %v", ex.Samples["gridrm_directory_reachable"], ex.Samples["gridrm_directory_registrations_total"])
 	}
 	waitFor(t, "scrapes", func() bool { return g.store.Rows() == 3 })
 
@@ -345,7 +354,7 @@ func startRepub(t *testing.T, dir gma.DirectoryService, name string, query Query
 	if err := g.Start(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { g.Stop(context.Background()) })
+	t.Cleanup(func() { g.Stop() })
 	return g
 }
 
@@ -405,7 +414,7 @@ func TestSurvivorTakesOverADrainedPeer(t *testing.T) {
 	b := startRepub(t, dir, "repub-1", query)
 	both := []string{"repub-0", "repub-1"}
 	waitFor(t, "the split", func() bool { return ownedByRing(a, sites, both) && ownedByRing(b, sites, both) })
-	b.Stop(context.Background()) // drain: deregister, workers wound down
+	b.Stop() // drain: deregister, workers wound down
 	waitFor(t, "the takeover", func() bool { return len(a.Owns()) == len(sites) })
 	waitFor(t, "the taken-over views", func() bool { return a.store.Rows() == len(sites) })
 }
@@ -443,29 +452,33 @@ func (d *lateDirectory) RegisterContext(ctx context.Context, r gma.Registration)
 }
 
 // TestDrainOutlastsARegistrationInFlight: a republisher drained while its
-// re-registration is still on its way to the directory ends unlisted. Stop
-// waits for that registration's answer before it deregisters, so the directory
-// cannot apply the registration after the deregistration.
+// registrar's heartbeat is still on its way to the directory ends unlisted.
+// Stop waits for that heartbeat's answer before it deregisters, so the
+// directory cannot apply the heartbeat after the deregistration.
 func TestDrainOutlastsARegistrationInFlight(t *testing.T) {
 	dir := &lateDirectory{Directory: gma.NewDirectory(0, nil),
 		release: make(chan struct{}), pending: make(chan struct{}, 8)}
 	_, query, _ := fakeSites(t, dir.Directory, 4)
-	g := startRepub(t, dir, "repub-0", query)
-	dir.hold.Store(true)
-	// A peer joins, so the republisher rebalances and re-registers.
-	if err := dir.Directory.RegisterContext(context.Background(), gma.Registration{
-		Name: "repub-1", Endpoint: "http://repub-1", Role: gma.RoleRepublisher,
-	}); err != nil {
+	g, err := New(Options{
+		Name: "repub-0", Endpoint: "http://repub-0", Directory: dir,
+		Query:           query,
+		RefreshInterval: 10 * time.Millisecond, ScrapeInterval: time.Hour,
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
+	if err := g.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	dir.hold.Store(true)
 	select {
 	case <-dir.pending:
 	case <-time.After(5 * time.Second):
-		t.Fatal("the join never led to a re-registration")
+		t.Fatal("no heartbeat reached the directory")
 	}
 	stopped := make(chan struct{})
 	go func() {
-		g.Stop(context.Background())
+		g.Stop()
 		close(stopped)
 	}()
 	time.Sleep(20 * time.Millisecond) // let a Stop that cancels it go on to deregister
@@ -620,7 +633,7 @@ func TestGatewaySubscriptionFeedsView(t *testing.T) {
 	if err := g.Start(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	defer g.Stop(context.Background())
+	defer g.Stop()
 	waitFor(t, "subscription", func() bool { return g.Stats().Subscriptions == 1 })
 	waitFor(t, "live row", func() bool {
 		publish(child, "pushed-host", 9.0)
@@ -670,7 +683,7 @@ func TestPartialScrapeIsRepeatedBeforeSubscribing(t *testing.T) {
 	if err := g.Start(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	defer g.Stop(context.Background())
+	defer g.Stop()
 	waitFor(t, "complete view", func() bool { return g.store.Rows() == 2 })
 	waitFor(t, "subscription after the complete scrape", func() bool { return g.Stats().Subscriptions == 1 })
 	if n := scrapes.Load(); n != 2 {
@@ -699,7 +712,7 @@ func TestPushKeepsTheRestOfTheView(t *testing.T) {
 	if err := g.Start(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	defer g.Stop(context.Background())
+	defer g.Stop()
 	waitFor(t, "subscription", func() bool { return g.Stats().Subscriptions == 1 })
 	publish(child, "h2", 9.0)
 	waitFor(t, "the pushed row", func() bool { return g.Stats().LiveRows == 1 })
@@ -785,7 +798,7 @@ func TestCutFeedReseeds(t *testing.T) {
 			if err := g.Start(context.Background()); err != nil {
 				t.Fatal(err)
 			}
-			defer g.Stop(context.Background())
+			defer g.Stop()
 			waitFor(t, "subscription", func() bool { return g.Stats().Subscriptions == 1 })
 			publish(child, "h1", 1.0)
 			publish(child, "h2", 2.0)
@@ -840,7 +853,7 @@ func TestStatusNamesFeedMode(t *testing.T) {
 	if err := g.Start(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	defer g.Stop(context.Background())
+	defer g.Stop()
 	front := httptest.NewServer(g.Handler())
 	defer front.Close()
 	feed := func() Feed {
@@ -884,7 +897,7 @@ func TestHandlerSpeaksServletWireProtocol(t *testing.T) {
 	if err := g.Start(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	defer g.Stop(context.Background())
+	defer g.Stop()
 	waitFor(t, "scrapes", func() bool { return g.store.Rows() == 2 })
 	srv := httptest.NewServer(g.Handler())
 	defer srv.Close()
@@ -937,7 +950,7 @@ func TestRegionPinnedToCallerCoverage(t *testing.T) {
 	if err := g.Start(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	defer g.Stop(context.Background())
+	defer g.Stop()
 	waitFor(t, "scrapes", func() bool { return g.store.Rows() == len(sites) })
 
 	resp, err := g.QueryContext(context.Background(), core.QueryOptions{

@@ -113,7 +113,7 @@ func (f *revalFixture) start() {
 	if err := rp.Start(context.Background()); err != nil {
 		f.t.Fatal(err)
 	}
-	f.t.Cleanup(func() { rp.Stop(context.Background()) })
+	f.t.Cleanup(func() { rp.Stop() })
 	f.rp = rp
 	f.front.Store(rp.Handler())
 	waitFor(f.t, "scrapes", func() bool { return rp.store.Rows() == len(f.remote) })
@@ -303,7 +303,7 @@ func TestRevalidationSeesEveryChange(t *testing.T) {
 	if err := second.Start(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { second.Stop(context.Background()) })
+	t.Cleanup(func() { second.Stop() })
 	waitFor(t, "the rebalance", func() bool { return len(f.rp.Owns()) == 3-len(moved) })
 	got, n := f.ask("repub-0", shard)
 	if n != 0 {
@@ -320,7 +320,7 @@ func TestRevalidationSeesEveryChange(t *testing.T) {
 	}
 	f.mu.Unlock()
 	f.ask("repub-0", shard)
-	second.Stop(context.Background())
+	second.Stop()
 	waitFor(t, "the take-over", func() bool { return len(f.rp.Owns()) == 3 })
 	got, n = f.ask("repub-0", shard)
 	if n != 0 {
@@ -345,7 +345,7 @@ func TestRestartedRepublisherNeverMatches(t *testing.T) {
 	if _, n := f.ask("repub-0", region); n != 1 {
 		t.Fatal("an unchanged region was not revalidated")
 	}
-	f.rp.Stop(context.Background())
+	f.rp.Stop()
 	f.start()
 	got, n := f.ask("repub-0", region)
 	if n != 0 || f.rp.Stats().NotModified != 0 {

@@ -406,6 +406,9 @@ func (h *Harness) RestartSite(site string) error {
 		gw.SetGlobalRouter(h.Router)
 		h.Router.RegisterMetrics(gw.Metrics())
 	}
+	if rt.Registrar != nil {
+		rt.Registrar.RegisterMetrics(gw.Metrics())
+	}
 	h.gwMu.Lock()
 	rt.Gateway = gw
 	h.gwMu.Unlock()
@@ -451,6 +454,7 @@ func (h *Harness) federate() error {
 				h.opts.RegistrarListener(site, reachable, err)
 			})
 		}
+		rt.Registrar.RegisterMetrics(rt.Gateway.Metrics())
 		if err := rt.Registrar.Start(); err != nil {
 			return fmt.Errorf("sim: register %s: %w", site, err)
 		}
@@ -541,10 +545,8 @@ func (h *Harness) DrainRepublisher(i int) bool {
 	if rr == nil {
 		return false
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
 	h.awaitOwnership("drain "+rr.Name, rr.Name, false, time.Now())
-	rr.Gateway.Stop(ctx)
+	rr.Gateway.Stop()
 	rr.Server.SetDropped(true)
 	return true
 }

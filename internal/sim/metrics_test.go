@@ -30,8 +30,9 @@ var statsRules = map[string]statsRule{
 		"Dropped":   "gridrm_rows_dropped_total",
 		"Evicted":   "gridrm_subscriber_evictions_total",
 	}},
-	"gma.Stats":   {irregular: map[string]string{"NotModified": "gridrm_remote_not_modified_total"}},
-	"repub.Stats": {prefix: "repub_"},
+	"gma.Stats":          {irregular: map[string]string{"NotModified": "gridrm_remote_not_modified_total"}},
+	"gma.RegistrarStats": {prefix: "directory_", irregular: map[string]string{"Failures": "gridrm_directory_registration_failures_total"}},
+	"repub.Stats":        {prefix: "repub_"},
 	"tsdb.Stats": {prefix: "history_", irregular: map[string]string{
 		"DiskBytes":               "gridrm_history_disk_bytes",
 		"WALBytesSinceCheckpoint": "gridrm_history_wal_bytes_since_checkpoint",
@@ -82,10 +83,10 @@ func statsMetric(typ string, field reflect.StructField) string {
 // TestMetricsCarryEveryStatsField walks every exported integer field of the
 // Stats structs behind a federated fleet with durable history (the site
 // gateway and each state owner it exports: push router, durable store,
-// tracer, query cache, pool, Event Manager, prober and plan cache; the
-// entry's federation router; the republisher): after some traffic, each is
-// on its member's exposition with the value Stats reads, unless statsExempt
-// says why not.
+// tracer, query cache, pool, Event Manager, prober and plan cache, and its
+// directory registrar; the entry's federation router; the republisher):
+// after some traffic, each is on its member's exposition with the value
+// Stats reads, unless statsExempt says why not.
 // So an operator's scrape, and the sim report built from it, can read every
 // counter the members keep.
 func TestMetricsCarryEveryStatsField(t *testing.T) {
@@ -150,6 +151,9 @@ federation:
 			}
 			if site == h.Entry.Name {
 				st = append(st, h.Router.Stats())
+			}
+			if reg := h.Sites[site].Registrar; reg != nil {
+				st = append(st, reg.Stats())
 			}
 			return st
 		}})
