@@ -183,6 +183,15 @@ func FieldSpelled(group, name []byte) (*Group, *Field) {
 	return g, &g.Fields[i]
 }
 
+// GroupSpelled returns the group whose canonical name is exactly name, or
+// nil; like FieldSpelled it folds nothing and makes no string.
+func GroupSpelled(name []byte) *Group {
+	if g, ok := groups[string(name)]; ok && g.Name == string(name) {
+		return g
+	}
+	return nil
+}
+
 // MustLookup is like Lookup but panics if the group does not exist. It is
 // intended for initialisation paths with literal group names.
 func MustLookup(name string) *Group {

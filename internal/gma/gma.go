@@ -17,22 +17,20 @@
 package gma
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"net/http"
 	"net/url"
 	"slices"
-	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
 	"gridrm/internal/httpjson"
+	"gridrm/internal/web"
 )
 
 // Role classifies a federation member in the directory.
@@ -87,7 +85,9 @@ type DirectoryService interface {
 	// LookupContext finds a member by name, whatever its role.
 	LookupContext(ctx context.Context, name string) (Registration, bool, error)
 	// ListContext returns every fresh record, sorted by name; the Router
-	// looks members up in it by binary search.
+	// looks members up in it by binary search. Callers only read the list:
+	// a DirectoryClient hands every caller the one it keeps while the
+	// membership is unchanged.
 	ListContext(ctx context.Context) ([]Registration, error)
 	// WatchContext is ListContext once the membership's Digest differs
 	// from digest, or once wait has passed, whichever comes first.
@@ -96,23 +96,38 @@ type DirectoryService interface {
 
 // Digest names a membership: a hash of each record's name, role, endpoint
 // and groups, taken in the order given (ListContext's name order). It
-// leaves out RegisteredAt, so a heartbeat leaves it unchanged.
-func Digest(regs []Registration) string {
-	h := fnv.New64a()
-	field := func(s string) {
-		h.Write([]byte(s))
-		h.Write([]byte{0})
-	}
-	for _, r := range regs {
-		field(r.Name)
-		field(string(r.Role))
-		field(r.Endpoint)
+// leaves out RegisteredAt, so a heartbeat leaves it unchanged. The
+// directory's answers to GET /gma/registrations carry it as their ETag.
+func Digest(regs []Registration) string { return strconv.FormatUint(digest(regs), 16) }
+
+// FNV-1a's 64-bit parameters (hash/fnv).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// digest is Digest's FNV-1a hash, taken without allocating.
+func digest(regs []Registration) uint64 {
+	h := uint64(fnvOffset64)
+	for i := range regs {
+		r := &regs[i]
+		h = hashField(h, r.Name)
+		h = hashField(h, string(r.Role))
+		h = hashField(h, r.Endpoint)
 		for _, g := range r.Groups {
-			field(g)
+			h = hashField(h, g)
 		}
-		h.Write([]byte{1})
+		h = (h ^ 1) * fnvPrime64
 	}
-	return strconv.FormatUint(h.Sum64(), 16)
+	return h
+}
+
+// hashField hashes s and the 0 byte that ends it.
+func hashField(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime64
+	}
+	return h * fnvPrime64
 }
 
 // DigestHash folds a Digest into 32 bits, so a membership can be exported
@@ -126,18 +141,26 @@ func DigestHash(digest string) uint32 {
 }
 
 // Directory is the in-process GMA directory with TTL-based expiry of
-// stale member records.
+// stale member records. A record past its TTL is deleted by the next
+// operation, read or write, under the lock that operation takes.
 type Directory struct {
 	ttl   time.Duration
 	clock func() time.Time
 
-	mu      sync.RWMutex
+	mu      sync.Mutex
 	members map[string]Registration
+	// oldest is no later than the oldest record's RegisteredAt: until it
+	// is past the TTL, no record is, and sweep has nothing to walk.
+	oldest time.Time
+	// sum is the membership's digest hash while summed is set; a change of
+	// membership clears it, and a heartbeat leaves it.
+	sum     uint64
+	summed  bool
 	changed chan struct{} // closed, and replaced, when the Digest may have changed
 }
 
-// NewDirectory creates a directory; records older than ttl are treated as
-// gone (ttl <= 0 means records never expire). The clock is injectable for
+// NewDirectory creates a directory; records older than ttl are deleted
+// (ttl <= 0 means records never expire). The clock is injectable for
 // tests; nil uses time.Now.
 func NewDirectory(ttl time.Duration, clock func() time.Time) *Directory {
 	if clock == nil {
@@ -146,10 +169,29 @@ func NewDirectory(ttl time.Duration, clock func() time.Time) *Directory {
 	return &Directory{ttl: ttl, clock: clock, members: make(map[string]Registration), changed: make(chan struct{})}
 }
 
-// notify wakes every watcher; d.mu is held for writing.
+// notify wakes every watcher and forgets the digest; d.mu is held.
 func (d *Directory) notify() {
+	d.summed = false
 	close(d.changed)
 	d.changed = make(chan struct{})
+}
+
+// sweep deletes every record past its TTL at now; d.mu is held. It walks
+// the members only once the oldest of them may have expired. A deletion
+// wakes no watcher: they see it at their next wake-up or call.
+func (d *Directory) sweep(now time.Time) {
+	if d.ttl <= 0 || len(d.members) == 0 || now.Sub(d.oldest) <= d.ttl {
+		return
+	}
+	d.oldest = now
+	for name, r := range d.members {
+		if now.Sub(r.RegisteredAt) > d.ttl {
+			delete(d.members, name)
+			d.summed = false
+		} else if r.RegisteredAt.Before(d.oldest) {
+			d.oldest = r.RegisteredAt
+		}
+	}
 }
 
 // RegisterContext implements DirectoryService.
@@ -157,19 +199,19 @@ func (d *Directory) RegisterContext(ctx context.Context, r Registration) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	r.normalize()
-	if r.Name == "" || r.Endpoint == "" {
-		return fmt.Errorf("gma: registration needs name and endpoint")
+	if err := r.check(); err != nil {
+		return err
 	}
-	if !r.Role.valid() {
-		return fmt.Errorf("gma: unknown role %q", r.Role)
-	}
-	r.RegisteredAt = d.clock()
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	r.RegisteredAt = d.clock()
+	d.sweep(r.RegisteredAt)
 	prev, ok := d.members[r.Name]
-	if !ok || !d.fresh(prev) || r.Endpoint != prev.Endpoint || r.Role != prev.Role || !slices.Equal(r.Groups, prev.Groups) {
+	if !ok || r.Endpoint != prev.Endpoint || r.Role != prev.Role || !slices.Equal(r.Groups, prev.Groups) {
 		defer d.notify()
+	}
+	if len(d.members) == 0 || r.RegisteredAt.Before(d.oldest) {
+		d.oldest = r.RegisteredAt
 	}
 	d.members[r.Name] = r
 	return nil
@@ -182,6 +224,7 @@ func (d *Directory) DeregisterContext(ctx context.Context, name string) error {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	d.sweep(d.clock())
 	if _, ok := d.members[name]; !ok {
 		return fmt.Errorf("gma: %q not registered", name)
 	}
@@ -190,22 +233,16 @@ func (d *Directory) DeregisterContext(ctx context.Context, name string) error {
 	return nil
 }
 
-func (d *Directory) fresh(r Registration) bool {
-	return d.ttl <= 0 || d.clock().Sub(r.RegisteredAt) <= d.ttl
-}
-
 // LookupContext implements DirectoryService.
 func (d *Directory) LookupContext(ctx context.Context, name string) (Registration, bool, error) {
 	if err := ctx.Err(); err != nil {
 		return Registration{}, false, err
 	}
-	d.mu.RLock()
-	defer d.mu.RUnlock()
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.sweep(d.clock())
 	r, ok := d.members[name]
-	if !ok || !d.fresh(r) {
-		return Registration{}, false, nil
-	}
-	return r, true, nil
+	return r, ok, nil
 }
 
 // ListContext implements DirectoryService.
@@ -213,38 +250,69 @@ func (d *Directory) ListContext(ctx context.Context) ([]Registration, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	d.mu.RLock()
-	defer d.mu.RUnlock()
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	return d.list(), nil
 }
 
-// list is every fresh record, sorted by name; d.mu is held.
+// list sweeps and returns every record, sorted by name; d.mu is held.
 func (d *Directory) list() []Registration {
+	d.sweep(d.clock())
+	return d.sorted()
+}
+
+// sorted is every record, sorted by name; d.mu is held.
+func (d *Directory) sorted() []Registration {
 	out := make([]Registration, 0, len(d.members))
 	for _, r := range d.members {
-		if d.fresh(r) {
-			out = append(out, r)
-		}
+		out = append(out, r)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	slices.SortFunc(out, func(a, b Registration) int { return strings.Compare(a.Name, b.Name) })
 	return out
+}
+
+// membership sweeps and returns the digest hash of the membership; d.mu is
+// held. It hashes the members only after a change.
+func (d *Directory) membership() uint64 {
+	d.sweep(d.clock())
+	if !d.summed {
+		d.sum, d.summed = digest(d.sorted()), true
+	}
+	return d.sum
+}
+
+// spells reports whether digest is the Digest of the hash sum.
+func spells(sum uint64, digest string) bool {
+	var buf [16]byte
+	return string(strconv.AppendUint(buf[:0], sum, 16)) == digest
 }
 
 // WatchContext implements DirectoryService. A join, a deregister, or a
 // change of a member's endpoint, role or groups wakes it; a record that
-// expires by TTL is seen only at the next call.
+// expires by TTL is seen only at the next wake-up or call.
 func (d *Directory) WatchContext(ctx context.Context, digest string, wait time.Duration) ([]Registration, error) {
+	if err := d.watch(ctx, digest, wait); err != nil {
+		return nil, err
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.list(), nil
+}
+
+// watch returns once the membership's Digest differs from digest, or once
+// wait has passed.
+func (d *Directory) watch(ctx context.Context, digest string, wait time.Duration) error {
 	timer := time.NewTimer(wait)
 	defer timer.Stop()
 	for waited := false; ; {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return err
 		}
-		d.mu.RLock()
-		regs, changed := d.list(), d.changed
-		d.mu.RUnlock()
-		if waited || Digest(regs) != digest {
-			return regs, nil
+		d.mu.Lock()
+		sum, changed := d.membership(), d.changed
+		d.mu.Unlock()
+		if waited || !spells(sum, digest) {
+			return nil
 		}
 		select {
 		case <-changed:
@@ -268,6 +336,8 @@ const maxWatchWait = 30 * time.Second
 // Routes is the directory's HTTP interface. The ?site= parameter names the
 // member, whatever its role. GET /gma/registrations with ?wait= (a Go
 // duration) and ?digest= is WatchContext; without ?wait= it is ListContext.
+// Either answer carries the membership's Digest as a strong ETag, and is a
+// 304 with no body to a request whose If-None-Match names that digest.
 func (d *Directory) Routes() []Route {
 	return []Route{
 		{"POST /gma/register", func(w http.ResponseWriter, r *http.Request) {
@@ -288,19 +358,32 @@ func (d *Directory) Routes() []Route {
 			answer(w, reg, err, http.StatusInternalServerError)
 		}},
 		{"GET /gma/registrations", func(w http.ResponseWriter, r *http.Request) {
-			q := r.URL.Query()
-			if !q.Has("wait") {
-				regs, err := d.ListContext(r.Context())
-				answer(w, regs, err, http.StatusInternalServerError)
+			if q := r.URL.Query(); q.Has("wait") {
+				wait, err := time.ParseDuration(q.Get("wait"))
+				if err != nil || wait < 0 {
+					http.Error(w, "bad wait", http.StatusBadRequest)
+					return
+				}
+				if err := d.watch(r.Context(), q.Get("digest"), min(wait, maxWatchWait)); err != nil {
+					http.Error(w, err.Error(), http.StatusInternalServerError)
+					return
+				}
+			}
+			// The list is made only for an answer that carries it.
+			d.mu.Lock()
+			sum := d.membership()
+			current := spells(sum, web.UnquoteETag(r.Header.Get(web.HeaderIfNoneMatch)))
+			var regs []Registration
+			if !current {
+				regs = d.sorted()
+			}
+			d.mu.Unlock()
+			w.Header().Set(web.HeaderETag, `"`+strconv.FormatUint(sum, 16)+`"`)
+			if current {
+				w.WriteHeader(http.StatusNotModified)
 				return
 			}
-			wait, err := time.ParseDuration(q.Get("wait"))
-			if err != nil || wait < 0 {
-				http.Error(w, "bad wait", http.StatusBadRequest)
-				return
-			}
-			regs, err := d.WatchContext(r.Context(), q.Get("digest"), min(wait, maxWatchWait))
-			answer(w, regs, err, http.StatusInternalServerError)
+			httpjson.WriteJSON(w, registrations(regs))
 		}},
 	}
 }
@@ -331,7 +414,11 @@ func answer(w http.ResponseWriter, v any, err error, status int) {
 // nor HTTPClient is configured.
 const DefaultClientTimeout = 5 * time.Second
 
-// DirectoryClient talks to a remote Directory over HTTP.
+// DirectoryClient talks to a remote Directory over HTTP. Every request is
+// one web.Client call, on the transport web shares unless HTTPClient brings
+// one. It keeps the last list the directory sent, and sends that list's
+// digest with every list and watch, so an unchanged membership comes back
+// as a 304 with no body and the kept list is returned again.
 type DirectoryClient struct {
 	// BaseURL is the directory host base, e.g. "http://127.0.0.1:9000".
 	BaseURL string
@@ -339,97 +426,83 @@ type DirectoryClient struct {
 	// (default DefaultClientTimeout; negative disables, leaving only the
 	// caller's context to bound the request).
 	Timeout time.Duration
-	// HTTPClient is optional; nil uses a Timeout-bounded client.
+	// HTTPClient is optional: its Transport and Timeout replace the shared
+	// transport and Timeout.
 	HTTPClient *http.Client
-}
 
-func (c *DirectoryClient) client() *http.Client {
-	if c.HTTPClient != nil {
-		return c.HTTPClient
-	}
-	timeout := c.Timeout
-	if timeout == 0 {
-		timeout = DefaultClientTimeout
-	} else if timeout < 0 {
-		timeout = 0
-	}
-	return &http.Client{Timeout: timeout}
+	once sync.Once
+	wc   web.Client // built from the fields above by the first call
+
+	mu     sync.Mutex
+	list   []Registration // the last list the directory sent; callers only read it
+	digest string         // its ETag, sent back as If-None-Match
 }
 
 // maxDirectoryBody bounds how much of a directory response the client will
-// read before JSON decoding — a misbehaving (or impersonated) directory
-// cannot make a gateway buffer an unbounded body.
+// read before decoding — a misbehaving (or impersonated) directory cannot
+// make a gateway buffer an unbounded body.
 const maxDirectoryBody = 1 << 20
 
-// errNotFound is a 404 from the directory: the member is not registered.
-var errNotFound = errors.New("not found")
-
-// send performs one directory round trip; what names the operation in
-// errors. The answer must carry the want status, and when out is non-nil at
-// most maxDirectoryBody of it is decoded into out.
-func (c *DirectoryClient) send(ctx context.Context, what, method, path string, body []byte, want int, out any) error {
-	var rdr io.Reader
-	if body != nil {
-		rdr = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, rdr)
-	if err != nil {
-		return err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := c.client().Do(req)
-	if err != nil {
-		return fmt.Errorf("gma: %w", err)
-	}
-	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case want:
-		if out == nil {
-			return nil
+// call is c's web.Client, built once from BaseURL, Timeout and HTTPClient.
+func (c *DirectoryClient) call() *web.Client {
+	c.once.Do(func() {
+		hc := c.HTTPClient
+		if hc == nil {
+			timeout := c.Timeout
+			if timeout == 0 {
+				timeout = DefaultClientTimeout
+			} else if timeout < 0 {
+				timeout = 0
+			}
+			hc = &http.Client{Timeout: timeout}
 		}
-		return json.NewDecoder(io.LimitReader(resp.Body, maxDirectoryBody)).Decode(out)
-	case http.StatusNotFound:
-		return fmt.Errorf("gma: %s failed: %w", what, errNotFound)
-	}
-	return fmt.Errorf("gma: %s failed: %s", what, resp.Status)
-}
-
-// get is send for the read-only routes: a GET answered 200 with a T.
-func get[T any](ctx context.Context, c *DirectoryClient, what, path string) (out T, err error) {
-	err = c.send(ctx, what, http.MethodGet, path, nil, http.StatusOK, &out)
-	return out, err
+		c.wc = web.Client{BaseURL: c.BaseURL, HTTPClient: hc, MaxBody: maxDirectoryBody}
+	})
+	return &c.wc
 }
 
 // RegisterContext implements DirectoryService.
 func (c *DirectoryClient) RegisterContext(ctx context.Context, r Registration) error {
-	body, err := json.Marshal(r)
+	body, err := httpjson.Marshal(r)
 	if err != nil {
 		return err
 	}
-	return c.send(ctx, "register", http.MethodPost, "/gma/register", body, http.StatusNoContent, nil)
+	if _, _, err := c.call().Exchange(ctx, http.MethodPost, "/gma/register", body, "", nil); err != nil {
+		return fmt.Errorf("gma: register: %w", err)
+	}
+	return nil
 }
 
 // DeregisterContext implements DirectoryService. The member name is
 // query-escaped: names with spaces or '&' deregister their own key, not a
 // truncated one.
 func (c *DirectoryClient) DeregisterContext(ctx context.Context, name string) error {
-	return c.send(ctx, "deregister", http.MethodDelete, "/gma/register?site="+url.QueryEscape(name), nil, http.StatusNoContent, nil)
+	if _, _, err := c.call().Exchange(ctx, http.MethodDelete, "/gma/register?site="+url.QueryEscape(name), nil, "", nil); err != nil {
+		return fmt.Errorf("gma: deregister: %w", err)
+	}
+	return nil
 }
 
 // LookupContext implements DirectoryService.
 func (c *DirectoryClient) LookupContext(ctx context.Context, name string) (Registration, bool, error) {
-	r, err := get[Registration](ctx, c, "lookup", "/gma/lookup?site="+url.QueryEscape(name))
-	if errors.Is(err, errNotFound) {
+	var r Registration
+	_, _, err := c.call().Exchange(ctx, http.MethodGet, "/gma/lookup?site="+url.QueryEscape(name), nil, "", &r)
+	var status *web.StatusError
+	if errors.As(err, &status) && status.Code == http.StatusNotFound {
 		return Registration{}, false, nil
 	}
-	return r, err == nil, err
+	if err == nil {
+		err = r.check()
+	}
+	if err != nil {
+		return Registration{}, false, fmt.Errorf("gma: lookup: %w", err)
+	}
+	return r, true, nil
 }
 
 // ListContext implements DirectoryService.
 func (c *DirectoryClient) ListContext(ctx context.Context) ([]Registration, error) {
-	return get[[]Registration](ctx, c, "registrations", "/gma/registrations")
+	return c.registrations(ctx, "registrations", "/gma/registrations")
 }
 
 // WatchContext implements DirectoryService as a long poll. The wait is
@@ -437,11 +510,35 @@ func (c *DirectoryClient) ListContext(ctx context.Context) ([]Registration, erro
 // the request times out, and under maxWatchWait.
 func (c *DirectoryClient) WatchContext(ctx context.Context, digest string, wait time.Duration) ([]Registration, error) {
 	wait = min(max(wait, 0), maxWatchWait)
-	if t := c.client().Timeout; t > 0 {
+	if t := c.call().HTTPClient.Timeout; t > 0 {
 		wait = min(wait, t/2)
 	}
-	path := "/gma/registrations?digest=" + url.QueryEscape(digest) + "&wait=" + wait.String()
-	return get[[]Registration](ctx, c, "watch", path)
+	return c.registrations(ctx, "watch", "/gma/registrations?digest="+url.QueryEscape(digest)+"&wait="+wait.String())
+}
+
+// registrations is one GET /gma/registrations, sent with the kept list's
+// digest. A 304 to that digest returns the kept list; a 304 to anything
+// else — no digest sent, or a different one named — is an error, for the
+// client has no list the directory could mean.
+func (c *DirectoryClient) registrations(ctx context.Context, what, path string) ([]Registration, error) {
+	c.mu.Lock()
+	kept, sent := c.list, c.digest
+	c.mu.Unlock()
+	var regs registrations
+	etag, notModified, err := c.call().Exchange(ctx, http.MethodGet, path, nil, sent, &regs)
+	if err != nil {
+		return nil, fmt.Errorf("gma: %s: %w", what, err)
+	}
+	if notModified {
+		if sent == "" || etag != sent {
+			return nil, fmt.Errorf("gma: %s: %s answered 304 Not Modified to digest %q with %q", what, c.BaseURL, sent, etag)
+		}
+		return kept, nil
+	}
+	c.mu.Lock()
+	c.list, c.digest = regs, etag
+	c.mu.Unlock()
+	return regs, nil
 }
 
 var _ DirectoryService = (*Directory)(nil)

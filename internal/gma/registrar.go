@@ -8,6 +8,7 @@ import (
 
 	"gridrm/internal/metrics"
 	"gridrm/internal/retry"
+	"gridrm/internal/web"
 )
 
 // deregisterTimeout bounds the best-effort deregistration performed by
@@ -91,13 +92,17 @@ func (r *Registrar) Stats() RegistrarStats {
 
 // RegisterMetrics exports one Stats reading per scrape on reg:
 // gridrm_directory_reachable, gridrm_directory_registrations_total and
-// gridrm_directory_registration_failures_total.
+// gridrm_directory_registration_failures_total. Beside them,
+// gridrm_http_dials_total is web.Dials, the connections the process's
+// shared client transport has dialled: every member of one process exports
+// the same count, for they share the transport.
 func (r *Registrar) RegisterMetrics(reg *metrics.Registry) {
 	reg.Collect(func(c *metrics.Collection) {
 		st := r.Stats()
 		c.Gauge("gridrm_directory_reachable", "1 when the last directory registration succeeded.", metrics.Flag(st.Reachable))
 		c.Counter("gridrm_directory_registrations_total", "Directory registrations, the first and every heartbeat, that succeeded.", float64(st.Registrations))
 		c.Counter("gridrm_directory_registration_failures_total", "Directory registrations that failed.", float64(st.Failures))
+		c.Counter("gridrm_http_dials_total", "Connections the process's shared HTTP client transport has dialled.", float64(web.Dials()))
 	})
 }
 

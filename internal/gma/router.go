@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -94,6 +95,9 @@ type snapshot struct {
 	kept bool
 	// legs is the all-sites fan-out plan over regs (see FanoutPlan).
 	legs []core.FanoutLeg
+	// sum is the hash Digest(regs) names: a list with the same one is the
+	// same membership, and renews the copy instead of replacing it.
+	sum uint64
 	// digest is the 32-bit hash of Digest(regs), the
 	// gridrm_directory_copy_digest gauge.
 	digest uint32
@@ -118,7 +122,8 @@ func newSnapshot(regs []Registration, at time.Time) *snapshot {
 // keep (LookupTTL < 0) serves one decision and skips both.
 func (s *snapshot) keep(local string) {
 	s.legs = s.plan(local)
-	s.digest = DigestHash(Digest(s.regs))
+	s.sum = digest(s.regs)
+	s.digest = DigestHash(strconv.FormatUint(s.sum, 16))
 	s.kept = true
 }
 
@@ -281,8 +286,10 @@ func (r *Router) kept() *snapshot {
 
 // read returns the snapshot one routing decision uses: the kept copy
 // while it is younger than LookupTTL (cached), else a fresh ListContext.
-// When every directory replica is unreachable it serves the kept copy
-// stale, so a warm router outlives a full directory outage.
+// A list with the kept copy's digest (a 304 from an HTTP directory) renews
+// the copy: its plan, ring and held answers stay, and only its age
+// restarts. When every directory replica is unreachable it serves the kept
+// copy stale, so a warm router outlives a full directory outage.
 func (r *Router) read(ctx context.Context) (s *snapshot, cached bool, err error) {
 	now := r.clock()
 	kept := r.kept()
@@ -296,6 +303,14 @@ func (r *Router) read(ctx context.Context) (s *snapshot, cached bool, err error)
 			return kept, false, nil
 		}
 		return nil, false, fmt.Errorf("gma: directory list: %w", err)
+	}
+	if kept != nil && digest(regs) == kept.sum {
+		renewed := *kept
+		renewed.at, renewed.expired = now, false
+		r.mu.Lock()
+		r.snap = &renewed
+		r.mu.Unlock()
+		return &renewed, false, nil
 	}
 	s = newSnapshot(regs, now)
 	r.held.retain(s)

@@ -126,7 +126,7 @@ func Marshal(v any) ([]byte, error) {
 // ReadBody reads a whole body of at most limit bytes into a buffer the caller
 // owns. A declared length lands in one buffer of exactly that size; only an
 // undeclared one (declared < 0: chunked HTTP, or a raw stream read to EOF) is
-// read by doubling.
+// read by doubling, and no more than one byte of it past limit.
 func ReadBody(r io.Reader, declared, limit int64) ([]byte, error) {
 	return readBody(nil, r, declared, limit)
 }
@@ -144,7 +144,9 @@ func readBody(buf []byte, r io.Reader, declared, limit int64) ([]byte, error) {
 	}
 	for buf = buf[:0]; ; {
 		buf = slices.Grow(buf, 512)
-		n, err := r.Read(buf[len(buf):cap(buf)])
+		// Never more than one byte past limit: that one tells a body of
+		// limit bytes from a longer one.
+		n, err := r.Read(buf[len(buf):min(cap(buf), int(limit)+1)])
 		buf = buf[:len(buf)+n]
 		if int64(len(buf)) > limit {
 			return buf, fmt.Errorf("%w: limit %d", errBodyTooLarge, limit)

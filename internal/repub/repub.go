@@ -374,10 +374,10 @@ func (g *Gateway) watch(seen string) {
 }
 
 // refresh runs one directory cycle: watch the directory from the digest
-// seen ("" returns at once), build the ring over every registered
-// republisher (self included), recompute the owned shard and reconcile
-// workers. It returns the digest the shard now rests on; ok is false when
-// the watch failed.
+// seen ("" returns at once) and, when the membership differs from seen,
+// build the ring over every registered republisher (self included),
+// recompute the owned shard and reconcile workers. It returns the digest
+// the shard now rests on; ok is false when the watch failed.
 func (g *Gateway) refresh(ctx context.Context, seen string) (digest string, ok bool) {
 	regs, err := g.opts.Directory.WatchContext(ctx, seen, g.opts.RefreshInterval)
 	if err != nil {
@@ -386,14 +386,15 @@ func (g *Gateway) refresh(ctx context.Context, seen string) (digest string, ok b
 		}
 		return seen, false
 	}
-	if digest = gma.Digest(regs); digest != seen {
-		if seen != "" {
-			g.membershipChanges.Add(1)
-		}
-		g.mu.Lock()
-		g.membership = Membership{Digest: digest, Members: len(regs), ChangedAt: g.opts.Clock()}
-		g.mu.Unlock()
+	if digest = gma.Digest(regs); digest == seen {
+		return digest, true // the shard rests on this membership already
 	}
+	if seen != "" {
+		g.membershipChanges.Add(1)
+	}
+	g.mu.Lock()
+	g.membership = Membership{Digest: digest, Members: len(regs), ChangedAt: g.opts.Clock()}
+	g.mu.Unlock()
 	g.rebalance(regs)
 	return digest, true
 }

@@ -405,6 +405,60 @@ func TestGatewayRebalanceOnMembershipChange(t *testing.T) {
 	}
 }
 
+// TestUnchangedDigestKeepsTheShard: a republisher watching an HTTP
+// directory whose membership does not change gets a 304 for every watch,
+// and keeps its shard as it stands: the same workers, no rebalance, and no
+// membership change.
+func TestUnchangedDigestKeepsTheShard(t *testing.T) {
+	dir := gma.NewDirectory(0, nil)
+	sites, query, _ := fakeSites(t, dir, 4)
+	var notModified atomic.Int64
+	h := dir.Handler()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, r)
+		if rec.Code == http.StatusNotModified && r.URL.Query().Has("wait") {
+			notModified.Add(1)
+		}
+		maps.Copy(w.Header(), rec.Header())
+		w.WriteHeader(rec.Code)
+		_, _ = w.Write(rec.Body.Bytes())
+	}))
+	t.Cleanup(srv.Close)
+	g, err := New(Options{
+		Name: "repub-0", Endpoint: "http://repub-0", Directory: &gma.DirectoryClient{BaseURL: srv.URL},
+		Query: query, RefreshInterval: 20 * time.Millisecond, ScrapeInterval: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(g.Stop)
+	// Settled once the republisher's own record is in the membership.
+	waitFor(t, "the shard", func() bool {
+		return ownedByRing(g, sites, []string{"repub-0"}) && g.Membership().Members == len(sites)+1
+	})
+	workers := func() map[string]*siteWorker {
+		g.mu.Lock()
+		defer g.mu.Unlock()
+		return maps.Clone(g.workers)
+	}
+	before, stats, membership := workers(), g.Stats(), g.Membership()
+	waitFor(t, "five revalidated watches", func() bool { return notModified.Load() >= 5 })
+	if after := workers(); !maps.Equal(after, before) {
+		t.Errorf("workers replaced on an unchanged digest: %v, were %v", after, before)
+	}
+	if st := g.Stats(); st.Rebalances != stats.Rebalances || st.MembershipChanges != stats.MembershipChanges {
+		t.Errorf("unchanged digest counted: rebalances %d -> %d, membership changes %d -> %d",
+			stats.Rebalances, st.Rebalances, stats.MembershipChanges, st.MembershipChanges)
+	}
+	if m := g.Membership(); m != membership {
+		t.Errorf("membership %+v, was %+v", m, membership)
+	}
+}
+
 // TestSurvivorTakesOverADrainedPeer: when a peer drains, the survivor takes
 // over every site and mirrors their views, with no refresh tick.
 func TestSurvivorTakesOverADrainedPeer(t *testing.T) {

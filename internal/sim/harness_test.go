@@ -338,3 +338,106 @@ federation:
 		t.Errorf("re-listed copy: age %v members %v, want 0 and 4", age, members)
 	}
 }
+
+// TestQuietFederationDialsNothing: once federated_tree's fleet has settled,
+// its upkeep — heartbeats, directory watches and re-lists, republisher
+// feeds — rides connections the shared transport keeps alive, so two idle
+// seconds dial nothing. Every member's /metrics exports the count.
+func TestQuietFederationDialsNothing(t *testing.T) {
+	sc, err := ParseScenario([]byte(`
+name: quiet-federation
+duration: 1s
+fleet:
+  sites:
+    - name: hub
+      count: 1
+      sources: 6
+      hosts: 2
+      cache_ttl: 10m
+    - name: leaf
+      count: 8
+      sources: 4
+      hosts: 2
+      cache_ttl: 10m
+federation:
+  enabled: true
+  directories: 1
+  entry_site: hub
+  lookup_ttl: 250ms
+  retry_attempts: 1
+  republishers: 2
+  repub_refresh: 200ms
+  repub_scrape: 300ms
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := NewHarness(sc, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	members := []string{h.Entry.Server.URL()}
+	for _, rp := range h.Repubs {
+		members = append(members, rp.Server.URL())
+	}
+	scrape := http.Client{Transport: &http.Transport{}} // not the transport it counts
+	defer scrape.CloseIdleConnections()
+	dials := func() float64 {
+		t.Helper()
+		var first float64
+		for i, url := range members {
+			resp, err := scrape.Get(url + "/metrics")
+			if err != nil {
+				t.Fatal(err)
+			}
+			ex, err := metrics.Parse(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			n, ok := ex.Samples["gridrm_http_dials_total"]
+			if !ok {
+				t.Fatalf("%s/metrics has no gridrm_http_dials_total", url)
+			}
+			if i == 0 {
+				first = n
+			} else if n < first {
+				t.Fatalf("%s/metrics reads %v dials, the entry %v: one transport counts them all", url, n, first)
+			}
+		}
+		return first
+	}
+	streaming := func() bool {
+		for _, rp := range h.Repubs {
+			feeds := rp.Gateway.Feeds()
+			for _, f := range feeds {
+				if f.Mode != "stream" {
+					return false
+				}
+			}
+			if len(feeds) == 0 {
+				return false
+			}
+		}
+		return true
+	}
+	// Settled: every republisher's feeds stream, and a second passes
+	// without a dial.
+	settled := dials()
+	for deadline := time.Now().Add(15 * time.Second); ; {
+		time.Sleep(time.Second)
+		now := dials()
+		if now == settled && streaming() {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("fleet never settled: %v dials a second ago, %v now; feeds streaming: %v", settled, now, streaming())
+		}
+		settled = now
+	}
+	time.Sleep(2 * time.Second)
+	if idle := dials(); idle != settled {
+		t.Errorf("the settled fleet dialled %v times in 2 idle seconds", idle-settled)
+	}
+}

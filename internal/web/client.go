@@ -6,9 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/url"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"gridrm/internal/core"
@@ -29,11 +31,14 @@ type Client struct {
 	// Principal identifies the client; sent as headers.
 	Principal security.Principal
 	// HTTPClient is optional, and only its Transport and Timeout are used:
-	// a nil HTTPClient or Transport is http.DefaultTransport, and a nil
-	// HTTPClient times out at 10 s. The Timeout bounds each call but a
-	// subscription, headers and body together, unless the caller's context
-	// ends sooner. No redirect is followed, and no cookie jar is consulted.
+	// a nil HTTPClient or Transport is the transport every Client shares
+	// (see Dials), and a nil HTTPClient times out at 10 s. The Timeout
+	// bounds each call but a subscription, headers and body together,
+	// unless the caller's context ends sooner. No redirect is followed, and
+	// no cookie jar is consulted.
 	HTTPClient *http.Client
+	// MaxBody bounds what a call buffers of an answer's body (0 is 64 MiB).
+	MaxBody int64
 }
 
 // maxResponseBody bounds what Client buffers of a gateway's response, so a
@@ -45,13 +50,44 @@ const maxResponseBody = 64 << 20
 // defaultTimeout bounds each call of a Client that brings no HTTPClient.
 const defaultTimeout = 10 * time.Second
 
+// maxIdleConns is the shared transport's idle pool, in total and per host
+// alike. A federation member talks to a few hosts (its directory, the
+// republishers, the sites), and each of them many times a second; with
+// net/http's 2 idle connections per host, every burst of heartbeats,
+// watches and remote legs past two closed the rest and the next burst
+// dialled them again.
+const maxIdleConns = 100
+
+// shared is the transport of every Client without one of its own: a clone
+// of http.DefaultTransport that keeps maxIdleConns idle to any one host and
+// counts what it dials.
+var shared = newSharedTransport()
+
+// dials counts the connections the shared transport has dialled.
+var dials atomic.Int64
+
+func newSharedTransport() *http.Transport {
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.MaxIdleConns, t.MaxIdleConnsPerHost = maxIdleConns, maxIdleConns
+	dial := t.DialContext
+	t.DialContext = func(ctx context.Context, network, addr string) (net.Conn, error) {
+		dials.Add(1)
+		return dial(ctx, network, addr)
+	}
+	return t
+}
+
+// Dials is how many connections the shared transport has dialled in this
+// process; once a federation has settled it stays level while idle.
+func Dials() int64 { return dials.Load() }
+
 // transport is where every request goes, so that Clients without one of
-// their own share http.DefaultTransport's keep-alive connections.
+// their own share one pool of keep-alive connections.
 func (c *Client) transport() http.RoundTripper {
 	if c.HTTPClient != nil && c.HTTPClient.Transport != nil {
 		return c.HTTPClient.Transport
 	}
-	return http.DefaultTransport
+	return shared
 }
 
 // withTimeout bounds ctx by the client's timeout, unless ctx already ends
@@ -97,6 +133,21 @@ func timedOut(ctx context.Context, err error) error {
 // only reads a request's headers, so the slice is never written.
 var identityEncoding = []string{"identity"}
 
+// StatusError is an answer whose status a call does not take: neither a
+// 2xx nor a 304.
+type StatusError struct {
+	Method, Path string
+	// Code is the answer's status code, Status its status line.
+	Code   int
+	Status string
+	// Text is the start of the answer's body.
+	Text string
+}
+
+func (e *StatusError) Error() string {
+	return fmt.Sprintf("web: %s %s: %s: %s", e.Method, e.Path, e.Status, e.Text)
+}
+
 // send builds a request and hands it straight to the transport; every
 // request a Client makes is built here. It carries only the headers the
 // gateway reads, by their canonical keys in the request's one map: the
@@ -104,7 +155,7 @@ var identityEncoding = []string{"identity"}
 // If-None-Match when ifNoneMatch is set, and Accept-Encoding: identity,
 // because the gateway never compresses. No User-Agent is sent. No redirect
 // is followed: the response returned is a 2xx or a 304, and any other status
-// is an error that names it.
+// is a *StatusError.
 func (c *Client) send(ctx context.Context, method, path string, body []byte, ifNoneMatch string) (*http.Response, error) {
 	target := c.BaseURL + path
 	req, err := http.NewRequestWithContext(ctx, method, target, nil)
@@ -157,7 +208,7 @@ func (c *Client) send(ctx context.Context, method, path string, body []byte, ifN
 	if resp.StatusCode >= 300 && resp.StatusCode != http.StatusNotModified {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 		resp.Body.Close()
-		return nil, fmt.Errorf("web: %s %s: %s: %s", method, path, resp.Status, strings.TrimSpace(string(msg)))
+		return nil, &StatusError{Method: method, Path: path, Code: resp.StatusCode, Status: resp.Status, Text: strings.TrimSpace(string(msg))}
 	}
 	return resp, nil
 }
@@ -170,15 +221,16 @@ func (c *Client) doContext(ctx context.Context, method, path string, body any, o
 			return err
 		}
 	}
-	_, _, err := c.exchange(ctx, method, path, buf, "", out)
+	_, _, err := c.Exchange(ctx, method, path, buf, "", out)
 	return err
 }
 
-// exchange is one call: body sent as JSON, with ifNoneMatch as a strong
-// If-None-Match when it is set, and a 2xx answer decoded into out. It
-// returns the answer's strong ETag, and notModified for a 304, which has no
-// body to decode.
-func (c *Client) exchange(ctx context.Context, method, path string, body []byte, ifNoneMatch string, out any) (etag string, notModified bool, err error) {
+// Exchange is one call, the path every call of a Client but a subscription
+// takes: body (nil for none) sent as JSON, with ifNoneMatch as a strong
+// If-None-Match when it is set, and a 2xx answer of at most MaxBody bytes
+// decoded into out. It returns the answer's strong ETag, and notModified
+// for a 304, which has no body to decode.
+func (c *Client) Exchange(ctx context.Context, method, path string, body []byte, ifNoneMatch string, out any) (etag string, notModified bool, err error) {
 	ctx, cancel := c.withTimeout(ctx)
 	defer cancel()
 	resp, err := c.send(ctx, method, path, body, ifNoneMatch)
@@ -186,12 +238,16 @@ func (c *Client) exchange(ctx context.Context, method, path string, body []byte,
 		return "", false, err
 	}
 	defer resp.Body.Close()
-	etag = unquoteETag(resp.Header.Get(HeaderETag))
+	etag = UnquoteETag(resp.Header.Get(HeaderETag))
 	if resp.StatusCode == http.StatusNotModified {
 		return etag, true, nil
 	}
 	if out != nil {
-		if err := httpjson.DecodeBody(resp.Body, resp.ContentLength, maxResponseBody, out); err != nil {
+		limit := c.MaxBody
+		if limit <= 0 {
+			limit = maxResponseBody
+		}
+		if err := httpjson.DecodeBody(resp.Body, resp.ContentLength, limit, out); err != nil {
 			return "", false, fmt.Errorf("web: %s response: %w", path, timedOut(ctx, err))
 		}
 	}
@@ -208,7 +264,7 @@ func (c *Client) Query(ctx context.Context, req core.QueryOptions) (*core.Respon
 		return nil, err
 	}
 	var wr WireResponse
-	etag, notModified, err := c.exchange(ctx, http.MethodPost, "/query", body, req.Validator, &wr)
+	etag, notModified, err := c.Exchange(ctx, http.MethodPost, "/query", body, req.Validator, &wr)
 	if err != nil {
 		return nil, err
 	}

@@ -467,10 +467,10 @@ func TestUnquoteMatchesEncodingJSON(t *testing.T) {
 		lit := []byte(sb.String())
 		var want string
 		wantErr := json.Unmarshal(lit, &want)
-		d := &wireDecoder{data: lit}
-		got, err := d.stringValue()
+		d := &wireDecoder{httpjson.NewCursor(lit)}
+		got, err := d.StringValue()
 		if err == nil {
-			err = d.end()
+			err = d.End()
 		}
 		if (err == nil) != (wantErr == nil) {
 			t.Fatalf("%s: decoder says %v, encoding/json says %v", lit, err, wantErr)

@@ -14,13 +14,13 @@ import (
 )
 
 // The envelope codec: WireRequest and WireResponse written and read with
-// codec.go's primitives, byte for byte what encoding/json makes of the two
-// structs' tags (DESIGN.md, "Wire codec"). Like the result codec it
-// accepts a subset of what the reflective decode accepts: a known key is
-// spelled exactly and appears once, an integer is an integer literal; a key
-// it does not know is checked and skipped, and null leaves a field zero. The
-// one member left to encoding/json is "trace", the spans of a propagated
-// remote leg, which only a traced query carries.
+// httpjson.Cursor and codec.go's readers, byte for byte what encoding/json
+// makes of the two structs' tags (DESIGN.md, "Wire codec"). Like the result
+// codec it accepts a subset of what the reflective decode accepts: a known
+// key is spelled exactly and appears once, an integer is an integer
+// literal; a key it does not know is checked and skipped, and null leaves a
+// field zero. The one member left to encoding/json is "trace", the spans of
+// a propagated remote leg, which only a traced query carries.
 
 var (
 	requestKeys  = [...]string{"sql", "site", "sources", "region", "mode", "since", "until", "timeoutNs", "trace"}
@@ -87,15 +87,15 @@ func (wr *WireRequest) UnmarshalJSON(data []byte) error { return wr.DecodeJSON(d
 
 // DecodeJSON implements httpjson.Decoder.
 func (wr *WireRequest) DecodeJSON(data []byte) error {
-	d := &wireDecoder{data: data}
+	d := &wireDecoder{httpjson.NewCursor(data)}
 	var at [len(requestKeys)]span
-	if err := d.members(requestKeys[:], at[:]); err != nil {
+	if err := d.Members(requestKeys[:], at[:]); err != nil {
 		return err
 	}
 	var t texts
 	defer t.table.Done()
 	for _, s := range at {
-		t.size += s.end - s.start
+		t.size += s.End - s.Start
 	}
 	var out WireRequest
 	var err error
@@ -133,13 +133,13 @@ func (wr *WireRequest) DecodeJSON(data []byte) error {
 
 // stringAt decodes the string at s, copied by as.
 func (d *wireDecoder) stringAt(s span, as func([]byte) string) (string, error) {
-	if d.null(s) {
+	if d.Null(s) {
 		return "", nil
 	}
 	v := d.at(s)
-	b, err := v.stringValue()
+	b, err := v.StringValue()
 	if err == nil {
-		err = v.end()
+		err = v.End()
 	}
 	if err != nil {
 		return "", err
@@ -149,29 +149,29 @@ func (d *wireDecoder) stringAt(s span, as func([]byte) string) (string, error) {
 
 // stringsAt decodes the array of names at s.
 func (d *wireDecoder) stringsAt(s span, t *texts) ([]string, error) {
-	if d.null(s) {
+	if d.Null(s) {
 		return nil, nil
 	}
 	v := d.at(s)
-	more, err := v.open('[', ']')
+	more, err := v.Open('[', ']')
 	// One more than the commas is the element count, or above it when a
 	// string holds one; an element and its separator take three bytes.
-	rest := v.data[v.pos:]
+	rest := v.Rest()
 	list := make([]string, 0, min(bytes.Count(rest, []byte{','})+1, len(rest)/3))
 	for more && err == nil {
-		if v.peek() == 'n' && v.literal("null") {
+		if v.Peek() == 'n' && v.Literal("null") {
 			list = append(list, "")
 		} else {
 			var b []byte
-			if b, err = v.stringValue(); err != nil {
+			if b, err = v.StringValue(); err != nil {
 				return nil, err
 			}
 			list = append(list, t.name(b))
 		}
-		more, err = v.more(']')
+		more, err = v.More(']')
 	}
 	if err == nil {
-		err = v.end()
+		err = v.End()
 	}
 	if err != nil {
 		return nil, err
@@ -181,13 +181,13 @@ func (d *wireDecoder) stringsAt(s span, t *texts) ([]string, error) {
 
 // integerAt decodes the int64 at s.
 func (d *wireDecoder) integerAt(s span) (int64, error) {
-	if d.null(s) {
+	if d.Null(s) {
 		return 0, nil
 	}
 	v := d.at(s)
-	n, err := v.integer(64)
+	n, err := v.Integer(64)
 	if err == nil {
-		err = v.end()
+		err = v.End()
 	}
 	return n, err
 }
@@ -267,17 +267,17 @@ func (wr *WireResponse) UnmarshalJSON(data []byte) error { return wr.DecodeJSON(
 
 // DecodeJSON implements httpjson.Decoder.
 func (wr *WireResponse) DecodeJSON(data []byte) error {
-	d := &wireDecoder{data: data}
+	d := &wireDecoder{httpjson.NewCursor(data)}
 	var at [len(responseKeys)]span
-	if err := d.members(responseKeys[:], at[:]); err != nil {
+	if err := d.Members(responseKeys[:], at[:]); err != nil {
 		return err
 	}
 	statuses, size := 0, 0
-	if !d.null(at[4]) {
-		statuses, size = sizeSources(data[at[4].start:at[4].end])
+	if !d.Null(at[4]) {
+		statuses, size = sizeSources(data[at[4].Start:at[4].End])
 	}
 	for _, i := range [...]int{0, 1, 2, 6} {
-		size += at[i].end - at[i].start
+		size += at[i].End - at[i].Start
 	}
 	var t texts
 	defer t.table.Done()
@@ -293,7 +293,7 @@ func (wr *WireResponse) DecodeJSON(data []byte) error {
 			return err
 		}
 	}
-	if !d.null(at[4]) {
+	if !d.Null(at[4]) {
 		if out.Sources, err = d.at(at[4]).sources(statuses, &t); err != nil {
 			return err
 		}
@@ -319,8 +319,8 @@ func (wr *WireResponse) DecodeJSON(data []byte) error {
 	}
 	if at[7] != (span{}) {
 		var spans []trace.SpanData // here, so that only a traced answer pays for the pointer to it
-		if err := json.Unmarshal(data[at[7].start:at[7].end], &spans); err != nil {
-			return d.at(at[7]).errorf("trace: %v", err)
+		if err := json.Unmarshal(data[at[7].Start:at[7].End], &spans); err != nil {
+			return d.at(at[7]).Errorf("trace: %v", err)
 		}
 		out.Trace = spans
 	}
@@ -372,26 +372,26 @@ func sizeSources(text []byte) (statuses, stringBytes int) {
 // table; error text is the answer's own.
 func (d *wireDecoder) sources(n int, t *texts) ([]core.SourceStatus, error) {
 	// A status takes two bytes at least, which bounds what a miscount costs.
-	list := make([]core.SourceStatus, 0, min(n, (len(d.data)-d.pos)/2))
-	more, err := d.open('[', ']')
+	list := make([]core.SourceStatus, 0, min(n, len(d.Rest())/2))
+	more, err := d.Open('[', ']')
 	for more && err == nil {
 		var st core.SourceStatus
-		for f := (fields{known: statusKeys[:]}); ; {
-			i, err := d.next(&f)
+		for f := (httpjson.Fields{Known: statusKeys[:]}); ; {
+			i, err := d.Next(&f)
 			if err != nil {
 				return nil, err
 			}
 			if i < 0 {
 				break
 			}
-			if d.peek() == 'n' && d.literal("null") {
+			if d.Peek() == 'n' && d.Literal("null") {
 				continue
 			}
 			var b []byte
 			var v int64
 			switch i {
 			case 0, 1, 5, 6:
-				if b, err = d.stringValue(); err != nil {
+				if b, err = d.StringValue(); err != nil {
 					break
 				}
 				switch i {
@@ -405,20 +405,20 @@ func (d *wireDecoder) sources(n int, t *texts) ([]core.SourceStatus, error) {
 					st.Degraded = t.name(b)
 				}
 			case 2:
-				st.Cached, err = d.boolean()
+				st.Cached, err = d.Boolean()
 			case 3:
 				// time.Time's own reading of the literal, as encoding/json
 				// would have it: strict RFC 3339, no escapes.
-				if b, _, err = d.stringLit(); err == nil {
+				if b, _, err = d.StringLit(); err == nil {
 					if err = st.HarvestedAt.UnmarshalJSON(b); err != nil {
-						err = d.errorf("%v", err)
+						err = d.Errorf("%v", err)
 					}
 				}
 			case 4:
-				v, err = d.integer(strconv.IntSize)
+				v, err = d.Integer(strconv.IntSize)
 				st.Rows = int(v)
 			case 7:
-				v, err = d.integer(64)
+				v, err = d.Integer(64)
 				st.Age = time.Duration(v)
 			}
 			if err != nil {
@@ -426,10 +426,10 @@ func (d *wireDecoder) sources(n int, t *texts) ([]core.SourceStatus, error) {
 			}
 		}
 		list = append(list, st)
-		more, err = d.more(']')
+		more, err = d.More(']')
 	}
 	if err == nil {
-		err = d.end()
+		err = d.End()
 	}
 	if err != nil {
 		return nil, err

@@ -225,7 +225,7 @@ func QueryRoute(q Querier) Route {
 			return
 		}
 		req.Principal = p
-		req.Validator = unquoteETag(r.Header.Get(HeaderIfNoneMatch))
+		req.Validator = UnquoteETag(r.Header.Get(HeaderIfNoneMatch))
 		// The client's connection context bounds the query: a caller
 		// that gives up (or a parent gateway whose deadline expires)
 		// cancels the fan-out here too.
@@ -251,9 +251,9 @@ const (
 	HeaderIfNoneMatch = "If-None-Match"
 )
 
-// unquoteETag returns the validator a header names as one strong entity
+// UnquoteETag returns the validator a header names as one strong entity
 // tag, "" for anything else: an empty header, a weak tag, a list or *.
-func unquoteETag(h string) string {
+func UnquoteETag(h string) string {
 	if len(h) < 3 || h[0] != '"' || h[len(h)-1] != '"' || strings.IndexByte(h[1:len(h)-1], '"') >= 0 {
 		return ""
 	}

@@ -10,7 +10,6 @@ import (
 
 	"gridrm/internal/core"
 	"gridrm/internal/drivers/memdrv"
-	"gridrm/internal/gma"
 	"gridrm/internal/security"
 )
 
@@ -37,7 +36,7 @@ func TestNonFiniteLoadIsNullOnEveryRoute(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	srv := httptest.NewServer(NewServer(gw, nil, gma.NewDirectory(0, nil).Handler()))
+	srv := httptest.NewServer(NewServer(gw, nil, nil))
 	t.Cleanup(srv.Close)
 	admin := security.Principal{Name: "admin", Roles: []string{"operator"}}
 

@@ -7,15 +7,17 @@ import (
 	"time"
 
 	"gridrm/internal/glue"
+	"gridrm/internal/httpjson"
 	"gridrm/internal/router"
 )
 
 // The client half of the push wire. A stream is read a line at a time into
 // one data buffer (frameReader), and a metric frame's data — the JSON
 // router.Metric.AppendJSON writes — is decoded by metricDecoder with the wire
-// codec's cursor. Cells come back kind-exact: a column that is a field of the
-// frame's GLUE group types its cells by the field's kind, so an Int cell is an
-// int64 and a Time cell a time.Time, as an in-process subscriber sees them.
+// codec's cursor, httpjson.Cursor. Cells come back kind-exact: a column that
+// is a field of the frame's GLUE group types its cells by the field's kind,
+// so an Int cell is an int64 and a Time cell a time.Time, as an in-process
+// subscriber sees them.
 // Any other cell keeps encoding/json's reading (a number is a float64).
 
 // frameReader assembles a stream's SSE frames line by line.
@@ -90,12 +92,12 @@ type metricDecoder struct {
 
 // decode reads one frame's data, which must be the whole of data.
 func (md *metricDecoder) decode(data []byte) (m router.Metric, err error) {
-	d := &wireDecoder{data: data}
+	d := &wireDecoder{httpjson.NewCursor(data)}
 	var at [len(metricKeys)]span
-	if err := d.members(metricKeys[:], at[:]); err != nil {
+	if err := d.Members(metricKeys[:], at[:]); err != nil {
 		return m, err
 	}
-	if !d.null(at[0]) {
+	if !d.Null(at[0]) {
 		if m.Seq, err = d.at(at[0]).seq(); err != nil {
 			return m, err
 		}
@@ -106,20 +108,20 @@ func (md *metricDecoder) decode(data []byte) (m router.Metric, err error) {
 	if m.Group, err = d.repeated(at[2], &md.group); err != nil {
 		return m, err
 	}
-	if !d.null(at[3]) {
-		text := data[at[3].start:at[3].end]
+	if !d.Null(at[3]) {
+		text := data[at[3].Start:at[3].End]
 		if !bytes.Equal(text, md.timeText) {
 			var t time.Time
 			if err := t.UnmarshalJSON(text); err != nil {
-				return m, d.errorf("%v", err)
+				return m, d.Errorf("%v", err)
 			}
 			md.at, md.timeText = t, append(md.timeText[:0], text...)
 		}
 		m.Time = md.at
 	}
 	var fields []*glue.Field
-	if !d.null(at[4]) {
-		text := data[at[4].start:at[4].end]
+	if !d.Null(at[4]) {
+		text := data[at[4].Start:at[4].End]
 		if !bytes.Equal(text, md.colsText) || m.Group != md.colsGroup {
 			cols, fields, err := d.at(at[4]).columnNames(m.Group)
 			if err != nil {
@@ -130,7 +132,7 @@ func (md *metricDecoder) decode(data []byte) (m router.Metric, err error) {
 		}
 		m.Columns, fields = md.cols, md.fields
 	}
-	if !d.null(at[5]) {
+	if !d.Null(at[5]) {
 		m.Row, err = d.at(at[5]).row(fields)
 	}
 	return m, err
@@ -138,27 +140,27 @@ func (md *metricDecoder) decode(data []byte) (m router.Metric, err error) {
 
 // seq reads an unsigned integer literal, the whole of d's input.
 func (d *wireDecoder) seq() (uint64, error) {
-	lit, integer, err := d.number()
+	lit, integer, err := d.Number()
 	if err != nil {
 		return 0, err
 	}
 	v, perr := strconv.ParseUint(string(lit), 10, 64)
 	if !integer || perr != nil {
-		return 0, d.errorf("%s is not a sequence number", lit)
+		return 0, d.Errorf("%s is not a sequence number", lit)
 	}
-	return v, d.end()
+	return v, d.End()
 }
 
 // repeated reads the string or null at s, handing back *last when it
 // repeats and making it the new *last when it does not.
 func (d *wireDecoder) repeated(s span, last *string) (string, error) {
-	if d.null(s) {
+	if d.Null(s) {
 		return "", nil
 	}
 	c := d.at(s)
-	b, err := c.stringValue()
+	b, err := c.StringValue()
 	if err == nil {
-		err = c.end()
+		err = c.End()
 	}
 	if err != nil {
 		return "", err
@@ -175,11 +177,11 @@ func (d *wireDecoder) repeated(s span, last *string) (string, error) {
 func (d *wireDecoder) columnNames(group string) (cols []string, fields []*glue.Field, err error) {
 	g, _ := glue.Lookup(group)
 	cols = []string{}
-	more, err := d.open('[', ']')
+	more, err := d.Open('[', ']')
 	for more && err == nil {
 		var name []byte
-		if !(d.peek() == 'n' && d.literal("null")) {
-			if name, err = d.stringValue(); err != nil {
+		if !(d.Peek() == 'n' && d.Literal("null")) {
+			if name, err = d.StringValue(); err != nil {
 				return nil, nil, err
 			}
 		}
@@ -191,22 +193,22 @@ func (d *wireDecoder) columnNames(group string) (cols []string, fields []*glue.F
 			}
 		}
 		fields = append(fields, f)
-		more, err = d.more(']')
+		more, err = d.More(']')
 	}
 	if err != nil {
 		return nil, nil, err
 	}
-	return cols, fields, d.end()
+	return cols, fields, d.End()
 }
 
 // row reads the row array, the whole of d's input. Cell i is typed by
 // fields[i] when there is one; String cells come from the intern table, or
 // share one run of bytes.
 func (d *wireDecoder) row(fields []*glue.Field) ([]any, error) {
-	t := texts{size: len(d.data) - d.pos}
+	t := texts{size: len(d.Rest())}
 	defer t.table.Done()
 	row := make([]any, 0, len(fields))
-	more, err := d.open('[', ']')
+	more, err := d.Open('[', ']')
 	for i := 0; more && err == nil; i++ {
 		var f *glue.Field
 		if i < len(fields) {
@@ -217,38 +219,38 @@ func (d *wireDecoder) row(fields []*glue.Field) ([]any, error) {
 			return nil, err
 		}
 		row = append(row, v)
-		more, err = d.more(']')
+		more, err = d.More(']')
 	}
 	if err != nil {
 		return nil, err
 	}
-	return row, d.end()
+	return row, d.End()
 }
 
 // value reads one cell as json.Unmarshal reads a JSON value into an any,
 // except that an integer literal in an Int field is an int64 and a string
 // in a Time field that is a JSON time is a time.Time.
 func (d *wireDecoder) value(f *glue.Field, t *texts) (any, error) {
-	switch c := d.peek(); {
-	case c == 'n' && d.literal("null"):
+	switch c := d.Peek(); {
+	case c == 'n' && d.Literal("null"):
 		return nil, nil
 	case c == 't' || c == 'f':
-		return d.boolean()
+		return d.Boolean()
 	case c == '"':
-		start := d.pos
-		s, err := d.stringValue()
+		start := d.Offset()
+		s, err := d.StringValue()
 		if err != nil {
 			return nil, err
 		}
 		if f != nil && f.Kind == glue.Time {
 			var at time.Time
-			if at.UnmarshalJSON(d.data[start:d.pos]) == nil {
+			if at.UnmarshalJSON(d.Since(start)) == nil {
 				return at, nil
 			}
 		}
 		return t.name(s), nil
 	case c == '-' || '0' <= c && c <= '9':
-		lit, integer, err := d.number()
+		lit, integer, err := d.Number()
 		if err != nil {
 			return nil, err
 		}
@@ -259,19 +261,19 @@ func (d *wireDecoder) value(f *glue.Field, t *texts) (any, error) {
 		}
 		v, err := strconv.ParseFloat(string(lit), 64)
 		if err != nil {
-			return nil, d.errorf("%v", err)
+			return nil, d.Errorf("%v", err)
 		}
 		return v, nil
 	case c == '[' || c == '{':
-		start := d.pos
-		if err := d.skip(); err != nil {
+		start := d.Offset()
+		if err := d.Skip(); err != nil {
 			return nil, err
 		}
 		var v any
-		if err := json.Unmarshal(d.data[start:d.pos], &v); err != nil {
-			return nil, d.errorf("%v", err)
+		if err := json.Unmarshal(d.Since(start), &v); err != nil {
+			return nil, d.Errorf("%v", err)
 		}
 		return v, nil
 	}
-	return nil, d.errorf("expected a value")
+	return nil, d.Errorf("expected a value")
 }

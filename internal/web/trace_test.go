@@ -10,7 +10,6 @@ import (
 
 	"gridrm/internal/core"
 	"gridrm/internal/drivers/memdrv"
-	"gridrm/internal/gma"
 	"gridrm/internal/security"
 	"gridrm/internal/trace"
 )
@@ -34,112 +33,6 @@ func traceSite(t *testing.T, name string, hosts []string, cfg core.Config) (*cor
 	return gw, srv
 }
 
-func findSpans(n *trace.Node, name string, out *[]*trace.Node) {
-	if n.Name == name {
-		*out = append(*out, n)
-	}
-	for _, c := range n.Children {
-		findSpans(c, name, out)
-	}
-}
-
-// TestCrossGatewayTracePropagation drives a federated all-sites query over
-// real HTTP and asserts that the entry gateway stores ONE stitched span
-// tree covering both its own pipeline and the remote gateway's: the
-// X-GridRM-Trace header carries the trace across the hop, and the child's
-// spans return in the wire response for stitching.
-func TestCrossGatewayTracePropagation(t *testing.T) {
-	dir := gma.NewDirectory(0, nil)
-	gwA, srvA := traceSite(t, "siteA", []string{"a1", "a2"}, core.Config{})
-	gwB, srvB := traceSite(t, "siteB", []string{"b1"}, core.Config{})
-	_ = gwB
-	if err := dir.RegisterContext(context.Background(), gma.Registration{Name: "siteB", Endpoint: srvB.URL}); err != nil {
-		t.Fatal(err)
-	}
-	gwA.SetGlobalRouter(gma.NewRouter(dir, RemoteQueryContext, "siteA", gma.Config{}))
-
-	client := &Client{BaseURL: srvA.URL,
-		Principal: security.Principal{Name: "admin", Roles: []string{"operator"}}}
-	ctx := context.Background()
-
-	resp, err := client.Query(ctx, core.QueryOptions{
-		SQL:   "SELECT * FROM Processor",
-		Site:  core.AllSites,
-		Mode:  core.ModeRealTime,
-		Trace: trace.DecideOn,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.TraceID == "" {
-		t.Fatal("federated all-sites query returned no trace ID")
-	}
-	if resp.ResultSet.Len() != 3 {
-		t.Fatalf("rows = %d, want 3", resp.ResultSet.Len())
-	}
-
-	td, err := client.Trace(ctx, resp.TraceID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(td.Roots) != 1 {
-		t.Fatalf("roots = %d, want one stitched tree", len(td.Roots))
-	}
-	root := td.Roots[0]
-	if root.Name != "query" || root.Site != "siteA" {
-		t.Errorf("root = %s@%s, want query@siteA", root.Name, root.Site)
-	}
-
-	// The local leg's full pipeline is present.
-	for _, want := range []string{"parse", "fanout", "site", "harvest", "driver-execute", "pool-checkout", "consolidate", "remote-query"} {
-		var got []*trace.Node
-		findSpans(root, want, &got)
-		if len(got) == 0 {
-			t.Errorf("span %q missing from stitched tree", want)
-		}
-	}
-
-	// The remote gateway's serving leg is stitched in under the
-	// remote-query span: a "query" span recorded at siteB, marked remote.
-	var remotes []*trace.Node
-	findSpans(root, "remote-query", &remotes)
-	if len(remotes) != 1 {
-		t.Fatalf("remote-query spans = %d, want 1", len(remotes))
-	}
-	var remoteQuery *trace.Node
-	for _, c := range remotes[0].Children {
-		if c.Name == "query" && c.Site == "siteB" {
-			remoteQuery = c
-		}
-	}
-	if remoteQuery == nil {
-		t.Fatal("siteB's query span not stitched under remote-query")
-	}
-	if !remoteQuery.Remote {
-		t.Error("stitched span not marked remote")
-	}
-	// And the child's own pipeline came with it.
-	var childHarvests []*trace.Node
-	findSpans(remoteQuery, "driver-execute", &childHarvests)
-	if len(childHarvests) == 0 {
-		t.Error("remote gateway's driver-execute span missing")
-	}
-
-	// The child gateway also stored its own leg locally, findable by the
-	// same trace ID through its own servlet.
-	clientB := &Client{BaseURL: srvB.URL,
-		Principal: security.Principal{Name: "admin", Roles: []string{"operator"}}}
-	tdB, err := clientB.Trace(ctx, resp.TraceID)
-	if err != nil {
-		t.Fatalf("child gateway did not store its leg: %v", err)
-	}
-	if tdB.TraceID != resp.TraceID {
-		t.Errorf("child trace ID = %s, want %s", tdB.TraceID, resp.TraceID)
-	}
-}
-
-// TestTraceEndpoints exercises GET /traces and GET /traces/<id> plus the
-// 404 path.
 func TestTraceEndpoints(t *testing.T) {
 	_, srv := traceSite(t, "siteA", []string{"a1"}, core.Config{})
 	client := &Client{BaseURL: srv.URL,

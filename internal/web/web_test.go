@@ -13,7 +13,6 @@ import (
 	"gridrm/internal/drivers/memdrv"
 	"gridrm/internal/event"
 	"gridrm/internal/glue"
-	"gridrm/internal/gma"
 	"gridrm/internal/resultset"
 	"gridrm/internal/schema"
 	"gridrm/internal/security"
@@ -46,7 +45,7 @@ func newFixture(t *testing.T, coarse *security.CoarsePolicy) *fixture {
 			return ed, ed.Schema()
 		},
 	}
-	server := NewServer(gw, repo, gma.NewDirectory(0, nil).Handler())
+	server := NewServer(gw, repo, nil)
 	srv := httptest.NewServer(server)
 	t.Cleanup(srv.Close)
 	client := &Client{BaseURL: srv.URL,
@@ -320,65 +319,5 @@ func TestStatusOverHTTP(t *testing.T) {
 	}
 	if st.Pool.Opens != 1 {
 		t.Errorf("pool %+v", st.Pool)
-	}
-}
-
-func TestSitesAndGMAMounted(t *testing.T) {
-	f := newFixture(t, nil)
-	sites, err := f.client.Sites(context.Background())
-	if err != nil || len(sites) != 1 || sites[0] != "siteA" {
-		t.Errorf("sites %v, %v", sites, err)
-	}
-	// The mounted directory answers under /gma/.
-	dc := &gma.DirectoryClient{BaseURL: f.srv.URL}
-	if err := dc.RegisterContext(context.Background(), gma.Registration{Name: "X", Endpoint: "http://x"}); err != nil {
-		t.Fatal(err)
-	}
-	got, err := dc.ListContext(context.Background())
-	if err != nil || len(got) != 1 || got[0].Name != "X" {
-		t.Errorf("gma registrations %v, %v", got, err)
-	}
-}
-
-func TestTwoGatewayFederation(t *testing.T) {
-	// Full Fig 1 path over real HTTP: client → gateway A → GMA directory
-	// → gateway B → B's local sources.
-	dir := gma.NewDirectory(0, nil)
-
-	// Gateway B with its own data.
-	gwB := core.New(core.Config{Name: "siteB"})
-	defer gwB.Close()
-	backendB := memdrv.NewBackend([]string{"b1", "b2", "b3"})
-	dB := memdrv.New("jdbc-mem", "mem", backendB)
-	if err := gwB.RegisterDriver(dB, dB.Schema()); err != nil {
-		t.Fatal(err)
-	}
-	_ = gwB.AddSource(core.SourceConfig{URL: "gridrm:mem://b:1"})
-	srvB := httptest.NewServer(NewServer(gwB, nil, nil))
-	defer srvB.Close()
-
-	// Gateway A routes via the directory.
-	f := newFixture(t, nil)
-	_ = dir.RegisterContext(context.Background(), gma.Registration{Name: "siteB", Endpoint: srvB.URL})
-	router := gma.NewRouter(dir, RemoteQueryContext, "siteA", gma.Config{})
-	f.gw.SetGlobalRouter(router)
-
-	resp, err := f.client.Query(context.Background(), core.QueryOptions{
-		SQL:  "SELECT * FROM Processor",
-		Site: "siteB",
-		Mode: core.ModeRealTime,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Site != "siteB" || resp.ResultSet.Len() != 3 {
-		t.Errorf("federated resp: site %q, %d rows", resp.Site, resp.ResultSet.Len())
-	}
-	if backendB.Queries() != 1 {
-		t.Errorf("remote backend queries = %d", backendB.Queries())
-	}
-	// Unknown remote site errors cleanly.
-	if _, err := f.client.Query(context.Background(), core.QueryOptions{SQL: "SELECT * FROM Processor", Site: "siteC"}); err == nil {
-		t.Error("unknown site accepted")
 	}
 }
