@@ -570,6 +570,7 @@ func (g *Gateway) registerMetrics() {
 	r.Collect(func(c *metrics.Collection) {
 		c.Gauge("gridrm_history_keys", "Distinct (source, group) keys holding history samples.", float64(g.history.Keys()))
 		c.Gauge("gridrm_history_samples", "History samples retained across all keys.", float64(g.history.TotalSamples()))
+		c.Gauge("gridrm_history_bytes", "Bytes the history store's series hold: sealed chunks, open-chunk arrays and dictionaries.", float64(g.history.Bytes()))
 		c.Counter("gridrm_history_pruned_total", "History samples dropped by the retention sweep.", float64(g.historyPrunes.Load()))
 	})
 	if g.durable != nil {

@@ -30,13 +30,6 @@ func processorRS(b *testing.B, host string, load float64) *resultset.ResultSet {
 	return rs
 }
 
-func liveHeap() uint64 {
-	var ms runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&ms)
-	return ms.HeapAlloc
-}
-
 // BenchmarkRetentionSweep is ROADMAP item 3's ruler: a one-source 50-sample
 // range read and Latest at 1k, 100k and 1M retained samples spread over 400
 // (source, Processor) keys, with the resident bytes per sample of each size
@@ -93,8 +86,8 @@ func BenchmarkRetentionSweep(b *testing.B) {
 // BenchmarkRecordAtCap is Record in the steady state of a long-running
 // gateway: the key is at MaxSamplesPerKey, so every write also retires the
 // oldest sample. The row-wise store reallocated and copied the whole key
-// here; the series advances its head and rebuilds once per cap writes, so
-// allocs/op must read 0.
+// here; the series skips the dead sample, seals a chunk once per
+// chunkSamples writes and drops whole chunks, so allocs/op must read 0.
 func BenchmarkRecordAtCap(b *testing.B) {
 	now := time.Unix(2_000_000, 0)
 	s := New(Options{MaxAge: 30 * 24 * time.Hour, Clock: func() time.Time { return now }})

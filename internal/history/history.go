@@ -8,16 +8,21 @@
 // SampledAt. Retention is bounded both by age and by sample count.
 //
 // Each (group, source) is one series, time-sorted and column-major (see
-// series.go): a range read binary-searches the window and copies out only
-// the answer, and a sample at rest costs its typed cells, not boxed ones.
-// Times — sample times and Time cells — are kept as Unix nanoseconds, the
-// journal's own representation, and read back in the local zone.
+// series.go): sealed chunks of chunkSamples samples, each field encoded by
+// its kind (chunk.go), then the open chunk the next sample is appended to.
+// A range read searches the window and decodes only the chunks it touches
+// straight into the answer. Times — sample times and Time cells — are kept
+// as Unix nanoseconds, the journal's own representation, and read back in
+// the local zone.
 package history
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -50,10 +55,11 @@ type Store struct {
 
 	mu     sync.RWMutex
 	groups map[*glue.Group]map[string]*series // group → source → series
+	sealer sealer                             // used under mu
 
 	// Running totals, written under mu, so the gauges that read them on
 	// every scrape neither take the lock nor walk the store.
-	keys, samples atomic.Int64
+	keys, samples, bytes atomic.Int64
 }
 
 // New creates a Store.
@@ -144,18 +150,14 @@ func (s *Store) record(source, group string, rs *resultset.ResultSet, at time.Ti
 	}
 	// The cells are copied into the series' columns, so a caller mutating
 	// its harvested result afterwards cannot corrupt stored history.
-	return s.add(g, source, ns, n, func(c int, col *column, r int) {
-		if src := rs.Column(c); src != nil {
-			col.copyIn(r, src, 0, n, 0)
-		}
-	}, dedupe)
+	return s.add(g, source, ns, rs, n, dedupe)
 }
 
-// add puts one checked sample into its series in time order — after any
-// sample of the same time, or not at all if dedupe is set and one exists —
-// and applies retention to the series. It reports whether the sample was
-// kept.
-func (s *Store) add(g *glue.Group, source string, at int64, n int, put func(c int, col *column, r int), dedupe bool) (bool, error) {
+// add puts one checked sample, rs's n rows, into its series in time order
+// — after any sample of the same time, or not at all if dedupe is set and
+// one exists — and applies retention to the series. It reports whether the
+// sample was kept.
+func (s *Store) add(g *glue.Group, source string, at int64, rs *resultset.ResultSet, n int, dedupe bool) (bool, error) {
 	cutoff := s.cutoff()
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -169,46 +171,56 @@ func (s *Store) add(g *glue.Group, source string, at int64, n int, put func(c in
 		return false, nil
 	}
 	if ser == nil {
-		ser = newSeries(g, source)
+		ser = &series{source: source}
 		if s.groups[g] == nil {
 			s.groups[g] = make(map[string]*series)
 		}
 		s.groups[g][source] = ser
 		s.keys.Add(1)
-	} else if rows := ser.rowStart(len(ser.times)) + n; rows > math.MaxInt32 {
-		return false, fmt.Errorf("history: %s of %s would hold %d rows", g.Name, source, rows)
 	}
-	i := len(ser.times)
-	if i > ser.head && at < ser.times[i-1] {
-		i = ser.head + sort.Search(ser.live(), func(k int) bool { return ser.times[ser.head+k] > at })
+	i := ser.n
+	if ser.live() > 0 && at < ser.lastTime() {
+		i = ser.search(func(t int64) bool { return t > at })
 	}
-	if dedupe && i > ser.head && ser.times[i-1] == at {
+	if dedupe && i > ser.head && ser.timeAt(i-1) == at {
 		return false, nil
+	}
+	if rows := ser.chunkRows(i) + n; rows > math.MaxInt32 {
+		return false, fmt.Errorf("history: %s of %s would hold %d rows in a chunk", g.Name, source, rows)
 	}
 	full := ser.live() == s.opts.MaxSamplesPerKey
 	switch {
-	case i == len(ser.times):
-		ser.push(at, n, put)
+	case i == ser.n:
+		ser.push(g, at, rs, n)
 	case i == ser.head && full:
 		return false, nil // older than everything in a full series: the one retention would drop
 	default:
-		ser.insert(i, at, n, put)
+		ser.insert(g, &s.sealer, i, at, rs, n)
 	}
 	if full {
 		ser.drop(1)
 	} else {
 		s.samples.Add(1)
 	}
+	if len(ser.open.times) == chunkSamples {
+		ser.seal(&s.sealer)
+	}
+	s.account(ser)
 	return true, nil
+}
+
+// account brings the store's byte total up to date with what ser holds.
+// Callers hold s.mu.
+func (s *Store) account(ser *series) {
+	n := ser.size()
+	s.bytes.Add(n - ser.bytes)
+	ser.bytes = n
 }
 
 // expire drops ser's samples older than cutoff, and ser itself from the
 // store once it is empty. Callers hold s.mu.
 func (s *Store) expire(g *glue.Group, ser *series, cutoff time.Time) int {
-	k := 0
-	for ser.head+k < len(ser.times) && time.Unix(0, ser.times[ser.head+k]).Before(cutoff) {
-		k++
-	}
+	k := ser.expired(cutoff)
 	if k == 0 {
 		return 0
 	}
@@ -217,9 +229,11 @@ func (s *Store) expire(g *glue.Group, ser *series, cutoff time.Time) int {
 		ser.head += k
 		delete(s.groups[g], ser.source)
 		s.keys.Add(-1)
+		s.bytes.Add(-ser.bytes)
 		return k
 	}
 	ser.drop(k)
+	s.account(ser)
 	return k
 }
 
@@ -237,42 +251,60 @@ func (s *Store) Query(group, source string, since, until time.Time) (*resultset.
 		return nil, err
 	}
 	// Freeze the series under the lock, read them outside it.
-	var wins []series
+	var one [1]window
 	s.mu.RLock()
 	if source == "" {
-		wins = make([]series, 0, len(s.groups[g]))
-		for _, ser := range s.groups[g] {
-			wins = append(wins, ser.frozen())
+		bySource := s.groups[g]
+		n := 0
+		for _, ser := range bySource {
+			n += len(ser.open.cols)
 		}
-	} else if ser := s.groups[g][source]; ser != nil {
-		wins = []series{ser.frozen()}
+		wins, cols := make([]window, 0, len(bySource)), make([]column, 0, n)
+		for _, ser := range bySource {
+			w := window{}
+			w.series, cols = ser.image(until, cols)
+			wins = append(wins, w)
+		}
+		s.mu.RUnlock()
+		slices.SortFunc(wins, func(a, b window) int { return strings.Compare(a.source, b.source) })
+		return s.read(g, meta, wins, since, until)
+	}
+	wins := one[:0]
+	if ser := s.groups[g][source]; ser != nil {
+		w := window{}
+		w.series, _ = ser.image(until, nil)
+		wins = append(wins, w)
 	}
 	s.mu.RUnlock()
+	return s.read(g, meta, wins, since, until)
+}
 
-	// Narrow each series to the window: [head, len) becomes [lo, hi).
-	rows, live := 0, 0
-	for w := range wins {
-		ser := &wins[w]
-		lo, hi := ser.head, len(ser.times)
+// window is a frozen series and the samples [lo, hi) a read takes from it.
+type window struct {
+	series
+	lo, hi int
+}
+
+// read answers a range read from frozen series, in source order.
+func (s *Store) read(g *glue.Group, meta *resultset.Metadata, wins []window, since, until time.Time) (*resultset.ResultSet, error) {
+	rows, fields := 0, uint64(0)
+	for k := range wins {
+		w := &wins[k]
+		w.lo, w.hi = w.head, w.n
 		if !since.IsZero() {
-			lo += sort.Search(hi-lo, func(k int) bool { return !time.Unix(0, ser.times[lo+k]).Before(since) })
+			w.lo = w.search(func(at int64) bool { return !time.Unix(0, at).Before(since) })
 		}
 		if !until.IsZero() {
-			hi = lo + sort.Search(hi-lo, func(k int) bool { return time.Unix(0, ser.times[lo+k]).After(until) })
+			w.hi = max(w.lo, w.search(func(at int64) bool { return time.Unix(0, at).After(until) }))
 		}
-		ser.head, ser.times = lo, ser.times[:hi]
-		rows += ser.rowStart(hi) - ser.rowStart(lo)
-		live = max(live, ser.liveColumns())
+		r, f := w.shape(w.lo, w.hi)
+		rows, fields = rows+r, fields|f
 	}
-
 	// Series by series in source order; a stable sort by sample time then
 	// gives the order across them: time, then source.
-	if len(wins) > 1 {
-		sort.Slice(wins, func(i, j int) bool { return wins[i].source < wins[j].source })
-	}
-	b := resultset.NewBuilder(meta).Grow(rows, live+2)
-	for w := range wins {
-		wins[w].copyOut(b, wins[w].head, len(wins[w].times), true)
+	b := resultset.NewBuilder(meta).Grow(rows, bits.OnesCount64(fields)+2)
+	for k := range wins {
+		wins[k].put(b, wins[k].lo, wins[k].hi, len(g.Fields), true)
 	}
 	rs, err := b.Build()
 	if err == nil && len(wins) > 1 {
@@ -305,13 +337,14 @@ func (s *Store) Latest(source, group string) (*resultset.ResultSet, time.Time, b
 	if ser == nil {
 		return nil, time.Time{}, false
 	}
-	last := len(ser.times) - 1 // a series in the store holds a sample
-	at := time.Unix(0, ser.times[last])
+	last := ser.n - 1 // a series in the store holds a sample
+	at := time.Unix(0, ser.lastTime())
 	if now.Sub(at) > s.opts.MaxAge {
 		return nil, time.Time{}, false
 	}
-	b := resultset.NewBuilder(meta).Grow(int(ser.ends[last])-ser.rowStart(last), ser.liveColumns())
-	ser.copyOut(b, last, last+1, false)
+	rows, fields := ser.shape(last, last+1)
+	b := resultset.NewBuilder(meta).Grow(rows, bits.OnesCount64(fields))
+	ser.put(b, last, last+1, len(g.Fields), false)
 	rs, err := b.Build()
 	if err != nil {
 		return nil, time.Time{}, false
@@ -356,14 +389,14 @@ func (s *Store) SampleCount(source, group string) int {
 }
 
 // View is a point-in-time image of every retained sample, taken in O(keys):
-// it holds the series' array headers, not copies of their samples. Reading
-// it takes no lock and never blocks Record.
+// it holds the series' chunks, not copies of their samples. Reading it
+// takes no lock and never blocks Record.
 type View struct {
 	series []viewSeries
 }
 
 type viewSeries struct {
-	group string
+	group *glue.Group
 	series
 }
 
@@ -372,9 +405,18 @@ func (s *Store) View() *View {
 	v := &View{}
 	s.mu.RLock()
 	v.series = make([]viewSeries, 0, s.keys.Load())
+	n := 0
+	for _, bySource := range s.groups {
+		for _, ser := range bySource {
+			n += len(ser.open.cols)
+		}
+	}
+	cols := make([]column, 0, n)
 	for g, bySource := range s.groups {
 		for _, ser := range bySource {
-			v.series = append(v.series, viewSeries{g.Name, ser.frozen()})
+			vs := viewSeries{group: g}
+			vs.series, cols = ser.frozen(cols)
+			v.series = append(v.series, vs)
 		}
 	}
 	s.mu.RUnlock()
@@ -384,42 +426,67 @@ func (s *Store) View() *View {
 		if a.source != b.source {
 			return a.source < b.source
 		}
-		return a.group < b.group
+		return a.group.Name < b.group.Name
 	})
 	return v
 }
 
 // Sample is one retained sample of a View: At's rows of (Source, Group), its
-// cells read where the series holds them.
+// cells read from the chunk they were decoded from.
 type Sample struct {
-	Source, Group string
-	At            time.Time
-	ser           *series
-	from, rows    int
+	Source, Group    string
+	At               time.Time
+	rs               *resultset.ResultSet
+	from, rows, cols int
 }
 
 // Len returns the number of rows, Width the number of cells in each.
 func (s *Sample) Len() int   { return s.rows }
-func (s *Sample) Width() int { return len(s.ser.cols) }
+func (s *Sample) Width() int { return s.cols }
 
 // Null reports whether row r of the group's field c is NULL; Cell returns
 // its value.
-func (s *Sample) Null(r, c int) bool           { return s.ser.cols[c].Null(s.from + r) }
-func (s *Sample) Cell(r, c int) resultset.Cell { return s.ser.cols[c].at(s.from + r) }
+func (s *Sample) Null(r, c int) bool           { return s.rs.Null(s.from+r, c) }
+func (s *Sample) Cell(r, c int) resultset.Cell { return s.rs.Cell(s.from+r, c) }
 
 // Each calls fn with every sample, series by series in (source, group) order
-// and in time order within one, stopping at the first error. The Sample is
-// reused from call to call: fn must not keep it.
+// and in time order within one, stopping at the first error. Each chunk is
+// decoded once, into a set of the group's shape the next chunk reuses. The
+// Sample is reused from call to call: fn must not keep it.
 func (v *View) Each(fn func(*Sample) error) error {
+	sets := make(map[*glue.Group]*resultset.Builder)
+	var sp span
+	var err error
 	for k := range v.series {
 		ser := &v.series[k]
-		smp := Sample{Source: ser.source, Group: ser.group, ser: &ser.series}
-		for i := ser.head; i < len(ser.times); i++ {
-			smp.At, smp.from = time.Unix(0, ser.times[i]), ser.rowStart(i)
-			smp.rows = int(ser.ends[i]) - smp.from
-			if err := fn(&smp); err != nil {
-				return err
+		b := sets[ser.group]
+		if b == nil {
+			meta, merr := resultset.MetadataForGroup(ser.group, nil)
+			if merr != nil {
+				return merr
 			}
+			b = resultset.NewBuilder(meta)
+			sets[ser.group] = b
+		}
+		smp := Sample{Source: ser.source, Group: ser.group.Name, cols: len(ser.group.Fields)}
+		ser.parts(ser.head, ser.n, func(c *chunk, a, z int) {
+			if err != nil {
+				return
+			}
+			sp.of(c, &ser.open)
+			b.Reset()
+			ser.putPart(b.Grow(int(sp.starts[z]-sp.starts[a]), 0), c, &sp, a, z, smp.cols, false)
+			if smp.rs, err = b.Build(); err != nil {
+				return
+			}
+			for i := a; i < z && err == nil; i++ {
+				smp.At = time.Unix(0, sp.times[i])
+				smp.from, smp.rows = int(sp.starts[i]-sp.starts[a]), int(sp.starts[i+1]-sp.starts[i])
+				err = fn(&smp)
+			}
+		})
+		if err != nil {
+			return err
 		}
 	}
 	return nil
@@ -430,6 +497,12 @@ func (s *Store) Keys() int { return int(s.keys.Load()) }
 
 // TotalSamples returns the total retained sample count across all keys.
 func (s *Store) TotalSamples() int { return int(s.samples.Load()) }
+
+// Bytes returns what the store's series hold: sealed chunks, the open
+// chunks' arrays and dictionaries, and each series' own header and map
+// entry. The strings a dictionary names are not counted: a harvest or the
+// intern table may share them.
+func (s *Store) Bytes() int64 { return s.bytes.Load() }
 
 // Prune applies retention to every key immediately and reports how many
 // samples were dropped.

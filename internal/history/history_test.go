@@ -590,11 +590,12 @@ func TestDifferentialAgainstRowModel(t *testing.T) {
 	}
 }
 
-// TestRangeReadAllocations: a one-source read of 50 samples of two hosts
-// copies the window's cells out column by column — an array for each column
-// that holds values, the set, its headers and the frozen series — and boxes
-// nothing: 16 allocations when written, 656 while a ResultSet row was a
-// []any and every cell of the answer its own box.
+// TestRangeReadAllocations: a one-source read of 50 samples of two hosts,
+// the newest eight in the open chunk, decodes the window column by column
+// into the answer — an array for each column that holds values, the set and
+// its headers, and a copy of the open chunk's column headers — and boxes
+// nothing: 15 allocations, where the doubling arrays' frozen series took 16
+// and a ResultSet row of boxed cells 656.
 func TestRangeReadAllocations(t *testing.T) {
 	s, now := newStore(Options{MaxSamplesPerKey: 1024})
 	meta, err := resultset.MetadataForGroup(glue.Processor, nil)
@@ -622,7 +623,11 @@ func TestRangeReadAllocations(t *testing.T) {
 		}
 	})
 	t.Logf("100-row range read: %.0f allocations", allocs)
-	if allocs > 20 {
-		t.Errorf("a 100-row range read took %.0f allocations, want ≤ 20", allocs)
+	bound := 15.0
+	if raceEnabled {
+		bound++ // the race runtime moves one of the read's arrays to the heap
+	}
+	if allocs > bound {
+		t.Errorf("a 100-row range read took %.0f allocations, want ≤ %.0f", allocs, bound)
 	}
 }

@@ -13,95 +13,6 @@ import (
 	"gridrm/internal/resultset"
 )
 
-// slice returns rows [from, to) of c in fresh arrays, as a series rebuilt
-// around them holds them.
-func (c *column) slice(from, to int) column {
-	out := column{kind: c.kind}
-	out.appendFrom(0, c, from, to, 2*(to-from))
-	return out
-}
-
-// TestColumnAgainstBoxedSlice pushes random values and NULLs into a column
-// of every kind — long enough to fill bitmap words and outgrow the
-// dictionary's linear scan — and checks each cell, a frozen copy taken
-// midway, and random slices against the plain []any of what was pushed.
-func TestColumnAgainstBoxedSlice(t *testing.T) {
-	draw := map[glue.Kind]func(*rand.Rand) any{
-		glue.String: func(r *rand.Rand) any { return fmt.Sprintf("v%d", r.Intn(20)) },
-		glue.Int:    func(r *rand.Rand) any { return r.Int63() - 1<<62 },
-		glue.Float:  func(r *rand.Rand) any { return r.NormFloat64() },
-		glue.Bool:   func(r *rand.Rand) any { return r.Intn(2) == 0 },
-		glue.Time:   func(r *rand.Rand) any { return time.Unix(r.Int63n(1e9), r.Int63n(1e9)) },
-	}
-	check := func(what string, c *column, want []any) {
-		t.Helper()
-		for r, w := range want {
-			if got := c.at(r).Value(); !sameCell(got, w) {
-				t.Fatalf("%s: row %d = %#v, want %#v", what, r, got, w)
-			}
-		}
-	}
-	for kind, value := range draw {
-		// NULL runs first, last, throughout and never: each start state
-		// (all-NULL, dense, mixed) and each transition between them.
-		for _, nullP := range [][2]float64{{1, 0}, {0, 1}, {0.3, 0.3}, {0, 0}, {1, 1}} {
-			rng := rand.New(rand.NewSource(int64(kind) + 7))
-			c := column{kind: kind}
-			var want []any
-			var frozen column
-			for n := 0; n < 300; n++ {
-				if n == 150 {
-					frozen = c // a struct copy is the snapshot
-				}
-				var v any
-				if p := nullP[n/150]; rng.Float64() >= p {
-					v = value(rng)
-				}
-				c.set(n, resultset.CellOf(v), 0)
-				want = append(want, v)
-			}
-			what := fmt.Sprintf("%v nulls %v", kind, nullP)
-			check(what, &c, want)
-			check(what+" frozen", &frozen, want[:150])
-			for i := 0; i < 20; i++ {
-				from := rng.Intn(300)
-				to := from + rng.Intn(300-from+1)
-				part := c.slice(from, to)
-				check(fmt.Sprintf("%s slice [%d,%d)", what, from, to), &part, want[from:to])
-				// The slice is a working column: it takes appends.
-				v := value(rng)
-				part.set(to-from, resultset.CellOf(v), 0)
-				part.set(to-from+1, resultset.CellOf(nil), 0)
-				check(what+" slice, appended", &part, append(append([]any(nil), want[from:to]...), v, nil))
-			}
-		}
-	}
-}
-
-// TestColumnSliceShedsDeadState: once the rows that made a column mixed, or
-// that filled its dictionary, are gone, a rebuild stops paying for them.
-func TestColumnSliceShedsDeadState(t *testing.T) {
-	c := column{kind: glue.String}
-	for n := 0; n < 100; n++ {
-		var v any
-		if n >= 50 {
-			v = "steady"
-		} else if n%2 == 0 {
-			v = fmt.Sprintf("old-%d", n)
-		}
-		c.set(n, resultset.CellOf(v), 0)
-	}
-	if c.Nulls != resultset.SomeNull || len(c.dict) != 26 {
-		t.Fatalf("before: nulls %d, %d dictionary entries", c.Nulls, len(c.dict))
-	}
-	if live := c.slice(50, 100); live.Nulls != resultset.NoNull || len(live.dict) != 1 || live.index != nil {
-		t.Errorf("live half: nulls %d, %d dictionary entries", live.Nulls, len(live.dict))
-	}
-	if dead := c.slice(1, 2); dead.Nulls != resultset.AllNull || dead.codes != nil {
-		t.Errorf("an all-NULL slice kept arrays: %+v", dead)
-	}
-}
-
 // TestLateSamplesRespectRetention: a late sample used to be appended in
 // arrival order, where the count rule then dropped the wrong one and the
 // age rule could not reach it until it got to the front.
@@ -205,7 +116,7 @@ func TestLoadRejectsRowsOfAnotherShape(t *testing.T) {
 }
 
 // TestConcurrentRecordQueryView runs writers (in order, late, over the cap
-// so series compact, with a column that flips between NULL and not),
+// so chunks seal and retire, with a column that flips between NULL and not),
 // readers and checkpoint views at once. Under -race it proves a frozen
 // series shares nothing a writer still touches; every reader also checks
 // that what it sees is whole: each row carries its own sample time.

@@ -157,8 +157,7 @@ func (e *StatusError) Error() string {
 // is followed: the response returned is a 2xx or a 304, and any other status
 // is a *StatusError.
 func (c *Client) send(ctx context.Context, method, path string, body []byte, ifNoneMatch string) (*http.Response, error) {
-	target := c.BaseURL + path
-	req, err := http.NewRequestWithContext(ctx, method, target, nil)
+	req, err := c.newRequest(ctx, method, path)
 	if err != nil {
 		return nil, err
 	}
@@ -203,7 +202,7 @@ func (c *Client) send(ctx context.Context, method, path string, body []byte, ifN
 	}
 	resp, err := c.transport().RoundTrip(req)
 	if err != nil {
-		return nil, fmt.Errorf("web: %s %s: %w", method, target, timedOut(ctx, err))
+		return nil, fmt.Errorf("web: %s %s: %w", method, c.BaseURL+path, timedOut(ctx, err))
 	}
 	if resp.StatusCode >= 300 && resp.StatusCode != http.StatusNotModified {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
@@ -212,6 +211,35 @@ func (c *Client) send(ctx context.Context, method, path string, body []byte, ifN
 	}
 	return resp, nil
 }
+
+// newRequest makes the request for path under BaseURL. A plain base —
+// http or https, a host, perhaps a path prefix — is split where it stands
+// and never parsed, and nothing is kept of it: a Client made for one hop
+// pays for no parse either. Any other base goes through url.Parse.
+func (c *Client) newRequest(ctx context.Context, method, path string) (*http.Request, error) {
+	scheme, rest, ok := strings.Cut(c.BaseURL, "://")
+	host, prefix := rest, ""
+	if i := strings.IndexByte(rest, '/'); i >= 0 {
+		host, prefix = rest[:i], rest[i:]
+	}
+	p, query, _ := strings.Cut(path, "?")
+	if !ok || scheme != "http" && scheme != "https" || host == "" || strings.HasSuffix(host, ":") ||
+		strings.ContainsAny(host, "@?#%") || strings.ContainsAny(prefix, "?#%") || strings.ContainsAny(p, "#%") ||
+		strings.IndexFunc(c.BaseURL, unsafeInURL) >= 0 || strings.IndexFunc(path, unsafeInURL) >= 0 {
+		return http.NewRequestWithContext(ctx, method, c.BaseURL+path, nil)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, "", nil)
+	if err != nil {
+		return nil, err
+	}
+	*req.URL = url.URL{Scheme: scheme, Host: host, Path: prefix + p, RawQuery: query}
+	req.Host = host
+	return req, nil
+}
+
+// unsafeInURL reports a rune url.Parse refuses or escapes: newRequest leaves
+// a base or path that holds one to it.
+func unsafeInURL(r rune) bool { return r <= ' ' || r >= 0x7f }
 
 func (c *Client) doContext(ctx context.Context, method, path string, body any, out any) error {
 	var buf []byte

@@ -22,9 +22,10 @@ import (
 	"gridrm/internal/trace"
 )
 
-// maxQueryHopAllocs is TestQueryHopAllocs's bound: 104 measured on go1.24,
-// plus a margin of four.
-const maxQueryHopAllocs = 108
+// maxQueryHopAllocs is TestQueryHopAllocs's bound: 103 measured on go1.24,
+// with no margin, so that a request that parses its base URL again (104)
+// fails it.
+const maxQueryHopAllocs = 103
 
 // TestPrincipalFromRoles: the roles header is a comma list whose blanks
 // are trimmed and whose empty members are dropped, and a request that
@@ -294,5 +295,34 @@ func TestSubscriptionOutlivesTheClientTimeout(t *testing.T) {
 	}
 	if err := sub.Err(); err != nil {
 		t.Errorf("Err() = %v after the first row", err)
+	}
+}
+
+// TestRequestURLMatchesParse: a request built by splitting a plain base has
+// the URL and Host that parsing the whole string gives, and a base or path
+// newRequest does not split plainly goes through url.Parse, refusals
+// included.
+func TestRequestURLMatchesParse(t *testing.T) {
+	for _, c := range []struct{ base, path string }{
+		{"http://127.0.0.1:8080", "/query"},
+		{"https://gw.example.org", "/gma/registrations?digest=ab%2Bcd&wait=2s"},
+		{"http://[::1]:9000/prefix", "/subscribe?group=Processor"},
+		{"http://10.0.0.1:80", "/traces/a%2Fb"},
+		{"http://user:pw@host:1", "/status"},
+		{"HTTP://Host:1", "/status"},
+		{"http://host:", "/status"},
+		{"http://host:1", "/bad path"},
+		{"http://host:1\n", "/status"},
+		{"gridrm://host:1", "/status"},
+	} {
+		want, wantErr := http.NewRequest(http.MethodGet, c.base+c.path, nil)
+		got, err := (&Client{BaseURL: c.base}).newRequest(context.Background(), http.MethodGet, c.path)
+		if (err != nil) != (wantErr != nil) {
+			t.Errorf("%s%s: err %v, url.Parse's %v", c.base, c.path, err, wantErr)
+			continue
+		}
+		if err == nil && (got.URL.String() != want.URL.String() || got.Host != want.Host || got.URL.RequestURI() != want.URL.RequestURI()) {
+			t.Errorf("%s%s: URL %q host %q, url.Parse's %q host %q", c.base, c.path, got.URL, got.Host, want.URL, want.Host)
+		}
 	}
 }
