@@ -174,10 +174,12 @@ func main() {
 	endpoint := "http://" + *listen
 
 	var reg *gma.Registrar
+	var fedRouter *gma.Router
 	if dir != nil {
-		fedRouter := gma.NewRouter(dir, web.RemoteQueryContext, m.Site, gma.Config{
+		fedRouter = gma.NewRouter(dir, web.RemoteQueryContext, m.Site, gma.Config{
 			LookupTTL:     *lookupTTL,
 			RetryAttempts: *remoteRetries,
+			Watch:         web.RemoteVersionContext,
 		})
 		fedRouter.RegisterMetrics(gw.Metrics())
 		gw.SetGlobalRouter(fedRouter)
@@ -227,14 +229,18 @@ func main() {
 	<-sig
 
 	// Ordered graceful shutdown: deregister from the GMA directory first so
-	// peers stop routing here, then let the HTTP server finish in-flight
-	// requests, then drain the gateway itself (prober, queries, events,
-	// pool) — all bounded by the drain timeout.
+	// peers stop routing here and stop the router's version watches, then
+	// let the HTTP server finish in-flight requests, then drain the gateway
+	// itself (prober, queries, events, pool) — all bounded by the drain
+	// timeout.
 	log.Printf("shutting down: draining for up to %s", drainTimeout)
 	ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
 	if reg != nil {
 		reg.Stop()
+	}
+	if fedRouter != nil {
+		fedRouter.Close()
 	}
 	if err := httpServer.Shutdown(ctx); err != nil {
 		log.Printf("gridrm-gateway: http shutdown: %v", err)

@@ -171,8 +171,14 @@ type Response struct {
 	// republisher sets it, and it is local to one hop.
 	Validator string
 	// NotModified reports that the answer the request's Validator names is
-	// still current; the response then carries nothing but the Validator.
+	// still current; the response then carries nothing but the Validator
+	// and the Version.
 	NotModified bool
+	// Version is the republisher's version token as it read the answer
+	// (X-Gridrm-Version on the wire), a 304's included: while the
+	// republisher's version watch names the same token, the answer is still
+	// current. Only a republisher sets it, and it is local to one hop.
+	Version string
 }
 
 // AllSites is the Request.Site wildcard for virtual-organisation-wide

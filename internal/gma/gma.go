@@ -154,9 +154,10 @@ type Directory struct {
 	oldest time.Time
 	// sum is the membership's digest hash while summed is set; a change of
 	// membership clears it, and a heartbeat leaves it.
-	sum     uint64
-	summed  bool
-	changed chan struct{} // closed, and replaced, when the Digest may have changed
+	sum    uint64
+	summed bool
+	// changes wakes the watchers when the Digest may have changed.
+	changes Changes
 }
 
 // NewDirectory creates a directory; records older than ttl are deleted
@@ -166,14 +167,13 @@ func NewDirectory(ttl time.Duration, clock func() time.Time) *Directory {
 	if clock == nil {
 		clock = time.Now
 	}
-	return &Directory{ttl: ttl, clock: clock, members: make(map[string]Registration), changed: make(chan struct{})}
+	return &Directory{ttl: ttl, clock: clock, members: make(map[string]Registration)}
 }
 
 // notify wakes every watcher and forgets the digest; d.mu is held.
 func (d *Directory) notify() {
 	d.summed = false
-	close(d.changed)
-	d.changed = make(chan struct{})
+	d.changes.Notify()
 }
 
 // sweep deletes every record past its TTL at now; d.mu is held. It walks
@@ -302,25 +302,12 @@ func (d *Directory) WatchContext(ctx context.Context, digest string, wait time.D
 // watch returns once the membership's Digest differs from digest, or once
 // wait has passed.
 func (d *Directory) watch(ctx context.Context, digest string, wait time.Duration) error {
-	timer := time.NewTimer(wait)
-	defer timer.Stop()
-	for waited := false; ; {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
+	return Await(ctx, wait, func() (bool, <-chan struct{}) {
+		changed := d.changes.Next()
 		d.mu.Lock()
-		sum, changed := d.membership(), d.changed
-		d.mu.Unlock()
-		if waited || !spells(sum, digest) {
-			return nil
-		}
-		select {
-		case <-changed:
-		case <-timer.C:
-			waited = true
-		case <-ctx.Done():
-		}
-	}
+		defer d.mu.Unlock()
+		return spells(d.membership(), digest), changed
+	})
 }
 
 // Route is one row of the directory's HTTP interface. The pattern carries
@@ -329,9 +316,6 @@ type Route struct {
 	Pattern string
 	Serve   http.HandlerFunc
 }
-
-// maxWatchWait caps the wait a GET /gma/registrations?wait= may hold.
-const maxWatchWait = 30 * time.Second
 
 // Routes is the directory's HTTP interface. The ?site= parameter names the
 // member, whatever its role. GET /gma/registrations with ?wait= (a Go
@@ -358,13 +342,12 @@ func (d *Directory) Routes() []Route {
 			answer(w, reg, err, http.StatusInternalServerError)
 		}},
 		{"GET /gma/registrations", func(w http.ResponseWriter, r *http.Request) {
-			if q := r.URL.Query(); q.Has("wait") {
-				wait, err := time.ParseDuration(q.Get("wait"))
-				if err != nil || wait < 0 {
-					http.Error(w, "bad wait", http.StatusBadRequest)
-					return
-				}
-				if err := d.watch(r.Context(), q.Get("digest"), min(wait, maxWatchWait)); err != nil {
+			q := r.URL.Query()
+			if wait, ok, err := WatchWait(q); err != nil {
+				http.Error(w, "bad wait", http.StatusBadRequest)
+				return
+			} else if ok {
+				if err := d.watch(r.Context(), q.Get("digest"), wait); err != nil {
 					http.Error(w, err.Error(), http.StatusInternalServerError)
 					return
 				}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
+	"time"
 	"unsafe"
 
 	"gridrm/internal/core"
@@ -37,6 +38,11 @@ type heldAnswer struct {
 	// reuses.
 	key      string
 	endpoint string
+	// at is when the answer arrived in full.
+	at time.Time
+	// token is the republisher's version the answer was last confirmed at:
+	// its own, or a 304's since. Guarded by heldAnswers.mu.
+	token string
 	// resp is the answer as it arrived, with its Validator but without
 	// the spans of the query that fetched it; its ResultSet is never handed
 	// out, only clones of it.
@@ -78,16 +84,31 @@ func appendField(buf []byte, s string) []byte {
 	return append(binary.AppendUvarint(buf, uint64(len(s))), s...)
 }
 
-func (h *heldAnswers) get(key []byte) *heldAnswer {
+// get returns the answer held for key, nil when none is, and the version
+// it was last confirmed at.
+func (h *heldAnswers) get(key []byte) (*heldAnswer, string) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.m[string(key)]
+	e := h.m[string(key)]
+	if e == nil {
+		return nil, ""
+	}
+	return e, e.token
 }
 
-// put holds a copy of resp, which has a validator and a result, for key.
-// Entries are evicted, in no particular order, until it fits the budget; an
-// answer larger than the whole budget is not held.
-func (h *heldAnswers) put(key []byte, endpoint string, resp *core.Response) {
+// confirm records that e, if it is still held, is current at version token.
+func (h *heldAnswers) confirm(e *heldAnswer, token string) {
+	h.mu.Lock()
+	if h.m[e.key] == e {
+		e.token = token
+	}
+	h.mu.Unlock()
+}
+
+// put holds a copy of resp, which has a validator and a result, for key; it
+// arrived at at. Entries are evicted, in no particular order, until it fits
+// the budget; an answer larger than the whole budget is not held.
+func (h *heldAnswers) put(key []byte, endpoint string, resp *core.Response, at time.Time) {
 	cost := heldCost(key, resp)
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -105,7 +126,7 @@ func (h *heldAnswers) put(key []byte, endpoint string, resp *core.Response) {
 	if h.m == nil {
 		h.m = make(map[string]*heldAnswer)
 	}
-	e := &heldAnswer{endpoint: endpoint, resp: *resp, bytes: cost}
+	e := &heldAnswer{endpoint: endpoint, at: at, token: resp.Version, resp: *resp, bytes: cost}
 	e.resp.Trace, e.resp.TraceID = nil, "" // they belong to the query that fetched it
 	if old != nil {
 		e.key = old.key
@@ -134,19 +155,10 @@ func (h *heldAnswers) dropLocked(key []byte) *heldAnswer {
 	return old
 }
 
-// retain drops the answers of endpoints that are not republishers in s.
-func (h *heldAnswers) retain(s *snapshot) {
+// retain drops the answers of endpoints live does not list.
+func (h *heldAnswers) retain(live map[string]bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if len(h.m) == 0 {
-		return
-	}
-	live := make(map[string]bool)
-	for _, reg := range s.regs {
-		if reg.Role == RoleRepublisher {
-			live[reg.Endpoint] = true
-		}
-	}
 	for k, e := range h.m {
 		if !live[e.endpoint] {
 			h.bytes -= e.bytes
@@ -163,10 +175,16 @@ func (h *heldAnswers) size() (answers, bytes int) {
 }
 
 // call is the one way a Router sends a query to a member. A republisher's
-// answer is held, and the next identical request sends its validator: a 304
-// then serves the held answer, as measured on this round trip, with nothing
-// encoded, sent or decoded. Validators are local to the hop, so no response
-// call returns carries one, and a request never passes on its caller's.
+// answer is held, and the next identical request is answered down a ladder:
+// while the republisher's version watch is live and names the version the
+// held answer was last confirmed at, the held answer is served with no
+// request at all; otherwise the request sends the answer's validator, and a
+// 304 serves the held answer, as measured on this round trip, with nothing
+// encoded, sent or decoded; otherwise the answer comes in full. Validators
+// and versions are local to the hop, so no response call returns carries
+// one, and a request never passes on its caller's. The remote-query span
+// says which rung answered ("answered": watch, not_modified or full) and how
+// old the held answer is ("held_age").
 func (r *Router) call(ctx context.Context, member Registration, req core.QueryOptions, sp trace.Span) (*core.Response, error) {
 	req.Validator = ""
 	if member.Role != RoleRepublisher {
@@ -174,11 +192,17 @@ func (r *Router) call(ctx context.Context, member Registration, req core.QueryOp
 	}
 	var buf [256]byte
 	key := appendHeldKey(buf[:0], member.Endpoint, &req)
-	held := r.held.get(key)
+	held, token := r.held.get(key)
+	start := r.clock()
+	if held != nil && token != "" {
+		if w := r.watch(member.Endpoint); w != nil && w.confirms(token, start) {
+			r.watchConfirmed.Add(1)
+			return r.serveHeld(held, "watch", start, sp), nil
+		}
+	}
 	if held != nil {
 		req.Validator = held.resp.Validator
 	}
-	start := r.clock()
 	resp, err := r.exec(ctx, member.Endpoint, req)
 	if err != nil {
 		return nil, err
@@ -188,19 +212,39 @@ func (r *Router) call(ctx context.Context, member Registration, req core.QueryOp
 			return nil, fmt.Errorf("gma: %s answered 304 Not Modified to validator %q with %q", member.Endpoint, req.Validator, resp.Validator)
 		}
 		r.notModified.Add(1)
-		sp.SetAttr("not_modified", "true")
-		out := held.resp
-		out.ResultSet = held.resp.ResultSet.Clone() // a result set has a cursor
-		out.Validator = ""
-		out.Elapsed = r.clock().Sub(start)
-		return &out, nil
+		if resp.Version != "" {
+			r.held.confirm(held, resp.Version)
+			r.follow(member.Endpoint)
+		}
+		return r.serveHeld(held, "not_modified", start, sp), nil
 	}
 	if resp.Validator == "" || resp.ResultSet == nil {
 		r.held.drop(key)
 	} else {
-		r.held.put(key, member.Endpoint, resp)
+		r.held.put(key, member.Endpoint, resp, r.clock())
 		resp.ResultSet = resp.ResultSet.Clone() // nobody writes the held set's arrays
+		if resp.Version != "" {
+			r.follow(member.Endpoint)
+		}
 	}
-	resp.Validator = ""
+	if sp.Recording() {
+		sp.SetAttr("answered", "full")
+	}
+	resp.Validator, resp.Version = "", ""
 	return resp, nil
+}
+
+// serveHeld answers from the held answer, which rung confirmed, as measured
+// since start.
+func (r *Router) serveHeld(held *heldAnswer, rung string, start time.Time, sp trace.Span) *core.Response {
+	out := held.resp
+	out.ResultSet = held.resp.ResultSet.Clone() // a result set has a cursor
+	out.Validator, out.Version = "", ""
+	now := r.clock()
+	out.Elapsed = now.Sub(start)
+	if sp.Recording() {
+		sp.SetAttr("answered", rung)
+		sp.SetAttr("held_age", now.Sub(held.at).String())
+	}
+	return &out
 }

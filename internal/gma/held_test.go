@@ -118,7 +118,7 @@ func TestRouterRevalidatesHeldAnswers(t *testing.T) {
 	}
 	var marked bool
 	for _, sp := range spans {
-		if sp.Name == "remote-query" && sp.Attrs["not_modified"] == "true" {
+		if sp.Name == "remote-query" && sp.Attrs["answered"] == "not_modified" && sp.Attrs["held_age"] == "1ms" {
 			marked = true
 		}
 		if sp.Remote {
@@ -126,7 +126,7 @@ func TestRouterRevalidatesHeldAnswers(t *testing.T) {
 		}
 	}
 	if !marked {
-		t.Errorf("no remote-query span carries not_modified: %+v", spans)
+		t.Errorf("no remote-query span says it was answered not_modified from a held answer 1ms old: %+v", spans)
 	}
 	if st := r.Stats(); st.NotModified != 1 {
 		t.Errorf("NotModified = %d, want 1", st.NotModified)
@@ -249,21 +249,21 @@ func TestHeldAnswersFitTheirBudget(t *testing.T) {
 	}
 	third := intRows(t, heldBytes/8/3+1, 0)
 	for i := 0; i < 5; i++ {
-		h.put([]byte(fmt.Sprint("k", i)), "http://r", &core.Response{ResultSet: third, Validator: "v"})
+		h.put([]byte(fmt.Sprint("k", i)), "http://r", &core.Response{ResultSet: third, Validator: "v"}, time.Time{})
 		fits("a third of the budget each")
 	}
 	if n := h.count(); n != 2 {
 		t.Errorf("%d answers of a third of the budget held, want 2", n)
 	}
-	h.put([]byte("k0"), "http://r", &core.Response{ResultSet: intRows(t, heldBytes/8+1, 0), Validator: "v"})
-	if h.get([]byte("k0")) != nil {
+	h.put([]byte("k0"), "http://r", &core.Response{ResultSet: intRows(t, heldBytes/8+1, 0), Validator: "v"}, time.Time{})
+	if e, _ := h.get([]byte("k0")); e != nil {
 		t.Error("an answer larger than the budget was held")
 	}
 
 	empty := intRows(t, 0, 0)
 	most := heldBytes / heldEntryBytes
 	for i := 0; i < 2*most; i++ {
-		h.put([]byte(fmt.Sprint("empty", i)), "http://r", &core.Response{ResultSet: empty, Validator: "v", SQL: "SELECT N FROM T WHERE N < 0"})
+		h.put([]byte(fmt.Sprint("empty", i)), "http://r", &core.Response{ResultSet: empty, Validator: "v", SQL: "SELECT N FROM T WHERE N < 0"}, time.Time{})
 	}
 	fits("empty answers")
 	if n := h.count(); n > most || n < most/2 {
@@ -273,7 +273,7 @@ func TestHeldAnswersFitTheirBudget(t *testing.T) {
 	long := strings.Repeat("x", 64<<10)
 	for i := 0; i < 1000; i++ {
 		key := fmt.Sprint(i, long)
-		h.put([]byte(key), "http://r", &core.Response{ResultSet: empty, Validator: "v", SQL: key})
+		h.put([]byte(key), "http://r", &core.Response{ResultSet: empty, Validator: "v", SQL: key}, time.Time{})
 	}
 	fits("empty answers under 64 KiB keys")
 	if n, want := h.count(), heldBytes/(128<<10); n > want {
@@ -283,9 +283,9 @@ func TestHeldAnswersFitTheirBudget(t *testing.T) {
 	req := core.QueryOptions{SQL: "SELECT * FROM Processor", Site: "R", Region: []string{"s1", "s2", "s3"},
 		Principal: security.Principal{Name: "u", Roles: []string{"operator"}, Site: "A"}}
 	var buf [256]byte
-	h.put(appendHeldKey(buf[:0], "http://r", &req), "http://r", &core.Response{ResultSet: intRows(t, 1, 0), Validator: "v"})
+	h.put(appendHeldKey(buf[:0], "http://r", &req), "http://r", &core.Response{ResultSet: intRows(t, 1, 0), Validator: "v"}, time.Time{})
 	if allocs := testing.AllocsPerRun(100, func() {
-		if h.get(appendHeldKey(buf[:0], "http://r", &req)) == nil {
+		if e, _ := h.get(appendHeldKey(buf[:0], "http://r", &req)); e == nil {
 			t.Fatal("held answer not found")
 		}
 	}); allocs != 0 {

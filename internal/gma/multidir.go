@@ -114,41 +114,41 @@ func (m *MultiDirectory) ranked() []*replica {
 // every replica concurrently and succeeds if at least one replica accepted
 // it.
 func (m *MultiDirectory) RegisterContext(ctx context.Context, p Registration) error {
-	errs := make([]error, len(m.replicas))
-	var wg sync.WaitGroup
-	for i, r := range m.replicas {
-		wg.Add(1)
-		go func(i int, r *replica) {
-			defer wg.Done()
-			err := r.svc.RegisterContext(ctx, p)
-			errs[i] = err
-			if err != nil {
-				r.noteErr(err, time.Now())
-			} else {
-				r.noteOK(time.Now())
-			}
-		}(i, r)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err == nil {
-			return nil
+	return m.everywhere("register", func(r *replica) error {
+		err := r.svc.RegisterContext(ctx, p)
+		if err != nil {
+			r.noteErr(err, time.Now())
+		} else {
+			r.noteOK(time.Now())
 		}
-	}
-	return fmt.Errorf("gma: register failed on every replica: %w", errors.Join(errs...))
+		return err
+	})
 }
 
 // DeregisterContext implements DirectoryService: best-effort fan-out like
 // RegisterContext.
 func (m *MultiDirectory) DeregisterContext(ctx context.Context, name string) error {
+	return m.everywhere("deregister", func(r *replica) error { return r.svc.DeregisterContext(ctx, name) })
+}
+
+// everywhere runs do on every replica, concurrently, and succeeds if it
+// succeeded on one; what names the operation in the all-failed error. A
+// lone replica is asked on the caller's goroutine, as most federations run.
+func (m *MultiDirectory) everywhere(what string, do func(*replica) error) error {
+	if len(m.replicas) == 1 {
+		if err := do(m.replicas[0]); err != nil {
+			return fmt.Errorf("gma: %s failed on every replica: %w", what, err)
+		}
+		return nil
+	}
 	errs := make([]error, len(m.replicas))
 	var wg sync.WaitGroup
 	for i, r := range m.replicas {
 		wg.Add(1)
-		go func(i int, r *replica) {
+		go func() {
 			defer wg.Done()
-			errs[i] = r.svc.DeregisterContext(ctx, name)
-		}(i, r)
+			errs[i] = do(r)
+		}()
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -156,7 +156,7 @@ func (m *MultiDirectory) DeregisterContext(ctx context.Context, name string) err
 			return nil
 		}
 	}
-	return fmt.Errorf("gma: deregister failed on every replica: %w", errors.Join(errs...))
+	return fmt.Errorf("gma: %s failed on every replica: %w", what, errors.Join(errs...))
 }
 
 // LookupContext implements DirectoryService: replicas are tried in

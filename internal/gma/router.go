@@ -44,6 +44,13 @@ type Config struct {
 	RetryBackoff time.Duration
 	// Clock is injectable for tests; nil uses time.Now.
 	Clock func() time.Time
+	// Watch follows a republisher's version beside exec, as
+	// web.RemoteVersionContext does over HTTP: the router keeps one watch
+	// per republisher endpoint it holds answers from, and serves a held
+	// answer without a request while its watch is live and names the
+	// answer's version. Nil keeps no watch: every held answer is
+	// revalidated with a request.
+	Watch VersionContext
 }
 
 // Stats counts Router activity.
@@ -76,6 +83,14 @@ type Stats struct {
 	// NotModified counts republisher answers served from the answer the
 	// router held, after the republisher answered 304 Not Modified.
 	NotModified int64
+	// WatchConfirmed counts republisher answers served from the answer the
+	// router held with no request, its version confirmed by a live watch.
+	WatchConfirmed int64
+	// RegionLegs counts the region legs a republisher answered: evaluated,
+	// 304 or watch-confirmed.
+	RegionLegs int64
+	// LiveWatches is how many version watches are live now.
+	LiveWatches int
 }
 
 // snapshot is the router's copy of the directory: one registration list
@@ -127,6 +142,17 @@ func (s *snapshot) keep(local string) {
 	s.kept = true
 }
 
+// republishers is the set of republisher endpoints s lists.
+func (s *snapshot) republishers() map[string]bool {
+	live := make(map[string]bool)
+	for _, reg := range s.regs {
+		if reg.Role == RoleRepublisher {
+			live[reg.Endpoint] = true
+		}
+	}
+	return live
+}
+
 // find returns the member named name, whatever its role.
 func (s *snapshot) find(name string) (Registration, bool) {
 	i, ok := slices.BinarySearchFunc(s.regs, name, func(reg Registration, name string) int {
@@ -170,12 +196,17 @@ type Router struct {
 	breakers map[string]*breaker.Breaker // by endpoint
 	// held are the republishers' latest answers, revalidated by call.
 	held heldAnswers
+	// watches are the version watches, by republisher endpoint; closed is
+	// set by Close, after which none starts. watching counts their loops.
+	watches  map[string]*versionWatch
+	closed   bool
+	watching sync.WaitGroup
 
 	remoteQueries, remoteFailures, remoteRetries atomic.Int64
 	breakerOpens, breakerSkipped                 atomic.Int64
 	lookupHits, staleLookups                     atomic.Int64
 	repubRoutes, repubFallthroughs               atomic.Int64
-	notModified                                  atomic.Int64
+	notModified, watchConfirmed, regionLegs      atomic.Int64
 }
 
 // NewRouter creates the Router for the gateway named local; exec forwards
@@ -212,6 +243,9 @@ func (r *Router) Stats() Stats {
 		RepubRoutes:          r.repubRoutes.Load(),
 		RepubFallthroughs:    r.repubFallthroughs.Load(),
 		NotModified:          r.notModified.Load(),
+		WatchConfirmed:       r.watchConfirmed.Load(),
+		RegionLegs:           r.regionLegs.Load(),
+		LiveWatches:          r.liveWatches(),
 	}
 }
 
@@ -238,6 +272,9 @@ func (r *Router) RegisterMetrics(reg *metrics.Registry) {
 		c.Counter("gridrm_repub_routes_total", "Site queries routed via the owning republisher.", float64(st.RepubRoutes))
 		c.Counter("gridrm_repub_fallthroughs_total", "Republisher-routed queries that fell through to the site gateway.", float64(st.RepubFallthroughs))
 		c.Counter("gridrm_remote_not_modified_total", "Republisher answers served from the held answer after a 304 Not Modified.", float64(st.NotModified))
+		c.Counter("gridrm_remote_watch_confirmed_total", "Republisher answers served from the held answer with no request, confirmed by a live version watch.", float64(st.WatchConfirmed))
+		c.Counter("gridrm_remote_region_legs_total", "Region legs a republisher answered: evaluated, 304 or watch-confirmed.", float64(st.RegionLegs))
+		c.Gauge("gridrm_remote_live_watches", "Version watches on republishers that are live.", float64(st.LiveWatches))
 		c.Gauge("gridrm_remote_held_answers", "Republisher answers held for revalidation.", float64(answers))
 		c.Gauge("gridrm_remote_held_bytes", "Estimated bytes of the republisher answers held for revalidation.", float64(bytes))
 		c.Gauge("gridrm_directory_copy_age_seconds", "Seconds since the router last listed the directory (0 with no copy kept).", age)
@@ -313,7 +350,9 @@ func (r *Router) read(ctx context.Context) (s *snapshot, cached bool, err error)
 		return &renewed, false, nil
 	}
 	s = newSnapshot(regs, now)
-	r.held.retain(s)
+	live := s.republishers()
+	r.held.retain(live)
+	r.unwatch(live)
 	if r.cfg.LookupTTL > 0 {
 		s.keep(r.local)
 		r.mu.Lock()
@@ -439,6 +478,9 @@ func (r *Router) RemoteQueryContext(ctx context.Context, site string, req core.Q
 		resp, err := r.call(ctx, p, req, sp)
 		if err == nil {
 			br.OnSuccess()
+			if p.Role == RoleRepublisher {
+				r.regionLegs.Add(1)
+			}
 			return resp, nil
 		}
 		lastErr = err

@@ -78,17 +78,26 @@ type bitReader struct {
 	pos  uint
 }
 
-func (r *bitReader) read(n uint) (v uint64) {
-	for n > 0 {
-		i, used := r.pos>>3, r.pos&7
-		k := min(n, 8-used)
-		var b byte
-		if i < uint(len(r.data)) {
-			b = r.data[i]
-		}
-		v = v<<k | uint64(b>>(8-used-k)&(1<<k-1))
-		n, r.pos = n-k, r.pos+k
+// read returns the next n bits, n at most 64. It loads the eight bytes
+// they start in as one word, so a read of up to 57 bits is one shift.
+func (r *bitReader) read(n uint) uint64 {
+	if n == 0 {
+		return 0
 	}
+	if used := r.pos & 7; n > 64-used {
+		hi := r.read(n - 32)
+		return hi<<32 | r.read(32)
+	}
+	var w uint64
+	if i := r.pos >> 3; i+8 <= uint(len(r.data)) {
+		w = binary.BigEndian.Uint64(r.data[i:])
+	} else {
+		for j := uint(0); j < 8 && i+j < uint(len(r.data)); j++ {
+			w |= uint64(r.data[i+j]) << (56 - 8*j)
+		}
+	}
+	v := w << (r.pos & 7) >> (64 - n)
+	r.pos += n
 	return v
 }
 
@@ -372,6 +381,62 @@ func (c *chunk) each(b *block, hi int, fn func(r int, v resultset.Cell)) {
 				} else {
 					fn(r, resultset.Cell{Kind: kind, Int: v})
 				}
+			}
+		}
+	}
+}
+
+// put adds rows [r0, r1) of block blk to b as its column blk.idx of the rows
+// not yet completed, decoded straight into b's column when every row holds a
+// value and the column can take them as a run, a cell at a time otherwise.
+func (c *chunk) put(b *resultset.Builder, blk *block, r0, r1 int) {
+	kind := glue.Kind(blk.kind)
+	if blk.off == blk.mid { // no row is NULL
+		if nums, strs, times, ok := b.Dense(0, int(blk.idx), kind, r1-r0); ok {
+			c.decode(blk, r0, r1, nums, strs, times)
+			return
+		}
+	}
+	c.each(blk, r1, func(r int, v resultset.Cell) {
+		if r >= r0 {
+			b.Put(r-r0, int(blk.idx), v)
+		}
+	})
+}
+
+// decode writes rows [r0, r1) of block blk, whose every row holds a value,
+// to the cells of its kind: strs, times, or nums (Int and Bool values,
+// Float bits).
+func (c *chunk) decode(blk *block, r0, r1 int, nums []int64, strs []string, times []time.Time) {
+	data := c.buf[blk.mid:blk.end]
+	switch kind := glue.Kind(blk.kind); kind {
+	case glue.String:
+		rd := bitReader{data: data, pos: uint(r0) * uint(blk.width)}
+		dict := c.dict[blk.dict:]
+		for i := range strs {
+			strs[i] = dict[rd.read(uint(blk.width))]
+		}
+	case glue.Float:
+		x := xorReader{bitReader: bitReader{data: data}}
+		for r := 0; r < r0; r++ {
+			x.next()
+		}
+		for i := range nums {
+			nums[i] = int64(x.next())
+		}
+	default:
+		var v int64
+		pos := 0
+		for r := 0; r < r1; r++ {
+			d, k := binary.Varint(data[pos:]) // past the end: a zero delta
+			pos += k
+			v = int64(uint64(v) + uint64(d))
+			switch {
+			case r < r0:
+			case kind == glue.Time:
+				times[r-r0] = time.Unix(0, v)
+			default:
+				nums[r-r0] = v
 			}
 		}
 	}

@@ -119,6 +119,38 @@ func (c *column) appendFrom(n int, src *column, from, to, room int) {
 	}
 }
 
+// put adds rows [r0, r1) to b as its column c.idx of the rows not yet
+// completed: as a range of the Vector, or decoded straight into b's column
+// when every one of them holds a value, or else a cell at a time.
+func (c *column) put(b *resultset.Builder, r0, r1 int) {
+	if int(c.Rows) <= r0 {
+		return // NULL throughout
+	}
+	if c.kind != glue.String && c.kind != glue.Time {
+		b.Range(c.idx, &c.Vector, r0, r1)
+		return
+	}
+	if c.Nulls == resultset.NoNull && int(c.Rows) >= r1 {
+		if _, strs, times, ok := b.Dense(0, c.idx, c.kind, r1-r0); ok {
+			if c.kind == glue.String {
+				for r := r0; r < r1; r++ {
+					strs[r-r0] = c.dict[c.codes[r]]
+				}
+			} else {
+				for r := r0; r < r1; r++ {
+					times[r-r0] = time.Unix(0, c.Nums[r])
+				}
+			}
+			return
+		}
+	}
+	for r := r0; r < min(r1, int(c.Rows)); r++ {
+		if !c.Null(r) {
+			b.Put(r-r0, c.idx, c.at(r))
+		}
+	}
+}
+
 // holds reports whether any of rows [from, to) holds a value.
 func (c *column) holds(from, to int) bool {
 	for r := from; r < min(to, int(c.Rows)); r++ {
@@ -531,21 +563,11 @@ func (s *series) putPart(b *resultset.Builder, c *chunk, sp *span, a, z, width i
 	r0, r1 := int(sp.starts[a]), int(sp.starts[z])
 	if c == nil {
 		for i := range s.open.cols {
-			col := &s.open.cols[i]
-			for r := r0; r < min(r1, int(col.Rows)); r++ {
-				if !col.Null(r) {
-					b.Put(r-r0, col.idx, col.at(r))
-				}
-			}
+			s.open.cols[i].put(b, r0, r1)
 		}
 	} else {
 		for i := range c.cols {
-			blk := &c.cols[i]
-			c.each(blk, r1, func(r int, v resultset.Cell) {
-				if r >= r0 {
-					b.Put(r-r0, int(blk.idx), v)
-				}
-			})
+			c.put(b, &c.cols[i], r0, r1)
 		}
 	}
 	for i := a; provenance && i < z; i++ {

@@ -66,6 +66,9 @@ type Stats struct {
 	// NotModified counts region and site queries answered 304: the
 	// caller's validator was still current, so nothing was evaluated.
 	NotModified int64 `json:"notModified"`
+	// VersionPolls counts the version watches answered (GET
+	// /repub/version), the 304s after a quiet wait included.
+	VersionPolls int64 `json:"versionPolls"`
 	// Scrapes and ScrapeErrors count child-site scrape attempts.
 	Scrapes      int64 `json:"scrapes"`
 	ScrapeErrors int64 `json:"scrapeErrors"`
@@ -118,6 +121,7 @@ type Gateway struct {
 	siteQueries        atomic.Int64
 	notOwned           atomic.Int64
 	notModified        atomic.Int64
+	versionPolls       atomic.Int64
 	scrapes            atomic.Int64
 	scrapeErrors       atomic.Int64
 	liveRows           atomic.Int64
@@ -205,6 +209,7 @@ func (g *Gateway) registerMetrics() {
 		c.Counter("gridrm_repub_site_queries_total", "Queries answered for one owned site.", float64(st.SiteQueries))
 		c.Counter("gridrm_repub_not_owned_total", "Queries refused because a site they name is not owned.", float64(st.NotOwned))
 		c.Counter("gridrm_repub_not_modified_total", "Queries answered 304 Not Modified: the caller's validator was current.", float64(st.NotModified))
+		c.Counter("gridrm_repub_version_polls_total", "Version watches answered (GET /repub/version).", float64(st.VersionPolls))
 		c.Counter("gridrm_repub_scrapes_total", "Child-site scrape attempts.", float64(st.Scrapes))
 		c.Counter("gridrm_repub_scrape_errors_total", "Child-site scrapes that failed.", float64(st.ScrapeErrors))
 		c.Counter("gridrm_repub_live_rows_total", "Rows applied from feeds.", float64(st.LiveRows))
@@ -238,6 +243,7 @@ func (g *Gateway) Stats() Stats {
 		SiteQueries:        g.siteQueries.Load(),
 		NotOwned:           g.notOwned.Load(),
 		NotModified:        g.notModified.Load(),
+		VersionPolls:       g.versionPolls.Load(),
 		Scrapes:            g.scrapes.Load(),
 		ScrapeErrors:       g.scrapeErrors.Load(),
 		LiveRows:           g.liveRows.Load(),
@@ -351,6 +357,7 @@ func (g *Gateway) halt(shed bool) bool {
 		g.ownsGen++
 	}
 	g.mu.Unlock()
+	g.store.changes.Notify()
 	cancel()
 	for _, w := range workers {
 		<-w.done
@@ -454,6 +461,9 @@ func (g *Gateway) rebalance(regs []gma.Registration) {
 		}
 	}
 	g.mu.Unlock()
+	if changed {
+		g.store.changes.Notify() // the shard generation is in the version
+	}
 	// A stopped worker's last write lands before its view is dropped, and
 	// its successor starts on an empty view.
 	for _, w := range stopped {
@@ -653,9 +663,12 @@ func (g *Gateway) QueryContext(ctx context.Context, req core.QueryOptions) (*cor
 	}
 	id := requestID(plan.SQL, req.Mode, pinned)
 	var vbuf [validatorLen]byte
-	if req.Validator != "" && string(g.appendValidator(vbuf[:0], id, gen, g.store.Version(q.Table, sites))) == req.Validator {
-		g.notModified.Add(1)
-		return &core.Response{NotModified: true, Validator: req.Validator}, nil
+	if req.Validator != "" {
+		v := g.store.Version(q.Table, sites)
+		if string(g.appendValidator(vbuf[:0], id, gen, v)) == req.Validator {
+			g.notModified.Add(1)
+			return &core.Response{NotModified: true, Validator: req.Validator, Version: g.token(gen, v)}, nil
+		}
 	}
 	meta, parts, fresh, version := g.store.Parts(q.Table, sites)
 	if meta == nil {
@@ -685,6 +698,7 @@ func (g *Gateway) QueryContext(ctx context.Context, req core.QueryOptions) (*cor
 		Sources:   statuses,
 		Elapsed:   g.opts.Clock().Sub(start),
 		Validator: string(g.appendValidator(vbuf[:0], id, gen, version)),
+		Version:   g.token(gen, version),
 	}, nil
 }
 
@@ -738,6 +752,28 @@ func (g *Gateway) cover(req core.QueryOptions) (sites, pinned []string, gen uint
 // validatorLen is a validator's fixed length: four values of 16 hex digits.
 const validatorLen = 64
 
+// token is the version token of the whole republisher while the owned
+// shard was at generation gen and the store at v: the epoch, v's latest
+// stamp, and v's removals plus gen. An answer carries the token it was read
+// at, and GET /repub/version serves the current one; any update, removal or
+// rebalance since gives a token no earlier state had. gen is read before
+// the store, so a token never names a later state than the answer's.
+func (g *Gateway) token(gen uint64, v Version) string {
+	var buf [tokenLen]byte
+	return string(appendHex(buf[:0], g.epoch, v.Latest, v.Removals+gen))
+}
+
+// tokenLen is a version token's fixed length: three values of 16 hex digits.
+const tokenLen = 48
+
+// currentToken reads the republisher's version token now.
+func (g *Gateway) currentToken() string {
+	g.mu.Lock()
+	gen := g.ownsGen
+	g.mu.Unlock()
+	return g.token(gen, g.store.Version("", nil))
+}
+
 // appendValidator appends the validator of the answer to request id over
 // views at version v, read while the owned shard was at generation gen: the
 // epoch, id, v's stamp, and v's removals plus gen. Each of the last two only
@@ -745,8 +781,13 @@ const validatorLen = 64
 // changed gets a validator it never had; the version is exact, since nothing
 // of it is hashed.
 func (g *Gateway) appendValidator(buf []byte, id, gen uint64, v Version) []byte {
+	return appendHex(buf, g.epoch, id, v.Stamp, v.Removals+gen)
+}
+
+// appendHex appends each of xs as 16 hex digits.
+func appendHex(buf []byte, xs ...uint64) []byte {
 	const digits = "0123456789abcdef"
-	for _, x := range [4]uint64{g.epoch, id, v.Stamp, v.Removals + gen} {
+	for _, x := range xs {
 		for shift := 60; shift >= 0; shift -= 4 {
 			buf = append(buf, digits[x>>shift&0xF])
 		}

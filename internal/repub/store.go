@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"gridrm/internal/glue"
+	"gridrm/internal/gma"
 	"gridrm/internal/resultset"
 )
 
@@ -29,20 +30,23 @@ import (
 //
 // Every update stamps its view with the next value of one store-wide
 // counter, and every removal counts, so a Version names the state of any set
-// of views exactly (see Version).
+// of views exactly (see Version), and of the whole store.
 type Store struct {
 	mu    sync.RWMutex
 	sites map[string]map[string]*groupView // site → group → view
 	// stamp is the last stamp an update gave a view; removals counts
 	// RemoveSite calls.
 	stamp, removals uint64
+	// changes wakes the version watches on every update and removal.
+	changes gma.Changes
 }
 
 // Version is the state of the views a region answer covers: the newest
 // stamp among them and the store's removal count. Both only grow, so any
 // update to a covered view, and any view dropped, gives a later Version a
-// value no earlier one had.
-type Version struct{ Stamp, Removals uint64 }
+// value no earlier one had. Latest is the store's last stamp, whichever
+// view it went to: with Removals it names the state of every view.
+type Version struct{ Stamp, Removals, Latest uint64 }
 
 // groupView is one (site, group) slice of the merged view: a scrape's whole
 // table (snap, shared read-only) until a row is pushed, then the pushed rows
@@ -109,6 +113,7 @@ func (s *Store) SetSnapshot(site, group string, rs *resultset.ResultSet, at time
 func (s *Store) stampView(gv *groupView) {
 	s.stamp++
 	gv.stamp = s.stamp
+	s.changes.Notify()
 }
 
 // Upsert stores one subscription-pushed row, mapping the pushed columns onto
@@ -204,10 +209,12 @@ func (s *Store) RemoveSite(site string) {
 	s.mu.Lock()
 	delete(s.sites, site)
 	s.removals++
+	s.changes.Notify()
 	s.mu.Unlock()
 }
 
-// Version reports the state of the listed sites' views of the group.
+// Version reports the state of the listed sites' views of the group, and
+// of the store (Latest).
 func (s *Store) Version(group string, sites []string) Version {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -215,7 +222,7 @@ func (s *Store) Version(group string, sites []string) Version {
 }
 
 func (s *Store) version(group string, sites []string) Version {
-	v := Version{Removals: s.removals}
+	v := Version{Removals: s.removals, Latest: s.stamp}
 	for _, site := range sites {
 		if gv, ok := s.sites[site][group]; ok && gv.stamp > v.Stamp {
 			v.Stamp = gv.stamp

@@ -295,6 +295,37 @@ func (c *Vector) AppendRange(n int, src *Vector, from, to, room int) {
 	}
 }
 
+// dense stores count values of kind k as rows n onwards, which follow n rows
+// that each hold a value, and returns the cells of the array k selects (Nums
+// for Int, Bool and Float bits; Strs; Times) for the caller to fill with
+// them. ok is false, and nothing is stored, when a row before n is NULL.
+func (c *Vector) dense(n int, k glue.Kind, count, room int) (nums []int64, strs []string, times []time.Time, ok bool) {
+	if c.Nulls == SomeNull || int(c.Rows) != n {
+		return nil, nil, nil, false
+	}
+	if count <= 0 {
+		return nil, nil, nil, true
+	}
+	c.kind, c.Nulls, c.Rows = uint8(k), NoNull, int32(n+count)
+	switch k {
+	case glue.String:
+		c.Strs = extended(c.Strs, n, count, room)
+		return nil, c.Strs[n:], nil, true
+	case glue.Time:
+		c.Times = extended(c.Times, n, count, room)
+		return nil, nil, c.Times[n:], true
+	default:
+		c.Nums = extended(c.Nums, n, count, room)
+		return c.Nums[n:], nil, nil, true
+	}
+}
+
+// extended returns s as n+count cells, the count after n for the caller to
+// write; an array made here has room for room cells.
+func extended[T any](s []T, n, count, room int) []T {
+	return slices.Grow(Padded(s, n, room), count)[:n+count]
+}
+
 // shared returns c for another set to hold: the same arrays, clipped so that
 // a Set there cannot write into them.
 func (c Vector) shared() Vector {

@@ -676,8 +676,22 @@ func (b *Builder) Range(c int, src *Vector, from, to int) {
 	}
 }
 
-// Rows completes k rows, whose cells Put and Range stored; a cell neither
-// stored is NULL.
+// Dense is Put for a run of count values a producer decodes itself: they
+// become column c, of kind k, of the i-th row not yet completed and the ones
+// after it, and Dense returns the cells to write them to — Nums for Int,
+// Bool and Float (as IEEE-754 bits), Strs or Times. ok is false, and
+// nothing is stored, when the column misses a value before row i: the
+// producer Puts the values one by one instead.
+func (b *Builder) Dense(i, c int, k glue.Kind, count int) (nums []int64, strs []string, times []time.Time, ok bool) {
+	col := b.column(c, k)
+	if col == nil {
+		return nil, nil, nil, false
+	}
+	return col.dense(int(b.rs.n)+i, k, count, int(b.rs.room))
+}
+
+// Rows completes k rows, whose cells Put, Range and Dense stored; a cell
+// none stored is NULL.
 func (b *Builder) Rows(k int) { b.rs.n += int32(k) }
 
 // Reset empties the set being built, which Build may have handed out, and

@@ -472,6 +472,7 @@ func (h *Harness) federate() error {
 		LookupTTL:     fed.LookupTTL,
 		RetryAttempts: fed.RetryAttempts,
 		Clock:         h.opts.Clock,
+		Watch:         web.RemoteVersionContext,
 	})
 	h.Entry.Gateway.SetGlobalRouter(h.Router)
 	h.Router.RegisterMetrics(h.Entry.Gateway.Metrics())
@@ -700,6 +701,9 @@ func (h *Harness) Close() {
 	if h.stopAwait != nil {
 		h.stopAwait()
 		h.awaiting.Wait()
+	}
+	if h.Router != nil {
+		h.Router.Close()
 	}
 	for _, site := range h.SiteOrder {
 		rt := h.Sites[site]

@@ -30,7 +30,12 @@ var statsRules = map[string]statsRule{
 		"Dropped":   "gridrm_rows_dropped_total",
 		"Evicted":   "gridrm_subscriber_evictions_total",
 	}},
-	"gma.Stats":          {irregular: map[string]string{"NotModified": "gridrm_remote_not_modified_total"}},
+	"gma.Stats": {irregular: map[string]string{
+		"NotModified":    "gridrm_remote_not_modified_total",
+		"WatchConfirmed": "gridrm_remote_watch_confirmed_total",
+		"RegionLegs":     "gridrm_remote_region_legs_total",
+		"LiveWatches":    "gridrm_remote_live_watches",
+	}},
 	"gma.RegistrarStats": {prefix: "directory_", irregular: map[string]string{"Failures": "gridrm_directory_registration_failures_total"}},
 	"repub.Stats":        {prefix: "repub_"},
 	"tsdb.Stats": {prefix: "history_", irregular: map[string]string{

@@ -222,16 +222,17 @@ var assertionKeys = map[string]string{
 	"max_row_drop_rate":      "gridrm_rows_dropped_total", // per gridrm_rows_enqueued_total
 	"min_sub_evictions":      "gridrm_subscriber_evictions_total",
 	"min_sink_breaker_opens": "gridrm_sink_breaker_opens_total",
-	// Hierarchical federation: republisher region answers, entry-router
-	// republisher routing, and the fan-out ceiling (a fan-out query may
-	// touch at most this many remote legs — with republishers that is the
-	// republisher count, not the site count).
-	"min_repub_region_queries": "gridrm_repub_region_queries_total",
-	"min_repub_routes":         "gridrm_repub_routes_total",
-	"min_repub_fallthroughs":   "gridrm_repub_fallthroughs_total",
-	"min_repub_live_rows":      "gridrm_repub_live_rows_total",
-	"min_repub_rebalances":     "gridrm_repub_rebalances_total",
-	"max_remote_per_fanout":    "gridrm_fanout_legs_total", // per gridrm_fanouts_total
+	// Hierarchical federation: region legs republishers answered, counted
+	// at the entry whatever rung answered them (evaluated, 304 or
+	// watch-confirmed), entry-router republisher routing, and the fan-out
+	// ceiling (a fan-out query may touch at most this many remote legs —
+	// with republishers that is the republisher count, not the site count).
+	"min_region_legs":        "gridrm_remote_region_legs_total",
+	"min_repub_routes":       "gridrm_repub_routes_total",
+	"min_repub_fallthroughs": "gridrm_repub_fallthroughs_total",
+	"min_repub_live_rows":    "gridrm_repub_live_rows_total",
+	"min_repub_rebalances":   "gridrm_repub_rebalances_total",
+	"max_remote_per_fanout":  "gridrm_fanout_legs_total", // per gridrm_fanouts_total
 }
 
 // LoadScenario reads, parses and validates a scenario file.

@@ -259,16 +259,24 @@ func (c *Client) doContext(ctx context.Context, method, path string, body any, o
 // decoded into out. It returns the answer's strong ETag, and notModified
 // for a 304, which has no body to decode.
 func (c *Client) Exchange(ctx context.Context, method, path string, body []byte, ifNoneMatch string, out any) (etag string, notModified bool, err error) {
+	h, notModified, err := c.exchange(ctx, method, path, body, ifNoneMatch, out)
+	if err != nil {
+		return "", false, err
+	}
+	return UnquoteETag(h.Get(HeaderETag)), notModified, nil
+}
+
+// exchange is Exchange returning the answer's headers.
+func (c *Client) exchange(ctx context.Context, method, path string, body []byte, ifNoneMatch string, out any) (http.Header, bool, error) {
 	ctx, cancel := c.withTimeout(ctx)
 	defer cancel()
 	resp, err := c.send(ctx, method, path, body, ifNoneMatch)
 	if err != nil {
-		return "", false, err
+		return nil, false, err
 	}
 	defer resp.Body.Close()
-	etag = UnquoteETag(resp.Header.Get(HeaderETag))
 	if resp.StatusCode == http.StatusNotModified {
-		return etag, true, nil
+		return resp.Header, true, nil
 	}
 	if out != nil {
 		limit := c.MaxBody
@@ -276,37 +284,39 @@ func (c *Client) Exchange(ctx context.Context, method, path string, body []byte,
 			limit = maxResponseBody
 		}
 		if err := httpjson.DecodeBody(resp.Body, resp.ContentLength, limit, out); err != nil {
-			return "", false, fmt.Errorf("web: %s response: %w", path, timedOut(ctx, err))
+			return nil, false, fmt.Errorf("web: %s response: %w", path, timedOut(ctx, err))
 		}
 	}
-	return etag, false, nil
+	return resp.Header, false, nil
 }
 
 // Query executes a SQL query at the gateway. When ctx carries a trace, the
 // spans the gateway recorded for this query are stitched into it. A
 // req.Validator is sent as If-None-Match, and a 304 to it is the response
-// {NotModified, Validator}; an answer's ETag is its Validator.
+// {NotModified, Validator, Version}; an answer's ETag is its Validator and
+// its X-Gridrm-Version header its Version.
 func (c *Client) Query(ctx context.Context, req core.QueryOptions) (*core.Response, error) {
 	body, err := FromCoreRequest(req).AppendJSON(nil)
 	if err != nil {
 		return nil, err
 	}
 	var wr WireResponse
-	etag, notModified, err := c.Exchange(ctx, http.MethodPost, "/query", body, req.Validator, &wr)
+	h, notModified, err := c.exchange(ctx, http.MethodPost, "/query", body, req.Validator, &wr)
 	if err != nil {
 		return nil, err
 	}
+	etag, version := UnquoteETag(h.Get(HeaderETag)), h.Get(HeaderVersion)
 	if notModified {
 		if req.Validator == "" {
 			return nil, errors.New("web: POST /query: 304 Not Modified to a query that sent no validator")
 		}
-		return &core.Response{NotModified: true, Validator: etag}, nil
+		return &core.Response{NotModified: true, Validator: etag, Version: version}, nil
 	}
 	resp, err := DecodeResponse(wr)
 	if err != nil {
 		return nil, err
 	}
-	resp.Validator = etag
+	resp.Validator, resp.Version = etag, version
 	trace.AttachRemote(ctx, resp.Trace)
 	return resp, nil
 }
@@ -434,4 +444,18 @@ func (c *Client) Trace(ctx context.Context, id string) (*trace.TraceData, error)
 func RemoteQueryContext(ctx context.Context, endpoint string, req core.QueryOptions) (*core.Response, error) {
 	c := &Client{BaseURL: endpoint, Principal: req.Principal}
 	return c.Query(ctx, req)
+}
+
+// RemoteVersionContext long-polls a republisher endpoint's version, GET
+// /repub/version: it returns the version token once it differs from token,
+// or once wait has passed, and at once for an empty token. It is the watch
+// gma.Router keeps beside RemoteQueryContext; the answer has no body, only
+// the token as its ETag, and a 304 when the token is unchanged.
+func RemoteVersionContext(ctx context.Context, endpoint, token string, wait time.Duration) (string, error) {
+	c := Client{BaseURL: endpoint}
+	etag, _, err := c.Exchange(ctx, http.MethodGet, "/repub/version?wait="+wait.String(), nil, token, nil)
+	if err == nil && etag == "" {
+		err = fmt.Errorf("web: GET %s/repub/version: an answer without a version", endpoint)
+	}
+	return etag, err
 }

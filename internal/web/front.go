@@ -212,7 +212,8 @@ type Querier interface {
 // (WireRequest in, WireResponse out) that Client.Query and
 // RemoteQueryContext speak, behind the admission gate. A strong
 // If-None-Match is the request's Validator; an answer's Validator is its
-// ETag, and a NotModified answer is a 304 with no body.
+// ETag, its Version the X-Gridrm-Version header, and a NotModified answer is
+// a 304 with no body.
 func QueryRoute(q Querier) Route {
 	return Route{Pattern: "POST /query", Gated: true, Serve: func(ctx context.Context, w http.ResponseWriter, r *http.Request, p security.Principal) {
 		var wr WireRequest
@@ -237,6 +238,9 @@ func QueryRoute(q Querier) Route {
 		if resp.Validator != "" {
 			w.Header().Set(HeaderETag, `"`+resp.Validator+`"`)
 		}
+		if resp.Version != "" {
+			w.Header()[HeaderVersion] = []string{resp.Version}
+		}
 		if resp.NotModified {
 			w.WriteHeader(http.StatusNotModified)
 			return
@@ -245,10 +249,12 @@ func QueryRoute(q Querier) Route {
 	}}
 }
 
-// Validator headers, canonical as the principal headers are.
+// Validator headers, canonical as the principal headers are. HeaderVersion
+// carries an answer's core.Response.Version.
 const (
 	HeaderETag        = "Etag"
 	HeaderIfNoneMatch = "If-None-Match"
+	HeaderVersion     = "X-Gridrm-Version"
 )
 
 // UnquoteETag returns the validator a header names as one strong entity
