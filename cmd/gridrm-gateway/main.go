@@ -26,7 +26,6 @@ import (
 	"gridrm/internal/event"
 	"gridrm/internal/glue"
 	"gridrm/internal/gma"
-	"gridrm/internal/health"
 	"gridrm/internal/repub"
 	"gridrm/internal/router"
 	"gridrm/internal/sitekit"
@@ -78,7 +77,7 @@ func main() {
 		breakerTrips   = flag.Int("breaker-threshold", 0, "consecutive failures that open a source's circuit breaker (0 = default, negative = off)")
 		breakerCool    = flag.Duration("breaker-cooldown", 0, "how long an open breaker waits before a half-open probe (0 = default)")
 		staleGrace     = flag.Duration("stale-grace", 0, "how long expired cache entries remain servable as degraded results (0 = default 2m, negative = off)")
-		probeInterval  = flag.Duration("probe-interval", 15*time.Second, "background source health probe period (0 = off)")
+		probeInterval  = flag.Duration("probe-interval", 15*time.Second, "background source sweep period: ping each source its breaker allows (0 = off)")
 
 		lookupTTL     = flag.Duration("lookup-ttl", 15*time.Second, "how long directory lookups are cached by the router (negative = off)")
 		remoteRetries = flag.Int("remote-retries", 1, "additional attempts for a failed remote-gateway query")
@@ -134,7 +133,7 @@ func main() {
 			Retry:          core.RetryOptions{Attempts: *retries},
 			Breaker:        breaker.Options{Threshold: *breakerTrips, Cooldown: *breakerCool},
 			StaleGrace:     *staleGrace,
-			Probe:          health.Options{Interval: *probeInterval},
+			ProbeInterval:  *probeInterval,
 			Trace:          trace.Options{Sample: *traceSample, SlowThreshold: *slowlogThold},
 		},
 	}, *dynamic)
@@ -231,7 +230,7 @@ func main() {
 	// Ordered graceful shutdown: deregister from the GMA directory first so
 	// peers stop routing here and stop the router's version watches, then
 	// let the HTTP server finish in-flight requests, then drain the gateway
-	// itself (prober, queries, events, pool) — all bounded by the drain
+	// itself (source sweep, queries, events, pool) — all bounded by the drain
 	// timeout.
 	log.Printf("shutting down: draining for up to %s", drainTimeout)
 	ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)

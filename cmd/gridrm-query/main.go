@@ -121,16 +121,8 @@ func main() {
 				d.Checkpoints, d.CheckpointErrors, d.WALErrors, d.Reattaches,
 				d.WALSegments, d.DiskBytes, d.WALBytesSinceCheckpoint)
 		}
-		fmt.Printf("  probes: attempted=%d failed=%d skipped=%d transitions=%d\n",
-			st.Probes.Probes, st.Probes.Failures, st.Probes.Skipped, st.Probes.Transitions)
-		for _, h := range st.Health {
-			note := ""
-			if h.LastError != "" {
-				note = " last-error=" + h.LastError
-			}
-			fmt.Printf("  health %-48s %-9s failures=%-3d probed=%s%s\n",
-				h.URL, h.State, h.ConsecutiveFailures, h.LastProbe.Format(time.RFC3339), note)
-		}
+		fmt.Printf("  probes: attempted=%d failed=%d skipped=%d source-transitions=%d\n",
+			st.Gateway.Probes, st.Gateway.ProbeFailures, st.Gateway.ProbeSkipped, st.Gateway.SourceTransitions)
 		fmt.Printf("  pool: hits=%d misses=%d opens=%d idle=%d\n",
 			st.Pool.Hits, st.Pool.Misses, st.Pool.Opens, st.Pool.Idle)
 		fmt.Printf("  driver manager: scans=%d probes=%d cache-hits=%d failovers=%d\n",
@@ -174,7 +166,8 @@ func main() {
 		srcs, err := client.Sources(ctx)
 		fail(err)
 		for _, s := range srcs {
-			fmt.Printf("%-48s driver=%-16s breaker=%-9s %s\n", s.URL, s.LastDriver, s.Breaker, s.Description)
+			fmt.Printf("%-48s driver=%-16s %-8s failures=%-3d breaker=%-9s %s\n",
+				s.URL, s.LastDriver, s.Health, s.Failures, s.Breaker, s.Description)
 		}
 	case *listDrv:
 		drvs, err := client.Drivers(ctx)

@@ -4,7 +4,8 @@
 // that fails Threshold times in a row is "open": calls are skipped cheaply
 // for Cooldown, after which a single half-open probe is allowed through; a
 // successful probe closes the breaker, a failed one re-opens it for another
-// Cooldown.
+// Cooldown. The consecutive-failure count is also the target's health: core
+// reads a source's healthy/degraded/down state from it.
 package breaker
 
 import (
@@ -15,7 +16,8 @@ import (
 // Options configures a circuit breaker.
 type Options struct {
 	// Threshold is how many consecutive failures open the breaker
-	// (default 5; negative disables the breaker entirely).
+	// (default 5). A negative Threshold disables the breaker: it never
+	// refuses a call, though it still counts failures.
 	Threshold int
 	// Cooldown is how long an open breaker rejects calls before allowing a
 	// half-open probe (default 30s).
@@ -59,8 +61,9 @@ func New(opts Options) *Breaker { return &Breaker{opts: opts.Fill()} }
 func (b *Breaker) Disabled() bool { return b.opts.Threshold < 0 }
 
 // Allow reports whether a call may proceed now. In the half-open state
-// exactly one caller wins the probe slot until OnSuccess/OnFailure resolves
-// it; concurrent callers are rejected as if the breaker were still open.
+// exactly one caller wins the probe slot until OnSuccess, OnFailure or
+// Release resolves it; concurrent callers are rejected as if the breaker
+// were still open.
 func (b *Breaker) Allow(now time.Time) bool {
 	if b.Disabled() {
 		return true
@@ -77,11 +80,9 @@ func (b *Breaker) Allow(now time.Time) bool {
 	return true
 }
 
-// OnSuccess records a successful call: the breaker closes.
+// OnSuccess records a successful call: the count resets and the breaker
+// closes.
 func (b *Breaker) OnSuccess() {
-	if b.Disabled() {
-		return
-	}
 	b.mu.Lock()
 	b.consecutive = 0
 	b.probing = false
@@ -91,21 +92,33 @@ func (b *Breaker) OnSuccess() {
 // OnFailure records a failed call and reports whether this failure
 // transitioned the breaker from closed to open.
 func (b *Breaker) OnFailure(now time.Time) (opened bool) {
-	if b.Disabled() {
-		return false
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	wasProbe := b.probing
 	b.probing = false
 	b.consecutive++
-	if b.consecutive < b.opts.Threshold {
+	if b.Disabled() || b.consecutive < b.opts.Threshold {
 		return false
 	}
 	b.openUntil = now.Add(b.opts.Cooldown)
 	// Only the closed→open edge counts as an "open"; a failed half-open
 	// probe re-arms the cooldown without recounting.
 	return !wasProbe && b.consecutive == b.opts.Threshold
+}
+
+// Release gives back a half-open slot Allow handed out, recording nothing:
+// a call abandoned before it reached the target says nothing about it.
+func (b *Breaker) Release() {
+	b.mu.Lock()
+	b.probing = false
+	b.mu.Unlock()
+}
+
+// Failures reports the consecutive failures since the last success.
+func (b *Breaker) Failures() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.consecutive
 }
 
 // State reports the breaker's state for the management view.

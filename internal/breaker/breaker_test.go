@@ -73,6 +73,32 @@ func TestBreakerDisabled(t *testing.T) {
 	if !b.Allow(now) || b.State(now) != Closed {
 		t.Error("disabled breaker rejected a call")
 	}
+	if n := b.Failures(); n != 10 {
+		t.Errorf("disabled breaker counted %d failures, want 10", n)
+	}
+	b.OnSuccess()
+	if n := b.Failures(); n != 0 {
+		t.Errorf("failures after a success = %d", n)
+	}
+}
+
+// TestBreakerReleaseGivesBackTheSlot: a half-open slot given back by
+// Release is claimable again at once, and the count is untouched.
+func TestBreakerReleaseGivesBackTheSlot(t *testing.T) {
+	now := time.Unix(1000, 0)
+	b := New(Options{Threshold: 1, Cooldown: time.Second})
+	b.OnFailure(now)
+	now = now.Add(2 * time.Second)
+	if !b.Allow(now) || b.Allow(now) {
+		t.Fatal("half-open breaker did not hand out exactly one slot")
+	}
+	b.Release()
+	if b.Failures() != 1 || b.State(now) != HalfOpen {
+		t.Errorf("after Release: failures %d, state %s", b.Failures(), b.State(now))
+	}
+	if !b.Allow(now) {
+		t.Error("released slot not claimable")
+	}
 }
 
 func TestBreakerDefaults(t *testing.T) {

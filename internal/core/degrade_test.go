@@ -9,7 +9,6 @@ import (
 
 	"gridrm/internal/breaker"
 	"gridrm/internal/event"
-	"gridrm/internal/health"
 	"gridrm/internal/qcache"
 	"gridrm/internal/security"
 )
@@ -371,9 +370,10 @@ func TestShutdownHonoursDeadline(t *testing.T) {
 	<-done
 }
 
-// TestProberRecoversOpenBreaker: the background prober, not user traffic,
+// TestProberRecoversOpenBreaker: the background sweep, not user traffic,
 // takes a recovered source's breaker through half-open back to closed — and
-// respects the cooldown while the breaker is open.
+// respects the cooldown while the breaker is open. The source reads down
+// while its breaker is open, and healthy again after the one probe.
 func TestProberRecoversOpenBreaker(t *testing.T) {
 	fx := newDegradeFixture(t, Config{
 		Breaker: breaker.Options{Threshold: 1, Cooldown: 30 * time.Second},
@@ -381,50 +381,42 @@ func TestProberRecoversOpenBreaker(t *testing.T) {
 	fx.drv.fail.Store(true)
 	fx.query(t, ModeRealTime) // failure opens the breaker
 
-	breakerState := func() string {
+	source := func() SourceInfo {
 		t.Helper()
 		info, ok := fx.g.Source(fx.url)
 		if !ok {
 			t.Fatal("source vanished")
 		}
-		return info.Breaker
+		return info
 	}
-	if s := breakerState(); s != "open" {
-		t.Fatalf("breaker = %q, want open", s)
+	if info := source(); info.Breaker != "open" || info.Health != "down" || info.Failures != 1 {
+		t.Fatalf("after the failed query: breaker %q, health %q, failures %d", info.Breaker, info.Health, info.Failures)
 	}
 
-	prober := fx.g.Prober()
 	// Cooldown not elapsed: the probe is skipped, not counted as a failure
 	// (a failure would extend the cooldown forever).
-	prober.ProbeAll(context.Background())
-	if st := prober.Stats(); st.Skipped != 1 || st.Probes != 0 {
-		t.Fatalf("prober stats after skipped sweep = %+v", st)
+	fx.g.ProbeAll(context.Background())
+	if st := fx.g.Stats(); st.ProbeSkipped != 1 || st.Probes != 0 {
+		t.Fatalf("probe stats after skipped sweep: probes %d, skipped %d", st.Probes, st.ProbeSkipped)
 	}
-	if _, ok := prober.Health(fx.url); ok {
-		t.Error("skipped probe invented health state")
+	if info := source(); info.Health != "down" || info.Failures != 1 {
+		t.Errorf("skipped probe moved the state: health %q, failures %d", info.Health, info.Failures)
 	}
 
 	// The agent recovers and the cooldown elapses: the next sweep claims the
 	// half-open slot and closes the breaker with no client in the loop.
 	fx.drv.fail.Store(false)
 	*fx.now = fx.now.Add(31 * time.Second)
-	prober.ProbeAll(context.Background())
-	if s := breakerState(); s != "closed" {
-		t.Errorf("breaker after probe = %q, want closed", s)
-	}
-	h, ok := prober.Health(fx.url)
-	if !ok || h.State != "healthy" {
-		t.Errorf("health = %+v", h)
-	}
-	info, _ := fx.g.Source(fx.url)
-	if info.Health != "healthy" {
-		t.Errorf("SourceInfo.Health = %q", info.Health)
+	fx.g.ProbeAll(context.Background())
+	if info := source(); info.Breaker != "closed" || info.Health != "healthy" || info.Failures != 0 {
+		t.Errorf("after the probe: breaker %q, health %q, failures %d", info.Breaker, info.Health, info.Failures)
 	}
 
-	// The transition surfaced as an event.
-	evs := fx.g.Events().History(event.Filter{Name: "source-health"}, time.Time{})
-	if len(evs) != 1 || !strings.Contains(evs[0].Detail, "healthy") {
-		t.Errorf("source-health events = %+v", evs)
+	// Both edges surfaced as events: the Alert into down, one Status back.
+	evs := fx.g.Events().History(event.Filter{Name: "source-state"}, time.Time{})
+	if len(evs) != 2 || evs[0].Severity != event.SeverityAlert || evs[1].Severity != event.SeverityStatus ||
+		evs[1].Detail != "down -> healthy" {
+		t.Errorf("source-state events = %+v", evs)
 	}
 
 	// And a query now reaches the source directly.
@@ -434,37 +426,37 @@ func TestProberRecoversOpenBreaker(t *testing.T) {
 }
 
 // TestProberMarksDownSource: consecutive probe failures degrade then down a
-// source, with Alert events on each transition.
+// source at the breaker's threshold, with an Alert event on each transition.
 func TestProberMarksDownSource(t *testing.T) {
-	fx := newDegradeFixture(t, Config{
-		Breaker: breaker.Options{Threshold: -1}, // keep probing the dead agent
-		Probe:   health.Options{DownAfter: 2},
-	})
+	fx := newDegradeFixture(t, Config{Breaker: breaker.Options{Threshold: 2}})
 	fx.query(t, ModeRealTime) // a clean pass: healthy
-	prober := fx.g.Prober()
-	prober.ProbeAll(context.Background())
-	if h, _ := prober.Health(fx.url); h.State != "healthy" {
-		t.Fatalf("health = %+v", h)
+	fx.g.ProbeAll(context.Background())
+	health := func() string {
+		info, _ := fx.g.Source(fx.url)
+		return info.Health
+	}
+	if h := health(); h != "healthy" {
+		t.Fatalf("health = %q", h)
 	}
 
 	fx.drv.fail.Store(true)
 	fx.g.Pool().CloseAll() // drop the idle conn so probes must redial
-	prober.ProbeAll(context.Background())
-	if h, _ := prober.Health(fx.url); h.State != "degraded" {
-		t.Fatalf("after 1 failure health = %+v", h)
+	fx.g.ProbeAll(context.Background())
+	if h := health(); h != "degraded" {
+		t.Fatalf("after 1 failure health = %q", h)
 	}
-	prober.ProbeAll(context.Background())
-	if h, _ := prober.Health(fx.url); h.State != "down" {
-		t.Fatalf("after 2 failures health = %+v", h)
+	fx.g.ProbeAll(context.Background())
+	if h := health(); h != "down" {
+		t.Fatalf("after 2 failures health = %q", h)
 	}
 
-	var alerts int
-	for _, ev := range fx.g.Events().History(event.Filter{Name: "source-health"}, time.Time{}) {
+	var alerts []string
+	for _, ev := range fx.g.Events().History(event.Filter{Name: "source-state"}, time.Time{}) {
 		if ev.Severity == event.SeverityAlert {
-			alerts++
+			alerts = append(alerts, ev.Detail)
 		}
 	}
-	if alerts != 2 {
-		t.Errorf("alert transitions = %d, want 2 (degraded, down)", alerts)
+	if len(alerts) != 2 || !strings.HasPrefix(alerts[0], "healthy -> degraded: ") || !strings.HasPrefix(alerts[1], "degraded -> down: ") {
+		t.Errorf("alert transitions = %q, want healthy -> degraded, degraded -> down", alerts)
 	}
 }

@@ -337,7 +337,7 @@ func TestTargetSourcesSharesTheRegistry(t *testing.T) {
 	if !slices.Equal(shared, inOrder(urlC, f.urlB, urlP)) {
 		t.Errorf("dropping a source wrote to the shared list: %v", shared)
 	}
-	if got := f.g.ProbeTargets(); &got[0] != &shared[0] {
-		t.Error("ProbeTargets copied the registry's list")
+	if got := f.g.sortedSources(); &got[0] != &shared[0] {
+		t.Error("sortedSources copied the registry's list")
 	}
 }

@@ -23,7 +23,6 @@ import (
 	"gridrm/internal/breaker"
 	"gridrm/internal/driver"
 	"gridrm/internal/event"
-	"gridrm/internal/health"
 	"gridrm/internal/history"
 	"gridrm/internal/metrics"
 	"gridrm/internal/pool"
@@ -74,7 +73,8 @@ type Config struct {
 	// Breaker configures the per-source circuit breaker that sits in front
 	// of harvests (internal/breaker, shared with the gma Router's
 	// per-endpoint breakers): an open source is skipped cheaply with
-	// status "circuit open" until a half-open probe succeeds.
+	// status "circuit open" until a half-open probe succeeds. Its
+	// consecutive-failure count is the source's state (SourceInfo.Health).
 	Breaker breaker.Options
 	// StaleGrace is how long past its TTL an expired query-cache entry
 	// remains servable as a degraded result when a harvest fails, times
@@ -82,10 +82,10 @@ type Config struct {
 	// stale-cache degradation tier). It also sets Cache.StaleGrace unless
 	// that is set explicitly.
 	StaleGrace time.Duration
-	// Probe configures the background source health prober. With
-	// Probe.Interval zero (the default) no background loop runs — tests
-	// and operators can still sweep via Prober().ProbeAll.
-	Probe health.Options
+	// ProbeInterval is the period of the background source sweep
+	// (ProbeAll). Zero or negative (the default) runs no sweep; tests and
+	// operators can still call ProbeAll.
+	ProbeInterval time.Duration
 	// Trace configures the distributed tracer and slow-query log (trace
 	// store capacity, sample rate, slow threshold). Trace.Clock defaults
 	// to the gateway clock.
@@ -134,6 +134,8 @@ const (
 	// historyPruneInterval is the period of the background history
 	// retention sweep.
 	historyPruneInterval = time.Minute
+	// probeTimeout bounds each source ping of a ProbeAll sweep.
+	probeTimeout = 2 * time.Second
 )
 
 // ErrGatewayClosed is returned for queries issued after Shutdown or Close.
@@ -168,14 +170,18 @@ type SourceInfo struct {
 	// Breaker is the source's circuit-breaker state: "closed", "open" or
 	// "half-open" (populated on read for the management view).
 	Breaker string
-	// Health is the prober's classification ("healthy", "degraded",
-	// "down"), empty until the source has been probed.
+	// Health is the source's state, read from Failures: "healthy" at 0,
+	// "degraded" below the breaker's Threshold, "down" at or above it
+	// (never with the breaker disabled).
 	Health string
-	// LastProbe is when the health prober last actually probed the source.
-	LastProbe time.Time
-	// ProbeFailures counts consecutive probe failures.
-	ProbeFailures int
+	// Failures is the breaker's count of consecutive harvest and probe
+	// failures.
+	Failures int
 }
+
+// sourceStates names the values of SourceInfo.Health, in the order
+// stateOf numbers them.
+var sourceStates = [...]string{"healthy", "degraded", "down"}
 
 // DriverInfo describes a registered driver for the management view.
 type DriverInfo struct {
@@ -253,6 +259,15 @@ type Stats struct {
 	// is the entry gateway's fan-out degree, which republishers keep at
 	// the republisher count rather than the site count.
 	FanoutLegs int64
+	// Probes counts source pings ProbeAll sweeps made.
+	Probes int64
+	// ProbeFailures counts the pings that failed.
+	ProbeFailures int64
+	// ProbeSkipped counts sources a sweep passed over because their
+	// breaker refused a call.
+	ProbeSkipped int64
+	// SourceTransitions counts source state changes (source-state events).
+	SourceTransitions int64
 }
 
 // GlobalRouter forwards queries for remote sites; internal/gma provides the
@@ -293,13 +308,13 @@ type Gateway struct {
 
 	registry  *metrics.Registry
 	stageHist *metrics.HistogramVec
-	prober    *health.Prober
 	tracer    *trace.Tracer
 	plans     *sqlparse.PlanCache
 	push      *router.Router // continuous-query fan-out (distinct from the federation router)
 
-	pruneStop chan struct{}
-	pruneDone chan struct{}
+	probeInterval time.Duration
+	stopLoop      context.CancelFunc
+	loopDone      chan struct{}
 
 	mu      sync.RWMutex
 	sources map[string]*source
@@ -320,6 +335,8 @@ type Gateway struct {
 	staleServes, historyFallbacks      atomic.Int64
 	driverPanics, historyPrunes        atomic.Int64
 	fanouts, fanoutLegs                atomic.Int64
+	probes, probeFailures              atomic.Int64
+	probeSkipped, transitions          atomic.Int64
 }
 
 // New creates a Gateway.
@@ -357,9 +374,6 @@ func New(cfg Config) *Gateway {
 	if cfg.Cache.StaleGrace == 0 {
 		cfg.Cache.StaleGrace = cfg.StaleGrace
 	}
-	if cfg.Probe.Clock == nil {
-		cfg.Probe.Clock = cfg.Clock
-	}
 	if cfg.Trace.Clock == nil {
 		cfg.Trace.Clock = cfg.Clock
 	}
@@ -395,8 +409,8 @@ func New(cfg Config) *Gateway {
 		push:           router.New(cfg.Push),
 		registry:       reg,
 		sources:        make(map[string]*source),
-		pruneStop:      make(chan struct{}),
-		pruneDone:      make(chan struct{}),
+		probeInterval:  cfg.ProbeInterval,
+		loopDone:       make(chan struct{}),
 	}
 	if cfg.Durable.Dir != "" {
 		if cfg.Durable.Clock == nil {
@@ -413,10 +427,10 @@ func New(cfg Config) *Gateway {
 		// samples to fall back on.
 		g.durable = tsdb.Open(cfg.Durable, g.history)
 	}
-	g.prober = health.New(g, cfg.Probe, g.onHealthTransition)
 	g.registerMetrics()
-	g.prober.Start()
-	go g.pruneLoop()
+	ctx, stop := context.WithCancel(context.Background())
+	g.stopLoop = stop
+	go g.loop(ctx)
 	return g
 }
 
@@ -434,19 +448,29 @@ func (g *Gateway) durabilityEvent(severity string) func(kind, detail string) {
 	}
 }
 
-// pruneLoop sweeps history retention so idle keys are released even when no
-// writes arrive (satellite of the durable-history work: Prune used to run
-// only on demand).
-func (g *Gateway) pruneLoop() {
-	defer close(g.pruneDone)
-	ticker := time.NewTicker(historyPruneInterval)
-	defer ticker.Stop()
+// loop is the gateway's one background goroutine. It sweeps history
+// retention every historyPruneInterval, so idle keys are released even when
+// no writes arrive, and with ProbeInterval set it runs ProbeAll every
+// ProbeInterval. Shutdown cancels ctx, which also abandons a sweep in
+// flight.
+func (g *Gateway) loop(ctx context.Context) {
+	defer close(g.loopDone)
+	prune := time.NewTicker(historyPruneInterval)
+	defer prune.Stop()
+	var sweep <-chan time.Time
+	if g.probeInterval > 0 {
+		t := time.NewTicker(g.probeInterval)
+		defer t.Stop()
+		sweep = t.C
+	}
 	for {
 		select {
-		case <-g.pruneStop:
+		case <-ctx.Done():
 			return
-		case <-ticker.C:
+		case <-prune.C:
 			g.historyPrunes.Add(int64(g.history.Prune()))
+		case <-sweep:
+			g.ProbeAll(ctx)
 		}
 	}
 }
@@ -488,19 +512,21 @@ func (g *Gateway) registerMetrics() {
 		c.Counter("gridrm_history_fallbacks_total", "Degraded results served from the latest historical sample.", float64(fallbacks))
 		c.Counter("gridrm_degraded_serves_total", "Degraded results served (stale cache + history fallback).", float64(stale+fallbacks))
 		c.Counter("gridrm_driver_panics_total", "Driver panics contained at a call boundary.", float64(g.driverPanics.Load()))
+		c.Counter("gridrm_probes_total", "Source pings the background sweep made.", float64(g.probes.Load()))
+		c.Counter("gridrm_probe_failures_total", "Sweep pings that failed.", float64(g.probeFailures.Load()))
+		c.Counter("gridrm_probe_skipped_total", "Sources a sweep passed over because their breaker refused a call.", float64(g.probeSkipped.Load()))
+		c.Counter("gridrm_source_transitions_total", "Source state changes (source-state events).", float64(g.transitions.Load()))
 	})
 	r.Collect(func(c *metrics.Collection) {
-		st, states := g.prober.Stats(), map[health.State]int{}
-		for _, h := range g.prober.Snapshot() {
-			states[h.State]++
+		var n [len(sourceStates)]int
+		g.mu.RLock()
+		for _, s := range g.sources {
+			n[g.stateOf(s.breaker.Failures())]++
 		}
-		c.Counter("gridrm_probes_total", "Health probes attempted.", float64(st.Probes))
-		c.Counter("gridrm_probe_failures_total", "Health probes that failed.", float64(st.Failures))
-		c.Counter("gridrm_probe_skipped_total", "Health probes the pinger declined.", float64(st.Skipped))
-		c.Counter("gridrm_probe_transitions_total", "Probed source state changes.", float64(st.Transitions))
-		c.Gauge("gridrm_sources_healthy", "Sources the prober currently classifies healthy.", float64(states[health.StateHealthy]))
-		c.Gauge("gridrm_sources_degraded", "Sources the prober currently classifies degraded.", float64(states[health.StateDegraded]))
-		c.Gauge("gridrm_sources_down", "Sources the prober currently classifies down.", float64(states[health.StateDown]))
+		g.mu.RUnlock()
+		c.Gauge("gridrm_sources_healthy", "Sources whose breaker counts no failure.", float64(n[0]))
+		c.Gauge("gridrm_sources_degraded", "Sources whose breaker counts failures below its threshold.", float64(n[1]))
+		c.Gauge("gridrm_sources_down", "Sources whose breaker counts failures at or above its threshold.", float64(n[2]))
 	})
 	r.Collect(func(c *metrics.Collection) {
 		c.Gauge("gridrm_inflight_harvests", "Driver harvests currently executing.", float64(g.inflightHarvests.Load()))
@@ -518,7 +544,7 @@ func (g *Gateway) registerMetrics() {
 		st := g.pool.Stats()
 		c.Counter("gridrm_pool_dials_total", "Connections opened via the DriverManager.", float64(st.Opens))
 		c.Counter("gridrm_pool_idle_hits_total", "Pool Gets satisfied from an idle connection.", float64(st.Hits))
-		c.Counter("gridrm_pool_ping_failures_total", "Pooled connections discarded as stale: pinged after a statement on them failed, or by the prober, and found dead.", float64(st.PingFailures))
+		c.Counter("gridrm_pool_ping_failures_total", "Pooled connections discarded as stale: pinged after a statement on them failed, or by the source sweep, and found dead.", float64(st.PingFailures))
 		c.Counter("gridrm_pool_misses_total", "Pool Gets that had to open a new connection.", float64(st.Misses))
 		c.Counter("gridrm_pool_closes_total", "Pooled connections closed.", float64(st.Closes))
 		c.Counter("gridrm_pool_evictions_total", "Idle pooled connections dropped by capacity or age.", float64(st.Evictions))
@@ -628,7 +654,7 @@ func (g *Gateway) beginQuery() error {
 
 func (g *Gateway) endQuery() { g.inflight.Done() }
 
-// Shutdown stops the gateway in order: the health prober first, then new
+// Shutdown stops the gateway in order: the background loop first, then new
 // queries are refused and in-flight ones drained until ctx expires, then
 // the Event Manager is flushed and the connection pool closed. It returns
 // ctx.Err() when the drain was abandoned at the deadline — events and pool
@@ -642,9 +668,8 @@ func (g *Gateway) Shutdown(ctx context.Context) error {
 	g.closed = true
 	g.mu.Unlock()
 
-	g.prober.Stop()
-	close(g.pruneStop)
-	<-g.pruneDone
+	g.stopLoop()
+	<-g.loopDone
 
 	drained := make(chan struct{})
 	go func() {
@@ -792,9 +817,9 @@ func (g *Gateway) RemoveSource(url string) error {
 }
 
 // source is one registered data source: its stored record — the SourceInfo
-// fields derived per read (Breaker, Health, LastProbe, ProbeFailures) stay
-// zero here and are filled by snapshot — and the circuit breaker in front
-// of its harvests.
+// fields read from the breaker (Breaker, Health, Failures) stay zero here
+// and are filled by snapshot — and the circuit breaker in front of its
+// harvests, whose count only noteSuccess and noteFailure change, under g.mu.
 type source struct {
 	SourceInfo
 	breaker *breaker.Breaker
@@ -805,12 +830,23 @@ type source struct {
 func (g *Gateway) snapshot(s *source, now time.Time) SourceInfo {
 	info := s.SourceInfo
 	info.Breaker = string(s.breaker.State(now))
-	if h, probed := g.prober.Health(s.URL); probed {
-		info.Health = string(h.State)
-		info.LastProbe = h.LastProbe
-		info.ProbeFailures = h.ConsecutiveFailures
-	}
+	info.Failures = s.breaker.Failures()
+	info.Health = sourceStates[g.stateOf(info.Failures)]
 	return info
+}
+
+// stateOf maps a breaker's consecutive-failure count to its source's state,
+// an index into sourceStates: healthy at 0, degraded below the breaker's
+// Threshold, down at or above it. A disabled breaker (negative Threshold)
+// never refuses a call, so its source is never down.
+func (g *Gateway) stateOf(failures int) int {
+	switch t := g.breakerOpts.Threshold; {
+	case failures == 0:
+		return 0
+	case t < 0 || failures < t:
+		return 1
+	}
+	return 2
 }
 
 // Sources lists registered data sources with health, sorted by URL.
@@ -867,13 +903,6 @@ func (g *Gateway) SetGlobalRouter(r GlobalRouter) {
 	g.router = r
 }
 
-// Prober returns the gateway's source health prober.
-func (g *Gateway) Prober() *health.Prober { return g.prober }
-
-// ProbeTargets implements health.Pinger: every registered source URL, in
-// order. The slice is the registry's shared one.
-func (g *Gateway) ProbeTargets() []string { return g.sortedSources() }
-
 // sortedSources returns every registered source URL in order. The list is
 // built on the first read after a registration changed and then shared by
 // every reader until the next change, so registering 5,000 sources sorts
@@ -898,64 +927,62 @@ func (g *Gateway) sortedSources() []string {
 	return g.sorted
 }
 
-// ProbeSource implements health.Pinger: a cheap liveness check of one
-// source via a pooled connection. Liveness is the probe's question, so it is
-// the one caller that pings a connection no statement has failed on: an idle
-// connection that does not answer is discarded as stale and the next one
-// tried, and a fresh connect proves liveness by itself. A probe respects the
-// circuit breaker — when the breaker is open mid-cooldown it reports
-// health.ErrSkipped rather than hammering a known-bad source (and rather
-// than noting a failure, which would extend the cooldown forever). Once the
-// cooldown elapses the probe claims the half-open slot itself, so breakers
-// recover proactively instead of waiting for user traffic.
-func (g *Gateway) ProbeSource(ctx context.Context, url string) error {
-	props, br, err := g.lookup(url)
-	if err != nil {
-		return err
-	}
-	if !br.Allow(g.clock()) {
-		return health.ErrSkipped
-	}
-	for {
-		conn, err := g.pool.GetContext(ctx, url, props)
-		if err == nil && conn.Reused() && conn.PingContext(ctx) != nil {
-			if err = ctx.Err(); err == nil {
-				continue // stale and now closed: the next idle connection, or a dial
-			}
+// ProbeAll sweeps every registered source once, in URL order, until ctx is
+// done, so an open breaker recovers through its half-open slot with no
+// client in the loop. The background loop runs it every ProbeInterval.
+func (g *Gateway) ProbeAll(ctx context.Context) {
+	for _, url := range g.sortedSources() {
+		if ctx.Err() != nil {
+			return
 		}
-		if err != nil {
-			g.noteFailure(url, err, g.clock())
-			return err
-		}
-		driverName := conn.Driver()
-		conn.Release()
-		g.noteSuccess(url, driverName, g.clock())
-		return nil
+		g.probe(ctx, url)
 	}
 }
 
-// onHealthTransition publishes a source's probed state change: an Alert
-// when it degrades or goes down, a Status event when it recovers.
-func (g *Gateway) onHealthTransition(h health.SourceHealth, from health.State) {
-	sev := event.SeverityAlert
-	if h.State == health.StateHealthy {
-		sev = event.SeverityStatus
+// probe is a cheap liveness check of one source via a pooled connection,
+// bounded by probeTimeout. Liveness is the probe's question, so it is the
+// one caller that pings a connection no statement has failed on: an idle
+// connection that does not answer is discarded as stale and the next one
+// tried, and a fresh connect proves liveness by itself. A source whose
+// breaker refuses a call is passed over, not charged (a failure would
+// extend its cooldown for ever); once the cooldown elapses the probe claims
+// the half-open slot itself. A probe abandoned because ctx, the sweep, was
+// cancelled notes nothing and gives back any slot it claimed, like a
+// harvest abandoned before the driver; one that ran out its own
+// probeTimeout is the source's failure.
+func (g *Gateway) probe(ctx context.Context, url string) {
+	props, br, err := g.lookup(url)
+	if err != nil {
+		return // removed since the sweep listed it
 	}
-	prev := string(from)
-	if prev == "" {
-		prev = "unknown"
+	if !br.Allow(g.clock()) {
+		g.probeSkipped.Add(1)
+		return
 	}
-	detail := fmt.Sprintf("source health %s -> %s", prev, h.State)
-	if h.LastError != "" {
-		detail += ": " + h.LastError
+	pctx, cancel := context.WithTimeout(ctx, probeTimeout)
+	defer cancel()
+	for {
+		conn, err := g.pool.GetContext(pctx, url, props)
+		if err == nil && conn.Reused() && conn.PingContext(pctx) != nil {
+			if err = pctx.Err(); err == nil {
+				continue // stale and now closed: the next idle connection, or a dial
+			}
+		}
+		switch {
+		case err != nil && ctx.Err() != nil:
+			br.Release()
+		case err != nil:
+			g.probes.Add(1)
+			g.probeFailures.Add(1)
+			g.noteFailure(url, err, g.clock())
+		default:
+			g.probes.Add(1)
+			driverName := conn.Driver()
+			conn.Release()
+			g.noteSuccess(url, driverName, g.clock())
+		}
+		return
 	}
-	g.events.Publish(event.Event{
-		Source:   h.URL,
-		Name:     "source-health",
-		Severity: sev,
-		Time:     h.LastProbe,
-		Detail:   detail,
-	})
 }
 
 // Events returns the gateway's Event Manager.
@@ -1045,31 +1072,33 @@ func (g *Gateway) Stats() Stats {
 		EventsDropped:       g.events.Stats().Dropped,
 		Fanouts:             g.fanouts.Load(),
 		FanoutLegs:          g.fanoutLegs.Load(),
+		Probes:              g.probes.Load(),
+		ProbeFailures:       g.probeFailures.Load(),
+		ProbeSkipped:        g.probeSkipped.Load(),
+		SourceTransitions:   g.transitions.Load(),
 	}
 }
 
+// noteSuccess records a harvest or probe that reached url's source: its
+// record, and its breaker's count back to 0.
 func (g *Gateway) noteSuccess(url, driverName string, at time.Time) {
 	g.mu.Lock()
+	defer g.mu.Unlock()
 	s, ok := g.sources[url]
-	if ok {
-		s.LastDriver = driverName
-		s.LastSuccess = at
-		s.LastError = ""
+	if !ok {
+		return
 	}
-	g.mu.Unlock()
-	if ok {
-		s.breaker.OnSuccess()
-	}
+	s.LastDriver = driverName
+	s.LastSuccess = at
+	s.LastError = ""
+	from := g.stateOf(s.breaker.Failures())
+	s.breaker.OnSuccess()
+	g.noteState(s, from, nil, at)
 }
 
+// noteFailure records a failed harvest or probe of url's source: a
+// poll-failed event, its record, and one more failure on its breaker.
 func (g *Gateway) noteFailure(url string, err error, at time.Time) {
-	g.mu.Lock()
-	s, registered := g.sources[url]
-	if registered {
-		s.LastError = err.Error()
-		s.LastErrorAt = at
-	}
-	g.mu.Unlock()
 	var pe *driver.PanicError
 	if errors.As(err, &pe) {
 		// A contained driver panic: count it and alert with the captured
@@ -1090,14 +1119,45 @@ func (g *Gateway) noteFailure(url string, err error, at time.Time) {
 		Time:     at,
 		Detail:   err.Error(),
 	})
-	if registered && s.breaker.OnFailure(at) {
-		g.breakerOpens.Add(1)
-		g.events.Publish(event.Event{
-			Source:   url,
-			Name:     "breaker-open",
-			Severity: event.SeverityAlert,
-			Time:     at,
-			Detail:   fmt.Sprintf("circuit opened after %d consecutive failures", g.breakerOpts.Threshold),
-		})
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	s, ok := g.sources[url]
+	if !ok {
+		return
 	}
+	s.LastError = err.Error()
+	s.LastErrorAt = at
+	from := g.stateOf(s.breaker.Failures())
+	if s.breaker.OnFailure(at) {
+		g.breakerOpens.Add(1)
+	}
+	g.noteState(s, from, err, at)
+}
+
+// noteState publishes s's state change, if its breaker's last note moved
+// it out of state from: one source-state event, an Alert into degraded or
+// down or a Status event back to healthy, detailed "from -> to: cause", and
+// one count in SourceTransitions. The caller holds g.mu, so the events of
+// one source come in the order of the notes that caused them.
+func (g *Gateway) noteState(s *source, from int, cause error, at time.Time) {
+	to := g.stateOf(s.breaker.Failures())
+	if to == from {
+		return
+	}
+	g.transitions.Add(1)
+	sev := event.SeverityAlert
+	if to == 0 {
+		sev = event.SeverityStatus
+	}
+	detail := sourceStates[from] + " -> " + sourceStates[to]
+	if cause != nil {
+		detail += ": " + cause.Error()
+	}
+	g.events.Publish(event.Event{
+		Source:   s.URL,
+		Name:     "source-state",
+		Severity: sev,
+		Time:     at,
+		Detail:   detail,
+	})
 }

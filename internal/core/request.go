@@ -765,15 +765,20 @@ func (g *Gateway) sharedHarvest(ctx, budget context.Context, url string, group *
 }
 
 // harvestLeader performs a real driver harvest with all its bookkeeping:
-// retries, stats, breaker and health notes, cache fill, history record and
+// retries, stats, the source's breaker note, cache fill, history record and
 // the push to subscribers and rule sinks. All bookkeeping lives here, on the
 // leader, so followers of a coalesced harvest never double count — and the
 // cache is filled before the flight completes, so a caller arriving after
 // the flight sees the cached rows rather than starting a new harvest. A
 // leader whose request context is already done returns that error untouched:
-// no driver call, no counter, no breaker or health note.
+// no driver call, no counter, no note. It gives back the half-open slot its
+// harvestSource may have claimed, which would otherwise stay claimed and
+// refuse every later call.
 func (g *Gateway) harvestLeader(ctx, budget context.Context, url string, group *glue.Group, hsql string) flightResult {
 	if err := ctx.Err(); err != nil {
+		if _, br, lerr := g.lookup(url); lerr == nil {
+			br.Release()
+		}
 		return flightResult{err: err}
 	}
 	g.inflightHarvests.Add(1)

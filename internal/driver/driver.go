@@ -92,7 +92,7 @@ type Conn interface {
 	Close() error
 	// Ping verifies the data source is still reachable. The gateway asks
 	// after a statement on a pooled connection failed, to tell a dead
-	// session from a failed query, and when its prober checks liveness;
+	// session from a failed query, and when its source sweep checks liveness;
 	// a harvest that succeeds never pings.
 	Ping() error
 	// URL returns the data-source URL the connection was opened with.

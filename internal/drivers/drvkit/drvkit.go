@@ -85,7 +85,7 @@ type Target struct {
 type Session interface {
 	// Ping round-trips the agent. No harvest pays for one: the gateway asks
 	// only after a statement on a pooled connection failed, to tell a dead
-	// session from a failed query, and when its prober checks liveness.
+	// session from a failed query, and when its source sweep checks liveness.
 	Ping() error
 	// Close releases the transport.
 	Close() error

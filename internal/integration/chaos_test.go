@@ -46,7 +46,7 @@ federation:
 // acceptance scenario end to end: a federated two-site deployment where every
 // driver at one site is wrapped in fault injection — panics, errors and
 // latency at once — while concurrent clients keep querying. The gateway must
-// never crash, must keep answering with degraded rows, and the health prober
+// never crash, must keep answering with degraded rows, and the source sweep
 // must bring the tripped breakers back once the faults clear.
 func TestChaosGatewaySurvivesCombinedFaults(t *testing.T) {
 	sc, err := sim.ParseScenario([]byte(chaosCombinedScenario))
@@ -152,16 +152,15 @@ func TestChaosGatewaySurvivesCombinedFaults(t *testing.T) {
 		t.Errorf("federated degraded answer: site=%q rows=%d", remote.Site, remote.ResultSet.Len())
 	}
 
-	// Phase 3 — the faults clear; the prober (not client traffic) walks the
+	// Phase 3 — the faults clear; the sweep (not client traffic) walks the
 	// open breakers through half-open back to closed.
 	faults.SetPanicEveryQuery(0)
 	faults.SetErrorEvery(0)
 	faults.SetQueryLatency(0)
 
-	prober := gwB.Prober()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		prober.ProbeAll(ctx)
+		gwB.ProbeAll(ctx)
 		open := 0
 		for _, info := range gwB.Sources() {
 			if info.Breaker != "closed" {
@@ -176,9 +175,9 @@ func TestChaosGatewaySurvivesCombinedFaults(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	for _, hs := range prober.Snapshot() {
-		if hs.State != "healthy" {
-			t.Errorf("source %s still %s after recovery", hs.URL, hs.State)
+	for _, info := range gwB.Sources() {
+		if info.Health != "healthy" {
+			t.Errorf("source %s still %s after recovery", info.URL, info.Health)
 		}
 	}
 

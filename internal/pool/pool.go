@@ -57,7 +57,7 @@ type Stats struct {
 	Closes int64
 	// PingFailures counts pooled connections discarded as stale: a reused
 	// connection whose PingContext failed, after a statement on it did or
-	// when the prober asked.
+	// when the source sweep asked.
 	PingFailures int64
 	// Evictions counts idle connections dropped by capacity or age.
 	Evictions int64
@@ -243,7 +243,7 @@ func (m *Manager) connect(url string, props driver.Properties) (driver.Conn, err
 
 // PingContext asks the driver whether the session is still alive: after a
 // statement failed on a reused connection, or because liveness is the caller's
-// question (the prober). Nil means alive, and the connection is still the
+// question (the source sweep). Nil means alive, and the connection is still the
 // caller's to Release or Discard. Any error spends the handle: a failed ping
 // counts the connection as stale and closes it. A driver's Ping carries no
 // context, so when ctx can expire the wait (not the probe) is abandoned at the

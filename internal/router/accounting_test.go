@@ -110,14 +110,28 @@ func TestPushAccountingConserves(t *testing.T) {
 	}
 	pubs.Wait()
 
-	// Let the slow reader catch up, then move the clock past the stall: the
-	// next publish evicts the subscriber that never read, and only it.
+	// Let the slow and filtered readers catch up, then move the clock past
+	// the stall: the next publish evicts the subscriber that never read, and
+	// only it.
 	close(release)
 	waitFor(t, "slow reader to drain", func() bool { return len(slow.sub.C()) == 0 })
+	waitFor(t, "filtered reader to drain", func() bool { return len(filtered.sub.C()) == 0 })
 	clock.Add(int64(2 * time.Second))
 	r.Publish("src", "cpu", []string{"host", "load"}, [][]any{{"h9", 9.0}}, time.Unix(999, 0))
 	if !stalled.sub.Evicted() || slow.sub.Evicted() || filtered.sub.Evicted() {
 		t.Fatalf("evicted: stalled %v, slow %v, filtered %v", stalled.sub.Evicted(), slow.sub.Evicted(), filtered.sub.Evicted())
+	}
+
+	// The sink fails its first 6 calls, and under load every row it has
+	// taken so far can have landed in them: feed it mem rows, which the
+	// filtered reader never sees, until one is delivered.
+	extra := 0
+	for deadline := time.Now().Add(5 * time.Second); sinkRows.Load() == 0; extra++ {
+		if time.Now().After(deadline) {
+			t.Fatal("the sink never delivered a row")
+		}
+		r.Publish("src", "mem", []string{"host", "load"}, [][]any{{"h8", 8.0}}, time.Unix(1000, 0))
+		time.Sleep(time.Millisecond)
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -128,7 +142,7 @@ func TestPushAccountingConserves(t *testing.T) {
 	readers.Wait()
 
 	st := r.Stats()
-	const rows = publishers*batches*3 + 1
+	rows := int64(publishers*batches*3 + 1 + extra)
 	if st.Published != rows || r.Seq() != uint64(st.Published) {
 		t.Fatalf("published %d, seq %d, want %d both", st.Published, r.Seq(), rows)
 	}

@@ -54,7 +54,6 @@ var statsRules = map[string]statsRule{
 		"Idle":  "gridrm_pool_idle_connections",
 	}},
 	"event.Stats":             {prefix: "events_", irregular: map[string]string{"Alerts": "gridrm_event_alerts_total"}},
-	"health.Stats":            {prefix: "probe_", irregular: map[string]string{"Probes": "gridrm_probes_total"}},
 	"sqlparse.PlanCacheStats": {prefix: "plan_cache_"},
 }
 
@@ -88,7 +87,7 @@ func statsMetric(typ string, field reflect.StructField) string {
 // TestMetricsCarryEveryStatsField walks every exported integer field of the
 // Stats structs behind a federated fleet with durable history (the site
 // gateway and each state owner it exports: push router, durable store,
-// tracer, query cache, pool, Event Manager, prober and plan cache, and its
+// tracer, query cache, pool, Event Manager and plan cache, and its
 // directory registrar; the entry's federation router; the republisher):
 // after some traffic, each is on its member's exposition with the value
 // Stats reads, unless statsExempt says why not.
@@ -150,7 +149,7 @@ federation:
 		gw := h.SiteGateway(site)
 		members = append(members, member{site, gw.Metrics(), func() []any {
 			st := []any{gw.Stats(), gw.PushRouter().Stats(), gw.Tracer().Stats(), gw.Cache().Stats(),
-				gw.Pool().Stats(), gw.Events().Stats(), gw.Prober().Stats(), gw.PlanCache().Stats()}
+				gw.Pool().Stats(), gw.Events().Stats(), gw.PlanCache().Stats()}
 			if d := gw.DurableHistory(); d != nil {
 				st = append(st, d.Stats())
 			}

@@ -11,7 +11,6 @@ import (
 	"gridrm/internal/core"
 	"gridrm/internal/driver"
 	"gridrm/internal/event"
-	"gridrm/internal/health"
 	"gridrm/internal/metrics"
 	"gridrm/internal/pool"
 	"gridrm/internal/qcache"
@@ -218,11 +217,6 @@ type StatusReport struct {
 	// Stages summarises the per-stage query latency histogram (count and
 	// total seconds per stage); the full distribution is on GET /metrics.
 	Stages []metrics.HistogramSnapshot `json:"stages,omitempty"`
-	// Health is the prober's per-source state (empty until sources have
-	// been probed).
-	Health []health.SourceHealth `json:"health,omitempty"`
-	// Probes summarises prober activity.
-	Probes health.Stats `json:"probes"`
 	// Admission reports the load-shedding gate, when one is installed.
 	Admission *AdmissionStats `json:"admission,omitempty"`
 	// Traces summarises tracer activity (traces stored, slow queries,
@@ -260,8 +254,6 @@ func (s *Server) status(*http.Request) (any, error) {
 		Coarse:      s.gw.CoarsePolicy().Stats(),
 		Fine:        s.gw.FinePolicy().Stats(),
 		Stages:      s.gw.QueryStageLatencies(),
-		Health:      s.gw.Prober().Snapshot(),
-		Probes:      s.gw.Prober().Stats(),
 		Admission:   adm,
 		Traces:      s.gw.Tracer().Stats(),
 		Slow:        s.gw.Tracer().SlowQueries(),
