@@ -85,7 +85,10 @@ func main() {
 		maxQueue      = flag.Int("max-queue", 0, "requests allowed to wait for an admission slot beyond -max-inflight")
 
 		historyDir   = flag.String("history-dir", "", "directory for crash-safe history persistence (WAL + checkpoints; empty = in-memory only)")
-		historyFsync = flag.String("history-fsync", "interval", "history WAL fsync policy: always, interval or off")
+		historyFsync = flag.String("history-fsync", "interval", "history WAL fsync policy: always (each record fsynced before it is kept: "+
+			"a kill -9 or a machine crash loses nothing), interval (one write and fsync per group of at most 100 ms: either loses "+
+			"at most the last 100 ms) or off (each record written, never fsynced: a kill -9 loses nothing, a machine crash "+
+			"what the OS had not written back)")
 
 		subQueue = flag.Int("subscribe-queue", 0, "per-subscriber continuous-query buffer (0 = default 256)")
 		subStall = flag.Duration("subscribe-stall", 0, "evict a subscriber whose queue stays full this long (0 = default 10s, negative = never)")

@@ -107,7 +107,8 @@ func (b *Breaker) OnFailure(now time.Time) (opened bool) {
 }
 
 // Release gives back a half-open slot Allow handed out, recording nothing:
-// a call abandoned before it reached the target says nothing about it.
+// a call abandoned before it reached the target, or cancelled by its own
+// caller, says nothing about the target.
 func (b *Breaker) Release() {
 	b.mu.Lock()
 	b.probing = false

@@ -603,12 +603,13 @@ func (g *Gateway) registerMetrics() {
 		r.Collect(func(c *metrics.Collection) {
 			st := g.durable.Stats()
 			c.Counter("gridrm_history_wal_appends_total", "History records journaled to the WAL.", float64(st.WALAppends))
+			c.Counter("gridrm_history_wal_writes_total", "Writes carrying WAL records: one per group commit under the interval fsync policy, one per record otherwise.", float64(st.WALWrites))
 			c.Counter("gridrm_history_fsyncs_total", "WAL fsync calls performed.", float64(st.Fsyncs))
 			c.Counter("gridrm_history_replayed_records_total", "History records restored from checkpoint + WAL at startup.", float64(st.ReplayedRecords))
 			c.Counter("gridrm_history_corrupt_records_total", "Corrupt WAL tails and checkpoints detected and recovered.", float64(st.CorruptRecords))
 			c.Counter("gridrm_history_checkpoints_total", "History checkpoints written.", float64(st.Checkpoints))
 			c.Counter("gridrm_history_checkpoint_errors_total", "History checkpoints that failed to write.", float64(st.CheckpointErrors))
-			c.Counter("gridrm_history_wal_errors_total", "WAL appends and segment seals that failed, each dropping history to memory-only.", float64(st.WALErrors))
+			c.Counter("gridrm_history_wal_errors_total", "WAL appends, group flushes and segment seals that failed, each dropping history to memory-only.", float64(st.WALErrors))
 			c.Counter("gridrm_history_reattaches_total", "Re-attachments to the history dir after a memory-only spell.", float64(st.Reattaches))
 			c.Gauge("gridrm_history_disk_bytes", "Bytes the history WAL and checkpoints occupy on disk.", float64(st.DiskBytes))
 			c.Gauge("gridrm_history_wal_bytes_since_checkpoint", "Framed WAL bytes no checkpoint covers yet: what a crash now would replay.", float64(st.WALBytesSinceCheckpoint))

@@ -771,14 +771,14 @@ func (g *Gateway) sharedHarvest(ctx, budget context.Context, url string, group *
 // cache is filled before the flight completes, so a caller arriving after
 // the flight sees the cached rows rather than starting a new harvest. A
 // leader whose request context is already done returns that error untouched:
-// no driver call, no counter, no note. It gives back the half-open slot its
-// harvestSource may have claimed, which would otherwise stay claimed and
-// refuse every later call.
+// no driver call, no counter, no note. So does one whose client cancelled it
+// mid-harvest: a client hanging up says nothing about the source. Both give
+// back the half-open slot their harvestSource may have claimed, which would
+// otherwise stay claimed and refuse every later call. A request that runs
+// out its own deadline is still charged to the source.
 func (g *Gateway) harvestLeader(ctx, budget context.Context, url string, group *glue.Group, hsql string) flightResult {
 	if err := ctx.Err(); err != nil {
-		if _, br, lerr := g.lookup(url); lerr == nil {
-			br.Release()
-		}
+		g.release(url)
 		return flightResult{err: err}
 	}
 	g.inflightHarvests.Add(1)
@@ -787,6 +787,10 @@ func (g *Gateway) harvestLeader(ctx, budget context.Context, url string, group *
 	rs, driverName, err := g.harvestWithRetry(ctx, budget, url, hsql)
 	g.observeStage(StageHarvest, start)
 	now := g.clock()
+	if err != nil && errors.Is(ctx.Err(), context.Canceled) {
+		g.release(url)
+		return flightResult{driverName: driverName, at: now, err: err}
+	}
 	if err != nil {
 		g.harvestErrors.Add(1)
 		g.noteFailure(url, err, now)
@@ -807,6 +811,14 @@ func (g *Gateway) harvestLeader(ctx, budget context.Context, url string, group *
 	}
 	g.publishRows(budget, url, group, rs)
 	return flightResult{rs: rs, driverName: driverName, at: now}
+}
+
+// release gives back the half-open slot url's breaker may have granted a
+// harvest that ended without a note.
+func (g *Gateway) release(url string) {
+	if _, br, err := g.lookup(url); err == nil {
+		br.Release()
+	}
 }
 
 // harvestWithRetry runs harvest attempts under the gateway's retry policy. The

@@ -362,3 +362,58 @@ func TestCancelledProbeNotesNothing(t *testing.T) {
 		t.Errorf("source-state events = %+v", evs)
 	}
 }
+
+// TestClientCancelMidHarvestChargesNothing: a client that cancels its
+// real-time query while the harvest waits on the driver says nothing about
+// the source. Threshold such cancellations leave it healthy, with no
+// failure, no harvest error and no source-state event, where each used to
+// count as a failure and the last took the source down; and the next query
+// harvests.
+func TestClientCancelMidHarvestChargesNothing(t *testing.T) {
+	const threshold = 3
+	d := &hangingDriver{memDriver: &memDriver{name: "jdbc-a", proto: "a", hosts: []string{"h1"}, load: 1},
+		entered: make(chan struct{}), release: make(chan struct{})}
+	fx := newStateFixture(t, Config{Breaker: breaker.Options{Threshold: threshold, Cooldown: 30 * time.Second}})
+	fx.add(t, d, d.memDriver)
+	d.hang.Store(true)
+	for i := 0; i < threshold; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		queried := make(chan struct{})
+		go func() {
+			defer close(queried)
+			_, _ = fx.query(ctx)
+		}()
+		<-d.entered
+		cancel()
+		<-queried
+		// The query answers at its cancellation; its harvest's leader
+		// notes (or not) just after.
+		deadline := time.Now().Add(5 * time.Second)
+		for fx.g.inflightHarvests.Load() != 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("cancellation %d: the harvest never ended", i+1)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	d.hang.Store(false)
+	close(d.release)
+
+	if info := fx.source(t, fx.urls[0]); info.Health != "healthy" || info.Failures != 0 || info.LastError != "" ||
+		info.Breaker != "closed" {
+		t.Errorf("after %d cancelled queries: %+v", threshold, info)
+	}
+	if st := fx.g.Stats(); st.HarvestErrors != 0 || st.SourceTransitions != 0 {
+		t.Errorf("harvest errors %d, transitions %d; want 0 and 0", st.HarvestErrors, st.SourceTransitions)
+	}
+	if evs := fx.events("source-state"); len(evs) != 0 {
+		t.Errorf("source-state events = %+v, want none", evs)
+	}
+	resp, err := fx.query(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := resp.Sources[0]; s.Err != "" || s.Rows != 1 {
+		t.Fatalf("query after the cancelled ones: %+v", s)
+	}
+}

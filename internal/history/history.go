@@ -434,20 +434,20 @@ func (s *Store) View() *View {
 // Sample is one retained sample of a View: At's rows of (Source, Group), its
 // cells read from the chunk they were decoded from.
 type Sample struct {
-	Source, Group    string
-	At               time.Time
-	rs               *resultset.ResultSet
-	from, rows, cols int
+	Source, Group string
+	At            time.Time
+	rs            *resultset.ResultSet
+	from, rows    int
 }
 
-// Len returns the number of rows, Width the number of cells in each.
-func (s *Sample) Len() int   { return s.rows }
-func (s *Sample) Width() int { return s.cols }
+// Len returns the number of rows.
+func (s *Sample) Len() int { return s.rows }
 
-// Null reports whether row r of the group's field c is NULL; Cell returns
-// its value.
-func (s *Sample) Null(r, c int) bool           { return s.rs.Null(s.from+r, c) }
-func (s *Sample) Cell(r, c int) resultset.Cell { return s.rs.Cell(s.from+r, c) }
+// Rows returns the sample's rows: rows [from, to) of rs, a set of the
+// group's own shape that holds its chunk and that the next chunk reuses.
+func (s *Sample) Rows() (rs *resultset.ResultSet, from, to int) {
+	return s.rs, s.from, s.from + s.rows
+}
 
 // Each calls fn with every sample, series by series in (source, group) order
 // and in time order within one, stopping at the first error. Each chunk is
@@ -468,14 +468,15 @@ func (v *View) Each(fn func(*Sample) error) error {
 			b = resultset.NewBuilder(meta)
 			sets[ser.group] = b
 		}
-		smp := Sample{Source: ser.source, Group: ser.group.Name, cols: len(ser.group.Fields)}
+		smp := Sample{Source: ser.source, Group: ser.group.Name}
+		cols := len(ser.group.Fields)
 		ser.parts(ser.head, ser.n, func(c *chunk, a, z int) {
 			if err != nil {
 				return
 			}
 			sp.of(c, &ser.open)
 			b.Reset()
-			ser.putPart(b.Grow(int(sp.starts[z]-sp.starts[a]), 0), c, &sp, a, z, smp.cols, false)
+			ser.putPart(b.Grow(int(sp.starts[z]-sp.starts[a]), 0), c, &sp, a, z, cols, false)
 			if smp.rs, err = b.Build(); err != nil {
 				return
 			}

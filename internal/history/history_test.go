@@ -380,10 +380,11 @@ func sameCell(a, b any) bool {
 
 // sampleRows boxes a view sample's rows, for comparing with boxed references.
 func sampleRows(smp *Sample) [][]any {
-	rows := make([][]any, smp.Len())
+	rs, from, to := smp.Rows()
+	rows := make([][]any, to-from)
 	for r := range rows {
-		for c := 0; c < smp.Width(); c++ {
-			rows[r] = append(rows[r], smp.Cell(r, c).Value())
+		for c := 0; c < rs.Metadata().ColumnCount(); c++ {
+			rows[r] = append(rows[r], rs.Cell(from+r, c).Value())
 		}
 	}
 	return rows

@@ -130,7 +130,8 @@ func writeCheckpoint(dir string, seq, walSeq uint64, view *history.View) error {
 		return err
 	}
 	err = view.Each(func(smp *history.Sample) error {
-		payload = encodeResult(payload[:0], smp.Source, smp.Group, smp.At, smp.Width(), smp)
+		rs, from, to := smp.Rows()
+		payload = encodeResult(payload[:0], smp.Source, smp.Group, smp.At, rs, from, to)
 		return writeFrame(payload)
 	})
 	if err != nil {

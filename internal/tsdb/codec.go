@@ -34,17 +34,11 @@ const (
 	tagTime   = 5
 )
 
-// cells is a sample's rows as the encoder reads them: a harvest's ResultSet
-// on the way to the journal, a retained history.Sample on the way to a
-// checkpoint.
-type cells interface {
-	Len() int
-	Null(r, c int) bool
-	Cell(r, c int) resultset.Cell
-}
-
-// encodeResult appends the binary encoding of one sample, rows of cols cells,
-// to buf. The cells are read where they are held; nothing is boxed.
+// encodeResult appends the binary encoding of one sample, rows [from, to)
+// of rs, to buf: a harvest's ResultSet on the way to the journal, a retained
+// history.Sample's chunk on the way to a checkpoint. Each column's cells are
+// fetched once for the sample and read where they are held; nothing is
+// boxed.
 //
 // Payload layout (varints are encoding/binary (u)varints, fixed ints are
 // little-endian):
@@ -58,20 +52,25 @@ type cells interface {
 //	  tagNil: nothing          tagString: uvarint len + bytes
 //	  tagInt: varint           tagFloat:  8-byte IEEE-754 bits
 //	  tagBool: u8 0/1          tagTime:   varint Unix nanoseconds
-func encodeResult(buf []byte, source, group string, at time.Time, cols int, rows cells) []byte {
+func encodeResult(buf []byte, source, group string, at time.Time, rs *resultset.ResultSet, from, to int) []byte {
 	buf = append(buf, recordVersion)
 	buf = appendBytes(buf, source)
 	buf = appendBytes(buf, group)
 	buf = binary.AppendVarint(buf, at.UnixNano())
-	n := rows.Len()
-	buf = binary.AppendUvarint(buf, uint64(n))
-	for r := 0; r < n; r++ {
+	buf = binary.AppendUvarint(buf, uint64(to-from))
+	cols := rs.Metadata().ColumnCount()
+	var held [32]*resultset.Vector // a GLUE group's width fits: no allocation
+	vecs := held[:0]
+	for c := 0; c < cols; c++ {
+		vecs = append(vecs, rs.Column(c)) // nil: every row NULL
+	}
+	for r := from; r < to; r++ {
 		buf = binary.AppendUvarint(buf, uint64(cols))
-		for c := 0; c < cols; c++ {
-			if rows.Null(r, c) { // most cells of a sparse harvest: no Cell made
+		for _, v := range vecs {
+			if v == nil || v.Null(r) { // most cells of a sparse harvest: no Cell made
 				buf = append(buf, tagNil)
 			} else {
-				buf = appendCell(buf, rows.Cell(r, c))
+				buf = appendCell(buf, v.Cell(r))
 			}
 		}
 	}

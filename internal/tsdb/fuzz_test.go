@@ -21,7 +21,7 @@ func fuzzSeedPayload() []byte {
 		Append("host-a", "Linux", nil, "5.4", int64(1024), time.Unix(90000, 0)).
 		Append("host-b", "Linux", "6.1", "12", int64(2048), nil).
 		Build()
-	return encodeResult(nil, "gridrm:snmp://node:1", glue.GroupOperatingSystem, time.Unix(90000, 123), meta.ColumnCount(), rs)
+	return encodeResult(nil, "gridrm:snmp://node:1", glue.GroupOperatingSystem, time.Unix(90000, 123), rs, 0, rs.Len())
 }
 
 // sameCells reports whether two sets hold the same cells.
@@ -77,7 +77,7 @@ func FuzzWALDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Layer 1: the sample codec must fail softly on any input.
 		if rec, err := new(decoder).sample(data); err == nil && rec.refused == nil {
-			round := encodeResult(nil, rec.source, rec.group, rec.at, rec.rs.Metadata().ColumnCount(), rec.rs)
+			round := encodeResult(nil, rec.source, rec.group, rec.at, rec.rs, 0, rec.rs.Len())
 			if again, err2 := new(decoder).sample(round); err2 != nil || again.refused != nil {
 				t.Fatalf("re-encode of accepted payload rejected: %v, %v", err2, again.refused)
 			} else if again.source != rec.source || again.group != rec.group ||
@@ -169,7 +169,7 @@ func FuzzCheckpointLoad(f *testing.F) {
 			if rec.refused != nil {
 				return nil
 			}
-			round := encodeResult(nil, rec.source, rec.group, rec.at, rec.rs.Metadata().ColumnCount(), rec.rs)
+			round := encodeResult(nil, rec.source, rec.group, rec.at, rec.rs, 0, rec.rs.Len())
 			if again, err := new(decoder).sample(round); err != nil || again.refused != nil ||
 				again.source != rec.source || again.group != rec.group || !again.at.Equal(rec.at) || !sameCells(again.rs, rec.rs) {
 				t.Fatalf("an accepted checkpoint record does not survive re-encoding: %v", err)

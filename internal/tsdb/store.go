@@ -17,8 +17,14 @@ import (
 type Options struct {
 	// Dir is the durability directory (WAL segments + checkpoints).
 	Dir string
-	// Fsync is the WAL fsync policy: FsyncAlways, FsyncInterval (default)
-	// or FsyncOff.
+	// Fsync is the WAL fsync policy. FsyncAlways writes and fsyncs each
+	// record before Record returns: nothing acknowledged is lost to a
+	// kill -9 or a machine crash. FsyncInterval (default) commits records
+	// in groups, one write and one fsync at most fsyncEvery (100 ms) after
+	// a group's first record: a kill -9 or a machine crash loses at most
+	// that last 100 ms. FsyncOff writes each record before Record returns
+	// and never fsyncs: a kill -9 loses nothing, a machine crash whatever
+	// the page cache had not written back.
 	Fsync string
 	// SegmentMaxBytes rotates the live WAL segment once it grows past this
 	// (default 4 MiB).
@@ -93,8 +99,8 @@ type Store struct {
 	failWrites  error // test hook: injected append error
 
 	// Counters, all guarded by mu (every writer-path touch holds it).
+	wal              walCounters
 	walAppends       int64
-	fsyncs           int64
 	replayed         int64
 	corrupt          int64
 	checkpoints      int64
@@ -119,6 +125,7 @@ type Stats struct {
 	State            string    `json:"state"` // durable | memory-only | closed
 	Dir              string    `json:"dir"`
 	WALAppends       int64     `json:"wal_appends"`
+	WALWrites        int64     `json:"wal_writes"` // write calls carrying frames: one per group under FsyncInterval
 	Fsyncs           int64     `json:"fsyncs"`
 	ReplayedRecords  int64     `json:"replayed_records"`
 	CorruptRecords   int64     `json:"corrupt_records"`
@@ -126,11 +133,11 @@ type Stats struct {
 	CheckpointErrors int64     `json:"checkpoint_errors"`
 	WALErrors        int64     `json:"wal_errors"`
 	Reattaches       int64     `json:"reattaches"`
-	DiskBytes        int64     `json:"disk_bytes"`
+	DiskBytes        int64     `json:"disk_bytes"` // an interval group not yet written included
 	WALSegments      int       `json:"wal_segments"`
 	LastCheckpoint   time.Time `json:"last_checkpoint,omitempty"`
 	// WALBytesSinceCheckpoint is the framed WAL bytes no checkpoint covers:
-	// what a crash now would replay.
+	// what a crash now would replay, less an interval group not yet written.
 	WALBytesSinceCheckpoint int64 `json:"wal_bytes_since_checkpoint"`
 }
 
@@ -142,6 +149,11 @@ type Stats struct {
 func Open(opts Options, mem *history.Store) *Store {
 	s := &Store{mem: mem, opts: opts.withDefaults()}
 	s.stopCtx, s.stop = context.WithCancel(context.Background())
+	if s.opts.Fsync == FsyncInterval {
+		s.wal.wake = make(chan struct{}, 1)
+		s.wg.Add(1)
+		go s.flushLoop()
+	}
 	s.mu.Lock()
 	if err := s.attachLocked(); err != nil {
 		s.alert(fmt.Sprintf("history dir unusable, running memory-only: %v", err))
@@ -191,7 +203,7 @@ func (s *Store) attachLocked() error {
 	if n := len(segs); n > 0 && segs[n-1].seq >= next {
 		next = segs[n-1].seq + 1
 	}
-	w, err := createSegment(s.opts.Dir, next, s.opts.Fsync, s.opts.Clock, func() { s.fsyncs++ })
+	w, err := createSegment(s.opts.Dir, next, s.opts.Fsync, &s.wal)
 	if err != nil {
 		return err
 	}
@@ -294,7 +306,7 @@ func (s *Store) Record(source, group string, rs *resultset.ResultSet, at time.Ti
 	if s.closed || !s.attached {
 		return nil
 	}
-	s.encBuf = encodeResult(s.encBuf[:0], source, group, at, rs.Metadata().ColumnCount(), rs)
+	s.encBuf = encodeResult(s.encBuf[:0], source, group, at, rs, 0, rs.Len())
 	err := s.failWrites
 	if err == nil {
 		err = s.w.append(s.encBuf)
@@ -326,12 +338,13 @@ func (s *Store) rotateLocked() {
 	}
 	s.sealed = append(s.sealed, info)
 	next := s.lastSeq + 1
-	w, err := createSegment(s.opts.Dir, next, s.opts.Fsync, s.opts.Clock, func() { s.fsyncs++ })
+	w, err := createSegment(s.opts.Dir, next, s.opts.Fsync, &s.wal)
 	if err != nil {
 		s.w = nil
 		s.detachLocked(fmt.Sprintf("creating WAL segment failed: %v", err))
 		return
 	}
+	w.pending = old.pending[:0] // the sealed segment wrote it: reuse the buffer
 	s.w = w
 	s.lastSeq = next
 }
@@ -456,6 +469,34 @@ func (s *Store) Checkpoint() error {
 	return nil
 }
 
+// flushLoop commits an FsyncInterval WAL's groups that no size limit or
+// seal has committed: woken by a group's first frame, it waits fsyncEvery,
+// then writes and fsyncs whatever is pending. Between groups it sleeps on
+// the wake channel, so an idle store arms no timer. A failed flush degrades
+// the store like a failed append: the records are in memory already, and
+// the re-attach checkpoint makes them durable.
+func (s *Store) flushLoop() {
+	defer s.wg.Done()
+	for {
+		select {
+		case <-s.stopCtx.Done():
+			return
+		case <-s.wal.wake:
+		}
+		if retry.Sleep(s.stopCtx, fsyncEvery) != nil {
+			return // Close seals the segment; CrashClose drops the group
+		}
+		s.mu.Lock()
+		if !s.closed && s.attached {
+			if err := s.w.flush(); err != nil {
+				s.walErrors++
+				s.detachLocked(fmt.Sprintf("WAL flush failed: %v", err))
+			}
+		}
+		s.mu.Unlock()
+	}
+}
+
 func (s *Store) checkpointLoop() {
 	defer s.wg.Done()
 	ticker := time.NewTicker(s.opts.CheckpointInterval)
@@ -494,7 +535,8 @@ func (s *Store) Stats() Stats {
 		State:            "memory-only",
 		Dir:              s.opts.Dir,
 		WALAppends:       s.walAppends,
-		Fsyncs:           s.fsyncs,
+		WALWrites:        s.wal.writes,
+		Fsyncs:           s.wal.fsyncs,
 		ReplayedRecords:  s.replayed,
 		CorruptRecords:   s.corrupt,
 		Checkpoints:      s.checkpoints,
@@ -548,7 +590,8 @@ func (s *Store) Close() error {
 
 // CrashClose releases file descriptors without syncing or checkpointing —
 // the simulator's kill switch. Whatever reached the page cache survives;
-// whatever did not models a torn tail for recovery to deal with.
+// whatever did not models a torn tail for recovery to deal with. An
+// FsyncInterval group not yet written is lost, as a killed process loses it.
 func (s *Store) CrashClose() {
 	s.closeOnce.Do(func() {
 		s.stop()

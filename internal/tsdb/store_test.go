@@ -48,7 +48,7 @@ func foreignRow(t testing.TB, group string, at time.Time, row []any) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return encodeResult(nil, testSrc, group, at, len(row), rs)
+	return encodeResult(nil, testSrc, group, at, rs, 0, rs.Len())
 }
 
 // alertSink collects alerts and status lines for assertions.
@@ -613,7 +613,7 @@ func TestWALBytesSinceCheckpoint(t *testing.T) {
 	var want int64
 	for i := 0; i < 12; i++ {
 		host, at := fmt.Sprintf("host%d", i), t0.Add(time.Duration(i)*time.Second)
-		frame := int64(frameHeaderSize + len(encodeResult(nil, testSrc, glue.GroupMemory, at, 7, memRS(t, host, 1024))))
+		frame := int64(frameHeaderSize + len(encodeResult(nil, testSrc, glue.GroupMemory, at, memRS(t, host, 1024), 0, 1)))
 		record(t, s, host, at)
 		if want += frame; s.Stats().WALBytesSinceCheckpoint != want {
 			t.Fatalf("after record %d: %d bytes since checkpoint, want %d", i, s.Stats().WALBytesSinceCheckpoint, want)

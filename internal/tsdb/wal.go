@@ -44,8 +44,14 @@ const (
 	FsyncOff      = "off"
 )
 
-// fsyncEvery bounds how stale unsynced WAL data may get under FsyncInterval.
+// fsyncEvery bounds how long an acknowledged record may wait in an
+// FsyncInterval writer's buffer before it is written and fsynced: a kill -9
+// or a machine crash loses at most the last fsyncEvery of records.
 const fsyncEvery = 100 * time.Millisecond
+
+// groupBytes is the buffered size at which an FsyncInterval writer writes
+// and fsyncs its frames at once rather than at its fsyncEvery deadline.
+const groupBytes = 64 << 10
 
 func segmentName(seq uint64) string { return fmt.Sprintf("wal-%016d.seg", seq) }
 
@@ -90,33 +96,42 @@ func listSegments(dir string) ([]segmentInfo, error) {
 	return segs, nil
 }
 
-// segmentWriter appends CRC-framed records to one live segment file.
-type segmentWriter struct {
-	f    *os.File
-	path string
-	seq  uint64
-	size int64
-	buf  []byte
+// walCounters are a store's WAL counters and its flush loop's wake-up, which
+// every segment writer of the store shares. Writers run under the store's
+// lock, so the counters need no other.
+type walCounters struct {
+	writes, fsyncs int64
+	// wake hears, without blocking, that a frame went into an empty
+	// FsyncInterval buffer: the flush loop then arms its fsyncEvery timer.
+	wake chan struct{}
+}
 
-	policy   string
-	lastSync time.Time
-	clock    func() time.Time
-	onSync   func()
+// segmentWriter appends CRC-framed records to one live segment file. Under
+// FsyncAlways and FsyncOff every append is written before it returns (and
+// fsynced, under FsyncAlways). Under FsyncInterval appends commit in groups:
+// frames collect in pending and go to the file in one write and one fsync
+// when pending reaches groupBytes, when the segment is sealed, or when the
+// store's flush loop finds fsyncEvery gone since the group's first frame.
+type segmentWriter struct {
+	f       *os.File
+	path    string
+	seq     uint64
+	size    int64  // the segment's bytes, pending frames included
+	pending []byte // frames not yet written
+
+	policy string
+	wal    *walCounters
 }
 
 // createSegment opens a fresh segment file for appending and writes its
 // header.
-func createSegment(dir string, seq uint64, policy string, clock func() time.Time, onSync func()) (*segmentWriter, error) {
+func createSegment(dir string, seq uint64, policy string, wal *walCounters) (*segmentWriter, error) {
 	path := filepath.Join(dir, segmentName(seq))
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	w := &segmentWriter{
-		f: f, path: path, seq: seq,
-		policy: policy, clock: clock, onSync: onSync,
-		lastSync: clock(),
-	}
+	w := &segmentWriter{f: f, path: path, seq: seq, policy: policy, wal: wal}
 	header := make([]byte, 0, segHeaderSize)
 	header = append(header, segMagic...)
 	header = binary.LittleEndian.AppendUint32(header, segVersion)
@@ -128,52 +143,74 @@ func createSegment(dir string, seq uint64, policy string, clock func() time.Time
 	return w, nil
 }
 
-// append frames and writes one payload, syncing per the fsync policy.
+// append frames one payload and commits it per the fsync policy. It reads
+// no clock; under FsyncInterval it makes no syscall until the group is full.
 func (w *segmentWriter) append(payload []byte) error {
-	w.buf = appendFrame(w.buf[:0], payload)
-	if _, err := w.f.Write(w.buf); err != nil {
-		return err
+	first := len(w.pending) == 0
+	w.pending = appendFrame(w.pending, payload)
+	w.size += int64(frameHeaderSize + len(payload))
+	switch {
+	case w.policy != FsyncInterval || len(w.pending) >= groupBytes:
+		return w.flush()
+	case first:
+		select {
+		case w.wal.wake <- struct{}{}:
+		default: // a wake-up is queued already (or, nil, no loop listens)
+		}
 	}
-	w.size += int64(len(w.buf))
-	return w.maybeSync()
+	return nil
 }
 
-func (w *segmentWriter) maybeSync() error {
-	switch w.policy {
-	case FsyncAlways:
-		return w.sync()
-	case FsyncOff:
-		return nil
-	default: // FsyncInterval
-		if w.clock().Sub(w.lastSync) >= fsyncEvery {
-			return w.sync()
-		}
+// flush writes the pending frames with one write and, unless the policy is
+// FsyncOff, fsyncs them. With nothing pending it does nothing.
+func (w *segmentWriter) flush() error {
+	if len(w.pending) == 0 {
 		return nil
 	}
+	if err := w.write(); err != nil {
+		return err
+	}
+	if w.policy == FsyncOff {
+		return nil
+	}
+	return w.sync()
+}
+
+// write hands the pending frames to the file in one write.
+func (w *segmentWriter) write() error {
+	if len(w.pending) == 0 {
+		return nil
+	}
+	_, err := w.f.Write(w.pending)
+	w.pending = w.pending[:0]
+	w.wal.writes++
+	return err
 }
 
 func (w *segmentWriter) sync() error {
 	if err := w.f.Sync(); err != nil {
 		return err
 	}
-	w.lastSync = w.clock()
-	if w.onSync != nil {
-		w.onSync()
-	}
+	w.wal.fsyncs++
 	return nil
 }
 
-// close seals the segment: a final sync, then the file is closed.
+// close seals the segment: the pending frames are written, a final sync,
+// then the file is closed.
 func (w *segmentWriter) close() error {
-	syncErr := w.sync()
-	if err := w.f.Close(); err != nil && syncErr == nil {
-		syncErr = err
+	err := w.write()
+	if err == nil {
+		err = w.sync()
 	}
-	return syncErr
+	if cerr := w.f.Close(); cerr != nil && err == nil {
+		err = cerr
+	}
+	return err
 }
 
-// abandon closes the file descriptor without a final sync — the crash path
-// (and the give-up path after a disk fault, where sync would fail anyway).
+// abandon closes the file descriptor without writing what is pending or
+// syncing — the crash path (a killed process loses its buffer too) and the
+// give-up path after a disk fault, where the records are still in memory.
 func (w *segmentWriter) abandon() { _ = w.f.Close() }
 
 // appendFrame appends payload's frame — its length, its CRC, itself — to buf.

@@ -6,15 +6,13 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 )
 
 // buildSegment writes a real segment with the given payloads and returns its
 // path and the byte offset at which each frame ends (ascending).
 func buildSegment(t testing.TB, dir string, payloads [][]byte) (string, []int64) {
 	t.Helper()
-	clock := func() time.Time { return time.Unix(90000, 0) }
-	w, err := createSegment(dir, 1, FsyncOff, clock, nil)
+	w, err := createSegment(dir, 1, FsyncOff, &walCounters{})
 	if err != nil {
 		t.Fatal(err)
 	}
